@@ -254,7 +254,7 @@ let record rows name ns =
    warm-served delay vectors; schema 6 the churn counters: bases
    remapped across restrictions, repair budgets exceeded, transfer
    retries and total backoff time; schema 7 the guarded recovery/
-   rows: checkpointed, resumed and budget-compared robust runs) — in
+   rows: checkpointed and resumed robust runs) — in
    the JSON, so effort regressions show up even when wall-clock noise
    hides them *)
 let effort_rows : (string, Lp.Stats.t) Hashtbl.t = Hashtbl.create 16
@@ -913,13 +913,13 @@ let run_fault_suite ~smoke () =
 
 (* A long fault trace (32 epochs, dense churn) over a heterogeneous
    star: every epoch re-plans on a different surviving subplatform, so
-   the cold run rebuilds basis, cancellation and matchings from scratch
-   each time while the warm run carries them across restrictions
-   ({!Lp.remap_basis} + {!Reconstruct.Warm.remap}).  Guards: warm and
-   cold must complete bit-identical work with identical per-phase series
-   and loss reports on this curated trace (reuse is an accelerator,
-   never a result changer), the remap machinery must actually fire, and
-   at n=200 the warm run must beat the cold run. *)
+   the cold run rebuilds the LP basis from scratch each time while the
+   warm run carries it across restrictions ({!Lp.remap_basis}).
+   Guards: warm and cold must complete bit-identical work with
+   identical per-phase series and loss reports on this curated trace
+   (reuse is an accelerator, never a result changer), the remap
+   machinery must actually fire, and at n=200 the warm run must beat
+   the cold run. *)
 let churn_scenario ~slaves ~phases ~seed =
   let p =
     Platform_gen.star ~master_weight:Ext_rat.inf
@@ -1004,8 +1004,7 @@ let run_churn_suite ~smoke () =
    Guards: a checkpointed run must complete bit-identical work to the
    plain warm run (the record writes and the disk-tier cache are
    accelerator plumbing, never result changers), a run killed mid-flight
-   must resume bit-identically from the record, the adaptive repair
-   budget must match the fixed-budget outcome, and at n=200 the
+   must resume bit-identically from the record, and at n=200 the
    per-epoch checkpoint overhead must stay within 5% of the plain
    wall. *)
 let run_recovery_suite ~smoke () =
@@ -1097,37 +1096,11 @@ let run_recovery_suite ~smoke () =
         failwith
           (Printf.sprintf
              "bench: resumed run diverged from uninterrupted at n=%d" n);
-      (* adaptive vs fixed repair budget: identical outcomes, effort
-         recorded for the snapshot diff *)
-      let fixed_stats = Lp.Stats.create () in
-      let fixed =
-        Dynamic_sched.run
-          ~budget:(Master_slave.Fixed 2) ~stats:fixed_stats sc
-          Dynamic_sched.Robust
-      in
-      record_effort (label "budget fixed=2") fixed_stats;
-      let adaptive_stats = Lp.Stats.create () in
-      let adaptive =
-        Dynamic_sched.run
-          ~budget:(Master_slave.adaptive_budget ())
-          ~stats:adaptive_stats sc Dynamic_sched.Robust
-      in
-      record_effort (label "budget adaptive") adaptive_stats;
-      if
-        (not (Dynamic_sched.outcomes_equal plain fixed))
-        || not (Dynamic_sched.outcomes_equal plain adaptive)
-      then
-        failwith
-          (Printf.sprintf
-             "bench: a repair budget changed the outcome at n=%d" n);
       Printf.printf "%-56s %10s\n"
         (Printf.sprintf "recovery/guard n=%d" n)
-        (Printf.sprintf
-           "ckpt = resumed = plain = %s, record overhead %.1f%%, adaptive \
-            pivots %d vs fixed %d"
+        (Printf.sprintf "ckpt = resumed = plain = %s, record overhead %.1f%%"
            (R.to_string (completed plain))
-           (100. *. ((ckpt_ns /. disk_ns) -. 1.))
-           adaptive_stats.Lp.Stats.pivots fixed_stats.Lp.Stats.pivots);
+           (100. *. ((ckpt_ns /. disk_ns) -. 1.)));
       (* hard ceiling on the checkpoint-record cost itself (against the
          disk-cached baseline, which pays the same LP write-through)
          where the LP work dominates the epoch *)

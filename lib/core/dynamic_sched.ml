@@ -257,7 +257,7 @@ let make_cache cache reuse =
   | Some _ as c -> c
   | None -> if reuse then Some (Lp.Cache.create ()) else None
 
-let run_classic ?cache ?(reuse = true) ?budget ?stats sc strategy =
+let run_classic ?cache ?(reuse = true) ?stats sc strategy =
   let p = sc.platform in
   let node_cts, edge_cts = compile_scenario sc in
   let sim =
@@ -272,15 +272,12 @@ let run_classic ?cache ?(reuse = true) ?budget ?stats sc strategy =
      restores the cold per-phase solves for baseline measurements *)
   let cache = make_cache cache reuse in
   let warm = if reuse then Some (Lp.Warm.create ()) else None in
-  let recon = if reuse then Some (Reconstruct.Warm.create ()) else None in
   let solve_scaled node_mult edge_mult =
-    Master_slave.solve ?warm ?cache ?recon ?budget ?stats
+    Master_slave.solve ?warm ?cache ?stats
       (scaled_platform sc node_mult edge_mult)
       ~master:sc.master
   in
-  let static_sol =
-    Master_slave.solve ?warm ?cache ?recon ?budget ?stats p ~master:sc.master
-  in
+  let static_sol = Master_slave.solve ?warm ?cache ?stats p ~master:sc.master in
   (* one forecaster per node and per edge (reactive strategy) *)
   let node_fc = Array.init (P.num_nodes p) (fun _ -> Forecast.create ()) in
   let edge_fc = Array.init (P.num_edges p) (fun _ -> Forecast.create ()) in
@@ -684,7 +681,7 @@ type ckpt_ctx = {
 
 exception Resume_mismatch
 
-let run_robust ?cache ?(reuse = true) ?budget ?stats ?ckpt sc =
+let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
   let p = sc.platform in
   let n = P.num_nodes p and m = P.num_edges p in
   let node_cts, edge_cts = compile_scenario sc in
@@ -698,9 +695,6 @@ let run_robust ?cache ?(reuse = true) ?budget ?stats ?ckpt sc =
   in
   let cache = make_cache cache reuse in
   let warm = if reuse then Some (Lp.Warm.create ()) else None in
-  (* the surviving subplatforms of consecutive epochs are usually
-     near-identical, so the flow cycle-cancellation replays too *)
-  let recon = if reuse then Some (Reconstruct.Warm.create ()) else None in
   (* Failure state.  Zero-crossing breakpoints fire simulator outage
      events, and breakpoint timers sort before the phase-boundary timers
      registered below, so at every boundary these arrays are current.
@@ -836,9 +830,7 @@ let run_robust ?cache ?(reuse = true) ?budget ?stats ?ckpt sc =
      one regime where a fault-free Robust run fell behind.  Physics
      still caps the executed work at the per-epoch LP bound: extra
      submissions merely queue. *)
-  let static_sol =
-    Master_slave.solve ?warm ?cache ?recon ?budget ?stats p ~master:sc.master
-  in
+  let static_sol = Master_slave.solve ?warm ?cache ?stats p ~master:sc.master in
   (* Resuming: overwrite the warm slot with the checkpointed basis only
      *after* the static solve — the uninterrupted run's static solve ran
      against an empty slot, and the first live epoch must import exactly
@@ -862,19 +854,14 @@ let run_robust ?cache ?(reuse = true) ?budget ?stats ?ckpt sc =
      would, restoring [Robust >= Static] under churn with recovery. *)
   let arrears = ref [] in
   let master_deficit = ref 0 in
-  (* Cross-epoch reuse under churn.  [prev_restr] remembers the index
-     space the warm slots currently live in (the full platform right
-     after the static solve — an identity restriction); whenever the
-     surviving subplatform changes shape, the reconstruction slot is
-     rewritten through {!Platform.transfer_maps} so epoch [k]'s
-     cancellation log, matchings and delay vector seed epoch [k+1] —
-     including re-expansion when a resource recovers.  The LP basis
-     needs no explicit step: {!Lp.remap_basis} fires inside [solve] on
-     the signature mismatch.  [memo] short-circuits the restriction
-     itself: consecutive epochs with identical multiplier snapshots
-     reuse the previous sub-platform outright (same physical value, so
-     downstream caches hit too). *)
-  let prev_restr = ref (Some (P.identity_restriction p)) in
+  (* Cross-epoch reuse under churn.  The LP basis follows the surviving
+     subplatform by itself: {!Lp.remap_basis} fires inside [solve] on the
+     signature mismatch.  Everything after the LP is recomputed per
+     epoch from that epoch's solution alone, so nothing downstream of
+     the LP holds state a checkpoint would have to store.  [memo]
+     short-circuits the restriction itself: consecutive epochs with
+     identical multiplier snapshots reuse the previous sub-platform
+     outright (same physical value, so downstream caches hit too). *)
   let memo = ref None in
   let node_mults = Array.make n R.one in
   let edge_mults = Array.make m R.one in
@@ -1027,26 +1014,12 @@ let run_robust ?cache ?(reuse = true) ?budget ?stats ?ckpt sc =
                     Some (Array.copy node_mults, Array.copy edge_mults, r);
                 r
             in
-            (if reuse then
-               match !prev_restr with
-               | Some prev when prev != restr ->
-                 (match recon with
-                 | Some w ->
-                   let node_map, edge_map =
-                     P.transfer_maps ~src:prev ~dst:restr
-                   in
-                   Reconstruct.Warm.remap w ~node_map ~edge_map
-                     ~platform:restr.P.sub
-                 | None -> ())
-               | _ -> ());
-            prev_restr := Some restr;
             let sub = restr.P.sub in
             let plan =
               if not (has_compute sub) then None
               else
                 match
-                  Master_slave.try_solve ?warm ?cache ?recon ?budget ?stats
-                    sub
+                  Master_slave.try_solve ?warm ?cache ?stats sub
                     ~master:restr.P.sub_of_node.(sc.master)
                 with
                 | Error (`Infeasible | `Unbounded) -> None
@@ -1229,7 +1202,7 @@ let ckpt_ctx_of config ~reuse ~halt_at =
   let cache = if reuse then Some (Lp.Cache.create ~disk:store ()) else None in
   (store, ctx, cache)
 
-let run ?cache ?reuse ?budget ?stats ?checkpoint ?halt_at sc strategy =
+let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
   (match checkpoint, strategy with
   | Some _, (Static | Reactive | Oracle) ->
     invalid_arg "Dynamic_sched.run: ?checkpoint requires the Robust strategy"
@@ -1242,7 +1215,7 @@ let run ?cache ?reuse ?budget ?stats ?checkpoint ?halt_at sc strategy =
   | Robust -> (
     validate_scenario ~allow_outages:true sc;
     match checkpoint with
-    | None -> run_robust ?cache ?reuse ?budget ?stats sc
+    | None -> run_robust ?cache ?reuse ?stats sc
     | Some config ->
       (match cache with
       | Some _ ->
@@ -1253,17 +1226,17 @@ let run ?cache ?reuse ?budget ?stats ?checkpoint ?halt_at sc strategy =
       let reuse_v = Option.value reuse ~default:true in
       let _store, ctx, cache = ckpt_ctx_of config ~reuse:reuse_v ~halt_at in
       let ctx = { ctx with ck_key = scenario_key sc ~reuse:reuse_v } in
-      run_robust ?cache ?reuse ?budget ?stats ~ckpt:ctx sc)
+      run_robust ?cache ?reuse ?stats ~ckpt:ctx sc)
   | Static ->
     (* outages are execution-time events the static plan never consults:
        the strategy runs (and suffers) fault scenarios as the baseline *)
     validate_scenario ~allow_outages:true sc;
-    run_classic ?cache ?reuse ?budget ?stats sc strategy
+    run_classic ?cache ?reuse ?stats sc strategy
   | Reactive | Oracle ->
     (* these plan by dividing weights by observed/true multipliers, so a
        zero multiplier has no meaningful scaled platform *)
     validate_scenario sc;
-    run_classic ?cache ?reuse ?budget ?stats sc strategy
+    run_classic ?cache ?reuse ?stats sc strategy
 
 let outcomes_equal a b =
   a.strategy = b.strategy
@@ -1272,7 +1245,7 @@ let outcomes_equal a b =
   && List.for_all2 R.equal a.per_phase b.per_phase
   && a.losses = b.losses
 
-let resume ?reuse ?budget ?stats ?(strict = false) ~checkpoint sc =
+let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
   validate_scenario ~allow_outages:true sc;
   let reuse_v = Option.value reuse ~default:true in
   let store, ctx, cache = ckpt_ctx_of checkpoint ~reuse:reuse_v ~halt_at:None in
@@ -1293,7 +1266,7 @@ let resume ?reuse ?budget ?stats ?(strict = false) ~checkpoint sc =
         None)
   in
   let cold () =
-    (run_robust ?cache ?reuse ?budget ?stats ~ckpt:ctx sc, None)
+    (run_robust ?cache ?reuse ?stats ~ckpt:ctx sc, None)
   in
   let outcome, resumed_from =
     match record with
@@ -1305,7 +1278,7 @@ let resume ?reuse ?budget ?stats ?(strict = false) ~checkpoint sc =
           ck_replay = Some (Array.of_list r.c_log, r.c_snap, r.c_basis);
         }
       in
-      match run_robust ?cache ?reuse ?budget ?stats ~ckpt:rctx sc with
+      match run_robust ?cache ?reuse ?stats ~ckpt:rctx sc with
       | o -> (o, Some r.c_epoch)
       | exception Resume_mismatch ->
         (* the replayed prefix does not reproduce the stored snapshot:
@@ -1319,7 +1292,7 @@ let resume ?reuse ?budget ?stats ?(strict = false) ~checkpoint sc =
     (* certification: an uninterrupted cold-state run (fresh caches, no
        checkpoint machinery) must reproduce the resumed outcome
        bit-identically *)
-    let fresh = run_robust ?reuse ?budget sc in
+    let fresh = run_robust ?reuse sc in
     if not (outcomes_equal outcome fresh) then
       failwith
         "Dynamic_sched.resume: strict certification failed (resumed outcome \
@@ -1332,12 +1305,11 @@ let oracle_throughput_bound ?cache ?(reuse = true) sc =
   let node_cts, edge_cts = compile_scenario sc in
   let cache = make_cache cache reuse in
   let warm = if reuse then Some (Lp.Warm.create ()) else None in
-  let recon = if reuse then Some (Reconstruct.Warm.create ()) else None in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
     let sol =
-      Master_slave.solve ?warm ?cache ?recon
+      Master_slave.solve ?warm ?cache
         (scaled_platform sc
            (fun i -> compiled_at node_cts.(i) t0)
            (fun e -> compiled_at edge_cts.(e) t0))
@@ -1352,7 +1324,6 @@ let fault_throughput_bound ?cache ?(reuse = true) sc =
   let node_cts, edge_cts = compile_scenario sc in
   let cache = make_cache cache reuse in
   let warm = if reuse then Some (Lp.Warm.create ()) else None in
-  let recon = if reuse then Some (Reconstruct.Warm.create ()) else None in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
@@ -1364,7 +1335,7 @@ let fault_throughput_bound ?cache ?(reuse = true) sc =
     let sub = restr.P.sub in
     if has_compute sub then begin
       match
-        Master_slave.try_solve ?warm ?cache ?recon sub
+        Master_slave.try_solve ?warm ?cache sub
           ~master:restr.P.sub_of_node.(sc.master)
       with
       | Ok sol -> total := R.add !total (R.mul sc.phase sol.Master_slave.ntask)

@@ -24,14 +24,14 @@
       supply and prunes dead routes) rather than resting on forecast
       quality.
 
-      Under churn its warm state follows the platform: the surviving
+      Under churn only the LP warm state crosses epochs: the surviving
       restriction is memoised on the multiplier snapshot (identical
       consecutive epochs reuse the previous sub-platform outright), and
-      when the shape changes the reconstruction slot is rewritten
-      through {!Platform.transfer_maps} / {!Reconstruct.Warm.remap}
-      while the LP basis remaps by column meaning inside {!Lp.solve} —
-      epoch [k]'s certificate seeds epoch [k+1] even across failures
-      and recoveries.
+      when the shape changes the LP basis remaps by column meaning
+      inside {!Lp.solve}.  Everything downstream of the LP — cycle
+      cancellation, path decomposition — is recomputed per epoch from
+      that epoch's solution alone, so nothing downstream of the LP
+      holds state a checkpoint would have to store.
 
     Plans are executed in queued (non-strict) mode: if reality is slower
     than the plan assumed, operations stack up and throughput drops —
@@ -143,7 +143,6 @@ end
 val run :
   ?cache:Lp.Cache.t ->
   ?reuse:bool ->
-  ?budget:Master_slave.budget ->
   ?stats:Lp.Stats.t ->
   ?checkpoint:Checkpoint.config ->
   ?halt_at:int ->
@@ -155,11 +154,9 @@ val run :
     segments and the nominal platform cost one solve for the whole run.
     [?cache] shares the memo across runs (e.g. between strategies of the
     same scenario); [~reuse:false] disables both accelerators (including
-    {!Robust}'s restriction memo and cross-epoch warm remap) and
-    restores cold per-phase solves (baseline measurements).  [?budget]
-    bounds the per-solve warm-repair work before the certified cold
-    fallback ({!Master_slave.solve}'s [?budget]); [?stats] accumulates
-    solver/repair/retry counters across all phases.  Completed work is
+    {!Robust}'s restriction memo) and restores cold per-phase solves
+    (baseline measurements).  [?stats] accumulates solver/retry
+    counters across all phases.  Completed work is
     unaffected by [reuse] up to the choice among optimal vertices;
     throughputs and bounds are bit-identical.
 
@@ -174,7 +171,6 @@ val run :
 
 val resume :
   ?reuse:bool ->
-  ?budget:Master_slave.budget ->
   ?stats:Lp.Stats.t ->
   ?strict:bool ->
   checkpoint:Checkpoint.config ->
@@ -188,7 +184,7 @@ val resume :
     outcome is bit-identical to the uninterrupted run's; with
     [~strict:true] that is certified on the spot against a fresh
     cold-state run (fresh caches, no checkpoint machinery).
-    [?reuse]/[?budget]/[?stats] as in {!run}; [reuse] must match the
+    [?reuse]/[?stats] as in {!run}; [reuse] must match the
     original run's flag (a record written under the other flag is
     treated as a miss).
     @raise Failure if strict certification fails.

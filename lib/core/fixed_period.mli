@@ -47,7 +47,6 @@ val sweep :
   ?solver:Lp.solver ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
-  ?recon:Reconstruct.Warm.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -55,6 +54,5 @@ val sweep :
   Master_slave.solution * (Rat.t * quantized) list
 (** Platform-level convenience for the E9 workload: solve the
     steady-state LP (threading [?warm]/[?cache], so repeated sweeps of
-    the same platform re-use the basis or memoised solve; [?recon]
-    replays the previous cycle-cancellation) and quantize at every
-    requested period. *)
+    the same platform re-use the basis or memoised solve) and quantize
+    at every requested period. *)

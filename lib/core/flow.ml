@@ -53,16 +53,8 @@ let find_cycle p f =
   done;
   !cycle
 
-type cancellation = {
-  cin : t;
-  cout : t;
-  log : (Platform.edge list * R.t) list;
-  fresh : int;
-}
-
-(* Cancel every cycle found by search, in place, appending to the log
-   (newest last).  Returns the number of cycles cancelled. *)
-let cancel_by_search p f log =
+let cancel_cycles_counted p f =
+  let f = Array.copy f in
   let found = ref 0 in
   let rec go () =
     match find_cycle p f with
@@ -73,58 +65,12 @@ let cancel_by_search p f log =
       in
       List.iter (fun e -> f.(e) <- R.sub f.(e) m) cyc;
       incr found;
-      log := (cyc, m) :: !log;
       go ()
   in
   go ();
-  !found
+  (f, !found)
 
-let cancel_cycles_log p f =
-  let cin = Array.copy f in
-  let cout = Array.copy f in
-  let log = ref [] in
-  let fresh = cancel_by_search p cout log in
-  { cin; cout; log = List.rev !log; fresh }
-
-let cancel_cycles p f = (cancel_cycles_log p f).cout
-
-(* Delta mode: the previous cancellation's log is a certificate of the
-   circulation that was removed last time.  Subtracting any amount
-   [0 < x <= min flow along the cycle] along a full cycle preserves node
-   balances and non-negativity, so replaying each logged cycle capped by
-   both its logged amount and the current flow is sound whatever changed
-   since.  On an unchanged input the replay reproduces the previous
-   acyclic flow exactly (bit-identical, no search); on a perturbed input
-   it removes the bulk of the circulation cheaply and a final search
-   pass cancels only the cycles the changed edges introduced. *)
-let cancel_cycles_delta p ~prev f =
-  if Array.length prev.cin <> Array.length f then
-    invalid_arg "Flow.cancel_cycles_delta: previous flow has a different size";
-  let unchanged =
-    try
-      Array.iter2
-        (fun a b -> if not (R.equal a b) then raise Exit)
-        prev.cin f;
-      true
-    with Exit -> false
-  in
-  if unchanged then { prev with cin = Array.copy f; fresh = 0 }
-  else begin
-    let cout = Array.copy f in
-    let log = ref [] in
-    List.iter
-      (fun (cyc, m) ->
-        let x =
-          List.fold_left (fun acc e -> R.min acc cout.(e)) m cyc
-        in
-        if R.sign x > 0 then begin
-          List.iter (fun e -> cout.(e) <- R.sub cout.(e) x) cyc;
-          log := (cyc, x) :: !log
-        end)
-      prev.log;
-    let fresh = cancel_by_search p cout log in
-    { cin = Array.copy f; cout; log = List.rev !log; fresh }
-  end
+let cancel_cycles p f = fst (cancel_cycles_counted p f)
 
 let is_acyclic p f = find_cycle p f = None
 

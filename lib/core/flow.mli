@@ -17,32 +17,12 @@ val zero : Platform.t -> t
 val cancel_cycles : Platform.t -> t -> t
 (** Removes all directed cycles from the support of the flow by
     repeatedly cancelling the minimum flow along a cycle.  Node balances
-    (inflow minus outflow, per node) are preserved exactly. *)
+    (inflow minus outflow, per node) are preserved exactly.  The result
+    is a function of the platform and the flow alone, and the input is
+    left untouched. *)
 
-type cancellation = {
-  cin : t; (** the raw flow that was cancelled (copy) *)
-  cout : t; (** the acyclic result *)
-  log : (Platform.edge list * Rat.t) list;
-      (** the cycles removed, oldest first, with the amount cancelled
-          along each — a replayable certificate of [cin - cout] *)
-  fresh : int;
-      (** cycles found by search in this call (log replays excluded) *)
-}
-
-val cancel_cycles_log : Platform.t -> t -> cancellation
-(** As {!cancel_cycles}, additionally returning the cancellation log so a
-    later {!cancel_cycles_delta} can start from it. *)
-
-val cancel_cycles_delta : Platform.t -> prev:cancellation -> t -> cancellation
-(** Delta-mode cycle cancellation: replays [prev.log] (each cycle capped
-    by its logged amount and by the current flow — always balance- and
-    positivity-preserving), then searches only for the cycles the edges
-    changed since [prev.cin] introduced.  On an input equal to [prev.cin]
-    this returns [prev]'s result bit-identically with no cycle search at
-    all ([fresh = 0]); on any input it produces an acyclic flow with the
-    same node balances as the input, like {!cancel_cycles}.
-    @raise Invalid_argument if [prev] belongs to a platform with a
-    different edge count. *)
+val cancel_cycles_counted : Platform.t -> t -> t * int
+(** As {!cancel_cycles}, also returning the number of cycles cancelled. *)
 
 val is_acyclic : Platform.t -> t -> bool
 (** No directed cycle among edges with positive flow? *)

@@ -10,77 +10,6 @@ type solution = {
   task_flow : Flow.t;
 }
 
-(* --- repair budgets ----------------------------------------------------
-
-   The low-level matching/slot layers ([Schedule],
-   [Bipartite_coloring]) take a plain integer cap.  At this level the
-   caller may instead ask for an *adaptive* policy: the cap is resolved
-   per call from the instance's standard-form row count (large LPs
-   deserve more repair work before the certified cold fallback kicks
-   in) and boosted exponentially while recent calls keep blowing the
-   cap ([repairs_budget_exceeded] deltas), decaying back once repairs
-   fit again.  Budgets bind only where the fallback is result-neutral —
-   the matching/slot repairs of [schedule]; the cycle cancellation in
-   the solve path is deliberately unbudgeted ({!Reconstruct.cancel}) —
-   so budgets tune time, never answers. *)
-
-type adaptive = {
-  mutable level : int;  (* exponential boost, 0 .. [max_level] *)
-  mutable calm : int;  (* consecutive within-cap resolutions at this level *)
-  probe : Lp.Stats.t;
-      (* observes the exceeded counter when the caller passes no stats *)
-}
-
-type budget = Fixed of int | Adaptive of adaptive
-
-let adaptive_budget () =
-  Adaptive { level = 0; calm = 0; probe = Lp.Stats.create () }
-
-let max_level = 4
-let calm_decay = 8
-
-(* Standard-form row count of the LP [build_lp p ~master] produces,
-   computed structurally (no model needed): one row per port/no-master/
-   conservation constraint plus one per upper-bounded variable (every
-   alpha and s variable carries ub 1). *)
-let platform_rows p ~master =
-  let nodes = P.nodes p in
-  let count f = List.length (List.filter f nodes) in
-  count (fun i -> P.out_edges p i <> [])
-  + count (fun i -> P.in_edges p i <> [])
-  + List.length (P.in_edges p master)
-  + (P.num_nodes p - 1)
-  + P.num_nodes p + P.num_edges p
-
-(* Resolve a policy to the concrete cap for one reconstruction: returns
-   the cap, the stats slot the reconstruction must report into (so the
-   adaptive controller can observe the exceeded delta even when the
-   caller passes no stats), and a completion callback feeding that
-   delta back into the adaptive state. *)
-let concretize ?stats ~rows budget =
-  match budget with
-  | None -> (None, stats, fun () -> ())
-  | Some (Fixed b) -> (Some b, stats, fun () -> ())
-  | Some (Adaptive a) ->
-    let st = match stats with Some s -> s | None -> a.probe in
-    let before = st.Lp.Stats.repairs_budget_exceeded in
-    let base = max 8 (rows / 4) in
-    let cap = base * (1 lsl min a.level max_level) in
-    ( Some cap,
-      Some st,
-      fun () ->
-        if st.Lp.Stats.repairs_budget_exceeded > before then begin
-          a.calm <- 0;
-          if a.level < max_level then a.level <- a.level + 1
-        end
-        else begin
-          a.calm <- a.calm + 1;
-          if a.calm >= calm_decay && a.level > 0 then begin
-            a.level <- a.level - 1;
-            a.calm <- 0
-          end
-        end )
-
 let build_lp p ~master =
   let m = Lp.create () in
   let n = P.num_nodes p in
@@ -151,12 +80,12 @@ let solve_lp_only ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
 
 (* Map an optimal LP solution back onto the platform: activity
    fractions per node, cycle-free task flow per edge. *)
-let solution_of_sol ?recon ?stats p ~master alpha_v s_v (sol : Lp.solution) =
+let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
   let alpha = Array.map sol.Lp.values alpha_v in
   let raw_flow =
     Array.mapi (fun e sv -> R.div (sol.Lp.values sv) (P.edge_cost p e)) s_v
   in
-  let task_flow = Reconstruct.cancel ?warm:recon ?stats p raw_flow in
+  let task_flow = Reconstruct.cancel ?stats p raw_flow in
   let send_frac =
     Array.mapi (fun e f -> R.mul f (P.edge_cost p e)) task_flow
   in
@@ -169,35 +98,15 @@ let solution_of_sol ?recon ?stats p ~master alpha_v s_v (sol : Lp.solution) =
     task_flow;
   }
 
-let try_solve ?rule ?solver ?factorization ?warm ?cache ?recon ?budget ?stats
-    p ~master =
+let try_solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
   let m, alpha_v, s_v = build_lp p ~master in
   match Lp.solve ?rule ?solver ?factorization ?warm ?cache ?stats m with
   | Lp.Infeasible -> Error `Infeasible
   | Lp.Unbounded -> Error `Unbounded
-  | Lp.Optimal sol ->
-    (* The solve path deliberately has no budgeted repair stage: its one
-       warm-repair layer, the cycle cancellation, is unbudgeted by
-       design (see {!Reconstruct.cancel}) — a fallback there would
-       change the warm answer on cyclic-support flows.  [budget] is
-       still accepted so a single [Adaptive] value can be threaded
-       through mixed solve/[schedule] workloads; a solve counts as a
-       calm observation for the controller's decay. *)
-    let _cap, rstats, observe =
-      concretize ?stats ~rows:(platform_rows p ~master) budget
-    in
-    let solution =
-      solution_of_sol ?recon ?stats:rstats p ~master alpha_v s_v sol
-    in
-    observe ();
-    Ok solution
+  | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
 
-let solve ?rule ?solver ?factorization ?warm ?cache ?recon ?budget ?stats p
-    ~master =
-  match
-    try_solve ?rule ?solver ?factorization ?warm ?cache ?recon ?budget ?stats
-      p ~master
-  with
+let solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
+  match try_solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master with
   | Ok sol -> sol
   | Error (`Infeasible | `Unbounded) ->
     failwith "Master_slave.solve: LP not optimal (invalid platform?)"
@@ -259,7 +168,7 @@ let knapsack ?rule ?solver ?stats children =
       (* cannot happen: y = 0 is feasible, the objective is bounded *)
       failwith "Master_slave.solve_reduced: knapsack LP not optimal")
 
-let solve_reduced ?rule ?solver ?factorization ?recon ?stats p ~master =
+let solve_reduced ?rule ?solver ?factorization ?stats p ~master =
   match Tree_decomp.detect p ~root:master with
   | None ->
     (* not a tree: presolve the full LP instead *)
@@ -268,7 +177,7 @@ let solve_reduced ?rule ?solver ?factorization ?recon ?stats p ~master =
     (match Lp.Reduce.solve ?rule ?solver ?factorization ?stats red with
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Master_slave.solve_reduced: LP not optimal (invalid platform?)"
-    | Lp.Optimal sol -> solution_of_sol ?recon ?stats p ~master alpha_v s_v sol)
+    | Lp.Optimal sol -> solution_of_sol ?stats p ~master alpha_v s_v sol)
   | Some td ->
     let order = td.Tree_decomp.order in
     (* bottom-up absorption: each node's value is (cap, K, plan) *)
@@ -343,9 +252,6 @@ let period_of sol =
 
 let schedule ?recon ?strict ?budget ?stats sol =
   let p = sol.platform in
-  let budget, stats, observe =
-    concretize ?stats ~rows:(platform_rows p ~master:sol.master) budget
-  in
   let period = period_of sol in
   let delays = Reconstruct.delays ?warm:recon ?strict ?stats p sol.task_flow in
   let transfers =
@@ -371,12 +277,8 @@ let schedule ?recon ?strict ?budget ?stats sol =
         if R.sign tasks > 0 then Some (i, tasks) else None)
       (P.nodes p)
   in
-  let sched =
-    Reconstruct.reconstruct ?warm:recon ?strict ?budget ?stats p ~period
-      ~transfers ~compute ~delays
-  in
-  observe ();
-  sched
+  Reconstruct.reconstruct ?warm:recon ?strict ?budget ?stats p ~period
+    ~transfers ~compute ~delays
 
 let tasks_per_period sched sol =
   ignore sol;

@@ -31,29 +31,6 @@ type solution = {
   task_flow : Flow.t; (** per edge: tasks per time unit = s_ij / c_ij *)
 }
 
-type budget =
-  | Fixed of int
-      (** hard per-reconstruction cap on incremental-repair work before
-          the certified cold fallback (the integer handed down to
-          {!Reconstruct}'s [?budget]) *)
-  | Adaptive of adaptive
-      (** per-solve cap scaled on the instance's standard-form row count
-          and boosted while recent solves keep exceeding it — create
-          with {!adaptive_budget} and thread the {e same} value through
-          successive solves so the controller sees the history *)
-
-and adaptive
-(** Mutable controller state of an {!Adaptive} budget: an exponential
-    boost level raised on every solve whose repairs blew the cap
-    (observed through [Lp.Stats.repairs_budget_exceeded] deltas — on the
-    caller's [?stats] when given, on an internal probe otherwise) and
-    decayed after a streak of within-cap solves.  Budgets of either
-    shape are result-neutral: the cold fallback is certified, so
-    adaptivity tunes time, never answers. *)
-
-val adaptive_budget : unit -> budget
-(** A fresh {!Adaptive} budget at boost level 0. *)
-
 val build_lp :
   Platform.t ->
   master:Platform.node ->
@@ -71,8 +48,6 @@ val solve :
   ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
-  ?recon:Reconstruct.Warm.t ->
-  ?budget:budget ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -81,17 +56,11 @@ val solve :
     identical platforms (same nodes/edges, perturbed weights — the §5.5
     phase workload): the previous optimal basis is repaired in a few
     exact pivots, and exactly repeated instances return memoised.  Both
-    are exact: the throughput is bit-identical to a cold solve.
-    [?recon] extends the warm start downstream of the LP: the
-    cycle-cancellation of the previous phase's flow is replayed instead
-    of recomputed ({!Reconstruct.cancel}), and a later
-    [schedule ?recon] repairs the previous slots.  [?budget] bounds the
-    incremental-repair work before certified cold fallbacks take over
-    ({!Reconstruct.cancel}'s and {!Reconstruct.reconstruct}'s
-    [?budget]): {!Fixed} passes the cap through verbatim, {!Adaptive}
-    resolves it per solve from the instance size and the recent
-    exceeded history.  [?stats] accumulates exact
-    pivot/refactorisation counts and reconstruction effort.
+    are exact: the throughput is bit-identical to a cold solve.  The
+    LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
+    no state: the returned [task_flow] is a function of the LP solution
+    alone.  [?stats] accumulates exact
+    pivot/refactorisation counts and the cycles cancelled.
     @raise Failure if the LP is somehow not optimal (cannot happen on a
     valid platform: the zero schedule is feasible and throughput is
     bounded). *)
@@ -102,8 +71,6 @@ val try_solve :
   ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
-  ?recon:Reconstruct.Warm.t ->
-  ?budget:budget ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -129,7 +96,6 @@ val solve_reduced :
   ?rule:Simplex.pivot_rule ->
   ?solver:Lp.solver ->
   ?factorization:Lp.factorization ->
-  ?recon:Reconstruct.Warm.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -155,14 +121,18 @@ val solve_reduced :
 val schedule :
   ?recon:Reconstruct.Warm.t ->
   ?strict:bool ->
-  ?budget:budget ->
+  ?budget:int ->
   ?stats:Lp.Stats.t ->
   solution ->
   Schedule.t
 (** Periodic schedule with integer task counts: the period is the lcm of
     the denominators of the per-edge task flows and per-node task rates
-    (§3.1's construction).  With [?recon] the previous phase's schedule
-    is repaired instead of rebuilt ({!Reconstruct.reconstruct}); with
+    (§3.1's construction).  With [?recon] the previous schedule is
+    repaired instead of rebuilt ({!Reconstruct.reconstruct}), and the
+    delay vector is reused when the flow is unchanged
+    ({!Reconstruct.delays}); [?budget] caps the matching repairs before
+    the certified cold rebuild takes over ({!Reconstruct.reconstruct}'s
+    [?budget]), so it bounds time, never changes the answer; with
     [?strict] the warm result is certified against a cold rebuild. *)
 
 val tasks_per_period : Schedule.t -> solution -> Rat.t

@@ -4,7 +4,6 @@ module BC = Bipartite_coloring
 
 module Warm = struct
   type t = {
-    mutable cancel : Flow.cancellation option;
     mutable sched : Schedule.t option;
     mutable delays : (R.t array * int array) option;
         (* the exact flow a delay vector was derived from, and that
@@ -13,131 +12,14 @@ module Warm = struct
     mutable misses : int;
   }
 
-  let create () =
-    { cancel = None; sched = None; delays = None; hits = 0; misses = 0 }
+  let create () = { sched = None; delays = None; hits = 0; misses = 0 }
 
   let clear t =
-    t.cancel <- None;
     t.sched <- None;
     t.delays <- None
 
   let hits t = t.hits
   let misses t = t.misses
-
-  (* Cross-restriction transfer: rewrite the remembered cancellation,
-     schedule and delay vector from the index space of the previous
-     surviving sub-platform into a new one.  [node_map]/[edge_map]
-     translate previous sub indices to new sub indices (-1 = the
-     resource did not survive), exactly what {!Platform.transfer_maps}
-     returns; [platform] is the new sub-platform the remapped state will
-     be repaired against.  State that cannot be represented in the new
-     space (log cycles through dropped edges, transfers on dropped
-     edges) is dropped — the remapped slot is a *seed*, and every
-     downstream consumer (delta cancellation, colouring seeds, slot
-     reuse) validates what it takes, so remapping can never change an
-     answer, only how much repair work the next phase pays. *)
-  let remap t ~node_map ~edge_map ~platform =
-    let np = P.num_nodes platform and ne = P.num_edges platform in
-    let map_edge e =
-      if e >= 0 && e < Array.length edge_map then edge_map.(e) else -1
-    in
-    let map_node i =
-      if i >= 0 && i < Array.length node_map then node_map.(i) else -1
-    in
-    (match t.cancel with
-    | None -> ()
-    | Some c when Array.length c.Flow.cin <> Array.length edge_map ->
-      t.cancel <- None
-    | Some c ->
-      let remap_flow f =
-        let out = Array.make ne R.zero in
-        Array.iteri
-          (fun e v ->
-            let e' = map_edge e in
-            if e' >= 0 then out.(e') <- v)
-          f;
-        out
-      in
-      let log =
-        List.filter_map
-          (fun (cycle, amt) ->
-            let mapped = List.map map_edge cycle in
-            if List.for_all (fun e -> e >= 0) mapped then Some (mapped, amt)
-            else None)
-          c.Flow.log
-      in
-      t.cancel <-
-        Some
-          {
-            Flow.cin = remap_flow c.Flow.cin;
-            cout = remap_flow c.Flow.cout;
-            log;
-            fresh = 0;
-          });
-    (match t.sched with
-    | None -> ()
-    | Some s
-      when P.num_nodes s.Schedule.platform <> Array.length node_map
-           || P.num_edges s.Schedule.platform <> Array.length edge_map ->
-      t.sched <- None
-    | Some s ->
-      let demands =
-        Array.of_list
-          (List.filter_map
-             (fun d ->
-               let e' = map_edge d.Schedule.d_edge in
-               if e' >= 0 then Some { d with Schedule.d_edge = e' } else None)
-             (Array.to_list s.Schedule.demands))
-      in
-      let slots =
-        List.map
-          (fun sl ->
-            {
-              sl with
-              Schedule.transfers =
-                List.filter_map
-                  (fun tr ->
-                    let e' = map_edge tr.Schedule.edge in
-                    if e' >= 0 then Some { tr with Schedule.edge = e' }
-                    else None)
-                  sl.Schedule.transfers;
-            })
-          s.Schedule.slots
-      in
-      let compute =
-        List.filter_map
-          (fun (i, w) ->
-            let i' = map_node i in
-            if i' >= 0 then Some (i', w) else None)
-          s.Schedule.compute
-      in
-      let delays = Array.make np 0 in
-      Array.iteri
-        (fun i d ->
-          let i' = map_node i in
-          if i' >= 0 then delays.(i') <- d)
-        s.Schedule.delays;
-      t.sched <-
-        Some
-          { s with Schedule.platform = platform; demands; slots; compute;
-            delays });
-    (match t.delays with
-    | None -> ()
-    | Some (f, d)
-      when Array.length f = Array.length edge_map
-           && Array.length d = Array.length node_map
-           && Array.for_all (fun i -> i >= 0) node_map
-           && Array.for_all (fun e -> e >= 0) edge_map ->
-      (* a pure re-expansion (nothing dropped): the positive-flow DAG is
-         preserved under renaming, recovered resources carry no flow, so
-         the vector stays exact.  Any drop could change longest paths —
-         clear instead. *)
-      let nf = Array.make ne R.zero in
-      Array.iteri (fun e v -> nf.(edge_map.(e)) <- v) f;
-      let nd = Array.make np 0 in
-      Array.iteri (fun i v -> nd.(node_map.(i)) <- v) d;
-      t.delays <- Some (nf, nd)
-    | Some _ -> t.delays <- None)
 
   (* Domain-local slot family, same shape as {!Lp.Warm.Family}: each
      {!Par.Pool} worker domain lazily gets (and keeps, across tasks) its
@@ -158,10 +40,7 @@ module Warm = struct
       let registry = ref [] in
       let key =
         Domain.DLS.new_key (fun () ->
-            let s =
-              { cancel = None; sched = None; delays = None; hits = 0;
-                misses = 0 }
-            in
+            let s = create () in
             Mutex.lock mu;
             registry := s :: !registry;
             Mutex.unlock mu;
@@ -181,49 +60,18 @@ module Warm = struct
     let hits f = List.fold_left (fun a s -> a + s.hits) 0 (slots f)
     let misses f = List.fold_left (fun a s -> a + s.misses) 0 (slots f)
 
-    let clear f =
-      List.iter
-        (fun s ->
-          s.cancel <- None;
-          s.sched <- None;
-          s.delays <- None)
-        (slots f)
+    let clear f = List.iter clear (slots f)
   end
 end
 
-let note_cycles stats fresh =
-  match stats with
+let cancel ?stats p f =
+  let g, found = Flow.cancel_cycles_counted p f in
+  (match stats with
   | None -> ()
   | Some s ->
-    Lp.Stats.add_reconstruction s ~cycles_cancelled:fresh
-      ~repairs_budget_exceeded:0 ~matchings_repaired:0 ~matchings_rebuilt:0
-      ~slots_reused:0 ()
-
-(* No repair budget here, by design: on a cyclic-support flow the delta
-   replay and a cold search cancel different (equally valid)
-   circulations, so a budget-triggered switch between them would change
-   the warm run's answer — budgets steer effort, never results.  The
-   replay prefix a fallback would skip is cheap anyway; the fresh search
-   after it does the real work on heavily perturbed inputs. *)
-let cancel ?warm ?stats p f =
-  match warm with
-  | None ->
-    let c = Flow.cancel_cycles_log p f in
-    note_cycles stats c.Flow.fresh;
-    c.Flow.cout
-  | Some w ->
-    let c =
-      match w.Warm.cancel with
-      | Some prev when Array.length prev.Flow.cin = P.num_edges p ->
-        w.Warm.hits <- w.Warm.hits + 1;
-        Flow.cancel_cycles_delta p ~prev f
-      | _ ->
-        w.Warm.misses <- w.Warm.misses + 1;
-        Flow.cancel_cycles_log p f
-    in
-    w.Warm.cancel <- Some c;
-    note_cycles stats c.Flow.fresh;
-    c.Flow.cout
+    Lp.Stats.add_reconstruction s ~cycles_cancelled:found
+      ~matchings_repaired:0 ~matchings_rebuilt:0 ~slots_reused:0 ());
+  g
 
 (* Pipeline delays with warm reuse.  Phased runs replay the same
    steady-state flow period after period, so the longest-path pass of

@@ -1,18 +1,19 @@
 (** Incremental schedule reconstruction (warm-starting the schedule
     layer, not just the LP).
 
-    In phased runs — {!Dynamic_sched} strategies, {!Fixed_period.sweep},
-    fault re-plans — consecutive phases solve near-identical instances,
+    In phased runs — {!Fixed_period} period series, repeated schedules
+    of one plan — consecutive reconstructions see near-identical loads,
     and the LP layer already warm-starts via {!Lp.Warm}.  This module
-    extends the idea downstream of the solver: the previous phase's
-    {e schedule} is repaired instead of rebuilt.  Concretely a warm slot
-    remembers the last cycle-cancellation certificate
-    ({!Flow.cancellation}) and the last {!Schedule.t}; the next phase
-    replays the cancellation log on the perturbed flow
-    ({!Flow.cancel_cycles_delta}) and seeds the weighted bipartite
-    colouring with the previous matchings
-    ({!Bipartite_coloring.decompose}'s [?seed]), reusing unchanged slots
-    outright.
+    extends the idea downstream of the solver: the previous {e schedule}
+    is repaired instead of rebuilt.  A warm slot remembers the last
+    {!Schedule.t} and pipeline-delay vector; the next reconstruction
+    seeds the weighted bipartite colouring with the previous matchings
+    ({!Bipartite_coloring.decompose}'s [?seed]) and reuses unchanged
+    slots outright.
+
+    Cycle cancellation is not warm-started: {!cancel} is a function of
+    the flow alone, so a plan never depends on which flows were
+    cancelled before it.
 
     Warm results obey exactly the same contract as cold ones — the
     per-edge volumes, period and checker verdicts are independent of the
@@ -27,25 +28,8 @@ module Warm : sig
   val create : unit -> t
 
   val clear : t -> unit
-  (** Drop the remembered cancellation, schedule and delay vector
-      (counters are kept). *)
-
-  val remap :
-    t ->
-    node_map:int array ->
-    edge_map:int array ->
-    platform:Platform.t ->
-    unit
-  (** Rewrite the slot's remembered state from the index space of the
-      sub-platform it was produced on into a new sub-platform's —
-      cross-epoch reuse under churn.  [node_map]/[edge_map] translate
-      previous sub indices to new sub indices ([-1] = dropped), exactly
-      the output of {!Platform.transfer_maps}; [platform] is the new
-      sub-platform.  Unrepresentable state (cycles or transfers through
-      dropped edges) is discarded, and the cached delay vector survives
-      only a pure re-expansion (no drops).  The remapped state is a
-      seed: every consumer re-validates it, so remapping affects repair
-      effort, never results. *)
+  (** Drop the remembered schedule and delay vector (counters are
+      kept). *)
 
   val hits : t -> int
   (** Uses of the slot that found previous state to repair from. *)
@@ -80,25 +64,11 @@ module Warm : sig
   end
 end
 
-val cancel :
-  ?warm:Warm.t -> ?stats:Lp.Stats.t -> Platform.t -> Flow.t -> Flow.t
-(** [cancel p f] removes flow cycles like {!Flow.cancel_cycles}, but
-    through the warm slot: with previous state present the cancellation
-    log is replayed on [f] and only freshly introduced cycles are
-    searched for ({!Flow.cancel_cycles_delta}); the new certificate is
-    deposited back into the slot.  Freshly found cycles are counted into
-    [stats]' [cycles_cancelled].  Results are bit-identical to the cold
-    path on unchanged flows and acyclic (with balances preserved) on any
-    input.
-
-    Deliberately {e not} subject to a repair budget: on cyclic-support
-    flows the delta replay and a cold search legitimately cancel
-    different circulations (both valid, different edge values), so a
-    budget-triggered switch between them would change the warm run's
-    answer — and the replay prefix a fallback would skip is the cheap
-    part anyway (the fresh search after it does the real work).  Repair
-    budgets cap the matching/slot layers, where the cold rebuild is
-    certified to reproduce the repaired result. *)
+val cancel : ?stats:Lp.Stats.t -> Platform.t -> Flow.t -> Flow.t
+(** [cancel p f] is {!Flow.cancel_cycles}, with the cycles it cancels
+    counted into [stats]' [cycles_cancelled].  It carries no state from
+    call to call: equal flows on equal platforms always give equal
+    results. *)
 
 val delays :
   ?warm:Warm.t ->

@@ -305,8 +305,8 @@ module Stats : sig
         (** basis refactorisations ([Revised] solver only; the
             [Tableau] kernel never refactorises) *)
     mutable cycles_cancelled : int;
-        (** flow cycles removed by search during schedule reconstruction
-            (delta-mode log replays are not counted — no search ran) *)
+        (** flow cycles removed from LP task flows by the cycle
+            cancellation in the master–slave solve path *)
     mutable matchings_repaired : int;
         (** colouring rounds warm-started from a seed matching (whether
             or not augmenting-path repair was needed on top) *)

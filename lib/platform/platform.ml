@@ -301,47 +301,6 @@ let restrict ?weights:weight_of t ~keep_node ~keep_edge =
   in
   { sub; node_of_sub; sub_of_node; edge_of_sub; sub_of_edge }
 
-let identity_restriction t =
-  let n = num_nodes t and m = num_edges t in
-  {
-    sub = t;
-    node_of_sub = Array.init n Fun.id;
-    sub_of_node = Array.init n Fun.id;
-    edge_of_sub = Array.init m Fun.id;
-    sub_of_edge = Array.init m Fun.id;
-  }
-
-(* [inner] restricts [outer.sub]; the composite maps [outer]'s original
-   platform directly onto [inner.sub].  An original resource survives
-   iff it survives both restrictions. *)
-let compose ~outer ~inner =
-  let sub_of_node =
-    Array.map
-      (fun s -> if s < 0 then -1 else inner.sub_of_node.(s))
-      outer.sub_of_node
-  in
-  let sub_of_edge =
-    Array.map
-      (fun s -> if s < 0 then -1 else inner.sub_of_edge.(s))
-      outer.sub_of_edge
-  in
-  {
-    sub = inner.sub;
-    node_of_sub = Array.map (fun s -> outer.node_of_sub.(s)) inner.node_of_sub;
-    sub_of_node;
-    edge_of_sub = Array.map (fun s -> outer.edge_of_sub.(s)) inner.edge_of_sub;
-    sub_of_edge;
-  }
-
-let transfer_maps ~src ~dst =
-  let node_map =
-    Array.map (fun orig -> dst.sub_of_node.(orig)) src.node_of_sub
-  in
-  let edge_map =
-    Array.map (fun orig -> dst.sub_of_edge.(orig)) src.edge_of_sub
-  in
-  (node_map, edge_map)
-
 let pp ppf t =
   Format.fprintf ppf "platform: %d nodes, %d edges@." (num_nodes t)
     (num_edges t);

@@ -122,25 +122,6 @@ val restrict :
     failure-aware planners use it to turn a compute-dead but reachable
     node into a pure relay ([Ext_rat.Inf]). *)
 
-val identity_restriction : t -> restriction
-(** The trivial restriction keeping everything: [sub] is the platform
-    itself and all four index maps are identities. *)
-
-val compose : outer:restriction -> inner:restriction -> restriction
-(** [compose ~outer ~inner], where [inner] restricts [outer.sub], is
-    the restriction of [outer]'s original platform straight down to
-    [inner.sub]: a resource survives iff it survives both layers, and
-    the index maps are the compositions. *)
-
-val transfer_maps : src:restriction -> dst:restriction -> int array * int array
-(** [transfer_maps ~src ~dst], for two restrictions of the {e same}
-    parent platform, returns [(node_map, edge_map)] translating
-    [src.sub] indices into [dst.sub] indices ([-1] where the resource
-    does not survive in [dst]).  This is the cross-epoch remapping used
-    by failure-aware planners to carry warm state from one surviving
-    subplatform to the next — including re-expansion when a resource
-    recovers ([dst] keeps more than [src]). *)
-
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

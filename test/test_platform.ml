@@ -251,9 +251,9 @@ let prop_depth_bounded =
       let p = Platform_gen.random_tree ~seed:n ~nodes:n () in
       P.depth_from p 0 < P.num_nodes p)
 
-(* properties of the restriction layer: identity, composition of
-   stacked restrictions (with [?weights] overrides) and the cross-epoch
-   transfer maps *)
+(* the restriction layer: keeping everything is the identity, and any
+   restriction's four index maps agree with each other and with the
+   survival rule *)
 
 let iota n = List.init n Fun.id
 
@@ -264,98 +264,53 @@ let prop_restrict_identity =
       let p =
         Platform_gen.random_graph ~seed:(n * 7 + 1) ~nodes:n ~extra_edges:n ()
       in
-      let r = P.identity_restriction p in
-      let r' = P.restrict p ~keep_node:(fun _ -> true) ~keep_edge:(fun _ -> true) in
-      let nm, em = P.transfer_maps ~src:r ~dst:r' in
-      P.equal r.P.sub p && P.equal r'.P.sub p
-      && Array.to_list r'.P.node_of_sub = iota (P.num_nodes p)
-      && Array.to_list r'.P.sub_of_node = iota (P.num_nodes p)
-      && Array.to_list r'.P.edge_of_sub = iota (P.num_edges p)
-      && Array.to_list r'.P.sub_of_edge = iota (P.num_edges p)
-      && Array.to_list nm = iota (P.num_nodes p)
-      && Array.to_list em = iota (P.num_edges p))
+      let r = P.restrict p ~keep_node:(fun _ -> true) ~keep_edge:(fun _ -> true) in
+      P.equal r.P.sub p
+      && Array.to_list r.P.node_of_sub = iota (P.num_nodes p)
+      && Array.to_list r.P.sub_of_node = iota (P.num_nodes p)
+      && Array.to_list r.P.edge_of_sub = iota (P.num_edges p)
+      && Array.to_list r.P.sub_of_edge = iota (P.num_edges p))
 
-let prop_restrict_compose =
-  QCheck.Test.make
-    ~name:"restriction of a restriction = direct restriction" ~count:40
+let prop_restrict_maps =
+  QCheck.Test.make ~name:"restriction maps agree with the platform"
+    ~count:40
     (QCheck.pair (QCheck.int_range 3 18) (QCheck.int_range 0 99))
     (fun (n, seed) ->
       let p =
         Platform_gen.random_graph ~seed:((n * 31) + seed) ~nodes:n
           ~extra_edges:n ()
       in
-      let keep1 i = i = 0 || ((i * 7) + seed) mod 5 <> 0 in
-      let kedge1 e = ((e * 11) + seed) mod 7 <> 0 in
-      let outer = P.restrict p ~keep_node:keep1 ~keep_edge:kedge1 in
-      let keep2 i = i = 0 || ((i * 13) + seed) mod 4 <> 0 in
-      let kedge2 e = ((e * 3) + seed) mod 6 <> 0 in
-      (* weights override in the inner layer: some survivors demoted to
-         pure relays, the way failure-aware planners mark compute-dead
-         but reachable nodes *)
-      let w2 i =
-        if (i + seed) mod 3 = 0 then Ext_rat.inf else P.weight outer.P.sub i
+      let keep_node i = i = 0 || ((i * 7) + seed) mod 5 <> 0 in
+      let keep_edge e = ((e * 11) + seed) mod 7 <> 0 in
+      (* some survivors demoted to pure relays, the way failure-aware
+         planners mark compute-dead but reachable nodes *)
+      let weight i =
+        if (i + seed) mod 3 = 0 then Ext_rat.inf else P.weight p i
       in
-      let inner =
-        P.restrict ~weights:w2 outer.P.sub ~keep_node:keep2 ~keep_edge:kedge2
-      in
-      let composed = P.compose ~outer ~inner in
-      let direct =
-        P.restrict p
-          ~weights:(fun o ->
-            let s = outer.P.sub_of_node.(o) in
-            if s >= 0 then w2 s else P.weight p o)
-          ~keep_node:(fun o ->
-            keep1 o
-            &&
-            let s = outer.P.sub_of_node.(o) in
-            s >= 0 && keep2 s)
-          ~keep_edge:(fun e ->
-            kedge1 e
-            &&
-            let s = outer.P.sub_of_edge.(e) in
-            s >= 0 && kedge2 s)
-      in
-      P.equal composed.P.sub direct.P.sub
-      && composed.P.node_of_sub = direct.P.node_of_sub
-      && composed.P.sub_of_node = direct.P.sub_of_node
-      && composed.P.edge_of_sub = direct.P.edge_of_sub
-      && composed.P.sub_of_edge = direct.P.sub_of_edge)
-
-let prop_transfer_maps =
-  QCheck.Test.make ~name:"transfer maps translate by original identity"
-    ~count:40
-    (QCheck.pair (QCheck.int_range 3 18) (QCheck.int_range 0 99))
-    (fun (n, seed) ->
-      let p =
-        Platform_gen.random_graph ~seed:((n * 17) + seed) ~nodes:n
-          ~extra_edges:n ()
-      in
-      let r1 =
-        P.restrict p
-          ~keep_node:(fun i -> i = 0 || (i + seed) mod 3 <> 0)
-          ~keep_edge:(fun e -> (e + seed) mod 4 <> 0)
-      in
-      let r2 =
-        P.restrict p
-          ~keep_node:(fun i -> i = 0 || (i + seed) mod 4 <> 1)
-          ~keep_edge:(fun e -> (e + seed) mod 5 <> 2)
-      in
-      let nm, em = P.transfer_maps ~src:r1 ~dst:r2 in
-      Array.length nm = P.num_nodes r1.P.sub
-      && Array.length em = P.num_edges r1.P.sub
+      let r = P.restrict ~weights:weight p ~keep_node ~keep_edge in
+      let s = r.P.sub in
+      List.for_all
+        (fun o ->
+          let i = r.P.sub_of_node.(o) in
+          if keep_node o then
+            r.P.node_of_sub.(i) = o
+            && P.name s i = P.name p o
+            && Ext_rat.equal (P.weight s i) (weight o)
+          else i = -1)
+        (P.nodes p)
       && List.for_all
-           (fun i ->
-             nm.(i) = r2.P.sub_of_node.(r1.P.node_of_sub.(i))
-             && (nm.(i) < 0 || P.name r2.P.sub nm.(i) = P.name r1.P.sub i))
-           (iota (Array.length nm))
-      && List.for_all
-           (fun e ->
-             em.(e) = r2.P.sub_of_edge.(r1.P.edge_of_sub.(e))
-             &&
-             (em.(e) < 0
-             || nm.(P.edge_src r1.P.sub e) = P.edge_src r2.P.sub em.(e)
-                && nm.(P.edge_dst r1.P.sub e) = P.edge_dst r2.P.sub em.(e)))
-           (iota (Array.length em)))
+           (fun o ->
+             let e = r.P.sub_of_edge.(o) in
+             let src = P.edge_src p o and dst = P.edge_dst p o in
+             if keep_edge o && keep_node src && keep_node dst then
+               r.P.edge_of_sub.(e) = o
+               && P.edge_src s e = r.P.sub_of_node.(src)
+               && P.edge_dst s e = r.P.sub_of_node.(dst)
+               && R.equal (P.edge_cost s e) (P.edge_cost p o)
+             else e = -1)
+           (P.edges p)
+      && Array.length r.P.node_of_sub = P.num_nodes s
+      && Array.length r.P.edge_of_sub = P.num_edges s)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -380,6 +335,5 @@ let suite =
       q prop_parse_roundtrip;
       q prop_depth_bounded;
       q prop_restrict_identity;
-      q prop_restrict_compose;
-      q prop_transfer_maps;
+      q prop_restrict_maps;
     ] )

@@ -155,31 +155,20 @@ let test_warm_phases_strict () =
       for k = 0 to 5 do
         let factor = R.add R.one (r (k mod 3) 97) in
         let p = scale_edge p0 (k mod P.num_edges p0) factor in
-        let sol_warm = MS.solve ~recon p ~master:0 in
-        let sol_cold = MS.solve p ~master:0 in
-        Alcotest.check rat
-          (Printf.sprintf "phase %d: ntask equal" k)
-          sol_cold.MS.ntask sol_warm.MS.ntask;
+        let sol = MS.solve p ~master:0 in
         Alcotest.(check bool)
-          (Printf.sprintf "phase %d: warm flow acyclic" k)
+          (Printf.sprintf "phase %d: flow acyclic" k)
           true
-          (Flow.is_acyclic p sol_warm.MS.task_flow);
-        List.iter
-          (fun i ->
-            Alcotest.check rat
-              (Printf.sprintf "phase %d: balance at %s" k (P.name p i))
-              (Flow.balance p sol_cold.MS.task_flow i)
-              (Flow.balance p sol_warm.MS.task_flow i))
-          (P.nodes p);
+          (Flow.is_acyclic p sol.MS.task_flow);
         (* strict mode recomputes the cold schedule internally and
            raises unless period and per-edge volumes are bit-identical *)
-        let sched = MS.schedule ~recon ~strict:true sol_warm in
-        let cold_sched = MS.schedule sol_warm in
+        let sched = MS.schedule ~recon ~strict:true sol in
+        let cold_sched = MS.schedule sol in
         Alcotest.check rat
           (Printf.sprintf "phase %d: throughput equal" k)
-          (R.div (MS.tasks_per_period cold_sched sol_warm)
+          (R.div (MS.tasks_per_period cold_sched sol)
              cold_sched.Schedule.period)
-          (R.div (MS.tasks_per_period sched sol_warm) sched.Schedule.period)
+          (R.div (MS.tasks_per_period sched sol) sched.Schedule.period)
       done;
       Alcotest.(check bool) "warm slot was exercised" true
         (Rec.Warm.hits recon > 0))
@@ -291,56 +280,12 @@ let test_stats_counters_flow () =
   let p = Platform_gen.random_graph ~seed:3 ~nodes:8 ~extra_edges:6 () in
   let recon = Rec.Warm.create () in
   let stats = Lp.Stats.create () in
-  let sol = MS.solve ~recon ~stats p ~master:0 in
+  let sol = MS.solve ~stats p ~master:0 in
   let _s1 = MS.schedule ~recon ~stats sol in
-  let sol2 = MS.solve ~recon ~stats (scale_edge p 0 (r 98 97)) ~master:0 in
+  let sol2 = MS.solve ~stats (scale_edge p 0 (r 98 97)) ~master:0 in
   let _s2 = MS.schedule ~recon ~stats sol2 in
   Alcotest.(check bool) "matchings accounted" true
     (stats.Lp.Stats.matchings_repaired + stats.Lp.Stats.matchings_rebuilt > 0)
-
-let test_warm_remap_across_restriction () =
-  (* churn: schedule state produced on the full platform is remapped
-     into a surviving subplatform's index space (and later re-expanded);
-     consumers re-validate the remapped seed, so every outcome stays
-     bit-identical to a cold rebuild *)
-  let p =
-    Platform_gen.star ~master_weight:Ext_rat.inf
-      ~slaves:
-        [
-          (Ext_rat.of_int 1, r 1 2);
-          (Ext_rat.of_int 2, R.one);
-          (Ext_rat.of_int 3, r 3 2);
-          (Ext_rat.of_int 1, r 1 3);
-        ]
-      ()
-  in
-  let full = P.identity_restriction p in
-  let drop =
-    P.restrict p ~keep_node:(fun i -> i <> 2) ~keep_edge:(fun _ -> true)
-  in
-  let w = Rec.Warm.create () in
-  let stats = Lp.Stats.create () in
-  let sol = MS.solve ~recon:w ~stats p ~master:0 in
-  let _sched = MS.schedule ~recon:w ~stats sol in
-  let used = Rec.Warm.hits w + Rec.Warm.misses w in
-  (* contract: carry the slot into the surviving subplatform *)
-  let nm, em = P.transfer_maps ~src:full ~dst:drop in
-  Rec.Warm.remap w ~node_map:nm ~edge_map:em ~platform:drop.P.sub;
-  let sol_sub = MS.solve ~recon:w ~stats drop.P.sub ~master:0 in
-  let sched_sub = MS.schedule ~recon:w ~stats sol_sub in
-  let cold_sub = MS.schedule (MS.solve drop.P.sub ~master:0) in
-  Alcotest.check rat "restricted period = cold" cold_sub.Schedule.period
-    sched_sub.Schedule.period;
-  Alcotest.(check bool) "remapped slot was consulted" true
-    (Rec.Warm.hits w + Rec.Warm.misses w > used);
-  (* re-expand: back onto the full platform *)
-  let nm', em' = P.transfer_maps ~src:drop ~dst:full in
-  Rec.Warm.remap w ~node_map:nm' ~edge_map:em' ~platform:p;
-  let sol_re = MS.solve ~recon:w ~stats p ~master:0 in
-  let sched_re = MS.schedule ~recon:w ~stats sol_re in
-  let cold_full = MS.schedule (MS.solve p ~master:0) in
-  Alcotest.check rat "re-expanded period = cold" cold_full.Schedule.period
-    sched_re.Schedule.period
 
 let test_budget_certified_fallback () =
   (* a zero repair budget turns every seeded repair that needs work into
@@ -349,11 +294,11 @@ let test_budget_certified_fallback () =
   let p = Platform_gen.random_tree ~seed:21 ~nodes:12 () in
   let w = Rec.Warm.create () in
   let stats = Lp.Stats.create () in
-  let sol1 = MS.solve ~recon:w ~stats p ~master:0 in
+  let sol1 = MS.solve ~stats p ~master:0 in
   let _s1 = MS.schedule ~recon:w ~stats sol1 in
   let p2 = scale_edge p 0 (r 99 98) in
-  let sol2 = MS.solve ~recon:w ~budget:(MS.Fixed 0) ~stats p2 ~master:0 in
-  let s2 = MS.schedule ~recon:w ~budget:(MS.Fixed 0) ~stats sol2 in
+  let sol2 = MS.solve ~stats p2 ~master:0 in
+  let s2 = MS.schedule ~recon:w ~budget:0 ~stats sol2 in
   let cold = MS.schedule (MS.solve p2 ~master:0) in
   Alcotest.check rat "budgeted period = cold" cold.Schedule.period
     s2.Schedule.period;
@@ -381,8 +326,6 @@ let suite =
         test_warm_delays_reused;
       Alcotest.test_case "effort counters flow into stats" `Quick
         test_stats_counters_flow;
-      Alcotest.test_case "warm state remapped across restrictions" `Quick
-        test_warm_remap_across_restriction;
       Alcotest.test_case "repair budget: certified cold fallback" `Quick
         test_budget_certified_fallback;
     ] )

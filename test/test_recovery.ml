@@ -235,36 +235,85 @@ let test_argument_validation () =
         ~checkpoint:{ checkpoint with Dy.Checkpoint.every = 0 }
         sc Dy.Robust)
 
-let test_adaptive_budget_result_neutral () =
-  (* the adaptive repair budget is an accelerator knob: outcomes match
-     the unbudgeted and hard-capped runs to the bit, while the solver
-     actually runs under it *)
-  let sc = tree_scenario () in
-  let plain = Dy.run sc Dy.Robust in
-  let fixed = Dy.run ~budget:(MS.Fixed 0) sc Dy.Robust in
-  let stats = Lp.Stats.create () in
-  let adaptive = Dy.run ~budget:(MS.adaptive_budget ()) ~stats sc Dy.Robust in
-  Alcotest.(check bool) "hard cap 0 is result-neutral" true
-    (Dy.outcomes_equal plain fixed);
-  Alcotest.(check bool) "adaptive budget is result-neutral" true
-    (Dy.outcomes_equal plain adaptive);
-  Alcotest.(check bool) "solver ran under the adaptive budget" true
-    (stats.Lp.Stats.solves > 0)
+(* --- per-epoch solves on flows with cyclic support --------------------- *)
 
-let test_adaptive_budget_threads_through_solves () =
-  (* one Adaptive value threaded through successive solves (the §5.5
-     usage) stays result-neutral against fresh cold solves while the
-     controller accumulates history *)
-  let b = MS.adaptive_budget () in
+(* Platform with nodes P0..Pk (weights in order) and, per link, both
+   directed edges, forward first: link [k] owns edges [2k] (forward) and
+   [2k+1] (backward). *)
+let platform_of_links ~weights ~links =
+  let b = Buffer.create 256 in
+  List.iteri (fun i w -> Printf.bprintf b "node P%d w=%s\n" i w) weights;
   List.iter
-    (fun seed ->
-      let p = Platform_gen.random_tree ~seed ~nodes:9 () in
-      let budgeted = MS.solve ~budget:b p ~master:0 in
-      let plain = MS.solve p ~master:0 in
-      Alcotest.check rat
-        (Printf.sprintf "seed %d: same throughput" seed)
-        plain.MS.ntask budgeted.MS.ntask)
-    [ 1; 2; 3; 4 ]
+    (fun (i, j, c) ->
+      Printf.bprintf b "edge P%d P%d c=%s\nedge P%d P%d c=%s\n" i j c j i c)
+    links;
+  Platform_parse.of_string (Buffer.contents b)
+
+let cyclic_scenario ~weights ~links ~bw_traces =
+  {
+    Dy.platform = platform_of_links ~weights ~links;
+    master = 0;
+    cpu_traces = [];
+    bw_traces;
+    phase = ri 10;
+    phases = 16;
+  }
+
+let test_warm_robust_cyclic_tree () =
+  (* the LP optimum on this tree carries flow both ways along a link; a
+     warm run must cancel that cycle exactly as a cold run does, so the
+     epoch's task flow stays conserved and decomposes into paths *)
+  let sc =
+    cyclic_scenario
+      ~weights:[ "19/2"; "5"; "1"; "1"; "5"; "9"; "19/2"; "11/2"; "1"; "6" ]
+      ~links:
+        [
+          (0, 1, "3"); (0, 2, "2"); (1, 3, "5/2"); (0, 4, "2"); (0, 5, "1");
+          (4, 6, "5/2"); (1, 7, "9/2"); (2, 8, "9/2"); (4, 9, "5");
+        ]
+      ~bw_traces:
+        [
+          (4, [ (ri 60, R.zero) ]) (* P1->P3 *);
+          (15, [ (ri 10, R.zero); (ri 30, R.one) ]) (* P8->P2 *);
+        ]
+  in
+  let cold = Dy.run ~reuse:false sc Dy.Robust in
+  let warm = Dy.run sc Dy.Robust in
+  Alcotest.check rat "cold completed" (ri 95) cold.Dy.completed;
+  Alcotest.check rat "warm completes as cold" cold.Dy.completed
+    warm.Dy.completed
+
+let test_resume_cyclic_graph () =
+  (* kill-and-resume on a connected graph whose flow has cyclic support:
+     the resumed run must match the uninterrupted one, which needs every
+     live epoch's plan to depend on that epoch's platform alone *)
+  let sc =
+    cyclic_scenario
+      ~weights:[ "7/2"; "8"; "3"; "19/2"; "5"; "15/2"; "6"; "7"; "17/2"; "2" ]
+      ~links:
+        [
+          (3, 2, "7/2"); (0, 6, "2"); (3, 9, "2"); (1, 7, "9/2"); (8, 3, "2");
+          (2, 9, "1"); (0, 8, "2"); (6, 7, "4"); (4, 6, "3"); (1, 5, "7/2");
+          (2, 4, "3/2"); (1, 3, "1"); (1, 2, "1"); (0, 1, "2");
+        ]
+      ~bw_traces:
+        [
+          (2, [ (ri 30, R.zero); (ri 110, R.one) ]) (* P0->P6 *);
+          (16, [ (ri 100, R.zero); (ri 200, R.one) ]) (* P4->P6 *);
+          (18, [ (ri 10, R.zero); (ri 40, R.one) ]) (* P1->P5 *);
+        ]
+  in
+  let uninterrupted = Dy.run sc Dy.Robust in
+  let dir = fresh_dir () in
+  let checkpoint = { Dy.Checkpoint.dir; every = 4 } in
+  halt_run ~checkpoint ~halt:4 sc;
+  let resumed, from = Dy.resume ~checkpoint sc in
+  rm_rf dir;
+  Alcotest.(check (option int)) "resumed from the kill epoch" (Some 4) from;
+  Alcotest.check rat "resumed completes as uninterrupted"
+    uninterrupted.Dy.completed resumed.Dy.completed;
+  Alcotest.(check bool) "resumed outcome is bit-identical" true
+    (Dy.outcomes_equal uninterrupted resumed)
 
 let suite =
   ( "recovery",
@@ -284,8 +333,8 @@ let suite =
       Alcotest.test_case "orphan tempfile swept on resume" `Quick
         test_orphan_tmp_swept_on_resume;
       Alcotest.test_case "argument validation" `Quick test_argument_validation;
-      Alcotest.test_case "adaptive budget result-neutral" `Quick
-        test_adaptive_budget_result_neutral;
-      Alcotest.test_case "adaptive budget threads through solves" `Quick
-        test_adaptive_budget_threads_through_solves;
+      Alcotest.test_case "warm Robust, cyclic-support tree" `Quick
+        test_warm_robust_cyclic_tree;
+      Alcotest.test_case "resume, cyclic-support graph" `Quick
+        test_resume_cyclic_graph;
     ] )

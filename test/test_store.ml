@@ -1,9 +1,10 @@
 (* The crash-safety contract of the persistent solve store, tested the
    adversarial way: every cached outcome must be bit-identical to a
    cold solve, and NO byte-level mutilation of the store — truncation,
-   bit-flips, version skew, a writer killed mid-commit, concurrent
-   writers — may ever raise out of a solve or change an optimum.  A
-   corrupted store costs misses; it never costs answers. *)
+   bit-flips, version skew, orphaned tempfiles — may ever raise out of
+   a solve or change an optimum.  A corrupted store costs misses; it
+   never costs answers.  The tests that fork (a writer killed
+   mid-commit, concurrent writers) live in test_store_fork.ml. *)
 
 module R = Rat
 module S = Solve_store
@@ -304,88 +305,6 @@ let test_open_sweeps_stale_tmp () =
   Alcotest.(check int) "nothing quarantined" 0 (S.quarantined h2);
   rm_rf dir
 
-let test_kill_mid_write () =
-  let dir = fresh_dir () in
-  let expected k = String.make 4096 (Char.chr (Char.code 'a' + (k mod 16))) in
-  (match Unix.fork () with
-  | 0 ->
-    (* child: hammer the store with large commits until killed *)
-    let h = S.open_store dir in
-    (try
-       let k = ref 0 in
-       while true do
-         S.add h (Printf.sprintf "bulk-%d" (!k mod 64)) (expected (!k mod 64));
-         incr k
-       done
-     with _ -> ());
-    Unix._exit 0
-  | pid ->
-    Unix.sleepf 0.08;
-    Unix.kill pid Sys.sigkill;
-    ignore (Unix.waitpid [] pid));
-  (* the survivor: every record either absent or exactly right *)
-  let h = S.open_store dir in
-  let served = ref 0 in
-  for k = 0 to 63 do
-    match S.find h (Printf.sprintf "bulk-%d" k) with
-    | None -> ()
-    | Some v ->
-      incr served;
-      Alcotest.(check string)
-        (Printf.sprintf "bulk-%d intact" k)
-        (expected k) v
-  done;
-  Alcotest.(check bool) "the killed writer committed something" true
-    (!served > 0);
-  Alcotest.(check int) "no record was torn" 0 (S.quarantined h);
-  (* and the store still accepts work *)
-  S.add h "after-crash" "fine";
-  Alcotest.(check (option string)) "store still writable" (Some "fine")
-    (S.find h "after-crash");
-  rm_rf dir
-
-(* --- concurrent writers over one directory --- *)
-
-let test_concurrent_writers () =
-  let dir = fresh_dir () in
-  (* shared keys carry a writer-independent value: whichever writer's
-     rename wins, the record is correct *)
-  let value k = Printf.sprintf "shared:%d=%s" k (String.make 64 'x') in
-  let spawn i =
-    match Unix.fork () with
-    | 0 ->
-      let h = S.open_store dir in
-      for round = 1 to 10 do
-        ignore round;
-        for k = 0 to 15 do
-          S.add h (Printf.sprintf "shared-%d" k) (value k)
-        done;
-        (* private keys too *)
-        S.add h (Printf.sprintf "private-%d" i) (string_of_int i)
-      done;
-      Unix._exit 0
-    | pid -> pid
-  in
-  let pids = List.map spawn [ 1; 2; 3 ] in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  let h = S.open_store dir in
-  for k = 0 to 15 do
-    Alcotest.(check (option string))
-      (Printf.sprintf "shared-%d readable and exact" k)
-      (Some (value k))
-      (S.find h (Printf.sprintf "shared-%d" k))
-  done;
-  List.iter
-    (fun i ->
-      Alcotest.(check (option string))
-        (Printf.sprintf "private-%d survived" i)
-        (Some (string_of_int i))
-        (S.find h (Printf.sprintf "private-%d" i)))
-    [ 1; 2; 3 ];
-  Alcotest.(check int) "nothing quarantined under contention" 0
-    (S.quarantined h);
-  rm_rf dir
-
 (* --- LRU eviction, disk tier --- *)
 
 let test_disk_lru_entries () =
@@ -567,8 +486,6 @@ let suite =
         test_orphan_tmp_is_invisible;
       Alcotest.test_case "open sweeps stale tempfiles" `Quick
         test_open_sweeps_stale_tmp;
-      Alcotest.test_case "kill -9 mid-write" `Quick test_kill_mid_write;
-      Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
       Alcotest.test_case "disk LRU by entries" `Quick test_disk_lru_entries;
       Alcotest.test_case "disk LRU by bytes" `Quick test_disk_lru_bytes;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
