@@ -6,15 +6,14 @@
    Part 2 is the timing suite (bechamel):
    - E13: LP solve + reconstruction wall-clock vs platform size — the
      paper's polynomiality claim;
-   - the pivot-rule ablation (Bland vs Dantzig) called out in DESIGN.md;
    - the matching-peeling (edge colouring) cost;
    - substrate costs: bignum arithmetic, rational arithmetic on both
      representation paths, simulator event processing, tree enumeration.
 
    Part 2.5 measures the warm-start layer: a sweep of mildly perturbed
-   platforms re-solved cold vs with a shared [Lp.Warm] slot (both
-   solvers), and the E10 dynamic workload (Reactive + Oracle, 12
-   phases) plus its oracle throughput bound, cold vs warm+cached.
+   platforms re-solved cold vs with a shared [Lp.Warm] slot, and the
+   E10 dynamic workload (Reactive + Oracle, 12 phases) plus its oracle
+   throughput bound, cold vs warm+cached.
    Every accelerated run is checked against the cold objectives before
    its time is recorded — a fast wrong answer never lands in the JSON.
 
@@ -72,14 +71,6 @@ let timed_workloads () : (string * (unit -> unit)) list =
     ( Printf.sprintf "E13/master-slave LP n=%d" n,
       fun () -> ignore (Master_slave.solve p ~master:0) )
   in
-  let ms_lp_fact fact fname n =
-    let p = sized_platform n in
-    ( Printf.sprintf "E13/master-slave LP n=%d (revised %s)" n fname,
-      fun () ->
-        ignore
-          (Master_slave.solve ~solver:Lp.Revised ~factorization:fact p
-             ~master:0) )
-  in
   let scatter_lp n =
     let p = sized_platform n in
     let targets = [ 1; n - 1 ] in
@@ -92,20 +83,12 @@ let timed_workloads () : (string * (unit -> unit)) list =
     ( Printf.sprintf "E13/reconstruction n=%d" n,
       fun () -> ignore (Master_slave.schedule sol) )
   in
-  let pivot_rule rule name =
-    let p = sized_platform 12 in
-    ( Printf.sprintf "ablation/pivot %s n=12" name,
-      fun () ->
-        match Master_slave.solve_lp_only ~rule p ~master:0 with
-        | _, Lp.Optimal _ -> ()
-        | _, (Lp.Infeasible | Lp.Unbounded) -> assert false )
-  in
-  let solver solver name =
+  let tableau =
     let p = sized_platform 12 in
     let model, _ = Master_slave.solve_lp_only p ~master:0 in
-    ( Printf.sprintf "ablation/solver %s n=12" name,
+    ( "ablation/solver tableau n=12",
       fun () ->
-        match Lp.solve ~solver model with
+        match Lp.solve model with
         | Lp.Optimal _ -> ()
         | Lp.Infeasible | Lp.Unbounded -> assert false )
   in
@@ -172,16 +155,9 @@ let timed_workloads () : (string * (unit -> unit)) list =
   in
   [
     ms_lp 6; ms_lp 10; ms_lp 14; ms_lp 17; ms_lp 20;
-    ms_lp_fact `Dense "dense" 14; ms_lp_fact `Lu "lu" 14;
-    ms_lp_fact `Ft "ft" 14;
-    ms_lp_fact `Dense "dense" 20; ms_lp_fact `Lu "lu" 20;
-    ms_lp_fact `Ft "ft" 20;
     scatter_lp 6; scatter_lp 10;
     reconstruction 6; reconstruction 10;
-    pivot_rule Simplex.Bland "Bland";
-    pivot_rule Simplex.Dantzig "Dantzig";
-    solver Lp.Tableau "tableau";
-    solver Lp.Revised "revised";
+    tableau;
     coloring; simulator; bigint; karatsuba; schoolbook;
     rat_small; rat_big; trees;
   ]
@@ -354,11 +330,9 @@ let perturbed_platforms ~n ~k =
         ~cpu:(R.of_ints (16 + (3 * i)) 16)
         ~bw:(R.of_ints (48 - (5 * i)) 48))
 
-let resolve_all ?solver ?factorization ?warm plats =
+let resolve_all ?warm plats =
   List.map
-    (fun p ->
-      (Master_slave.solve ?solver ?factorization ?warm p ~master:0)
-        .Master_slave.ntask)
+    (fun p -> (Master_slave.solve ?warm p ~master:0).Master_slave.ntask)
     plats
 
 (* E10-style dynamic scenario, larger than the E10 exemplar (the phase
@@ -412,51 +386,11 @@ let run_warm_suite ~smoke () =
   in
   let label tail = Printf.sprintf "warm/re-solve %dx perturbed n=%d (%s)" k n tail in
   measure (label "cold tableau") (fun () -> resolve_all plats);
-  measure (label "cold revised") (fun () -> resolve_all ~solver:Lp.Revised plats);
-  let warm_sweep ?solver () =
-    let w = Lp.Warm.create () in
-    let objs = resolve_all ?solver ~warm:w plats in
-    note_warm w;
-    objs
-  in
-  measure (label "warm tableau") (fun () -> warm_sweep ());
-  measure (label "warm revised") (fun () -> warm_sweep ~solver:Lp.Revised ());
-  (* basis-factorisation ablation on the warm refactorisation path:
-     every warm import rebuilds a factorisation of the deposited basis —
-     Gauss–Jordan O(m³) under [`Dense], sparse LU under [`Lu].  The two
-     sweeps must agree bit for bit with the cold tableau objectives
-     (and hence with each other): a representation bug fails the bench,
-     not just skews a number. *)
-  List.iter
-    (fun n ->
-      let plats = perturbed_platforms ~n ~k in
-      let reference = resolve_all plats in
-      let flabel fact =
-        Printf.sprintf "fact/warm re-solve %dx perturbed n=%d (%s)" k n fact
-      in
-      let sweep fact () =
-        resolve_all ~solver:Lp.Revised ~factorization:fact
-          ~warm:(Lp.Warm.create ()) plats
-      in
-      let guarded fact objs =
-        if not (List.for_all2 R.equal reference objs) then
-          failwith
-            (Printf.sprintf "bench: %s objectives differ from cold at n=%d"
-               fact n)
-      in
-      let dense, dense_ns = best_of ~runs (sweep `Dense) in
-      guarded "dense" dense;
-      record (flabel "dense") dense_ns;
-      let lu, lu_ns = best_of ~runs (sweep `Lu) in
-      guarded "lu" lu;
-      record (flabel "lu") lu_ns;
-      Printf.printf "%-56s %10s\n"
-        (Printf.sprintf "fact/guard n=%d" n)
-        "lu == dense == cold (exact)";
-      Printf.printf "%-56s %10.2fx\n"
-        (Printf.sprintf "fact/warm refactorisation speedup n=%d" n)
-        (dense_ns /. lu_ns))
-    (if smoke then [ 6 ] else [ 14; 20 ]);
+  measure (label "warm tableau") (fun () ->
+      let w = Lp.Warm.create () in
+      let objs = resolve_all ~warm:w plats in
+      note_warm w;
+      objs);
   (* E10 dynamic run and oracle bound, cold vs warm+cached *)
   let slaves = if smoke then 4 else 16 and phases = if smoke then 4 else 32 in
   let sc = dynamic_scenario ~slaves ~phases in
@@ -679,8 +613,7 @@ let run_pool_sweep ~smoke () =
       let par_sweep warm_of =
         Pool.map pool
           (fun p ->
-            (Master_slave.solve ~solver:Lp.Revised ~warm:(warm_of ()) p
-               ~master:0)
+            (Master_slave.solve ~warm:(warm_of ()) p ~master:0)
               .Master_slave.ntask)
           plats
       in
@@ -1113,7 +1046,7 @@ let run_recovery_suite ~smoke () =
     (if smoke then [ 20 ] else [ 20; 200 ]);
   List.rev !rows
 
-(* --- scaling suite: pricing, eta compression, structural reduction --- *)
+(* --- scaling suite: structural reduction --- *)
 
 (* Every row is guarded: the optimised path must reproduce the
    reference objective bit-for-bit (or, for the large trees where no
@@ -1121,7 +1054,7 @@ let run_recovery_suite ~smoke () =
    budget) before its time is recorded. *)
 let run_scale_suite ~smoke () =
   print_endline
-    "\n########## scaling: pricing, eta compression, reduction ##########\n";
+    "\n########## scaling: structural reduction ##########\n";
   let rows = ref [] in
   let record = record rows in
   let guard name got want =
@@ -1130,97 +1063,8 @@ let run_scale_suite ~smoke () =
         (Printf.sprintf "bench: %s: objective %s <> reference %s" name
            (R.to_string got) (R.to_string want))
   in
-  (* rule x factorisation ablation on the monolithic LP, with exact
-     pivot/refactorisation counts next to the wall-clock *)
   let n = if smoke then 10 else 20 in
   let p = sized_platform n in
-  let reference = (Master_slave.solve p ~master:0).Master_slave.ntask in
-  let pivots_by_rule = Hashtbl.create 8 in
-  List.iter
-    (fun (rname, rule) ->
-      let by_fact = Hashtbl.create 4 in
-      List.iter
-        (fun (fname, fact) ->
-          let stats = Lp.Stats.create () in
-          let sol, ns =
-            best_of ~runs:1 (fun () ->
-                Master_slave.solve ~rule ~solver:Lp.Revised
-                  ~factorization:fact ~stats p ~master:0)
-          in
-          let name = Printf.sprintf "scale/LP n=%d %s %s" n rname fname in
-          guard name sol.Master_slave.ntask reference;
-          record name ns;
-          record_effort name stats;
-          if fname = "lu" then
-            Hashtbl.replace pivots_by_rule rname stats.Lp.Stats.pivots;
-          Hashtbl.replace by_fact fname
-            (stats.Lp.Stats.pivots, stats.Lp.Stats.refactors))
-        [ ("lu", `Lu); ("ft", `Ft); ("bg", `Bg); ("auto", `Auto) ];
-      (* [`Auto] picks [`Bg] at/above [Lp.auto_ft_rows] standard-form
-         rows, [`Lu] below; this instance sits below the threshold, so
-         its exact effort must coincide with the [`Lu] row's *)
-      if Hashtbl.find by_fact "auto" <> Hashtbl.find by_fact "lu" then
-        failwith
-          (Printf.sprintf
-             "bench: scale/LP n=%d %s: `Auto effort differs from its \
-              threshold side"
-             n rname))
-    [
-      ("dantzig", Simplex.Dantzig);
-      ("bland", Simplex.Bland);
-      ("partial8", Simplex.Partial 8);
-      ("devex8", Simplex.Devex 8);
-      ("steepest8", Simplex.Steepest 8);
-    ];
-  Printf.printf "%-56s %10s\n"
-    (Printf.sprintf "scale/auto factorisation guard n=%d" n)
-    (Printf.sprintf "auto == lu below %d rows (exact)" Lp.auto_ft_rows);
-  (* steepest edge is the rule devex approximates: on the ablation
-     instance its exact pivot count must not exceed devex's (a
-     deterministic quantity — this is the measured pricing win) *)
-  let piv r = Hashtbl.find pivots_by_rule r in
-  Printf.printf "%-56s %10s\n"
-    (Printf.sprintf "scale/pricing guard n=%d" n)
-    (Printf.sprintf "steepest8 %d pivots <= devex8 %d" (piv "steepest8")
-       (piv "devex8"));
-  if piv "steepest8" > piv "devex8" then
-    failwith
-      (Printf.sprintf
-         "bench: scale/LP n=%d: steepest8 needs %d pivots, devex8 only %d" n
-         (piv "steepest8") (piv "devex8"));
-  (* above the threshold [`Auto] must resolve to [`Bg]: same effort
-     counters, same objective (the instance is the measured-crossover
-     ablation's ~220-row graph) *)
-  if not smoke then begin
-    let pa =
-      Platform_gen.random_graph ~seed:5 ~nodes:70 ~extra_edges:35 ()
-    in
-    let solve fact stats =
-      Master_slave.solve ~solver:Lp.Revised ~factorization:fact ~stats pa
-        ~master:0
-    in
-    let ref_obj =
-      (Master_slave.solve ~solver:Lp.Revised pa ~master:0).Master_slave.ntask
-    in
-    let sbg = Lp.Stats.create () and sauto = Lp.Stats.create () in
-    let bg, bg_ns = best_of ~runs:1 (fun () -> solve `Bg sbg) in
-    let auto, auto_ns = best_of ~runs:1 (fun () -> solve `Auto sauto) in
-    guard "scale/LP n=70 bg (above threshold)" bg.Master_slave.ntask ref_obj;
-    guard "scale/LP n=70 auto (above threshold)" auto.Master_slave.ntask
-      ref_obj;
-    record "scale/LP n=70 bg (above threshold)" bg_ns;
-    record "scale/LP n=70 auto (above threshold)" auto_ns;
-    record_effort "scale/LP n=70 bg (above threshold)" sbg;
-    if
-      (sauto.Lp.Stats.pivots, sauto.Lp.Stats.refactors)
-      <> (sbg.Lp.Stats.pivots, sbg.Lp.Stats.refactors)
-    then
-      failwith
-        "bench: scale/LP n=70: `Auto effort differs from `Bg above the \
-         threshold";
-    Printf.printf "%-56s %10s\n" "scale/auto factorisation guard n=70"
-      (Printf.sprintf "auto == bg at/above %d rows (exact)" Lp.auto_ft_rows)
-  end;
   (* Lp.Reduce presolve on the same general-graph LP: reduced-and-
      reinflated must reproduce the full objective bit-for-bit *)
   let model, full_res = Master_slave.solve_lp_only p ~master:0 in
@@ -1247,20 +1091,16 @@ let run_scale_suite ~smoke () =
        (Lp.Reduce.vars_eliminated rc)
        (Lp.Reduce.rows_eliminated rc));
   (* tree decomposition vs the monolithic LP at sizes where both are
-     affordable: throughput must agree bit-for-bit on both solvers *)
+     affordable: throughput must agree bit-for-bit *)
   List.iter
     (fun n ->
       let p = Platform_gen.random_tree ~seed:(3 * n) ~nodes:n () in
       let full = (Master_slave.solve p ~master:0).Master_slave.ntask in
-      let fullr =
-        (Master_slave.solve ~solver:Lp.Revised p ~master:0).Master_slave.ntask
-      in
       let red, ns =
         best_of ~runs:1 (fun () -> Master_slave.solve_reduced p ~master:0)
       in
       let name = Printf.sprintf "scale/tree decomposition n=%d" n in
       guard name red.Master_slave.ntask full;
-      guard name red.Master_slave.ntask fullr;
       record name ns)
     [ 10; 20 ];
   (* collective LPs through the same tree closed form: scatter (Sum
@@ -1273,8 +1113,7 @@ let run_scale_suite ~smoke () =
   let ctargets = List.filter (fun i -> i <> 0) (Platform.nodes cp) in
   let cfull, cfull_ns =
     best_of ~runs:1 (fun () ->
-        Collective.solve ~solver:Lp.Revised Collective.Sum cp ~source:0
-          ~targets:ctargets)
+        Collective.solve Collective.Sum cp ~source:0 ~targets:ctargets)
   in
   let cred, cred_ns =
     best_of ~runs:1 (fun () ->

@@ -113,9 +113,9 @@ let solution_of_lp p ~participants f_v (sol : Lp.solution) =
   in
   { platform = p; participants; throughput = sol.Lp.objective; flows }
 
-let solve ?rule p ~participants =
+let solve p ~participants =
   let m, _tp, _s_v, f_v = build_model p ~participants in
-  match Lp.solve ?rule m with
+  match Lp.solve m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "All_to_all.solve: LP not optimal (cannot happen)"
   | Lp.Optimal sol -> solution_of_lp p ~participants f_v sol
@@ -154,14 +154,14 @@ let zero_solution p ~participants =
     flows = List.map (fun pr -> (pr, Array.make ne R.zero)) (pairs_of participants);
   }
 
-let solve_reduced ?rule ?solver ?factorization ?stats p ~participants =
+let solve_reduced ?stats p ~participants =
   validate_spec p ~participants;
   let root = List.hd participants in
   match Tree_decomp.detect p ~root with
   | None ->
     let m, _tp, _s_v, f_v = build_model p ~participants in
     let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?rule ?solver ?factorization ?stats red with
+    (match Lp.Reduce.solve ?stats red with
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "All_to_all.solve_reduced: LP not optimal (cannot happen)"
     | Lp.Optimal sol -> solution_of_lp p ~participants f_v sol)

@@ -20,7 +20,6 @@ type solution = {
 }
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
   Platform.t ->
   participants:Platform.node list ->
   solution
@@ -30,9 +29,6 @@ val solve :
     exemplars. *)
 
 val solve_reduced :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   participants:Platform.node list ->

@@ -4,22 +4,22 @@ module P = Platform
 let targets_of p ~source =
   List.filter (fun i -> i <> source) (P.nodes p)
 
-let lp_bound ?rule ?warm ?cache p ~source =
-  Collective.solve ?rule ?warm ?cache Collective.Max p ~source
+let lp_bound ?warm ?cache p ~source =
+  Collective.solve ?warm ?cache Collective.Max p ~source
     ~targets:(targets_of p ~source)
 
-let lp_bound_reduced ?rule ?solver ?factorization ?stats p ~source =
-  Collective.solve_reduced ?rule ?solver ?factorization ?stats
+let lp_bound_reduced ?stats p ~source =
+  Collective.solve_reduced ?stats
     Collective.Max p ~source
     ~targets:(targets_of p ~source)
 
-let tree_packing ?rule ?warm ?cache p ~source =
-  Multicast.best_tree_packing ?rule ?warm ?cache p ~source
+let tree_packing ?warm ?cache p ~source =
+  Multicast.best_tree_packing ?warm ?cache p ~source
     ~targets:(targets_of p ~source)
 
-let bound_met ?rule ?cache p ~source =
-  let bound = (lp_bound ?rule ?cache p ~source).Collective.throughput in
+let bound_met ?cache p ~source =
+  let bound = (lp_bound ?cache p ~source).Collective.throughput in
   let achieved =
-    (tree_packing ?rule ?cache p ~source).Multicast.throughput
+    (tree_packing ?cache p ~source).Multicast.throughput
   in
   (R.equal bound achieved, bound, achieved)

@@ -10,7 +10,6 @@ val targets_of : Platform.t -> source:Platform.node -> Platform.node list
 (** All nodes except the source. *)
 
 val lp_bound :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -19,9 +18,6 @@ val lp_bound :
 (** The [Max]-law upper bound on broadcast throughput. *)
 
 val lp_bound_reduced :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   source:Platform.node ->
@@ -33,7 +29,6 @@ val lp_bound_reduced :
     {!Lp.Reduce} presolve.  Bit-identical to {!lp_bound}. *)
 
 val tree_packing :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -43,7 +38,6 @@ val tree_packing :
     arborescences (exemplar-scale platforms only). *)
 
 val bound_met :
-  ?rule:Simplex.pivot_rule ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->

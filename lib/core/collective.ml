@@ -175,9 +175,9 @@ let solution_of_lp mode p ~source ~targets f_v (sol : Lp.solution) =
     send_frac = send_frac_of mode p nk flows;
   }
 
-let solve ?rule ?solver ?factorization ?warm ?cache mode p ~source ~targets =
+let solve ?warm ?cache mode p ~source ~targets =
   let m, _tp, _s_v, f_v = build_model mode p ~source ~targets in
-  match Lp.solve ?rule ?solver ?factorization ?warm ?cache m with
+  match Lp.solve ?warm ?cache m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "Collective.solve: LP not optimal (cannot happen)"
   | Lp.Optimal sol -> solution_of_lp mode p ~source ~targets f_v sol
@@ -223,14 +223,14 @@ let zero_solution mode p ~source ~targets =
     send_frac = Array.make ne R.zero;
   }
 
-let solve_reduced ?rule ?solver ?factorization ?stats mode p ~source ~targets
+let solve_reduced ?stats mode p ~source ~targets
     =
   validate_spec p ~source ~targets;
   match Tree_decomp.detect p ~root:source with
   | None ->
     let m, _tp, _s_v, f_v = build_model mode p ~source ~targets in
     let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?rule ?solver ?factorization ?stats red with
+    (match Lp.Reduce.solve ?stats red with
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Collective.solve_reduced: LP not optimal (cannot happen)"
     | Lp.Optimal sol -> solution_of_lp mode p ~source ~targets f_v sol)

@@ -28,9 +28,6 @@ type solution = {
 }
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   mode ->
@@ -45,9 +42,6 @@ val solve :
     LP is never infeasible.) *)
 
 val solve_reduced :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?stats:Lp.Stats.t ->
   mode ->
   Platform.t ->

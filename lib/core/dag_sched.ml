@@ -56,7 +56,7 @@ type solution = {
   file_flows : R.t array array;
 }
 
-let solve ?rule p dag =
+let solve p dag =
   validate p dag;
   let nt = Array.length dag.tasks in
   let nf = Array.length dag.files in
@@ -165,7 +165,7 @@ let solve ?rule p dag =
         Lp.Eq R.zero)
     dag.tasks;
   Lp.set_objective m Lp.Maximize (Lp.var tp);
-  match Lp.solve ?rule m with
+  match Lp.solve m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "Dag_sched.solve: LP not optimal (cannot happen)"
   | Lp.Optimal sol ->

@@ -40,7 +40,7 @@ type solution = {
   file_flows : Rat.t array array; (** [file_flows.(file).(edge)] *)
 }
 
-val solve : ?rule:Simplex.pivot_rule -> Platform.t -> dag -> solution
+val solve : Platform.t -> dag -> solution
 
 val check_invariants : solution -> (unit, string) result
 (** Conservation per file and node, CPU and port budgets, uniform task

@@ -43,8 +43,6 @@ val series :
 (** Throughput as a function of the period length — experiment E9. *)
 
 val sweep :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->

@@ -74,9 +74,9 @@ let build_lp p ~master =
        (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
   (m, alpha_v, s_v)
 
-let solve_lp_only ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
+let solve_lp_only ?warm ?cache ?stats p ~master =
   let m, _, _ = build_lp p ~master in
-  (m, Lp.solve ?rule ?solver ?factorization ?warm ?cache ?stats m)
+  (m, Lp.solve ?warm ?cache ?stats m)
 
 (* Map an optimal LP solution back onto the platform: activity
    fractions per node, cycle-free task flow per edge. *)
@@ -98,15 +98,15 @@ let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
     task_flow;
   }
 
-let try_solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
+let try_solve ?warm ?cache ?stats p ~master =
   let m, alpha_v, s_v = build_lp p ~master in
-  match Lp.solve ?rule ?solver ?factorization ?warm ?cache ?stats m with
+  match Lp.solve ?warm ?cache ?stats m with
   | Lp.Infeasible -> Error `Infeasible
   | Lp.Unbounded -> Error `Unbounded
   | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
 
-let solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
-  match try_solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master with
+let solve ?warm ?cache ?stats p ~master =
+  match try_solve ?warm ?cache ?stats p ~master with
   | Ok sol -> sol
   | Error (`Infeasible | `Unbounded) ->
     failwith "Master_slave.solve: LP not optimal (invalid platform?)"
@@ -144,7 +144,7 @@ let solve ?rule ?solver ?factorization ?warm ?cache ?stats p ~master =
    how fast a node can push tasks through its child links.  Solved as an
    LP so the reduced path exercises (and is counted by) the same exact
    kernels as the full one. *)
-let knapsack ?rule ?solver ?stats children =
+let knapsack ?stats children =
   match children with
   | [] -> (R.zero, [])
   | _ ->
@@ -161,20 +161,20 @@ let knapsack ?rule ?solver ?stats children =
       Lp.Le R.one;
     Lp.set_objective m Lp.Maximize
       (Lp.sum (List.map (fun (_, c, v) -> Lp.term (R.inv c) v) yv));
-    (match Lp.solve ?rule ?solver ?stats m with
+    (match Lp.solve ?stats m with
     | Lp.Optimal sol ->
       (sol.Lp.objective, List.map (fun (e, _, v) -> (e, sol.Lp.values v)) yv)
     | Lp.Infeasible | Lp.Unbounded ->
       (* cannot happen: y = 0 is feasible, the objective is bounded *)
       failwith "Master_slave.solve_reduced: knapsack LP not optimal")
 
-let solve_reduced ?rule ?solver ?factorization ?stats p ~master =
+let solve_reduced ?stats p ~master =
   match Tree_decomp.detect p ~root:master with
   | None ->
     (* not a tree: presolve the full LP instead *)
     let m, alpha_v, s_v = build_lp p ~master in
     let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?rule ?solver ?factorization ?stats red with
+    (match Lp.Reduce.solve ?stats red with
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Master_slave.solve_reduced: LP not optimal (invalid platform?)"
     | Lp.Optimal sol -> solution_of_sol ?stats p ~master alpha_v s_v sol)
@@ -187,7 +187,7 @@ let solve_reduced ?rule ?solver ?factorization ?stats p ~master =
           let children =
             List.map (fun (e, (c_cap, _, _)) -> (e, P.edge_cost p e, c_cap)) cs
           in
-          let k, ys = knapsack ?rule ?solver ?stats children in
+          let k, ys = knapsack ?stats children in
           let cap =
             if i = master then R.zero (* the root has no parent link *)
             else

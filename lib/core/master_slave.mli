@@ -43,9 +43,6 @@ val build_lp :
     constraints via {!Lp.check_solution}. *)
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
@@ -59,16 +56,13 @@ val solve :
     are exact: the throughput is bit-identical to a cold solve.  The
     LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
     no state: the returned [task_flow] is a function of the LP solution
-    alone.  [?stats] accumulates exact
-    pivot/refactorisation counts and the cycles cancelled.
+    alone.  [?stats] accumulates exact pivot counts and the cycles
+    cancelled.
     @raise Failure if the LP is somehow not optimal (cannot happen on a
     valid platform: the zero schedule is feasible and throughput is
     bounded). *)
 
 val try_solve :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
@@ -81,9 +75,6 @@ val try_solve :
     structured report rather than escape as an exception. *)
 
 val solve_lp_only :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
@@ -93,9 +84,6 @@ val solve_lp_only :
 (** The raw model and solver outcome, for inspection and tests. *)
 
 val solve_reduced :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
-  ?factorization:Lp.factorization ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->

@@ -31,7 +31,6 @@ val enumerate_trees :
     @raise Invalid_argument if the platform has more than 24 edges. *)
 
 val max_lp_bound :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -40,7 +39,6 @@ val max_lp_bound :
   Collective.solution
 
 val scatter_lower_bound :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -58,7 +56,6 @@ type packing = {
 }
 
 val best_tree_packing :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -69,7 +66,6 @@ val best_tree_packing :
     the one-port constraints (LP over the enumerated trees). *)
 
 val packing_of_trees :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
@@ -97,7 +93,6 @@ val heuristic_trees :
 
 val heuristic_packing :
   ?count:int ->
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->

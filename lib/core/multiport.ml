@@ -9,7 +9,7 @@ type solution = {
   task_flow : Flow.t;
 }
 
-let solve ?rule p ~master ~send_cards ~recv_cards =
+let solve p ~master ~send_cards ~recv_cards =
   List.iter
     (fun i ->
       if send_cards i < 1 || recv_cards i < 1 then
@@ -63,7 +63,7 @@ let solve ?rule p ~master ~send_cards ~recv_cards =
     (P.nodes p);
   Lp.set_objective m Lp.Maximize
     (Lp.sum (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
-  match Lp.solve ?rule m with
+  match Lp.solve m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "Multiport.solve: LP not optimal (invalid platform?)"
   | Lp.Optimal sol ->

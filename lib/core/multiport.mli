@@ -26,7 +26,6 @@ type solution = {
 }
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
   Platform.t ->
   master:Platform.node ->
   send_cards:(Platform.node -> int) ->

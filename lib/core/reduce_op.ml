@@ -1,11 +1,11 @@
-let gather_solution ?rule p ~sink ~sources =
-  Collective.solve ?rule Collective.Sum (Platform.transpose p) ~source:sink
+let gather_solution p ~sink ~sources =
+  Collective.solve Collective.Sum (Platform.transpose p) ~source:sink
     ~targets:sources
 
-let gather_throughput ?rule p ~sink ~sources =
-  (gather_solution ?rule p ~sink ~sources).Collective.throughput
+let gather_throughput p ~sink ~sources =
+  (gather_solution p ~sink ~sources).Collective.throughput
 
-let reduce_throughput ?rule p ~sink ~sources =
-  (Collective.solve ?rule Collective.Max (Platform.transpose p) ~source:sink
+let reduce_throughput p ~sink ~sources =
+  (Collective.solve Collective.Max (Platform.transpose p) ~source:sink
      ~targets:sources)
     .Collective.throughput

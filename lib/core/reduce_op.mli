@@ -14,21 +14,18 @@
     ones (only direction flips), so flows translate back directly. *)
 
 val gather_throughput :
-  ?rule:Simplex.pivot_rule ->
   Platform.t ->
   sink:Platform.node ->
   sources:Platform.node list ->
   Rat.t
 
 val reduce_throughput :
-  ?rule:Simplex.pivot_rule ->
   Platform.t ->
   sink:Platform.node ->
   sources:Platform.node list ->
   Rat.t
 
 val gather_solution :
-  ?rule:Simplex.pivot_rule ->
   Platform.t ->
   sink:Platform.node ->
   sources:Platform.node list ->

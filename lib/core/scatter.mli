@@ -10,7 +10,6 @@
 type solution = Collective.solution
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->

@@ -11,7 +11,7 @@ type solution = {
 
 (* Same LP as Master_slave but with a single half-duplex port per node:
    time sending plus time receiving <= 1. *)
-let solve ?rule p ~master =
+let solve p ~master =
   let m = Lp.create () in
   let n = P.num_nodes p in
   let unit_iv = Some R.one in
@@ -55,7 +55,7 @@ let solve ?rule p ~master =
     (P.nodes p);
   Lp.set_objective m Lp.Maximize
     (Lp.sum (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
-  match Lp.solve ?rule m with
+  match Lp.solve m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "Send_receive.solve: LP not optimal (invalid platform?)"
   | Lp.Optimal sol ->

@@ -18,7 +18,7 @@ type solution = {
 }
 
 val solve :
-  ?rule:Simplex.pivot_rule -> Platform.t -> master:Platform.node -> solution
+  Platform.t -> master:Platform.node -> solution
 
 type round = {
   duration : Rat.t;

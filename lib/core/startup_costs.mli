@@ -49,8 +49,6 @@ val ratio_series :
   point list
 
 val sweep :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:Lp.solver ->
   ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->

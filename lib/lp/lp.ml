@@ -102,30 +102,6 @@ type solution = {
 
 type result = Optimal of solution | Infeasible | Unbounded
 
-type solver = Tableau | Revised
-type factorization = [ Revised_simplex.factorization | `Auto ]
-
-(* `Auto threshold: LU refactorises on every pivot but pays no eta
-   application, the folding disciplines amortise the factor across
-   pivots; the crossover tracks the basis size.  Measured on
-   master–slave LPs over random graphs (revised kernel, best of 2,
-   this machine): `Lu wins up to ~180 standard-form rows (97 rows:
-   40.0 vs 40.3 ms; 183 rows: 309 vs 332 ms), the two sides are
-   within noise around 200–240 rows (219 rows: 280 vs 275 ms), and
-   `Bg pulls ahead for good from ~300 rows (305 rows: 1550 vs
-   1250 ms).  200 sits in the middle of the indifference band —
-   replacing the old guess of 192 for a single Lu->Ft switch.  Past
-   the crossover `Bg is preferred outright over `Ft: on sparse spikes
-   it folds exactly as FT does, and on dense spikes it appends a
-   product-form eta instead of filling U in — same ablation, FT loses
-   by 6x at 243 rows (12.3 s vs 2.0 s) because its U-file fills. *)
-let auto_ft_rows = 200
-
-let concrete_factorization ~rows :
-    factorization -> Revised_simplex.factorization = function
-  | `Auto -> if rows >= auto_ft_rows then `Bg else `Lu
-  | #Revised_simplex.factorization as f -> f
-
 let duals sol = sol.duals
 
 let constraints m =
@@ -140,7 +116,7 @@ type col_map =
   | Split of int * int (* x = col+ - col- *)
 
 (* Translate a model to the standard form min c.x, Ax = b, x >= 0 that
-   both simplex kernels consume.  Also returns what [solve] needs to map
+   the simplex kernel consumes.  Also returns what [solve] needs to map
    a standard-form solution back to model variables: the column map, the
    objective constant picked up while substituting bounds, and whether
    the objective sign was flipped (Maximize). *)
@@ -329,8 +305,8 @@ let layout_rows lay =
    dropped, and the basis is padded back to a full row count with unused
    slack columns first (they keep the trial basis close to triangular),
    then any unused structural column.  The result is only a *candidate*:
-   the kernels validate every import and fall back to a cold solve on a
-   singular or infeasible-to-repair basis, so remapping can never change
+   the kernel validates every import and falls back to a cold solve on a
+   singular or primal infeasible basis, so remapping can never change
    an answer.  [None] when fewer than half the new rows found a match —
    importing mostly-padding loses to a cold start. *)
 let remap_basis bs m =
@@ -428,8 +404,8 @@ let export_basis bs =
   Buffer.contents buf
 
 (* [None] on any malformation — truncation, bad counts, trailing bytes.
-   An imported basis is a candidate only: the kernels validate it and
-   fall back to a cold solve, so bad bytes cost time, never answers. *)
+   An imported basis is a candidate only: the kernel validates it and
+   falls back to a cold solve, so bad bytes cost time, never answers. *)
 let import_basis raw =
   let len = String.length raw in
   let pos = ref 0 in
@@ -447,7 +423,9 @@ let import_basis raw =
   in
   let str () =
     let k = int () in
-    if k < 0 || !pos + k >= len then fail ();
+    (* [k > len - !pos - 1], not [!pos + k >= len]: a length field near
+       [max_int] must not overflow past the bound *)
+    if k < 0 || k > len - !pos - 1 then fail ();
     let v = String.sub raw !pos k in
     if raw.[!pos + k] <> '\n' then fail ();
     pos := !pos + k + 1;
@@ -672,22 +650,9 @@ end
    never pays for the dense translation (which is what makes a hit
    cheaper than a solve in the first place).  Rationals are kept in
    canonical form, so exact decimal dumps compare exactly. *)
-let cache_key sg solver rule (m : model) =
+let cache_key sg (m : model) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf sg;
-  Buffer.add_char buf (match solver with Tableau -> 'T' | Revised -> 'R');
-  (match rule with
-  | Simplex.Dantzig -> Buffer.add_char buf 'D'
-  | Simplex.Bland -> Buffer.add_char buf 'B'
-  | Simplex.Partial w ->
-    Buffer.add_char buf 'P';
-    Buffer.add_string buf (string_of_int w)
-  | Simplex.Devex w ->
-    Buffer.add_char buf 'V';
-    Buffer.add_string buf (string_of_int w)
-  | Simplex.Steepest w ->
-    Buffer.add_char buf 'S';
-    Buffer.add_string buf (string_of_int w));
   let dump v =
     Buffer.add_string buf (R.to_string v);
     Buffer.add_char buf ','
@@ -845,9 +810,11 @@ let decode_entry ~sg m value =
   | _ -> None
 
 (* Exact solver-effort counters, accumulated across kernel solves (cache
-   hits contribute nothing — no kernel ran).  Pivot and refactorisation
-   counts are deterministic (exact arithmetic, deterministic rules), so
-   the bench can attribute a speedup to fewer pivots vs cheaper pivots. *)
+   hits contribute nothing — no kernel ran).  Pivot counts are
+   deterministic (exact arithmetic, deterministic rules), so the bench
+   can attribute a speedup to fewer pivots vs cheaper pivots.
+   [refactors] is always 0: the tableau kernel never refactorises; the
+   field stays so trace consumers keep their schema. *)
 module Stats = struct
   type t = {
     mutable solves : int;
@@ -880,10 +847,9 @@ module Stats = struct
       backoff_time = R.zero;
     }
 
-  let add t ~pivots ~refactors =
+  let add t ~pivots =
     t.solves <- t.solves + 1;
-    t.pivots <- t.pivots + pivots;
-    t.refactors <- t.refactors + refactors
+    t.pivots <- t.pivots + pivots
 
   let add_reconstruction t ?(delays_reused = 0)
       ?(repairs_budget_exceeded = 0) ~cycles_cancelled ~matchings_repaired
@@ -901,12 +867,7 @@ module Stats = struct
     t.backoff_time <- R.add t.backoff_time backoff
 end
 
-(* [?factorization] is absent from the cache key on purpose: the
-   basis representations produce bit-identical outcomes (exact
-   arithmetic makes every pivot decision the same), so a hit recorded
-   under one is valid for the others. *)
-let solve ?(rule = Simplex.Dantzig) ?(solver = Tableau)
-    ?(factorization = `Auto) ?warm ?cache ?stats m =
+let solve ?warm ?cache ?stats m =
   let n = num_vars m in
   let sg =
     if warm <> None || cache <> None then signature m else ""
@@ -915,7 +876,7 @@ let solve ?(rule = Simplex.Dantzig) ?(solver = Tableau)
     match cache with
     | None -> None
     | Some cc ->
-      let key = cache_key sg solver rule m in
+      let key = cache_key sg m in
       (* the table is keyed by a fixed-width digest of the canonical
          dump, so the hashtable never hashes (or compares, on the
          bucket walk) the full dump — lookup cost is independent of
@@ -980,42 +941,16 @@ let solve ?(rule = Simplex.Dantzig) ?(solver = Tableau)
         end
       | _ -> (None, false)
     in
-    let note_effort ~pivots ~refactors =
-      match stats with
-      | Some s -> Stats.add s ~pivots ~refactors
-      | None -> ()
-    in
-    let outcome =
-      match solver with
-      | Tableau -> begin
-        match Simplex.minimize ~rule ?basis:import ~a ~b ~c () with
-        | Simplex.Infeasible -> `Infeasible
-        | Simplex.Unbounded -> `Unbounded
-        | Simplex.Optimal { values; objective; duals; basis; warm; pivots } ->
-          note_effort ~pivots ~refactors:0;
-          `Optimal (values, objective, duals, basis, warm)
-      end
-      | Revised -> begin
-        let factorization =
-          concrete_factorization ~rows:(Array.length b) factorization
-        in
-        match
-          Revised_simplex.minimize ~rule ~factorization ?basis:import ~a ~b
-            ~c ()
-        with
-        | Revised_simplex.Infeasible -> `Infeasible
-        | Revised_simplex.Unbounded -> `Unbounded
-        | Revised_simplex.Optimal
-            { values; objective; duals; basis; warm; pivots; refactors } ->
-          note_effort ~pivots ~refactors;
-          `Optimal (values, objective, duals, basis, warm)
-      end
-    in
     let res, exported =
-      match outcome with
-      | `Infeasible -> (Infeasible, None)
-      | `Unbounded -> (Unbounded, None)
-      | `Optimal (values, objective, std_duals, std_basis, warm_used) ->
+      match Simplex.minimize ?basis:import ~a ~b ~c () with
+      | Simplex.Infeasible -> (Infeasible, None)
+      | Simplex.Unbounded -> (Unbounded, None)
+      | Simplex.Optimal
+          { values; objective; duals = std_duals; basis = std_basis;
+            warm = warm_used; pivots } ->
+        (match stats with
+        | Some s -> Stats.add s ~pivots
+        | None -> ());
         (match warm with
         | Some w ->
           if warm_used then begin
@@ -1609,11 +1544,11 @@ module Reduce = struct
       rc.elims;
     vals
 
-  let solve ?rule ?solver ?factorization ?warm ?cache ?stats t =
+  let solve ?warm ?cache ?stats t =
     match t with
     | Decided d -> d.res
     | Reduced rc -> (
-      match solve ?rule ?solver ?factorization ?warm ?cache ?stats rc.core with
+      match solve ?warm ?cache ?stats rc.core with
       | Infeasible -> Infeasible
       | Unbounded -> Unbounded
       | Optimal sol ->

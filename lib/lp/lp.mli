@@ -79,30 +79,6 @@ type result =
   | Infeasible
   | Unbounded
 
-type solver =
-  | Tableau  (** the dense tableau {!Simplex} (default) *)
-  | Revised  (** the sparse-column {!Revised_simplex} *)
-
-type factorization = [ Revised_simplex.factorization | `Auto ]
-(** Basis representation of the [Revised] solver: [`Lu] (sparse exact
-    LU + product-form eta file), [`Ft] (sparse LU updated
-    Forrest–Tomlin style — spikes folded into U, short row etas — the
-    choice for long pivot sequences), [`Bg] (Bartels–Golub-style
-    bounded fill: folds sparse spikes like [`Ft] but routes dense ones
-    to a product-form eta file so U never inflates) or [`Dense]
-    (explicit inverse, kept for differential testing).  Outcomes are
-    bit-identical under all four.  [`Auto] (the default) picks by
-    problem size: [`Lu] below {!auto_ft_rows} constraint rows, [`Bg]
-    from there on — folding only pays for its per-pivot U-file
-    bookkeeping once the basis is large, and the bounded-fill variant
-    never measured slower than plain [`Ft] (the bench's rule ×
-    factorisation ablation rows justify both the threshold and the
-    choice of folding kind). *)
-
-val auto_ft_rows : int
-(** Standard-form row count from which [`Auto] resolves to a folding
-    update discipline ([`Bg]). *)
-
 val duals : solution -> (string * Rat.t) list
 (** [duals sol] is {!solution.duals} — the per-constraint shadow
     prices. *)
@@ -138,8 +114,8 @@ val remap_basis : basis -> model -> basis option
     different surviving subplatforms share most variable and constraint
     names even though every index differs.  [None] when fewer than half
     of [m]'s rows found a match.  The result is a candidate only:
-    {!solve} hands it to the kernels, which validate any import and
-    fall back to a cold solve, so a remap can never change an answer.
+    {!solve} hands it to the kernel, which validates any import and
+    falls back to a cold solve, so a remap can never change an answer.
     {!solve} applies this automatically when a warm slot's basis has a
     stale signature; accepted remapped imports are counted in
     [Stats.warm_remapped]. *)
@@ -154,7 +130,7 @@ val import_basis : string -> basis option
 (** Parse a basis previously written by {!export_basis}; [None] on any
     malformation (truncation, version skew, trailing bytes).  The
     result is a candidate only: hand it to a warm slot via
-    {!Warm.restore} and the kernels validate the import on the next
+    {!Warm.restore} and the kernel validates the import on the next
     {!solve}, falling back to a cold solve — bad bytes can cost time,
     never change an answer. *)
 
@@ -162,10 +138,9 @@ module Warm : sig
   (** A mutable warm-start slot.  Pass the same slot to successive
       {!solve} calls on structurally identical models: each optimal
       solve deposits its basis, and the next solve imports it — skipping
-      phase 1 when the basis is still primal feasible, repairing it with
-      exact dual-simplex pivots (Revised solver) when only feasibility
-      was lost, and falling back to a cold solve otherwise.  Results are
-      exact in all cases; only the pivot counts change.
+      phase 1 when the basis is still primal feasible and falling back
+      to a cold two-phase solve otherwise.  Results are exact in all
+      cases; only the pivot counts change.
 
       Not thread-safe: use one slot per domain/task. *)
 
@@ -218,12 +193,12 @@ end
 module Cache : sig
   (** Exact memo of solved instances.  The key is the structural
       signature plus every standard-form coefficient (exact decimal
-      dumps — no hashing collisions, no rounding), the lower-bound
-      values, the solver and the pivot rule; the value is the final
-      {!result}.  Identical re-solves (flat trace segments, repeated
-      oracle queries) therefore return the very same answer without
-      touching the simplex.  At capacity the least-recently-used entry
-      is evicted (and counted), so a sweep's working set survives.
+      dumps — no hashing collisions, no rounding) and the lower-bound
+      values; the value is the final {!result}.  Identical re-solves
+      (flat trace segments, repeated oracle queries) therefore return
+      the very same answer without touching the simplex.  At capacity
+      the least-recently-used entry is evicted (and counted), so a
+      sweep's working set survives.
 
       A cache may carry a {!Disk} tier: a crash-safe, cross-process
       store directory consulted on memory misses and written through on
@@ -292,8 +267,8 @@ end
 module Stats : sig
   (** Exact solver-effort counters.  Pass one slot to successive
       {!solve} calls to accumulate how much kernel work a sweep really
-      did: pivot and refactorisation counts are deterministic (exact
-      arithmetic, deterministic pivot rules), so the bench can report
+      did: pivot counts are deterministic (exact arithmetic,
+      deterministic pivot rules), so the bench can report
       them next to wall-clock and attribute a speedup to {e fewer}
       pivots vs {e cheaper} pivots.  Cache hits contribute nothing —
       no kernel ran. *)
@@ -302,8 +277,9 @@ module Stats : sig
     mutable solves : int;  (** optimal kernel solves accumulated *)
     mutable pivots : int;  (** simplex pivots across those solves *)
     mutable refactors : int;
-        (** basis refactorisations ([Revised] solver only; the
-            [Tableau] kernel never refactorises) *)
+        (** basis refactorisations: always [0] — the tableau kernel
+            never refactorises; kept so counter consumers keep their
+            schema *)
     mutable cycles_cancelled : int;
         (** flow cycles removed from LP task flows by the cycle
             cancellation in the master–slave solve path *)
@@ -336,7 +312,7 @@ module Stats : sig
 
   val create : unit -> t
 
-  val add : t -> pivots:int -> refactors:int -> unit
+  val add : t -> pivots:int -> unit
   (** Count one solve's effort; exposed so wrappers that bypass
       {!solve} can keep the ledger honest. *)
 
@@ -360,16 +336,14 @@ module Stats : sig
 end
 
 val solve :
-  ?rule:Simplex.pivot_rule ->
-  ?solver:solver ->
-  ?factorization:factorization ->
   ?warm:Warm.t ->
   ?cache:Cache.t ->
   ?stats:Stats.t ->
   model ->
   result
-(** [solve m] translates the model to standard form and runs the chosen
-    simplex kernel.  [?warm] threads an optimal basis between
+(** [solve m] translates the model to standard form and runs the exact
+    {!Simplex} kernel (Dantzig pricing with its stall-to-Bland
+    fallback).  [?warm] threads an optimal basis between
     structurally identical solves; [?cache] short-circuits exactly
     repeated instances.  Both are pure accelerators: for any
     combination of [?warm]/[?cache] the returned objective value is
@@ -377,14 +351,8 @@ val solve :
     different optimal vertex of the same face, which every certified
     feasibility check still accepts).
 
-    [?factorization] (default [`Auto]) selects the [Revised] solver's
-    basis representation and is ignored by [Tableau].  It changes
-    nothing about the result — the representations answer every linear
-    solve with the same exact values, hence identical pivots — so it is
-    deliberately absent from the cache key; only speed differs.
-
-    [?stats] accumulates exact pivot/refactorisation counts for every
-    optimal kernel solve (cache hits add nothing). *)
+    [?stats] accumulates exact pivot counts for every optimal kernel
+    solve (cache hits add nothing). *)
 
 module Reduce : sig
   (** Structural model reduction (presolve), exact over {!Rat}.
@@ -437,9 +405,6 @@ module Reduce : sig
       outright (every variable fixed, or infeasibility detected). *)
 
   val solve :
-    ?rule:Simplex.pivot_rule ->
-    ?solver:solver ->
-    ?factorization:factorization ->
     ?warm:Warm.t ->
     ?cache:Cache.t ->
     ?stats:Stats.t ->
@@ -454,7 +419,7 @@ val standard_form : model -> Rat.t array array * Rat.t array * Rat.t array
 (** [standard_form m] is the exact [(a, b, c)] instance — min [c.x]
     s.t. [a x = b], [x >= 0], after bound shifting/splitting, slack
     columns and objective sign normalisation — that {!solve} hands to
-    the simplex kernels.  Exposed so tests can replay the very same
+    the simplex kernel.  Exposed so tests can replay the very same
     instance through independent solver implementations. *)
 
 val value_by_name : model -> solution -> string -> Rat.t

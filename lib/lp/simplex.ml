@@ -18,30 +18,7 @@
 
 module R = Rat
 
-type pivot_rule =
-  | Bland
-  | Dantzig
-  | Partial of int
-  | Devex of int
-  | Steepest of int
-
-(* The dense tableau keeps every reduced cost up to date after each
-   pivot, so pricing a window costs the same as pricing everything:
-   the windowed rules degenerate to Dantzig here (identical pivot
-   sequence).  [Revised_simplex] implements them for real.  [Steepest]
-   is different: even under full pricing it ranks candidates by
-   d_j^2 / ||B^-1 A_j||^2 instead of the raw reduced cost, so it gets a
-   real tableau implementation (the window is moot — every column is
-   priced anyway). *)
-let check_window = function
-  | (Partial w | Devex w | Steepest w) when w <= 0 ->
-    invalid_arg "Simplex: pricing window must be positive"
-  | _ -> ()
-
-let normalise_rule = function
-  | Bland -> Bland
-  | Steepest w -> Steepest w
-  | Dantzig | Partial _ | Devex _ -> Dantzig
+type pivot_rule = Bland | Dantzig
 
 type outcome =
   | Optimal of {
@@ -139,72 +116,6 @@ let optimise t rule allowed =
   let best_seen = ref t.obj in
   let stall = ref 0 in
   let bland_mode = ref (rule = Bland) in
-  let steepest = match rule with Steepest _ -> true | _ -> false in
-  (* Exact steepest-edge weights w_j = 1 + ||B^-1 A_j||^2.  The tableau
-     IS B^-1 A, so the weights are seeded exactly from the current
-     columns at phase entry (this also makes warm starts and the
-     inter-phase artificial-driving pivots a non-issue: each [optimise]
-     call re-seeds), then maintained by the exact update
-
-       w'_j = w_j - 2 eta_j tau_j + eta_j^2 w_q,
-       eta_j = a_pj / u_p,  tau_j = sum_i u_i a_ij,
-
-     run against the pre-pivot tableau before every basis change.  The
-     recurrence and the re-seed agree bit for bit (exact rationals), and
-     correctness never rests on the weights — only the pivot order
-     does. *)
-  let weights =
-    if not steepest then [||]
-    else begin
-      let w = Array.make t.n_total R.one in
-      Array.iter
-        (fun row ->
-          for j = 0 to t.n_total - 1 do
-            let v = row.(j) in
-            if not (R.is_zero v) then w.(j) <- R.add w.(j) (R.mul v v)
-          done)
-        t.rows;
-      w
-    end
-  in
-  let tau = if steepest then Array.make t.n_total R.zero else [||] in
-  (* weight update for the pivot (p, q), against the pre-pivot tableau *)
-  let update_steepest_weights p q =
-    let row_p = t.rows.(p) in
-    let up = row_p.(q) in
-    let inv_up = R.inv up in
-    let wq = weights.(q) in
-    Array.fill tau 0 t.n_total R.zero;
-    for i = 0 to m - 1 do
-      let ui = t.rows.(i).(q) in
-      if not (R.is_zero ui) then begin
-        let row = t.rows.(i) in
-        for j = 0 to t.n_total - 1 do
-          let v = row.(j) in
-          if not (R.is_zero v) then tau.(j) <- R.add tau.(j) (R.mul ui v)
-        done
-      end
-    done;
-    let leaving = t.basis.(p) in
-    for j = 0 to t.n_total - 1 do
-      if j <> q && j <> leaving then begin
-        let alpha = row_p.(j) in
-        if not (R.is_zero alpha) then begin
-          let e = R.mul alpha inv_up in
-          let w' =
-            R.add
-              (R.sub weights.(j) (R.mul (R.add e e) tau.(j)))
-              (R.mul (R.mul e e) wq)
-          in
-          (* exact inputs make the lower bound 1 + eta^2 automatic; the
-             max is a structural guard, not a correction *)
-          weights.(j) <- R.max w' (R.add R.one (R.mul e e))
-        end
-      end
-    done;
-    weights.(leaving) <- R.div wq (R.mul up up);
-    weights.(q) <- R.one
-  in
   let entering () =
     if !bland_mode then begin
       let rec go j =
@@ -213,20 +124,6 @@ let optimise t rule allowed =
         else go (j + 1)
       in
       go 0
-    end
-    else if steepest then begin
-      (* largest d_j^2 / w_j; first best wins ties, exactly *)
-      let best = ref None in
-      for j = 0 to t.n_total - 1 do
-        if allowed j && R.sign t.red.(j) < 0 then begin
-          let d = t.red.(j) in
-          let score = R.div (R.mul d d) weights.(j) in
-          match !best with
-          | Some (_, sb) when R.compare sb score >= 0 -> ()
-          | Some _ | None -> best := Some (j, score)
-        end
-      done;
-      Option.map fst !best
     end
     else begin
       let best = ref None in
@@ -265,9 +162,8 @@ let optimise t rule allowed =
       (match leaving q with
       | None -> raise Unbounded_exc
       | Some (p, _) ->
-        if steepest && not !bland_mode then update_steepest_weights p q;
         pivot t p q;
-        if (not !bland_mode) && rule <> Bland then begin
+        if not !bland_mode then begin
           (* t.obj = -z grows strictly whenever z improves *)
           if R.compare t.obj !best_seen > 0 then begin
             best_seen := t.obj;
@@ -447,8 +343,6 @@ let cold_solve rule ~a ~b ~c ~m ~n ~n_total =
   end
 
 let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
-  check_window rule;
-  let rule = normalise_rule rule in
   let m = Array.length a in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Simplex.minimize: |b| <> rows";

@@ -1,56 +1,21 @@
-(** Exact two-phase primal simplex over rationals.
+(** Exact two-phase primal simplex over rationals — the library's only
+    LP kernel.
 
     Solves the standard form
 
     {v minimize c.x   subject to   A x = b,  x >= 0 v}
 
-    with every coefficient an exact {!Rat.t}.  Degeneracy is handled by
-    pivot rules, not perturbation: {!Bland} never cycles; {!Dantzig}
-    (steepest reduced cost) is usually faster and falls back to Bland's
-    rule after a stall, so it terminates too.  The pivot-rule choice is an
-    ablation axis in the benchmark suite. *)
+    with every coefficient an exact {!Rat.t}, on a dense tableau with
+    zero-skipping elimination.  Degeneracy is handled by pivot rules,
+    not perturbation: {!Dantzig} (most-negative reduced cost, the
+    default) is usually faster and falls back to Bland's rule after a
+    stall; {!Bland} never cycles.  Both terminate. *)
 
 type pivot_rule =
   | Bland  (** smallest-index entering/leaving: provably cycle-free *)
   | Dantzig
       (** most-negative reduced cost, switching to Bland after
           [rows + cols] pivots without objective improvement *)
-  | Partial of int
-      (** partial pricing: a cyclic cursor scans nonbasic columns until
-          it has collected a candidate window of the given size (or
-          wrapped the whole column range, which certifies optimality
-          exactly) and pivots on the most-negative reduced cost inside
-          the window.  Per-pivot pricing cost scales with the window,
-          not the column count.  Same stall-to-Bland safeguard as
-          {!Dantzig}.  The dense tableau kernel prices every column
-          anyway, so there it falls back to {!Dantzig}; the rule only
-          changes the pivot path of {!Revised_simplex}.
-          @raise Invalid_argument if the window is [<= 0]. *)
-  | Devex of int
-      (** partial pricing as in {!Partial}, but candidates are ranked
-          by exact devex reference weights ([d_j^2 / w_j]) instead of
-          the raw reduced cost, approximating steepest edge at the cost
-          of one extra BTRAN per pivot.  Weights are exact rationals
-          with a deterministic framework reset when they grow past a
-          fixed threshold.  Falls back to {!Dantzig} in the dense
-          tableau kernel, like {!Partial}.
-          @raise Invalid_argument if the window is [<= 0]. *)
-  | Steepest of int
-      (** exact steepest edge: candidates are ranked by
-          [d_j^2 / (1 + ||B⁻¹A_j||²)] with the reference weights
-          maintained by the exact Forrest–Goldfarb recurrence before
-          every pivot (two extra BTRANs plus a pricing-pass-shaped
-          sweep per pivot in {!Revised_simplex}; read straight off the
-          tableau here).  Cold solves carry exact weights throughout
-          (identity-basis seed); warm imports start from the
-          [1 + ||A_j||²] reference framework.  Unlike {!Partial} and
-          {!Devex} the rule does {i not} degenerate to {!Dantzig} in
-          the tableau kernel — the ranking differs even under full
-          pricing, so both kernels implement it.  The [int] is the
-          candidate window as in {!Partial} (the tableau kernel prices
-          every column regardless).  Same stall-to-Bland safeguard,
-          same exact full-wrap optimality certificate.
-          @raise Invalid_argument if the window is [<= 0]. *)
 
 type outcome =
   | Optimal of {

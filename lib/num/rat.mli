@@ -74,11 +74,11 @@ val div : t -> t -> t
 (** @raise Division_by_zero if the divisor is zero. *)
 
 val submul : t -> t -> t -> t
-(** [submul a b c] is exactly [sub a (mul b c)], fused: the elimination
-    row operation of the exact LU factorisation and eta-file solves
-    ({!Lu} in [lib/lp]).  On the small-integer path the product is
-    cross-reduced and fed directly into the fraction addition without
-    materialising the intermediate value. *)
+(** [submul a b c] is exactly [sub a (mul b c)], fused: the row
+    operation of the exact presolve substitutions ([Lp.Reduce] in
+    [lib/lp]).  On the small-integer path the product is cross-reduced
+    and fed directly into the fraction addition without materialising
+    the intermediate value. *)
 
 val mul_int : t -> int -> t
 val div_int : t -> int -> t

@@ -43,8 +43,8 @@ let measure_bandwidth p src dst =
    [outport_]/[inport_] row and a compute-bound host on its conservation
    row or [ub:alpha_] row — an exact, noise-free complement to the
    pairwise probe heuristics below. *)
-let bottlenecks ?(solver = Lp.Revised) p ~master =
-  match snd (Master_slave.solve_lp_only ~solver p ~master) with
+let bottlenecks p ~master =
+  match snd (Master_slave.solve_lp_only p ~master) with
   | Lp.Infeasible | Lp.Unbounded -> []
   | Lp.Optimal sol ->
     Lp.duals sol

@@ -38,7 +38,6 @@ type report = {
 }
 
 val bottlenecks :
-  ?solver:Lp.solver ->
   Platform.t ->
   master:Platform.node ->
   (string * Rat.t) list

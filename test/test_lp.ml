@@ -1,6 +1,8 @@
 (* Tests for the exact-rational LP layer: textbook instances with known
    optima, degenerate/cycling-prone instances, and randomised
-   cross-checks (feasibility certificates, Bland vs Dantzig agreement). *)
+   cross-checks (feasibility certificates, Bland vs Dantzig agreement,
+   and agreement with the independent revised-simplex reference kernel
+   kept in [Revised_dense_reference]). *)
 
 module R = Rat
 
@@ -13,6 +15,33 @@ let solve_get m =
   | Lp.Optimal s -> s
   | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
+
+(* [Lp.solve] always prices with Dantzig; the Bland path is driven
+   directly on the very standard form [Lp.solve] hands the kernel.
+   Standard-form objective: the model's for [Minimize], negated for
+   [Maximize] (every model here has default lower bounds, so no bound
+   shift adds a constant). *)
+let kernel_solve rule m =
+  let a, b, c = Lp.standard_form m in
+  Simplex.minimize ~rule ~a ~b ~c ()
+
+(* the independent second-opinion kernel on the same standard form *)
+let reference_solve m =
+  let a, b, c = Lp.standard_form m in
+  Revised_dense_reference.minimize ~a ~b ~c ()
+
+(* a x = b, x >= 0, exactly *)
+let std_feasible m values =
+  let a, b, _ = Lp.standard_form m in
+  Array.for_all (fun v -> R.sign v >= 0) values
+  && Array.for_all2
+       (fun row bi ->
+         let lhs = ref R.zero in
+         Array.iteri
+           (fun j aij -> lhs := R.add !lhs (R.mul aij values.(j)))
+           row;
+         R.equal !lhs bi)
+       a b
 
 (* max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18; opt = 36 at (2,6) *)
 let test_textbook_max () =
@@ -109,11 +138,14 @@ let test_degenerate_beale () =
   Lp.add_constraint m (Lp.var x6) Lp.Le (ri 1);
   Lp.set_objective m Lp.Minimize
     (Lp.of_terms [ (r (-3) 4, x4); (ri 150, x5); (r (-1) 50, x6); (ri 6, x7) ]);
+  Alcotest.check rat "beale optimum" (r (-1) 20) (solve_get m).objective;
   List.iter
     (fun rule ->
-      match Lp.solve ~rule m with
-      | Lp.Optimal s -> Alcotest.check rat "beale optimum" (r (-1) 20) s.objective
-      | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "beale: not optimal")
+      match kernel_solve rule m with
+      | Simplex.Optimal s ->
+        Alcotest.check rat "beale kernel optimum" (r (-1) 20) s.objective
+      | Simplex.Infeasible | Simplex.Unbounded ->
+        Alcotest.fail "beale: not optimal")
     [ Simplex.Bland; Simplex.Dantzig ]
 
 let test_empty_objective () =
@@ -217,10 +249,10 @@ let prop_optimal_is_feasible =
 let prop_rules_agree =
   QCheck.Test.make ~name:"Bland and Dantzig agree on the optimum" ~count:100
     arb_lp (fun inst ->
-      let m1, _ = build_lp inst in
-      let m2, _ = build_lp inst in
-      match (Lp.solve ~rule:Simplex.Bland m1, Lp.solve ~rule:Simplex.Dantzig m2) with
-      | Lp.Optimal s1, Lp.Optimal s2 -> R.equal s1.objective s2.objective
+      let m, _ = build_lp inst in
+      match (kernel_solve Simplex.Bland m, kernel_solve Simplex.Dantzig m) with
+      | Simplex.Optimal s1, Simplex.Optimal s2 ->
+        R.equal s1.objective s2.objective
       | _, _ -> false)
 
 let prop_dominates_feasible_points =
@@ -277,13 +309,6 @@ let dual_objective m s =
     (fun acc (name, y) -> R.add acc (R.mul y (List.assoc name rhs_of)))
     R.zero (Lp.duals s)
 
-let all_kernels =
-  [
-    ("tableau", Lp.Tableau, `Lu);
-    ("revised/lu", Lp.Revised, `Lu);
-    ("revised/dense", Lp.Revised, `Dense);
-  ]
-
 let test_duals_textbook () =
   (* max 3x + 5y st x <= 4 (c0), 2y <= 12 (c1), 3x + 2y <= 18 (c2).
      At the optimum (2, 6) the binding rows are c1 and c2; solving the
@@ -298,19 +323,13 @@ let test_duals_textbook () =
     Lp.set_objective m Lp.Maximize (Lp.of_terms [ (ri 3, x); (ri 5, y) ]);
     m
   in
-  List.iter
-    (fun (label, solver, factorization) ->
-      let m = build () in
-      match Lp.solve ~solver ~factorization m with
-      | Lp.Optimal s ->
-        Alcotest.(check (list (pair string rat)))
-          (label ^ " exact duals")
-          [ ("c0", R.zero); ("c1", r 3 2); ("c2", ri 1) ]
-          (Lp.duals s);
-        Alcotest.check rat (label ^ " strong duality") s.Lp.objective
-          (dual_objective m s)
-      | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail (label ^ ": not optimal"))
-    all_kernels
+  let m = build () in
+  let s = solve_get m in
+  Alcotest.(check (list (pair string rat)))
+    "exact duals"
+    [ ("c0", R.zero); ("c1", r 3 2); ("c2", ri 1) ]
+    (Lp.duals s);
+  Alcotest.check rat "strong duality" s.Lp.objective (dual_objective m s)
 
 let test_duals_upper_bound_rows () =
   (* max x + y, x <= 3/2 (bound), y <= 1/4 (bound), x + y <= 2 (c0):
@@ -324,23 +343,19 @@ let test_duals_upper_bound_rows () =
     Lp.set_objective m Lp.Maximize (Lp.add (Lp.var x) (Lp.var y));
     m
   in
-  List.iter
-    (fun (label, solver, factorization) ->
-      let m = build () in
-      match Lp.solve ~solver ~factorization m with
-      | Lp.Optimal s ->
-        Alcotest.(check (list (pair string rat)))
-          (label ^ " bound-row duals")
-          [ ("c0", R.zero); ("ub:x", ri 1); ("ub:y", ri 1) ]
-          (Lp.duals s);
-        Alcotest.check rat (label ^ " strong duality") (r 7 4)
-          (dual_objective m s)
-      | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail (label ^ ": not optimal"))
-    all_kernels
+  let m = build () in
+  let s = solve_get m in
+  Alcotest.(check (list (pair string rat)))
+    "bound-row duals"
+    [ ("c0", R.zero); ("ub:x", ri 1); ("ub:y", ri 1) ]
+    (Lp.duals s);
+  Alcotest.check rat "strong duality" (r 7 4) (dual_objective m s)
 
 let test_duals_paper_models () =
   (* strong duality on every solved steady-state model of the regression
-     set, under every kernel: c . x = y . b exactly *)
+     set, under both pivot rules: c . x = y . b exactly — at the model
+     level through [Lp.solve], and on the standard form for the kernel's
+     own duals *)
   let fig2, src, tgts = Platform_gen.multicast_fig2 () in
   let models =
     [
@@ -364,33 +379,38 @@ let test_duals_paper_models () =
   in
   List.iter
     (fun (name, m) ->
+      let s = solve_get m in
+      Alcotest.check rat (name ^ " strong duality") s.Lp.objective
+        (dual_objective m s);
+      let _, b, _ = Lp.standard_form m in
       List.iter
-        (fun (label, solver, factorization) ->
-          List.iter
-            (fun rule ->
-              match Lp.solve ~rule ~solver ~factorization m with
-              | Lp.Optimal s ->
-                Alcotest.check rat
-                  (Printf.sprintf "%s %s strong duality" name label)
-                  s.Lp.objective (dual_objective m s)
-              | Lp.Infeasible | Lp.Unbounded ->
-                Alcotest.fail (name ^ ": not optimal"))
-            [ Simplex.Bland; Simplex.Dantzig ])
-        all_kernels)
+        (fun (label, rule) ->
+          match kernel_solve rule m with
+          | Simplex.Optimal k ->
+            let yb = ref R.zero in
+            Array.iteri (fun i y -> yb := R.add !yb (R.mul y b.(i))) k.duals;
+            Alcotest.check rat
+              (Printf.sprintf "%s %s kernel strong duality" name label)
+              k.objective !yb
+          | Simplex.Infeasible | Simplex.Unbounded ->
+            Alcotest.fail (name ^ ": not optimal"))
+        [ ("bland", Simplex.Bland); ("dantzig", Simplex.Dantzig) ])
     models
 
 let prop_strong_duality =
   QCheck.Test.make ~name:"strong duality c.x = y.b on random LPs" ~count:150
     arb_lp (fun inst ->
-      List.for_all
-        (fun (_, solver, factorization) ->
-          let m, _ = build_lp inst in
-          match Lp.solve ~solver ~factorization m with
-          | Lp.Optimal s -> R.equal s.Lp.objective (dual_objective m s)
-          | Lp.Infeasible | Lp.Unbounded -> false)
-        all_kernels)
+      let m, _ = build_lp inst in
+      match Lp.solve m with
+      | Lp.Optimal s -> R.equal s.Lp.objective (dual_objective m s)
+      | Lp.Infeasible | Lp.Unbounded -> false)
 
-(* --- revised simplex cross-checks --- *)
+(* --- the revised-simplex reference kernel ---
+
+   [Revised_dense_reference] is the independent second opinion the
+   cross-checks below and in test_kernels.ml compare the tableau
+   against, so it is held to the same known optima.  It solves the
+   standard form: a [Maximize] model's optimum comes back negated. *)
 
 let test_revised_textbook () =
   let m = Lp.create () in
@@ -399,26 +419,30 @@ let test_revised_textbook () =
   Lp.add_constraint m (Lp.term (ri 2) y) Lp.Le (ri 12);
   Lp.add_constraint m (Lp.of_terms [ (ri 3, x); (ri 2, y) ]) Lp.Le (ri 18);
   Lp.set_objective m Lp.Maximize (Lp.of_terms [ (ri 3, x); (ri 5, y) ]);
-  (match Lp.solve ~solver:Lp.Revised m with
-  | Lp.Optimal s ->
-    Alcotest.check rat "revised objective" (ri 36) s.Lp.objective;
-    Alcotest.check rat "revised x" (ri 2) (s.Lp.values x)
-  | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "revised: not optimal")
+  match reference_solve m with
+  | Revised_dense_reference.Optimal s ->
+    Alcotest.check rat "revised objective" (ri (-36)) s.objective;
+    Alcotest.(check bool) "revised vertex feasible" true
+      (std_feasible m s.values)
+  | Revised_dense_reference.Infeasible | Revised_dense_reference.Unbounded ->
+    Alcotest.fail "revised: not optimal"
 
 let test_revised_infeasible_unbounded () =
   let m = Lp.create () in
   let x = Lp.add_var m "x" in
   Lp.add_constraint m (Lp.var x) Lp.Ge (ri 3);
   Lp.add_constraint m (Lp.var x) Lp.Le (ri 2);
-  (match Lp.solve ~solver:Lp.Revised m with
-  | Lp.Infeasible -> ()
-  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "expected infeasible");
+  (match reference_solve m with
+  | Revised_dense_reference.Infeasible -> ()
+  | Revised_dense_reference.Optimal _ | Revised_dense_reference.Unbounded ->
+    Alcotest.fail "expected infeasible");
   let m2 = Lp.create () in
   let y = Lp.add_var m2 "y" in
   Lp.set_objective m2 Lp.Maximize (Lp.var y);
-  match Lp.solve ~solver:Lp.Revised m2 with
-  | Lp.Unbounded -> ()
-  | Lp.Optimal _ | Lp.Infeasible -> Alcotest.fail "expected unbounded"
+  match reference_solve m2 with
+  | Revised_dense_reference.Unbounded -> ()
+  | Revised_dense_reference.Optimal _ | Revised_dense_reference.Infeasible ->
+    Alcotest.fail "expected unbounded"
 
 let test_revised_beale () =
   let m = Lp.create () in
@@ -433,32 +457,35 @@ let test_revised_beale () =
   Lp.add_constraint m (Lp.var x6) Lp.Le (ri 1);
   Lp.set_objective m Lp.Minimize
     (Lp.of_terms [ (r (-3) 4, x4); (ri 150, x5); (r (-1) 50, x6); (ri 6, x7) ]);
+  let a, b, c = Lp.standard_form m in
   List.iter
     (fun rule ->
-      match Lp.solve ~rule ~solver:Lp.Revised m with
-      | Lp.Optimal s -> Alcotest.check rat "revised beale" (r (-1) 20) s.Lp.objective
-      | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "beale: not optimal")
+      match Revised_dense_reference.minimize ~rule ~a ~b ~c () with
+      | Revised_dense_reference.Optimal s ->
+        Alcotest.check rat "revised beale" (r (-1) 20) s.objective
+      | Revised_dense_reference.Infeasible | Revised_dense_reference.Unbounded
+        ->
+        Alcotest.fail "beale: not optimal")
     [ Simplex.Bland; Simplex.Dantzig ]
 
 let prop_solvers_agree =
   QCheck.Test.make ~name:"tableau and revised simplex agree" ~count:150
     arb_lp (fun inst ->
-      let m1, _ = build_lp inst in
-      let m2, _ = build_lp inst in
-      match (Lp.solve ~solver:Lp.Tableau m1, Lp.solve ~solver:Lp.Revised m2) with
-      | Lp.Optimal s1, Lp.Optimal s2 -> R.equal s1.Lp.objective s2.Lp.objective
+      let m, _ = build_lp inst in
+      match (kernel_solve Simplex.Dantzig m, reference_solve m) with
+      | Simplex.Optimal s1, Revised_dense_reference.Optimal s2 ->
+        R.equal s1.objective s2.objective
       | _, _ -> false)
 
 let prop_revised_feasible =
   QCheck.Test.make ~name:"revised optimum is primal feasible" ~count:100
     arb_lp (fun inst ->
       let m, _ = build_lp inst in
-      match Lp.solve ~solver:Lp.Revised m with
-      | Lp.Optimal s ->
-        (match Lp.check_solution m s.Lp.values with
-        | Ok _ -> true
-        | Error e -> QCheck.Test.fail_report e)
-      | Lp.Infeasible | Lp.Unbounded -> false)
+      match reference_solve m with
+      | Revised_dense_reference.Optimal s -> std_feasible m s.values
+      | Revised_dense_reference.Infeasible | Revised_dense_reference.Unbounded
+        ->
+        false)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

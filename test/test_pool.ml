@@ -137,8 +137,7 @@ let test_warm_family_across_domains () =
           let got =
             Pool.map pool
               (fun k ->
-                (Master_slave.solve ~solver:Lp.Revised
-                   ~warm:(Lp.Warm.Family.slot fam)
+                (Master_slave.solve ~warm:(Lp.Warm.Family.slot fam)
                    (scaled_fig1 k) ~master:0)
                   .Master_slave.ntask)
               mults
@@ -160,8 +159,7 @@ let test_warm_family_across_domains () =
       let misses_before = Lp.Warm.Family.misses fam in
       Lp.Warm.Family.clear fam;
       ignore
-        (Master_slave.solve ~solver:Lp.Revised
-           ~warm:(Lp.Warm.Family.slot fam) (scaled_fig1 1) ~master:0);
+        (Master_slave.solve ~warm:(Lp.Warm.Family.slot fam) (scaled_fig1 1) ~master:0);
       Alcotest.(check int) "clear forces a cold solve" (misses_before + 1)
         (Lp.Warm.Family.misses fam))
     [ 0; 3 ]

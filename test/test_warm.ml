@@ -1,6 +1,6 @@
 (* Warm-started re-solving: basis export/import at the kernel layer,
-   dual-simplex repair, the [Lp.Warm] slot and [Lp.Cache] memo, and the
-   property that none of it ever changes an objective value.
+   the [Lp.Warm] slot and [Lp.Cache] memo, and the property that none
+   of it ever changes an objective value.
 
    The exactness contract under test: a warm solve may sit at a
    different optimal vertex than a cold solve, but its objective value
@@ -34,18 +34,6 @@ let test_tableau_reimport () =
     | _ -> Alcotest.fail "re-import not optimal")
   | _ -> Alcotest.fail "fig1 LP not optimal"
 
-let test_revised_reimport () =
-  let a, b, c = fig1_std () in
-  match Revised_simplex.minimize ~a ~b ~c () with
-  | Revised_simplex.Optimal { objective; basis; warm; _ } ->
-    Alcotest.(check bool) "cold solve reports warm=false" false warm;
-    (match Revised_simplex.minimize ~basis ~a ~b ~c () with
-    | Revised_simplex.Optimal { objective = o2; warm = w2; _ } ->
-      Alcotest.(check bool) "re-import reports warm=true" true w2;
-      Alcotest.check rat "same objective" objective o2
-    | _ -> Alcotest.fail "re-import not optimal")
-  | _ -> Alcotest.fail "fig1 LP not optimal"
-
 let test_garbage_basis_falls_back () =
   let a, b, c = fig1_std () in
   let reference =
@@ -65,27 +53,20 @@ let test_garbage_basis_falls_back () =
   in
   List.iter
     (fun (name, basis) ->
-      (match Simplex.minimize ~basis ~a ~b ~c () with
+      match Simplex.minimize ~basis ~a ~b ~c () with
       | Simplex.Optimal { objective; warm; _ } ->
         Alcotest.(check bool) (name ^ " solved cold") false warm;
         Alcotest.check rat (name ^ " objective intact") reference objective
-      | _ -> Alcotest.fail (name ^ ": not optimal"));
-      match Revised_simplex.minimize ~basis ~a ~b ~c () with
-      | Revised_simplex.Optimal { objective; warm; _ } ->
-        Alcotest.(check bool) (name ^ " revised solved cold") false warm;
-        Alcotest.check rat (name ^ " revised objective") reference objective
-      | _ -> Alcotest.fail (name ^ ": revised not optimal"))
+      | _ -> Alcotest.fail (name ^ ": not optimal"))
     garbage
 
-(* --- dual-simplex repair --- *)
+(* --- primal-infeasible imports --- *)
 
 (* min x + 2y  s.t.  x + y >= b1,  x <= 4.  At b1 = 3 the optimal basis
    is {x, slack2}.  Raising b1 to 6 leaves that basis dual-feasible but
-   primal-infeasible (slack2 = 4 - 6 < 0): the revised kernel must
-   repair it with dual-simplex pivots (y enters), reaching the new
-   optimum x = 4, y = 2, objective 8 — and report warm=true.  The
-   tableau kernel has no dual phase, so the same import must fall back
-   cold and still return 8. *)
+   primal-infeasible (slack2 = 4 - 6 < 0).  The tableau kernel has no
+   dual phase, so the import must fall back cold and still reach the
+   new optimum x = 4, y = 2, objective 8. *)
 let shifting_model b1 =
   let m = Lp.create () in
   let x = Lp.add_var m "x" in
@@ -94,19 +75,6 @@ let shifting_model b1 =
   Lp.add_constraint ~name:"cap" m (Lp.var x) Lp.Le (R.of_int 4);
   Lp.set_objective m Lp.Minimize Lp.(add (var x) (scale R.two (var y)));
   m
-
-let test_dual_repair () =
-  let warm = Lp.Warm.create () in
-  (match Lp.solve ~solver:Lp.Revised ~warm (shifting_model 3) with
-  | Lp.Optimal { objective; _ } ->
-    Alcotest.check rat "b1=3 optimum" (R.of_int 3) objective
-  | _ -> Alcotest.fail "b1=3 not optimal");
-  Alcotest.(check int) "first solve was cold" 1 (Lp.Warm.misses warm);
-  (match Lp.solve ~solver:Lp.Revised ~warm (shifting_model 6) with
-  | Lp.Optimal { objective; _ } ->
-    Alcotest.check rat "b1=6 optimum via dual repair" (R.of_int 8) objective
-  | _ -> Alcotest.fail "b1=6 not optimal");
-  Alcotest.(check int) "repair counted as a warm hit" 1 (Lp.Warm.hits warm)
 
 let test_dual_repair_tableau_fallback () =
   let warm = Lp.Warm.create () in
@@ -169,20 +137,6 @@ let test_cache_hits () =
   Alcotest.(check int) "perturbation misses" 2 (Lp.Cache.misses cache);
   Alcotest.check rat "scaled platform doubles throughput" (R.mul R.two s1) s3
 
-let test_cache_distinguishes_solver_and_rule () =
-  let cache = Lp.Cache.create () in
-  let p = Platform_gen.figure1 () in
-  let solve ?rule ?solver () =
-    (Master_slave.solve ?rule ?solver ~cache p ~master:0).Master_slave.ntask
-  in
-  let a = solve () in
-  let b = solve ~solver:Lp.Revised () in
-  let c = solve ~rule:Simplex.Bland () in
-  Alcotest.check rat "solvers agree" a b;
-  Alcotest.check rat "rules agree" a c;
-  Alcotest.(check int) "three distinct entries" 3 (Lp.Cache.length cache);
-  Alcotest.(check int) "no false hits" 0 (Lp.Cache.hits cache)
-
 let test_cache_capacity () =
   let cache = Lp.Cache.create ~capacity:2 () in
   let p = Platform_gen.figure1 () in
@@ -238,14 +192,6 @@ let test_warm_collective_certified () =
 
 (* --- the property: warm never changes an objective --- *)
 
-let solver_configs =
-  [
-    ("tableau/dantzig", Lp.Tableau, Simplex.Dantzig);
-    ("tableau/bland", Lp.Tableau, Simplex.Bland);
-    ("revised/dantzig", Lp.Revised, Simplex.Dantzig);
-    ("revised/bland", Lp.Revised, Simplex.Bland);
-  ]
-
 let gen_case =
   QCheck.Gen.(
     let* seed = int_range 0 10_000 in
@@ -271,18 +217,45 @@ let prop_warm_equals_cold =
           (fun p -> (Master_slave.solve p ~master:0).Master_slave.ntask)
           plats
       in
-      List.for_all
-        (fun (_, solver, rule) ->
-          let warm = Lp.Warm.create () in
-          let objs =
-            List.map
-              (fun p ->
-                (Master_slave.solve ~rule ~solver ~warm p ~master:0)
-                  .Master_slave.ntask)
-              plats
-          in
-          List.for_all2 R.equal cold objs)
-        solver_configs)
+      (* the library path: one warm slot across the perturbed platforms *)
+      let warm = Lp.Warm.create () in
+      let lib_warm =
+        List.map
+          (fun p -> (Master_slave.solve ~warm p ~master:0).Master_slave.ntask)
+          plats
+      in
+      (* the kernel under both rules, each solve importing the previous
+         basis (same structure, so indices line up), against the
+         standard-form optimum of the independent reference kernel *)
+      let stds =
+        List.map
+          (fun p ->
+            Lp.standard_form (fst (Master_slave.solve_lp_only p ~master:0)))
+          plats
+      in
+      let reference =
+        List.map
+          (fun (a, b, c) ->
+            match Revised_dense_reference.minimize ~a ~b ~c () with
+            | Revised_dense_reference.Optimal { objective; _ } -> objective
+            | _ -> QCheck.Test.fail_report "reference not optimal")
+          stds
+      in
+      let kernel_warm rule =
+        let basis = ref None in
+        List.map
+          (fun (a, b, c) ->
+            match Simplex.minimize ~rule ?basis:!basis ~a ~b ~c () with
+            | Simplex.Optimal { objective; basis = bs; _ } ->
+              basis := Some bs;
+              objective
+            | _ -> QCheck.Test.fail_report "kernel not optimal")
+          stds
+      in
+      List.for_all2 R.equal cold lib_warm
+      && List.for_all
+           (fun rule -> List.for_all2 R.equal reference (kernel_warm rule))
+           [ Simplex.Dantzig; Simplex.Bland ])
 
 let prop_cache_replays =
   QCheck.Test.make ~name:"cache replays bit-identical results" ~count:15
@@ -353,22 +326,141 @@ let test_remap_basis_across_restriction () =
   Alcotest.check rat "re-expanded throughput bit-identical"
     re_cold.Master_slave.ntask re_warm.Master_slave.ntask
 
+(* --- basis (de)serialisation: import never raises --- *)
+
+(* a real exported basis, and the platform it was solved on *)
+let exported_fig1 () =
+  let p = Platform_gen.figure1 () in
+  let warm = Lp.Warm.create () in
+  let cold = (Master_slave.solve ~warm p ~master:0).Master_slave.ntask in
+  match Lp.Warm.basis warm with
+  | Some bs -> (p, cold, Lp.export_basis bs)
+  | None -> Alcotest.fail "optimal solve deposited no basis"
+
+let import_no_raise what raw =
+  match Lp.import_basis raw with
+  | r -> r
+  | exception e ->
+    Alcotest.fail
+      (Printf.sprintf "%s: import_basis raised %s" what (Printexc.to_string e))
+
+(* Whatever a mutation parses to is a candidate only: seeded into a warm
+   slot it may cost a cold solve, never change the answer. *)
+let check_candidate what p cold = function
+  | None -> ()
+  | Some bs ->
+    let warm = Lp.Warm.create () in
+    Lp.Warm.restore warm bs;
+    Alcotest.check rat (what ^ ": answer unchanged") cold
+      (Master_slave.solve ~warm p ~master:0).Master_slave.ntask
+
+(* A length field near [max_int] used to overflow past the bounds check
+   and reach [String.sub], which raised instead of returning [None]. *)
+let test_import_overflowing_length () =
+  List.iter
+    (fun k ->
+      let raw = Printf.sprintf "lpbasis 1\n%d\nabc\n" k in
+      Alcotest.(check bool)
+        (Printf.sprintf "length %d rejected" k)
+        true
+        (Option.is_none (import_no_raise "overflow" raw)))
+    [ 4611686018427387900; max_int; max_int - 1; max_int - 5 ]
+
+(* Byte spans of the count and length lines of an exported basis, by
+   walking its layout: format line, signature (length-prefixed), column
+   count and columns, variable count and (flags, length-prefixed name)
+   entries, constraint count and (relation, length-prefixed name)
+   entries.  Column entries are spans too, so every integer line gets
+   rewritten. *)
+let int_lines raw =
+  let pos = ref 0 in
+  let spans = ref [] in
+  let line () =
+    let nl = String.index_from raw !pos '\n' in
+    let l = String.sub raw !pos (nl - !pos) in
+    let span = (!pos, nl) in
+    pos := nl + 1;
+    (l, span)
+  in
+  let int () =
+    let l, span = line () in
+    spans := span :: !spans;
+    int_of_string l
+  in
+  let str () =
+    let k = int () in
+    pos := !pos + k + 1
+  in
+  ignore (line ());
+  str ();
+  for _ = 1 to int () do
+    ignore (int ())
+  done;
+  for _ = 1 to int () do
+    ignore (line ());
+    str ()
+  done;
+  for _ = 1 to int () do
+    ignore (line ());
+    str ()
+  done;
+  Alcotest.(check int) "layout walk consumed the record" (String.length raw)
+    !pos;
+  List.rev !spans
+
+let test_import_fuzz () =
+  let p, cold, raw = exported_fig1 () in
+  (* the unmutated record round-trips exactly *)
+  (match import_no_raise "pristine" raw with
+  | Some bs ->
+    Alcotest.(check string) "export . import = id" raw (Lp.export_basis bs);
+    check_candidate "pristine" p cold (Some bs)
+  | None -> Alcotest.fail "pristine record rejected");
+  (* every strict prefix is a truncation, hence rejected *)
+  for k = 0 to String.length raw - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "truncated at %d rejected" k)
+      true
+      (Option.is_none (import_no_raise "truncation" (String.sub raw 0 k)))
+  done;
+  (* seeded byte flips *)
+  let g = Faults.generator ~seed:2024 in
+  for i = 1 to 500 do
+    let b = Bytes.of_string raw in
+    let at = Faults.rand_int g (Bytes.length b) in
+    Bytes.set b at (Char.chr (Faults.rand_int g 256));
+    let what = Printf.sprintf "flip %d at %d" i at in
+    check_candidate what p cold (import_no_raise what (Bytes.to_string b))
+  done;
+  (* every count/length line rewritten to hostile values *)
+  List.iter
+    (fun (a, e) ->
+      List.iter
+        (fun v ->
+          let mutated =
+            String.sub raw 0 a ^ string_of_int v
+            ^ String.sub raw e (String.length raw - e)
+          in
+          let what = Printf.sprintf "line at %d := %d" a v in
+          check_candidate what p cold (import_no_raise what mutated))
+        [ -1; 0; max_int; max_int - 5 ])
+    (int_lines raw)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "warm",
     [
       Alcotest.test_case "tableau re-import" `Quick test_tableau_reimport;
-      Alcotest.test_case "revised re-import" `Quick test_revised_reimport;
       Alcotest.test_case "garbage basis falls back" `Quick
         test_garbage_basis_falls_back;
-      Alcotest.test_case "dual repair" `Quick test_dual_repair;
       Alcotest.test_case "dual repair tableau fallback" `Quick
         test_dual_repair_tableau_fallback;
       Alcotest.test_case "structure change falls back" `Quick
         test_warm_slot_falls_back_on_structure_change;
       Alcotest.test_case "cache hits" `Quick test_cache_hits;
-      Alcotest.test_case "cache keys solver and rule" `Quick
-        test_cache_distinguishes_solver_and_rule;
+      Alcotest.test_case "basis import: overflowing length" `Quick
+        test_import_overflowing_length;
+      Alcotest.test_case "basis import: fuzz" `Quick test_import_fuzz;
       Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
       Alcotest.test_case "warm solution certified" `Quick
         test_warm_solution_certified;
