@@ -99,9 +99,20 @@ let e3_asymptotic () =
         pts;
     notes =
       [
-        "paper: tasks done in K time units are optimal up to a constant \
-         independent of K; measured: ratio -> 1, and the absolute gap \
-         settles at 34 tasks on this platform";
+        (let gaps =
+           List.rev_map
+             (fun pt -> R.sub pt.Asymptotic.makespan pt.Asymptotic.lower_bound)
+             pts
+         in
+         let settled =
+           match gaps with g :: g' :: _ -> R.equal g g' | _ -> false
+         in
+         Printf.sprintf
+           "paper: tasks done in K time units are optimal up to a constant \
+            independent of K; measured: ratio -> 1, and the absolute gap \
+            T(n) - n/ntask %s %s time units on this platform"
+           (if settled then "settles at" else "ends at")
+           (rat (List.hd gaps)));
       ];
   }
 
@@ -318,9 +329,22 @@ let e9_fixed_period () =
         series;
     notes =
       [
-        "paper: fixed-period throughput tends to the optimum as T grows; \
-         measured: exact optimum already at the natural period T = 12 \
-         and all multiples";
+        (let optimal (_, q) =
+           R.equal q.Fixed_period.throughput sol.Master_slave.ntask
+         in
+         let natural = (Master_slave.schedule sol).Schedule.period in
+         let rec from = function
+           | [] -> None
+           | (t, _) :: _ as rest when List.for_all optimal rest -> Some t
+           | _ :: rest -> from rest
+         in
+         Printf.sprintf
+           "paper: fixed-period throughput tends to the optimum as T grows; \
+            measured: %s (the natural period is T = %s)"
+           (match from series with
+           | Some t -> "exact optimum at every swept period from T = " ^ rat t
+           | None -> "the longest swept period is still below the optimum")
+           (rat natural));
       ];
   }
 

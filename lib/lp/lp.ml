@@ -711,9 +711,13 @@ let row_names m =
    stored — the property the corruption harness asserts end to end.
    Dual names and the basis signature are NOT stored: key equality
    already implies an identical model, so they are rebuilt from the
-   model at decode time, keeping records small. *)
+   model at decode time, keeping records small.  The format tag also
+   names the kernel behaviour: when a change makes a re-solve return a
+   different optimal vertex (version 2: the crash-basis cold start), the
+   tag moves, so records of the old kernel are quarantined and re-solved
+   rather than served as a hit that differs from a re-solve. *)
 
-let value_format = "lpres 1"
+let value_format = "lpres 2"
 
 let encode_entry ~n (res : result) (basis : basis option) =
   let buf = Buffer.create 512 in
@@ -1053,6 +1057,86 @@ let check_solution m f =
       | Some (_, e) -> eval f e
     in
     Ok (R.to_string obj)
+
+(* Exact optimality certificate, re-derived from the model alone.  In
+   minimisation form (objective and duals negated for [Maximize]), with
+   row duals [y] and reduced costs
+   [d_v = c_v - sum_r y_r a_rv - y_(ub:v)]: [Le] rows, [ub:] rows
+   included, need [y <= 0] and [Ge] rows [y >= 0]; a variable with a
+   lower bound needs [d_v >= 0] and a free one [d_v = 0]; and strong
+   duality reads [c.x = sum_r y_r rhs_r + sum_v d_v l_v], the last sum
+   being the lower-bound shift.  One pass over the nonzeros. *)
+let certify m sol =
+  let ( let* ) = Result.bind in
+  let* _ =
+    Result.map_error (fun e -> "primal: " ^ e) (check_solution m sol.values)
+  in
+  let sense, f =
+    match m.objective with Some o -> o | None -> (Minimize, zero)
+  in
+  let orient = if sense = Maximize then R.neg else Fun.id in
+  let* () =
+    if R.equal (eval sol.values f) sol.objective then Ok ()
+    else Error "objective differs from the value of the returned point"
+  in
+  let vars = var_array m in
+  let names = row_names m in
+  let* () =
+    if List.equal String.equal names (List.map fst sol.duals) then Ok ()
+    else Error "duals do not name the model's rows in order"
+  in
+  let d = Array.make m.nvars R.zero in
+  Imap.iter (fun v c -> d.(v) <- orient c) f;
+  let dual_obj = ref R.zero in
+  let bad = ref None in
+  let row (name, y) (rel, rhs, expr) =
+    let y = orient y in
+    let ok =
+      match rel with
+      | Le -> R.sign y <= 0
+      | Ge -> R.sign y >= 0
+      | Eq -> true
+    in
+    if (not ok) && !bad = None then
+      bad := Some (Printf.sprintf "dual of row %s has the wrong sign: %s" name
+                     (R.to_string y));
+    dual_obj := R.add !dual_obj (R.mul y rhs);
+    Imap.iter (fun v a -> d.(v) <- R.sub d.(v) (R.mul y a)) expr
+  in
+  let ub_rows =
+    List.concat
+      (List.mapi
+         (fun v vi ->
+           match vi.ub with
+           | Some u -> [ (Le, u, Imap.singleton v R.one) ]
+           | None -> [])
+         (Array.to_list vars))
+  in
+  (* same order as [row_names], whose match with the duals is checked *)
+  List.iter2 row sol.duals
+    (List.rev_map (fun c -> (c.rel, c.rhs, c.expr)) m.cons @ ub_rows);
+  Array.iteri
+    (fun v vi ->
+      let ok =
+        match vi.lb with
+        | Some l ->
+          dual_obj := R.add !dual_obj (R.mul d.(v) l);
+          R.sign d.(v) >= 0
+        | None -> R.is_zero d.(v)
+      in
+      if (not ok) && !bad = None then
+        bad := Some (Printf.sprintf "reduced cost of %s is infeasible: %s"
+                       vi.name (R.to_string d.(v))))
+    vars;
+  match !bad with
+  | Some e -> Error ("dual: " ^ e)
+  | None ->
+    let primal = orient sol.objective in
+    if R.equal primal !dual_obj then Ok ()
+    else
+      Error
+        (Printf.sprintf "duality gap: primal %s, dual %s" (R.to_string primal)
+           (R.to_string !dual_obj))
 
 (* --- printing --- *)
 

@@ -71,7 +71,8 @@ type solution = {
           right-hand side.  For models whose variables all have the
           default lower bound 0, strong duality holds exactly:
           [objective = sum_r dual_r * rhs_r] where the rhs of an
-          [ub:<var>] row is that variable's upper bound. *)
+          [ub:<var>] row is that variable's upper bound; {!certify}
+          checks the general case, lower bounds included. *)
 }
 
 type result =
@@ -433,6 +434,19 @@ val check_solution : model -> (var -> Rat.t) -> (string, string) Stdlib.result
     [Ok obj_string] if all hold exactly, [Error msg] naming the first
     violated constraint otherwise.  Used by the test-suite to certify that
     solver output is primal feasible, independent of the solver code. *)
+
+val certify : model -> solution -> (unit, string) Stdlib.result
+(** Exact optimality certificate for an answer of {!solve}, checked from
+    the model alone: primal feasibility ({!check_solution}), the
+    reported objective equal to the objective at the returned point,
+    dual feasibility of {!solution.duals} (the sign each row's relation
+    requires, [ub:] rows included, and every variable's reduced cost
+    non-negative above a lower bound, zero when free), and exact strong
+    duality with the lower-bound shift included.  Together these prove
+    the point optimal, whichever vertex the kernel returned.  [Error]
+    names the first failing check.  Costs one pass over the model's
+    nonzeros.  Answers of {!Reduce.solve} price eliminated rows at zero
+    and need not certify. *)
 
 val pp : Format.formatter -> model -> unit
 (** Human-readable dump of the model (CPLEX-LP-like). *)

@@ -1,9 +1,12 @@
 (* Two-phase tableau simplex with exact rational arithmetic.
 
-   Phase 1 minimises the sum of one artificial variable per row starting
-   from the all-artificial identity basis; phase 2 re-prices with the true
-   costs, with artificial columns barred from entering.  The tableau
-   invariant maintained throughout: for every row [i], column
+   The cold start is a crash basis: every row that owns a structural
+   column with a single nonzero (a slack, say) starts with that column
+   basic, and only the rows left uncovered get an artificial column
+   (see [crash_tableau]).  Phase 1 minimises the sum of those
+   artificials and is skipped when there are none; phase 2 re-prices
+   with the true costs.  Artificial columns never enter the basis.  The
+   tableau invariant maintained throughout: for every row [i], column
    [basis.(i)] is the [i]-th unit vector, [rhs.(i) >= 0], and [red.(j)]
    holds the reduced cost of column [j] for the current phase.
 
@@ -12,9 +15,8 @@
    first collects the support of the pivot row into a reusable index
    buffer and then updates only those columns in every other row,
    instead of walking all [n_total] columns.  Entries outside the
-   support are untouched — since eliminating with a zero multiplier is
-   the identity, the resulting tableau is bit-identical to the dense
-   seed kernel's (asserted against a vendored copy in the test suite). *)
+   support are untouched, since eliminating with a zero multiplier is
+   the identity. *)
 
 module R = Rat
 
@@ -43,7 +45,9 @@ type tableau = {
      under pivoting by exactly the same elimination rule as any other
      row, cf. the classical (-z) tableau corner. *)
   n_struct : int; (* structural columns: 0 .. n_struct-1 *)
-  n_total : int;
+  n_total : int; (* structural columns, then one artificial per uncovered row *)
+  unit_col : int array; (* per input row: its starting basic column *)
+  unit_coef : R.t array; (* per input row: that column's flipped entry *)
   mutable pivots : int;
   supp : int array; (* scratch: support (nonzero columns) of the pivot row *)
 }
@@ -176,113 +180,172 @@ let optimise t rule allowed =
         end)
   done
 
-(* Fresh tableau in the all-artificial basis: rows copied with signs
-   flipped so rhs >= 0 and the artificial identity appended. *)
-let fresh_tableau ~a ~b ~m ~n ~n_total =
+(* Crash tableau: rows copied with signs flipped so rhs >= 0, then each
+   row given a starting basic column.  A structural column with exactly
+   one nonzero, positive after the flip — the slack of a [<=] row, the
+   surplus of a [>=] row with negative rhs, a variable appearing in one
+   row only — is already a multiple of a unit vector, so its row is just
+   scaled by [1/a_ij]: nothing to eliminate, and no pivot is counted.
+   Rows left without such a column get an artificial (columns [n ..
+   n_total - 1], one per uncovered row).  [unit_col.(i)] is row [i]'s
+   starting column and [unit_coef.(i)] its flipped coefficient (one for
+   an artificial); both are what [duals_of] needs later. *)
+let crash_tableau ~a ~b ~m ~n =
+  let flipped i v = if R.sign b.(i) < 0 then R.neg v else v in
+  let unit_col = Array.make m (-1) in
+  for j = 0 to n - 1 do
+    (* the row of column j's only nonzero, or -1 *)
+    let rec single i found =
+      if i >= m then found
+      else if R.is_zero a.(i).(j) then single (i + 1) found
+      else if found >= 0 then -1
+      else single (i + 1) i
+    in
+    let i = single 0 (-1) in
+    if i >= 0 && unit_col.(i) < 0 && R.sign (flipped i a.(i).(j)) > 0 then
+      unit_col.(i) <- j
+  done;
+  let n_total = ref n in
+  let unit_coef =
+    Array.init m (fun i ->
+        if unit_col.(i) >= 0 then flipped i a.(i).(unit_col.(i))
+        else begin
+          unit_col.(i) <- !n_total;
+          incr n_total;
+          R.one
+        end)
+  in
+  let n_total = !n_total in
+  let scale = Array.init m (fun i -> flipped i (R.inv unit_coef.(i))) in
   let rows =
     Array.init m (fun i ->
-        let flip = R.sign b.(i) < 0 in
         let row = Array.make n_total R.zero in
         for j = 0 to n - 1 do
-          row.(j) <- (if flip then R.neg a.(i).(j) else a.(i).(j))
+          let v = a.(i).(j) in
+          if not (R.is_zero v) then row.(j) <- R.mul v scale.(i)
         done;
-        row.(n + i) <- R.one;
+        row.(unit_col.(i)) <- R.one;
         row)
   in
-  let rhs = Array.init m (fun i -> R.abs b.(i)) in
   {
     rows;
-    rhs;
-    basis = Array.init m (fun i -> n + i);
+    rhs = Array.init m (fun i -> R.mul b.(i) scale.(i));
+    basis = Array.copy unit_col;
     red = Array.make n_total R.zero;
     obj = R.zero;
     n_struct = n;
     n_total;
+    unit_col;
+    unit_coef;
     pivots = 0;
     supp = Array.make n_total 0;
   }
 
-(* Exact duals of the final basis, read off the artificial columns:
-   column [n + i] of the tableau is the current row transform applied to
-   the [i]-th unit vector, so its reduced cost under the phase-2 costs
-   (artificials cost 0) is [-y_i] for the simplex multiplier vector [y]
-   of the sign-flipped system.  Rows dropped as redundant keep their
-   artificial column, so the formula needs no row bookkeeping; the flip
-   of negative-[b] rows is undone to return duals in the caller's row
-   orientation. *)
-let duals_of t ~b ~n =
+(* Exact duals of the final basis.  Row [i]'s starting column is
+   [unit_coef.(i)] times the [i]-th unit vector of the sign-flipped
+   system, so the tableau keeps it as that multiple of the [i]-th column
+   of the current basis inverse, and its phase-2 reduced cost is
+   [c_j - unit_coef.(i) * y_i] for the simplex multipliers [y].  Hence
+   [-y_i = (red_j - c_j) / unit_coef.(i)] — for an artificial (cost 0,
+   coefficient 1) simply its reduced cost.  Rows dropped as redundant
+   keep their artificial column, so the formula needs no row
+   bookkeeping; the flip of negative-[b] rows is undone to return duals
+   in the caller's row orientation. *)
+let duals_of t ~b ~c =
   Array.init (Array.length b) (fun i ->
-      let r = t.red.(n + i) in
+      let j = t.unit_col.(i) in
+      let cj = if j < t.n_struct then c.(j) else R.zero in
+      let r = R.div (R.sub t.red.(j) cj) t.unit_coef.(i) in
       if R.sign b.(i) < 0 then r else R.neg r)
 
-exception Warm_failed
-
-(* Warm start: rebuild the tableau directly in the supplied structural
-   basis by Gauss-Jordan pivoting each basic column in (row assignment
-   is free — any unplaced row with a nonzero entry works; a row is
-   negated first when that entry is negative, since [pivot] requires a
-   positive pivot element).  If the basis is singular against the new
-   matrix, or the resulting vertex is primal infeasible, the warm
-   attempt raises [Warm_failed] and the caller falls back to the cold
-   two-phase solve — so a stale basis costs one failed elimination, not
-   correctness. *)
-let warm_solve rule ~a ~b ~c ~m ~n ~n_total bas =
-  let t = fresh_tableau ~a ~b ~m ~n ~n_total in
-  let placed = Array.make m false in
-  Array.iter
-    (fun q ->
-      let rec find p =
-        if p >= m then raise Warm_failed
-        else if (not placed.(p)) && not (R.is_zero t.rows.(p).(q)) then p
-        else find (p + 1)
-      in
-      let p = find 0 in
-      if R.sign t.rows.(p).(q) < 0 then begin
-        for k = 0 to t.n_total - 1 do
-          let v = t.rows.(p).(k) in
-          if not (R.is_zero v) then t.rows.(p).(k) <- R.neg v
-        done;
-        t.rhs.(p) <- R.neg t.rhs.(p)
-      end;
-      pivot t p q;
-      placed.(p) <- true)
-    bas;
-  for i = 0 to m - 1 do
-    if R.sign t.rhs.(i) < 0 then raise Warm_failed
-  done;
-  let c2 = Array.make n_total R.zero in
+(* Phase 2 from a primal feasible, artificial-free tableau: re-price with
+   the true costs, artificial columns barred from entering. *)
+let phase2 rule t ~b ~c ~warm =
+  let n = t.n_struct in
+  let c2 = Array.make t.n_total R.zero in
   Array.blit c 0 c2 0 n;
   reprice t c2;
   match optimise t rule (fun j -> j < n) with
   | () ->
     let values = Array.make n R.zero in
-    Array.iteri
-      (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i))
-      t.basis;
+    Array.iteri (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i)) t.basis;
     Optimal
       {
         values;
         objective = R.neg t.obj;
-        duals = duals_of t ~b ~n;
+        duals = duals_of t ~b ~c;
         pivots = t.pivots;
         basis = Array.copy t.basis;
-        warm = true;
+        warm;
       }
   | exception Unbounded_exc -> Unbounded
 
-let cold_solve rule ~a ~b ~c ~m ~n ~n_total =
-  let t = fresh_tableau ~a ~b ~m ~n ~n_total in
-  (* phase 1: minimise the sum of artificials *)
-  let c1 = Array.make n_total R.zero in
-  for j = n to n_total - 1 do
-    c1.(j) <- R.one
+let negate_row t i =
+  let row = t.rows.(i) in
+  for k = 0 to t.n_total - 1 do
+    let v = row.(k) in
+    if not (R.is_zero v) then row.(k) <- R.neg v
   done;
-  reprice t c1;
-  (try optimise t rule (fun _ -> true)
-   with Unbounded_exc ->
-     (* phase-1 objective is bounded below by 0: cannot happen *)
-     assert false);
-  if R.sign t.obj < 0 then Infeasible (* phase-1 optimum z = -obj > 0 *)
+  t.rhs.(i) <- R.neg t.rhs.(i)
+
+exception Warm_failed
+
+(* Warm start: rebuild the tableau directly in the supplied structural
+   basis, starting from the crash tableau.  A basic column that already
+   is its row's starting unit column stays where it is, for free; every
+   other one is Gauss-Jordan pivoted into some unplaced row with a
+   nonzero entry (a row is negated first when that entry is negative,
+   since [pivot] requires a positive pivot element).  If the basis is
+   singular against the new matrix, or the resulting vertex is primal
+   infeasible, the warm attempt raises [Warm_failed] and the caller
+   falls back to the cold solve — so a stale basis costs one failed
+   elimination, not correctness. *)
+let warm_solve rule ~a ~b ~c ~m ~n bas =
+  let t = crash_tableau ~a ~b ~m ~n in
+  let wanted = Array.make n false in
+  Array.iter (fun q -> wanted.(q) <- true) bas;
+  (* rows whose starting column is already wanted keep it *)
+  let placed = Array.map (fun q -> q < n && wanted.(q)) t.basis in
+  let basic = Array.make n false in
+  Array.iter (fun q -> if q < n then basic.(q) <- true) t.basis;
+  Array.iter
+    (fun q ->
+      if not basic.(q) then begin
+        let rec find p =
+          if p >= m then raise Warm_failed
+          else if (not placed.(p)) && not (R.is_zero t.rows.(p).(q)) then p
+          else find (p + 1)
+        in
+        let p = find 0 in
+        if R.sign t.rows.(p).(q) < 0 then negate_row t p;
+        pivot t p q;
+        placed.(p) <- true
+      end)
+    bas;
+  for i = 0 to m - 1 do
+    if R.sign t.rhs.(i) < 0 then raise Warm_failed
+  done;
+  phase2 rule t ~b ~c ~warm:true
+
+let cold_solve rule ~a ~b ~c ~m ~n =
+  let t = crash_tableau ~a ~b ~m ~n in
+  let feasible =
+    t.n_total = n
+    || begin
+      (* phase 1: minimise the sum of the artificials *)
+      let c1 = Array.make t.n_total R.zero in
+      for j = n to t.n_total - 1 do
+        c1.(j) <- R.one
+      done;
+      reprice t c1;
+      (try optimise t rule (fun j -> j < n)
+       with Unbounded_exc ->
+         (* phase-1 objective is bounded below by 0: cannot happen *)
+         assert false);
+      R.sign t.obj >= 0 (* phase-1 optimum z = -obj > 0: infeasible *)
+    end
+  in
+  if not feasible then Infeasible
   else begin
     (* drive remaining artificials out of the basis *)
     let m_cur = Array.length t.rows in
@@ -299,13 +362,7 @@ let cold_solve rule ~a ~b ~c ~m ~n ~n_total =
         | Some j ->
           (* pivot on (i, j); the pivot may be negative, which is fine
              here because rhs_i = 0 keeps the tableau feasible *)
-          if R.sign t.rows.(i).(j) < 0 then begin
-            for k = 0 to t.n_total - 1 do
-              let v = t.rows.(i).(k) in
-              if not (R.is_zero v) then t.rows.(i).(k) <- R.neg v
-            done;
-            t.rhs.(i) <- R.neg t.rhs.(i)
-          end;
+          if R.sign t.rows.(i).(j) < 0 then negate_row t i;
           pivot t i j
         | None -> keep.(i) <- false (* redundant row *)
       end
@@ -320,26 +377,7 @@ let cold_solve rule ~a ~b ~c ~m ~n ~n_total =
       t.rhs <- filter t.rhs;
       t.basis <- filter t.basis
     end;
-    (* phase 2 *)
-    let c2 = Array.make n_total R.zero in
-    Array.blit c 0 c2 0 n;
-    reprice t c2;
-    match optimise t rule (fun j -> j < n) with
-    | () ->
-      let values = Array.make n R.zero in
-      Array.iteri
-        (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i))
-        t.basis;
-      Optimal
-        {
-          values;
-          objective = R.neg t.obj;
-          duals = duals_of t ~b ~n;
-          pivots = t.pivots;
-          basis = Array.copy t.basis;
-          warm = false;
-        }
-    | exception Unbounded_exc -> Unbounded
+    phase2 rule t ~b ~c ~warm:false
   end
 
 let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
@@ -351,7 +389,6 @@ let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
       if Array.length row <> n then
         invalid_arg "Simplex.minimize: ragged matrix")
     a;
-  let n_total = n + m in
   (* a usable import must pick one distinct structural column per row;
      anything else (row count changed, artificial or repeated columns)
      is stale and goes straight to the cold path *)
@@ -366,6 +403,6 @@ let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
   in
   match basis with
   | Some bas when basis_ok bas -> (
-    try warm_solve rule ~a ~b ~c ~m ~n ~n_total bas
-    with Warm_failed -> cold_solve rule ~a ~b ~c ~m ~n ~n_total)
-  | _ -> cold_solve rule ~a ~b ~c ~m ~n ~n_total
+    try warm_solve rule ~a ~b ~c ~m ~n bas
+    with Warm_failed -> cold_solve rule ~a ~b ~c ~m ~n)
+  | _ -> cold_solve rule ~a ~b ~c ~m ~n

@@ -6,7 +6,11 @@
     {v minimize c.x   subject to   A x = b,  x >= 0 v}
 
     with every coefficient an exact {!Rat.t}, on a dense tableau with
-    zero-skipping elimination.  Degeneracy is handled by pivot rules,
+    zero-skipping elimination.  The cold start is a crash basis: each
+    row that owns a column with a single nonzero entry, positive once
+    negative-[b] rows are flipped (a slack, typically), starts with that
+    column basic; artificials are added only for the remaining rows,
+    and phase 1 is skipped when there are none.  Degeneracy is handled by pivot rules,
     not perturbation: {!Dantzig} (most-negative reduced cost, the
     default) is usually faster and falls back to Bland's rule after a
     stall; {!Bland} never cycles.  Both terminate. *)
@@ -24,12 +28,16 @@ type outcome =
       duals : Rat.t array;
           (** exact dual value per input row, in the caller's row
               orientation (the internal sign flip of negative-[b] rows
-              is undone), read off the artificial columns' reduced
-              costs.  Satisfies [c . values = duals . b] — strong
+              is undone), read off the reduced cost of each row's
+              starting column — its crash column, or its artificial
+              where the row had none.  Satisfies [c . values = duals . b] — strong
               duality — at every optimum; rows dropped as redundant
               during phase 1 still get their (zero-contributing) dual
               entry. *)
       pivots : int;
+          (** simplex pivots performed; placing the crash basis, and a
+              warm basis column that is already its row's crash
+              column, cost none *)
       basis : int array;
           (** basic standard-form column of each remaining tableau row —
               the seed for a later warm start.  Artificial-free: phase 1
@@ -56,7 +64,9 @@ val minimize :
     equalities).  Inputs are not mutated.
 
     [?basis] warm-starts the solve from a previously returned basis: the
-    tableau is rebuilt in that basis by [m] Gauss-Jordan pivots and, when
+    crash tableau is rebuilt in that basis by at most [m] Gauss-Jordan
+    pivots (none for a basic column that is already its row's crash
+    column) and, when
     the resulting vertex is feasible, phase 1 is skipped entirely.  Any
     stale basis — wrong length, repeated or out-of-range columns, singular
     against the new matrix, or primal infeasible — silently falls back to

@@ -16,6 +16,11 @@ let solve_get m =
   | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
 
+let certified name m s =
+  match Lp.certify m s with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: certificate rejected: %s" name e
+
 (* [Lp.solve] always prices with Dantzig; the Bland path is driven
    directly on the very standard form [Lp.solve] hands the kernel.
    Standard-form objective: the model's for [Minimize], negated for
@@ -77,7 +82,9 @@ let test_equality_constraint () =
   Lp.set_objective m Lp.Maximize (Lp.var x);
   let s = solve_get m in
   Alcotest.check rat "objective" (ri 3) s.objective;
-  Alcotest.check rat "y at lb" (ri 2) (s.values y)
+  Alcotest.check rat "y at lb" (ri 2) (s.values y);
+  (* the certificate folds the lower-bound shift into the dual objective *)
+  certified "shifted lb" m s
 
 let test_upper_bounds () =
   (* max x + y with x <= 3/2 (bound), x + y <= 2 *)
@@ -99,7 +106,9 @@ let test_free_variable () =
   Lp.set_objective m Lp.Minimize (Lp.var y);
   let s = solve_get m in
   Alcotest.check rat "objective" (ri (-2)) s.objective;
-  Alcotest.check rat "x" (ri 2) (s.values x)
+  Alcotest.check rat "x" (ri 2) (s.values x);
+  (* free variables need zero reduced costs *)
+  certified "free variables" m s
 
 let test_infeasible () =
   let m = Lp.create () in
@@ -402,7 +411,9 @@ let prop_strong_duality =
     arb_lp (fun inst ->
       let m, _ = build_lp inst in
       match Lp.solve m with
-      | Lp.Optimal s -> R.equal s.Lp.objective (dual_objective m s)
+      | Lp.Optimal s ->
+        R.equal s.Lp.objective (dual_objective m s)
+        && Lp.certify m s = Ok ()
       | Lp.Infeasible | Lp.Unbounded -> false)
 
 (* --- the revised-simplex reference kernel ---
@@ -487,6 +498,103 @@ let prop_revised_feasible =
         ->
         false)
 
+(* --- optimality certificates ---
+
+   [Lp.certify] proves an answer optimal from the model alone, so it is
+   the check that survives any change of the vertex the kernel lands
+   on.  It must accept every cold answer and reject tampered ones. *)
+
+let test_certify_seeded_platforms () =
+  (* the solve-graph family (20-40 nodes, n/2 chords) and random trees,
+     master-slave LPs solved cold *)
+  let g = Faults.generator ~seed:2024 in
+  let draw () = 1 + Faults.rand_int g 1_000_000 in
+  let graphs =
+    List.map
+      (fun n ->
+        ( Printf.sprintf "graph n=%d" n,
+          Platform_gen.random_connected_graph ~seed:(draw ()) ~nodes:n
+            ~extra_edges:(n / 2) () ))
+      [ 20; 27; 33; 40 ]
+  in
+  let trees =
+    List.map
+      (fun n ->
+        ( Printf.sprintf "tree n=%d" n,
+          Platform_gen.random_tree ~seed:(draw ()) ~nodes:n () ))
+      [ 8; 20; 40 ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let m = fst (Master_slave.solve_lp_only p ~master:0) in
+      certified name m (solve_get m))
+    (graphs @ trees)
+
+let test_certify_crash_rows () =
+  (* max x + 2y + z st  c0: -x - y >= -4  (negative rhs: the flipped
+     surplus is a +1 crash column),  c1: x + 3z = 6  (z occurs in c1
+     only: a crash column with coefficient 3 and a nonzero cost),
+     c2: y <= 3.  Every row has a crash column, so phase 1 never runs
+     and every dual comes from a crash column.  Optimum 26/3 at
+     (1, 3, 5/3); stationarity on the basic x, y, z gives the duals. *)
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" and y = Lp.add_var m "y" and z = Lp.add_var m "z" in
+  Lp.add_constraint m (Lp.neg (Lp.add (Lp.var x) (Lp.var y))) Lp.Ge (ri (-4));
+  Lp.add_constraint m (Lp.add (Lp.var x) (Lp.term (ri 3) z)) Lp.Eq (ri 6);
+  Lp.add_constraint m (Lp.var y) Lp.Le (ri 3);
+  Lp.set_objective m Lp.Maximize
+    (Lp.of_terms [ (ri 1, x); (ri 2, y); (ri 1, z) ]);
+  let s = solve_get m in
+  Alcotest.check rat "objective" (r 26 3) s.Lp.objective;
+  Alcotest.(check (list (pair string rat)))
+    "crash-column duals"
+    [ ("c0", r (-2) 3); ("c1", r 1 3); ("c2", r 4 3) ]
+    (Lp.duals s);
+  certified "crash rows" m s;
+  (* the kernel itself takes no phase-1 pivot here: the crash basis is
+     already feasible, and phase 2 needs at most one pivot per row *)
+  match kernel_solve Simplex.Dantzig m with
+  | Simplex.Optimal k ->
+    Alcotest.(check bool) "at most 3 pivots" true (k.pivots <= 3)
+  | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "not optimal"
+
+let test_certify_rejects () =
+  (* max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18: optimum 36 at
+     (2, 6), duals (0, 3/2, 1) *)
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" and y = Lp.add_var m "y" in
+  Lp.add_constraint m (Lp.var x) Lp.Le (ri 4);
+  Lp.add_constraint m (Lp.term (ri 2) y) Lp.Le (ri 12);
+  Lp.add_constraint m (Lp.of_terms [ (ri 3, x); (ri 2, y) ]) Lp.Le (ri 18);
+  Lp.set_objective m Lp.Maximize (Lp.of_terms [ (ri 3, x); (ri 5, y) ]);
+  let s = solve_get m in
+  certified "textbook" m s;
+  let rejected what ~because s' =
+    match Lp.certify m s' with
+    | Ok () -> Alcotest.failf "certified a bad answer: %s" what
+    | Error e ->
+      if not (String.starts_with ~prefix:because e) then
+        Alcotest.failf "%s rejected for the wrong reason: %s" what e
+  in
+  (* feasible but suboptimal point (0, 0) with its objective *)
+  rejected "suboptimal point" ~because:"duality gap"
+    { s with Lp.objective = R.zero; values = (fun _ -> R.zero) };
+  (* infeasible point *)
+  rejected "infeasible point" ~because:"primal"
+    { s with Lp.objective = ri 42; values = (fun v -> if v = x then ri 9 else ri 3) };
+  (* wrong objective for the returned point *)
+  rejected "objective mismatch" ~because:"objective" { s with Lp.objective = ri 35 };
+  (* a dual of the wrong sign on a Le row of a Maximize model *)
+  rejected "dual sign" ~because:"dual: dual of row c0"
+    { s with Lp.duals = [ ("c0", ri (-1)); ("c1", r 3 2); ("c2", ri 1) ] };
+  (* sign-feasible duals that leave a reduced cost negative *)
+  rejected "dual infeasible" ~because:"dual: reduced cost of y"
+    { s with Lp.duals = [ ("c0", R.zero); ("c1", R.zero); ("c2", ri 1) ] };
+  (* dual feasible but not optimal: a duality gap *)
+  rejected "duality gap" ~because:"duality gap"
+    { s with Lp.duals = [ ("c0", ri 3); ("c1", r 5 2); ("c2", R.zero) ] };
+  rejected "missing row" ~because:"duals do not name" { s with Lp.duals = [ ("c0", R.zero) ] }
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "lp",
@@ -511,6 +619,11 @@ let suite =
       Alcotest.test_case "revised: textbook" `Quick test_revised_textbook;
       Alcotest.test_case "revised: infeasible/unbounded" `Quick test_revised_infeasible_unbounded;
       Alcotest.test_case "revised: Beale" `Quick test_revised_beale;
+      Alcotest.test_case "certify: seeded platforms" `Quick
+        test_certify_seeded_platforms;
+      Alcotest.test_case "certify: crash rows" `Quick test_certify_crash_rows;
+      Alcotest.test_case "certify: rejects bad answers" `Quick
+        test_certify_rejects;
       q prop_optimal_is_feasible;
       q prop_rules_agree;
       q prop_dominates_feasible_points;

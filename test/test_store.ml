@@ -198,14 +198,10 @@ let test_envelope_version_skew () =
   Alcotest.(check int) "skewed record quarantined" 1 (S.quarantined h);
   rm_rf dir
 
-(* Rewrite the record with a structurally valid envelope (correct
-   length and checksum, same key) around a value in an unknown
-   encoding: the byte layer must accept it and the Lp decoder must
-   quarantine it — the version-skew path of the *value* format. *)
-let test_value_version_skew () =
-  let dir = fresh_dir () in
-  let c = Lp.Cache.create ~disk:(S.open_store dir) () in
-  check_fig1 "populate" ~cache:c ();
+(* Rewrite the one record in [dir] with a structurally valid envelope
+   (correct length and checksum, same key) around [f value] — the
+   record's value passed through [f]. *)
+let rewrite_value dir f =
   let path = the_record dir in
   let pristine = read_file path in
   (* parse the envelope by hand: magic\n<len> <sum>\n<klen>\n<key><value> *)
@@ -215,11 +211,13 @@ let test_value_version_skew () =
   let knl = String.index payload '\n' in
   let klen = int_of_string (String.sub payload 0 knl) in
   let key = String.sub payload (knl + 1) klen in
+  let value =
+    String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen)
+  in
   (* sanity: the byte layer accepts our re-encoding of the key *)
   let h0 = S.open_store dir in
   Alcotest.(check bool) "pristine record readable" true (S.find h0 key <> None);
-  let future_value = "lpres 99\ntotally different layout\n" in
-  let payload' = Printf.sprintf "%d\n%s%s" klen key future_value in
+  let payload' = Printf.sprintf "%d\n%s%s" klen key (f value) in
   let record' =
     Printf.sprintf "steady-solve-store 1\n%d %s\n%s" (String.length payload')
       (S.checksum payload') payload'
@@ -227,18 +225,47 @@ let test_value_version_skew () =
   write_file path record';
   let h = S.open_store dir in
   Alcotest.(check bool) "byte layer accepts the envelope" true
-    (S.find h key <> None);
-  let h2 = S.open_store dir in
-  let cc = Lp.Cache.create ~disk:h2 () in
-  check_fig1 "future value encoding" ~cache:cc ();
-  (* the Lp decoder rejected the value and pushed the record through the
-     store's quarantine; the cold solve then re-stored a good one *)
+    (S.find h key <> None)
+
+(* the Lp decoder must reject a rewritten value and push the record
+   through the store's quarantine; the cold solve then re-stores a good
+   one, which serves from then on *)
+let check_value_quarantined dir what =
+  let h = S.open_store dir in
+  let cc = Lp.Cache.create ~disk:h () in
+  check_fig1 what ~cache:cc ();
   Alcotest.(check int) "value skew quarantined the record" 1
-    (S.quarantined h2);
-  Alcotest.(check int) "good record re-stored" 1 (S.stores h2);
+    (S.quarantined h);
+  Alcotest.(check int) "good record re-stored" 1 (S.stores h);
   let c3 = Lp.Cache.create ~disk:(S.open_store dir) () in
   check_fig1 "replacement record serves" ~cache:c3 ();
-  Alcotest.(check int) "served from disk again" 1 (Lp.Cache.disk_hits c3);
+  Alcotest.(check int) "served from disk again" 1 (Lp.Cache.disk_hits c3)
+
+(* a value in an unknown encoding: the version-skew path of the *value*
+   format *)
+let test_value_version_skew () =
+  let dir = fresh_dir () in
+  let c = Lp.Cache.create ~disk:(S.open_store dir) () in
+  check_fig1 "populate" ~cache:c ();
+  rewrite_value dir (fun _ -> "lpres 99\ntotally different layout\n");
+  check_value_quarantined dir "future value encoding";
+  rm_rf dir
+
+(* A record in the previous value format ("lpres 1") was written by a
+   kernel that started from another basis and may hold another optimal
+   vertex; a hit must be bit-identical to a re-solve, so it has to be
+   quarantined and re-solved, never served.  The stale record here also
+   carries a wrong objective, which a hit would expose. *)
+let test_value_format_previous () =
+  let dir = fresh_dir () in
+  let c = Lp.Cache.create ~disk:(S.open_store dir) () in
+  check_fig1 "populate" ~cache:c ();
+  rewrite_value dir (fun value ->
+      match String.split_on_char '\n' value with
+      | _ :: "O" :: _objective :: rest ->
+        String.concat "\n" ("lpres 1" :: "O" :: "99" :: rest)
+      | _ -> Alcotest.fail "unexpected value layout");
+  check_value_quarantined dir "previous value format";
   rm_rf dir
 
 (* a filename collision (same record path, different key) must read as
@@ -480,6 +507,8 @@ let suite =
       Alcotest.test_case "envelope version skew" `Quick
         test_envelope_version_skew;
       Alcotest.test_case "value version skew" `Quick test_value_version_skew;
+      Alcotest.test_case "previous value format re-solved" `Quick
+        test_value_format_previous;
       Alcotest.test_case "key echo rejects foreign record" `Quick
         test_key_echo_rejects_foreign_record;
       Alcotest.test_case "orphan tempfile invisible" `Quick
