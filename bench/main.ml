@@ -10,10 +10,9 @@
    - substrate costs: bignum arithmetic, rational arithmetic on both
      representation paths, simulator event processing, tree enumeration.
 
-   Part 2.5 measures the warm-start layer: a sweep of mildly perturbed
-   platforms re-solved cold vs with a shared [Lp.Warm] slot, and the
-   E10 dynamic workload (Reactive + Oracle, 12 phases) plus its oracle
-   throughput bound, cold vs warm+cached.
+   Part 2.5 measures the solve cache: the E10 dynamic workload
+   (Reactive + Oracle, 32 phases) plus its oracle throughput bound,
+   cold vs cached.
    Every accelerated run is checked against the cold objectives before
    its time is recorded — a fast wrong answer never lands in the JSON.
 
@@ -227,10 +226,10 @@ let record rows name ns =
    attached also land their solve/pivot/refactorisation counts — and,
    since schema 4, the reconstruction effort (cycles cancelled by
    search, matchings repaired vs rebuilt, slots reused; schema 5 adds
-   warm-served delay vectors; schema 6 the churn counters: bases
-   remapped across restrictions, repair budgets exceeded, transfer
-   retries and total backoff time; schema 7 the guarded recovery/
-   rows: checkpointed and resumed robust runs) — in
+   warm-served delay vectors; schema 6 the churn counters: repair
+   budgets exceeded, transfer retries and total backoff time; schema 7
+   the guarded recovery/ rows: checkpointed and resumed robust runs;
+   schema 8 drops the LP warm-start rows and counters) — in
    the JSON, so effort regressions show up even when wall-clock noise
    hides them *)
 let effort_rows : (string, Lp.Stats.t) Hashtbl.t = Hashtbl.create 16
@@ -251,22 +250,20 @@ let record_effort name (st : Lp.Stats.t) =
          st.Lp.Stats.matchings_rebuilt st.Lp.Stats.slots_reused
          st.Lp.Stats.delays_reused);
   if
-    st.Lp.Stats.warm_remapped + st.Lp.Stats.repairs_budget_exceeded
-    + st.Lp.Stats.retries > 0
+    st.Lp.Stats.repairs_budget_exceeded + st.Lp.Stats.retries > 0
     || R.sign st.Lp.Stats.backoff_time > 0
   then
     Printf.printf "%-56s %10s\n" name
-      (Printf.sprintf
-         "%d bases remapped, %d budgets exceeded, %d retries, backoff %s"
-         st.Lp.Stats.warm_remapped st.Lp.Stats.repairs_budget_exceeded
-         st.Lp.Stats.retries
+      (Printf.sprintf "%d budgets exceeded, %d retries, backoff %s"
+         st.Lp.Stats.repairs_budget_exceeded st.Lp.Stats.retries
          (R.to_string st.Lp.Stats.backoff_time))
 
 (* --- cache / warm statistics, aggregated across the whole run --- *)
 
-(* every suite that creates an [Lp.Cache], a disk store or an [Lp.Warm]
-   slot notes it here once it is done with it; the totals land in the
-   JSON snapshot so reuse rates are trackable across PRs *)
+(* every suite that creates an [Lp.Cache], a disk store or a
+   [Reconstruct.Warm] slot notes it here once it is done with it; the
+   totals land in the JSON snapshot so reuse rates are trackable across
+   PRs *)
 let stats_cache_hits = ref 0
 let stats_cache_misses = ref 0
 let stats_cache_evictions = ref 0
@@ -274,8 +271,6 @@ let stats_disk_hits = ref 0
 let stats_disk_stores = ref 0
 let stats_disk_evictions = ref 0
 let stats_quarantined = ref 0
-let stats_warm_hits = ref 0
-let stats_warm_misses = ref 0
 let stats_recon_hits = ref 0
 let stats_recon_misses = ref 0
 
@@ -290,20 +285,16 @@ let note_store s =
   stats_disk_evictions := !stats_disk_evictions + Lp.Cache.Disk.evictions s;
   stats_quarantined := !stats_quarantined + Lp.Cache.Disk.quarantined s
 
-let note_warm w =
-  stats_warm_hits := !stats_warm_hits + Lp.Warm.hits w;
-  stats_warm_misses := !stats_warm_misses + Lp.Warm.misses w
-
 let note_recon w =
   stats_recon_hits := !stats_recon_hits + Reconstruct.Warm.hits w;
   stats_recon_misses := !stats_recon_misses + Reconstruct.Warm.misses w
 
-(* --- part 2.5: warm-start / solve-cache workloads --- *)
+(* --- part 2.5: solve-cache workloads --- *)
 
 (* mildly perturbed copy of [p]: every finite node weight divided by
    [cpu], every edge cost divided by [bw] — the same transformation
-   Dynamic_sched applies per phase, so the LPs share their structural
-   signature and warm starts apply *)
+   Dynamic_sched applies per phase: same structure, nearby
+   coefficients *)
 let scale_platform p ~cpu ~bw =
   Platform.create
     ~names:(Array.of_list (List.map (Platform.name p) (Platform.nodes p)))
@@ -330,9 +321,9 @@ let perturbed_platforms ~n ~k =
         ~cpu:(R.of_ints (16 + (3 * i)) 16)
         ~bw:(R.of_ints (48 - (5 * i)) 48))
 
-let resolve_all ?warm plats =
+let resolve_all plats =
   List.map
-    (fun p -> (Master_slave.solve ?warm p ~master:0).Master_slave.ntask)
+    (fun p -> (Master_slave.solve p ~master:0).Master_slave.ntask)
     plats
 
 (* E10-style dynamic scenario, larger than the E10 exemplar (the phase
@@ -340,8 +331,7 @@ let resolve_all ?warm plats =
    several cpu and bandwidth traces whose joint multiplier vector
    cycles with period 3, so the oracle and the bound revisit the same
    few scaled platforms — the situation the solve cache targets — while
-   the reactive forecasts produce fresh nearby LPs — the situation the
-   warm start targets. *)
+   the reactive forecasts produce fresh nearby LPs, which miss it. *)
 let dynamic_scenario ~slaves ~phases =
   let p =
     Platform_gen.star ~master_weight:Ext_rat.inf
@@ -369,29 +359,12 @@ let dynamic_scenario ~slaves ~phases =
   { Dynamic_sched.platform = p; master = 0; cpu_traces; bw_traces; phase;
     phases }
 
-let run_warm_suite ~smoke () =
-  print_endline "\n########## warm-start / solve-cache workloads ##########\n";
+let run_cache_suite ~smoke () =
+  print_endline "\n########## solve-cache workloads ##########\n";
   let runs = if smoke then 1 else 3 in
   let rows = ref [] in
   let record = record rows in
-  (* perturbed re-solves: same structure, nearby coefficients *)
-  let n = if smoke then 6 else 12 and k = if smoke then 3 else 8 in
-  let plats = perturbed_platforms ~n ~k in
-  let reference = resolve_all plats in
-  let measure name f =
-    let objs, ns = best_of ~runs f in
-    if not (List.for_all2 R.equal reference objs) then
-      failwith ("bench: warm objective mismatch in " ^ name);
-    record name ns
-  in
-  let label tail = Printf.sprintf "warm/re-solve %dx perturbed n=%d (%s)" k n tail in
-  measure (label "cold tableau") (fun () -> resolve_all plats);
-  measure (label "warm tableau") (fun () ->
-      let w = Lp.Warm.create () in
-      let objs = resolve_all ~warm:w plats in
-      note_warm w;
-      objs);
-  (* E10 dynamic run and oracle bound, cold vs warm+cached *)
+  (* E10 dynamic run and oracle bound, cold vs cached *)
   let slaves = if smoke then 4 else 16 and phases = if smoke then 4 else 32 in
   let sc = dynamic_scenario ~slaves ~phases in
   let dyn reuse () =
@@ -405,9 +378,9 @@ let run_warm_suite ~smoke () =
   let e10 tail = Printf.sprintf "warm/E10 Reactive+Oracle %d phases (%s)" phases tail in
   let _, cold_ns = best_of ~runs (dyn false) in
   record (e10 "cold") cold_ns;
-  let _, warm_ns = best_of ~runs (dyn true) in
-  record (e10 "warm+cache") warm_ns;
-  Printf.printf "%-56s %10.2fx\n" "warm/E10 dynamic speedup" (cold_ns /. warm_ns);
+  let _, cache_ns = best_of ~runs (dyn true) in
+  record (e10 "cache") cache_ns;
+  Printf.printf "%-56s %10.2fx\n" "warm/E10 dynamic speedup" (cold_ns /. cache_ns);
   let bound tail = Printf.sprintf "warm/E10 oracle bound %d phases (%s)" phases tail in
   let b_cold, ns =
     best_of ~runs (fun () -> Dynamic_sched.oracle_throughput_bound ~reuse:false sc)
@@ -601,42 +574,7 @@ let run_pool_sweep ~smoke () =
       if not smoke then begin
         let _, ns = wall_ns (fun () -> Experiments.all ~pool ()) in
         record (Printf.sprintf "sweep/experiments E1-E17 (pool x%d)" width) ns
-      end;
-      (* warm slots under the pool: a parallel perturbed re-solve sweep
-         with a throwaway slot per task (no reuse at all) vs a
-         [Lp.Warm.Family] of domain-local slots (each worker warm-starts
-         from its own previous task).  Identical objectives required. *)
-      let n = if smoke then 6 else 14 and reps = if smoke then 2 else 6 in
-      let plats =
-        List.concat (List.init reps (fun _ -> perturbed_platforms ~n ~k:8))
-      in
-      let par_sweep warm_of =
-        Pool.map pool
-          (fun p ->
-            (Master_slave.solve ~warm:(warm_of ()) p ~master:0)
-              .Master_slave.ntask)
-          plats
-      in
-      let per_task, ns = wall_ns (fun () -> par_sweep Lp.Warm.create) in
-      record
-        (Printf.sprintf "sweep/warm re-solve %dx n=%d (pool x%d, per-task slot)"
-           (List.length plats) n width)
-        ns;
-      let fam = Lp.Warm.Family.create () in
-      let family, ns =
-        wall_ns (fun () -> par_sweep (fun () -> Lp.Warm.Family.slot fam))
-      in
-      record
-        (Printf.sprintf "sweep/warm re-solve %dx n=%d (pool x%d, family slot)"
-           (List.length plats) n width)
-        ns;
-      if not (List.for_all2 R.equal per_task family) then
-        failwith "bench: family-slot sweep changed an objective";
-      stats_warm_hits := !stats_warm_hits + Lp.Warm.Family.hits fam;
-      stats_warm_misses := !stats_warm_misses + Lp.Warm.Family.misses fam;
-      Printf.printf "%-56s %10d domains, %d warm hits\n" "sweep/family slots"
-        (Lp.Warm.Family.domains fam)
-        (Lp.Warm.Family.hits fam));
+      end);
   List.rev !rows
 
 (* --- part 2.6: persistent solve store --- *)
@@ -842,17 +780,16 @@ let run_fault_suite ~smoke () =
     "throughput 0, structured loss report";
   List.rev !rows
 
-(* --- part 4.5: churn — cross-epoch warm reuse under restriction --- *)
+(* --- part 4.5: churn — cross-epoch reuse under restriction --- *)
 
 (* A long fault trace (32 epochs, dense churn) over a heterogeneous
-   star: every epoch re-plans on a different surviving subplatform, so
-   the cold run rebuilds the LP basis from scratch each time while the
-   warm run carries it across restrictions ({!Lp.remap_basis}).
-   Guards: warm and cold must complete bit-identical work with
-   identical per-phase series and loss reports on this curated trace
-   (reuse is an accelerator, never a result changer), the remap
-   machinery must actually fire, and at n=200 the warm run must beat
-   the cold run. *)
+   star: every epoch re-plans on a different surviving subplatform.
+   Every LP solve is cold either way; the reuse run adds the exact LP
+   cache and Robust's restriction memo, which serve the epochs whose
+   multiplier snapshot repeats.  Guards: the reuse and cold outcomes
+   must be bit-identical ({!Dynamic_sched.outcomes_equal} — reuse is an
+   accelerator, never a result changer), and at n=200 the reuse run
+   must beat the cold run. *)
 let churn_scenario ~slaves ~phases ~seed =
   let p =
     Platform_gen.star ~master_weight:Ext_rat.inf
@@ -873,7 +810,7 @@ let churn_scenario ~slaves ~phases ~seed =
 
 let run_churn_suite ~smoke () =
   print_endline
-    "\n########## churn: warm reuse across restrictions ##########\n";
+    "\n########## churn: reuse across restrictions ##########\n";
   let rows = ref [] in
   let record = record rows in
   let runs = if smoke then 1 else 3 in
@@ -891,43 +828,31 @@ let run_churn_suite ~smoke () =
       in
       record (label "robust cold") cold_ns;
       let stats = Lp.Stats.create () in
-      let warm = Dynamic_sched.run ~reuse:true ~stats sc Dynamic_sched.Robust in
-      let _, warm_ns =
+      let reuse = Dynamic_sched.run ~reuse:true ~stats sc Dynamic_sched.Robust in
+      let _, reuse_ns =
         best_of ~runs (fun () ->
             Dynamic_sched.run ~reuse:true sc Dynamic_sched.Robust)
       in
-      record (label "robust warm") warm_ns;
-      record_effort (label "robust warm") stats;
-      let completed (o : Dynamic_sched.outcome) = o.Dynamic_sched.completed in
-      if not (R.equal (completed cold) (completed warm)) then
+      record (label "robust reuse") reuse_ns;
+      record_effort (label "robust reuse") stats;
+      if not (Dynamic_sched.outcomes_equal cold reuse) then
         failwith
           (Printf.sprintf
-             "bench: churn warm completed %s <> cold %s at n=%d — reuse \
+             "bench: churn reuse outcome differs from cold at n=%d — reuse \
               changed a result"
-             (R.to_string (completed warm))
-             (R.to_string (completed cold))
              n);
-      if
-        not
-          (List.for_all2 R.equal cold.Dynamic_sched.per_phase
-             warm.Dynamic_sched.per_phase)
-      then failwith "bench: churn warm per-phase series diverged from cold";
-      if cold.Dynamic_sched.losses <> warm.Dynamic_sched.losses then
-        failwith "bench: churn warm loss report diverged from cold";
-      if stats.Lp.Stats.warm_remapped = 0 then
-        failwith "bench: churn trace never exercised the cross-epoch remap";
       Printf.printf "%-56s %10s\n"
         (Printf.sprintf "churn/guard n=%d" n)
-        (Printf.sprintf "warm = cold = %s, %d bases remapped, speedup %.2fx"
-           (R.to_string (completed warm))
-           stats.Lp.Stats.warm_remapped (cold_ns /. warm_ns));
+        (Printf.sprintf "reuse = cold = %s, speedup %.2fx"
+           (R.to_string reuse.Dynamic_sched.completed)
+           (cold_ns /. reuse_ns));
       (* hard wall-clock floor where the LP work dominates the run *)
-      if (not smoke) && n >= 200 && warm_ns > cold_ns /. 1.2 then
+      if (not smoke) && n >= 200 && reuse_ns > cold_ns /. 1.2 then
         failwith
           (Printf.sprintf
-             "bench: churn warm run only %.2fx faster than cold at n=%d \
+             "bench: churn reuse run only %.2fx faster than cold at n=%d \
               (floor 1.2x)"
-             (cold_ns /. warm_ns) n))
+             (cold_ns /. reuse_ns) n))
     sizes;
   List.rev !rows
 
@@ -935,7 +860,7 @@ let run_churn_suite ~smoke () =
 
 (* The churn scenario again, now under the checkpoint machinery.
    Guards: a checkpointed run must complete bit-identical work to the
-   plain warm run (the record writes and the disk-tier cache are
+   plain reuse run (the record writes and the disk-tier cache are
    accelerator plumbing, never result changers), a run killed mid-flight
    must resume bit-identically from the record, and at n=200 the
    per-epoch checkpoint overhead must stay within 5% of the plain
@@ -1213,7 +1138,7 @@ let json_escape s =
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"steady-bench/7\",\n";
+  Printf.fprintf oc "  \"schema\": \"steady-bench/8\",\n";
   Printf.fprintf oc "  \"unit\": \"ns\",\n";
   Printf.fprintf oc "  \"pool_width_sequential\": 1,\n";
   Printf.fprintf oc "  \"pool_width_parallel\": %d,\n" (pool_width () + 1);
@@ -1225,8 +1150,6 @@ let write_json path rows =
   Printf.fprintf oc "    \"disk_stores\": %d,\n" !stats_disk_stores;
   Printf.fprintf oc "    \"disk_evictions\": %d,\n" !stats_disk_evictions;
   Printf.fprintf oc "    \"quarantined_records\": %d,\n" !stats_quarantined;
-  Printf.fprintf oc "    \"warm_hits\": %d,\n" !stats_warm_hits;
-  Printf.fprintf oc "    \"warm_misses\": %d,\n" !stats_warm_misses;
   Printf.fprintf oc "    \"recon_hits\": %d,\n" !stats_recon_hits;
   Printf.fprintf oc "    \"recon_misses\": %d\n" !stats_recon_misses;
   Printf.fprintf oc "  },\n";
@@ -1259,14 +1182,12 @@ let write_json path rows =
           in
           let churn =
             if
-              st.Lp.Stats.warm_remapped + st.Lp.Stats.repairs_budget_exceeded
-              + st.Lp.Stats.retries > 0
+              st.Lp.Stats.repairs_budget_exceeded + st.Lp.Stats.retries > 0
               || R.sign st.Lp.Stats.backoff_time > 0
             then
               Printf.sprintf
-                ", \"warm_remapped\": %d, \"repairs_budget_exceeded\": %d, \
-                 \"retries\": %d, \"backoff_time\": \"%s\""
-                st.Lp.Stats.warm_remapped
+                ", \"repairs_budget_exceeded\": %d, \"retries\": %d, \
+                 \"backoff_time\": \"%s\""
                 st.Lp.Stats.repairs_budget_exceeded st.Lp.Stats.retries
                 (R.to_string st.Lp.Stats.backoff_time)
             else ""
@@ -1321,7 +1242,7 @@ let run_smoke ~cache_dir () =
       fn ();
       Printf.printf "smoke ok  %s\n" name)
     (timed_workloads ());
-  ignore (run_warm_suite ~smoke:true ());
+  ignore (run_cache_suite ~smoke:true ());
   ignore (run_recon_suite ~smoke:true ());
   ignore (run_disk_suite ~smoke:true ~cache_dir ());
   ignore (run_pool_sweep ~smoke:true ());
@@ -1411,7 +1332,7 @@ let () =
     print_coloring_stats ();
     if not !tables_only then begin
       let bench_rows = run_benchmarks () in
-      let warm_rows = run_warm_suite ~smoke:false () in
+      let cache_rows = run_cache_suite ~smoke:false () in
       let recon_rows = run_recon_suite ~smoke:false () in
       let disk_rows = run_disk_suite ~smoke:false ~cache_dir:!cache_dir () in
       let sweep_rows = run_pool_sweep ~smoke:false () in
@@ -1420,7 +1341,7 @@ let () =
       let recovery_rows = run_recovery_suite ~smoke:false () in
       let scale_rows = run_scale_suite ~smoke:false () in
       write_json !json_path
-        (bench_rows @ warm_rows @ recon_rows @ disk_rows @ sweep_rows
+        (bench_rows @ cache_rows @ recon_rows @ disk_rows @ sweep_rows
        @ fault_rows @ churn_rows @ recovery_rows @ scale_rows)
     end
   end

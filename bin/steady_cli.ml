@@ -341,9 +341,8 @@ let dynamic_cmd =
   let ckpt_dir_arg =
     let doc =
       "Checkpoint the run (robust only) into $(docv): the per-epoch \
-       decision log, executor snapshot and warm LP basis are committed \
-       through the crash-safe store, alongside the run's disk-tier LP \
-       cache."
+       decision log and executor snapshot are committed through the \
+       crash-safe store, alongside the run's disk-tier LP cache."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR" ~doc)

@@ -4,8 +4,8 @@ module P = Platform
 let targets_of p ~source =
   List.filter (fun i -> i <> source) (P.nodes p)
 
-let lp_bound ?warm ?cache p ~source =
-  Collective.solve ?warm ?cache Collective.Max p ~source
+let lp_bound ?cache p ~source =
+  Collective.solve ?cache Collective.Max p ~source
     ~targets:(targets_of p ~source)
 
 let lp_bound_reduced ?stats p ~source =
@@ -13,8 +13,8 @@ let lp_bound_reduced ?stats p ~source =
     Collective.Max p ~source
     ~targets:(targets_of p ~source)
 
-let tree_packing ?warm ?cache p ~source =
-  Multicast.best_tree_packing ?warm ?cache p ~source
+let tree_packing ?cache p ~source =
+  Multicast.best_tree_packing ?cache p ~source
     ~targets:(targets_of p ~source)
 
 let bound_met ?cache p ~source =

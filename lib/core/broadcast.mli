@@ -10,7 +10,6 @@ val targets_of : Platform.t -> source:Platform.node -> Platform.node list
 (** All nodes except the source. *)
 
 val lp_bound :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
@@ -29,7 +28,6 @@ val lp_bound_reduced :
     {!Lp.Reduce} presolve.  Bit-identical to {!lp_bound}. *)
 
 val tree_packing :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->

@@ -175,9 +175,9 @@ let solution_of_lp mode p ~source ~targets f_v (sol : Lp.solution) =
     send_frac = send_frac_of mode p nk flows;
   }
 
-let solve ?warm ?cache mode p ~source ~targets =
+let solve ?cache mode p ~source ~targets =
   let m, _tp, _s_v, f_v = build_model mode p ~source ~targets in
-  match Lp.solve ?warm ?cache m with
+  match Lp.solve ?cache m with
   | Lp.Infeasible | Lp.Unbounded ->
     failwith "Collective.solve: LP not optimal (cannot happen)"
   | Lp.Optimal sol -> solution_of_lp mode p ~source ~targets f_v sol

@@ -28,15 +28,14 @@ type solution = {
 }
 
 val solve :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   mode ->
   Platform.t ->
   source:Platform.node ->
   targets:Platform.node list ->
   solution
-(** [?warm]/[?cache] thread an optimal basis / memoised results between
-    structurally identical solves, exactly as in {!Master_slave.solve}.
+(** [?cache] memoises exactly repeated solves, as in
+    {!Master_slave.solve}.
     @raise Invalid_argument if [targets] is empty, contains the source,
     or contains duplicates.  (Zero throughput is always feasible, so the
     LP is never infeasible.) *)

@@ -266,18 +266,15 @@ let run_classic ?cache ?(reuse = true) ?stats sc strategy =
       ~bw_traces:(List.map (fun (e, tr) -> (e, normalize_trace tr)) sc.bw_traces)
       p
   in
-  (* the per-phase re-solves differ only in scaled weights, so the
-     previous basis warm-starts the next solve and flat trace segments
-     (repeated multipliers) hit the cache outright; [~reuse:false]
-     restores the cold per-phase solves for baseline measurements *)
+  (* flat trace segments (repeated multipliers) hit the cache outright;
+     [~reuse:false] re-solves every phase for baseline measurements *)
   let cache = make_cache cache reuse in
-  let warm = if reuse then Some (Lp.Warm.create ()) else None in
   let solve_scaled node_mult edge_mult =
-    Master_slave.solve ?warm ?cache ?stats
+    Master_slave.solve ?cache ?stats
       (scaled_platform sc node_mult edge_mult)
       ~master:sc.master
   in
-  let static_sol = Master_slave.solve ?warm ?cache ?stats p ~master:sc.master in
+  let static_sol = Master_slave.solve ?cache ?stats p ~master:sc.master in
   (* one forecaster per node and per edge (reactive strategy) *)
   let node_fc = Array.init (P.num_nodes p) (fun _ -> Forecast.create ()) in
   let edge_fc = Array.init (P.num_edges p) (fun _ -> Forecast.create ()) in
@@ -385,15 +382,16 @@ let mults_equal a b =
    the per-epoch *decision log* (what each boundary's planner decided,
    in original platform indices), a snapshot of the executor's
    boundary-start state (arrears, backlog, deficits, loss counters,
-   failure flags, work marks — all exact), and the serialized warm LP
-   basis.  [resume] replays the logged decisions through a fresh
-   simulator — deterministic event replay, no LP solves — validates the
-   rebuilt state against the stored snapshot at the checkpointed
-   boundary, restores the warm basis, and continues live from there.
-   LP results of the live suffix coincide with the uninterrupted run's
-   because every checkpointed run writes its solves through a
-   {!Solve_store} disk tier in the same directory: the resumed run's
-   cold memo hits the disk entries the original run wrote.  A missing,
+   failure flags, work marks — all exact).  [resume] replays the logged
+   decisions through a fresh simulator — deterministic event replay, no
+   LP solves — validates the rebuilt state against the stored snapshot
+   at the checkpointed boundary, and continues live from there.  LP
+   results of the live suffix coincide with the uninterrupted run's
+   because every solve is cold: each epoch's answer is a function of
+   that epoch's platform alone, so no solver state needs restoring.
+   Every checkpointed run also writes its solves through a
+   {!Solve_store} disk tier in the same directory, so the resumed run's
+   memo hits the disk entries the original run wrote.  A missing,
    truncated, corrupt, version-skewed or mismatching checkpoint is
    quarantined and degrades to a cold full run — recovery can cost
    time, never answers. *)
@@ -432,10 +430,10 @@ type ckpt_record = {
   c_reuse : bool;
   c_log : decision list; (* oldest first; length = c_epoch *)
   c_snap : snapshot;
-  c_basis : string option; (* {!Lp.export_basis} of the warm slot *)
 }
 
-let ckpt_format = "steady-ckpt 1"
+(* version 2 drops the warm LP basis block version 1 ended with *)
+let ckpt_format = "steady-ckpt 2"
 
 let encode_ckpt r =
   let b = Buffer.create 1024 in
@@ -490,19 +488,12 @@ let encode_ckpt r =
       Buffer.add_string b (R.to_string mk);
       Buffer.add_char b '\n')
     s.s_marks;
-  (match r.c_basis with
-  | None -> Buffer.add_string b "B-\n"
-  | Some bs ->
-    Buffer.add_string b "B\n";
-    int (String.length bs);
-    Buffer.add_string b bs;
-    Buffer.add_char b '\n');
   Buffer.contents b
 
 (* Strict structural decoder: any deviation — bad magic, counts out of
    range, indices off the platform, trailing bytes — yields [None], and
-   the caller quarantines the record and cold-starts.  Like
-   {!Lp.import_basis} this must never raise. *)
+   the caller quarantines the record and cold-starts.  This must never
+   raise. *)
 let decode_ckpt ~nodes ~edges ~phases raw =
   let len = String.length raw in
   let pos = ref 0 in
@@ -579,18 +570,6 @@ let decode_ckpt ~nodes ~edges ~phases raw =
     let nmarks = int () in
     if nmarks <> epoch then fail ();
     let marks = list nmarks (fun () -> R.of_string (line ())) in
-    let basis =
-      match line () with
-      | "B-" -> None
-      | "B" ->
-        let bl = int () in
-        if bl < 0 || !pos + bl >= len then fail ();
-        let s = String.sub raw !pos bl in
-        if raw.[!pos + bl] <> '\n' then fail ();
-        pos := !pos + bl + 1;
-        Some s
-      | _ -> fail ()
-    in
     if !pos <> len then fail ();
     Some
       {
@@ -611,7 +590,6 @@ let decode_ckpt ~nodes ~edges ~phases raw =
             s_dead_bw = dead_bw;
             s_marks = marks;
           };
-        c_basis = basis;
       }
   with Exit | Failure _ | Invalid_argument _ | Division_by_zero -> None
 
@@ -676,7 +654,7 @@ type ckpt_ctx = {
   ck_key : string;
   ck_every : int;
   ck_halt : int option; (* test hook: crash at this boundary *)
-  ck_replay : (decision array * snapshot * string option) option;
+  ck_replay : (decision array * snapshot) option;
 }
 
 exception Resume_mismatch
@@ -694,7 +672,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
       p
   in
   let cache = make_cache cache reuse in
-  let warm = if reuse then Some (Lp.Warm.create ()) else None in
   (* Failure state.  Zero-crossing breakpoints fire simulator outage
      events, and breakpoint timers sort before the phase-boundary timers
      registered below, so at every boundary these arrays are current.
@@ -830,17 +807,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      one regime where a fault-free Robust run fell behind.  Physics
      still caps the executed work at the per-epoch LP bound: extra
      submissions merely queue. *)
-  let static_sol = Master_slave.solve ?warm ?cache ?stats p ~master:sc.master in
-  (* Resuming: overwrite the warm slot with the checkpointed basis only
-     *after* the static solve — the uninterrupted run's static solve ran
-     against an empty slot, and the first live epoch must import exactly
-     the basis the last pre-crash solve left behind. *)
-  (match ckpt, warm with
-  | Some { ck_replay = Some (_, _, Some bstr); _ }, Some w -> (
-    match Lp.import_basis bstr with
-    | Some bs -> Lp.Warm.restore w bs
-    | None -> () (* damaged basis: first live solve just starts cold *))
-  | _ -> ());
+  let static_sol = Master_slave.solve ?cache ?stats p ~master:sc.master in
   let static_transfers, static_master = phase_plan static_sol sc.phase in
   (* Static-floor supply owed on routes that were dead when the floor
      would have submitted.  Static keeps queueing through an outage and
@@ -854,11 +821,10 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      would, restoring [Robust >= Static] under churn with recovery. *)
   let arrears = ref [] in
   let master_deficit = ref 0 in
-  (* Cross-epoch reuse under churn.  The LP basis follows the surviving
-     subplatform by itself: {!Lp.remap_basis} fires inside [solve] on the
-     signature mismatch.  Everything after the LP is recomputed per
-     epoch from that epoch's solution alone, so nothing downstream of
-     the LP holds state a checkpoint would have to store.  [memo]
+  (* Cross-epoch reuse under churn.  Every epoch's LP is solved cold on
+     its surviving subplatform, and everything after the LP is
+     recomputed from that epoch's solution alone, so no epoch holds
+     solver state a checkpoint would have to store.  [memo]
      short-circuits the restriction itself: consecutive epochs with
      identical multiplier snapshots reuse the previous sub-platform
      outright (same physical value, so downstream caches hit too). *)
@@ -873,11 +839,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      validates the rebuilt state against the stored snapshot, and
      everything from there runs live.  A fresh run has
      [resume_epoch = 0] and every boundary is live. *)
-  let replay =
-    match ckpt with
-    | Some { ck_replay = Some (log, snap, _); _ } -> Some (log, snap)
-    | _ -> None
-  in
+  let replay = Option.bind ckpt (fun c -> c.ck_replay) in
   let resume_epoch =
     match replay with Some (log, _) -> Array.length log | None -> 0
   in
@@ -915,11 +877,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
   let write_ckpt k =
     match ckpt with
     | Some c when k > 0 && k mod c.ck_every = 0 ->
-      let basis =
-        match warm with
-        | Some w -> Option.map Lp.export_basis (Lp.Warm.basis w)
-        | None -> None
-      in
       Solve_store.add c.ck_store c.ck_key
         (encode_ckpt
            {
@@ -927,7 +884,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
              c_reuse = reuse;
              c_log = List.rev !dlog;
              c_snap = snapshot ();
-             c_basis = basis;
            })
     | _ -> ()
   in
@@ -1019,7 +975,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
               if not (has_compute sub) then None
               else
                 match
-                  Master_slave.try_solve ?warm ?cache ?stats sub
+                  Master_slave.try_solve ?cache ?stats sub
                     ~master:restr.P.sub_of_node.(sc.master)
                 with
                 | Error (`Infeasible | `Unbounded) -> None
@@ -1275,7 +1231,7 @@ let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
       let rctx =
         {
           ctx with
-          ck_replay = Some (Array.of_list r.c_log, r.c_snap, r.c_basis);
+          ck_replay = Some (Array.of_list r.c_log, r.c_snap);
         }
       in
       match run_robust ?cache ?reuse ?stats ~ckpt:rctx sc with
@@ -1304,12 +1260,11 @@ let oracle_throughput_bound ?cache ?(reuse = true) sc =
   validate_scenario sc;
   let node_cts, edge_cts = compile_scenario sc in
   let cache = make_cache cache reuse in
-  let warm = if reuse then Some (Lp.Warm.create ()) else None in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
     let sol =
-      Master_slave.solve ?warm ?cache
+      Master_slave.solve ?cache
         (scaled_platform sc
            (fun i -> compiled_at node_cts.(i) t0)
            (fun e -> compiled_at edge_cts.(e) t0))
@@ -1323,7 +1278,6 @@ let fault_throughput_bound ?cache ?(reuse = true) sc =
   validate_scenario ~allow_outages:true sc;
   let node_cts, edge_cts = compile_scenario sc in
   let cache = make_cache cache reuse in
-  let warm = if reuse then Some (Lp.Warm.create ()) else None in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
@@ -1335,7 +1289,7 @@ let fault_throughput_bound ?cache ?(reuse = true) sc =
     let sub = restr.P.sub in
     if has_compute sub then begin
       match
-        Master_slave.try_solve ?warm ?cache sub
+        Master_slave.try_solve ?cache sub
           ~master:restr.P.sub_of_node.(sc.master)
       with
       | Ok sol -> total := R.add !total (R.mul sc.phase sol.Master_slave.ntask)

@@ -24,14 +24,14 @@
       supply and prunes dead routes) rather than resting on forecast
       quality.
 
-      Under churn only the LP warm state crosses epochs: the surviving
+      Under churn no solver state crosses epochs: each epoch's LP is
+      solved cold on its surviving restriction, and everything
+      downstream of the LP — cycle cancellation, path decomposition —
+      is recomputed from that epoch's solution alone, so a checkpoint
+      stores no solver state.  Reuse is memoisation only: the
       restriction is memoised on the multiplier snapshot (identical
       consecutive epochs reuse the previous sub-platform outright), and
-      when the shape changes the LP basis remaps by column meaning
-      inside {!Lp.solve}.  Everything downstream of the LP — cycle
-      cancellation, path decomposition — is recomputed per epoch from
-      that epoch's solution alone, so nothing downstream of the LP
-      holds state a checkpoint would have to store.
+      exactly repeated LPs hit the {!Lp.Cache}.
 
     Plans are executed in queued (non-strict) mode: if reality is slower
     than the plan assumed, operations stack up and throughput drops —
@@ -112,15 +112,16 @@ type outcome = {
     [every] epochs, an exact record of its progress — the per-epoch
     decision log in original platform indices, a snapshot of the
     executor state at the boundary (arrears, backlog, deficits, loss
-    counters, failure flags, work marks — all rational-exact), and the
-    serialized warm LP basis — through the same checksummed
-    atomic-commit machinery as the LP disk cache ({!Solve_store}).
-    {!resume} continues such a run after a crash {e bit-identically}:
-    the logged decisions are replayed through a fresh simulator (pure
+    counters, failure flags, work marks — all rational-exact) — through
+    the same checksummed atomic-commit machinery as the LP disk cache
+    ({!Solve_store}).  No solver state is stored: every LP solve is
+    cold, a function of its epoch's platform alone.  {!resume}
+    continues such a run after a crash {e bit-identically}: the logged
+    decisions are replayed through a fresh simulator (pure
     deterministic event replay, no LP work), the rebuilt state is
-    validated against the stored snapshot, the warm basis is
-    re-imported, and the remaining epochs run live against the same
-    disk-tier LP memo the original run wrote through.  Corruption in
+    validated against the stored snapshot, and the remaining epochs run
+    live against the same disk-tier LP memo the original run wrote
+    through.  Corruption in
     any form — truncation, bit flips, version skew, a snapshot the
     replay cannot reproduce — is quarantined and degrades to a cold
     full run: recovery can cost time, never answers. *)
@@ -149,16 +150,16 @@ val run :
   scenario ->
   strategy ->
   outcome
-(** Per-phase LP re-solves reuse the previous phase's optimal basis
-    (warm start) and memoise exactly repeated instances — flat trace
-    segments and the nominal platform cost one solve for the whole run.
-    [?cache] shares the memo across runs (e.g. between strategies of the
-    same scenario); [~reuse:false] disables both accelerators (including
-    {!Robust}'s restriction memo) and restores cold per-phase solves
-    (baseline measurements).  [?stats] accumulates solver/retry
-    counters across all phases.  Completed work is
-    unaffected by [reuse] up to the choice among optimal vertices;
-    throughputs and bounds are bit-identical.
+(** Every per-phase LP solve is cold.  With [reuse] (the default),
+    exactly repeated instances are memoised — flat trace segments and
+    the nominal platform cost one solve for the whole run — and
+    {!Robust} memoises its surviving restriction on the multiplier
+    snapshot.  [?cache] shares the memo across runs (e.g. between
+    strategies of the same scenario); [~reuse:false] disables both
+    memos and re-solves every phase (baseline measurements).  [?stats]
+    accumulates solver/retry counters across all phases.  A memo hit is
+    bit-identical to recomputing, so [reuse] changes no answer: the
+    outcome is {!outcomes_equal} to the [~reuse:false] run's.
 
     [?checkpoint] (Robust only) enables crash recovery as described
     above; the run then manages its own LP cache with the store as its
@@ -217,5 +218,5 @@ val fault_throughput_bound : ?cache:Lp.Cache.t -> ?reuse:bool -> scenario -> Rat
 (** Outage-tolerant analogue of {!oracle_throughput_bound}: sum over
     phases of [phase * ntask(surviving platform at the phase start)],
     with fully degraded epochs (no reachable compute power)
-    contributing zero.  Warm-started and memoised like the other
-    bounds; never raises on outage scenarios. *)
+    contributing zero.  Memoised like the other bounds; never raises on
+    outage scenarios. *)

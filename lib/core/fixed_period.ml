@@ -154,6 +154,6 @@ let schedule_of ?recon ?strict ?stats sol q =
 let series sol ~periods =
   List.map (fun t -> (t, quantize sol ~period:t)) periods
 
-let sweep ?warm ?cache ?stats p ~master ~periods =
-  let sol = Master_slave.solve ?warm ?cache ?stats p ~master in
+let sweep ?cache ?stats p ~master ~periods =
+  let sol = Master_slave.solve ?cache ?stats p ~master in
   (sol, series sol ~periods)

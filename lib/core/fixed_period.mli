@@ -43,7 +43,6 @@ val series :
 (** Throughput as a function of the period length — experiment E9. *)
 
 val sweep :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
@@ -51,6 +50,6 @@ val sweep :
   periods:Rat.t list ->
   Master_slave.solution * (Rat.t * quantized) list
 (** Platform-level convenience for the E9 workload: solve the
-    steady-state LP (threading [?warm]/[?cache], so repeated sweeps of
-    the same platform re-use the basis or memoised solve) and quantize
+    steady-state LP (threading [?cache], so repeated sweeps of the same
+    platform re-use the memoised solve) and quantize
     at every requested period. *)

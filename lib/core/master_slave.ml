@@ -74,9 +74,9 @@ let build_lp p ~master =
        (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
   (m, alpha_v, s_v)
 
-let solve_lp_only ?warm ?cache ?stats p ~master =
+let solve_lp_only ?cache ?stats p ~master =
   let m, _, _ = build_lp p ~master in
-  (m, Lp.solve ?warm ?cache ?stats m)
+  (m, Lp.solve ?cache ?stats m)
 
 (* Map an optimal LP solution back onto the platform: activity
    fractions per node, cycle-free task flow per edge. *)
@@ -98,15 +98,15 @@ let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
     task_flow;
   }
 
-let try_solve ?warm ?cache ?stats p ~master =
+let try_solve ?cache ?stats p ~master =
   let m, alpha_v, s_v = build_lp p ~master in
-  match Lp.solve ?warm ?cache ?stats m with
+  match Lp.solve ?cache ?stats m with
   | Lp.Infeasible -> Error `Infeasible
   | Lp.Unbounded -> Error `Unbounded
   | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
 
-let solve ?warm ?cache ?stats p ~master =
-  match try_solve ?warm ?cache ?stats p ~master with
+let solve ?cache ?stats p ~master =
+  match try_solve ?cache ?stats p ~master with
   | Ok sol -> sol
   | Error (`Infeasible | `Unbounded) ->
     failwith "Master_slave.solve: LP not optimal (invalid platform?)"

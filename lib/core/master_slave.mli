@@ -43,18 +43,15 @@ val build_lp :
     constraints via {!Lp.check_solution}. *)
 
 val solve :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
   solution
-(** [?warm] and [?cache] accelerate repeated solves of structurally
-    identical platforms (same nodes/edges, perturbed weights — the §5.5
-    phase workload): the previous optimal basis is repaired in a few
-    exact pivots, and exactly repeated instances return memoised.  Both
-    are exact: the throughput is bit-identical to a cold solve.  The
-    LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
+(** Every solve is cold, so the answer is a function of the platform
+    alone.  [?cache] memoises exactly repeated instances (flat segments
+    of the §5.5 phase workload); a hit is bit-identical to re-solving.
+    The LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
     no state: the returned [task_flow] is a function of the LP solution
     alone.  [?stats] accumulates exact pivot counts and the cycles
     cancelled.
@@ -63,7 +60,6 @@ val solve :
     bounded). *)
 
 val try_solve :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
@@ -75,7 +71,6 @@ val try_solve :
     structured report rather than escape as an exception. *)
 
 val solve_lp_only :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->

@@ -117,11 +117,11 @@ let enumerate_trees ?pool p ~source ~targets =
     Array.fold_left (fun whole part -> part @ whole) [] results
   end
 
-let max_lp_bound ?warm ?cache p ~source ~targets =
-  Collective.solve ?warm ?cache Collective.Max p ~source ~targets
+let max_lp_bound ?cache p ~source ~targets =
+  Collective.solve ?cache Collective.Max p ~source ~targets
 
-let scatter_lower_bound ?warm ?cache p ~source ~targets =
-  Collective.solve ?warm ?cache Collective.Sum p ~source ~targets
+let scatter_lower_bound ?cache p ~source ~targets =
+  Collective.solve ?cache Collective.Sum p ~source ~targets
 
 type packing = {
   platform : P.t;
@@ -145,7 +145,7 @@ let port_loads p tree =
     tree;
   (out_load, in_load)
 
-let packing_of_trees ?warm ?cache p ~source ~targets trees =
+let packing_of_trees ?cache p ~source ~targets trees =
   if trees = [] then
     { platform = p; source; targets; trees = []; rates = []; throughput = R.zero }
   else begin
@@ -172,7 +172,7 @@ let packing_of_trees ?warm ?cache p ~source ~targets trees =
         Lp.add_constraint m (Lp.sum in_terms.(i)) Lp.Le R.one
     done;
     Lp.set_objective m Lp.Maximize (Lp.sum (List.map Lp.var xs));
-    match Lp.solve ?warm ?cache m with
+    match Lp.solve ?cache m with
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Multicast.best_tree_packing: LP not optimal (cannot happen)"
     | Lp.Optimal sol ->
@@ -193,8 +193,8 @@ let packing_of_trees ?warm ?cache p ~source ~targets trees =
       }
   end
 
-let best_tree_packing ?warm ?cache p ~source ~targets =
-  packing_of_trees ?warm ?cache p ~source ~targets
+let best_tree_packing ?cache p ~source ~targets =
+  packing_of_trees ?cache p ~source ~targets
     (enumerate_trees p ~source ~targets)
 
 (* Cheapest-insertion Steiner tree under a cost inflation map: connect
@@ -263,8 +263,8 @@ let heuristic_trees ?(count = 4) p ~source ~targets =
   in
   go count []
 
-let heuristic_packing ?count ?warm ?cache p ~source ~targets =
-  packing_of_trees ?warm ?cache p ~source ~targets
+let heuristic_packing ?count ?cache p ~source ~targets =
+  packing_of_trees ?cache p ~source ~targets
     (heuristic_trees ?count p ~source ~targets)
 
 let best_single_tree p ~source ~targets =

@@ -31,7 +31,6 @@ val enumerate_trees :
     @raise Invalid_argument if the platform has more than 24 edges. *)
 
 val max_lp_bound :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
@@ -39,7 +38,6 @@ val max_lp_bound :
   Collective.solution
 
 val scatter_lower_bound :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
@@ -56,7 +54,6 @@ type packing = {
 }
 
 val best_tree_packing :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
@@ -66,7 +63,6 @@ val best_tree_packing :
     the one-port constraints (LP over the enumerated trees). *)
 
 val packing_of_trees :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
@@ -76,7 +72,7 @@ val packing_of_trees :
 (** Optimal time-sharing of a {e given} tree set (LP over the trees);
     {!best_tree_packing} is this applied to the full enumeration.
     Repeated packings over the same tree-set shape (per-phase sum-LPs)
-    can thread [?warm]/[?cache] exactly as in {!Master_slave.solve}. *)
+    can thread [?cache] exactly as in {!Master_slave.solve}. *)
 
 val heuristic_trees :
   ?count:int ->
@@ -93,7 +89,6 @@ val heuristic_trees :
 
 val heuristic_packing :
   ?count:int ->
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->

@@ -21,7 +21,7 @@ module Warm = struct
   let hits t = t.hits
   let misses t = t.misses
 
-  (* Domain-local slot family, same shape as {!Lp.Warm.Family}: each
+  (* Domain-local slot family, same shape as {!Lp.Cache.Family}: each
      {!Par.Pool} worker domain lazily gets (and keeps, across tasks) its
      own slot, so parallel sweeps repair their own phase sequence
      without locking.  The registry only exists for aggregate counters

@@ -2,10 +2,10 @@
     layer, not just the LP).
 
     In phased runs — {!Fixed_period} period series, repeated schedules
-    of one plan — consecutive reconstructions see near-identical loads,
-    and the LP layer already warm-starts via {!Lp.Warm}.  This module
-    extends the idea downstream of the solver: the previous {e schedule}
-    is repaired instead of rebuilt.  A warm slot remembers the last
+    of one plan — consecutive reconstructions see near-identical loads.
+    The LP layer solves every instance cold (reuse there is only the
+    exact {!Lp.Cache}); this module reuses work downstream of the
+    solver: the previous {e schedule} is repaired instead of rebuilt.  A warm slot remembers the last
     {!Schedule.t} and pipeline-delay vector; the next reconstruction
     seeds the weighted bipartite colouring with the previous matchings
     ({!Bipartite_coloring.decompose}'s [?seed]) and reuses unchanged
@@ -20,8 +20,8 @@
     path taken — and on unchanged inputs they are bit-identical. *)
 
 (** A warm slot carrying the previous phase's reconstruction state.
-    Same discipline as {!Lp.Warm}: sequential code creates one slot per
-    phase sequence; parallel sweeps use a {!Warm.Family}. *)
+    Not thread-safe: sequential code creates one slot per phase
+    sequence; parallel sweeps use a {!Warm.Family}. *)
 module Warm : sig
   type t
 
@@ -41,7 +41,8 @@ module Warm : sig
   (** Domain-local family of warm slots for {!Par.Pool} sweeps: each
       worker domain gets its own slot on first use and keeps it across
       tasks, so parallel phase sequences repair their own predecessor
-      without cross-domain locking.  Mirrors {!Lp.Warm.Family}. *)
+      without cross-domain locking.  Same shape as
+      {!Lp.Cache.Family}. *)
   module Family : sig
     type slot = t
     type t

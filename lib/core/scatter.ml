@@ -3,8 +3,8 @@ module P = Platform
 
 type solution = Collective.solution
 
-let solve ?warm ?cache p ~source ~targets =
-  Collective.solve ?warm ?cache Collective.Sum p ~source ~targets
+let solve ?cache p ~source ~targets =
+  Collective.solve ?cache Collective.Sum p ~source ~targets
 
 let period_of (sol : solution) =
   let rates =

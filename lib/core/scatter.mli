@@ -10,14 +10,13 @@
 type solution = Collective.solution
 
 val solve :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
   targets:Platform.node list ->
   solution
-(** [?warm]/[?cache] accelerate repeated solves exactly as in
-    {!Master_slave.solve}: bit-identical throughput, fewer pivots. *)
+(** [?cache] memoises exactly repeated solves, as in
+    {!Master_slave.solve}: a hit is bit-identical to re-solving. *)
 
 val schedule : solution -> Schedule.t
 (** Kinds in the schedule are target indices (positions in [targets]).

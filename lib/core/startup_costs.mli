@@ -49,7 +49,6 @@ val ratio_series :
   point list
 
 val sweep :
-  ?warm:Lp.Warm.t ->
   ?cache:Lp.Cache.t ->
   Platform.t ->
   master:Platform.node ->
@@ -57,8 +56,8 @@ val sweep :
   task_counts:int list ->
   Master_slave.solution * point list
 (** Platform-level convenience for the E8 workload: solve the
-    steady-state LP (threading [?warm]/[?cache], so repeated sweeps of
-    the same platform re-use the basis or memoised solve) and compute
+    steady-state LP (threading [?cache], so repeated sweeps of the same
+    platform re-use the memoised solve) and compute
     the makespan ratio at every requested task count. *)
 
 val simulate_grouped :

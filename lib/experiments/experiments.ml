@@ -615,7 +615,7 @@ let e16_baselines () =
 (* Verify the acceptance criterion of the failure layer: group the phase
    boundaries of a fault scenario into structurally-stable surviving
    epochs, and check that on every surviving epoch with compute power a
-   warm-started LP solve on the restricted platform is {e exactly}
+   cold LP solve on the restricted platform is {e exactly}
    achieved by a strict-mode periodic replay (rational equality:
    simulated completed work = analytic prediction, and tasks per period
    = ntask * period). *)
@@ -767,7 +767,7 @@ let e17_faults () =
     notes =
       [
         "the fault LP bound re-solves the steady-state LP on the \
-         surviving subplatform of each epoch (warm-started); strict-mode \
+         surviving subplatform of each epoch (solved cold); strict-mode \
          replay achieves it exactly on every surviving epoch — the \
          steady-state machinery is unaffected by *which* platform it \
          runs on, only the epoch boundaries are the faults' doing";

@@ -224,15 +224,17 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     incr runs;
     Dy.run ?reuse ?stats sc strategy
   in
-  let robust_w = run ~reuse:true ~stats:effort Dy.Robust in
+  let robust_r = run ~reuse:true ~stats:effort Dy.Robust in
   let robust_c = run ~reuse:false Dy.Robust in
-  let static_w = run ~reuse:true Dy.Static in
+  let static_r = run ~reuse:true Dy.Static in
   let static_c = run ~reuse:false Dy.Static in
-  (* warm and cold Robust runs may pick different optimal LP vertices
-     (the documented [reuse] contract), so the battery runs on each of
-     them rather than asserting outcome bit-identity across them; what
-     IS certified bit-identical warm-vs-cold is the objective layer —
-     the throughput bounds below. *)
+  (* every LP solve is cold and reuse is memoisation only (the exact
+     LP cache and Robust's restriction memo), so reuse changes no
+     answer: the Robust and Static outcomes and the throughput bounds
+     are all certified bit-identical under [~reuse:true] and
+     [~reuse:false] *)
+  check plan "Robust reuse <> cold" (outcome_equal robust_r robust_c)
+    violations;
   let cap = capacity_bound p faults in
   (* Robust must stay within a pipeline's worth of Static's throughput.
      The exact [Robust >= Static] does NOT hold at a finite horizon: the
@@ -251,16 +253,16 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     R.mul (ri depth)
       (List.fold_left
          (fun a x -> if R.compare x a > 0 then x else a)
-         R.zero static_w.Dy.per_phase)
+         R.zero static_r.Dy.per_phase)
   in
-  let static_floor = R.sub static_w.Dy.completed slack in
+  let static_floor = R.sub static_r.Dy.completed slack in
   List.iter
     (fun (label, (o : Dy.outcome)) ->
       check plan
         (Printf.sprintf "%s: Robust %s trails Static %s by over a phase"
            label
            (R.to_string o.Dy.completed)
-           (R.to_string static_w.Dy.completed))
+           (R.to_string static_r.Dy.completed))
         (R.compare o.Dy.completed static_floor >= 0)
         violations;
       check plan
@@ -268,22 +270,22 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
         (R.compare o.Dy.completed cap <= 0)
         violations;
       check_accounting plan (label ^ " Robust") o violations)
-    [ ("warm", robust_w); ("cold", robust_c) ];
-  check plan "Static warm <> cold" (outcome_equal static_w static_c) violations;
+    [ ("reuse", robust_r); ("cold", robust_c) ];
+  check plan "Static reuse <> cold" (outcome_equal static_r static_c) violations;
   check plan "Static reports losses"
-    (losses_equal static_w.Dy.losses Dy.no_losses)
+    (losses_equal static_r.Dy.losses Dy.no_losses)
     violations;
-  check_accounting plan "Static" static_w violations;
-  check plan "fault bound warm <> cold"
+  check_accounting plan "Static" static_r violations;
+  check plan "fault bound reuse <> cold"
     (R.equal
        (Dy.fault_throughput_bound ~reuse:true sc)
        (Dy.fault_throughput_bound ~reuse:false sc))
     violations;
-  (* crash injection + recovery: kill a checkpointed warm run at a
+  (* crash injection + recovery: kill a checkpointed reuse run at a
      seeded epoch (the halt hook fires exactly where a [kill -9]
      would land — after that boundary's checkpoint commit), resume
      from disk, and certify the stitched outcome bit-identical to the
-     uninterrupted warm run above *)
+     uninterrupted reuse run above *)
   let halt = 1 + Faults.rand_int g (phases - 1) in
   let ckdir = fresh_ckpt_dir () in
   let checkpoint = { Dy.Checkpoint.dir = ckdir; every = 1 } in
@@ -308,7 +310,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     check plan
       (Printf.sprintf "kill@%d: resumed outcome differs from uninterrupted"
          halt)
-      (outcome_equal resumed robust_w)
+      (outcome_equal resumed robust_r)
       violations
   | exception exn ->
     check plan
@@ -326,7 +328,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     let reactive = run ~reuse:true ~stats:effort Dy.Reactive in
     let oracle = run ~reuse:true Dy.Oracle in
     let ob = Dy.oracle_throughput_bound sc in
-    check plan "oracle bound warm <> cold"
+    check plan "oracle bound reuse <> cold"
       (R.equal ob (Dy.oracle_throughput_bound ~reuse:false sc))
       violations;
     List.iter
@@ -337,10 +339,10 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
           violations;
         check_accounting plan label o violations)
       [
-        ("Static", static_w);
+        ("Static", static_r);
         ("Reactive", reactive);
         ("Oracle", oracle);
-        ("Robust", robust_w);
+        ("Robust", robust_r);
       ];
     (* the fault-blind strategies never look at the failure state *)
     List.iter
@@ -408,10 +410,9 @@ let pp_summary ppf s =
     s.plans s.outage_plans s.slowdown_plans s.runs
     (List.length s.violations);
   Format.fprintf ppf
-    "effort: solves=%d pivots=%d warm_remapped=%d retries=%d \
-     backoff_time=%a@."
+    "effort: solves=%d pivots=%d retries=%d backoff_time=%a@."
     s.effort.Lp.Stats.solves s.effort.Lp.Stats.pivots
-    s.effort.Lp.Stats.warm_remapped s.effort.Lp.Stats.retries R.pp
+    s.effort.Lp.Stats.retries R.pp
     s.effort.Lp.Stats.backoff_time;
   List.iter
     (fun v -> Format.fprintf ppf "VIOLATION %s: %s@." v.v_plan v.v_what)

@@ -24,14 +24,15 @@
       slowdown-only plans additionally every strategy within
       {!Dynamic_sched.oracle_throughput_bound};
     - per-phase accounting: one entry per phase, summing to the total;
-    - warm-vs-cold certification: warm and cold Robust runs may pick
-      different optimal LP vertices, so each gets the whole battery;
-      the per-epoch throughput bounds and the Static outcome are
-      bit-identical under [~reuse:true] and [~reuse:false] — reuse is
-      an accelerator, never a result changer;
+    - reuse-vs-cold certification: every LP solve is cold and reuse
+      is memoisation only, so the Robust and Static outcomes and the
+      per-epoch throughput bounds must be bit-identical under
+      [~reuse:true] and [~reuse:false] — reuse is an accelerator,
+      never a result changer; both Robust runs also get the whole
+      battery;
     - loss accounting sums: [timed_out + cancelled = retries + lost]
       and the fault-blind strategies report {!Dynamic_sched.no_losses};
-    - crash recovery: per plan, a checkpointed warm Robust run is
+    - crash recovery: per plan, a checkpointed reuse Robust run is
       killed at a seeded epoch ({!Dynamic_sched.Checkpoint.Halted}
       injection, cadence 1), {!Dynamic_sched.resume} picks the run up
       from the on-disk record, and the stitched outcome must be
@@ -64,10 +65,9 @@ type summary = {
       (** outage-free plans (all four strategies run on these) *)
   violations : violation list;  (** empty iff the campaign is green *)
   effort : Lp.Stats.t;
-      (** solver/repair/retry counters accumulated over the warm runs —
+      (** solver/repair/retry counters accumulated over the reuse runs —
           the campaign doubles as a soak test for the reuse machinery
-          ([warm_remapped], [retries], [backoff_time] all get
-          exercised) *)
+          ([retries] and [backoff_time] both get exercised) *)
 }
 
 val shapes : string list

@@ -215,16 +215,15 @@ let standard_form m =
   let a, b, c, _, _, _ = translate m in
   (a, b, c)
 
-(* --- warm starts and the solve cache --- *)
+(* --- the solve cache --- *)
 
 (* Structural signature of a model: variable names and bound *shapes*
    (which decide the column map and the extra upper-bound rows) plus
    constraint names and relations (which decide row order and slack
    columns).  Two models with equal signatures translate to standard
    forms with identical dimensions and identical column/row meanings —
-   only the coefficient *values* may differ — which is exactly the
-   condition under which a basis (a set of column indices) can be
-   re-interpreted against the new instance. *)
+   only the coefficient *values* may differ.  It prefixes the cache key
+   ({!cache_key}), whose remainder is indexed by variable number. *)
 let signature m =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int m.nvars);
@@ -244,295 +243,12 @@ let signature m =
     (List.rev m.cons);
   Buffer.contents buf
 
-(* Structural layout of a model's standard form, carried alongside the
-   basis so a basis can be re-interpreted against a *different* model by
-   name: which variables exist (and whether they are shifted or split),
-   and which rows exist (and whether they carry a slack column).  The
-   signature string is kept as the fast equality key; the layout is only
-   consulted on a signature mismatch. *)
-type layout = {
-  lvars : (string * bool * bool) array;
-      (* name, has finite lb (shifted: one column), has ub (extra row) *)
-  lcons : (string * relation) array;
-}
-
-type basis = { bsig : string; bcols : int array; blayout : layout }
-
-let basis_size bs = Array.length bs.bcols
-
-let layout_of_model m =
-  {
-    lvars =
-      Array.map (fun vi -> (vi.name, vi.lb <> None, vi.ub <> None))
-        (var_array m);
-    lcons = Array.of_list (List.rev_map (fun c -> (c.cname, c.rel)) m.cons);
-  }
-
-(* Meaning of every standard-form column of a layout, in column order:
-   structural columns first (one per shifted variable, two per split
-   variable), then slack columns in row order (model constraints, then
-   ub rows).  Meanings are (tag, name) pairs — tag 0 = main/plus column
-   of a variable, 1 = minus column of a split variable, 2 = slack of a
-   named constraint row, 3 = slack of a variable's ub row — and are
-   unique, which is what makes cross-model remapping by meaning
-   well-defined. *)
-let column_meanings lay =
-  let ms = ref [] in
-  Array.iter
-    (fun (name, has_lb, _) ->
-      if has_lb then ms := (0, name) :: !ms
-      else ms := (1, name) :: (0, name) :: !ms)
-    lay.lvars;
-  Array.iter
-    (fun (name, rel) ->
-      match rel with Eq -> () | Le | Ge -> ms := (2, name) :: !ms)
-    lay.lcons;
-  Array.iter
-    (fun (name, _, has_ub) -> if has_ub then ms := (3, name) :: !ms)
-    lay.lvars;
-  Array.of_list (List.rev !ms)
-
-let layout_rows lay =
-  Array.length lay.lcons
-  + Array.fold_left (fun a (_, _, u) -> if u then a + 1 else a) 0 lay.lvars
-
-(* Re-interpret a basis exported from one model against another whose
-   signature differs — the cross-restriction warm transfer: epoch k's
-   surviving subplatform and epoch k+1's produce LPs over overlapping
-   variable/constraint *names* but different index spaces.  Every old
-   basic column is translated by meaning (variable or slack, by name)
-   into the new standard form; columns whose resource vanished are
-   dropped, and the basis is padded back to a full row count with unused
-   slack columns first (they keep the trial basis close to triangular),
-   then any unused structural column.  The result is only a *candidate*:
-   the kernel validates every import and falls back to a cold solve on a
-   singular or primal infeasible basis, so remapping can never change
-   an answer.  [None] when fewer than half the new rows found a match —
-   importing mostly-padding loses to a cold start. *)
-let remap_basis bs m =
-  let nlay = layout_of_model m in
-  let nmean = column_meanings nlay in
-  let omean = column_meanings bs.blayout in
-  let nrows = layout_rows nlay in
-  let ncols = Array.length nmean in
-  if nrows = 0 || nrows > ncols then None
-  else begin
-    let index = Hashtbl.create (2 * ncols) in
-    Array.iteri (fun j key -> Hashtbl.replace index key j) nmean;
-    let in_basis = Array.make ncols false in
-    let mapped = ref [] in
-    let matched = ref 0 in
-    Array.iter
-      (fun oc ->
-        if oc >= 0 && oc < Array.length omean then
-          match Hashtbl.find_opt index omean.(oc) with
-          | Some j when (not in_basis.(j)) && !matched < nrows ->
-            in_basis.(j) <- true;
-            mapped := j :: !mapped;
-            incr matched
-          | _ -> ())
-      bs.bcols;
-    if 2 * !matched < nrows then None
-    else begin
-      let out = Array.make nrows 0 in
-      let k = ref 0 in
-      List.iter
-        (fun j ->
-          out.(!k) <- j;
-          incr k)
-        (List.rev !mapped);
-      let fill pred =
-        Array.iteri
-          (fun j key ->
-            if !k < nrows && (not in_basis.(j)) && pred key then begin
-              in_basis.(j) <- true;
-              out.(!k) <- j;
-              incr k
-            end)
-          nmean
-      in
-      fill (fun (tag, _) -> tag = 2 || tag = 3);
-      fill (fun _ -> true);
-      if !k < nrows then None
-      else Some { bsig = signature m; bcols = out; blayout = nlay }
-    end
-  end
-
-(* --- basis (de)serialisation ---
-
-   Unlike the cache-record basis (which stores only the column indices
-   and rebuilds the layout from the model at decode time), this is a
-   *self-contained* dump: signature, columns and full layout, so a basis
-   can be persisted across processes and re-imported against whatever
-   model the restarted process builds — equal signature imports
-   directly, anything else goes through {!remap_basis}.  Names are
-   length-prefixed, so arbitrary bytes round-trip. *)
-
-let basis_format = "lpbasis 1"
-
-let export_basis bs =
-  let buf = Buffer.create 512 in
-  let int i =
-    Buffer.add_string buf (string_of_int i);
-    Buffer.add_char buf '\n'
-  in
-  let str s =
-    int (String.length s);
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  Buffer.add_string buf basis_format;
-  Buffer.add_char buf '\n';
-  str bs.bsig;
-  int (Array.length bs.bcols);
-  Array.iter int bs.bcols;
-  int (Array.length bs.blayout.lvars);
-  Array.iter
-    (fun (name, has_lb, has_ub) ->
-      Buffer.add_char buf (if has_lb then 's' else 'f');
-      Buffer.add_char buf (if has_ub then 'u' else '-');
-      Buffer.add_char buf '\n';
-      str name)
-    bs.blayout.lvars;
-  int (Array.length bs.blayout.lcons);
-  Array.iter
-    (fun (name, rel) ->
-      Buffer.add_char buf (match rel with Le -> 'L' | Ge -> 'G' | Eq -> 'E');
-      Buffer.add_char buf '\n';
-      str name)
-    bs.blayout.lcons;
-  Buffer.contents buf
-
-(* [None] on any malformation — truncation, bad counts, trailing bytes.
-   An imported basis is a candidate only: the kernel validates it and
-   falls back to a cold solve, so bad bytes cost time, never answers. *)
-let import_basis raw =
-  let len = String.length raw in
-  let pos = ref 0 in
-  let fail () = raise Exit in
-  let line () =
-    match String.index_from_opt raw !pos '\n' with
-    | None -> fail ()
-    | Some nl ->
-      let l = String.sub raw !pos (nl - !pos) in
-      pos := nl + 1;
-      l
-  in
-  let int () =
-    match int_of_string_opt (line ()) with Some i -> i | None -> fail ()
-  in
-  let str () =
-    let k = int () in
-    (* [k > len - !pos - 1], not [!pos + k >= len]: a length field near
-       [max_int] must not overflow past the bound *)
-    if k < 0 || k > len - !pos - 1 then fail ();
-    let v = String.sub raw !pos k in
-    if raw.[!pos + k] <> '\n' then fail ();
-    pos := !pos + k + 1;
-    v
-  in
-  try
-    if not (String.equal (line ()) basis_format) then fail ();
-    let bsig = str () in
-    let nc = int () in
-    if nc < 0 || nc > 1_000_000 then fail ();
-    let bcols = Array.make nc 0 in
-    for i = 0 to nc - 1 do
-      bcols.(i) <- int ()
-    done;
-    let nv = int () in
-    if nv < 0 || nv > 1_000_000 then fail ();
-    let lvars = Array.make nv ("", false, false) in
-    for i = 0 to nv - 1 do
-      let flags = line () in
-      if String.length flags <> 2 then fail ();
-      let has_lb =
-        match flags.[0] with 's' -> true | 'f' -> false | _ -> fail ()
-      in
-      let has_ub =
-        match flags.[1] with 'u' -> true | '-' -> false | _ -> fail ()
-      in
-      lvars.(i) <- (str (), has_lb, has_ub)
-    done;
-    let nk = int () in
-    if nk < 0 || nk > 1_000_000 then fail ();
-    let lcons = Array.make nk ("", Le) in
-    for i = 0 to nk - 1 do
-      let rel =
-        match line () with
-        | "L" -> Le
-        | "G" -> Ge
-        | "E" -> Eq
-        | _ -> fail ()
-      in
-      lcons.(i) <- (str (), rel)
-    done;
-    if !pos <> len then fail ();
-    Some { bsig; bcols; blayout = { lvars; lcons } }
-  with Exit -> None
-
-module Warm = struct
-  type t = {
-    mutable basis : basis option;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () = { basis = None; hits = 0; misses = 0 }
-  let clear t = t.basis <- None
-  let basis t = t.basis
-  let restore t bs = t.basis <- Some bs
-  let hits t = t.hits
-  let misses t = t.misses
-
-  (* Domain-local slot family: each {!Par.Pool} worker domain lazily
-     gets (and keeps, across tasks) its own slot, so parallel sweeps
-     warm-start without locking and without one-throwaway-slot-per-task.
-     The registry only exists for aggregate counters and [clear]. *)
-  module Family = struct
-    type slot = t
-
-    type t = {
-      key : slot Domain.DLS.key;
-      mu : Mutex.t;
-      registry : slot list ref;
-    }
-
-    let create () =
-      let mu = Mutex.create () in
-      let registry = ref [] in
-      let key =
-        Domain.DLS.new_key (fun () ->
-            let s = { basis = None; hits = 0; misses = 0 } in
-            Mutex.lock mu;
-            registry := s :: !registry;
-            Mutex.unlock mu;
-            s)
-      in
-      { key; mu; registry }
-
-    let slot f = Domain.DLS.get f.key
-
-    let slots f =
-      Mutex.lock f.mu;
-      let l = !(f.registry) in
-      Mutex.unlock f.mu;
-      l
-
-    let domains f = List.length (slots f)
-    let hits f = List.fold_left (fun a s -> a + s.hits) 0 (slots f)
-    let misses f = List.fold_left (fun a s -> a + s.misses) 0 (slots f)
-    let clear f = List.iter (fun s -> s.basis <- None) (slots f)
-  end
-end
-
 module Cache = struct
   module Disk = Solve_store
 
   type entry = {
     e_key : string; (* full canonical dump: the collision guard *)
     e_res : result;
-    e_basis : basis option;
     mutable e_tick : int; (* last-use stamp, for LRU eviction *)
   }
 
@@ -590,8 +306,10 @@ module Cache = struct
     Hashtbl.replace t.tbl key e;
     use t e
 
-  (* Same shape as {!Warm.Family}: a per-domain cache, created lazily
-     the first time a worker domain touches the family.  Family caches
+  (* Domain-local cache family: each {!Par.Pool} worker domain lazily
+     gets (and keeps, across tasks) its own cache, so parallel sweeps
+     reuse solves without locking; the registry only exists for
+     aggregate counters and [clear].  Family caches
      are memory-only: a [Disk.t] handle is not safe to share across
      domains (per-handle counters and tempfile sequencing are
      unsynchronised), so the disk tier belongs to single-domain
@@ -709,17 +427,18 @@ let row_names m =
    round-trip exactly through [R.to_string]/[R.of_string] (canonical
    form), so a record read back is bit-identical to the result that was
    stored — the property the corruption harness asserts end to end.
-   Dual names and the basis signature are NOT stored: key equality
-   already implies an identical model, so they are rebuilt from the
-   model at decode time, keeping records small.  The format tag also
-   names the kernel behaviour: when a change makes a re-solve return a
-   different optimal vertex (version 2: the crash-basis cold start), the
-   tag moves, so records of the old kernel are quarantined and re-solved
-   rather than served as a hit that differs from a re-solve. *)
+   Dual names are NOT stored: key equality already implies an identical
+   model, so they are rebuilt from the model at decode time, keeping
+   records small.  The format tag also names the kernel behaviour: when
+   a change makes a re-solve return a different optimal vertex (version
+   2: the crash-basis cold start), the tag moves, so records of the old
+   kernel are quarantined and re-solved rather than served as a hit that
+   differs from a re-solve.  Version 3 drops the warm-start basis line
+   that versions 1 and 2 carried after the duals. *)
 
-let value_format = "lpres 2"
+let value_format = "lpres 3"
 
-let encode_entry ~n (res : result) (basis : basis option) =
+let encode_entry ~n (res : result) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf value_format;
   Buffer.add_char buf '\n';
@@ -743,21 +462,11 @@ let encode_entry ~n (res : result) (basis : basis option) =
         Buffer.add_string buf (R.to_string y);
         Buffer.add_char buf '\n')
       sol.duals);
-  (match basis with
-  | None -> Buffer.add_string buf "B-\n"
-  | Some bs ->
-    Buffer.add_string buf (Printf.sprintf "B %d\n" (Array.length bs.bcols));
-    Array.iter
-      (fun c ->
-        Buffer.add_string buf (string_of_int c);
-        Buffer.add_char buf '\n')
-      bs.bcols);
   Buffer.contents buf
 
-(* [None] on *any* malformed value — the caller quarantines the record
-   and re-solves cold.  A decoded basis is only ever handed to the warm
-   slot, whose import path validates it against the kernel anyway. *)
-let decode_entry ~sg m value =
+(* [None] on *any* malformed value, trailing lines included — the caller
+   quarantines the record and re-solves cold. *)
+let decode_entry m value =
   match String.split_on_char '\n' value with
   | fmt :: rest when String.equal fmt value_format -> (
     try
@@ -794,22 +503,8 @@ let decode_entry ~sg m value =
           Optimal { objective; values = (fun v -> values.(v)); duals }
         | _ -> raise Exit
       in
-      let basis =
-        match line () with
-        | "B-" -> None
-        | bl when String.length bl > 2 && bl.[0] = 'B' && bl.[1] = ' ' -> (
-          match int_of_string_opt (String.sub bl 2 (String.length bl - 2)) with
-          | None -> raise Exit
-          | Some k ->
-            if k < 0 || k > 1_000_000 then raise Exit;
-            let bcols = Array.make k 0 in
-            for i = 0 to k - 1 do
-              bcols.(i) <- int ()
-            done;
-            Some { bsig = sg; bcols; blayout = layout_of_model m })
-        | _ -> raise Exit
-      in
-      Some (res, basis)
+      if !next <> [ "" ] then raise Exit;
+      Some res
     with Exit | Invalid_argument _ | Division_by_zero | Failure _ -> None)
   | _ -> None
 
@@ -817,8 +512,9 @@ let decode_entry ~sg m value =
    hits contribute nothing — no kernel ran).  Pivot counts are
    deterministic (exact arithmetic, deterministic rules), so the bench
    can attribute a speedup to fewer pivots vs cheaper pivots.
-   [refactors] is always 0: the tableau kernel never refactorises; the
-   field stays so trace consumers keep their schema. *)
+   [refactors] and [warm_remapped] are always 0: the tableau kernel never
+   refactorises and every solve is cold; the fields stay so trace
+   consumers keep their schema. *)
 module Stats = struct
   type t = {
     mutable solves : int;
@@ -871,16 +567,13 @@ module Stats = struct
     t.backoff_time <- R.add t.backoff_time backoff
 end
 
-let solve ?warm ?cache ?stats m =
+let solve ?cache ?stats m =
   let n = num_vars m in
-  let sg =
-    if warm <> None || cache <> None then signature m else ""
-  in
   let cached =
     match cache with
     | None -> None
     | Some cc ->
-      let key = cache_key sg m in
+      let key = cache_key (signature m) m in
       (* the table is keyed by a fixed-width digest of the canonical
          dump, so the hashtable never hashes (or compares, on the
          bucket walk) the full dump — lookup cost is independent of
@@ -901,13 +594,10 @@ let solve ?warm ?cache ?stats m =
             match Solve_store.find d key with
             | None -> None
             | Some value -> (
-              match decode_entry ~sg m value with
-              | Some (res, basis) ->
+              match decode_entry m value with
+              | Some res ->
                 cc.Cache.disk_hits <- cc.Cache.disk_hits + 1;
-                let e =
-                  { Cache.e_key = key; e_res = res; e_basis = basis;
-                    e_tick = 0 }
-                in
+                let e = { Cache.e_key = key; e_res = res; e_tick = 0 } in
                 Cache.insert cc hkey e;
                 Some e
               | None ->
@@ -921,50 +611,19 @@ let solve ?warm ?cache ?stats m =
   match cached with
   | Some (cc, _, _, Some entry) ->
     cc.Cache.hits <- cc.Cache.hits + 1;
-    (* a hit also refreshes the warm slot, so a later near-identical
-       solve that misses the cache can still warm-start *)
-    (match (warm, entry.Cache.e_basis) with
-    | Some w, Some bs -> w.Warm.basis <- Some bs
-    | _ -> ());
     entry.Cache.e_res
   | _ ->
     (match cached with
     | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
     | _ -> ());
     let a, b, c, cmap, obj_const, flip = translate m in
-    (* import a deposited basis: directly on a signature match, through
-       the name-based remap on a mismatch (cross-restriction reuse) *)
-    let import, via_remap =
-      match warm with
-      | Some { Warm.basis = Some bs; _ } ->
-        if String.equal bs.bsig sg then (Some bs.bcols, false)
-        else begin
-          match remap_basis bs m with
-          | Some rb -> (Some rb.bcols, true)
-          | None -> (None, false)
-        end
-      | _ -> (None, false)
-    in
-    let res, exported =
-      match Simplex.minimize ?basis:import ~a ~b ~c () with
-      | Simplex.Infeasible -> (Infeasible, None)
-      | Simplex.Unbounded -> (Unbounded, None)
-      | Simplex.Optimal
-          { values; objective; duals = std_duals; basis = std_basis;
-            warm = warm_used; pivots } ->
+    let res =
+      match Simplex.minimize ~a ~b ~c () with
+      | Simplex.Infeasible -> Infeasible
+      | Simplex.Unbounded -> Unbounded
+      | Simplex.Optimal { values; objective; duals = std_duals; pivots } ->
         (match stats with
         | Some s -> Stats.add s ~pivots
-        | None -> ());
-        (match warm with
-        | Some w ->
-          if warm_used then begin
-            w.Warm.hits <- w.Warm.hits + 1;
-            if via_remap then
-              match stats with
-              | Some s -> s.Stats.warm_remapped <- s.Stats.warm_remapped + 1
-              | None -> ()
-          end
-          else w.Warm.misses <- w.Warm.misses + 1
         | None -> ());
         let value v =
           match cmap.(v) with
@@ -990,20 +649,15 @@ let solve ?warm ?cache ?stats m =
               (name, if flip then R.neg y else y))
             (row_names m)
         in
-        ( Optimal { objective; values = (fun v -> varcache.(v)); duals },
-          Some { bsig = sg; bcols = std_basis; blayout = layout_of_model m }
-        )
+        Optimal { objective; values = (fun v -> varcache.(v)); duals }
     in
-    (match warm, exported with
-    | Some w, Some bs -> w.Warm.basis <- Some bs
-    | _ -> ());
     (match cached with
     | Some (cc, key, hkey, None) ->
       Cache.insert cc hkey
-        { Cache.e_key = key; e_res = res; e_basis = exported; e_tick = 0 };
+        { Cache.e_key = key; e_res = res; e_tick = 0 };
       (match cc.Cache.disk with
       | None -> ()
-      | Some d -> Solve_store.add d key (encode_entry ~n res exported))
+      | Some d -> Solve_store.add d key (encode_entry ~n res))
     | _ -> ());
     res
 
@@ -1628,11 +1282,11 @@ module Reduce = struct
       rc.elims;
     vals
 
-  let solve ?warm ?cache ?stats t =
+  let solve ?cache ?stats t =
     match t with
     | Decided d -> d.res
     | Reduced rc -> (
-      match solve ?warm ?cache ?stats rc.core with
+      match solve ?cache ?stats rc.core with
       | Infeasible -> Infeasible
       | Unbounded -> Unbounded
       | Optimal sol ->

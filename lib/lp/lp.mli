@@ -92,105 +92,6 @@ val constraints : model -> (string * relation * Rat.t) list
 val var_bounds : model -> (string * Rat.t option * Rat.t option) list
 (** Variable names with their (lb, ub), in declaration order. *)
 
-type basis
-(** An optimal basis exported by {!solve}, tied to the model's
-    structural signature: its variable names and bound shapes, and its
-    constraint names and relations.  A basis is re-usable against any
-    model with the same signature — i.e. the same standard-form layout —
-    even when coefficient values differ (scaled platform weights); a
-    signature mismatch makes the import a silent no-op — unless the
-    name-based remap of {!remap_basis} can translate it. *)
-
-val basis_size : basis -> int
-(** Number of rows (basic columns) the basis carries. *)
-
-val remap_basis : basis -> model -> basis option
-(** [remap_basis bs m] re-interprets a basis exported from a model with
-    a {e different} signature against [m], by name: each old basic
-    column (a variable's column or a row's slack) is translated to the
-    column playing the same role in [m]'s standard form; columns whose
-    variable or constraint does not exist in [m] are dropped, and the
-    basis is padded back to a full row count with unused slack columns.
-    This is the cross-restriction warm transfer — LPs built on two
-    different surviving subplatforms share most variable and constraint
-    names even though every index differs.  [None] when fewer than half
-    of [m]'s rows found a match.  The result is a candidate only:
-    {!solve} hands it to the kernel, which validates any import and
-    falls back to a cold solve, so a remap can never change an answer.
-    {!solve} applies this automatically when a warm slot's basis has a
-    stale signature; accepted remapped imports are counted in
-    [Stats.warm_remapped]. *)
-
-val export_basis : basis -> string
-(** Self-contained textual dump of a basis — signature, basic columns
-    and the full standard-form layout — for persisting warm state
-    across processes (checkpoint records).  Round-trips exactly through
-    {!import_basis}. *)
-
-val import_basis : string -> basis option
-(** Parse a basis previously written by {!export_basis}; [None] on any
-    malformation (truncation, version skew, trailing bytes).  The
-    result is a candidate only: hand it to a warm slot via
-    {!Warm.restore} and the kernel validates the import on the next
-    {!solve}, falling back to a cold solve — bad bytes can cost time,
-    never change an answer. *)
-
-module Warm : sig
-  (** A mutable warm-start slot.  Pass the same slot to successive
-      {!solve} calls on structurally identical models: each optimal
-      solve deposits its basis, and the next solve imports it — skipping
-      phase 1 when the basis is still primal feasible and falling back
-      to a cold two-phase solve otherwise.  Results are exact in all
-      cases; only the pivot counts change.
-
-      Not thread-safe: use one slot per domain/task. *)
-
-  type t
-
-  val create : unit -> t
-  val clear : t -> unit
-  val basis : t -> basis option
-  (** Basis deposited by the last optimal solve, if any. *)
-
-  val restore : t -> basis -> unit
-  (** Seed the slot with a basis (e.g. one re-imported from a
-      checkpoint via {!import_basis}) as if the last solve had
-      deposited it; the next {!solve} imports it through the usual
-      direct-or-remap path. *)
-
-  val hits : t -> int
-  (** Optimal solves that ran warm (imported basis accepted, no cold
-      fallback). *)
-
-  val misses : t -> int
-  (** Optimal solves that ran cold while this slot was supplied (empty
-      slot, stale signature, or kernel fallback). *)
-
-  (** A family of warm slots, one per domain, for use from {!Par.Pool}
-      workers: [slot family] returns the calling domain's own slot,
-      creating it on first touch and keeping it across tasks, so a
-      parallel sweep warm-starts within each worker without locking on
-      the solve path and without allocating a throwaway slot per task.
-      The aggregate counters fold over every slot the family has
-      created. *)
-  module Family : sig
-    type slot := t
-    type t
-
-    val create : unit -> t
-
-    val slot : t -> slot
-    (** The calling domain's slot (created on first use). *)
-
-    val domains : t -> int
-    (** Number of distinct domains that have touched the family. *)
-
-    val hits : t -> int
-    val misses : t -> int
-    val clear : t -> unit
-  end
-end
-
 module Cache : sig
   (** Exact memo of solved instances.  The key is the structural
       signature plus every standard-form coefficient (exact decimal
@@ -241,9 +142,11 @@ module Cache : sig
   val disk : t -> Disk.t option
   val length : t -> int
 
-  (** Domain-local cache family, mirroring {!Warm.Family}: each
-      {!Par.Pool} worker domain gets its own cache on first touch and
-      keeps it across tasks. *)
+  (** Domain-local cache family: each {!Par.Pool} worker domain gets
+      its own cache on first touch and keeps it across tasks, so a
+      parallel sweep reuses solves within each worker without locking
+      on the solve path.  The aggregate counters fold over every cache
+      the family has created. *)
   module Family : sig
     type cache := t
     type t
@@ -296,9 +199,9 @@ module Stats : sig
         (** pipeline-delay vectors served from a warm slot against a
             bit-identical flow instead of recomputed by longest path *)
     mutable warm_remapped : int;
-        (** warm solves whose imported basis came from {!remap_basis}
-            (stale signature translated by name) and was accepted by
-            the kernel *)
+        (** always [0]: every {!solve} is cold, so no basis is ever
+            imported or remapped; kept so counter consumers keep their
+            schema *)
     mutable repairs_budget_exceeded : int;
         (** incremental repairs abandoned because the perturbation
             exceeded the caller's [?budget] — the certified cold path
@@ -337,20 +240,16 @@ module Stats : sig
 end
 
 val solve :
-  ?warm:Warm.t ->
   ?cache:Cache.t ->
   ?stats:Stats.t ->
   model ->
   result
 (** [solve m] translates the model to standard form and runs the exact
     {!Simplex} kernel (Dantzig pricing with its stall-to-Bland
-    fallback).  [?warm] threads an optimal basis between
-    structurally identical solves; [?cache] short-circuits exactly
-    repeated instances.  Both are pure accelerators: for any
-    combination of [?warm]/[?cache] the returned objective value is
-    bit-identical to a cold [solve m] (warm-started solves may sit at a
-    different optimal vertex of the same face, which every certified
-    feasibility check still accepts).
+    fallback) from its crash-basis cold start.  Every solve is cold, so
+    the answer — vertex, objective and duals — is a pure function of
+    the model.  [?cache] short-circuits exactly repeated instances and
+    is a pure accelerator: a hit is bit-identical to re-solving.
 
     [?stats] accumulates exact pivot counts for every optimal kernel
     solve (cache hits add nothing). *)
@@ -406,7 +305,6 @@ module Reduce : sig
       outright (every variable fixed, or infeasibility detected). *)
 
   val solve :
-    ?warm:Warm.t ->
     ?cache:Cache.t ->
     ?stats:Stats.t ->
     t ->

@@ -28,8 +28,6 @@ type outcome =
       objective : R.t;
       duals : R.t array;
       pivots : int;
-      basis : int array;
-      warm : bool;
     }
   | Infeasible
   | Unbounded
@@ -260,7 +258,7 @@ let duals_of t ~b ~c =
 
 (* Phase 2 from a primal feasible, artificial-free tableau: re-price with
    the true costs, artificial columns barred from entering. *)
-let phase2 rule t ~b ~c ~warm =
+let phase2 rule t ~b ~c =
   let n = t.n_struct in
   let c2 = Array.make t.n_total R.zero in
   Array.blit c 0 c2 0 n;
@@ -275,8 +273,6 @@ let phase2 rule t ~b ~c ~warm =
         objective = R.neg t.obj;
         duals = duals_of t ~b ~c;
         pivots = t.pivots;
-        basis = Array.copy t.basis;
-        warm;
       }
   | exception Unbounded_exc -> Unbounded
 
@@ -287,45 +283,6 @@ let negate_row t i =
     if not (R.is_zero v) then row.(k) <- R.neg v
   done;
   t.rhs.(i) <- R.neg t.rhs.(i)
-
-exception Warm_failed
-
-(* Warm start: rebuild the tableau directly in the supplied structural
-   basis, starting from the crash tableau.  A basic column that already
-   is its row's starting unit column stays where it is, for free; every
-   other one is Gauss-Jordan pivoted into some unplaced row with a
-   nonzero entry (a row is negated first when that entry is negative,
-   since [pivot] requires a positive pivot element).  If the basis is
-   singular against the new matrix, or the resulting vertex is primal
-   infeasible, the warm attempt raises [Warm_failed] and the caller
-   falls back to the cold solve — so a stale basis costs one failed
-   elimination, not correctness. *)
-let warm_solve rule ~a ~b ~c ~m ~n bas =
-  let t = crash_tableau ~a ~b ~m ~n in
-  let wanted = Array.make n false in
-  Array.iter (fun q -> wanted.(q) <- true) bas;
-  (* rows whose starting column is already wanted keep it *)
-  let placed = Array.map (fun q -> q < n && wanted.(q)) t.basis in
-  let basic = Array.make n false in
-  Array.iter (fun q -> if q < n then basic.(q) <- true) t.basis;
-  Array.iter
-    (fun q ->
-      if not basic.(q) then begin
-        let rec find p =
-          if p >= m then raise Warm_failed
-          else if (not placed.(p)) && not (R.is_zero t.rows.(p).(q)) then p
-          else find (p + 1)
-        in
-        let p = find 0 in
-        if R.sign t.rows.(p).(q) < 0 then negate_row t p;
-        pivot t p q;
-        placed.(p) <- true
-      end)
-    bas;
-  for i = 0 to m - 1 do
-    if R.sign t.rhs.(i) < 0 then raise Warm_failed
-  done;
-  phase2 rule t ~b ~c ~warm:true
 
 let cold_solve rule ~a ~b ~c ~m ~n =
   let t = crash_tableau ~a ~b ~m ~n in
@@ -377,10 +334,10 @@ let cold_solve rule ~a ~b ~c ~m ~n =
       t.rhs <- filter t.rhs;
       t.basis <- filter t.basis
     end;
-    phase2 rule t ~b ~c ~warm:false
+    phase2 rule t ~b ~c
   end
 
-let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
+let minimize ?(rule = Dantzig) ~a ~b ~c () =
   let m = Array.length a in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Simplex.minimize: |b| <> rows";
@@ -389,20 +346,4 @@ let minimize ?(rule = Dantzig) ?basis ~a ~b ~c () =
       if Array.length row <> n then
         invalid_arg "Simplex.minimize: ragged matrix")
     a;
-  (* a usable import must pick one distinct structural column per row;
-     anything else (row count changed, artificial or repeated columns)
-     is stale and goes straight to the cold path *)
-  let basis_ok bas =
-    Array.length bas = m
-    && Array.for_all (fun q -> q >= 0 && q < n) bas
-    &&
-    let seen = Array.make (max n 1) false in
-    Array.for_all
-      (fun q -> if seen.(q) then false else (seen.(q) <- true; true))
-      bas
-  in
-  match basis with
-  | Some bas when basis_ok bas -> (
-    try warm_solve rule ~a ~b ~c ~m ~n bas
-    with Warm_failed -> cold_solve rule ~a ~b ~c ~m ~n)
-  | _ -> cold_solve rule ~a ~b ~c ~m ~n
+  cold_solve rule ~a ~b ~c ~m ~n

@@ -35,24 +35,14 @@ type outcome =
               during phase 1 still get their (zero-contributing) dual
               entry. *)
       pivots : int;
-          (** simplex pivots performed; placing the crash basis, and a
-              warm basis column that is already its row's crash
-              column, cost none *)
-      basis : int array;
-          (** basic standard-form column of each remaining tableau row —
-              the seed for a later warm start.  Artificial-free: phase 1
-              drives artificials out and drops redundant rows, so every
-              entry indexes a column of [a]. *)
-      warm : bool;
-          (** [true] iff the supplied [?basis] was accepted and the solve
-              skipped phase 1 (no cold fallback happened). *)
+          (** simplex pivots performed; placing the crash basis costs
+              none *)
     }  (** [values] has one entry per column of [a]. *)
   | Infeasible
   | Unbounded
 
 val minimize :
   ?rule:pivot_rule ->
-  ?basis:int array ->
   a:Rat.t array array ->
   b:Rat.t array ->
   c:Rat.t array ->
@@ -62,14 +52,4 @@ val minimize :
     array of [m] rows, each of length [n]; [b] has length [m]; [c] has
     length [n].  Rows with negative [b] are negated internally (they are
     equalities).  Inputs are not mutated.
-
-    [?basis] warm-starts the solve from a previously returned basis: the
-    crash tableau is rebuilt in that basis by at most [m] Gauss-Jordan
-    pivots (none for a basic column that is already its row's crash
-    column) and, when
-    the resulting vertex is feasible, phase 1 is skipped entirely.  Any
-    stale basis — wrong length, repeated or out-of-range columns, singular
-    against the new matrix, or primal infeasible — silently falls back to
-    the cold two-phase solve, so the result is identical in all cases
-    except the [warm] flag and the pivot count.
     @raise Invalid_argument on dimension mismatch. *)

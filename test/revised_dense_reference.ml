@@ -1,8 +1,8 @@
 (* SEED SNAPSHOT — do not edit.  Verbatim copy of the seed's revised
    simplex kernel (git show <seed>:lib/lp/revised_simplex.ml; the library
    no longer ships a revised kernel), kept as the independent
-   second-opinion solver that test_kernels.ml, test_lp.ml and
-   test_warm.ml cross-check the tableau against. *)
+   second-opinion solver that test_kernels.ml and test_lp.ml
+   cross-check the tableau against. *)
 
 (* Revised simplex: the constraint matrix lives in immutable sparse
    columns; the working state is the explicit basis inverse [binv], the

@@ -45,7 +45,7 @@ let test_determinism () =
     b.Chaos.effort.Lp.Stats.retries
 
 let test_effort_exercised () =
-  (* the campaign is a soak test for the reuse machinery: the warm runs
+  (* the campaign is a soak test for the reuse machinery: the reuse runs
      must actually exercise the solver and the failure executor *)
   let s = Chaos.run_campaign ~smoke:true ~seed:42 () in
   let e = s.Chaos.effort in

@@ -115,17 +115,20 @@ let test_trace_order_irrelevant () =
     (Dy.run shuffled Dy.Oracle).Dy.completed
 
 let test_reuse_bit_identical () =
-  (* warm starts and the solve cache must not change any reported
-     number: same completed counts per phase, same bound *)
+  (* the solve cache (and Robust's restriction memo) must not change
+     any reported number: every solve is cold, so the whole outcome and
+     the bound are bit-identical *)
   let sc = scenario () in
   let cache = Lp.Cache.create () in
   List.iter
     (fun s ->
       let cold = Dy.run ~reuse:false sc s in
-      let warm = Dy.run ~cache sc s in
+      let reuse = Dy.run ~cache sc s in
       Alcotest.(check (list rat))
-        "per-phase tasks identical" cold.Dy.per_phase warm.Dy.per_phase)
-    [ Dy.Static; Dy.Reactive; Dy.Oracle ];
+        "per-phase tasks identical" cold.Dy.per_phase reuse.Dy.per_phase;
+      Alcotest.(check bool) "outcome identical" true
+        (Dy.outcomes_equal cold reuse))
+    [ Dy.Static; Dy.Reactive; Dy.Oracle; Dy.Robust ];
   Alcotest.check rat "bound identical"
     (Dy.oracle_throughput_bound ~reuse:false sc)
     (Dy.oracle_throughput_bound ~cache sc);

@@ -93,15 +93,13 @@ let test_experiments_pool_independent () =
       Alcotest.(check (list string))
         "same tables" (render seq) (render par))
 
-(* --- domain-local warm-slot and cache families --- *)
+(* --- domain-local cache families --- *)
 
 module R = Rat
 
 let rat = Alcotest.testable R.pp R.equal
 
-(* structurally identical platforms, coefficients scaled — the workload
-   a family exists for: every solve in a domain after its first can
-   import the previous basis *)
+(* structurally identical platforms, coefficients scaled *)
 let scaled_fig1 k =
   let p = Platform_gen.figure1 () in
   let mult = R.of_ints k 4 in
@@ -122,47 +120,6 @@ let scaled_fig1 k =
              Platform.edge_dst p e,
              R.div (Platform.edge_cost p e) mult ))
          (Platform.edges p))
-
-let test_warm_family_across_domains () =
-  let mults = List.init 16 (fun k -> k + 1) in
-  let cold =
-    List.map
-      (fun k -> (Master_slave.solve (scaled_fig1 k) ~master:0).Master_slave.ntask)
-      mults
-  in
-  List.iter
-    (fun domains ->
-      let fam = Lp.Warm.Family.create () in
-      Pool.with_pool ~domains (fun pool ->
-          let got =
-            Pool.map pool
-              (fun k ->
-                (Master_slave.solve ~warm:(Lp.Warm.Family.slot fam)
-                   (scaled_fig1 k) ~master:0)
-                  .Master_slave.ntask)
-              mults
-          in
-          Alcotest.(check (list rat))
-            (Printf.sprintf "domains=%d warm results = cold" domains)
-            cold got);
-      let d = Lp.Warm.Family.domains fam in
-      Alcotest.(check bool) "every worker got its own slot" true
-        (d >= 1 && d <= domains + 1);
-      Alcotest.(check int) "every solve accounted"
-        (List.length mults)
-        (Lp.Warm.Family.hits fam + Lp.Warm.Family.misses fam);
-      (* identical structure: only each domain's first solve runs cold *)
-      Alcotest.(check int) "one miss per touching domain" d
-        (Lp.Warm.Family.misses fam);
-      (* clear drops every domain's deposited basis (counters persist,
-         as for a single slot): the next solve runs cold again *)
-      let misses_before = Lp.Warm.Family.misses fam in
-      Lp.Warm.Family.clear fam;
-      ignore
-        (Master_slave.solve ~warm:(Lp.Warm.Family.slot fam) (scaled_fig1 1) ~master:0);
-      Alcotest.(check int) "clear forces a cold solve" (misses_before + 1)
-        (Lp.Warm.Family.misses fam))
-    [ 0; 3 ]
 
 let test_cache_family_across_domains () =
   (* the same instance solved repeatedly: each domain misses once, then
@@ -205,8 +162,6 @@ let suite =
         test_enumerate_trees_pool_independent;
       Alcotest.test_case "experiments pool-independent" `Slow
         test_experiments_pool_independent;
-      Alcotest.test_case "warm family across domains" `Quick
-        test_warm_family_across_domains;
       Alcotest.test_case "cache family across domains" `Quick
         test_cache_family_across_domains;
     ] )

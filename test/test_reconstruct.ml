@@ -240,9 +240,9 @@ let test_dynamic_reuse_equivalent () =
   List.iter
     (fun strat ->
       let cold = Dynamic_sched.run ~reuse:false sc strat in
-      let warm = Dynamic_sched.run ~reuse:true sc strat in
+      let reuse = Dynamic_sched.run ~reuse:true sc strat in
       Alcotest.check rat "completed equal" cold.Dynamic_sched.completed
-        warm.Dynamic_sched.completed)
+        reuse.Dynamic_sched.completed)
     [ Dynamic_sched.Static; Dynamic_sched.Reactive; Dynamic_sched.Oracle;
       Dynamic_sched.Robust ]
 

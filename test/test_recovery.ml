@@ -194,6 +194,74 @@ let test_damaged_records_cold_start () =
       ("version-skewed", fun b -> "steady-solve-store 999\n" ^ b);
     ]
 
+(* Split a committed store record into (key, value) by its envelope:
+   magic\n<len> <sum>\n<klen>\n<key><value>. *)
+let record_parts raw =
+  let nl1 = String.index raw '\n' in
+  let nl2 = String.index_from raw (nl1 + 1) '\n' in
+  let payload = String.sub raw (nl2 + 1) (String.length raw - nl2 - 1) in
+  let knl = String.index payload '\n' in
+  let klen = int_of_string (String.sub payload 0 knl) in
+  let key = String.sub payload (knl + 1) klen in
+  (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
+
+let test_previous_ckpt_format_cold_starts () =
+  (* a record in the previous checkpoint format ("steady-ckpt 1") ends
+     with a warm LP basis block this format no longer has; written inside
+     a valid envelope (length and checksum right), it must still be
+     quarantined, and the resume cold-starts with the identical answer *)
+  let sc = star_scenario () in
+  let uninterrupted = Dy.run sc Dy.Robust in
+  let dir = fresh_dir () in
+  let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+  halt_run ~checkpoint ~halt:3 sc;
+  let v2 = "steady-ckpt 2\n" in
+  let ckpts =
+    List.filter_map
+      (fun f ->
+        let path = Filename.concat dir f in
+        let ic = open_in_bin path in
+        let raw = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let key, value = record_parts raw in
+        if String.starts_with ~prefix:v2 value then
+          Some (path, key, value)
+        else None)
+      (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
+  in
+  let key =
+    match ckpts with
+    | [ (path, key, value) ] ->
+      let n = String.length v2 in
+      let body = String.sub value n (String.length value - n) in
+      let basis = "lpbasis 1\n0\n" in
+      let value' =
+        Printf.sprintf "steady-ckpt 1\n%sB\n%d\n%s\n" body
+          (String.length basis) basis
+      in
+      let payload = Printf.sprintf "%d\n%s%s" (String.length key) key value' in
+      let oc = open_out_bin path in
+      Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s"
+        (String.length payload) (Solve_store.checksum payload) payload;
+      close_out oc;
+      Alcotest.(check bool) "byte layer accepts the rewritten record" true
+        (Solve_store.find (Solve_store.open_store dir) key <> None);
+      key
+    | l -> Alcotest.failf "expected one checkpoint record, found %d" (List.length l)
+  in
+  let resumed, from = Dy.resume ~checkpoint sc in
+  Alcotest.(check (option int)) "previous format: cold start" None from;
+  Alcotest.(check bool) "answer unchanged" true
+    (Dy.outcomes_equal uninterrupted resumed);
+  Alcotest.(check bool) "previous-format record quarantined" true
+    (Sys.readdir (Filename.concat dir "quarantine") <> [||]);
+  (* the cold run re-checkpointed under the same key, in the new format *)
+  Alcotest.(check bool) "current-format record re-stored" true
+    (match Solve_store.find (Solve_store.open_store dir) key with
+    | Some v -> String.starts_with ~prefix:v2 v
+    | None -> false);
+  rm_rf dir
+
 let test_orphan_tmp_swept_on_resume () =
   (* a checkpoint writer killed mid-commit leaves a stale tempfile; the
      resume's open sweeps it without touching the committed record *)
@@ -280,8 +348,9 @@ let check_cyclic_support sc =
 
 let test_warm_robust_cyclic_tree () =
   (* the LP optimum on this tree carries flow both ways along a link; a
-     warm run must cancel that cycle exactly as a cold run does, so the
-     epoch's task flow stays conserved and decomposes into paths *)
+     reuse run must cancel that cycle exactly as a cold run does, so the
+     epoch's task flow stays conserved and decomposes into paths — and,
+     every solve being cold, the whole outcome is bit-identical *)
   let sc =
     cyclic_scenario
       ~weights:[ "11/2"; "19/2"; "7"; "6"; "3/2"; "13/2"; "9/2"; "2"; "15/2"; "1" ]
@@ -298,10 +367,10 @@ let test_warm_robust_cyclic_tree () =
   in
   check_cyclic_support sc;
   let cold = Dy.run ~reuse:false sc Dy.Robust in
-  let warm = Dy.run sc Dy.Robust in
+  let reuse = Dy.run sc Dy.Robust in
   Alcotest.check rat "cold completed" (ri 87) cold.Dy.completed;
-  Alcotest.check rat "warm completes as cold" cold.Dy.completed
-    warm.Dy.completed
+  Alcotest.(check bool) "reuse outcome equals cold" true
+    (Dy.outcomes_equal cold reuse)
 
 let test_resume_cyclic_graph () =
   (* kill-and-resume on a connected graph whose flow has cyclic support:
@@ -351,6 +420,8 @@ let suite =
         test_resume_empty_store_cold_starts;
       Alcotest.test_case "damaged records cold start" `Quick
         test_damaged_records_cold_start;
+      Alcotest.test_case "previous checkpoint format cold starts" `Quick
+        test_previous_ckpt_format_cold_starts;
       Alcotest.test_case "orphan tempfile swept on resume" `Quick
         test_orphan_tmp_swept_on_resume;
       Alcotest.test_case "argument validation" `Quick test_argument_validation;

@@ -111,21 +111,6 @@ let test_round_trip () =
   Alcotest.(check int) "second disk hit" 2 (Lp.Cache.disk_hits c2);
   rm_rf dir
 
-let test_warm_slot_refreshed_from_disk () =
-  let dir = fresh_dir () in
-  let c1 = Lp.Cache.create ~disk:(S.open_store dir) () in
-  check_fig1 "populate" ~cache:c1 ();
-  (* a disk hit must deposit the stored basis into the warm slot, like
-     a memory hit does *)
-  let warm = Lp.Warm.create () in
-  let c2 = Lp.Cache.create ~disk:(S.open_store dir) () in
-  let p = Platform_gen.figure1 () in
-  ignore (Master_slave.solve ~warm ~cache:c2 p ~master:0);
-  Alcotest.(check bool) "warm slot filled by the disk hit" true
-    (Lp.Warm.basis warm <> None);
-  Alcotest.(check int) "disk hit" 1 (Lp.Cache.disk_hits c2);
-  rm_rf dir
-
 (* --- corruption: truncations --- *)
 
 let test_truncations () =
@@ -251,19 +236,25 @@ let test_value_version_skew () =
   check_value_quarantined dir "future value encoding";
   rm_rf dir
 
-(* A record in the previous value format ("lpres 1") was written by a
-   kernel that started from another basis and may hold another optimal
-   vertex; a hit must be bit-identical to a re-solve, so it has to be
-   quarantined and re-solved, never served.  The stale record here also
-   carries a wrong objective, which a hit would expose. *)
+(* A record in the previous value format ("lpres 2") ends with the
+   warm-start basis line this format no longer has; it was written by a
+   kernel path that may hold another optimal vertex, and a hit must be
+   bit-identical to a re-solve, so it has to be quarantined and
+   re-solved, never served.  The stale record here also carries a wrong
+   objective, which a hit would expose. *)
 let test_value_format_previous () =
   let dir = fresh_dir () in
   let c = Lp.Cache.create ~disk:(S.open_store dir) () in
   check_fig1 "populate" ~cache:c ();
   rewrite_value dir (fun value ->
       match String.split_on_char '\n' value with
-      | _ :: "O" :: _objective :: rest ->
-        String.concat "\n" ("lpres 1" :: "O" :: "99" :: rest)
+      | _ :: "O" :: _objective :: rest -> (
+        match List.rev rest with
+        | "" :: body ->
+          String.concat "\n"
+            (("lpres 2" :: "O" :: "99" :: List.rev body)
+            @ [ "B 2"; "0"; "1"; "" ])
+        | _ -> Alcotest.fail "value does not end with a newline")
       | _ -> Alcotest.fail "unexpected value layout");
   check_value_quarantined dir "previous value format";
   rm_rf dir
@@ -500,8 +491,6 @@ let suite =
   ( "store",
     [
       Alcotest.test_case "round trip" `Quick test_round_trip;
-      Alcotest.test_case "warm slot refreshed from disk" `Quick
-        test_warm_slot_refreshed_from_disk;
       Alcotest.test_case "truncations quarantined" `Quick test_truncations;
       Alcotest.test_case "bit flips quarantined" `Quick test_bit_flips;
       Alcotest.test_case "envelope version skew" `Quick
