@@ -220,6 +220,16 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
   let sc =
     { Dy.platform = p; master = 0; cpu_traces; bw_traces; phase; phases }
   in
+  (* the nominal master-slave LP must carry an exact optimality
+     certificate; it is solved outside [effort], which counts the
+     strategy runs only *)
+  (match Master_slave.solve_lp_only p ~master:0 with
+  | m, Lp.Optimal sol -> (
+    match Lp.certify m sol with
+    | Ok () -> ()
+    | Error e -> check plan ("LP certificate: " ^ e) false violations)
+  | _, (Lp.Infeasible | Lp.Unbounded) ->
+    check plan "LP certificate: nominal LP not optimal" false violations);
   let run ?reuse ?stats strategy =
     incr runs;
     Dy.run ?reuse ?stats sc strategy

@@ -7,6 +7,9 @@
 
     - zero exceptions — every plan must degrade structurally, never
       raise;
+    - an exact optimality certificate ({!Lp.certify}) for the plan's
+      nominal master–slave LP, reported as [LP certificate: ...]; that
+      solve stays out of the [effort] counters;
     - [Robust >= Static - one phase of Static's throughput]: the static
       supply floor is structural, but at a finite horizon the one-port
       queue is non-preemptive, so LP extras queued at one boundary can

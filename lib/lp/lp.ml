@@ -4,7 +4,8 @@
    Translation rules:
    - finite lower bound  l:  x = x' + l  with  x' >= 0 (shift);
    - free variable:          x = x+ - x-, both >= 0 (split);
-   - finite upper bound  u:  extra row  x <= u  (after shifting);
+   - finite upper bound  u:  extra row  x <= u  (after shifting), unless
+     a model row already implies it (see [implied_bounds]);
    - Le / Ge rows get a slack / surplus column, Eq rows none;
    phase-1 artificials are Simplex's business. *)
 
@@ -115,14 +116,63 @@ type col_map =
   | Shifted of int * R.t (* column, lower bound:  x = col + l *)
   | Split of int * int (* x = col+ - col- *)
 
+(* The instance the kernel solves, and what [solve] needs to map its
+   answer back to the model: the column map, the objective constant
+   picked up while substituting bounds, whether the objective sign was
+   flipped (Maximize), and each named row's kernel row (-1 when
+   omitted). *)
+type std = {
+  rows : Simplex.row array;
+  b : R.t array;
+  c : R.t array;
+  cmap : col_map array;
+  obj_const : R.t;
+  flip : bool;
+  kernel_row : int array;
+}
+
+(* Variables whose [ub:] row a model [Le] row already implies: with
+   positive coefficients over lower-bounded variables only,
+   [sum_j a_j x_j <= r] caps each of its variables at
+   [x_v - l_v <= (r - sum_j a_j l_j) / a_v], so [ub:v] is redundant
+   when that cap is at most [u_v - l_v].  A row whose slack at the
+   lower bounds is negative is infeasible by itself and implies every
+   bound. *)
+let implied_bounds vars cons =
+  let implied = Array.make (Array.length vars) false in
+  List.iter
+    (fun c ->
+      if c.rel = Le then
+        let slack =
+          Imap.fold
+            (fun v a acc ->
+              match (acc, vars.(v).lb) with
+              | Some s, Some l when R.sign a > 0 -> Some (R.sub s (R.mul a l))
+              | _ -> None)
+            c.expr (Some c.rhs)
+        in
+        match slack with
+        | None -> ()
+        | Some slack ->
+          Imap.iter
+            (fun v a ->
+              match (vars.(v).lb, vars.(v).ub) with
+              | Some l, Some u when R.compare slack (R.mul a (R.sub u l)) <= 0
+                ->
+                implied.(v) <- true
+              | _ -> ())
+            c.expr)
+    cons;
+  implied
+
 (* Translate a model to the standard form min c.x, Ax = b, x >= 0 that
-   the simplex kernel consumes.  Also returns what [solve] needs to map
-   a standard-form solution back to model variables: the column map, the
-   objective constant picked up while substituting bounds, and whether
-   the objective sign was flipped (Maximize). *)
+   the simplex kernel consumes, one sparse row per kept model row.  The
+   columns are the variables' (in declaration order, so each [linexpr]
+   yields its columns already sorted), then one slack per kept
+   inequality row. *)
 let translate m =
   let vars = var_array m in
-  (* assign columns *)
+  let cons = List.rev m.cons in
   let next_col = ref 0 in
   let fresh () = let c = !next_col in incr next_col; c in
   let cmap =
@@ -133,97 +183,84 @@ let translate m =
         | None -> let p = fresh () in let q = fresh () in Split (p, q))
       vars
   in
-  (* expression -> (dense row over columns, constant) with x substituted *)
+  let slack = ref !next_col in
+  (* expression -> (reversed (column, coefficient) terms, constant) with
+     x substituted *)
   let expand expr =
-    let row = Array.make !next_col R.zero in
-    let const = ref R.zero in
-    Imap.iter
-      (fun v c ->
+    Imap.fold
+      (fun v c (terms, const) ->
         match cmap.(v) with
-        | Shifted (col, l) ->
-          row.(col) <- R.add row.(col) c;
-          const := R.add !const (R.mul c l)
-        | Split (p, q) ->
-          row.(p) <- R.add row.(p) c;
-          row.(q) <- R.sub row.(q) c)
-      expr;
-    (row, !const)
+        | Shifted (col, l) -> ((col, c) :: terms, R.add const (R.mul c l))
+        | Split (p, q) -> ((q, R.neg c) :: (p, c) :: terms, const))
+      expr ([], R.zero)
   in
-  (* collect rows: model constraints plus upper-bound rows *)
-  let raw_rows = ref [] in
-  let add_raw row rel rhs = raw_rows := (row, rel, rhs) :: !raw_rows in
+  let rows = ref [] and b = ref [] and n_rows = ref 0 in
+  let add_row rev_terms rel rhs =
+    let rev_terms =
+      match rel with
+      | Eq -> rev_terms
+      | Le -> (!slack, R.one) :: rev_terms
+      | Ge -> (!slack, R.minus_one) :: rev_terms
+    in
+    if rel <> Eq then incr slack;
+    let terms = Array.of_list (List.rev rev_terms) in
+    rows := (Array.map fst terms, Array.map snd terms) :: !rows;
+    b := rhs :: !b;
+    incr n_rows;
+    !n_rows - 1
+  in
+  (* each named row's kernel row, reversed *)
+  let kernel_row = ref [] in
+  let keep k = kernel_row := k :: !kernel_row in
   List.iter
     (fun c ->
-      let row, const = expand c.expr in
-      add_raw row c.rel (R.sub c.rhs const))
-    (List.rev m.cons);
+      let terms, const = expand c.expr in
+      keep (add_row terms c.rel (R.sub c.rhs const)))
+    cons;
+  let implied = implied_bounds vars cons in
   Array.iteri
     (fun v vi ->
       match vi.ub with
       | None -> ()
-      | Some u ->
-        let row = Array.make !next_col R.zero in
-        (match cmap.(v) with
-        | Shifted (col, l) ->
-          row.(col) <- R.one;
-          add_raw row Le (R.sub u l)
+      | Some _ when implied.(v) -> keep (-1)
+      | Some u -> (
+        match cmap.(v) with
+        | Shifted (col, l) -> keep (add_row [ (col, R.one) ] Le (R.sub u l))
         | Split (p, q) ->
-          row.(p) <- R.one;
-          row.(q) <- R.minus_one;
-          add_raw row Le u))
+          keep (add_row [ (q, R.minus_one); (p, R.one) ] Le u)))
     vars;
-  let raw = Array.of_list (List.rev !raw_rows) in
-  let m_rows = Array.length raw in
-  (* count slack columns *)
-  let n_slack =
-    Array.fold_left
-      (fun acc (_, rel, _) -> match rel with Eq -> acc | Le | Ge -> acc + 1)
-      0 raw
-  in
-  let n_cols = !next_col + n_slack in
-  let a = Array.make_matrix m_rows n_cols R.zero in
-  let b = Array.make m_rows R.zero in
-  let slack = ref !next_col in
-  Array.iteri
-    (fun i (row, rel, rhs) ->
-      Array.blit row 0 a.(i) 0 (Array.length row);
-      b.(i) <- rhs;
-      match rel with
-      | Eq -> ()
-      | Le ->
-        a.(i).(!slack) <- R.one;
-        incr slack
-      | Ge ->
-        a.(i).(!slack) <- R.minus_one;
-        incr slack)
-    raw;
-  (* objective *)
   let sense, obj_expr =
     match m.objective with
     | Some (s, e) -> (s, e)
     | None -> (Minimize, zero)
   in
-  let obj_row, obj_const = expand obj_expr in
-  let c = Array.make n_cols R.zero in
+  let obj_terms, obj_const = expand obj_expr in
   let flip = sense = Maximize in
-  Array.iteri
-    (fun j v -> c.(j) <- (if flip then R.neg v else v))
-    obj_row;
-  (a, b, c, cmap, obj_const, flip)
+  let c = Array.make !slack R.zero in
+  List.iter (fun (j, v) -> c.(j) <- (if flip then R.neg v else v)) obj_terms;
+  {
+    rows = Array.of_list (List.rev !rows);
+    b = Array.of_list (List.rev !b);
+    c;
+    cmap;
+    obj_const;
+    flip;
+    kernel_row = Array.of_list (List.rev !kernel_row);
+  }
 
 let standard_form m =
-  let a, b, c, _, _, _ = translate m in
-  (a, b, c)
+  let s = translate m in
+  (s.rows, s.b, s.c)
 
 (* --- the solve cache --- *)
 
 (* Structural signature of a model: variable names and bound *shapes*
-   (which decide the column map and the extra upper-bound rows) plus
+   (which decide the column map and the candidate upper-bound rows) plus
    constraint names and relations (which decide row order and slack
-   columns).  Two models with equal signatures translate to standard
-   forms with identical dimensions and identical column/row meanings —
-   only the coefficient *values* may differ.  It prefixes the cache key
-   ({!cache_key}), whose remainder is indexed by variable number. *)
+   columns).  Which [ub:] rows the standard form keeps also depends on
+   the coefficient values, which the rest of the cache key
+   ({!cache_key}) dumps, indexed by variable number; the signature
+   prefixes it. *)
 let signature m =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int m.nvars);
@@ -364,10 +401,10 @@ end
    right-hand sides, and both bound values.  The standard form is a
    deterministic function of exactly these, so equal keys translate to
    identical instances and a hit returns a result bit-identical to what
-   re-solving would produce — while the lookup itself stays sparse and
-   never pays for the dense translation (which is what makes a hit
-   cheaper than a solve in the first place).  Rationals are kept in
-   canonical form, so exact decimal dumps compare exactly. *)
+   re-solving would produce — while the lookup itself never pays for
+   the translation (which is what makes a hit cheaper than a solve in
+   the first place).  Rationals are kept in canonical form, so exact
+   decimal dumps compare exactly. *)
 let cache_key sg (m : model) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf sg;
@@ -434,9 +471,11 @@ let row_names m =
    2: the crash-basis cold start), the tag moves, so records of the old
    kernel are quarantined and re-solved rather than served as a hit that
    differs from a re-solve.  Version 3 drops the warm-start basis line
-   that versions 1 and 2 carried after the duals. *)
+   that versions 1 and 2 carried after the duals; version 4 keeps
+   implied [ub:] rows out of the kernel, which can move the vertex of a
+   degenerate model. *)
 
-let value_format = "lpres 3"
+let value_format = "lpres 4"
 
 let encode_entry ~n (res : result) =
   let buf = Buffer.create 512 in
@@ -616,9 +655,9 @@ let solve ?cache ?stats m =
     (match cached with
     | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
     | _ -> ());
-    let a, b, c, cmap, obj_const, flip = translate m in
+    let { rows; b; c; cmap; obj_const; flip; kernel_row } = translate m in
     let res =
-      match Simplex.minimize ~a ~b ~c () with
+      match Simplex.minimize ~rows ~b ~c () with
       | Simplex.Infeasible -> Infeasible
       | Simplex.Unbounded -> Unbounded
       | Simplex.Optimal { values; objective; duals = std_duals; pivots } ->
@@ -641,11 +680,13 @@ let solve ?cache ?stats m =
            the model's sense so that for all-default-lower-bound models
            (obj_const = 0) strong duality reads
            [objective = sum_r dual_r * rhs_r] over constraint and
-           [ub:] rows alike *)
+           [ub:] rows alike.  An implied [ub:] row the kernel never saw
+           is redundant, so pricing it at 0 keeps the duals optimal. *)
         let duals =
           List.mapi
             (fun i name ->
-              let y = std_duals.(i) in
+              let k = kernel_row.(i) in
+              let y = if k < 0 then R.zero else std_duals.(k) in
               (name, if flip then R.neg y else y))
             (row_names m)
         in

@@ -63,16 +63,17 @@ type solution = {
   objective : Rat.t;
   values : (var -> Rat.t);
   duals : (string * Rat.t) list;
-      (** exact dual value (shadow price) per standard-form row, in row
-          order: one entry per model constraint under its name, then one
-          [ub:<var>] entry per upper-bounded variable.  Oriented for the
-          model's sense: a positive dual on a binding [Le] row of a
-          [Maximize] model is the objective gain per unit of extra
-          right-hand side.  For models whose variables all have the
-          default lower bound 0, strong duality holds exactly:
-          [objective = sum_r dual_r * rhs_r] where the rhs of an
-          [ub:<var>] row is that variable's upper bound; {!certify}
-          checks the general case, lower bounds included. *)
+      (** exact dual value (shadow price) per model row, in row order:
+          one entry per model constraint under its name, then one
+          [ub:<var>] entry per upper-bounded variable.  A [ub:] row that
+          {!standard_form} omits as implied is redundant and reports
+          [0].  Oriented for the model's sense: a positive dual on a
+          binding [Le] row of a [Maximize] model is the objective gain
+          per unit of extra right-hand side.  For models whose
+          variables all have the default lower bound 0, strong duality
+          holds exactly: [objective = sum_r dual_r * rhs_r] where the
+          rhs of an [ub:<var>] row is that variable's upper bound;
+          {!certify} checks the general case, lower bounds included. *)
 }
 
 type result =
@@ -107,7 +108,10 @@ module Cache : sig
       every solve, so separate processes (CLI, bench, CI runs) reuse
       each other's solves.  Disk records are validated byte-for-byte;
       anything corrupt is quarantined and the solve runs cold — a bad
-      cache can cost time, never an answer.
+      cache can cost time, never an answer.  Record values are tagged
+      [lpres 4]; a record of any other value format, such as the
+      [lpres 3] of the kernel that still saw implied [ub:] rows, is
+      quarantined and re-solved.
 
       Not thread-safe: use one cache per domain/task. *)
 
@@ -244,7 +248,7 @@ val solve :
   ?stats:Stats.t ->
   model ->
   result
-(** [solve m] translates the model to standard form and runs the exact
+(** [solve m] translates the model to {!standard_form} and runs the exact
     {!Simplex} kernel (Dantzig pricing with its stall-to-Bland
     fallback) from its crash-basis cold start.  Every solve is cold, so
     the answer — vertex, objective and duals — is a pure function of
@@ -314,12 +318,18 @@ module Reduce : sig
       touching a kernel. *)
 end
 
-val standard_form : model -> Rat.t array array * Rat.t array * Rat.t array
-(** [standard_form m] is the exact [(a, b, c)] instance — min [c.x]
-    s.t. [a x = b], [x >= 0], after bound shifting/splitting, slack
-    columns and objective sign normalisation — that {!solve} hands to
-    the simplex kernel.  Exposed so tests can replay the very same
-    instance through independent solver implementations. *)
+val standard_form : model -> Simplex.row array * Rat.t array * Rat.t array
+(** [standard_form m] is exactly the [(rows, b, c)] instance {!solve}
+    hands to {!Simplex.minimize}: min [c.x] s.t. [A x = b], [x >= 0],
+    [A] given by its sparse rows, after bound shifting/splitting, slack
+    columns and objective sign normalisation.  Its rows are the model
+    constraints in declaration order, then one row per upper-bounded
+    variable whose bound no model row implies: a [ub:v] row is omitted
+    when some [Le] row with positive coefficients over lower-bounded
+    variables only caps [v] at or below its bound, i.e.
+    [(rhs - sum_j a_j l_j) / a_v <= u_v - l_v].  Exposed so tests can
+    replay the very same instance through independent solver
+    implementations. *)
 
 val value_by_name : model -> solution -> string -> Rat.t
 (** Convenience: look a variable up by name in a solution.

@@ -1,14 +1,16 @@
 (* Two-phase tableau simplex with exact rational arithmetic.
 
-   The cold start is a crash basis: every row that owns a structural
-   column with a single nonzero (a slack, say) starts with that column
-   basic, and only the rows left uncovered get an artificial column
-   (see [crash_tableau]).  Phase 1 minimises the sum of those
-   artificials and is skipped when there are none; phase 2 re-prices
-   with the true costs.  Artificial columns never enter the basis.  The
-   tableau invariant maintained throughout: for every row [i], column
-   [basis.(i)] is the [i]-th unit vector, [rhs.(i) >= 0], and [red.(j)]
-   holds the reduced cost of column [j] for the current phase.
+   The constraint matrix arrives as sparse rows and is expanded once
+   into a dense tableau.  The cold start is a crash basis: every row
+   that owns a structural column with a single nonzero (a slack, say)
+   starts with that column basic, and only the rows left uncovered get
+   an artificial column (see [crash_tableau]).  Phase 1 minimises the
+   sum of those artificials and is skipped when there are none; phase 2
+   re-prices with the true costs.  Artificial columns never enter the
+   basis.  The tableau invariant maintained throughout: for every row
+   [i], column [basis.(i)] is the [i]-th unit vector, [rhs.(i) >= 0],
+   and [red.(j)] holds the reduced cost of column [j] for the current
+   phase.
 
    The elimination kernels are zero-skipping: steady-state tableaux are
    sparse (a one-port constraint touches O(degree) columns), so a pivot
@@ -21,6 +23,8 @@
 module R = Rat
 
 type pivot_rule = Bland | Dantzig
+
+type row = int array * R.t array
 
 type outcome =
   | Optimal of {
@@ -69,24 +73,31 @@ let pivot t p q =
     end
   done;
   let nsupp = !nsupp in
-  t.rhs.(p) <- R.mul t.rhs.(p) inv;
-  let eliminate coeffs rhs_get rhs_set =
-    let f = coeffs.(q) in
-    if not (R.is_zero f) then begin
-      (* columns outside the pivot row's support are unchanged by the
-         elimination — only walk the support *)
-      for k = 0 to nsupp - 1 do
-        let j = supp.(k) in
-        coeffs.(j) <- R.sub coeffs.(j) (R.mul f row_p.(j))
-      done;
-      rhs_set (R.sub (rhs_get ()) (R.mul f t.rhs.(p)))
-    end
+  let rhs_p = R.mul t.rhs.(p) inv in
+  t.rhs.(p) <- rhs_p;
+  (* subtract [f] times the pivot row; columns outside its support are
+     unchanged by the elimination, so only the support is walked *)
+  let eliminate coeffs f =
+    for k = 0 to nsupp - 1 do
+      let j = supp.(k) in
+      coeffs.(j) <- R.sub coeffs.(j) (R.mul f row_p.(j))
+    done
   in
   for i = 0 to Array.length t.rows - 1 do
-    if i <> p then
-      eliminate t.rows.(i) (fun () -> t.rhs.(i)) (fun v -> t.rhs.(i) <- v)
+    if i <> p then begin
+      let row = t.rows.(i) in
+      let f = row.(q) in
+      if not (R.is_zero f) then begin
+        eliminate row f;
+        t.rhs.(i) <- R.sub t.rhs.(i) (R.mul f rhs_p)
+      end
+    end
   done;
-  eliminate t.red (fun () -> t.obj) (fun v -> t.obj <- v);
+  let f = t.red.(q) in
+  if not (R.is_zero f) then begin
+    eliminate t.red f;
+    t.obj <- R.sub t.obj (R.mul f rhs_p)
+  end;
   t.basis.(p) <- q;
   t.pivots <- t.pivots + 1
 
@@ -184,49 +195,51 @@ let optimise t rule allowed =
    surplus of a [>=] row with negative rhs, a variable appearing in one
    row only — is already a multiple of a unit vector, so its row is just
    scaled by [1/a_ij]: nothing to eliminate, and no pivot is counted.
-   Rows left without such a column get an artificial (columns [n ..
-   n_total - 1], one per uncovered row).  [unit_col.(i)] is row [i]'s
-   starting column and [unit_coef.(i)] its flipped coefficient (one for
-   an artificial); both are what [duals_of] needs later. *)
-let crash_tableau ~a ~b ~m ~n =
+   One pass over the nonzeros counts each column's entries; each row
+   then takes the lowest such column among its own.  Rows left without
+   one get an artificial (columns [n .. n_total - 1], one per uncovered
+   row).  [unit_col.(i)] is row [i]'s starting column and
+   [unit_coef.(i)] its flipped coefficient (one for an artificial); both
+   are what [duals_of] needs later. *)
+let crash_tableau ~rows ~b ~m ~n =
   let flipped i v = if R.sign b.(i) < 0 then R.neg v else v in
-  let unit_col = Array.make m (-1) in
-  for j = 0 to n - 1 do
-    (* the row of column j's only nonzero, or -1 *)
-    let rec single i found =
-      if i >= m then found
-      else if R.is_zero a.(i).(j) then single (i + 1) found
-      else if found >= 0 then -1
-      else single (i + 1) i
-    in
-    let i = single 0 (-1) in
-    if i >= 0 && unit_col.(i) < 0 && R.sign (flipped i a.(i).(j)) > 0 then
-      unit_col.(i) <- j
-  done;
+  let count = Array.make n 0 in
+  Array.iter
+    (fun (cols, _) -> Array.iter (fun j -> count.(j) <- count.(j) + 1) cols)
+    rows;
   let n_total = ref n in
+  let unit_col = Array.make m (-1) in
   let unit_coef =
     Array.init m (fun i ->
-        if unit_col.(i) >= 0 then flipped i a.(i).(unit_col.(i))
-        else begin
+        let cols, vals = rows.(i) in
+        (* the row's lowest single-entry column, positive after the flip *)
+        let rec crash k =
+          if k >= Array.length cols then None
+          else if count.(cols.(k)) = 1 && R.sign (flipped i vals.(k)) > 0
+          then Some k
+          else crash (k + 1)
+        in
+        match crash 0 with
+        | Some k ->
+          unit_col.(i) <- cols.(k);
+          flipped i vals.(k)
+        | None ->
           unit_col.(i) <- !n_total;
           incr n_total;
-          R.one
-        end)
+          R.one)
   in
   let n_total = !n_total in
   let scale = Array.init m (fun i -> flipped i (R.inv unit_coef.(i))) in
-  let rows =
+  let tableau_rows =
     Array.init m (fun i ->
         let row = Array.make n_total R.zero in
-        for j = 0 to n - 1 do
-          let v = a.(i).(j) in
-          if not (R.is_zero v) then row.(j) <- R.mul v scale.(i)
-        done;
+        let cols, vals = rows.(i) in
+        Array.iteri (fun k j -> row.(j) <- R.mul vals.(k) scale.(i)) cols;
         row.(unit_col.(i)) <- R.one;
         row)
   in
   {
-    rows;
+    rows = tableau_rows;
     rhs = Array.init m (fun i -> R.mul b.(i) scale.(i));
     basis = Array.copy unit_col;
     red = Array.make n_total R.zero;
@@ -284,8 +297,8 @@ let negate_row t i =
   done;
   t.rhs.(i) <- R.neg t.rhs.(i)
 
-let cold_solve rule ~a ~b ~c ~m ~n =
-  let t = crash_tableau ~a ~b ~m ~n in
+let cold_solve rule ~rows ~b ~c ~m ~n =
+  let t = crash_tableau ~rows ~b ~m ~n in
   let feasible =
     t.n_total = n
     || begin
@@ -337,13 +350,20 @@ let cold_solve rule ~a ~b ~c ~m ~n =
     phase2 rule t ~b ~c
   end
 
-let minimize ?(rule = Dantzig) ~a ~b ~c () =
-  let m = Array.length a in
+let minimize ?(rule = Dantzig) ~rows ~b ~c () =
+  let m = Array.length rows in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Simplex.minimize: |b| <> rows";
   Array.iter
-    (fun row ->
-      if Array.length row <> n then
-        invalid_arg "Simplex.minimize: ragged matrix")
-    a;
-  cold_solve rule ~a ~b ~c ~m ~n
+    (fun (cols, vals) ->
+      if Array.length cols <> Array.length vals then
+        invalid_arg "Simplex.minimize: |columns| <> |values| in a row";
+      Array.iteri
+        (fun k j ->
+          if j < 0 || j >= n || (k > 0 && cols.(k - 1) >= j) then
+            invalid_arg "Simplex.minimize: row columns not increasing in range";
+          if R.is_zero vals.(k) then
+            invalid_arg "Simplex.minimize: explicit zero in a row")
+        cols)
+    rows;
+  cold_solve rule ~rows ~b ~c ~m ~n

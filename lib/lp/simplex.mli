@@ -5,8 +5,9 @@
 
     {v minimize c.x   subject to   A x = b,  x >= 0 v}
 
-    with every coefficient an exact {!Rat.t}, on a dense tableau with
-    zero-skipping elimination.  The cold start is a crash basis: each
+    with every coefficient an exact {!Rat.t}.  [A] arrives as sparse
+    rows; the kernel expands it into a dense tableau with zero-skipping
+    elimination.  The cold start is a crash basis: each
     row that owns a column with a single nonzero entry, positive once
     negative-[b] rows are flipped (a slack, typically), starts with that
     column basic; artificials are added only for the remaining rows,
@@ -20,6 +21,10 @@ type pivot_rule =
   | Dantzig
       (** most-negative reduced cost, switching to Bland after
           [rows + cols] pivots without objective improvement *)
+
+type row = int array * Rat.t array
+(** One row of [A]: its nonzero columns in strictly increasing order,
+    and the coefficient of each. *)
 
 type outcome =
   | Optimal of {
@@ -37,19 +42,23 @@ type outcome =
       pivots : int;
           (** simplex pivots performed; placing the crash basis costs
               none *)
-    }  (** [values] has one entry per column of [a]. *)
+    }  (** [values] has one entry per column, i.e. per entry of [c]. *)
   | Infeasible
   | Unbounded
 
 val minimize :
   ?rule:pivot_rule ->
-  a:Rat.t array array ->
+  rows:row array ->
   b:Rat.t array ->
   c:Rat.t array ->
   unit ->
   outcome
-(** [minimize ~a ~b ~c ()] solves the standard form above.  [a] is an
-    array of [m] rows, each of length [n]; [b] has length [m]; [c] has
-    length [n].  Rows with negative [b] are negated internally (they are
-    equalities).  Inputs are not mutated.
-    @raise Invalid_argument on dimension mismatch. *)
+(** [minimize ~rows ~b ~c ()] solves the standard form above, [A]
+    given by its [m] sparse [rows] over the [n = |c|] columns; [b] has
+    length [m].  The crash basis is chosen from per-column nonzero
+    counts in one pass: each row takes the lowest-indexed column whose
+    only nonzero it holds (positive after the flip below).  Rows with
+    negative [b] are negated internally (they are equalities).  Inputs
+    are not mutated.
+    @raise Invalid_argument on a dimension mismatch, row columns out of
+    range or not strictly increasing, or an explicit zero value. *)

@@ -308,6 +308,7 @@ let of_string s =
   | Some i ->
     let n = B.of_string (String.sub s 0 i) in
     let d = B.of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+    if B.is_zero d then invalid_arg "Rat.of_string: zero denominator";
     make n d
   | None ->
     match String.index_opt s '.' with
@@ -316,6 +317,8 @@ let of_string s =
       let whole = String.sub s 0 i in
       let frac = String.sub s (i + 1) (String.length s - i - 1) in
       if frac = "" then invalid_arg "Rat.of_string: trailing dot"
+      else if frac.[0] = '-' || frac.[0] = '+' then
+        invalid_arg "Rat.of_string: signed fraction digits"
       else begin
         let negative = String.length whole > 0 && whole.[0] = '-' in
         let wpart = if whole = "" || whole = "-" || whole = "+" then B.zero

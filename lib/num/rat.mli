@@ -36,7 +36,8 @@ val of_ints : int -> int -> t
 
 val of_string : string -> t
 (** Accepts ["a"], ["a/b"] and decimal notation ["a.b"] with optional
-    sign.  @raise Invalid_argument on malformed input. *)
+    sign.  @raise Invalid_argument on malformed input, a zero
+    denominator included. *)
 
 (** {1 Accessors} *)
 

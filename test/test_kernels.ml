@@ -67,13 +67,14 @@ let std_certified a b c values duals =
   && R.equal (dot c values) (dot b duals)
 
 let check_tableau name m =
-  let a, b, c = Lp.standard_form m in
+  let rows, b, c = Lp.standard_form m in
+  let a = Dense_std.densify ~n:(Array.length c) rows in
   List.iter
     (fun (rname, rule, seed_rule) ->
       let label what = Printf.sprintf "%s/%s tableau %s" name rname what in
       match
         ( Simplex_dense_reference.minimize ~rule:seed_rule ~a ~b ~c (),
-          Simplex.minimize ~rule ~a ~b ~c () )
+          Simplex.minimize ~rule ~rows ~b ~c () )
       with
       | ( Simplex_dense_reference.Optimal r,
           Simplex.Optimal { values; objective; duals; _ } ) ->
@@ -84,13 +85,14 @@ let check_tableau name m =
     rules
 
 let check_revised name m =
-  let a, b, c = Lp.standard_form m in
+  let rows, b, c = Lp.standard_form m in
+  let a = Dense_std.densify ~n:(Array.length c) rows in
   List.iter
     (fun (rname, rule, _) ->
       let label what = Printf.sprintf "%s/%s revised %s" name rname what in
       match
         ( Revised_dense_reference.minimize ~rule ~a ~b ~c (),
-          Simplex.minimize ~rule ~a ~b ~c () )
+          Simplex.minimize ~rule ~rows ~b ~c () )
       with
       | ( Revised_dense_reference.Optimal r,
           Simplex.Optimal { objective; _ } ) ->

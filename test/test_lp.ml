@@ -27,17 +27,17 @@ let certified name m s =
    [Maximize] (every model here has default lower bounds, so no bound
    shift adds a constant). *)
 let kernel_solve rule m =
-  let a, b, c = Lp.standard_form m in
-  Simplex.minimize ~rule ~a ~b ~c ()
+  let rows, b, c = Lp.standard_form m in
+  Simplex.minimize ~rule ~rows ~b ~c ()
 
 (* the independent second-opinion kernel on the same standard form *)
 let reference_solve m =
-  let a, b, c = Lp.standard_form m in
+  let a, b, c = Dense_std.standard_form m in
   Revised_dense_reference.minimize ~a ~b ~c ()
 
 (* a x = b, x >= 0, exactly *)
 let std_feasible m values =
-  let a, b, _ = Lp.standard_form m in
+  let a, b, _ = Dense_std.standard_form m in
   Array.for_all (fun v -> R.sign v >= 0) values
   && Array.for_all2
        (fun row bi ->
@@ -468,7 +468,7 @@ let test_revised_beale () =
   Lp.add_constraint m (Lp.var x6) Lp.Le (ri 1);
   Lp.set_objective m Lp.Minimize
     (Lp.of_terms [ (r (-3) 4, x4); (ri 150, x5); (r (-1) 50, x6); (ri 6, x7) ]);
-  let a, b, c = Lp.standard_form m in
+  let a, b, c = Dense_std.standard_form m in
   List.iter
     (fun rule ->
       match Revised_dense_reference.minimize ~rule ~a ~b ~c () with
@@ -595,6 +595,258 @@ let test_certify_rejects () =
     { s with Lp.duals = [ ("c0", ri 3); ("c1", r 5 2); ("c2", R.zero) ] };
   rejected "missing row" ~because:"duals do not name" { s with Lp.duals = [ ("c0", R.zero) ] }
 
+(* --- implied upper bounds ---
+
+   [Lp.standard_form] keeps a [ub:v] row out of the kernel when a model
+   [Le] row with positive coefficients over lower-bounded variables
+   already caps [v] at or below its bound.  Each case is a model given
+   as data, so the test can also build its full dense standard form,
+   every [ub:] row included, without going through [Lp], and solve that
+   with the seed snapshot kernel. *)
+
+type spec = {
+  vars : (string * R.t option * R.t option) list; (* name, lb, ub *)
+  rows : ((R.t * int) list * Lp.relation * R.t) list; (* terms over var index *)
+  sense : Lp.sense;
+  obj : (R.t * int) list;
+}
+
+let model_of spec =
+  let m = Lp.create () in
+  let xs =
+    Array.of_list
+      (List.map (fun (name, lb, ub) -> Lp.add_var ~lb ~ub m name) spec.vars)
+  in
+  let expr terms = Lp.of_terms (List.map (fun (a, v) -> (a, xs.(v))) terms) in
+  List.iter (fun (terms, rel, rhs) -> Lp.add_constraint m (expr terms) rel rhs)
+    spec.rows;
+  Lp.set_objective m spec.sense (expr spec.obj);
+  m
+
+(* the model's optimum through the full dense standard form, or [None]
+   when that form is infeasible *)
+let full_dense_optimum spec =
+  let vars = Array.of_list spec.vars in
+  (* first column of each variable: one if lower-bounded, two if free *)
+  let next = ref 0 in
+  let first =
+    Array.map
+      (fun (_, lb, _) ->
+        let j = !next in
+        next := j + if lb = None then 2 else 1;
+        j)
+      vars
+  in
+  let n_struct = !next in
+  let lb v = match vars.(v) with _, Some l, _ -> l | _, None, _ -> R.zero in
+  let rows =
+    spec.rows
+    @ List.concat
+        (List.mapi
+           (fun v (_, _, ub) ->
+             match ub with Some u -> [ ([ (R.one, v) ], Lp.Le, u) ] | None -> [])
+           spec.vars)
+  in
+  let n_slack = List.length (List.filter (fun (_, rel, _) -> rel <> Lp.Eq) rows) in
+  let n = n_struct + n_slack in
+  let place row terms =
+    List.iter
+      (fun (a, v) ->
+        let j = first.(v) in
+        row.(j) <- R.add row.(j) a;
+        match vars.(v) with
+        | _, None, _ -> row.(j + 1) <- R.sub row.(j + 1) a
+        | _ -> ())
+      terms
+  in
+  let slack = ref n_struct in
+  let a, b =
+    List.split
+      (List.map
+         (fun (terms, rel, rhs) ->
+           let row = Array.make n R.zero in
+           place row terms;
+           (match rel with
+           | Lp.Eq -> ()
+           | Lp.Le -> row.(!slack) <- R.one
+           | Lp.Ge -> row.(!slack) <- R.minus_one);
+           if rel <> Lp.Eq then incr slack;
+           let shift =
+             List.fold_left
+               (fun acc (a, v) -> R.add acc (R.mul a (lb v)))
+               R.zero terms
+           in
+           (row, R.sub rhs shift))
+         rows)
+  in
+  let flip = spec.sense = Lp.Maximize in
+  let c = Array.make n R.zero in
+  place c spec.obj;
+  let c = Array.map (fun x -> if flip then R.neg x else x) c in
+  let const =
+    List.fold_left (fun acc (a, v) -> R.add acc (R.mul a (lb v))) R.zero spec.obj
+  in
+  match
+    Simplex_dense_reference.minimize ~a:(Array.of_list a) ~b:(Array.of_list b)
+      ~c ()
+  with
+  | Simplex_dense_reference.Optimal r ->
+    Some (R.add (if flip then R.neg r.objective else r.objective) const)
+  | Simplex_dense_reference.Infeasible -> None
+  | Simplex_dense_reference.Unbounded -> Alcotest.fail "reference unbounded"
+
+(* [dropped] names the variables whose [ub:] row must stay out *)
+let check_implied name spec ~dropped =
+  let m = model_of spec in
+  let rows, _, _ = Lp.standard_form m in
+  let n_ub = List.length (List.filter (fun (_, _, ub) -> ub <> None) spec.vars) in
+  Alcotest.(check int) (name ^ ": kernel rows")
+    (List.length spec.rows + n_ub - List.length dropped)
+    (Array.length rows);
+  match (Lp.solve m, full_dense_optimum spec) with
+  | Lp.Optimal s, Some expected ->
+    Alcotest.check rat (name ^ ": objective") expected s.Lp.objective;
+    certified name m s;
+    List.iter
+      (fun v ->
+        Alcotest.check rat
+          (Printf.sprintf "%s: dual of dropped ub:%s" name v)
+          R.zero
+          (List.assoc ("ub:" ^ v) (Lp.duals s)))
+      dropped
+  | Lp.Infeasible, None -> ()
+  | _ -> Alcotest.failf "%s: solve and full dense reference disagree" name
+
+let ub u = Some (ri u)
+let nonneg = Some R.zero
+
+let test_implied_equal_bound () =
+  (* max 3x + 2y, c0: x + y <= 4, x <= 4: the cap 4 equals the bound,
+     and the optimum (4, 0) sits on both, a degenerate tie *)
+  check_implied "equal bound"
+    {
+      vars = [ ("x", nonneg, ub 4); ("y", nonneg, None) ];
+      rows = [ ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 4) ];
+      sense = Lp.Maximize;
+      obj = [ (ri 3, 0); (ri 2, 1) ];
+    }
+    ~dropped:[ "x" ]
+
+let test_implied_looser_tighter () =
+  (* c0: 2x + y <= 6 caps x at 3 (bound 10: dropped) and y at 6 (bound
+     2: kept); max x + y = 4 at (2, 2) *)
+  check_implied "looser and tighter"
+    {
+      vars = [ ("x", nonneg, ub 10); ("y", nonneg, ub 2) ];
+      rows = [ ([ (ri 2, 0); (ri 1, 1) ], Lp.Le, ri 6) ];
+      sense = Lp.Maximize;
+      obj = [ (ri 1, 0); (ri 1, 1) ];
+    }
+    ~dropped:[ "x" ]
+
+let test_implied_negative_coefficient () =
+  (* c0: x - y <= 1 caps neither: y can grow *)
+  check_implied "negative coefficient"
+    {
+      vars = [ ("x", nonneg, ub 1); ("y", nonneg, ub 3) ];
+      rows = [ ([ (ri 1, 0); (ri (-1), 1) ], Lp.Le, ri 1) ];
+      sense = Lp.Maximize;
+      obj = [ (ri 1, 0); (ri 1, 1) ];
+    }
+    ~dropped:[]
+
+let test_implied_free_in_row () =
+  (* c0: x + z <= 2 with z free caps nothing; c1: z >= -1 makes x <= 3
+     binding below its bound 5 *)
+  check_implied "free variable in the row"
+    {
+      vars = [ ("x", nonneg, ub 5); ("z", None, None) ];
+      rows =
+        [
+          ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 2);
+          ([ (ri 1, 1) ], Lp.Ge, ri (-1));
+        ];
+      sense = Lp.Maximize;
+      obj = [ (ri 1, 0) ];
+    }
+    ~dropped:[]
+
+let test_implied_lower_bounds () =
+  (* x in [1, 4], y in [2, 3], c0: x + 2y <= 8: at the lower bounds the
+     row has slack 3, capping x - 1 at 3 (= 4 - 1, dropped) and y - 2 at
+     3/2 (> 3 - 2, kept).  max x + y = 6 at (4, 2).  w in [-2, 5] with
+     c1: w + x <= 3 has slack 4 at the lower bounds, which caps w + 2 at
+     4 (<= 7, dropped) and x - 1 at 4 *)
+  check_implied "lower-bound shift"
+    {
+      vars =
+        [
+          ("x", Some (ri 1), ub 4);
+          ("y", Some (ri 2), ub 3);
+          ("w", Some (ri (-2)), ub 5);
+        ];
+      rows =
+        [
+          ([ (ri 1, 0); (ri 2, 1) ], Lp.Le, ri 8);
+          ([ (ri 1, 2); (ri 1, 0) ], Lp.Le, ri 3);
+        ];
+      sense = Lp.Maximize;
+      obj = [ (ri 1, 0); (ri 1, 1); (ri 1, 2) ];
+    }
+    ~dropped:[ "x"; "w" ]
+
+let test_implied_free_with_bound () =
+  (* z free with z <= 2: no row can imply a free variable's bound;
+     max 2z + x over c0: z + x <= 5 is 7 at (z, x) = (2, 3) *)
+  check_implied "free variable with an upper bound"
+    {
+      vars = [ ("z", None, ub 2); ("x", nonneg, ub 9) ];
+      rows = [ ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 5) ];
+      sense = Lp.Maximize;
+      obj = [ (ri 2, 0); (ri 1, 1) ];
+    }
+    ~dropped:[]
+
+let test_implied_infeasible_row () =
+  (* x in [2, 5], c0: x <= 1: the row's slack at the lower bound is
+     negative, so it implies the bound and the model is infeasible
+     either way *)
+  check_implied "infeasible implying row"
+    {
+      vars = [ ("x", Some (ri 2), ub 5) ];
+      rows = [ ([ (ri 1, 0) ], Lp.Le, ri 1) ];
+      sense = Lp.Maximize;
+      obj = [ (ri 1, 0) ];
+    }
+    ~dropped:[ "x" ]
+
+let test_implied_solve_graph () =
+  (* 30 seeded solve-graph LPs (20-40 nodes, n/2 chords): every [s_e <=
+     1] row is implied by its source's one-port [outport] row, so the
+     kernel sees 3531 of the 5995 model rows.  The vertex does not move:
+     the total pivot count is the one the kernel took with every row *)
+  let g = Faults.generator ~seed:1 in
+  let kernel_rows = ref 0 and model_rows = ref 0 and pivots = Lp.Stats.create () in
+  for i = 0 to 29 do
+    let n = 20 + (i mod 21) in
+    let p =
+      Platform_gen.random_connected_graph ~seed:(1 + Faults.rand_int g 1_000_000)
+        ~nodes:n ~extra_edges:(n / 2) ()
+    in
+    let m, _, _ = Master_slave.build_lp p ~master:0 in
+    let rows, _, _ = Lp.standard_form m in
+    kernel_rows := !kernel_rows + Array.length rows;
+    model_rows :=
+      !model_rows + List.length (Lp.constraints m)
+      + List.length (List.filter (fun (_, _, u) -> u <> None) (Lp.var_bounds m));
+    match Lp.solve ~stats:pivots m with
+    | Lp.Optimal s -> certified (Printf.sprintf "graph %d" i) m s
+    | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "solve-graph LP not optimal"
+  done;
+  Alcotest.(check int) "model rows" 5995 !model_rows;
+  Alcotest.(check int) "kernel rows" 3531 !kernel_rows;
+  Alcotest.(check int) "pivots" 1298 pivots.Lp.Stats.pivots
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "lp",
@@ -624,6 +876,21 @@ let suite =
       Alcotest.test_case "certify: crash rows" `Quick test_certify_crash_rows;
       Alcotest.test_case "certify: rejects bad answers" `Quick
         test_certify_rejects;
+      Alcotest.test_case "implied bound: equal" `Quick test_implied_equal_bound;
+      Alcotest.test_case "implied bound: looser and tighter" `Quick
+        test_implied_looser_tighter;
+      Alcotest.test_case "implied bound: negative coefficient" `Quick
+        test_implied_negative_coefficient;
+      Alcotest.test_case "implied bound: free variable in row" `Quick
+        test_implied_free_in_row;
+      Alcotest.test_case "implied bound: lower-bound shift" `Quick
+        test_implied_lower_bounds;
+      Alcotest.test_case "implied bound: free with upper bound" `Quick
+        test_implied_free_with_bound;
+      Alcotest.test_case "implied bound: infeasible row" `Quick
+        test_implied_infeasible_row;
+      Alcotest.test_case "implied bound: solve-graph rows and pivots" `Quick
+        test_implied_solve_graph;
       q prop_optimal_is_feasible;
       q prop_rules_agree;
       q prop_dominates_feasible_points;

@@ -312,6 +312,75 @@ let prop_restrict_maps =
       && Array.length r.P.node_of_sub = P.num_nodes s
       && Array.length r.P.edge_of_sub = P.num_edges s)
 
+(* Fuzz [Platform_parse.of_string] with seeded mutations of valid
+   platform files: truncated lines, rationals near [max_int] (and past
+   it, into the bignum range), malformed numbers, zero and negative
+   costs and weights, duplicated node and edge lines, deleted lines and
+   stray tokens.  The contract is the one [steady-cli] relies on: a
+   platform, or [Invalid_argument] — never any other exception.  An
+   accepted text must also round-trip: printing and re-parsing it
+   changes nothing. *)
+let fuzz_numbers =
+  [| "4611686018427387903"; "-4611686018427387904"; "4611686018427387903/2";
+     "2/4611686018427387903"; "4611686018427387904"; "9223372036854775807/3";
+     "4611686018427387903.5"; "0.4611686018427387903"; "1/0"; "0/0"; "0";
+     "-0"; "0/7"; "-3"; "-1/2"; "1.-5"; "1."; ".5"; "-.5"; "1e5"; "1/2/3";
+     "+"; "-"; "inf"; "-inf"; "nan"; "" |]
+
+let fuzz_text g text =
+  let pick a = a.(Faults.rand_int g (Array.length a)) in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let line () = lines.(Faults.rand_int g n) in
+  let mutate l =
+    match Faults.rand_int g 7 with
+    | 0 -> String.sub l 0 (Faults.rand_int g (String.length l + 1))
+    | 1 | 2 -> (
+      (* replace the attribute value *)
+      match String.index_opt l '=' with
+      | Some k -> String.sub l 0 (k + 1) ^ pick fuzz_numbers
+      | None -> l ^ " w=" ^ pick fuzz_numbers)
+    | 3 -> l ^ " " ^ pick [| "x"; "#"; "w=1"; "c=1"; "node" |]
+    | 4 -> pick [| "node"; "edge"; "link"; "nodes"; "" |] ^ " " ^ l
+    | 5 -> ""
+    | _ -> l
+  in
+  let out = ref [] in
+  Array.iter
+    (fun l ->
+      let l = if Faults.rand_int g 4 = 0 then mutate l else l in
+      out := l :: !out;
+      (* duplicate names and edges *)
+      if Faults.rand_int g 10 = 0 then out := line () :: !out)
+    lines;
+  String.concat "\n" (List.rev !out)
+
+let test_parse_fuzz () =
+  let g = Faults.generator ~seed:77 in
+  let accepted = ref 0 and rejected = ref 0 in
+  for i = 1 to 1500 do
+    let nodes = 2 + Faults.rand_int g 6 in
+    let p =
+      Platform_gen.random_graph ~seed:(1 + Faults.rand_int g 1_000_000) ~nodes
+        ~extra_edges:(Faults.rand_int g 4) ()
+    in
+    let text = fuzz_text g (Platform_parse.to_string p) in
+    match Platform_parse.of_string text with
+    | q ->
+      incr accepted;
+      let printed = Platform_parse.to_string q in
+      Alcotest.(check string)
+        (Printf.sprintf "case %d round-trips" i)
+        printed
+        (Platform_parse.to_string (Platform_parse.of_string printed))
+    | exception Invalid_argument _ -> incr rejected
+    | exception e ->
+      Alcotest.failf "case %d: %s on input:\n%s" i (Printexc.to_string e) text
+  done;
+  (* the mutations must exercise both outcomes *)
+  Alcotest.(check bool) "some accepted" true (!accepted > 100);
+  Alcotest.(check bool) "some rejected" true (!rejected > 100)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "platform",
@@ -331,6 +400,7 @@ let suite =
       Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
       Alcotest.test_case "parse format" `Quick test_parse_format;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
+      Alcotest.test_case "parse fuzz" `Quick test_parse_fuzz;
       Alcotest.test_case "dot export" `Quick test_dot;
       q prop_parse_roundtrip;
       q prop_depth_bounded;

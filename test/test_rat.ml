@@ -62,7 +62,13 @@ let test_of_string () =
   Alcotest.check rat "decimal" (r 5 2) (R.of_string "2.5");
   Alcotest.check rat "neg decimal" (r (-5) 2) (R.of_string "-2.5");
   Alcotest.check rat "neg frac below 1" (r (-1) 4) (R.of_string "-0.25");
-  Alcotest.check rat "neg fraction" (r (-3) 4) (R.of_string "-3/4")
+  Alcotest.check rat "neg fraction" (r (-3) 4) (R.of_string "-3/4");
+  List.iter
+    (fun bad ->
+      match R.of_string bad with
+      | v -> Alcotest.failf "%S parsed as %s" bad (R.to_string v)
+      | exception Invalid_argument _ -> ())
+    [ "1/0"; "0/0"; "-7/000"; "1.-5"; "1.+5"; "1." ]
 
 let test_to_string () =
   Alcotest.(check string) "int" "5" (R.to_string (ri 5));

@@ -29,9 +29,9 @@ let ms_instances () =
 let test_rules_same_objective () =
   List.iter
     (fun (name, m) ->
-      let a, b, c = Lp.standard_form m in
+      let rows, b, c = Lp.standard_form m in
       let run rule =
-        match Simplex.minimize ~rule ~a ~b ~c () with
+        match Simplex.minimize ~rule ~rows ~b ~c () with
         | Simplex.Optimal { objective; _ } -> objective
         | _ -> Alcotest.fail (name ^ ": not optimal")
       in
