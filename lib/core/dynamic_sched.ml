@@ -493,8 +493,10 @@ let encode_ckpt r =
 (* Strict structural decoder: any deviation — bad magic, counts out of
    range, indices off the platform, trailing bytes — yields [None], and
    the caller quarantines the record and cold-starts.  This must never
-   raise. *)
-let decode_ckpt ~nodes ~edges ~phases raw =
+   raise.  [max_tasks] bounds every logged task count: the replay
+   submits tasks one by one, so a forged count would otherwise make it
+   run for as long as the count says. *)
+let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
   let len = String.length raw in
   let pos = ref 0 in
   let fail () = raise Exit in
@@ -521,8 +523,13 @@ let decode_ckpt ~nodes ~edges ~phases raw =
     let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
     go n []
   in
+  let tasks () =
+    let i = nonneg () in
+    if i > max_tasks then fail ();
+    i
+  in
   let path_entry () =
-    let cnt = nonneg () in
+    let cnt = tasks () in
     let plen = int () in
     if plen < 1 || plen > edges then fail ();
     let path =
@@ -552,7 +559,7 @@ let decode_ckpt ~nodes ~edges ~phases raw =
           match line () with
           | "D" -> D_degraded
           | "P" ->
-            let mt = nonneg () in
+            let mt = tasks () in
             let paths = batch () in
             D_plan (paths, mt)
           | _ -> fail ())
@@ -1201,6 +1208,21 @@ let outcomes_equal a b =
   && List.for_all2 R.equal a.per_phase b.per_phase
   && a.losses = b.losses
 
+(* No genuine plan moves more tasks in a phase than the whole platform
+   computes in one at the largest multiplier a CPU trace reaches
+   (forecasts stay within the observed range).  A bound that is too
+   tight would only cost a cold start, never an answer. *)
+let max_phase_tasks sc =
+  let top =
+    List.fold_left
+      (fun acc (_, tr) -> List.fold_left (fun acc (_, x) -> R.max acc x) acc tr)
+      R.one sc.cpu_traces
+  in
+  let rate = R.sum (List.map (P.speed sc.platform) (P.nodes sc.platform)) in
+  match Bigint.to_int_opt (R.floor (R.mul sc.phase (R.mul top rate))) with
+  | Some k -> k
+  | None -> max_int
+
 let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
   validate_scenario ~allow_outages:true sc;
   let reuse_v = Option.value reuse ~default:true in
@@ -1215,7 +1237,10 @@ let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
     match Solve_store.find store key with
     | None -> None
     | Some raw -> (
-      match decode_ckpt ~nodes:n ~edges:m ~phases:sc.phases raw with
+      match
+        decode_ckpt ~nodes:n ~edges:m ~phases:sc.phases
+          ~max_tasks:(max_phase_tasks sc) raw
+      with
       | Some r when r.c_reuse = reuse_v -> Some r
       | _ ->
         Solve_store.quarantine store key;

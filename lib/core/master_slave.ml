@@ -141,32 +141,56 @@ let solve ?cache ?stats p ~master =
    shared with the collective decompositions. *)
 
 (* max sum y_e/c_e  s.t.  sum y_e <= 1,  0 <= y_e <= min(1, c_e*cap_e):
-   how fast a node can push tasks through its child links.  Solved as an
-   LP so the reduced path exercises (and is counted by) the same exact
-   kernels as the full one. *)
-let knapsack ?stats children =
-  match children with
-  | [] -> (R.zero, [])
-  | _ ->
-    let m = Lp.create () in
-    let yv =
-      List.map
-        (fun (e, c, cap) ->
-          let ub = R.min R.one (R.mul c cap) in
-          (e, c, Lp.add_var ~ub:(Some ub) m (Printf.sprintf "y_%d" e)))
-        children
+   how fast a node can push tasks through its child links.  Filling the
+   cheapest links first is optimal, but ties in cost leave a choice of
+   optimal plans, and the plan decides which subtree gets the flow.  The
+   fill below returns the vertex the exact simplex kernel returns on this
+   LP, so reduced answers stay those of the LP formulation.  The first
+   child whose bound is 1 starts basic at 1 in the kernel's crash basis
+   (the outport row implies its bound row), so it takes whatever the
+   strictly cheaper children leave of the port; those are filled
+   cheapest first, ties to the later child.  Without such a child every
+   child is filled that way.  The test suite holds the LP as the
+   oracle. *)
+let knapsack children =
+  let items =
+    Array.of_list
+      (List.map (fun (e, c, cap) -> (e, c, R.min R.one (R.mul c cap))) children)
+  in
+  let n = Array.length items in
+  let cost k = let _, c, _ = items.(k) in c in
+  let first_full =
+    let rec find k =
+      if k = n then None
+      else
+        let _, _, ub = items.(k) in
+        if R.equal ub R.one then Some k else find (k + 1)
     in
-    Lp.add_constraint ~name:"outport" m
-      (Lp.sum (List.map (fun (_, _, v) -> Lp.var v) yv))
-      Lp.Le R.one;
-    Lp.set_objective m Lp.Maximize
-      (Lp.sum (List.map (fun (_, c, v) -> Lp.term (R.inv c) v) yv));
-    (match Lp.solve ?stats m with
-    | Lp.Optimal sol ->
-      (sol.Lp.objective, List.map (fun (e, _, v) -> (e, sol.Lp.values v)) yv)
-    | Lp.Infeasible | Lp.Unbounded ->
-      (* cannot happen: y = 0 is feasible, the objective is bounded *)
-      failwith "Master_slave.solve_reduced: knapsack LP not optimal")
+    find 0
+  in
+  let fill =
+    List.init n (fun k -> n - 1 - k)
+    |> List.filter (fun k ->
+           match first_full with
+           | None -> true
+           | Some f -> R.compare (cost k) (cost f) < 0)
+    (* stable on the reversed list: equal costs go to the later child *)
+    |> List.stable_sort (fun a b -> R.compare (cost a) (cost b))
+  in
+  let y = Array.make n R.zero in
+  let left =
+    List.fold_left
+      (fun left k ->
+        let _, _, ub = items.(k) in
+        let yk = R.min ub left in
+        y.(k) <- yk;
+        R.sub left yk)
+      R.one fill
+  in
+  Option.iter (fun f -> y.(f) <- left) first_full;
+  let value = ref R.zero in
+  Array.iteri (fun k (_, c, _) -> value := R.add !value (R.div y.(k) c)) items;
+  (!value, List.mapi (fun k (e, _, _) -> (e, y.(k))) children)
 
 let solve_reduced ?stats p ~master =
   match Tree_decomp.detect p ~root:master with
@@ -187,7 +211,7 @@ let solve_reduced ?stats p ~master =
           let children =
             List.map (fun (e, (c_cap, _, _)) -> (e, P.edge_cost p e, c_cap)) cs
           in
-          let k, ys = knapsack ?stats children in
+          let k, ys = knapsack children in
           let cap =
             if i = master then R.zero (* the root has no parent link *)
             else

@@ -88,18 +88,30 @@ val solve_reduced :
     of the platform reachable from the master is a tree (no undirected
     cycles, no parallel links — every {!Platform_gen.random_tree} /
     {!Platform_gen.balanced_tree} qualifies), the LP decomposes
-    exactly: one tiny fractional-knapsack LP per internal node, swept
-    bottom-up (subtree absorption capacities) and then top-down (exact
-    scaling of each saturated plan to the flow that actually arrives).
-    Total work is linear in the number of nodes times the knapsack
-    cost, instead of a simplex run over an [O(n)]-row basis.  Any
-    other platform falls back to the full LP run through the
-    {!Lp.Reduce} presolve.
+    exactly: one closed-form fractional knapsack ({!knapsack}) per
+    internal node, swept bottom-up (subtree absorption capacities) and
+    then top-down (exact scaling of each saturated plan to the flow
+    that actually arrives).  No LP is solved on a tree: the work is a
+    sort of each node's child links, instead of a simplex run over an
+    [O(n)]-row basis.  Any other platform falls back to the full LP
+    run through the {!Lp.Reduce} presolve; [?stats] counts that
+    fallback's kernel work (cycles cancelled included) and stays
+    untouched on a tree.
 
     The returned throughput is bit-identical to {!solve}'s on the same
     platform, and the flow satisfies every LP constraint exactly — the
     test-suite asserts both against {!Lp.check_solution}.
     @raise Failure as {!solve}. *)
+
+val knapsack : (int * Rat.t * Rat.t) list -> Rat.t * (int * Rat.t) list
+(** [knapsack [(e, c_e, cap_e); ...]] is one node's step of
+    {!solve_reduced}: the fractional knapsack
+    [max sum_e y_e/c_e] s.t. [sum_e y_e <= 1],
+    [0 <= y_e <= min(1, c_e * cap_e)] over the node's child links [e]
+    (cost [c_e], subtree capacity [cap_e]).  Returns the optimum and
+    one [(e, y_e)] per child, in input order.  Among the optimal
+    vertices it picks the one the exact simplex kernel returns on that
+    LP, in closed form. *)
 
 val schedule :
   ?recon:Reconstruct.Warm.t ->

@@ -17,9 +17,11 @@ type t = {
 }
 
 (* BFS from the root over out-edges.  [Some t] when the reachable part
-   is a tree: exactly (#reached - 1) distinct undirected links, and no
-   parallel directed edges (a parallel link pair would offer combined
-   bandwidth a single-parent decomposition cannot see). *)
+   is a tree: every edge leaving a reached node is a BFS tree edge or
+   the reverse of one, so the reached nodes share exactly
+   (#reached - 1) undirected links.  A parallel directed edge, which
+   would offer combined bandwidth a single-parent decomposition cannot
+   see, never gets here: [Platform.create] rejects it. *)
 let detect p ~root =
   let n = P.num_nodes p in
   let parent_edge = Array.make n (-1) in
@@ -41,23 +43,14 @@ let detect p ~root =
         end)
       (P.out_edges p i)
   done;
-  let order = Array.of_list (List.rev !order) in
-  let nr = Array.length order in
-  let links = Hashtbl.create (2 * n) in
-  let directed = Hashtbl.create (2 * n) in
-  let parallel = ref false in
-  List.iter
-    (fun e ->
-      let s = P.edge_src p e and d = P.edge_dst p e in
-      if reached.(s) then begin
-        (* BFS closure: the dst of a reached src is reached *)
-        if Hashtbl.mem directed (s, d) then parallel := true
-        else Hashtbl.add directed (s, d) ();
-        Hashtbl.replace links (min s d, max s d) ()
-      end)
-    (P.edges p);
-  if (not !parallel) && Hashtbl.length links = nr - 1 then
-    Some { root; order; parent_edge; reached }
+  let tree_link e =
+    let s = P.edge_src p e and d = P.edge_dst p e in
+    (not reached.(s))
+    || parent_edge.(d) = e
+    || (parent_edge.(s) >= 0 && P.edge_src p parent_edge.(s) = d)
+  in
+  if List.for_all tree_link (P.edges p) then
+    Some { root; order = Array.of_list (List.rev !order); parent_edge; reached }
   else None
 
 let parent p t v =

@@ -20,10 +20,12 @@ type t = {
 
 val detect : Platform.t -> root:Platform.node -> t option
 (** [Some t] when the subgraph reachable from [root] (over directed
-    edges) is a tree: exactly [#reached - 1] distinct undirected links
-    among reached nodes and no parallel directed edges.  Reverse edges
-    of tree links are allowed (they are part of the same undirected
-    link); anything creating an undirected cycle is not.  [None]
+    edges) is a tree: every edge out of a reached node is a BFS tree
+    edge [parent -> child] or the reverse of one, so the reached nodes
+    share exactly [#reached - 1] undirected links.  Reverse edges of
+    tree links are allowed (they are part of the same undirected link);
+    anything creating an undirected cycle is not.  Parallel directed
+    edges cannot occur: {!Platform.create} rejects them.  [None]
     otherwise — callers fall back to the monolithic LP. *)
 
 val parent : Platform.t -> t -> Platform.node -> Platform.node

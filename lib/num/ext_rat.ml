@@ -51,5 +51,14 @@ let of_string s =
   | "inf" | "+inf" | "oo" | "infinity" -> Inf
   | other -> Fin (Rat.of_string other)
 
+(* A value that starts and ends with a digit has nothing to trim and is
+   no spelling of [inf]; case only matters to letters, which Rat rejects
+   the same way in either case. *)
+let of_substring s pos len =
+  let digit i = match s.[i] with '0' .. '9' -> true | _ -> false in
+  if len > 0 && digit pos && digit (pos + len - 1) then
+    Fin (Rat.of_substring s pos len)
+  else of_string (String.sub s pos len)
+
 let to_string = function Inf -> "inf" | Fin r -> Rat.to_string r
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -41,5 +41,9 @@ val max : t -> t -> t
 val of_string : string -> t
 (** ["inf"] or anything {!Rat.of_string} accepts. *)
 
+val of_substring : string -> int -> int -> t
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    read in place when the value is a plain number. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -303,7 +303,7 @@ let to_string = function
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let of_string s =
+let of_string_big s =
   match String.index_opt s '/' with
   | Some i ->
     let n = B.of_string (String.sub s 0 i) in
@@ -328,6 +328,55 @@ let of_string s =
         let fpart = if negative then neg fpart else fpart in
         add (of_bigint wpart) fpart
       end
+
+(* [s.[pos .. pos+len-1]] as a native int when it is 1 to 18 decimal
+   digits (so below 10^18 < max_int), else -1. *)
+let small_digits s pos len =
+  if len < 1 || len > 18 then -1
+  else begin
+    let rec go i acc =
+      if i = pos + len then acc
+      else
+        match s.[i] with
+        | '0' .. '9' as c -> go (i + 1) ((10 * acc) + Char.code c - 48)
+        | _ -> -1
+    in
+    go pos 0
+  end
+
+let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
+
+(* Native-int path for [[+-]a], [[+-]a/b] and [[+-]a.b] with at most 18
+   digits per part and [b <> 0]; every other string, malformed ones
+   included, takes [of_string_big], which owns the error messages.  The
+   representation is canonical, so both paths build the same value. *)
+let of_substring s pos len =
+  let stop = pos + len in
+  let negative = len > 0 && s.[pos] = '-' in
+  let start = if len > 0 && (negative || s.[pos] = '+') then pos + 1 else pos in
+  let rec sep i =
+    if i = stop then stop
+    else match s.[i] with '/' | '.' -> i | _ -> sep (i + 1)
+  in
+  let k = sep start in
+  let whole = small_digits s start (k - start) in
+  let small =
+    if whole < 0 then None
+    else if k = stop then Some (S (whole, 1))
+    else begin
+      let flen = stop - k - 1 in
+      let frac = small_digits s (k + 1) flen in
+      if frac < 0 then None
+      else if s.[k] = '.' then Some (add (S (whole, 1)) (make_small frac (pow10 flen)))
+      else if frac = 0 then None
+      else Some (make_small whole frac)
+    end
+  in
+  match small with
+  | Some r -> if negative then neg r else r
+  | None -> of_string_big (String.sub s pos len)
+
+let of_string s = of_substring s 0 (String.length s)
 
 module Infix = struct
   let ( + ) = add

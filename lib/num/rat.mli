@@ -39,6 +39,11 @@ val of_string : string -> t
     sign.  @raise Invalid_argument on malformed input, a zero
     denominator included. *)
 
+val of_substring : string -> int -> int -> t
+(** [of_substring s pos len] is [of_string (String.sub s pos len)]; the
+    common short forms (at most 18 digits per part) are read in place,
+    without the copy or a {!Bigint} detour. *)
+
 (** {1 Accessors} *)
 
 val num : t -> Bigint.t

@@ -50,11 +50,11 @@ let create ~names ~weights ~edges =
         invalid_arg
           (Printf.sprintf "Platform.create: edge %s->%s has cost <= 0"
              names.(i) names.(j));
-      if Hashtbl.mem seen (i, j) then
+      if Hashtbl.mem seen ((i * p) + j) then
         invalid_arg
           (Printf.sprintf "Platform.create: duplicate edge %s->%s" names.(i)
              names.(j));
-      Hashtbl.add seen (i, j) ();
+      Hashtbl.add seen ((i * p) + j) ();
       srcs.(k) <- i;
       dsts.(k) <- j;
       costs.(k) <- c)

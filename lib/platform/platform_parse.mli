@@ -1,6 +1,8 @@
 (** Text format for platforms.
 
     One declaration per line; [#] starts a comment; blank lines ignored.
+    Words are separated by spaces, tabs or carriage returns, so a CRLF
+    file reads as its LF twin.
 
     {v
     node P1 w=2

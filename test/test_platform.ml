@@ -315,17 +315,23 @@ let prop_restrict_maps =
 (* Fuzz [Platform_parse.of_string] with seeded mutations of valid
    platform files: truncated lines, rationals near [max_int] (and past
    it, into the bignum range), malformed numbers, zero and negative
-   costs and weights, duplicated node and edge lines, deleted lines and
-   stray tokens.  The contract is the one [steady-cli] relies on: a
-   platform, or [Invalid_argument] — never any other exception.  An
-   accepted text must also round-trip: printing and re-parsing it
-   changes nothing. *)
+   costs and weights, duplicated node and edge lines, deleted lines,
+   stray tokens, tabs, carriage returns and comments.  The contract is
+   the one [steady-cli] relies on: a platform, or [Invalid_argument] —
+   never any other exception.  The one-pass scanner must also agree
+   with the list-based reference parser on every text: the same
+   platform, or the same message.  An accepted text must round-trip:
+   printing and re-parsing it changes nothing. *)
 let fuzz_numbers =
   [| "4611686018427387903"; "-4611686018427387904"; "4611686018427387903/2";
      "2/4611686018427387903"; "4611686018427387904"; "9223372036854775807/3";
      "4611686018427387903.5"; "0.4611686018427387903"; "1/0"; "0/0"; "0";
      "-0"; "0/7"; "-3"; "-1/2"; "1.-5"; "1."; ".5"; "-.5"; "1e5"; "1/2/3";
-     "+"; "-"; "inf"; "-inf"; "nan"; "" |]
+     "+"; "-"; "inf"; "-inf"; "nan"; ""; "INF"; "Inf"; "+3"; "007";
+     "999999999999999999"; "1000000000000000000"; "1/999999999999999999";
+     "999999999999999999.999999999999999999"; "0.000000000000000001";
+     "1.0000000000000000001"; "1/-2"; "-1/-2"; "+1/2"; "1/+2"; "3/0.5";
+     "2.5/2"; "1.5.5"; "1/2.5"; "2\012" |]
 
 let fuzz_text g text =
   let pick a = a.(Faults.rand_int g (Array.length a)) in
@@ -333,7 +339,7 @@ let fuzz_text g text =
   let n = Array.length lines in
   let line () = lines.(Faults.rand_int g n) in
   let mutate l =
-    match Faults.rand_int g 7 with
+    match Faults.rand_int g 10 with
     | 0 -> String.sub l 0 (Faults.rand_int g (String.length l + 1))
     | 1 | 2 -> (
       (* replace the attribute value *)
@@ -343,6 +349,18 @@ let fuzz_text g text =
     | 3 -> l ^ " " ^ pick [| "x"; "#"; "w=1"; "c=1"; "node" |]
     | 4 -> pick [| "node"; "edge"; "link"; "nodes"; "" |] ^ " " ^ l
     | 5 -> ""
+    | 6 -> l ^ pick [| "\r"; " \r"; "\t"; "# c=1 x"; "#\r" |]
+    | 7 ->
+      (* another separator between the words *)
+      String.concat (pick [| "\t"; "  "; " \r "; "\r"; "\012" |])
+        (String.split_on_char ' ' l)
+    | 8 -> (
+      (* cut the line with a comment *)
+      match String.length l with
+      | 0 -> "#"
+      | len ->
+        let k = Faults.rand_int g len in
+        String.sub l 0 k ^ "#" ^ String.sub l k (len - k))
     | _ -> l
   in
   let out = ref [] in
@@ -355,31 +373,65 @@ let fuzz_text g text =
     lines;
   String.concat "\n" (List.rev !out)
 
+let parse_outcome parse text =
+  match parse text with
+  | p -> Ok p
+  | exception Invalid_argument m -> Error m
+
 let test_parse_fuzz () =
   let g = Faults.generator ~seed:77 in
   let accepted = ref 0 and rejected = ref 0 in
-  for i = 1 to 1500 do
+  for i = 1 to 3000 do
     let nodes = 2 + Faults.rand_int g 6 in
     let p =
       Platform_gen.random_graph ~seed:(1 + Faults.rand_int g 1_000_000) ~nodes
         ~extra_edges:(Faults.rand_int g 4) ()
     in
     let text = fuzz_text g (Platform_parse.to_string p) in
-    match Platform_parse.of_string text with
-    | q ->
+    let reference = parse_outcome Platform_parse_reference.of_string text in
+    match parse_outcome Platform_parse.of_string text with
+    | Ok q ->
       incr accepted;
+      (match reference with
+      | Ok r ->
+        Alcotest.(check bool) (Printf.sprintf "case %d = reference" i) true
+          (P.equal q r)
+      | Error m -> Alcotest.failf "case %d: reference rejects (%s):\n%s" i m text);
       let printed = Platform_parse.to_string q in
       Alcotest.(check string)
         (Printf.sprintf "case %d round-trips" i)
         printed
         (Platform_parse.to_string (Platform_parse.of_string printed))
-    | exception Invalid_argument _ -> incr rejected
+    | Error m ->
+      incr rejected;
+      (match reference with
+      | Ok _ -> Alcotest.failf "case %d: reference accepts:\n%s" i text
+      | Error m' ->
+        Alcotest.(check string) (Printf.sprintf "case %d message" i) m' m)
     | exception e ->
       Alcotest.failf "case %d: %s on input:\n%s" i (Printexc.to_string e) text
   done;
   (* the mutations must exercise both outcomes *)
-  Alcotest.(check bool) "some accepted" true (!accepted > 100);
-  Alcotest.(check bool) "some rejected" true (!rejected > 100)
+  Alcotest.(check bool) "some accepted" true (!accepted > 200);
+  Alcotest.(check bool) "some rejected" true (!rejected > 200)
+
+(* a CRLF file parses as its LF twin, weights and costs included *)
+let test_parse_crlf () =
+  let lf =
+    "# crlf\nnode A w=2\nnode B w=inf\nnode C w=1/3\n\n\
+     edge A B c=3/2  # trailing comment\nlink B C c=0.5\n"
+  in
+  let crlf =
+    String.concat "\r\n" (String.split_on_char '\n' lf)
+  in
+  Alcotest.(check bool) "CRLF = LF" true
+    (P.equal (Platform_parse.of_string lf) (Platform_parse.of_string crlf));
+  let p = Platform_gen.random_graph ~seed:3 ~nodes:8 ~extra_edges:3 () in
+  let text = Platform_parse.to_string p in
+  Alcotest.(check bool) "generated CRLF file" true
+    (P.equal p
+       (Platform_parse.of_string
+          (String.concat "\r\n" (String.split_on_char '\n' text))))
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -401,6 +453,7 @@ let suite =
       Alcotest.test_case "parse format" `Quick test_parse_format;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
       Alcotest.test_case "parse fuzz" `Quick test_parse_fuzz;
+      Alcotest.test_case "parse CRLF" `Quick test_parse_crlf;
       Alcotest.test_case "dot export" `Quick test_dot;
       q prop_parse_roundtrip;
       q prop_depth_bounded;

@@ -70,6 +70,104 @@ let test_of_string () =
       | exception Invalid_argument _ -> ())
     [ "1/0"; "0/0"; "-7/000"; "1.-5"; "1.+5"; "1." ]
 
+(* [Rat.of_string] through Bigint alone: the reading the native-int
+   path must reproduce, value and error message alike *)
+let big_of_string s =
+  match String.index_opt s '/' with
+  | Some i ->
+    let n = B.of_string (String.sub s 0 i) in
+    let d = B.of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+    if B.is_zero d then invalid_arg "Rat.of_string: zero denominator";
+    R.make n d
+  | None -> (
+    match String.index_opt s '.' with
+    | None -> R.of_bigint (B.of_string s)
+    | Some i ->
+      let whole = String.sub s 0 i in
+      let frac = String.sub s (i + 1) (String.length s - i - 1) in
+      if frac = "" then invalid_arg "Rat.of_string: trailing dot"
+      else if frac.[0] = '-' || frac.[0] = '+' then
+        invalid_arg "Rat.of_string: signed fraction digits"
+      else begin
+        let negative = String.length whole > 0 && whole.[0] = '-' in
+        let wpart =
+          if whole = "" || whole = "-" || whole = "+" then B.zero
+          else B.of_string whole
+        in
+        let fpart =
+          R.make (B.of_string frac) (B.pow (B.of_int 10) (String.length frac))
+        in
+        R.add (R.of_bigint wpart) (if negative then R.neg fpart else fpart)
+      end)
+
+let outcome f s =
+  match f s with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> R.equal x y
+  | Error m, Error m' -> m = m'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show = function Ok v -> R.to_string v | Error m -> "error: " ^ m
+
+(* boundary cases of the native-int path (18 digits per part) and seeded
+   random strings over the number alphabet; [of_substring] is checked
+   inside a longer string *)
+let test_of_string_native_path () =
+  let check s =
+    let want = outcome big_of_string s in
+    let embedded t =
+      R.of_substring ("x/" ^ t ^ ".9") 2 (String.length t)
+    in
+    List.iter
+      (fun (what, f) ->
+        let got = outcome f s in
+        if not (same_outcome want got) then
+          Alcotest.failf "%s %S: %s, Bigint path: %s" what s (show got)
+            (show want))
+      [ ("of_string", R.of_string); ("of_substring", embedded) ]
+  in
+  List.iter check
+    [ "999999999999999999"; "-999999999999999999"; "1000000000000000000";
+      "-1000000000000000000"; "4611686018427387903"; "4611686018427387904";
+      "4611686018427387902"; "-4611686018427387904"; "-4611686018427387905";
+      "+3"; "-0"; "+0"; "007"; "-007"; "0/5"; "-0/5"; "1/0"; "0/0"; "-1/0";
+      "1/-0"; "1/999999999999999999"; "999999999999999999/999999999999999998";
+      "1/1000000000000000000"; "4611686018427387903/4611686018427387903";
+      "2.5"; "-2.5"; "+2.5"; "0.5"; "-0.5"; "-0.0"; "0.000000000000000001";
+      "0.0000000000000000001"; "999999999999999999.999999999999999999";
+      "999999999999999999.9999999999999999999"; "1.50"; "007.070"; ".5";
+      "-.5"; "+.5"; "5."; "1.-5"; "1.+5"; "1/-2"; "-1/-2"; "1/+2"; "+1/2";
+      "1/2/3"; "1.5.5"; "1/2.5"; "2.5/2"; ""; "+"; "-"; "/"; "."; "/2"; "2/";
+      "1e5"; "inf"; " 1"; "1 "; "1\r"; "\r1"; "+-1"; "--1"; "0x10" ];
+  let g = Faults.generator ~seed:19 in
+  let alphabet = "0123456789000999/.-+ x" in
+  for _ = 1 to 20_000 do
+    let len = Faults.rand_int g 24 in
+    check
+      (String.init len (fun _ ->
+           alphabet.[Faults.rand_int g (String.length alphabet)]))
+  done;
+  (* Ext_rat reads in place only what it would not trim or call [inf] *)
+  List.iter
+    (fun s ->
+      let want = match E.of_string s with v -> Ok v | exception Invalid_argument m -> Error m in
+      let got =
+        match E.of_substring ("x" ^ s ^ "y") 1 (String.length s) with
+        | v -> Ok v
+        | exception Invalid_argument m -> Error m
+      in
+      let ok =
+        match (want, got) with
+        | Ok a, Ok b -> E.equal a b
+        | Error m, Error m' -> m = m'
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      if not ok then Alcotest.failf "Ext_rat.of_substring %S" s)
+    [ "2"; "inf"; "INF"; "+inf"; "oo"; "2\012"; " 2"; "1E5"; "1e5"; "3/4";
+      "-3"; "0"; "1/0"; "9999999999999999999"; "" ]
+
 let test_to_string () =
   Alcotest.(check string) "int" "5" (R.to_string (ri 5));
   Alcotest.(check string) "frac" "3/4" (R.to_string (r 3 4));
@@ -303,6 +401,8 @@ let suite =
       Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
       Alcotest.test_case "compare" `Quick test_compare;
       Alcotest.test_case "of_string" `Quick test_of_string;
+      Alcotest.test_case "of_string native path" `Quick
+        test_of_string_native_path;
       Alcotest.test_case "to_string" `Quick test_to_string;
       Alcotest.test_case "sum/lcm" `Quick test_sum_lcm;
       Alcotest.test_case "to_float/int" `Quick test_to_float_int;

@@ -205,6 +205,35 @@ let record_parts raw =
   let key = String.sub payload (knl + 1) klen in
   (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
 
+let v2 = "steady-ckpt 2\n"
+
+(* the one checkpoint record of a store directory: (path, key, value) *)
+let ckpt_record dir =
+  let ckpts =
+    List.filter_map
+      (fun f ->
+        let path = Filename.concat dir f in
+        let ic = open_in_bin path in
+        let raw = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let key, value = record_parts raw in
+        if String.starts_with ~prefix:v2 value then Some (path, key, value)
+        else None)
+      (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
+  in
+  match ckpts with
+  | [ c ] -> c
+  | l -> Alcotest.failf "expected one checkpoint record, found %d" (List.length l)
+
+(* overwrite a record with [value] inside a valid envelope (length and
+   checksum right), so the byte layer hands it to the decoder *)
+let rewrite_record path key value =
+  let payload = Printf.sprintf "%d\n%s%s" (String.length key) key value in
+  let oc = open_out_bin path in
+  Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s" (String.length payload)
+    (Solve_store.checksum payload) payload;
+  close_out oc
+
 let test_previous_ckpt_format_cold_starts () =
   (* a record in the previous checkpoint format ("steady-ckpt 1") ends
      with a warm LP basis block this format no longer has; written inside
@@ -215,40 +244,15 @@ let test_previous_ckpt_format_cold_starts () =
   let dir = fresh_dir () in
   let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
   halt_run ~checkpoint ~halt:3 sc;
-  let v2 = "steady-ckpt 2\n" in
-  let ckpts =
-    List.filter_map
-      (fun f ->
-        let path = Filename.concat dir f in
-        let ic = open_in_bin path in
-        let raw = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let key, value = record_parts raw in
-        if String.starts_with ~prefix:v2 value then
-          Some (path, key, value)
-        else None)
-      (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
-  in
-  let key =
-    match ckpts with
-    | [ (path, key, value) ] ->
-      let n = String.length v2 in
-      let body = String.sub value n (String.length value - n) in
-      let basis = "lpbasis 1\n0\n" in
-      let value' =
-        Printf.sprintf "steady-ckpt 1\n%sB\n%d\n%s\n" body
-          (String.length basis) basis
-      in
-      let payload = Printf.sprintf "%d\n%s%s" (String.length key) key value' in
-      let oc = open_out_bin path in
-      Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s"
-        (String.length payload) (Solve_store.checksum payload) payload;
-      close_out oc;
-      Alcotest.(check bool) "byte layer accepts the rewritten record" true
-        (Solve_store.find (Solve_store.open_store dir) key <> None);
-      key
-    | l -> Alcotest.failf "expected one checkpoint record, found %d" (List.length l)
-  in
+  let path, key, value = ckpt_record dir in
+  let n = String.length v2 in
+  let body = String.sub value n (String.length value - n) in
+  let basis = "lpbasis 1\n0\n" in
+  rewrite_record path key
+    (Printf.sprintf "steady-ckpt 1\n%sB\n%d\n%s\n" body
+       (String.length basis) basis);
+  Alcotest.(check bool) "byte layer accepts the rewritten record" true
+    (Solve_store.find (Solve_store.open_store dir) key <> None);
   let resumed, from = Dy.resume ~checkpoint sc in
   Alcotest.(check (option int)) "previous format: cold start" None from;
   Alcotest.(check bool) "answer unchanged" true
@@ -261,6 +265,73 @@ let test_previous_ckpt_format_cold_starts () =
     | Some v -> String.starts_with ~prefix:v2 v
     | None -> false);
   rm_rf dir
+
+(* Fuzz the checkpoint record decoder behind a valid envelope: seeded
+   truncations, lines replaced by integers and rationals at and past
+   [max_int] (the work marks go through [Rat.of_string]), zero
+   denominators and malformed numbers, and stray bytes.  [resume] must
+   never raise, and whatever it makes of the record — a resume or a
+   quarantine and cold start — the outcome is the uninterrupted run's. *)
+let fuzz_values =
+  [| "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+     "-4611686018427387905"; "9223372036854775807"; "999999999999999999";
+     "1000000000000000000"; "1/0"; "0/0"; "-1/0"; "1/-0";
+     "4611686018427387903/4611686018427387902"; "99999999999999999999999/3";
+     "1/4611686018427387904"; "0.5"; "1.5"; "-0"; "+3"; "007"; "0/5"; "";
+     "x"; "1e5"; "1/2/3"; "."; "-"; "0"; "1"; "2" |]
+
+let test_ckpt_decoder_fuzz () =
+  let g = Faults.generator ~seed:31 in
+  let pick a = a.(Faults.rand_int g (Array.length a)) in
+  let mutate value =
+    let lines = Array.of_list (String.split_on_char '\n' value) in
+    let n = Array.length lines in
+    (* half the line edits hit the tail, where the work marks live *)
+    let line () =
+      if Faults.rand_int g 2 = 0 then max 1 (n - 1 - Faults.rand_int g 4)
+      else 1 + Faults.rand_int g (n - 1)
+    in
+    let splice k by =
+      String.concat "\n"
+        (List.concat
+           (List.mapi (fun i l -> if i = k then by l else [ l ])
+              (Array.to_list lines)))
+    in
+    match Faults.rand_int g 5 with
+    | 0 -> String.sub value 0 (Faults.rand_int g (String.length value))
+    | 1 | 2 -> splice (line ()) (fun _ -> [ pick fuzz_values ])
+    | 3 -> splice (line ()) (fun l -> [ l ^ pick [| "\000"; "\r"; " "; "#"; "/" |] ])
+    | _ ->
+      let k = Faults.rand_int g (String.length value + 1) in
+      String.sub value 0 k
+      ^ pick [| "\000"; "\n"; "\r"; "9"; "/"; "-"; "\255" |]
+      ^ String.sub value k (String.length value - k)
+  in
+  let resumed_at = ref 0 and cold = ref 0 in
+  List.iter
+    (fun (label, sc) ->
+      let uninterrupted = Dy.run sc Dy.Robust in
+      for case = 1 to 40 do
+        let dir = fresh_dir () in
+        let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+        halt_run ~checkpoint ~halt:(2 + Faults.rand_int g 3) sc;
+        let path, key, value = ckpt_record dir in
+        rewrite_record path key (mutate value);
+        (match Dy.resume ~checkpoint sc with
+        | resumed, from ->
+          if from = None then incr cold else incr resumed_at;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s case %d: answer unchanged" label case)
+            true
+            (Dy.outcomes_equal uninterrupted resumed)
+        | exception e ->
+          Alcotest.failf "%s case %d: resume raised %s" label case
+            (Printexc.to_string e));
+        rm_rf dir
+      done)
+    [ ("star", star_scenario ()); ("tree", tree_scenario ()) ];
+  Alcotest.(check bool) "most mutations force a cold start" true
+    (!cold > !resumed_at)
 
 let test_orphan_tmp_swept_on_resume () =
   (* a checkpoint writer killed mid-commit leaves a stale tempfile; the
@@ -422,6 +493,8 @@ let suite =
         test_damaged_records_cold_start;
       Alcotest.test_case "previous checkpoint format cold starts" `Quick
         test_previous_ckpt_format_cold_starts;
+      Alcotest.test_case "checkpoint decoder fuzz" `Quick
+        test_ckpt_decoder_fuzz;
       Alcotest.test_case "orphan tempfile swept on resume" `Quick
         test_orphan_tmp_swept_on_resume;
       Alcotest.test_case "argument validation" `Quick test_argument_validation;

@@ -249,6 +249,106 @@ let test_solve_reduced_fallback () =
       check_ms_solution name p red)
     [ (5, 8, 4); (23, 10, 3) ]
 
+(* The closed-form knapsack against the LP oracle on seeded, tie-heavy
+   instances: one to six children, costs drawn from a small set (all
+   equal in a quarter of the instances), and capacities that make the
+   bound 0, exactly 1, fractional, or clipped to 1 from above.  The
+   objective and every y must be bit-identical. *)
+let test_knapsack_oracle () =
+  let g = Faults.generator ~seed:18 in
+  let costs = [| R.one; R.two; R.of_ints 1 2; R.of_ints 3 2; R.of_int 3;
+                 R.of_ints 1 3 |] in
+  let pick a = a.(Faults.rand_int g (Array.length a)) in
+  let cap c =
+    match Faults.rand_int g 6 with
+    | 0 -> R.zero
+    | 1 | 2 -> R.inv c (* bound exactly 1 *)
+    | 3 -> R.div (R.of_int (2 + Faults.rand_int g 3)) c (* clipped to 1 *)
+    | _ -> R.of_ints (1 + Faults.rand_int g 5) (1 + Faults.rand_int g 5)
+  in
+  let plan = Alcotest.(list (pair int rat)) in
+  for case = 1 to 100_000 do
+    let k = 1 + Faults.rand_int g 6 in
+    let same = if Faults.rand_int g 4 = 0 then Some (pick costs) else None in
+    let children =
+      List.init k (fun e ->
+          let c = match same with Some c -> c | None -> pick costs in
+          (e, c, cap c))
+    in
+    let v, ys = Master_slave.knapsack children in
+    let v', ys' = Knapsack_reference.knapsack children in
+    if not (R.equal v v' && List.equal (fun (e, y) (e', y') ->
+        e = e' && R.equal y y') ys ys')
+    then begin
+      Alcotest.check rat (Printf.sprintf "case %d objective" case) v' v;
+      Alcotest.check plan (Printf.sprintf "case %d plan" case) ys' ys
+    end
+  done
+
+(* solve_reduced with the closed form against the reference sweep with
+   the LP knapsack: the same solution, field by field *)
+let test_solve_reduced_oracle () =
+  let check name p =
+    let got = Master_slave.solve_reduced p ~master:0 in
+    let want = Knapsack_reference.solve_tree p ~master:0 in
+    Alcotest.check rat (name ^ " ntask") want.Master_slave.ntask
+      got.Master_slave.ntask;
+    Alcotest.check rat_arr (name ^ " alpha") want.Master_slave.alpha
+      got.Master_slave.alpha;
+    Alcotest.check rat_arr (name ^ " send_frac") want.Master_slave.send_frac
+      got.Master_slave.send_frac;
+    Alcotest.check rat_arr (name ^ " task_flow") want.Master_slave.task_flow
+      got.Master_slave.task_flow
+  in
+  for seed = 1 to 12 do
+    let nodes = 50 + (37 * seed) in
+    check (Printf.sprintf "random_tree seed=%d" seed)
+      (Platform_gen.random_tree ~seed ~nodes ());
+    check (Printf.sprintf "balanced_tree seed=%d" seed)
+      (Platform_gen.balanced_tree ~seed ~nodes ~arity:(1 + (seed mod 4)) ())
+  done
+
+(* Tree detection against its counting definition: the reached nodes
+   share exactly (#reached - 1) distinct undirected links.  Seeded random
+   digraphs on 2-7 nodes, every root. *)
+let test_tree_detect_counting () =
+  let g = Faults.generator ~seed:23 in
+  let trees = ref 0 in
+  for _ = 1 to 3000 do
+    let n = 2 + Faults.rand_int g 6 in
+    let edges = ref [] in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j && Faults.rand_int g (n + 1) < 2 then
+          edges := (i, j, R.one) :: !edges
+      done
+    done;
+    let p =
+      P.create
+        ~names:(Array.init n string_of_int)
+        ~weights:(Array.make n Ext_rat.one)
+        ~edges:(List.rev !edges)
+    in
+    for root = 0 to n - 1 do
+      let reached = P.reachable_from p root in
+      let links = Hashtbl.create 16 in
+      List.iter
+        (fun e ->
+          let s = P.edge_src p e and d = P.edge_dst p e in
+          if reached.(s) then Hashtbl.replace links (min s d, max s d) ())
+        (P.edges p);
+      let nr = Array.fold_left (fun k b -> if b then k + 1 else k) 0 reached in
+      let want = Hashtbl.length links = nr - 1 in
+      let got = Tree_decomp.detect p ~root <> None in
+      if got then incr trees;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s root %d" (Platform_parse.to_string p) root)
+        want got
+    done
+  done;
+  Alcotest.(check bool) "trees and non-trees both occur" true
+    (!trees > 1000 && !trees < 15000)
+
 let test_solve_reduced_schedulable () =
   (* the decomposed flow must feed the schedule reconstruction like any
      other solution *)
@@ -628,6 +728,12 @@ let suite =
         test_a2a_reduced_missing_lane;
       Alcotest.test_case "solve_reduced: schedulable" `Quick
         test_solve_reduced_schedulable;
+      Alcotest.test_case "tree detection = link count" `Quick
+        test_tree_detect_counting;
+      Alcotest.test_case "knapsack: closed form = LP oracle" `Quick
+        test_knapsack_oracle;
+      Alcotest.test_case "solve_reduced: closed form = LP oracle" `Quick
+        test_solve_reduced_oracle;
       Alcotest.test_case "random_tree: default stream" `Quick
         test_default_stream_unchanged;
       Alcotest.test_case "random_tree: max_degree" `Quick
