@@ -18,6 +18,16 @@ let node_of_name p name =
 
 let ( let* ) = Result.bind
 
+let check_periods k =
+  if k < 0 then Error (Printf.sprintf "--periods must be >= 0, got %d" k)
+  else Ok ()
+
+(* The library rejects invalid input (collective targets, probed
+   hosts, a dynamic scenario's phases, traces or checkpoint cadence)
+   with [Invalid_argument] before any work runs: report it like any
+   other bad input. *)
+let rejecting_invalid f = try f () with Invalid_argument msg -> Error msg
+
 let or_die = function
   | Ok () -> 0
   | Error msg ->
@@ -85,6 +95,7 @@ let solve_ms_cmd =
     or_die
       (let* p = read_platform path in
        let* m = node_of_name p master in
+       let* () = check_periods periods in
        with_cache cache_dir @@ fun cache ->
        let sol = Master_slave.solve ?cache p ~master:m in
        Printf.printf "ntask(G) = %s tasks per time unit\n\n"
@@ -129,7 +140,9 @@ let solve_scatter_cmd =
       (let* p = read_platform path in
        let* s = node_of_name p source in
        let* tg = parse_targets p targets in
+       let* () = check_periods periods in
        with_cache cache_dir @@ fun cache ->
+       rejecting_invalid @@ fun () ->
        let sol = Scatter.solve ?cache p ~source:s ~targets:tg in
        Printf.printf "scatter throughput TP = %s messages per time unit\n"
          (Rat.to_string sol.Collective.throughput);
@@ -158,6 +171,7 @@ let solve_multicast_cmd =
        let* s = node_of_name p source in
        let* tg = parse_targets p targets in
        with_cache cache_dir @@ fun cache ->
+       rejecting_invalid @@ fun () ->
        let maxb = Multicast.max_lp_bound ?cache p ~source:s ~targets:tg in
        let sumb = Multicast.scatter_lower_bound ?cache p ~source:s ~targets:tg in
        Printf.printf "max-LP upper bound : %s\n"
@@ -258,6 +272,7 @@ let infer_cmd =
       (let* p = read_platform path in
        let* m = node_of_name p master in
        let* hs = parse_targets p hosts in
+       rejecting_invalid @@ fun () ->
        let rep = Topology_probe.infer p ~master:m ~hosts:hs in
        List.iter
          (fun (h, t) ->
@@ -429,6 +444,7 @@ let dynamic_cmd =
            phases;
          }
        in
+       rejecting_invalid @@ fun () ->
        match (ckpt_dir, resume, halt_at) with
        | None, true, _ -> Error "--resume requires --checkpoint-dir"
        | None, _, Some _ -> Error "--halt-at requires --checkpoint-dir"

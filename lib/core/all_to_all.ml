@@ -113,14 +113,7 @@ let solution_of_lp p ~participants f_v (sol : Lp.solution) =
   in
   { platform = p; participants; throughput = sol.Lp.objective; flows }
 
-let solve p ~participants =
-  let m, _tp, _s_v, f_v = build_model p ~participants in
-  match Lp.solve m with
-  | Lp.Infeasible | Lp.Unbounded ->
-    failwith "All_to_all.solve: LP not optimal (cannot happen)"
-  | Lp.Optimal sol -> solution_of_lp p ~participants f_v sol
-
-(* --- structurally reduced solve ----------------------------------------
+(* --- the tree closed form ------------------------------------------------
 
    On a tree, pair (s, t) must cross the link above every subtree that
    separates them, and the tree path is the only way to do it.  With
@@ -142,8 +135,7 @@ let solve p ~participants =
    If a loaded upward lane does not exist on the platform, some pair
    cannot route at all (the tree link is the only connection between
    the two sides) and the common rate is zero; same when a participant
-   is unreachable from the root.  Non-tree platforms fall back to the
-   monolithic LP through the Lp.Reduce presolve. *)
+   is unreachable from the root. *)
 
 let zero_solution p ~participants =
   let ne = P.num_edges p in
@@ -154,112 +146,112 @@ let zero_solution p ~participants =
     flows = List.map (fun pr -> (pr, Array.make ne R.zero)) (pairs_of participants);
   }
 
-let solve_reduced ?stats p ~participants =
-  validate_spec p ~participants;
-  let root = List.hd participants in
-  match Tree_decomp.detect p ~root with
-  | None ->
-    let m, _tp, _s_v, f_v = build_model p ~participants in
-    let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?stats red with
-    | Lp.Infeasible | Lp.Unbounded ->
-      failwith "All_to_all.solve_reduced: LP not optimal (cannot happen)"
-    | Lp.Optimal sol -> solution_of_lp p ~participants f_v sol)
-  | Some td ->
-    let prt = Array.of_list participants in
-    let np = Array.length prt in
-    if Array.exists (fun i -> not td.Tree_decomp.reached.(i)) prt then
-      zero_solution p ~participants
+let solve_tree p ~participants td =
+  let prt = Array.of_list participants in
+  let np = Array.length prt in
+  if Array.exists (fun i -> not td.Tree_decomp.reached.(i)) prt then
+    zero_solution p ~participants
+  else begin
+    let n = P.num_nodes p in
+    let is_p = Array.make n false in
+    Array.iter (fun i -> is_p.(i) <- true) prt;
+    let inp =
+      Tree_decomp.subtree_sums p td ~seed:(fun v ->
+          if is_p.(v) then 1 else 0)
+    in
+    let mult v = inp.(v) * (np - inp.(v)) in
+    let upe = Tree_decomp.up_edges p td in
+    if
+      Array.exists
+        (fun v ->
+          td.Tree_decomp.parent_edge.(v) >= 0
+          && mult v > 0
+          && upe.(v) < 0)
+        td.Tree_decomp.order
+    then zero_solution p ~participants
     else begin
-      let n = P.num_nodes p in
-      let is_p = Array.make n false in
-      Array.iter (fun i -> is_p.(i) <- true) prt;
-      let inp =
-        Tree_decomp.subtree_sums p td ~seed:(fun v ->
-            if is_p.(v) then 1 else 0)
+      (* load contributed by the lane above v in one direction *)
+      let lane_load e v = R.mul (P.edge_cost p e) (R.of_int (mult v)) in
+      let tp = ref None in
+      let consider x =
+        match !tp with
+        | Some y when R.compare y x <= 0 -> ()
+        | _ -> tp := Some x
       in
-      let mult v = inp.(v) * (np - inp.(v)) in
-      let upe = Tree_decomp.up_edges p td in
-      if
-        Array.exists
-          (fun v ->
-            td.Tree_decomp.parent_edge.(v) >= 0
-            && mult v > 0
-            && upe.(v) < 0)
-          td.Tree_decomp.order
-      then zero_solution p ~participants
-      else begin
-        (* load contributed by the lane above v in one direction *)
-        let lane_load e v = R.mul (P.edge_cost p e) (R.of_int (mult v)) in
-        let tp = ref None in
-        let consider x =
-          match !tp with
-          | Some y when R.compare y x <= 0 -> ()
-          | _ -> tp := Some x
-        in
-        let kids = Tree_decomp.children p td in
+      let kids = Tree_decomp.children p td in
+      Array.iter
+        (fun v ->
+          let down = td.Tree_decomp.parent_edge.(v) in
+          if down >= 0 && mult v > 0 then begin
+            consider (R.inv (lane_load down v));
+            consider (R.inv (lane_load upe.(v) v))
+          end;
+          (* ports of v: the lane to the parent plus one per child *)
+          let self_out, self_in =
+            if down >= 0 && mult v > 0 then
+              (lane_load upe.(v) v, lane_load down v)
+            else (R.zero, R.zero)
+          in
+          let out_load, in_load =
+            List.fold_left
+              (fun (o, i) (e, w) ->
+                if mult w > 0 then
+                  (R.add o (lane_load e w), R.add i (lane_load upe.(w) w))
+                else (o, i))
+              (self_out, self_in) kids.(v)
+          in
+          if R.sign out_load > 0 then consider (R.inv out_load);
+          if R.sign in_load > 0 then consider (R.inv in_load))
+        td.Tree_decomp.order;
+      match !tp with
+      | None ->
+        (* every lane multiplicity is zero: impossible with >= 2
+           reached participants *)
+        assert false
+      | Some tp ->
+        let depth = Array.make n 0 in
         Array.iter
           (fun v ->
-            let down = td.Tree_decomp.parent_edge.(v) in
-            if down >= 0 && mult v > 0 then begin
-              consider (R.inv (lane_load down v));
-              consider (R.inv (lane_load upe.(v) v))
-            end;
-            (* ports of v: the lane to the parent plus one per child *)
-            let self_out, self_in =
-              if down >= 0 && mult v > 0 then
-                (lane_load upe.(v) v, lane_load down v)
-              else (R.zero, R.zero)
-            in
-            let out_load, in_load =
-              List.fold_left
-                (fun (o, i) (e, w) ->
-                  if mult w > 0 then
-                    (R.add o (lane_load e w), R.add i (lane_load upe.(w) w))
-                  else (o, i))
-                (self_out, self_in) kids.(v)
-            in
-            if R.sign out_load > 0 then consider (R.inv out_load);
-            if R.sign in_load > 0 then consider (R.inv in_load))
+            let e = td.Tree_decomp.parent_edge.(v) in
+            if e >= 0 then depth.(v) <- depth.(P.edge_src p e) + 1)
           td.Tree_decomp.order;
-        match !tp with
-        | None ->
-          (* every lane multiplicity is zero: impossible with >= 2
-             reached participants *)
-          assert false
-        | Some tp ->
-          let depth = Array.make n 0 in
-          Array.iter
-            (fun v ->
-              let e = td.Tree_decomp.parent_edge.(v) in
-              if e >= 0 then depth.(v) <- depth.(P.edge_src p e) + 1)
-            td.Tree_decomp.order;
-          let ne = P.num_edges p in
-          let route s t =
-            let arr = Array.make ne R.zero in
-            let a = ref s and b = ref t in
-            while depth.(!a) > depth.(!b) do
-              arr.(upe.(!a)) <- tp;
-              a := Tree_decomp.parent p td !a
-            done;
-            while depth.(!b) > depth.(!a) do
-              arr.(td.Tree_decomp.parent_edge.(!b)) <- tp;
-              b := Tree_decomp.parent p td !b
-            done;
-            while !a <> !b do
-              arr.(upe.(!a)) <- tp;
-              arr.(td.Tree_decomp.parent_edge.(!b)) <- tp;
-              a := Tree_decomp.parent p td !a;
-              b := Tree_decomp.parent p td !b
-            done;
-            arr
-          in
-          let flows =
-            List.map (fun (s, t) -> ((s, t), route s t)) (pairs_of participants)
-          in
-          { platform = p; participants; throughput = tp; flows }
-      end
+        let ne = P.num_edges p in
+        let route s t =
+          let arr = Array.make ne R.zero in
+          let a = ref s and b = ref t in
+          while depth.(!a) > depth.(!b) do
+            arr.(upe.(!a)) <- tp;
+            a := Tree_decomp.parent p td !a
+          done;
+          while depth.(!b) > depth.(!a) do
+            arr.(td.Tree_decomp.parent_edge.(!b)) <- tp;
+            b := Tree_decomp.parent p td !b
+          done;
+          while !a <> !b do
+            arr.(upe.(!a)) <- tp;
+            arr.(td.Tree_decomp.parent_edge.(!b)) <- tp;
+            a := Tree_decomp.parent p td !a;
+            b := Tree_decomp.parent p td !b
+          done;
+          arr
+        in
+        let flows =
+          List.map (fun (s, t) -> ((s, t), route s t)) (pairs_of participants)
+        in
+        { platform = p; participants; throughput = tp; flows }
     end
+  end
+
+let solve p ~participants =
+  validate_spec p ~participants;
+  match Tree_decomp.detect p ~root:(List.hd participants) with
+  | Some td -> solve_tree p ~participants td
+  | None -> (
+    let m, _tp, _s_v, f_v = build_model p ~participants in
+    match Lp.solve m with
+    | Lp.Infeasible | Lp.Unbounded ->
+      failwith "All_to_all.solve: LP not optimal (cannot happen)"
+    | Lp.Optimal sol -> solution_of_lp p ~participants f_v sol)
 
 let check_invariants sol =
   let p = sol.platform in

@@ -23,17 +23,7 @@ val solve :
   Platform.t ->
   participants:Platform.node list ->
   solution
-(** @raise Invalid_argument on fewer than two participants or
-    duplicates.  Beware: the LP has [|participants|^2 * |E|] variables —
-    exact rational simplex keeps this practical only for small
-    exemplars. *)
-
-val solve_reduced :
-  ?stats:Lp.Stats.t ->
-  Platform.t ->
-  participants:Platform.node list ->
-  solution
-(** Structurally reduced {!solve}.  On a tree platform
+(** The optimal exchange rate.  When the platform is a tree
     ({!Tree_decomp.detect} rooted at the first participant) the pair
     LP has a closed form: with [inP(v)] participants below tree link
     [{u,v}] out of [nP], the link carries [inP(v) * (nP - inP(v))]
@@ -42,15 +32,17 @@ val solve_reduced :
     {v TP = min( 1/(c_e * m_e)  per loaded lane,
              1/sum c_e * m_e  per out- and in-port )    v}
 
-    met exactly by routing every ordered pair along its tree path — no
-    simplex pivot runs, and throughput and flows are bit-identical to
-    {!solve}'s (the test-suite replays them through
-    {!Lp.check_solution} on the monolithic model).  A participant
+    met exactly by routing every ordered pair along its tree path, its
+    only cycle-free route — so throughput and flows are those of the
+    monolithic LP, bit for bit, with no LP built.  A participant
     unreachable from the root, or a loaded upward lane missing from
-    the platform, forces zero throughput, returned directly.  Non-tree
-    platforms fall back to the monolithic LP through the {!Lp.Reduce}
-    presolve.
-    @raise Invalid_argument as {!solve}. *)
+    the platform, forces zero throughput.
+
+    Any other platform solves the monolithic LP ({!model_handles}).
+    Beware: it has [|participants|^2 * |E|] variables — exact rational
+    simplex keeps this practical only for small exemplars.
+    @raise Invalid_argument on fewer than two participants or
+    duplicates. *)
 
 val model_handles :
   Platform.t ->
@@ -59,7 +51,7 @@ val model_handles :
   * Lp.var
   * Lp.var array
   * ((Platform.node * Platform.node) * Lp.var array) list
-(** The monolithic pair LP that {!solve} builds, with the variable
+(** The monolithic pair LP that {!solve} builds off trees, with the variable
     handles needed to replay a {!solution} through
     {!Lp.check_solution}: [(model, tp, s_vars, f_vars)] with
     [s_vars.(e)] the busy fraction of edge [e] and per ordered pair one

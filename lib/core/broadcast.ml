@@ -8,11 +8,6 @@ let lp_bound ?cache p ~source =
   Collective.solve ?cache Collective.Max p ~source
     ~targets:(targets_of p ~source)
 
-let lp_bound_reduced ?stats p ~source =
-  Collective.solve_reduced ?stats
-    Collective.Max p ~source
-    ~targets:(targets_of p ~source)
-
 let tree_packing ?cache p ~source =
   Multicast.best_tree_packing ?cache p ~source
     ~targets:(targets_of p ~source)

@@ -14,18 +14,10 @@ val lp_bound :
   Platform.t ->
   source:Platform.node ->
   Collective.solution
-(** The [Max]-law upper bound on broadcast throughput. *)
-
-val lp_bound_reduced :
-  ?stats:Lp.Stats.t ->
-  Platform.t ->
-  source:Platform.node ->
-  Collective.solution
-(** {!lp_bound} through {!Collective.solve_reduced}: on tree platforms
-    the bound is the closed-form tree minimum (every edge above a
-    reachable node is loaded once — broadcast reaches everyone), with
-    no simplex pivot; elsewhere the monolithic LP runs through the
-    {!Lp.Reduce} presolve.  Bit-identical to {!lp_bound}. *)
+(** The [Max]-law upper bound on broadcast throughput, by
+    {!Collective.solve}: on a tree it is the closed-form minimum (every
+    edge above a reached node is loaded once, since broadcast reaches
+    everyone), elsewhere the monolithic LP. *)
 
 val tree_packing :
   ?cache:Lp.Cache.t ->

@@ -175,14 +175,7 @@ let solution_of_lp mode p ~source ~targets f_v (sol : Lp.solution) =
     send_frac = send_frac_of mode p nk flows;
   }
 
-let solve ?cache mode p ~source ~targets =
-  let m, _tp, _s_v, f_v = build_model mode p ~source ~targets in
-  match Lp.solve ?cache m with
-  | Lp.Infeasible | Lp.Unbounded ->
-    failwith "Collective.solve: LP not optimal (cannot happen)"
-  | Lp.Optimal sol -> solution_of_lp mode p ~source ~targets f_v sol
-
-(* --- structurally reduced solve ----------------------------------------
+(* --- the tree closed form ------------------------------------------------
 
    On a tree platform the collective LP has a closed form.  Commodity k
    must cross the tree edge into every subtree containing its target
@@ -206,9 +199,8 @@ let solve ?cache mode p ~source ~targets =
    test-suite certifies the claim by replaying the decomposed flows
    through Lp.check_solution on the monolithic model.
 
-   Non-tree platforms fall back to the full LP run through the
-   Lp.Reduce presolve; an unreachable target forces TP = 0 (its sink
-   law is unsatisfiable at any positive rate), returned directly. *)
+   An unreachable target forces TP = 0 (its sink law is unsatisfiable
+   at any positive rate), returned directly. *)
 
 let zero_solution mode p ~source ~targets =
   let nk = List.length targets in
@@ -223,83 +215,83 @@ let zero_solution mode p ~source ~targets =
     send_frac = Array.make ne R.zero;
   }
 
-let solve_reduced ?stats mode p ~source ~targets
-    =
+let solve_tree mode p ~source ~targets td =
+  let target = Array.of_list targets in
+  if Array.exists (fun t -> not td.Tree_decomp.reached.(t)) target then
+    zero_solution mode p ~source ~targets
+  else begin
+    let nk = Array.length target in
+    let is_target = Array.make (P.num_nodes p) false in
+    Array.iter (fun t -> is_target.(t) <- true) target;
+    let cnt =
+      Tree_decomp.subtree_sums p td ~seed:(fun v ->
+          if is_target.(v) then 1 else 0)
+    in
+    let mult v =
+      match mode with
+      | Sum -> R.of_int cnt.(v)
+      | Max -> R.one (* only consulted where cnt > 0 *)
+    in
+    let tp = ref None in
+    let consider x =
+      match !tp with
+      | Some y when R.compare y x <= 0 -> ()
+      | _ -> tp := Some x
+    in
+    let kids = Tree_decomp.children p td in
+    Array.iter
+      (fun v ->
+        (* loaded tree edge: busy fraction and the in-port of v *)
+        let e = td.Tree_decomp.parent_edge.(v) in
+        if e >= 0 && cnt.(v) > 0 then
+          consider (R.inv (R.mul (P.edge_cost p e) (mult v)));
+        (* out-port of v over its loaded child edges *)
+        let load =
+          List.fold_left
+            (fun acc (e, w) ->
+              if cnt.(w) > 0 then
+                R.add acc (R.mul (P.edge_cost p e) (mult w))
+              else acc)
+            R.zero kids.(v)
+        in
+        if R.sign load > 0 then consider (R.inv load))
+      td.Tree_decomp.order;
+    let tp =
+      match !tp with
+      | Some x -> x
+      | None -> assert false (* >= 1 reached target loads its path *)
+    in
+    let ne = P.num_edges p in
+    let flows = Array.init nk (fun _ -> Array.make ne R.zero) in
+    for k = 0 to nk - 1 do
+      let v = ref target.(k) in
+      while !v <> source do
+        let e = td.Tree_decomp.parent_edge.(!v) in
+        flows.(k).(e) <- tp;
+        v := P.edge_src p e
+      done
+    done;
+    {
+      platform = p;
+      source;
+      targets;
+      mode;
+      throughput = tp;
+      flows;
+      send_frac = send_frac_of mode p nk flows;
+    }
+  end
+
+let solve ?cache mode p ~source ~targets =
   validate_spec p ~source ~targets;
   match Tree_decomp.detect p ~root:source with
-  | None ->
+  | Some td -> solve_tree mode p ~source ~targets td
+  | None -> (
     let m, _tp, _s_v, f_v = build_model mode p ~source ~targets in
-    let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?stats red with
+    match Lp.solve ?cache m with
     | Lp.Infeasible | Lp.Unbounded ->
-      failwith "Collective.solve_reduced: LP not optimal (cannot happen)"
+      failwith "Collective.solve: LP not optimal (cannot happen)"
     | Lp.Optimal sol -> solution_of_lp mode p ~source ~targets f_v sol)
-  | Some td ->
-    let target = Array.of_list targets in
-    if Array.exists (fun t -> not td.Tree_decomp.reached.(t)) target then
-      zero_solution mode p ~source ~targets
-    else begin
-      let nk = Array.length target in
-      let is_target = Array.make (P.num_nodes p) false in
-      Array.iter (fun t -> is_target.(t) <- true) target;
-      let cnt =
-        Tree_decomp.subtree_sums p td ~seed:(fun v ->
-            if is_target.(v) then 1 else 0)
-      in
-      let mult v =
-        match mode with
-        | Sum -> R.of_int cnt.(v)
-        | Max -> R.one (* only consulted where cnt > 0 *)
-      in
-      let tp = ref None in
-      let consider x =
-        match !tp with
-        | Some y when R.compare y x <= 0 -> ()
-        | _ -> tp := Some x
-      in
-      let kids = Tree_decomp.children p td in
-      Array.iter
-        (fun v ->
-          (* loaded tree edge: busy fraction and the in-port of v *)
-          let e = td.Tree_decomp.parent_edge.(v) in
-          if e >= 0 && cnt.(v) > 0 then
-            consider (R.inv (R.mul (P.edge_cost p e) (mult v)));
-          (* out-port of v over its loaded child edges *)
-          let load =
-            List.fold_left
-              (fun acc (e, w) ->
-                if cnt.(w) > 0 then
-                  R.add acc (R.mul (P.edge_cost p e) (mult w))
-                else acc)
-              R.zero kids.(v)
-          in
-          if R.sign load > 0 then consider (R.inv load))
-        td.Tree_decomp.order;
-      let tp =
-        match !tp with
-        | Some x -> x
-        | None -> assert false (* >= 1 reached target loads its path *)
-      in
-      let ne = P.num_edges p in
-      let flows = Array.init nk (fun _ -> Array.make ne R.zero) in
-      for k = 0 to nk - 1 do
-        let v = ref target.(k) in
-        while !v <> source do
-          let e = td.Tree_decomp.parent_edge.(!v) in
-          flows.(k).(e) <- tp;
-          v := P.edge_src p e
-        done
-      done;
-      {
-        platform = p;
-        source;
-        targets;
-        mode;
-        throughput = tp;
-        flows;
-        send_frac = send_frac_of mode p nk flows;
-      }
-    end
 
 let per_edge_flow sol ~kind = sol.flows.(kind)
 

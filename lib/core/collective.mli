@@ -34,37 +34,27 @@ val solve :
   source:Platform.node ->
   targets:Platform.node list ->
   solution
-(** [?cache] memoises exactly repeated solves, as in
-    {!Master_slave.solve}.
-    @raise Invalid_argument if [targets] is empty, contains the source,
-    or contains duplicates.  (Zero throughput is always feasible, so the
-    LP is never infeasible.) *)
-
-val solve_reduced :
-  ?stats:Lp.Stats.t ->
-  mode ->
-  Platform.t ->
-  source:Platform.node ->
-  targets:Platform.node list ->
-  solution
-(** Structurally reduced {!solve}.  When the part of the platform
+(** The optimal collective flow.  When the part of the platform
     reachable from the source is a tree ({!Tree_decomp.detect}), the
-    collective LP has a closed form: commodity [k] must cross the tree
-    edge above every subtree holding its target, so with [cnt(v)]
-    targets below edge [e = (u,v)] the throughput is
+    LP has a closed form: commodity [k] must cross the tree edge above
+    every subtree holding its target, so with [cnt(v)] targets below
+    edge [e = (u,v)] the throughput is
 
     {v TP = min( 1/(c_e * m_e)  per loaded edge,
              1/sum c_e * m_e  per out-port )     v}
 
     with multiplicity [m_e = cnt(v)] under [Sum] and [1] under [Max] —
     met exactly by routing [TP] along every source→target tree path.
-    No simplex pivot runs; throughput and flows are bit-identical to
-    {!solve}'s and satisfy every constraint of the monolithic model
-    (the test-suite replays them through {!Lp.check_solution}).  An
-    unreachable target forces zero throughput, returned directly.
-    Non-tree platforms fall back to the full LP run through the
-    {!Lp.Reduce} presolve.
-    @raise Invalid_argument as {!solve}. *)
+    The tree path is each commodity's only cycle-free route, so
+    throughput and flows are those of the monolithic {!model}, bit for
+    bit, with no LP built; an unreachable target forces zero
+    throughput.  [?cache] is not consulted there.
+
+    Any other platform solves {!model} with {!Lp.solve}; [?cache]
+    memoises exactly repeated solves, as in {!Master_slave.solve}.
+    @raise Invalid_argument if [targets] is empty, contains the source,
+    or contains duplicates.  (Zero throughput is always feasible, so the
+    LP is never infeasible.) *)
 
 val model :
   mode ->
@@ -72,9 +62,9 @@ val model :
   source:Platform.node ->
   targets:Platform.node list ->
   Lp.model
-(** The exact LP model that {!solve} builds and solves (same variables,
-    constraints and objective, in the same order), for inspection and
-    for the kernel-equality tests. *)
+(** The exact LP model that {!solve} builds and solves off trees (same
+    variables, constraints and objective, in the same order), for
+    inspection and for the kernel-equality tests. *)
 
 val model_handles :
   mode ->

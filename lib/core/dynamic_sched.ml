@@ -108,6 +108,16 @@ let scaled_platform sc node_mult edge_mult =
              R.div (P.edge_cost p e) (edge_mult e) ))
          (P.edges p))
 
+(* The executors plan on the kernel's vertex even on a tree, not on
+   {!Master_slave.solve}'s closed form: {!phase_plan} floors each
+   path's per-phase count, and the closed form's vertex can lose more
+   to those floors (see {!Master_slave.try_solve_lp}). *)
+let plan_solve ?cache ?stats p ~master =
+  match Master_slave.try_solve_lp ?cache ?stats p ~master with
+  | Ok sol -> sol
+  | Error (`Infeasible | `Unbounded) ->
+    failwith "Dynamic_sched: plan LP not optimal (invalid platform?)"
+
 (* Plan for one phase, at single-task granularity so that a slave only
    computes what has actually been delivered (a stalled link therefore
    stalls the dependent computation, as it would in reality).
@@ -270,11 +280,11 @@ let run_classic ?cache ?(reuse = true) ?stats sc strategy =
      [~reuse:false] re-solves every phase for baseline measurements *)
   let cache = make_cache cache reuse in
   let solve_scaled node_mult edge_mult =
-    Master_slave.solve ?cache ?stats
+    plan_solve ?cache ?stats
       (scaled_platform sc node_mult edge_mult)
       ~master:sc.master
   in
-  let static_sol = Master_slave.solve ?cache ?stats p ~master:sc.master in
+  let static_sol = plan_solve ?cache ?stats p ~master:sc.master in
   (* one forecaster per node and per edge (reactive strategy) *)
   let node_fc = Array.init (P.num_nodes p) (fun _ -> Forecast.create ()) in
   let edge_fc = Array.init (P.num_edges p) (fun _ -> Forecast.create ()) in
@@ -814,7 +824,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      one regime where a fault-free Robust run fell behind.  Physics
      still caps the executed work at the per-epoch LP bound: extra
      submissions merely queue. *)
-  let static_sol = Master_slave.solve ?cache ?stats p ~master:sc.master in
+  let static_sol = plan_solve ?cache ?stats p ~master:sc.master in
   let static_transfers, static_master = phase_plan static_sol sc.phase in
   (* Static-floor supply owed on routes that were dead when the floor
      would have submitted.  Static keeps queueing through an outage and
@@ -982,7 +992,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
               if not (has_compute sub) then None
               else
                 match
-                  Master_slave.try_solve ?cache ?stats sub
+                  Master_slave.try_solve_lp ?cache ?stats sub
                     ~master:restr.P.sub_of_node.(sc.master)
                 with
                 | Error (`Infeasible | `Unbounded) -> None

@@ -150,7 +150,11 @@ val run :
   scenario ->
   strategy ->
   outcome
-(** Every per-phase LP solve is cold.  With [reuse] (the default),
+(** Every phase plan is the kernel's vertex of the master–slave LP
+    ({!Master_slave.try_solve_lp}), on a tree too: a plan's per-path
+    task counts are floors of [phase * rate], and the tree closed
+    form's vertex can lose more to them.  Every per-phase LP solve is
+    cold.  With [reuse] (the default),
     exactly repeated instances are memoised — flat trace segments and
     the nominal platform cost one solve for the whole run — and
     {!Robust} memoises its surviving restriction on the multiplier
@@ -201,7 +205,9 @@ val oracle_throughput_bound :
     multipliers at the phase start)] — an upper bound on any
     phase-planned strategy when breakpoints are phase-aligned.
     [?cache]/[?reuse] as in {!run}; the bound itself is bit-identical
-    either way. *)
+    either way.  Only the throughput counts here, so each phase takes
+    {!Master_slave.solve} (the closed form on a tree, which consults no
+    cache). *)
 
 (** {1 Failure-aware utilities} *)
 

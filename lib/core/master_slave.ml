@@ -98,20 +98,7 @@ let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
     task_flow;
   }
 
-let try_solve ?cache ?stats p ~master =
-  let m, alpha_v, s_v = build_lp p ~master in
-  match Lp.solve ?cache ?stats m with
-  | Lp.Infeasible -> Error `Infeasible
-  | Lp.Unbounded -> Error `Unbounded
-  | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
-
-let solve ?cache ?stats p ~master =
-  match try_solve ?cache ?stats p ~master with
-  | Ok sol -> sol
-  | Error (`Infeasible | `Unbounded) ->
-    failwith "Master_slave.solve: LP not optimal (invalid platform?)"
-
-(* --- structurally reduced solve ----------------------------------------
+(* --- the tree closed form ------------------------------------------------
 
    The master–slave LP on a tree platform decomposes exactly
    (bandwidth-centric allocation): the maximal rate cap(i) at which the
@@ -133,9 +120,7 @@ let solve ?cache ?stats p ~master =
    and upward flow is never needed (it only returns tasks toward the
    node that already holds them all; cancelling it frees port time).
 
-   Non-tree platforms fall back to the full LP run through the
-   {!Lp.Reduce} presolve, which strips bound rows, forced-zero columns
-   and chain substitutions before the kernel sees the instance.
+   Any other platform takes the monolithic LP.
 
    Tree detection and the bottom-up sweep live in {!Tree_decomp},
    shared with the collective decompositions. *)
@@ -145,7 +130,7 @@ let solve ?cache ?stats p ~master =
    cheapest links first is optimal, but ties in cost leave a choice of
    optimal plans, and the plan decides which subtree gets the flow.  The
    fill below returns the vertex the exact simplex kernel returns on this
-   LP, so reduced answers stay those of the LP formulation.  The first
+   LP, so tree answers stay those of the LP formulation.  The first
    child whose bound is 1 starts basic at 1 in the kernel's crash basis
    (the outport row implies its bound row), so it takes whatever the
    strictly cheaper children leave of the port; those are filled
@@ -192,77 +177,87 @@ let knapsack children =
   Array.iteri (fun k (_, c, _) -> value := R.add !value (R.div y.(k) c)) items;
   (!value, List.mapi (fun k (e, _, _) -> (e, y.(k))) children)
 
-let solve_reduced ?stats p ~master =
-  match Tree_decomp.detect p ~root:master with
-  | None ->
-    (* not a tree: presolve the full LP instead *)
-    let m, alpha_v, s_v = build_lp p ~master in
-    let red = Lp.Reduce.reduce m in
-    (match Lp.Reduce.solve ?stats red with
-    | Lp.Infeasible | Lp.Unbounded ->
-      failwith "Master_slave.solve_reduced: LP not optimal (invalid platform?)"
-    | Lp.Optimal sol -> solution_of_sol ?stats p ~master alpha_v s_v sol)
-  | Some td ->
-    let order = td.Tree_decomp.order in
-    (* bottom-up absorption: each node's value is (cap, K, plan) *)
-    let absorbed =
-      Tree_decomp.bottom_up p td ~default:(R.zero, R.zero, [])
-        ~f:(fun i cs ->
-          let children =
-            List.map (fun (e, (c_cap, _, _)) -> (e, P.edge_cost p e, c_cap)) cs
-          in
-          let k, ys = knapsack children in
-          let cap =
-            if i = master then R.zero (* the root has no parent link *)
-            else
-              R.min
-                (R.inv (P.edge_cost p td.Tree_decomp.parent_edge.(i)))
-                (R.add (P.speed p i) k)
-          in
-          (cap, k, ys))
-    in
-    let kk = Array.map (fun (_, k, _) -> k) absorbed in
-    let plan = Array.map (fun (_, _, ys) -> ys) absorbed in
-    (* top-down: route the actual flow, scaling each saturated plan to
-       the excess that really arrives *)
-    let n = P.num_nodes p in
-    let alpha = Array.make n R.zero in
-    let send = Array.make (P.num_edges p) R.zero in
-    let inflow = Array.make n R.zero in
-    let consumed = ref R.zero in
-    Array.iter
-      (fun i ->
-        let self, excess =
-          if i = master then (P.speed p i, kk.(i))
-          else
-            let f = inflow.(i) in
-            let self = R.min f (P.speed p i) in
-            (self, R.sub f self)
+let solve_tree p ~master td =
+  let order = td.Tree_decomp.order in
+  (* bottom-up absorption: each node's value is (cap, K, plan) *)
+  let absorbed =
+    Tree_decomp.bottom_up p td ~default:(R.zero, R.zero, [])
+      ~f:(fun i cs ->
+        let children =
+          List.map (fun (e, (c_cap, _, _)) -> (e, P.edge_cost p e, c_cap)) cs
         in
-        if R.sign (P.speed p i) > 0 then
-          alpha.(i) <- R.div self (P.speed p i);
-        consumed := R.add !consumed self;
-        if R.sign excess > 0 then begin
-          let factor = R.div excess kk.(i) in
-          List.iter
-            (fun (e, y) ->
-              let y' = R.mul factor y in
-              if R.sign y' > 0 then begin
-                send.(e) <- y';
-                inflow.(P.edge_dst p e) <- R.div y' (P.edge_cost p e)
-              end)
-            plan.(i)
-        end)
-      order;
-    let ntask = R.add (P.speed p master) kk.(master) in
-    if not (R.equal !consumed ntask) then
-      failwith "Master_slave.solve_reduced: consumption / ntask mismatch";
-    let task_flow =
-      Array.mapi
-        (fun e y -> if R.is_zero y then R.zero else R.div y (P.edge_cost p e))
-        send
-    in
-    { platform = p; master; ntask; alpha; send_frac = send; task_flow }
+        let k, ys = knapsack children in
+        let cap =
+          if i = master then R.zero (* the root has no parent link *)
+          else
+            R.min
+              (R.inv (P.edge_cost p td.Tree_decomp.parent_edge.(i)))
+              (R.add (P.speed p i) k)
+        in
+        (cap, k, ys))
+  in
+  let kk = Array.map (fun (_, k, _) -> k) absorbed in
+  let plan = Array.map (fun (_, _, ys) -> ys) absorbed in
+  (* top-down: route the actual flow, scaling each saturated plan to
+     the excess that really arrives *)
+  let n = P.num_nodes p in
+  let alpha = Array.make n R.zero in
+  let send = Array.make (P.num_edges p) R.zero in
+  let inflow = Array.make n R.zero in
+  let consumed = ref R.zero in
+  Array.iter
+    (fun i ->
+      let self, excess =
+        if i = master then (P.speed p i, kk.(i))
+        else
+          let f = inflow.(i) in
+          let self = R.min f (P.speed p i) in
+          (self, R.sub f self)
+      in
+      if R.sign (P.speed p i) > 0 then
+        alpha.(i) <- R.div self (P.speed p i);
+      consumed := R.add !consumed self;
+      if R.sign excess > 0 then begin
+        let factor = R.div excess kk.(i) in
+        List.iter
+          (fun (e, y) ->
+            let y' = R.mul factor y in
+            if R.sign y' > 0 then begin
+              send.(e) <- y';
+              inflow.(P.edge_dst p e) <- R.div y' (P.edge_cost p e)
+            end)
+          plan.(i)
+      end)
+    order;
+  let ntask = R.add (P.speed p master) kk.(master) in
+  if not (R.equal !consumed ntask) then
+    failwith "Master_slave.solve: consumption / ntask mismatch";
+  let task_flow =
+    Array.mapi
+      (fun e y -> if R.is_zero y then R.zero else R.div y (P.edge_cost p e))
+      send
+  in
+  { platform = p; master; ntask; alpha; send_frac = send; task_flow }
+
+let try_solve_lp ?cache ?stats p ~master =
+  let m, alpha_v, s_v = build_lp p ~master in
+  match Lp.solve ?cache ?stats m with
+  | Lp.Infeasible -> Error `Infeasible
+  | Lp.Unbounded -> Error `Unbounded
+  | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
+
+let try_solve ?cache ?stats p ~master =
+  match Tree_decomp.detect p ~root:master with
+  | Some td -> Ok (solve_tree p ~master td)
+  | None -> try_solve_lp ?cache ?stats p ~master
+
+let solve ?cache ?stats p ~master =
+  match try_solve ?cache ?stats p ~master with
+  | Ok sol -> sol
+  | Error (`Infeasible | `Unbounded) ->
+    failwith "Master_slave.solve: LP not optimal (invalid platform?)"
+
+let solve_reduced = solve
 
 (* per-node task rate: alpha_i / w_i *)
 let task_rate sol i = R.mul sol.alpha.(i) (P.speed sol.platform i)

@@ -39,7 +39,7 @@ val build_lp :
     [(model, alpha_vars, s_vars)] with one activity variable per node
     and one send variable per edge, in platform order.  Exposed so
     tests and benches can certify {e any} claimed solution — including
-    {!solve_reduced}'s decomposed flows — against the model's own
+    {!solve}'s closed-form tree flows — against the model's own
     constraints via {!Lp.check_solution}. *)
 
 val solve :
@@ -48,10 +48,25 @@ val solve :
   Platform.t ->
   master:Platform.node ->
   solution
-(** Every solve is cold, so the answer is a function of the platform
-    alone.  [?cache] memoises exactly repeated instances (flat segments
-    of the §5.5 phase workload); a hit is bit-identical to re-solving.
-    The LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
+(** The optimal steady state, by the one path the platform admits.
+    When the part of the platform reachable from the master is a tree
+    ({!Tree_decomp.detect}: no undirected cycle; every
+    {!Platform_gen.random_tree} / {!Platform_gen.balanced_tree} and
+    every star qualifies), the LP decomposes exactly into the
+    bandwidth-centric closed form: one {!knapsack} per internal node,
+    swept bottom-up (subtree absorption capacities) and then top-down
+    (exact scaling of each saturated plan to the flow that actually
+    arrives).  No LP is built or solved there, so [?cache] is not
+    consulted and [?stats] stays untouched.  The throughput is the LP
+    optimum bit for bit; the vertex may be another optimal one than
+    the kernel's ({!try_solve_lp} returns the kernel's), and it
+    satisfies every constraint of {!build_lp} exactly.
+
+    Any other platform solves {!build_lp} with {!Lp.solve}.  Every
+    solve is cold, so the answer is a function of the platform alone.
+    [?cache] memoises exactly repeated instances (flat segments of the
+    §5.5 phase workload); a hit is bit-identical to re-solving.  The
+    LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
     no state: the returned [task_flow] is a function of the LP solution
     alone.  [?stats] accumulates exact pivot counts and the cycles
     cancelled.
@@ -66,9 +81,24 @@ val try_solve :
   master:Platform.node ->
   (solution, [ `Infeasible | `Unbounded ]) result
 (** Exception-free {!solve}: a non-optimal LP outcome is surfaced as a
-    variant.  Failure-aware planners use this on surviving
-    sub-platforms, where a pathological restriction must degrade into a
-    structured report rather than escape as an exception. *)
+    variant (a tree always answers [Ok]).  Failure-aware planners use
+    this on surviving sub-platforms, where a pathological restriction
+    must degrade into a structured report rather than escape as an
+    exception. *)
+
+val try_solve_lp :
+  ?cache:Lp.Cache.t ->
+  ?stats:Lp.Stats.t ->
+  Platform.t ->
+  master:Platform.node ->
+  (solution, [ `Infeasible | `Unbounded ]) result
+(** {!try_solve} without the tree closed form: the kernel's vertex of
+    {!build_lp} on every platform, cycle-cancelled.  The throughput is
+    the same; the vertex is not.  {!Dynamic_sched}'s executors plan on
+    this one, because they floor [phase * rate] per delivery path: on
+    a star whose cheapest links tie in cost, the closed form spreads
+    the port's remainder over more, slower slaves than the kernel's
+    vertex, and the floors then drop a task per phase or more. *)
 
 val solve_lp_only :
   ?cache:Lp.Cache.t ->
@@ -76,36 +106,23 @@ val solve_lp_only :
   Platform.t ->
   master:Platform.node ->
   Lp.model * Lp.result
-(** The raw model and solver outcome, for inspection and tests. *)
+(** {!build_lp}'s model and the kernel's outcome on it, whatever the
+    platform's shape: the monolithic LP that {!solve} skips on trees,
+    for certification, cross-checks and tests. *)
 
 val solve_reduced :
+  ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
   solution
-(** Structurally reduced {!solve}, built for platforms three orders of
-    magnitude beyond what the monolithic LP can carry.  When the part
-    of the platform reachable from the master is a tree (no undirected
-    cycles, no parallel links — every {!Platform_gen.random_tree} /
-    {!Platform_gen.balanced_tree} qualifies), the LP decomposes
-    exactly: one closed-form fractional knapsack ({!knapsack}) per
-    internal node, swept bottom-up (subtree absorption capacities) and
-    then top-down (exact scaling of each saturated plan to the flow
-    that actually arrives).  No LP is solved on a tree: the work is a
-    sort of each node's child links, instead of a simplex run over an
-    [O(n)]-row basis.  Any other platform falls back to the full LP
-    run through the {!Lp.Reduce} presolve; [?stats] counts that
-    fallback's kernel work (cycles cancelled included) and stays
-    untouched on a tree.
-
-    The returned throughput is bit-identical to {!solve}'s on the same
-    platform, and the flow satisfies every LP constraint exactly — the
-    test-suite asserts both against {!Lp.check_solution}.
-    @raise Failure as {!solve}. *)
+(** {!solve} under its former name: the repository benchmark
+    ([perfbench/]) calls the tree solve by this name, and keeps the
+    name while its workloads stay fixed. *)
 
 val knapsack : (int * Rat.t * Rat.t) list -> Rat.t * (int * Rat.t) list
-(** [knapsack [(e, c_e, cap_e); ...]] is one node's step of
-    {!solve_reduced}: the fractional knapsack
+(** [knapsack [(e, c_e, cap_e); ...]] is one node's step of {!solve}'s
+    tree closed form: the fractional knapsack
     [max sum_e y_e/c_e] s.t. [sum_e y_e <= 1],
     [0 <= y_e <= min(1, c_e * cap_e)] over the node's child links [e]
     (cost [c_e], subtree capacity [cap_e]).  Returns the optimum and

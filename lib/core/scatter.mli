@@ -15,8 +15,10 @@ val solve :
   source:Platform.node ->
   targets:Platform.node list ->
   solution
-(** [?cache] memoises exactly repeated solves, as in
-    {!Master_slave.solve}: a hit is bit-identical to re-solving. *)
+(** {!Collective.solve} under the [Sum] law: the closed form on a
+    tree, the LP elsewhere.  [?cache] memoises exactly repeated LP
+    solves, as in {!Master_slave.solve}: a hit is bit-identical to
+    re-solving. *)
 
 val schedule : solution -> Schedule.t
 (** Kinds in the schedule are target indices (positions in [targets]).

@@ -1,10 +1,9 @@
-(* Shared tree machinery behind the structurally reduced solvers: BFS
-   tree detection (factored out of Master_slave.solve_reduced) plus the
-   bottom-up absorption sweep every tree decomposition runs — the
-   master–slave knapsack chain, the collective subtree-target counts,
-   the all-to-all participant splits.  Keeping the structure in one
-   place means one proof obligation for "the reachable part really is a
-   tree" instead of three. *)
+(* Shared tree machinery behind the closed-form tree solves: BFS tree
+   detection plus the bottom-up absorption sweep every tree
+   decomposition runs — the master–slave knapsack chain, the collective
+   subtree-target counts, the all-to-all participant splits.  Keeping
+   the structure in one place means one proof obligation for "the
+   reachable part really is a tree" instead of three. *)
 
 module R = Rat
 module P = Platform

@@ -1,8 +1,8 @@
-(** Shared tree structure behind the structurally reduced solvers.
+(** Shared tree structure behind the closed-form tree solves.
 
-    {!Master_slave.solve_reduced}, {!Collective.solve_reduced} and
-    {!All_to_all.solve_reduced} all hinge on the same two steps: decide
-    whether the part of the platform reachable from a root is a tree,
+    {!Master_slave.solve}, {!Collective.solve} and {!All_to_all.solve}
+    each begin with {!detect}: its answer alone decides whether the
+    closed form runs or the monolithic LP is built.  On a tree they
     then sweep it bottom-up absorbing per-subtree quantities (knapsack
     capacities, target counts, participant splits).  This module owns
     both steps so the tree-detection contract is stated — and tested —
@@ -26,7 +26,7 @@ val detect : Platform.t -> root:Platform.node -> t option
     tree links are allowed (they are part of the same undirected link);
     anything creating an undirected cycle is not.  Parallel directed
     edges cannot occur: {!Platform.create} rejects them.  [None]
-    otherwise — callers fall back to the monolithic LP. *)
+    otherwise — the solvers then build and solve the monolithic LP. *)
 
 val parent : Platform.t -> t -> Platform.node -> Platform.node
 (** The tree parent.

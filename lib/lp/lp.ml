@@ -878,475 +878,3 @@ let pp ppf m =
         vi.name
         (match vi.ub with None -> "+inf" | Some u -> R.to_string u))
     vars
-
-(* --- structural model reduction (presolve) ----------------------------
-
-   Master–slave LPs (and the steady-state LPs generally) are full of
-   structure a simplex kernel pays for row by row: bound rows that are
-   really variable bounds, conservation equalities whose flow variable
-   appears nowhere else, activity variables priced by nothing.  The
-   passes below eliminate all of it exactly, to a fixpoint, and record
-   an elimination log that reinflates a core solution to the original
-   variable space with no arithmetic slack — the reduced solve is
-   bit-identical in objective to the unreduced one.
-
-   Termination: fixes and substitutions each permanently retire one
-   variable (at most nvars in total, across all sweeps); every other
-   change kills a row, and the rows ever created number at most
-   ncons + 2·nvars (two bound-translation rows per substitution).  So
-   the sweep loop runs out of possible changes. *)
-
-module Reduce = struct
-  (* Elimination log entry, kept newest-first.  [Fixed (v, x)] pins a
-     variable; [Subst {v; a; rhs; rest}] records the killed equality
-     [a·v + Σ rest = rhs], replayed at reinflation as
-     [v = (rhs − Σ rest)/a].  Newest-first replay is correct because a
-     [rest] variable was alive at substitution time, hence is either a
-     core survivor or was eliminated *later* — and later eliminations
-     replay first. *)
-  type elim =
-    | Fixed of var * R.t
-    | Subst of { v : var; a : R.t; rhs : R.t; rest : (var * R.t) list }
-
-  (* Mutable presolve row: the expression shrinks as variables are
-     fixed, the rhs absorbs their contribution. *)
-  type prow = {
-    pname : string;
-    mutable pexpr : (var * R.t) list;
-    prel : relation;
-    mutable prhs : R.t;
-    mutable palive : bool;
-  }
-
-  type reduced = {
-    base : model;
-    core : model;
-    keep : int array; (* original var -> core var, or -1 if eliminated *)
-    elims : elim list; (* newest first *)
-    nrows_elim : int;
-  }
-
-  type t =
-    | Decided of { res : result; nvars_elim : int; nrows_elim : int }
-    | Reduced of reduced
-
-  let reduce m =
-    let nv = m.nvars in
-    let vars = var_array m in
-    let lb = Array.map (fun vi -> vi.lb) vars in
-    let ub = Array.map (fun vi -> vi.ub) vars in
-    let sense, obj_expr =
-      match m.objective with
-      | None -> (Minimize, Imap.empty)
-      | Some (s, e) -> (s, e)
-    in
-    let obj = Array.make nv R.zero in
-    Imap.iter (fun v c -> obj.(v) <- c) obj_expr;
-    let alive = Array.make nv true in
-    let occ = Array.make nv 0 in
-    (* rows that ever contained v; dead entries are skipped on use *)
-    let occ_rows = Array.make nv ([] : prow list) in
-    let rows = ref [] in (* reverse creation order *)
-    let infeasible = ref false in
-    let changed = ref true in
-    let elims = ref [] in
-    let register r =
-      rows := r :: !rows;
-      List.iter
-        (fun (u, _) ->
-          occ.(u) <- occ.(u) + 1;
-          occ_rows.(u) <- r :: occ_rows.(u))
-        r.pexpr
-    in
-    List.iter
-      (fun c ->
-        register
-          { pname = c.cname; pexpr = Imap.bindings c.expr; prel = c.rel;
-            prhs = c.rhs; palive = true })
-      (List.rev m.cons);
-    let in_bounds v x =
-      (match lb.(v) with Some l -> R.compare x l >= 0 | None -> true)
-      && (match ub.(v) with Some u -> R.compare x u <= 0 | None -> true)
-    in
-    let kill_row r =
-      if r.palive then begin
-        r.palive <- false;
-        changed := true;
-        List.iter (fun (u, _) -> occ.(u) <- occ.(u) - 1) r.pexpr
-      end
-    in
-    let fix v x =
-      if alive.(v) then
-        if not (in_bounds v x) then infeasible := true
-        else begin
-          alive.(v) <- false;
-          changed := true;
-          elims := Fixed (v, x) :: !elims;
-          List.iter
-            (fun r ->
-              if r.palive && List.mem_assoc v r.pexpr then begin
-                let a = List.assoc v r.pexpr in
-                r.pexpr <- List.remove_assoc v r.pexpr;
-                r.prhs <- R.submul r.prhs a x
-              end)
-            occ_rows.(v);
-          occ.(v) <- 0
-        end
-    in
-    let tighten_ub v x =
-      match ub.(v) with
-      | Some u when R.compare u x <= 0 -> ()
-      | _ ->
-        ub.(v) <- Some x;
-        changed := true
-    and tighten_lb v x =
-      match lb.(v) with
-      | Some l when R.compare l x >= 0 -> ()
-      | _ ->
-        lb.(v) <- Some x;
-        changed := true
-    in
-    let check_range v =
-      match (lb.(v), ub.(v)) with
-      | Some l, Some u when R.compare l u > 0 -> infeasible := true
-      | Some l, Some u when R.equal l u -> fix v l
-      | _ -> ()
-    in
-    (* singleton inequality row: fold into v's bounds, drop the row *)
-    let singleton_bound r v a =
-      let x = R.div r.prhs a in
-      (match (r.prel, R.sign a > 0) with
-      | Le, true | Ge, false -> tighten_ub v x
-      | Ge, true | Le, false -> tighten_lb v x
-      | Eq, _ -> assert false);
-      kill_row r;
-      check_range v
-    in
-    let pass_rows () =
-      List.iter
-        (fun r ->
-          if r.palive && not !infeasible then
-            match r.pexpr with
-            | [] ->
-              let ok =
-                match r.prel with
-                | Le -> R.sign r.prhs >= 0
-                | Ge -> R.sign r.prhs <= 0
-                | Eq -> R.is_zero r.prhs
-              in
-              if ok then kill_row r else infeasible := true
-            | [ (v, a) ] ->
-              if r.prel = Eq then begin
-                kill_row r;
-                fix v (R.div r.prhs a)
-              end
-              else singleton_bound r v a
-            | _ -> ())
-        !rows
-    in
-    (* column singleton in an equality: substitute the variable out.
-       Its bounds become (at most two) inequality rows over the rest:
-       with a > 0,  v >= l  ⟺  Σ rest <= rhs − a·l  and
-       v <= u  ⟺  Σ rest >= rhs − a·u; a < 0 flips the relations. *)
-    let subst_var v =
-      match
-        List.find_opt
-          (fun r -> r.palive && List.mem_assoc v r.pexpr)
-          occ_rows.(v)
-      with
-      | Some r when r.prel = Eq && List.length r.pexpr >= 2 ->
-        let a = List.assoc v r.pexpr in
-        let rest = List.remove_assoc v r.pexpr in
-        let rhs = r.prhs in
-        kill_row r;
-        alive.(v) <- false;
-        occ.(v) <- 0;
-        changed := true;
-        elims := Subst { v; a; rhs; rest } :: !elims;
-        (* obj_v·v = (obj_v/a)·(rhs − Σ rest); the constant is dropped —
-           the final objective is re-evaluated on the base model *)
-        if not (R.is_zero obj.(v)) then begin
-          let k = R.div obj.(v) a in
-          List.iter (fun (u, c) -> obj.(u) <- R.submul obj.(u) k c) rest;
-          obj.(v) <- R.zero
-        end;
-        let bound_row tag rel bnd =
-          register
-            { pname = Printf.sprintf "ps:%s:%s" tag vars.(v).name;
-              pexpr = rest; prel = rel; prhs = R.submul rhs a bnd;
-              palive = true }
-        in
-        let pos = R.sign a > 0 in
-        (match lb.(v) with
-        | Some l -> bound_row "lb" (if pos then Le else Ge) l
-        | None -> ());
-        (match ub.(v) with
-        | Some u -> bound_row "ub" (if pos then Ge else Le) u
-        | None -> ())
-      | _ -> ()
-    in
-    let pass_subst () =
-      for v = 0 to nv - 1 do
-        if alive.(v) && occ.(v) = 1 && not !infeasible then subst_var v
-      done
-    in
-    (* doubleton equality [a·v + b·w = rhs]: substitute
-       [v = (rhs − b·w)/a] into every other live row and the objective,
-       fold v's bounds straight onto w (the [ps:] bound rows the
-       column-singleton pass emits would be singletons here and
-       collapse to bounds next sweep anyway), and log the same [Subst]
-       entry, so reinflation is the unchanged newest-first replay.  The
-       variable with fewer live occurrences leaves, bounding the
-       rewrite work; each rewritten row trades its v term for at most
-       one (merged) w term, so the pass never fills. *)
-    let subst_doubleton r v a w b =
-      let rhs = r.prhs in
-      kill_row r;
-      alive.(v) <- false;
-      changed := true;
-      elims := Subst { v; a; rhs; rest = [ (w, b) ] } :: !elims;
-      (* obj_v·v = (obj_v/a)·(rhs − b·w); the constant is dropped — the
-         final objective is re-evaluated on the base model *)
-      if not (R.is_zero obj.(v)) then begin
-        obj.(w) <- R.submul obj.(w) (R.div obj.(v) a) b;
-        obj.(v) <- R.zero
-      end;
-      List.iter
-        (fun r' ->
-          if r'.palive then
-            match List.assoc_opt v r'.pexpr with
-            | None -> ()
-            | Some c ->
-              let k = R.div c a in
-              r'.pexpr <- List.remove_assoc v r'.pexpr;
-              r'.prhs <- R.submul r'.prhs k rhs;
-              let cb = R.neg (R.mul k b) in
-              (match List.assoc_opt w r'.pexpr with
-              | Some cw ->
-                let cw' = R.add cw cb in
-                r'.pexpr <- List.remove_assoc w r'.pexpr;
-                if R.is_zero cw' then occ.(w) <- occ.(w) - 1
-                else r'.pexpr <- (w, cw') :: r'.pexpr
-              | None ->
-                r'.pexpr <- (w, cb) :: r'.pexpr;
-                occ.(w) <- occ.(w) + 1;
-                occ_rows.(w) <- r' :: occ_rows.(w)))
-        occ_rows.(v);
-      occ.(v) <- 0;
-      (* v's bounds through the substitution: v is increasing in w iff
-         [−b/a > 0], so a v-lower-bound maps to a w-lower-bound exactly
-         when a and b have opposite signs *)
-      let slope_up = R.sign a * R.sign b < 0 in
-      (match lb.(v) with
-      | Some l ->
-        let x = R.div (R.submul rhs a l) b in
-        if slope_up then tighten_lb w x else tighten_ub w x
-      | None -> ());
-      (match ub.(v) with
-      | Some u ->
-        let x = R.div (R.submul rhs a u) b in
-        if slope_up then tighten_ub w x else tighten_lb w x
-      | None -> ());
-      check_range w
-    in
-    let pass_doubletons () =
-      List.iter
-        (fun r ->
-          if r.palive && (not !infeasible) && r.prel = Eq then
-            match r.pexpr with
-            | [ (v1, a1); (v2, a2) ]
-              when (not (R.is_zero a1)) && not (R.is_zero a2) ->
-              if occ.(v1) <= occ.(v2) then subst_doubleton r v1 a1 v2 a2
-              else subst_doubleton r v2 a2 v1 a1
-            | _ -> ())
-        !rows
-    in
-    (* dominated column: minimising with [d_v >= 0] while every live
-       occurrence relaxes as v decreases ([Le] rows need [c >= 0], [Ge]
-       rows [c <= 0], equalities never qualify) means any solution can
-       move v down to its lower bound without losing feasibility or
-       raising the objective — so some optimum has v there, and a
-       finite bound lets us fix it.  Symmetric for increasing onto a
-       finite upper bound.  Infinite bounds are left for the kernel,
-       which then reports unboundedness itself (as with dead
-       columns). *)
-    let pass_dominated () =
-      for v = 0 to nv - 1 do
-        if alive.(v) && occ.(v) > 0 && not !infeasible then begin
-          let d =
-            match sense with
-            | Maximize -> R.neg obj.(v)
-            | Minimize -> obj.(v)
-          in
-          let down_ok = ref true
-          and up_ok = ref true in
-          List.iter
-            (fun r ->
-              if r.palive && (!down_ok || !up_ok) then
-                match List.assoc_opt v r.pexpr with
-                | None -> ()
-                | Some c -> (
-                  match r.prel with
-                  | Eq ->
-                    down_ok := false;
-                    up_ok := false
-                  | Le ->
-                    if R.sign c < 0 then down_ok := false;
-                    if R.sign c > 0 then up_ok := false
-                  | Ge ->
-                    if R.sign c > 0 then down_ok := false;
-                    if R.sign c < 0 then up_ok := false))
-            occ_rows.(v);
-          let s = R.sign d in
-          if !down_ok && s >= 0 && lb.(v) <> None then
-            (match lb.(v) with Some l -> fix v l | None -> ())
-          else if !up_ok && s <= 0 then
-            match ub.(v) with Some u -> fix v u | None -> ()
-        end
-      done
-    in
-    (* dead column: no live row mentions v — fix it at the bound the
-       objective prefers (leave it for the kernel when that bound is
-       infinite: the core solve then reports unboundedness itself). *)
-    let pass_columns () =
-      for v = 0 to nv - 1 do
-        if alive.(v) && occ.(v) = 0 && not !infeasible then begin
-          let d =
-            match sense with
-            | Maximize -> R.neg obj.(v)
-            | Minimize -> obj.(v)
-          in
-          let s = R.sign d in
-          if s > 0 then (match lb.(v) with Some l -> fix v l | None -> ())
-          else if s < 0 then
-            (match ub.(v) with Some u -> fix v u | None -> ())
-          else
-            let x =
-              match (lb.(v), ub.(v)) with
-              | Some l, _ -> l
-              | None, Some u -> R.min R.zero u
-              | None, None -> R.zero
-            in
-            fix v x
-        end
-      done
-    in
-    while !changed && not !infeasible do
-      changed := false;
-      pass_rows ();
-      pass_subst ();
-      pass_doubletons ();
-      pass_dominated ();
-      pass_columns ()
-    done;
-    let nrows_elim =
-      List.fold_left (fun n r -> if r.palive then n else n + 1) 0 !rows
-    in
-    let nvars_elim = List.length !elims in
-    if !infeasible then Decided { res = Infeasible; nvars_elim; nrows_elim }
-    else if not (Array.exists Fun.id alive) then begin
-      (* everything decided by presolve: replay the log (newest first)
-         and report under the base model's row names, all duals zero *)
-      let vals = Array.make nv R.zero in
-      List.iter
-        (function
-          | Fixed (v, x) -> vals.(v) <- x
-          | Subst { v; a; rhs; rest } ->
-            let s =
-              List.fold_left
-                (fun acc (u, c) -> R.add acc (R.mul c vals.(u)))
-                R.zero rest
-            in
-            vals.(v) <- R.div (R.sub rhs s) a)
-        !elims;
-      let objective =
-        match m.objective with
-        | None -> R.zero
-        | Some (_, e) -> eval (fun v -> vals.(v)) e
-      in
-      let duals = List.map (fun nm -> (nm, R.zero)) (row_names m) in
-      Decided
-        { res = Optimal { objective; values = (fun v -> vals.(v)); duals };
-          nvars_elim; nrows_elim }
-    end
-    else begin
-      let core = create () in
-      let keep = Array.make nv (-1) in
-      Array.iteri
-        (fun v vi ->
-          if alive.(v) then
-            keep.(v) <- add_var ~lb:lb.(v) ~ub:ub.(v) core vi.name)
-        vars;
-      List.iter
-        (fun r ->
-          if r.palive then
-            add_constraint ~name:r.pname core
-              (of_terms (List.map (fun (u, c) -> (c, keep.(u))) r.pexpr))
-              r.prel r.prhs)
-        (List.rev !rows);
-      (match m.objective with
-      | None -> ()
-      | Some (s, _) ->
-        let e = ref zero in
-        for v = 0 to nv - 1 do
-          if keep.(v) >= 0 && not (R.is_zero obj.(v)) then
-            e := add !e (term obj.(v) keep.(v))
-        done;
-        set_objective core s !e);
-      Reduced { base = m; core; keep; elims = !elims; nrows_elim }
-    end
-
-  let vars_eliminated = function
-    | Decided d -> d.nvars_elim
-    | Reduced rc -> List.length rc.elims
-
-  let rows_eliminated = function
-    | Decided d -> d.nrows_elim
-    | Reduced rc -> rc.nrows_elim
-
-  let core_model = function Decided _ -> None | Reduced rc -> Some rc.core
-
-  let inflate rc core_val =
-    let nv = rc.base.nvars in
-    let vals = Array.make nv R.zero in
-    Array.iteri (fun v k -> if k >= 0 then vals.(v) <- core_val k) rc.keep;
-    List.iter
-      (function
-        | Fixed (v, x) -> vals.(v) <- x
-        | Subst { v; a; rhs; rest } ->
-          let s =
-            List.fold_left
-              (fun acc (u, c) -> R.add acc (R.mul c vals.(u)))
-              R.zero rest
-          in
-          vals.(v) <- R.div (R.sub rhs s) a)
-      rc.elims;
-    vals
-
-  let solve ?cache ?stats t =
-    match t with
-    | Decided d -> d.res
-    | Reduced rc -> (
-      match solve ?cache ?stats rc.core with
-      | Infeasible -> Infeasible
-      | Unbounded -> Unbounded
-      | Optimal sol ->
-        let vals = inflate rc sol.values in
-        let objective =
-          match rc.base.objective with
-          | None -> R.zero
-          | Some (_, e) -> eval (fun v -> vals.(v)) e
-        in
-        let dual_tbl = Hashtbl.create 64 in
-        List.iter (fun (nm, y) -> Hashtbl.replace dual_tbl nm y) sol.duals;
-        let duals =
-          List.map
-            (fun nm ->
-              ( nm,
-                match Hashtbl.find_opt dual_tbl nm with
-                | Some y -> y
-                | None -> R.zero ))
-            (row_names rc.base)
-        in
-        Optimal { objective; values = (fun v -> vals.(v)); duals })
-end

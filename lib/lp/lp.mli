@@ -258,66 +258,6 @@ val solve :
     [?stats] accumulates exact pivot counts for every optimal kernel
     solve (cache hits add nothing). *)
 
-module Reduce : sig
-  (** Structural model reduction (presolve), exact over {!Rat}.
-
-      [reduce m] eliminates everything a simplex kernel should never
-      see — to a fixpoint:
-
-      - {e empty rows} (checked, then dropped);
-      - {e singleton rows}: [a·x = r] fixes [x]; [a·x <= r] / [>= r]
-        tightens a bound and drops the row;
-      - {e column singletons in equalities}: a variable appearing in
-        exactly one row, an equality, is substituted out; its bounds
-        become (at most two) inequality rows over the remaining
-        variables, named [ps:lb:<var>] / [ps:ub:<var>];
-      - {e doubleton equalities} [a·v + b·w = r]: the variable with
-        fewer occurrences is substituted into every other row (each
-        trades its [v] term for at most one merged [w] term — no fill)
-        and its bounds fold directly onto the survivor;
-      - {e dominated columns}: a variable whose objective prefers (or
-        is indifferent to) one direction while every row occurrence
-        relaxes that way ([Le] with the right coefficient sign, [Ge]
-        with the opposite, never an equality) is fixed at the finite
-        bound in that direction — some optimum always has it there;
-      - {e dead columns} (no row occurrence): fixed at the bound the
-        objective prefers.
-
-      The reduced core is an ordinary {!model}; {!solve} (on this
-      module) solves the core and {e reinflates} the answer to the
-      original variable space by replaying the elimination log — every
-      fixed or substituted value is recovered exactly, and the returned
-      objective is re-evaluated on the original model, so the result is
-      bit-identical in objective to solving the unreduced model.
-
-      Caveat: duals are reported under the {e original} model's row
-      names, with the core's exact duals where a row survived and [0]
-      for eliminated rows (an eliminated row is non-binding or its
-      price was folded away — callers that certify strong duality must
-      solve unreduced). *)
-
-  type t
-
-  val reduce : model -> t
-  (** Run the presolve passes.  The input model is not modified. *)
-
-  val vars_eliminated : t -> int
-  val rows_eliminated : t -> int
-
-  val core_model : t -> model option
-  (** The reduced core, or [None] when presolve decided the instance
-      outright (every variable fixed, or infeasibility detected). *)
-
-  val solve :
-    ?cache:Cache.t ->
-    ?stats:Stats.t ->
-    t ->
-    result
-  (** Solve the core with {!Lp.solve} (same accelerators, same
-      semantics) and reinflate; decided instances return without
-      touching a kernel. *)
-end
-
 val standard_form : model -> Simplex.row array * Rat.t array * Rat.t array
 (** [standard_form m] is exactly the [(rows, b, c)] instance {!solve}
     hands to {!Simplex.minimize}: min [c.x] s.t. [A x = b], [x >= 0],
@@ -353,8 +293,7 @@ val certify : model -> solution -> (unit, string) Stdlib.result
     duality with the lower-bound shift included.  Together these prove
     the point optimal, whichever vertex the kernel returned.  [Error]
     names the first failing check.  Costs one pass over the model's
-    nonzeros.  Answers of {!Reduce.solve} price eliminated rows at zero
-    and need not certify. *)
+    nonzeros. *)
 
 val pp : Format.formatter -> model -> unit
 (** Human-readable dump of the model (CPLEX-LP-like). *)

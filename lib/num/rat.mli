@@ -81,10 +81,9 @@ val div : t -> t -> t
 
 val submul : t -> t -> t -> t
 (** [submul a b c] is exactly [sub a (mul b c)], fused: the row
-    operation of the exact presolve substitutions ([Lp.Reduce] in
-    [lib/lp]).  On the small-integer path the product is cross-reduced
-    and fed directly into the fraction addition without materialising
-    the intermediate value. *)
+    operation of exact elimination.  On the small-integer path the
+    product is cross-reduced and fed directly into the fraction
+    addition without materialising the intermediate value. *)
 
 val mul_int : t -> int -> t
 val div_int : t -> int -> t

@@ -61,6 +61,10 @@ type report = {
 let infer p ~master ~hosts =
   if List.length hosts < 2 then
     invalid_arg "Topology_probe.infer: need at least two hosts";
+  if List.mem master hosts then
+    invalid_arg "Topology_probe.infer: the master is among the hosts";
+  if List.length (List.sort_uniq compare hosts) <> List.length hosts then
+    invalid_arg "Topology_probe.infer: duplicate host";
   let routes =
     List.map
       (fun h ->

@@ -59,5 +59,5 @@ val infer :
     and worst observed pair are deemed to share an internal bottleneck
     (single-linkage closure).  With uniformly-interfering hosts (no
     internal sharing) everything lands in one cluster.
-    @raise Invalid_argument if fewer than two hosts or a host is
-    unreachable. *)
+    @raise Invalid_argument if fewer than two hosts, a host is the
+    master or repeated, or a host is unreachable. *)

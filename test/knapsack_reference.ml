@@ -1,5 +1,5 @@
-(* Reference oracle for Master_slave.knapsack and the tree branch of
-   Master_slave.solve_reduced: each node's fractional knapsack built and
+(* Reference oracle for Master_slave.knapsack and the tree closed form
+   of Master_slave.solve: each node's fractional knapsack built and
    solved as an exact LP, and the bottom-up / top-down sweep around it.
    The library computes the same vertex in closed form; the tests
    require both to agree bit for bit. *)
@@ -31,7 +31,7 @@ let knapsack children =
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Knapsack_reference.knapsack: LP not optimal")
 
-(* Master_slave.solve_reduced on a tree, with the LP knapsack above *)
+(* Master_slave.solve on a tree, with the LP knapsack above *)
 let solve_tree p ~master =
   let td =
     match Tree_decomp.detect p ~root:master with

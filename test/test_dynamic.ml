@@ -513,6 +513,44 @@ let test_multiplier_edge_cases () =
   Alcotest.(check int) "normalization collapses duplicates" 1
     (List.length (Dy.normalize_trace dup))
 
+(* An 8-slave star whose cheapest links tie in cost, under seeded
+   outages.  The closed form and the kernel reach the same throughput
+   through different vertices, and the per-phase floors of
+   [phase_plan] lose more on the closed form's (3 instead of 4 tasks
+   per nominal phase).  The executors plan on the kernel's vertex; the
+   pinned completions catch a planning path that loses work. *)
+let test_star_plans_keep_lp_vertex () =
+  let p =
+    Platform_gen.star ~master_weight:Ext_rat.inf
+      ~slaves:
+        (List.init 8 (fun i ->
+             (Ext_rat.of_ints (3 + (i mod 7)) 2, r (2 + (i mod 5)) 3)))
+      ()
+  in
+  let phase = ri 4 and phases = 16 in
+  let fault_free =
+    { Dy.platform = p; master = 0; cpu_traces = []; bw_traces = []; phase;
+      phases }
+  in
+  Alcotest.check rat "fault-free static" (ri 62)
+    (Dy.run fault_free Dy.Static).Dy.completed;
+  List.iter
+    (fun (seed, static, robust) ->
+      let plan =
+        Faults.random_plan (Faults.generator ~seed) p ~master:0
+          ~horizon:(R.mul_int phase phases) ~align:phase ~faults:4
+      in
+      let cpu_traces, bw_traces = Faults.traces p plan in
+      let sc =
+        { Dy.platform = p; master = 0; cpu_traces; bw_traces; phase; phases }
+      in
+      let label what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.check rat (label "static") (ri static)
+        (Dy.run sc Dy.Static).Dy.completed;
+      Alcotest.check rat (label "robust") (ri robust)
+        (Dy.run sc Dy.Robust).Dy.completed)
+    [ (1, 55, 55); (2, 55, 61); (3, 62, 62); (4, 62, 62); (5, 57, 61) ]
+
 let suite =
   ( "dynamic",
     [
@@ -543,5 +581,7 @@ let suite =
         test_tree_multihop_stable;
       Alcotest.test_case "multiplier edge cases" `Quick
         test_multiplier_edge_cases;
+      Alcotest.test_case "star plans keep the LP vertex" `Quick
+        test_star_plans_keep_lp_vertex;
       QCheck_alcotest.to_alcotest prop_trace_agreement;
     ] )

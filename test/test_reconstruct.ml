@@ -290,15 +290,18 @@ let test_stats_counters_flow () =
 let test_budget_certified_fallback () =
   (* a zero repair budget turns every seeded repair that needs work into
      the certified cold path; the trip is counted and the result is
-     bit-identical to an unbudgeted rebuild *)
-  let p = Platform_gen.random_tree ~seed:17 ~nodes:12 () in
+     bit-identical to an unbudgeted rebuild.  The platform has one
+     chord, so both solves run the LP (a tree's closed form moves this
+     flow too little to need repairs) *)
+  let p = Platform_gen.random_graph ~seed:17 ~nodes:12 ~extra_edges:1 () in
   let w = Rec.Warm.create () in
   let stats = Lp.Stats.create () in
+  Alcotest.(check bool) "not a tree" true (Tree_decomp.detect p ~root:0 = None);
   let sol1 = MS.solve ~stats p ~master:0 in
   let _s1 = MS.schedule ~recon:w ~stats sol1 in
   (* perturbing this edge moves the optimal flow enough that the seeded
      colouring needs repair work *)
-  let p2 = scale_edge p 6 (r 99 98) in
+  let p2 = scale_edge p 0 (r 99 98) in
   let sol2 = MS.solve ~stats p2 ~master:0 in
   let s2 = MS.schedule ~recon:w ~budget:0 ~stats sol2 in
   let cold = MS.schedule (MS.solve p2 ~master:0) in

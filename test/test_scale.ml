@@ -1,9 +1,12 @@
-(* Tests for the large-n scaling path: the Lp.Reduce presolve and the
-   tree-decomposed Master_slave.solve_reduced.
+(* Tests for the large-n scaling path: the closed-form tree solves that
+   Master_slave.solve, Collective.solve and All_to_all.solve pick
+   whenever Tree_decomp.detect finds a tree, and the monolithic LP they
+   build everywhere else.
 
-   The contract under test is always the same: every reduction path
-   must be *bit-identical* in objective to the monolithic LP — speed is
-   allowed to change, answers are not. *)
+   The contract under test is always the same: the closed form must be
+   *bit-identical* in throughput to the monolithic LP — speed is
+   allowed to change, answers are not — and off trees the answer is
+   the LP's own, field by field. *)
 
 module R = Rat
 module P = Platform
@@ -45,160 +48,7 @@ let test_rules_same_objective () =
       | _ -> Alcotest.fail (name ^ ": not optimal"))
     (ms_instances ())
 
-(* --- Lp.Reduce --------------------------------------------------------- *)
-
-let test_reduce_matches_full () =
-  List.iter
-    (fun (name, m) ->
-      let red = Lp.Reduce.reduce m in
-      Alcotest.(check bool)
-        (name ^ " eliminates something")
-        true
-        (Lp.Reduce.vars_eliminated red > 0
-        || Lp.Reduce.rows_eliminated red > 0);
-      match (Lp.solve m, Lp.Reduce.solve red) with
-      | Lp.Optimal a, Lp.Optimal b ->
-        Alcotest.check rat (name ^ " reduced objective") a.Lp.objective
-          b.Lp.objective;
-        (match Lp.check_solution m b.Lp.values with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail (name ^ " inflated infeasible: " ^ e))
-      | _ -> Alcotest.fail (name ^ ": not optimal"))
-    (ms_instances ())
-
-let prop_reduce_agrees =
-  QCheck.Test.make ~name:"presolve+reinflate equals the full solve"
-    ~count:100 Test_lp.arb_lp (fun inst ->
-      let m, _ = Test_lp.build_lp inst in
-      let red = Lp.Reduce.reduce m in
-      match (Lp.solve m, Lp.Reduce.solve red) with
-      | Lp.Optimal a, Lp.Optimal b ->
-        R.equal a.Lp.objective b.Lp.objective
-        && (match Lp.check_solution m b.Lp.values with
-           | Ok _ -> true
-           | Error e -> QCheck.Test.fail_report e)
-      | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> true
-      | _ -> false)
-
-let test_reduce_decides_outright () =
-  (* x fixed by an equality, y a dead column at its upper bound: nothing
-     left for a kernel *)
-  let m = Lp.create () in
-  let x = Lp.add_var m "x" in
-  let y = Lp.add_var ~ub:(Some (R.of_int 5)) m "y" in
-  Lp.add_constraint m (Lp.var x) Lp.Eq (R.of_int 3);
-  Lp.set_objective m Lp.Maximize (Lp.add (Lp.var x) (Lp.var y));
-  let red = Lp.Reduce.reduce m in
-  Alcotest.(check bool) "no core" true (Lp.Reduce.core_model red = None);
-  match Lp.Reduce.solve red with
-  | Lp.Optimal s ->
-    Alcotest.check rat "objective" (R.of_int 8) s.Lp.objective;
-    Alcotest.check rat "x" (R.of_int 3) (s.Lp.values x);
-    Alcotest.check rat "y" (R.of_int 5) (s.Lp.values y)
-  | _ -> Alcotest.fail "decided instance not optimal"
-
-let test_reduce_detects_infeasible () =
-  let m = Lp.create () in
-  let x = Lp.add_var m "x" in
-  Lp.add_constraint m (Lp.var x) Lp.Le (R.of_int (-1));
-  Lp.set_objective m Lp.Maximize (Lp.var x);
-  match Lp.Reduce.solve (Lp.Reduce.reduce m) with
-  | Lp.Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let test_reduce_substitution () =
-  (* z appears only in the equality z + x + y = 10 and is free above its
-     bounds: substitution must carry the bounds over as rows *)
-  let m = Lp.create () in
-  let x = Lp.add_var ~ub:(Some (R.of_int 4)) m "x" in
-  let y = Lp.add_var ~ub:(Some (R.of_int 4)) m "y" in
-  let z = Lp.add_var ~ub:(Some (R.of_int 3)) m "z" in
-  Lp.add_constraint m
-    (Lp.sum [ Lp.var z; Lp.var x; Lp.var y ])
-    Lp.Eq (R.of_int 10);
-  Lp.add_constraint m (Lp.sub (Lp.var x) (Lp.var y)) Lp.Le R.one;
-  Lp.set_objective m Lp.Maximize
-    (Lp.of_terms [ (R.of_int 2, x); (R.one, y); (R.one, z) ]);
-  let red = Lp.Reduce.reduce m in
-  match (Lp.solve m, Lp.Reduce.solve red) with
-  | Lp.Optimal a, Lp.Optimal b ->
-    Alcotest.check rat "objective" a.Lp.objective b.Lp.objective;
-    Alcotest.check rat "z recovered"
-      (R.sub (R.of_int 10) (R.add (b.Lp.values x) (b.Lp.values y)))
-      (b.Lp.values z);
-    (match Lp.check_solution m b.Lp.values with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "not optimal"
-
-let test_reduce_doubleton () =
-  (* x + 2y = 10 is a doubleton equality but NOT a column singleton —
-     both x and y appear in other rows — so only the doubleton pass can
-     retire it.  x is substituted into c2 and the objective; the
-     optimum sits at y = 8/3 where c2 and c3 cross. *)
-  let m = Lp.create () in
-  let x = Lp.add_var m "x" in
-  let y = Lp.add_var ~ub:(Some (R.of_int 4)) m "y" in
-  let z = Lp.add_var ~ub:(Some (R.of_int 5)) m "z" in
-  Lp.add_constraint ~name:"pair" m
-    (Lp.of_terms [ (R.one, x); (R.of_int 2, y) ])
-    Lp.Eq (R.of_int 10);
-  Lp.add_constraint m (Lp.add (Lp.var x) (Lp.var z)) Lp.Le (R.of_int 8);
-  Lp.add_constraint m (Lp.add (Lp.var y) (Lp.var z)) Lp.Le (R.of_int 6);
-  Lp.set_objective m Lp.Maximize (Lp.sum [ Lp.var x; Lp.var y; Lp.var z ]);
-  let red = Lp.Reduce.reduce m in
-  Alcotest.(check bool) "a variable was eliminated" true
-    (Lp.Reduce.vars_eliminated red >= 1);
-  (match Lp.Reduce.core_model red with
-  | Some core ->
-    Alcotest.(check bool) "pair row gone" false
-      (List.exists (fun (nm, _, _) -> nm = "pair") (Lp.constraints core))
-  | None -> Alcotest.fail "expected a core model");
-  match (Lp.solve m, Lp.Reduce.solve red) with
-  | Lp.Optimal a, Lp.Optimal b ->
-    Alcotest.check rat "objective" (R.of_ints 32 3) a.Lp.objective;
-    Alcotest.check rat "reduced objective" a.Lp.objective b.Lp.objective;
-    Alcotest.check rat "x recovered through the equality"
-      (R.sub (R.of_int 10) (R.mul (R.of_int 2) (b.Lp.values y)))
-      (b.Lp.values x);
-    (match Lp.check_solution m b.Lp.values with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "not optimal"
-
-let test_reduce_dominated () =
-  (* every variable is dominated: w's objective wants it up and both
-     its rows relax upward (Le with c < 0, Ge with c > 0), x and then y
-     mirror that downward — the whole instance decides without a
-     kernel *)
-  let m = Lp.create () in
-  let x = Lp.add_var ~lb:(Some (R.of_int 2)) m "x" in
-  let w = Lp.add_var ~ub:(Some (R.of_int 4)) m "w" in
-  let y = Lp.add_var m "y" in
-  Lp.add_constraint m
-    (Lp.of_terms [ (R.one, x); (R.one, y); (R.of_int (-1), w) ])
-    Lp.Le (R.of_int 10);
-  Lp.add_constraint m
-    (Lp.of_terms [ (R.of_int (-1), x); (R.one, y); (R.one, w) ])
-    Lp.Ge R.one;
-  Lp.set_objective m Lp.Minimize
-    (Lp.of_terms [ (R.of_int 2, x); (R.of_int (-3), w); (R.one, y) ]);
-  let red = Lp.Reduce.reduce m in
-  Alcotest.(check bool) "decided outright" true
-    (Lp.Reduce.core_model red = None);
-  match (Lp.solve m, Lp.Reduce.solve red) with
-  | Lp.Optimal a, Lp.Optimal b ->
-    Alcotest.check rat "objective" (R.of_int (-8)) a.Lp.objective;
-    Alcotest.check rat "reduced objective" a.Lp.objective b.Lp.objective;
-    Alcotest.check rat "x at its lower bound" (R.of_int 2) (b.Lp.values x);
-    Alcotest.check rat "w at its upper bound" (R.of_int 4) (b.Lp.values w);
-    Alcotest.check rat "y at its lower bound" R.zero (b.Lp.values y);
-    (match Lp.check_solution m b.Lp.values with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "not optimal"
-
-(* --- tree-decomposed master–slave solve -------------------------------- *)
+(* --- master–slave: the tree dispatch ---------------------------------- *)
 
 let check_ms_solution name p (sol : Master_slave.solution) =
   let m, alpha_v, s_v = Master_slave.build_lp p ~master:0 in
@@ -211,43 +61,107 @@ let check_ms_solution name p (sol : Master_slave.solution) =
   | Ok _ -> ()
   | Error e -> Alcotest.fail (name ^ " infeasible flow: " ^ e)
 
+let lp_optimum name p =
+  match Master_slave.solve_lp_only p ~master:0 with
+  | _, Lp.Optimal s -> s
+  | _ -> Alcotest.fail (name ^ ": LP not optimal")
+
+(* A tree solve: the monolithic LP's throughput bit for bit, a point of
+   that LP's own feasible set, no kernel call, and a schedule that runs
+   strictly on the simulator with causal buffers. *)
+let check_tree_solve name p =
+  let stats = Lp.Stats.create () in
+  let sol = Master_slave.solve ~stats p ~master:0 in
+  Alcotest.(check int) (name ^ " no LP solve") 0 stats.Lp.Stats.solves;
+  Alcotest.(check int) (name ^ " no pivot") 0 stats.Lp.Stats.pivots;
+  Alcotest.check rat (name ^ " ntask = LP") (lp_optimum name p).Lp.objective
+    sol.Master_slave.ntask;
+  check_ms_solution name p sol;
+  let sched = Master_slave.schedule sol in
+  (match Master_slave.check_buffers sched ~master:0 ~periods:8 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (name ^ " buffers: " ^ e));
+  let run = Master_slave.simulate ~periods:8 sol in
+  Alcotest.check rat (name ^ " simulated = analytic") run.Master_slave.expected
+    run.Master_slave.completed;
+  Alcotest.(check bool) (name ^ " within bound") true
+    (R.compare run.Master_slave.completed run.Master_slave.upper_bound <= 0)
+
 let test_solve_reduced_trees () =
   List.iter
     (fun (seed, nodes) ->
-      let p = Platform_gen.random_tree ~seed ~nodes () in
-      let full = Master_slave.solve p ~master:0 in
-      let red = Master_slave.solve_reduced p ~master:0 in
-      let name = Printf.sprintf "tree seed=%d n=%d" seed nodes in
-      Alcotest.check rat (name ^ " ntask") full.Master_slave.ntask
-        red.Master_slave.ntask;
-      check_ms_solution name p red)
-    [ (1, 5); (2, 10); (3, 16); (4, 24); (11, 2); (12, 1) ]
+      check_tree_solve
+        (Printf.sprintf "tree seed=%d n=%d" seed nodes)
+        (Platform_gen.random_tree ~seed ~nodes ()))
+    [ (1, 5); (2, 10); (3, 16); (4, 24); (11, 2); (12, 1); (17, 12) ]
+
+(* Seeded stars: slave weights and link costs from small sets, so cost
+   ties (where the knapsack's choice of vertex matters) are common; the
+   master computes in half of them. *)
+let seeded_star g k =
+  let pick a = a.(Faults.rand_int g (Array.length a)) in
+  let weights = [| Ext_rat.of_int 1; Ext_rat.of_int 2; Ext_rat.of_int 3;
+                   Ext_rat.of_rat (R.of_ints 3 2) |] in
+  let costs = [| R.one; R.two; R.of_ints 1 2; R.of_ints 3 2 |] in
+  let master_weight =
+    if Faults.rand_int g 2 = 0 then Ext_rat.Inf else pick weights
+  in
+  Platform_gen.star ~master_weight
+    ~slaves:(List.init k (fun _ -> (pick weights, pick costs)))
+    ()
 
 let test_solve_reduced_balanced () =
   List.iter
     (fun arity ->
-      let p = Platform_gen.balanced_tree ~seed:6 ~nodes:15 ~arity () in
-      let full = Master_slave.solve p ~master:0 in
-      let red = Master_slave.solve_reduced p ~master:0 in
-      let name = Printf.sprintf "balanced arity=%d" arity in
-      Alcotest.check rat (name ^ " ntask") full.Master_slave.ntask
-        red.Master_slave.ntask;
-      check_ms_solution name p red)
-    [ 1; 2; 3 ]
+      check_tree_solve
+        (Printf.sprintf "balanced arity=%d" arity)
+        (Platform_gen.balanced_tree ~seed:6 ~nodes:15 ~arity ()))
+    [ 1; 2; 3; 14 ];
+  let g = Faults.generator ~seed:19 in
+  for case = 1 to 30 do
+    let k = 1 + Faults.rand_int g 10 in
+    check_tree_solve (Printf.sprintf "star %d k=%d" case k) (seeded_star g k)
+  done
 
+(* Off trees [solve] is the LP path, unchanged: the kernel's vertex on
+   [build_lp], cycle-cancelled, field by field, with the kernel's work
+   counted. *)
 let test_solve_reduced_fallback () =
-  (* cyclic platform: must take the Reduce-presolved full-LP path and
-     still match bit-for-bit *)
   List.iter
-    (fun (seed, nodes, extra) ->
-      let p = Platform_gen.random_graph ~seed ~nodes ~extra_edges:extra () in
-      let full = Master_slave.solve p ~master:0 in
-      let red = Master_slave.solve_reduced p ~master:0 in
-      let name = Printf.sprintf "graph seed=%d" seed in
-      Alcotest.check rat (name ^ " ntask") full.Master_slave.ntask
-        red.Master_slave.ntask;
-      check_ms_solution name p red)
-    [ (5, 8, 4); (23, 10, 3) ]
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " not a tree") true
+        (Tree_decomp.detect p ~root:0 = None);
+      let m, alpha_v, s_v = Master_slave.build_lp p ~master:0 in
+      let lp =
+        match Lp.solve m with
+        | Lp.Optimal s -> s
+        | _ -> Alcotest.fail (name ^ ": LP not optimal")
+      in
+      let stats = Lp.Stats.create () in
+      let sol = Master_slave.solve ~stats p ~master:0 in
+      Alcotest.(check int) (name ^ " one LP solve") 1 stats.Lp.Stats.solves;
+      let task_flow =
+        Reconstruct.cancel p
+          (Array.mapi
+             (fun e v -> R.div (lp.Lp.values v) (P.edge_cost p e))
+             s_v)
+      in
+      Alcotest.check rat (name ^ " ntask") lp.Lp.objective sol.Master_slave.ntask;
+      Alcotest.check rat_arr (name ^ " alpha") (Array.map lp.Lp.values alpha_v)
+        sol.Master_slave.alpha;
+      Alcotest.check rat_arr (name ^ " task_flow") task_flow
+        sol.Master_slave.task_flow;
+      Alcotest.check rat_arr (name ^ " send_frac")
+        (Array.mapi (fun e f -> R.mul f (P.edge_cost p e)) task_flow)
+        sol.Master_slave.send_frac;
+      check_ms_solution name p sol)
+    [
+      ("fig1", Platform_gen.figure1 ());
+      ("graph5", Platform_gen.random_graph ~seed:5 ~nodes:8 ~extra_edges:4 ());
+      ("graph23", Platform_gen.random_graph ~seed:23 ~nodes:10 ~extra_edges:3 ());
+      ( "cgraph7",
+        Platform_gen.random_connected_graph ~seed:7 ~nodes:8 ~extra_edges:3 () );
+    ]
 
 (* The closed-form knapsack against the LP oracle on seeded, tie-heavy
    instances: one to six children, costs drawn from a small set (all
@@ -285,11 +199,11 @@ let test_knapsack_oracle () =
     end
   done
 
-(* solve_reduced with the closed form against the reference sweep with
-   the LP knapsack: the same solution, field by field *)
+(* The tree solve against the reference sweep with the LP knapsack: the
+   same solution, field by field *)
 let test_solve_reduced_oracle () =
   let check name p =
-    let got = Master_slave.solve_reduced p ~master:0 in
+    let got = Master_slave.solve p ~master:0 in
     let want = Knapsack_reference.solve_tree p ~master:0 in
     Alcotest.check rat (name ^ " ntask") want.Master_slave.ntask
       got.Master_slave.ntask;
@@ -350,23 +264,30 @@ let test_tree_detect_counting () =
     (!trees > 1000 && !trees < 15000)
 
 let test_solve_reduced_schedulable () =
-  (* the decomposed flow must feed the schedule reconstruction like any
-     other solution *)
-  let p = Platform_gen.random_tree ~seed:8 ~nodes:12 () in
-  let sol = Master_slave.solve_reduced p ~master:0 in
-  let run = Master_slave.simulate ~periods:4 sol in
-  Alcotest.(check bool) "completed work > 0" true
-    (R.sign run.Master_slave.completed > 0);
-  Alcotest.(check bool) "within upper bound" true
-    (R.compare run.Master_slave.completed run.Master_slave.upper_bound <= 0)
+  (* a star with the master computing: the closed form's flow feeds the
+     schedule reconstruction like any other solution, and Robust's
+     per-epoch re-plans take the same path *)
+  let p =
+    Platform_gen.star ~master_weight:(Ext_rat.of_int 2)
+      ~slaves:[ (Ext_rat.of_int 1, R.one); (Ext_rat.of_int 3, R.one);
+                (Ext_rat.of_int 1, R.of_int 2) ]
+      ()
+  in
+  check_tree_solve "star3" p;
+  let sol = Master_slave.solve p ~master:0 in
+  let sched = Master_slave.schedule sol in
+  Alcotest.check rat "tasks per period = ntask * period"
+    (R.mul sol.Master_slave.ntask sched.Schedule.period)
+    (Master_slave.tasks_per_period sched sol)
 
-(* --- tree-decomposed collectives ---------------------------------------
+(* --- collectives: the tree dispatch ---------------------------------------
 
-   The closed-form solutions must satisfy every constraint of the
-   monolithic LP (replayed through Lp.check_solution on the exact model
-   that Collective.solve / All_to_all.solve would pivot on) and, on
-   trees, match the kernel's answer bit for bit — the tree path is the
-   unique route of each commodity, so even the flows agree exactly. *)
+   On a tree, Collective.solve and All_to_all.solve take the closed form;
+   it must satisfy every constraint of the monolithic LP (replayed
+   through Lp.check_solution on the exact model the LP path solves) and
+   match the kernel's answer bit for bit — the tree path is the unique
+   cycle-free route of each commodity, so even the flows agree exactly.
+   Off trees the LP path answers, unchanged. *)
 
 let check_collective_solution name mode p ~source ~targets
     (sol : Collective.solution) =
@@ -389,18 +310,27 @@ let check_collective_solution name mode p ~source ~targets
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ " invariant broken: " ^ e)
 
-let check_collective_equal name (full : Collective.solution)
-    (red : Collective.solution) =
-  Alcotest.check rat (name ^ " throughput") full.Collective.throughput
-    red.Collective.throughput;
+(* The kernel's answer on the monolithic model, read back as the LP path
+   does: throughput and each commodity's cycle-cancelled flow. *)
+let collective_lp name mode p ~source ~targets =
+  let m, _, _, f_v = Collective.model_handles mode p ~source ~targets in
+  match Lp.solve m with
+  | Lp.Optimal s ->
+    ( s.Lp.objective,
+      Array.map (fun fv -> Flow.cancel_cycles p (Array.map s.Lp.values fv)) f_v
+    )
+  | _ -> Alcotest.fail (name ^ ": LP not optimal")
+
+let check_collective_equal name mode p ~source ~targets
+    (sol : Collective.solution) =
+  let tp, flows = collective_lp name mode p ~source ~targets in
+  Alcotest.check rat (name ^ " throughput") tp sol.Collective.throughput;
   Array.iteri
     (fun k fk ->
       Alcotest.check rat_arr
         (Printf.sprintf "%s flow of commodity %d" name k)
-        fk red.Collective.flows.(k))
-    full.Collective.flows;
-  Alcotest.check rat_arr (name ^ " send_frac") full.Collective.send_frac
-    red.Collective.send_frac
+        fk sol.Collective.flows.(k))
+    flows
 
 let collective_modes = [ (Collective.Sum, "sum"); (Collective.Max, "max") ]
 
@@ -418,29 +348,27 @@ let test_collective_reduced_trees () =
                 let name =
                   Printf.sprintf "%s/%s seed=%d n=%d" mname tname seed nodes
                 in
-                let full = Collective.solve mode p ~source:0 ~targets in
-                let red = Collective.solve_reduced mode p ~source:0 ~targets in
-                check_collective_equal name full red;
-                check_collective_solution name mode p ~source:0 ~targets red
+                let sol = Collective.solve mode p ~source:0 ~targets in
+                check_collective_equal name mode p ~source:0 ~targets sol;
+                check_collective_solution name mode p ~source:0 ~targets sol
               end)
             [ (all, "all"); (sub, "subset") ])
         collective_modes)
     [ (1, 5); (3, 9); (7, 12) ]
 
 let test_collective_reduced_fallback () =
-  (* cyclic platform: the closed form must step aside and the
-     Reduce-presolved monolithic LP must produce the same optimum (the
-     flows may legitimately differ — multiple routes exist) *)
+  (* cyclic platform: the closed form steps aside and the answer is the
+     monolithic LP's, flows included *)
   let p = Platform_gen.random_graph ~seed:5 ~nodes:7 ~extra_edges:3 () in
+  Alcotest.(check bool) "not a tree" true (Tree_decomp.detect p ~root:0 = None);
   let targets = List.filter (fun i -> i <> 0) (P.nodes p) in
   List.iter
     (fun (mode, mname) ->
-      let full = Collective.solve mode p ~source:0 ~targets in
-      let red = Collective.solve_reduced mode p ~source:0 ~targets in
-      Alcotest.check rat (mname ^ " throughput") full.Collective.throughput
-        red.Collective.throughput;
+      let sol = Collective.solve mode p ~source:0 ~targets in
+      check_collective_equal (mname ^ " fallback") mode p ~source:0 ~targets
+        sol;
       check_collective_solution (mname ^ " fallback") mode p ~source:0 ~targets
-        red)
+        sol)
     collective_modes
 
 let test_collective_reduced_unreachable () =
@@ -455,23 +383,22 @@ let test_collective_reduced_unreachable () =
   List.iter
     (fun (mode, mname) ->
       let targets = [ 1; 2 ] in
-      let full = Collective.solve mode p ~source:0 ~targets in
-      let red = Collective.solve_reduced mode p ~source:0 ~targets in
+      let sol = Collective.solve mode p ~source:0 ~targets in
       Alcotest.check rat (mname ^ " zero throughput") R.zero
-        red.Collective.throughput;
-      Alcotest.check rat (mname ^ " kernel agrees") full.Collective.throughput
-        red.Collective.throughput;
+        sol.Collective.throughput;
+      check_collective_equal (mname ^ " unreachable") mode p ~source:0
+        ~targets sol;
       check_collective_solution (mname ^ " unreachable") mode p ~source:0
-        ~targets red)
+        ~targets sol)
     collective_modes
 
 let test_broadcast_reduced () =
   List.iter
     (fun (pname, p) ->
-      let full = Broadcast.lp_bound p ~source:0 in
-      let red = Broadcast.lp_bound_reduced p ~source:0 in
-      Alcotest.check rat (pname ^ " bound") full.Collective.throughput
-        red.Collective.throughput)
+      let targets = Broadcast.targets_of p ~source:0 in
+      let sol = Broadcast.lp_bound p ~source:0 in
+      check_collective_equal (pname ^ " bound") Collective.Max p ~source:0
+        ~targets sol)
     [
       ("tree9", Platform_gen.random_tree ~seed:9 ~nodes:8 ());
       ("balanced", Platform_gen.balanced_tree ~seed:2 ~nodes:7 ~arity:2 ());
@@ -502,32 +429,40 @@ let check_a2a_solution name p ~participants (sol : All_to_all.solution) =
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ " invariant broken: " ^ e)
 
+(* the kernel's answer on the monolithic pair LP: throughput and every
+   pair's flow, bit for bit *)
+let check_a2a_equal name p ~participants (sol : All_to_all.solution) =
+  let m, _, _, f_v = All_to_all.model_handles p ~participants in
+  match Lp.solve m with
+  | Lp.Optimal s ->
+    Alcotest.check rat (name ^ " throughput") s.Lp.objective
+      sol.All_to_all.throughput;
+    List.iter
+      (fun (pair, fv) ->
+        Alcotest.check rat_arr (name ^ " pair flow")
+          (Flow.cancel_cycles p (Array.map s.Lp.values fv))
+          (List.assoc pair sol.All_to_all.flows))
+      f_v
+  | _ -> Alcotest.fail (name ^ ": LP not optimal")
+
 let test_a2a_reduced_trees () =
   List.iter
     (fun (seed, nodes) ->
       let p = Platform_gen.random_tree ~seed ~nodes () in
       let participants = List.filter (fun i -> i mod 2 = 0) (P.nodes p) in
       let name = Printf.sprintf "a2a seed=%d n=%d" seed nodes in
-      let full = All_to_all.solve p ~participants in
-      let red = All_to_all.solve_reduced p ~participants in
-      Alcotest.check rat (name ^ " throughput") full.All_to_all.throughput
-        red.All_to_all.throughput;
-      List.iter
-        (fun (pair, fv) ->
-          Alcotest.check rat_arr (name ^ " pair flow") fv
-            (List.assoc pair red.All_to_all.flows))
-        full.All_to_all.flows;
-      check_a2a_solution name p ~participants red)
+      let sol = All_to_all.solve p ~participants in
+      check_a2a_equal name p ~participants sol;
+      check_a2a_solution name p ~participants sol)
     [ (2, 5); (4, 8) ]
 
 let test_a2a_reduced_fallback () =
   let p = Platform_gen.random_graph ~seed:11 ~nodes:6 ~extra_edges:2 () in
   let participants = [ 0; 2; 3 ] in
-  let full = All_to_all.solve p ~participants in
-  let red = All_to_all.solve_reduced p ~participants in
-  Alcotest.check rat "a2a fallback throughput" full.All_to_all.throughput
-    red.All_to_all.throughput;
-  check_a2a_solution "a2a fallback" p ~participants red
+  Alcotest.(check bool) "not a tree" true (Tree_decomp.detect p ~root:0 = None);
+  let sol = All_to_all.solve p ~participants in
+  check_a2a_equal "a2a fallback" p ~participants sol;
+  check_a2a_solution "a2a fallback" p ~participants sol
 
 let test_a2a_reduced_missing_lane () =
   (* the A -> B lane exists but B -> A does not: pair (B, A) cannot
@@ -538,12 +473,10 @@ let test_a2a_reduced_missing_lane () =
       ~edges:[ (0, 1, R.one) ]
   in
   let participants = [ 0; 1 ] in
-  let full = All_to_all.solve p ~participants in
-  let red = All_to_all.solve_reduced p ~participants in
-  Alcotest.check rat "a2a zero" R.zero red.All_to_all.throughput;
-  Alcotest.check rat "a2a kernel agrees" full.All_to_all.throughput
-    red.All_to_all.throughput;
-  check_a2a_solution "a2a missing lane" p ~participants red
+  let sol = All_to_all.solve p ~participants in
+  Alcotest.check rat "a2a zero" R.zero sol.All_to_all.throughput;
+  check_a2a_equal "a2a missing lane" p ~participants sol;
+  check_a2a_solution "a2a missing lane" p ~participants sol
 
 (* --- generators -------------------------------------------------------- *)
 
@@ -630,20 +563,26 @@ let test_connected_graph_generator () =
     [ 2; 3; 4 ]
 
 let test_connected_graph_reduced_certified () =
-  (* general graphs take solve_reduced's presolved full-LP fallback:
-     certify it bit-for-bit against the monolithic LP, with feasibility
-     checked against the model's own constraints *)
+  (* general graphs take the LP path: its answer matches the kernel's
+     certified optimum on the model, and the flow is feasible for the
+     model's own constraints *)
   List.iter
     (fun (seed, nodes, extra) ->
       let p =
         Platform_gen.random_connected_graph ~seed ~nodes ~extra_edges:extra ()
       in
-      let full = Master_slave.solve p ~master:0 in
-      let red = Master_slave.solve_reduced p ~master:0 in
       let name = Printf.sprintf "cgraph seed=%d n=%d" seed nodes in
-      Alcotest.check rat (name ^ " ntask") full.Master_slave.ntask
-        red.Master_slave.ntask;
-      check_ms_solution name p red)
+      let m, res = Master_slave.solve_lp_only p ~master:0 in
+      (match res with
+      | Lp.Optimal s -> (
+        match Lp.certify m s with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail (name ^ " certificate: " ^ e))
+      | _ -> Alcotest.fail (name ^ ": LP not optimal"));
+      let sol = Master_slave.solve p ~master:0 in
+      Alcotest.check rat (name ^ " ntask") (lp_optimum name p).Lp.objective
+        sol.Master_slave.ntask;
+      check_ms_solution name p sol)
     [ (1, 6, 3); (7, 8, 3); (11, 10, 5) ]
 
 (* --- stats and hashed cache -------------------------------------------- *)
@@ -689,23 +628,10 @@ let test_hashed_cache_distinguishes () =
     (Lp.Cache.hits cache)
 
 let suite =
-  let q = QCheck_alcotest.to_alcotest in
   ( "scale",
     [
       Alcotest.test_case "pricing rules: same objective" `Quick
         test_rules_same_objective;
-      Alcotest.test_case "reduce: master-slave models" `Quick
-        test_reduce_matches_full;
-      Alcotest.test_case "reduce: fully decided" `Quick
-        test_reduce_decides_outright;
-      Alcotest.test_case "reduce: infeasible" `Quick
-        test_reduce_detects_infeasible;
-      Alcotest.test_case "reduce: substitution bounds" `Quick
-        test_reduce_substitution;
-      Alcotest.test_case "reduce: doubleton equality" `Quick
-        test_reduce_doubleton;
-      Alcotest.test_case "reduce: dominated columns" `Quick
-        test_reduce_dominated;
       Alcotest.test_case "solve_reduced: random trees" `Quick
         test_solve_reduced_trees;
       Alcotest.test_case "solve_reduced: balanced trees" `Quick
@@ -747,5 +673,4 @@ let suite =
       Alcotest.test_case "stats counting" `Quick test_stats_counting;
       Alcotest.test_case "hashed cache" `Quick
         test_hashed_cache_distinguishes;
-      q prop_reduce_agrees;
     ] )
