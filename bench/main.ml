@@ -223,15 +223,10 @@ let record rows name ns =
   else Printf.printf "%-56s %10.3f us wall\n" name (ns /. 1e3)
 
 (* exact-effort annotations: rows solved with an [Lp.Stats] counter
-   attached also land their solve/pivot/refactorisation counts — and,
-   since schema 4, the reconstruction effort (cycles cancelled by
-   search, matchings repaired vs rebuilt, slots reused; schema 5 adds
-   warm-served delay vectors; schema 6 the churn counters: repair
-   budgets exceeded, transfer retries and total backoff time; schema 7
-   the guarded recovery/ rows: checkpointed and resumed robust runs;
-   schema 8 drops the LP warm-start rows and counters) — in
-   the JSON, so effort regressions show up even when wall-clock noise
-   hides them *)
+   attached also land their solve/pivot/refactorisation counts and the
+   churn counters (transfer retries, total backoff time) in the JSON,
+   so effort regressions show up even when wall-clock noise hides
+   them *)
 let effort_rows : (string, Lp.Stats.t) Hashtbl.t = Hashtbl.create 16
 
 let record_effort name (st : Lp.Stats.t) =
@@ -239,31 +234,16 @@ let record_effort name (st : Lp.Stats.t) =
   Printf.printf "%-56s %10s\n" name
     (Printf.sprintf "%d solves, %d pivots, %d refactors" st.Lp.Stats.solves
        st.Lp.Stats.pivots st.Lp.Stats.refactors);
-  if
-    st.Lp.Stats.matchings_repaired + st.Lp.Stats.matchings_rebuilt
-    + st.Lp.Stats.slots_reused + st.Lp.Stats.delays_reused > 0
-  then
+  if st.Lp.Stats.retries > 0 || R.sign st.Lp.Stats.backoff_time > 0 then
     Printf.printf "%-56s %10s\n" name
-      (Printf.sprintf
-         "%d cycles, %d repaired, %d rebuilt, %d slots, %d delays reused"
-         st.Lp.Stats.cycles_cancelled st.Lp.Stats.matchings_repaired
-         st.Lp.Stats.matchings_rebuilt st.Lp.Stats.slots_reused
-         st.Lp.Stats.delays_reused);
-  if
-    st.Lp.Stats.repairs_budget_exceeded + st.Lp.Stats.retries > 0
-    || R.sign st.Lp.Stats.backoff_time > 0
-  then
-    Printf.printf "%-56s %10s\n" name
-      (Printf.sprintf "%d budgets exceeded, %d retries, backoff %s"
-         st.Lp.Stats.repairs_budget_exceeded st.Lp.Stats.retries
+      (Printf.sprintf "%d retries, backoff %s" st.Lp.Stats.retries
          (R.to_string st.Lp.Stats.backoff_time))
 
-(* --- cache / warm statistics, aggregated across the whole run --- *)
+(* --- cache statistics, aggregated across the whole run --- *)
 
-(* every suite that creates an [Lp.Cache], a disk store or a
-   [Reconstruct.Warm] slot notes it here once it is done with it; the
-   totals land in the JSON snapshot so reuse rates are trackable across
-   PRs *)
+(* every suite that creates an [Lp.Cache] or a disk store notes it
+   here once it is done with it; the totals land in the JSON snapshot
+   so reuse rates are trackable across PRs *)
 let stats_cache_hits = ref 0
 let stats_cache_misses = ref 0
 let stats_cache_evictions = ref 0
@@ -271,8 +251,6 @@ let stats_disk_hits = ref 0
 let stats_disk_stores = ref 0
 let stats_disk_evictions = ref 0
 let stats_quarantined = ref 0
-let stats_recon_hits = ref 0
-let stats_recon_misses = ref 0
 
 let note_cache c =
   stats_cache_hits := !stats_cache_hits + Lp.Cache.hits c;
@@ -284,10 +262,6 @@ let note_store s =
   stats_disk_stores := !stats_disk_stores + Lp.Cache.Disk.stores s;
   stats_disk_evictions := !stats_disk_evictions + Lp.Cache.Disk.evictions s;
   stats_quarantined := !stats_quarantined + Lp.Cache.Disk.quarantined s
-
-let note_recon w =
-  stats_recon_hits := !stats_recon_hits + Reconstruct.Warm.hits w;
-  stats_recon_misses := !stats_recon_misses + Reconstruct.Warm.misses w
 
 (* --- part 2.5: solve-cache workloads --- *)
 
@@ -415,145 +389,6 @@ let run_cache_suite ~smoke () =
     failwith "bench: oracle bound differs between cold and cached solves";
   record (bound "cached") ns;
   Printf.printf "%-56s %10.2fx\n" "warm/E10 oracle bound speedup" (cold_bound_ns /. ns);
-  List.rev !rows
-
-(* --- part 2.6: incremental reconstruction workloads --- *)
-
-(* [p] with one edge's cost scaled — the small per-phase rhs
-   perturbation of a phased sweep *)
-let scale_one_edge p victim factor =
-  Platform.create
-    ~names:(Array.of_list (List.map (Platform.name p) (Platform.nodes p)))
-    ~weights:(Array.of_list (List.map (Platform.weight p) (Platform.nodes p)))
-    ~edges:
-      (List.map
-         (fun e ->
-           let c = Platform.edge_cost p e in
-           ( Platform.edge_src p e,
-             Platform.edge_dst p e,
-             if e = victim then R.mul c factor else c ))
-         (Platform.edges p))
-
-(* Saturated heterogeneous star: the master's out-port is the binding
-   resource and most slaves carry flow, so the schedule has on the order
-   of [n] singleton communication slots — the reconstruction-heavy
-   regime (a tree's knapsack plans concentrate flow on a couple of
-   links, which makes the colouring trivial and the schedule layer
-   nearly free).  Slave weights are matched to costs so that the
-   knapsack spreads the port budget across ~3/4 of the slaves. *)
-let recon_star n =
-  Platform_gen.star ~master_weight:Ext_rat.inf
-    ~slaves:
-      (List.init (n - 1) (fun i ->
-           let c = R.of_ints (3 + (i mod 5)) (2 + (i mod 3)) in
-           (Ext_rat.Fin (R.mul c (R.of_ints (3 * (n - 1)) 4)), c)))
-    ()
-
-(* Reconstruction-heavy phased sweep: one platform, [phases] phases, a
-   fresh small bandwidth perturbation every 4th phase and flat segments
-   in between — the flat stretches are where a schedule-level warm start
-   reuses the previous slots outright, the perturbed ones where it
-   repairs them.  The LPs are pre-solved OUTSIDE the timed region so the
-   cold and warm rows time exactly the schedule layer.  Every row is
-   guarded: each warm schedule must pass strict certification (both
-   checkers plus bit-identical period and per-edge volumes vs a cold
-   rebuild) and match the cold throughput exactly; at n=200 the warm row
-   must beat the cold row by >= 3x and stay under a hard wall-clock
-   budget. *)
-let run_recon_suite ~smoke () =
-  print_endline
-    "\n########## incremental reconstruction workloads ##########\n";
-  let rows = ref [] in
-  let record = record rows in
-  let runs = if smoke then 1 else 3 in
-  let phases = if smoke then 8 else 32 in
-  List.iter
-    (fun n ->
-      let base = recon_star n in
-      let master_out = Array.of_list (Platform.out_edges base 0) in
-      let plats = Array.make phases base in
-      for k = 1 to phases - 1 do
-        plats.(k) <-
-          (if k mod 4 = 0 then
-             scale_one_edge base
-               master_out.(k * 31 mod Array.length master_out)
-               (R.of_ints (98 + (k mod 3)) 97)
-           else plats.(k - 1))
-      done;
-      (* pre-solve each phase; flat segments share the solution object,
-         so the timed rows see the same instance stream a phased planner
-         would hand the schedule layer *)
-      let sols = Array.make phases (Master_slave.solve base ~master:0) in
-      for k = 1 to phases - 1 do
-        sols.(k) <-
-          (if plats.(k) == plats.(k - 1) then sols.(k - 1)
-           else Master_slave.solve plats.(k) ~master:0)
-      done;
-      let label tail =
-        Printf.sprintf "recon/sweep %d phases n=%d (%s)" phases n tail
-      in
-      let cold () =
-        Array.iter (fun sol -> ignore (Master_slave.schedule sol)) sols
-      in
-      let warm () =
-        let recon = Reconstruct.Warm.create () in
-        Array.iter (fun sol -> ignore (Master_slave.schedule ~recon sol)) sols;
-        recon
-      in
-      let (), cold_ns = best_of ~runs cold in
-      record (label "cold") cold_ns;
-      let last_recon, warm_ns = best_of ~runs warm in
-      note_recon last_recon;
-      record (label "warm") warm_ns;
-      Printf.printf "%-56s %10.2fx\n"
-        (Printf.sprintf "recon/speedup n=%d" n)
-        (cold_ns /. warm_ns);
-      (* guards, untimed: strict mode re-derives a cold schedule per
-         phase and raises unless the warm one is equivalent; the
-         throughput comparison is re-asserted here independently *)
-      let stats = Lp.Stats.create () in
-      let recon = Reconstruct.Warm.create () in
-      Array.iter
-        (fun sol ->
-          let w = Master_slave.schedule ~recon ~strict:true ~stats sol in
-          let c = Master_slave.schedule sol in
-          let tp s =
-            R.div (Master_slave.tasks_per_period s sol) s.Schedule.period
-          in
-          if not (R.equal (tp w) (tp c)) then
-            failwith
-              (Printf.sprintf "bench: recon n=%d: warm throughput differs" n);
-          match Reconstruct.certify w with
-          | Ok () -> ()
-          | Error e ->
-            failwith (Printf.sprintf "bench: recon n=%d: %s" n e))
-        sols;
-      note_recon recon;
-      Printf.printf "%-56s %10s\n"
-        (Printf.sprintf "recon/guard n=%d" n)
-        "strict certification + throughput exact";
-      record_effort (label "warm") stats;
-      if stats.Lp.Stats.slots_reused = 0 then
-        failwith
-          (Printf.sprintf "bench: recon n=%d: warm sweep reused no slots" n);
-      (* the acceptance ratio and a hard wall-clock budget, full runs
-         only: the schedule-layer warm start must actually pay off *)
-      if not smoke then begin
-        if n = 200 && cold_ns < 3.0 *. warm_ns then
-          failwith
-            (Printf.sprintf
-               "bench: recon n=200: warm %.1f ms vs cold %.1f ms is below \
-                the 3x bar"
-               (warm_ns /. 1e6) (cold_ns /. 1e6));
-        let budget_ns = 30e9 in
-        if cold_ns +. warm_ns > budget_ns then
-          failwith
-            (Printf.sprintf "bench: recon n=%d rows took %.2f s, budget %.0f s"
-               n
-               ((cold_ns +. warm_ns) /. 1e9)
-               (budget_ns /. 1e9))
-      end)
-    (if smoke then [ 20 ] else [ 20; 200 ]);
   List.rev !rows
 
 (* --- part 3: Domain-pool sweep --- *)
@@ -1169,7 +1004,7 @@ let json_escape s =
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"steady-bench/8\",\n";
+  Printf.fprintf oc "  \"schema\": \"steady-bench/9\",\n";
   Printf.fprintf oc "  \"unit\": \"ns\",\n";
   Printf.fprintf oc "  \"pool_width_sequential\": 1,\n";
   Printf.fprintf oc "  \"pool_width_parallel\": %d,\n" (pool_width () + 1);
@@ -1180,9 +1015,7 @@ let write_json path rows =
   Printf.fprintf oc "    \"disk_hits\": %d,\n" !stats_disk_hits;
   Printf.fprintf oc "    \"disk_stores\": %d,\n" !stats_disk_stores;
   Printf.fprintf oc "    \"disk_evictions\": %d,\n" !stats_disk_evictions;
-  Printf.fprintf oc "    \"quarantined_records\": %d,\n" !stats_quarantined;
-  Printf.fprintf oc "    \"recon_hits\": %d,\n" !stats_recon_hits;
-  Printf.fprintf oc "    \"recon_misses\": %d\n" !stats_recon_misses;
+  Printf.fprintf oc "    \"quarantined_records\": %d\n" !stats_quarantined;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"results\": {\n";
   let n = List.length rows in
@@ -1196,34 +1029,15 @@ let write_json path rows =
               ", \"solves\": %d, \"pivots\": %d, \"refactors\": %d"
               st.Lp.Stats.solves st.Lp.Stats.pivots st.Lp.Stats.refactors
           in
-          let recon =
-            if
-              st.Lp.Stats.matchings_repaired + st.Lp.Stats.matchings_rebuilt
-              + st.Lp.Stats.slots_reused + st.Lp.Stats.cycles_cancelled
-              + st.Lp.Stats.delays_reused > 0
-            then
-              Printf.sprintf
-                ", \"cycles_cancelled\": %d, \"matchings_repaired\": %d, \
-                 \"matchings_rebuilt\": %d, \"slots_reused\": %d, \
-                 \"delays_reused\": %d"
-                st.Lp.Stats.cycles_cancelled st.Lp.Stats.matchings_repaired
-                st.Lp.Stats.matchings_rebuilt st.Lp.Stats.slots_reused
-                st.Lp.Stats.delays_reused
-            else ""
-          in
           let churn =
-            if
-              st.Lp.Stats.repairs_budget_exceeded + st.Lp.Stats.retries > 0
-              || R.sign st.Lp.Stats.backoff_time > 0
+            if st.Lp.Stats.retries > 0 || R.sign st.Lp.Stats.backoff_time > 0
             then
-              Printf.sprintf
-                ", \"repairs_budget_exceeded\": %d, \"retries\": %d, \
-                 \"backoff_time\": \"%s\""
-                st.Lp.Stats.repairs_budget_exceeded st.Lp.Stats.retries
+              Printf.sprintf ", \"retries\": %d, \"backoff_time\": \"%s\""
+                st.Lp.Stats.retries
                 (R.to_string st.Lp.Stats.backoff_time)
             else ""
           in
-          base ^ recon ^ churn
+          base ^ churn
         | None -> ""
       in
       Printf.fprintf oc "    \"%s\": { \"ns\": %.1f%s }%s\n" (json_escape name)
@@ -1274,7 +1088,6 @@ let run_smoke ~cache_dir () =
       Printf.printf "smoke ok  %s\n" name)
     (timed_workloads ());
   ignore (run_cache_suite ~smoke:true ());
-  ignore (run_recon_suite ~smoke:true ());
   ignore (run_disk_suite ~smoke:true ~cache_dir ());
   ignore (run_pool_sweep ~smoke:true ());
   ignore (run_fault_suite ~smoke:true ());
@@ -1299,7 +1112,6 @@ let () =
   let tables_only = ref false in
   let smoke = ref false in
   let faults_only = ref false in
-  let recon_only = ref false in
   let recovery_only = ref false in
   let chaos = ref false in
   let chaos_seed = ref 42 in
@@ -1316,9 +1128,6 @@ let () =
       parse rest
     | "--faults-only" :: rest ->
       faults_only := true;
-      parse rest
-    | "--recon-only" :: rest ->
-      recon_only := true;
       parse rest
     | "--recovery-only" :: rest ->
       recovery_only := true;
@@ -1346,7 +1155,7 @@ let () =
     | arg :: _ ->
       prerr_endline
         ("usage: main.exe [--tables-only] [--smoke] [--faults-only] \
-          [--recon-only] [--recovery-only] [--chaos] [--chaos-seed N] \
+          [--recovery-only] [--chaos] [--chaos-seed N] \
           [--chaos-shapes S1,S2] \
           [--json PATH] [--cache-dir DIR]; got " ^ arg);
       exit 2
@@ -1356,7 +1165,6 @@ let () =
     run_chaos ~smoke:!smoke ~seed:!chaos_seed ~shapes:!chaos_shapes ()
   else if !smoke then run_smoke ~cache_dir:!cache_dir ()
   else if !faults_only then ignore (run_fault_suite ~smoke:false ())
-  else if !recon_only then ignore (run_recon_suite ~smoke:false ())
   else if !recovery_only then ignore (run_recovery_suite ~smoke:false ())
   else begin
     print_tables ();
@@ -1364,7 +1172,6 @@ let () =
     if not !tables_only then begin
       let bench_rows = run_benchmarks () in
       let cache_rows = run_cache_suite ~smoke:false () in
-      let recon_rows = run_recon_suite ~smoke:false () in
       let disk_rows = run_disk_suite ~smoke:false ~cache_dir:!cache_dir () in
       let sweep_rows = run_pool_sweep ~smoke:false () in
       let fault_rows = run_fault_suite ~smoke:false () in
@@ -1372,7 +1179,7 @@ let () =
       let recovery_rows = run_recovery_suite ~smoke:false () in
       let scale_rows = run_scale_suite ~smoke:false () in
       write_json !json_path
-        (bench_rows @ cache_rows @ recon_rows @ disk_rows @ sweep_rows
+        (bench_rows @ cache_rows @ disk_rows @ sweep_rows
        @ fault_rows @ churn_rows @ recovery_rows @ scale_rows)
     end
   end

@@ -28,6 +28,16 @@ let check_periods k =
    other bad input. *)
 let rejecting_invalid f = try f () with Invalid_argument msg -> Error msg
 
+(* The checkpoint store raises only when its directory is unusable
+   (Solve_store.open_store); every later store call swallows I/O
+   errors. *)
+let in_checkpoint_dir dir f =
+  try Ok (f ()) with
+  | (Sys_error _ | Unix.Unix_error _) as e ->
+    Error
+      (Printf.sprintf "cannot open checkpoint directory %S: %s" dir
+         (Printexc.to_string e))
+
 let or_die = function
   | Ok () -> 0
   | Error msg ->
@@ -376,8 +386,9 @@ let dynamic_cmd =
   in
   let halt_at_arg =
     let doc =
-      "Crash injection: die (like kill -9) at this epoch boundary, after \
-       any checkpoint due there is committed.  Requires --checkpoint-dir."
+      "Crash injection: die (like kill -9) at this epoch boundary, \
+       between 1 and the phase count minus 1, after any checkpoint due \
+       there is committed.  Requires --checkpoint-dir; not with --resume."
     in
     Arg.(value & opt (some int) None & info [ "halt-at" ] ~docv:"K" ~doc)
   in
@@ -453,9 +464,13 @@ let dynamic_cmd =
          Ok ()
        | Some _, _, _ when strategy <> Dy.Robust ->
          Error "--checkpoint-dir requires the robust strategy"
+       | Some _, true, Some _ ->
+         Error "--halt-at cannot be combined with --resume"
        | Some dir, true, _ ->
          let checkpoint = { Dy.Checkpoint.dir; every } in
-         let o, from = Dy.resume ~checkpoint sc in
+         let* o, from =
+           in_checkpoint_dir dir (fun () -> Dy.resume ~checkpoint sc)
+         in
          (match from with
          | Some k -> Printf.printf "resumed from epoch %d\n" k
          | None -> print_endline "no usable checkpoint: cold start");
@@ -463,15 +478,33 @@ let dynamic_cmd =
          Ok ()
        | Some dir, false, halt_at -> (
          let checkpoint = { Dy.Checkpoint.dir; every } in
-         match Dy.run ~checkpoint ?halt_at sc strategy with
-         | o ->
+         match
+           in_checkpoint_dir dir (fun () ->
+               Dy.run ~checkpoint ?halt_at sc strategy)
+         with
+         | Error _ as e -> e
+         | Ok o ->
            print_outcome o;
            Ok ()
          | exception Dy.Checkpoint.Halted k ->
-           Printf.printf
-             "halted at epoch %d (checkpoint committed); rerun with \
-              --resume to continue\n"
-             k;
+           (* checkpoints are written at the positive multiples of the
+              cadence, so the last one before the kill is at [committed] *)
+           let committed = k - (k mod every) in
+           if committed = k then
+             Printf.printf
+               "halted at epoch %d (checkpoint committed); rerun with \
+                --resume to continue\n"
+               k
+           else if committed > 0 then
+             Printf.printf
+               "halted at epoch %d (last checkpoint committed at epoch \
+                %d); rerun with --resume to continue from there\n"
+               k committed
+           else
+             Printf.printf
+               "halted at epoch %d (no checkpoint committed yet); rerun \
+                with --resume to start over\n"
+               k;
            Ok ()))
   in
   let doc =

@@ -43,53 +43,25 @@ let max_weighted_degree ~left_size ~right_size edges =
   let m = Array.fold_left R.max R.zero dl in
   Array.fold_left R.max m dr
 
-type effort = {
-  mutable reused : int;
-  mutable repaired : int;
-  mutable rebuilt : int;
-  mutable budget_exceeded : int;
-}
-
-let effort () = { reused = 0; repaired = 0; rebuilt = 0; budget_exceeded = 0 }
-
 (* Find a matching covering every tight node.  [adj_l.(i)] lists the
    active work edges out of left node i; [match_l] / [match_r] hold the
-   matched work edge per node, if any.  [seed] pre-installs a partial
-   matching (conflicting entries dropped): augmentation then only runs
-   for tight nodes the seed leaves uncovered, and the adjacency arrays —
-   only augmentation needs them — are built on first use, so a seed that
-   already covers every tight node costs no graph traversal at all.
-   Returns the matched works and whether any augmentation ran. *)
-let covering_matching ~left_size ~right_size works tight_l tight_r ~seed =
+   matched work edge per node, if any. *)
+let covering_matching ~left_size ~right_size works tight_l tight_r =
   let match_l : work option array = Array.make left_size None in
   let match_r : work option array = Array.make right_size None in
+  let adj_l = Array.make left_size [] in
+  let adj_r = Array.make right_size [] in
   List.iter
     (fun w ->
-      if match_l.(w.e.left) = None && match_r.(w.e.right) = None then begin
-        match_l.(w.e.left) <- Some w;
-        match_r.(w.e.right) <- Some w
-      end)
-    seed;
-  let adj =
-    lazy
-      (let adj_l = Array.make left_size [] in
-       let adj_r = Array.make right_size [] in
-       List.iter
-         (fun w ->
-           adj_l.(w.e.left) <- w :: adj_l.(w.e.left);
-           adj_r.(w.e.right) <- w :: adj_r.(w.e.right))
-         works;
-       (adj_l, adj_r))
-  in
-  (* Augment from a left node: returns true if an augmenting path is
-     found; [visited_r] guards against revisiting right nodes.  As in
-     the right pass below, the Mendelsohn–Dulmage exchange argument
-     allows one extra terminal move: the path may end by {e stealing} a
-     right node from a non-tight left node, uncovering only that
-     non-required vertex.  Cold rounds never take it (the left pass
-     only ever covers tight left nodes), but a warm-start seed may
-     cover non-tight lefts that block a tight one. *)
-  let rec augment_l visited_r tight_l i =
+      adj_l.(w.e.left) <- w :: adj_l.(w.e.left);
+      adj_r.(w.e.right) <- w :: adj_r.(w.e.right))
+    works;
+  (* Plain Kuhn augmentation from a left node: returns true if an
+     augmenting path is found; [visited_r] guards against revisiting
+     right nodes.  The left pass only ever covers tight left nodes, so
+     every left node met along a path is tight and may not be
+     uncovered. *)
+  let rec augment_l visited_r i =
     List.exists
       (fun w ->
         let j = w.e.right in
@@ -102,21 +74,14 @@ let covering_matching ~left_size ~right_size works tight_l tight_r ~seed =
             match_r.(j) <- Some w;
             true
           | Some w' ->
-            let l' = w'.e.left in
-            if not tight_l.(l') then begin
-              match_l.(l') <- None;
-              match_l.(i) <- Some w;
-              match_r.(j) <- Some w;
-              true
-            end
-            else if augment_l visited_r tight_l l' then begin
+            if augment_l visited_r w'.e.left then begin
               match_l.(i) <- Some w;
               match_r.(j) <- Some w;
               true
             end
             else false
         end)
-      (fst (Lazy.force adj)).(i)
+      adj_l.(i)
   in
   (* Right-pass augmentation.  Unlike the left pass (where every covered
      left node is itself tight, so plain Kuhn augmentation is complete),
@@ -125,7 +90,7 @@ let covering_matching ~left_size ~right_size works tight_l tight_r ~seed =
      an alternating path from the uncovered tight node [j] may end by
      {e stealing} a left node from a non-tight right node, uncovering
      only that non-required vertex. *)
-  let rec augment_r visited_l tight_r j =
+  let rec augment_r visited_l j =
     List.exists
       (fun w ->
         let i = w.e.left in
@@ -145,32 +110,25 @@ let covering_matching ~left_size ~right_size works tight_l tight_r ~seed =
               match_r.(j) <- Some w;
               true
             end
-            else if augment_r visited_l tight_r r' then begin
+            else if augment_r visited_l r' then begin
               match_l.(i) <- Some w;
               match_r.(j) <- Some w;
               true
             end
             else false
         end)
-      (snd (Lazy.force adj)).(j)
+      adj_r.(j)
   in
-  let augmented = ref false in
   for i = 0 to left_size - 1 do
-    if tight_l.(i) && match_l.(i) = None then begin
-      augmented := true;
-      let ok = augment_l (Array.make right_size false) tight_l i in
-      if not ok then
+    if tight_l.(i) && match_l.(i) = None then
+      if not (augment_l (Array.make right_size false) i) then
         (* impossible by Mendelsohn–Dulmage given tightness *)
         invalid_arg "Bipartite_coloring: internal: tight left node uncoverable"
-    end
   done;
   for j = 0 to right_size - 1 do
-    if tight_r.(j) && match_r.(j) = None then begin
-      augmented := true;
-      let ok = augment_r (Array.make left_size false) tight_r j in
-      if not ok then
+    if tight_r.(j) && match_r.(j) = None then
+      if not (augment_r (Array.make left_size false) j) then
         invalid_arg "Bipartite_coloring: internal: tight right node uncoverable"
-    end
   done;
   (* collect distinct matched work edges *)
   let out = ref [] in
@@ -181,10 +139,9 @@ let covering_matching ~left_size ~right_size works tight_l tight_r ~seed =
       | Some w when not (List.memq w !out) -> out := w :: !out
       | _ -> ())
     match_r;
-  (!out, !augmented)
+  !out
 
-let decompose ?(seed = []) ?budget ?effort:eff ~left_size ~right_size
-    edge_list =
+let decompose ~left_size ~right_size edge_list =
   List.iter
     (fun e ->
       if e.left < 0 || e.left >= left_size || e.right < 0
@@ -194,30 +151,6 @@ let decompose ?(seed = []) ?budget ?effort:eff ~left_size ~right_size
         invalid_arg "Bipartite_coloring.decompose: non-positive weight")
     edge_list;
   let works = ref (List.map (fun e -> { e; remaining = e.weight }) edge_list) in
-  (* Seed matchings refer to current edges by [tag] alone (the caller's
-     identifier — weights and even endpoints may have drifted since the
-     seed was produced).  Tags must be unique for seeding to make sense;
-     a stale tag simply drops the seed edge, so any previous
-     decomposition is an acceptable — merely more or less useful —
-     seed. *)
-  let by_tag = Hashtbl.create 64 in
-  if seed <> [] then
-    List.iter (fun w -> Hashtbl.replace by_tag w.e.tag w) !works;
-  let seed = ref seed in
-  let next_seed () =
-    match !seed with
-    | [] -> []
-    | m :: rest ->
-      seed := rest;
-      List.filter_map
-        (fun e ->
-          match Hashtbl.find_opt by_tag e.tag with
-          | Some w when R.sign w.remaining > 0 -> Some w
-          | _ -> None)
-        m.edges
-  in
-  let note f = match eff with None -> () | Some eff -> f eff in
-  let repaired_rounds = ref 0 in
   let out = ref [] in
   let guard = ref (List.length edge_list + (2 * (left_size + right_size)) + 1) in
   while !works <> [] do
@@ -227,28 +160,9 @@ let decompose ?(seed = []) ?budget ?effort:eff ~left_size ~right_size
     let delta = Array.fold_left R.max (Array.fold_left R.max R.zero dl) dr in
     let tight_l = Array.map (fun d -> R.equal d delta) dl in
     let tight_r = Array.map (fun d -> R.equal d delta) dr in
-    let round_seed = next_seed () in
-    let matched, augmented =
+    let matched =
       covering_matching ~left_size ~right_size !works tight_l tight_r
-        ~seed:round_seed
     in
-    note (fun eff ->
-        if round_seed = [] then eff.rebuilt <- eff.rebuilt + 1
-        else if augmented then eff.repaired <- eff.repaired + 1
-        else eff.reused <- eff.reused + 1);
-    (* bounded repair: once more than [budget] seeded rounds have needed
-       augmenting-path repair, the seeds have drifted too far from the
-       instance for repair to win — drop the rest and peel the remaining
-       rounds cold (the certified fallback; properties (a)-(d) never
-       depended on the seeds in the first place) *)
-    if round_seed <> [] && augmented then begin
-      incr repaired_rounds;
-      match budget with
-      | Some b when !repaired_rounds > b && !seed <> [] ->
-        seed := [];
-        note (fun eff -> eff.budget_exceeded <- eff.budget_exceeded + 1)
-      | _ -> ()
-    end;
     (* slot duration *)
     let t =
       List.fold_left (fun acc w -> R.min acc w.remaining) delta matched

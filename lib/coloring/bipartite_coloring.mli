@@ -35,48 +35,13 @@ val max_weighted_degree :
 (** Maximum over all (left and right) nodes of the sum of incident edge
     weights; zero for the empty graph. *)
 
-type effort = {
-  mutable reused : int;
-      (** seeded rounds whose seed already covered every tight node *)
-  mutable repaired : int;
-      (** seeded rounds that needed augmenting-path repair *)
-  mutable rebuilt : int; (** rounds built from scratch (no usable seed) *)
-  mutable budget_exceeded : int;
-      (** calls that abandoned their remaining seeds because more than
-          [?budget] seeded rounds needed repair *)
-}
-
-val effort : unit -> effort
-(** Fresh all-zero counters for {!decompose}'s [?effort]. *)
-
-val decompose :
-  ?seed:matching list ->
-  ?budget:int ->
-  ?effort:effort ->
-  left_size:int -> right_size:int -> edge list -> matching list
+val decompose : left_size:int -> right_size:int -> edge list -> matching list
 (** Decomposes the graph into weighted matchings such that (a) within
     each matching all lefts are distinct and all rights are distinct;
     (b) for every input edge, the durations of the matchings containing
     it sum exactly to its weight; (c) the durations of all matchings sum
     exactly to the maximum weighted degree; (d) there are at most
     [|E| + 2 (left_size + right_size)] matchings.
-
-    [?seed] warm-starts the peeling: the k-th seed matching pre-installs
-    the k-th round's covering matching, and augmenting paths only repair
-    the tight nodes it fails to cover.  Seed edges are matched to
-    current edges by [tag] (tags must be unique across [edge list];
-    stale tags are dropped), so a previous call's output over perturbed
-    weights is a valid seed.  Seeding never changes what the result
-    {e satisfies} — properties (a)–(d) hold exactly, durations are
-    re-derived in exact rationals — only which of the many valid
-    decompositions is returned; with an unchanged input the previous
-    decomposition is replayed bit-identically with no augmentation.
-    [?budget] bounds the incremental-repair work: once more than
-    [budget] seeded rounds have needed augmenting-path repair, all
-    remaining seeds are dropped and the rest of the peeling runs cold —
-    the certified fallback for perturbations too large for repair to
-    win.  [?effort] accumulates per-round reuse/repair/rebuild counts
-    (and budget trips).
     @raise Invalid_argument on out-of-range endpoints or non-positive
     weights. *)
 

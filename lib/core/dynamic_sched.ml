@@ -118,6 +118,14 @@ let plan_solve ?cache ?stats p ~master =
   | Error (`Infeasible | `Unbounded) ->
     failwith "Dynamic_sched: plan LP not optimal (invalid platform?)"
 
+(* Whole tasks in a phase's share of a rate; a count beyond a native
+   int (an absurdly long phase or a huge speed-up multiplier) is
+   rejected as bad input rather than overflowing. *)
+let task_count x =
+  match Bigint.to_int_opt (R.floor x) with
+  | Some k -> k
+  | None -> invalid_arg "Dynamic_sched: per-phase task count overflows"
+
 (* Plan for one phase, at single-task granularity so that a slave only
    computes what has actually been delivered (a stalled link therefore
    stalls the dependent computation, as it would in reality).
@@ -183,16 +191,13 @@ let phase_plan sol phase =
   let paths =
     List.filter_map
       (fun (path, rate) ->
-        let items = R.to_int_exn (R.of_bigint (R.floor (R.mul phase rate))) in
+        let items = task_count (R.mul phase rate) in
         if items > 0 then Some (path, items) else None)
       (List.rev !paths)
   in
   let master_tasks =
-    R.to_int_exn
-      (R.of_bigint
-         (R.floor
-            (R.mul phase
-               (R.mul sol.Master_slave.alpha.(master) (P.speed p master)))))
+    task_count
+      (R.mul phase (R.mul sol.Master_slave.alpha.(master) (P.speed p master)))
   in
   (paths, master_tasks)
 
@@ -1196,6 +1201,14 @@ let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
           "Dynamic_sched.run: ?cache and ?checkpoint are exclusive (the \
            checkpointed run manages its own disk-tier cache)"
       | None -> ());
+      (* the halt hook fires at a boundary callback, and a run has
+         boundaries 0 .. phases-1; epoch 0 precedes every checkpoint *)
+      (match halt_at with
+      | Some h when h < 1 || h >= sc.phases ->
+        invalid_arg
+          (Printf.sprintf "Dynamic_sched: halt epoch %d outside 1..%d" h
+             (sc.phases - 1))
+      | _ -> ());
       let reuse_v = Option.value reuse ~default:true in
       let _store, ctx, cache = ckpt_ctx_of config ~reuse:reuse_v ~halt_at in
       let ctx = { ctx with ck_key = scenario_key sc ~reuse:reuse_v } in

@@ -169,10 +169,13 @@ val run :
     above; the run then manages its own LP cache with the store as its
     disk tier, so it is exclusive with [?cache].  [?halt_at] (requires
     [?checkpoint]) injects a crash: the run raises {!Checkpoint.Halted}
-    at the start of that boundary's callback.
+    at the start of that boundary's callback, after the checkpoint due
+    there (if [halt_at] is a multiple of [every]) is committed.
     @raise Invalid_argument on [?checkpoint] with a non-Robust
-    strategy, a cadence [< 1], [?cache] alongside [?checkpoint], or
-    [?halt_at] without [?checkpoint]. *)
+    strategy, a cadence [< 1], [?cache] alongside [?checkpoint],
+    [?halt_at] without [?checkpoint], [?halt_at] outside
+    [1 .. phases - 1], or a phase plan whose task count overflows a
+    native int. *)
 
 val resume :
   ?reuse:bool ->

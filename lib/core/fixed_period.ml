@@ -123,10 +123,10 @@ let quantize sol ~period =
     throughput = R.div tasks_per_period period;
   }
 
-let schedule_of ?recon ?strict ?stats sol q =
+let schedule_of ?strict ?stats sol q =
   let p = sol.Master_slave.platform in
   let flow = Array.map (fun items -> R.div items q.period) q.edge_items in
-  let delays = Reconstruct.delays ?warm:recon ?strict ?stats p flow in
+  let delays = Flow.delays p flow in
   let transfers =
     List.filter_map
       (fun e ->
@@ -148,7 +148,7 @@ let schedule_of ?recon ?strict ?stats sol q =
         if R.sign q.node_tasks.(i) > 0 then Some (i, q.node_tasks.(i)) else None)
       (P.nodes p)
   in
-  Reconstruct.reconstruct ?warm:recon ?strict ?stats p ~period:q.period
+  Reconstruct.reconstruct ?strict ?stats p ~period:q.period
     ~transfers ~compute ~delays
 
 let series sol ~periods =

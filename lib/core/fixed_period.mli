@@ -26,17 +26,14 @@ val quantize : Master_slave.solution -> period:Rat.t -> quantized
 (** @raise Invalid_argument on a non-positive period. *)
 
 val schedule_of :
-  ?recon:Reconstruct.Warm.t ->
   ?strict:bool ->
   ?stats:Lp.Stats.t ->
   Master_slave.solution ->
   quantized ->
   Schedule.t
 (** Reconstructed fixed-period schedule (strictly executable).  With
-    [?recon], successive quantizations of the same solution (an E9
-    period series) repair the previous period's slots instead of
-    rebuilding; [?strict] certifies each warm result against a cold
-    rebuild ({!Reconstruct.reconstruct}). *)
+    [?strict] the schedule must pass {!Reconstruct.certify}
+    ({!Reconstruct.reconstruct}); [?stats] counts its matchings. *)
 
 val series :
   Master_slave.solution -> periods:Rat.t list -> (Rat.t * quantized) list

@@ -269,10 +269,10 @@ let period_of sol =
   in
   R.of_bigint (R.lcm_denominators (List.filter (fun r -> not (R.is_zero r)) rates))
 
-let schedule ?recon ?strict ?budget ?stats sol =
+let schedule ?strict ?stats sol =
   let p = sol.platform in
   let period = period_of sol in
-  let delays = Reconstruct.delays ?warm:recon ?strict ?stats p sol.task_flow in
+  let delays = Flow.delays p sol.task_flow in
   let transfers =
     List.filter_map
       (fun e ->
@@ -296,8 +296,8 @@ let schedule ?recon ?strict ?budget ?stats sol =
         if R.sign tasks > 0 then Some (i, tasks) else None)
       (P.nodes p)
   in
-  Reconstruct.reconstruct ?warm:recon ?strict ?budget ?stats p ~period
-    ~transfers ~compute ~delays
+  Reconstruct.reconstruct ?strict ?stats p ~period ~transfers ~compute
+    ~delays
 
 let tasks_per_period sched sol =
   ignore sol;

@@ -131,21 +131,15 @@ val knapsack : (int * Rat.t * Rat.t) list -> Rat.t * (int * Rat.t) list
     LP, in closed form. *)
 
 val schedule :
-  ?recon:Reconstruct.Warm.t ->
   ?strict:bool ->
-  ?budget:int ->
   ?stats:Lp.Stats.t ->
   solution ->
   Schedule.t
 (** Periodic schedule with integer task counts: the period is the lcm of
     the denominators of the per-edge task flows and per-node task rates
-    (§3.1's construction).  With [?recon] the previous schedule is
-    repaired instead of rebuilt ({!Reconstruct.reconstruct}), and the
-    delay vector is reused when the flow is unchanged
-    ({!Reconstruct.delays}); [?budget] caps the matching repairs before
-    the certified cold rebuild takes over ({!Reconstruct.reconstruct}'s
-    [?budget]), so it bounds time, never changes the answer; with
-    [?strict] the warm result is certified against a cold rebuild. *)
+    (§3.1's construction), with the pipeline delays of {!Flow.delays}.
+    With [?strict] the schedule must pass {!Reconstruct.certify}
+    ({!Reconstruct.reconstruct}); [?stats] counts its matchings. *)
 
 val tasks_per_period : Schedule.t -> solution -> Rat.t
 (** Equals [ntask * period]. *)

@@ -29,79 +29,7 @@ type t = {
   demands : demand array;
 }
 
-let demand_equal a b =
-  a.d_edge = b.d_edge && a.d_kind = b.d_kind && a.d_delay = b.d_delay
-  && R.equal a.d_items b.d_items
-  && R.equal a.d_item_size b.d_item_size
-
-(* Same node/edge structure and the same exact weights: a schedule built
-   on one is valid — indeed bit-identical — on the other. *)
-let same_platform p p' =
-  P.num_nodes p = P.num_nodes p'
-  && P.num_edges p = P.num_edges p'
-  && List.for_all
-       (fun i -> Ext_rat.equal (P.weight p i) (P.weight p' i))
-       (P.nodes p)
-  && List.for_all
-       (fun e ->
-         P.edge_src p e = P.edge_src p' e
-         && P.edge_dst p e = P.edge_dst p' e
-         && R.equal (P.edge_cost p e) (P.edge_cost p' e))
-       (P.edges p)
-
-let array_for_all2 f a b =
-  Array.length a = Array.length b
-  &&
-  try
-    Array.iter2 (fun x y -> if not (f x y) then raise Exit) a b;
-    true
-  with Exit -> false
-
-(* Previous schedule -> seed matchings for the warm colouring.  Tags are
-   positional (demand array index), so a demand that disappeared would
-   shift every later tag; re-key the previous slots through the demand
-   identity [(d_edge, d_kind)] instead.  Ambiguous identities (the same
-   edge+kind demanded twice — no current producer does that) disable
-   seeding rather than risk a misleading seed. *)
-let seed_of_prev p prev transfers =
-  if P.num_nodes prev.platform <> P.num_nodes p then []
-  else begin
-    let num_edges = P.num_edges p in
-    let tag_of = Hashtbl.create (Array.length transfers * 2) in
-    let ambiguous = ref false in
-    Array.iteri
-      (fun tag d ->
-        let key = (d.d_edge, d.d_kind) in
-        if Hashtbl.mem tag_of key then ambiguous := true
-        else Hashtbl.replace tag_of key tag)
-      transfers;
-    if !ambiguous then []
-    else
-      List.map
-        (fun s ->
-          {
-            BC.duration = s.duration;
-            edges =
-              List.filter_map
-                (fun tr ->
-                  if tr.edge < 0 || tr.edge >= num_edges then None
-                  else
-                    match Hashtbl.find_opt tag_of (tr.edge, tr.kind) with
-                    | None -> None
-                    | Some tag ->
-                      Some
-                        {
-                          BC.left = P.edge_src p tr.edge;
-                          right = P.edge_dst p tr.edge;
-                          weight = R.one;
-                          tag;
-                        })
-                s.transfers;
-          })
-        prev.slots
-  end
-
-let reconstruct ?prev ?budget ?stats p ~period ~transfers ~compute ~delays =
+let reconstruct ?stats p ~period ~transfers ~compute ~delays =
   if R.sign period <= 0 then
     invalid_arg "Schedule.reconstruct: non-positive period";
   (* compute must fit the period *)
@@ -129,139 +57,64 @@ let reconstruct ?prev ?budget ?stats p ~period ~transfers ~compute ~delays =
       if R.sign d.d_items < 0 || R.sign d.d_item_size <= 0 then
         invalid_arg "Schedule.reconstruct: bad transfer volume")
     transfers;
-  let note_recon ?(budget_exceeded = 0) ~repaired ~rebuilt ~slots_reused () =
-    match stats with
-    | None -> ()
-    | Some s ->
-      Lp.Stats.add_reconstruction s ~cycles_cancelled:0
-        ~repairs_budget_exceeded:budget_exceeded
-        ~matchings_repaired:repaired ~matchings_rebuilt:rebuilt
-        ~slots_reused ()
+  let bip_edges =
+    Array.to_list
+      (Array.mapi
+         (fun tag d ->
+           {
+             BC.left = P.edge_src p d.d_edge;
+             right = P.edge_dst p d.d_edge;
+             weight =
+               R.mul d.d_items (R.mul d.d_item_size (P.edge_cost p d.d_edge));
+             tag;
+           })
+         transfers)
   in
-  let unchanged =
-    match prev with
-    | Some pr
-      when R.equal pr.period period
-           && pr.delays = delays
-           && array_for_all2 demand_equal pr.demands transfers
-           && List.length pr.compute = List.length compute
-           && List.for_all2
-                (fun (i, w) (i', w') -> i = i' && R.equal w w')
-                pr.compute compute
-           && same_platform pr.platform p -> Some pr
-    | _ -> None
+  let bip_edges = List.filter (fun e -> R.sign e.BC.weight > 0) bip_edges in
+  let n = P.num_nodes p in
+  let delta = BC.max_weighted_degree ~left_size:n ~right_size:n bip_edges in
+  if R.compare delta period > 0 then
+    invalid_arg
+      (Printf.sprintf "Schedule.reconstruct: port load %s exceeds period %s"
+         (R.to_string delta) (R.to_string period));
+  let matchings = BC.decompose ~left_size:n ~right_size:n bip_edges in
+  let offset = ref R.zero in
+  let slots =
+    List.map
+      (fun m ->
+        let slot_transfers =
+          List.map
+            (fun be ->
+              let d = transfers.(be.BC.tag) in
+              (* the slot keeps the communication busy for its whole
+                 duration: items moved = duration / (c_e * item_size) *)
+              let items =
+                R.div m.BC.duration
+                  (R.mul (P.edge_cost p d.d_edge) d.d_item_size)
+              in
+              {
+                edge = d.d_edge;
+                kind = d.d_kind;
+                items;
+                item_size = d.d_item_size;
+                delay = d.d_delay;
+              })
+            m.BC.edges
+        in
+        let s =
+          { offset = !offset; duration = m.BC.duration;
+            transfers = slot_transfers }
+        in
+        offset := R.add !offset m.BC.duration;
+        s)
+      matchings
   in
-  match unchanged with
-  | Some pr ->
-    (* nothing moved since the previous phase: the whole slot sequence
-       carries over (bit-identically — it was derived from equal exact
-       inputs) *)
-    note_recon ~repaired:0 ~rebuilt:0 ~slots_reused:(List.length pr.slots) ();
-    { platform = p; period; slots = pr.slots; compute; delays;
-      demands = transfers }
-  | None ->
-    let bip_edges =
-      Array.to_list
-        (Array.mapi
-           (fun tag d ->
-             {
-               BC.left = P.edge_src p d.d_edge;
-               right = P.edge_dst p d.d_edge;
-               weight =
-                 R.mul d.d_items
-                   (R.mul d.d_item_size (P.edge_cost p d.d_edge));
-               tag;
-             })
-           transfers)
-    in
-    let bip_edges = List.filter (fun e -> R.sign e.BC.weight > 0) bip_edges in
-    let n = P.num_nodes p in
-    let delta = BC.max_weighted_degree ~left_size:n ~right_size:n bip_edges in
-    if R.compare delta period > 0 then
-      invalid_arg
-        (Printf.sprintf
-           "Schedule.reconstruct: port load %s exceeds period %s"
-           (R.to_string delta) (R.to_string period));
-    let seed =
-      match prev with None -> [] | Some pr -> seed_of_prev p pr transfers
-    in
-    let eff = BC.effort () in
-    let matchings =
-      BC.decompose ~seed ?budget ~effort:eff ~left_size:n ~right_size:n
-        bip_edges
-    in
-    let prev_slots =
-      match prev with None -> [||] | Some pr -> Array.of_list pr.slots
-    in
-    (* A previous slot can be taken over verbatim when it pairs the same
-       communications for the same duration and each transfer still
-       fills the slot under the current edge costs (busy = duration,
-       checked with a multiplication instead of re-deriving the item
-       count with a division). *)
-    let slot_reusable cand m =
-      R.equal cand.duration m.BC.duration
-      && List.length cand.transfers = List.length m.BC.edges
-      && List.for_all
-           (fun be ->
-             let d = transfers.(be.BC.tag) in
-             match
-               List.find_opt
-                 (fun tr -> tr.edge = d.d_edge && tr.kind = d.d_kind)
-                 cand.transfers
-             with
-             | None -> false
-             | Some tr ->
-               R.equal tr.item_size d.d_item_size
-               && tr.delay = d.d_delay
-               && R.equal
-                    (R.mul tr.items
-                       (R.mul tr.item_size (P.edge_cost p d.d_edge)))
-                    m.BC.duration)
-           m.BC.edges
-    in
-    let reused_slots = ref 0 in
-    let offset = ref R.zero in
-    let slots =
-      List.mapi
-        (fun k m ->
-          let slot_transfers =
-            if k < Array.length prev_slots
-               && slot_reusable prev_slots.(k) m
-            then begin
-              incr reused_slots;
-              prev_slots.(k).transfers
-            end
-            else
-              List.map
-                (fun be ->
-                  let d = transfers.(be.BC.tag) in
-                  (* the slot keeps the communication busy for its whole
-                     duration: items moved = duration / (c_e * item_size) *)
-                  let items =
-                    R.div m.BC.duration
-                      (R.mul (P.edge_cost p d.d_edge) d.d_item_size)
-                  in
-                  {
-                    edge = d.d_edge;
-                    kind = d.d_kind;
-                    items;
-                    item_size = d.d_item_size;
-                    delay = d.d_delay;
-                  })
-                m.BC.edges
-          in
-          let s =
-            { offset = !offset; duration = m.BC.duration;
-              transfers = slot_transfers }
-          in
-          offset := R.add !offset m.BC.duration;
-          s)
-        matchings
-    in
-    note_recon ~budget_exceeded:eff.BC.budget_exceeded
-      ~repaired:(eff.BC.reused + eff.BC.repaired) ~rebuilt:eff.BC.rebuilt
-      ~slots_reused:!reused_slots ();
-    { platform = p; period; slots; compute; delays; demands = transfers }
+  (match stats with
+  | None -> ()
+  | Some s ->
+    Lp.Stats.add_reconstruction s ~cycles_cancelled:0
+      ~matchings_rebuilt:(List.length matchings));
+  { platform = p; period; slots; compute; delays; demands = transfers }
 
 let slot_count t = List.length t.slots
 

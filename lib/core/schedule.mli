@@ -53,13 +53,11 @@ type t = {
           bounds the ramp-up (initialisation) phase of §4.2 *)
   demands : demand array;
       (** the communication volumes this schedule was reconstructed
-          from, in input order — the provenance a later warm
-          [reconstruct ?prev] repairs against *)
+          from, in input order — what {!Reconstruct.certify} audits the
+          slots against *)
 }
 
 val reconstruct :
-  ?prev:t ->
-  ?budget:int ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   period:Rat.t ->
@@ -69,20 +67,9 @@ val reconstruct :
   t
 (** [reconstruct p ~period ~transfers ~compute ~delays] orchestrates the
     given per-period communication volumes into matching slots via
-    weighted bipartite edge colouring.
-
-    [?prev] warm-starts the reconstruction from a previous schedule
-    (typically the preceding phase of a sweep): unchanged inputs return
-    the previous slot sequence outright; otherwise the previous slots
-    seed the colouring ({!Bipartite_coloring.decompose}'s [?seed]) and
-    any slot whose matching and durations survived is taken over without
-    re-deriving its transfers.  [?budget] bounds the repair work spent
-    on a drifted seed before falling back to a cold peeling
-    ({!Bipartite_coloring.decompose}'s [?budget]).  The warm result
-    satisfies exactly the same contract as a cold one — same period,
-    same per-edge volumes, {!check_well_formed} holds — and on
-    unchanged inputs it is bit-identical to the cold result.  [?stats]
-    accumulates repair-effort counters ({!Lp.Stats}).
+    weighted bipartite edge colouring ({!Bipartite_coloring.decompose}):
+    one slot per matching, in the colouring's order.  [?stats] counts
+    the matchings into {!Lp.Stats}' [matchings_rebuilt].
     @raise Invalid_argument if the communications cannot fit
     (some port busier than [period]) or some compute exceeds the
     period — the steady-state LPs rule both out. *)

@@ -342,58 +342,6 @@ module Cache = struct
     end;
     Hashtbl.replace t.tbl key e;
     use t e
-
-  (* Domain-local cache family: each {!Par.Pool} worker domain lazily
-     gets (and keeps, across tasks) its own cache, so parallel sweeps
-     reuse solves without locking; the registry only exists for
-     aggregate counters and [clear].  Family caches
-     are memory-only: a [Disk.t] handle is not safe to share across
-     domains (per-handle counters and tempfile sequencing are
-     unsynchronised), so the disk tier belongs to single-domain
-     caches. *)
-  module Family = struct
-    type cache = t
-
-    type t = {
-      key : cache Domain.DLS.key;
-      mu : Mutex.t;
-      registry : cache list ref;
-    }
-
-    let create ?(capacity = 512) () =
-      if capacity <= 0 then
-        invalid_arg "Lp.Cache.Family.create: capacity <= 0";
-      let mu = Mutex.create () in
-      let registry = ref [] in
-      let key =
-        Domain.DLS.new_key (fun () ->
-            let c =
-              { tbl = Hashtbl.create 64; capacity; disk = None; tick = 0;
-                hits = 0; misses = 0; evictions = 0; disk_hits = 0 }
-            in
-            Mutex.lock mu;
-            registry := c :: !registry;
-            Mutex.unlock mu;
-            c)
-      in
-      { key; mu; registry }
-
-    let slot f = Domain.DLS.get f.key
-
-    let caches f =
-      Mutex.lock f.mu;
-      let l = !(f.registry) in
-      Mutex.unlock f.mu;
-      l
-
-    let domains f = List.length (caches f)
-    let hits f = List.fold_left (fun a c -> a + c.hits) 0 (caches f)
-    let misses f = List.fold_left (fun a c -> a + c.misses) 0 (caches f)
-    let evictions f =
-      List.fold_left (fun a c -> a + c.evictions) 0 (caches f)
-    let length f = List.fold_left (fun a c -> a + length c) 0 (caches f)
-    let clear f = List.iter clear (caches f)
-  end
 end
 
 (* Exact cache key: the structural signature plus every coefficient of
@@ -552,8 +500,10 @@ let decode_entry m value =
    deterministic (exact arithmetic, deterministic rules), so the bench
    can attribute a speedup to fewer pivots vs cheaper pivots.
    [refactors] and [warm_remapped] are always 0: the tableau kernel never
-   refactorises and every solve is cold; the fields stay so trace
-   consumers keep their schema. *)
+   refactorises and every solve is cold; [matchings_repaired],
+   [slots_reused] and [delays_reused] are always 0: every schedule is
+   reconstructed from scratch.  The fields stay so trace consumers keep
+   their schema. *)
 module Stats = struct
   type t = {
     mutable solves : int;
@@ -565,7 +515,6 @@ module Stats = struct
     mutable slots_reused : int;
     mutable delays_reused : int;
     mutable warm_remapped : int;
-    mutable repairs_budget_exceeded : int;
     mutable retries : int;
     mutable backoff_time : R.t;
   }
@@ -581,7 +530,6 @@ module Stats = struct
       slots_reused = 0;
       delays_reused = 0;
       warm_remapped = 0;
-      repairs_budget_exceeded = 0;
       retries = 0;
       backoff_time = R.zero;
     }
@@ -590,16 +538,9 @@ module Stats = struct
     t.solves <- t.solves + 1;
     t.pivots <- t.pivots + pivots
 
-  let add_reconstruction t ?(delays_reused = 0)
-      ?(repairs_budget_exceeded = 0) ~cycles_cancelled ~matchings_repaired
-      ~matchings_rebuilt ~slots_reused () =
+  let add_reconstruction t ~cycles_cancelled ~matchings_rebuilt =
     t.cycles_cancelled <- t.cycles_cancelled + cycles_cancelled;
-    t.matchings_repaired <- t.matchings_repaired + matchings_repaired;
-    t.matchings_rebuilt <- t.matchings_rebuilt + matchings_rebuilt;
-    t.slots_reused <- t.slots_reused + slots_reused;
-    t.delays_reused <- t.delays_reused + delays_reused;
-    t.repairs_budget_exceeded <-
-      t.repairs_budget_exceeded + repairs_budget_exceeded
+    t.matchings_rebuilt <- t.matchings_rebuilt + matchings_rebuilt
 
   let add_retry t ~backoff =
     t.retries <- t.retries + 1;

@@ -145,31 +145,6 @@ module Cache : sig
 
   val disk : t -> Disk.t option
   val length : t -> int
-
-  (** Domain-local cache family: each {!Par.Pool} worker domain gets
-      its own cache on first touch and keeps it across tasks, so a
-      parallel sweep reuses solves within each worker without locking
-      on the solve path.  The aggregate counters fold over every cache
-      the family has created. *)
-  module Family : sig
-    type cache := t
-    type t
-
-    val create : ?capacity:int -> unit -> t
-    (** [capacity] applies to each per-domain cache.
-        @raise Invalid_argument if [capacity <= 0]. *)
-
-    val slot : t -> cache
-    (** The calling domain's cache (created on first use).  Family
-        caches are memory-only: disk handles are not domain-safe. *)
-
-    val domains : t -> int
-    val hits : t -> int
-    val misses : t -> int
-    val evictions : t -> int
-    val length : t -> int
-    val clear : t -> unit
-  end
 end
 
 module Stats : sig
@@ -192,24 +167,21 @@ module Stats : sig
         (** flow cycles removed from LP task flows by the cycle
             cancellation in the master–slave solve path *)
     mutable matchings_repaired : int;
-        (** colouring rounds warm-started from a seed matching (whether
-            or not augmenting-path repair was needed on top) *)
+        (** always [0]: every schedule is reconstructed from scratch, so
+            no matching is repaired; kept so counter consumers keep
+            their schema *)
     mutable matchings_rebuilt : int;
-        (** colouring rounds built from scratch — no usable seed *)
+        (** matchings the edge colouring emitted, one per schedule slot *)
     mutable slots_reused : int;
-        (** schedule slots taken over from the previous schedule without
-            re-deriving their transfers *)
+        (** always [0]: no slot is taken over from a previous schedule;
+            kept so counter consumers keep their schema *)
     mutable delays_reused : int;
-        (** pipeline-delay vectors served from a warm slot against a
-            bit-identical flow instead of recomputed by longest path *)
+        (** always [0]: every pipeline-delay vector is computed by
+            longest path; kept so counter consumers keep their schema *)
     mutable warm_remapped : int;
         (** always [0]: every {!solve} is cold, so no basis is ever
             imported or remapped; kept so counter consumers keep their
             schema *)
-    mutable repairs_budget_exceeded : int;
-        (** incremental repairs abandoned because the perturbation
-            exceeded the caller's [?budget] — the certified cold path
-            ran instead *)
     mutable retries : int;
         (** failed transfers re-submitted by a failure-aware executor
             (exponential backoff or epoch-boundary re-routing) *)
@@ -225,18 +197,10 @@ module Stats : sig
       {!solve} can keep the ledger honest. *)
 
   val add_reconstruction :
-    t ->
-    ?delays_reused:int ->
-    ?repairs_budget_exceeded:int ->
-    cycles_cancelled:int ->
-    matchings_repaired:int ->
-    matchings_rebuilt:int ->
-    slots_reused:int ->
-    unit ->
-    unit
-  (** Count one schedule reconstruction's effort; called by the
-      reconstruction layer ([Reconstruct], [Master_slave.schedule]), not
-      by {!solve}. *)
+    t -> cycles_cancelled:int -> matchings_rebuilt:int -> unit
+  (** Count one reconstruction step's effort; called by the
+      reconstruction layer ([Reconstruct.cancel], [Schedule.reconstruct]),
+      not by {!solve}. *)
 
   val add_retry : t -> backoff:Rat.t -> unit
   (** Count one transfer retry and the backoff delay that preceded it;

@@ -93,62 +93,6 @@ let test_experiments_pool_independent () =
       Alcotest.(check (list string))
         "same tables" (render seq) (render par))
 
-(* --- domain-local cache families --- *)
-
-module R = Rat
-
-let rat = Alcotest.testable R.pp R.equal
-
-(* structurally identical platforms, coefficients scaled *)
-let scaled_fig1 k =
-  let p = Platform_gen.figure1 () in
-  let mult = R.of_ints k 4 in
-  Platform.create
-    ~names:(Array.of_list (List.map (Platform.name p) (Platform.nodes p)))
-    ~weights:
-      (Array.of_list
-         (List.map
-            (fun i ->
-              match Platform.weight p i with
-              | Ext_rat.Inf -> Ext_rat.Inf
-              | Ext_rat.Fin w -> Ext_rat.Fin (R.div w mult))
-            (Platform.nodes p)))
-    ~edges:
-      (List.map
-         (fun e ->
-           ( Platform.edge_src p e,
-             Platform.edge_dst p e,
-             R.div (Platform.edge_cost p e) mult ))
-         (Platform.edges p))
-
-let test_cache_family_across_domains () =
-  (* the same instance solved repeatedly: each domain misses once, then
-     serves every repeat from its own cache *)
-  let tasks = List.init 20 (fun _ -> 2) in
-  let expect = (Master_slave.solve (scaled_fig1 2) ~master:0).Master_slave.ntask in
-  let fam = Lp.Cache.Family.create ~capacity:8 () in
-  Pool.with_pool ~domains:3 (fun pool ->
-      let got =
-        Pool.map pool
-          (fun k ->
-            (Master_slave.solve
-               ~cache:(Lp.Cache.Family.slot fam)
-               (scaled_fig1 k) ~master:0)
-              .Master_slave.ntask)
-          tasks
-      in
-      List.iter (Alcotest.check rat "memoised result identical" expect) got);
-  let d = Lp.Cache.Family.domains fam in
-  Alcotest.(check bool) "domains in range" true (d >= 1 && d <= 4);
-  Alcotest.(check int) "every solve accounted" (List.length tasks)
-    (Lp.Cache.Family.hits fam + Lp.Cache.Family.misses fam);
-  Alcotest.(check int) "one miss per touching domain" d
-    (Lp.Cache.Family.misses fam);
-  Alcotest.(check int) "one entry per touching domain" d
-    (Lp.Cache.Family.length fam);
-  Lp.Cache.Family.clear fam;
-  Alcotest.(check int) "clear empties the caches" 0 (Lp.Cache.Family.length fam)
-
 let suite =
   ( "pool",
     [
@@ -162,6 +106,4 @@ let suite =
         test_enumerate_trees_pool_independent;
       Alcotest.test_case "experiments pool-independent" `Slow
         test_experiments_pool_independent;
-      Alcotest.test_case "cache family across domains" `Quick
-        test_cache_family_across_domains;
     ] )

@@ -369,6 +369,11 @@ let test_argument_validation () =
       Dy.run ~halt_at:2 sc Dy.Robust);
   expect_invalid "cache alongside checkpoint" (fun () ->
       Dy.run ~cache:(Lp.Cache.create ()) ~checkpoint sc Dy.Robust);
+  List.iter
+    (fun h ->
+      expect_invalid (Printf.sprintf "halt_at %d of %d phases" h sc.Dy.phases)
+        (fun () -> Dy.run ~checkpoint ~halt_at:h sc Dy.Robust))
+    [ -1; 0; sc.Dy.phases; sc.Dy.phases + 1 ];
   expect_invalid "cadence 0" (fun () ->
       Dy.run
         ~checkpoint:{ checkpoint with Dy.Checkpoint.every = 0 }

@@ -436,17 +436,6 @@ let test_memory_lru_keeps_working_set () =
   Alcotest.(check int) "table never exceeds capacity" 4
     (Lp.Cache.length cache)
 
-let test_family_evictions () =
-  let fam = Lp.Cache.Family.create ~capacity:2 () in
-  let p = Platform_gen.figure1 () in
-  let cache = Lp.Cache.Family.slot fam in
-  List.iter
-    (fun k -> ignore (Master_slave.solve ~cache (scaled p (R.of_int k)) ~master:0))
-    [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "family aggregates evictions" 2
-    (Lp.Cache.Family.evictions fam);
-  Alcotest.(check int) "family length bounded" 2 (Lp.Cache.Family.length fam)
-
 (* --- many distinct models through one disk store --- *)
 
 let test_disk_store_many_models () =
@@ -505,7 +494,6 @@ let suite =
       Alcotest.test_case "memory LRU" `Quick test_memory_lru;
       Alcotest.test_case "memory LRU keeps working set" `Quick
         test_memory_lru_keeps_working_set;
-      Alcotest.test_case "family evictions" `Quick test_family_evictions;
       Alcotest.test_case "many models through one store" `Quick
         test_disk_store_many_models;
     ] )
