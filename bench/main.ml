@@ -482,18 +482,18 @@ let run_disk_suite ~smoke ~cache_dir () =
       failwith ("bench: disk cache changed an objective in " ^ what)
   in
   (* pass 1: cold solves, written through to disk *)
-  let store1 = Lp.Cache.Disk.open_store dir in
-  let cache1 = Lp.Cache.create ~disk:store1 () in
+  let disk1 = Lp.Cache.Disk.open_store dir in
+  let cache1 = Lp.Cache.create ~disk:disk1 () in
   let objs, ns = wall_ns (fun () -> solve_through cache1) in
   guarded "populate" objs;
   record (Printf.sprintf "disk/populate %dx n=%d (write-through)" k n) ns;
   note_cache cache1;
-  note_store store1;
+  note_store disk1;
   (* pass 2: fresh handle, empty memory cache — a second process.  On a
      persistent --cache-dir the populate pass above already hit, so the
      only hard requirement is that reuse happened at all. *)
-  let store2 = Lp.Cache.Disk.open_store dir in
-  let cache2 = Lp.Cache.create ~disk:store2 () in
+  let disk2 = Lp.Cache.Disk.open_store dir in
+  let cache2 = Lp.Cache.create ~disk:disk2 () in
   let objs, ns = wall_ns (fun () -> solve_through cache2) in
   guarded "disk re-solve" objs;
   record (Printf.sprintf "disk/re-solve %dx n=%d (fresh handle)" k n) ns;
@@ -503,7 +503,7 @@ let run_disk_suite ~smoke ~cache_dir () =
     (Printf.sprintf "%d/%d served from disk, bit-identical"
        (Lp.Cache.disk_hits cache2) k);
   note_cache cache2;
-  note_store store2;
+  note_store disk2;
   (* corruption pass: flip a bit in every record; each must be
      quarantined and re-solved cold — never served, never an escape *)
   let recs =
@@ -511,23 +511,23 @@ let run_disk_suite ~smoke ~cache_dir () =
     |> List.filter (fun f -> Filename.check_suffix f ".rec")
   in
   List.iter (fun f -> flip_byte (Filename.concat dir f)) recs;
-  let store3 = Lp.Cache.Disk.open_store dir in
-  let cache3 = Lp.Cache.create ~disk:store3 () in
+  let disk3 = Lp.Cache.Disk.open_store dir in
+  let cache3 = Lp.Cache.create ~disk:disk3 () in
   let objs, ns = wall_ns (fun () -> solve_through cache3) in
   guarded "corrupted store" objs;
   record
     (Printf.sprintf "disk/re-solve %dx n=%d (every record corrupted)" k n)
     ns;
-  if recs <> [] && Lp.Cache.Disk.quarantined store3 = 0 then
+  if recs <> [] && Lp.Cache.Disk.quarantined disk3 = 0 then
     failwith "bench: corrupted records were not quarantined";
   if Lp.Cache.disk_hits cache3 <> 0 then
     failwith "bench: a corrupted record was served from disk";
   Printf.printf "%-56s %10s\n" "disk/guard corruption"
     (Printf.sprintf "%d records flipped, %d quarantined, all re-solved cold"
        (List.length recs)
-       (Lp.Cache.Disk.quarantined store3));
+       (Lp.Cache.Disk.quarantined disk3));
   note_cache cache3;
-  note_store store3;
+  note_store disk3;
   if temp then rm_rf dir;
   List.rev !rows
 
@@ -734,11 +734,10 @@ let run_churn_suite ~smoke () =
 
 (* The churn scenario again, now under the checkpoint machinery.
    Guards: a checkpointed run must complete bit-identical work to the
-   plain reuse run (the record writes and the disk-tier cache are
-   accelerator plumbing, never result changers), a run killed mid-flight
-   must resume bit-identically from the record, and at n=200 the
-   per-epoch checkpoint overhead must stay within 5% of the plain
-   wall. *)
+   plain reuse run (the record writes are recovery plumbing, never
+   result changers), a run killed mid-flight must resume bit-identically
+   from the record, and at n=200 the per-epoch checkpoint overhead must
+   stay within 5% of the plain wall. *)
 let run_recovery_suite ~smoke () =
   print_endline
     "\n########## recovery: checkpointed executor state ##########\n";
@@ -769,22 +768,8 @@ let run_recovery_suite ~smoke () =
         best_of ~runs (fun () -> Dynamic_sched.run sc Dynamic_sched.Robust)
       in
       record (label "robust plain") plain_ns;
-      (* a checkpointed run owns a write-through disk-tier LP cache (so
-         resume can replay the same memo); the fair baseline for the
-         checkpoint-record overhead is therefore a run with the same
-         fresh disk cache and no checkpointing *)
-      let disk_base, disk_ns =
-        best_of ~runs (fun () ->
-            let dir = fresh_ckpt_dir () in
-            let store = Lp.Cache.Disk.open_store dir in
-            let cache = Lp.Cache.create ~disk:store () in
-            let o = Dynamic_sched.run ~cache sc Dynamic_sched.Robust in
-            rm_rf dir;
-            o)
-      in
-      record (label "robust disk cache") disk_ns;
       (* checkpointed run: a fresh store per repetition, so every run
-         pays the full write-through cost *)
+         pays the full record-commit cost *)
       let ckpt, ckpt_ns =
         best_of ~runs (fun () ->
             let dir = fresh_ckpt_dir () in
@@ -794,12 +779,6 @@ let run_recovery_suite ~smoke () =
             o)
       in
       record (label "robust checkpointed every=1") ckpt_ns;
-      if not (Dynamic_sched.outcomes_equal plain disk_base) then
-        failwith
-          (Printf.sprintf
-             "bench: disk-cached run diverged from plain at n=%d — the \
-              cache changed a result"
-             n);
       if not (Dynamic_sched.outcomes_equal plain ckpt) then
         failwith
           (Printf.sprintf
@@ -832,15 +811,15 @@ let run_recovery_suite ~smoke () =
         (Printf.sprintf "recovery/guard n=%d" n)
         (Printf.sprintf "ckpt = resumed = plain = %s, record overhead %.1f%%"
            (R.to_string (completed plain))
-           (100. *. ((ckpt_ns /. disk_ns) -. 1.)));
-      (* hard ceiling on the checkpoint-record cost itself (against the
-         disk-cached baseline, which pays the same LP write-through)
-         where the LP work dominates the epoch *)
-      if (not smoke) && n >= 200 && ckpt_ns > disk_ns *. 1.05 then
+           (100. *. ((ckpt_ns /. plain_ns) -. 1.)));
+      (* hard ceiling on the checkpoint-record cost (against the plain
+         run, which is the checkpointed run without the records) where
+         the LP work dominates the epoch *)
+      if (not smoke) && n >= 200 && ckpt_ns > plain_ns *. 1.05 then
         failwith
           (Printf.sprintf
              "bench: checkpoint-record overhead %.1f%% at n=%d (ceiling 5%%)"
-             (100. *. ((ckpt_ns /. disk_ns) -. 1.))
+             (100. *. ((ckpt_ns /. plain_ns) -. 1.))
              n))
     (if smoke then [ 20 ] else [ 20; 200 ]);
   List.rev !rows
@@ -1004,7 +983,7 @@ let json_escape s =
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"steady-bench/9\",\n";
+  Printf.fprintf oc "  \"schema\": \"steady-bench/10\",\n";
   Printf.fprintf oc "  \"unit\": \"ns\",\n";
   Printf.fprintf oc "  \"pool_width_sequential\": 1,\n";
   Printf.fprintf oc "  \"pool_width_parallel\": %d,\n" (pool_width () + 1);
@@ -1099,7 +1078,12 @@ let run_smoke ~cache_dir () =
 (* fixed-seed chaos campaign (see {!Chaos}); exits non-zero on any
    invariant violation so CI can gate on it *)
 let run_chaos ~smoke ~seed ~shapes () =
-  let s = Chaos.run_campaign ~smoke ?shapes ~seed () in
+  let s =
+    try Chaos.run_campaign ~smoke ?shapes ~seed ()
+    with Invalid_argument msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 1
+  in
   Format.printf "%a@." Chaos.pp_summary s;
   if s.Chaos.violations <> [] then begin
     prerr_endline

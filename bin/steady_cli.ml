@@ -85,8 +85,8 @@ let with_cache dir f =
       Error
         (Printf.sprintf "cannot open cache directory %S: %s" d
            (Printexc.to_string e))
-    | store ->
-      let cache = Lp.Cache.create ~disk:store () in
+    | disk ->
+      let cache = Lp.Cache.create ~disk () in
       let res = f (Some cache) in
       Printf.eprintf
         "cache %s: %d hits (%d from disk), %d misses, %d stored, %d \
@@ -94,8 +94,8 @@ let with_cache dir f =
         d (Lp.Cache.hits cache)
         (Lp.Cache.disk_hits cache)
         (Lp.Cache.misses cache)
-        (Lp.Cache.Disk.stores store)
-        (Lp.Cache.Disk.quarantined store);
+        (Lp.Cache.Disk.stores disk)
+        (Lp.Cache.Disk.quarantined disk);
       res)
 
 (* --- solve-ms --- *)
@@ -367,7 +367,7 @@ let dynamic_cmd =
     let doc =
       "Checkpoint the run (robust only) into $(docv): the per-epoch \
        decision log and executor snapshot are committed through the \
-       crash-safe store, alongside the run's disk-tier LP cache."
+       crash-safe store."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR" ~doc)
@@ -544,9 +544,11 @@ let chaos_cmd =
         (fun s -> List.map String.trim (String.split_on_char ',' s))
         shapes
     in
-    let s = Chaos.run_campaign ~smoke ?shapes ~seed () in
-    Format.printf "%a@." Chaos.pp_summary s;
-    if s.Chaos.violations = [] then 0 else 1
+    match Chaos.run_campaign ~smoke ?shapes ~seed () with
+    | exception Invalid_argument msg -> or_die (Error msg)
+    | s ->
+      Format.printf "%a@." Chaos.pp_summary s;
+      if s.Chaos.violations = [] then 0 else 1
   in
   let doc =
     "Fuzz the failure-aware scheduler: seeded fault plans across shapes \

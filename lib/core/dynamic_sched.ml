@@ -272,6 +272,17 @@ let make_cache cache reuse =
   | Some _ as c -> c
   | None -> if reuse then Some (Lp.Cache.create ()) else None
 
+(* phase-boundary differences of the cumulative-work marks *)
+let per_phase_of marks completed =
+  match List.rev (completed :: marks) with
+  | [] -> []
+  | first :: rest ->
+    let rec diffs prev = function
+      | [] -> []
+      | x :: xs -> R.sub x prev :: diffs x xs
+    in
+    diffs first rest
+
 let run_classic ?cache ?(reuse = true) ?stats sc strategy =
   let p = sc.platform in
   let node_cts, edge_cts = compile_scenario sc in
@@ -360,29 +371,12 @@ let run_classic ?cache ?(reuse = true) ?stats sc strategy =
   let horizon = R.mul (R.of_int sc.phases) sc.phase in
   Event_sim.run_until sim horizon;
   let completed = total_work sim p in
-  let boundaries = List.rev (completed :: !marks) in
-  let per_phase =
-    match boundaries with
-    | [] -> []
-    | first :: rest ->
-      let rec diffs prev = function
-        | [] -> []
-        | x :: xs -> R.sub x prev :: diffs x xs
-      in
-      diffs first rest
-  in
-  { strategy; completed; per_phase; losses = no_losses }
-
-(* phase-boundary differences of the cumulative-work marks *)
-let per_phase_of marks completed =
-  match List.rev (completed :: marks) with
-  | [] -> []
-  | first :: rest ->
-    let rec diffs prev = function
-      | [] -> []
-      | x :: xs -> R.sub x prev :: diffs x xs
-    in
-    diffs first rest
+  {
+    strategy;
+    completed;
+    per_phase = per_phase_of !marks completed;
+    losses = no_losses;
+  }
 
 (* exact elementwise equality of two multiplier snapshots *)
 let mults_equal a b =
@@ -403,10 +397,8 @@ let mults_equal a b =
    at the checkpointed boundary, and continues live from there.  LP
    results of the live suffix coincide with the uninterrupted run's
    because every solve is cold: each epoch's answer is a function of
-   that epoch's platform alone, so no solver state needs restoring.
-   Every checkpointed run also writes its solves through a
-   {!Solve_store} disk tier in the same directory, so the resumed run's
-   memo hits the disk entries the original run wrote.  A missing,
+   that epoch's platform alone, so no solver state needs restoring and
+   the resumed run's LP memo starts empty, like any run's.  A missing,
    truncated, corrupt, version-skewed or mismatching checkpoint is
    quarantined and degrades to a cold full run — recovery can cost
    time, never answers. *)
@@ -430,7 +422,6 @@ type snapshot = {
   s_arrears : (P.edge list * int) list list;
   s_backlog : int list;
   s_master_deficit : int;
-  s_timed_out : int;
   s_cancelled : int;
   s_retries : int;
   s_lost : int;
@@ -442,13 +433,13 @@ type snapshot = {
 
 type ckpt_record = {
   c_epoch : int; (* boundary the snapshot was taken at *)
-  c_reuse : bool;
   c_log : decision list; (* oldest first; length = c_epoch *)
   c_snap : snapshot;
 }
 
-(* version 2 drops the warm LP basis block version 1 ended with *)
-let ckpt_format = "steady-ckpt 2"
+(* version 2 dropped the warm LP basis block version 1 ended with;
+   version 3 drops the reuse flag and the timed-out counter *)
+let ckpt_format = "steady-ckpt 3"
 
 let encode_ckpt r =
   let b = Buffer.create 1024 in
@@ -468,7 +459,6 @@ let encode_ckpt r =
   Buffer.add_string b ckpt_format;
   Buffer.add_char b '\n';
   int r.c_epoch;
-  int (if r.c_reuse then 1 else 0);
   int (List.length r.c_log);
   List.iter
     (function
@@ -480,7 +470,6 @@ let encode_ckpt r =
     r.c_log;
   let s = r.c_snap in
   int s.s_master_deficit;
-  int s.s_timed_out;
   int s.s_cancelled;
   int s.s_retries;
   int s.s_lost;
@@ -566,7 +555,6 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
     if not (String.equal (line ()) ckpt_format) then fail ();
     let epoch = int () in
     if epoch < 1 || epoch >= phases then fail ();
-    let reuse = match int () with 0 -> false | 1 -> true | _ -> fail () in
     let nlog = int () in
     if nlog <> epoch then fail ();
     let log =
@@ -580,7 +568,6 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
           | _ -> fail ())
     in
     let master_deficit = nonneg () in
-    let timed_out = nonneg () in
     let cancelled = nonneg () in
     let retries = nonneg () in
     let lost = nonneg () in
@@ -596,14 +583,12 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
     Some
       {
         c_epoch = epoch;
-        c_reuse = reuse;
         c_log = log;
         c_snap =
           {
             s_arrears = arrears;
             s_backlog = backlog;
             s_master_deficit = master_deficit;
-            s_timed_out = timed_out;
             s_cancelled = cancelled;
             s_retries = retries;
             s_lost = lost;
@@ -616,9 +601,9 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
   with Exit | Failure _ | Invalid_argument _ | Division_by_zero -> None
 
 (* canonical store key of a scenario: the checkpoint record binds to the
-   exact platform, traces, horizon and reuse flag — a different run in
-   the same store directory can never pick it up by accident *)
-let scenario_key sc ~reuse =
+   exact platform, traces and horizon — a different run in the same
+   store directory can never pick it up by accident *)
+let scenario_key sc =
   let b = Buffer.create 512 in
   Buffer.add_string b "ckpt!v1!";
   let p = sc.platform in
@@ -666,8 +651,6 @@ let scenario_key sc ~reuse =
   in
   dump_traces "cpu" sc.cpu_traces;
   dump_traces "bw" sc.bw_traces;
-  Buffer.add_char b '#';
-  Buffer.add_string b (if reuse then "w" else "c");
   Buffer.contents b
 
 (* internal checkpoint context threaded through [run_robust] *)
@@ -717,7 +700,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      task files waiting for a surviving route *)
   let live = Hashtbl.create 32 in
   let backlog = ref [] in
-  let timed_out = ref 0 and boundary_cancelled = ref 0 in
+  let boundary_cancelled = ref 0 in
   let retries = ref 0 and lost = ref 0 and degraded = ref 0 in
   let max_attempts = 4 in
   let horizon = R.mul (R.of_int sc.phases) sc.phase in
@@ -785,12 +768,9 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
             | [] ->
               Event_sim.submit sim (Event_sim.Compute (P.edge_dst p e, R.one))
             | _ -> submit_path sim rest attempts)
-          ~on_cancel:(fun sim reason ->
+          ~on_cancel:(fun sim _ ->
             unregister ();
-            (match reason with
-            | Event_sim.Timed_out -> incr timed_out
-            | Event_sim.Cancelled | Event_sim.Stranded ->
-              incr boundary_cancelled);
+            incr boundary_cancelled;
             (* retry with exponential backoff and a per-transfer deadline:
                attempt [a] waits [phase/4 * 2^(a-1)] before resubmitting on
                a route alive at fire time (no such route: the task file
@@ -798,8 +778,8 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
                backoff lands at or past the horizon is abandoned — it could
                never deliver in time anyway.  Every cancellation thus ends
                in exactly one of {retry, lost, backlog}, which is the
-               accounting identity [timed_out + cancelled = retries +
-               lost_tasks] the chaos harness asserts. *)
+               accounting identity [cancelled = retries + lost_tasks]
+               the chaos harness asserts. *)
             let attempts = attempts + 1 in
             if attempts >= max_attempts then incr lost
             else
@@ -872,7 +852,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
       s_arrears = !arrears;
       s_backlog = !backlog;
       s_master_deficit = !master_deficit;
-      s_timed_out = !timed_out;
       s_cancelled = !boundary_cancelled;
       s_retries = !retries;
       s_lost = !lost;
@@ -886,7 +865,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
     a.s_arrears = b.s_arrears
     && a.s_backlog = b.s_backlog
     && a.s_master_deficit = b.s_master_deficit
-    && a.s_timed_out = b.s_timed_out
     && a.s_cancelled = b.s_cancelled
     && a.s_retries = b.s_retries
     && a.s_lost = b.s_lost
@@ -903,7 +881,6 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
         (encode_ckpt
            {
              c_epoch = k;
-             c_reuse = reuse;
              c_log = List.rev !dlog;
              c_snap = snapshot ();
            })
@@ -1150,7 +1127,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
     per_phase = per_phase_of !marks completed;
     losses =
       {
-        timed_out_transfers = !timed_out;
+        timed_out_transfers = 0;
         cancelled_transfers = !boundary_cancelled;
         retries = !retries;
         lost_tasks = !lost + List.length !backlog;
@@ -1160,25 +1137,17 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
       };
   }
 
-(* fresh checkpoint context for a (re)started run; with [reuse] the LP
-   cache gets the store as its disk tier, so a later resumed run finds
-   every solve the original run performed and reproduces its results
-   bit-identically even where the original hit its in-memory memo *)
-let ckpt_ctx_of config ~reuse ~halt_at =
+(* fresh checkpoint context for a (re)started run *)
+let ckpt_ctx_of config ~halt_at sc =
   if config.Checkpoint.every < 1 then
     invalid_arg "Dynamic_sched: checkpoint cadence must be >= 1";
-  let store = Solve_store.open_store config.Checkpoint.dir in
-  let ctx =
-    {
-      ck_store = store;
-      ck_key = "";
-      ck_every = config.Checkpoint.every;
-      ck_halt = halt_at;
-      ck_replay = None;
-    }
-  in
-  let cache = if reuse then Some (Lp.Cache.create ~disk:store ()) else None in
-  (store, ctx, cache)
+  {
+    ck_store = Solve_store.open_store config.Checkpoint.dir;
+    ck_key = scenario_key sc;
+    ck_every = config.Checkpoint.every;
+    ck_halt = halt_at;
+    ck_replay = None;
+  }
 
 let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
   (match checkpoint, strategy with
@@ -1190,29 +1159,18 @@ let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
     invalid_arg "Dynamic_sched.run: ?halt_at requires ?checkpoint"
   | _ -> ());
   match strategy with
-  | Robust -> (
+  | Robust ->
     validate_scenario ~allow_outages:true sc;
-    match checkpoint with
-    | None -> run_robust ?cache ?reuse ?stats sc
-    | Some config ->
-      (match cache with
-      | Some _ ->
-        invalid_arg
-          "Dynamic_sched.run: ?cache and ?checkpoint are exclusive (the \
-           checkpointed run manages its own disk-tier cache)"
-      | None -> ());
-      (* the halt hook fires at a boundary callback, and a run has
-         boundaries 0 .. phases-1; epoch 0 precedes every checkpoint *)
-      (match halt_at with
-      | Some h when h < 1 || h >= sc.phases ->
-        invalid_arg
-          (Printf.sprintf "Dynamic_sched: halt epoch %d outside 1..%d" h
-             (sc.phases - 1))
-      | _ -> ());
-      let reuse_v = Option.value reuse ~default:true in
-      let _store, ctx, cache = ckpt_ctx_of config ~reuse:reuse_v ~halt_at in
-      let ctx = { ctx with ck_key = scenario_key sc ~reuse:reuse_v } in
-      run_robust ?cache ?reuse ?stats ~ckpt:ctx sc)
+    (* the halt hook fires at a boundary callback, and a run has
+       boundaries 0 .. phases-1; epoch 0 precedes every checkpoint *)
+    (match halt_at with
+    | Some h when h < 1 || h >= sc.phases ->
+      invalid_arg
+        (Printf.sprintf "Dynamic_sched: halt epoch %d outside 1..%d" h
+           (sc.phases - 1))
+    | _ -> ());
+    let ckpt = Option.map (fun c -> ckpt_ctx_of c ~halt_at sc) checkpoint in
+    run_robust ?cache ?reuse ?stats ?ckpt sc
   | Static ->
     (* outages are execution-time events the static plan never consults:
        the strategy runs (and suffers) fault scenarios as the baseline *)
@@ -1246,16 +1204,14 @@ let max_phase_tasks sc =
   | Some k -> k
   | None -> max_int
 
-let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
+let resume ?(strict = false) ~checkpoint sc =
   validate_scenario ~allow_outages:true sc;
-  let reuse_v = Option.value reuse ~default:true in
-  let store, ctx, cache = ckpt_ctx_of checkpoint ~reuse:reuse_v ~halt_at:None in
-  let key = scenario_key sc ~reuse:reuse_v in
-  let ctx = { ctx with ck_key = key } in
+  let ctx = ckpt_ctx_of checkpoint ~halt_at:None sc in
+  let store = ctx.ck_store and key = ctx.ck_key in
   let n = P.num_nodes sc.platform and m = P.num_edges sc.platform in
-  (* a missing, corrupt, version-skewed or wrong-flag record never
-     raises and never changes an answer: it is quarantined (preserved
-     for inspection, out of the live path) and the run cold-starts *)
+  (* a missing, corrupt or version-skewed record never raises and never
+     changes an answer: it is quarantined (preserved for inspection, out
+     of the live path) and the run cold-starts *)
   let record =
     match Solve_store.find store key with
     | None -> None
@@ -1264,14 +1220,12 @@ let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
         decode_ckpt ~nodes:n ~edges:m ~phases:sc.phases
           ~max_tasks:(max_phase_tasks sc) raw
       with
-      | Some r when r.c_reuse = reuse_v -> Some r
-      | _ ->
+      | Some _ as r -> r
+      | None ->
         Solve_store.quarantine store key;
         None)
   in
-  let cold () =
-    (run_robust ?cache ?reuse ?stats ~ckpt:ctx sc, None)
-  in
+  let cold () = (run_robust ~ckpt:ctx sc, None) in
   let outcome, resumed_from =
     match record with
     | None -> cold ()
@@ -1282,7 +1236,7 @@ let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
           ck_replay = Some (Array.of_list r.c_log, r.c_snap);
         }
       in
-      match run_robust ?cache ?reuse ?stats ~ckpt:rctx sc with
+      match run_robust ~ckpt:rctx sc with
       | o -> (o, Some r.c_epoch)
       | exception Resume_mismatch ->
         (* the replayed prefix does not reproduce the stored snapshot:
@@ -1296,7 +1250,7 @@ let resume ?reuse ?stats ?(strict = false) ~checkpoint sc =
     (* certification: an uninterrupted cold-state run (fresh caches, no
        checkpoint machinery) must reproduce the resumed outcome
        bit-identically *)
-    let fresh = run_robust ?reuse sc in
+    let fresh = run_robust sc in
     if not (outcomes_equal outcome fresh) then
       failwith
         "Dynamic_sched.resume: strict certification failed (resumed outcome \

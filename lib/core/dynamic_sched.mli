@@ -78,7 +78,8 @@ val normalize_trace : Event_sim.trace -> Event_sim.trace
 
 type loss_report = {
   timed_out_transfers : int;
-      (** in-flight transfers cancelled by the per-op timeout *)
+      (** always [0] — the executor sets no per-operation timeout;
+          kept so report consumers keep their schema *)
   cancelled_transfers : int;
       (** transfers cancelled at a boundary because their link died *)
   retries : int;  (** task-file re-submissions performed *)
@@ -86,8 +87,7 @@ type loss_report = {
       (** task files abandoned: retry budget exhausted, backoff past
           the horizon, or still in the backlog with no surviving route
           at the horizon.  Every cancellation is accounted exactly
-          once: [timed_out_transfers + cancelled_transfers
-          = retries + lost_tasks]. *)
+          once: [cancelled_transfers = retries + lost_tasks]. *)
   degraded_phases : int;
       (** phases with no feasible plan (no reachable compute power) *)
   dead_nodes : int;
@@ -112,25 +112,25 @@ type outcome = {
     [every] epochs, an exact record of its progress — the per-epoch
     decision log in original platform indices, a snapshot of the
     executor state at the boundary (arrears, backlog, deficits, loss
-    counters, failure flags, work marks — all rational-exact) — through
-    the same checksummed atomic-commit machinery as the LP disk cache
-    ({!Solve_store}).  No solver state is stored: every LP solve is
-    cold, a function of its epoch's platform alone.  {!resume}
+    counters, failure flags, work marks — all rational-exact) — as one
+    checksummed, atomically committed {!Solve_store} record (format
+    [steady-ckpt 3]), overwritten at each checkpoint.  The record holds
+    executor state only: every LP solve is cold, a function of its
+    epoch's platform alone, so no solver state or LP memo is stored,
+    and the record does not depend on the [reuse] flag.  {!resume}
     continues such a run after a crash {e bit-identically}: the logged
     decisions are replayed through a fresh simulator (pure
     deterministic event replay, no LP work), the rebuilt state is
     validated against the stored snapshot, and the remaining epochs run
-    live against the same disk-tier LP memo the original run wrote
-    through.  Corruption in
-    any form — truncation, bit flips, version skew, a snapshot the
-    replay cannot reproduce — is quarantined and degrades to a cold
-    full run: recovery can cost time, never answers. *)
+    live with a fresh LP memo.  Corruption in any form — truncation,
+    bit flips, version skew (older [steady-ckpt] records included), a
+    snapshot the replay cannot reproduce — is quarantined and degrades
+    to a cold full run: recovery can cost time, never answers. *)
 
 module Checkpoint : sig
   type config = {
     dir : string;
-        (** {!Solve_store} directory holding the checkpoint record and
-            the run's disk-tier LP cache *)
+        (** {!Solve_store} directory holding the checkpoint record *)
     every : int;  (** write cadence, in epochs (>= 1) *)
   }
 
@@ -166,20 +166,19 @@ val run :
     outcome is {!outcomes_equal} to the [~reuse:false] run's.
 
     [?checkpoint] (Robust only) enables crash recovery as described
-    above; the run then manages its own LP cache with the store as its
-    disk tier, so it is exclusive with [?cache].  [?halt_at] (requires
-    [?checkpoint]) injects a crash: the run raises {!Checkpoint.Halted}
-    at the start of that boundary's callback, after the checkpoint due
-    there (if [halt_at] is a multiple of [every]) is committed.
+    above.  It only adds the record commits: the run is otherwise the
+    same, and takes its LP memo from [?cache] like any other run.
+    [?halt_at] (requires [?checkpoint]) injects a crash: the run raises
+    {!Checkpoint.Halted} at the start of that boundary's callback,
+    after the checkpoint due there (if [halt_at] is a multiple of
+    [every]) is committed.
     @raise Invalid_argument on [?checkpoint] with a non-Robust
-    strategy, a cadence [< 1], [?cache] alongside [?checkpoint],
-    [?halt_at] without [?checkpoint], [?halt_at] outside
+    strategy, a cadence [< 1], [?halt_at] without [?checkpoint],
+    [?halt_at] outside
     [1 .. phases - 1], or a phase plan whose task count overflows a
     native int. *)
 
 val resume :
-  ?reuse:bool ->
-  ?stats:Lp.Stats.t ->
   ?strict:bool ->
   checkpoint:Checkpoint.config ->
   scenario ->
@@ -189,12 +188,11 @@ val resume :
     was found and the run started cold — which is also the recovery
     path for a corrupt, version-skewed, wrong-platform or
     snapshot-mismatching record, after quarantining it).  The resumed
-    outcome is bit-identical to the uninterrupted run's; with
-    [~strict:true] that is certified on the spot against a fresh
-    cold-state run (fresh caches, no checkpoint machinery).
-    [?reuse]/[?stats] as in {!run}; [reuse] must match the
-    original run's flag (a record written under the other flag is
-    treated as a miss).
+    outcome is bit-identical to the uninterrupted run's, whichever
+    [reuse] flag that run had (memo hits are bit-identical to
+    re-solves); with [~strict:true] that is certified on the spot
+    against a fresh cold-state run (fresh caches, no checkpoint
+    machinery).  The resumed run memoises like a default {!run}.
     @raise Failure if strict certification fails.
     @raise Invalid_argument on a cadence [< 1]. *)
 

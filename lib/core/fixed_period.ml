@@ -123,7 +123,7 @@ let quantize sol ~period =
     throughput = R.div tasks_per_period period;
   }
 
-let schedule_of ?strict ?stats sol q =
+let schedule_of ?strict sol q =
   let p = sol.Master_slave.platform in
   let flow = Array.map (fun items -> R.div items q.period) q.edge_items in
   let delays = Flow.delays p flow in
@@ -148,12 +148,12 @@ let schedule_of ?strict ?stats sol q =
         if R.sign q.node_tasks.(i) > 0 then Some (i, q.node_tasks.(i)) else None)
       (P.nodes p)
   in
-  Reconstruct.reconstruct ?strict ?stats p ~period:q.period
+  Reconstruct.reconstruct ?strict p ~period:q.period
     ~transfers ~compute ~delays
 
 let series sol ~periods =
   List.map (fun t -> (t, quantize sol ~period:t)) periods
 
-let sweep ?cache ?stats p ~master ~periods =
-  let sol = Master_slave.solve ?cache ?stats p ~master in
+let sweep ?cache p ~master ~periods =
+  let sol = Master_slave.solve ?cache p ~master in
   (sol, series sol ~periods)

@@ -27,13 +27,12 @@ val quantize : Master_slave.solution -> period:Rat.t -> quantized
 
 val schedule_of :
   ?strict:bool ->
-  ?stats:Lp.Stats.t ->
   Master_slave.solution ->
   quantized ->
   Schedule.t
 (** Reconstructed fixed-period schedule (strictly executable).  With
     [?strict] the schedule must pass {!Reconstruct.certify}
-    ({!Reconstruct.reconstruct}); [?stats] counts its matchings. *)
+    ({!Reconstruct.reconstruct}). *)
 
 val series :
   Master_slave.solution -> periods:Rat.t list -> (Rat.t * quantized) list
@@ -41,7 +40,6 @@ val series :
 
 val sweep :
   ?cache:Lp.Cache.t ->
-  ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
   periods:Rat.t list ->

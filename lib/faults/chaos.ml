@@ -203,11 +203,9 @@ let check_accounting plan label (o : Dy.outcome) violations =
     violations;
   let l = o.Dy.losses in
   check plan
-    (Printf.sprintf "%s: loss accounting %d+%d <> %d+%d" label
-       l.Dy.timed_out_transfers l.Dy.cancelled_transfers l.Dy.retries
-       l.Dy.lost_tasks)
-    (l.Dy.timed_out_transfers + l.Dy.cancelled_transfers
-    = l.Dy.retries + l.Dy.lost_tasks)
+    (Printf.sprintf "%s: loss accounting %d <> %d+%d" label
+       l.Dy.cancelled_transfers l.Dy.retries l.Dy.lost_tasks)
+    (l.Dy.cancelled_transfers = l.Dy.retries + l.Dy.lost_tasks)
     violations
 
 (* ---- driver -------------------------------------------------------- *)
@@ -302,7 +300,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
   let violations_before = List.length !violations in
   (match
      ( incr runs;
-       Dy.run ~reuse:true ~checkpoint ~halt_at:halt sc Dy.Robust )
+       Dy.run ~checkpoint ~halt_at:halt sc Dy.Robust )
    with
   | _ ->
     check plan
@@ -313,7 +311,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
       (Printf.sprintf "kill@%d: halted at the wrong epoch %d" halt h)
       (h = halt) violations;
     incr runs;
-    let resumed, from = Dy.resume ~reuse:true ~checkpoint sc in
+    let resumed, from = Dy.resume ~checkpoint sc in
     check plan
       (Printf.sprintf "kill@%d: resume did not pick up the checkpoint" halt)
       (from = Some halt) violations;
@@ -364,7 +362,16 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
   end;
   slowdown_only
 
-let run_campaign ?(smoke = false) ?(shapes = shapes) ~seed () =
+let run_campaign ?(smoke = false) ?shapes:(axis = shapes) ~seed () =
+  (* every name is checked before any plan runs, so a typo is one
+     error rather than a violation per plan *)
+  List.iter
+    (fun name ->
+      if not (List.mem name shapes) then
+        invalid_arg
+          (Printf.sprintf "Chaos: unknown shape %S (known: %s)" name
+             (String.concat ", " shapes)))
+    axis;
   let densities = if smoke then [ 4 ] else [ 2; 5; 9 ] in
   let subseeds = if smoke then [ 1 ] else [ 1; 2; 3; 4 ] in
   let plans = ref 0 and runs = ref 0 in
@@ -402,7 +409,7 @@ let run_campaign ?(smoke = false) ?(shapes = shapes) ~seed () =
                       :: !violations)
                 subseeds)
             densities)
-        shapes)
+        axis)
     families;
   {
     plans = !plans;

@@ -33,9 +33,10 @@
       [~reuse:true] and [~reuse:false] — reuse is an accelerator,
       never a result changer; both Robust runs also get the whole
       battery;
-    - loss accounting sums: [timed_out + cancelled = retries + lost]
-      and the fault-blind strategies report {!Dynamic_sched.no_losses};
-    - crash recovery: per plan, a checkpointed reuse Robust run is
+    - loss accounting sums: [cancelled = retries + lost] (no
+      per-operation timeout, so [timed_out_transfers] is always 0) and
+      the fault-blind strategies report {!Dynamic_sched.no_losses};
+    - crash recovery: per plan, a checkpointed Robust run is
       killed at a seeded epoch ({!Dynamic_sched.Checkpoint.Halted}
       injection, cadence 1), {!Dynamic_sched.resume} picks the run up
       from the on-disk record, and the stitched outcome must be
@@ -83,10 +84,11 @@ val run_campaign :
     densities × 6 shapes × 4 derived seeds — over 400 plans;
     [~smoke:true] runs the single-density single-seed subset (fast
     enough for CI).  [?shapes] restricts or reorders the shape axis
-    (e.g. [~shapes:["tree9"; "graph8"]] for a relay-focused sweep);
-    unknown names are reported as violations, not raised.  Never
-    raises: exceptions inside a plan are caught and reported as
-    violations. *)
+    (e.g. [~shapes:["tree9"; "graph8"]] for a relay-focused sweep).
+    Exceptions inside a plan are caught and reported as violations.
+    @raise Invalid_argument before any plan runs if a name in
+    [?shapes] is not in {!shapes} (the empty name included); the
+    message lists the known shapes. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Human-readable campaign report (plan counts, effort counters, every

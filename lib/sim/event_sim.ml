@@ -53,7 +53,7 @@ type outage = {
 
 type op_id = int
 
-type cancel_reason = Cancelled | Timed_out | Stranded
+type cancel_reason = Cancelled | Stranded
 
 type cancelled = {
   c_kind : op_kind;
@@ -322,7 +322,6 @@ let finish_op t op =
 
 let reason_name = function
   | Cancelled -> "cancelled"
-  | Timed_out -> "timed out"
   | Stranded -> "stranded"
 
 let do_cancel t op reason =
@@ -394,11 +393,7 @@ let create ?cpu_traces ?bw_traces ?log p =
 
 (* --- submission --- *)
 
-let submit_op ?(strict = false) ?timeout ?on_done ?on_cancel t kind =
-  (match timeout with
-  | Some d when R.sign d < 0 ->
-    invalid_arg "Event_sim.submit_op: negative timeout"
-  | Some _ | None -> ());
+let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
   let res, base, amount =
     match kind with
     | Compute (i, w) ->
@@ -450,16 +445,6 @@ let submit_op ?(strict = false) ?timeout ?on_done ?on_cancel t kind =
     Hashtbl.replace t.ops op.oid op;
     t.pending <- t.pending @ [ op ]
   end;
-  (match timeout with
-  | None -> ()
-  | Some d ->
-    let deadline = R.add t.clock d in
-    push_event t deadline
-      (Timer
-         (fun t ->
-           match Hashtbl.find_opt t.ops op.oid with
-           | Some o when o == op -> ignore (do_cancel t op Timed_out)
-           | Some _ | None -> ())));
   op.oid
 
 let submit ?strict ?on_done t kind =

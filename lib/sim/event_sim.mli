@@ -93,7 +93,6 @@ type op_id
 
 type cancel_reason =
   | Cancelled  (** explicit {!cancel} *)
-  | Timed_out  (** the [?timeout] budget elapsed before completion *)
   | Stranded
       (** {!run} proved the operation can never finish: it was running
           on (or queued behind) a resource stuck at multiplier 0 with no
@@ -116,20 +115,15 @@ val submit :
 
 val submit_op :
   ?strict:bool ->
-  ?timeout:Rat.t ->
   ?on_done:(t -> unit) ->
   ?on_cancel:(t -> cancel_reason -> unit) ->
   t ->
   op_kind ->
   op_id
-(** Like {!submit}, returning a handle.  [?timeout] is a relative
-    budget: if the operation has not completed [timeout] time units
-    after submission (whether still queued or running), it is cancelled
-    with {!Timed_out}.  [on_cancel] fires on any cancellation (explicit,
-    timeout or stranding); partial progress of a cancelled operation is
-    discarded — it never counts towards {!completed_work} or
-    {!transferred}.
-    @raise Invalid_argument on a negative timeout. *)
+(** Like {!submit}, returning a handle.  [on_cancel] fires on any
+    cancellation (explicit or stranding); partial progress of a
+    cancelled operation is discarded — it never counts towards
+    {!completed_work} or {!transferred}. *)
 
 val cancel : t -> op_id -> bool
 (** Cancel a queued or running operation: frees its resources, drops its

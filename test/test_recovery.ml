@@ -71,6 +71,54 @@ let halt_run ?reuse ~checkpoint ~halt sc =
   | exception Dy.Checkpoint.Halted h ->
     Alcotest.(check int) "halted at the requested epoch" halt h
 
+(* record files committed by the store (tempfiles and the quarantine
+   subdirectory excluded) *)
+let data_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         (not (String.length f >= 4 && String.sub f 0 4 = ".tmp"))
+         && not (Sys.is_directory (Filename.concat dir f)))
+
+(* Split a committed store record into (key, value) by its envelope:
+   magic\n<len> <sum>\n<klen>\n<key><value>. *)
+let record_parts raw =
+  let nl1 = String.index raw '\n' in
+  let nl2 = String.index_from raw (nl1 + 1) '\n' in
+  let payload = String.sub raw (nl2 + 1) (String.length raw - nl2 - 1) in
+  let knl = String.index payload '\n' in
+  let klen = int_of_string (String.sub payload 0 knl) in
+  let key = String.sub payload (knl + 1) klen in
+  (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
+
+let v3 = "steady-ckpt 3\n"
+
+(* the one checkpoint record of a store directory: (path, key, value) *)
+let ckpt_record dir =
+  let ckpts =
+    List.filter_map
+      (fun f ->
+        let path = Filename.concat dir f in
+        let ic = open_in_bin path in
+        let raw = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let key, value = record_parts raw in
+        if String.starts_with ~prefix:v3 value then Some (path, key, value)
+        else None)
+      (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
+  in
+  match ckpts with
+  | [ c ] -> c
+  | l -> Alcotest.failf "expected one checkpoint record, found %d" (List.length l)
+
+(* overwrite a record with [value] inside a valid envelope (length and
+   checksum right), so the byte layer hands it to the decoder *)
+let rewrite_record path key value =
+  let payload = Printf.sprintf "%d\n%s%s" (String.length key) key value in
+  let oc = open_out_bin path in
+  Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s" (String.length payload)
+    (Solve_store.checksum payload) payload;
+  close_out oc
+
 let test_resume_every_epoch () =
   List.iter
     (fun (label, sc) ->
@@ -91,6 +139,19 @@ let test_resume_every_epoch () =
       done)
     [ ("tree", tree_scenario ()); ("star", star_scenario ()) ]
 
+let test_one_record_per_run () =
+  (* a checkpointed run commits executor state only: each checkpoint
+     overwrites the run's one record, and no LP solve is written *)
+  let sc = tree_scenario () in
+  let dir = fresh_dir () in
+  let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+  ignore (Dy.run ~checkpoint sc Dy.Robust);
+  Alcotest.(check int) "one record in the directory" 1
+    (Solve_store.entries (Solve_store.open_store dir));
+  (* ... and it is the checkpoint record *)
+  ignore (ckpt_record dir);
+  rm_rf dir
+
 let test_strict_resume_with_cadence () =
   (* cadence 2 with a kill at 5: the newest record is epoch 4, so the
      resume replays 4 epochs and re-executes 4..5 live; strict mode
@@ -105,32 +166,42 @@ let test_strict_resume_with_cadence () =
   rm_rf dir
 
 let test_reuse_false_round_trip () =
-  (* checkpointing composes with cold per-phase solves: the record is
-     keyed on the reuse flag, and the resumed cold run is still exact *)
+  (* checkpointing composes with cold per-phase solves: a run halted
+     under ~reuse:false resumes exactly, certified on the spot *)
   let sc = tree_scenario () in
   let uninterrupted = Dy.run ~reuse:false sc Dy.Robust in
   let dir = fresh_dir () in
   let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
   halt_run ~reuse:false ~checkpoint ~halt:4 sc;
-  let resumed, from = Dy.resume ~reuse:false ~strict:true ~checkpoint sc in
+  let resumed, from = Dy.resume ~strict:true ~checkpoint sc in
   Alcotest.(check (option int)) "resumed from the kill epoch" (Some 4) from;
   Alcotest.(check bool) "cold-mode resume is bit-identical" true
     (Dy.outcomes_equal uninterrupted resumed);
   rm_rf dir
 
-let test_reuse_flag_mismatch_cold_starts () =
-  (* a record written under ~reuse:true must be invisible to a
-     ~reuse:false resume: different key, so it is a miss — never a
-     wrong-mode replay *)
+let test_cross_flag_resume () =
+  (* the record holds executor state only, so it does not depend on the
+     reuse flag: runs halted under either flag commit the same bytes,
+     and a run halted under ~reuse:false resumes from its kill epoch,
+     bit-identical to the cold uninterrupted run *)
   let sc = star_scenario () in
   let cold = Dy.run ~reuse:false sc Dy.Robust in
-  let dir = fresh_dir () in
-  let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
-  halt_run ~checkpoint ~halt:3 sc;
-  let resumed, from = Dy.resume ~reuse:false ~checkpoint sc in
-  Alcotest.(check (option int)) "other flag: cold start" None from;
+  let halted reuse =
+    let dir = fresh_dir () in
+    let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+    halt_run ~reuse ~checkpoint ~halt:3 sc;
+    let _, _, value = ckpt_record dir in
+    (checkpoint, value)
+  in
+  let checkpoint, cold_value = halted false in
+  let warm, warm_value = halted true in
+  rm_rf warm.Dy.Checkpoint.dir;
+  Alcotest.(check string) "same record under either flag" warm_value
+    cold_value;
+  let resumed, from = Dy.resume ~checkpoint sc in
+  Alcotest.(check (option int)) "resumed from the kill epoch" (Some 3) from;
   Alcotest.(check bool) "cold-run answer" true (Dy.outcomes_equal cold resumed);
-  rm_rf dir
+  rm_rf checkpoint.Dy.Checkpoint.dir
 
 let test_resume_empty_store_cold_starts () =
   let sc = tree_scenario () in
@@ -143,14 +214,6 @@ let test_resume_empty_store_cold_starts () =
   Alcotest.(check bool) "cold start, same answer" true
     (Dy.outcomes_equal uninterrupted resumed);
   rm_rf dir
-
-(* record files committed by the store (tempfiles and the quarantine
-   subdirectory excluded) *)
-let data_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f ->
-         (not (String.length f >= 4 && String.sub f 0 4 = ".tmp"))
-         && not (Sys.is_directory (Filename.concat dir f)))
 
 let mutilate f path =
   let ic = open_in_bin path in
@@ -194,77 +257,79 @@ let test_damaged_records_cold_start () =
       ("version-skewed", fun b -> "steady-solve-store 999\n" ^ b);
     ]
 
-(* Split a committed store record into (key, value) by its envelope:
-   magic\n<len> <sum>\n<klen>\n<key><value>. *)
-let record_parts raw =
-  let nl1 = String.index raw '\n' in
-  let nl2 = String.index_from raw (nl1 + 1) '\n' in
-  let payload = String.sub raw (nl2 + 1) (String.length raw - nl2 - 1) in
-  let knl = String.index payload '\n' in
-  let klen = int_of_string (String.sub payload 0 knl) in
-  let key = String.sub payload (knl + 1) klen in
-  (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
-
-let v2 = "steady-ckpt 2\n"
-
-(* the one checkpoint record of a store directory: (path, key, value) *)
-let ckpt_record dir =
-  let ckpts =
-    List.filter_map
-      (fun f ->
-        let path = Filename.concat dir f in
-        let ic = open_in_bin path in
-        let raw = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let key, value = record_parts raw in
-        if String.starts_with ~prefix:v2 value then Some (path, key, value)
-        else None)
-      (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
+(* A current record rewritten in the "steady-ckpt 2" layout, which also
+   carried the reuse flag after the epoch and a timed-out count after the
+   master deficit. *)
+let v2_value value =
+  let lines = Array.of_list (String.split_on_char '\n' value) in
+  (* lines 0-2: magic, epoch, log length; then the log *)
+  let pos = ref 3 in
+  let next () =
+    incr pos;
+    lines.(!pos - 1)
   in
-  match ckpts with
-  | [ c ] -> c
-  | l -> Alcotest.failf "expected one checkpoint record, found %d" (List.length l)
-
-(* overwrite a record with [value] inside a valid envelope (length and
-   checksum right), so the byte layer hands it to the decoder *)
-let rewrite_record path key value =
-  let payload = Printf.sprintf "%d\n%s%s" (String.length key) key value in
-  let oc = open_out_bin path in
-  Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s" (String.length payload)
-    (Solve_store.checksum payload) payload;
-  close_out oc
+  let count () = int_of_string (next ()) in
+  for _ = 1 to int_of_string lines.(2) do
+    if next () = "P" then begin
+      ignore (next ());
+      for _ = 1 to count () do
+        ignore (next ());
+        for _ = 1 to count () do
+          ignore (next ())
+        done
+      done
+    end
+  done;
+  let deficit = !pos in
+  String.concat "\n"
+    (List.concat
+       (List.mapi
+          (fun i l ->
+            if i = 0 then [ "steady-ckpt 2" ]
+            else if i = 1 then [ l; "1" ]
+            else if i = deficit then [ l; "0" ]
+            else [ l ])
+          (Array.to_list lines)))
 
 let test_previous_ckpt_format_cold_starts () =
-  (* a record in the previous checkpoint format ("steady-ckpt 1") ends
-     with a warm LP basis block this format no longer has; written inside
-     a valid envelope (length and checksum right), it must still be
-     quarantined, and the resume cold-starts with the identical answer *)
+  (* records in the previous checkpoint formats — "steady-ckpt 2" with
+     its reuse flag and timed-out count, and "steady-ckpt 1", which also
+     ended with a warm LP basis block — written inside a valid envelope
+     (length and checksum right), must still be quarantined, and the
+     resume cold-starts with the identical answer *)
   let sc = star_scenario () in
   let uninterrupted = Dy.run sc Dy.Robust in
-  let dir = fresh_dir () in
-  let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
-  halt_run ~checkpoint ~halt:3 sc;
-  let path, key, value = ckpt_record dir in
-  let n = String.length v2 in
-  let body = String.sub value n (String.length value - n) in
   let basis = "lpbasis 1\n0\n" in
-  rewrite_record path key
-    (Printf.sprintf "steady-ckpt 1\n%sB\n%d\n%s\n" body
-       (String.length basis) basis);
-  Alcotest.(check bool) "byte layer accepts the rewritten record" true
-    (Solve_store.find (Solve_store.open_store dir) key <> None);
-  let resumed, from = Dy.resume ~checkpoint sc in
-  Alcotest.(check (option int)) "previous format: cold start" None from;
-  Alcotest.(check bool) "answer unchanged" true
-    (Dy.outcomes_equal uninterrupted resumed);
-  Alcotest.(check bool) "previous-format record quarantined" true
-    (Sys.readdir (Filename.concat dir "quarantine") <> [||]);
-  (* the cold run re-checkpointed under the same key, in the new format *)
-  Alcotest.(check bool) "current-format record re-stored" true
-    (match Solve_store.find (Solve_store.open_store dir) key with
-    | Some v -> String.starts_with ~prefix:v2 v
-    | None -> false);
-  rm_rf dir
+  let v1_value value =
+    let v2 = v2_value value in
+    let n = String.length "steady-ckpt 2" in
+    Printf.sprintf "steady-ckpt 1%sB\n%d\n%s\n"
+      (String.sub v2 n (String.length v2 - n))
+      (String.length basis) basis
+  in
+  List.iter
+    (fun (what, old_value) ->
+      let dir = fresh_dir () in
+      let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+      halt_run ~checkpoint ~halt:3 sc;
+      let path, key, value = ckpt_record dir in
+      rewrite_record path key (old_value value);
+      Alcotest.(check bool) (what ^ ": byte layer accepts the record") true
+        (Solve_store.find (Solve_store.open_store dir) key <> None);
+      let resumed, from = Dy.resume ~checkpoint sc in
+      Alcotest.(check (option int)) (what ^ ": cold start") None from;
+      Alcotest.(check bool) (what ^ ": answer unchanged") true
+        (Dy.outcomes_equal uninterrupted resumed);
+      Alcotest.(check bool) (what ^ ": record quarantined") true
+        (Sys.readdir (Filename.concat dir "quarantine") <> [||]);
+      (* the cold run re-checkpointed under the same key, in the
+         current format *)
+      Alcotest.(check bool) (what ^ ": current-format record re-stored") true
+        (match Solve_store.find (Solve_store.open_store dir) key with
+        | Some v -> String.starts_with ~prefix:v3 v
+        | None -> false);
+      rm_rf dir)
+    [ ("steady-ckpt 2", v2_value); ("steady-ckpt 1", v1_value) ]
 
 (* Fuzz the checkpoint record decoder behind a valid envelope: seeded
    truncations, lines replaced by integers and rationals at and past
@@ -367,8 +432,6 @@ let test_argument_validation () =
       Dy.run ~checkpoint sc Dy.Static);
   expect_invalid "halt_at without checkpoint" (fun () ->
       Dy.run ~halt_at:2 sc Dy.Robust);
-  expect_invalid "cache alongside checkpoint" (fun () ->
-      Dy.run ~cache:(Lp.Cache.create ()) ~checkpoint sc Dy.Robust);
   List.iter
     (fun h ->
       expect_invalid (Printf.sprintf "halt_at %d of %d phases" h sc.Dy.phases)
@@ -377,7 +440,19 @@ let test_argument_validation () =
   expect_invalid "cadence 0" (fun () ->
       Dy.run
         ~checkpoint:{ checkpoint with Dy.Checkpoint.every = 0 }
-        sc Dy.Robust)
+        sc Dy.Robust);
+  (* a caller's cache works alongside a checkpoint: the checkpointed run
+     after a plain one through the same cache re-solves nothing *)
+  let cache = Lp.Cache.create () in
+  let plain = Dy.run ~cache sc Dy.Robust in
+  let hits = Lp.Cache.hits cache and misses = Lp.Cache.misses cache in
+  let ckpt = Dy.run ~cache ~checkpoint sc Dy.Robust in
+  Alcotest.(check bool) "cache + checkpoint is bit-identical" true
+    (Dy.outcomes_equal plain ckpt);
+  Alcotest.(check int) "no new miss" misses (Lp.Cache.misses cache);
+  Alcotest.(check bool) "served from the cache" true
+    (Lp.Cache.hits cache > hits);
+  rm_rf checkpoint.Dy.Checkpoint.dir
 
 (* --- per-epoch solves on flows with cyclic support --------------------- *)
 
@@ -490,8 +565,9 @@ let suite =
         test_strict_resume_with_cadence;
       Alcotest.test_case "reuse:false round trip" `Quick
         test_reuse_false_round_trip;
-      Alcotest.test_case "reuse-flag mismatch cold starts" `Quick
-        test_reuse_flag_mismatch_cold_starts;
+      Alcotest.test_case "cross-flag resume" `Quick test_cross_flag_resume;
+      Alcotest.test_case "one record per checkpointed run" `Quick
+        test_one_record_per_run;
       Alcotest.test_case "empty store cold starts" `Quick
         test_resume_empty_store_cold_starts;
       Alcotest.test_case "damaged records cold start" `Quick

@@ -272,7 +272,7 @@ let prop_trace_integration =
         in
         R.equal tf (integrate (ri w) pieces))
 
-(* --- failure layer: cancellation, timeouts, outage events, stranding --- *)
+(* --- failure layer: cancellation, outage events, stranding --- *)
 
 (* forwarding master, two unit slaves *)
 let star3 () =
@@ -305,29 +305,6 @@ let test_cancel_running () =
   Alcotest.(check bool) "second cancel is a no-op" false (S.cancel s id);
   Alcotest.check rat "send port busy while it ran" (ri 3)
     (S.busy_time s (S.Send 0))
-
-let test_timeout () =
-  let s = S.create (duo ()) in
-  let cancelled_at = ref None in
-  ignore
-    (S.submit_op s (S.Compute (0, ri 4)) ~timeout:(ri 6)
-       ~on_cancel:(fun t _ -> cancelled_at := Some (S.now t)));
-  (* completes well within its budget *)
-  ignore (S.submit_op s (S.Compute (1, ri 1)) ~timeout:(ri 100));
-  S.run s;
-  (* 4 units at w=3 need 12 > 6: timed out with 2 units left *)
-  Alcotest.(check bool) "timed out at 6" true (!cancelled_at = Some (ri 6));
-  Alcotest.check rat "no work credited" R.zero (S.completed_work s 0);
-  Alcotest.check rat "fast op unaffected" (ri 1) (S.completed_work s 1);
-  (match S.cancelled_ops s with
-  | [ c ] ->
-    Alcotest.(check bool) "reason" true (c.S.c_reason = S.Timed_out);
-    Alcotest.check rat "remaining" (ri 2) c.S.c_remaining
-  | l -> Alcotest.failf "expected 1 cancellation, got %d" (List.length l));
-  (* negative timeout rejected *)
-  Alcotest.check_raises "negative timeout"
-    (Invalid_argument "Event_sim.submit_op: negative timeout") (fun () ->
-      ignore (S.submit_op s (S.Compute (1, ri 1)) ~timeout:(ri (-1))))
 
 let test_outage_events () =
   let p =
@@ -417,7 +394,6 @@ let suite =
       Alcotest.test_case "trace validation" `Quick test_trace_validation;
       Alcotest.test_case "log hook" `Quick test_log_hook;
       Alcotest.test_case "cancel running op" `Quick test_cancel_running;
-      Alcotest.test_case "per-op timeout" `Quick test_timeout;
       Alcotest.test_case "outage events" `Quick test_outage_events;
       Alcotest.test_case "trace_multiplier" `Quick test_trace_multiplier;
       Alcotest.test_case "full outage, no recovery" `Quick
