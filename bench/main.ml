@@ -358,9 +358,9 @@ let run_cache_suite ~smoke () =
   (* E10 dynamic run and oracle bound, cold vs cached *)
   let slaves = if smoke then 4 else 16 and phases = if smoke then 4 else 32 in
   let sc = dynamic_scenario ~slaves ~phases in
-  let dyn reuse () =
-    let cache = if reuse then Some (Lp.Cache.create ()) else None in
-    let run s = Dynamic_sched.run ?cache ~reuse sc s in
+  let dyn cached () =
+    let cache = if cached then Some (Lp.Cache.create ()) else None in
+    let run s = Dynamic_sched.run ?cache sc s in
     let re = run Dynamic_sched.Reactive in
     let o = run Dynamic_sched.Oracle in
     Option.iter note_cache cache;
@@ -374,7 +374,7 @@ let run_cache_suite ~smoke () =
   Printf.printf "%-56s %10.2fx\n" "warm/E10 dynamic speedup" (cold_ns /. cache_ns);
   let bound tail = Printf.sprintf "warm/E10 oracle bound %d phases (%s)" phases tail in
   let b_cold, ns =
-    best_of ~runs (fun () -> Dynamic_sched.oracle_throughput_bound ~reuse:false sc)
+    best_of ~runs (fun () -> Dynamic_sched.oracle_throughput_bound sc)
   in
   record (bound "cold") ns;
   let cold_bound_ns = ns in
@@ -658,11 +658,11 @@ let run_fault_suite ~smoke () =
 
 (* A long fault trace (32 epochs, dense churn) over a heterogeneous
    star: every epoch re-plans on a different surviving subplatform.
-   Every LP solve is cold either way; the reuse run adds the exact LP
-   cache and Robust's restriction memo, which serve the epochs whose
+   Every LP solve is cold either way; the cold run has no cache, the
+   reuse run a fresh [Lp.Cache], which serves the epochs whose
    multiplier snapshot repeats.  Guards: the reuse and cold outcomes
-   must be bit-identical ({!Dynamic_sched.outcomes_equal} — reuse is an
-   accelerator, never a result changer), and at n=200 the reuse run
+   must be bit-identical ({!Dynamic_sched.outcomes_equal} — the cache is
+   an accelerator, never a result changer), and at n=200 the reuse run
    must beat the cold run. *)
 let churn_scenario ~slaves ~phases ~seed =
   let p =
@@ -697,15 +697,18 @@ let run_churn_suite ~smoke () =
         Printf.sprintf "churn/%s n=%d epochs=%d" tail n phases
       in
       let cold, cold_ns =
-        best_of ~runs (fun () ->
-            Dynamic_sched.run ~reuse:false sc Dynamic_sched.Robust)
+        best_of ~runs (fun () -> Dynamic_sched.run sc Dynamic_sched.Robust)
       in
       record (label "robust cold") cold_ns;
       let stats = Lp.Stats.create () in
-      let reuse = Dynamic_sched.run ~reuse:true ~stats sc Dynamic_sched.Robust in
+      let reuse =
+        Dynamic_sched.run ~cache:(Lp.Cache.create ()) ~stats sc
+          Dynamic_sched.Robust
+      in
       let _, reuse_ns =
         best_of ~runs (fun () ->
-            Dynamic_sched.run ~reuse:true sc Dynamic_sched.Robust)
+            Dynamic_sched.run ~cache:(Lp.Cache.create ()) sc
+              Dynamic_sched.Robust)
       in
       record (label "robust reuse") reuse_ns;
       record_effort (label "robust reuse") stats;
@@ -733,11 +736,13 @@ let run_churn_suite ~smoke () =
 (* --- part 4.6: crash recovery — checkpointed runs and resume --- *)
 
 (* The churn scenario again, now under the checkpoint machinery.
-   Guards: a checkpointed run must complete bit-identical work to the
-   plain reuse run (the record writes are recovery plumbing, never
-   result changers), a run killed mid-flight must resume bit-identically
-   from the record, and at n=200 the per-epoch checkpoint overhead must
-   stay within 5% of the plain wall. *)
+   The plain and checkpointed runs each get a fresh [Lp.Cache]; the
+   killed run and [resume] have none.  Guards: a checkpointed run must
+   complete bit-identical work to the plain run (the record writes are
+   recovery plumbing, never result changers), a run killed mid-flight
+   must resume bit-identically from the record, and at n=200 the
+   per-epoch checkpoint overhead must stay within 5% of the plain
+   wall. *)
 let run_recovery_suite ~smoke () =
   print_endline
     "\n########## recovery: checkpointed executor state ##########\n";
@@ -765,7 +770,9 @@ let run_recovery_suite ~smoke () =
         Printf.sprintf "recovery/%s n=%d epochs=%d" tail n phases
       in
       let plain, plain_ns =
-        best_of ~runs (fun () -> Dynamic_sched.run sc Dynamic_sched.Robust)
+        best_of ~runs (fun () ->
+            Dynamic_sched.run ~cache:(Lp.Cache.create ()) sc
+              Dynamic_sched.Robust)
       in
       record (label "robust plain") plain_ns;
       (* checkpointed run: a fresh store per repetition, so every run
@@ -774,7 +781,10 @@ let run_recovery_suite ~smoke () =
         best_of ~runs (fun () ->
             let dir = fresh_ckpt_dir () in
             let checkpoint = { Dynamic_sched.Checkpoint.dir; every = 1 } in
-            let o = Dynamic_sched.run ~checkpoint sc Dynamic_sched.Robust in
+            let o =
+              Dynamic_sched.run ~cache:(Lp.Cache.create ()) ~checkpoint sc
+                Dynamic_sched.Robust
+            in
             rm_rf dir;
             o)
       in

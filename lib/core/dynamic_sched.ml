@@ -267,10 +267,30 @@ let has_compute sub =
       match P.weight sub i with Ext_rat.Inf -> false | Ext_rat.Fin _ -> true)
     (P.nodes sub)
 
-let make_cache cache reuse =
-  match cache with
-  | Some _ as c -> c
-  | None -> if reuse then Some (Lp.Cache.create ()) else None
+(* the simulator a run executes on, fed the normalised traces *)
+let simulator_of sc =
+  Event_sim.create
+    ~cpu_traces:(List.map (fun (i, tr) -> (i, normalize_trace tr)) sc.cpu_traces)
+    ~bw_traces:(List.map (fun (e, tr) -> (e, normalize_trace tr)) sc.bw_traces)
+    sc.platform
+
+(* Submit each [(path, count)] entry's [count] unit task files
+   round-robin across the entries: one file per path per round, in list
+   order, until every count is spent. *)
+let round_robin submit batch =
+  let q = Array.of_list batch in
+  let counts = Array.map snd q in
+  let remaining = ref (Array.fold_left ( + ) 0 counts) in
+  while !remaining > 0 do
+    Array.iteri
+      (fun idx (path, _) ->
+        if counts.(idx) > 0 then begin
+          counts.(idx) <- counts.(idx) - 1;
+          decr remaining;
+          submit path
+        end)
+      q
+  done
 
 (* phase-boundary differences of the cumulative-work marks *)
 let per_phase_of marks completed =
@@ -283,18 +303,12 @@ let per_phase_of marks completed =
     in
     diffs first rest
 
-let run_classic ?cache ?(reuse = true) ?stats sc strategy =
+let run_classic ?cache ?stats sc strategy =
   let p = sc.platform in
   let node_cts, edge_cts = compile_scenario sc in
-  let sim =
-    Event_sim.create
-      ~cpu_traces:(List.map (fun (i, tr) -> (i, normalize_trace tr)) sc.cpu_traces)
-      ~bw_traces:(List.map (fun (e, tr) -> (e, normalize_trace tr)) sc.bw_traces)
-      p
-  in
-  (* flat trace segments (repeated multipliers) hit the cache outright;
-     [~reuse:false] re-solves every phase for baseline measurements *)
-  let cache = make_cache cache reuse in
+  let sim = simulator_of sc in
+  (* with [?cache], flat trace segments (repeated multipliers) hit it
+     outright; without, every phase is solved *)
   let solve_scaled node_mult edge_mult =
     plan_solve ?cache ?stats
       (scaled_platform sc node_mult edge_mult)
@@ -349,21 +363,9 @@ let run_classic ?cache ?(reuse = true) ?stats sc strategy =
         marks := total_work sim p :: !marks;
         let sol = plan_for t0 in
         let transfers, master_tasks = phase_plan sol sc.phase in
-        (* round-robin across paths: unit task files, each enabling one
-           unit of computation on terminal arrival *)
-        let queues = Array.of_list transfers in
-        let remaining = ref (Array.fold_left (fun a (_, n) -> a + n) 0 queues) in
-        let counts = Array.map snd queues in
-        while !remaining > 0 do
-          Array.iteri
-            (fun idx (path, _) ->
-              if counts.(idx) > 0 then begin
-                counts.(idx) <- counts.(idx) - 1;
-                decr remaining;
-                submit_chain sim path
-              end)
-            queues
-        done;
+        (* unit task files, each enabling one unit of computation on
+           terminal arrival *)
+        round_robin (submit_chain sim) transfers;
         if master_tasks > 0 then
           Event_sim.submit sim
             (Event_sim.Compute (sc.master, R.of_int master_tasks)))
@@ -377,12 +379,6 @@ let run_classic ?cache ?(reuse = true) ?stats sc strategy =
     per_phase = per_phase_of !marks completed;
     losses = no_losses;
   }
-
-(* exact elementwise equality of two multiplier snapshots *)
-let mults_equal a b =
-  let n = Array.length a in
-  let rec go i = i >= n || (R.equal a.(i) b.(i) && go (i + 1)) in
-  Array.length b = n && go 0
 
 (* ---- crash recovery ---------------------------------------------------
 
@@ -398,7 +394,7 @@ let mults_equal a b =
    results of the live suffix coincide with the uninterrupted run's
    because every solve is cold: each epoch's answer is a function of
    that epoch's platform alone, so no solver state needs restoring and
-   the resumed run's LP memo starts empty, like any run's.  A missing,
+   the resumed run needs no LP memo: it runs without one.  A missing,
    truncated, corrupt, version-skewed or mismatching checkpoint is
    quarantined and degrades to a cold full run — recovery can cost
    time, never answers. *)
@@ -664,19 +660,11 @@ type ckpt_ctx = {
 
 exception Resume_mismatch
 
-let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
+let run_robust ?cache ?stats ?ckpt sc =
   let p = sc.platform in
   let n = P.num_nodes p and m = P.num_edges p in
   let node_cts, edge_cts = compile_scenario sc in
-  let sim =
-    Event_sim.create
-      ~cpu_traces:
-        (List.map (fun (i, tr) -> (i, normalize_trace tr)) sc.cpu_traces)
-      ~bw_traces:
-        (List.map (fun (e, tr) -> (e, normalize_trace tr)) sc.bw_traces)
-      p
-  in
-  let cache = make_cache cache reuse in
+  let sim = simulator_of sc in
   (* Failure state.  Zero-crossing breakpoints fire simulator outage
      events, and breakpoint timers sort before the phase-boundary timers
      registered below, so at every boundary these arrays are current.
@@ -823,14 +811,12 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
      would, restoring [Robust >= Static] under churn with recovery. *)
   let arrears = ref [] in
   let master_deficit = ref 0 in
-  (* Cross-epoch reuse under churn.  Every epoch's LP is solved cold on
-     its surviving subplatform, and everything after the LP is
+  (* No state crosses epochs under churn.  Every epoch's LP is solved
+     cold on its surviving subplatform, and everything after the LP is
      recomputed from that epoch's solution alone, so no epoch holds
-     solver state a checkpoint would have to store.  [memo]
-     short-circuits the restriction itself: consecutive epochs with
-     identical multiplier snapshots reuse the previous sub-platform
-     outright (same physical value, so downstream caches hit too). *)
-  let memo = ref None in
+     solver state a checkpoint would have to store.  The only memo is
+     the caller's [?cache]: an identical multiplier snapshot builds an
+     identical restriction, hence an identical LP, which hits it. *)
   let node_mults = Array.make n R.one in
   let edge_mults = Array.make m R.one in
   let marks = ref [] in
@@ -953,21 +939,9 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
                 (if dead_bw.(e) then R.zero else Forecast.predict edge_fc.(e))
             done;
             let restr =
-              match !memo with
-              | Some (nm, em, r)
-                when reuse && mults_equal nm node_mults
-                     && mults_equal em edge_mults ->
-                r
-              | _ ->
-                let r =
-                  surviving_scaled sc
-                    ~node_mult:(fun i -> node_mults.(i))
-                    ~edge_mult:(fun e -> edge_mults.(e))
-                in
-                if reuse then
-                  memo :=
-                    Some (Array.copy node_mults, Array.copy edge_mults, r);
-                r
+              surviving_scaled sc
+                ~node_mult:(fun i -> node_mults.(i))
+                ~edge_mult:(fun e -> edge_mults.(e))
             in
             let sub = restr.P.sub in
             let plan =
@@ -1075,21 +1049,7 @@ let run_robust ?cache ?(reuse = true) ?stats ?ckpt sc =
           route_rr := 0;
           (* each batch is submitted round-robin across its routes —
              the same interleaving Static's own per-phase loop uses *)
-          let submit_batch batch =
-            let q = Array.of_list batch in
-            let counts = Array.map snd q in
-            let remaining = ref (Array.fold_left ( + ) 0 counts) in
-            while !remaining > 0 do
-              Array.iteri
-                (fun idx (path, _) ->
-                  if counts.(idx) > 0 then begin
-                    counts.(idx) <- counts.(idx) - 1;
-                    decr remaining;
-                    submit_path sim path 0
-                  end)
-                q
-            done
-          in
+          let submit_batch = round_robin (fun path -> submit_path sim path 0) in
           List.iter submit_batch payable;
           submit_batch static_alive;
           submit_batch extras;
@@ -1149,7 +1109,7 @@ let ckpt_ctx_of config ~halt_at sc =
     ck_replay = None;
   }
 
-let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
+let run ?cache ?stats ?checkpoint ?halt_at sc strategy =
   (match checkpoint, strategy with
   | Some _, (Static | Reactive | Oracle) ->
     invalid_arg "Dynamic_sched.run: ?checkpoint requires the Robust strategy"
@@ -1170,17 +1130,17 @@ let run ?cache ?reuse ?stats ?checkpoint ?halt_at sc strategy =
            (sc.phases - 1))
     | _ -> ());
     let ckpt = Option.map (fun c -> ckpt_ctx_of c ~halt_at sc) checkpoint in
-    run_robust ?cache ?reuse ?stats ?ckpt sc
+    run_robust ?cache ?stats ?ckpt sc
   | Static ->
     (* outages are execution-time events the static plan never consults:
        the strategy runs (and suffers) fault scenarios as the baseline *)
     validate_scenario ~allow_outages:true sc;
-    run_classic ?cache ?reuse ?stats sc strategy
+    run_classic ?cache ?stats sc strategy
   | Reactive | Oracle ->
     (* these plan by dividing weights by observed/true multipliers, so a
        zero multiplier has no meaningful scaled platform *)
     validate_scenario sc;
-    run_classic ?cache ?reuse ?stats sc strategy
+    run_classic ?cache ?stats sc strategy
 
 let outcomes_equal a b =
   a.strategy = b.strategy
@@ -1247,9 +1207,8 @@ let resume ?(strict = false) ~checkpoint sc =
         cold ())
   in
   if strict then begin
-    (* certification: an uninterrupted cold-state run (fresh caches, no
-       checkpoint machinery) must reproduce the resumed outcome
-       bit-identically *)
+    (* certification: an uninterrupted run (no LP memo, no checkpoint
+       machinery) must reproduce the resumed outcome bit-identically *)
     let fresh = run_robust sc in
     if not (outcomes_equal outcome fresh) then
       failwith
@@ -1258,10 +1217,9 @@ let resume ?(strict = false) ~checkpoint sc =
   end;
   (outcome, resumed_from)
 
-let oracle_throughput_bound ?cache ?(reuse = true) sc =
+let oracle_throughput_bound ?cache sc =
   validate_scenario sc;
   let node_cts, edge_cts = compile_scenario sc in
-  let cache = make_cache cache reuse in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
@@ -1276,10 +1234,9 @@ let oracle_throughput_bound ?cache ?(reuse = true) sc =
   done;
   !total
 
-let fault_throughput_bound ?cache ?(reuse = true) sc =
+let fault_throughput_bound ?cache sc =
   validate_scenario ~allow_outages:true sc;
   let node_cts, edge_cts = compile_scenario sc in
-  let cache = make_cache cache reuse in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in

@@ -28,10 +28,11 @@
       solved cold on its surviving restriction, and everything
       downstream of the LP — cycle cancellation, path decomposition —
       is recomputed from that epoch's solution alone, so a checkpoint
-      stores no solver state.  Reuse is memoisation only: the
-      restriction is memoised on the multiplier snapshot (identical
-      consecutive epochs reuse the previous sub-platform outright), and
-      exactly repeated LPs hit the {!Lp.Cache}.
+      stores no solver state.  The only memo is the caller's
+      [?cache], as for {!Lp.solve}: with one, an exactly repeated LP
+      (an identical multiplier snapshot builds an identical
+      restriction) is served from it; without one, every LP is
+      solved.
 
     Plans are executed in queued (non-strict) mode: if reality is slower
     than the plan assumed, operations stack up and throughput drops —
@@ -117,12 +118,13 @@ type outcome = {
     [steady-ckpt 3]), overwritten at each checkpoint.  The record holds
     executor state only: every LP solve is cold, a function of its
     epoch's platform alone, so no solver state or LP memo is stored,
-    and the record does not depend on the [reuse] flag.  {!resume}
+    and the record does not depend on whether the run had a [?cache].
+    {!resume}
     continues such a run after a crash {e bit-identically}: the logged
     decisions are replayed through a fresh simulator (pure
     deterministic event replay, no LP work), the rebuilt state is
     validated against the stored snapshot, and the remaining epochs run
-    live with a fresh LP memo.  Corruption in any form — truncation,
+    live without an LP memo.  Corruption in any form — truncation,
     bit flips, version skew (older [steady-ckpt] records included), a
     snapshot the replay cannot reproduce — is quarantined and degrades
     to a cold full run: recovery can cost time, never answers. *)
@@ -143,7 +145,6 @@ end
 
 val run :
   ?cache:Lp.Cache.t ->
-  ?reuse:bool ->
   ?stats:Lp.Stats.t ->
   ?checkpoint:Checkpoint.config ->
   ?halt_at:int ->
@@ -154,20 +155,20 @@ val run :
     ({!Master_slave.try_solve_lp}), on a tree too: a plan's per-path
     task counts are floors of [phase * rate], and the tree closed
     form's vertex can lose more to them.  Every per-phase LP solve is
-    cold.  With [reuse] (the default),
-    exactly repeated instances are memoised — flat trace segments and
-    the nominal platform cost one solve for the whole run — and
-    {!Robust} memoises its surviving restriction on the multiplier
-    snapshot.  [?cache] shares the memo across runs (e.g. between
-    strategies of the same scenario); [~reuse:false] disables both
-    memos and re-solves every phase (baseline measurements).  [?stats]
-    accumulates solver/retry counters across all phases.  A memo hit is
-    bit-identical to recomputing, so [reuse] changes no answer: the
-    outcome is {!outcomes_equal} to the [~reuse:false] run's.
+    cold.  [?cache] is the only memo, with {!Lp.solve}'s rule: with
+    it, every plan LP goes through the cache, so exactly repeated
+    instances (flat trace segments, the nominal platform) cost one
+    solve, across runs too when the cache is shared (e.g. between
+    strategies of the same scenario); without it, every plan LP — the
+    nominal plan, plus one per phase for every strategy but
+    {!Static} — goes to the kernel.  [?stats] accumulates solver/retry
+    counters across all phases.  A cache hit is bit-identical to
+    recomputing, so [?cache] changes no answer: the outcome is
+    {!outcomes_equal} to the run without it.
 
     [?checkpoint] (Robust only) enables crash recovery as described
     above.  It only adds the record commits: the run is otherwise the
-    same, and takes its LP memo from [?cache] like any other run.
+    same, and memoises through [?cache] like any other run.
     [?halt_at] (requires [?checkpoint]) injects a crash: the run raises
     {!Checkpoint.Halted} at the start of that boundary's callback,
     after the checkpoint due there (if [halt_at] is a multiple of
@@ -188,11 +189,12 @@ val resume :
     was found and the run started cold — which is also the recovery
     path for a corrupt, version-skewed, wrong-platform or
     snapshot-mismatching record, after quarantining it).  The resumed
-    outcome is bit-identical to the uninterrupted run's, whichever
-    [reuse] flag that run had (memo hits are bit-identical to
+    outcome is bit-identical to the uninterrupted run's, with or
+    without a [?cache] on that run (cache hits are bit-identical to
     re-solves); with [~strict:true] that is certified on the spot
-    against a fresh cold-state run (fresh caches, no checkpoint
-    machinery).  The resumed run memoises like a default {!run}.
+    against an uninterrupted run (no checkpoint machinery).  The
+    resumed run, and that certifying run, have no LP memo, like a
+    {!run} without [?cache].
     @raise Failure if strict certification fails.
     @raise Invalid_argument on a cadence [< 1]. *)
 
@@ -200,15 +202,14 @@ val outcomes_equal : outcome -> outcome -> bool
 (** Exact equality of two outcomes: strategy, completed work, per-phase
     marks (rational equality) and the loss report. *)
 
-val oracle_throughput_bound :
-  ?cache:Lp.Cache.t -> ?reuse:bool -> scenario -> Rat.t
+val oracle_throughput_bound : ?cache:Lp.Cache.t -> scenario -> Rat.t
 (** Sum over phases of [phase * ntask(platform scaled by the true
     multipliers at the phase start)] — an upper bound on any
     phase-planned strategy when breakpoints are phase-aligned.
-    [?cache]/[?reuse] as in {!run}; the bound itself is bit-identical
-    either way.  Only the throughput counts here, so each phase takes
-    {!Master_slave.solve} (the closed form on a tree, which consults no
-    cache). *)
+    [?cache] as in {!run}: without it every phase's LP is solved; the
+    bound itself is bit-identical either way.  Only the throughput
+    counts here, so each phase takes {!Master_slave.solve} (the closed
+    form on a tree, which consults no cache). *)
 
 (** {1 Failure-aware utilities} *)
 
@@ -221,9 +222,9 @@ val surviving_platform : scenario -> at:Rat.t -> Platform.restriction
     platform {!Robust} re-plans on (with true multipliers in place of
     forecasts) and the one per-epoch LP bounds are computed on. *)
 
-val fault_throughput_bound : ?cache:Lp.Cache.t -> ?reuse:bool -> scenario -> Rat.t
+val fault_throughput_bound : ?cache:Lp.Cache.t -> scenario -> Rat.t
 (** Outage-tolerant analogue of {!oracle_throughput_bound}: sum over
     phases of [phase * ntask(surviving platform at the phase start)],
     with fully degraded epochs (no reachable compute power)
-    contributing zero.  Memoised like the other bounds; never raises on
-    outage scenarios. *)
+    contributing zero.  Memoised through [?cache] like the oracle
+    bound; never raises on outage scenarios. *)

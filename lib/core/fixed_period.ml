@@ -154,6 +154,6 @@ let schedule_of ?strict sol q =
 let series sol ~periods =
   List.map (fun t -> (t, quantize sol ~period:t)) periods
 
-let sweep ?cache p ~master ~periods =
-  let sol = Master_slave.solve ?cache p ~master in
+let sweep p ~master ~periods =
+  let sol = Master_slave.solve p ~master in
   (sol, series sol ~periods)

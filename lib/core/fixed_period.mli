@@ -39,12 +39,10 @@ val series :
 (** Throughput as a function of the period length — experiment E9. *)
 
 val sweep :
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   master:Platform.node ->
   periods:Rat.t list ->
   Master_slave.solution * (Rat.t * quantized) list
 (** Platform-level convenience for the E9 workload: solve the
-    steady-state LP (threading [?cache], so repeated sweeps of the same
-    platform re-use the memoised solve) and quantize
-    at every requested period. *)
+    steady-state problem once ({!Master_slave.solve}, no memo) and
+    quantize at every requested period. *)

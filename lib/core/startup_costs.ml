@@ -92,8 +92,8 @@ let makespan_for sol ~startup ~tasks =
 let ratio_series sol ~startup ~task_counts =
   List.map (fun tasks -> makespan_for sol ~startup ~tasks) task_counts
 
-let sweep ?cache p ~master ~startup ~task_counts =
-  let sol = Master_slave.solve ?cache p ~master in
+let sweep p ~master ~startup ~task_counts =
+  let sol = Master_slave.solve p ~master in
   (sol, ratio_series sol ~startup ~task_counts)
 
 let simulate_grouped g ~startup ~mega_periods =

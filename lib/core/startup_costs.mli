@@ -49,16 +49,14 @@ val ratio_series :
   point list
 
 val sweep :
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   master:Platform.node ->
   startup:(Platform.edge -> Rat.t) ->
   task_counts:int list ->
   Master_slave.solution * point list
 (** Platform-level convenience for the E8 workload: solve the
-    steady-state LP (threading [?cache], so repeated sweeps of the same
-    platform re-use the memoised solve) and compute
-    the makespan ratio at every requested task count. *)
+    steady-state problem once ({!Master_slave.solve}, no memo) and
+    compute the makespan ratio at every requested task count. *)
 
 val simulate_grouped :
   grouped -> startup:(Platform.edge -> Rat.t) -> mega_periods:int -> Rat.t

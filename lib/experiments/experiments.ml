@@ -276,8 +276,7 @@ let e7_send_receive () =
 let e8_startup_costs () =
   let startup _ = R.two in
   let _sol, pts =
-    Startup_costs.sweep ~cache:(Lp.Cache.create ()) (Lazy.force fig1)
-      ~master:0 ~startup
+    Startup_costs.sweep (Lazy.force fig1) ~master:0 ~startup
       ~task_counts:[ 100; 1000; 10000; 100000; 1000000 ]
   in
   {
@@ -306,8 +305,7 @@ let e8_startup_costs () =
 
 let e9_fixed_period () =
   let sol, series =
-    Fixed_period.sweep ~cache:(Lp.Cache.create ()) (Lazy.force fig1)
-      ~master:0
+    Fixed_period.sweep (Lazy.force fig1) ~master:0
       ~periods:(List.map R.of_int [ 3; 6; 12; 24; 48; 96; 192 ])
   in
   {

@@ -228,20 +228,19 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     | Error e -> check plan ("LP certificate: " ^ e) false violations)
   | _, (Lp.Infeasible | Lp.Unbounded) ->
     check plan "LP certificate: nominal LP not optimal" false violations);
-  let run ?reuse ?stats strategy =
+  let run ?cache ?stats strategy =
     incr runs;
-    Dy.run ?reuse ?stats sc strategy
+    Dy.run ?cache ?stats sc strategy
   in
-  let robust_r = run ~reuse:true ~stats:effort Dy.Robust in
-  let robust_c = run ~reuse:false Dy.Robust in
-  let static_r = run ~reuse:true Dy.Static in
-  let static_c = run ~reuse:false Dy.Static in
-  (* every LP solve is cold and reuse is memoisation only (the exact
-     LP cache and Robust's restriction memo), so reuse changes no
-     answer: the Robust and Static outcomes and the throughput bounds
-     are all certified bit-identical under [~reuse:true] and
-     [~reuse:false] *)
-  check plan "Robust reuse <> cold" (outcome_equal robust_r robust_c)
+  let robust_r = run ~cache:(Lp.Cache.create ()) ~stats:effort Dy.Robust in
+  let robust_c = run Dy.Robust in
+  let static_r = run ~cache:(Lp.Cache.create ()) Dy.Static in
+  let static_c = run Dy.Static in
+  (* every LP solve is cold and the LP cache is memoisation only, so it
+     changes no answer: the Robust and Static outcomes and the
+     throughput bounds are all certified bit-identical with a fresh
+     cache and with none *)
+  check plan "Robust memo <> no memo" (outcome_equal robust_r robust_c)
     violations;
   let cap = capacity_bound p faults in
   (* Robust must stay within a pipeline's worth of Static's throughput.
@@ -278,22 +277,23 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
         (R.compare o.Dy.completed cap <= 0)
         violations;
       check_accounting plan (label ^ " Robust") o violations)
-    [ ("reuse", robust_r); ("cold", robust_c) ];
-  check plan "Static reuse <> cold" (outcome_equal static_r static_c) violations;
+    [ ("memo", robust_r); ("no memo", robust_c) ];
+  check plan "Static memo <> no memo" (outcome_equal static_r static_c)
+    violations;
   check plan "Static reports losses"
     (losses_equal static_r.Dy.losses Dy.no_losses)
     violations;
   check_accounting plan "Static" static_r violations;
-  check plan "fault bound reuse <> cold"
+  check plan "fault bound memo <> no memo"
     (R.equal
-       (Dy.fault_throughput_bound ~reuse:true sc)
-       (Dy.fault_throughput_bound ~reuse:false sc))
+       (Dy.fault_throughput_bound ~cache:(Lp.Cache.create ()) sc)
+       (Dy.fault_throughput_bound sc))
     violations;
-  (* crash injection + recovery: kill a checkpointed reuse run at a
+  (* crash injection + recovery: kill a checkpointed run at a
      seeded epoch (the halt hook fires exactly where a [kill -9]
      would land — after that boundary's checkpoint commit), resume
      from disk, and certify the stitched outcome bit-identical to the
-     uninterrupted reuse run above *)
+     uninterrupted memo run above *)
   let halt = 1 + Faults.rand_int g (phases - 1) in
   let ckdir = fresh_ckpt_dir () in
   let checkpoint = { Dy.Checkpoint.dir = ckdir; every = 1 } in
@@ -333,11 +333,13 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
       false violations;
   let slowdown_only = outage_free faults in
   if slowdown_only then begin
-    let reactive = run ~reuse:true ~stats:effort Dy.Reactive in
-    let oracle = run ~reuse:true Dy.Oracle in
-    let ob = Dy.oracle_throughput_bound sc in
-    check plan "oracle bound reuse <> cold"
-      (R.equal ob (Dy.oracle_throughput_bound ~reuse:false sc))
+    let reactive =
+      run ~cache:(Lp.Cache.create ()) ~stats:effort Dy.Reactive
+    in
+    let oracle = run ~cache:(Lp.Cache.create ()) Dy.Oracle in
+    let ob = Dy.oracle_throughput_bound ~cache:(Lp.Cache.create ()) sc in
+    check plan "oracle bound memo <> no memo"
+      (R.equal ob (Dy.oracle_throughput_bound sc))
       violations;
     List.iter
       (fun (label, (o : Dy.outcome)) ->

@@ -105,7 +105,6 @@ and t = {
   transferred_tot : R.t array;
   mutable cancel_log : cancelled list; (* newest first *)
   mutable outage_handlers : (t -> outage -> unit) list; (* newest first *)
-  log : (R.t -> string -> unit) option;
 }
 
 (* resource slots: 3 per node *)
@@ -137,7 +136,7 @@ let check_trace label tr =
   in
   go None tr
 
-let create ?(cpu_traces = []) ?(bw_traces = []) ?log p =
+let create ?(cpu_traces = []) ?(bw_traces = []) p =
   let n = Platform.num_nodes p and m = Platform.num_edges p in
   let cpu_trace = Array.make n [||] in
   let bw_trace = Array.make m [||] in
@@ -171,15 +170,12 @@ let create ?(cpu_traces = []) ?(bw_traces = []) ?log p =
       transferred_tot = Array.make m R.zero;
       cancel_log = [];
       outage_handlers = [];
-      log;
     }
   in
   t
 
 let platform t = t.p
 let now t = t.clock
-
-let log t msg = match t.log with None -> () | Some f -> f t.clock msg
 
 (* --- event queue --- *)
 
@@ -274,13 +270,6 @@ let start_op t op =
   Hashtbl.replace t.running_by_key op.key op;
   op.state <- Running;
   op.last_update <- t.clock;
-  (match op.kind with
-  | Compute (i, w) ->
-    log t (Printf.sprintf "start compute %s work=%s" (Platform.name t.p i) (R.to_string w))
-  | Transfer (e, sz) ->
-    log t
-      (Printf.sprintf "start transfer %s size=%s" (Platform.edge_name t.p e)
-         (R.to_string sz)));
   schedule_completion t op
 
 let resources_free t op = List.for_all (fun s -> t.occupied.(s) = None) op.res
@@ -312,17 +301,11 @@ let finish_op t op =
   (match op.kind with
   | Compute (i, w) ->
     t.work_done.(i) <- R.add t.work_done.(i) w;
-    t.compute_count.(i) <- t.compute_count.(i) + 1;
-    log t (Printf.sprintf "done compute %s" (Platform.name t.p i))
+    t.compute_count.(i) <- t.compute_count.(i) + 1
   | Transfer (e, sz) ->
-    t.transferred_tot.(e) <- R.add t.transferred_tot.(e) sz;
-    log t (Printf.sprintf "done transfer %s" (Platform.edge_name t.p e)));
+    t.transferred_tot.(e) <- R.add t.transferred_tot.(e) sz);
   (match op.on_done with None -> () | Some f -> f t);
   try_start_pending t
-
-let reason_name = function
-  | Cancelled -> "cancelled"
-  | Stranded -> "stranded"
 
 let do_cancel t op reason =
   match op.state with
@@ -335,7 +318,6 @@ let do_cancel t op reason =
       { c_kind = op.kind; c_reason = reason; c_remaining = op.remaining;
         c_time = t.clock }
       :: t.cancel_log;
-    log t (Printf.sprintf "%s (queued) op %d" (reason_name reason) op.oid);
     (match op.on_cancel with None -> () | Some f -> f t reason);
     true
   | Running ->
@@ -351,7 +333,6 @@ let do_cancel t op reason =
       { c_kind = op.kind; c_reason = reason; c_remaining = op.remaining;
         c_time = t.clock }
       :: t.cancel_log;
-    log t (Printf.sprintf "%s (running) op %d" (reason_name reason) op.oid);
     (match op.on_cancel with None -> () | Some f -> f t reason);
     try_start_pending t;
     true
@@ -386,8 +367,8 @@ let register_breakpoints t =
   Array.iteri (fun i tr -> register (Cpu_of i) (Knode i) tr) t.cpu_trace;
   Array.iteri (fun e tr -> register (Bw_of e) (Kedge e) tr) t.bw_trace
 
-let create ?cpu_traces ?bw_traces ?log p =
-  let t = create ?cpu_traces ?bw_traces ?log p in
+let create ?cpu_traces ?bw_traces p =
+  let t = create ?cpu_traces ?bw_traces p in
   register_breakpoints t;
   t
 

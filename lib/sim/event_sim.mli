@@ -52,9 +52,11 @@ val trace_multiplier : trace -> Rat.t -> Rat.t
 val create :
   ?cpu_traces:(Platform.node * trace) list ->
   ?bw_traces:(Platform.edge * trace) list ->
-  ?log:(Rat.t -> string -> unit) ->
   Platform.t ->
   t
+(** A simulator at time 0 with nothing submitted.
+    @raise Invalid_argument on a trace with a negative time or
+    multiplier, or breakpoints that are not strictly increasing. *)
 
 val platform : t -> Platform.t
 val now : t -> Rat.t

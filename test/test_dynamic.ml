@@ -115,25 +115,74 @@ let test_trace_order_irrelevant () =
     (Dy.run shuffled Dy.Oracle).Dy.completed
 
 let test_reuse_bit_identical () =
-  (* the solve cache (and Robust's restriction memo) must not change
-     any reported number: every solve is cold, so the whole outcome and
-     the bound are bit-identical *)
-  let sc = scenario () in
-  let cache = Lp.Cache.create () in
+  (* the LP cache is the only memo and must not change any reported
+     number: every solve is cold, so with a cache — one shared by every
+     strategy, or a fresh one per run — the whole outcome and the
+     bounds are bit-identical to the run without one *)
+  let slowdown = scenario () in
+  let bw_dip =
+    {
+      slowdown with
+      Dy.cpu_traces = [];
+      bw_traces = [ (0, [ (ri 20, r 1 4); (ri 50, R.one) ]) ];
+    }
+  in
   List.iter
-    (fun s ->
-      let cold = Dy.run ~reuse:false sc s in
-      let reuse = Dy.run ~cache sc s in
-      Alcotest.(check (list rat))
-        "per-phase tasks identical" cold.Dy.per_phase reuse.Dy.per_phase;
-      Alcotest.(check bool) "outcome identical" true
-        (Dy.outcomes_equal cold reuse))
-    [ Dy.Static; Dy.Reactive; Dy.Oracle; Dy.Robust ];
-  Alcotest.check rat "bound identical"
-    (Dy.oracle_throughput_bound ~reuse:false sc)
-    (Dy.oracle_throughput_bound ~cache sc);
-  Alcotest.(check bool) "the cache actually got used" true
-    (Lp.Cache.hits cache > 0)
+    (fun (label, sc) ->
+      let shared = Lp.Cache.create () in
+      List.iter
+        (fun s ->
+          let cold = Dy.run sc s in
+          List.iter
+            (fun cache ->
+              let memo = Dy.run ~cache sc s in
+              Alcotest.(check (list rat))
+                (label ^ ": per-phase tasks identical")
+                cold.Dy.per_phase memo.Dy.per_phase;
+              Alcotest.(check bool) (label ^ ": outcome identical") true
+                (Dy.outcomes_equal cold memo))
+            [ shared; Lp.Cache.create () ])
+        [ Dy.Static; Dy.Reactive; Dy.Oracle; Dy.Robust ];
+      Alcotest.check rat (label ^ ": oracle bound identical")
+        (Dy.oracle_throughput_bound sc)
+        (Dy.oracle_throughput_bound ~cache:shared sc);
+      Alcotest.check rat (label ^ ": fault bound identical")
+        (Dy.fault_throughput_bound sc)
+        (Dy.fault_throughput_bound ~cache:(Lp.Cache.create ()) sc);
+      Alcotest.(check bool) (label ^ ": the cache actually got used") true
+        (Lp.Cache.hits shared > 0))
+    [ ("slowdown star", slowdown); ("bandwidth dip", bw_dip) ]
+
+let test_no_cache_solves_every_plan () =
+  (* [?cache] is the only memo: on a flat trace every plan LP is the
+     same instance, yet without a cache each one goes to the kernel
+     (the nominal plan, plus one per phase for all but Static), and
+     with a cache the first is solved and the [phases] others hit *)
+  let sc =
+    { (scenario ()) with Dy.cpu_traces = [ (1, [ (ri 20, R.one) ]) ] }
+  in
+  let phases = sc.Dy.phases in
+  List.iter
+    (fun (s, name, plan_lps) ->
+      let stats = Lp.Stats.create () in
+      let plain = Dy.run ~stats sc s in
+      Alcotest.(check int)
+        (name ^ ": one kernel solve per plan LP without a cache")
+        plan_lps stats.Lp.Stats.solves;
+      let stats = Lp.Stats.create () and cache = Lp.Cache.create () in
+      let memo = Dy.run ~cache ~stats sc s in
+      Alcotest.(check int) (name ^ ": one kernel solve with a cache") 1
+        stats.Lp.Stats.solves;
+      Alcotest.(check int) (name ^ ": the other plan LPs hit")
+        (plan_lps - 1) (Lp.Cache.hits cache);
+      Alcotest.(check bool) (name ^ ": same outcome") true
+        (Dy.outcomes_equal plain memo))
+    [
+      (Dy.Static, "static", 1);
+      (Dy.Reactive, "reactive", phases + 1);
+      (Dy.Oracle, "oracle", phases + 1);
+      (Dy.Robust, "robust", phases + 1);
+    ]
 
 let test_validation () =
   let sc = scenario () in
@@ -562,6 +611,8 @@ let suite =
       Alcotest.test_case "multiplier_at" `Quick test_multiplier_at;
       Alcotest.test_case "trace order irrelevant" `Quick test_trace_order_irrelevant;
       Alcotest.test_case "reuse bit-identical" `Quick test_reuse_bit_identical;
+      Alcotest.test_case "no cache: one kernel solve per plan LP" `Quick
+        test_no_cache_solves_every_plan;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "outage validation" `Quick test_outage_validation;
       Alcotest.test_case "robust beats static on crash" `Quick

@@ -65,8 +65,8 @@ let star_scenario () =
     phases = 6;
   }
 
-let halt_run ?reuse ~checkpoint ~halt sc =
-  match Dy.run ?reuse ~checkpoint ~halt_at:halt sc Dy.Robust with
+let halt_run ?cache ~checkpoint ~halt sc =
+  match Dy.run ?cache ~checkpoint ~halt_at:halt sc Dy.Robust with
   | _ -> Alcotest.failf "halt hook at epoch %d did not fire" halt
   | exception Dy.Checkpoint.Halted h ->
     Alcotest.(check int) "halted at the requested epoch" halt h
@@ -165,42 +165,43 @@ let test_strict_resume_with_cadence () =
     "resumes from the newest cadence-aligned record" (Some 4) from;
   rm_rf dir
 
-let test_reuse_false_round_trip () =
-  (* checkpointing composes with cold per-phase solves: a run halted
-     under ~reuse:false resumes exactly, certified on the spot *)
+let test_no_cache_round_trip () =
+  (* checkpointing composes with a run that has no LP memo: a run
+     halted without [?cache] resumes exactly, certified on the spot *)
   let sc = tree_scenario () in
-  let uninterrupted = Dy.run ~reuse:false sc Dy.Robust in
+  let uninterrupted = Dy.run sc Dy.Robust in
   let dir = fresh_dir () in
   let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
-  halt_run ~reuse:false ~checkpoint ~halt:4 sc;
+  halt_run ~checkpoint ~halt:4 sc;
   let resumed, from = Dy.resume ~strict:true ~checkpoint sc in
   Alcotest.(check (option int)) "resumed from the kill epoch" (Some 4) from;
-  Alcotest.(check bool) "cold-mode resume is bit-identical" true
+  Alcotest.(check bool) "no-cache resume is bit-identical" true
     (Dy.outcomes_equal uninterrupted resumed);
   rm_rf dir
 
 let test_cross_flag_resume () =
   (* the record holds executor state only, so it does not depend on the
-     reuse flag: runs halted under either flag commit the same bytes,
-     and a run halted under ~reuse:false resumes from its kill epoch,
-     bit-identical to the cold uninterrupted run *)
+     memo: runs halted with and without [~cache] commit the same bytes,
+     and the one halted without resumes from its kill epoch,
+     bit-identical to the uninterrupted run without a cache *)
   let sc = star_scenario () in
-  let cold = Dy.run ~reuse:false sc Dy.Robust in
-  let halted reuse =
+  let plain = Dy.run sc Dy.Robust in
+  let halted ?cache () =
     let dir = fresh_dir () in
     let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
-    halt_run ~reuse ~checkpoint ~halt:3 sc;
+    halt_run ?cache ~checkpoint ~halt:3 sc;
     let _, _, value = ckpt_record dir in
     (checkpoint, value)
   in
-  let checkpoint, cold_value = halted false in
-  let warm, warm_value = halted true in
-  rm_rf warm.Dy.Checkpoint.dir;
-  Alcotest.(check string) "same record under either flag" warm_value
-    cold_value;
+  let checkpoint, plain_value = halted () in
+  let memo, memo_value = halted ~cache:(Lp.Cache.create ()) () in
+  rm_rf memo.Dy.Checkpoint.dir;
+  Alcotest.(check string) "same record with and without a cache" memo_value
+    plain_value;
   let resumed, from = Dy.resume ~checkpoint sc in
   Alcotest.(check (option int)) "resumed from the kill epoch" (Some 3) from;
-  Alcotest.(check bool) "cold-run answer" true (Dy.outcomes_equal cold resumed);
+  Alcotest.(check bool) "uninterrupted answer" true
+    (Dy.outcomes_equal plain resumed);
   rm_rf checkpoint.Dy.Checkpoint.dir
 
 let test_resume_empty_store_cold_starts () =
@@ -499,9 +500,10 @@ let check_cyclic_support sc =
 
 let test_warm_robust_cyclic_tree () =
   (* the LP optimum on this tree carries flow both ways along a link; a
-     reuse run must cancel that cycle exactly as a cold run does, so the
-     epoch's task flow stays conserved and decomposes into paths — and,
-     every solve being cold, the whole outcome is bit-identical *)
+     run with an LP cache must cancel that cycle exactly as one without
+     does, so the epoch's task flow stays conserved and decomposes into
+     paths — and, every solve being cold, the whole outcome is
+     bit-identical *)
   let sc =
     cyclic_scenario
       ~weights:[ "11/2"; "19/2"; "7"; "6"; "3/2"; "13/2"; "9/2"; "2"; "15/2"; "1" ]
@@ -517,11 +519,11 @@ let test_warm_robust_cyclic_tree () =
         ]
   in
   check_cyclic_support sc;
-  let cold = Dy.run ~reuse:false sc Dy.Robust in
-  let reuse = Dy.run sc Dy.Robust in
-  Alcotest.check rat "cold completed" (ri 87) cold.Dy.completed;
-  Alcotest.(check bool) "reuse outcome equals cold" true
-    (Dy.outcomes_equal cold reuse)
+  let cold = Dy.run sc Dy.Robust in
+  let memo = Dy.run ~cache:(Lp.Cache.create ()) sc Dy.Robust in
+  Alcotest.check rat "no-cache completed" (ri 87) cold.Dy.completed;
+  Alcotest.(check bool) "cached outcome equals no-cache" true
+    (Dy.outcomes_equal cold memo)
 
 let test_resume_cyclic_graph () =
   (* kill-and-resume on a connected graph whose flow has cyclic support:
@@ -563,8 +565,8 @@ let suite =
         test_resume_every_epoch;
       Alcotest.test_case "strict resume, cadence > 1" `Quick
         test_strict_resume_with_cadence;
-      Alcotest.test_case "reuse:false round trip" `Quick
-        test_reuse_false_round_trip;
+      Alcotest.test_case "no-cache round trip" `Quick
+        test_no_cache_round_trip;
       Alcotest.test_case "cross-flag resume" `Quick test_cross_flag_resume;
       Alcotest.test_case "one record per checkpointed run" `Quick
         test_one_record_per_run;

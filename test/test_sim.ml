@@ -186,13 +186,6 @@ let test_trace_validation () =
   Alcotest.(check bool) "non-increasing" true
     (bad [ (0, [ (ri 2, R.one); (ri 2, R.two) ]) ])
 
-let test_log_hook () =
-  let entries = ref [] in
-  let s = S.create ~log:(fun time msg -> entries := (time, msg) :: !entries) (duo ()) in
-  S.submit s (S.Compute (0, ri 1));
-  S.run s;
-  Alcotest.(check int) "start + done" 2 (List.length !entries)
-
 (* property: on a contention-free platform, total busy time equals the
    serial sum of operation durations, and makespan equals the max *)
 let prop_single_resource_serialises =
@@ -392,7 +385,6 @@ let suite =
       Alcotest.test_case "outage trace" `Quick test_outage_trace;
       Alcotest.test_case "speedup trace" `Quick test_speedup_trace;
       Alcotest.test_case "trace validation" `Quick test_trace_validation;
-      Alcotest.test_case "log hook" `Quick test_log_hook;
       Alcotest.test_case "cancel running op" `Quick test_cancel_running;
       Alcotest.test_case "outage events" `Quick test_outage_events;
       Alcotest.test_case "trace_multiplier" `Quick test_trace_multiplier;
