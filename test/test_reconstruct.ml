@@ -1,6 +1,6 @@
 (* Tests for the reconstruction layer: strictly certified schedules
-   across perturbed phases and a fixed-period series, and the
-   reconstruction effort counters. *)
+   across perturbed phases and a fixed-period series, executor outcomes
+   independent of LP reuse, and the reconstruction effort counters. *)
 
 module R = Rat
 module P = Platform
@@ -62,6 +62,35 @@ let test_fixed_period_series_strict () =
       end)
     [ 5; 6; 8; 8; 10; 12 ]
 
+(* --- end-to-end: dynamic strategies ------------------------------------- *)
+
+let test_dynamic_reuse_equivalent () =
+  (* the LP cache is the only reuse threaded through the dynamic
+     strategies; the outcome must not depend on whether a run has one *)
+  let p =
+    Platform_gen.star ~master_weight:Ext_rat.inf
+      ~slaves:[ (Ext_rat.of_int 1, ri 1); (Ext_rat.of_int 2, ri 2) ]
+      ()
+  in
+  let sc =
+    {
+      Dynamic_sched.platform = p;
+      master = 0;
+      cpu_traces = [ (1, [ (ri 20, r 1 4); (ri 50, R.one) ]) ];
+      bw_traces = [];
+      phase = ri 10;
+      phases = 8;
+    }
+  in
+  List.iter
+    (fun strat ->
+      let cold = Dynamic_sched.run sc strat in
+      let reuse = Dynamic_sched.run ~cache:(Lp.Cache.create ()) sc strat in
+      Alcotest.check rat "completed equal" cold.Dynamic_sched.completed
+        reuse.Dynamic_sched.completed)
+    [ Dynamic_sched.Static; Dynamic_sched.Reactive; Dynamic_sched.Oracle;
+      Dynamic_sched.Robust ]
+
 let test_stats_counters_flow () =
   (* the effort counters reach Lp.Stats through the whole stack: one
      rebuilt matching per slot, and the repair counters stay 0 *)
@@ -85,6 +114,8 @@ let suite =
         test_perturbed_phases_strict;
       Alcotest.test_case "fixed-period series, strict" `Quick
         test_fixed_period_series_strict;
+      Alcotest.test_case "dynamic strategies: reuse-independent" `Quick
+        test_dynamic_reuse_equivalent;
       Alcotest.test_case "effort counters flow into stats" `Quick
         test_stats_counters_flow;
     ] )
