@@ -108,29 +108,32 @@ let scaled_platform sc node_mult edge_mult =
              R.div (P.edge_cost p e) (edge_mult e) ))
          (P.edges p))
 
-(* The executors plan on the kernel's vertex even on a tree, not on
-   {!Master_slave.solve}'s closed form: {!phase_plan} floors each
-   path's per-phase count, and the closed form's vertex can lose more
-   to those floors (see {!Master_slave.try_solve_lp}). *)
-let plan_solve ?cache ?stats p ~master =
-  match Master_slave.try_solve_lp ?cache ?stats p ~master with
-  | Ok sol -> sol
-  | Error (`Infeasible | `Unbounded) ->
-    failwith "Dynamic_sched: plan LP not optimal (invalid platform?)"
+(* Whole tasks in a phase's share of a rate, saturating at [max_int]:
+   a capacity past it only ever caps a count from above.  A count a
+   plan actually uses goes through [planned], so one that does not fit
+   a native int (an absurdly long phase or a huge speed-up multiplier)
+   is rejected as bad input rather than overflowing. *)
+let sat_floor x =
+  match Bigint.to_int_opt (R.floor x) with Some k -> k | None -> max_int
 
-(* Whole tasks in a phase's share of a rate; a count beyond a native
-   int (an absurdly long phase or a huge speed-up multiplier) is
-   rejected as bad input rather than overflowing. *)
-let task_count x =
-  match Bigint.to_int_opt (R.floor x) with
-  | Some k -> k
-  | None -> invalid_arg "Dynamic_sched: per-phase task count overflows"
+let sat_add a b = if a > max_int - b then max_int else a + b
 
-(* Plan for one phase, at single-task granularity so that a slave only
-   computes what has actually been delivered (a stalled link therefore
-   stalls the dependent computation, as it would in reality).
+let planned k =
+  if k = max_int then
+    invalid_arg "Dynamic_sched: per-phase task count overflows";
+  k
 
-   The LP task flow is acyclic (cycle-cancelled by {!Reconstruct}) and
+let task_count x = planned (sat_floor x)
+
+(* A phase plan is one [(path, count)] per delivery path — [count]
+   unit task files sent along the master-rooted [path], each computed
+   at its terminal node — plus the master's own task count.  Plans are
+   at single-task granularity so that a slave only computes what has
+   actually been delivered (a stalled link therefore stalls the
+   dependent computation, as it would in reality).
+
+   On a platform that is not a tree, the plan comes from the LP.  The
+   LP task flow is acyclic (cycle-cancelled by {!Reconstruct}) and
    conserved at every non-master node — in = alpha*speed + out, the
    LP's own conservation rows — so it decomposes exactly into
    master-rooted paths: repeatedly follow, from the master, the
@@ -140,15 +143,14 @@ let task_count x =
    [rem_in = rem_comp + rem_out] is preserved by every subtraction, so
    a walk that cannot absorb at a node always finds an onward edge;
    acyclicity bounds its length, and each round zeroes an edge or a
-   node, so there are at most |E| + |V| paths.  On a star every edge
-   is its own single-hop path carrying exactly the old per-edge flow,
-   so star plans (and the curated expectations built on them) are
-   unchanged.
+   node, so there are at most |E| + |V| paths.
 
    Each path then carries floor(phase * rate) unit task files
    (delivered hop by hop, computing one unit at the terminal node);
-   the master's own work is floored the same way. *)
-let phase_plan sol phase =
+   the master's own work is floored the same way.  What these floors
+   lose depends on which optimal vertex the kernel returned; on a tree
+   {!tree_plan} below loses nothing. *)
+let path_floors sol phase =
   let p = sol.Master_slave.platform in
   let master = sol.Master_slave.master in
   let rem = Array.copy sol.Master_slave.task_flow in
@@ -200,6 +202,87 @@ let phase_plan sol phase =
       (R.mul phase (R.mul sol.Master_slave.alpha.(master) (P.speed p master)))
   in
   (paths, master_tasks)
+
+(* The integral bandwidth-centric sweep of {!plan_phase} on a tree.
+   With unit-size tasks, filling a port cheapest link first is its
+   optimal fill, and any inflow up to [absorb u] is deliverable inside
+   [u]'s subtree; so the bottom-up pass finds the one-phase integral
+   optimum and the top-down pass realises it.  A link's fit is compared
+   with the child's absorption before it becomes an int, so a very
+   fast link whose [phase / c] exceeds [max_int] costs nothing when its
+   subtree absorbs little. *)
+let tree_plan p ~master td phase =
+  let n = P.num_nodes p in
+  let cost = P.edge_cost p in
+  let kids =
+    Array.map
+      (List.stable_sort (fun (e1, _) (e2, _) -> R.compare (cost e1) (cost e2)))
+      (Tree_decomp.children p td)
+  in
+  let cpu =
+    Array.init n (fun v ->
+        match P.weight p v with
+        | Ext_rat.Inf -> 0
+        | Ext_rat.Fin w -> sat_floor (R.div phase w))
+  in
+  let order = td.Tree_decomp.order in
+  let take = Array.make (P.num_edges p) 0 in
+  let absorb = Array.make n 0 in
+  for idx = Array.length order - 1 downto 0 do
+    let v = order.(idx) in
+    let budget = ref phase in
+    absorb.(v) <-
+      List.fold_left
+        (fun acc (e, u) ->
+          let fit = R.div !budget (cost e) in
+          let t =
+            if R.compare (R.of_int absorb.(u)) fit <= 0 then absorb.(u)
+            else sat_floor fit
+          in
+          take.(e) <- t;
+          budget := R.sub !budget (R.mul_int (cost e) t);
+          sat_add acc t)
+        cpu.(v) kids.(v)
+  done;
+  let inflow = Array.make n 0 in
+  let rev_path = Array.make n [] in
+  let paths = ref [] in
+  Array.iter
+    (fun v ->
+      let rest =
+        if v = master then max_int (* the master sends every take *)
+        else begin
+          let self = min inflow.(v) cpu.(v) in
+          if self > 0 then paths := (List.rev rev_path.(v), self) :: !paths;
+          inflow.(v) - self
+        end
+      in
+      ignore
+        (List.fold_left
+           (fun rest (e, u) ->
+             let k = planned (min rest take.(e)) in
+             inflow.(u) <- k;
+             rev_path.(u) <- e :: rev_path.(v);
+             rest - k)
+           rest kids.(v)))
+    order;
+  (List.rev !paths, planned cpu.(master))
+
+(* The one phase planner of every executor: the integral sweep on a
+   tree; elsewhere the LP (through the caller's [?cache]/[?stats]) and
+   its per-path floors.  [None] when the LP has no optimum. *)
+let plan_phase ?cache ?stats p ~master phase =
+  match Tree_decomp.detect p ~root:master with
+  | Some td -> Some (tree_plan p ~master td phase)
+  | None -> (
+    match Master_slave.try_solve ?cache ?stats p ~master with
+    | Ok sol -> Some (path_floors sol phase)
+    | Error (`Infeasible | `Unbounded) -> None)
+
+let plan_exn ?cache ?stats p ~master phase =
+  match plan_phase ?cache ?stats p ~master phase with
+  | Some plan -> plan
+  | None -> failwith "Dynamic_sched: plan LP not optimal (invalid platform?)"
 
 type loss_report = {
   timed_out_transfers : int;
@@ -307,14 +390,13 @@ let run_classic ?cache ?stats sc strategy =
   let p = sc.platform in
   let node_cts, edge_cts = compile_scenario sc in
   let sim = simulator_of sc in
-  (* with [?cache], flat trace segments (repeated multipliers) hit it
-     outright; without, every phase is solved *)
-  let solve_scaled node_mult edge_mult =
-    plan_solve ?cache ?stats
-      (scaled_platform sc node_mult edge_mult)
-      ~master:sc.master
+  (* off a tree, with [?cache], flat trace segments (repeated
+     multipliers) hit it outright; without, every phase is solved *)
+  let plan p = plan_exn ?cache ?stats p ~master:sc.master sc.phase in
+  let plan_scaled node_mult edge_mult =
+    plan (scaled_platform sc node_mult edge_mult)
   in
-  let static_sol = plan_solve ?cache ?stats p ~master:sc.master in
+  let static_plan = plan p in
   (* one forecaster per node and per edge (reactive strategy) *)
   let node_fc = Array.init (P.num_nodes p) (fun _ -> Forecast.create ()) in
   let edge_fc = Array.init (P.num_edges p) (fun _ -> Forecast.create ()) in
@@ -322,9 +404,9 @@ let run_classic ?cache ?stats sc strategy =
   let plan_for time =
     match strategy with
     | Robust -> assert false (* handled by [run_robust] *)
-    | Static -> static_sol
+    | Static -> static_plan
     | Oracle ->
-      solve_scaled
+      plan_scaled
         (fun i -> compiled_at node_cts.(i) time)
         (fun e -> compiled_at edge_cts.(e) time)
     | Reactive ->
@@ -336,7 +418,7 @@ let run_classic ?cache ?stats sc strategy =
       List.iter
         (fun e -> Forecast.observe edge_fc.(e) (compiled_at edge_cts.(e) time))
         (P.edges p);
-      solve_scaled
+      plan_scaled
         (fun i -> Forecast.predict node_fc.(i))
         (fun e -> Forecast.predict edge_fc.(e))
   in
@@ -361,8 +443,7 @@ let run_classic ?cache ?stats sc strategy =
     let t0 = R.mul (R.of_int k) sc.phase in
     Event_sim.at sim t0 (fun sim ->
         marks := total_work sim p :: !marks;
-        let sol = plan_for t0 in
-        let transfers, master_tasks = phase_plan sol sc.phase in
+        let transfers, master_tasks = plan_for t0 in
         (* unit task files, each enabling one unit of computation on
            terminal arrival *)
         round_robin (submit_chain sim) transfers;
@@ -390,11 +471,12 @@ let run_classic ?cache ?stats sc strategy =
    failure flags, work marks — all exact).  [resume] replays the logged
    decisions through a fresh simulator — deterministic event replay, no
    LP solves — validates the rebuilt state against the stored snapshot
-   at the checkpointed boundary, and continues live from there.  LP
-   results of the live suffix coincide with the uninterrupted run's
-   because every solve is cold: each epoch's answer is a function of
-   that epoch's platform alone, so no solver state needs restoring and
-   the resumed run needs no LP memo: it runs without one.  A missing,
+   at the checkpointed boundary, and continues live from there.  Plans
+   of the live suffix coincide with the uninterrupted run's because
+   every plan is cold (the tree sweep, or a cold LP solve): each
+   epoch's plan is a function of that epoch's platform alone, so no
+   solver state needs restoring and the resumed run needs no LP memo:
+   it runs without one.  A missing,
    truncated, corrupt, version-skewed or mismatching checkpoint is
    quarantined and degrades to a cold full run — recovery can cost
    time, never answers. *)
@@ -434,8 +516,11 @@ type ckpt_record = {
 }
 
 (* version 2 dropped the warm LP basis block version 1 ended with;
-   version 3 drops the reuse flag and the timed-out counter *)
-let ckpt_format = "steady-ckpt 3"
+   version 3 drops the reuse flag and the timed-out counter; version 4
+   has version 3's layout, but its decision log comes from the integral
+   tree planner, so a version 3 prefix (planned on the LP kernel's
+   vertex) is quarantined rather than resumed into a mix of both *)
+let ckpt_format = "steady-ckpt 4"
 
 let encode_ckpt r =
   let b = Buffer.create 1024 in
@@ -797,8 +882,9 @@ let run_robust ?cache ?stats ?ckpt sc =
      one regime where a fault-free Robust run fell behind.  Physics
      still caps the executed work at the per-epoch LP bound: extra
      submissions merely queue. *)
-  let static_sol = plan_solve ?cache ?stats p ~master:sc.master in
-  let static_transfers, static_master = phase_plan static_sol sc.phase in
+  let static_transfers, static_master =
+    plan_exn ?cache ?stats p ~master:sc.master sc.phase
+  in
   (* Static-floor supply owed on routes that were dead when the floor
      would have submitted.  Static keeps queueing through an outage and
      its queued transfers flow the moment the link recovers, so flooring
@@ -811,12 +897,12 @@ let run_robust ?cache ?stats ?ckpt sc =
      would, restoring [Robust >= Static] under churn with recovery. *)
   let arrears = ref [] in
   let master_deficit = ref 0 in
-  (* No state crosses epochs under churn.  Every epoch's LP is solved
-     cold on its surviving subplatform, and everything after the LP is
-     recomputed from that epoch's solution alone, so no epoch holds
-     solver state a checkpoint would have to store.  The only memo is
-     the caller's [?cache]: an identical multiplier snapshot builds an
-     identical restriction, hence an identical LP, which hits it. *)
+  (* No state crosses epochs under churn.  Every epoch is planned from
+     its surviving subplatform alone (off a tree, by a cold LP solve and
+     everything after it), so no epoch holds solver state a checkpoint
+     would have to store.  The only memo is the caller's [?cache]: an
+     identical multiplier snapshot builds an identical restriction,
+     hence an identical LP, which hits it. *)
   let node_mults = Array.make n R.one in
   let edge_mults = Array.make m R.one in
   let marks = ref [] in
@@ -947,17 +1033,12 @@ let run_robust ?cache ?stats ?ckpt sc =
             let plan =
               if not (has_compute sub) then None
               else
-                match
-                  Master_slave.try_solve_lp ?cache ?stats sub
-                    ~master:restr.P.sub_of_node.(sc.master)
-                with
-                | Error (`Infeasible | `Unbounded) -> None
-                | Ok sol -> Some sol
+                plan_phase ?cache ?stats sub
+                  ~master:restr.P.sub_of_node.(sc.master) sc.phase
             in
             (match plan with
             | None -> D_degraded
-            | Some sol ->
-              let transfers, master_tasks_raw = phase_plan sol sc.phase in
+            | Some (transfers, master_tasks_raw) ->
               (* plan indices live on the restriction; record (and
                  execute) in original platform indices *)
               let transfers =
@@ -986,7 +1067,7 @@ let run_robust ?cache ?stats ?ckpt sc =
              all still deliver (dead destination CPUs queue the work).
              Supply is layered to mirror Static's own port queue:
              payable arrears batches (oldest first), then this
-             boundary's floor batch, then the LP extras — so the
+             boundary's floor batch, then the plan's extras — so the
              opportunistic extras never displace through the one-port
              queue the deliveries Static would have made. *)
           let static_alive =
@@ -1014,7 +1095,7 @@ let run_robust ?cache ?stats ?ckpt sc =
           let payable = List.rev payable in
           arrears :=
             List.rev retained @ (if owed <> [] then [ owed ] else []);
-          (* LP extras beyond the floor on each route (paths compare
+          (* plan extras beyond the floor on each route (paths compare
              structurally — a route is its exact edge sequence) *)
           let extras =
             List.filter_map
@@ -1037,7 +1118,7 @@ let run_robust ?cache ?stats ?ckpt sc =
           in
           let retry_items = !backlog in
           backlog := [];
-          (* retry routes: the LP's routes plus the floored ones *)
+          (* retry routes: the plan's routes plus the floored ones *)
           let route_paths =
             List.map fst transfers
             @ List.filter_map

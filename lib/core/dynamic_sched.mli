@@ -1,9 +1,10 @@
 (** Dynamic steady-state scheduling (§5.5).
 
     Work is divided into phases.  At each phase boundary the scheduler
-    observes resource performance, predicts the next phase, re-solves
-    the steady-state LP on the predicted platform, and runs the new plan
-    for one phase.  Three strategies are compared:
+    observes resource performance, predicts the next phase, re-plans
+    the steady state on the predicted platform in whole tasks
+    ({!plan_phase}), and runs the new plan for one phase.  Four
+    strategies are compared:
 
     - {!Static}: solve once for nominal speeds, never adapt;
     - {!Reactive}: probe at each boundary, forecast with an NWS-style
@@ -12,7 +13,7 @@
       the reference the reactive strategy chases;
     - {!Robust}: like Reactive, but failure-aware — it detects dead
       CPUs and cut links (multiplier 0) through the simulator's outage
-      events, re-solves the LP on the surviving subplatform at each
+      events, re-plans on the surviving subplatform at each
       boundary, cancels in-flight transfers stuck on dead links and
       retries them with exponential backoff (attempt [a] waits
       [phase/4 * 2^(a-1)], at most 3 retries, and a retry whose backoff
@@ -24,15 +25,14 @@
       supply and prunes dead routes) rather than resting on forecast
       quality.
 
-      Under churn no solver state crosses epochs: each epoch's LP is
-      solved cold on its surviving restriction, and everything
-      downstream of the LP — cycle cancellation, path decomposition —
-      is recomputed from that epoch's solution alone, so a checkpoint
-      stores no solver state.  The only memo is the caller's
-      [?cache], as for {!Lp.solve}: with one, an exactly repeated LP
-      (an identical multiplier snapshot builds an identical
-      restriction) is served from it; without one, every LP is
-      solved.
+      Under churn no solver state crosses epochs: each epoch's plan
+      is computed from its surviving restriction alone (on a tree by
+      the integral sweep; elsewhere by a cold LP solve, cycle
+      cancellation and path decomposition), so a checkpoint stores no
+      solver state.  The only memo is the caller's [?cache], as for
+      {!Lp.solve}: with one, an exactly repeated LP (an identical
+      multiplier snapshot builds an identical restriction) is served
+      from it; without one, every LP is solved.
 
     Plans are executed in queued (non-strict) mode: if reality is slower
     than the plan assumed, operations stack up and throughput drops —
@@ -107,6 +107,41 @@ type outcome = {
   losses : loss_report;
 }
 
+val plan_phase :
+  ?cache:Lp.Cache.t ->
+  ?stats:Lp.Stats.t ->
+  Platform.t ->
+  master:Platform.node ->
+  Rat.t ->
+  ((Platform.edge list * int) list * int) option
+(** [plan_phase p ~master phase] is the one phase planner every
+    strategy uses, for its nominal plan and for every re-plan: one
+    [(path, count)] per delivery path ([count] unit task files sent
+    along the master-rooted edge list [path] and computed at its last
+    node) and the master's own task count.
+
+    When the part of [p] reachable from [master] is a tree
+    ({!Tree_decomp.detect}), the plan is the integral bandwidth-centric
+    sweep, with no LP.  Bottom-up, node [v] computes
+    [floor(phase / w_v)] tasks (0 at [w_v = +oo]), and its subtree
+    absorbs that plus what [v]'s out-port can forward in the phase: the
+    children are filled in increasing link cost (ties in child order),
+    child [u] behind link cost [c] taking
+    [min(absorb u, floor(budget / c))] whole tasks out of the budget
+    [phase].  Top-down, the master keeps its own count and sends each
+    child its take; every other node computes [min(inflow, cpu)] itself
+    and forwards the rest in the same order.  That is the integral
+    optimum of one phase: every port and CPU stays within the phase,
+    and it moves at least as many tasks as the per-path floors of any
+    optimal LP vertex.  [?cache] and [?stats] are untouched there.
+
+    Any other platform takes {!Master_slave.try_solve} (the LP, through
+    [?cache], counted in [?stats]) and floors [phase * rate] on each
+    path of its flow's decomposition; [None] when that LP has no
+    optimum.
+    @raise Invalid_argument when a count the plan uses overflows a
+    native int. *)
+
 (** {1 Crash recovery}
 
     A {!Robust} run given a [Checkpoint.config] persists, every
@@ -115,7 +150,7 @@ type outcome = {
     executor state at the boundary (arrears, backlog, deficits, loss
     counters, failure flags, work marks — all rational-exact) — as one
     checksummed, atomically committed {!Solve_store} record (format
-    [steady-ckpt 3]), overwritten at each checkpoint.  The record holds
+    [steady-ckpt 4]), overwritten at each checkpoint.  The record holds
     executor state only: every LP solve is cold, a function of its
     epoch's platform alone, so no solver state or LP memo is stored,
     and the record does not depend on whether the run had a [?cache].
@@ -125,7 +160,9 @@ type outcome = {
     deterministic event replay, no LP work), the rebuilt state is
     validated against the stored snapshot, and the remaining epochs run
     live without an LP memo.  Corruption in any form — truncation,
-    bit flips, version skew (older [steady-ckpt] records included), a
+    bit flips, version skew (older [steady-ckpt] records included: a
+    [steady-ckpt 3] log was planned on the LP kernel's vertex, and
+    resuming it would mix two planners), a
     snapshot the replay cannot reproduce — is quarantined and degrades
     to a cold full run: recovery can cost time, never answers. *)
 
@@ -151,20 +188,19 @@ val run :
   scenario ->
   strategy ->
   outcome
-(** Every phase plan is the kernel's vertex of the master–slave LP
-    ({!Master_slave.try_solve_lp}), on a tree too: a plan's per-path
-    task counts are floors of [phase * rate], and the tree closed
-    form's vertex can lose more to them.  Every per-phase LP solve is
-    cold.  [?cache] is the only memo, with {!Lp.solve}'s rule: with
-    it, every plan LP goes through the cache, so exactly repeated
-    instances (flat trace segments, the nominal platform) cost one
-    solve, across runs too when the cache is shared (e.g. between
-    strategies of the same scenario); without it, every plan LP — the
-    nominal plan, plus one per phase for every strategy but
-    {!Static} — goes to the kernel.  [?stats] accumulates solver/retry
-    counters across all phases.  A cache hit is bit-identical to
-    recomputing, so [?cache] changes no answer: the outcome is
-    {!outcomes_equal} to the run without it.
+(** Every phase plan is {!plan_phase}'s: on a tree the integral sweep,
+    with no LP; elsewhere the LP's per-path floors.  Every per-phase LP
+    solve is cold.  [?cache] and [?stats] only touch the plans of
+    platforms that are not trees.  [?cache] is the only memo, with
+    {!Lp.solve}'s rule: with it, every plan LP goes through the cache,
+    so exactly repeated instances (flat trace segments, the nominal
+    platform) cost one solve, across runs too when the cache is shared
+    (e.g. between strategies of the same scenario); without it, every
+    plan LP — the nominal plan, plus one per phase for every strategy
+    but {!Static} — goes to the kernel.  [?stats] accumulates
+    solver/retry counters across all phases.  A cache hit is
+    bit-identical to recomputing, so [?cache] changes no answer: the
+    outcome is {!outcomes_equal} to the run without it.
 
     [?checkpoint] (Robust only) enables crash recovery as described
     above.  It only adds the record commits: the run is otherwise the

@@ -239,17 +239,15 @@ let solve_tree p ~master td =
   in
   { platform = p; master; ntask; alpha; send_frac = send; task_flow }
 
-let try_solve_lp ?cache ?stats p ~master =
-  let m, alpha_v, s_v = build_lp p ~master in
-  match Lp.solve ?cache ?stats m with
-  | Lp.Infeasible -> Error `Infeasible
-  | Lp.Unbounded -> Error `Unbounded
-  | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol)
-
 let try_solve ?cache ?stats p ~master =
   match Tree_decomp.detect p ~root:master with
   | Some td -> Ok (solve_tree p ~master td)
-  | None -> try_solve_lp ?cache ?stats p ~master
+  | None -> (
+    let m, alpha_v, s_v = build_lp p ~master in
+    match Lp.solve ?cache ?stats m with
+    | Lp.Infeasible -> Error `Infeasible
+    | Lp.Unbounded -> Error `Unbounded
+    | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol))
 
 let solve ?cache ?stats p ~master =
   match try_solve ?cache ?stats p ~master with

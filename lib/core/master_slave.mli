@@ -59,8 +59,10 @@ val solve :
     arrives).  No LP is built or solved there, so [?cache] is not
     consulted and [?stats] stays untouched.  The throughput is the LP
     optimum bit for bit; the vertex may be another optimal one than
-    the kernel's ({!try_solve_lp} returns the kernel's), and it
-    satisfies every constraint of {!build_lp} exactly.
+    the kernel's ({!solve_lp_only} returns the kernel's), and it
+    satisfies every constraint of {!build_lp} exactly.  Whole-task
+    phase plans do not floor either vertex on a tree:
+    {!Dynamic_sched.plan_phase} plans those with an integral sweep.
 
     Any other platform solves {!build_lp} with {!Lp.solve}.  Every
     solve is cold, so the answer is a function of the platform alone.
@@ -85,20 +87,6 @@ val try_solve :
     this on surviving sub-platforms, where a pathological restriction
     must degrade into a structured report rather than escape as an
     exception. *)
-
-val try_solve_lp :
-  ?cache:Lp.Cache.t ->
-  ?stats:Lp.Stats.t ->
-  Platform.t ->
-  master:Platform.node ->
-  (solution, [ `Infeasible | `Unbounded ]) result
-(** {!try_solve} without the tree closed form: the kernel's vertex of
-    {!build_lp} on every platform, cycle-cancelled.  The throughput is
-    the same; the vertex is not.  {!Dynamic_sched}'s executors plan on
-    this one, because they floor [phase * rate] per delivery path: on
-    a star whose cheapest links tie in cost, the closed form spreads
-    the port's remainder over more, slower slaves than the kernel's
-    vertex, and the floors then drop a task per phase or more. *)
 
 val solve_lp_only :
   ?cache:Lp.Cache.t ->

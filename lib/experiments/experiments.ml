@@ -364,15 +364,12 @@ let e10_dynamic () =
       phases = 8;
     }
   in
-  (* one memo shared by all three strategies and the bound: the static
-     plan, every oracle phase and the bound's per-phase solves all draw
-     from the same few distinct scaled platforms *)
-  let cache = Lp.Cache.create () in
-  let run s = Dynamic_sched.run ~cache sc s in
+  (* a star: every phase plan and the bound are closed forms, no LP *)
+  let run s = Dynamic_sched.run sc s in
   let st = run Dynamic_sched.Static in
   let re = run Dynamic_sched.Reactive in
   let o = run Dynamic_sched.Oracle in
-  let bound = Dynamic_sched.oracle_throughput_bound ~cache sc in
+  let bound = Dynamic_sched.oracle_throughput_bound sc in
   let row label (out : Dynamic_sched.outcome) =
     [
       label;

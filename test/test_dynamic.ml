@@ -23,6 +23,17 @@ let scenario () =
     phases = 8;
   }
 
+(* [scenario ()]'s star plus a link between its two slaves, after the
+   star's edges (so the traces keep theirs): a connected graph, not a
+   tree, so every plan goes through the LP and the caller's cache *)
+let graph_scenario () =
+  let sc = scenario () in
+  let text = Platform_parse.to_string sc.Dy.platform in
+  let graph =
+    Platform_parse.of_string (text ^ "edge S1 S2 c=1\nedge S2 S1 c=1\n")
+  in
+  { sc with Dy.platform = graph }
+
 let test_stable_platform_all_equal () =
   (* without perturbations all three strategies coincide *)
   let sc = { (scenario ()) with Dy.cpu_traces = [] } in
@@ -118,8 +129,9 @@ let test_reuse_bit_identical () =
   (* the LP cache is the only memo and must not change any reported
      number: every solve is cold, so with a cache — one shared by every
      strategy, or a fresh one per run — the whole outcome and the
-     bounds are bit-identical to the run without one *)
-  let slowdown = scenario () in
+     bounds are bit-identical to the run without one.  On a tree the
+     plans take no LP, so the scenario is a graph *)
+  let slowdown = graph_scenario () in
   let bw_dip =
     {
       slowdown with
@@ -151,19 +163,24 @@ let test_reuse_bit_identical () =
         (Dy.fault_throughput_bound ~cache:(Lp.Cache.create ()) sc);
       Alcotest.(check bool) (label ^ ": the cache actually got used") true
         (Lp.Cache.hits shared > 0))
-    [ ("slowdown star", slowdown); ("bandwidth dip", bw_dip) ]
+    [ ("slowdown graph", slowdown); ("bandwidth dip", bw_dip) ]
 
 let test_no_cache_solves_every_plan () =
   (* [?cache] is the only memo: on a flat trace every plan LP is the
      same instance, yet without a cache each one goes to the kernel
      (the nominal plan, plus one per phase for all but Static), and
-     with a cache the first is solved and the [phases] others hit *)
-  let sc =
-    { (scenario ()) with Dy.cpu_traces = [ (1, [ (ri 20, R.one) ]) ] }
-  in
+     with a cache the first is solved and the [phases] others hit.
+     Only a graph plans through the LP: on the star every plan is the
+     integral tree sweep, with no kernel solve at all *)
+  let flat sc = { sc with Dy.cpu_traces = [ (1, [ (ri 20, R.one) ]) ] } in
+  let sc = flat (graph_scenario ()) and star = flat (scenario ()) in
   let phases = sc.Dy.phases in
   List.iter
     (fun (s, name, plan_lps) ->
+      let stats = Lp.Stats.create () in
+      ignore (Dy.run ~stats star s);
+      Alcotest.(check int) (name ^ ": no kernel solve on the star") 0
+        stats.Lp.Stats.solves;
       let stats = Lp.Stats.create () in
       let plain = Dy.run ~stats sc s in
       Alcotest.(check int)
@@ -562,26 +579,28 @@ let test_multiplier_edge_cases () =
   Alcotest.(check int) "normalization collapses duplicates" 1
     (List.length (Dy.normalize_trace dup))
 
+let fault_star_8 () =
+  Platform_gen.star ~master_weight:Ext_rat.inf
+    ~slaves:
+      (List.init 8 (fun i ->
+           (Ext_rat.of_ints (3 + (i mod 7)) 2, r (2 + (i mod 5)) 3)))
+    ()
+
 (* An 8-slave star whose cheapest links tie in cost, under seeded
    outages.  The closed form and the kernel reach the same throughput
-   through different vertices, and the per-phase floors of
-   [phase_plan] lose more on the closed form's (3 instead of 4 tasks
-   per nominal phase).  The executors plan on the kernel's vertex; the
-   pinned completions catch a planning path that loses work. *)
-let test_star_plans_keep_lp_vertex () =
-  let p =
-    Platform_gen.star ~master_weight:Ext_rat.inf
-      ~slaves:
-        (List.init 8 (fun i ->
-             (Ext_rat.of_ints (3 + (i mod 7)) 2, r (2 + (i mod 5)) 3)))
-      ()
-  in
+   through different vertices, and per-path floors of either lose
+   tasks (4 per nominal phase on the kernel's vertex, 3 on the closed
+   form's).  The executors plan in whole tasks instead, with the
+   integral sweep (5 per nominal phase); the pinned completions catch a
+   planning path that loses work. *)
+let test_star_plans_whole_tasks () =
+  let p = fault_star_8 () in
   let phase = ri 4 and phases = 16 in
   let fault_free =
     { Dy.platform = p; master = 0; cpu_traces = []; bw_traces = []; phase;
       phases }
   in
-  Alcotest.check rat "fault-free static" (ri 62)
+  Alcotest.check rat "fault-free static" (ri 77)
     (Dy.run fault_free Dy.Static).Dy.completed;
   List.iter
     (fun (seed, static, robust) ->
@@ -598,7 +617,211 @@ let test_star_plans_keep_lp_vertex () =
         (Dy.run sc Dy.Static).Dy.completed;
       Alcotest.check rat (label "robust") (ri robust)
         (Dy.run sc Dy.Robust).Dy.completed)
-    [ (1, 55, 55); (2, 55, 61); (3, 62, 62); (4, 62, 62); (5, 57, 61) ]
+    [ (1, 63, 64); (2, 70, 70); (3, 77, 77); (4, 77, 77); (5, 65, 70) ]
+
+(* --- the phase planner ------------------------------------------------ *)
+
+let plan_total (paths, master_tasks) =
+  List.fold_left (fun acc (_, k) -> acc + k) master_tasks paths
+
+let plan_of p phase =
+  match Dy.plan_phase p ~master:0 phase with
+  | Some plan -> plan
+  | None -> Alcotest.fail "no plan on a tree"
+
+let cpu_count phase p v =
+  match Platform.weight p v with
+  | Ext_rat.Inf -> 0
+  | Ext_rat.Fin w -> Bigint.to_int (R.floor (R.div phase w))
+
+(* every path leaves the master and is connected, and every port and
+   CPU stays within the phase *)
+let check_within_phase label p phase (paths, master_tasks) =
+  let sent = Array.make (Platform.num_edges p) 0 in
+  let computed = Array.make (Platform.num_nodes p) 0 in
+  computed.(0) <- master_tasks;
+  List.iter
+    (fun (path, k) ->
+      if k <= 0 then Alcotest.failf "%s: empty path entry" label;
+      let last =
+        List.fold_left
+          (fun at e ->
+            if Platform.edge_src p e <> at then
+              Alcotest.failf "%s: path not connected" label;
+            sent.(e) <- sent.(e) + k;
+            Platform.edge_dst p e)
+          0 path
+      in
+      computed.(last) <- computed.(last) + k)
+    paths;
+  let within what v used =
+    if R.compare used phase > 0 then
+      Alcotest.failf "%s: %s of node %d busy %s > phase %s" label what v
+        (R.to_string used) (R.to_string phase)
+  in
+  let port es =
+    R.sum (List.map (fun e -> R.mul_int (Platform.edge_cost p e) sent.(e)) es)
+  in
+  List.iter
+    (fun v ->
+      (match Platform.weight p v with
+      | Ext_rat.Inf ->
+        if computed.(v) > 0 then Alcotest.failf "%s: relay %d computes" label v
+      | Ext_rat.Fin w -> within "cpu" v (R.mul_int w computed.(v)));
+      within "out-port" v (port (Platform.out_edges p v));
+      within "in-port" v (port (Platform.in_edges p v)))
+    (Platform.nodes p)
+
+(* Exhaustive integral optimum of one phase on a tree rooted at node 0:
+   every compute count within its CPU and every out-port within the
+   phase, where a tree link carries what its subtree computes (each
+   node's only in-link is its parent's, so its in-port is the parent
+   link's load). *)
+let brute_force p phase =
+  let td = Option.get (Tree_decomp.detect p ~root:0) in
+  let kids = Tree_decomp.children p td in
+  let x = Array.make (Platform.num_nodes p) 0 in
+  let rec subtree v =
+    List.fold_left (fun acc (_, u) -> acc + subtree u) x.(v) kids.(v)
+  in
+  let reached = List.filter (fun v -> td.Tree_decomp.reached.(v)) (Platform.nodes p) in
+  let feasible () =
+    List.for_all
+      (fun v ->
+        R.compare
+          (R.sum
+             (List.map
+                (fun (e, u) -> R.mul_int (Platform.edge_cost p e) (subtree u))
+                kids.(v)))
+          phase
+        <= 0)
+      reached
+  in
+  let best = ref 0 in
+  let rec enum = function
+    | [] ->
+      if feasible () then best := max !best (Array.fold_left ( + ) 0 x)
+    | v :: rest ->
+      for k = 0 to cpu_count phase p v do
+        x.(v) <- k;
+        enum rest
+      done;
+      x.(v) <- 0
+  in
+  enum (List.filter (fun v -> v <> 0) reached);
+  !best + cpu_count phase p 0
+
+(* [sum_v floor(phase * alpha_v * speed_v)]: the whole tasks per-path
+   floors keep of a vertex on a tree, where each computing node has one
+   delivery path *)
+let vertex_floors p phase alpha =
+  List.fold_left
+    (fun acc v ->
+      acc
+      + Bigint.to_int
+          (R.floor (R.mul phase (R.mul alpha.(v) (Platform.speed p v)))))
+    0 (Platform.nodes p)
+
+let kernel_alpha p =
+  let m, alpha_v, _ = Master_slave.build_lp p ~master:0 in
+  match Lp.solve m with
+  | Lp.Optimal sol -> Array.map sol.Lp.values alpha_v
+  | _ -> Alcotest.fail "tree LP not optimal"
+
+let check_beats_vertices label p phase =
+  let plan = plan_of p phase in
+  check_within_phase label p phase plan;
+  let total = plan_total plan in
+  let kernel = vertex_floors p phase (kernel_alpha p) in
+  let closed =
+    vertex_floors p phase (Master_slave.solve p ~master:0).Master_slave.alpha
+  in
+  if total < kernel || total < closed then
+    Alcotest.failf "%s: plan %d < vertex floors (kernel %d, closed form %d)"
+      label total kernel closed
+
+(* stars drawn like the recover workload's: weights 1-4, link costs
+   (1-3)/(1-2) *)
+let seeded_star ~seed ~slaves =
+  let g = Faults.generator ~seed in
+  let draw n = Faults.rand_int g n in
+  Platform_gen.star ~master_weight:Ext_rat.inf
+    ~slaves:
+      (List.init slaves (fun _ ->
+           (Ext_rat.of_int (1 + draw 4), R.of_ints (1 + draw 3) (1 + draw 2))))
+    ()
+
+let test_plan_brute_force () =
+  (* small stars and trees (at most 4 slaves): the sweep's total is the
+     exhaustive integral optimum, within the phase everywhere *)
+  for seed = 1 to 60 do
+    let phase = r (5 + (seed mod 9)) 2 in
+    let slaves = 1 + (seed mod 4) in
+    List.iter
+      (fun (shape, p) ->
+        let label = Printf.sprintf "%s seed %d" shape seed in
+        let plan = plan_of p phase in
+        check_within_phase label p phase plan;
+        Alcotest.(check int) (label ^ ": integral optimum") (brute_force p phase)
+          (plan_total plan))
+      [
+        ("star", seeded_star ~seed ~slaves);
+        ( "tree",
+          Platform_gen.random_tree ~seed ~nodes:(slaves + 1) ~cost_range:(1, 3) ()
+        );
+      ]
+  done;
+  (* a computing master; and links whose [phase / c] is far beyond
+     [max_int], to a slave and to a relay whose own child absorbs
+     little: the plan must not raise *)
+  let tiny = R.of_string "1/1000000000000000000000000000000" in
+  List.iter
+    (fun (label, p, phase, total) ->
+      let plan = plan_of p phase in
+      check_within_phase label p phase plan;
+      Alcotest.(check int) (label ^ ": integral optimum") (brute_force p phase)
+        (plan_total plan);
+      Alcotest.(check int) (label ^ ": total") total (plan_total plan))
+    [
+      ( "computing master",
+        Platform_gen.star ~master_weight:(Ext_rat.of_int 3)
+          ~slaves:[ (Ext_rat.of_int 2, r 1 2); (Ext_rat.of_int 1, ri 2) ]
+          (),
+        ri 7,
+        7 );
+      ( "fast star",
+        Platform_gen.star ~master_weight:Ext_rat.inf
+          ~slaves:[ (Ext_rat.of_int 1, tiny); (Ext_rat.of_int 2, ri 1) ]
+          (),
+        ri 10,
+        15 );
+      ( "fast chain",
+        Platform.create ~names:[| "M"; "R"; "C" |]
+          ~weights:[| Ext_rat.inf; Ext_rat.inf; Ext_rat.of_int 1 |]
+          ~edges:[ (0, 1, tiny); (1, 2, ri 2) ],
+        ri 10,
+        5 );
+    ]
+
+let test_plan_beats_vertex_floors () =
+  (* per-path floors of any optimal vertex move no more whole tasks than
+     the sweep: the kernel's vertex and the closed form's, on the fault
+     star, seeded stars and seeded random trees *)
+  check_beats_vertices "8-slave fault star" (fault_star_8 ()) (ri 4);
+  Alcotest.(check int) "8-slave fault star: 5 tasks per phase" 5
+    (plan_total (plan_of (fault_star_8 ()) (ri 4)));
+  for seed = 1 to 40 do
+    check_beats_vertices
+      (Printf.sprintf "star seed %d" seed)
+      (seeded_star ~seed ~slaves:(3 + (seed mod 8)))
+      (ri 10)
+  done;
+  for seed = 1 to 200 do
+    check_beats_vertices
+      (Printf.sprintf "random_tree seed %d" seed)
+      (Platform_gen.random_tree ~seed ~nodes:(4 + (seed mod 9)) ())
+      (r (7 + (seed mod 11)) 2)
+  done
 
 let suite =
   ( "dynamic",
@@ -632,7 +855,11 @@ let suite =
         test_tree_multihop_stable;
       Alcotest.test_case "multiplier edge cases" `Quick
         test_multiplier_edge_cases;
-      Alcotest.test_case "star plans keep the LP vertex" `Quick
-        test_star_plans_keep_lp_vertex;
+      Alcotest.test_case "star plans in whole tasks" `Quick
+        test_star_plans_whole_tasks;
+      Alcotest.test_case "plan is the integral optimum" `Quick
+        test_plan_brute_force;
+      Alcotest.test_case "plan beats vertex floors" `Quick
+        test_plan_beats_vertex_floors;
       QCheck_alcotest.to_alcotest prop_trace_agreement;
     ] )

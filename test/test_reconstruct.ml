@@ -66,11 +66,16 @@ let test_fixed_period_series_strict () =
 
 let test_dynamic_reuse_equivalent () =
   (* the LP cache is the only reuse threaded through the dynamic
-     strategies; the outcome must not depend on whether a run has one *)
-  let p =
+     strategies; the outcome must not depend on whether a run has one.
+     A star plus one slave-slave link: on a tree the plans take no LP *)
+  let star =
     Platform_gen.star ~master_weight:Ext_rat.inf
       ~slaves:[ (Ext_rat.of_int 1, ri 1); (Ext_rat.of_int 2, ri 2) ]
       ()
+  in
+  let p =
+    Platform_parse.of_string
+      (Platform_parse.to_string star ^ "edge S1 S2 c=1\nedge S2 S1 c=1\n")
   in
   let sc =
     {

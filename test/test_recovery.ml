@@ -65,6 +65,17 @@ let star_scenario () =
     phases = 6;
   }
 
+(* [star_scenario ()] plus a link between its slaves, after the star's
+   edges (so the traces keep theirs): a connected graph, where every
+   plan goes through the LP and so through a caller's cache *)
+let graph_scenario () =
+  let sc = star_scenario () in
+  let text = Platform_parse.to_string sc.Dy.platform in
+  let graph =
+    Platform_parse.of_string (text ^ "edge S1 S2 c=1\nedge S2 S1 c=1\n")
+  in
+  { sc with Dy.platform = graph }
+
 let halt_run ?cache ~checkpoint ~halt sc =
   match Dy.run ?cache ~checkpoint ~halt_at:halt sc Dy.Robust with
   | _ -> Alcotest.failf "halt hook at epoch %d did not fire" halt
@@ -90,7 +101,7 @@ let record_parts raw =
   let key = String.sub payload (knl + 1) klen in
   (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
 
-let v3 = "steady-ckpt 3\n"
+let v4 = "steady-ckpt 4\n"
 
 (* the one checkpoint record of a store directory: (path, key, value) *)
 let ckpt_record dir =
@@ -102,7 +113,7 @@ let ckpt_record dir =
         let raw = really_input_string ic (in_channel_length ic) in
         close_in ic;
         let key, value = record_parts raw in
-        if String.starts_with ~prefix:v3 value then Some (path, key, value)
+        if String.starts_with ~prefix:v4 value then Some (path, key, value)
         else None)
       (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
   in
@@ -293,14 +304,20 @@ let v2_value value =
           (Array.to_list lines)))
 
 let test_previous_ckpt_format_cold_starts () =
-  (* records in the previous checkpoint formats — "steady-ckpt 2" with
-     its reuse flag and timed-out count, and "steady-ckpt 1", which also
-     ended with a warm LP basis block — written inside a valid envelope
-     (length and checksum right), must still be quarantined, and the
-     resume cold-starts with the identical answer *)
+  (* records in the previous checkpoint formats — "steady-ckpt 3", the
+     current layout whose decision log the LP-vertex planner wrote,
+     "steady-ckpt 2" with its reuse flag and timed-out count, and
+     "steady-ckpt 1", which also ended with a warm LP basis block —
+     written inside a valid envelope (length and checksum right), must
+     still be quarantined, and the resume cold-starts with the
+     identical answer *)
   let sc = star_scenario () in
   let uninterrupted = Dy.run sc Dy.Robust in
   let basis = "lpbasis 1\n0\n" in
+  let v3_value value =
+    let n = String.length v4 in
+    "steady-ckpt 3\n" ^ String.sub value n (String.length value - n)
+  in
   let v1_value value =
     let v2 = v2_value value in
     let n = String.length "steady-ckpt 2" in
@@ -327,10 +344,14 @@ let test_previous_ckpt_format_cold_starts () =
          current format *)
       Alcotest.(check bool) (what ^ ": current-format record re-stored") true
         (match Solve_store.find (Solve_store.open_store dir) key with
-        | Some v -> String.starts_with ~prefix:v3 v
+        | Some v -> String.starts_with ~prefix:v4 v
         | None -> false);
       rm_rf dir)
-    [ ("steady-ckpt 2", v2_value); ("steady-ckpt 1", v1_value) ]
+    [
+      ("steady-ckpt 3", v3_value);
+      ("steady-ckpt 2", v2_value);
+      ("steady-ckpt 1", v1_value);
+    ]
 
 (* Fuzz the checkpoint record decoder behind a valid envelope: seeded
    truncations, lines replaced by integers and rationals at and past
@@ -443,7 +464,9 @@ let test_argument_validation () =
         ~checkpoint:{ checkpoint with Dy.Checkpoint.every = 0 }
         sc Dy.Robust);
   (* a caller's cache works alongside a checkpoint: the checkpointed run
-     after a plain one through the same cache re-solves nothing *)
+     after a plain one through the same cache re-solves nothing (on a
+     graph: a tree's plans take no LP) *)
+  let sc = graph_scenario () in
   let cache = Lp.Cache.create () in
   let plain = Dy.run ~cache sc Dy.Robust in
   let hits = Lp.Cache.hits cache and misses = Lp.Cache.misses cache in
@@ -499,11 +522,10 @@ let check_cyclic_support sc =
   Alcotest.(check bool) "epoch-0 flow has cyclic support" true (cycles > 0)
 
 let test_warm_robust_cyclic_tree () =
-  (* the LP optimum on this tree carries flow both ways along a link; a
-     run with an LP cache must cancel that cycle exactly as one without
-     does, so the epoch's task flow stays conserved and decomposes into
-     paths — and, every solve being cold, the whole outcome is
-     bit-identical *)
+  (* the LP optimum on this tree carries flow both ways along a link.
+     The executors plan a tree in whole tasks, with no LP, so that
+     cycle never reaches a plan, and a run with an LP cache, which a
+     tree never consults, is bit-identical *)
   let sc =
     cyclic_scenario
       ~weights:[ "11/2"; "19/2"; "7"; "6"; "3/2"; "13/2"; "9/2"; "2"; "15/2"; "1" ]
@@ -521,7 +543,7 @@ let test_warm_robust_cyclic_tree () =
   check_cyclic_support sc;
   let cold = Dy.run sc Dy.Robust in
   let memo = Dy.run ~cache:(Lp.Cache.create ()) sc Dy.Robust in
-  Alcotest.check rat "no-cache completed" (ri 87) cold.Dy.completed;
+  Alcotest.check rat "no-cache completed" (ri 108) cold.Dy.completed;
   Alcotest.(check bool) "cached outcome equals no-cache" true
     (Dy.outcomes_equal cold memo)
 
