@@ -8,15 +8,6 @@ type point = {
   ratio : float;
 }
 
-(* tasks completed after k periods: sum_i n_i * max(0, k - delay_i) *)
-let completed_after sched k =
-  R.sum
-    (List.map
-       (fun (i, per_period) ->
-         let active = k - sched.Schedule.delays.(i) in
-         if active > 0 then R.mul (R.of_int active) per_period else R.zero)
-       sched.Schedule.compute)
-
 let periods_needed sched n =
   let nr = R.of_int n in
   let maxd =
@@ -24,19 +15,22 @@ let periods_needed sched n =
       (fun acc (i, _) -> max acc sched.Schedule.delays.(i))
       0 sched.Schedule.compute
   in
-  if R.compare (completed_after sched maxd) nr >= 0 then begin
+  if R.compare (Schedule.completed_after sched maxd) nr >= 0 then begin
     (* small n: scan the ramp-up region *)
     let rec go k =
-      if R.compare (completed_after sched k) nr >= 0 then k else go (k + 1)
+      if R.compare (Schedule.completed_after sched k) nr >= 0 then k
+      else go (k + 1)
     in
     go 1
   end
   else begin
     (* past the ramp-up, completion is linear: k*tpp - gap *)
-    let tpp = R.sum (List.map snd sched.Schedule.compute) in
+    let tpp = Schedule.tasks_per_period sched in
     if R.is_zero tpp then failwith "Asymptotic: no compute in schedule"
     else begin
-      let gap = R.sub (R.mul (R.of_int maxd) tpp) (completed_after sched maxd) in
+      let gap =
+        R.sub (R.mul (R.of_int maxd) tpp) (Schedule.completed_after sched maxd)
+      in
       Bigint.to_int (R.ceil (R.div (R.add nr gap) tpp))
     end
   end
@@ -63,13 +57,4 @@ let ratio_series sol ~task_counts =
 let simulate_point sol ~tasks =
   let point = makespan_for sol ~tasks in
   let sched = Master_slave.schedule sol in
-  let sim = Event_sim.create sol.Master_slave.platform in
-  Schedule.execute ~sim ~periods:point.periods sched;
-  Event_sim.run sim;
-  let completed =
-    R.sum
-      (List.map
-         (fun i -> Event_sim.completed_work sim i)
-         (Platform.nodes sol.Master_slave.platform))
-  in
-  (point, completed)
+  (point, Schedule.completed (Schedule.run ~periods:point.periods sched))

@@ -125,31 +125,19 @@ let quantize sol ~period =
 
 let schedule_of ?strict sol q =
   let p = sol.Master_slave.platform in
-  let flow = Array.map (fun items -> R.div items q.period) q.edge_items in
+  let period = q.period in
+  let flow = Array.map (fun items -> R.div items period) q.edge_items in
   let delays = Flow.delays p flow in
-  let transfers =
-    List.filter_map
-      (fun e ->
-        if R.sign q.edge_items.(e) > 0 then
-          Some
-            {
-              Schedule.d_edge = e;
-              d_kind = 0;
-              d_items = q.edge_items.(e);
-              d_item_size = R.one;
-              d_delay = delays.(P.edge_src p e);
-            }
-        else None)
-      (P.edges p)
-  in
   let compute =
     List.filter_map
       (fun i ->
         if R.sign q.node_tasks.(i) > 0 then Some (i, q.node_tasks.(i)) else None)
       (P.nodes p)
   in
-  Reconstruct.reconstruct ?strict p ~period:q.period
-    ~transfers ~compute ~delays
+  Reconstruct.reconstruct ?strict p ~period
+    ~transfers:
+      (Reconstruct.demands p ~period ~kind:0 ~item_size:R.one ~delays flow)
+    ~compute ~delays
 
 let series sol ~periods =
   List.map (fun t -> (t, quantize sol ~period:t)) periods

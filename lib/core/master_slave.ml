@@ -257,49 +257,23 @@ let solve ?cache ?stats p ~master =
 
 let solve_reduced = solve
 
-(* per-node task rate: alpha_i / w_i *)
-let task_rate sol i = R.mul sol.alpha.(i) (P.speed sol.platform i)
-
-let period_of sol =
-  let rates =
-    List.map (fun i -> task_rate sol i) (P.nodes sol.platform)
-    @ Array.to_list sol.task_flow
-  in
-  R.of_bigint (R.lcm_denominators (List.filter (fun r -> not (R.is_zero r)) rates))
-
 let schedule ?strict ?stats sol =
   let p = sol.platform in
-  let period = period_of sol in
+  let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
   let delays = Flow.delays p sol.task_flow in
-  let transfers =
-    List.filter_map
-      (fun e ->
-        let items = R.mul period sol.task_flow.(e) in
-        if R.sign items > 0 then
-          Some
-            {
-              Schedule.d_edge = e;
-              d_kind = 0;
-              d_items = items;
-              d_item_size = R.one;
-              d_delay = delays.(P.edge_src p e);
-            }
-        else None)
-      (P.edges p)
-  in
   let compute =
     List.filter_map
       (fun i ->
-        let tasks = R.mul period (task_rate sol i) in
+        (* per-node task rate: alpha_i / w_i *)
+        let tasks = R.mul period (R.mul sol.alpha.(i) (P.speed p i)) in
         if R.sign tasks > 0 then Some (i, tasks) else None)
       (P.nodes p)
   in
-  Reconstruct.reconstruct ?strict ?stats p ~period ~transfers ~compute
-    ~delays
-
-let tasks_per_period sched sol =
-  ignore sol;
-  R.sum (List.map snd sched.Schedule.compute)
+  Reconstruct.reconstruct ?strict ?stats p ~period
+    ~transfers:
+      (Reconstruct.demands p ~period ~kind:0 ~item_size:R.one ~delays
+         sol.task_flow)
+    ~compute ~delays
 
 type run = {
   elapsed : R.t;
@@ -310,23 +284,14 @@ type run = {
 
 let simulate ?(periods = 8) sol =
   let sched = schedule sol in
-  let sim = Event_sim.create sol.platform in
-  Schedule.execute ~sim ~periods sched;
-  Event_sim.run sim;
-  let completed =
-    R.sum
-      (List.map (fun i -> Event_sim.completed_work sim i) (P.nodes sol.platform))
-  in
+  let completed = Schedule.completed (Schedule.run ~periods sched) in
   let elapsed = R.mul (R.of_int periods) sched.Schedule.period in
-  let expected =
-    R.sum
-      (List.map
-         (fun (i, per_period) ->
-           let active = periods - sched.Schedule.delays.(i) in
-           if active > 0 then R.mul (R.of_int active) per_period else R.zero)
-         sched.Schedule.compute)
-  in
-  { elapsed; completed; upper_bound = R.mul sol.ntask elapsed; expected }
+  {
+    elapsed;
+    completed;
+    upper_bound = R.mul sol.ntask elapsed;
+    expected = Schedule.completed_after sched periods;
+  }
 
 let check_buffers sched ~master ~periods =
   let p = sched.Schedule.platform in

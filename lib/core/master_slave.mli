@@ -123,14 +123,13 @@ val schedule :
   ?stats:Lp.Stats.t ->
   solution ->
   Schedule.t
-(** Periodic schedule with integer task counts: the period is the lcm of
-    the denominators of the per-edge task flows and per-node task rates
-    (§3.1's construction), with the pipeline delays of {!Flow.delays}.
-    With [?strict] the schedule must pass {!Reconstruct.certify}
-    ({!Reconstruct.reconstruct}); [?stats] counts its matchings. *)
-
-val tasks_per_period : Schedule.t -> solution -> Rat.t
-(** Equals [ntask * period]. *)
+(** Periodic schedule with integer task counts, by {!Reconstruct}'s
+    pipeline: the period is {!Reconstruct.task_period} (§3.1's
+    construction), the task files are {!Reconstruct.demands} with the
+    pipeline delays of {!Flow.delays}, and each node computes
+    [period * alpha_i / w_i] tasks ({!Schedule.tasks_per_period} is
+    [ntask * period]).  With [?strict] the schedule must pass
+    {!Reconstruct.certify}; [?stats] counts its matchings. *)
 
 type run = {
   elapsed : Rat.t;
@@ -143,7 +142,7 @@ type run = {
 
 val simulate : ?periods:int -> solution -> run
 (** Execute the reconstructed schedule for [periods] periods (default
-    8) in strict mode — raising {!Event_sim.Conflict} if the
+    8) in strict mode ({!Schedule.run}) — raising {!Event_sim.Conflict} if the
     reconstruction ever violates the one-port model — and report
     measured versus analytic throughput. *)
 

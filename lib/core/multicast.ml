@@ -307,8 +307,6 @@ let edge_depths p source tree =
   done;
   List.map (fun e -> (e, node_depth.(P.edge_src p e))) tree
 
-let period_of packing = R.of_bigint (R.lcm_denominators packing.rates)
-
 let demands packing period =
   let p = packing.platform in
   List.concat
@@ -329,8 +327,8 @@ let demands packing period =
 
 let schedule_of_packing packing =
   let p = packing.platform in
-  let period = period_of packing in
-  Schedule.reconstruct p ~period
+  let period = Reconstruct.period packing.rates in
+  Reconstruct.reconstruct p ~period
     ~transfers:(demands packing period)
     ~compute:[]
     ~delays:(Array.make (P.num_nodes p) 0)
@@ -344,53 +342,16 @@ type run = {
 
 let simulate_packing ?(periods = 8) packing =
   let p = packing.platform in
-  let period = period_of packing in
-  let dems = demands packing period in
-  let sched =
-    Schedule.reconstruct p ~period ~transfers:dems ~compute:[]
-      ~delays:(Array.make (P.num_nodes p) 0)
-  in
-  let sim = Event_sim.create p in
-  Schedule.execute ~sim ~periods sched;
-  Event_sim.run sim;
-  let expected_edge = Array.make (P.num_edges p) R.zero in
-  List.iter
-    (fun d ->
-      let active = periods - d.Schedule.d_delay in
-      if active > 0 then
-        expected_edge.(d.Schedule.d_edge) <-
-          R.add
-            expected_edge.(d.Schedule.d_edge)
-            (R.mul (R.of_int active) d.Schedule.d_items))
-    dems;
-  List.iter
-    (fun e ->
-      let got = Event_sim.transferred sim e in
-      if not (R.equal got expected_edge.(e)) then
-        failwith
-          (Printf.sprintf
-             "Multicast.simulate_packing: edge %s carried %s, expected %s"
-             (P.edge_name p e) (R.to_string got)
-             (R.to_string expected_edge.(e))))
-    (P.edges p);
+  let sched = schedule_of_packing packing in
+  (* every tree into a target delivers it each message *)
   let delivered =
-    Array.of_list
+    Schedule.deliver ~periods sched
       (List.map
-         (fun tgt ->
-           List.fold_left
-             (fun acc d ->
-               if P.edge_dst p d.Schedule.d_edge = tgt then begin
-                 let active = periods - d.Schedule.d_delay in
-                 if active > 0 then
-                   R.add acc (R.mul (R.of_int active) d.Schedule.d_items)
-                 else acc
-               end
-               else acc)
-             R.zero dems)
+         (fun tgt d -> P.edge_dst p d.Schedule.d_edge = tgt)
          packing.targets)
   in
   {
-    elapsed = R.mul (R.of_int periods) period;
+    elapsed = R.mul (R.of_int periods) sched.Schedule.period;
     periods;
     delivered;
     throughput = packing.throughput;

@@ -118,5 +118,5 @@ type run = {
 }
 
 val simulate_packing : ?periods:int -> packing -> run
-(** Strict execution on the simulator plus per-edge totals cross-check,
-    as in {!Scatter.simulate}. *)
+(** Strict execution on the simulator plus the per-edge cross-check in
+    data units ({!Schedule.deliver}), as in {!Scatter.simulate}. *)

@@ -79,18 +79,9 @@ type card_schedule = {
   rounds : Bipartite_coloring.matching list;
 }
 
-let period_of sol =
-  let rates =
-    List.map
-      (fun i -> R.mul sol.alpha.(i) (P.speed sol.platform i))
-      (P.nodes sol.platform)
-    @ Array.to_list sol.task_flow
-  in
-  R.of_bigint (R.lcm_denominators (List.filter (fun r -> not (R.is_zero r)) rates))
-
 let reconstruct sol ~send_card ~recv_card ~send_cards ~recv_cards =
   let p = sol.platform in
-  let period = period_of sol in
+  let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
   (* flatten (node, card) pairs into dense bipartite indices *)
   let send_base = Array.make (P.num_nodes p) 0 in
   let recv_base = Array.make (P.num_nodes p) 0 in

@@ -1,5 +1,6 @@
 module R = Rat
 module P = Platform
+module S = Schedule
 module BC = Bipartite_coloring
 
 let cancel ?stats p f =
@@ -11,24 +12,52 @@ let cancel ?stats p f =
       ~matchings_rebuilt:0);
   g
 
+(* 0 has denominator 1, so zero rates leave the lcm alone *)
+let period rates = R.of_bigint (R.lcm_denominators rates)
+
+let task_period p ~alpha flow =
+  period
+    (List.map (fun i -> R.mul alpha.(i) (P.speed p i)) (P.nodes p)
+    @ Array.to_list flow)
+
+let demands p ~period ~kind ~item_size ~delays flow =
+  List.filter_map
+    (fun e ->
+      let items = R.mul period flow.(e) in
+      if R.sign items > 0 then
+        Some
+          {
+            S.d_edge = e;
+            d_kind = kind;
+            d_items = items;
+            d_item_size = item_size;
+            d_delay = delays.(P.edge_src p e);
+          }
+      else None)
+    (P.edges p)
+
+(* port time a demand takes per period: its weight in the colouring *)
+let busy p d =
+  R.mul d.S.d_items (R.mul d.S.d_item_size (P.edge_cost p d.S.d_edge))
+
 (* Independent structural audit of a schedule: the well-formedness
    check plus the colouring checker run on the matchings the slots
    encode, against the bipartite edges the stored demands induce.  This is exactly the certificate the paper's
    reconstruction owes: matching slots, per-edge volumes exact, total
    duration equal to the maximum weighted degree. *)
-let certify (t : Schedule.t) =
-  match Schedule.check_well_formed t with
+let certify (t : S.t) =
+  match S.check_well_formed t with
   | Error _ as e -> e
   | Ok () ->
-    let p = t.Schedule.platform in
+    let p = t.S.platform in
     let tag_of = Hashtbl.create 32 in
     let ambiguous = ref false in
     Array.iteri
       (fun tag d ->
-        let key = (d.Schedule.d_edge, d.Schedule.d_kind) in
+        let key = (d.S.d_edge, d.S.d_kind) in
         if Hashtbl.mem tag_of key then ambiguous := true
         else Hashtbl.replace tag_of key tag)
-      t.Schedule.demands;
+      t.S.demands;
     if !ambiguous then
       (* two demands share an edge and kind: the slot transfers cannot
          be attributed back to demands, so only well-formedness (above)
@@ -37,25 +66,18 @@ let certify (t : Schedule.t) =
     else begin
       let bip_edges =
         List.filter_map
-          (fun (key, tag) ->
-            let d = t.Schedule.demands.(tag) in
-            let w =
-              R.mul d.Schedule.d_items
-                (R.mul d.Schedule.d_item_size
-                   (P.edge_cost p d.Schedule.d_edge))
-            in
+          (fun (_, tag) ->
+            let d = t.S.demands.(tag) in
+            let w = busy p d in
             if R.sign w > 0 then
               Some
                 {
-                  BC.left = P.edge_src p d.Schedule.d_edge;
-                  right = P.edge_dst p d.Schedule.d_edge;
+                  BC.left = P.edge_src p d.S.d_edge;
+                  right = P.edge_dst p d.S.d_edge;
                   weight = w;
                   tag;
                 }
-            else begin
-              ignore key;
-              None
-            end)
+            else None)
           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tag_of [])
       in
       let missing = ref false in
@@ -63,28 +85,25 @@ let certify (t : Schedule.t) =
         List.map
           (fun s ->
             {
-              BC.duration = s.Schedule.duration;
+              BC.duration = s.S.duration;
               edges =
                 List.filter_map
                   (fun tr ->
-                    match
-                      Hashtbl.find_opt tag_of
-                        (tr.Schedule.edge, tr.Schedule.kind)
-                    with
+                    match Hashtbl.find_opt tag_of (tr.S.edge, tr.S.kind) with
                     | None ->
                       missing := true;
                       None
                     | Some tag ->
                       Some
                         {
-                          BC.left = P.edge_src p tr.Schedule.edge;
-                          right = P.edge_dst p tr.Schedule.edge;
+                          BC.left = P.edge_src p tr.S.edge;
+                          right = P.edge_dst p tr.S.edge;
                           weight = R.one;
                           tag;
                         })
-                  s.Schedule.transfers;
+                  s.S.transfers;
             })
-          t.Schedule.slots
+          t.S.slots
       in
       if !missing then Error "certify: slot transfer without a demand"
       else
@@ -93,10 +112,95 @@ let certify (t : Schedule.t) =
           matchings
     end
 
+(* Weighted bipartite edge colouring of the per-period volumes: one
+   slot per matching, in the colouring's order. *)
 let reconstruct ?(strict = false) ?stats p ~period ~transfers ~compute
     ~delays =
+  if R.sign period <= 0 then
+    invalid_arg "Reconstruct.reconstruct: non-positive period";
+  (* compute must fit the period *)
+  List.iter
+    (fun (i, work) ->
+      if R.sign work < 0 then
+        invalid_arg "Reconstruct.reconstruct: negative work";
+      if R.sign work > 0 then begin
+        match P.weight p i with
+        | Ext_rat.Inf ->
+          invalid_arg
+            (Printf.sprintf "Reconstruct.reconstruct: %s cannot compute"
+               (P.name p i))
+        | Ext_rat.Fin w ->
+          if R.compare (R.mul work w) period > 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "Reconstruct.reconstruct: compute on %s exceeds the period"
+                 (P.name p i))
+      end)
+    compute;
+  let transfers = Array.of_list transfers in
+  Array.iter
+    (fun d ->
+      if R.sign d.S.d_items < 0 || R.sign d.S.d_item_size <= 0 then
+        invalid_arg "Reconstruct.reconstruct: bad transfer volume")
+    transfers;
+  let bip_edges =
+    Array.to_list
+      (Array.mapi
+         (fun tag d ->
+           {
+             BC.left = P.edge_src p d.S.d_edge;
+             right = P.edge_dst p d.S.d_edge;
+             weight = busy p d;
+             tag;
+           })
+         transfers)
+  in
+  let bip_edges = List.filter (fun e -> R.sign e.BC.weight > 0) bip_edges in
+  let n = P.num_nodes p in
+  let delta = BC.max_weighted_degree ~left_size:n ~right_size:n bip_edges in
+  if R.compare delta period > 0 then
+    invalid_arg
+      (Printf.sprintf "Reconstruct.reconstruct: port load %s exceeds period %s"
+         (R.to_string delta) (R.to_string period));
+  let matchings = BC.decompose ~left_size:n ~right_size:n bip_edges in
+  let offset = ref R.zero in
+  let slots =
+    List.map
+      (fun m ->
+        let slot_transfers =
+          List.map
+            (fun be ->
+              let d = transfers.(be.BC.tag) in
+              (* the slot keeps the communication busy for its whole
+                 duration: items moved = duration / (c_e * item_size) *)
+              let items =
+                R.div m.BC.duration
+                  (R.mul (P.edge_cost p d.S.d_edge) d.S.d_item_size)
+              in
+              {
+                S.edge = d.S.d_edge;
+                kind = d.S.d_kind;
+                items;
+                item_size = d.S.d_item_size;
+                delay = d.S.d_delay;
+              })
+            m.BC.edges
+        in
+        let s =
+          { S.offset = !offset; duration = m.BC.duration;
+            transfers = slot_transfers }
+        in
+        offset := R.add !offset m.BC.duration;
+        s)
+      matchings
+  in
+  (match stats with
+  | None -> ()
+  | Some s ->
+    Lp.Stats.add_reconstruction s ~cycles_cancelled:0
+      ~matchings_rebuilt:(List.length matchings));
   let sched =
-    Schedule.reconstruct ?stats p ~period ~transfers ~compute ~delays
+    { S.platform = p; period; slots; compute; delays; demands = transfers }
   in
   (if strict then
      match certify sched with

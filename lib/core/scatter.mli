@@ -22,8 +22,8 @@ val solve :
 
 val schedule : solution -> Schedule.t
 (** Kinds in the schedule are target indices (positions in [targets]).
-    The period is the lcm of the flow denominators; per-(edge, kind)
-    activation delays come from the per-commodity flow DAGs. *)
+    The period is {!Reconstruct.period} of all the flows; each kind's
+    {!Reconstruct.demands} take their delays from its own flow DAG. *)
 
 type run = {
   elapsed : Rat.t;
@@ -33,7 +33,8 @@ type run = {
 }
 
 val simulate : ?periods:int -> solution -> run
-(** Strictly executes the schedule on the simulator: raises
-    {!Event_sim.Conflict} on any one-port violation; also cross-checks
-    the simulator's per-edge transferred totals against the analytic
-    ramp-up counts.  @raise Failure if the cross-check fails. *)
+(** Strictly executes the schedule on the simulator
+    ({!Schedule.deliver}): raises {!Event_sim.Conflict} on any one-port
+    violation; also cross-checks the simulator's per-edge transferred
+    data units against the analytic ramp-up counts.  @raise Failure if
+    the cross-check fails. *)

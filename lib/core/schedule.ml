@@ -1,6 +1,5 @@
 module R = Rat
 module P = Platform
-module BC = Bipartite_coloring
 
 type transfer = {
   edge : P.edge;
@@ -28,93 +27,6 @@ type t = {
   delays : int array;
   demands : demand array;
 }
-
-let reconstruct ?stats p ~period ~transfers ~compute ~delays =
-  if R.sign period <= 0 then
-    invalid_arg "Schedule.reconstruct: non-positive period";
-  (* compute must fit the period *)
-  List.iter
-    (fun (i, work) ->
-      if R.sign work < 0 then
-        invalid_arg "Schedule.reconstruct: negative work";
-      if R.sign work > 0 then begin
-        match P.weight p i with
-        | Ext_rat.Inf ->
-          invalid_arg
-            (Printf.sprintf "Schedule.reconstruct: %s cannot compute"
-               (P.name p i))
-        | Ext_rat.Fin w ->
-          if R.compare (R.mul work w) period > 0 then
-            invalid_arg
-              (Printf.sprintf
-                 "Schedule.reconstruct: compute on %s exceeds the period"
-                 (P.name p i))
-      end)
-    compute;
-  let transfers = Array.of_list transfers in
-  Array.iter
-    (fun d ->
-      if R.sign d.d_items < 0 || R.sign d.d_item_size <= 0 then
-        invalid_arg "Schedule.reconstruct: bad transfer volume")
-    transfers;
-  let bip_edges =
-    Array.to_list
-      (Array.mapi
-         (fun tag d ->
-           {
-             BC.left = P.edge_src p d.d_edge;
-             right = P.edge_dst p d.d_edge;
-             weight =
-               R.mul d.d_items (R.mul d.d_item_size (P.edge_cost p d.d_edge));
-             tag;
-           })
-         transfers)
-  in
-  let bip_edges = List.filter (fun e -> R.sign e.BC.weight > 0) bip_edges in
-  let n = P.num_nodes p in
-  let delta = BC.max_weighted_degree ~left_size:n ~right_size:n bip_edges in
-  if R.compare delta period > 0 then
-    invalid_arg
-      (Printf.sprintf "Schedule.reconstruct: port load %s exceeds period %s"
-         (R.to_string delta) (R.to_string period));
-  let matchings = BC.decompose ~left_size:n ~right_size:n bip_edges in
-  let offset = ref R.zero in
-  let slots =
-    List.map
-      (fun m ->
-        let slot_transfers =
-          List.map
-            (fun be ->
-              let d = transfers.(be.BC.tag) in
-              (* the slot keeps the communication busy for its whole
-                 duration: items moved = duration / (c_e * item_size) *)
-              let items =
-                R.div m.BC.duration
-                  (R.mul (P.edge_cost p d.d_edge) d.d_item_size)
-              in
-              {
-                edge = d.d_edge;
-                kind = d.d_kind;
-                items;
-                item_size = d.d_item_size;
-                delay = d.d_delay;
-              })
-            m.BC.edges
-        in
-        let s =
-          { offset = !offset; duration = m.BC.duration;
-            transfers = slot_transfers }
-        in
-        offset := R.add !offset m.BC.duration;
-        s)
-      matchings
-  in
-  (match stats with
-  | None -> ()
-  | Some s ->
-    Lp.Stats.add_reconstruction s ~cycles_cancelled:0
-      ~matchings_rebuilt:(List.length matchings));
-  { platform = p; period; slots; compute; delays; demands = transfers }
 
 let slot_count t = List.length t.slots
 
@@ -203,6 +115,56 @@ let execute ~sim ~periods ?(strict = true) t =
               Event_sim.submit ~strict sim (Event_sim.Compute (i, work))))
       t.compute
   done
+
+let run ~periods t =
+  let sim = Event_sim.create t.platform in
+  execute ~sim ~periods t;
+  Event_sim.run sim;
+  sim
+
+let completed sim =
+  R.sum
+    (List.map
+       (fun i -> Event_sim.completed_work sim i)
+       (P.nodes (Event_sim.platform sim)))
+
+let tasks_per_period t = R.sum (List.map snd t.compute)
+
+(* what a per-period amount [x] delayed by [delay] periods adds up to
+   after [k] periods *)
+let after k delay x =
+  if k > delay then R.mul (R.of_int (k - delay)) x else R.zero
+
+let completed_after t k =
+  R.sum (List.map (fun (i, n) -> after k t.delays.(i) n) t.compute)
+
+let deliver ~periods t selectors =
+  let p = t.platform in
+  let sim = run ~periods t in
+  let expected = Array.make (P.num_edges p) R.zero in
+  Array.iter
+    (fun d ->
+      expected.(d.d_edge) <-
+        R.add expected.(d.d_edge)
+          (after periods d.d_delay (R.mul d.d_items d.d_item_size)))
+    t.demands;
+  List.iter
+    (fun e ->
+      let got = Event_sim.transferred sim e in
+      if not (R.equal got expected.(e)) then
+        failwith
+          (Printf.sprintf "Schedule.deliver: edge %s carried %s, expected %s"
+             (P.edge_name p e) (R.to_string got) (R.to_string expected.(e))))
+    (P.edges p);
+  Array.of_list
+    (List.map
+       (fun selects ->
+         Array.fold_left
+           (fun acc d ->
+             if selects d then R.add acc (after periods d.d_delay d.d_items)
+             else acc)
+           R.zero t.demands)
+       selectors)
 
 let pp ppf t =
   Format.fprintf ppf "period %a, %d slot(s)@." R.pp t.period

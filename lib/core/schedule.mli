@@ -7,9 +7,9 @@
     amounts that overlap with communication (full-overlap model).
 
     Slots come out of the weighted bipartite edge colouring
-    ({!Bipartite_coloring}): the LP one-port constraints guarantee the
-    maximum weighted degree is at most [T], hence the slots fit in the
-    period.  This polynomial-size description is exactly the paper's
+    ({!Reconstruct.reconstruct}): the LP one-port constraints guarantee
+    the maximum weighted degree is at most [T], hence the slots fit in
+    the period.  This polynomial-size description is exactly the paper's
     answer to "[T] may be exponential, don't describe each time step".
 
     Items are the problem's unit of payload (task files, scatter
@@ -57,23 +57,6 @@ type t = {
           slots against *)
 }
 
-val reconstruct :
-  ?stats:Lp.Stats.t ->
-  Platform.t ->
-  period:Rat.t ->
-  transfers:demand list ->
-  compute:(Platform.node * Rat.t) list ->
-  delays:int array ->
-  t
-(** [reconstruct p ~period ~transfers ~compute ~delays] orchestrates the
-    given per-period communication volumes into matching slots via
-    weighted bipartite edge colouring ({!Bipartite_coloring.decompose}):
-    one slot per matching, in the colouring's order.  [?stats] counts
-    the matchings into {!Lp.Stats}' [matchings_rebuilt].
-    @raise Invalid_argument if the communications cannot fit
-    (some port busier than [period]) or some compute exceeds the
-    period — the steady-state LPs rule both out. *)
-
 val slot_count : t -> int
 
 val items_on_edge : t -> Platform.edge -> kind:int -> Rat.t
@@ -95,6 +78,31 @@ val execute :
     default), any one-port violation raises {!Event_sim.Conflict} — a
     successful strict run is a machine-checked feasibility certificate
     for the reconstruction. *)
+
+val run : periods:int -> t -> Event_sim.t
+(** The strict run: {!execute} [periods] periods on a fresh simulator
+    of the schedule's platform and run it to the end.  Raises
+    {!Event_sim.Conflict} on any one-port violation. *)
+
+val completed : Event_sim.t -> Rat.t
+(** Work units completed on all nodes of the simulator's platform (tasks,
+    for a master–slave schedule). *)
+
+val tasks_per_period : t -> Rat.t
+(** Work units computed per period, all nodes together. *)
+
+val completed_after : t -> int -> Rat.t
+(** Analytic completions after [k] periods:
+    [sum_i n_i * max(0, k - delays.(i))] over the compute plan — the
+    constant-in-[k] ramp-up gap of §4.2. *)
+
+val deliver : periods:int -> t -> (demand -> bool) list -> Rat.t array
+(** The strict {!run} of a collective schedule, cross-checked: every
+    edge must carry exactly the data units its demands move in their
+    active periods ([items * item_size] per period from [d_delay] on).
+    Returns, per predicate, the items delivered by the demands it
+    selects (those into one target, say), in the predicates' order.
+    @raise Failure if the cross-check fails. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -76,22 +76,13 @@ type greedy_schedule = {
   efficiency : R.t;
 }
 
-let period_of sol =
-  let rates =
-    List.map
-      (fun i -> R.mul sol.alpha.(i) (P.speed sol.platform i))
-      (P.nodes sol.platform)
-    @ Array.to_list sol.task_flow
-  in
-  R.of_bigint (R.lcm_denominators (List.filter (fun r -> not (R.is_zero r)) rates))
-
 (* Greedy decomposition: repeatedly take a maximal independent set of
    communications (largest remaining busy time first; an edge conflicts
    with any other touching either of its endpoints) and peel off the
    smallest remaining busy time in the set. *)
 let greedy_reconstruct sol =
   let p = sol.platform in
-  let period = period_of sol in
+  let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
   (* remaining busy time per active edge *)
   let remaining =
     ref

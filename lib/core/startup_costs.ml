@@ -11,13 +11,12 @@ type grouped = {
 (* stretched slot structure: (offset, duration, transfers) where each
    transfer keeps base-period semantics but will be submitted with m
    periods worth of items plus its start-up *)
-let slot_overhead startup p slot =
+let slot_overhead startup slot =
   List.fold_left
     (fun acc tr ->
       if R.sign tr.Schedule.items > 0 then R.max acc (startup tr.Schedule.edge)
       else acc)
     R.zero slot.Schedule.transfers
-  |> fun o -> ignore p; o
 
 let group sol ~startup ~m =
   if m <= 0 then invalid_arg "Startup_costs.group: m <= 0";
@@ -33,13 +32,11 @@ let group sol ~startup ~m =
       (List.map
          (fun s ->
            R.add (R.mul (R.of_int m) s.Schedule.duration)
-             (slot_overhead startup p s))
+             (slot_overhead startup s))
          base.Schedule.slots)
   in
   let mega_period = R.max comm_time (R.mul (R.of_int m) base.Schedule.period) in
-  let tasks_per_mega =
-    R.mul (R.of_int m) (R.sum (List.map snd base.Schedule.compute))
-  in
+  let tasks_per_mega = R.mul (R.of_int m) (Schedule.tasks_per_period base) in
   { base; m; mega_period; tasks_per_mega }
 
 let recommended_m sol ~tasks =
@@ -58,15 +55,8 @@ type point = {
   ratio : float;
 }
 
-let completed_after g k =
-  R.sum
-    (List.map
-       (fun (i, per_period) ->
-         let active = k - g.base.Schedule.delays.(i) in
-         if active > 0 then
-           R.mul (R.of_int (active * g.m)) per_period
-         else R.zero)
-       g.base.Schedule.compute)
+let completed_after (g : grouped) k =
+  R.mul (R.of_int g.m) (Schedule.completed_after g.base k)
 
 let makespan_for sol ~startup ~tasks =
   let m = recommended_m sol ~tasks in
@@ -107,7 +97,7 @@ let simulate_grouped g ~startup ~mega_periods =
     List.iter
       (fun s ->
         let dur =
-          R.add (R.mul mr s.Schedule.duration) (slot_overhead startup p s)
+          R.add (R.mul mr s.Schedule.duration) (slot_overhead startup s)
         in
         let start = R.add t0 !offset in
         List.iter
@@ -136,4 +126,4 @@ let simulate_grouped g ~startup ~mega_periods =
       g.base.Schedule.compute
   done;
   Event_sim.run sim;
-  R.sum (List.map (fun i -> Event_sim.completed_work sim i) (P.nodes p))
+  Schedule.completed sim

@@ -58,7 +58,7 @@ let e2_reconstruction () =
     rows =
       [
         [ "period T"; rat sched.Schedule.period ];
-        [ "tasks per period"; rat (Master_slave.tasks_per_period sched sol) ];
+        [ "tasks per period"; rat (Schedule.tasks_per_period sched) ];
         [ "communication slots"; string_of_int (Schedule.slot_count sched) ];
         [ "|E| bound on slots"; string_of_int (P.num_edges p) ];
         [ "well-formed"; wf ];
@@ -648,7 +648,7 @@ let epoch_replay ~cache sc =
           let run = Master_slave.simulate ~periods:4 sol in
           let per_period =
             R.equal
-              (Master_slave.tasks_per_period sched sol)
+              (Schedule.tasks_per_period sched)
               (R.mul sol.Master_slave.ntask sched.Schedule.period)
           in
           if

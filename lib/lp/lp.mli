@@ -199,7 +199,7 @@ module Stats : sig
   val add_reconstruction :
     t -> cycles_cancelled:int -> matchings_rebuilt:int -> unit
   (** Count one reconstruction step's effort; called by the
-      reconstruction layer ([Reconstruct.cancel], [Schedule.reconstruct]),
+      reconstruction layer ([Reconstruct.cancel], [Reconstruct.reconstruct]),
       not by {!solve}. *)
 
   val add_retry : t -> backoff:Rat.t -> unit

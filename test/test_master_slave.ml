@@ -118,7 +118,7 @@ let test_schedule_well_formed () =
     (P.edges p);
   Alcotest.check rat "tasks per period = ntask * T"
     (R.mul sol.MS.ntask sched.Schedule.period)
-    (MS.tasks_per_period sched sol)
+    (Schedule.tasks_per_period sched)
 
 let test_buffers_causal () =
   (* the logical buffer replay: no node ever spends tasks it has not

@@ -42,7 +42,7 @@ let test_perturbed_phases_strict () =
         Alcotest.check rat
           (Printf.sprintf "phase %d: throughput = ntask" k)
           sol.MS.ntask
-          (R.div (MS.tasks_per_period sched sol) sched.Schedule.period)
+          (R.div (Schedule.tasks_per_period sched) sched.Schedule.period)
       done)
     [ 7; 42 ]
 

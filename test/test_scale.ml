@@ -278,7 +278,7 @@ let test_solve_reduced_schedulable () =
   let sched = Master_slave.schedule sol in
   Alcotest.check rat "tasks per period = ntask * period"
     (R.mul sol.Master_slave.ntask sched.Schedule.period)
-    (Master_slave.tasks_per_period sched sol)
+    (Schedule.tasks_per_period sched)
 
 (* --- collectives: the tree dispatch ---------------------------------------
 

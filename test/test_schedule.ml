@@ -20,7 +20,7 @@ let demand ?(kind = 0) ?(delay = 0) e items =
 let test_reconstruct_simple () =
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand 0 (ri 2) ]
       ~compute:[ (1, ri 2) ]
       ~delays:[| 0; 1 |]
@@ -38,21 +38,21 @@ let test_reconstruct_rejections () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "zero period" true
     (bad (fun () ->
-         S.reconstruct p ~period:R.zero ~transfers:[] ~compute:[]
+         Reconstruct.reconstruct p ~period:R.zero ~transfers:[] ~compute:[]
            ~delays:[| 0; 0 |]));
   Alcotest.(check bool) "overloaded port" true
     (bad (fun () ->
-         S.reconstruct p ~period:(ri 1)
+         Reconstruct.reconstruct p ~period:(ri 1)
            ~transfers:[ demand 0 (ri 5) ]
            ~compute:[] ~delays:[| 0; 0 |]));
   Alcotest.(check bool) "compute too large" true
     (bad (fun () ->
-         S.reconstruct p ~period:(ri 1) ~transfers:[]
+         Reconstruct.reconstruct p ~period:(ri 1) ~transfers:[]
            ~compute:[ (0, ri 3) ]
            ~delays:[| 0; 0 |]));
   Alcotest.(check bool) "negative items" true
     (bad (fun () ->
-         S.reconstruct p ~period:(ri 1)
+         Reconstruct.reconstruct p ~period:(ri 1)
            ~transfers:[ demand 0 (ri (-1)) ]
            ~compute:[] ~delays:[| 0; 0 |]))
 
@@ -60,7 +60,7 @@ let test_kinds_share_edge () =
   (* two kinds on the same edge must both be carried and accounted *)
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand ~kind:0 0 (ri 1); demand ~kind:1 0 (ri 2) ]
       ~compute:[] ~delays:[| 0; 0 |]
   in
@@ -71,7 +71,7 @@ let test_kinds_share_edge () =
 let test_execute_respects_delays () =
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand ~delay:2 0 (ri 1) ]
       ~compute:[ (1, ri 1) ]
       ~delays:[| 0; 3 |]
@@ -89,7 +89,7 @@ let test_execute_strict_catches_sabotage () =
      violates strictness *)
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand 0 (ri 2) ]
       ~compute:[] ~delays:[| 0; 0 |]
   in
@@ -103,7 +103,7 @@ let test_execute_strict_catches_sabotage () =
 let test_nonstrict_execution_queues () =
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand 0 (ri 2) ]
       ~compute:[] ~delays:[| 0; 0 |]
   in
@@ -119,7 +119,7 @@ let test_two_kind_slots_are_matchings () =
      compatible slots; total busy time equals the port load *)
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand ~kind:0 0 (ri 2); demand ~kind:1 0 (ri 2); demand 1 (ri 3) ]
       ~compute:[] ~delays:[| 0; 0 |]
   in
@@ -130,7 +130,7 @@ let test_two_kind_slots_are_matchings () =
 let test_render_timeline () =
   let p = duo () in
   let sched =
-    S.reconstruct p ~period:(ri 4)
+    Reconstruct.reconstruct p ~period:(ri 4)
       ~transfers:[ demand ~kind:3 0 (ri 2) ]
       ~compute:[ (1, ri 2) ]
       ~delays:[| 0; 1 |]
@@ -149,6 +149,65 @@ let test_render_timeline () =
   Alcotest.(check bool) "narrow width rejected" true
     (try ignore (S.render_timeline ~width:2 sched); false
      with Invalid_argument _ -> true)
+
+let test_period_and_demands () =
+  let p = duo () in
+  Alcotest.check rat "lcm of denominators" (ri 6)
+    (Reconstruct.period [ r 1 2; R.zero; r 2 3 ]);
+  Alcotest.check rat "no rates" R.one (Reconstruct.period []);
+  let dems =
+    Reconstruct.demands p ~period:(ri 4) ~kind:5 ~item_size:(ri 2)
+      ~delays:[| 3; 1 |] [| R.zero; r 1 2 |]
+  in
+  match dems with
+  | [ d ] ->
+    Alcotest.(check int) "edge" 1 d.S.d_edge;
+    Alcotest.(check int) "kind" 5 d.S.d_kind;
+    Alcotest.check rat "period * flow items" (ri 2) d.S.d_items;
+    Alcotest.check rat "item size" (ri 2) d.S.d_item_size;
+    Alcotest.(check int) "delay of the source" 1 d.S.d_delay
+  | _ -> Alcotest.fail "one demand per edge that carries flow"
+
+let test_run_measures () =
+  let p = duo () in
+  let sched =
+    Reconstruct.reconstruct p ~period:(ri 4)
+      ~transfers:[ demand 0 (ri 2) ]
+      ~compute:[ (0, ri 1); (1, ri 2) ]
+      ~delays:[| 0; 2 |]
+  in
+  Alcotest.check rat "tasks per period" (ri 3) (S.tasks_per_period sched);
+  Alcotest.check rat "ramp-up" (ri 1) (S.completed_after sched 1);
+  Alcotest.check rat "after 4 periods" (ri 8) (S.completed_after sched 4);
+  Alcotest.check rat "strict run agrees" (ri 8)
+    (S.completed (S.run ~periods:4 sched))
+
+let test_deliver_checks_data_units () =
+  (* items of size 2: the edge carries twice the items in data units *)
+  let p = duo () in
+  let sched =
+    Reconstruct.reconstruct p ~period:(ri 4)
+      ~transfers:
+        [ { (demand ~delay:1 0 (ri 1)) with S.d_item_size = ri 2 } ]
+      ~compute:[] ~delays:[| 0; 0 |]
+  in
+  let into_b d = P.edge_dst p d.S.d_edge = 1 in
+  let into_a d = P.edge_dst p d.S.d_edge = 0 in
+  (match S.deliver ~periods:3 sched [ into_b; into_a ] with
+  | [| b; a |] ->
+    Alcotest.check rat "items into B" (ri 2) b;
+    Alcotest.check rat "nothing into A" R.zero a
+  | _ -> Alcotest.fail "one total per selector");
+  let claims_more =
+    {
+      sched with
+      S.demands =
+        Array.map (fun d -> { d with S.d_items = ri 2 }) sched.S.demands;
+    }
+  in
+  Alcotest.(check bool) "mismatch detected" true
+    (try ignore (S.deliver ~periods:3 claims_more [ into_b ]); false
+     with Failure _ -> true)
 
 let prop_reconstruction_roundtrip =
   QCheck.Test.make ~name:"reconstruct preserves per-kind volumes" ~count:100
@@ -175,7 +234,7 @@ let prop_reconstruction_roundtrip =
             R.one dems
         in
         let sched =
-          S.reconstruct p ~period ~transfers:dems ~compute:[]
+          Reconstruct.reconstruct p ~period ~transfers:dems ~compute:[]
             ~delays:(Array.make (P.num_nodes p) 0)
         in
         (match S.check_well_formed sched with
@@ -207,5 +266,9 @@ let suite =
       Alcotest.test_case "non-strict queues" `Quick test_nonstrict_execution_queues;
       Alcotest.test_case "multi-kind slots" `Quick test_two_kind_slots_are_matchings;
       Alcotest.test_case "render timeline" `Quick test_render_timeline;
+      Alcotest.test_case "period and demands" `Quick test_period_and_demands;
+      Alcotest.test_case "run measures" `Quick test_run_measures;
+      Alcotest.test_case "deliver checks data units" `Quick
+        test_deliver_checks_data_units;
       q prop_reconstruction_roundtrip;
     ] )
