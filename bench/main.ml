@@ -112,10 +112,7 @@ let timed_workloads () : (string * (unit -> unit)) list =
     let sol = Master_slave.solve p ~master:0 in
     let sched = Master_slave.schedule sol in
     ( "substrate/simulate 10 periods (fig 1)",
-      fun () ->
-        let sim = Event_sim.create p in
-        Schedule.execute ~sim ~periods:10 sched;
-        Event_sim.run sim )
+      fun () -> ignore (Schedule.run ~periods:10 sched) )
   in
   let bigint =
     let a = Bigint.of_string (String.make 60 '7') in
@@ -1088,31 +1085,11 @@ let run_smoke ~cache_dir () =
   ignore (run_scale_suite ~smoke:true ());
   print_endline "\nsmoke: all workloads executed"
 
-(* fixed-seed chaos campaign (see {!Chaos}); exits non-zero on any
-   invariant violation so CI can gate on it *)
-let run_chaos ~smoke ~seed ~shapes () =
-  let s =
-    try Chaos.run_campaign ~smoke ?shapes ~seed ()
-    with Invalid_argument msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
-  in
-  Format.printf "%a@." Chaos.pp_summary s;
-  if s.Chaos.violations <> [] then begin
-    prerr_endline
-      (Printf.sprintf "bench: chaos campaign seed %d: %d violation(s)" seed
-         (List.length s.Chaos.violations));
-    exit 1
-  end
-
 let () =
   let tables_only = ref false in
   let smoke = ref false in
   let faults_only = ref false in
   let recovery_only = ref false in
-  let chaos = ref false in
-  let chaos_seed = ref 42 in
-  let chaos_shapes = ref None in
   let json_path = ref "BENCH_steady.json" in
   let cache_dir = ref (Sys.getenv_opt "STEADY_CACHE_DIR") in
   let rec parse = function
@@ -1129,20 +1106,6 @@ let () =
     | "--recovery-only" :: rest ->
       recovery_only := true;
       parse rest
-    | "--chaos" :: rest ->
-      chaos := true;
-      parse rest
-    | "--chaos-seed" :: s :: rest ->
-      (match int_of_string_opt s with
-      | Some n -> chaos_seed := n
-      | None ->
-        prerr_endline ("bench: --chaos-seed expects an integer, got " ^ s);
-        exit 2);
-      parse rest
-    | "--chaos-shapes" :: s :: rest ->
-      chaos_shapes :=
-        Some (List.map String.trim (String.split_on_char ',' s));
-      parse rest
     | "--json" :: path :: rest ->
       json_path := path;
       parse rest
@@ -1152,15 +1115,11 @@ let () =
     | arg :: _ ->
       prerr_endline
         ("usage: main.exe [--tables-only] [--smoke] [--faults-only] \
-          [--recovery-only] [--chaos] [--chaos-seed N] \
-          [--chaos-shapes S1,S2] \
-          [--json PATH] [--cache-dir DIR]; got " ^ arg);
+          [--recovery-only] [--json PATH] [--cache-dir DIR]; got " ^ arg);
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !chaos then
-    run_chaos ~smoke:!smoke ~seed:!chaos_seed ~shapes:!chaos_shapes ()
-  else if !smoke then run_smoke ~cache_dir:!cache_dir ()
+  if !smoke then run_smoke ~cache_dir:!cache_dir ()
   else if !faults_only then ignore (run_fault_suite ~smoke:false ())
   else if !recovery_only then ignore (run_recovery_suite ~smoke:false ())
   else begin

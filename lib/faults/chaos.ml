@@ -155,15 +155,6 @@ let capacity_bound p faults =
   done;
   !total
 
-let losses_equal (a : Dy.loss_report) (b : Dy.loss_report) = a = b
-
-let outcome_equal (a : Dy.outcome) (b : Dy.outcome) =
-  a.Dy.strategy = b.Dy.strategy
-  && R.equal a.Dy.completed b.Dy.completed
-  && List.length a.Dy.per_phase = List.length b.Dy.per_phase
-  && List.for_all2 R.equal a.Dy.per_phase b.Dy.per_phase
-  && losses_equal a.Dy.losses b.Dy.losses
-
 let check plan what cond violations =
   if not cond then violations := { v_plan = plan; v_what = what } :: !violations
 
@@ -240,7 +231,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
      changes no answer: the Robust and Static outcomes and the
      throughput bounds are all certified bit-identical with a fresh
      cache and with none *)
-  check plan "Robust memo <> no memo" (outcome_equal robust_r robust_c)
+  check plan "Robust memo <> no memo" (Dy.outcomes_equal robust_r robust_c)
     violations;
   let cap = capacity_bound p faults in
   (* Robust must stay within a pipeline's worth of Static's throughput.
@@ -278,10 +269,10 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
         violations;
       check_accounting plan (label ^ " Robust") o violations)
     [ ("memo", robust_r); ("no memo", robust_c) ];
-  check plan "Static memo <> no memo" (outcome_equal static_r static_c)
+  check plan "Static memo <> no memo" (Dy.outcomes_equal static_r static_c)
     violations;
   check plan "Static reports losses"
-    (losses_equal static_r.Dy.losses Dy.no_losses)
+    (static_r.Dy.losses = Dy.no_losses)
     violations;
   check_accounting plan "Static" static_r violations;
   check plan "fault bound memo <> no memo"
@@ -318,7 +309,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     check plan
       (Printf.sprintf "kill@%d: resumed outcome differs from uninterrupted"
          halt)
-      (outcome_equal resumed robust_r)
+      (Dy.outcomes_equal resumed robust_r)
       violations
   | exception exn ->
     check plan
@@ -358,7 +349,7 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     List.iter
       (fun (label, (o : Dy.outcome)) ->
         check plan (label ^ " reports losses")
-          (losses_equal o.Dy.losses Dy.no_losses)
+          (o.Dy.losses = Dy.no_losses)
           violations)
       [ ("Reactive", reactive); ("Oracle", oracle) ]
   end;
