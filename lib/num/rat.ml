@@ -394,5 +394,8 @@ end
 
 let sum l = List.fold_left add zero l
 
+(* integers (zero included) leave the lcm alone: skip them *)
 let lcm_denominators l =
-  List.fold_left (fun acc r -> B.lcm acc (big_den r)) B.one l
+  List.fold_left
+    (fun acc r -> if is_integer r then acc else B.lcm acc (big_den r))
+    B.one l
