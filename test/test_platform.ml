@@ -68,6 +68,70 @@ let test_validation () =
          P.create ~names:[| "A" |] ~weights:[| E.of_int 1 |]
            ~edges:[ (0, 3, ri 1) ]))
 
+(* [create] reports the first failing edge in list order; within one
+   edge the checks run range, self-loop, cost, duplicate.  A duplicate
+   fails at its later occurrence, so the pair reported is the one whose
+   repeat comes first. *)
+let test_create_error_precedence () =
+  let names = [| "A"; "B"; "C" |] in
+  let weights = [| E.of_int 1; E.of_int 1; E.of_int 1 |] in
+  let first_error edges =
+    match P.create ~names ~weights ~edges with
+    | _ -> "accepted"
+    | exception Invalid_argument m -> m
+  in
+  let expect what msg edges =
+    Alcotest.(check string) what ("Platform.create: " ^ msg) (first_error edges)
+  in
+  expect "duplicate ahead of a later bad cost" "duplicate edge A->B"
+    [ (0, 1, ri 1); (0, 1, ri 2); (1, 2, ri 0) ];
+  expect "bad cost ahead of a later duplicate" "edge B->C has cost <= 0"
+    [ (0, 1, ri 1); (1, 2, ri (-1)); (0, 1, ri 2) ];
+  expect "self-loop ahead of a later duplicate" "self-loop"
+    [ (0, 1, ri 1); (2, 2, ri 1); (0, 1, ri 1) ];
+  expect "duplicate ahead of a later range error" "duplicate edge B->C"
+    [ (1, 2, ri 1); (1, 2, ri 1); (0, 5, ri 1) ];
+  expect "range before self-loop" "edge endpoint out of range"
+    [ (0, 1, ri 1); (3, 3, ri 0) ];
+  expect "negative endpoint" "edge endpoint out of range"
+    [ (-1, 0, ri 1) ];
+  expect "self-loop before cost" "self-loop" [ (1, 1, ri 0) ];
+  expect "cost before duplicate" "edge A->B has cost <= 0"
+    [ (0, 1, ri 1); (0, 1, ri 0) ];
+  expect "the pair that repeats first" "duplicate edge B->C"
+    [ (0, 1, ri 1); (1, 2, ri 1); (1, 2, ri 2); (0, 1, ri 1) ];
+  expect "the pair that repeats first, other source" "duplicate edge A->B"
+    [ (1, 2, ri 1); (0, 1, ri 1); (0, 1, ri 2); (1, 2, ri 1) ];
+  Alcotest.(check string) "reversed pairs are distinct edges" "accepted"
+    (first_error [ (0, 1, ri 1); (1, 0, ri 1); (1, 2, ri 1); (2, 1, ri 1) ]);
+  (* a link is its forward edge, then its reverse: here the reverse
+     repeats the first line's edge *)
+  Alcotest.(check string) "link repeating an edge"
+    "Platform_parse: Platform.create: duplicate edge A->B"
+    (match
+       Platform_parse.of_string
+         "node A w=1\nnode B w=1\nedge A B c=1\nlink B A c=2\n"
+     with
+    | _ -> "accepted"
+    | exception Invalid_argument m -> m);
+  (* names and weights are checked before any edge *)
+  Alcotest.(check string) "duplicate name before edges"
+    "Platform.create: duplicate name \"A\""
+    (match
+       P.create ~names:[| "A"; "A" |] ~weights:[| E.of_int 0; E.of_int 1 |]
+         ~edges:[ (0, 0, ri 0) ]
+     with
+    | _ -> "accepted"
+    | exception Invalid_argument m -> m);
+  Alcotest.(check string) "weight before edges"
+    "Platform.create: node B has weight <= 0"
+    (match
+       P.create ~names:[| "A"; "B" |] ~weights:[| E.of_int 1; E.of_int 0 |]
+         ~edges:[ (0, 0, ri 0) ]
+     with
+    | _ -> "accepted"
+    | exception Invalid_argument m -> m)
+
 let test_reachability () =
   let p = simple () in
   Alcotest.(check bool) "spanning" true (P.is_spanning_from p 0);
@@ -440,6 +504,8 @@ let suite =
       Alcotest.test_case "accessors" `Quick test_basic_accessors;
       Alcotest.test_case "edges" `Quick test_edges;
       Alcotest.test_case "validation" `Quick test_validation;
+      Alcotest.test_case "create error precedence" `Quick
+        test_create_error_precedence;
       Alcotest.test_case "reachability" `Quick test_reachability;
       Alcotest.test_case "shortest path" `Quick test_shortest_path;
       Alcotest.test_case "transpose" `Quick test_transpose;
