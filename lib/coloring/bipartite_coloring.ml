@@ -16,7 +16,8 @@
    so that after subtracting [t] along the matching, the maximum degree
    is exactly [delta - t] and every previously tight node is still
    tight.  Each round either exhausts an edge or turns a new node tight,
-   which bounds the number of matchings by |E| + 2|V|. *)
+   which bounds the number of matchings by |E| + 2|V|, V the endpoints
+   that carry an edge. *)
 
 module R = Rat
 
@@ -24,28 +25,76 @@ type edge = { left : int; right : int; weight : R.t; tag : int }
 
 type matching = { duration : R.t; edges : edge list }
 
-(* mutable working copy of an edge *)
-type work = { e : edge; mutable remaining : R.t }
+(* mutable working copy of an edge; [l] and [r] are the dense indices
+   of its endpoints *)
+type work = { e : edge; l : int; r : int; mutable remaining : R.t }
+
+(* Dense indices [0 .. k-1] for the distinct values of [keys], in
+   increasing order, and [k]. *)
+let ranks keys =
+  let sorted = Array.copy keys in
+  Array.sort Int.compare sorted;
+  let k = ref 0 in
+  Array.iter
+    (fun x ->
+      if !k = 0 || sorted.(!k - 1) <> x then begin
+        sorted.(!k) <- x;
+        incr k
+      end)
+    sorted;
+  let k = !k in
+  let rank x =
+    let rec search lo hi =
+      let mid = (lo + hi) / 2 in
+      if sorted.(mid) = x then mid
+      else if sorted.(mid) < x then search (mid + 1) hi
+      else search lo mid
+    in
+    search 0 k
+  in
+  (Array.map rank keys, k)
+
+(* The peeling runs on the endpoints that carry an edge, relabelled
+   [0 .. k-1] in their original order.  A node without an edge has
+   degree 0: it is never tight and never bounds a slot, and the
+   monotone relabelling keeps every scan, tie-break and augmenting
+   path in the same order, so the matchings are those of the full
+   index space at the cost of the support. *)
+let works_of edges =
+  let es = Array.of_list edges in
+  let ls, kl = ranks (Array.map (fun e -> e.left) es) in
+  let rs, kr = ranks (Array.map (fun e -> e.right) es) in
+  let works =
+    List.init (Array.length es) (fun k ->
+        { e = es.(k); l = ls.(k); r = rs.(k); remaining = es.(k).weight })
+  in
+  (works, kl, kr)
 
 let degrees ~left_size ~right_size works =
   let dl = Array.make left_size R.zero in
   let dr = Array.make right_size R.zero in
   List.iter
     (fun w ->
-      dl.(w.e.left) <- R.add dl.(w.e.left) w.remaining;
-      dr.(w.e.right) <- R.add dr.(w.e.right) w.remaining)
+      dl.(w.l) <- R.add dl.(w.l) w.remaining;
+      dr.(w.r) <- R.add dr.(w.r) w.remaining)
     works;
   (dl, dr)
 
+let check_range what ~left_size ~right_size e =
+  if e.left < 0 || e.left >= left_size || e.right < 0 || e.right >= right_size
+  then invalid_arg ("Bipartite_coloring." ^ what ^ ": endpoint out of range")
+
 let max_weighted_degree ~left_size ~right_size edges =
-  let works = List.map (fun e -> { e; remaining = e.weight }) edges in
-  let dl, dr = degrees ~left_size ~right_size works in
+  List.iter (check_range "max_weighted_degree" ~left_size ~right_size) edges;
+  let works, kl, kr = works_of edges in
+  let dl, dr = degrees ~left_size:kl ~right_size:kr works in
   let m = Array.fold_left R.max R.zero dl in
   Array.fold_left R.max m dr
 
 (* Find a matching covering every tight node.  [adj_l.(i)] lists the
    active work edges out of left node i; [match_l] / [match_r] hold the
-   matched work edge per node, if any. *)
+   matched work edge per node, if any.  [visited_l] / [visited_r] mark
+   the nodes one augmentation has met with that augmentation's stamp. *)
 let covering_matching ~left_size ~right_size works tight_l tight_r =
   let match_l : work option array = Array.make left_size None in
   let match_r : work option array = Array.make right_size None in
@@ -53,28 +102,31 @@ let covering_matching ~left_size ~right_size works tight_l tight_r =
   let adj_r = Array.make right_size [] in
   List.iter
     (fun w ->
-      adj_l.(w.e.left) <- w :: adj_l.(w.e.left);
-      adj_r.(w.e.right) <- w :: adj_r.(w.e.right))
+      adj_l.(w.l) <- w :: adj_l.(w.l);
+      adj_r.(w.r) <- w :: adj_r.(w.r))
     works;
+  let visited_l = Array.make left_size 0 in
+  let visited_r = Array.make right_size 0 in
+  let stamp = ref 0 in
   (* Plain Kuhn augmentation from a left node: returns true if an
      augmenting path is found; [visited_r] guards against revisiting
      right nodes.  The left pass only ever covers tight left nodes, so
      every left node met along a path is tight and may not be
      uncovered. *)
-  let rec augment_l visited_r i =
+  let rec augment_l i =
     List.exists
       (fun w ->
-        let j = w.e.right in
-        if visited_r.(j) then false
+        let j = w.r in
+        if visited_r.(j) = !stamp then false
         else begin
-          visited_r.(j) <- true;
+          visited_r.(j) <- !stamp;
           match match_r.(j) with
           | None ->
             match_l.(i) <- Some w;
             match_r.(j) <- Some w;
             true
           | Some w' ->
-            if augment_l visited_r w'.e.left then begin
+            if augment_l w'.l then begin
               match_l.(i) <- Some w;
               match_r.(j) <- Some w;
               true
@@ -90,27 +142,27 @@ let covering_matching ~left_size ~right_size works tight_l tight_r =
      an alternating path from the uncovered tight node [j] may end by
      {e stealing} a left node from a non-tight right node, uncovering
      only that non-required vertex. *)
-  let rec augment_r visited_l j =
+  let rec augment_r j =
     List.exists
       (fun w ->
-        let i = w.e.left in
-        if visited_l.(i) then false
+        let i = w.l in
+        if visited_l.(i) = !stamp then false
         else begin
-          visited_l.(i) <- true;
+          visited_l.(i) <- !stamp;
           match match_l.(i) with
           | None ->
             match_l.(i) <- Some w;
             match_r.(j) <- Some w;
             true
           | Some w' ->
-            let r' = w'.e.right in
+            let r' = w'.r in
             if not tight_r.(r') then begin
               match_r.(r') <- None;
               match_l.(i) <- Some w;
               match_r.(j) <- Some w;
               true
             end
-            else if augment_r visited_l r' then begin
+            else if augment_r r' then begin
               match_l.(i) <- Some w;
               match_r.(j) <- Some w;
               true
@@ -120,23 +172,30 @@ let covering_matching ~left_size ~right_size works tight_l tight_r =
       adj_r.(j)
   in
   for i = 0 to left_size - 1 do
-    if tight_l.(i) && match_l.(i) = None then
-      if not (augment_l (Array.make right_size false) i) then
+    if tight_l.(i) && match_l.(i) = None then begin
+      incr stamp;
+      if not (augment_l i) then
         (* impossible by Mendelsohn–Dulmage given tightness *)
         invalid_arg "Bipartite_coloring: internal: tight left node uncoverable"
+    end
   done;
   for j = 0 to right_size - 1 do
-    if tight_r.(j) && match_r.(j) = None then
-      if not (augment_r (Array.make left_size false) j) then
+    if tight_r.(j) && match_r.(j) = None then begin
+      incr stamp;
+      if not (augment_r j) then
         invalid_arg "Bipartite_coloring: internal: tight right node uncoverable"
+    end
   done;
-  (* collect distinct matched work edges *)
+  (* collect distinct matched work edges; a right node's edge is
+     already in when it is also its left node's *)
   let out = ref [] in
   Array.iter (function None -> () | Some w -> out := w :: !out) match_l;
-  Array.iteri
-    (fun j _ ->
-      match match_r.(j) with
-      | Some w when not (List.memq w !out) -> out := w :: !out
+  Array.iter
+    (function
+      | Some w when not (match match_l.(w.l) with
+                         | Some w' -> w' == w
+                         | None -> false) ->
+        out := w :: !out
       | _ -> ())
     match_r;
   !out
@@ -144,13 +203,12 @@ let covering_matching ~left_size ~right_size works tight_l tight_r =
 let decompose ~left_size ~right_size edge_list =
   List.iter
     (fun e ->
-      if e.left < 0 || e.left >= left_size || e.right < 0
-         || e.right >= right_size then
-        invalid_arg "Bipartite_coloring.decompose: endpoint out of range";
+      check_range "decompose" ~left_size ~right_size e;
       if R.sign e.weight <= 0 then
         invalid_arg "Bipartite_coloring.decompose: non-positive weight")
     edge_list;
-  let works = ref (List.map (fun e -> { e; remaining = e.weight }) edge_list) in
+  let works, left_size, right_size = works_of edge_list in
+  let works = ref works in
   let out = ref [] in
   let guard = ref (List.length edge_list + (2 * (left_size + right_size)) + 1) in
   while !works <> [] do
@@ -171,8 +229,8 @@ let decompose ~left_size ~right_size edge_list =
     let covered_r = Array.make right_size false in
     List.iter
       (fun w ->
-        covered_l.(w.e.left) <- true;
-        covered_r.(w.e.right) <- true)
+        covered_l.(w.l) <- true;
+        covered_r.(w.r) <- true)
       matched;
     let t = ref t in
     Array.iteri

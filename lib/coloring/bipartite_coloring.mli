@@ -33,7 +33,9 @@ type matching = {
 val max_weighted_degree :
   left_size:int -> right_size:int -> edge list -> Rat.t
 (** Maximum over all (left and right) nodes of the sum of incident edge
-    weights; zero for the empty graph. *)
+    weights; zero for the empty graph.  Like {!decompose}, it costs
+    what the edges cost.
+    @raise Invalid_argument on out-of-range endpoints. *)
 
 val decompose : left_size:int -> right_size:int -> edge list -> matching list
 (** Decomposes the graph into weighted matchings such that (a) within
@@ -41,7 +43,9 @@ val decompose : left_size:int -> right_size:int -> edge list -> matching list
     (b) for every input edge, the durations of the matchings containing
     it sum exactly to its weight; (c) the durations of all matchings sum
     exactly to the maximum weighted degree; (d) there are at most
-    [|E| + 2 (left_size + right_size)] matchings.
+    [|E| + 2|V|] matchings, [V] the endpoints that carry an edge.
+    Time and space grow with the edges, not with [left_size] and
+    [right_size]: those only bound the indices.
     @raise Invalid_argument on out-of-range endpoints or non-positive
     weights. *)
 

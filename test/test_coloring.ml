@@ -116,17 +116,16 @@ let gen_instance =
     let edges = List.mapi (fun i (a, b, w) -> { BC.left = a; right = b; weight = w; tag = i }) triples in
     return (l, rr, edges))
 
-let arb_instance =
-  QCheck.make
-    ~print:(fun (l, rr, edges) ->
-      Printf.sprintf "l=%d r=%d edges=[%s]" l rr
-        (String.concat "; "
-           (List.map
-              (fun e ->
-                Printf.sprintf "%d->%d:%s" e.BC.left e.BC.right
-                  (R.to_string e.BC.weight))
-              edges)))
-    gen_instance
+let print_instance (l, rr, edges) =
+  Printf.sprintf "l=%d r=%d edges=[%s]" l rr
+    (String.concat "; "
+       (List.map
+          (fun e ->
+            Printf.sprintf "%d->%d:%s" e.BC.left e.BC.right
+              (R.to_string e.BC.weight))
+          edges))
+
+let arb_instance = QCheck.make ~print:print_instance gen_instance
 
 let prop_decomposition_valid =
   QCheck.Test.make ~name:"decomposition satisfies all invariants" ~count:300
@@ -141,6 +140,101 @@ let prop_matching_count_bounded =
     (fun (l, rr, edges) ->
       let ms = BC.decompose ~left_size:l ~right_size:rr edges in
       List.length ms <= List.length edges + (2 * (l + rr)))
+
+(* Sparse multigraphs over large index spaces: a few active endpoints
+   spread over [0, size), size up to 10^5, or Multiport-shaped ones,
+   where each node's cards are consecutive indices from its base. *)
+let gen_sparse =
+  QCheck.Gen.(
+    let* size = map (fun k -> int_of_float (10. ** Float.of_int k)) (int_range 1 5) in
+    let weight = map (fun k -> R.of_ints k 6) (int_range 1 18) in
+    let* n = int_range 1 14 in
+    let* multiport = bool in
+    let* lefts, rights =
+      if multiport then
+        (* nodes at spread bases, each with 1-3 cards *)
+        let* nodes = int_range 1 6 in
+        let* cards = list_repeat nodes (int_range 1 3) in
+        let* bases = list_repeat nodes (int_range 0 (max 0 (size - 3))) in
+        let slots =
+          List.concat
+            (List.map2 (fun b c -> List.init c (fun k -> b + k)) bases cards)
+        in
+        return (slots, slots)
+      else
+        let* kl = int_range 1 6 in
+        let* kr = int_range 1 6 in
+        let* lefts = list_repeat kl (int_range 0 (size - 1)) in
+        let* rights = list_repeat kr (int_range 0 (size - 1)) in
+        return (lefts, rights)
+    in
+    let* triples =
+      list_repeat n (triple (oneofl lefts) (oneofl rights) weight)
+    in
+    let edges =
+      List.mapi
+        (fun i (a, b, w) -> { BC.left = a; right = b; weight = w; tag = i })
+        triples
+    in
+    return (size + 2, size + 2, edges))
+
+let prop_same_as_dense =
+  QCheck.Test.make ~name:"same matchings as the dense reference" ~count:100
+    (QCheck.make ~print:print_instance gen_sparse)
+    (fun (l, rr, edges) ->
+      let ms = BC.decompose ~left_size:l ~right_size:rr edges in
+      let dense =
+        Coloring_dense_reference.decompose ~left_size:l ~right_size:rr edges
+      in
+      List.length ms = List.length dense
+      && List.for_all2
+           (fun a b ->
+             R.equal a.BC.duration b.BC.duration
+             && List.length a.BC.edges = List.length b.BC.edges
+             && List.for_all2 ( == ) a.BC.edges b.BC.edges)
+           ms dense
+      && R.equal
+           (BC.max_weighted_degree ~left_size:l ~right_size:rr edges)
+           (Coloring_dense_reference.max_weighted_degree ~left_size:l
+              ~right_size:rr edges))
+
+(* No clock: on index spaces no array can span, both entry points must
+   still return, and answer as on the same graph relabelled small. *)
+let test_index_space_unbounded () =
+  let big = Sys.max_array_length in
+  let far = [| 0; big / 3; big - 2; big - 1 |] in
+  let edges =
+    List.mapi
+      (fun tag (a, b, w) ->
+        { BC.left = far.(a); right = far.(b); weight = r w 4; tag })
+      [ (0, 3, 3); (0, 1, 1); (2, 3, 2); (3, 3, 4); (2, 0, 1); (0, 3, 1) ]
+  in
+  let small =
+    List.map (fun e ->
+        let idx x = Option.get (Array.find_index (( = ) x) far) in
+        { e with BC.left = idx e.BC.left; right = idx e.BC.right })
+      edges
+  in
+  let ms = BC.decompose ~left_size:big ~right_size:big edges in
+  (match BC.check_decomposition ~left_size:big ~right_size:big edges ms with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let ms4 = BC.decompose ~left_size:4 ~right_size:4 small in
+  Alcotest.(check (list string)) "durations as on 4 nodes"
+    (List.map (fun m -> R.to_string m.BC.duration) ms4)
+    (List.map (fun m -> R.to_string m.BC.duration) ms);
+  Alcotest.(check (list (list int))) "tags as on 4 nodes"
+    (List.map (fun m -> List.map (fun e -> e.BC.tag) m.BC.edges) ms4)
+    (List.map (fun m -> List.map (fun e -> e.BC.tag) m.BC.edges) ms);
+  Alcotest.(check string) "max degree" "5/2"
+    (R.to_string (BC.max_weighted_degree ~left_size:big ~right_size:big edges));
+  Alcotest.(check bool) "range still checked" true
+    (try
+       ignore
+         (BC.max_weighted_degree ~left_size:big ~right_size:2
+            [ mk 0 (big - 1) R.one ]);
+       false
+     with Invalid_argument _ -> true)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -157,4 +251,7 @@ let suite =
       Alcotest.test_case "checker detects bad" `Quick test_checker_detects_bad;
       q prop_decomposition_valid;
       q prop_matching_count_bounded;
+      q prop_same_as_dense;
+      Alcotest.test_case "unbounded index space" `Quick
+        test_index_space_unbounded;
     ] )
