@@ -72,34 +72,48 @@ let cancel_cycles_counted p f =
 
 let cancel_cycles p f = fst (cancel_cycles_counted p f)
 
-let is_acyclic p f = find_cycle p f = None
-
-let delays p f =
-  if not (is_acyclic p f) then
-    invalid_arg "Flow.delays: flow support is cyclic";
+(* Kahn's pass over the support, the nodes on an edge of positive
+   flow: the longest-path depth of every node (0 off the support), and
+   whether every positive edge was relaxed, i.e. the support is
+   acyclic.  The depths do not depend on the queue order. *)
+let support_depths p f =
   let n = P.num_nodes p in
-  let delay = Array.make n 0 in
-  (* longest path: relax in topological order of the support DAG *)
   let indeg = Array.make n 0 in
+  let positive = ref 0 in
   for e = 0 to P.num_edges p - 1 do
-    if R.sign f.(e) > 0 then
+    if R.sign f.(e) > 0 then begin
+      incr positive;
       indeg.(P.edge_dst p e) <- indeg.(P.edge_dst p e) + 1
+    end
   done;
   let q = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i q
+  for e = 0 to P.num_edges p - 1 do
+    let i = P.edge_src p e in
+    if R.sign f.(e) > 0 && indeg.(i) = 0 then begin
+      indeg.(i) <- -1 (* queued *);
+      Queue.add i q
+    end
   done;
+  let delay = Array.make n 0 in
+  let relaxed = ref 0 in
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
     List.iter
       (fun e ->
         if R.sign f.(e) > 0 then begin
+          incr relaxed;
           let j = P.edge_dst p e in
           if delay.(i) + 1 > delay.(j) then delay.(j) <- delay.(i) + 1;
           indeg.(j) <- indeg.(j) - 1;
           if indeg.(j) = 0 then Queue.add j q
         end)
-      (P.out_edges p i);
-    ()
+      (P.out_edges p i)
   done;
+  (delay, !relaxed = !positive)
+
+let is_acyclic p f = snd (support_depths p f)
+
+let delays p f =
+  let delay, acyclic = support_depths p f in
+  if not acyclic then invalid_arg "Flow.delays: flow support is cyclic";
   delay

@@ -15,17 +15,22 @@ let cancel ?stats p f =
 (* 0 has denominator 1, so zero rates leave the lcm alone *)
 let period rates = R.of_bigint (R.lcm_denominators rates)
 
+(* zero rates are skipped before any product *)
 let task_period p ~alpha flow =
-  period
-    (List.map (fun i -> R.mul alpha.(i) (P.speed p i)) (P.nodes p)
-    @ Array.to_list flow)
+  let rates = ref [] in
+  Array.iter (fun x -> if not (R.is_zero x) then rates := x :: !rates) flow;
+  Array.iteri
+    (fun i a -> if not (R.is_zero a) then rates := R.mul a (P.speed p i) :: !rates)
+    alpha;
+  period !rates
 
 let demands p ~period ~kind ~item_size ~delays flow =
-  List.filter_map
-    (fun e ->
+  let out = ref [] in
+  for e = P.num_edges p - 1 downto 0 do
+    if not (R.is_zero flow.(e)) then begin
       let items = R.mul period flow.(e) in
       if R.sign items > 0 then
-        Some
+        out :=
           {
             S.d_edge = e;
             d_kind = kind;
@@ -33,8 +38,10 @@ let demands p ~period ~kind ~item_size ~delays flow =
             d_item_size = item_size;
             d_delay = delays.(P.edge_src p e);
           }
-      else None)
-    (P.edges p)
+          :: !out
+    end
+  done;
+  !out
 
 (* port time a demand takes per period: its weight in the colouring *)
 let busy p d =
