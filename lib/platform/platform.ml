@@ -15,18 +15,31 @@ type t = {
   by_name : (string, node) Hashtbl.t;
 }
 
-let create ~names ~weights ~edges =
+(* The checks [create] documents, in its order: names, weights, then
+   the first failing edge in list order, where one edge fails on range,
+   then self-loop, then cost, then on repeating an earlier edge.  The
+   name table is built before [edges] resolves against it, and the
+   first bad name is only reported after. *)
+let build ~names ~weights ~edges =
   let p = Array.length names in
   if Array.length weights <> p then
     invalid_arg "Platform.create: |names| <> |weights|";
   let by_name = Hashtbl.create (2 * p) in
+  let bad_name = ref (-1) in
   Array.iteri
     (fun i n ->
-      if n = "" then invalid_arg "Platform.create: empty node name";
-      if Hashtbl.mem by_name n then
-        invalid_arg (Printf.sprintf "Platform.create: duplicate name %S" n);
-      Hashtbl.add by_name n i)
+      if (n = "" || Hashtbl.mem by_name n) && !bad_name < 0 then bad_name := i;
+      if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n i)
     names;
+  let srcs, dsts, costs = edges (Hashtbl.find_opt by_name) in
+  let m = Array.length srcs in
+  if Array.length dsts <> m || Array.length costs <> m then
+    invalid_arg "Platform.create: edge arrays differ in length";
+  if !bad_name >= 0 then begin
+    let n = names.(!bad_name) in
+    if n = "" then invalid_arg "Platform.create: empty node name"
+    else invalid_arg (Printf.sprintf "Platform.create: duplicate name %S" n)
+  end;
   Array.iteri
     (fun i w ->
       match w with
@@ -37,34 +50,58 @@ let create ~names ~weights ~edges =
             (Printf.sprintf "Platform.create: node %s has weight <= 0"
                names.(i)))
     weights;
-  let m = List.length edges in
-  let srcs = Array.make m 0 and dsts = Array.make m 0 in
-  let costs = Array.make m R.zero in
-  let seen = Hashtbl.create (2 * m) in
-  List.iteri
-    (fun k (i, j, c) ->
-      if i < 0 || i >= p || j < 0 || j >= p then
-        invalid_arg "Platform.create: edge endpoint out of range";
-      if i = j then invalid_arg "Platform.create: self-loop";
-      if R.sign c <= 0 then
-        invalid_arg
-          (Printf.sprintf "Platform.create: edge %s->%s has cost <= 0"
-             names.(i) names.(j));
-      if Hashtbl.mem seen ((i * p) + j) then
-        invalid_arg
-          (Printf.sprintf "Platform.create: duplicate edge %s->%s" names.(i)
-             names.(j));
-      Hashtbl.add seen ((i * p) + j) ();
-      srcs.(k) <- i;
-      dsts.(k) <- j;
-      costs.(k) <- c)
-    edges;
+  let edge_error k =
+    let i = srcs.(k) and j = dsts.(k) in
+    if i < 0 || i >= p || j < 0 || j >= p then
+      Some "Platform.create: edge endpoint out of range"
+    else if i = j then Some "Platform.create: self-loop"
+    else if R.sign costs.(k) <= 0 then
+      Some
+        (Printf.sprintf "Platform.create: edge %s->%s has cost <= 0" names.(i)
+           names.(j))
+    else None
+  in
+  let rec first_bad k =
+    if k = m || edge_error k <> None then k else first_bad (k + 1)
+  in
+  (* edges before [bad] are in range: index them, then find the first
+     edge that repeats an earlier one, one source at a time, with a
+     stamp per destination *)
+  let bad = first_bad 0 in
   let out_adj = Array.make p [] and in_adj = Array.make p [] in
-  for k = m - 1 downto 0 do
+  for k = bad - 1 downto 0 do
     out_adj.(srcs.(k)) <- k :: out_adj.(srcs.(k));
     in_adj.(dsts.(k)) <- k :: in_adj.(dsts.(k))
   done;
+  let seen_from = Array.make p (-1) in
+  let dup = ref bad in
+  Array.iteri
+    (fun i out ->
+      List.iter
+        (fun k ->
+          let j = dsts.(k) in
+          if seen_from.(j) = i then dup := min !dup k else seen_from.(j) <- i)
+        out)
+    out_adj;
+  if !dup < bad then
+    invalid_arg
+      (Printf.sprintf "Platform.create: duplicate edge %s->%s"
+         names.(srcs.(!dup)) names.(dsts.(!dup)));
+  Option.iter invalid_arg (if bad < m then edge_error bad else None);
   { names; weights; srcs; dsts; costs; out_adj; in_adj; by_name }
+
+let create ~names ~weights ~edges =
+  build ~names ~weights ~edges:(fun _ ->
+      let m = List.length edges in
+      let srcs = Array.make m 0 and dsts = Array.make m 0 in
+      let costs = Array.make m R.zero in
+      List.iteri
+        (fun k (i, j, c) ->
+          srcs.(k) <- i;
+          dsts.(k) <- j;
+          costs.(k) <- c)
+        edges;
+      (srcs, dsts, costs))
 
 let num_nodes t = Array.length t.names
 let num_edges t = Array.length t.srcs
@@ -200,9 +237,8 @@ let multi_source_shortest_path t ~sources dst =
 let shortest_path t src dst = multi_source_shortest_path t ~sources:[ src ] dst
 
 let transpose t =
-  create ~names:(Array.copy t.names) ~weights:(Array.copy t.weights)
-    ~edges:
-      (List.init (num_edges t) (fun e -> (t.dsts.(e), t.srcs.(e), t.costs.(e))))
+  build ~names:(Array.copy t.names) ~weights:(Array.copy t.weights)
+    ~edges:(fun _ -> (Array.copy t.dsts, Array.copy t.srcs, Array.copy t.costs))
 
 let reachable_via t ~alive start =
   let seen = Array.make (num_nodes t) false in

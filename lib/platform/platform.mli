@@ -30,8 +30,25 @@ val create :
     [w_i]; each [(i, j, c)] in [edges] is an oriented link with cost
     [c > 0].  Validation: array lengths agree, names unique and non-empty,
     no finite non-positive weight, costs positive, endpoints in range, no
-    self-loops, no duplicate [(i, j)] edges.
+    self-loops, no duplicate [(i, j)] edges.  The error reported is the
+    first in that order of kinds, where the edges count as one kind:
+    the earliest failing edge in list order, and within one edge range,
+    then self-loop, then cost, then a repeat of an earlier edge.
     @raise Invalid_argument if any check fails. *)
+
+val build :
+  names:string array ->
+  weights:Ext_rat.t array ->
+  edges:((string -> node option) -> int array * int array * Rat.t array) ->
+  t
+(** {!create} with the edges as three arrays [(srcs, dsts, costs)],
+    which the platform takes over.  [edges] gets the lookup of [names]
+    (the first node of a name) and runs before any check but the
+    length one, so an error it raises comes first; then the checks
+    and messages are {!create}'s, in the same order.  Parsers use it
+    to resolve names with the platform's own table.
+    @raise Invalid_argument if any check fails, or if the three arrays
+    differ in length. *)
 
 (** {1 Size} *)
 

@@ -6,13 +6,24 @@ let fail lineno msg =
 
 let is_space c = c = ' ' || c = '\t' || c = '\r'
 
+exception Undeclared of int * string
+
 (* One pass over the text by index: each line's comment is cut and its
-   words are kept as offsets, so only names are copied out and numbers
-   are read in place. *)
+   words are kept as offsets, so only node names are copied out and
+   numbers are read in place.  Edge lines go to flat arrays, their
+   endpoints as offsets into the text, and are resolved against the
+   platform's own name table once every node is declared. *)
 let of_string text =
   let len = String.length text in
-  let nodes = ref [] (* (name, weight), reversed *) in
-  let edges = ref [] (* (src name, dst name, cost, lineno, link), reversed *) in
+  let lines_max = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr lines_max) text;
+  let names = Array.make !lines_max "" and weights = Array.make !lines_max E.inf in
+  let nnodes = ref 0 in
+  (* per edge line: source and destination offsets, line number, link *)
+  let stride = 6 in
+  let eline = Array.make (stride * !lines_max) 0 in
+  let ecost = Array.make !lines_max R.zero in
+  let nlines = ref 0 and nedges = ref 0 in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
   let word k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
@@ -57,57 +68,97 @@ let of_string text =
     | 0 -> ()
     | 3 when word_is 0 "node" ->
       let w = attr lineno 2 'w' E.of_substring in
-      nodes := (word 1, w) :: !nodes
+      names.(!nnodes) <- word 1;
+      weights.(!nnodes) <- w;
+      incr nnodes
     | 4 when word_is 0 "edge" || word_is 0 "link" ->
       let c = attr lineno 3 'c' R.of_substring in
-      edges := (word 1, word 2, c, lineno, word_is 0 "link") :: !edges
+      let link = word_is 0 "link" in
+      let b = stride * !nlines in
+      eline.(b) <- starts.(1);
+      eline.(b + 1) <- stops.(1);
+      eline.(b + 2) <- starts.(2);
+      eline.(b + 3) <- stops.(2);
+      eline.(b + 4) <- lineno;
+      eline.(b + 5) <- Bool.to_int link;
+      ecost.(!nlines) <- c;
+      incr nlines;
+      nedges := !nedges + 1 + Bool.to_int link
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
     pos := !eol + 1
   done;
-  let nodes = List.rev !nodes in
-  let names = Array.of_list (List.map fst nodes) in
-  let weights = Array.of_list (List.map snd nodes) in
-  let index = Hashtbl.create (2 * Array.length names) in
-  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
-  let resolve lineno n =
-    match Hashtbl.find_opt index n with
-    | Some i -> i
-    | None -> fail lineno (Printf.sprintf "undeclared node %S" n)
-  in
   (* last line first, destination before source: the first undeclared
      name reported is always the same one.  A link is both directions. *)
-  let edge_list =
-    List.fold_left
-      (fun acc (a, b, c, lineno, link) ->
-        let j = resolve lineno b in
-        let i = resolve lineno a in
-        (i, j, c) :: (if link then (j, i, c) :: acc else acc))
-      [] !edges
+  let resolve lookup =
+    let m = !nedges in
+    let srcs = Array.make m 0 and dsts = Array.make m 0 in
+    let costs = Array.make m R.zero in
+    let e = ref m in
+    for l = !nlines - 1 downto 0 do
+      let b = stride * l in
+      let find s t =
+        let n = String.sub text eline.(b + s) (eline.(b + t) - eline.(b + s)) in
+        match lookup n with
+        | Some i -> i
+        | None -> raise (Undeclared (eline.(b + 4), n))
+      in
+      let j = find 2 3 in
+      let i = find 0 1 in
+      let c = ecost.(l) in
+      if eline.(b + 5) = 1 then begin
+        decr e;
+        srcs.(!e) <- j;
+        dsts.(!e) <- i;
+        costs.(!e) <- c
+      end;
+      decr e;
+      srcs.(!e) <- i;
+      dsts.(!e) <- j;
+      costs.(!e) <- c
+    done;
+    (srcs, dsts, costs)
   in
-  try Platform.create ~names ~weights ~edges:edge_list
-  with Invalid_argument m -> invalid_arg ("Platform_parse: " ^ m)
+  match
+    Platform.build
+      ~names:(Array.sub names 0 !nnodes)
+      ~weights:(Array.sub weights 0 !nnodes)
+      ~edges:resolve
+  with
+  | p -> p
+  | exception Undeclared (lineno, n) ->
+    fail lineno (Printf.sprintf "undeclared node %S" n)
+  | exception Invalid_argument m -> invalid_arg ("Platform_parse: " ^ m)
 
 let of_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  of_string content
+  (match (Unix.stat path).Unix.st_kind with
+  | Unix.S_REG -> ()
+  | _ -> raise (Sys_error (path ^ ": not a regular file"))
+  | exception Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e)));
+  let ic = open_in_bin path in
+  of_string
+    (Fun.protect
+       ~finally:(fun () -> close_in_noerr ic)
+       (fun () -> really_input_string ic (in_channel_length ic)))
 
 let to_string p =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun i ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %s w=%s\n" (Platform.name p i)
-           (E.to_string (Platform.weight p i))))
-    (Platform.nodes p);
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %s %s c=%s\n"
-           (Platform.name p (Platform.edge_src p e))
-           (Platform.name p (Platform.edge_dst p e))
-           (R.to_string (Platform.edge_cost p e))))
-    (Platform.edges p);
+  let n = Platform.num_nodes p and m = Platform.num_edges p in
+  let buf = Buffer.create (16 * (n + m + 1)) in
+  let add = Buffer.add_string buf in
+  for i = 0 to n - 1 do
+    add "node ";
+    add (Platform.name p i);
+    add " w=";
+    add (E.to_string (Platform.weight p i));
+    Buffer.add_char buf '\n'
+  done;
+  for e = 0 to m - 1 do
+    add "edge ";
+    add (Platform.name p (Platform.edge_src p e));
+    Buffer.add_char buf ' ';
+    add (Platform.name p (Platform.edge_dst p e));
+    add " c=";
+    add (R.to_string (Platform.edge_cost p e));
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf

@@ -18,7 +18,8 @@ val of_string : string -> Platform.t
 (** @raise Invalid_argument with a line-numbered message on bad input. *)
 
 val of_file : string -> Platform.t
-(** @raise Sys_error if the file cannot be read;
+(** @raise Sys_error, with a message that names [path], if [path] is not
+    a regular file or cannot be read;
     @raise Invalid_argument on bad content. *)
 
 val to_string : Platform.t -> string

@@ -309,6 +309,52 @@ let prop_parse_roundtrip =
       let p = Platform_gen.random_graph ~seed:(n * 31 + extra) ~nodes:n ~extra_edges:extra () in
       P.equal p (Platform_parse.of_string (Platform_parse.to_string p)))
 
+(* [to_string] writes the text the per-line [Printf.sprintf] printer
+   wrote, byte for byte: infinite weights, fractions and large numbers
+   included *)
+let sprintf_text p =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun i ->
+      Buffer.add_string buf
+        (Printf.sprintf "node %s w=%s\n" (P.name p i) (E.to_string (P.weight p i))))
+    (P.nodes p);
+  List.iter
+    (fun e ->
+      Buffer.add_string buf
+        (Printf.sprintf "edge %s %s c=%s\n"
+           (P.name p (P.edge_src p e))
+           (P.name p (P.edge_dst p e))
+           (R.to_string (P.edge_cost p e))))
+    (P.edges p);
+  Buffer.contents buf
+
+let prop_to_string_as_sprintf =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 12 in
+      let num = oneof [ int_range 1 50; int_range 1 max_int ] in
+      let frac = map2 (fun a b -> R.of_ints a b) num (int_range 1 9) in
+      let* weights =
+        list_repeat n (oneof [ return E.inf; map (fun r -> E.Fin r) frac ])
+      in
+      let* pairs = list_size (int_range 0 (n * 2)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+      let pairs =
+        List.sort_uniq compare (List.filter (fun (i, j) -> i <> j) pairs)
+      in
+      let* costs = list_repeat (List.length pairs) frac in
+      return
+        (P.create
+           ~names:(Array.init n (Printf.sprintf "N%d"))
+           ~weights:(Array.of_list weights)
+           ~edges:(List.map2 (fun (i, j) c -> (i, j, c)) pairs costs)))
+  in
+  QCheck.Test.make ~name:"to_string = the sprintf text" ~count:200
+    (QCheck.make ~print:sprintf_text gen)
+    (fun p ->
+      let text = Platform_parse.to_string p in
+      text = sprintf_text p && P.equal p (Platform_parse.of_string text))
+
 let prop_depth_bounded =
   QCheck.Test.make ~name:"depth < nodes" ~count:50 (QCheck.int_range 2 25)
     (fun n ->
@@ -522,6 +568,7 @@ let suite =
       Alcotest.test_case "parse CRLF" `Quick test_parse_crlf;
       Alcotest.test_case "dot export" `Quick test_dot;
       q prop_parse_roundtrip;
+      q prop_to_string_as_sprintf;
       q prop_depth_bounded;
       q prop_restrict_identity;
       q prop_restrict_maps;
