@@ -15,14 +15,21 @@ exception Undeclared of int * string
    platform's own name table once every node is declared. *)
 let of_string text =
   let len = String.length text in
-  let lines_max = ref 1 in
-  String.iter (fun c -> if c = '\n' then incr lines_max) text;
-  let names = Array.make !lines_max "" and weights = Array.make !lines_max E.inf in
+  (* room for [k] more entries at [n] in [!a], doubling when full *)
+  let room a n k fill =
+    if n + k > Array.length !a then begin
+      let b = Array.make (2 * (n + k)) fill in
+      Array.blit !a 0 b 0 n;
+      a := b
+    end
+  in
+  let guess = (len / 16) + 1 in
+  let names = ref (Array.make guess "") and weights = ref (Array.make guess E.inf) in
   let nnodes = ref 0 in
   (* per edge line: source and destination offsets, line number, link *)
   let stride = 6 in
-  let eline = Array.make (stride * !lines_max) 0 in
-  let ecost = Array.make !lines_max R.zero in
+  let eline = ref (Array.make (stride * guess) 0) in
+  let ecost = ref (Array.make guess R.zero) in
   let nlines = ref 0 and nedges = ref 0 in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
@@ -68,20 +75,25 @@ let of_string text =
     | 0 -> ()
     | 3 when word_is 0 "node" ->
       let w = attr lineno 2 'w' E.of_substring in
-      names.(!nnodes) <- word 1;
-      weights.(!nnodes) <- w;
+      room names !nnodes 1 "";
+      room weights !nnodes 1 E.inf;
+      !names.(!nnodes) <- word 1;
+      !weights.(!nnodes) <- w;
       incr nnodes
     | 4 when word_is 0 "edge" || word_is 0 "link" ->
       let c = attr lineno 3 'c' R.of_substring in
       let link = word_is 0 "link" in
       let b = stride * !nlines in
+      room eline b stride 0;
+      room ecost !nlines 1 R.zero;
+      let eline = !eline in
       eline.(b) <- starts.(1);
       eline.(b + 1) <- stops.(1);
       eline.(b + 2) <- starts.(2);
       eline.(b + 3) <- stops.(2);
       eline.(b + 4) <- lineno;
       eline.(b + 5) <- Bool.to_int link;
-      ecost.(!nlines) <- c;
+      !ecost.(!nlines) <- c;
       incr nlines;
       nedges := !nedges + 1 + Bool.to_int link
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
@@ -89,6 +101,7 @@ let of_string text =
   done;
   (* last line first, destination before source: the first undeclared
      name reported is always the same one.  A link is both directions. *)
+  let eline = !eline and ecost = !ecost in
   let resolve lookup =
     let m = !nedges in
     let srcs = Array.make m 0 and dsts = Array.make m 0 in
@@ -120,8 +133,8 @@ let of_string text =
   in
   match
     Platform.build
-      ~names:(Array.sub names 0 !nnodes)
-      ~weights:(Array.sub weights 0 !nnodes)
+      ~names:(Array.sub !names 0 !nnodes)
+      ~weights:(Array.sub !weights 0 !nnodes)
       ~edges:resolve
   with
   | p -> p
