@@ -186,17 +186,13 @@ let covering_matching ~left_size ~right_size works tight_l tight_r =
         invalid_arg "Bipartite_coloring: internal: tight right node uncoverable"
     end
   done;
-  (* collect distinct matched work edges; a right node's edge is
+  (* collect distinct matched work edges: a right node's edge is
      already in when it is also its left node's *)
   let out = ref [] in
   Array.iter (function None -> () | Some w -> out := w :: !out) match_l;
+  let in_left w = match match_l.(w.l) with Some w' -> w' == w | None -> false in
   Array.iter
-    (function
-      | Some w when not (match match_l.(w.l) with
-                         | Some w' -> w' == w
-                         | None -> false) ->
-        out := w :: !out
-      | _ -> ())
+    (function Some w when not (in_left w) -> out := w :: !out | _ -> ())
     match_r;
   !out
 

@@ -261,15 +261,16 @@ let schedule ?strict ?stats sol =
   let p = sol.platform in
   let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
   let delays = Flow.delays p sol.task_flow in
-  let compute = ref [] in
-  for i = P.num_nodes p - 1 downto 0 do
-    if not (R.is_zero sol.alpha.(i)) then begin
-      (* per-node task rate: alpha_i / w_i *)
-      let tasks = R.mul period (R.mul sol.alpha.(i) (P.speed p i)) in
-      if R.sign tasks > 0 then compute := (i, tasks) :: !compute
-    end
-  done;
-  let compute = !compute in
+  let compute =
+    List.filter_map
+      (fun i ->
+        if R.is_zero sol.alpha.(i) then None
+        else
+          (* per-node task rate: alpha_i / w_i *)
+          let tasks = R.mul period (R.mul sol.alpha.(i) (P.speed p i)) in
+          if R.sign tasks > 0 then Some (i, tasks) else None)
+      (P.nodes p)
+  in
   Reconstruct.reconstruct ?strict ?stats p ~period
     ~transfers:
       (Reconstruct.demands p ~period ~kind:0 ~item_size:R.one ~delays

@@ -25,23 +25,22 @@ let task_period p ~alpha flow =
   period !rates
 
 let demands p ~period ~kind ~item_size ~delays flow =
-  let out = ref [] in
-  for e = P.num_edges p - 1 downto 0 do
-    if not (R.is_zero flow.(e)) then begin
-      let items = R.mul period flow.(e) in
-      if R.sign items > 0 then
-        out :=
-          {
-            S.d_edge = e;
-            d_kind = kind;
-            d_items = items;
-            d_item_size = item_size;
-            d_delay = delays.(P.edge_src p e);
-          }
-          :: !out
-    end
-  done;
-  !out
+  List.filter_map
+    (fun e ->
+      if R.is_zero flow.(e) then None
+      else
+        let items = R.mul period flow.(e) in
+        if R.sign items > 0 then
+          Some
+            {
+              S.d_edge = e;
+              d_kind = kind;
+              d_items = items;
+              d_item_size = item_size;
+              d_delay = delays.(P.edge_src p e);
+            }
+        else None)
+    (P.edges p)
 
 (* port time a demand takes per period: its weight in the colouring *)
 let busy p d =

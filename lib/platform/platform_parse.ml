@@ -109,14 +109,15 @@ let of_string text =
     let e = ref m in
     for l = !nlines - 1 downto 0 do
       let b = stride * l in
-      let find s t =
-        let n = String.sub text eline.(b + s) (eline.(b + t) - eline.(b + s)) in
+      (* the name at offsets eline.(k), eline.(k + 1) *)
+      let find k =
+        let n = String.sub text eline.(k) (eline.(k + 1) - eline.(k)) in
         match lookup n with
         | Some i -> i
         | None -> raise (Undeclared (eline.(b + 4), n))
       in
-      let j = find 2 3 in
-      let i = find 0 1 in
+      let j = find (b + 2) in
+      let i = find b in
       let c = ecost.(l) in
       if eline.(b + 5) = 1 then begin
         decr e;
