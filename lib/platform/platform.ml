@@ -28,8 +28,10 @@ let build ~names ~weights ~edges =
   let bad_name = ref (-1) in
   Array.iteri
     (fun i n ->
-      if (n = "" || Hashtbl.mem by_name n) && !bad_name < 0 then bad_name := i;
-      if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n i)
+      if n = "" || Hashtbl.mem by_name n then begin
+        if !bad_name < 0 then bad_name := i
+      end
+      else Hashtbl.add by_name n i)
     names;
   let srcs, dsts, costs = edges (Hashtbl.find_opt by_name) in
   let m = Array.length srcs in
