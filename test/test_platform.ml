@@ -550,8 +550,6 @@ let suite =
       Alcotest.test_case "accessors" `Quick test_basic_accessors;
       Alcotest.test_case "edges" `Quick test_edges;
       Alcotest.test_case "validation" `Quick test_validation;
-      Alcotest.test_case "create error precedence" `Quick
-        test_create_error_precedence;
       Alcotest.test_case "reachability" `Quick test_reachability;
       Alcotest.test_case "shortest path" `Quick test_shortest_path;
       Alcotest.test_case "transpose" `Quick test_transpose;
@@ -567,6 +565,8 @@ let suite =
       Alcotest.test_case "parse fuzz" `Quick test_parse_fuzz;
       Alcotest.test_case "parse CRLF" `Quick test_parse_crlf;
       Alcotest.test_case "dot export" `Quick test_dot;
+      Alcotest.test_case "create error precedence" `Quick
+        test_create_error_precedence;
       q prop_parse_roundtrip;
       q prop_to_string_as_sprintf;
       q prop_depth_bounded;
