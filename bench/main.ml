@@ -906,10 +906,11 @@ let run_scale_suite ~smoke () =
           ~targets:(Broadcast.targets_of cp ~source:0)));
   let small_parts = List.filter (fun i -> i mod 4 = 0) (Platform.nodes cp) in
   let a2aname = Printf.sprintf "scale/all-to-all guard n=%d" cn in
-  let am, _, _, _ = All_to_all.model_handles cp ~participants:small_parts in
-  guard a2aname
-    (All_to_all.solve cp ~participants:small_parts).All_to_all.throughput
-    (lp_objective a2aname am);
+  let asmall = All_to_all.solve cp ~participants:small_parts in
+  let am, _, _, _ =
+    Collective.model_handles Collective.Sum cp ~pairs:asmall.Collective.pairs
+  in
+  guard a2aname asmall.Collective.throughput (lp_objective a2aname am);
   Printf.printf "%-56s %10s\n" "scale/collective guards"
     "scatter, broadcast, all-to-all = monolithic LP";
   (* collective rows at sizes the monolithic LP cannot touch (its model
@@ -935,7 +936,7 @@ let run_scale_suite ~smoke () =
     Printf.sprintf "scale/all-to-all n=%d p=%d decomposed" big
       (List.length parts)
   in
-  if R.sign asol.All_to_all.throughput <= 0 then
+  if R.sign asol.Collective.throughput <= 0 then
     failwith ("bench: " ^ aname ^ ": non-positive throughput");
   record aname ns;
   (* the headline: exact rational solves of large random trees.  The

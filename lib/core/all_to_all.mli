@@ -5,27 +5,24 @@
     [TP] at which complete exchange rounds are sustained.
 
     One commodity per ordered pair [(s, t)] of distinct participants —
-    the natural generalisation of the scatter LP (one commodity per
-    target) to many simultaneous sources.  Like scatter it uses the
-    [Sum] law (messages are distinct), so the bound is achievable by the
-    usual reconstruction. *)
+    the scatter LP (one commodity per target) with many simultaneous
+    sources.  It is {!Collective}'s multi-commodity LP under the [Sum]
+    law (messages are distinct), so the bound is achievable by the
+    usual reconstruction; model, read-back, tree closed form and
+    invariant check are {!Collective}'s. *)
 
-type solution = {
-  platform : Platform.t;
-  participants : Platform.node list;
-  throughput : Rat.t;
-      (** messages per time unit on every (source, target) pair *)
-  flows : ((Platform.node * Platform.node) * Rat.t array) list;
-      (** per ordered pair: cycle-free per-edge flow *)
-}
+type solution = Collective.solution
+(** [pairs] lists the ordered pairs, each source's in participant
+    order; [throughput] is the rate on every pair. *)
 
 val solve :
   Platform.t ->
   participants:Platform.node list ->
   solution
-(** The optimal exchange rate.  When the platform is a tree
-    ({!Tree_decomp.detect} rooted at the first participant) the pair
-    LP has a closed form: with [inP(v)] participants below tree link
+(** The optimal exchange rate: {!Collective.solve_pairs} under [Sum]
+    on every ordered pair of distinct participants.  When the platform
+    is a tree ({!Tree_decomp.detect} rooted at the first participant)
+    the closed form applies: with [inP(v)] participants below tree link
     [{u,v}] out of [nP], the link carries [inP(v) * (nP - inP(v))]
     commodities in {e each} direction, and
 
@@ -38,24 +35,9 @@ val solve :
     unreachable from the root, or a loaded upward lane missing from
     the platform, forces zero throughput.
 
-    Any other platform solves the monolithic LP ({!model_handles}).
-    Beware: it has [|participants|^2 * |E|] variables — exact rational
-    simplex keeps this practical only for small exemplars.
-    @raise Invalid_argument on fewer than two participants or
-    duplicates. *)
-
-val model_handles :
-  Platform.t ->
-  participants:Platform.node list ->
-  Lp.model
-  * Lp.var
-  * Lp.var array
-  * ((Platform.node * Platform.node) * Lp.var array) list
-(** The monolithic pair LP that {!solve} builds off trees, with the variable
-    handles needed to replay a {!solution} through
-    {!Lp.check_solution}: [(model, tp, s_vars, f_vars)] with
-    [s_vars.(e)] the busy fraction of edge [e] and per ordered pair one
-    flow variable per edge. *)
-
-val check_invariants : solution -> (unit, string) result
-(** Conservation per commodity, sink rates, port budgets. *)
+    Any other platform solves the monolithic LP
+    ({!Collective.model_handles}).  Beware: it has
+    [|participants|^2 * |E|] variables — exact rational simplex keeps
+    this practical only for small exemplars.
+    @raise Invalid_argument on fewer than two participants, a
+    participant that is not a node, or duplicates. *)

@@ -10,7 +10,16 @@ type solution = {
   task_flow : Flow.t;
 }
 
-let build_lp p ~master =
+type ports = Duplex of (P.node -> R.t) * (P.node -> R.t) | Half_duplex
+
+let one_port = Duplex ((fun _ -> R.one), fun _ -> R.one)
+
+let check_master fn p master =
+  if master < 0 || master >= P.num_nodes p then
+    invalid_arg (fn ^ ": master out of range")
+
+let ports_lp fn ports p ~master =
+  check_master fn p master;
   let m = Lp.create () in
   let n = P.num_nodes p in
   let unit_iv = Some R.one in
@@ -22,22 +31,21 @@ let build_lp p ~master =
     Array.init (P.num_edges p) (fun e ->
         Lp.add_var ~ub:unit_iv m (Printf.sprintf "s_%s" (P.edge_name p e)))
   in
-  (* one-port constraints *)
+  (* port constraints: the only rows the models of the family differ in *)
+  let port name es budget =
+    if es <> [] then
+      Lp.add_constraint ~name m
+        (Lp.sum (List.map (fun e -> Lp.var s_v.(e)) es))
+        Lp.Le budget
+  in
   List.iter
     (fun i ->
       let outs = P.out_edges p i and ins = P.in_edges p i in
-      if outs <> [] then
-        Lp.add_constraint
-          ~name:(Printf.sprintf "outport_%s" (P.name p i))
-          m
-          (Lp.sum (List.map (fun e -> Lp.var s_v.(e)) outs))
-          Lp.Le R.one;
-      if ins <> [] then
-        Lp.add_constraint
-          ~name:(Printf.sprintf "inport_%s" (P.name p i))
-          m
-          (Lp.sum (List.map (fun e -> Lp.var s_v.(e)) ins))
-          Lp.Le R.one)
+      match ports with
+      | Duplex (send, recv) ->
+        port ("outport_" ^ P.name p i) outs (send i);
+        port ("inport_" ^ P.name p i) ins (recv i)
+      | Half_duplex -> port ("port_" ^ P.name p i) (outs @ ins) R.one)
     (P.nodes p);
   (* the master receives nothing *)
   List.iter
@@ -74,8 +82,10 @@ let build_lp p ~master =
        (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
   (m, alpha_v, s_v)
 
+let build_lp p ~master = ports_lp "Master_slave.build_lp" one_port p ~master
+
 let solve_lp_only ?cache ?stats p ~master =
-  let m, _, _ = build_lp p ~master in
+  let m, _, _ = ports_lp "Master_slave.solve_lp_only" one_port p ~master in
   (m, Lp.solve ?cache ?stats m)
 
 (* Map an optimal LP solution back onto the platform: activity
@@ -97,6 +107,13 @@ let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
     send_frac;
     task_flow;
   }
+
+let solve_ports fn ports p ~master =
+  let m, alpha_v, s_v = ports_lp fn ports p ~master in
+  match Lp.solve m with
+  | Lp.Optimal sol -> solution_of_sol p ~master alpha_v s_v sol
+  | Lp.Infeasible | Lp.Unbounded ->
+    failwith (fn ^ ": LP not optimal (invalid platform?)")
 
 (* --- the tree closed form ------------------------------------------------
 
@@ -239,18 +256,22 @@ let solve_tree p ~master td =
   in
   { platform = p; master; ntask; alpha; send_frac = send; task_flow }
 
-let try_solve ?cache ?stats p ~master =
+let try_solve_as fn ?cache ?stats p ~master =
+  check_master fn p master;
   match Tree_decomp.detect p ~root:master with
   | Some td -> Ok (solve_tree p ~master td)
   | None -> (
-    let m, alpha_v, s_v = build_lp p ~master in
+    let m, alpha_v, s_v = ports_lp fn one_port p ~master in
     match Lp.solve ?cache ?stats m with
     | Lp.Infeasible -> Error `Infeasible
     | Lp.Unbounded -> Error `Unbounded
     | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol))
 
+let try_solve ?cache ?stats p ~master =
+  try_solve_as "Master_slave.try_solve" ?cache ?stats p ~master
+
 let solve ?cache ?stats p ~master =
-  match try_solve ?cache ?stats p ~master with
+  match try_solve_as "Master_slave.solve" ?cache ?stats p ~master with
   | Ok sol -> sol
   | Error (`Infeasible | `Unbounded) ->
     failwith "Master_slave.solve: LP not optimal (invalid platform?)"

@@ -20,7 +20,12 @@
     The LP value is an upper bound on any schedule's steady-state
     throughput; {!schedule} reconstructs a periodic schedule that meets
     it exactly, which {!simulate} then executes (strictly) on the
-    simulator. *)
+    simulator.
+
+    §5.1's port models change only the two port rows ({!ports}):
+    {!Multiport} gives each port a card budget, {!Send_receive} merges
+    them into one half-duplex port.  Both build this LP with
+    {!ports_lp} and read it back as {!solve} does. *)
 
 type solution = {
   platform : Platform.t;
@@ -31,16 +36,52 @@ type solution = {
   task_flow : Flow.t; (** per edge: tasks per time unit = s_ij / c_ij *)
 }
 
+type ports =
+  | Duplex of (Platform.node -> Rat.t) * (Platform.node -> Rat.t)
+      (** [Duplex (send, recv)]: node [i]'s out-edges share a budget of
+          [send i] ([sum_j s_ij <= send i]) and its in-edges one of
+          [recv i]; one-port is both budgets 1, {!Multiport}'s cards
+          are the card counts *)
+  | Half_duplex
+      (** one combined port per node, [sum_j s_ij + sum_j s_ji <= 1]
+          (§5.1.1's send-or-receive model, {!Send_receive}) *)
+(** The port rows of the LP: the only thing the master–slave models of
+    §3.1 and §5.1 differ in. *)
+
+val ports_lp :
+  string ->
+  ports ->
+  Platform.t ->
+  master:Platform.node ->
+  Lp.model * Lp.var array * Lp.var array
+(** [ports_lp fn ports p ~master] is the steady-state LP of the header
+    with the port rows [ports] in place of the one-port rows, unsolved:
+    [(model, alpha_vars, s_vars)] with one activity variable per node
+    and one send variable per edge, in platform order.  The rows are
+    the port rows (node by node: [outport_i] then [inport_i], or
+    [port_i]), [nomaster_e] and [conserve_i].
+    @raise Invalid_argument naming [fn] if [master] is not a node. *)
+
 val build_lp :
   Platform.t ->
   master:Platform.node ->
   Lp.model * Lp.var array * Lp.var array
-(** The steady-state LP of the header, unsolved:
-    [(model, alpha_vars, s_vars)] with one activity variable per node
-    and one send variable per edge, in platform order.  Exposed so
-    tests and benches can certify {e any} claimed solution — including
-    {!solve}'s closed-form tree flows — against the model's own
-    constraints via {!Lp.check_solution}. *)
+(** The one-port LP of the header: {!ports_lp} with both budgets 1.
+    Exposed so tests and benches can certify {e any} claimed solution —
+    including {!solve}'s closed-form tree flows — against the model's
+    own constraints via {!Lp.check_solution}.
+    @raise Invalid_argument if [master] is not a node. *)
+
+val solve_ports :
+  string -> ports -> Platform.t -> master:Platform.node -> solution
+(** [solve_ports fn ports p ~master] solves {!ports_lp} with {!Lp.solve}
+    on any platform shape (the tree closed form is one-port only) and
+    reads the answer back as {!solve}'s LP path does: [ntask] is the
+    objective, [alpha] the activity values, and [task_flow] the
+    send variables over their costs, cycle-cancelled by
+    {!Reconstruct.cancel}; [send_frac] is [task_flow * c].
+    @raise Invalid_argument naming [fn] if [master] is not a node.
+    @raise Failure naming [fn] if the LP is somehow not optimal. *)
 
 val solve :
   ?cache:Lp.Cache.t ->
@@ -72,6 +113,7 @@ val solve :
     no state: the returned [task_flow] is a function of the LP solution
     alone.  [?stats] accumulates exact pivot counts and the cycles
     cancelled.
+    @raise Invalid_argument if [master] is not a node.
     @raise Failure if the LP is somehow not optimal (cannot happen on a
     valid platform: the zero schedule is feasible and throughput is
     bounded). *)
@@ -86,7 +128,8 @@ val try_solve :
     variant (a tree always answers [Ok]).  Failure-aware planners use
     this on surviving sub-platforms, where a pathological restriction
     must degrade into a structured report rather than escape as an
-    exception. *)
+    exception.
+    @raise Invalid_argument if [master] is not a node. *)
 
 val solve_lp_only :
   ?cache:Lp.Cache.t ->

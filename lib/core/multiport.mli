@@ -14,16 +14,24 @@
 
     [solve] computes the master–slave steady state where node [i] may
     run [send_cards i] simultaneous sends and [recv_cards i]
-    simultaneous receives; with all card counts 1 it coincides exactly
-    with {!Master_slave.solve}. *)
+    simultaneous receives.  It is {!Master_slave}'s LP with the card
+    counts as port budgets ({!Master_slave.Duplex}), read back as
+    {!Master_slave.solve}'s; with all card counts 1 its model is
+    {!Master_slave.build_lp}'s, so it coincides exactly with the
+    one-port LP. *)
 
-type solution = {
-  platform : Platform.t;
-  master : Platform.node;
-  ntask : Rat.t;
-  alpha : Rat.t array;
-  task_flow : Flow.t;
-}
+type solution = Master_slave.solution
+
+val build_lp :
+  Platform.t ->
+  master:Platform.node ->
+  send_cards:(Platform.node -> int) ->
+  recv_cards:(Platform.node -> int) ->
+  Lp.model * Lp.var array * Lp.var array
+(** The card-budget LP, unsolved: {!Master_slave.ports_lp} with
+    [Duplex (send_cards, recv_cards)].
+    @raise Invalid_argument if some card count is < 1 or [master] is
+    not a node. *)
 
 val solve :
   Platform.t ->
@@ -31,7 +39,10 @@ val solve :
   send_cards:(Platform.node -> int) ->
   recv_cards:(Platform.node -> int) ->
   solution
-(** @raise Invalid_argument if some card count is < 1. *)
+(** {!build_lp} solved by {!Master_slave.solve_ports}, on every platform
+    shape (the tree closed form is one-port only).
+    @raise Invalid_argument if some card count is < 1 or [master] is
+    not a node. *)
 
 type card_schedule = {
   period : Rat.t;

@@ -39,9 +39,9 @@ let simulate ?(periods = 8) (sol : solution) =
   let delivered =
     Schedule.deliver ~periods sched
       (List.mapi
-         (fun k tgt d ->
+         (fun k (_, tgt) d ->
            d.Schedule.d_kind = k && P.edge_dst p d.Schedule.d_edge = tgt)
-         sol.Collective.targets)
+         sol.Collective.pairs)
   in
   let elapsed = R.mul (R.of_int periods) sched.Schedule.period in
   {

@@ -1,70 +1,13 @@
 module R = Rat
 module P = Platform
 
-type solution = {
-  platform : P.t;
-  master : P.node;
-  ntask : R.t;
-  alpha : R.t array;
-  task_flow : Flow.t;
-}
+type solution = Master_slave.solution
 
-(* Same LP as Master_slave but with a single half-duplex port per node:
-   time sending plus time receiving <= 1. *)
+(* The master–slave LP with one half-duplex port per node: time sending
+   plus time receiving <= 1. *)
 let solve p ~master =
-  let m = Lp.create () in
-  let n = P.num_nodes p in
-  let unit_iv = Some R.one in
-  let alpha_v =
-    Array.init n (fun i ->
-        Lp.add_var ~ub:unit_iv m (Printf.sprintf "alpha_%s" (P.name p i)))
-  in
-  let s_v =
-    Array.init (P.num_edges p) (fun e ->
-        Lp.add_var ~ub:unit_iv m (Printf.sprintf "s_%s" (P.edge_name p e)))
-  in
-  List.iter
-    (fun i ->
-      let es = P.out_edges p i @ P.in_edges p i in
-      if es <> [] then
-        Lp.add_constraint
-          ~name:(Printf.sprintf "port_%s" (P.name p i))
-          m
-          (Lp.sum (List.map (fun e -> Lp.var s_v.(e)) es))
-          Lp.Le R.one)
-    (P.nodes p);
-  List.iter
-    (fun e -> Lp.add_constraint m (Lp.var s_v.(e)) Lp.Eq R.zero)
-    (P.in_edges p master);
-  List.iter
-    (fun i ->
-      if i <> master then begin
-        let inflow =
-          List.map
-            (fun e -> Lp.term (R.inv (P.edge_cost p e)) s_v.(e))
-            (P.in_edges p i)
-        in
-        let outflow =
-          List.map
-            (fun e -> Lp.term (R.neg (R.inv (P.edge_cost p e))) s_v.(e))
-            (P.out_edges p i)
-        in
-        let consumed = Lp.term (R.neg (P.speed p i)) alpha_v.(i) in
-        Lp.add_constraint m (Lp.sum ((consumed :: inflow) @ outflow)) Lp.Eq R.zero
-      end)
-    (P.nodes p);
-  Lp.set_objective m Lp.Maximize
-    (Lp.sum (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
-  match Lp.solve m with
-  | Lp.Infeasible | Lp.Unbounded ->
-    failwith "Send_receive.solve: LP not optimal (invalid platform?)"
-  | Lp.Optimal sol ->
-    let alpha = Array.map sol.Lp.values alpha_v in
-    let raw =
-      Array.mapi (fun e sv -> R.div (sol.Lp.values sv) (P.edge_cost p e)) s_v
-    in
-    { platform = p; master; ntask = sol.Lp.objective; alpha;
-      task_flow = Flow.cancel_cycles p raw }
+  Master_slave.solve_ports "Send_receive.solve" Master_slave.Half_duplex p
+    ~master
 
 type round = { duration : R.t; comms : (P.edge * R.t) list }
 
@@ -80,7 +23,7 @@ type greedy_schedule = {
    communications (largest remaining busy time first; an edge conflicts
    with any other touching either of its endpoints) and peel off the
    smallest remaining busy time in the set. *)
-let greedy_reconstruct sol =
+let greedy_reconstruct (sol : solution) =
   let p = sol.platform in
   let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
   (* remaining busy time per active edge *)

@@ -1,24 +1,24 @@
 (** The send-OR-receive model (§5.1.1).
 
     If a node cannot send and receive simultaneously, the LP is easy to
-    adapt — one combined port constraint per node — but reconstruction
-    now needs an edge colouring of an arbitrary (non-bipartite)
-    multigraph, which is NP-hard.  Following the paper we keep the LP
-    bound and use a polynomial greedy decomposition into independent
-    communication rounds; the price is a schedule that may be longer
-    than the period, i.e. a throughput ratio below 1 (it is at most 2
-    by the greedy-matching argument, and usually much closer to 1). *)
+    adapt — one combined port constraint per node: it is
+    {!Master_slave}'s LP with the port rows
+    {!Master_slave.Half_duplex}, and the answer is read back as
+    {!Master_slave.solve}'s.  Reconstruction, though, now needs an edge
+    colouring of an arbitrary (non-bipartite) multigraph, which is
+    NP-hard.  Following the paper we keep the LP bound and use a
+    polynomial greedy decomposition into independent communication
+    rounds; the price is a schedule that may be longer than the period,
+    i.e. a throughput ratio below 1 (it is at most 2 by the
+    greedy-matching argument, and usually much closer to 1). *)
 
-type solution = {
-  platform : Platform.t;
-  master : Platform.node;
-  ntask : Rat.t; (** the send-or-receive LP bound *)
-  alpha : Rat.t array;
-  task_flow : Flow.t;
-}
+type solution = Master_slave.solution
+(** [ntask] is the send-or-receive LP bound. *)
 
-val solve :
-  Platform.t -> master:Platform.node -> solution
+val solve : Platform.t -> master:Platform.node -> solution
+(** {!Master_slave.solve_ports} with {!Master_slave.Half_duplex}: the LP
+    on every platform shape (the tree closed form is one-port only).
+    @raise Invalid_argument if [master] is not a node. *)
 
 type round = {
   duration : Rat.t;

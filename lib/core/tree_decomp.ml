@@ -1,9 +1,9 @@
 (* Shared tree machinery behind the closed-form tree solves: BFS tree
-   detection plus the bottom-up absorption sweep every tree
-   decomposition runs — the master–slave knapsack chain, the collective
-   subtree-target counts, the all-to-all participant splits.  Keeping
-   the structure in one place means one proof obligation for "the
-   reachable part really is a tree" instead of three. *)
+   detection, the bottom-up absorption sweep of the master–slave
+   knapsack chain, and the parent links and upward lanes the
+   multi-commodity routes walk.  Keeping the structure in one place
+   means one proof obligation for "the reachable part really is a tree"
+   instead of two. *)
 
 module R = Rat
 module P = Platform
@@ -85,16 +85,9 @@ let bottom_up p t ~default ~f =
   done;
   value
 
-(* subtree-integral of a per-node seed — the multiplicity engine of the
-   collective decompositions ([seed] is a target/participant
-   indicator) *)
-let subtree_sums p t ~seed =
-  bottom_up p t ~default:0 ~f:(fun v cs ->
-      List.fold_left (fun acc (_, c) -> acc + c) (seed v) cs)
-
 (* per node: the directed edge back to its parent, or -1 when the
    platform has no such edge (or at the root / unreached nodes) — the
-   upward lanes the all-to-all decomposition routes through *)
+   upward lanes the multi-commodity routes climb *)
 let up_edges p t =
   let ids = Hashtbl.create (2 * P.num_nodes p) in
   List.iter

@@ -1,12 +1,14 @@
 (** Shared tree structure behind the closed-form tree solves.
 
-    {!Master_slave.solve}, {!Collective.solve} and {!All_to_all.solve}
-    each begin with {!detect}: its answer alone decides whether the
-    closed form runs or the monolithic LP is built.  On a tree they
-    then sweep it bottom-up absorbing per-subtree quantities (knapsack
-    capacities, target counts, participant splits).  This module owns
-    both steps so the tree-detection contract is stated — and tested —
-    once. *)
+    {!Master_slave.solve} and {!Collective.solve_pairs} (behind
+    {!Collective.solve} and {!All_to_all.solve}) each begin with
+    {!detect}: its answer alone decides whether the closed form runs or
+    the monolithic LP is built.  On a tree the master–slave form sweeps
+    it bottom-up ({!bottom_up}, knapsack capacities); the
+    multi-commodity form walks each commodity's route along {!parent}
+    links and {!up_edges}, counting commodities per directed lane.  This
+    module owns the structure so the tree-detection contract is stated
+    — and tested — once. *)
 
 type t = {
   root : Platform.node;
@@ -42,16 +44,10 @@ val bottom_up :
 (** [bottom_up p t ~default ~f] folds the tree children-first: [f v cs]
     receives one [(tree_edge, child_value)] pair per child of [v] and
     produces [v]'s value.  Unreached nodes keep [default].  This is the
-    absorption sweep of every tree decomposition; the master–slave
-    knapsack chain is [f = knapsack]. *)
-
-val subtree_sums : Platform.t -> t -> seed:(Platform.node -> int) -> int array
-(** Subtree integrals of a per-node seed: entry [v] is
-    [sum of seed(w) over w in the subtree rooted at v].  With an
-    indicator seed this is the per-edge commodity multiplicity of the
-    collective decompositions. *)
+    master–slave absorption sweep, one {!Master_slave.knapsack} per
+    node. *)
 
 val up_edges : Platform.t -> t -> int array
 (** Per node: the directed edge back to its tree parent, or [-1] when
     the platform lacks it (and at the root / unreached nodes).  The
-    upward half of the all-to-all routes. *)
+    upward half of the multi-commodity routes. *)

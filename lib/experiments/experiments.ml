@@ -241,12 +241,12 @@ let e7_send_receive () =
         let full = (Master_slave.solve p ~master:0).Master_slave.ntask in
         let sol = Send_receive.solve p ~master:0 in
         let g = Send_receive.greedy_reconstruct sol in
-        if not (R.is_zero sol.Send_receive.ntask) then
+        if not (R.is_zero sol.Master_slave.ntask) then
           worst := R.min !worst g.Send_receive.efficiency;
         [
           label;
           rat full;
-          rat sol.Send_receive.ntask;
+          rat sol.Master_slave.ntask;
           rat g.Send_receive.achieved;
           rat g.Send_receive.efficiency;
         ])
@@ -460,7 +460,7 @@ let e12_reduce () =
           (2, 0, R.one); (0, 2, R.one) ]
   in
   let a2a =
-    (All_to_all.solve ring ~participants:[ 0; 1; 2 ]).All_to_all.throughput
+    (All_to_all.solve ring ~participants:[ 0; 1; 2 ]).Collective.throughput
   in
   {
     T.id = "E12";

@@ -27,8 +27,8 @@ let test_a2a_two_nodes () =
   (* two nodes exchanging over unit links: each port carries one stream *)
   let p = ring 2 R.one in
   let sol = All_to_all.solve p ~participants:[ 0; 1 ] in
-  Alcotest.check rat "full rate both ways" (ri 1) sol.All_to_all.throughput;
-  match All_to_all.check_invariants sol with
+  Alcotest.check rat "full rate both ways" (ri 1) sol.Collective.throughput;
+  match Collective.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -37,8 +37,8 @@ let test_a2a_triangle_ring () =
      and receives 2; with direct links only, out-port: 2 TP <= 1 *)
   let p = ring 3 R.one in
   let sol = All_to_all.solve p ~participants:[ 0; 1; 2 ] in
-  Alcotest.check rat "ring all-to-all" (r 1 2) sol.All_to_all.throughput;
-  match All_to_all.check_invariants sol with
+  Alcotest.check rat "ring all-to-all" (r 1 2) sol.Collective.throughput;
+  match Collective.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -53,7 +53,7 @@ let test_a2a_star_relay () =
   in
   let sol = All_to_all.solve p ~participants:[ 0; 2 ] in
   Alcotest.check rat "hub send port shared by both streams" (r 1 2)
-    sol.All_to_all.throughput
+    sol.Collective.throughput
 
 let test_a2a_subsumes_scatter () =
   (* with one sender's commodities removed by symmetry: all-to-all rate
@@ -62,7 +62,7 @@ let test_a2a_subsumes_scatter () =
   let a2a = All_to_all.solve p ~participants:[ 0; 3 ] in
   let sc = Scatter.solve p ~source:0 ~targets:[ 3 ] in
   Alcotest.(check bool) "a2a <= scatter (extra reverse stream)" true
-    R.Infix.(a2a.All_to_all.throughput <= sc.Collective.throughput)
+    R.Infix.(a2a.Collective.throughput <= sc.Collective.throughput)
 
 let test_a2a_validation () =
   let p = ring 3 R.one in
@@ -71,6 +71,45 @@ let test_a2a_validation () =
     (bad (fun () -> All_to_all.solve p ~participants:[ 0 ]));
   Alcotest.(check bool) "duplicates" true
     (bad (fun () -> All_to_all.solve p ~participants:[ 0; 0 ]))
+
+(* All_to_all.solve (the closed form on trees, the shared pair LP
+   elsewhere) against the kernel on the interleaved pair LP all-to-all
+   used to build: same throughput, same pairs in the same order, and
+   the same cycle-cancelled flow for every pair. *)
+let same_as_reference p ~participants =
+  let sol = All_to_all.solve p ~participants in
+  let m, _, _, f_v = All_to_all_reference.build_model p ~participants in
+  match Lp.solve m with
+  | Lp.Optimal s ->
+    R.equal s.Lp.objective sol.Collective.throughput
+    && List.map fst f_v = sol.Collective.pairs
+    && List.for_all2
+         (fun (_, fv) flow ->
+           Array.for_all2 R.equal
+             (Flow.cancel_cycles p (Array.map s.Lp.values fv))
+             flow)
+         f_v
+         (Array.to_list sol.Collective.flows)
+  | Lp.Infeasible | Lp.Unbounded -> false
+
+let prop_a2a_same_as_reference =
+  QCheck.Test.make ~name:"a2a: same as the interleaved reference" ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 3 7))
+    (fun (seed, nodes) ->
+      let all = List.init nodes Fun.id in
+      let participants =
+        match seed mod 3 with
+        | 0 -> [ 0; 1 ]
+        | 1 -> List.filter (fun i -> i mod 2 = 0) all
+        | _ -> List.rev (List.filter (fun i -> i mod 3 <> 1) all)
+      in
+      let graph =
+        Platform_gen.random_graph ~seed ~nodes ~extra_edges:(1 + (seed mod 3))
+          ()
+      in
+      let tree = Platform_gen.random_tree ~seed ~nodes () in
+      same_as_reference graph ~participants
+      && same_as_reference tree ~participants)
 
 (* --- multiport --- *)
 
@@ -82,7 +121,7 @@ let test_multiport_one_card_is_master_slave () =
       let mp =
         (Multiport.solve p ~master:0 ~send_cards:(fun _ -> 1)
            ~recv_cards:(fun _ -> 1))
-          .Multiport.ntask
+          .Master_slave.ntask
       in
       Alcotest.check rat (Printf.sprintf "1-card = 1-port (seed %d)" seed) ms mp)
     [ 2; 4; 6 ]
@@ -97,12 +136,12 @@ let test_multiport_extra_cards_help () =
   let one =
     (Multiport.solve p ~master:0 ~send_cards:(fun _ -> 1)
        ~recv_cards:(fun _ -> 1))
-      .Multiport.ntask
+      .Master_slave.ntask
   in
   let two =
     (Multiport.solve p ~master:0 ~send_cards:(fun i -> if i = 0 then 2 else 1)
        ~recv_cards:(fun _ -> 1))
-      .Multiport.ntask
+      .Master_slave.ntask
   in
   Alcotest.check rat "one card" (ri 1) one;
   Alcotest.check rat "two cards" (ri 1) two
@@ -123,7 +162,7 @@ let test_multiport_bandwidth_bound_case () =
     (Multiport.solve p ~master:0
        ~send_cards:(fun i -> if i = 0 then k else 1)
        ~recv_cards:(fun _ -> 1))
-      .Multiport.ntask
+      .Master_slave.ntask
   in
   Alcotest.check rat "1 card: port-bound" (ri 2) (solve 1);
   Alcotest.check rat "2 cards: cpu-bound" (ri 4) (solve 2)
@@ -187,6 +226,44 @@ let test_multiport_bad_wiring () =
             ~recv_cards:(fun _ -> 1));
        false
      with Invalid_argument _ -> true)
+
+let test_multiport_master_out_of_range () =
+  let p = Platform_gen.figure1 () in
+  Alcotest.check_raises "named error"
+    (Invalid_argument "Multiport.solve: master out of range")
+    (fun () ->
+      ignore
+        (Multiport.solve p ~master:99 ~send_cards:(fun _ -> 1)
+           ~recv_cards:(fun _ -> 1)))
+
+(* With one card each way the Multiport model is the one-port model by
+   construction: the very instance the kernel solves, row for row. *)
+let test_multiport_one_card_model () =
+  let same_rat = Array.for_all2 R.equal in
+  let same_row (ca, va) (cb, vb) = ca = cb && same_rat va vb in
+  List.iter
+    (fun (name, p) ->
+      let one, _, _ =
+        Multiport.build_lp p ~master:0 ~send_cards:(fun _ -> 1)
+          ~recv_cards:(fun _ -> 1)
+      in
+      let ms, _, _ = Master_slave.build_lp p ~master:0 in
+      let rows, b, c = Lp.standard_form one in
+      let rows', b', c' = Lp.standard_form ms in
+      Alcotest.(check bool) (name ^ ": rows") true
+        (Array.length rows = Array.length rows'
+        && Array.for_all2 same_row rows rows');
+      Alcotest.(check bool) (name ^ ": b") true
+        (Array.length b = Array.length b' && same_rat b b');
+      Alcotest.(check bool) (name ^ ": c") true
+        (Array.length c = Array.length c' && same_rat c c'))
+    (("figure 1", Platform_gen.figure1 ())
+    :: List.map
+         (fun seed ->
+           ( Printf.sprintf "seed %d" seed,
+             Platform_gen.random_graph ~seed ~nodes:(4 + (seed mod 5))
+               ~extra_edges:(seed mod 4) () ))
+         (List.init 10 (fun k -> k + 1)))
 
 (* --- divisible load --- *)
 
@@ -259,6 +336,7 @@ let test_divisible_validation () =
          Divisible.star_divisible q ~master:0 ~load:(ri 1) ~order:[ 2 ]))
 
 let suite =
+  let q = QCheck_alcotest.to_alcotest in
   ( "extensions",
     [
       Alcotest.test_case "a2a: two nodes" `Quick test_a2a_two_nodes;
@@ -275,4 +353,9 @@ let suite =
       Alcotest.test_case "divisible: order matters" `Quick test_divisible_order_matters;
       Alcotest.test_case "divisible: below steady state" `Quick test_divisible_below_steady_state;
       Alcotest.test_case "divisible: validation" `Quick test_divisible_validation;
+      Alcotest.test_case "multiport: master out of range" `Quick
+        test_multiport_master_out_of_range;
+      Alcotest.test_case "multiport: one-card model = one-port model" `Quick
+        test_multiport_one_card_model;
+      q prop_a2a_same_as_reference;
     ] )

@@ -253,6 +253,28 @@ let prop_more_links_no_worse =
       in
       R.Infix.(ntask faster >= tree))
 
+(* An out-of-range master gets an error naming the entry point, not an
+   array index failure. *)
+let out_of_range fn f =
+  let p = Platform_gen.figure1 () in
+  List.iter
+    (fun master ->
+      Alcotest.check_raises
+        (Printf.sprintf "master %d" master)
+        (Invalid_argument (fn ^ ": master out of range"))
+        (fun () -> ignore (f p ~master)))
+    [ 99; P.num_nodes p; -1 ]
+
+let test_solve_master_range () =
+  out_of_range "Master_slave.solve" (fun p ~master -> MS.solve p ~master)
+
+let test_try_solve_master_range () =
+  out_of_range "Master_slave.try_solve" (fun p ~master ->
+      MS.try_solve p ~master)
+
+let test_build_lp_master_range () =
+  out_of_range "Master_slave.build_lp" MS.build_lp
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "master_slave",
@@ -271,6 +293,12 @@ let suite =
       Alcotest.test_case "buffers detect violation" `Quick test_buffers_detect_violation;
       Alcotest.test_case "simulation meets bound" `Quick test_simulation_meets_bound;
       Alcotest.test_case "constant gap (asymptotic)" `Quick test_constant_gap;
+      Alcotest.test_case "solve: master out of range" `Quick
+        test_solve_master_range;
+      Alcotest.test_case "try_solve: master out of range" `Quick
+        test_try_solve_master_range;
+      Alcotest.test_case "build_lp: master out of range" `Quick
+        test_build_lp_master_range;
       q prop_bounds;
       q prop_schedule_reconstructs;
       q prop_simulation_exact;

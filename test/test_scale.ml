@@ -289,9 +289,8 @@ let test_solve_reduced_schedulable () =
    cycle-free route of each commodity, so even the flows agree exactly.
    Off trees the LP path answers, unchanged. *)
 
-let check_collective_solution name mode p ~source ~targets
-    (sol : Collective.solution) =
-  let m, tp_v, s_v, f_v = Collective.model_handles mode p ~source ~targets in
+let check_collective_solution name mode p ~pairs (sol : Collective.solution) =
+  let m, tp_v, s_v, f_v = Collective.model_handles mode p ~pairs in
   let tbl = Hashtbl.create 64 in
   Hashtbl.replace tbl tp_v sol.Collective.throughput;
   Array.iteri
@@ -312,8 +311,8 @@ let check_collective_solution name mode p ~source ~targets
 
 (* The kernel's answer on the monolithic model, read back as the LP path
    does: throughput and each commodity's cycle-cancelled flow. *)
-let collective_lp name mode p ~source ~targets =
-  let m, _, _, f_v = Collective.model_handles mode p ~source ~targets in
+let collective_lp name mode p ~pairs =
+  let m, _, _, f_v = Collective.model_handles mode p ~pairs in
   match Lp.solve m with
   | Lp.Optimal s ->
     ( s.Lp.objective,
@@ -321,9 +320,8 @@ let collective_lp name mode p ~source ~targets =
     )
   | _ -> Alcotest.fail (name ^ ": LP not optimal")
 
-let check_collective_equal name mode p ~source ~targets
-    (sol : Collective.solution) =
-  let tp, flows = collective_lp name mode p ~source ~targets in
+let check_collective_equal name mode p ~pairs (sol : Collective.solution) =
+  let tp, flows = collective_lp name mode p ~pairs in
   Alcotest.check rat (name ^ " throughput") tp sol.Collective.throughput;
   Array.iteri
     (fun k fk ->
@@ -331,6 +329,10 @@ let check_collective_equal name mode p ~source ~targets
         (Printf.sprintf "%s flow of commodity %d" name k)
         fk sol.Collective.flows.(k))
     flows
+
+(* the commodities of a collective: one (source, target) pair per
+   target *)
+let from source targets = List.map (fun t -> (source, t)) targets
 
 let collective_modes = [ (Collective.Sum, "sum"); (Collective.Max, "max") ]
 
@@ -349,8 +351,9 @@ let test_collective_reduced_trees () =
                   Printf.sprintf "%s/%s seed=%d n=%d" mname tname seed nodes
                 in
                 let sol = Collective.solve mode p ~source:0 ~targets in
-                check_collective_equal name mode p ~source:0 ~targets sol;
-                check_collective_solution name mode p ~source:0 ~targets sol
+                let pairs = from 0 targets in
+                check_collective_equal name mode p ~pairs sol;
+                check_collective_solution name mode p ~pairs sol
               end)
             [ (all, "all"); (sub, "subset") ])
         collective_modes)
@@ -365,10 +368,9 @@ let test_collective_reduced_fallback () =
   List.iter
     (fun (mode, mname) ->
       let sol = Collective.solve mode p ~source:0 ~targets in
-      check_collective_equal (mname ^ " fallback") mode p ~source:0 ~targets
-        sol;
-      check_collective_solution (mname ^ " fallback") mode p ~source:0 ~targets
-        sol)
+      let pairs = from 0 targets in
+      check_collective_equal (mname ^ " fallback") mode p ~pairs sol;
+      check_collective_solution (mname ^ " fallback") mode p ~pairs sol)
     collective_modes
 
 let test_collective_reduced_unreachable () =
@@ -386,10 +388,9 @@ let test_collective_reduced_unreachable () =
       let sol = Collective.solve mode p ~source:0 ~targets in
       Alcotest.check rat (mname ^ " zero throughput") R.zero
         sol.Collective.throughput;
-      check_collective_equal (mname ^ " unreachable") mode p ~source:0
-        ~targets sol;
-      check_collective_solution (mname ^ " unreachable") mode p ~source:0
-        ~targets sol)
+      let pairs = from 0 targets in
+      check_collective_equal (mname ^ " unreachable") mode p ~pairs sol;
+      check_collective_solution (mname ^ " unreachable") mode p ~pairs sol)
     collective_modes
 
 let test_broadcast_reduced () =
@@ -397,53 +398,30 @@ let test_broadcast_reduced () =
     (fun (pname, p) ->
       let targets = Broadcast.targets_of p ~source:0 in
       let sol = Broadcast.lp_bound p ~source:0 in
-      check_collective_equal (pname ^ " bound") Collective.Max p ~source:0
-        ~targets sol)
+      check_collective_equal (pname ^ " bound") Collective.Max p
+        ~pairs:(from 0 targets) sol)
     [
       ("tree9", Platform_gen.random_tree ~seed:9 ~nodes:8 ());
       ("balanced", Platform_gen.balanced_tree ~seed:2 ~nodes:7 ~arity:2 ());
       ("fig1", Platform_gen.figure1 ());
     ]
 
-let check_a2a_solution name p ~participants (sol : All_to_all.solution) =
-  let m, tp_v, s_v, f_v = All_to_all.model_handles p ~participants in
-  let tbl = Hashtbl.create 64 in
-  Hashtbl.replace tbl tp_v sol.All_to_all.throughput;
-  Array.iteri
-    (fun e v ->
-      let s =
-        R.mul (P.edge_cost p e)
-          (R.sum (List.map (fun (_, f) -> f.(e)) sol.All_to_all.flows))
-      in
-      Hashtbl.replace tbl v s)
-    s_v;
-  List.iter
-    (fun (pair, fv) ->
-      let flow = List.assoc pair sol.All_to_all.flows in
-      Array.iteri (fun e v -> Hashtbl.replace tbl v flow.(e)) fv)
-    f_v;
-  (match Lp.check_solution m (Hashtbl.find tbl) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (name ^ " infeasible flow: " ^ e));
-  match All_to_all.check_invariants sol with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (name ^ " invariant broken: " ^ e)
+(* An all-to-all answer is a Sum-law collective over the ordered pairs
+   of its participants: the same replay and kernel comparison, on the
+   shared pair model. *)
+let a2a_pairs participants =
+  List.concat_map
+    (fun s ->
+      List.filter_map (fun t -> if s = t then None else Some (s, t))
+        participants)
+    participants
 
-(* the kernel's answer on the monolithic pair LP: throughput and every
-   pair's flow, bit for bit *)
-let check_a2a_equal name p ~participants (sol : All_to_all.solution) =
-  let m, _, _, f_v = All_to_all.model_handles p ~participants in
-  match Lp.solve m with
-  | Lp.Optimal s ->
-    Alcotest.check rat (name ^ " throughput") s.Lp.objective
-      sol.All_to_all.throughput;
-    List.iter
-      (fun (pair, fv) ->
-        Alcotest.check rat_arr (name ^ " pair flow")
-          (Flow.cancel_cycles p (Array.map s.Lp.values fv))
-          (List.assoc pair sol.All_to_all.flows))
-      f_v
-  | _ -> Alcotest.fail (name ^ ": LP not optimal")
+let check_a2a name p ~participants (sol : All_to_all.solution) =
+  let pairs = a2a_pairs participants in
+  Alcotest.(check (list (pair int int)))
+    (name ^ " pairs") pairs sol.Collective.pairs;
+  check_collective_equal name Collective.Sum p ~pairs sol;
+  check_collective_solution name Collective.Sum p ~pairs sol
 
 let test_a2a_reduced_trees () =
   List.iter
@@ -452,8 +430,7 @@ let test_a2a_reduced_trees () =
       let participants = List.filter (fun i -> i mod 2 = 0) (P.nodes p) in
       let name = Printf.sprintf "a2a seed=%d n=%d" seed nodes in
       let sol = All_to_all.solve p ~participants in
-      check_a2a_equal name p ~participants sol;
-      check_a2a_solution name p ~participants sol)
+      check_a2a name p ~participants sol)
     [ (2, 5); (4, 8) ]
 
 let test_a2a_reduced_fallback () =
@@ -461,8 +438,7 @@ let test_a2a_reduced_fallback () =
   let participants = [ 0; 2; 3 ] in
   Alcotest.(check bool) "not a tree" true (Tree_decomp.detect p ~root:0 = None);
   let sol = All_to_all.solve p ~participants in
-  check_a2a_equal "a2a fallback" p ~participants sol;
-  check_a2a_solution "a2a fallback" p ~participants sol
+  check_a2a "a2a fallback" p ~participants sol
 
 let test_a2a_reduced_missing_lane () =
   (* the A -> B lane exists but B -> A does not: pair (B, A) cannot
@@ -474,9 +450,8 @@ let test_a2a_reduced_missing_lane () =
   in
   let participants = [ 0; 1 ] in
   let sol = All_to_all.solve p ~participants in
-  Alcotest.check rat "a2a zero" R.zero sol.All_to_all.throughput;
-  check_a2a_equal "a2a missing lane" p ~participants sol;
-  check_a2a_solution "a2a missing lane" p ~participants sol
+  Alcotest.check rat "a2a zero" R.zero sol.Collective.throughput;
+  check_a2a "a2a missing lane" p ~participants sol
 
 (* --- generators -------------------------------------------------------- *)
 

@@ -172,6 +172,27 @@ let prop_simulation_clean =
           run.Scatter.delivered
       end)
 
+(* An out-of-range source gets Collective.solve's named error, through
+   every bound built on it, instead of an array index failure. *)
+let test_source_out_of_range () =
+  let p = Platform_gen.figure1 () in
+  let err = Invalid_argument "Collective.solve: source out of range" in
+  List.iter
+    (fun (what, f) -> Alcotest.check_raises what err (fun () -> ignore (f ())))
+    [
+      ("collective sum", fun () -> C.solve C.Sum p ~source:99 ~targets:[ 1 ]);
+      ("collective max", fun () -> C.solve C.Max p ~source:(-1) ~targets:[ 1 ]);
+      ("scatter", fun () -> Scatter.solve p ~source:99 ~targets:[ 1; 2 ]);
+      ("broadcast bound", fun () -> Broadcast.lp_bound p ~source:99);
+      ( "multicast max bound",
+        fun () -> Multicast.max_lp_bound p ~source:99 ~targets:[ 1 ] );
+      ( "multicast scatter bound",
+        fun () -> Multicast.scatter_lower_bound p ~source:99 ~targets:[ 1 ] );
+    ];
+  Alcotest.check_raises "solve_pairs"
+    (Invalid_argument "Collective.solve_pairs: source out of range")
+    (fun () -> ignore (C.solve_pairs C.Sum p ~pairs:[ (0, 1); (99, 2) ]))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "scatter",
@@ -187,6 +208,7 @@ let suite =
       Alcotest.test_case "schedule + simulation" `Quick test_schedule_and_simulation;
       Alcotest.test_case "gather duality" `Quick test_gather_is_transposed_scatter;
       Alcotest.test_case "reduce >= gather" `Quick test_reduce_at_least_gather;
+      Alcotest.test_case "source out of range" `Quick test_source_out_of_range;
       q prop_invariants;
       q prop_max_ge_sum;
       q prop_simulation_clean;

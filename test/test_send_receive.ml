@@ -13,7 +13,7 @@ let test_bound_le_full_duplex () =
     (fun seed ->
       let p = Platform_gen.random_graph ~seed ~nodes:6 ~extra_edges:3 () in
       let full = (Master_slave.solve p ~master:0).Master_slave.ntask in
-      let half = (SR.solve p ~master:0).SR.ntask in
+      let half = (SR.solve p ~master:0).Master_slave.ntask in
       Alcotest.(check bool) "send-or-receive <= full duplex" true
         R.Infix.(half <= full))
     [ 1; 2; 3; 4; 5 ]
@@ -27,7 +27,7 @@ let test_star_unchanged () =
       ()
   in
   let full = (Master_slave.solve p ~master:0).Master_slave.ntask in
-  let half = (SR.solve p ~master:0).SR.ntask in
+  let half = (SR.solve p ~master:0).Master_slave.ntask in
   Alcotest.check rat "star unaffected" full half
 
 let test_chain_relay_halved () =
@@ -44,7 +44,7 @@ let test_chain_relay_halved () =
       ~edges:[ (0, 1, r 1 2); (1, 2, r 1 2) ]
   in
   let sol = SR.solve p ~master:0 in
-  Alcotest.check rat "relay port halves throughput" (r 5 2) sol.SR.ntask
+  Alcotest.check rat "relay port halves throughput" (r 5 2) sol.Master_slave.ntask
 
 let test_greedy_rounds_valid () =
   List.iter
@@ -67,7 +67,7 @@ let test_greedy_rounds_valid () =
         g.SR.rounds;
       List.iter
         (fun e ->
-          let expected = R.mul g.SR.period sol.SR.task_flow.(e) in
+          let expected = R.mul g.SR.period sol.Master_slave.task_flow.(e) in
           Alcotest.check rat "volume scheduled" expected scheduled.(e))
         (Platform.edges p))
     [ 3; 7; 11 ]
@@ -77,7 +77,7 @@ let test_efficiency_bounds () =
     (fun seed ->
       let p = Platform_gen.random_graph ~seed ~nodes:7 ~extra_edges:4 () in
       let sol = SR.solve p ~master:0 in
-      if not (R.is_zero sol.SR.ntask) then begin
+      if not (R.is_zero sol.Master_slave.ntask) then begin
         let g = SR.greedy_reconstruct sol in
         Alcotest.(check bool) "efficiency <= 1" true
           R.Infix.(g.SR.efficiency <= R.one);
@@ -99,11 +99,11 @@ let test_adversarial_family () =
       let sol = SR.solve p ~master:0 in
       Alcotest.check rat
         (Printf.sprintf "k=%d LP bound" k)
-        (r 3 2) sol.SR.ntask;
+        (r 3 2) sol.Master_slave.ntask;
       (* unique optimum: every link busy exactly T/2 *)
       List.iter
         (fun e ->
-          let busy = R.mul sol.SR.task_flow.(e) (Platform.edge_cost p e) in
+          let busy = R.mul sol.Master_slave.task_flow.(e) (Platform.edge_cost p e) in
           Alcotest.check rat
             (Printf.sprintf "k=%d link %s busy T/2" k (Platform.edge_name p e))
             (r 1 2) busy)
@@ -129,9 +129,15 @@ let test_achieved_definition () =
   let sol = SR.solve p ~master:0 in
   let g = SR.greedy_reconstruct sol in
   let expected =
-    R.div (R.mul g.SR.period sol.SR.ntask) (R.max g.SR.period g.SR.comm_length)
+    R.div (R.mul g.SR.period sol.Master_slave.ntask) (R.max g.SR.period g.SR.comm_length)
   in
   Alcotest.check rat "achieved consistent" expected g.SR.achieved
+
+let test_master_out_of_range () =
+  let p = Platform_gen.figure1 () in
+  Alcotest.check_raises "named error"
+    (Invalid_argument "Send_receive.solve: master out of range")
+    (fun () -> ignore (SR.solve p ~master:99))
 
 let suite =
   ( "send_receive",
@@ -144,4 +150,5 @@ let suite =
       Alcotest.test_case "adversarial family hits 2/3" `Quick
         test_adversarial_family;
       Alcotest.test_case "achieved definition" `Quick test_achieved_definition;
+      Alcotest.test_case "master out of range" `Quick test_master_out_of_range;
     ] )
