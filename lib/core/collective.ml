@@ -309,7 +309,16 @@ let solve_tree mode p pairs td =
             f)
           pairs
       in
-      solution_of_flows mode p pairs tp (Array.of_list flows)
+      (* each loaded lane carries TP per routed commodity: the mode law
+         of the routed flows is the lane load times TP *)
+      {
+        platform = p;
+        pairs;
+        mode;
+        throughput = tp;
+        flows = Array.of_list flows;
+        send_frac = Array.map (fun l -> R.mul l tp) load;
+      }
     end
   end
 

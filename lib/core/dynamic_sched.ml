@@ -214,35 +214,45 @@ let path_floors sol phase =
 let tree_plan p ~master td phase =
   let n = P.num_nodes p in
   let cost = P.edge_cost p in
-  let kids =
-    Array.map
-      (List.stable_sort (fun (e1, _) (e2, _) -> R.compare (cost e1) (cost e2)))
-      (Tree_decomp.children p td)
-  in
+  let { Tree_decomp.order; parent_edge; child_lo; child_hi; _ } = td in
+  (* each node's children range of [order], cheapest link first, ties
+     in BFS order *)
+  let kids = Array.copy order in
+  Array.iter
+    (fun v ->
+      let lo = child_lo.(v) and len = child_hi.(v) - child_lo.(v) in
+      if len > 1 then begin
+        let seg = Array.sub kids lo len in
+        Array.stable_sort
+          (fun a b -> R.compare (cost parent_edge.(a)) (cost parent_edge.(b)))
+          seg;
+        Array.blit seg 0 kids lo len
+      end)
+    order;
   let cpu =
     Array.init n (fun v ->
         match P.weight p v with
         | Ext_rat.Inf -> 0
         | Ext_rat.Fin w -> sat_floor (R.div phase w))
   in
-  let order = td.Tree_decomp.order in
   let take = Array.make (P.num_edges p) 0 in
   let absorb = Array.make n 0 in
   for idx = Array.length order - 1 downto 0 do
     let v = order.(idx) in
-    let budget = ref phase in
-    absorb.(v) <-
-      List.fold_left
-        (fun acc (e, u) ->
-          let fit = R.div !budget (cost e) in
-          let t =
-            if R.compare (R.of_int absorb.(u)) fit <= 0 then absorb.(u)
-            else sat_floor fit
-          in
-          take.(e) <- t;
-          budget := R.sub !budget (R.mul_int (cost e) t);
-          sat_add acc t)
-        cpu.(v) kids.(v)
+    let budget = ref phase and acc = ref cpu.(v) in
+    for k = child_lo.(v) to child_hi.(v) - 1 do
+      let u = kids.(k) in
+      let e = parent_edge.(u) in
+      let fit = R.div !budget (cost e) in
+      let t =
+        if R.compare (R.of_int absorb.(u)) fit <= 0 then absorb.(u)
+        else sat_floor fit
+      in
+      take.(e) <- t;
+      budget := R.sub !budget (R.mul_int (cost e) t);
+      acc := sat_add !acc t
+    done;
+    absorb.(v) <- !acc
   done;
   let inflow = Array.make n 0 in
   let rev_path = Array.make n [] in
@@ -250,21 +260,22 @@ let tree_plan p ~master td phase =
   Array.iter
     (fun v ->
       let rest =
-        if v = master then max_int (* the master sends every take *)
-        else begin
-          let self = min inflow.(v) cpu.(v) in
-          if self > 0 then paths := (List.rev rev_path.(v), self) :: !paths;
-          inflow.(v) - self
-        end
+        ref
+          (if v = master then max_int (* the master sends every take *)
+           else begin
+             let self = min inflow.(v) cpu.(v) in
+             if self > 0 then paths := (List.rev rev_path.(v), self) :: !paths;
+             inflow.(v) - self
+           end)
       in
-      ignore
-        (List.fold_left
-           (fun rest (e, u) ->
-             let k = planned (min rest take.(e)) in
-             inflow.(u) <- k;
-             rev_path.(u) <- e :: rev_path.(v);
-             rest - k)
-           rest kids.(v)))
+      for k = child_lo.(v) to child_hi.(v) - 1 do
+        let u = kids.(k) in
+        let e = parent_edge.(u) in
+        let t = planned (min !rest take.(e)) in
+        inflow.(u) <- t;
+        rev_path.(u) <- e :: rev_path.(v);
+        rest := !rest - t
+      done)
     order;
   (List.rev !paths, planned cpu.(master))
 

@@ -125,135 +125,194 @@ let solve_ports fn ports p ~master =
 
    where K(i) — the rate i can usefully forward — is the tiny fractional
    knapsack  max sum_j y_j/c_j  s.t.  sum_j y_j <= 1,
-   0 <= y_j <= c_j * cap(j)  over i's children.  Bottom-up those
-   knapsacks determine ntask = speed(master) + K(master); a top-down
-   sweep turns the saturated per-subtree plans into an actual flow by
-   pure exact scaling (a node receiving f <= cap computes
-   min(f, speed) itself and forwards the excess e <= K by scaling its
-   knapsack plan by e/K — every constraint is linear, so the scaled
-   plan stays feasible).  Two WLOG facts make the tree case complete:
-   nodes unreachable from the master consume nothing in any feasible
-   solution (sum conservation over the unreachable set: no task source),
-   and upward flow is never needed (it only returns tasks toward the
-   node that already holds them all; cancelling it frees port time).
+   0 <= y_j <= min(1, c_j * cap(j))  over i's children.  The knapsacks
+   determine ntask = speed(master) + K(master); a top-down sweep turns
+   the saturated per-subtree plans into an actual flow by pure exact
+   scaling (a node receiving f <= cap computes min(f, speed) itself and
+   forwards the excess e <= K by scaling its knapsack plan by e/K —
+   every constraint is linear, so the scaled plan stays feasible).  Two
+   WLOG facts make the tree case complete: nodes unreachable from the
+   master consume nothing in any feasible solution (sum conservation
+   over the unreachable set: no task source), and upward flow is never
+   needed (it only returns tasks toward the node that already holds
+   them all; cancelling it frees port time).
 
-   Any other platform takes the monolithic LP.
+   Filling the cheapest links first is optimal, but ties in cost leave
+   a choice of optimal plans, and the plan decides which subtree gets
+   the flow.  Each knapsack returns the vertex the exact simplex kernel
+   returns on its LP, so tree answers stay those of the LP formulation:
+   the first child whose bound is 1 starts basic at 1 in the kernel's
+   crash basis (the outport row implies its bound row), so it takes
+   whatever the strictly cheaper children leave of the port; those are
+   filled cheapest first, ties to the later child.  Without such a
+   child every child is filled that way.  The test suite holds the LP
+   and the eager sweep over every node as oracles.
 
-   Tree detection and the bottom-up sweep live in {!Tree_decomp},
-   shared with the collective decompositions. *)
+   The sweep is lazy, bandwidth first.  A child j whose link is no
+   faster than its CPU (c_j * speed(j) >= 1) has bound 1 whatever K(j)
+   is, and it never receives more than 1/c_j <= speed(j): it keeps all
+   it gets, so nothing below it matters.  K(j) is evaluated only when a
+   knapsack needs j's bound and the link is faster than j's CPU.  A
+   knapsack scans its children for the first full one, then fills the
+   strictly cheaper ones and stops once the port is full; the children
+   it did not reach get y = 0 without a look.  A node that receives
+   more than it computes had its K evaluated, so the top-down sweep
+   visits only the nodes the flow reaches.  Any other platform takes
+   the monolithic LP. *)
 
-(* max sum y_e/c_e  s.t.  sum y_e <= 1,  0 <= y_e <= min(1, c_e*cap_e):
-   how fast a node can push tasks through its child links.  Filling the
-   cheapest links first is optimal, but ties in cost leave a choice of
-   optimal plans, and the plan decides which subtree gets the flow.  The
-   fill below returns the vertex the exact simplex kernel returns on this
-   LP, so tree answers stay those of the LP formulation.  The first
-   child whose bound is 1 starts basic at 1 in the kernel's crash basis
-   (the outport row implies its bound row), so it takes whatever the
-   strictly cheaper children leave of the port; those are filled
-   cheapest first, ties to the later child.  Without such a child every
-   child is filled that way.  The test suite holds the LP as the
-   oracle. *)
-let knapsack children =
-  let items =
-    Array.of_list
-      (List.map (fun (e, c, cap) -> (e, c, R.min R.one (R.mul c cap))) children)
-  in
-  let n = Array.length items in
-  let cost k = let _, c, _ = items.(k) in c in
-  let first_full =
-    let rec find k =
-      if k = n then None
-      else
-        let _, _, ub = items.(k) in
-        if R.equal ub R.one then Some k else find (k + 1)
-    in
-    find 0
-  in
-  let fill =
-    List.init n (fun k -> n - 1 - k)
-    |> List.filter (fun k ->
-           match first_full with
-           | None -> true
-           | Some f -> R.compare (cost k) (cost f) < 0)
-    (* stable on the reversed list: equal costs go to the later child *)
-    |> List.stable_sort (fun a b -> R.compare (cost a) (cost b))
-  in
-  let y = Array.make n R.zero in
-  let left =
-    List.fold_left
-      (fun left k ->
-        let _, _, ub = items.(k) in
-        let yk = R.min ub left in
-        y.(k) <- yk;
-        R.sub left yk)
-      R.one fill
-  in
-  Option.iter (fun f -> y.(f) <- left) first_full;
-  let value = ref R.zero in
-  Array.iteri (fun k (_, c, _) -> value := R.add !value (R.div y.(k) c)) items;
-  (!value, List.mapi (fun k (e, _, _) -> (e, y.(k))) children)
+(* One node's knapsack, open while the K of its children are evaluated:
+   first the scan for the first child whose bound is 1, then the fill
+   of [cands] (indices into the BFS order, cheapest first, ties to the
+   later child). *)
+type frame = {
+  v : P.node;
+  mutable filling : bool;
+  mutable at : int; (* next child: an index into the order, or into cands *)
+  mutable full : P.node; (* the first full child, or -1 *)
+  mutable left : R.t; (* port time the fill has not used *)
+  mutable cands : int array;
+}
 
 let solve_tree p ~master td =
-  let order = td.Tree_decomp.order in
-  (* bottom-up absorption: each node's value is (cap, K, plan) *)
-  let absorbed =
-    Tree_decomp.bottom_up p td ~default:(R.zero, R.zero, [])
-      ~f:(fun i cs ->
-        let children =
-          List.map (fun (e, (c_cap, _, _)) -> (e, P.edge_cost p e, c_cap)) cs
-        in
-        let k, ys = knapsack children in
-        let cap =
-          if i = master then R.zero (* the root has no parent link *)
-          else
-            R.min
-              (R.inv (P.edge_cost p td.Tree_decomp.parent_edge.(i)))
-              (R.add (P.speed p i) k)
-        in
-        (cap, k, ys))
+  let { Tree_decomp.order; parent_edge; child_lo; child_hi; _ } = td in
+  let n = P.num_nodes p in
+  let cost u = P.edge_cost p parent_edge.(u) in
+  (* per node: K, negative until evaluated; the share y of its parent's
+     port that the saturated plan gives its link *)
+  let kval = Array.make n R.minus_one in
+  let y = Array.make n R.zero in
+  (* child u's bound min(1, c * cap(u)), or -1 when that needs K(u) and
+     K(u) is not known yet *)
+  let bound u =
+    let c = cost u and s = P.speed p u in
+    let cs = R.mul c s in
+    if R.compare cs R.one >= 0 then R.one
+    else if child_lo.(u) = child_hi.(u) then cs
+    else if R.sign kval.(u) < 0 then R.minus_one
+    else R.min R.one (R.mul c (R.add s kval.(u)))
   in
-  let kk = Array.map (fun (_, k, _) -> k) absorbed in
-  let plan = Array.map (fun (_, _, ys) -> ys) absorbed in
+  let start_fill fr =
+    let lo = child_lo.(fr.v) and hi = child_hi.(fr.v) in
+    let cheaper k =
+      fr.full < 0 || R.compare (cost order.(k)) (cost fr.full) < 0
+    in
+    let count = ref 0 in
+    for k = lo to hi - 1 do
+      if cheaper k then incr count
+    done;
+    let cands = Array.make !count 0 in
+    let i = ref 0 in
+    for k = lo to hi - 1 do
+      if cheaper k then begin
+        cands.(!i) <- k;
+        incr i
+      end
+    done;
+    Array.sort
+      (fun a b ->
+        match R.compare (cost order.(a)) (cost order.(b)) with
+        | 0 -> compare b a
+        | c -> c)
+      cands;
+    fr.filling <- true;
+    fr.at <- 0;
+    fr.cands <- cands
+  in
+  let finish fr =
+    if fr.full >= 0 then y.(fr.full) <- fr.left;
+    let k = ref R.zero in
+    for i = child_lo.(fr.v) to child_hi.(fr.v) - 1 do
+      let u = order.(i) in
+      if R.sign y.(u) > 0 then k := R.add !k (R.div y.(u) (cost u))
+    done;
+    kval.(fr.v) <- !k
+  in
+  (* run [fr]'s knapsack as far as the known bounds go: -1 once K is
+     known, else the child whose K it waits for *)
+  let rec advance fr =
+    if not fr.filling then
+      if fr.at = child_hi.(fr.v) then begin
+        start_fill fr;
+        advance fr
+      end
+      else
+        let u = order.(fr.at) in
+        let b = bound u in
+        if R.sign b < 0 then u
+        else begin
+          if R.equal b R.one then begin
+            fr.full <- u;
+            start_fill fr
+          end
+          else fr.at <- fr.at + 1;
+          advance fr
+        end
+    else if fr.at = Array.length fr.cands || R.is_zero fr.left then begin
+      finish fr;
+      -1
+    end
+    else
+      let u = order.(fr.cands.(fr.at)) in
+      let b = bound u in
+      if R.sign b < 0 then u
+      else begin
+        let yu = R.min b fr.left in
+        y.(u) <- yu;
+        fr.left <- R.sub fr.left yu;
+        fr.at <- fr.at + 1;
+        advance fr
+      end
+  in
+  let frame v =
+    { v; filling = false; at = child_lo.(v); full = -1; left = R.one;
+      cands = [||] }
+  in
+  (* an explicit stack of open knapsacks: a long chain costs no stack *)
+  let rec eval = function
+    | [] -> ()
+    | fr :: rest as stack ->
+      let u = advance fr in
+      eval (if u < 0 then rest else frame u :: stack)
+  in
+  eval [ frame master ];
   (* top-down: route the actual flow, scaling each saturated plan to
      the excess that really arrives *)
-  let n = P.num_nodes p in
   let alpha = Array.make n R.zero in
-  let send = Array.make (P.num_edges p) R.zero in
-  let inflow = Array.make n R.zero in
-  let consumed = ref R.zero in
-  Array.iter
-    (fun i ->
-      let self, excess =
-        if i = master then (P.speed p i, kk.(i))
-        else
-          let f = inflow.(i) in
-          let self = R.min f (P.speed p i) in
-          (self, R.sub f self)
-      in
-      if R.sign (P.speed p i) > 0 then
-        alpha.(i) <- R.div self (P.speed p i);
+  let m = P.num_edges p in
+  let send = Array.make m R.zero and task_flow = Array.make m R.zero in
+  let spread v excess stack =
+    let factor = R.div excess kval.(v) in
+    let stack = ref stack in
+    for k = child_lo.(v) to child_hi.(v) - 1 do
+      let u = order.(k) in
+      if R.sign y.(u) > 0 then begin
+        let e = parent_edge.(u) in
+        let s = R.mul factor y.(u) in
+        send.(e) <- s;
+        task_flow.(e) <- R.div s (P.edge_cost p e);
+        stack := u :: !stack
+      end
+    done;
+    !stack
+  in
+  let sm = P.speed p master in
+  if R.sign sm > 0 then alpha.(master) <- R.one;
+  let consumed = ref sm in
+  let rec route = function
+    | [] -> ()
+    | u :: rest ->
+      let f = task_flow.(parent_edge.(u)) and s = P.speed p u in
+      let self = R.min f s in
+      if R.sign s > 0 then alpha.(u) <- R.div self s;
       consumed := R.add !consumed self;
-      if R.sign excess > 0 then begin
-        let factor = R.div excess kk.(i) in
-        List.iter
-          (fun (e, y) ->
-            let y' = R.mul factor y in
-            if R.sign y' > 0 then begin
-              send.(e) <- y';
-              inflow.(P.edge_dst p e) <- R.div y' (P.edge_cost p e)
-            end)
-          plan.(i)
-      end)
-    order;
-  let ntask = R.add (P.speed p master) kk.(master) in
+      let excess = R.sub f self in
+      route (if R.sign excess > 0 then spread u excess rest else rest)
+  in
+  let kk = kval.(master) in
+  route (if R.sign kk > 0 then spread master kk [] else []);
+  let ntask = R.add sm kk in
   if not (R.equal !consumed ntask) then
     failwith "Master_slave.solve: consumption / ntask mismatch";
-  let task_flow =
-    Array.mapi
-      (fun e y -> if R.is_zero y then R.zero else R.div y (P.edge_cost p e))
-      send
-  in
   { platform = p; master; ntask; alpha; send_frac = send; task_flow }
 
 let try_solve_as fn ?cache ?stats p ~master =

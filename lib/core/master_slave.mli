@@ -94,10 +94,20 @@ val solve :
     ({!Tree_decomp.detect}: no undirected cycle; every
     {!Platform_gen.random_tree} / {!Platform_gen.balanced_tree} and
     every star qualifies), the LP decomposes exactly into the
-    bandwidth-centric closed form: one {!knapsack} per internal node,
-    swept bottom-up (subtree absorption capacities) and then top-down
-    (exact scaling of each saturated plan to the flow that actually
-    arrives).  No LP is built or solved there, so [?cache] is not
+    bandwidth-centric closed form: per node a fractional knapsack over
+    its child links ([max sum y_e/c_e] s.t. [sum y_e <= 1],
+    [0 <= y_e <= min(1, c_e * cap_e)], [cap_e] the child subtree's
+    absorption rate), then a top-down sweep that scales each saturated
+    plan to the flow that actually arrives.  Each knapsack picks, among
+    its optimal vertices, the one the exact simplex kernel returns on
+    its LP.  The sweep is lazy: a knapsack is solved only at the master
+    and at a child whose bound its parent needs while the child's link
+    is faster than its CPU ([c_e * speed < 1]; otherwise the bound is 1
+    and the child keeps all it receives), and it stops once the port is
+    full.  So the work follows the flow's support, not the platform,
+    past the one pass of {!Tree_decomp.detect}, and the answer is the
+    one every node's knapsack would give.  No LP is built or solved
+    there, so [?cache] is not
     consulted and [?stats] stays untouched.  The throughput is the LP
     optimum bit for bit; the vertex may be another optimal one than
     the kernel's ({!solve_lp_only} returns the kernel's), and it
@@ -150,16 +160,6 @@ val solve_reduced :
 (** {!solve} under its former name: the repository benchmark
     ([perfbench/]) calls the tree solve by this name, and keeps the
     name while its workloads stay fixed. *)
-
-val knapsack : (int * Rat.t * Rat.t) list -> Rat.t * (int * Rat.t) list
-(** [knapsack [(e, c_e, cap_e); ...]] is one node's step of {!solve}'s
-    tree closed form: the fractional knapsack
-    [max sum_e y_e/c_e] s.t. [sum_e y_e <= 1],
-    [0 <= y_e <= min(1, c_e * cap_e)] over the node's child links [e]
-    (cost [c_e], subtree capacity [cap_e]).  Returns the optimum and
-    one [(e, y_e)] per child, in input order.  Among the optimal
-    vertices it picks the one the exact simplex kernel returns on that
-    LP, in closed form. *)
 
 val schedule :
   ?strict:bool ->

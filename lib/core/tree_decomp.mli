@@ -3,12 +3,12 @@
     {!Master_slave.solve} and {!Collective.solve_pairs} (behind
     {!Collective.solve} and {!All_to_all.solve}) each begin with
     {!detect}: its answer alone decides whether the closed form runs or
-    the monolithic LP is built.  On a tree the master–slave form sweeps
-    it bottom-up ({!bottom_up}, knapsack capacities); the
-    multi-commodity form walks each commodity's route along {!parent}
-    links and {!up_edges}, counting commodities per directed lane.  This
-    module owns the structure so the tree-detection contract is stated
-    — and tested — once. *)
+    the monolithic LP is built.  On a tree the master–slave form runs
+    the bandwidth-centric sweep over the children ranges
+    ([child_lo]/[child_hi]); the multi-commodity form walks each
+    commodity's route along {!parent} links and {!up_edges}, counting
+    commodities per directed lane.  This module owns the structure so
+    the tree-detection contract is stated — and tested — once. *)
 
 type t = {
   root : Platform.node;
@@ -18,6 +18,13 @@ type t = {
       (** per node: the tree edge [parent -> node]; [-1] at the root
           and at unreached nodes *)
   reached : bool array;
+  child_lo : int array;
+  child_hi : int array;
+      (** per node [v]: its children are [order.(k)] for
+          [child_lo.(v) <= k < child_hi.(v)], in BFS discovery order
+          (the order of [v]'s out-edges); child [u]'s tree edge is
+          [parent_edge.(u)].  An empty range at leaves and unreached
+          nodes. *)
 }
 
 val detect : Platform.t -> root:Platform.node -> t option
@@ -28,24 +35,13 @@ val detect : Platform.t -> root:Platform.node -> t option
     tree links are allowed (they are part of the same undirected link);
     anything creating an undirected cycle is not.  Parallel directed
     edges cannot occur: {!Platform.create} rejects them.  [None]
-    otherwise — the solvers then build and solve the monolithic LP. *)
+    otherwise — the solvers then build and solve the monolithic LP.
+    One pass over the reached nodes' out-edges, with no recursion, so
+    a long chain costs no stack. *)
 
 val parent : Platform.t -> t -> Platform.node -> Platform.node
 (** The tree parent.
     @raise Invalid_argument at the root or an unreached node. *)
-
-val children : Platform.t -> t -> (int * Platform.node) list array
-(** Per node: its [(tree_edge, child)] pairs in BFS discovery order;
-    empty at leaves and unreached nodes. *)
-
-val bottom_up :
-  Platform.t -> t -> default:'a -> f:(Platform.node -> (int * 'a) list -> 'a) ->
-  'a array
-(** [bottom_up p t ~default ~f] folds the tree children-first: [f v cs]
-    receives one [(tree_edge, child_value)] pair per child of [v] and
-    produces [v]'s value.  Unreached nodes keep [default].  This is the
-    master–slave absorption sweep, one {!Master_slave.knapsack} per
-    node. *)
 
 val up_edges : Platform.t -> t -> int array
 (** Per node: the directed edge back to its tree parent, or [-1] when

@@ -54,9 +54,10 @@ let of_string s =
 (* A value that starts and ends with a digit has nothing to trim and is
    no spelling of [inf]; case only matters to letters, which Rat rejects
    the same way in either case. *)
+let is_digit c = match c with '0' .. '9' -> true | _ -> false
+
 let of_substring s pos len =
-  let digit i = match s.[i] with '0' .. '9' -> true | _ -> false in
-  if len > 0 && digit pos && digit (pos + len - 1) then
+  if len > 0 && is_digit s.[pos] && is_digit s.[pos + len - 1] then
     Fin (Rat.of_substring s pos len)
   else of_string (String.sub s pos len)
 

@@ -329,52 +329,52 @@ let of_string_big s =
         add (of_bigint wpart) fpart
       end
 
+(* [s.[i .. stop-1]] appended to the digits [acc], or -1 on a
+   non-digit *)
+let rec digits_from s i stop acc =
+  if i = stop then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits_from s (i + 1) stop ((10 * acc) + Char.code c - 48)
+    | _ -> -1
+
 (* [s.[pos .. pos+len-1]] as a native int when it is 1 to 18 decimal
    digits (so below 10^18 < max_int), else -1. *)
 let small_digits s pos len =
-  if len < 1 || len > 18 then -1
-  else begin
-    let rec go i acc =
-      if i = pos + len then acc
-      else
-        match s.[i] with
-        | '0' .. '9' as c -> go (i + 1) ((10 * acc) + Char.code c - 48)
-        | _ -> -1
-    in
-    go pos 0
-  end
+  if len < 1 || len > 18 then -1 else digits_from s pos (pos + len) 0
 
 let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
+
+(* the first '/' or '.' of [s.[i .. stop-1]], or [stop] *)
+let rec sep_index s stop i =
+  if i = stop then stop
+  else match s.[i] with '/' | '.' -> i | _ -> sep_index s stop (i + 1)
+
+let big_of_substring s pos len = of_string_big (String.sub s pos len)
+let signed negative r = if negative then neg r else r
 
 (* Native-int path for [[+-]a], [[+-]a/b] and [[+-]a.b] with at most 18
    digits per part and [b <> 0]; every other string, malformed ones
    included, takes [of_string_big], which owns the error messages.  The
-   representation is canonical, so both paths build the same value. *)
+   representation is canonical, so both paths build the same value.
+   Top-level helpers only: a number costs no closure. *)
 let of_substring s pos len =
   let stop = pos + len in
   let negative = len > 0 && s.[pos] = '-' in
   let start = if len > 0 && (negative || s.[pos] = '+') then pos + 1 else pos in
-  let rec sep i =
-    if i = stop then stop
-    else match s.[i] with '/' | '.' -> i | _ -> sep (i + 1)
-  in
-  let k = sep start in
+  let k = sep_index s stop start in
   let whole = small_digits s start (k - start) in
-  let small =
-    if whole < 0 then None
-    else if k = stop then Some (S (whole, 1))
-    else begin
-      let flen = stop - k - 1 in
-      let frac = small_digits s (k + 1) flen in
-      if frac < 0 then None
-      else if s.[k] = '.' then Some (add (S (whole, 1)) (make_small frac (pow10 flen)))
-      else if frac = 0 then None
-      else Some (make_small whole frac)
-    end
-  in
-  match small with
-  | Some r -> if negative then neg r else r
-  | None -> of_string_big (String.sub s pos len)
+  if whole < 0 then big_of_substring s pos len
+  else if k = stop then signed negative (S (whole, 1))
+  else begin
+    let flen = stop - k - 1 in
+    let frac = small_digits s (k + 1) flen in
+    if frac < 0 then big_of_substring s pos len
+    else if s.[k] = '.' then
+      signed negative (add (S (whole, 1)) (make_small frac (pow10 flen)))
+    else if frac = 0 then big_of_substring s pos len
+    else signed negative (make_small whole frac)
+  end
 
 let of_string s = of_substring s 0 (String.length s)
 

@@ -12,28 +12,75 @@ type t = {
   costs : R.t array;
   out_adj : edge list array; (* edge indices, ascending *)
   in_adj : edge list array;
-  by_name : (string, node) Hashtbl.t;
+  slots : int array; (* the name table, see [lookup] *)
 }
+
+(* FNV-1a over s.[i .. e - 1], folded so that the low bits mix *)
+let hash_slice s i e =
+  let h = ref 0x0bf29ce484222325 in
+  for k = i to e - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s k)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 32)
+
+(* s.[i .. e - 1] spells [name] *)
+let slice_is s i e name =
+  let l = String.length name in
+  e - i = l
+  &&
+  let k = ref 0 in
+  while !k < l && String.unsafe_get s (i + !k) = String.unsafe_get name !k do
+    incr k
+  done;
+  !k = l
+
+(* The name table: open addressing over [slots], a power of two at
+   least twice the node count, each slot 0 or a node index + 1.  A
+   name is looked up where it stands, as a slice of any string, so a
+   parser resolves names without copying them. *)
+let rec probe slots names s i e k =
+  let v = slots.(k) in
+  if v = 0 then -1
+  else if slice_is s i e names.(v - 1) then v - 1
+  else probe slots names s i e ((k + 1) land (Array.length slots - 1))
+
+let lookup slots names s i e =
+  probe slots names s i e (hash_slice s i e land (Array.length slots - 1))
+
+(* enter node [i] under its name unless the name is already there *)
+let rec insert slots names i k =
+  let v = slots.(k) in
+  if v = 0 then begin
+    slots.(k) <- i + 1;
+    true
+  end
+  else
+    (not (String.equal names.(v - 1) names.(i)))
+    && insert slots names i ((k + 1) land (Array.length slots - 1))
 
 (* The checks [create] documents, in its order: names, weights, then
    the first failing edge in list order, where one edge fails on range,
    then self-loop, then cost, then on repeating an earlier edge.  The
-   name table is built before [edges] resolves against it, and the
-   first bad name is only reported after. *)
+   name table (the first node of each name) is built before [edges]
+   resolves against it, and the first bad name is only reported
+   after. *)
 let build ~names ~weights ~edges =
   let p = Array.length names in
   if Array.length weights <> p then
     invalid_arg "Platform.create: |names| <> |weights|";
-  let by_name = Hashtbl.create (2 * p) in
+  let size = ref 8 in
+  while !size < 2 * p do size := 2 * !size done;
+  let slots = Array.make !size 0 in
   let bad_name = ref (-1) in
   Array.iteri
     (fun i n ->
-      if n = "" || Hashtbl.mem by_name n then begin
-        if !bad_name < 0 then bad_name := i
-      end
-      else Hashtbl.add by_name n i)
+      let l = String.length n in
+      if
+        (l = 0 || not (insert slots names i (hash_slice n 0 l land (!size - 1))))
+        && !bad_name < 0
+      then bad_name := i)
     names;
-  let srcs, dsts, costs = edges (Hashtbl.find_opt by_name) in
+  let srcs, dsts, costs = edges (fun s i e -> lookup slots names s i e) in
   let m = Array.length srcs in
   if Array.length dsts <> m || Array.length costs <> m then
     invalid_arg "Platform.create: edge arrays differ in length";
@@ -64,7 +111,8 @@ let build ~names ~weights ~edges =
     else None
   in
   let rec first_bad k =
-    if k = m || edge_error k <> None then k else first_bad (k + 1)
+    if k = m then k
+    else match edge_error k with None -> first_bad (k + 1) | Some _ -> k
   in
   (* edges before [bad] are in range: index them, then find the first
      edge that repeats an earlier one, one source at a time, with a
@@ -77,20 +125,22 @@ let build ~names ~weights ~edges =
   done;
   let seen_from = Array.make p (-1) in
   let dup = ref bad in
-  Array.iteri
-    (fun i out ->
-      List.iter
-        (fun k ->
-          let j = dsts.(k) in
-          if seen_from.(j) = i then dup := min !dup k else seen_from.(j) <- i)
-        out)
-    out_adj;
+  let rec stamp i = function
+    | [] -> ()
+    | k :: rest ->
+      let j = dsts.(k) in
+      if seen_from.(j) = i then dup := min !dup k else seen_from.(j) <- i;
+      stamp i rest
+  in
+  for i = 0 to p - 1 do
+    stamp i out_adj.(i)
+  done;
   if !dup < bad then
     invalid_arg
       (Printf.sprintf "Platform.create: duplicate edge %s->%s"
          names.(srcs.(!dup)) names.(dsts.(!dup)));
   Option.iter invalid_arg (if bad < m then edge_error bad else None);
-  { names; weights; srcs; dsts; costs; out_adj; in_adj; by_name }
+  { names; weights; srcs; dsts; costs; out_adj; in_adj; slots }
 
 let create ~names ~weights ~edges =
   build ~names ~weights ~edges:(fun _ ->
@@ -115,9 +165,8 @@ let speed t i =
   match t.weights.(i) with E.Inf -> R.zero | E.Fin w -> R.inv w
 
 let find_node t n =
-  match Hashtbl.find_opt t.by_name n with
-  | Some i -> i
-  | None -> raise Not_found
+  let i = lookup t.slots t.names n 0 (String.length n) in
+  if i < 0 then raise Not_found else i
 
 let nodes t = List.init (num_nodes t) Fun.id
 let edges t = List.init (num_edges t) Fun.id

@@ -39,14 +39,17 @@ val create :
 val build :
   names:string array ->
   weights:Ext_rat.t array ->
-  edges:((string -> node option) -> int array * int array * Rat.t array) ->
+  edges:
+    ((string -> int -> int -> node) -> int array * int array * Rat.t array) ->
   t
 (** {!create} with the edges as three arrays [(srcs, dsts, costs)],
-    which the platform takes over.  [edges] gets the lookup of [names]
-    (the first node of a name) and runs before any check but the
-    length one, so an error it raises comes first; then the checks
-    and messages are {!create}'s, in the same order.  Parsers use it
-    to resolve names with the platform's own table.
+    which the platform takes over.  [edges] gets the platform's name
+    table as a lookup of slices: [find s i e] is the first node named
+    [s.[i .. e - 1]], or [-1], found by hashing and comparing the
+    slice where it stands.  It runs before any check but the length
+    one, so an error it raises comes first; then the checks and
+    messages are {!create}'s, in the same order.  Parsers use it to
+    resolve names in their text without copying them.
     @raise Invalid_argument if any check fails, or if the three arrays
     differ in length. *)
 

@@ -4,15 +4,86 @@ module E = Ext_rat
 let fail lineno msg =
   invalid_arg (Printf.sprintf "Platform_parse: line %d: %s" lineno msg)
 
-let is_space c = c = ' ' || c = '\t' || c = '\r'
-
 exception Undeclared of int * string
 
-(* One pass over the text by index: each line's comment is cut and its
-   words are kept as offsets, so only node names are copied out and
-   numbers are read in place.  Edge lines go to flat arrays, their
-   endpoints as offsets into the text, and are resolved against the
-   platform's own name table once every node is declared. *)
+(* per byte: '\000' inside a word, '\001' between words (space, tab,
+   carriage return), '\002' where the line's words end ('\n', '#') *)
+let kind =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | ' ' | '\t' | '\r' -> '\001'
+      | '\n' | '#' -> '\002'
+      | _ -> '\000')
+
+let kind_at text i = String.unsafe_get kind (Char.code (String.unsafe_get text i))
+
+(* text.[s .. e - 1] spells [lit] *)
+let slice_is text s e lit =
+  let l = String.length lit in
+  e - s = l
+  &&
+  let i = ref 0 in
+  while !i < l && String.unsafe_get text (s + !i) = String.unsafe_get lit !i do
+    incr i
+  done;
+  !i = l
+
+(* The values of recently read numbers, by spelling: a platform file
+   repeats a handful of weights and costs many times, and a repeated
+   spelling then costs neither a parse nor an allocation (the values
+   are immutable, so sharing one is safe).  Direct-mapped: slot [h]
+   holds the last spelling text.[at.(h) .. at.(h) + len.(h) - 1] that
+   hashed to [h], and its value. *)
+type 'a memo = { at : int array; len : int array; value : 'a array }
+
+let memo_slots = 64
+
+let memo fill =
+  {
+    at = Array.make memo_slots 0;
+    len = Array.make memo_slots (-1);
+    value = Array.make memo_slots fill;
+  }
+
+let rec same_bytes text a b l =
+  l = 0
+  || String.unsafe_get text a = String.unsafe_get text b
+     && same_bytes text (a + 1) (b + 1) (l - 1)
+
+let memo_read m parse text s l =
+  let h = ref l in
+  for i = s to s + l - 1 do
+    h := (31 * !h) + Char.code (String.unsafe_get text i)
+  done;
+  let h = !h land (memo_slots - 1) in
+  if m.len.(h) = l && same_bytes text m.at.(h) s l then m.value.(h)
+  else begin
+    let v = parse text s l in
+    m.at.(h) <- s;
+    m.len.(h) <- l;
+    m.value.(h) <- v;
+    v
+  end
+
+(* the node named by the endpoint at offsets eline.(k), eline.(k + 1)
+   of the edge line at [b], looked up where it stands *)
+let endpoint find text eline b k =
+  let s = eline.(k) and e = eline.(k + 1) in
+  let i = find text s e in
+  if i < 0 then raise (Undeclared (eline.(b + 4), String.sub text s (e - s)));
+  i
+
+(* One pass over the text by index, each byte read once: a line's words
+   are kept as offsets up to its first '#', so only node names are
+   copied out and numbers are read in place.  Edge lines go to flat
+   arrays, their endpoints as offsets into the text.  Once every node
+   is declared, each endpoint is resolved against the platform's own
+   name table by hashing and comparing its slice where it stands.  The
+   node arrays start small and double; edge lines fill chunks that
+   double in size and are never copied.  So what is allocated follows
+   the declarations read, not the byte count, and the edge lines of a
+   large file go straight to the major heap instead of being copied
+   there by a minor collection. *)
 let of_string text =
   let len = String.length text in
   (* room for [k] more entries at [n] in [!a], doubling when full *)
@@ -23,46 +94,39 @@ let of_string text =
       a := b
     end
   in
-  let guess = (len / 16) + 1 in
-  let names = ref (Array.make guess "") and weights = ref (Array.make guess E.inf) in
+  let names = ref [||] and weights = ref [||] in
   let nnodes = ref 0 in
-  (* per edge line: source and destination offsets, line number, link *)
+  (* per edge line: source and destination offsets, line number, link;
+     and its cost.  Chunk [q] holds lines [16 * (2^q - 1)] on, 16 * 2^q
+     of them. *)
   let stride = 6 in
-  let eline = ref (Array.make (stride * guess) 0) in
-  let ecost = ref (Array.make guess R.zero) in
+  let lchunks = ref [||] and cchunks = ref [||] and nchunks = ref 0 in
+  let eline = ref [||] and ecost = ref [||] and fill = ref 0 in
   let nlines = ref 0 and nedges = ref 0 in
+  let wmemo = memo E.inf and cmemo = memo R.zero in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
   let word k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
-  let word_is k lit =
-    let l = String.length lit in
-    let rec same i = i = l || (text.[starts.(k) + i] = lit.[i] && same (i + 1)) in
-    stops.(k) - starts.(k) = l && same 0
-  in
+  let is k lit = slice_is text starts.(k) stops.(k) lit in
   (* word k must read [key=<value>]: parse the value in place *)
-  let attr lineno k key parse =
+  let attr lineno k key m parse =
     let s = starts.(k) and l = stops.(k) - starts.(k) in
     if l > 2 && text.[s] = key && text.[s + 1] = '=' then
-      try parse text (s + 2) (l - 2) with Invalid_argument m -> fail lineno m
+      try memo_read m parse text (s + 2) (l - 2)
+      with Invalid_argument msg -> fail lineno msg
     else fail lineno (Printf.sprintf "expected %c=<value>, got %S" key (word k))
   in
   let pos = ref 0 and lines = ref 0 in
   while !pos <= len do
     incr lines;
     let lineno = !lines in
-    (* the line ends at eol, its words at the first '#' (stop) *)
-    let eol = ref !pos and stop = ref (-1) in
-    while !eol < len && text.[!eol] <> '\n' do
-      if text.[!eol] = '#' && !stop < 0 then stop := !eol;
-      incr eol
-    done;
-    let stop = if !stop < 0 then !eol else !stop in
+    (* the words, up to the line's end or its first '#' *)
     let nwords = ref 0 and i = ref !pos in
-    while !i < stop do
-      if is_space text.[!i] then incr i
+    while !i < len && kind_at text !i <> '\002' do
+      if kind_at text !i = '\001' then incr i
       else begin
-        let j = ref !i in
-        while !j < stop && not (is_space text.[!j]) do incr j done;
+        let j = ref (!i + 1) in
+        while !j < len && kind_at text !j = '\000' do incr j done;
         if !nwords < 4 then begin
           starts.(!nwords) <- !i;
           stops.(!nwords) <- !j
@@ -71,64 +135,73 @@ let of_string text =
         i := !j
       end
     done;
+    (* the comment, if any *)
+    while !i < len && String.unsafe_get text !i <> '\n' do incr i done;
     (match !nwords with
     | 0 -> ()
-    | 3 when word_is 0 "node" ->
-      let w = attr lineno 2 'w' E.of_substring in
+    | 3 when is 0 "node" ->
+      let w = attr lineno 2 'w' wmemo E.of_substring in
       room names !nnodes 1 "";
       room weights !nnodes 1 E.inf;
       !names.(!nnodes) <- word 1;
       !weights.(!nnodes) <- w;
       incr nnodes
-    | 4 when word_is 0 "edge" || word_is 0 "link" ->
-      let c = attr lineno 3 'c' R.of_substring in
-      let link = word_is 0 "link" in
-      let b = stride * !nlines in
-      room eline b stride 0;
-      room ecost !nlines 1 R.zero;
-      let eline = !eline in
+    | 4 when is 0 "edge" || is 0 "link" ->
+      let c = attr lineno 3 'c' cmemo R.of_substring in
+      let link = is 0 "link" in
+      if !fill = Array.length !ecost then begin
+        let size = 16 lsl !nchunks in
+        eline := Array.make (stride * size) 0;
+        ecost := Array.make size R.zero;
+        room lchunks !nchunks 1 [||];
+        room cchunks !nchunks 1 [||];
+        !lchunks.(!nchunks) <- !eline;
+        !cchunks.(!nchunks) <- !ecost;
+        incr nchunks;
+        fill := 0
+      end;
+      let eline = !eline and b = stride * !fill in
       eline.(b) <- starts.(1);
       eline.(b + 1) <- stops.(1);
       eline.(b + 2) <- starts.(2);
       eline.(b + 3) <- stops.(2);
       eline.(b + 4) <- lineno;
       eline.(b + 5) <- Bool.to_int link;
-      !ecost.(!nlines) <- c;
+      !ecost.(!fill) <- c;
+      incr fill;
       incr nlines;
       nedges := !nedges + 1 + Bool.to_int link
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
-    pos := !eol + 1
+    pos := !i + 1
   done;
   (* last line first, destination before source: the first undeclared
      name reported is always the same one.  A link is both directions. *)
-  let eline = !eline and ecost = !ecost in
-  let resolve lookup =
+  let lchunks = !lchunks and cchunks = !cchunks and nchunks = !nchunks in
+  let last_fill = !fill in
+  let resolve find =
     let m = !nedges in
     let srcs = Array.make m 0 and dsts = Array.make m 0 in
     let costs = Array.make m R.zero in
     let e = ref m in
-    for l = !nlines - 1 downto 0 do
-      let b = stride * l in
-      (* the name at offsets eline.(k), eline.(k + 1) *)
-      let find k =
-        let n = String.sub text eline.(k) (eline.(k + 1) - eline.(k)) in
-        match lookup n with
-        | Some i -> i
-        | None -> raise (Undeclared (eline.(b + 4), n))
-      in
-      let j = find (b + 2) in
-      let i = find b in
-      let c = ecost.(l) in
-      if eline.(b + 5) = 1 then begin
+    for q = nchunks - 1 downto 0 do
+      let eline = lchunks.(q) and ecost = cchunks.(q) in
+      let used = if q = nchunks - 1 then last_fill else Array.length ecost in
+      for r = used - 1 downto 0 do
+        let b = stride * r in
+        let j = endpoint find text eline b (b + 2) in
+        let i = endpoint find text eline b b in
+        let c = ecost.(r) in
+        if eline.(b + 5) = 1 then begin
+          decr e;
+          srcs.(!e) <- j;
+          dsts.(!e) <- i;
+          costs.(!e) <- c
+        end;
         decr e;
-        srcs.(!e) <- j;
-        dsts.(!e) <- i;
+        srcs.(!e) <- i;
+        dsts.(!e) <- j;
         costs.(!e) <- c
-      end;
-      decr e;
-      srcs.(!e) <- i;
-      dsts.(!e) <- j;
-      costs.(!e) <- c
+      done
     done;
     (srcs, dsts, costs)
   in

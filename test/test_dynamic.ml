@@ -679,7 +679,7 @@ let check_within_phase label p phase (paths, master_tasks) =
    link's load). *)
 let brute_force p phase =
   let td = Option.get (Tree_decomp.detect p ~root:0) in
-  let kids = Tree_decomp.children p td in
+  let kids = Tree_eager_reference.children p td in
   let x = Array.make (Platform.num_nodes p) 0 in
   let rec subtree v =
     List.fold_left (fun acc (_, u) -> acc + subtree u) x.(v) kids.(v)

@@ -488,6 +488,33 @@ let parse_outcome parse text =
   | p -> Ok p
   | exception Invalid_argument m -> Error m
 
+(* [text] parses as the reference parser has it: the same platform, or
+   the same message; an accepted text round-trips.  [true] when
+   accepted. *)
+let agrees_with_reference i text =
+  let reference = parse_outcome Platform_parse_reference.of_string text in
+  match parse_outcome Platform_parse.of_string text with
+  | Ok q ->
+    (match reference with
+    | Ok r ->
+      Alcotest.(check bool) (Printf.sprintf "case %d = reference" i) true
+        (P.equal q r)
+    | Error m -> Alcotest.failf "case %d: reference rejects (%s):\n%s" i m text);
+    let printed = Platform_parse.to_string q in
+    Alcotest.(check string)
+      (Printf.sprintf "case %d round-trips" i)
+      printed
+      (Platform_parse.to_string (Platform_parse.of_string printed));
+    true
+  | Error m ->
+    (match reference with
+    | Ok _ -> Alcotest.failf "case %d: reference accepts:\n%s" i text
+    | Error m' ->
+      Alcotest.(check string) (Printf.sprintf "case %d message" i) m' m);
+    false
+  | exception e ->
+    Alcotest.failf "case %d: %s on input:\n%s" i (Printexc.to_string e) text
+
 let test_parse_fuzz () =
   let g = Faults.generator ~seed:77 in
   let accepted = ref 0 and rejected = ref 0 in
@@ -498,32 +525,106 @@ let test_parse_fuzz () =
         ~extra_edges:(Faults.rand_int g 4) ()
     in
     let text = fuzz_text g (Platform_parse.to_string p) in
-    let reference = parse_outcome Platform_parse_reference.of_string text in
-    match parse_outcome Platform_parse.of_string text with
-    | Ok q ->
-      incr accepted;
-      (match reference with
-      | Ok r ->
-        Alcotest.(check bool) (Printf.sprintf "case %d = reference" i) true
-          (P.equal q r)
-      | Error m -> Alcotest.failf "case %d: reference rejects (%s):\n%s" i m text);
-      let printed = Platform_parse.to_string q in
-      Alcotest.(check string)
-        (Printf.sprintf "case %d round-trips" i)
-        printed
-        (Platform_parse.to_string (Platform_parse.of_string printed))
-    | Error m ->
-      incr rejected;
-      (match reference with
-      | Ok _ -> Alcotest.failf "case %d: reference accepts:\n%s" i text
-      | Error m' ->
-        Alcotest.(check string) (Printf.sprintf "case %d message" i) m' m)
-    | exception e ->
-      Alcotest.failf "case %d: %s on input:\n%s" i (Printexc.to_string e) text
+    if agrees_with_reference i text then incr accepted else incr rejected
   done;
   (* the mutations must exercise both outcomes *)
   Alcotest.(check bool) "some accepted" true (!accepted > 200);
   Alcotest.(check bool) "some rejected" true (!rejected > 200)
+
+(* The parser resolves each endpoint by hashing and comparing its slice
+   of the text in place, so names that share a prefix are where it can
+   go wrong.  Three families, each fuzzed as above and checked against
+   the reference: 50-300-node platforms, where P1, P10 and P100 are all
+   declared; names that differ only in their last byte; and undeclared
+   names that are prefixes of declared ones (a deleted node line among
+   its longer namesakes, or a bare "P"), spliced in anywhere. *)
+let test_parse_fuzz_prefixes () =
+  let g = Faults.generator ~seed:78 in
+  let accepted = ref 0 and rejected = ref 0 in
+  let count ok = if ok then incr accepted else incr rejected in
+  let seed () = 1 + Faults.rand_int g 1_000_000 in
+  let lines text = Array.of_list (String.split_on_char '\n' text) in
+  for i = 1 to 60 do
+    let nodes = 50 + Faults.rand_int g 251 in
+    let p =
+      if i mod 2 = 0 then Platform_gen.random_tree ~seed:(seed ()) ~nodes ()
+      else
+        Platform_gen.random_graph ~seed:(seed ()) ~nodes
+          ~extra_edges:(Faults.rand_int g 20) ()
+    in
+    let text = Platform_parse.to_string p in
+    count (agrees_with_reference i text);
+    count (agrees_with_reference (1000 + i) (fuzz_text g text))
+  done;
+  let alphabet =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+  in
+  for i = 1 to 200 do
+    let nodes = 2 + Faults.rand_int g (String.length alphabet - 1) in
+    let p = Platform_gen.random_graph ~seed:(seed ()) ~nodes ~extra_edges:3 () in
+    let stem = String.make (Faults.rand_int g 9) 'n' in
+    let p =
+      P.create
+        ~names:(Array.init nodes (fun v -> stem ^ String.make 1 alphabet.[v]))
+        ~weights:(Array.init nodes (P.weight p))
+        ~edges:
+          (List.map
+             (fun e -> (P.edge_src p e, P.edge_dst p e, P.edge_cost p e))
+             (P.edges p))
+    in
+    let text = Platform_parse.to_string p in
+    count (agrees_with_reference (2000 + i) text);
+    count (agrees_with_reference (2500 + i) (fuzz_text g text))
+  done;
+  for i = 1 to 200 do
+    let nodes = 12 + Faults.rand_int g 110 in
+    let p = Platform_gen.random_tree ~seed:(seed ()) ~nodes () in
+    let ls = lines (Platform_parse.to_string p) in
+    (* drop the node line of P1 .. P9 (P10 .. P19 stay), or splice in a
+       link to a bare prefix *)
+    let ls =
+      if i mod 3 = 0 then begin
+        let at = Faults.rand_int g (Array.length ls) in
+        Array.concat
+          [ Array.sub ls 0 at;
+            [| Printf.sprintf "link P P%d c=1" (Faults.rand_int g nodes) |];
+            Array.sub ls at (Array.length ls - at) ]
+      end
+      else begin
+        let gone = Printf.sprintf "node P%d " (1 + Faults.rand_int g 9) in
+        let keep l =
+          not
+            (String.length l >= String.length gone
+            && String.sub l 0 (String.length gone) = gone)
+        in
+        Array.of_list (List.filter keep (Array.to_list ls))
+      end
+    in
+    count (agrees_with_reference (3000 + i) (String.concat "\n" (Array.to_list ls)))
+  done;
+  Alcotest.(check bool) "some accepted" true (!accepted > 200);
+  Alcotest.(check bool) "some rejected" true (!rejected > 200)
+
+(* The parser's arrays follow the declarations it reads, not the byte
+   count: 2 MB of comments around a two-node platform must not make it
+   allocate in proportion to the text (sizing by bytes, at one entry
+   per 16 bytes, cost over a million words here). *)
+let test_parse_alloc () =
+  let buf = Buffer.create (1 lsl 21) in
+  Buffer.add_string buf "node A w=1\nnode B w=2\nlink A B c=1\n";
+  let comment = "# " ^ String.make 61 'x' ^ "\n" in
+  while Buffer.length buf < 1 lsl 21 do
+    Buffer.add_string buf comment
+  done;
+  let text = Buffer.contents buf in
+  let _, _, major0 = Gc.counters () in
+  let p = Platform_parse.of_string text in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check int) "nodes" 2 (P.num_nodes p);
+  Alcotest.(check int) "edges" 2 (P.num_edges p);
+  let words = major1 -. major0 in
+  if words > 20_000. then
+    Alcotest.failf "of_string allocated %.0f major words for 2 nodes" words
 
 (* a CRLF file parses as its LF twin, weights and costs included *)
 let test_parse_crlf () =
@@ -572,4 +673,8 @@ let suite =
       q prop_depth_bounded;
       q prop_restrict_identity;
       q prop_restrict_maps;
+      Alcotest.test_case "parse fuzz: shared prefixes" `Quick
+        test_parse_fuzz_prefixes;
+      Alcotest.test_case "parse allocation follows declarations" `Quick
+        test_parse_alloc;
     ] )

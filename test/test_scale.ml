@@ -163,7 +163,8 @@ let test_solve_reduced_fallback () =
         Platform_gen.random_connected_graph ~seed:7 ~nodes:8 ~extra_edges:3 () );
     ]
 
-(* The closed-form knapsack against the LP oracle on seeded, tie-heavy
+(* The closed-form knapsack (the eager sweep's, in
+   Tree_eager_reference) against the LP oracle on seeded, tie-heavy
    instances: one to six children, costs drawn from a small set (all
    equal in a quarter of the instances), and capacities that make the
    bound 0, exactly 1, fractional, or clipped to 1 from above.  The
@@ -189,7 +190,7 @@ let test_knapsack_oracle () =
           let c = match same with Some c -> c | None -> pick costs in
           (e, c, cap c))
     in
-    let v, ys = Master_slave.knapsack children in
+    let v, ys = Tree_eager_reference.knapsack children in
     let v', ys' = Knapsack_reference.knapsack children in
     if not (R.equal v v' && List.equal (fun (e, y) (e', y') ->
         e = e' && R.equal y y') ys ys')
@@ -602,6 +603,123 @@ let test_hashed_cache_distinguishes () =
   Alcotest.(check int) "all replays hit" (List.length solos)
     (Lp.Cache.hits cache)
 
+(* The lazy tree sweep against the eager one it replaced
+   (Tree_eager_reference: one knapsack at every node, a top-down walk
+   over the whole BFS order), bit for bit on every field.  The trees
+   are drawn to stress the parts the lazy form skips or reorders:
+   tie-heavy costs and weights (every value in {1, 3/2, 2}), pure
+   routers (w = inf, so their bound always needs K), masters that are
+   not node 0, and balanced trees of arity 1 to 4. *)
+let lazy_sweep_tree =
+  QCheck.(
+    make
+      ~print:(fun (seed, nodes, kind, routers, master) ->
+        Printf.sprintf "seed=%d nodes=%d kind=%d routers=%d master=%d" seed
+          nodes kind routers master)
+      Gen.(
+        tup5 (int_range 1 1_000_000) (int_range 1 60) (int_range 0 5)
+          (int_range 0 3) (int_range 0 1_000_000)))
+
+let lazy_sweep_platform (seed, nodes, kind, routers, master) =
+  let p =
+    match kind with
+    | 0 -> Platform_gen.random_tree ~seed ~nodes ()
+    | 1 ->
+      Platform_gen.random_tree ~seed ~nodes ~cost_range:(1, 2)
+        ~weight_range:(1, 2) ()
+    | k -> Platform_gen.balanced_tree ~seed ~nodes ~arity:(k - 1) ()
+  in
+  (* every [routers]-th node, from a seeded offset, turns into a pure
+     router; 0 keeps every CPU *)
+  let p =
+    if routers = 0 then p
+    else
+      P.create
+        ~names:(Array.init (P.num_nodes p) (P.name p))
+        ~weights:
+          (Array.init (P.num_nodes p) (fun v ->
+               if (v + seed) mod (routers + 1) = 0 then Ext_rat.Inf
+               else P.weight p v))
+        ~edges:
+          (List.map
+             (fun e -> (P.edge_src p e, P.edge_dst p e, P.edge_cost p e))
+             (P.edges p))
+  in
+  (p, master mod P.num_nodes p)
+
+let prop_lazy_sweep_eager =
+  QCheck.Test.make ~name:"tree sweep: lazy = eager" ~count:600 lazy_sweep_tree
+    (fun params ->
+      let p, master = lazy_sweep_platform params in
+      let got = Master_slave.solve p ~master in
+      let want = Tree_eager_reference.solve_tree p ~master in
+      let same a b = Array.for_all2 R.equal a b in
+      R.equal got.Master_slave.ntask want.Master_slave.ntask
+      && same got.Master_slave.alpha want.Master_slave.alpha
+      && same got.Master_slave.send_frac want.Master_slave.send_frac
+      && same got.Master_slave.task_flow want.Master_slave.task_flow)
+
+(* A 10^5-node chain whose every link is faster than the CPU below it
+   (w = 2, c = 1), so each bound needs the K of the whole chain below:
+   the sweep must go 10^5 knapsacks deep on its own stack. *)
+let test_long_chain () =
+  let n = 100_000 in
+  let p =
+    Platform_gen.chain
+      ~weights:(List.init n (fun _ -> Ext_rat.of_int 2))
+      ~cost:R.one ()
+  in
+  let sol = Master_slave.solve p ~master:0 in
+  (* the master computes 1/2 and sends 1, P1 computes 1/2 of it and
+     forwards 1/2, P2 computes that *)
+  Alcotest.check rat "ntask" (R.of_ints 3 2) sol.Master_slave.ntask;
+  Alcotest.check rat "P2 busy" R.one sol.Master_slave.alpha.(2);
+  Alcotest.check rat "P3 idle" R.zero sol.Master_slave.alpha.(3)
+
+(* The tree closed form of Collective reads each lane's busy fraction
+   off its load (load * TP); it must equal the mode law applied to the
+   routed flows, c * sum_k f_k under Sum and c * max_k f_k under Max,
+   whatever the tree, the source and the targets. *)
+let collective_tree =
+  QCheck.(
+    make
+      ~print:(fun (seed, nodes, balanced, sum, source) ->
+        Printf.sprintf "seed=%d nodes=%d balanced=%b sum=%b source=%d" seed
+          nodes balanced sum source)
+      Gen.(
+        tup5 (int_range 1 1_000_000) (int_range 2 40) bool bool
+          (int_range 0 1_000_000)))
+
+let prop_collective_send_frac =
+  QCheck.Test.make ~name:"collective tree: send_frac = mode law of flows"
+    ~count:300 collective_tree (fun (seed, nodes, balanced, sum, source) ->
+      let p =
+        if balanced then
+          Platform_gen.balanced_tree ~seed ~nodes ~arity:(1 + (seed mod 4)) ()
+        else Platform_gen.random_tree ~seed ~nodes ()
+      in
+      let source = source mod nodes in
+      (* every other node, from a seeded offset, is a target *)
+      let targets =
+        List.filter
+          (fun v -> v <> source && (v + seed) mod 2 = 0)
+          (P.nodes p)
+      in
+      let targets = if targets = [] then [ (source + 1) mod nodes ] else targets in
+      let mode = if sum then Collective.Sum else Collective.Max in
+      let sol = Collective.solve mode p ~source ~targets in
+      let flows = sol.Collective.flows in
+      let law e =
+        let f = Array.map (fun fk -> fk.(e)) flows in
+        R.mul (P.edge_cost p e)
+          (if sum then Array.fold_left R.add R.zero f
+           else Array.fold_left R.max R.zero f)
+      in
+      Tree_decomp.detect p ~root:source <> None
+      && List.for_all
+           (fun e -> R.equal sol.Collective.send_frac.(e) (law e))
+           (P.edges p))
+
 let suite =
   ( "scale",
     [
@@ -648,4 +766,7 @@ let suite =
       Alcotest.test_case "stats counting" `Quick test_stats_counting;
       Alcotest.test_case "hashed cache" `Quick
         test_hashed_cache_distinguishes;
+      QCheck_alcotest.to_alcotest prop_lazy_sweep_eager;
+      Alcotest.test_case "tree sweep: 10^5-node chain" `Quick test_long_chain;
+      QCheck_alcotest.to_alcotest prop_collective_send_frac;
     ] )
