@@ -148,133 +148,83 @@ let solve_ports fn ports p ~master =
    child every child is filled that way.  The test suite holds the LP
    and the eager sweep over every node as oracles.
 
-   The sweep is lazy, bandwidth first.  A child j whose link is no
-   faster than its CPU (c_j * speed(j) >= 1) has bound 1 whatever K(j)
-   is, and it never receives more than 1/c_j <= speed(j): it keeps all
-   it gets, so nothing below it matters.  K(j) is evaluated only when a
-   knapsack needs j's bound and the link is faster than j's CPU.  A
-   knapsack scans its children for the first full one, then fills the
-   strictly cheaper ones and stops once the port is full; the children
-   it did not reach get y = 0 without a look.  A node that receives
-   more than it computes had its K evaluated, so the top-down sweep
+   The sweep is bandwidth first.  A child j whose link is no faster
+   than its CPU (c_j * speed(j) >= 1) has bound 1 whatever K(j) is, and
+   it never receives more than 1/c_j <= speed(j): it keeps all it gets,
+   so nothing below it matters.  A top-down pass marks the nodes whose
+   K some knapsack needs: the master, and each child of a marked node
+   that has children and a link faster than its CPU.  One pass in
+   reverse BFS order then solves the marked nodes' knapsacks, children
+   before parents; a fill stops once the port is full.  A node that
+   receives more than it computes is marked, so the top-down sweep
    visits only the nodes the flow reaches.  Any other platform takes
    the monolithic LP. *)
-
-(* One node's knapsack, open while the K of its children are evaluated:
-   first the scan for the first child whose bound is 1, then the fill
-   of [cands] (indices into the BFS order, cheapest first, ties to the
-   later child). *)
-type frame = {
-  v : P.node;
-  mutable filling : bool;
-  mutable at : int; (* next child: an index into the order, or into cands *)
-  mutable full : P.node; (* the first full child, or -1 *)
-  mutable left : R.t; (* port time the fill has not used *)
-  mutable cands : int array;
-}
 
 let solve_tree p ~master td =
   let { Tree_decomp.order; parent_edge; child_lo; child_hi; _ } = td in
   let n = P.num_nodes p in
   let cost u = P.edge_cost p parent_edge.(u) in
-  (* per node: K, negative until evaluated; the share y of its parent's
-     port that the saturated plan gives its link *)
-  let kval = Array.make n R.minus_one in
+  let inner u = child_lo.(u) < child_hi.(u) in
+  let fast u = R.compare (R.mul (cost u) (P.speed p u)) R.one < 0 in
+  (* top-down: the nodes whose K some knapsack needs *)
+  let needs = Array.make n false in
+  needs.(master) <- true;
+  Array.iter
+    (fun v ->
+      if needs.(v) then
+        for k = child_lo.(v) to child_hi.(v) - 1 do
+          let u = order.(k) in
+          if inner u && fast u then needs.(u) <- true
+        done)
+    order;
+  (* bottom-up over those nodes: per node, K; per child, the share y of
+     its parent's port that the saturated plan gives its link *)
+  let kval = Array.make n R.zero in
   let y = Array.make n R.zero in
-  (* child u's bound min(1, c * cap(u)), or -1 when that needs K(u) and
-     K(u) is not known yet *)
+  (* child u's bound min(1, c * cap(u)) *)
   let bound u =
     let c = cost u and s = P.speed p u in
     let cs = R.mul c s in
     if R.compare cs R.one >= 0 then R.one
-    else if child_lo.(u) = child_hi.(u) then cs
-    else if R.sign kval.(u) < 0 then R.minus_one
+    else if not (inner u) then cs
     else R.min R.one (R.mul c (R.add s kval.(u)))
   in
-  let start_fill fr =
-    let lo = child_lo.(fr.v) and hi = child_hi.(fr.v) in
-    let cheaper k =
-      fr.full < 0 || R.compare (cost order.(k)) (cost fr.full) < 0
+  let knapsack v =
+    let lo = child_lo.(v) and hi = child_hi.(v) in
+    let b = Array.init (hi - lo) (fun k -> bound order.(lo + k)) in
+    (* the first child whose bound is 1, if any, takes what the strictly
+       cheaper ones leave of the port; they are filled cheapest first,
+       ties to the later child *)
+    let full = ref (-1) in
+    for k = hi - lo - 1 downto 0 do
+      if R.equal b.(k) R.one then full := k
+    done;
+    let ck k = cost order.(lo + k) in
+    let cands =
+      List.init (hi - lo) Fun.id
+      |> List.filter (fun k -> !full < 0 || R.compare (ck k) (ck !full) < 0)
+      |> List.sort (fun a b ->
+             match R.compare (ck a) (ck b) with 0 -> compare b a | c -> c)
     in
-    let count = ref 0 in
+    let rec fill left = function
+      | k :: rest when R.sign left > 0 ->
+        let yk = R.min b.(k) left in
+        y.(order.(lo + k)) <- yk;
+        fill (R.sub left yk) rest
+      | _ -> left
+    in
+    let left = fill R.one cands in
+    if !full >= 0 then y.(order.(lo + !full)) <- left;
+    let kv = ref R.zero in
     for k = lo to hi - 1 do
-      if cheaper k then incr count
+      let u = order.(k) in
+      if R.sign y.(u) > 0 then kv := R.add !kv (R.div y.(u) (cost u))
     done;
-    let cands = Array.make !count 0 in
-    let i = ref 0 in
-    for k = lo to hi - 1 do
-      if cheaper k then begin
-        cands.(!i) <- k;
-        incr i
-      end
-    done;
-    Array.sort
-      (fun a b ->
-        match R.compare (cost order.(a)) (cost order.(b)) with
-        | 0 -> compare b a
-        | c -> c)
-      cands;
-    fr.filling <- true;
-    fr.at <- 0;
-    fr.cands <- cands
+    kval.(v) <- !kv
   in
-  let finish fr =
-    if fr.full >= 0 then y.(fr.full) <- fr.left;
-    let k = ref R.zero in
-    for i = child_lo.(fr.v) to child_hi.(fr.v) - 1 do
-      let u = order.(i) in
-      if R.sign y.(u) > 0 then k := R.add !k (R.div y.(u) (cost u))
-    done;
-    kval.(fr.v) <- !k
-  in
-  (* run [fr]'s knapsack as far as the known bounds go: -1 once K is
-     known, else the child whose K it waits for *)
-  let rec advance fr =
-    if not fr.filling then
-      if fr.at = child_hi.(fr.v) then begin
-        start_fill fr;
-        advance fr
-      end
-      else
-        let u = order.(fr.at) in
-        let b = bound u in
-        if R.sign b < 0 then u
-        else begin
-          if R.equal b R.one then begin
-            fr.full <- u;
-            start_fill fr
-          end
-          else fr.at <- fr.at + 1;
-          advance fr
-        end
-    else if fr.at = Array.length fr.cands || R.is_zero fr.left then begin
-      finish fr;
-      -1
-    end
-    else
-      let u = order.(fr.cands.(fr.at)) in
-      let b = bound u in
-      if R.sign b < 0 then u
-      else begin
-        let yu = R.min b fr.left in
-        y.(u) <- yu;
-        fr.left <- R.sub fr.left yu;
-        fr.at <- fr.at + 1;
-        advance fr
-      end
-  in
-  let frame v =
-    { v; filling = false; at = child_lo.(v); full = -1; left = R.one;
-      cands = [||] }
-  in
-  (* an explicit stack of open knapsacks: a long chain costs no stack *)
-  let rec eval = function
-    | [] -> ()
-    | fr :: rest as stack ->
-      let u = advance fr in
-      eval (if u < 0 then rest else frame u :: stack)
-  in
-  eval [ frame master ];
+  for i = Array.length order - 1 downto 0 do
+    if needs.(order.(i)) then knapsack order.(i)
+  done;
   (* top-down: route the actual flow, scaling each saturated plan to
      the excess that really arrives *)
   let alpha = Array.make n R.zero in

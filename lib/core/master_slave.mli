@@ -101,14 +101,12 @@ val solve :
     plan to the flow that actually arrives.  Each knapsack picks, among
     its optimal vertices, the one the exact simplex kernel returns on
     its LP.  The sweep is lazy: a knapsack is solved only at the master
-    and at a child whose bound its parent needs while the child's link
-    is faster than its CPU ([c_e * speed < 1]; otherwise the bound is 1
-    and the child keeps all it receives), and it stops once the port is
-    full.  So the work follows the flow's support, not the platform,
-    past the one pass of {!Tree_decomp.detect}, and the answer is the
-    one every node's knapsack would give.  No LP is built or solved
-    there, so [?cache] is not
-    consulted and [?stats] stays untouched.  The throughput is the LP
+    and at each node with children whose parent's knapsack is solved
+    and whose link is faster than its CPU ([c_e * speed < 1]; otherwise
+    the bound is 1 and the node keeps all it receives), and a fill
+    stops once the port is full.  The answer is the one every node's
+    knapsack would give.  No LP is built or solved there, so [?cache]
+    is not consulted and [?stats] stays untouched.  The throughput is the LP
     optimum bit for bit; the vertex may be another optimal one than
     the kernel's ({!solve_lp_only} returns the kernel's), and it
     satisfies every constraint of {!build_lp} exactly.  Whole-task

@@ -28,43 +28,6 @@ let slice_is text s e lit =
   done;
   !i = l
 
-(* The values of recently read numbers, by spelling: a platform file
-   repeats a handful of weights and costs many times, and a repeated
-   spelling then costs neither a parse nor an allocation (the values
-   are immutable, so sharing one is safe).  Direct-mapped: slot [h]
-   holds the last spelling text.[at.(h) .. at.(h) + len.(h) - 1] that
-   hashed to [h], and its value. *)
-type 'a memo = { at : int array; len : int array; value : 'a array }
-
-let memo_slots = 64
-
-let memo fill =
-  {
-    at = Array.make memo_slots 0;
-    len = Array.make memo_slots (-1);
-    value = Array.make memo_slots fill;
-  }
-
-let rec same_bytes text a b l =
-  l = 0
-  || String.unsafe_get text a = String.unsafe_get text b
-     && same_bytes text (a + 1) (b + 1) (l - 1)
-
-let memo_read m parse text s l =
-  let h = ref l in
-  for i = s to s + l - 1 do
-    h := (31 * !h) + Char.code (String.unsafe_get text i)
-  done;
-  let h = !h land (memo_slots - 1) in
-  if m.len.(h) = l && same_bytes text m.at.(h) s l then m.value.(h)
-  else begin
-    let v = parse text s l in
-    m.at.(h) <- s;
-    m.len.(h) <- l;
-    m.value.(h) <- v;
-    v
-  end
-
 (* the node named by the endpoint at offsets eline.(k), eline.(k + 1)
    of the edge line at [b], looked up where it stands *)
 let endpoint find text eline b k =
@@ -78,12 +41,9 @@ let endpoint find text eline b k =
    copied out and numbers are read in place.  Edge lines go to flat
    arrays, their endpoints as offsets into the text.  Once every node
    is declared, each endpoint is resolved against the platform's own
-   name table by hashing and comparing its slice where it stands.  The
-   node arrays start small and double; edge lines fill chunks that
-   double in size and are never copied.  So what is allocated follows
-   the declarations read, not the byte count, and the edge lines of a
-   large file go straight to the major heap instead of being copied
-   there by a minor collection. *)
+   name table by hashing and comparing its slice where it stands.  All
+   arrays start empty and double, so what is allocated follows the
+   declarations read, not the byte count. *)
 let of_string text =
   let len = String.length text in
   (* room for [k] more entries at [n] in [!a], doubling when full *)
@@ -96,24 +56,19 @@ let of_string text =
   in
   let names = ref [||] and weights = ref [||] in
   let nnodes = ref 0 in
-  (* per edge line: source and destination offsets, line number, link;
-     and its cost.  Chunk [q] holds lines [16 * (2^q - 1)] on, 16 * 2^q
-     of them. *)
+  (* per edge line: source and destination offsets, line number, link *)
   let stride = 6 in
-  let lchunks = ref [||] and cchunks = ref [||] and nchunks = ref 0 in
-  let eline = ref [||] and ecost = ref [||] and fill = ref 0 in
+  let eline = ref [||] and ecost = ref [||] in
   let nlines = ref 0 and nedges = ref 0 in
-  let wmemo = memo E.inf and cmemo = memo R.zero in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
   let word k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
   let is k lit = slice_is text starts.(k) stops.(k) lit in
   (* word k must read [key=<value>]: parse the value in place *)
-  let attr lineno k key m parse =
+  let attr lineno k key parse =
     let s = starts.(k) and l = stops.(k) - starts.(k) in
     if l > 2 && text.[s] = key && text.[s + 1] = '=' then
-      try memo_read m parse text (s + 2) (l - 2)
-      with Invalid_argument msg -> fail lineno msg
+      try parse text (s + 2) (l - 2) with Invalid_argument m -> fail lineno m
     else fail lineno (Printf.sprintf "expected %c=<value>, got %S" key (word k))
   in
   let pos = ref 0 and lines = ref 0 in
@@ -140,35 +95,26 @@ let of_string text =
     (match !nwords with
     | 0 -> ()
     | 3 when is 0 "node" ->
-      let w = attr lineno 2 'w' wmemo E.of_substring in
+      let w = attr lineno 2 'w' E.of_substring in
       room names !nnodes 1 "";
       room weights !nnodes 1 E.inf;
       !names.(!nnodes) <- word 1;
       !weights.(!nnodes) <- w;
       incr nnodes
     | 4 when is 0 "edge" || is 0 "link" ->
-      let c = attr lineno 3 'c' cmemo R.of_substring in
+      let c = attr lineno 3 'c' R.of_substring in
       let link = is 0 "link" in
-      if !fill = Array.length !ecost then begin
-        let size = 16 lsl !nchunks in
-        eline := Array.make (stride * size) 0;
-        ecost := Array.make size R.zero;
-        room lchunks !nchunks 1 [||];
-        room cchunks !nchunks 1 [||];
-        !lchunks.(!nchunks) <- !eline;
-        !cchunks.(!nchunks) <- !ecost;
-        incr nchunks;
-        fill := 0
-      end;
-      let eline = !eline and b = stride * !fill in
+      let b = stride * !nlines in
+      room eline b stride 0;
+      room ecost !nlines 1 R.zero;
+      let eline = !eline in
       eline.(b) <- starts.(1);
       eline.(b + 1) <- stops.(1);
       eline.(b + 2) <- starts.(2);
       eline.(b + 3) <- stops.(2);
       eline.(b + 4) <- lineno;
       eline.(b + 5) <- Bool.to_int link;
-      !ecost.(!fill) <- c;
-      incr fill;
+      !ecost.(!nlines) <- c;
       incr nlines;
       nedges := !nedges + 1 + Bool.to_int link
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
@@ -176,32 +122,27 @@ let of_string text =
   done;
   (* last line first, destination before source: the first undeclared
      name reported is always the same one.  A link is both directions. *)
-  let lchunks = !lchunks and cchunks = !cchunks and nchunks = !nchunks in
-  let last_fill = !fill in
+  let eline = !eline and ecost = !ecost in
   let resolve find =
     let m = !nedges in
     let srcs = Array.make m 0 and dsts = Array.make m 0 in
     let costs = Array.make m R.zero in
     let e = ref m in
-    for q = nchunks - 1 downto 0 do
-      let eline = lchunks.(q) and ecost = cchunks.(q) in
-      let used = if q = nchunks - 1 then last_fill else Array.length ecost in
-      for r = used - 1 downto 0 do
-        let b = stride * r in
-        let j = endpoint find text eline b (b + 2) in
-        let i = endpoint find text eline b b in
-        let c = ecost.(r) in
-        if eline.(b + 5) = 1 then begin
-          decr e;
-          srcs.(!e) <- j;
-          dsts.(!e) <- i;
-          costs.(!e) <- c
-        end;
+    for l = !nlines - 1 downto 0 do
+      let b = stride * l in
+      let j = endpoint find text eline b (b + 2) in
+      let i = endpoint find text eline b b in
+      let c = ecost.(l) in
+      if eline.(b + 5) = 1 then begin
         decr e;
-        srcs.(!e) <- i;
-        dsts.(!e) <- j;
+        srcs.(!e) <- j;
+        dsts.(!e) <- i;
         costs.(!e) <- c
-      done
+      end;
+      decr e;
+      srcs.(!e) <- i;
+      dsts.(!e) <- j;
+      costs.(!e) <- c
     done;
     (srcs, dsts, costs)
   in

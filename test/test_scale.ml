@@ -163,11 +163,15 @@ let test_solve_reduced_fallback () =
         Platform_gen.random_connected_graph ~seed:7 ~nodes:8 ~extra_edges:3 () );
     ]
 
-(* The closed-form knapsack (the eager sweep's, in
-   Tree_eager_reference) against the LP oracle on seeded, tie-heavy
+(* The closed-form knapsack against the LP oracle on seeded, tie-heavy
    instances: one to six children, costs drawn from a small set (all
    equal in a quarter of the instances), and capacities that make the
-   bound 0, exactly 1, fractional, or clipped to 1 from above.  The
+   bound 0, exactly 1, fractional, or clipped to 1 from above.  Both
+   closed forms meet every instance: the eager sweep's knapsack (in
+   Tree_eager_reference) directly, and the library's as Master_slave.solve
+   on a one-level star whose leaf e has link cost c_e and speed cap_e
+   (w = inf for cap 0), so that its bound is min(1, c_e * cap_e) and,
+   with a master that computes nothing, send_frac is the plan y.  The
    objective and every y must be bit-identical. *)
 let test_knapsack_oracle () =
   let g = Faults.generator ~seed:18 in
@@ -190,14 +194,34 @@ let test_knapsack_oracle () =
           let c = match same with Some c -> c | None -> pick costs in
           (e, c, cap c))
     in
-    let v, ys = Tree_eager_reference.knapsack children in
     let v', ys' = Knapsack_reference.knapsack children in
-    if not (R.equal v v' && List.equal (fun (e, y) (e', y') ->
-        e = e' && R.equal y y') ys ys')
-    then begin
-      Alcotest.check rat (Printf.sprintf "case %d objective" case) v' v;
-      Alcotest.check plan (Printf.sprintf "case %d plan" case) ys' ys
-    end
+    let star =
+      P.create
+        ~names:(Array.init (k + 1) (Printf.sprintf "N%d"))
+        ~weights:
+          (Array.of_list
+             (Ext_rat.inf
+             :: List.map
+                  (fun (_, _, cap) ->
+                    if R.is_zero cap then Ext_rat.inf
+                    else Ext_rat.of_rat (R.inv cap))
+                  children))
+        ~edges:(List.map (fun (e, c, _) -> (0, e + 1, c)) children)
+    in
+    let sol = Master_slave.solve star ~master:0 in
+    let lib = (sol.Master_slave.ntask, List.mapi (fun e y -> (e, y))
+                 (Array.to_list sol.Master_slave.send_frac)) in
+    List.iter
+      (fun (what, (v, ys)) ->
+        if not (R.equal v v' && List.equal (fun (e, y) (e', y') ->
+            e = e' && R.equal y y') ys ys')
+        then begin
+          Alcotest.check rat (Printf.sprintf "case %d %s objective" case what)
+            v' v;
+          Alcotest.check plan (Printf.sprintf "case %d %s plan" case what)
+            ys' ys
+        end)
+      [ ("eager", Tree_eager_reference.knapsack children); ("library", lib) ]
   done
 
 (* The tree solve against the reference sweep with the LP knapsack: the
@@ -661,7 +685,7 @@ let prop_lazy_sweep_eager =
 
 (* A 10^5-node chain whose every link is faster than the CPU below it
    (w = 2, c = 1), so each bound needs the K of the whole chain below:
-   the sweep must go 10^5 knapsacks deep on its own stack. *)
+   the sweep must solve 10^5 nested knapsacks without recursing. *)
 let test_long_chain () =
   let n = 100_000 in
   let p =
