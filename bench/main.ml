@@ -61,20 +61,51 @@ let print_tables () =
 let sized_platform n =
   Platform_gen.random_graph ~seed:(97 + n) ~nodes:n ~extra_edges:(n / 2) ()
 
+(* The kernel against the boxed tableau it restarts on, before a
+   workload is timed: the packed tableau's values, objective, duals and
+   pivot count must equal the boxed tableau's bit for bit, or the bench
+   stops and names the divergence. *)
+let kernel_guard name model =
+  let rows, b, c = Lp.standard_form model in
+  let diverges what =
+    failwith
+      (Printf.sprintf "bench: kernel divergence in %s: %s differ from the \
+                       boxed tableau's" name what)
+  in
+  match Simplex.minimize_boxed ~rows ~b ~c () with
+  | Simplex.Infeasible | Simplex.Unbounded ->
+    failwith ("bench: " ^ name ^ " is not optimal")
+  | Simplex.Optimal r ->
+    let verdict =
+      match Simplex.minimize_packed ~rows ~b ~c () with
+      | exception Simplex.Packed.Range -> "restarts on the boxed tableau"
+      | Simplex.Infeasible | Simplex.Unbounded -> diverges "outcomes"
+      | Simplex.Optimal k ->
+        if not (Array.for_all2 R.equal k.values r.values) then diverges "values";
+        if not (R.equal k.objective r.objective) then diverges "objectives";
+        if not (Array.for_all2 R.equal k.duals r.duals) then diverges "duals";
+        if k.pivots <> r.pivots then
+          diverges (Printf.sprintf "pivot counts (%d, %d)" k.pivots r.pivots);
+        Printf.sprintf "%d pivots = boxed" k.pivots
+    in
+    Printf.printf "%-56s %10s\n" ("kernel/guard " ^ name) verdict
+
 (* Workload setup (platform generation, reference solves) happens when
    this list is built, not at module load: [--tables-only] never pays
    for it, and [--smoke] builds it exactly once. *)
 let timed_workloads () : (string * (unit -> unit)) list =
   let ms_lp n =
     let p = sized_platform n in
-    ( Printf.sprintf "E13/master-slave LP n=%d" n,
-      fun () -> ignore (Master_slave.solve p ~master:0) )
+    let name = Printf.sprintf "E13/master-slave LP n=%d" n in
+    kernel_guard name (fst (Master_slave.solve_lp_only p ~master:0));
+    (name, fun () -> ignore (Master_slave.solve p ~master:0))
   in
   let scatter_lp n =
     let p = sized_platform n in
     let targets = [ 1; n - 1 ] in
-    ( Printf.sprintf "E13/scatter LP n=%d" n,
-      fun () -> ignore (Scatter.solve p ~source:0 ~targets) )
+    let name = Printf.sprintf "E13/scatter LP n=%d" n in
+    kernel_guard name (Collective.model Collective.Sum p ~source:0 ~targets);
+    (name, fun () -> ignore (Scatter.solve p ~source:0 ~targets))
   in
   let reconstruction n =
     let p = sized_platform n in
@@ -85,6 +116,7 @@ let timed_workloads () : (string * (unit -> unit)) list =
   let tableau =
     let p = sized_platform 12 in
     let model, _ = Master_slave.solve_lp_only p ~master:0 in
+    kernel_guard "ablation/solver tableau n=12" model;
     ( "ablation/solver tableau n=12",
       fun () ->
         match Lp.solve model with

@@ -985,7 +985,9 @@ let run_robust ?cache ?stats ?ckpt sc =
             raise Resume_mismatch
         | _ -> ());
         if k >= resume_epoch then begin
-          write_ckpt k;
+          (* the record due at [resume_epoch] is the one just decoded:
+             committing it again would rewrite the same bytes *)
+          if k > resume_epoch then write_ckpt k;
           halt_check k
         end;
         marks := total_work sim p :: !marks;

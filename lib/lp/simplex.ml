@@ -4,7 +4,7 @@
    into a dense tableau.  The cold start is a crash basis: every row
    that owns a structural column with a single nonzero (a slack, say)
    starts with that column basic, and only the rows left uncovered get
-   an artificial column (see [crash_tableau]).  Phase 1 minimises the
+   an artificial column (see [crash_basis]).  Phase 1 minimises the
    sum of those artificials and is skipped when there are none; phase 2
    re-prices with the true costs.  Artificial columns never enter the
    basis.  The tableau invariant maintained throughout: for every row
@@ -18,7 +18,22 @@
    buffer and then updates only those columns in every other row,
    instead of walking all [n_total] columns.  Entries outside the
    support are untouched, since eliminating with a zero multiplier is
-   the identity. *)
+   the identity.
+
+   Two tableaux run this one algorithm.  The packed tableau
+   ([Packed_tableau]) is the one every solve starts on: a single
+   row-major [int array] whose cells are canonical small rationals
+   packed into one native int ([Packed]: [(num lsl 31) lor den] with
+   [|num|, den < 2^30], and [0] for zero), as are the right-hand side,
+   the reduced costs and the objective.  A cell update is one fused,
+   allocation-free [submul].  When any value of a solve would leave
+   that range, the packed arithmetic raises [Packed.Range] and the solve
+   restarts from its cold start on the boxed tableau ([Boxed_tableau]:
+   a [Rat.t array array], unbounded).  Values are canonical on both, so
+   every comparison the algorithm makes — the Dantzig argmin and its
+   ties, the ratio test, stall detection, the Bland switch — answers the
+   same, and the two produce the same pivots, vertex, duals and pivot
+   count; the restart is invisible in the answer. *)
 
 module R = Rat
 
@@ -36,172 +51,163 @@ type outcome =
   | Infeasible
   | Unbounded
 
-type tableau = {
-  mutable rows : R.t array array; (* m x n_total *)
-  mutable rhs : R.t array; (* m *)
-  mutable basis : int array; (* m, column basic in each row *)
-  red : R.t array; (* n_total, reduced costs for current phase *)
-  mutable obj : R.t;
-  (* stored as MINUS the current objective value: with that sign
-     convention the reduced-cost row and the objective cell transform
-     under pivoting by exactly the same elimination rule as any other
-     row, cf. the classical (-z) tableau corner. *)
-  n_struct : int; (* structural columns: 0 .. n_struct-1 *)
-  n_total : int; (* structural columns, then one artificial per uncovered row *)
-  unit_col : int array; (* per input row: its starting basic column *)
-  unit_coef : R.t array; (* per input row: that column's flipped entry *)
-  mutable pivots : int;
-  supp : int array; (* scratch: support (nonzero columns) of the pivot row *)
-}
-
-let pivot t p q =
-  (* make column q basic in row p *)
-  let row_p = t.rows.(p) in
-  let piv = row_p.(q) in
-  assert (R.sign piv > 0);
-  let inv = R.inv piv in
-  (* scale the pivot row, collecting its support as we go; zero entries
-     stay zero, so skipping them leaves the row unchanged *)
-  let supp = t.supp in
-  let nsupp = ref 0 in
-  for j = 0 to t.n_total - 1 do
-    let v = row_p.(j) in
-    if not (R.is_zero v) then begin
-      row_p.(j) <- R.mul v inv;
-      supp.(!nsupp) <- j;
-      incr nsupp
-    end
-  done;
-  let nsupp = !nsupp in
-  let rhs_p = R.mul t.rhs.(p) inv in
-  t.rhs.(p) <- rhs_p;
-  (* subtract [f] times the pivot row; columns outside its support are
-     unchanged by the elimination, so only the support is walked *)
-  let eliminate coeffs f =
-    for k = 0 to nsupp - 1 do
-      let j = supp.(k) in
-      coeffs.(j) <- R.sub coeffs.(j) (R.mul f row_p.(j))
-    done
-  in
-  for i = 0 to Array.length t.rows - 1 do
-    if i <> p then begin
-      let row = t.rows.(i) in
-      let f = row.(q) in
-      if not (R.is_zero f) then begin
-        eliminate row f;
-        t.rhs.(i) <- R.sub t.rhs.(i) (R.mul f rhs_p)
-      end
-    end
-  done;
-  let f = t.red.(q) in
-  if not (R.is_zero f) then begin
-    eliminate t.red f;
-    t.obj <- R.sub t.obj (R.mul f rhs_p)
-  end;
-  t.basis.(p) <- q;
-  t.pivots <- t.pivots + 1
-
-(* Recompute reduced costs and objective for cost vector [c] (length
-   n_total) given the current basis.  O(m * nnz). *)
-let reprice t c =
-  let m = Array.length t.rows in
-  Array.blit c 0 t.red 0 t.n_total;
-  t.obj <- R.zero;
-  for i = 0 to m - 1 do
-    let cb = c.(t.basis.(i)) in
-    if not (R.is_zero cb) then begin
-      let row = t.rows.(i) in
-      for j = 0 to t.n_total - 1 do
-        let v = row.(j) in
-        if not (R.is_zero v) then t.red.(j) <- R.sub t.red.(j) (R.mul cb v)
-      done;
-      t.obj <- R.sub t.obj (R.mul cb t.rhs.(i))
-    end
-  done
-
 exception Unbounded_exc
 
-(* One phase of the simplex loop.  [allowed j] filters entering columns
-   (phase 2 bars artificials). *)
-let optimise t rule allowed =
-  let m = Array.length t.rows in
-  let stall_limit = m + t.n_total in
-  let best_seen = ref t.obj in
-  let stall = ref 0 in
-  let bland_mode = ref (rule = Bland) in
-  let entering () =
-    if !bland_mode then begin
-      let rec go j =
-        if j >= t.n_total then None
-        else if allowed j && R.sign t.red.(j) < 0 then Some j
-        else go (j + 1)
-      in
-      go 0
-    end
-    else begin
-      let best = ref None in
-      for j = t.n_total - 1 downto 0 do
-        if allowed j && R.sign t.red.(j) < 0 then
-          match !best with
-          | Some jb when R.compare t.red.(jb) t.red.(j) <= 0 -> ()
-          | _ -> best := Some j
-      done;
-      !best
-    end
-  in
-  let leaving q =
-    (* min ratio rhs_i / rows_i_q over rows_i_q > 0; ties to the smallest
-       basis index (lexicographic safeguard, part of Bland's rule) *)
-    let best = ref None in
-    for i = 0 to m - 1 do
-      let a = t.rows.(i).(q) in
-      if R.sign a > 0 then begin
-        let ratio = R.div t.rhs.(i) a in
-        match !best with
-        | None -> best := Some (i, ratio)
-        | Some (ib, rb) ->
-          let cmp = R.compare ratio rb in
-          if cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(ib)) then
-            best := Some (i, ratio)
-      end
-    done;
-    !best
-  in
-  let continue = ref true in
-  while !continue do
-    match entering () with
-    | None -> continue := false
-    | Some q ->
-      (match leaving q with
-      | None -> raise Unbounded_exc
-      | Some (p, _) ->
-        pivot t p q;
-        if not !bland_mode then begin
-          (* t.obj = -z grows strictly whenever z improves *)
-          if R.compare t.obj !best_seen > 0 then begin
-            best_seen := t.obj;
-            stall := 0
-          end
-          else begin
-            incr stall;
-            if !stall > stall_limit then bland_mode := true
-          end
-        end)
-  done
+(* --- packed small rationals ---------------------------------------------
 
-(* Crash tableau: rows copied with signs flipped so rhs >= 0, then each
-   row given a starting basic column.  A structural column with exactly
-   one nonzero, positive after the flip — the slack of a [<=] row, the
-   surplus of a [>=] row with negative rhs, a variable appearing in one
-   row only — is already a multiple of a unit vector, so its row is just
-   scaled by [1/a_ij]: nothing to eliminate, and no pivot is counted.
-   One pass over the nonzeros counts each column's entries; each row
-   then takes the lowest such column among its own.  Rows left without
-   one get an artificial (columns [n .. n_total - 1], one per uncovered
-   row).  [unit_col.(i)] is row [i]'s starting column and
-   [unit_coef.(i)] its flipped coefficient (one for an artificial); both
-   are what [duals_of] needs later. *)
-let crash_tableau ~rows ~b ~m ~n =
+   [n/d] in lowest terms with [d > 0], [|n| < 2^30] and [d < 2^30] is
+   the int [(n lsl 31) lor d]; zero is [0].  The sign of the int is the
+   sign of the value, two values with the same denominator order as
+   their ints, and every product of two parts is below 2^60, so the
+   cross-multiplications of [compare] and of the fused update never
+   overflow: range tests on results replace the division-based
+   overflow checks of [Rat]'s native path.  Every operation returns the
+   canonical value [Rat] computes, or raises [Range] when that value
+   does not fit. *)
+module Packed = struct
+  type t = int
+
+  exception Range
+
+  let den_bits = 31
+  let den_mask = (1 lsl den_bits) - 1
+  let limit = 1 lsl 30
+  let zero = 0
+  let one = (1 lsl den_bits) lor 1
+
+  let[@inline] num x = x asr den_bits
+  let[@inline] den x = x land den_mask
+
+  (* [|n| < limit] and [d < limit] (for [d >= 1]), without branches *)
+  let[@inline] in_range n d =
+    let u = n + (limit - 1) in
+    u lor ((2 * limit) - 2 - u) lor (limit - 1 - d) >= 0
+
+  (* canonical [n/d] (d >= 1) packed, or [Range] *)
+  let[@inline] pack n d =
+    if not (in_range n d) then raise_notrace Range;
+    (n lsl den_bits) lor d
+
+  let rec euclid a b = if b = 0 then a else euclid b (a mod b)
+
+  (* gcd of every pair of operands below 64, built once at module
+     initialisation (immutable, so domain-safe) *)
+  let small_gcd = String.init 4096 (fun k -> Char.chr (euclid (k lsr 6) (k land 63)))
+
+  (* gcd on non-negative ints *)
+  let rec gcd a b =
+    if a lor b < 64 then Char.code (String.unsafe_get small_gcd ((a lsl 6) lor b))
+    else if b = 0 then a
+    else gcd b (a mod b)
+
+  let[@inline] divg x g = if g = 1 then x else x / g
+
+  let of_rat r =
+    match R.to_ints r with
+    | Some (0, _) -> 0
+    | Some (n, d) -> pack n d
+    | None -> raise_notrace Range
+
+  let to_rat x = if x = 0 then R.zero else R.of_ints (num x) (den x)
+
+  let neg x = ((-num x) lsl den_bits) lor den x
+
+  let inv x =
+    if x = 0 then raise Division_by_zero;
+    let n = num x and d = den x in
+    if n < 0 then ((-d) lsl den_bits) lor (-n) else (d lsl den_bits) lor n
+
+  let compare a b =
+    let da = den a and db = den b in
+    if da = db || a = 0 || b = 0 || a lxor b < 0 then Int.compare a b
+    else Int.compare (num a * db) (num b * da)
+
+  (* cross-reduced, as in [Rat.mul]: the result is in lowest terms *)
+  let mul a b =
+    if a = 0 || b = 0 then 0
+    else if b = one then a
+    else if a = one then b
+    else begin
+      let an = num a and ad = den a and bn = num b and bd = den b in
+      let g1 = if bd = 1 then 1 else gcd (abs an) bd
+      and g2 = if ad = 1 then 1 else gcd (abs bn) ad in
+      pack (divg an g1 * divg bn g2) (divg ad g2 * divg bd g1)
+    end
+
+  (* [a - b*c] through [Rat], for the rare update whose product leaves
+     the range while the result may not *)
+  let submul_wide a b c = of_rat (R.submul (to_rat a) (to_rat b) (to_rat c))
+
+  (* [a - b*c], fused as in [Rat.submul]: the product [pn/pd] is
+     cross-reduced (lowest terms, below 2^60) and, when it is in range,
+     added Knuth-style: with [g = gcd ad pd] the only common factor
+     left is [gcd t g] *)
+  let submul a b c =
+    if b = 0 || c = 0 then a
+    else begin
+      let bn = num b and bd = den b and cn = num c and cd = den c in
+      let g1 = if cd = 1 then 1 else gcd (abs bn) cd
+      and g2 = if bd = 1 then 1 else gcd (abs cn) bd in
+      let pn = divg bn g1 * divg cn g2 and pd = divg bd g2 * divg cd g1 in
+      if not (in_range pn pd) then submul_wide a b c
+      else if a = 0 then ((-pn) lsl den_bits) lor pd
+      else begin
+        let an = num a and ad = den a in
+        if ad = pd then begin
+          let t = an - pn in
+          if t = 0 then 0
+          else if ad = 1 then pack t 1
+          else begin
+            let g = gcd (abs t) ad in
+            pack (divg t g) (divg ad g)
+          end
+        end
+        else begin
+          let g = if ad = 1 || pd = 1 then 1 else gcd ad pd in
+          if g = 1 then pack ((an * pd) - (pn * ad)) (ad * pd)
+          else begin
+            let t = (an * (pd / g)) - (pn * (ad / g)) in
+            if t = 0 then 0
+            else begin
+              let g2 = gcd (abs t) g in
+              pack (divg t g2) (divg ad g2 * (pd / g))
+            end
+          end
+        end
+      end
+    end
+
+  (* [compare (xn/xd) (yn/yd)] for parts below 2^60 in magnitude and
+     positive denominators (the unreduced ratios of the ratio test):
+     native when all four parts lie in [0, 2^31), so the
+     cross-products cannot overflow; through [Rat] otherwise *)
+  let compare_ratios xn xd yn yd =
+    if (xn lor xd lor yn lor yd) asr 31 = 0 then Int.compare (xn * yd) (yn * xd)
+    else R.compare (R.of_ints xn xd) (R.of_ints yn yd)
+end
+
+(* --- shared by both tableaux ---------------------------------------- *)
+
+(* The crash basis.  A structural column with exactly one nonzero,
+   positive once negative-[b] rows are flipped — the slack of a [<=]
+   row, the surplus of a [>=] row with negative rhs, a variable
+   appearing in one row only — is already a multiple of a unit vector,
+   so its row is just scaled by [1/a_ij]: nothing to eliminate, and no
+   pivot is counted.  One pass over the nonzeros counts each column's
+   entries; each row then takes the lowest such column among its own.
+   Rows left without one get an artificial (columns [n .. n_total - 1],
+   one per uncovered row).  [unit_col.(i)] is row [i]'s starting
+   column, [unit_coef.(i)] its flipped coefficient (one for an
+   artificial) — both are what [duals_of] needs later — and
+   [scale.(i)] the factor row [i] is multiplied by. *)
+type crash = {
+  n_total : int;
+  unit_col : int array;
+  unit_coef : R.t array;
+  scale : R.t array;
+}
+
+let crash_basis ~rows ~b ~m ~n =
   let flipped i v = if R.sign b.(i) < 0 then R.neg v else v in
   let count = Array.make n 0 in
   Array.iter
@@ -228,129 +234,531 @@ let crash_tableau ~rows ~b ~m ~n =
           incr n_total;
           R.one)
   in
-  let n_total = !n_total in
   let scale = Array.init m (fun i -> flipped i (R.inv unit_coef.(i))) in
-  let tableau_rows =
-    Array.init m (fun i ->
-        let row = Array.make n_total R.zero in
-        let cols, vals = rows.(i) in
-        Array.iteri (fun k j -> row.(j) <- R.mul vals.(k) scale.(i)) cols;
-        row.(unit_col.(i)) <- R.one;
-        row)
-  in
-  {
-    rows = tableau_rows;
-    rhs = Array.init m (fun i -> R.mul b.(i) scale.(i));
-    basis = Array.copy unit_col;
-    red = Array.make n_total R.zero;
-    obj = R.zero;
-    n_struct = n;
-    n_total;
-    unit_col;
-    unit_coef;
-    pivots = 0;
-    supp = Array.make n_total 0;
-  }
+  { n_total = !n_total; unit_col; unit_coef; scale }
 
 (* Exact duals of the final basis.  Row [i]'s starting column is
    [unit_coef.(i)] times the [i]-th unit vector of the sign-flipped
    system, so the tableau keeps it as that multiple of the [i]-th column
-   of the current basis inverse, and its phase-2 reduced cost is
-   [c_j - unit_coef.(i) * y_i] for the simplex multipliers [y].  Hence
-   [-y_i = (red_j - c_j) / unit_coef.(i)] — for an artificial (cost 0,
-   coefficient 1) simply its reduced cost.  Rows dropped as redundant
-   keep their artificial column, so the formula needs no row
+   of the current basis inverse, and its phase-2 reduced cost
+   [red j = c_j - unit_coef.(i) * y_i] for the simplex multipliers [y].
+   Hence [-y_i = (red_j - c_j) / unit_coef.(i)] — for an artificial
+   (cost 0, coefficient 1) simply its reduced cost.  Rows dropped as
+   redundant keep their artificial column, so the formula needs no row
    bookkeeping; the flip of negative-[b] rows is undone to return duals
    in the caller's row orientation. *)
-let duals_of t ~b ~c =
+let duals_of cr ~red ~b ~c =
+  let n = Array.length c in
   Array.init (Array.length b) (fun i ->
-      let j = t.unit_col.(i) in
-      let cj = if j < t.n_struct then c.(j) else R.zero in
-      let r = R.div (R.sub t.red.(j) cj) t.unit_coef.(i) in
+      let j = cr.unit_col.(i) in
+      let cj = if j < n then c.(j) else R.zero in
+      let r = R.div (R.sub (red j) cj) cr.unit_coef.(i) in
       if R.sign b.(i) < 0 then r else R.neg r)
 
-(* Phase 2 from a primal feasible, artificial-free tableau: re-price with
-   the true costs, artificial columns barred from entering. *)
-let phase2 rule t ~b ~c =
-  let n = t.n_struct in
-  let c2 = Array.make t.n_total R.zero in
-  Array.blit c 0 c2 0 n;
-  reprice t c2;
-  match optimise t rule (fun j -> j < n) with
-  | () ->
-    let values = Array.make n R.zero in
-    Array.iteri (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i)) t.basis;
-    Optimal
-      {
-        values;
-        objective = R.neg t.obj;
-        duals = duals_of t ~b ~c;
-        pivots = t.pivots;
-      }
-  | exception Unbounded_exc -> Unbounded
+(* --- the boxed tableau: unbounded rationals ------------------------- *)
 
-let negate_row t i =
-  let row = t.rows.(i) in
-  for k = 0 to t.n_total - 1 do
-    let v = row.(k) in
-    if not (R.is_zero v) then row.(k) <- R.neg v
-  done;
-  t.rhs.(i) <- R.neg t.rhs.(i)
+module Boxed_tableau = struct
+  type tableau = {
+    mutable rows : R.t array array; (* m x n_total *)
+    mutable rhs : R.t array; (* m *)
+    mutable basis : int array; (* m, column basic in each row *)
+    red : R.t array; (* n_total, reduced costs for current phase *)
+    mutable obj : R.t;
+    (* stored as MINUS the current objective value: with that sign
+       convention the reduced-cost row and the objective cell transform
+       under pivoting by exactly the same elimination rule as any other
+       row, cf. the classical (-z) tableau corner. *)
+    n_total : int;
+    (* structural columns 0 .. n-1, then one artificial per uncovered row *)
+    mutable pivots : int;
+    supp : int array; (* scratch: support (nonzero columns) of the pivot row *)
+  }
 
-let cold_solve rule ~rows ~b ~c ~m ~n =
-  let t = crash_tableau ~rows ~b ~m ~n in
-  let feasible =
-    t.n_total = n
-    || begin
-      (* phase 1: minimise the sum of the artificials *)
-      let c1 = Array.make t.n_total R.zero in
-      for j = n to t.n_total - 1 do
-        c1.(j) <- R.one
-      done;
-      reprice t c1;
-      (try optimise t rule (fun j -> j < n)
-       with Unbounded_exc ->
-         (* phase-1 objective is bounded below by 0: cannot happen *)
-         assert false);
-      R.sign t.obj >= 0 (* phase-1 optimum z = -obj > 0: infeasible *)
-    end
-  in
-  if not feasible then Infeasible
-  else begin
-    (* drive remaining artificials out of the basis *)
-    let m_cur = Array.length t.rows in
-    let keep = Array.make m_cur true in
-    for i = 0 to m_cur - 1 do
-      if t.basis.(i) >= n then begin
-        (* basic artificial, necessarily at value 0 *)
-        let rec find j =
-          if j >= n then None
-          else if not (R.is_zero t.rows.(i).(j)) then Some j
-          else find (j + 1)
-        in
-        match find 0 with
-        | Some j ->
-          (* pivot on (i, j); the pivot may be negative, which is fine
-             here because rhs_i = 0 keeps the tableau feasible *)
-          if R.sign t.rows.(i).(j) < 0 then negate_row t i;
-          pivot t i j
-        | None -> keep.(i) <- false (* redundant row *)
+  let pivot t p q =
+    (* make column q basic in row p *)
+    let row_p = t.rows.(p) in
+    let piv = row_p.(q) in
+    assert (R.sign piv > 0);
+    let inv = R.inv piv in
+    (* scale the pivot row, collecting its support as we go; zero entries
+       stay zero, so skipping them leaves the row unchanged *)
+    let supp = t.supp in
+    let nsupp = ref 0 in
+    for j = 0 to t.n_total - 1 do
+      let v = row_p.(j) in
+      if not (R.is_zero v) then begin
+        row_p.(j) <- R.mul v inv;
+        supp.(!nsupp) <- j;
+        incr nsupp
       end
     done;
-    if Array.exists not keep then begin
-      let filter arr =
-        let out = ref [] in
-        Array.iteri (fun i x -> if keep.(i) then out := x :: !out) arr;
-        Array.of_list (List.rev !out)
-      in
-      t.rows <- filter t.rows;
-      t.rhs <- filter t.rhs;
-      t.basis <- filter t.basis
+    let nsupp = !nsupp in
+    let rhs_p = R.mul t.rhs.(p) inv in
+    t.rhs.(p) <- rhs_p;
+    (* subtract [f] times the pivot row; columns outside its support are
+       unchanged by the elimination, so only the support is walked *)
+    let eliminate coeffs f =
+      for k = 0 to nsupp - 1 do
+        let j = supp.(k) in
+        coeffs.(j) <- R.sub coeffs.(j) (R.mul f row_p.(j))
+      done
+    in
+    for i = 0 to Array.length t.rows - 1 do
+      if i <> p then begin
+        let row = t.rows.(i) in
+        let f = row.(q) in
+        if not (R.is_zero f) then begin
+          eliminate row f;
+          t.rhs.(i) <- R.sub t.rhs.(i) (R.mul f rhs_p)
+        end
+      end
+    done;
+    let f = t.red.(q) in
+    if not (R.is_zero f) then begin
+      eliminate t.red f;
+      t.obj <- R.sub t.obj (R.mul f rhs_p)
     end;
-    phase2 rule t ~b ~c
-  end
+    t.basis.(p) <- q;
+    t.pivots <- t.pivots + 1
 
-let minimize ?(rule = Dantzig) ~rows ~b ~c () =
+  (* Recompute reduced costs and objective for cost vector [c] (length
+     n_total) given the current basis.  O(m * nnz). *)
+  let reprice t c =
+    let m = Array.length t.rows in
+    Array.blit c 0 t.red 0 t.n_total;
+    t.obj <- R.zero;
+    for i = 0 to m - 1 do
+      let cb = c.(t.basis.(i)) in
+      if not (R.is_zero cb) then begin
+        let row = t.rows.(i) in
+        for j = 0 to t.n_total - 1 do
+          let v = row.(j) in
+          if not (R.is_zero v) then t.red.(j) <- R.sub t.red.(j) (R.mul cb v)
+        done;
+        t.obj <- R.sub t.obj (R.mul cb t.rhs.(i))
+      end
+    done
+
+  (* One phase of the simplex loop.  [allowed j] filters entering
+     columns (phase 2 bars artificials). *)
+  let optimise t rule allowed =
+    let m = Array.length t.rows in
+    let stall_limit = m + t.n_total in
+    let best_seen = ref t.obj in
+    let stall = ref 0 in
+    let bland_mode = ref (rule = Bland) in
+    let entering () =
+      if !bland_mode then begin
+        let rec go j =
+          if j >= t.n_total then None
+          else if allowed j && R.sign t.red.(j) < 0 then Some j
+          else go (j + 1)
+        in
+        go 0
+      end
+      else begin
+        let best = ref None in
+        for j = t.n_total - 1 downto 0 do
+          if allowed j && R.sign t.red.(j) < 0 then
+            match !best with
+            | Some jb when R.compare t.red.(jb) t.red.(j) <= 0 -> ()
+            | _ -> best := Some j
+        done;
+        !best
+      end
+    in
+    let leaving q =
+      (* min ratio rhs_i / rows_i_q over rows_i_q > 0; ties to the
+         smallest basis index (lexicographic safeguard, part of Bland's
+         rule) *)
+      let best = ref None in
+      for i = 0 to m - 1 do
+        let a = t.rows.(i).(q) in
+        if R.sign a > 0 then begin
+          let ratio = R.div t.rhs.(i) a in
+          match !best with
+          | None -> best := Some (i, ratio)
+          | Some (ib, rb) ->
+            let cmp = R.compare ratio rb in
+            if cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(ib)) then
+              best := Some (i, ratio)
+        end
+      done;
+      !best
+    in
+    let continue = ref true in
+    while !continue do
+      match entering () with
+      | None -> continue := false
+      | Some q ->
+        (match leaving q with
+        | None -> raise Unbounded_exc
+        | Some (p, _) ->
+          pivot t p q;
+          if not !bland_mode then begin
+            (* t.obj = -z grows strictly whenever z improves *)
+            if R.compare t.obj !best_seen > 0 then begin
+              best_seen := t.obj;
+              stall := 0
+            end
+            else begin
+              incr stall;
+              if !stall > stall_limit then bland_mode := true
+            end
+          end)
+    done
+
+  let negate_row t i =
+    let row = t.rows.(i) in
+    for k = 0 to t.n_total - 1 do
+      let v = row.(k) in
+      if not (R.is_zero v) then row.(k) <- R.neg v
+    done;
+    t.rhs.(i) <- R.neg t.rhs.(i)
+
+  let solve rule ~rows ~b ~c ~m ~n =
+    let cr = crash_basis ~rows ~b ~m ~n in
+    let n_total = cr.n_total in
+    let t =
+      {
+        rows =
+          Array.init m (fun i ->
+              let row = Array.make n_total R.zero in
+              let cols, vals = rows.(i) in
+              Array.iteri (fun k j -> row.(j) <- R.mul vals.(k) cr.scale.(i)) cols;
+              row.(cr.unit_col.(i)) <- R.one;
+              row);
+        rhs = Array.init m (fun i -> R.mul b.(i) cr.scale.(i));
+        basis = Array.copy cr.unit_col;
+        red = Array.make n_total R.zero;
+        obj = R.zero;
+        n_total;
+        pivots = 0;
+        supp = Array.make n_total 0;
+      }
+    in
+    let feasible =
+      n_total = n
+      || begin
+        (* phase 1: minimise the sum of the artificials *)
+        let c1 = Array.make n_total R.zero in
+        Array.fill c1 n (n_total - n) R.one;
+        reprice t c1;
+        (try optimise t rule (fun j -> j < n)
+         with Unbounded_exc ->
+           (* phase-1 objective is bounded below by 0: cannot happen *)
+           assert false);
+        R.sign t.obj >= 0 (* phase-1 optimum z = -obj > 0: infeasible *)
+      end
+    in
+    if not feasible then Infeasible
+    else begin
+      (* drive remaining artificials out of the basis *)
+      let keep = Array.make m true in
+      for i = 0 to m - 1 do
+        if t.basis.(i) >= n then begin
+          (* basic artificial, necessarily at value 0 *)
+          let rec find j =
+            if j >= n then None
+            else if not (R.is_zero t.rows.(i).(j)) then Some j
+            else find (j + 1)
+          in
+          match find 0 with
+          | Some j ->
+            (* pivot on (i, j); the pivot may be negative, which is fine
+               here because rhs_i = 0 keeps the tableau feasible *)
+            if R.sign t.rows.(i).(j) < 0 then negate_row t i;
+            pivot t i j
+          | None -> keep.(i) <- false (* redundant row *)
+        end
+      done;
+      if Array.exists not keep then begin
+        let filter arr =
+          let out = ref [] in
+          Array.iteri (fun i x -> if keep.(i) then out := x :: !out) arr;
+          Array.of_list (List.rev !out)
+        in
+        t.rows <- filter t.rows;
+        t.rhs <- filter t.rhs;
+        t.basis <- filter t.basis
+      end;
+      (* phase 2: re-price with the true costs, artificials barred *)
+      let c2 = Array.make n_total R.zero in
+      Array.blit c 0 c2 0 n;
+      reprice t c2;
+      match optimise t rule (fun j -> j < n) with
+      | () ->
+        let values = Array.make n R.zero in
+        Array.iteri (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i)) t.basis;
+        Optimal
+          {
+            values;
+            objective = R.neg t.obj;
+            duals = duals_of cr ~red:(Array.get t.red) ~b ~c;
+            pivots = t.pivots;
+          }
+      | exception Unbounded_exc -> Unbounded
+    end
+end
+
+(* --- the packed tableau: one int array ------------------------------
+
+   The same algorithm, line for line, on [Packed] cells: the tableau is
+   one row-major [int array] ([cells.(i * n_total + j)]) allocated per
+   solve, and redundant rows are dropped by compacting it in place. *)
+
+module Packed_tableau = struct
+  module P = Packed
+
+  type tableau = {
+    cells : P.t array; (* m x n_total, row-major; the first [m] rows live *)
+    mutable m : int;
+    rhs : P.t array;
+    basis : int array;
+    red : P.t array;
+    mutable obj : P.t; (* minus the objective, as in [Boxed_tableau] *)
+    n_total : int;
+    mutable pivots : int;
+    supp : int array;
+  }
+
+  let pivot t p q =
+    let n_total = t.n_total and cells = t.cells in
+    let base_p = p * n_total in
+    let piv = cells.(base_p + q) in
+    assert (piv > 0);
+    let inv = P.inv piv in
+    let supp = t.supp in
+    let nsupp = ref 0 in
+    for j = 0 to n_total - 1 do
+      let v = cells.(base_p + j) in
+      if v <> 0 then begin
+        cells.(base_p + j) <- P.mul v inv;
+        supp.(!nsupp) <- j;
+        incr nsupp
+      end
+    done;
+    let nsupp = !nsupp in
+    let rhs_p = P.mul t.rhs.(p) inv in
+    t.rhs.(p) <- rhs_p;
+    for i = 0 to t.m - 1 do
+      if i <> p then begin
+        let base = i * n_total in
+        let f = cells.(base + q) in
+        if f <> 0 then begin
+          for k = 0 to nsupp - 1 do
+            let j = supp.(k) in
+            cells.(base + j) <- P.submul cells.(base + j) f cells.(base_p + j)
+          done;
+          t.rhs.(i) <- P.submul t.rhs.(i) f rhs_p
+        end
+      end
+    done;
+    let f = t.red.(q) in
+    if f <> 0 then begin
+      let red = t.red in
+      for k = 0 to nsupp - 1 do
+        let j = supp.(k) in
+        red.(j) <- P.submul red.(j) f cells.(base_p + j)
+      done;
+      t.obj <- P.submul t.obj f rhs_p
+    end;
+    t.basis.(p) <- q;
+    t.pivots <- t.pivots + 1
+
+  let reprice t c =
+    let n_total = t.n_total in
+    Array.blit c 0 t.red 0 n_total;
+    t.obj <- P.zero;
+    for i = 0 to t.m - 1 do
+      let cb = c.(t.basis.(i)) in
+      if cb <> 0 then begin
+        let base = i * n_total in
+        for j = 0 to n_total - 1 do
+          let v = t.cells.(base + j) in
+          if v <> 0 then t.red.(j) <- P.submul t.red.(j) cb v
+        done;
+        t.obj <- P.submul t.obj cb t.rhs.(i)
+      end
+    done
+
+  (* entering and leaving columns as in [Boxed_tableau.optimise], -1 for
+     none; only columns below [allowed] may enter *)
+  let dantzig t allowed =
+    let red = t.red in
+    let best = ref (-1) in
+    for j = allowed - 1 downto 0 do
+      let r = red.(j) in
+      if r < 0 && (!best < 0 || P.compare red.(!best) r > 0) then best := j
+    done;
+    !best
+
+  let bland t allowed =
+    let rec go j = if j >= allowed then -1 else if t.red.(j) < 0 then j else go (j + 1) in
+    go 0
+
+  (* min ratio rhs_i / a_iq over a_iq > 0, ties to the smallest basis
+     index; the ratio [(rn/rd) / (an/ad)] is compared unreduced as
+     [(rn * ad) / (rd * an)], so the test never leaves exact ints *)
+  let leaving t q =
+    let n_total = t.n_total in
+    let best = ref (-1) and bn = ref 0 and bd = ref 1 in
+    for i = 0 to t.m - 1 do
+      let a = t.cells.((i * n_total) + q) in
+      if a > 0 then begin
+        let r = t.rhs.(i) in
+        let xn = P.num r * P.den a
+        and xd = (if r = 0 then 1 else P.den r) * P.num a in
+        let better =
+          !best < 0
+          ||
+          let cmp = P.compare_ratios xn xd !bn !bd in
+          cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(!best))
+        in
+        if better then begin
+          best := i;
+          bn := xn;
+          bd := xd
+        end
+      end
+    done;
+    !best
+
+  let optimise t rule allowed =
+    let stall_limit = t.m + t.n_total in
+    let best_seen = ref t.obj in
+    let stall = ref 0 in
+    let bland_mode = ref (rule = Bland) in
+    let continue = ref true in
+    while !continue do
+      let q = if !bland_mode then bland t allowed else dantzig t allowed in
+      if q < 0 then continue := false
+      else begin
+        let p = leaving t q in
+        if p < 0 then raise Unbounded_exc;
+        pivot t p q;
+        if not !bland_mode then begin
+          if P.compare t.obj !best_seen > 0 then begin
+            best_seen := t.obj;
+            stall := 0
+          end
+          else begin
+            incr stall;
+            if !stall > stall_limit then bland_mode := true
+          end
+        end
+      end
+    done
+
+  let negate_row t i =
+    let base = i * t.n_total in
+    for k = base to base + t.n_total - 1 do
+      t.cells.(k) <- P.neg t.cells.(k)
+    done;
+    t.rhs.(i) <- P.neg t.rhs.(i)
+
+  (* [v * s] packed, [sp] being [s] packed if it fits; through [Rat]
+     when an operand is out of range but the product may not be *)
+  let scaled v s sp =
+    match sp with
+    | Some sp -> (
+      match P.mul (P.of_rat v) sp with
+      | x -> x
+      | exception P.Range -> P.of_rat (R.mul v s))
+    | None -> P.of_rat (R.mul v s)
+
+  let solve rule ~rows ~b ~c ~m ~n =
+    let cr = crash_basis ~rows ~b ~m ~n in
+    let n_total = cr.n_total in
+    let cells = Array.make (m * n_total) P.zero in
+    let rhs = Array.make m P.zero in
+    for i = 0 to m - 1 do
+      let s = cr.scale.(i) in
+      let sp = match P.of_rat s with x -> Some x | exception P.Range -> None in
+      let base = i * n_total in
+      let cols, vals = rows.(i) in
+      Array.iteri (fun k j -> cells.(base + j) <- scaled vals.(k) s sp) cols;
+      cells.(base + cr.unit_col.(i)) <- P.one;
+      rhs.(i) <- scaled b.(i) s sp
+    done;
+    let t =
+      {
+        cells;
+        m;
+        rhs;
+        basis = Array.copy cr.unit_col;
+        red = Array.make n_total P.zero;
+        obj = P.zero;
+        n_total;
+        pivots = 0;
+        supp = Array.make n_total 0;
+      }
+    in
+    let feasible =
+      n_total = n
+      || begin
+        let c1 = Array.make n_total P.zero in
+        Array.fill c1 n (n_total - n) P.one;
+        reprice t c1;
+        (try optimise t rule n with Unbounded_exc -> assert false);
+        t.obj >= 0
+      end
+    in
+    if not feasible then Infeasible
+    else begin
+      (* drive remaining artificials out of the basis, then compact the
+         rows that stay *)
+      let keep = Array.make m true in
+      for i = 0 to m - 1 do
+        if t.basis.(i) >= n then begin
+          let base = i * n_total in
+          let rec find j =
+            if j >= n then -1 else if cells.(base + j) <> 0 then j else find (j + 1)
+          in
+          let j = find 0 in
+          if j < 0 then keep.(i) <- false
+          else begin
+            if cells.(base + j) < 0 then negate_row t i;
+            pivot t i j
+          end
+        end
+      done;
+      let live = ref 0 in
+      for i = 0 to m - 1 do
+        if keep.(i) then begin
+          if !live < i then begin
+            Array.blit cells (i * n_total) cells (!live * n_total) n_total;
+            rhs.(!live) <- rhs.(i);
+            t.basis.(!live) <- t.basis.(i)
+          end;
+          incr live
+        end
+      done;
+      t.m <- !live;
+      let c2 = Array.make n_total P.zero in
+      for j = 0 to n - 1 do
+        c2.(j) <- P.of_rat c.(j)
+      done;
+      reprice t c2;
+      match optimise t rule n with
+      | () ->
+        let values = Array.make n R.zero in
+        for i = 0 to t.m - 1 do
+          let bj = t.basis.(i) in
+          if bj < n then values.(bj) <- P.to_rat rhs.(i)
+        done;
+        Optimal
+          {
+            values;
+            objective = P.to_rat (P.neg t.obj);
+            duals = duals_of cr ~red:(fun j -> P.to_rat t.red.(j)) ~b ~c;
+            pivots = t.pivots;
+          }
+      | exception Unbounded_exc -> Unbounded
+    end
+end
+
+let check_input ~rows ~b ~c =
   let m = Array.length rows in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Simplex.minimize: |b| <> rows";
@@ -366,4 +774,18 @@ let minimize ?(rule = Dantzig) ~rows ~b ~c () =
             invalid_arg "Simplex.minimize: explicit zero in a row")
         cols)
     rows;
-  cold_solve rule ~rows ~b ~c ~m ~n
+  (m, n)
+
+let minimize_packed ?(rule = Dantzig) ~rows ~b ~c () =
+  let m, n = check_input ~rows ~b ~c in
+  Packed_tableau.solve rule ~rows ~b ~c ~m ~n
+
+let minimize_boxed ?(rule = Dantzig) ~rows ~b ~c () =
+  let m, n = check_input ~rows ~b ~c in
+  Boxed_tableau.solve rule ~rows ~b ~c ~m ~n
+
+let minimize ?(rule = Dantzig) ~rows ~b ~c () =
+  let m, n = check_input ~rows ~b ~c in
+  match Packed_tableau.solve rule ~rows ~b ~c ~m ~n with
+  | res -> res
+  | exception Packed.Range -> Boxed_tableau.solve rule ~rows ~b ~c ~m ~n

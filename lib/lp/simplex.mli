@@ -14,7 +14,21 @@
     and phase 1 is skipped when there are none.  Degeneracy is handled by pivot rules,
     not perturbation: {!Dantzig} (most-negative reduced cost, the
     default) is usually faster and falls back to Bland's rule after a
-    stall; {!Bland} never cycles.  Both terminate. *)
+    stall; {!Bland} never cycles.  Both terminate.
+
+    {b Representation.}  Every solve starts on a packed tableau: one
+    row-major [int array], allocated per solve, whose cells — and the
+    right-hand side, reduced costs and objective — are canonical
+    rationals [num/den] with [|num| < 2^30] and [0 < den < 2^30], each
+    packed into one native int ({!Packed}).  A cell update is one fused,
+    allocation-free multiply-subtract.  {b Restart rule:} if any value
+    the solve computes falls outside that range, the solve restarts from
+    its cold start on a boxed [Rat.t] tableau, which has no range limit.
+    Both tableaux hold canonical values, so every comparison — the
+    Dantzig argmin and its ties, the ratio test, stall detection, the
+    Bland switch — answers the same on both: the pivots, the vertex, the
+    duals and the pivot count are identical, and the restart never shows
+    in the answer.  No option selects the path. *)
 
 type pivot_rule =
   | Bland  (** smallest-index entering/leaving: provably cycle-free *)
@@ -62,3 +76,54 @@ val minimize :
     are not mutated.
     @raise Invalid_argument on a dimension mismatch, row columns out of
     range or not strictly increasing, or an explicit zero value. *)
+
+(** {1 The two tableaux, for tests}
+
+    {!minimize} is {!minimize_packed}, restarted as {!minimize_boxed}
+    on {!Packed.Range}.  Both take the same arguments and raise the
+    same [Invalid_argument]s as {!minimize}. *)
+
+val minimize_packed :
+  ?rule:pivot_rule ->
+  rows:row array ->
+  b:Rat.t array ->
+  c:Rat.t array ->
+  unit ->
+  outcome
+(** The packed tableau alone.
+    @raise Packed.Range where {!minimize} restarts. *)
+
+val minimize_boxed :
+  ?rule:pivot_rule ->
+  rows:row array ->
+  b:Rat.t array ->
+  c:Rat.t array ->
+  unit ->
+  outcome
+(** The boxed tableau alone: {!minimize}'s restart path and the tests'
+    reference. *)
+
+(** Packed small rationals: [num/den] in lowest terms, [den > 0],
+    [|num|, den < 2^30], as the int [(num lsl 31) lor den]; zero is [0].
+    The int's sign is the value's.  Every operation returns the
+    canonical value the {!Rat} operation of the same name returns, or
+    raises {!Range} when that value does not fit. *)
+module Packed : sig
+  type t = private int
+
+  exception Range
+
+  val of_rat : Rat.t -> t
+  val to_rat : t -> Rat.t
+  val neg : t -> t
+
+  val inv : t -> t
+  (** @raise Division_by_zero on zero. *)
+
+  val mul : t -> t -> t
+
+  val submul : t -> t -> t -> t
+  (** [submul a b c] is [a - b * c], as {!Rat.submul}. *)
+
+  val compare : t -> t -> int
+end

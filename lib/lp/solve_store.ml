@@ -31,13 +31,13 @@ let magic = "steady-solve-store 1"
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* a plain loop: the accumulator is a local [Int64] ref, which the
+   compiler keeps unboxed (a closure over it would box every step) *)
 let fnv1a64 ?(basis = fnv_basis) s =
   let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
   !h
 
 let checksum s = Printf.sprintf "%016Lx" (fnv1a64 s)

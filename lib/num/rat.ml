@@ -105,6 +105,8 @@ let den = big_den
 
 let fits_small = function S _ -> true | Big _ -> false
 
+let to_ints = function S (n, d) -> Some (n, d) | Big _ -> None
+
 (* --- tests and comparisons ---------------------------------------------- *)
 
 let sign = function

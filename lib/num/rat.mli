@@ -60,6 +60,10 @@ val fits_small : t -> bool
     representation is canonical, so this is a property of the value, not
     of how it was computed — useful for tests and diagnostics. *)
 
+val to_ints : t -> (int * int) option
+(** [Some (num, den)] when {!fits_small}, [None] otherwise: the
+    canonical parts as native ints, without a {!Bigint} detour. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

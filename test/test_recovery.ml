@@ -176,6 +176,28 @@ let test_strict_resume_with_cadence () =
     "resumes from the newest cadence-aligned record" (Some 4) from;
   rm_rf dir
 
+let test_resume_writes_nothing_it_read () =
+  (* cadence 2 with a kill at 5: epoch 4 is the last checkpoint before
+     the horizon (6 phases), so the resume has nothing new to commit and
+     the record it decoded stays the same file *)
+  let sc = tree_scenario () in
+  let uninterrupted = Dy.run sc Dy.Robust in
+  let dir = fresh_dir () in
+  let checkpoint = { Dy.Checkpoint.dir; every = 2 } in
+  halt_run ~checkpoint ~halt:5 sc;
+  let path, _, value = ckpt_record dir in
+  let before = Unix.stat path in
+  let resumed, from = Dy.resume ~checkpoint sc in
+  Alcotest.(check (option int)) "resumed from epoch 4" (Some 4) from;
+  Alcotest.(check bool) "bit-identical" true
+    (Dy.outcomes_equal uninterrupted resumed);
+  let path', _, value' = ckpt_record dir in
+  Alcotest.(check string) "same record file" path path';
+  Alcotest.(check int) "record inode unchanged" before.Unix.st_ino
+    (Unix.stat path').Unix.st_ino;
+  Alcotest.(check string) "record bytes unchanged" value value';
+  rm_rf dir
+
 let test_no_cache_round_trip () =
   (* checkpointing composes with a run that has no LP memo: a run
      halted without [?cache] resumes exactly, certified on the spot *)
@@ -607,4 +629,6 @@ let suite =
         test_warm_robust_cyclic_tree;
       Alcotest.test_case "resume, cyclic-support graph" `Quick
         test_resume_cyclic_graph;
+      Alcotest.test_case "resume rewrites no record it read" `Quick
+        test_resume_writes_nothing_it_read;
     ] )

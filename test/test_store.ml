@@ -84,6 +84,27 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* --- the on-disk hash format --- *)
+
+(* FNV-1a/64 of fixed strings ("a" and "foobar" are the published test
+   vectors): records written by any build must keep these names and
+   checksums *)
+let test_hashes_pinned () =
+  let all_bytes = String.init 256 Char.chr in
+  List.iter
+    (fun (s, sum, dig) ->
+      Alcotest.(check string) (Printf.sprintf "checksum %S" s) sum (S.checksum s);
+      Alcotest.(check string) (Printf.sprintf "digest %S" s) dig (S.digest s))
+    [
+      ("", "cbf29ce484222325", "cbf29ce484222325340d631b7bdddcda");
+      ("a", "af63dc4c8601ec8c", "af63dc4c8601ec8c509c22b379fe11c1");
+      ("foobar", "85944171f73967e8", "85944171f73967e8030c7e60da308dcb");
+      ( "steady-solve-store 1",
+        "f82f9e65e2bd261e",
+        "f82f9e65e2bd261eaad46fdfe807f4c5" );
+      (all_bytes, "4242dc5249c33625", "4242dc5249c3362550d84536e53ddada");
+    ]
+
 (* --- round trip and cross-handle reuse --- *)
 
 let test_round_trip () =
@@ -496,4 +517,5 @@ let suite =
         test_memory_lru_keeps_working_set;
       Alcotest.test_case "many models through one store" `Quick
         test_disk_store_many_models;
+      Alcotest.test_case "hash format pinned" `Quick test_hashes_pinned;
     ] )
