@@ -94,13 +94,11 @@ module Packed = struct
      initialisation (immutable, so domain-safe) *)
   let small_gcd = String.init 4096 (fun k -> Char.chr (euclid (k lsr 6) (k land 63)))
 
-  (* gcd on non-negative ints *)
-  let rec gcd a b =
+  (* gcd on non-negative ints; most gcds of a pivot have both operands
+     below 64 and take one table load instead of a chain of divisions *)
+  let gcd a b =
     if a lor b < 64 then Char.code (String.unsafe_get small_gcd ((a lsl 6) lor b))
-    else if b = 0 then a
-    else gcd b (a mod b)
-
-  let[@inline] divg x g = if g = 1 then x else x / g
+    else euclid a b
 
   let of_rat r =
     match R.to_ints r with
@@ -125,13 +123,10 @@ module Packed = struct
   (* cross-reduced, as in [Rat.mul]: the result is in lowest terms *)
   let mul a b =
     if a = 0 || b = 0 then 0
-    else if b = one then a
-    else if a = one then b
     else begin
       let an = num a and ad = den a and bn = num b and bd = den b in
-      let g1 = if bd = 1 then 1 else gcd (abs an) bd
-      and g2 = if ad = 1 then 1 else gcd (abs bn) ad in
-      pack (divg an g1 * divg bn g2) (divg ad g2 * divg bd g1)
+      let g1 = gcd (abs an) bd and g2 = gcd (abs bn) ad in
+      pack (an / g1 * (bn / g2)) (ad / g2 * (bd / g1))
     end
 
   (* [a - b*c] through [Rat], for the rare update whose product leaves
@@ -146,9 +141,8 @@ module Packed = struct
     if b = 0 || c = 0 then a
     else begin
       let bn = num b and bd = den b and cn = num c and cd = den c in
-      let g1 = if cd = 1 then 1 else gcd (abs bn) cd
-      and g2 = if bd = 1 then 1 else gcd (abs cn) bd in
-      let pn = divg bn g1 * divg cn g2 and pd = divg bd g2 * divg cd g1 in
+      let g1 = gcd (abs bn) cd and g2 = gcd (abs cn) bd in
+      let pn = bn / g1 * (cn / g2) and pd = bd / g2 * (cd / g1) in
       if not (in_range pn pd) then submul_wide a b c
       else if a = 0 then ((-pn) lsl den_bits) lor pd
       else begin
@@ -156,22 +150,18 @@ module Packed = struct
         if ad = pd then begin
           let t = an - pn in
           if t = 0 then 0
-          else if ad = 1 then pack t 1
           else begin
             let g = gcd (abs t) ad in
-            pack (divg t g) (divg ad g)
+            pack (t / g) (ad / g)
           end
         end
         else begin
-          let g = if ad = 1 || pd = 1 then 1 else gcd ad pd in
-          if g = 1 then pack ((an * pd) - (pn * ad)) (ad * pd)
+          let g = gcd ad pd in
+          let t = (an * (pd / g)) - (pn * (ad / g)) in
+          if t = 0 then 0
           else begin
-            let t = (an * (pd / g)) - (pn * (ad / g)) in
-            if t = 0 then 0
-            else begin
-              let g2 = gcd (abs t) g in
-              pack (divg t g2) (divg ad g2 * (pd / g))
-            end
+            let g2 = gcd (abs t) g in
+            pack (t / g2) (ad / g2 * (pd / g))
           end
         end
       end
@@ -657,16 +647,6 @@ module Packed_tableau = struct
     done;
     t.rhs.(i) <- P.neg t.rhs.(i)
 
-  (* [v * s] packed, [sp] being [s] packed if it fits; through [Rat]
-     when an operand is out of range but the product may not be *)
-  let scaled v s sp =
-    match sp with
-    | Some sp -> (
-      match P.mul (P.of_rat v) sp with
-      | x -> x
-      | exception P.Range -> P.of_rat (R.mul v s))
-    | None -> P.of_rat (R.mul v s)
-
   let solve rule ~rows ~b ~c ~m ~n =
     let cr = crash_basis ~rows ~b ~m ~n in
     let n_total = cr.n_total in
@@ -674,12 +654,11 @@ module Packed_tableau = struct
     let rhs = Array.make m P.zero in
     for i = 0 to m - 1 do
       let s = cr.scale.(i) in
-      let sp = match P.of_rat s with x -> Some x | exception P.Range -> None in
       let base = i * n_total in
       let cols, vals = rows.(i) in
-      Array.iteri (fun k j -> cells.(base + j) <- scaled vals.(k) s sp) cols;
+      Array.iteri (fun k j -> cells.(base + j) <- P.of_rat (R.mul vals.(k) s)) cols;
       cells.(base + cr.unit_col.(i)) <- P.one;
-      rhs.(i) <- scaled b.(i) s sp
+      rhs.(i) <- P.of_rat (R.mul b.(i) s)
     done;
     let t =
       {
