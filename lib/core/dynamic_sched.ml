@@ -477,20 +477,20 @@ let run_classic ?cache ?stats sc strategy =
    A checkpointed Robust run persists, at a configurable epoch cadence,
    everything needed to continue the run bit-identically after a crash:
    the per-epoch *decision log* (what each boundary's planner decided,
-   in original platform indices), a snapshot of the executor's
+   in original platform indices), then the encoding of the executor's
    boundary-start state (arrears, backlog, deficits, loss counters,
-   failure flags, work marks — all exact).  [resume] replays the logged
-   decisions through a fresh simulator — deterministic event replay, no
-   LP solves — validates the rebuilt state against the stored snapshot
-   at the checkpointed boundary, and continues live from there.  Plans
-   of the live suffix coincide with the uninterrupted run's because
-   every plan is cold (the tree sweep, or a cold LP solve): each
-   epoch's plan is a function of that epoch's platform alone, so no
-   solver state needs restoring and the resumed run needs no LP memo:
-   it runs without one.  A missing,
-   truncated, corrupt, version-skewed or mismatching checkpoint is
-   quarantined and degrades to a cold full run — recovery can cost
-   time, never answers. *)
+   failure flags, work marks — all exact).  [resume] decodes the log,
+   replays it through a fresh simulator — deterministic event replay,
+   no LP solves — checks at the checkpointed boundary that the rebuilt
+   state encodes to the stored bytes, and continues live from there.
+   The state has that one encoding, written and compared, never
+   parsed.  Plans of the live suffix coincide with the uninterrupted
+   run's because every plan is cold (the tree sweep, or a cold LP
+   solve): each epoch's plan is a function of that epoch's platform
+   alone, so no solver state needs restoring and the resumed run needs
+   no LP memo: it runs without one.  A missing, truncated, corrupt,
+   version-skewed or mismatching checkpoint is quarantined and degrades
+   to a cold full run — recovery can cost time, never answers. *)
 
 module Checkpoint = struct
   type config = { dir : string; every : int }
@@ -504,28 +504,6 @@ type decision =
   | D_plan of (P.edge list * int) list * int
       (* per-path unit-file counts, raw master floor (pre-adjustment) *)
 
-(* executor state at the *start* of a boundary callback (before the
-   marks push and the cancel sweep) — everything a replay must
-   reproduce exactly *)
-type snapshot = {
-  s_arrears : (P.edge list * int) list list;
-  s_backlog : int list;
-  s_master_deficit : int;
-  s_cancelled : int;
-  s_retries : int;
-  s_lost : int;
-  s_degraded : int;
-  s_dead_cpu : bool array;
-  s_dead_bw : bool array;
-  s_marks : R.t list; (* newest first, as maintained by the run *)
-}
-
-type ckpt_record = {
-  c_epoch : int; (* boundary the snapshot was taken at *)
-  c_log : decision list; (* oldest first; length = c_epoch *)
-  c_snap : snapshot;
-}
-
 (* version 2 dropped the warm LP basis block version 1 ended with;
    version 3 drops the reuse flag and the timed-out counter; version 4
    has version 3's layout, but its decision log comes from the integral
@@ -533,66 +511,49 @@ type ckpt_record = {
    vertex) is quarantined rather than resumed into a mix of both *)
 let ckpt_format = "steady-ckpt 4"
 
-let encode_ckpt r =
+let add_int b i =
+  Buffer.add_string b (string_of_int i);
+  Buffer.add_char b '\n'
+
+let add_batch b bt =
+  add_int b (List.length bt);
+  List.iter
+    (fun (path, cnt) ->
+      add_int b cnt;
+      add_int b (List.length path);
+      List.iter (add_int b) path)
+    bt
+
+(* A record is the format line, the boundary [epoch] it was taken at,
+   the decision log of the boundaries before it (oldest first), then
+   [state]: the executor's own encoding of its state at the start of
+   that boundary's callback, which [decode_ckpt] leaves opaque *)
+let encode_ckpt ~epoch ~log ~state =
   let b = Buffer.create 1024 in
-  let int i =
-    Buffer.add_string b (string_of_int i);
-    Buffer.add_char b '\n'
-  in
-  let batch bt =
-    int (List.length bt);
-    List.iter
-      (fun (path, cnt) ->
-        int cnt;
-        int (List.length path);
-        List.iter int path)
-      bt
-  in
   Buffer.add_string b ckpt_format;
   Buffer.add_char b '\n';
-  int r.c_epoch;
-  int (List.length r.c_log);
+  add_int b epoch;
+  add_int b (List.length log);
   List.iter
     (function
       | D_degraded -> Buffer.add_string b "D\n"
       | D_plan (paths, mt) ->
         Buffer.add_string b "P\n";
-        int mt;
-        batch paths)
-    r.c_log;
-  let s = r.c_snap in
-  int s.s_master_deficit;
-  int s.s_cancelled;
-  int s.s_retries;
-  int s.s_lost;
-  int s.s_degraded;
-  int (List.length s.s_backlog);
-  List.iter int s.s_backlog;
-  int (List.length s.s_arrears);
-  List.iter batch s.s_arrears;
-  Buffer.add_string b
-    (String.init (Array.length s.s_dead_cpu) (fun i ->
-         if s.s_dead_cpu.(i) then '1' else '0'));
-  Buffer.add_char b '\n';
-  Buffer.add_string b
-    (String.init (Array.length s.s_dead_bw) (fun e ->
-         if s.s_dead_bw.(e) then '1' else '0'));
-  Buffer.add_char b '\n';
-  int (List.length s.s_marks);
-  List.iter
-    (fun mk ->
-      Buffer.add_string b (R.to_string mk);
-      Buffer.add_char b '\n')
-    s.s_marks;
+        add_int b mt;
+        add_batch b paths)
+    log;
+  Buffer.add_string b state;
   Buffer.contents b
 
-(* Strict structural decoder: any deviation — bad magic, counts out of
-   range, indices off the platform, trailing bytes — yields [None], and
-   the caller quarantines the record and cold-starts.  This must never
-   raise.  [max_tasks] bounds every logged task count: the replay
-   submits tasks one by one, so a forged count would otherwise make it
-   run for as long as the count says. *)
-let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
+(* Strict structural decoder of a record's decision log: any deviation —
+   bad magic, counts out of range, indices off the platform — yields
+   [None], and the caller quarantines the record and cold-starts.  This
+   must never raise.  [max_tasks] bounds every logged task count: the
+   replay submits tasks one by one, so a forged count would otherwise
+   make it run for as long as the count says.  The bytes after the log
+   come back as they are: the replay checks them against the state it
+   rebuilds. *)
+let decode_ckpt ~edges ~phases ~max_tasks raw =
   let len = String.length raw in
   let pos = ref 0 in
   let fail () = raise Exit in
@@ -637,12 +598,6 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
     (path, cnt)
   in
   let batch () = list (int ()) path_entry in
-  let bits k =
-    let l = line () in
-    if String.length l <> k then fail ();
-    Array.init k (fun i ->
-        match l.[i] with '1' -> true | '0' -> false | _ -> fail ())
-  in
   try
     if not (String.equal (line ()) ckpt_format) then fail ();
     let epoch = int () in
@@ -659,38 +614,8 @@ let decode_ckpt ~nodes ~edges ~phases ~max_tasks raw =
             D_plan (paths, mt)
           | _ -> fail ())
     in
-    let master_deficit = nonneg () in
-    let cancelled = nonneg () in
-    let retries = nonneg () in
-    let lost = nonneg () in
-    let degraded = nonneg () in
-    let backlog = list (int ()) (fun () -> nonneg ()) in
-    let arrears = list (int ()) batch in
-    let dead_cpu = bits nodes in
-    let dead_bw = bits edges in
-    let nmarks = int () in
-    if nmarks <> epoch then fail ();
-    let marks = list nmarks (fun () -> R.of_string (line ())) in
-    if !pos <> len then fail ();
-    Some
-      {
-        c_epoch = epoch;
-        c_log = log;
-        c_snap =
-          {
-            s_arrears = arrears;
-            s_backlog = backlog;
-            s_master_deficit = master_deficit;
-            s_cancelled = cancelled;
-            s_retries = retries;
-            s_lost = lost;
-            s_degraded = degraded;
-            s_dead_cpu = dead_cpu;
-            s_dead_bw = dead_bw;
-            s_marks = marks;
-          };
-      }
-  with Exit | Failure _ | Invalid_argument _ | Division_by_zero -> None
+    Some (Array.of_list log, String.sub raw !pos (len - !pos))
+  with Exit | Failure _ | Invalid_argument _ -> None
 
 (* canonical store key of a scenario: the checkpoint record binds to the
    exact platform, traces and horizon — a different run in the same
@@ -751,7 +676,8 @@ type ckpt_ctx = {
   ck_key : string;
   ck_every : int;
   ck_halt : int option; (* test hook: crash at this boundary *)
-  ck_replay : (decision array * snapshot) option;
+  ck_replay : (decision array * string) option;
+      (* decision log and the encoded state at its end *)
 }
 
 exception Resume_mismatch
@@ -921,7 +847,7 @@ let run_robust ?cache ?stats ?ckpt sc =
      [replay] is the decision prefix of a resumed run: boundaries
      [0 .. resume_epoch-1] re-execute the logged decisions through the
      simulator (deterministic, no LP work), boundary [resume_epoch]
-     validates the rebuilt state against the stored snapshot, and
+     checks that the rebuilt state encodes to the stored bytes, and
      everything from there runs live.  A fresh run has
      [resume_epoch = 0] and every boundary is live. *)
   let replay = Option.bind ckpt (fun c -> c.ck_replay) in
@@ -930,43 +856,38 @@ let run_robust ?cache ?stats ?ckpt sc =
   in
   let dlog = ref [] in
   (* newest first; length = boundaries processed so far *)
-  let snapshot () =
-    {
-      s_arrears = !arrears;
-      s_backlog = !backlog;
-      s_master_deficit = !master_deficit;
-      s_cancelled = !boundary_cancelled;
-      s_retries = !retries;
-      s_lost = !lost;
-      s_degraded = !degraded;
-      s_dead_cpu = Array.copy dead_cpu;
-      s_dead_bw = Array.copy dead_bw;
-      s_marks = !marks;
-    }
-  in
-  let snapshots_equal a b =
-    a.s_arrears = b.s_arrears
-    && a.s_backlog = b.s_backlog
-    && a.s_master_deficit = b.s_master_deficit
-    && a.s_cancelled = b.s_cancelled
-    && a.s_retries = b.s_retries
-    && a.s_lost = b.s_lost
-    && a.s_degraded = b.s_degraded
-    && a.s_dead_cpu = b.s_dead_cpu
-    && a.s_dead_bw = b.s_dead_bw
-    && List.length a.s_marks = List.length b.s_marks
-    && List.for_all2 R.equal a.s_marks b.s_marks
+  (* executor state at the *start* of a boundary callback (before the
+     marks push and the cancel sweep) — everything a replay must
+     reproduce exactly, all of it exact *)
+  let encode_state () =
+    let b = Buffer.create 256 in
+    let bits a =
+      Buffer.add_string b
+        (String.init (Array.length a) (fun i -> if a.(i) then '1' else '0'));
+      Buffer.add_char b '\n'
+    in
+    List.iter (add_int b)
+      [ !master_deficit; !boundary_cancelled; !retries; !lost; !degraded;
+        List.length !backlog ];
+    List.iter (add_int b) !backlog;
+    add_int b (List.length !arrears);
+    List.iter (add_batch b) !arrears;
+    bits dead_cpu;
+    bits dead_bw;
+    (* newest first, as maintained by the run *)
+    add_int b (List.length !marks);
+    List.iter
+      (fun mk ->
+        Buffer.add_string b (R.to_string mk);
+        Buffer.add_char b '\n')
+      !marks;
+    Buffer.contents b
   in
   let write_ckpt k =
     match ckpt with
     | Some c when k > 0 && k mod c.ck_every = 0 ->
       Solve_store.add c.ck_store c.ck_key
-        (encode_ckpt
-           {
-             c_epoch = k;
-             c_log = List.rev !dlog;
-             c_snap = snapshot ();
-           })
+        (encode_ckpt ~epoch:k ~log:(List.rev !dlog) ~state:(encode_state ()))
     | _ -> ()
   in
   let halt_check k =
@@ -977,11 +898,11 @@ let run_robust ?cache ?stats ?ckpt sc =
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
     Event_sim.at sim t0 (fun sim ->
-        (* resume point: the stored snapshot was taken exactly here, at
+        (* resume point: the stored state was encoded exactly here, at
            the start of this boundary's callback *)
         (match replay with
-        | Some (_, snap) when k = resume_epoch ->
-          if not (snapshots_equal (snapshot ()) snap) then
+        | Some (_, state) when k = resume_epoch ->
+          if not (String.equal (encode_state ()) state) then
             raise Resume_mismatch
         | _ -> ());
         if k >= resume_epoch then begin
@@ -1262,7 +1183,6 @@ let resume ?(strict = false) ~checkpoint sc =
   validate_scenario ~allow_outages:true sc;
   let ctx = ckpt_ctx_of checkpoint ~halt_at:None sc in
   let store = ctx.ck_store and key = ctx.ck_key in
-  let n = P.num_nodes sc.platform and m = P.num_edges sc.platform in
   (* a missing, corrupt or version-skewed record never raises and never
      changes an answer: it is quarantined (preserved for inspection, out
      of the live path) and the run cold-starts *)
@@ -1271,7 +1191,7 @@ let resume ?(strict = false) ~checkpoint sc =
     | None -> None
     | Some raw -> (
       match
-        decode_ckpt ~nodes:n ~edges:m ~phases:sc.phases
+        decode_ckpt ~edges:(P.num_edges sc.platform) ~phases:sc.phases
           ~max_tasks:(max_phase_tasks sc) raw
       with
       | Some _ as r -> r
@@ -1283,20 +1203,14 @@ let resume ?(strict = false) ~checkpoint sc =
   let outcome, resumed_from =
     match record with
     | None -> cold ()
-    | Some r -> (
-      let rctx =
-        {
-          ctx with
-          ck_replay = Some (Array.of_list r.c_log, r.c_snap);
-        }
-      in
-      match run_robust ~ckpt:rctx sc with
-      | o -> (o, Some r.c_epoch)
+    | Some ((log, _) as replay) -> (
+      match run_robust ~ckpt:{ ctx with ck_replay = Some replay } sc with
+      | o -> (o, Some (Array.length log))
       | exception Resume_mismatch ->
-        (* the replayed prefix does not reproduce the stored snapshot:
-           the record lied (bit rot that survived the structural decode,
-           or a foreign record under a colliding key) — demote it and
-           certify the answer by running cold *)
+        (* the replayed prefix does not encode to the stored state: the
+           record lied (a damaged state tail, bit rot that survived the
+           structural decode, or a foreign record under a colliding
+           key) — demote it and certify the answer by running cold *)
         Solve_store.quarantine store key;
         cold ())
   in
@@ -1310,23 +1224,6 @@ let resume ?(strict = false) ~checkpoint sc =
          differs from an uninterrupted cold run)"
   end;
   (outcome, resumed_from)
-
-let oracle_throughput_bound ?cache sc =
-  validate_scenario sc;
-  let node_cts, edge_cts = compile_scenario sc in
-  let total = ref R.zero in
-  for k = 0 to sc.phases - 1 do
-    let t0 = R.mul (R.of_int k) sc.phase in
-    let sol =
-      Master_slave.solve ?cache
-        (scaled_platform sc
-           (fun i -> compiled_at node_cts.(i) t0)
-           (fun e -> compiled_at edge_cts.(e) t0))
-        ~master:sc.master
-    in
-    total := R.add !total (R.mul sc.phase sol.Master_slave.ntask)
-  done;
-  !total
 
 let fault_throughput_bound ?cache sc =
   validate_scenario ~allow_outages:true sc;
@@ -1351,3 +1248,10 @@ let fault_throughput_bound ?cache sc =
     (* a fully degraded epoch (master isolated, no compute) contributes 0 *)
   done;
   !total
+
+(* With every multiplier positive, the surviving platform is the scaled
+   one less the nodes the master cannot reach, which compute nothing:
+   the same throughput, phase by phase *)
+let oracle_throughput_bound ?cache sc =
+  validate_scenario sc;
+  fault_throughput_bound ?cache sc

@@ -146,7 +146,7 @@ val plan_phase :
 
     A {!Robust} run given a [Checkpoint.config] persists, every
     [every] epochs, an exact record of its progress — the per-epoch
-    decision log in original platform indices, a snapshot of the
+    decision log in original platform indices, then the encoding of the
     executor state at the boundary (arrears, backlog, deficits, loss
     counters, failure flags, work marks — all rational-exact) — as one
     checksummed, atomically committed {!Solve_store} record (format
@@ -155,16 +155,18 @@ val plan_phase :
     epoch's platform alone, so no solver state or LP memo is stored,
     and the record does not depend on whether the run had a [?cache].
     {!resume}
-    continues such a run after a crash {e bit-identically}: the logged
-    decisions are replayed through a fresh simulator (pure
-    deterministic event replay, no LP work), the rebuilt state is
-    validated against the stored snapshot, and the remaining epochs run
-    live without an LP memo.  Corruption in any form — truncation,
-    bit flips, version skew (older [steady-ckpt] records included: a
-    [steady-ckpt 3] log was planned on the LP kernel's vertex, and
-    resuming it would mix two planners), a
-    snapshot the replay cannot reproduce — is quarantined and degrades
-    to a cold full run: recovery can cost time, never answers. *)
+    continues such a run after a crash {e bit-identically}: the
+    decision log is decoded and replayed through a fresh simulator
+    (pure deterministic event replay, no LP work), the rebuilt state
+    must encode to the stored bytes, byte for byte, and the remaining
+    epochs run live without an LP memo.  The state is never parsed.
+    Corruption in any form — truncation, bit flips, version skew
+    (older [steady-ckpt] records included: a [steady-ckpt 3] log was
+    planned on the LP kernel's vertex, and resuming it would mix two
+    planners), a state the replay does not reproduce — is quarantined
+    and degrades to a cold full run: recovery can cost time, never
+    answers.  A damaged log is caught before the replay, a damaged
+    state after it. *)
 
 module Checkpoint : sig
   type config = {
@@ -224,7 +226,7 @@ val resume :
     and the epoch the run resumed from ([None]: no usable checkpoint
     was found and the run started cold — which is also the recovery
     path for a corrupt, version-skewed, wrong-platform or
-    snapshot-mismatching record, after quarantining it).  The resumed
+    state-mismatching record, after quarantining it).  The resumed
     outcome is bit-identical to the uninterrupted run's, with or
     without a [?cache] on that run (cache hits are bit-identical to
     re-solves); with [~strict:true] that is certified on the spot
@@ -243,9 +245,12 @@ val oracle_throughput_bound : ?cache:Lp.Cache.t -> scenario -> Rat.t
     multipliers at the phase start)] — an upper bound on any
     phase-planned strategy when breakpoints are phase-aligned.
     [?cache] as in {!run}: without it every phase's LP is solved; the
-    bound itself is bit-identical either way.  Only the throughput
-    counts here, so each phase takes {!Master_slave.solve} (the closed
-    form on a tree, which consults no cache). *)
+    bound itself is bit-identical either way.  It is
+    {!fault_throughput_bound} after the stricter validation: with every
+    multiplier positive, the surviving platform is the scaled one less
+    the nodes the master cannot reach, which compute nothing.  Each
+    phase takes {!Master_slave.try_solve} (the closed form on a tree,
+    which consults no cache). *)
 
 (** {1 Failure-aware utilities} *)
 

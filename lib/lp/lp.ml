@@ -1,11 +1,11 @@
-(* Model layer: named variables with bounds, sparse expressions, and the
-   translation to the standard form consumed by Simplex.
+(* Model layer: named non-negative variables with optional upper bounds,
+   sparse expressions, and the translation to the standard form consumed
+   by Simplex.
 
+   Every variable is >= 0, so variable v is standard-form column v.
    Translation rules:
-   - finite lower bound  l:  x = x' + l  with  x' >= 0 (shift);
-   - free variable:          x = x+ - x-, both >= 0 (split);
-   - finite upper bound  u:  extra row  x <= u  (after shifting), unless
-     a model row already implies it (see [implied_bounds]);
+   - finite upper bound u:  extra row  x <= u, unless a model row
+     already implies it (see [implied_bounds]);
    - Le / Ge rows get a slack / surplus column, Eq rows none;
    phase-1 artificials are Simplex's business. *)
 
@@ -20,7 +20,7 @@ type linexpr = R.t Imap.t
 type relation = Le | Ge | Eq
 type sense = Maximize | Minimize
 
-type var_info = { name : string; lb : R.t option; ub : R.t option }
+type var_info = { name : string; ub : R.t option }
 
 type cons = { cname : string; expr : linexpr; rel : relation; rhs : R.t }
 
@@ -37,15 +37,15 @@ let create () =
   { vars = []; nvars = 0; cons = []; ncons = 0; objective = None;
     names = Hashtbl.create 64 }
 
-let add_var ?(lb = Some R.zero) ?(ub = None) m name =
+let add_var ?(ub = None) m name =
   if Hashtbl.mem m.names name then
     invalid_arg (Printf.sprintf "Lp.add_var: duplicate variable %S" name);
-  (match (lb, ub) with
-  | Some l, Some u when R.compare l u > 0 ->
-    invalid_arg (Printf.sprintf "Lp.add_var: %S has lb > ub" name)
+  (match ub with
+  | Some u when R.sign u < 0 ->
+    invalid_arg (Printf.sprintf "Lp.add_var: %S has ub < 0" name)
   | _ -> ());
   let v = m.nvars in
-  m.vars <- { name; lb; ub } :: m.vars;
+  m.vars <- { name; ub } :: m.vars;
   m.nvars <- m.nvars + 1;
   Hashtbl.add m.names name v;
   v
@@ -108,60 +108,35 @@ let duals sol = sol.duals
 let constraints m =
   List.rev_map (fun c -> (c.cname, c.rel, c.rhs)) m.cons
 
-let var_bounds m =
-  List.rev_map (fun vi -> (vi.name, vi.lb, vi.ub)) m.vars
-
-(* how each model variable maps to standard-form columns *)
-type col_map =
-  | Shifted of int * R.t (* column, lower bound:  x = col + l *)
-  | Split of int * int (* x = col+ - col- *)
+let var_bounds m = List.rev_map (fun vi -> (vi.name, vi.ub)) m.vars
 
 (* The instance the kernel solves, and what [solve] needs to map its
-   answer back to the model: the column map, the objective constant
-   picked up while substituting bounds, whether the objective sign was
-   flipped (Maximize), and each named row's kernel row (-1 when
-   omitted). *)
+   answer back to the model: whether the objective sign was flipped
+   (Maximize), and each named row's kernel row (-1 when omitted). *)
 type std = {
   rows : Simplex.row array;
   b : R.t array;
   c : R.t array;
-  cmap : col_map array;
-  obj_const : R.t;
   flip : bool;
   kernel_row : int array;
 }
 
 (* Variables whose [ub:] row a model [Le] row already implies: with
-   positive coefficients over lower-bounded variables only,
-   [sum_j a_j x_j <= r] caps each of its variables at
-   [x_v - l_v <= (r - sum_j a_j l_j) / a_v], so [ub:v] is redundant
-   when that cap is at most [u_v - l_v].  A row whose slack at the
-   lower bounds is negative is infeasible by itself and implies every
-   bound. *)
+   positive coefficients only, [sum_j a_j x_j <= r] caps each of its
+   (non-negative) variables at [x_v <= r / a_v], so [ub:v] is redundant
+   when [r <= a_v u_v].  A row with a negative right-hand side is
+   infeasible by itself and implies every bound. *)
 let implied_bounds vars cons =
   let implied = Array.make (Array.length vars) false in
   List.iter
     (fun c ->
-      if c.rel = Le then
-        let slack =
-          Imap.fold
-            (fun v a acc ->
-              match (acc, vars.(v).lb) with
-              | Some s, Some l when R.sign a > 0 -> Some (R.sub s (R.mul a l))
-              | _ -> None)
-            c.expr (Some c.rhs)
-        in
-        match slack with
-        | None -> ()
-        | Some slack ->
-          Imap.iter
-            (fun v a ->
-              match (vars.(v).lb, vars.(v).ub) with
-              | Some l, Some u when R.compare slack (R.mul a (R.sub u l)) <= 0
-                ->
-                implied.(v) <- true
-              | _ -> ())
-            c.expr)
+      if c.rel = Le && Imap.for_all (fun _ a -> R.sign a > 0) c.expr then
+        Imap.iter
+          (fun v a ->
+            match vars.(v).ub with
+            | Some u when R.compare c.rhs (R.mul a u) <= 0 -> implied.(v) <- true
+            | _ -> ())
+          c.expr)
     cons;
   implied
 
@@ -173,37 +148,17 @@ let implied_bounds vars cons =
 let translate m =
   let vars = var_array m in
   let cons = List.rev m.cons in
-  let next_col = ref 0 in
-  let fresh () = let c = !next_col in incr next_col; c in
-  let cmap =
-    Array.map
-      (fun vi ->
-        match vi.lb with
-        | Some l -> Shifted (fresh (), l)
-        | None -> let p = fresh () in let q = fresh () in Split (p, q))
-      vars
-  in
-  let slack = ref !next_col in
-  (* expression -> (reversed (column, coefficient) terms, constant) with
-     x substituted *)
-  let expand expr =
-    Imap.fold
-      (fun v c (terms, const) ->
-        match cmap.(v) with
-        | Shifted (col, l) -> ((col, c) :: terms, R.add const (R.mul c l))
-        | Split (p, q) -> ((q, R.neg c) :: (p, c) :: terms, const))
-      expr ([], R.zero)
-  in
+  let slack = ref m.nvars in
   let rows = ref [] and b = ref [] and n_rows = ref 0 in
-  let add_row rev_terms rel rhs =
-    let rev_terms =
+  let add_row expr rel rhs =
+    let slack_term =
       match rel with
-      | Eq -> rev_terms
-      | Le -> (!slack, R.one) :: rev_terms
-      | Ge -> (!slack, R.minus_one) :: rev_terms
+      | Eq -> []
+      | Le -> [ (!slack, R.one) ]
+      | Ge -> [ (!slack, R.minus_one) ]
     in
     if rel <> Eq then incr slack;
-    let terms = Array.of_list (List.rev rev_terms) in
+    let terms = Array.of_list (Imap.bindings expr @ slack_term) in
     rows := (Array.map fst terms, Array.map snd terms) :: !rows;
     b := rhs :: !b;
     incr n_rows;
@@ -212,38 +167,27 @@ let translate m =
   (* each named row's kernel row, reversed *)
   let kernel_row = ref [] in
   let keep k = kernel_row := k :: !kernel_row in
-  List.iter
-    (fun c ->
-      let terms, const = expand c.expr in
-      keep (add_row terms c.rel (R.sub c.rhs const)))
-    cons;
+  List.iter (fun c -> keep (add_row c.expr c.rel c.rhs)) cons;
   let implied = implied_bounds vars cons in
   Array.iteri
     (fun v vi ->
       match vi.ub with
       | None -> ()
       | Some _ when implied.(v) -> keep (-1)
-      | Some u -> (
-        match cmap.(v) with
-        | Shifted (col, l) -> keep (add_row [ (col, R.one) ] Le (R.sub u l))
-        | Split (p, q) ->
-          keep (add_row [ (q, R.minus_one); (p, R.one) ] Le u)))
+      | Some u -> keep (add_row (Imap.singleton v R.one) Le u))
     vars;
   let sense, obj_expr =
     match m.objective with
     | Some (s, e) -> (s, e)
     | None -> (Minimize, zero)
   in
-  let obj_terms, obj_const = expand obj_expr in
   let flip = sense = Maximize in
   let c = Array.make !slack R.zero in
-  List.iter (fun (j, v) -> c.(j) <- (if flip then R.neg v else v)) obj_terms;
+  Imap.iter (fun j v -> c.(j) <- (if flip then R.neg v else v)) obj_expr;
   {
     rows = Array.of_list (List.rev !rows);
     b = Array.of_list (List.rev !b);
     c;
-    cmap;
-    obj_const;
     flip;
     kernel_row = Array.of_list (List.rev !kernel_row);
   }
@@ -254,13 +198,12 @@ let standard_form m =
 
 (* --- the solve cache --- *)
 
-(* Structural signature of a model: variable names and bound *shapes*
-   (which decide the column map and the candidate upper-bound rows) plus
-   constraint names and relations (which decide row order and slack
-   columns).  Which [ub:] rows the standard form keeps also depends on
-   the coefficient values, which the rest of the cache key
-   ({!cache_key}) dumps, indexed by variable number; the signature
-   prefixes it. *)
+(* Structural signature of a model: variable names and which ones have
+   an upper bound (the candidate [ub:] rows) plus constraint names and
+   relations (which decide row order and slack columns).  Which [ub:]
+   rows the standard form keeps also depends on the coefficient values,
+   which the rest of the cache key ({!cache_key}) dumps, indexed by
+   variable number; the signature prefixes it. *)
 let signature m =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int m.nvars);
@@ -268,7 +211,6 @@ let signature m =
     (fun vi ->
       Buffer.add_char buf '|';
       Buffer.add_string buf vi.name;
-      Buffer.add_char buf (match vi.lb with Some _ -> 's' | None -> 'f');
       Buffer.add_char buf (match vi.ub with Some _ -> 'u' | None -> '-'))
     (List.rev m.vars);
   Buffer.add_char buf '#';
@@ -346,7 +288,7 @@ end
 
 (* Exact cache key: the structural signature plus every coefficient of
    the *model* — objective sense and terms, constraint terms and
-   right-hand sides, and both bound values.  The standard form is a
+   right-hand sides, and the upper bounds.  The standard form is a
    deterministic function of exactly these, so equal keys translate to
    identical instances and a hit returns a result bit-identical to what
    re-solving would produce — while the lookup itself never pays for
@@ -382,7 +324,6 @@ let cache_key sg (m : model) =
   Buffer.add_char buf '|';
   List.iter
     (fun vi ->
-      (match vi.lb with Some l -> dump l | None -> Buffer.add_char buf 'n');
       match vi.ub with Some u -> dump u | None -> Buffer.add_char buf 'n')
     (List.rev m.vars);
   Buffer.contents buf
@@ -596,7 +537,7 @@ let solve ?cache ?stats m =
     (match cached with
     | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
     | _ -> ());
-    let { rows; b; c; cmap; obj_const; flip; kernel_row } = translate m in
+    let { rows; b; c; flip; kernel_row } = translate m in
     let res =
       match Simplex.minimize ~rows ~b ~c () with
       | Simplex.Infeasible -> Infeasible
@@ -605,21 +546,10 @@ let solve ?cache ?stats m =
         (match stats with
         | Some s -> Stats.add s ~pivots
         | None -> ());
-        let value v =
-          match cmap.(v) with
-          | Shifted (col, l) -> R.add values.(col) l
-          | Split (p, q) -> R.sub values.(p) values.(q)
-        in
-        let varcache = Array.init n value in
-        let objective =
-          let raw =
-            R.add objective (if flip then R.neg obj_const else obj_const)
-          in
-          if flip then R.neg raw else raw
-        in
+        let values = Array.sub values 0 n in
+        let objective = if flip then R.neg objective else objective in
         (* kernel duals are for the standard form [min]; re-orient for
-           the model's sense so that for all-default-lower-bound models
-           (obj_const = 0) strong duality reads
+           the model's sense so that strong duality reads
            [objective = sum_r dual_r * rhs_r] over constraint and
            [ub:] rows alike.  An implied [ub:] row the kernel never saw
            is redundant, so pricing it at 0 keeps the duals optimal. *)
@@ -631,7 +561,7 @@ let solve ?cache ?stats m =
               (name, if flip then R.neg y else y))
             (row_names m)
         in
-        Optimal { objective; values = (fun v -> varcache.(v)); duals }
+        Optimal { objective; values = (fun v -> values.(v)); duals }
     in
     (match cached with
     | Some (cc, key, hkey, None) ->
@@ -654,13 +584,11 @@ let check_solution m f =
     (fun v vi ->
       if !violation = None then begin
         let x = f v in
-        (match vi.lb with
-        | Some l when R.compare x l < 0 ->
-          violation :=
-            Some (Printf.sprintf "var %s = %s below lb %s" vi.name
-                    (R.to_string x) (R.to_string l))
-        | _ -> ());
         match vi.ub with
+        | _ when R.sign x < 0 ->
+          violation :=
+            Some (Printf.sprintf "var %s = %s is negative" vi.name
+                    (R.to_string x))
         | Some u when R.compare x u > 0 ->
           violation :=
             Some (Printf.sprintf "var %s = %s above ub %s" vi.name
@@ -698,10 +626,9 @@ let check_solution m f =
    minimisation form (objective and duals negated for [Maximize]), with
    row duals [y] and reduced costs
    [d_v = c_v - sum_r y_r a_rv - y_(ub:v)]: [Le] rows, [ub:] rows
-   included, need [y <= 0] and [Ge] rows [y >= 0]; a variable with a
-   lower bound needs [d_v >= 0] and a free one [d_v = 0]; and strong
-   duality reads [c.x = sum_r y_r rhs_r + sum_v d_v l_v], the last sum
-   being the lower-bound shift.  One pass over the nonzeros. *)
+   included, need [y <= 0] and [Ge] rows [y >= 0]; every variable needs
+   [d_v >= 0]; and strong duality reads [c.x = sum_r y_r rhs_r].  One
+   pass over the nonzeros. *)
 let certify m sol =
   let ( let* ) = Result.bind in
   let* _ =
@@ -753,14 +680,7 @@ let certify m sol =
     (List.rev_map (fun c -> (c.rel, c.rhs, c.expr)) m.cons @ ub_rows);
   Array.iteri
     (fun v vi ->
-      let ok =
-        match vi.lb with
-        | Some l ->
-          dual_obj := R.add !dual_obj (R.mul d.(v) l);
-          R.sign d.(v) >= 0
-        | None -> R.is_zero d.(v)
-      in
-      if (not ok) && !bad = None then
+      if R.sign d.(v) < 0 && !bad = None then
         bad := Some (Printf.sprintf "reduced cost of %s is infeasible: %s"
                        vi.name (R.to_string d.(v))))
     vars;
@@ -814,8 +734,6 @@ let pp ppf m =
   Format.fprintf ppf "bounds@.";
   Array.iter
     (fun vi ->
-      Format.fprintf ppf "  %s <= %s <= %s@."
-        (match vi.lb with None -> "-inf" | Some l -> R.to_string l)
-        vi.name
+      Format.fprintf ppf "  0 <= %s <= %s@." vi.name
         (match vi.ub with None -> "+inf" | Some u -> R.to_string u))
     vars

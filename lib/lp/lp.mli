@@ -2,9 +2,12 @@
 
     Steady-state scheduling reduces every throughput question to a linear
     program over per-time-unit activity variables (§3 of the paper).  This
-    module provides the model-building DSL — named variables with bounds,
-    sparse linear expressions, constraints, objective — and delegates the
-    solving to the exact rational {!Simplex} underneath.
+    module provides the model-building DSL — named non-negative
+    variables with optional upper bounds, sparse linear expressions,
+    constraints, objective — and delegates the solving to the exact
+    rational {!Simplex} underneath.  Every variable of the paper's LPs
+    is an activity fraction, a rate or a weight, so every variable is
+    [>= 0].
 
     All coefficients are exact rationals; the solver returns exact optimal
     vertices, which is what makes period reconstruction (lcm of
@@ -26,11 +29,11 @@ type sense = Maximize | Minimize
 
 val create : unit -> model
 
-val add_var : ?lb:Rat.t option -> ?ub:Rat.t option -> model -> string -> var
-(** [add_var m name] declares a fresh variable.  Bounds default to
-    [lb = Some 0], [ub = None]; pass [~lb:None] for a free variable.
+val add_var : ?ub:Rat.t option -> model -> string -> var
+(** [add_var m name] declares a fresh variable [x >= 0], with the upper
+    bound [x <= u] when [~ub:(Some u)] (default [None]: no upper bound).
     Names are for diagnostics and solution lookup; they must be unique.
-    @raise Invalid_argument on duplicate names or [lb > ub]. *)
+    @raise Invalid_argument on duplicate names or [u < 0]. *)
 
 val var_name : model -> var -> string
 
@@ -69,11 +72,10 @@ type solution = {
           {!standard_form} omits as implied is redundant and reports
           [0].  Oriented for the model's sense: a positive dual on a
           binding [Le] row of a [Maximize] model is the objective gain
-          per unit of extra right-hand side.  For models whose
-          variables all have the default lower bound 0, strong duality
-          holds exactly: [objective = sum_r dual_r * rhs_r] where the
-          rhs of an [ub:<var>] row is that variable's upper bound;
-          {!certify} checks the general case, lower bounds included. *)
+          per unit of extra right-hand side.  Strong duality holds
+          exactly: [objective = sum_r dual_r * rhs_r] where the rhs of
+          an [ub:<var>] row is that variable's upper bound; {!certify}
+          checks it. *)
 }
 
 type result =
@@ -90,14 +92,14 @@ val constraints : model -> (string * relation * Rat.t) list
     order — the rows {!solution.duals} prices, ahead of the [ub:] rows
     described by {!var_bounds}. *)
 
-val var_bounds : model -> (string * Rat.t option * Rat.t option) list
-(** Variable names with their (lb, ub), in declaration order. *)
+val var_bounds : model -> (string * Rat.t option) list
+(** Variable names with their upper bounds, in declaration order. *)
 
 module Cache : sig
   (** Exact memo of solved instances.  The key is the structural
-      signature plus every standard-form coefficient (exact decimal
-      dumps — no hashing collisions, no rounding) and the lower-bound
-      values; the value is the final {!result}.  Identical re-solves
+      signature plus every model coefficient, right-hand side and upper
+      bound (exact decimal dumps — no hashing collisions, no rounding);
+      the value is the final {!result}.  Identical re-solves
       (flat trace segments, repeated oracle queries) therefore return
       the very same answer without touching the simplex.  At capacity
       the least-recently-used entry is evicted (and counted), so a
@@ -225,13 +227,13 @@ val solve :
 val standard_form : model -> Simplex.row array * Rat.t array * Rat.t array
 (** [standard_form m] is exactly the [(rows, b, c)] instance {!solve}
     hands to {!Simplex.minimize}: min [c.x] s.t. [A x = b], [x >= 0],
-    [A] given by its sparse rows, after bound shifting/splitting, slack
-    columns and objective sign normalisation.  Its rows are the model
+    [A] given by its sparse rows.  Column [v] is model variable [v],
+    then come the slack columns, one per inequality row; [c] is the
+    objective, negated for [Maximize].  The rows are the model
     constraints in declaration order, then one row per upper-bounded
     variable whose bound no model row implies: a [ub:v] row is omitted
-    when some [Le] row with positive coefficients over lower-bounded
-    variables only caps [v] at or below its bound, i.e.
-    [(rhs - sum_j a_j l_j) / a_v <= u_v - l_v].  Exposed so tests can
+    when some [Le] row with only positive coefficients caps [v] at or
+    below its bound, i.e. [rhs <= a_v * u_v].  Exposed so tests can
     replay the very same instance through independent solver
     implementations. *)
 
@@ -242,7 +244,8 @@ val value_by_name : model -> solution -> string -> Rat.t
 (** {1 Validation and printing} *)
 
 val check_solution : model -> (var -> Rat.t) -> (string, string) Stdlib.result
-(** Re-evaluates every bound and constraint under the given assignment.
+(** Re-evaluates every bound ([x >= 0] and the upper bounds) and every
+    constraint under the given assignment.
     [Ok obj_string] if all hold exactly, [Error msg] naming the first
     violated constraint otherwise.  Used by the test-suite to certify that
     solver output is primal feasible, independent of the solver code. *)
@@ -253,8 +256,8 @@ val certify : model -> solution -> (unit, string) Stdlib.result
     reported objective equal to the objective at the returned point,
     dual feasibility of {!solution.duals} (the sign each row's relation
     requires, [ub:] rows included, and every variable's reduced cost
-    non-negative above a lower bound, zero when free), and exact strong
-    duality with the lower-bound shift included.  Together these prove
+    non-negative), and exact strong duality
+    [objective = sum_r dual_r * rhs_r].  Together these prove
     the point optimal, whichever vertex the kernel returned.  [Error]
     names the first failing check.  Costs one pass over the model's
     nonzeros. *)

@@ -24,8 +24,7 @@ let certified name m s =
 (* [Lp.solve] always prices with Dantzig; the Bland path is driven
    directly on the very standard form [Lp.solve] hands the kernel.
    Standard-form objective: the model's for [Minimize], negated for
-   [Maximize] (every model here has default lower bounds, so no bound
-   shift adds a constant). *)
+   [Maximize]. *)
 let kernel_solve rule m =
   let rows, b, c = Lp.standard_form m in
   Simplex.minimize ~rule ~rows ~b ~c ()
@@ -77,14 +76,19 @@ let test_equality_constraint () =
   (* max x st x + y = 5, y >= 2  ->  x = 3 *)
   let m = Lp.create () in
   let x = Lp.add_var m "x" in
-  let y = Lp.add_var ~lb:(Some (ri 2)) m "y" in
+  let y = Lp.add_var m "y" in
   Lp.add_constraint m (Lp.add (Lp.var x) (Lp.var y)) Lp.Eq (ri 5);
+  Lp.add_constraint m (Lp.var y) Lp.Ge (ri 2);
   Lp.set_objective m Lp.Maximize (Lp.var x);
   let s = solve_get m in
   Alcotest.check rat "objective" (ri 3) s.objective;
-  Alcotest.check rat "y at lb" (ri 2) (s.values y);
-  (* the certificate folds the lower-bound shift into the dual objective *)
-  certified "shifted lb" m s
+  Alcotest.check rat "y on its row" (ri 2) (s.values y);
+  (* the Eq row's dual is free in sign: here it is 1, and the Ge row's
+     is -1 *)
+  Alcotest.(check (list (pair string rat))) "duals"
+    [ ("c0", ri 1); ("c1", ri (-1)) ]
+    (Lp.duals s);
+  certified "equality" m s
 
 let test_upper_bounds () =
   (* max x + y with x <= 3/2 (bound), x + y <= 2 *)
@@ -94,21 +98,11 @@ let test_upper_bounds () =
   Lp.add_constraint m (Lp.add (Lp.var x) (Lp.var y)) Lp.Le (ri 2);
   Lp.set_objective m Lp.Maximize (Lp.add (Lp.var x) (Lp.var y));
   let s = solve_get m in
-  Alcotest.check rat "objective" (r 7 4) s.objective
-
-let test_free_variable () =
-  (* min y st y >= x - 4, y >= -x; x free. opt y = -2 at x = 2 *)
-  let m = Lp.create () in
-  let x = Lp.add_var ~lb:None m "x" in
-  let y = Lp.add_var ~lb:None m "y" in
-  Lp.add_constraint m (Lp.sub (Lp.var y) (Lp.var x)) Lp.Ge (ri (-4));
-  Lp.add_constraint m (Lp.add (Lp.var y) (Lp.var x)) Lp.Ge (ri 0);
-  Lp.set_objective m Lp.Minimize (Lp.var y);
-  let s = solve_get m in
-  Alcotest.check rat "objective" (ri (-2)) s.objective;
-  Alcotest.check rat "x" (ri 2) (s.values x);
-  (* free variables need zero reduced costs *)
-  certified "free variables" m s
+  Alcotest.check rat "objective" (r 7 4) s.objective;
+  (* every variable is >= 0, so a negative upper bound is rejected *)
+  Alcotest.(check bool) "negative ub rejected" true
+    (try ignore (Lp.add_var ~ub:(Some (r (-1) 2)) m "z"); false
+     with Invalid_argument _ -> true)
 
 let test_infeasible () =
   let m = Lp.create () in
@@ -189,6 +183,10 @@ let test_check_solution_detects () =
   (match Lp.check_solution m (fun _ -> ri 2) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "violation not detected");
+  (* x = -1 meets the row but not x >= 0 *)
+  (match Lp.check_solution m (fun _ -> ri (-1)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "negative value not detected");
   (match Lp.check_solution m (fun _ -> r 1 2) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("false violation: " ^ e))
@@ -311,7 +309,7 @@ let dual_objective m s =
   let rhs_of =
     List.map (fun (name, _, rhs) -> (name, rhs)) (Lp.constraints m)
     @ List.filter_map
-        (fun (name, _, ub) -> Option.map (fun u -> ("ub:" ^ name, u)) ub)
+        (fun (name, ub) -> Option.map (fun u -> ("ub:" ^ name, u)) ub)
         (Lp.var_bounds m)
   in
   List.fold_left
@@ -598,14 +596,14 @@ let test_certify_rejects () =
 (* --- implied upper bounds ---
 
    [Lp.standard_form] keeps a [ub:v] row out of the kernel when a model
-   [Le] row with positive coefficients over lower-bounded variables
-   already caps [v] at or below its bound.  Each case is a model given
-   as data, so the test can also build its full dense standard form,
-   every [ub:] row included, without going through [Lp], and solve that
-   with the seed snapshot kernel. *)
+   [Le] row with only positive coefficients already caps [v] at or
+   below its bound.  Each case is a model given as data, so the test
+   can also build its full dense standard form, every [ub:] row
+   included, without going through [Lp], and solve that with the seed
+   snapshot kernel. *)
 
 type spec = {
-  vars : (string * R.t option * R.t option) list; (* name, lb, ub *)
+  vars : (string * R.t option) list; (* name, ub *)
   rows : ((R.t * int) list * Lp.relation * R.t) list; (* terms over var index *)
   sense : Lp.sense;
   obj : (R.t * int) list;
@@ -615,7 +613,7 @@ let model_of spec =
   let m = Lp.create () in
   let xs =
     Array.of_list
-      (List.map (fun (name, lb, ub) -> Lp.add_var ~lb ~ub m name) spec.vars)
+      (List.map (fun (name, ub) -> Lp.add_var ~ub m name) spec.vars)
   in
   let expr terms = Lp.of_terms (List.map (fun (a, v) -> (a, xs.(v))) terms) in
   List.iter (fun (terms, rel, rhs) -> Lp.add_constraint m (expr terms) rel rhs)
@@ -626,38 +624,19 @@ let model_of spec =
 (* the model's optimum through the full dense standard form, or [None]
    when that form is infeasible *)
 let full_dense_optimum spec =
-  let vars = Array.of_list spec.vars in
-  (* first column of each variable: one if lower-bounded, two if free *)
-  let next = ref 0 in
-  let first =
-    Array.map
-      (fun (_, lb, _) ->
-        let j = !next in
-        next := j + if lb = None then 2 else 1;
-        j)
-      vars
-  in
-  let n_struct = !next in
-  let lb v = match vars.(v) with _, Some l, _ -> l | _, None, _ -> R.zero in
+  let n_struct = List.length spec.vars in
   let rows =
     spec.rows
     @ List.concat
         (List.mapi
-           (fun v (_, _, ub) ->
+           (fun v (_, ub) ->
              match ub with Some u -> [ ([ (R.one, v) ], Lp.Le, u) ] | None -> [])
            spec.vars)
   in
   let n_slack = List.length (List.filter (fun (_, rel, _) -> rel <> Lp.Eq) rows) in
   let n = n_struct + n_slack in
   let place row terms =
-    List.iter
-      (fun (a, v) ->
-        let j = first.(v) in
-        row.(j) <- R.add row.(j) a;
-        match vars.(v) with
-        | _, None, _ -> row.(j + 1) <- R.sub row.(j + 1) a
-        | _ -> ())
-      terms
+    List.iter (fun (a, v) -> row.(v) <- R.add row.(v) a) terms
   in
   let slack = ref n_struct in
   let a, b =
@@ -671,27 +650,19 @@ let full_dense_optimum spec =
            | Lp.Le -> row.(!slack) <- R.one
            | Lp.Ge -> row.(!slack) <- R.minus_one);
            if rel <> Lp.Eq then incr slack;
-           let shift =
-             List.fold_left
-               (fun acc (a, v) -> R.add acc (R.mul a (lb v)))
-               R.zero terms
-           in
-           (row, R.sub rhs shift))
+           (row, rhs))
          rows)
   in
   let flip = spec.sense = Lp.Maximize in
   let c = Array.make n R.zero in
   place c spec.obj;
   let c = Array.map (fun x -> if flip then R.neg x else x) c in
-  let const =
-    List.fold_left (fun acc (a, v) -> R.add acc (R.mul a (lb v))) R.zero spec.obj
-  in
   match
     Simplex_dense_reference.minimize ~a:(Array.of_list a) ~b:(Array.of_list b)
       ~c ()
   with
   | Simplex_dense_reference.Optimal r ->
-    Some (R.add (if flip then R.neg r.objective else r.objective) const)
+    Some (if flip then R.neg r.objective else r.objective)
   | Simplex_dense_reference.Infeasible -> None
   | Simplex_dense_reference.Unbounded -> Alcotest.fail "reference unbounded"
 
@@ -699,7 +670,7 @@ let full_dense_optimum spec =
 let check_implied name spec ~dropped =
   let m = model_of spec in
   let rows, _, _ = Lp.standard_form m in
-  let n_ub = List.length (List.filter (fun (_, _, ub) -> ub <> None) spec.vars) in
+  let n_ub = List.length (List.filter (fun (_, ub) -> ub <> None) spec.vars) in
   Alcotest.(check int) (name ^ ": kernel rows")
     (List.length spec.rows + n_ub - List.length dropped)
     (Array.length rows);
@@ -718,14 +689,13 @@ let check_implied name spec ~dropped =
   | _ -> Alcotest.failf "%s: solve and full dense reference disagree" name
 
 let ub u = Some (ri u)
-let nonneg = Some R.zero
 
 let test_implied_equal_bound () =
   (* max 3x + 2y, c0: x + y <= 4, x <= 4: the cap 4 equals the bound,
      and the optimum (4, 0) sits on both, a degenerate tie *)
   check_implied "equal bound"
     {
-      vars = [ ("x", nonneg, ub 4); ("y", nonneg, None) ];
+      vars = [ ("x", ub 4); ("y", None) ];
       rows = [ ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 4) ];
       sense = Lp.Maximize;
       obj = [ (ri 3, 0); (ri 2, 1) ];
@@ -737,7 +707,7 @@ let test_implied_looser_tighter () =
      2: kept); max x + y = 4 at (2, 2) *)
   check_implied "looser and tighter"
     {
-      vars = [ ("x", nonneg, ub 10); ("y", nonneg, ub 2) ];
+      vars = [ ("x", ub 10); ("y", ub 2) ];
       rows = [ ([ (ri 2, 0); (ri 1, 1) ], Lp.Le, ri 6) ];
       sense = Lp.Maximize;
       obj = [ (ri 1, 0); (ri 1, 1) ];
@@ -748,73 +718,21 @@ let test_implied_negative_coefficient () =
   (* c0: x - y <= 1 caps neither: y can grow *)
   check_implied "negative coefficient"
     {
-      vars = [ ("x", nonneg, ub 1); ("y", nonneg, ub 3) ];
+      vars = [ ("x", ub 1); ("y", ub 3) ];
       rows = [ ([ (ri 1, 0); (ri (-1), 1) ], Lp.Le, ri 1) ];
       sense = Lp.Maximize;
       obj = [ (ri 1, 0); (ri 1, 1) ];
     }
     ~dropped:[]
 
-let test_implied_free_in_row () =
-  (* c0: x + z <= 2 with z free caps nothing; c1: z >= -1 makes x <= 3
-     binding below its bound 5 *)
-  check_implied "free variable in the row"
-    {
-      vars = [ ("x", nonneg, ub 5); ("z", None, None) ];
-      rows =
-        [
-          ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 2);
-          ([ (ri 1, 1) ], Lp.Ge, ri (-1));
-        ];
-      sense = Lp.Maximize;
-      obj = [ (ri 1, 0) ];
-    }
-    ~dropped:[]
-
-let test_implied_lower_bounds () =
-  (* x in [1, 4], y in [2, 3], c0: x + 2y <= 8: at the lower bounds the
-     row has slack 3, capping x - 1 at 3 (= 4 - 1, dropped) and y - 2 at
-     3/2 (> 3 - 2, kept).  max x + y = 6 at (4, 2).  w in [-2, 5] with
-     c1: w + x <= 3 has slack 4 at the lower bounds, which caps w + 2 at
-     4 (<= 7, dropped) and x - 1 at 4 *)
-  check_implied "lower-bound shift"
-    {
-      vars =
-        [
-          ("x", Some (ri 1), ub 4);
-          ("y", Some (ri 2), ub 3);
-          ("w", Some (ri (-2)), ub 5);
-        ];
-      rows =
-        [
-          ([ (ri 1, 0); (ri 2, 1) ], Lp.Le, ri 8);
-          ([ (ri 1, 2); (ri 1, 0) ], Lp.Le, ri 3);
-        ];
-      sense = Lp.Maximize;
-      obj = [ (ri 1, 0); (ri 1, 1); (ri 1, 2) ];
-    }
-    ~dropped:[ "x"; "w" ]
-
-let test_implied_free_with_bound () =
-  (* z free with z <= 2: no row can imply a free variable's bound;
-     max 2z + x over c0: z + x <= 5 is 7 at (z, x) = (2, 3) *)
-  check_implied "free variable with an upper bound"
-    {
-      vars = [ ("z", None, ub 2); ("x", nonneg, ub 9) ];
-      rows = [ ([ (ri 1, 0); (ri 1, 1) ], Lp.Le, ri 5) ];
-      sense = Lp.Maximize;
-      obj = [ (ri 2, 0); (ri 1, 1) ];
-    }
-    ~dropped:[]
-
 let test_implied_infeasible_row () =
-  (* x in [2, 5], c0: x <= 1: the row's slack at the lower bound is
-     negative, so it implies the bound and the model is infeasible
-     either way *)
+  (* x in [0, 5], c0: x <= -1: a negative right-hand side makes the row
+     infeasible by itself, so it implies the bound and the model is
+     infeasible either way *)
   check_implied "infeasible implying row"
     {
-      vars = [ ("x", Some (ri 2), ub 5) ];
-      rows = [ ([ (ri 1, 0) ], Lp.Le, ri 1) ];
+      vars = [ ("x", ub 5) ];
+      rows = [ ([ (ri 1, 0) ], Lp.Le, ri (-1)) ];
       sense = Lp.Maximize;
       obj = [ (ri 1, 0) ];
     }
@@ -838,7 +756,7 @@ let test_implied_solve_graph () =
     kernel_rows := !kernel_rows + Array.length rows;
     model_rows :=
       !model_rows + List.length (Lp.constraints m)
-      + List.length (List.filter (fun (_, _, u) -> u <> None) (Lp.var_bounds m));
+      + List.length (List.filter (fun (_, u) -> u <> None) (Lp.var_bounds m));
     match Lp.solve ~stats:pivots m with
     | Lp.Optimal s -> certified (Printf.sprintf "graph %d" i) m s
     | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "solve-graph LP not optimal"
@@ -855,7 +773,6 @@ let suite =
       Alcotest.test_case "textbook min" `Quick test_textbook_min;
       Alcotest.test_case "equality" `Quick test_equality_constraint;
       Alcotest.test_case "upper bounds" `Quick test_upper_bounds;
-      Alcotest.test_case "free variable" `Quick test_free_variable;
       Alcotest.test_case "infeasible" `Quick test_infeasible;
       Alcotest.test_case "unbounded" `Quick test_unbounded;
       Alcotest.test_case "Beale degeneracy" `Quick test_degenerate_beale;
@@ -881,12 +798,6 @@ let suite =
         test_implied_looser_tighter;
       Alcotest.test_case "implied bound: negative coefficient" `Quick
         test_implied_negative_coefficient;
-      Alcotest.test_case "implied bound: free variable in row" `Quick
-        test_implied_free_in_row;
-      Alcotest.test_case "implied bound: lower-bound shift" `Quick
-        test_implied_lower_bounds;
-      Alcotest.test_case "implied bound: free with upper bound" `Quick
-        test_implied_free_with_bound;
       Alcotest.test_case "implied bound: infeasible row" `Quick
         test_implied_infeasible_row;
       Alcotest.test_case "implied bound: solve-graph rows and pivots" `Quick

@@ -13,7 +13,7 @@ let contains needle hay =
 let test_lp_pp () =
   let m = Lp.create () in
   let x = Lp.add_var ~ub:(Some (ri 4)) m "x" in
-  let y = Lp.add_var ~lb:None m "y" in
+  let y = Lp.add_var m "y" in
   Lp.add_constraint ~name:"cap" m
     (Lp.of_terms [ (ri 2, x); (R.of_ints (-1) 2, y) ])
     Lp.Le (ri 7);
@@ -22,7 +22,7 @@ let test_lp_pp () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("pp mentions " ^ needle) true (contains needle out))
-    [ "maximize"; "cap:"; "2 x"; "- 1/2 y"; "<= 7"; "bounds"; "-inf <= y" ];
+    [ "maximize"; "cap:"; "2 x"; "- 1/2 y"; "<= 7"; "bounds"; "0 <= x <= 4"; "0 <= y <= +inf" ];
   Alcotest.(check int) "num_vars" 2 (Lp.num_vars m);
   Alcotest.(check int) "num_constraints" 1 (Lp.num_constraints m);
   Alcotest.(check string) "find_var/var_name roundtrip" "x"

@@ -291,13 +291,13 @@ let test_damaged_records_cold_start () =
       ("version-skewed", fun b -> "steady-solve-store 999\n" ^ b);
     ]
 
-(* A current record rewritten in the "steady-ckpt 2" layout, which also
-   carried the reuse flag after the epoch and a timed-out count after the
-   master deficit. *)
-let v2_value value =
+(* The lines of a current record, the line index of each path count in
+   its decision log (in log order), and the index of the state's first
+   line, the master deficit, just after the log. *)
+let record_layout value =
   let lines = Array.of_list (String.split_on_char '\n' value) in
   (* lines 0-2: magic, epoch, log length; then the log *)
-  let pos = ref 3 in
+  let pos = ref 3 and counts = ref [] in
   let next () =
     incr pos;
     lines.(!pos - 1)
@@ -307,6 +307,7 @@ let v2_value value =
     if next () = "P" then begin
       ignore (next ());
       for _ = 1 to count () do
+        counts := !pos :: !counts;
         ignore (next ());
         for _ = 1 to count () do
           ignore (next ())
@@ -314,7 +315,17 @@ let v2_value value =
       done
     end
   done;
-  let deficit = !pos in
+  (lines, List.rev !counts, !pos)
+
+let replace_line lines k f =
+  String.concat "\n"
+    (Array.to_list (Array.mapi (fun i l -> if i = k then f l else l) lines))
+
+(* A current record rewritten in the "steady-ckpt 2" layout, which also
+   carried the reuse flag after the epoch and a timed-out count after the
+   master deficit. *)
+let v2_value value =
+  let lines, _, deficit = record_layout value in
   String.concat "\n"
     (List.concat
        (List.mapi
@@ -375,10 +386,55 @@ let test_previous_ckpt_format_cold_starts () =
       ("steady-ckpt 1", v1_value);
     ]
 
+(* A record whose envelope and decision log decode cleanly, but whose
+   replay does not rebuild the stored state.  The replay reaches the
+   resume boundary, the state it rebuilt encodes to other bytes, and the
+   resume quarantines the record and runs cold, with the uninterrupted
+   run's outcome.  Two edits:
+   - the retry counter of the state, in a record taken at epoch 3;
+   - epoch 0's path count to S1, 8 -> 9, in a record taken at epoch 4:
+     the replay then completes different work by epoch 3, so the work
+     mark the state holds for that boundary differs.  The state holds
+     completed work, not the simulator's queues: a count whose tasks
+     are all still queued at the resume boundary is not caught. *)
+let test_replay_mismatch_cold_starts () =
+  let sc = star_scenario () in
+  let uninterrupted = Dy.run sc Dy.Robust in
+  let bump l = string_of_int (int_of_string l + 1) in
+  let retries value =
+    let lines, _, state = record_layout value in
+    replace_line lines (state + 2) bump
+  in
+  let first_count value =
+    let lines, counts, _ = record_layout value in
+    Alcotest.(check string) "epoch 0 sends 8 tasks to S1" "8"
+      lines.(List.hd counts);
+    replace_line lines (List.hd counts) bump
+  in
+  List.iter
+    (fun (what, halt, edit) ->
+      let dir = fresh_dir () in
+      let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+      halt_run ~checkpoint ~halt sc;
+      let path, key, value = ckpt_record dir in
+      let edited = edit value in
+      Alcotest.(check bool) (what ^ ": record edited") false
+        (String.equal edited value);
+      rewrite_record path key edited;
+      let resumed, from = Dy.resume ~checkpoint sc in
+      Alcotest.(check (option int)) (what ^ ": cold start") None from;
+      Alcotest.(check bool) (what ^ ": record quarantined") true
+        (Sys.readdir (Filename.concat dir "quarantine") <> [||]);
+      Alcotest.(check bool) (what ^ ": answer unchanged") true
+        (Dy.outcomes_equal uninterrupted resumed);
+      rm_rf dir)
+    [ ("state counter", 3, retries); ("logged path count", 4, first_count) ]
+
 (* Fuzz the checkpoint record decoder behind a valid envelope: seeded
    truncations, lines replaced by integers and rationals at and past
-   [max_int] (the work marks go through [Rat.of_string]), zero
-   denominators and malformed numbers, and stray bytes.  [resume] must
+   [max_int], zero denominators and malformed numbers, and stray bytes.
+   Edits to the decision log meet the decoder; edits to the state after
+   it (the work marks among them) meet the replay's byte comparison.  [resume] must
    never raise, and whatever it makes of the record — a resume or a
    quarantine and cold start — the outcome is the uninterrupted run's. *)
 let fuzz_values =
@@ -622,6 +678,8 @@ let suite =
         test_previous_ckpt_format_cold_starts;
       Alcotest.test_case "checkpoint decoder fuzz" `Quick
         test_ckpt_decoder_fuzz;
+      Alcotest.test_case "replay mismatch cold starts" `Quick
+        test_replay_mismatch_cold_starts;
       Alcotest.test_case "orphan tempfile swept on resume" `Quick
         test_orphan_tmp_swept_on_resume;
       Alcotest.test_case "argument validation" `Quick test_argument_validation;

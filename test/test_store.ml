@@ -41,7 +41,7 @@ let fingerprint m = function
   | Lp.Optimal sol ->
     (R.to_string sol.Lp.objective
     :: List.map
-         (fun (name, _, _) ->
+         (fun (name, _) ->
            name ^ "=" ^ R.to_string (Lp.value_by_name m sol name))
          (Lp.var_bounds m))
     @ List.map
