@@ -72,48 +72,59 @@ let cancel_cycles_counted p f =
 
 let cancel_cycles p f = fst (cancel_cycles_counted p f)
 
-(* Kahn's pass over the support, the nodes on an edge of positive
-   flow: the longest-path depth of every node (0 off the support), and
-   whether every positive edge was relaxed, i.e. the support is
-   acyclic.  The depths do not depend on the queue order. *)
-let support_depths p f =
-  let n = P.num_nodes p in
-  let indeg = Array.make n 0 in
-  let positive = ref 0 in
-  for e = 0 to P.num_edges p - 1 do
-    if R.sign f.(e) > 0 then begin
-      incr positive;
-      indeg.(P.edge_dst p e) <- indeg.(P.edge_dst p e) + 1
-    end
+let support f =
+  let s = ref [] in
+  for e = Array.length f - 1 downto 0 do
+    if R.sign f.(e) > 0 then s := e :: !s
   done;
+  !s
+
+(* Kahn's pass over the support, the edges of positive flow: the
+   longest-path depth of every node (0 off the support), and whether
+   every support edge was relaxed, i.e. the support is acyclic.  Only
+   the support's nodes get an in-degree, and a node's support edges are
+   found in its out-edge range.  The depths do not depend on the queue
+   order. *)
+let support_depths p f support =
+  let indeg = Hashtbl.create 16 in
+  let degree i = Option.value ~default:0 (Hashtbl.find_opt indeg i) in
+  List.iter
+    (fun e ->
+      let j = P.edge_dst p e in
+      Hashtbl.replace indeg j (degree j + 1))
+    support;
   let q = Queue.create () in
-  for e = 0 to P.num_edges p - 1 do
-    let i = P.edge_src p e in
-    if R.sign f.(e) > 0 && indeg.(i) = 0 then begin
-      indeg.(i) <- -1 (* queued *);
-      Queue.add i q
-    end
-  done;
-  let delay = Array.make n 0 in
+  List.iter
+    (fun e ->
+      let i = P.edge_src p e in
+      if degree i = 0 then begin
+        Hashtbl.replace indeg i (-1) (* queued *);
+        Queue.add i q
+      end)
+    support;
+  let delay = Array.make (P.num_nodes p) 0 in
   let relaxed = ref 0 in
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
-    List.iter
-      (fun e ->
-        if R.sign f.(e) > 0 then begin
-          incr relaxed;
-          let j = P.edge_dst p e in
-          if delay.(i) + 1 > delay.(j) then delay.(j) <- delay.(i) + 1;
-          indeg.(j) <- indeg.(j) - 1;
-          if indeg.(j) = 0 then Queue.add j q
-        end)
-      (P.out_edges p i)
+    for k = P.out_lo p i to P.out_hi p i - 1 do
+      let e = P.out_edge p k in
+      if R.sign f.(e) > 0 then begin
+        incr relaxed;
+        let j = P.edge_dst p e in
+        if delay.(i) + 1 > delay.(j) then delay.(j) <- delay.(i) + 1;
+        let d = degree j - 1 in
+        Hashtbl.replace indeg j d;
+        if d = 0 then Queue.add j q
+      end
+    done
   done;
-  (delay, !relaxed = !positive)
+  (delay, !relaxed = List.length support)
 
-let is_acyclic p f = snd (support_depths p f)
+let is_acyclic p f = snd (support_depths p f (support f))
 
-let delays p f =
-  let delay, acyclic = support_depths p f in
+let support_delays p f support =
+  let delay, acyclic = support_depths p f support in
   if not acyclic then invalid_arg "Flow.delays: flow support is cyclic";
   delay
+
+let delays p f = support_delays p f (support f)

@@ -30,8 +30,15 @@ val is_acyclic : Platform.t -> t -> bool
 val balance : Platform.t -> t -> Platform.node -> Rat.t
 (** Inflow minus outflow at a node. *)
 
+val support : t -> Platform.edge list
+(** The edges with positive flow, ascending. *)
+
 val delays : Platform.t -> t -> int array
 (** Longest-path depth of each node in the DAG of positive-flow edges
     (nodes without positive inflow have delay 0).  Delaying node [i]'s
     periodic plan by [delays.(i)] periods guarantees non-negative buffers.
     @raise Invalid_argument if the flow support is cyclic. *)
+
+val support_delays : Platform.t -> t -> Platform.edge list -> int array
+(** [support_delays p f (support f)] is [delays p f]: the pass visits
+    the support's nodes and their out-edges only. *)

@@ -287,24 +287,34 @@ let solve ?cache ?stats p ~master =
 
 let solve_reduced = solve
 
+(* Built from the solution's positive entries, found in one scan: on
+   a tree the flow reaches a few nodes of thousands, and nothing here
+   walks the rest. *)
 let schedule ?strict ?stats sol =
   let p = sol.platform in
-  let period = Reconstruct.task_period p ~alpha:sol.alpha sol.task_flow in
-  let delays = Flow.delays p sol.task_flow in
+  let support = Flow.support sol.task_flow in
+  let active = ref [] in
+  for i = Array.length sol.alpha - 1 downto 0 do
+    if not (R.is_zero sol.alpha.(i)) then active := i :: !active
+  done;
+  (* per-node task rate: alpha_i / w_i *)
+  let rate i = R.mul sol.alpha.(i) (P.speed p i) in
+  let period =
+    Reconstruct.period
+      (List.map (fun e -> sol.task_flow.(e)) support @ List.map rate !active)
+  in
+  let delays = Flow.support_delays p sol.task_flow support in
   let compute =
     List.filter_map
       (fun i ->
-        if R.is_zero sol.alpha.(i) then None
-        else
-          (* per-node task rate: alpha_i / w_i *)
-          let tasks = R.mul period (R.mul sol.alpha.(i) (P.speed p i)) in
-          if R.sign tasks > 0 then Some (i, tasks) else None)
-      (P.nodes p)
+        let tasks = R.mul period (rate i) in
+        if R.sign tasks > 0 then Some (i, tasks) else None)
+      !active
   in
   Reconstruct.reconstruct ?strict ?stats p ~period
     ~transfers:
-      (Reconstruct.demands p ~period ~kind:0 ~item_size:R.one ~delays
-         sol.task_flow)
+      (Reconstruct.demands ~support p ~period ~kind:0 ~item_size:R.one
+         ~delays sol.task_flow)
     ~compute ~delays
 
 type run = {

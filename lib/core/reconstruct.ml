@@ -24,23 +24,24 @@ let task_period p ~alpha flow =
     alpha;
   period !rates
 
-let demands p ~period ~kind ~item_size ~delays flow =
+let demands ?support p ~period ~kind ~item_size ~delays flow =
+  let support =
+    match support with Some s -> s | None -> Flow.support flow
+  in
   List.filter_map
     (fun e ->
-      if R.is_zero flow.(e) then None
-      else
-        let items = R.mul period flow.(e) in
-        if R.sign items > 0 then
-          Some
-            {
-              S.d_edge = e;
-              d_kind = kind;
-              d_items = items;
-              d_item_size = item_size;
-              d_delay = delays.(P.edge_src p e);
-            }
-        else None)
-    (P.edges p)
+      let items = R.mul period flow.(e) in
+      if R.sign items > 0 then
+        Some
+          {
+            S.d_edge = e;
+            d_kind = kind;
+            d_items = items;
+            d_item_size = item_size;
+            d_delay = delays.(P.edge_src p e);
+          }
+      else None)
+    support
 
 (* port time a demand takes per period: its weight in the colouring *)
 let busy p d =

@@ -26,6 +26,7 @@ val task_period : Platform.t -> alpha:Rat.t array -> Flow.t -> Rat.t
     [alpha_i / w_i] and the per-edge task flows. *)
 
 val demands :
+  ?support:Platform.edge list ->
   Platform.t ->
   period:Rat.t ->
   kind:int ->
@@ -36,7 +37,8 @@ val demands :
 (** One demand of [period * flow e] items of [kind] per edge that
     carries any, in platform edge order, each delayed by
     [delays.(src e)] periods ({!Flow.delays} of the flow, for an
-    acyclic one). *)
+    acyclic one).  [?support] is the flow's {!Flow.support}, when the
+    caller has it. *)
 
 val certify : Schedule.t -> (unit, string) result
 (** Independent structural audit of a schedule:

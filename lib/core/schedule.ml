@@ -123,10 +123,9 @@ let run ~periods t =
   sim
 
 let completed sim =
-  R.sum
-    (List.map
-       (fun i -> Event_sim.completed_work sim i)
-       (P.nodes (Event_sim.platform sim)))
+  List.fold_left
+    (fun acc i -> R.add acc (Event_sim.completed_work sim i))
+    R.zero (Event_sim.computed_nodes sim)
 
 let tasks_per_period t = R.sum (List.map snd t.compute)
 

@@ -35,19 +35,21 @@ let detect p ~root =
   let order = Array.make n root in
   reached.(root) <- true;
   let head = ref 0 and tail = ref 1 in
-  (* out-edges of a node whose parent is [up]: false on a cycle *)
-  let rec scan up = function
-    | [] -> true
-    | e :: rest ->
-      let j = P.edge_dst p e in
-      if not reached.(j) then begin
-        reached.(j) <- true;
-        parent_edge.(j) <- e;
-        order.(!tail) <- j;
-        incr tail;
-        scan up rest
-      end
-      else j = up && scan up rest
+  (* out-edges k .. hi - 1 of a node whose parent is [up]: false on a
+     cycle *)
+  let rec scan up k hi =
+    k >= hi
+    ||
+    let e = P.out_edge p k in
+    let j = P.edge_dst p e in
+    if not reached.(j) then begin
+      reached.(j) <- true;
+      parent_edge.(j) <- e;
+      order.(!tail) <- j;
+      incr tail;
+      scan up (k + 1) hi
+    end
+    else j = up && scan up (k + 1) hi
   in
   let tree = ref true in
   while !tree && !head < !tail do
@@ -55,7 +57,8 @@ let detect p ~root =
     incr head;
     let e = parent_edge.(i) in
     child_lo.(i) <- !tail;
-    tree := scan (if e < 0 then -1 else P.edge_src p e) (P.out_edges p i);
+    tree :=
+      scan (if e < 0 then -1 else P.edge_src p e) (P.out_lo p i) (P.out_hi p i);
     child_hi.(i) <- !tail
   done;
   if !tree then

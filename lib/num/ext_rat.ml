@@ -56,9 +56,15 @@ let of_string s =
    the same way in either case. *)
 let is_digit c = match c with '0' .. '9' -> true | _ -> false
 
+(* [Fin] of each of Rat's shared small values, built once *)
+let shared_fin = Array.init (64 * 64) (fun k -> Fin (Rat.shared k))
+
 let of_substring s pos len =
-  if len > 0 && is_digit s.[pos] && is_digit s.[pos + len - 1] then
-    Fin (Rat.of_substring s pos len)
+  if len > 0 && is_digit s.[pos] && is_digit s.[pos + len - 1] then begin
+    let r = Rat.of_substring s pos len in
+    let k = Rat.shared_index r in
+    if k < 0 then Fin r else shared_fin.(k)
+  end
   else of_string (String.sub s pos len)
 
 let to_string = function Inf -> "inf" | Fin r -> Rat.to_string r

@@ -43,7 +43,9 @@ val of_string : string -> t
 
 val of_substring : string -> int -> int -> t
 (** [of_substring s pos len] is [of_string (String.sub s pos len)],
-    read in place when the value is a plain number. *)
+    read in place when the value is a plain number.  A shared small
+    value ({!Rat.of_substring}) comes with a shared [Fin] wrapper, so it
+    allocates nothing. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -355,6 +355,35 @@ let rec sep_index s stop i =
 let big_of_substring s pos len = of_string_big (String.sub s pos len)
 let signed negative r = if negative then neg r else r
 
+(* The shared small numbers: [shared_table.(n * 64 + d)] is the one
+   canonical value of n/d for 0 <= n, d < 64 and d <> 0 (unreduced
+   pairs share their reduced value), so the common values a parser
+   reads allocate nothing.  Built once; reading one costs a range test. *)
+let shared_table =
+  let a = Array.make (64 * 64) zero in
+  for n = 1 to 63 do
+    for d = 1 to 63 do
+      if gcd_int n d = 1 then a.((n * 64) + d) <- S (n, d)
+    done
+  done;
+  for n = 1 to 63 do
+    for d = 1 to 63 do
+      let g = gcd_int n d in
+      if g > 1 then a.((n * 64) + d) <- a.((n / g * 64) + (d / g))
+    done
+  done;
+  a
+
+let shared k = shared_table.(k)
+
+let shared_index = function
+  | S (n, d) when n >= 0 && n lor d < 64 -> (n * 64) + d
+  | S _ | Big _ -> -1
+
+(* n/d for 0 <= n and 1 <= d: from the table when both are below 64 *)
+let small_ratio n d =
+  if n lor d < 64 then shared_table.((n * 64) + d) else make_small n d
+
 (* Native-int path for [[+-]a], [[+-]a/b] and [[+-]a.b] with at most 18
    digits per part and [b <> 0]; every other string, malformed ones
    included, takes [of_string_big], which owns the error messages.  The
@@ -367,15 +396,18 @@ let of_substring s pos len =
   let k = sep_index s stop start in
   let whole = small_digits s start (k - start) in
   if whole < 0 then big_of_substring s pos len
-  else if k = stop then signed negative (S (whole, 1))
+  else if k = stop then signed negative (small_ratio whole 1)
   else begin
     let flen = stop - k - 1 in
     let frac = small_digits s (k + 1) flen in
     if frac < 0 then big_of_substring s pos len
-    else if s.[k] = '.' then
-      signed negative (add (S (whole, 1)) (make_small frac (pow10 flen)))
+    else if s.[k] = '.' then begin
+      let r = add (S (whole, 1)) (make_small frac (pow10 flen)) in
+      let i = shared_index r in
+      signed negative (if i < 0 then r else shared_table.(i))
+    end
     else if frac = 0 then big_of_substring s pos len
-    else signed negative (make_small whole frac)
+    else signed negative (small_ratio whole frac)
   end
 
 let of_string s = of_substring s 0 (String.length s)

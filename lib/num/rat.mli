@@ -42,7 +42,18 @@ val of_string : string -> t
 val of_substring : string -> int -> int -> t
 (** [of_substring s pos len] is [of_string (String.sub s pos len)]; the
     common short forms (at most 18 digits per part) are read in place,
-    without the copy or a {!Bigint} detour. *)
+    without the copy or a {!Bigint} detour.  A value [n/d] with
+    [0 <= n < 64] and [1 <= d < 64] comes from a fixed table of shared
+    values ({!shared}), so it allocates nothing. *)
+
+val shared_index : t -> int
+(** [n * 64 + d] for the value [n/d] in lowest terms when
+    [0 <= n < 64] and [d < 64], else [-1]: its index in the table
+    {!of_substring} returns small values from. *)
+
+val shared : int -> t
+(** [shared (shared_index r)] is [r], physically the table's copy.
+    @raise Invalid_argument outside [0 .. 4095]. *)
 
 (** {1 Accessors} *)
 

@@ -10,8 +10,12 @@ type t = {
   srcs : int array;
   dsts : int array;
   costs : R.t array;
-  out_adj : edge list array; (* edge indices, ascending *)
-  in_adj : edge list array;
+  out_off : int array;
+      (* CSR: node i's out-edges are out_e.(out_off.(i) .. out_off.(i +
+         1) - 1), ascending *)
+  out_e : edge array;
+  in_off : int array; (* likewise for in-edges *)
+  in_e : edge array;
   slots : int array; (* the name table, see [lookup] *)
 }
 
@@ -57,6 +61,31 @@ let rec insert slots names i k =
   else
     (not (String.equal names.(v - 1) names.(i)))
     && insert slots names i ((k + 1) land (Array.length slots - 1))
+
+(* Compressed adjacency of the first [count] edges by their [ends]
+   (sources or destinations): offsets [off] of length [p + 1] and the
+   edges [es], each node's range ascending.  A counting sort: [off]
+   counts, then serves as the fill cursor, then shifts back into the
+   range starts. *)
+let csr p count ends =
+  let off = Array.make (p + 1) 0 in
+  for k = 0 to count - 1 do
+    off.(ends.(k) + 1) <- off.(ends.(k) + 1) + 1
+  done;
+  for i = 1 to p do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  let es = Array.make count 0 in
+  for k = 0 to count - 1 do
+    let i = ends.(k) in
+    es.(off.(i)) <- k;
+    off.(i) <- off.(i) + 1
+  done;
+  for i = p downto 1 do
+    off.(i) <- off.(i - 1)
+  done;
+  off.(0) <- 0;
+  (off, es)
 
 (* The checks [create] documents, in its order: names, weights, then
    the first failing edge in list order, where one edge fails on range,
@@ -118,29 +147,22 @@ let build ~names ~weights ~edges =
      edge that repeats an earlier one, one source at a time, with a
      stamp per destination *)
   let bad = first_bad 0 in
-  let out_adj = Array.make p [] and in_adj = Array.make p [] in
-  for k = bad - 1 downto 0 do
-    out_adj.(srcs.(k)) <- k :: out_adj.(srcs.(k));
-    in_adj.(dsts.(k)) <- k :: in_adj.(dsts.(k))
-  done;
+  let out_off, out_e = csr p bad srcs and in_off, in_e = csr p bad dsts in
   let seen_from = Array.make p (-1) in
   let dup = ref bad in
-  let rec stamp i = function
-    | [] -> ()
-    | k :: rest ->
-      let j = dsts.(k) in
-      if seen_from.(j) = i then dup := min !dup k else seen_from.(j) <- i;
-      stamp i rest
-  in
   for i = 0 to p - 1 do
-    stamp i out_adj.(i)
+    for k = out_off.(i) to out_off.(i + 1) - 1 do
+      let j = dsts.(out_e.(k)) in
+      if seen_from.(j) = i then dup := min !dup out_e.(k)
+      else seen_from.(j) <- i
+    done
   done;
   if !dup < bad then
     invalid_arg
       (Printf.sprintf "Platform.create: duplicate edge %s->%s"
          names.(srcs.(!dup)) names.(dsts.(!dup)));
   Option.iter invalid_arg (if bad < m then edge_error bad else None);
-  { names; weights; srcs; dsts; costs; out_adj; in_adj; slots }
+  { names; weights; srcs; dsts; costs; out_off; out_e; in_off; in_e; slots }
 
 let create ~names ~weights ~edges =
   build ~names ~weights ~edges:(fun _ ->
@@ -174,11 +196,28 @@ let edges t = List.init (num_edges t) Fun.id
 let edge_src t e = t.srcs.(e)
 let edge_dst t e = t.dsts.(e)
 let edge_cost t e = t.costs.(e)
-let out_edges t i = t.out_adj.(i)
-let in_edges t i = t.in_adj.(i)
+let out_lo t i = t.out_off.(i)
+let out_hi t i = t.out_off.(i + 1)
+let out_edge t k = t.out_e.(k)
+let in_lo t i = t.in_off.(i)
+let in_hi t i = t.in_off.(i + 1)
+let in_edge t k = t.in_e.(k)
+
+(* the range's edges as a list, ascending *)
+let range_list es lo hi =
+  let rec go k acc = if k < lo then acc else go (k - 1) (es.(k) :: acc) in
+  go (hi - 1) []
+
+let out_edges t i = range_list t.out_e t.out_off.(i) t.out_off.(i + 1)
+let in_edges t i = range_list t.in_e t.in_off.(i) t.in_off.(i + 1)
 
 let find_edge t i j =
-  List.find_opt (fun e -> t.dsts.(e) = j) t.out_adj.(i)
+  let rec go k =
+    if k >= t.out_off.(i + 1) then None
+    else if t.dsts.(t.out_e.(k)) = j then Some t.out_e.(k)
+    else go (k + 1)
+  in
+  go t.out_off.(i)
 
 let edge_name t e =
   Printf.sprintf "%s->%s" t.names.(t.srcs.(e)) t.names.(t.dsts.(e))
@@ -197,7 +236,7 @@ let reachable_from t start =
               seen.(j) <- true;
               j :: acc
             end)
-          rest t.out_adj.(i)
+          rest (out_edges t i)
       in
       go next
   in
@@ -221,7 +260,7 @@ let depth_from t start =
           if dist.(j) > !maxd then maxd := dist.(j);
           Queue.add j q
         end)
-      t.out_adj.(i)
+      (out_edges t i)
   done;
   !maxd
 
@@ -258,7 +297,7 @@ let dijkstra t sources =
           | Some _ | None ->
             dist.(v) <- Some nd;
             via.(v) <- Some e)
-        t.out_adj.(u);
+        (out_edges t u);
       pick ()
   in
   pick ();
@@ -305,7 +344,7 @@ let reachable_via t ~alive start =
               seen.(j) <- true;
               j :: acc
             end)
-          rest t.out_adj.(i)
+          rest (out_edges t i)
       in
       go next
   in

@@ -79,7 +79,22 @@ val edge_dst : t -> edge -> node
 val edge_cost : t -> edge -> Rat.t
 val edges : t -> edge list
 val out_edges : t -> node -> edge list
+(** The edges leaving a node, ascending. *)
+
 val in_edges : t -> node -> edge list
+(** The edges entering a node, ascending. *)
+
+(** The same edges without a list: a node's out-edges are [out_edge p k]
+    for [k] from [out_lo p i] to [out_hi p i - 1], ascending (compressed
+    sparse rows); likewise for in-edges. *)
+
+val out_lo : t -> node -> int
+val out_hi : t -> node -> int
+val out_edge : t -> int -> edge
+val in_lo : t -> node -> int
+val in_hi : t -> node -> int
+val in_edge : t -> int -> edge
+
 val find_edge : t -> node -> node -> edge option
 val edge_name : t -> edge -> string
 (** ["src->dst"] using node names; for diagnostics and LP variable names. *)

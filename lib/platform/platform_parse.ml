@@ -28,38 +28,94 @@ let slice_is text s e lit =
   done;
   !i = l
 
-(* the node named by the endpoint at offsets eline.(k), eline.(k + 1)
-   of the edge line at [b], looked up where it stands *)
-let endpoint find text eline b k =
-  let s = eline.(k) and e = eline.(k + 1) in
+(* the end of the word that starts at [s] *)
+let word_end text s =
+  let e = ref s in
+  while !e < String.length text && kind_at text !e = '\000' do incr e done;
+  !e
+
+(* the start of the word after the one that ends at [e] *)
+let next_word text e =
+  let s = ref e in
+  while kind_at text !s = '\001' do incr s done;
+  !s
+
+(* the line number of offset [s]: one plus the newlines before it *)
+let line_of text s =
+  let n = ref 1 in
+  for i = 0 to s - 1 do
+    if String.unsafe_get text i = '\n' then incr n
+  done;
+  !n
+
+(* the node named by the word at [s] to [e], looked up where it
+   stands *)
+let endpoint find text s e =
   let i = find text s e in
-  if i < 0 then raise (Undeclared (eline.(b + 4), String.sub text s (e - s)));
+  if i < 0 then raise (Undeclared (line_of text s, String.sub text s (e - s)));
   i
+
+(* A sequence that grows by chunks, each as long as the sequence
+   before it (8 at first), newest chunk first: growing copies nothing,
+   and the chunks hold less than twice the entries, plus 8. *)
+type 'a chunks = {
+  fill : 'a;
+  mutable full : 'a array list; (* newest first *)
+  mutable cur : 'a array;
+  mutable used : int; (* entries in [cur] *)
+  mutable count : int;
+}
+
+let chunks fill = { fill; full = []; cur = [||]; used = 0; count = 0 }
+
+let push c x =
+  if c.used = Array.length c.cur then begin
+    if c.count > 0 then c.full <- c.cur :: c.full;
+    c.cur <- Array.make (max 8 c.count) c.fill;
+    c.used <- 0
+  end;
+  c.cur.(c.used) <- x;
+  c.used <- c.used + 1;
+  c.count <- c.count + 1
+
+let to_array c =
+  let a = Array.make c.count c.fill in
+  let stop = ref (c.count - c.used) in
+  Array.blit c.cur 0 a !stop c.used;
+  List.iter
+    (fun ch ->
+      stop := !stop - Array.length ch;
+      Array.blit ch 0 a !stop (Array.length ch))
+    c.full;
+  a
+
+(* [f x y] on the entries of two sequences pushed in step, last
+   first *)
+let iter2_rev f a b =
+  let chunk ca cb used =
+    for k = used - 1 downto 0 do
+      f ca.(k) cb.(k)
+    done
+  in
+  chunk a.cur b.cur a.used;
+  List.iter2 (fun ca cb -> chunk ca cb (Array.length ca)) a.full b.full
 
 (* One pass over the text by index, each byte read once: a line's words
    are kept as offsets up to its first '#', so only node names are
-   copied out and numbers are read in place.  Edge lines go to flat
-   arrays, their endpoints as offsets into the text.  Once every node
-   is declared, each endpoint is resolved against the platform's own
-   name table by hashing and comparing its slice where it stands.  All
-   arrays start empty and double, so what is allocated follows the
-   declarations read, not the byte count. *)
+   copied out and numbers are read in place.  An edge line keeps one
+   int, where its source starts in the text and whether it is a link;
+   the rest of its names and its line number are found again from the
+   text when needed.  Once every node is declared, each endpoint is
+   resolved against the platform's own name table by hashing and
+   comparing its slice where it stands.  The declarations go to
+   [chunks], so what is allocated follows the declarations read, not
+   the byte count, and growing copies nothing. *)
 let of_string text =
   let len = String.length text in
-  (* room for [k] more entries at [n] in [!a], doubling when full *)
-  let room a n k fill =
-    if n + k > Array.length !a then begin
-      let b = Array.make (2 * (n + k)) fill in
-      Array.blit !a 0 b 0 n;
-      a := b
-    end
-  in
-  let names = ref [||] and weights = ref [||] in
-  let nnodes = ref 0 in
-  (* per edge line: source and destination offsets, line number, link *)
-  let stride = 6 in
-  let eline = ref [||] and ecost = ref [||] in
-  let nlines = ref 0 and nedges = ref 0 in
+  let names = chunks "" and weights = chunks E.inf in
+  (* per edge line: the source's offset, doubled, plus one for a link *)
+  let eline = chunks 0 and ecost = chunks R.zero in
+  let nedges = ref 0 in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
   let word k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
@@ -96,60 +152,46 @@ let of_string text =
     | 0 -> ()
     | 3 when is 0 "node" ->
       let w = attr lineno 2 'w' E.of_substring in
-      room names !nnodes 1 "";
-      room weights !nnodes 1 E.inf;
-      !names.(!nnodes) <- word 1;
-      !weights.(!nnodes) <- w;
-      incr nnodes
+      push names (word 1);
+      push weights w
     | 4 when is 0 "edge" || is 0 "link" ->
       let c = attr lineno 3 'c' R.of_substring in
       let link = is 0 "link" in
-      let b = stride * !nlines in
-      room eline b stride 0;
-      room ecost !nlines 1 R.zero;
-      let eline = !eline in
-      eline.(b) <- starts.(1);
-      eline.(b + 1) <- stops.(1);
-      eline.(b + 2) <- starts.(2);
-      eline.(b + 3) <- stops.(2);
-      eline.(b + 4) <- lineno;
-      eline.(b + 5) <- Bool.to_int link;
-      !ecost.(!nlines) <- c;
-      incr nlines;
+      push eline ((2 * starts.(1)) + Bool.to_int link);
+      push ecost c;
       nedges := !nedges + 1 + Bool.to_int link
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
     pos := !i + 1
   done;
   (* last line first, destination before source: the first undeclared
      name reported is always the same one.  A link is both directions. *)
-  let eline = !eline and ecost = !ecost in
   let resolve find =
     let m = !nedges in
     let srcs = Array.make m 0 and dsts = Array.make m 0 in
     let costs = Array.make m R.zero in
     let e = ref m in
-    for l = !nlines - 1 downto 0 do
-      let b = stride * l in
-      let j = endpoint find text eline b (b + 2) in
-      let i = endpoint find text eline b b in
-      let c = ecost.(l) in
-      if eline.(b + 5) = 1 then begin
+    iter2_rev
+      (fun line c ->
+        let a = line / 2 in
+        let a' = word_end text a in
+        let b = next_word text a' in
+        let j = endpoint find text b (word_end text b) in
+        let i = endpoint find text a a' in
+        if line land 1 = 1 then begin
+          decr e;
+          srcs.(!e) <- j;
+          dsts.(!e) <- i;
+          costs.(!e) <- c
+        end;
         decr e;
-        srcs.(!e) <- j;
-        dsts.(!e) <- i;
-        costs.(!e) <- c
-      end;
-      decr e;
-      srcs.(!e) <- i;
-      dsts.(!e) <- j;
-      costs.(!e) <- c
-    done;
+        srcs.(!e) <- i;
+        dsts.(!e) <- j;
+        costs.(!e) <- c)
+      eline ecost;
     (srcs, dsts, costs)
   in
   match
-    Platform.build
-      ~names:(Array.sub !names 0 !nnodes)
-      ~weights:(Array.sub !weights 0 !nnodes)
+    Platform.build ~names:(to_array names) ~weights:(to_array weights)
       ~edges:resolve
   with
   | p -> p

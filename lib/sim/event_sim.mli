@@ -54,7 +54,9 @@ val create :
   ?bw_traces:(Platform.edge * trace) list ->
   Platform.t ->
   t
-(** A simulator at time 0 with nothing submitted.
+(** A simulator at time 0 with nothing submitted.  It keeps state only
+    for the nodes and edges that a trace or a submission names, so
+    creating one costs the same on any platform.
     @raise Invalid_argument on a trace with a negative time or
     multiplier, or breakpoints that are not strictly increasing. *)
 
@@ -150,12 +152,20 @@ val run : t -> unit
     returns there is no pending or running operation left and every
     casualty is visible through [on_cancel] and {!cancelled_ops}. *)
 
-(** {1 Measurements} *)
+(** {1 Measurements}
+
+    A node or edge that no submission has used reads zero.  The
+    queries raise [Invalid_argument] on a node or edge out of range. *)
 
 val completed_work : t -> Platform.node -> Rat.t
 (** Total computational units finished on this node so far. *)
 
 val completed_compute_count : t -> Platform.node -> int
+
+val computed_nodes : t -> Platform.node list
+(** The nodes with at least one finished computation, ascending: every
+    other node's {!completed_work} is zero. *)
+
 val transferred : t -> Platform.edge -> Rat.t
 (** Total data units whose transfer over this edge has completed. *)
 

@@ -1,8 +1,11 @@
 (* Reference oracle for Platform_parse.of_string: the list-based parser
    the one-pass scanner replaced (split into lines, cut comments, split
-   into words), with two fixes that the scanner shares: carriage returns
-   count as whitespace, and a malformed [key=<value>] word is reported
-   with one line prefix, not two.  The tests
+   into words), with three fixes that the scanner shares: carriage
+   returns count as whitespace, a malformed [key=<value>] word is
+   reported with one line prefix, not two, and a link is its forward
+   edge, then its reverse (the list-based parser put the reverse
+   first, which only an accepted one-way link or an error on a link's
+   edge shows).  The tests
    require both to accept the same texts with [Platform.equal] results
    and to reject the others with the same message. *)
 
@@ -27,7 +30,7 @@ let parse_attr lineno key tok =
 
 let of_string text =
   let nodes = ref [] (* (name, weight), reversed *) in
-  let edges = ref [] (* (src name, dst name, cost, lineno), reversed *) in
+  let edges = ref [] (* (src name, dst name, cost, lineno, link), reversed *) in
   let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i line ->
@@ -50,13 +53,13 @@ let of_string text =
           let v = parse_attr lineno "c" attr in
           try R.of_string v with Invalid_argument m -> fail lineno m
         in
-        edges := (a, b, c, lineno) :: !edges
+        edges := (a, b, c, lineno, false) :: !edges
       | [ "link"; a; b; attr ] ->
         let c =
           let v = parse_attr lineno "c" attr in
           try R.of_string v with Invalid_argument m -> fail lineno m
         in
-        edges := (a, b, c, lineno) :: (b, a, c, lineno) :: !edges
+        edges := (a, b, c, lineno, true) :: !edges
       | w :: _ -> fail lineno (Printf.sprintf "unknown declaration %S" w))
     lines;
   let nodes = List.rev !nodes in
@@ -69,10 +72,14 @@ let of_string text =
     | Some i -> i
     | None -> fail lineno (Printf.sprintf "undeclared node %S" n)
   in
+  (* last line first, destination before source *)
   let edge_list =
-    List.rev_map
-      (fun (a, b, c, lineno) -> (resolve lineno a, resolve lineno b, c))
-      !edges
+    List.fold_left
+      (fun acc (a, b, c, lineno, link) ->
+        let j = resolve lineno b in
+        let i = resolve lineno a in
+        if link then (i, j, c) :: (j, i, c) :: acc else (i, j, c) :: acc)
+      [] !edges
   in
   try Platform.create ~names ~weights ~edges:edge_list
   with Invalid_argument m -> invalid_arg ("Platform_parse: " ^ m)

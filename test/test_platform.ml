@@ -605,6 +605,98 @@ let test_parse_fuzz_prefixes () =
   Alcotest.(check bool) "some accepted" true (!accepted > 200);
   Alcotest.(check bool) "some rejected" true (!rejected > 200)
 
+(* Platform texts whose numbers mostly fall outside the parser's table
+   of shared small values (n/d with n, d < 64): large numerators and
+   denominators, integers from 64 on, decimals, a few bignums, zeros
+   and unreduced spellings, with in-table values and the table's edges
+   mixed in.  Deterministic: the allocation bound below is read on this
+   corpus. *)
+let out_of_table_texts () =
+  let g = Faults.generator ~seed:79 in
+  let rand = Faults.rand_int g in
+  let number () =
+    match rand 10 with
+    | 0 -> string_of_int (64 + rand 1_000_000)
+    | 1 -> Printf.sprintf "%d/%d" (1 + rand 1_000_000_000) (1 + rand 1_000_000_000)
+    | 2 -> Printf.sprintf "%d/%d" (1 + rand 63) (64 + rand 1000)
+    | 3 -> Printf.sprintf "%d.%d" (rand 1000) (rand 100_000)
+    | 4 -> Printf.sprintf "%d.%02d" (rand 64) (rand 100)
+    | 5 -> Printf.sprintf "12345678901234567890%d/%d" (rand 10) (1 + rand 97)
+    | 6 ->
+      let k = 1 + rand 9 in
+      Printf.sprintf "%d/%d" (k * (1 + rand 70)) (k * (1 + rand 70))
+    | 7 -> List.nth [ "63/64"; "64/63"; "63"; "64"; "1/63"; "1/64"; "0.5"; "0" ] (rand 8)
+    | _ -> Printf.sprintf "%d/%d" (rand 64) (1 + rand 63)
+  in
+  List.init 400 (fun _ ->
+      let n = 2 + rand 7 in
+      let buf = Buffer.create 256 in
+      for i = 0 to n - 1 do
+        Printf.bprintf buf "node P%d w=%s\n" i
+          (if rand 6 = 0 then "inf" else number ())
+      done;
+      for _ = 1 to n + rand n do
+        let i = rand n and j = rand n in
+        if i <> j then
+          Printf.bprintf buf "%s P%d P%d c=%s\n"
+            (if rand 3 = 0 then "link" else "edge")
+            i j (number ())
+      done;
+      Buffer.contents buf)
+
+(* Each text parses as the reference has it, and the parser allocates
+   no more than the one before the shared table and one-int edge lines
+   did on the same corpus: 326 457 words, rejected texts included
+   (this parser reads 301 115). *)
+let test_parse_out_of_table () =
+  let texts = out_of_table_texts () in
+  let accepted =
+    List.length (List.filter Fun.id (List.mapi agrees_with_reference texts))
+  in
+  Alcotest.(check bool) "some accepted" true (accepted > 100);
+  Alcotest.(check bool) "some rejected" true (accepted < 380);
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  List.iter
+    (fun t -> try ignore (Platform_parse.of_string t) with Invalid_argument _ -> ())
+    texts;
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  if words > 326_457. then
+    Alcotest.failf "parsing the corpus allocated %.0f words" words
+
+(* The adjacency ranges read the same ascending lists as filtering the
+   edges by endpoint, on random platforms and on the platforms
+   [transpose], [restrict] and [restrict_nodes] build from them. *)
+let prop_adjacency_ranges =
+  let agrees q =
+    let range lo hi at = List.init (hi - lo) (fun k -> at q (lo + k)) in
+    List.for_all
+      (fun i ->
+        let outs = List.filter (fun e -> P.edge_src q e = i) (P.edges q)
+        and ins = List.filter (fun e -> P.edge_dst q e = i) (P.edges q) in
+        P.out_edges q i = outs
+        && P.in_edges q i = ins
+        && range (P.out_lo q i) (P.out_hi q i) P.out_edge = outs
+        && range (P.in_lo q i) (P.in_hi q i) P.in_edge = ins)
+      (P.nodes q)
+  in
+  QCheck.Test.make ~name:"adjacency ranges = ascending edge lists" ~count:100
+    (QCheck.pair (QCheck.int_range 2 30) (QCheck.int_range 0 999))
+    (fun (n, seed) ->
+      let p =
+        Platform_gen.random_graph ~seed:((n * 1000) + seed) ~nodes:n
+          ~extra_edges:(seed mod (2 * n)) ()
+      in
+      let r =
+        P.restrict p
+          ~keep_node:(fun i -> i = 0 || (i + seed) mod 4 <> 1)
+          ~keep_edge:(fun e -> ((e * 7) + seed) mod 5 <> 0)
+      in
+      let sub, _ = P.restrict_nodes p ~keep:(fun i -> ((i * 3) + seed) mod 5 <> 2) in
+      List.for_all agrees [ p; P.transpose p; r.P.sub; sub; P.transpose sub ])
+
 (* The parser's arrays follow the declarations it reads, not the byte
    count: 2 MB of comments around a two-node platform must not make it
    allocate in proportion to the text (sizing by bytes, at one entry
@@ -677,4 +769,7 @@ let suite =
         test_parse_fuzz_prefixes;
       Alcotest.test_case "parse allocation follows declarations" `Quick
         test_parse_alloc;
+      Alcotest.test_case "parse fuzz: numbers outside the shared table" `Quick
+        test_parse_out_of_table;
+      q prop_adjacency_ranges;
     ] )

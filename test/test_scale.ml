@@ -744,6 +744,58 @@ let prop_collective_send_frac =
            (fun e -> R.equal sol.Collective.send_frac.(e) (law e))
            (P.edges p))
 
+(* Words a call allocates: minor plus major less promoted, with the
+   minor heap emptied on both sides so that the minor count is exact
+   and every promotion counted is of a word the call allocated. *)
+let allocated f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* The simulator keeps state only for what the schedule touches: on a
+   10^5-node chain (w = 1, c = 1) the flow uses the master and P1, and
+   running six periods of its schedule allocates the same few thousand
+   words as on a 100-node chain.  A simulator sized by the platform
+   allocated 5.8 million words here. *)
+let test_sim_alloc () =
+  let run n =
+    let p =
+      Platform_gen.chain ~weights:(List.init n (fun _ -> Ext_rat.one)) ~cost:R.one ()
+    in
+    let sched = Master_slave.schedule (Master_slave.solve p ~master:0) in
+    Alcotest.(check (list int)) "computing nodes" [ 0; 1 ]
+      (List.map fst sched.Schedule.compute);
+    let done_, words =
+      allocated (fun () -> Schedule.completed (Schedule.run ~periods:6 sched))
+    in
+    Alcotest.check rat "tasks" (R.of_int 11) done_;
+    words
+  in
+  let small = run 100 and large = run 100_000 in
+  if large > 20_000. then
+    Alcotest.failf "Schedule.run allocated %.0f words on a 10^5-node chain" large;
+  Alcotest.(check (float 0.)) "the same words at n = 10^2 and 10^5" small large
+
+(* One solve-tree op, parse to simulation, on a 10^4-node random tree:
+   616 515 words when this bound was set (the parser, schedule and
+   simulator sized by the platform allocated 2 010 084). *)
+let test_op_alloc () =
+  let text =
+    Platform_parse.to_string (Platform_gen.random_tree ~seed:7 ~nodes:10_000 ())
+  in
+  let _, words =
+    allocated (fun () ->
+        let p = Platform_parse.of_string text in
+        let sol = Master_slave.solve p ~master:0 in
+        let sched = Master_slave.schedule sol in
+        (sched, Master_slave.simulate ~periods:6 sol))
+  in
+  if words > 770_000. then
+    Alcotest.failf "a 10^4-node solve-tree op allocated %.0f words" words
+
 let suite =
   ( "scale",
     [
@@ -792,5 +844,8 @@ let suite =
         test_hashed_cache_distinguishes;
       QCheck_alcotest.to_alcotest prop_lazy_sweep_eager;
       Alcotest.test_case "tree sweep: 10^5-node chain" `Quick test_long_chain;
+      Alcotest.test_case "simulator allocation follows the flow" `Quick
+        test_sim_alloc;
+      Alcotest.test_case "solve-tree op allocation" `Quick test_op_alloc;
       QCheck_alcotest.to_alcotest prop_collective_send_frac;
     ] )
