@@ -323,9 +323,6 @@ type outcome = {
   losses : loss_report;
 }
 
-let total_work sim p =
-  R.sum (List.map (fun i -> Event_sim.completed_work sim i) (P.nodes p))
-
 (* Surviving subplatform: what the master still reaches over links with a
    positive multiplier, scaled by the given multipliers; a surviving node
    whose CPU multiplier is zero keeps relaying but cannot compute
@@ -453,7 +450,7 @@ let run_classic ?cache ?stats sc strategy =
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
     Event_sim.at sim t0 (fun sim ->
-        marks := total_work sim p :: !marks;
+        marks := Schedule.completed sim :: !marks;
         let transfers, master_tasks = plan_for t0 in
         (* unit task files, each enabling one unit of computation on
            terminal arrival *)
@@ -464,7 +461,7 @@ let run_classic ?cache ?stats sc strategy =
   done;
   let horizon = R.mul (R.of_int sc.phases) sc.phase in
   Event_sim.run_until sim horizon;
-  let completed = total_work sim p in
+  let completed = Schedule.completed sim in
   {
     strategy;
     completed;
@@ -911,7 +908,7 @@ let run_robust ?cache ?stats ?ckpt sc =
           if k > resume_epoch then write_ckpt k;
           halt_check k
         end;
-        marks := total_work sim p :: !marks;
+        marks := Schedule.completed sim :: !marks;
         (* detection-driven cancellation: a task file whose current hop
            sits on a link now known dead is going nowhere — free the
            one-port slots it holds (or its queue position) and re-queue
@@ -1085,7 +1082,7 @@ let run_robust ?cache ?stats ?ckpt sc =
           done)
   done;
   Event_sim.run_until sim horizon;
-  let completed = total_work sim p in
+  let completed = Schedule.completed sim in
   let reachable =
     P.reachable_via p ~alive:(fun e -> not dead_bw.(e)) sc.master
   in

@@ -363,13 +363,9 @@ let shared_table =
   let a = Array.make (64 * 64) zero in
   for n = 1 to 63 do
     for d = 1 to 63 do
-      if gcd_int n d = 1 then a.((n * 64) + d) <- S (n, d)
-    done
-  done;
-  for n = 1 to 63 do
-    for d = 1 to 63 do
       let g = gcd_int n d in
-      if g > 1 then a.((n * 64) + d) <- a.((n / g * 64) + (d / g))
+      (* a reduced pair with g > 1 lies in an earlier row *)
+      a.((n * 64) + d) <- (if g = 1 then S (n, d) else a.((n / g * 64) + (d / g)))
     done
   done;
   a

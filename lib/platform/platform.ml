@@ -199,9 +199,6 @@ let edge_cost t e = t.costs.(e)
 let out_lo t i = t.out_off.(i)
 let out_hi t i = t.out_off.(i + 1)
 let out_edge t k = t.out_e.(k)
-let in_lo t i = t.in_off.(i)
-let in_hi t i = t.in_off.(i + 1)
-let in_edge t k = t.in_e.(k)
 
 (* the range's edges as a list, ascending *)
 let range_list es lo hi =

@@ -84,16 +84,13 @@ val out_edges : t -> node -> edge list
 val in_edges : t -> node -> edge list
 (** The edges entering a node, ascending. *)
 
-(** The same edges without a list: a node's out-edges are [out_edge p k]
-    for [k] from [out_lo p i] to [out_hi p i - 1], ascending (compressed
-    sparse rows); likewise for in-edges. *)
+(** The out-edges without a list: [out_edge p k] for [k] from
+    [out_lo p i] to [out_hi p i - 1] are node [i]'s out-edges, ascending
+    (compressed sparse rows). *)
 
 val out_lo : t -> node -> int
 val out_hi : t -> node -> int
 val out_edge : t -> int -> edge
-val in_lo : t -> node -> int
-val in_hi : t -> node -> int
-val in_edge : t -> int -> edge
 
 val find_edge : t -> node -> node -> edge option
 val edge_name : t -> edge -> string
