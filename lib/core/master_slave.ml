@@ -18,42 +18,53 @@ let check_master fn p master =
   if master < 0 || master >= P.num_nodes p then
     invalid_arg (fn ^ ": master out of range")
 
-let ports_lp fn ports p ~master =
+(* The LP on the kept nodes: their activity variables, the send
+   variables of the edges between them, and their rows, under the names
+   and in the relative order of the whole model's. *)
+let ports_lp_on fn ports p ~master keep =
   check_master fn p master;
   let m = Lp.create () in
-  let n = P.num_nodes p in
   let unit_iv = Some R.one in
+  let kept_edge e = keep (P.edge_src p e) && keep (P.edge_dst p e) in
   let alpha_v =
-    Array.init n (fun i ->
-        Lp.add_var ~ub:unit_iv m (Printf.sprintf "alpha_%s" (P.name p i)))
+    Array.init (P.num_nodes p) (fun i ->
+        if keep i then
+          Some (Lp.add_var ~ub:unit_iv m ("alpha_" ^ P.name p i))
+        else None)
   in
   let s_v =
     Array.init (P.num_edges p) (fun e ->
-        Lp.add_var ~ub:unit_iv m (Printf.sprintf "s_%s" (P.edge_name p e)))
+        if kept_edge e then
+          Some (Lp.add_var ~ub:unit_iv m ("s_" ^ P.edge_name p e))
+        else None)
   in
+  let s e = Option.get s_v.(e) in
+  let nodes = List.filter keep (P.nodes p) in
+  let outs i = List.filter kept_edge (P.out_edges p i)
+  and ins i = List.filter kept_edge (P.in_edges p i) in
   (* port constraints: the only rows the models of the family differ in *)
   let port name es budget =
     if es <> [] then
       Lp.add_constraint ~name m
-        (Lp.sum (List.map (fun e -> Lp.var s_v.(e)) es))
+        (Lp.sum (List.map (fun e -> Lp.var (s e)) es))
         Lp.Le budget
   in
   List.iter
     (fun i ->
-      let outs = P.out_edges p i and ins = P.in_edges p i in
+      let outs = outs i and ins = ins i in
       match ports with
       | Duplex (send, recv) ->
         port ("outport_" ^ P.name p i) outs (send i);
         port ("inport_" ^ P.name p i) ins (recv i)
       | Half_duplex -> port ("port_" ^ P.name p i) (outs @ ins) R.one)
-    (P.nodes p);
+    nodes;
   (* the master receives nothing *)
   List.iter
     (fun e ->
       Lp.add_constraint
-        ~name:(Printf.sprintf "nomaster_%s" (P.edge_name p e))
-        m (Lp.var s_v.(e)) Lp.Eq R.zero)
-    (P.in_edges p master);
+        ~name:("nomaster_" ^ P.edge_name p e)
+        m (Lp.var (s e)) Lp.Eq R.zero)
+    (ins master);
   (* conservation at every non-master node:
      sum_in s/c = alpha * speed + sum_out s/c *)
   List.iter
@@ -61,26 +72,34 @@ let ports_lp fn ports p ~master =
       if i <> master then begin
         let inflow =
           List.map
-            (fun e -> Lp.term (R.inv (P.edge_cost p e)) s_v.(e))
-            (P.in_edges p i)
+            (fun e -> Lp.term (R.inv (P.edge_cost p e)) (s e))
+            (ins i)
         in
         let outflow =
           List.map
-            (fun e -> Lp.term (R.neg (R.inv (P.edge_cost p e))) s_v.(e))
-            (P.out_edges p i)
+            (fun e -> Lp.term (R.neg (R.inv (P.edge_cost p e))) (s e))
+            (outs i)
         in
-        let consumed = Lp.term (R.neg (P.speed p i)) alpha_v.(i) in
+        let consumed =
+          Lp.term (R.neg (P.speed p i)) (Option.get alpha_v.(i))
+        in
         Lp.add_constraint
-          ~name:(Printf.sprintf "conserve_%s" (P.name p i))
+          ~name:("conserve_" ^ P.name p i)
           m
           (Lp.sum ((consumed :: inflow) @ outflow))
           Lp.Eq R.zero
       end)
-    (P.nodes p);
+    nodes;
   Lp.set_objective m Lp.Maximize
     (Lp.sum
-       (List.map (fun i -> Lp.term (P.speed p i) alpha_v.(i)) (P.nodes p)));
+       (List.map
+          (fun i -> Lp.term (P.speed p i) (Option.get alpha_v.(i)))
+          nodes));
   (m, alpha_v, s_v)
+
+let ports_lp fn ports p ~master =
+  let m, alpha_v, s_v = ports_lp_on fn ports p ~master (fun _ -> true) in
+  (m, Array.map Option.get alpha_v, Array.map Option.get s_v)
 
 let build_lp p ~master = ports_lp "Master_slave.build_lp" one_port p ~master
 
@@ -158,7 +177,8 @@ let solve_ports fn ports p ~master =
    before parents; a fill stops once the port is full.  A node that
    receives more than it computes is marked, so the top-down sweep
    visits only the nodes the flow reaches.  Any other platform takes
-   the monolithic LP. *)
+   the row-and-column generation below, which starts from this form on
+   a spanning tree. *)
 
 let solve_tree p ~master td =
   let { Tree_decomp.order; parent_edge; child_lo; child_hi; _ } = td in
@@ -265,16 +285,165 @@ let solve_tree p ~master td =
     failwith "Master_slave.solve: consumption / ntask mismatch";
   { platform = p; master; ntask; alpha; send_frac = send; task_flow }
 
+(* --- off trees: row-and-column generation ---------------------------------
+
+   Only the nodes behind fast enough links get work (§3), so the LP is
+   solved on a kept node set K, grown until it provably suffices.  K
+   starts as the support of the closed form on the shortest-path tree
+   from the master (link cost as length): the master, every node that
+   computes and both ends of every edge that carries flow.  Each round
+   solves {!ports_lp_on} K and extends its duals to the whole model: an
+   omitted node's conservation dual is -1 (a task there is worth 1,
+   what computing it earns), its port and [ub:] rows price 0.  With t_u
+   the value of a task at u (minus its conservation dual, 0 at the
+   master), every reduced cost of the whole model is then one of the
+   restriction's, except on the edges between K and the rest:
+   - u -> v, u in K: violated when 1 - t_u > c * y(outport_u);
+   - v -> u, u in K but not the master: violated when
+     t_u - c * y(inport_u) > 1.
+   The omitted end of every violated edge joins K.  Once none is
+   violated, the restricted point (zero elsewhere) with the extended
+   duals must pass [Lp.certify] on the whole model; should it fail, the
+   next round keeps every node, which is the whole LP.  Each round adds
+   a node, so there are at most n rounds. *)
+
+let tree_support p ~master =
+  let parents = P.shortest_path_tree p master in
+  let td = Tree_decomp.of_parents p ~root:master parents in
+  let tree = solve_tree p ~master td in
+  let keep = Array.make (P.num_nodes p) false in
+  keep.(master) <- true;
+  Array.iteri (fun i a -> if R.sign a > 0 then keep.(i) <- true) tree.alpha;
+  Array.iteri
+    (fun e f ->
+      if R.sign f > 0 then begin
+        keep.(P.edge_src p e) <- true;
+        keep.(P.edge_dst p e) <- true
+      end)
+    tree.task_flow;
+  keep
+
+(* One round: the LP on the kept nodes, solved, and its duals extended
+   to the whole model by row name. *)
+let solve_on fn ?cache ?stats p ~master keep =
+  let m, alpha_v, s_v = ports_lp_on fn one_port p ~master (Array.get keep) in
+  match Lp.solve ?cache ?stats m with
+  | Lp.Infeasible -> Error `Infeasible
+  | Lp.Unbounded -> Error `Unbounded
+  | Lp.Optimal sol ->
+    let dual = Hashtbl.create 64 in
+    List.iter (fun (row, y) -> Hashtbl.replace dual row y) sol.Lp.duals;
+    Array.iteri
+      (fun v k ->
+        if not k then
+          Hashtbl.replace dual ("conserve_" ^ P.name p v) R.minus_one)
+      keep;
+    let y row = Option.value (Hashtbl.find_opt dual row) ~default:R.zero in
+    Ok (sol, alpha_v, s_v, y)
+
+(* A round's answer on the whole model [full]: zero off the kept nodes,
+   with the extended duals. *)
+let extend (full, full_alpha, full_s) (sol, alpha_v, s_v, y) =
+  let values = Hashtbl.create 64 in
+  let copy full_v =
+    Array.iteri (fun i v ->
+        Option.iter
+          (fun v -> Hashtbl.replace values full_v.(i) (sol.Lp.values v))
+          v)
+  in
+  copy full_alpha alpha_v;
+  copy full_s s_v;
+  {
+    Lp.objective = sol.Lp.objective;
+    values =
+      (fun v -> Option.value (Hashtbl.find_opt values v) ~default:R.zero);
+    duals = List.map (fun row -> (row, y row)) (Lp.row_names full);
+  }
+
+(* The omitted ends of the edges between the kept nodes and the rest
+   whose reduced cost the extended duals [y] violate. *)
+let priced p ~master keep y =
+  let n = P.num_nodes p in
+  let grow = Array.make n false in
+  for u = 0 to n - 1 do
+    if keep.(u) then begin
+      let name = P.name p u in
+      let t = if u = master then R.zero else R.neg (y ("conserve_" ^ name)) in
+      let gain = R.sub R.one t and out_price = y ("outport_" ^ name) in
+      List.iter
+        (fun e ->
+          let v = P.edge_dst p e in
+          if (not keep.(v))
+             && R.compare gain (R.mul (P.edge_cost p e) out_price) > 0
+          then grow.(v) <- true)
+        (P.out_edges p u);
+      if u <> master then begin
+        let in_price = y ("inport_" ^ name) in
+        List.iter
+          (fun e ->
+            let v = P.edge_src p e in
+            if (not keep.(v))
+               && R.compare (R.sub t (R.mul (P.edge_cost p e) in_price)) R.one
+                  > 0
+            then grow.(v) <- true)
+          (P.in_edges p u)
+      end
+    end
+  done;
+  grow
+
+let generate_on fn ?cache ?stats p ~master full =
+  let n = P.num_nodes p in
+  let keep = tree_support p ~master in
+  let model, _, _ = full in
+  let rec round () =
+    match solve_on fn ?cache ?stats p ~master keep with
+    | Error _ as e -> e
+    | Ok ((_, _, _, y) as solved) ->
+      let grow = priced p ~master keep y in
+      if Array.exists Fun.id grow then begin
+        Array.iteri (fun v g -> if g then keep.(v) <- true) grow;
+        round ()
+      end
+      else
+        let answer = extend full solved in
+        match Lp.certify model answer with
+        | Ok () -> Ok (keep, answer)
+        | Error e when Array.for_all Fun.id keep ->
+          failwith (fn ^ ": the LP answer fails its certificate: " ^ e)
+        | Error _ ->
+          Array.fill keep 0 n true;
+          round ()
+  in
+  round ()
+
+let restricted ?cache ?stats p ~master ~kept =
+  check_master "Master_slave.restricted" p master;
+  if Array.length kept <> P.num_nodes p || not kept.(master) then
+    invalid_arg
+      "Master_slave.restricted: kept must be per node and keep the master";
+  Result.map
+    (fun ((_, _, _, y) as solved) ->
+      let grow = priced p ~master kept y in
+      ( extend (build_lp p ~master) solved,
+        List.filter (Array.get grow) (P.nodes p) ))
+    (solve_on "Master_slave.restricted" ?cache ?stats p ~master kept)
+
+let generate ?cache ?stats p ~master =
+  check_master "Master_slave.generate" p master;
+  generate_on "Master_slave.generate" ?cache ?stats p ~master
+    (build_lp p ~master)
+
 let try_solve_as fn ?cache ?stats p ~master =
   check_master fn p master;
   match Tree_decomp.detect p ~root:master with
   | Some td -> Ok (solve_tree p ~master td)
   | None -> (
-    let m, alpha_v, s_v = ports_lp fn one_port p ~master in
-    match Lp.solve ?cache ?stats m with
-    | Lp.Infeasible -> Error `Infeasible
-    | Lp.Unbounded -> Error `Unbounded
-    | Lp.Optimal sol -> Ok (solution_of_sol ?stats p ~master alpha_v s_v sol))
+    let (_, alpha_v, s_v) as full = build_lp p ~master in
+    match generate_on fn ?cache ?stats p ~master full with
+    | Error _ as e -> e
+    | Ok (_, answer) ->
+      Ok (solution_of_sol ?stats p ~master alpha_v s_v answer))
 
 let try_solve ?cache ?stats p ~master =
   try_solve_as "Master_slave.try_solve" ?cache ?stats p ~master

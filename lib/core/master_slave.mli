@@ -113,18 +113,33 @@ val solve :
     phase plans do not floor either vertex on a tree:
     {!Dynamic_sched.plan_phase} plans those with an integral sweep.
 
-    Any other platform solves {!build_lp} with {!Lp.solve}.  Every
-    solve is cold, so the answer is a function of the platform alone.
-    [?cache] memoises exactly repeated instances (flat segments of the
-    §5.5 phase workload); a hit is bit-identical to re-solving.  The
-    LP's flow is cycle-cancelled by {!Reconstruct.cancel}, which keeps
-    no state: the returned [task_flow] is a function of the LP solution
-    alone.  [?stats] accumulates exact pivot counts and the cycles
-    cancelled.
+    Any other platform solves {!build_lp} by row-and-column
+    generation ({!generate}), at the cost of the flow's support rather
+    than the platform's (§3's bandwidth-centric principle: only nodes
+    behind fast enough links get work).  It starts from the support of
+    the closed form above on the shortest-path tree from the master
+    (link cost as length), solves {!build_lp} restricted to the kept
+    nodes ({!restricted}), and adds every omitted node that the
+    extended duals price in, until none is.  The answer is returned
+    only once {!Lp.certify} accepts it on the whole {!build_lp} model;
+    should pricing find nothing while the certificate fails, the next
+    round keeps every node, which is the whole LP.  So the throughput
+    is the LP optimum bit for bit, but the vertex is the kernel's on
+    the last restricted LP, zero off it, which may be another optimal
+    vertex than the kernel's on {!build_lp} ({!solve_lp_only} still
+    returns that one).  Every solve is cold, so the answer is a
+    function of the platform alone.  [?cache] memoises each round's
+    restricted LP: an exactly repeated instance (flat segments of the
+    §5.5 phase workload) hits on every round, and a hit is
+    bit-identical to re-solving.  The flow is cycle-cancelled by
+    {!Reconstruct.cancel}, which keeps no state: the returned
+    [task_flow] is a function of the last round's LP solution alone.
+    [?stats] gets each round's {!Lp.solve} (so a round is one
+    [solves], and a cache hit adds nothing) and the cycles cancelled.
     @raise Invalid_argument if [master] is not a node.
     @raise Failure if the LP is somehow not optimal (cannot happen on a
     valid platform: the zero schedule is feasible and throughput is
-    bounded). *)
+    bounded), or if the whole LP's answer fails its certificate. *)
 
 val try_solve :
   ?cache:Lp.Cache.t ->
@@ -137,7 +152,51 @@ val try_solve :
     this on surviving sub-platforms, where a pathological restriction
     must degrade into a structured report rather than escape as an
     exception.
-    @raise Invalid_argument if [master] is not a node. *)
+    @raise Invalid_argument if [master] is not a node.
+    @raise Failure if the whole LP's answer fails its certificate. *)
+
+val restricted :
+  ?cache:Lp.Cache.t ->
+  ?stats:Lp.Stats.t ->
+  Platform.t ->
+  master:Platform.node ->
+  kept:bool array ->
+  (Lp.solution * Platform.node list, [ `Infeasible | `Unbounded ]) result
+(** One round of {!solve}'s generation off trees.  [restricted p
+    ~master ~kept] builds {!build_lp} on the nodes [kept] marks only
+    (their variables, the send variables of the edges between them,
+    and their rows, under {!build_lp}'s names), solves it with
+    {!Lp.solve} [?cache ?stats], and carries the answer to the whole
+    {!build_lp} model: every omitted variable is 0, an omitted node's
+    conservation dual is -1 (a task there is worth 1), and its port and
+    [ub:] rows price 0.  With it come the omitted nodes pricing adds,
+    ascending: the far ends of the edges between the kept nodes and the
+    rest whose reduced cost those duals make negative.  With [t_u] the
+    value of a task at [u] (minus its conservation dual, 0 at the
+    master), [u -> v] is violated when [1 - t_u > c * y(outport_u)] and
+    [v -> u] ([u] not the master) when [t_u - c * y(inport_u) > 1].
+    Every other reduced cost of the whole model is one of the
+    restriction's, so [Lp.certify (build_lp p ~master)] accepts the
+    answer exactly when that list is empty.
+    @raise Invalid_argument if [master] is not a node, or [kept] is not
+    one flag per node with the master's set. *)
+
+val generate :
+  ?cache:Lp.Cache.t ->
+  ?stats:Lp.Stats.t ->
+  Platform.t ->
+  master:Platform.node ->
+  (bool array * Lp.solution, [ `Infeasible | `Unbounded ]) result
+(** {!solve}'s path off trees up to its certificate: the rounds of
+    {!restricted} from the support of the shortest-path tree's closed
+    form, each adding the omitted ends of the violated edges, and the
+    final node set with the answer that [Lp.certify (build_lp p
+    ~master)] accepted.  {!try_solve} reads its solution off that
+    answer.  Each round adds a node, so there are at most [n] of them
+    (one [solves] each in [?stats] without a cache).  Runs on any
+    platform; {!solve} calls it only off trees.
+    @raise Invalid_argument if [master] is not a node.
+    @raise Failure if the whole LP's answer fails its certificate. *)
 
 val solve_lp_only :
   ?cache:Lp.Cache.t ->
@@ -146,8 +205,9 @@ val solve_lp_only :
   master:Platform.node ->
   Lp.model * Lp.result
 (** {!build_lp}'s model and the kernel's outcome on it, whatever the
-    platform's shape: the monolithic LP that {!solve} skips on trees,
-    for certification, cross-checks and tests. *)
+    platform's shape: the monolithic LP that {!solve} does not solve
+    (closed form on trees, generation elsewhere), for certification,
+    cross-checks and tests. *)
 
 val solve_reduced :
   ?cache:Lp.Cache.t ->

@@ -73,6 +73,39 @@ let detect p ~root =
       }
   else None
 
+(* The same BFS over the tree edges alone: a node's children are the
+   heads of its out-edges that are their parent edges, in out-edge
+   order. *)
+let of_parents p ~root parent_edge =
+  let n = P.num_nodes p in
+  let order = Array.make n root and reached = Array.make n false in
+  let child_lo = Array.make n 0 and child_hi = Array.make n 0 in
+  reached.(root) <- true;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
+    child_lo.(v) <- !tail;
+    for k = P.out_lo p v to P.out_hi p v - 1 do
+      let e = P.out_edge p k in
+      let u = P.edge_dst p e in
+      if parent_edge.(u) = e then begin
+        reached.(u) <- true;
+        order.(!tail) <- u;
+        incr tail
+      end
+    done;
+    child_hi.(v) <- !tail
+  done;
+  {
+    root;
+    order = Array.sub order 0 !tail;
+    parent_edge;
+    reached;
+    child_lo;
+    child_hi;
+  }
+
 let parent p t v =
   let e = t.parent_edge.(v) in
   if e < 0 then invalid_arg "Tree_decomp.parent: root or unreached node";

@@ -3,7 +3,8 @@
     {!Master_slave.solve} and {!Collective.solve_pairs} (behind
     {!Collective.solve} and {!All_to_all.solve}) each begin with
     {!detect}: its answer alone decides whether the closed form runs or
-    the monolithic LP is built.  On a tree the master–slave form runs
+    an LP is built (the generation of {!Master_slave.generate}, or the
+    monolithic collective LP).  On a tree the master–slave form runs
     the bandwidth-centric sweep over the children ranges
     ([child_lo]/[child_hi]); the multi-commodity form walks each
     commodity's route along {!parent} links and {!up_edges}, counting
@@ -38,6 +39,16 @@ val detect : Platform.t -> root:Platform.node -> t option
     otherwise — the solvers then build and solve the monolithic LP.
     One pass over the reached nodes' out-edges, with no recursion, so
     a long chain costs no stack. *)
+
+val of_parents : Platform.t -> root:Platform.node -> int array -> t
+(** [of_parents p ~root parent_edge] is the decomposition of a tree
+    that [p]'s edges span: [parent_edge.(v)] is the edge [parent -> v]
+    of each node the tree reaches from [root] ([-1] at the root and at
+    the others), as {!Platform.shortest_path_tree} gives it.  Children
+    ranges, order and [reached] are those {!detect} would give on the
+    platform of the tree edges alone.  The array is taken over.
+    {!Master_slave.solve} runs the closed form on the shortest-path
+    tree this way to seed its generation off trees. *)
 
 val parent : Platform.t -> t -> Platform.node -> Platform.node
 (** The tree parent.

@@ -95,6 +95,11 @@ val constraints : model -> (string * relation * Rat.t) list
 val var_bounds : model -> (string * Rat.t option) list
 (** Variable names with their upper bounds, in declaration order. *)
 
+val row_names : model -> string list
+(** The names {!solution.duals} carries, in its order: {!constraints}'
+    names, then [ub:<var>] for each upper-bounded variable of
+    {!var_bounds}. *)
+
 module Cache : sig
   (** Exact memo of solved instances.  The key is the structural
       signature plus every model coefficient, right-hand side and upper

@@ -217,7 +217,7 @@ let find_edge t i j =
   go t.out_off.(i)
 
 let edge_name t e =
-  Printf.sprintf "%s->%s" t.names.(t.srcs.(e)) t.names.(t.dsts.(e))
+  t.names.(t.srcs.(e)) ^ "->" ^ t.names.(t.dsts.(e))
 
 let reachable_from t start =
   let seen = Array.make (num_nodes t) false in
@@ -322,6 +322,10 @@ let multi_source_shortest_path t ~sources dst =
   end
 
 let shortest_path t src dst = multi_source_shortest_path t ~sources:[ src ] dst
+
+let shortest_path_tree t src =
+  let _, via = dijkstra t [ src ] in
+  Array.map (function Some e -> e | None -> -1) via
 
 let transpose t =
   build ~names:(Array.copy t.names) ~weights:(Array.copy t.weights)

@@ -118,6 +118,11 @@ val multi_source_shortest_path :
 (** Cheapest path from {e any} of the sources to the destination — the
     building block of cheapest-insertion Steiner heuristics. *)
 
+val shortest_path_tree : t -> node -> edge array
+(** Per node, the last edge of the minimum-cost directed path from the
+    source that {!shortest_path} returns; [-1] at the source and at
+    unreached nodes.  The edges form a tree rooted at the source. *)
+
 val transpose : t -> t
 (** Platform with every edge reversed (costs kept) — reduce operations
     are scatters on the transposed platform (§4.2). *)

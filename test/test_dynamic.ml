@@ -165,41 +165,77 @@ let test_reuse_bit_identical () =
         (Lp.Cache.hits shared > 0))
     [ ("slowdown graph", slowdown); ("bandwidth dip", bw_dip) ]
 
+(* A ring P0 - P1 - ... - P11 (cost 1 each way) closed by the chord
+   P0 - P11 (cost 2), the master P0 computing nothing: its plan LP takes
+   several generation rounds *)
+let ring_scenario () =
+  let link i j c = [ (i, j, c); (j, i, c) ] in
+  let p =
+    Platform.create
+      ~names:(Array.init 12 (Printf.sprintf "P%d"))
+      ~weights:
+        (Array.init 12 (fun i ->
+             if i = 0 then Ext_rat.inf else Ext_rat.of_int 8))
+      ~edges:
+        (List.concat (List.init 11 (fun i -> link i (i + 1) R.one))
+        @ link 0 11 R.two)
+  in
+  { (scenario ()) with Dy.platform = p }
+
 let test_no_cache_solves_every_plan () =
   (* [?cache] is the only memo: on a flat trace every plan LP is the
      same instance, yet without a cache each one goes to the kernel
      (the nominal plan, plus one per phase for all but Static), and
-     with a cache the first is solved and the [phases] others hit.
-     Only a graph plans through the LP: on the star every plan is the
-     integral tree sweep, with no kernel solve at all *)
+     with a cache only the first is solved and the [phases] others hit.
+     Off trees a plan is [Master_slave.try_solve]'s generation, whose
+     rounds each solve one restricted LP: without a cache every round
+     of every plan reaches the kernel; with one, the first plan's
+     rounds are solved and every later plan hits on every round (hits
+     add nothing to [?stats]).  The graph's plans take one round, the
+     ring's several.  Only a graph plans through the LP: on the star
+     every plan is the integral tree sweep, with no kernel solve at
+     all *)
   let flat sc = { sc with Dy.cpu_traces = [ (1, [ (ri 20, R.one) ]) ] } in
-  let sc = flat (graph_scenario ()) and star = flat (scenario ()) in
-  let phases = sc.Dy.phases in
+  let star = flat (scenario ()) in
   List.iter
-    (fun (s, name, plan_lps) ->
-      let stats = Lp.Stats.create () in
-      ignore (Dy.run ~stats star s);
-      Alcotest.(check int) (name ^ ": no kernel solve on the star") 0
-        stats.Lp.Stats.solves;
-      let stats = Lp.Stats.create () in
-      let plain = Dy.run ~stats sc s in
-      Alcotest.(check int)
-        (name ^ ": one kernel solve per plan LP without a cache")
-        plan_lps stats.Lp.Stats.solves;
-      let stats = Lp.Stats.create () and cache = Lp.Cache.create () in
-      let memo = Dy.run ~cache ~stats sc s in
-      Alcotest.(check int) (name ^ ": one kernel solve with a cache") 1
-        stats.Lp.Stats.solves;
-      Alcotest.(check int) (name ^ ": the other plan LPs hit")
-        (plan_lps - 1) (Lp.Cache.hits cache);
-      Alcotest.(check bool) (name ^ ": same outcome") true
-        (Dy.outcomes_equal plain memo))
-    [
-      (Dy.Static, "static", 1);
-      (Dy.Reactive, "reactive", phases + 1);
-      (Dy.Oracle, "oracle", phases + 1);
-      (Dy.Robust, "robust", phases + 1);
-    ]
+    (fun (label, sc, several) ->
+      let sc = flat sc in
+      let phases = sc.Dy.phases in
+      let rounds =
+        let stats = Lp.Stats.create () in
+        ignore
+          (Master_slave.generate ~stats sc.Dy.platform ~master:sc.Dy.master);
+        stats.Lp.Stats.solves
+      in
+      Alcotest.(check bool) (label ^ ": rounds per plan") true
+        (if several then rounds > 1 else rounds = 1);
+      List.iter
+        (fun (s, name, plan_lps) ->
+          let name = label ^ " " ^ name in
+          let stats = Lp.Stats.create () in
+          ignore (Dy.run ~stats star s);
+          Alcotest.(check int) (name ^ ": no kernel solve on the star") 0
+            stats.Lp.Stats.solves;
+          let stats = Lp.Stats.create () in
+          let plain = Dy.run ~stats sc s in
+          Alcotest.(check int)
+            (name ^ ": every round of every plan LP without a cache")
+            (plan_lps * rounds) stats.Lp.Stats.solves;
+          let stats = Lp.Stats.create () and cache = Lp.Cache.create () in
+          let memo = Dy.run ~cache ~stats sc s in
+          Alcotest.(check int) (name ^ ": the first plan's rounds with a cache")
+            rounds stats.Lp.Stats.solves;
+          Alcotest.(check int) (name ^ ": the other plans hit on every round")
+            ((plan_lps - 1) * rounds) (Lp.Cache.hits cache);
+          Alcotest.(check bool) (name ^ ": same outcome") true
+            (Dy.outcomes_equal plain memo))
+        [
+          (Dy.Static, "static", 1);
+          (Dy.Reactive, "reactive", phases + 1);
+          (Dy.Oracle, "oracle", phases + 1);
+          (Dy.Robust, "robust", phases + 1);
+        ])
+    [ ("graph", graph_scenario (), false); ("ring", ring_scenario (), true) ]
 
 let test_validation () =
   let sc = scenario () in

@@ -1,12 +1,14 @@
 (* Tests for the large-n scaling path: the closed-form tree solves that
    Master_slave.solve, Collective.solve and All_to_all.solve pick
-   whenever Tree_decomp.detect finds a tree, and the monolithic LP they
-   build everywhere else.
+   whenever Tree_decomp.detect finds a tree, the row-and-column
+   generation Master_slave.solve runs on other platforms, and the
+   monolithic LP the collectives build there.
 
-   The contract under test is always the same: the closed form must be
-   *bit-identical* in throughput to the monolithic LP — speed is
-   allowed to change, answers are not — and off trees the answer is
-   the LP's own, field by field. *)
+   The contract under test is always the same: the closed form and the
+   generation must be *bit-identical* in throughput to the monolithic
+   LP — speed is allowed to change, answers are not.  The generation's
+   answer passes Lp.certify on the whole model, and the collectives'
+   answer off trees is the LP's own, field by field. *)
 
 module R = Rat
 module P = Platform
@@ -123,37 +125,55 @@ let test_solve_reduced_balanced () =
     check_tree_solve (Printf.sprintf "star %d k=%d" case k) (seeded_star g k)
   done
 
-(* Off trees [solve] is the LP path, unchanged: the kernel's vertex on
-   [build_lp], cycle-cancelled, field by field, with the kernel's work
-   counted. *)
+(* Off trees [solve] runs the row-and-column generation: its throughput
+   is the monolithic LP's bit for bit, the point it returns passes
+   [Lp.certify] on the whole of [build_lp] with the duals the generation
+   extended ([Master_slave.generate], whose answer the solution is read
+   from: alphas as they are, flow cycle-cancelled), and the task flow is
+   cycle-free.  The vertex may be another optimal one than the kernel's
+   on [build_lp]. *)
 let test_solve_reduced_fallback () =
   List.iter
     (fun (name, p) ->
       Alcotest.(check bool) (name ^ " not a tree") true
         (Tree_decomp.detect p ~root:0 = None);
       let m, alpha_v, s_v = Master_slave.build_lp p ~master:0 in
-      let lp =
-        match Lp.solve m with
-        | Lp.Optimal s -> s
-        | _ -> Alcotest.fail (name ^ ": LP not optimal")
+      let sol = Master_slave.solve p ~master:0 in
+      Alcotest.check rat (name ^ " ntask = LP") (lp_optimum name p).Lp.objective
+        sol.Master_slave.ntask;
+      let answer =
+        match Master_slave.generate p ~master:0 with
+        | Ok (_, a) -> a
+        | Error _ -> Alcotest.fail (name ^ ": generation not optimal")
       in
-      let stats = Lp.Stats.create () in
-      let sol = Master_slave.solve ~stats p ~master:0 in
-      Alcotest.(check int) (name ^ " one LP solve") 1 stats.Lp.Stats.solves;
-      let task_flow =
-        Reconstruct.cancel p
-          (Array.mapi
-             (fun e v -> R.div (lp.Lp.values v) (P.edge_cost p e))
-             s_v)
-      in
-      Alcotest.check rat (name ^ " ntask") lp.Lp.objective sol.Master_slave.ntask;
-      Alcotest.check rat_arr (name ^ " alpha") (Array.map lp.Lp.values alpha_v)
-        sol.Master_slave.alpha;
-      Alcotest.check rat_arr (name ^ " task_flow") task_flow
+      Alcotest.check rat_arr (name ^ " alpha = generated")
+        (Array.map answer.Lp.values alpha_v) sol.Master_slave.alpha;
+      Alcotest.check rat_arr (name ^ " task_flow = generated, cancelled")
+        (Reconstruct.cancel p
+           (Array.mapi
+              (fun e v -> R.div (answer.Lp.values v) (P.edge_cost p e))
+              s_v))
         sol.Master_slave.task_flow;
       Alcotest.check rat_arr (name ^ " send_frac")
-        (Array.mapi (fun e f -> R.mul f (P.edge_cost p e)) task_flow)
+        (Array.mapi (fun e f -> R.mul f (P.edge_cost p e))
+           sol.Master_slave.task_flow)
         sol.Master_slave.send_frac;
+      let point = Hashtbl.create 64 in
+      Array.iteri
+        (fun i v -> Hashtbl.replace point v sol.Master_slave.alpha.(i))
+        alpha_v;
+      Array.iteri
+        (fun e v -> Hashtbl.replace point v sol.Master_slave.send_frac.(e))
+        s_v;
+      (match
+         Lp.certify m
+           { answer with Lp.objective = sol.Master_slave.ntask;
+                         values = Hashtbl.find point }
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (name ^ " certificate: " ^ e));
+      Alcotest.(check bool) (name ^ " cycle-free") true
+        (Flow.is_acyclic p sol.Master_slave.task_flow);
       check_ms_solution name p sol)
     [
       ("fig1", Platform_gen.figure1 ());
@@ -162,6 +182,221 @@ let test_solve_reduced_fallback () =
       ( "cgraph7",
         Platform_gen.random_connected_graph ~seed:7 ~nodes:8 ~extra_edges:3 () );
     ]
+
+(* --- master–slave off trees: row-and-column generation ---------------- *)
+
+(* [generate] against the monolithic LP: the same throughput, an answer
+   [Lp.certify] accepts on the whole model, at most n rounds (one kernel
+   solve each without a cache), and [try_solve] reading the same
+   throughput off a cycle-free, feasible flow. *)
+let check_generated name p ~master =
+  let n = P.num_nodes p in
+  let m, alpha_v, s_v = Master_slave.build_lp p ~master in
+  let optimum =
+    match Master_slave.solve_lp_only p ~master with
+    | _, Lp.Optimal s -> s.Lp.objective
+    | _ -> Alcotest.fail (name ^ ": LP not optimal")
+  in
+  let stats = Lp.Stats.create () in
+  (match Master_slave.generate ~stats p ~master with
+  | Ok (kept, answer) ->
+    Alcotest.check rat (name ^ " generated = LP") optimum answer.Lp.objective;
+    Alcotest.(check bool) (name ^ " master kept") true kept.(master);
+    (match Lp.certify m answer with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (name ^ " certificate: " ^ e));
+    if stats.Lp.Stats.solves < 1 || stats.Lp.Stats.solves > n then
+      Alcotest.failf "%s: %d rounds on %d nodes" name stats.Lp.Stats.solves n
+  | Error _ -> Alcotest.fail (name ^ ": generation not optimal"));
+  match Master_slave.try_solve p ~master with
+  | Ok sol ->
+    Alcotest.check rat (name ^ " ntask = LP") optimum sol.Master_slave.ntask;
+    Alcotest.(check bool) (name ^ " cycle-free") true
+      (Flow.is_acyclic p sol.Master_slave.task_flow);
+    let point = Hashtbl.create 64 in
+    Array.iteri (fun i v -> Hashtbl.replace point v sol.Master_slave.alpha.(i))
+      alpha_v;
+    Array.iteri
+      (fun e v -> Hashtbl.replace point v sol.Master_slave.send_frac.(e))
+      s_v;
+    (match Lp.check_solution m (Hashtbl.find point) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (name ^ " infeasible flow: " ^ e))
+  | Error _ -> Alcotest.fail (name ^ ": try_solve not optimal")
+
+(* A [random_connected_graph] of 6-60 nodes with n/2 chords and any mix
+   of: routers (w = inf) on about a third of the other nodes, a third
+   of the directed edges dropped (so that parts of the platform may be
+   unreachable from the master), a master other than node 0, a master
+   that computes nothing, and tie-heavy draws (every cost 1, weights in
+   {1, 3/2, 2}). *)
+let graph_case (seed, nodes, flags) =
+  let has k = flags land (1 lsl k) <> 0 in
+  let ties = has 4 in
+  let g =
+    Platform_gen.random_connected_graph ~seed ~nodes ~extra_edges:(nodes / 2)
+      ?weight_range:(if ties then Some (1, 2) else None)
+      ?cost_range:(if ties then Some (1, 1) else None)
+      ()
+  in
+  let st = Random.State.make [| seed; flags |] in
+  let master = if has 2 then 1 + Random.State.int st (nodes - 1) else 0 in
+  let router =
+    Array.init nodes (fun i ->
+        has 0 && i <> master && Random.State.int st 3 = 0)
+  in
+  let dropped =
+    Array.init (P.num_edges g) (fun _ -> has 1 && Random.State.int st 3 = 0)
+  in
+  let weights i =
+    if router.(i) || (has 3 && i = master) then Ext_rat.Inf else P.weight g i
+  in
+  let r =
+    P.restrict ~weights g ~keep_node:(fun _ -> true)
+      ~keep_edge:(fun e -> not dropped.(e))
+  in
+  (r.P.sub, master)
+
+let case_name (seed, nodes, flags) =
+  Printf.sprintf "seed=%d nodes=%d flags=%d" seed nodes flags
+
+let prop_graph_solve_full_lp =
+  QCheck.Test.make ~name:"graph solve = full LP" ~count:200
+    QCheck.(
+      make
+        ~print:case_name
+        Gen.(triple (int_range 0 100_000) (int_range 6 60) (int_range 0 31)))
+    (fun case ->
+      let p, master = graph_case case in
+      check_generated (case_name case) p ~master;
+      true)
+
+(* Pricing is exact: on any kept node set holding the master, the
+   extended answer of [restricted] passes [Lp.certify] on the whole
+   model exactly when pricing adds no node, and every node it adds is
+   an omitted one. *)
+let prop_pricing_is_the_certificate =
+  QCheck.Test.make ~name:"generation: pricing = certificate" ~count:200
+    QCheck.(
+      make
+        ~print:case_name
+        Gen.(triple (int_range 0 100_000) (int_range 6 40) (int_range 0 31)))
+    (fun ((seed, _, flags) as case) ->
+      let p, master = graph_case case in
+      let st = Random.State.make [| seed; flags; 7 |] in
+      let share = 1 + Random.State.int st 4 in
+      let kept =
+        Array.init (P.num_nodes p) (fun v ->
+            v = master || Random.State.int st 5 < share)
+      in
+      let m, _, _ = Master_slave.build_lp p ~master in
+      match Master_slave.restricted p ~master ~kept with
+      | Ok (answer, added) ->
+        List.for_all (fun v -> not kept.(v)) added
+        && (Lp.certify m answer = Ok ()) = (added = [])
+      | Error _ -> false)
+
+(* A ring: the chain P0 - P1 - ... - P11 (cost 1 each way) closed by the
+   chord P0 - P11 (cost 2), the master P0 computing nothing and every
+   other node at w = 8.  The shortest-path tree splits the ring in two
+   and its closed form feeds only the nodes near the master; the
+   optimum reaches round the far side, so the generation takes several
+   rounds to get there. *)
+let ring () =
+  let k = 12 in
+  let link i j c = [ (i, j, c); (j, i, c) ] in
+  P.create
+    ~names:(Array.init k (Printf.sprintf "P%d"))
+    ~weights:
+      (Array.init k (fun i ->
+           if i = 0 then Ext_rat.Inf else Ext_rat.of_int 8))
+    ~edges:(List.concat (List.init (k - 1) (fun i -> link i (i + 1) R.one))
+            @ link 0 (k - 1) R.two)
+
+let test_generation_rounds () =
+  let p = ring () in
+  check_generated "ring" p ~master:0;
+  let stats = Lp.Stats.create () in
+  ignore (Master_slave.generate ~stats p ~master:0);
+  if stats.Lp.Stats.solves < 3 then
+    Alcotest.failf "ring: %d rounds, several expected" stats.Lp.Stats.solves;
+  (* on a 30-node graph with 15 chords the optimum feeds a few nodes,
+     so the certified node set is a strict subset: a generation that
+     fell back to the whole LP would keep them all *)
+  let g =
+    Platform_gen.random_connected_graph ~seed:1 ~nodes:30 ~extra_edges:15 ()
+  in
+  check_generated "cgraph30" g ~master:0;
+  match Master_slave.generate g ~master:0 with
+  | Ok (kept, _) ->
+    Alcotest.(check bool) "cgraph30: some node left out" true
+      (Array.exists not kept)
+  | Error _ -> Alcotest.fail "cgraph30: generation not optimal"
+
+(* The certificate is what makes the answer trustworthy, so it must
+   refuse a generation stopped short or a dual set one entry off:
+   - drop any kept node whose absence lowers the restricted optimum
+     (there must be one: the ring's far side), and the extended answer
+     fails;
+   - flip the sign of a positive port dual (a [Le] row of a maximum
+     needs a dual >= 0), or price an omitted computing node's tasks at
+     0 instead of 1 (its conservation dual -1 -> 0), and it fails. *)
+let test_generation_mutants () =
+  let p = ring () in
+  let m, _, _ = Master_slave.build_lp p ~master:0 in
+  let kept, answer =
+    match Master_slave.generate p ~master:0 with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "ring: generation not optimal"
+  in
+  let refused what sol =
+    match Lp.certify m sol with
+    | Ok () -> Alcotest.fail ("certificate accepts " ^ what)
+    | Error _ -> ()
+  in
+  let dropped = ref 0 in
+  Array.iteri
+    (fun v k ->
+      if k && v <> 0 then begin
+        let fewer = Array.mapi (fun u k -> k && u <> v) kept in
+        match Master_slave.restricted p ~master:0 ~kept:fewer with
+        | Ok (sol, _) when R.compare sol.Lp.objective answer.Lp.objective < 0 ->
+          incr dropped;
+          refused (Printf.sprintf "the answer without %s" (P.name p v)) sol
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "ring: restricted LP not optimal"
+      end)
+    kept;
+  Alcotest.(check bool) "some kept node is needed" true (!dropped > 0);
+  let with_dual (sol : Lp.solution) row y =
+    { sol with
+      Lp.duals =
+        List.map (fun (r, d) -> if r = row then (r, y) else (r, d))
+          sol.Lp.duals }
+  in
+  let flips = ref 0 in
+  List.iter
+    (fun (row, y) ->
+      let port =
+        String.starts_with ~prefix:"outport_" row
+        || String.starts_with ~prefix:"inport_" row
+      in
+      if port && R.sign y > 0 then begin
+        incr flips;
+        refused ("a flipped " ^ row) (with_dual answer row (R.neg y))
+      end)
+    answer.Lp.duals;
+  Alcotest.(check bool) "a port dual to flip" true (!flips > 0);
+  (* a restriction to the master and its neighbours leaves computing
+     nodes out *)
+  let near = Array.init (P.num_nodes p) (fun v -> v = 0 || v = 1 || v = 11) in
+  match Master_slave.restricted p ~master:0 ~kept:near with
+  | Ok (sol, _) ->
+    let row = "conserve_P5" in
+    Alcotest.check rat "omitted node's task worth 1" R.minus_one
+      (List.assoc row sol.Lp.duals);
+    refused "an omitted task worth 0" (with_dual sol row R.zero)
+  | Error _ -> Alcotest.fail "ring: restricted LP not optimal"
 
 (* The closed-form knapsack against the LP oracle on seeded, tie-heavy
    instances: one to six children, costs drawn from a small set (all
@@ -245,6 +480,53 @@ let test_solve_reduced_oracle () =
       (Platform_gen.random_tree ~seed ~nodes ());
     check (Printf.sprintf "balanced_tree seed=%d" seed)
       (Platform_gen.balanced_tree ~seed ~nodes ~arity:(1 + (seed mod 4)) ())
+  done
+
+(* The shortest-path tree the generation starts from: each node's parent
+   edge ends the path [P.shortest_path] returns (-1 at the master and at
+   unreached nodes), and [of_parents] decomposes it as [detect] does on
+   the platform of the tree edges alone (same nodes, so the same order
+   and children ranges, its edges renumbered).  Seeded graphs with a
+   third of the directed edges dropped, masters anywhere. *)
+let test_shortest_path_decomp () =
+  for seed = 1 to 40 do
+    let nodes = 4 + (seed mod 17) in
+    (* edges dropped; on odd seeds, the master off node 0 *)
+    let case = (seed, nodes, if seed mod 2 = 0 then 2 else 6) in
+    let p, master = graph_case case in
+    let name = case_name case in
+    let parents = P.shortest_path_tree p master in
+    Array.iteri
+      (fun v e ->
+        let want =
+          match P.shortest_path p master v with
+          | Some (_ :: _ as path) -> List.nth path (List.length path - 1)
+          | Some [] | None -> -1
+        in
+        Alcotest.(check int) (Printf.sprintf "%s parent of %d" name v) want e)
+      parents;
+    let td = Tree_decomp.of_parents p ~root:master (Array.copy parents) in
+    let r =
+      P.restrict p ~keep_node:(fun _ -> true)
+        ~keep_edge:(fun e -> parents.(P.edge_dst p e) = e)
+    in
+    match Tree_decomp.detect r.P.sub ~root:master with
+    | None -> Alcotest.fail (name ^ ": tree edges do not form a tree")
+    | Some d ->
+      let ints = Alcotest.(array int) in
+      Alcotest.check ints (name ^ " order") d.Tree_decomp.order
+        td.Tree_decomp.order;
+      Alcotest.check ints (name ^ " child_lo") d.Tree_decomp.child_lo
+        td.Tree_decomp.child_lo;
+      Alcotest.check ints (name ^ " child_hi") d.Tree_decomp.child_hi
+        td.Tree_decomp.child_hi;
+      Alcotest.(check (array bool)) (name ^ " reached") d.Tree_decomp.reached
+        td.Tree_decomp.reached;
+      Alcotest.check ints (name ^ " parent edges")
+        (Array.map
+           (fun e -> if e < 0 then -1 else r.P.edge_of_sub.(e))
+           d.Tree_decomp.parent_edge)
+        td.Tree_decomp.parent_edge
   done
 
 (* Tree detection against its counting definition: the reached nodes
@@ -563,9 +845,9 @@ let test_connected_graph_generator () =
     [ 2; 3; 4 ]
 
 let test_connected_graph_reduced_certified () =
-  (* general graphs take the LP path: its answer matches the kernel's
-     certified optimum on the model, and the flow is feasible for the
-     model's own constraints *)
+  (* general graphs take the generation: its answer matches the
+     kernel's certified optimum on the model, and the flow is feasible
+     for the model's own constraints *)
   List.iter
     (fun (seed, nodes, extra) ->
       let p =
@@ -807,6 +1089,12 @@ let suite =
         test_solve_reduced_balanced;
       Alcotest.test_case "solve_reduced: non-tree fallback" `Quick
         test_solve_reduced_fallback;
+      QCheck_alcotest.to_alcotest prop_graph_solve_full_lp;
+      QCheck_alcotest.to_alcotest prop_pricing_is_the_certificate;
+      Alcotest.test_case "generation: several rounds on a ring" `Quick
+        test_generation_rounds;
+      Alcotest.test_case "generation: the certificate refuses mutants" `Quick
+        test_generation_mutants;
       Alcotest.test_case "collective reduced: trees" `Quick
         test_collective_reduced_trees;
       Alcotest.test_case "collective reduced: non-tree fallback" `Quick
@@ -825,6 +1113,8 @@ let suite =
         test_solve_reduced_schedulable;
       Alcotest.test_case "tree detection = link count" `Quick
         test_tree_detect_counting;
+      Alcotest.test_case "shortest-path tree: of_parents = detect" `Quick
+        test_shortest_path_decomp;
       Alcotest.test_case "knapsack: closed form = LP oracle" `Quick
         test_knapsack_oracle;
       Alcotest.test_case "solve_reduced: closed form = LP oracle" `Quick
