@@ -181,7 +181,7 @@ let solution_of_flows mode p pairs throughput flows =
 let solution_of_lp mode p pairs f_v (sol : Lp.solution) =
   solution_of_flows mode p pairs sol.Lp.objective
     (Array.map
-       (fun fv -> Flow.cancel_cycles p (Array.map sol.Lp.values fv))
+       (fun fv -> Flow.cancel_cycles p (Array.map (Lp.value sol) fv))
        f_v)
 
 (* --- the tree closed form ------------------------------------------------

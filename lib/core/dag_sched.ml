@@ -173,8 +173,8 @@ let solve p dag =
       platform = p;
       dag;
       throughput = sol.Lp.objective;
-      cons = Array.map (Array.map sol.Lp.values) cons_v;
-      file_flows = Array.map (Array.map sol.Lp.values) flow_v;
+      cons = Array.map (Array.map (Lp.value sol)) cons_v;
+      file_flows = Array.map (Array.map (Lp.value sol)) flow_v;
     }
 
 let check_invariants sol =

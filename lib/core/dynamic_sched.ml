@@ -26,9 +26,22 @@ let validate_scenario ?(allow_outages = false) sc =
       tr
   in
   List.iter check sc.cpu_traces;
-  List.iter
-    (fun (e, tr) -> check (e, tr))
-    sc.bw_traces
+  List.iter check sc.bw_traces;
+  (* the planner and the simulator must read the same trace *)
+  let once what size name traces =
+    let seen = Array.make size false in
+    List.iter
+      (fun (k, _) ->
+        if seen.(k) then
+          invalid_arg
+            (Printf.sprintf "Dynamic_sched: %s %s has two traces" what
+               (name k));
+        seen.(k) <- true)
+      traces
+  in
+  let p = sc.platform in
+  once "node" (P.num_nodes p) (P.name p) sc.cpu_traces;
+  once "edge" (P.num_edges p) (P.edge_name p) sc.bw_traces
 
 (* Traces are compiled once per run into breakpoint-sorted arrays and
    queried by binary search — [plan_for] asks for every node and every
@@ -72,18 +85,14 @@ let normalize_trace tr =
   let ct = compile_trace tr in
   Array.to_list (Array.map2 (fun t m -> (t, m)) ct.bp_times ct.bp_mults)
 
-(* per-node / per-edge compiled traces; first assoc entry wins, like
-   [List.assoc_opt] did *)
+(* per-node / per-edge compiled traces ([validate_scenario] allows one
+   per subject) *)
 let compile_scenario sc =
   let p = sc.platform in
   let node_cts = Array.make (P.num_nodes p) empty_compiled in
   let edge_cts = Array.make (P.num_edges p) empty_compiled in
-  List.iter
-    (fun (i, tr) -> node_cts.(i) <- compile_trace tr)
-    (List.rev sc.cpu_traces);
-  List.iter
-    (fun (e, tr) -> edge_cts.(e) <- compile_trace tr)
-    (List.rev sc.bw_traces);
+  List.iter (fun (i, tr) -> node_cts.(i) <- compile_trace tr) sc.cpu_traces;
+  List.iter (fun (e, tr) -> edge_cts.(e) <- compile_trace tr) sc.bw_traces;
   (node_cts, edge_cts)
 
 (* platform scaled by per-node / per-edge multipliers: a multiplier m

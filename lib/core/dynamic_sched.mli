@@ -58,8 +58,9 @@ type scenario = {
 
 val validate_scenario : ?allow_outages:bool -> scenario -> unit
 (** @raise Invalid_argument on non-positive phase/phases, a negative
-    multiplier, or — unless [~allow_outages:true] (the failure-aware
-    paths) — a zero multiplier in a trace. *)
+    multiplier, a node or edge given two traces (naming it), or —
+    unless [~allow_outages:true] (the failure-aware paths) — a zero
+    multiplier in a trace. *)
 
 val multiplier_at : Event_sim.trace -> Rat.t -> Rat.t
 (** Multiplier of a trace at a time: the entry with the largest

@@ -18,12 +18,26 @@ let check_master fn p master =
   if master < 0 || master >= P.num_nodes p then
     invalid_arg (fn ^ ": master out of range")
 
+(* Row positions in a model of [ports_lp_on], -1 where the row does not
+   exist: per node ([port_i] under [Half_duplex] is [outport]), and each
+   edge's [nomaster] row. *)
+type rows = { conserve : int array; outport : int array; inport : int array;
+              nomaster : int array }
+
 (* The LP on the kept nodes: their activity variables, the send
    variables of the edges between them, and their rows, under the names
-   and in the relative order of the whole model's. *)
+   and in the relative order of the whole model's, with the rows'
+   positions. *)
 let ports_lp_on fn ports p ~master keep =
   check_master fn p master;
   let m = Lp.create () in
+  let none k = Array.make k (-1) and n = P.num_nodes p in
+  let rows = { conserve = none n; outport = none n; inport = none n;
+               nomaster = none (P.num_edges p) } in
+  let row pos k ~name expr rel rhs =
+    pos.(k) <- Lp.num_constraints m;
+    Lp.add_constraint ~name m expr rel rhs
+  in
   let unit_iv = Some R.one in
   let kept_edge e = keep (P.edge_src p e) && keep (P.edge_dst p e) in
   let alpha_v =
@@ -38,67 +52,53 @@ let ports_lp_on fn ports p ~master keep =
           Some (Lp.add_var ~ub:unit_iv m ("s_" ^ P.edge_name p e))
         else None)
   in
-  let s e = Option.get s_v.(e) in
+  let s e = Option.get s_v.(e) and alpha i = Option.get alpha_v.(i) in
   let nodes = List.filter keep (P.nodes p) in
   let outs i = List.filter kept_edge (P.out_edges p i)
   and ins i = List.filter kept_edge (P.in_edges p i) in
   (* port constraints: the only rows the models of the family differ in *)
-  let port name es budget =
+  let port pos i name es budget =
     if es <> [] then
-      Lp.add_constraint ~name m
-        (Lp.sum (List.map (fun e -> Lp.var (s e)) es))
-        Lp.Le budget
+      row pos i ~name (Lp.sum (List.map (fun e -> Lp.var (s e)) es)) Lp.Le
+        budget
   in
   List.iter
     (fun i ->
       let outs = outs i and ins = ins i in
       match ports with
       | Duplex (send, recv) ->
-        port ("outport_" ^ P.name p i) outs (send i);
-        port ("inport_" ^ P.name p i) ins (recv i)
-      | Half_duplex -> port ("port_" ^ P.name p i) (outs @ ins) R.one)
+        port rows.outport i ("outport_" ^ P.name p i) outs (send i);
+        port rows.inport i ("inport_" ^ P.name p i) ins (recv i)
+      | Half_duplex ->
+        port rows.outport i ("port_" ^ P.name p i) (outs @ ins) R.one)
     nodes;
   (* the master receives nothing *)
   List.iter
     (fun e ->
-      Lp.add_constraint
+      row rows.nomaster e
         ~name:("nomaster_" ^ P.edge_name p e)
-        m (Lp.var (s e)) Lp.Eq R.zero)
+        (Lp.var (s e)) Lp.Eq R.zero)
     (ins master);
   (* conservation at every non-master node:
      sum_in s/c = alpha * speed + sum_out s/c *)
+  let flow sign e = Lp.term (sign (R.inv (P.edge_cost p e))) (s e) in
   List.iter
     (fun i ->
-      if i <> master then begin
-        let inflow =
-          List.map
-            (fun e -> Lp.term (R.inv (P.edge_cost p e)) (s e))
-            (ins i)
-        in
-        let outflow =
-          List.map
-            (fun e -> Lp.term (R.neg (R.inv (P.edge_cost p e))) (s e))
-            (outs i)
-        in
-        let consumed =
-          Lp.term (R.neg (P.speed p i)) (Option.get alpha_v.(i))
-        in
-        Lp.add_constraint
+      if i <> master then
+        row rows.conserve i
           ~name:("conserve_" ^ P.name p i)
-          m
-          (Lp.sum ((consumed :: inflow) @ outflow))
-          Lp.Eq R.zero
-      end)
+          (Lp.sum
+             ((Lp.term (R.neg (P.speed p i)) (alpha i)
+              :: List.map (flow Fun.id) (ins i))
+             @ List.map (flow R.neg) (outs i)))
+          Lp.Eq R.zero)
     nodes;
   Lp.set_objective m Lp.Maximize
-    (Lp.sum
-       (List.map
-          (fun i -> Lp.term (P.speed p i) (Option.get alpha_v.(i)))
-          nodes));
-  (m, alpha_v, s_v)
+    (Lp.sum (List.map (fun i -> Lp.term (P.speed p i) (alpha i)) nodes));
+  (m, alpha_v, s_v, rows)
 
 let ports_lp fn ports p ~master =
-  let m, alpha_v, s_v = ports_lp_on fn ports p ~master (fun _ -> true) in
+  let m, alpha_v, s_v, _ = ports_lp_on fn ports p ~master (fun _ -> true) in
   (m, Array.map Option.get alpha_v, Array.map Option.get s_v)
 
 let build_lp p ~master = ports_lp "Master_slave.build_lp" one_port p ~master
@@ -110,22 +110,14 @@ let solve_lp_only ?cache ?stats p ~master =
 (* Map an optimal LP solution back onto the platform: activity
    fractions per node, cycle-free task flow per edge. *)
 let solution_of_sol ?stats p ~master alpha_v s_v (sol : Lp.solution) =
-  let alpha = Array.map sol.Lp.values alpha_v in
+  let alpha = Array.map (Lp.value sol) alpha_v in
   let raw_flow =
-    Array.mapi (fun e sv -> R.div (sol.Lp.values sv) (P.edge_cost p e)) s_v
+    Array.mapi (fun e sv -> R.div (Lp.value sol sv) (P.edge_cost p e)) s_v
   in
   let task_flow = Reconstruct.cancel ?stats p raw_flow in
-  let send_frac =
-    Array.mapi (fun e f -> R.mul f (P.edge_cost p e)) task_flow
-  in
-  {
-    platform = p;
-    master;
-    ntask = sol.Lp.objective;
-    alpha;
-    send_frac;
-    task_flow;
-  }
+  let send_frac = Array.mapi (fun e f -> R.mul f (P.edge_cost p e)) task_flow in
+  { platform = p; master; ntask = sol.Lp.objective; alpha; send_frac;
+    task_flow }
 
 let solve_ports fn ports p ~master =
   let m, alpha_v, s_v = ports_lp fn ports p ~master in
@@ -292,9 +284,9 @@ let solve_tree p ~master td =
    starts as the support of the closed form on the shortest-path tree
    from the master (link cost as length): the master, every node that
    computes and both ends of every edge that carries flow.  Each round
-   solves {!ports_lp_on} K and extends its duals to the whole model: an
-   omitted node's conservation dual is -1 (a task there is worth 1,
-   what computing it earns), its port and [ub:] rows price 0.  With t_u
+   solves {!ports_lp_on} K and extends its duals to the whole model by
+   row position: an omitted node's conservation dual is -1 (a task
+   there is worth 1, what computing it earns), its other rows 0.  With t_u
    the value of a task at u (minus its conservation dual, 0 at the
    master), every reduced cost of the whole model is then one of the
    restriction's, except on the edges between K and the rest:
@@ -323,53 +315,47 @@ let tree_support p ~master =
     tree.task_flow;
   keep
 
-(* One round: the LP on the kept nodes, solved, and its duals extended
-   to the whole model by row name. *)
-let solve_on fn ?cache ?stats p ~master keep =
-  let m, alpha_v, s_v = ports_lp_on fn one_port p ~master (Array.get keep) in
-  match Lp.solve ?cache ?stats m with
-  | Lp.Infeasible -> Error `Infeasible
-  | Lp.Unbounded -> Error `Unbounded
-  | Lp.Optimal sol ->
-    let dual = Hashtbl.create 64 in
-    List.iter (fun (row, y) -> Hashtbl.replace dual row y) sol.Lp.duals;
+(* A round's answer on the whole model [full], by position: zero off the
+   kept nodes, each kept row's dual copied, an omitted node's
+   conservation row at -1 and every other row at 0.  Every variable is
+   bounded, so variable v's [ub:] row is [num_constraints + v]. *)
+let extend full (m, alpha_v, s_v, rows) keep (sol : Lp.solution) =
+  let fm, full_alpha, full_s, full_rows = full in
+  if m == fm then sol
+  else
+    let values = Array.make (Lp.num_vars fm) R.zero
+    and duals = Array.make (Lp.num_rows fm) R.zero in
+    let copy dst src ~at ~from =
+      Array.iter2 (fun fk k -> if k >= 0 then dst.(at + fk) <- src.(from + k))
+    in
+    let col = Array.map (function Some (v : Lp.var) -> (v :> int) | None -> -1)
+    and ub = Lp.num_constraints fm and ub_from = Lp.num_constraints m in
+    List.iter2
+      (fun full_v v ->
+        copy values sol.Lp.values ~at:0 ~from:0 (col full_v) (col v);
+        copy duals sol.Lp.duals ~at:ub ~from:ub_from (col full_v) (col v))
+      [ full_alpha; full_s ] [ alpha_v; s_v ];
+    List.iter2
+      (copy duals sol.Lp.duals ~at:0 ~from:0)
+      [ full_rows.conserve; full_rows.outport; full_rows.inport;
+        full_rows.nomaster ]
+      [ rows.conserve; rows.outport; rows.inport; rows.nomaster ];
     Array.iteri
-      (fun v k ->
-        if not k then
-          Hashtbl.replace dual ("conserve_" ^ P.name p v) R.minus_one)
+      (fun i k -> if not k then duals.(full_rows.conserve.(i)) <- R.minus_one)
       keep;
-    let y row = Option.value (Hashtbl.find_opt dual row) ~default:R.zero in
-    Ok (sol, alpha_v, s_v, y)
-
-(* A round's answer on the whole model [full]: zero off the kept nodes,
-   with the extended duals. *)
-let extend (full, full_alpha, full_s) (sol, alpha_v, s_v, y) =
-  let values = Hashtbl.create 64 in
-  let copy full_v =
-    Array.iteri (fun i v ->
-        Option.iter
-          (fun v -> Hashtbl.replace values full_v.(i) (sol.Lp.values v))
-          v)
-  in
-  copy full_alpha alpha_v;
-  copy full_s s_v;
-  {
-    Lp.objective = sol.Lp.objective;
-    values =
-      (fun v -> Option.value (Hashtbl.find_opt values v) ~default:R.zero);
-    duals = List.map (fun row -> (row, y row)) (Lp.row_names full);
-  }
+    { sol with Lp.values; duals }
 
 (* The omitted ends of the edges between the kept nodes and the rest
-   whose reduced cost the extended duals [y] violate. *)
-let priced p ~master keep y =
+   whose reduced cost the round's duals violate. *)
+let priced p ~master keep rows (sol : Lp.solution) =
+  let y r = if r < 0 then R.zero else sol.Lp.duals.(r) in
   let n = P.num_nodes p in
   let grow = Array.make n false in
   for u = 0 to n - 1 do
     if keep.(u) then begin
-      let name = P.name p u in
-      let t = if u = master then R.zero else R.neg (y ("conserve_" ^ name)) in
-      let gain = R.sub R.one t and out_price = y ("outport_" ^ name) in
+      (* the master has no conservation row: a task there is worth 0 *)
+      let t = R.neg (y rows.conserve.(u)) in
+      let gain = R.sub R.one t and out_price = y rows.outport.(u) in
       List.iter
         (fun e ->
           let v = P.edge_dst p e in
@@ -378,7 +364,7 @@ let priced p ~master keep y =
           then grow.(v) <- true)
         (P.out_edges p u);
       if u <> master then begin
-        let in_price = y ("inport_" ^ name) in
+        let in_price = y rows.inport.(u) in
         List.iter
           (fun e ->
             let v = P.edge_src p e in
@@ -392,58 +378,68 @@ let priced p ~master keep y =
   done;
   grow
 
-let generate_on fn ?cache ?stats p ~master full =
-  let n = P.num_nodes p in
-  let keep = tree_support p ~master in
-  let model, _, _ = full in
-  let rec round () =
-    match solve_on fn ?cache ?stats p ~master keep with
-    | Error _ as e -> e
-    | Ok ((_, _, _, y) as solved) ->
-      let grow = priced p ~master keep y in
-      if Array.exists Fun.id grow then begin
-        Array.iteri (fun v g -> if g then keep.(v) <- true) grow;
-        round ()
-      end
-      else
-        let answer = extend full solved in
-        match Lp.certify model answer with
-        | Ok () -> Ok (keep, answer)
-        | Error e when Array.for_all Fun.id keep ->
-          failwith (fn ^ ": the LP answer fails its certificate: " ^ e)
-        | Error _ ->
-          Array.fill keep 0 n true;
-          round ()
+(* One round: the LP on the kept nodes ([full] itself when every node
+   is kept), solved and priced. *)
+let round fn ?cache ?stats p ~master full keep =
+  let ((m, _, _, rows) as lp) =
+    if Array.for_all Fun.id keep then full
+    else ports_lp_on fn one_port p ~master (Array.get keep)
   in
-  round ()
+  match Lp.solve ?cache ?stats m with
+  | Lp.Infeasible -> Error `Infeasible
+  | Lp.Unbounded -> Error `Unbounded
+  | Lp.Optimal sol -> Ok (lp, sol, priced p ~master keep rows sol)
+
+let full_lp fn p ~master = ports_lp_on fn one_port p ~master (fun _ -> true)
+
+let generate_on fn ?cache ?stats p ~master full =
+  let keep = tree_support p ~master in
+  let fm, _, _, _ = full in
+  let rec rounds () =
+    match round fn ?cache ?stats p ~master full keep with
+    | Error _ as e -> e
+    | Ok (_, _, grow) when Array.exists Fun.id grow ->
+      Array.iteri (fun v g -> if g then keep.(v) <- true) grow;
+      rounds ()
+    | Ok (lp, sol, _) -> (
+      let answer = extend full lp keep sol in
+      match Lp.certify fm answer with
+      | Ok () -> Ok (keep, answer)
+      | Error e when Array.for_all Fun.id keep ->
+        failwith (fn ^ ": the LP answer fails its certificate: " ^ e)
+      | Error _ ->
+        Array.fill keep 0 (P.num_nodes p) true;
+        rounds ())
+  in
+  rounds ()
 
 let restricted ?cache ?stats p ~master ~kept =
-  check_master "Master_slave.restricted" p master;
+  let fn = "Master_slave.restricted" in
+  check_master fn p master;
   if Array.length kept <> P.num_nodes p || not kept.(master) then
     invalid_arg
       "Master_slave.restricted: kept must be per node and keep the master";
+  let full = full_lp fn p ~master in
   Result.map
-    (fun ((_, _, _, y) as solved) ->
-      let grow = priced p ~master kept y in
-      ( extend (build_lp p ~master) solved,
-        List.filter (Array.get grow) (P.nodes p) ))
-    (solve_on "Master_slave.restricted" ?cache ?stats p ~master kept)
+    (fun (lp, sol, grow) ->
+      (extend full lp kept sol, List.filter (Array.get grow) (P.nodes p)))
+    (round fn ?cache ?stats p ~master full kept)
 
 let generate ?cache ?stats p ~master =
-  check_master "Master_slave.generate" p master;
-  generate_on "Master_slave.generate" ?cache ?stats p ~master
-    (build_lp p ~master)
+  let fn = "Master_slave.generate" in
+  generate_on fn ?cache ?stats p ~master (full_lp fn p ~master)
 
 let try_solve_as fn ?cache ?stats p ~master =
   check_master fn p master;
   match Tree_decomp.detect p ~root:master with
   | Some td -> Ok (solve_tree p ~master td)
   | None -> (
-    let (_, alpha_v, s_v) as full = build_lp p ~master in
+    let ((_, alpha_v, s_v, _) as full) = full_lp fn p ~master in
     match generate_on fn ?cache ?stats p ~master full with
     | Error _ as e -> e
     | Ok (_, answer) ->
-      Ok (solution_of_sol ?stats p ~master alpha_v s_v answer))
+      let get = Array.map Option.get in
+      Ok (solution_of_sol ?stats p ~master (get alpha_v) (get s_v) answer))
 
 let try_solve ?cache ?stats p ~master =
   try_solve_as "Master_slave.try_solve" ?cache ?stats p ~master

@@ -165,19 +165,20 @@ val restricted :
 (** One round of {!solve}'s generation off trees.  [restricted p
     ~master ~kept] builds {!build_lp} on the nodes [kept] marks only
     (their variables, the send variables of the edges between them,
-    and their rows, under {!build_lp}'s names), solves it with
-    {!Lp.solve} [?cache ?stats], and carries the answer to the whole
-    {!build_lp} model: every omitted variable is 0, an omitted node's
-    conservation dual is -1 (a task there is worth 1), and its port and
-    [ub:] rows price 0.  With it come the omitted nodes pricing adds,
-    ascending: the far ends of the edges between the kept nodes and the
-    rest whose reduced cost those duals make negative.  With [t_u] the
-    value of a task at [u] (minus its conservation dual, 0 at the
-    master), [u -> v] is violated when [1 - t_u > c * y(outport_u)] and
-    [v -> u] ([u] not the master) when [t_u - c * y(inport_u) > 1].
-    Every other reduced cost of the whole model is one of the
-    restriction's, so [Lp.certify (build_lp p ~master)] accepts the
-    answer exactly when that list is empty.
+    and their rows, under {!build_lp}'s names; {!build_lp} itself when
+    all are kept), solves it with {!Lp.solve} [?cache ?stats], and
+    carries the answer to the whole {!build_lp} model by row and column
+    position: omitted variables are 0, kept rows keep their duals, an
+    omitted node's conservation row prices -1 (a task there is worth 1)
+    and every other row 0.  With it come the omitted nodes pricing
+    adds, ascending: the far ends of the edges between the kept nodes
+    and the rest whose reduced cost those duals make negative.  With
+    [t_u] the value of a task at [u] (minus its conservation dual, 0 at
+    the master), [u -> v] is violated when [1 - t_u > c *
+    y(outport_u)] and [v -> u] ([u] not the master) when [t_u - c *
+    y(inport_u) > 1].  Every other reduced cost of the whole model is
+    one of the restriction's, so [Lp.certify (build_lp p ~master)]
+    accepts the answer exactly when that list is empty.
     @raise Invalid_argument if [master] is not a node, or [kept] is not
     one flag per node with the master's set. *)
 
@@ -190,11 +191,11 @@ val generate :
 (** {!solve}'s path off trees up to its certificate: the rounds of
     {!restricted} from the support of the shortest-path tree's closed
     form, each adding the omitted ends of the violated edges, and the
-    final node set with the answer that [Lp.certify (build_lp p
-    ~master)] accepted.  {!try_solve} reads its solution off that
-    answer.  Each round adds a node, so there are at most [n] of them
-    (one [solves] each in [?stats] without a cache).  Runs on any
-    platform; {!solve} calls it only off trees.
+    final node set with the extended answer that [Lp.certify (build_lp
+    p ~master)] accepted; {!try_solve} reads its solution off it.  The
+    whole model is built once and solved as is by a round keeping every
+    node.  Each round adds a node: at most [n] rounds (one [solves]
+    each in [?stats] without a cache).  {!solve} calls it off trees.
     @raise Invalid_argument if [master] is not a node.
     @raise Failure if the whole LP's answer fails its certificate. *)
 
@@ -215,9 +216,8 @@ val solve_reduced :
   Platform.t ->
   master:Platform.node ->
   solution
-(** {!solve} under its former name: the repository benchmark
-    ([perfbench/]) calls the tree solve by this name, and keeps the
-    name while its workloads stay fixed. *)
+(** {!solve} under its former name, by which the repository benchmark
+    ([perfbench/]) calls the tree solve while its workloads stay fixed. *)
 
 val schedule :
   ?strict:bool ->

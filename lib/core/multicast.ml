@@ -179,7 +179,7 @@ let packing_of_trees ?cache p ~source ~targets trees =
       let used =
         List.filter_map
           (fun (x, tree) ->
-            let v = sol.Lp.values x in
+            let v = Lp.value sol x in
             if R.sign v > 0 then Some (tree, v) else None)
           (List.combine xs trees)
       in

@@ -29,12 +29,13 @@ type model = {
   mutable nvars : int;
   mutable cons : cons list; (* reversed *)
   mutable ncons : int;
+  mutable nubs : int; (* upper-bounded variables: one [ub:] row each *)
   mutable objective : (sense * linexpr) option;
   names : (string, var) Hashtbl.t;
 }
 
 let create () =
-  { vars = []; nvars = 0; cons = []; ncons = 0; objective = None;
+  { vars = []; nvars = 0; cons = []; ncons = 0; nubs = 0; objective = None;
     names = Hashtbl.create 64 }
 
 let add_var ?(ub = None) m name =
@@ -47,6 +48,7 @@ let add_var ?(ub = None) m name =
   let v = m.nvars in
   m.vars <- { name; ub } :: m.vars;
   m.nvars <- m.nvars + 1;
+  if ub <> None then m.nubs <- m.nubs + 1;
   Hashtbl.add m.names name v;
   v
 
@@ -59,6 +61,7 @@ let find_var m name =
 
 let num_vars m = m.nvars
 let num_constraints m = m.ncons
+let num_rows m = m.ncons + m.nubs
 
 let add_constraint ?name m expr rel rhs =
   let cname =
@@ -95,15 +98,12 @@ let eval f e =
 
 (* --- solving --- *)
 
-type solution = {
-  objective : R.t;
-  values : var -> R.t;
-  duals : (string * R.t) list;
-}
+type solution = { objective : R.t; values : R.t array; duals : R.t array }
 
 type result = Optimal of solution | Infeasible | Unbounded
 
 let duals sol = sol.duals
+let value sol v = sol.values.(v)
 
 let constraints m =
   List.rev_map (fun c -> (c.cname, c.rel, c.rhs)) m.cons
@@ -328,22 +328,14 @@ let cache_key sg (m : model) =
     (List.rev m.vars);
   Buffer.contents buf
 
-(* Row names of the standard form, in translate's row order: model
-   constraints first, then one [ub:<var>] row per upper-bounded
-   variable. *)
+(* Row names, for display: model constraints first, then one
+   [ub:<var>] row per upper-bounded variable, the order of
+   [solution.duals]. *)
 let row_names m =
-  let cons = List.rev_map (fun c -> c.cname) m.cons in
-  let ubs =
-    List.rev
-      (List.fold_left
-         (fun acc vi ->
-           match vi.ub with
-           | None -> acc
-           | Some _ -> ("ub:" ^ vi.name) :: acc)
-         []
-         (List.rev m.vars))
-  in
-  List.rev_append (List.rev cons) ubs
+  List.rev_map (fun c -> c.cname) m.cons
+  @ List.filter_map
+      (fun vi -> Option.map (fun _ -> "ub:" ^ vi.name) vi.ub)
+      (List.rev m.vars)
 
 (* --- disk-record value encoding ---
 
@@ -353,20 +345,20 @@ let row_names m =
    round-trip exactly through [R.to_string]/[R.of_string] (canonical
    form), so a record read back is bit-identical to the result that was
    stored — the property the corruption harness asserts end to end.
-   Dual names are NOT stored: key equality already implies an identical
-   model, so they are rebuilt from the model at decode time, keeping
-   records small.  The format tag also names the kernel behaviour: when
-   a change makes a re-solve return a different optimal vertex (version
-   2: the crash-basis cold start), the tag moves, so records of the old
-   kernel are quarantined and re-solved rather than served as a hit that
-   differs from a re-solve.  Version 3 drops the warm-start basis line
-   that versions 1 and 2 carried after the duals; version 4 keeps
-   implied [ub:] rows out of the kernel, which can move the vertex of a
-   degenerate model. *)
+   Row names are NOT stored: the duals are by row position, and key
+   equality already implies an identical model, so a dual count other
+   than the model's rows is malformed.  The format tag also names the
+   kernel behaviour: when a change makes a re-solve return a different
+   optimal vertex (version 2: the crash-basis cold start), the tag
+   moves, so records of the old kernel are quarantined and re-solved
+   rather than served as a hit that differs from a re-solve.  Version 3
+   drops the warm-start basis line that versions 1 and 2 carried after
+   the duals; version 4 keeps implied [ub:] rows out of the kernel,
+   which can move the vertex of a degenerate model. *)
 
 let value_format = "lpres 4"
 
-let encode_entry ~n (res : result) =
+let encode_entry (res : result) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf value_format;
   Buffer.add_char buf '\n';
@@ -377,19 +369,17 @@ let encode_entry ~n (res : result) =
     Buffer.add_string buf "O\n";
     Buffer.add_string buf (R.to_string sol.objective);
     Buffer.add_char buf '\n';
-    Buffer.add_string buf (string_of_int n);
-    Buffer.add_char buf '\n';
-    for v = 0 to n - 1 do
-      Buffer.add_string buf (R.to_string (sol.values v));
-      Buffer.add_char buf '\n'
-    done;
-    Buffer.add_string buf (string_of_int (List.length sol.duals));
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (_, y) ->
-        Buffer.add_string buf (R.to_string y);
-        Buffer.add_char buf '\n')
-      sol.duals);
+    let dump a =
+      Buffer.add_string buf (string_of_int (Array.length a));
+      Buffer.add_char buf '\n';
+      Array.iter
+        (fun x ->
+          Buffer.add_string buf (R.to_string x);
+          Buffer.add_char buf '\n')
+        a
+    in
+    dump sol.values;
+    dump sol.duals);
   Buffer.contents buf
 
 (* [None] on *any* malformed value, trailing lines included — the caller
@@ -418,17 +408,14 @@ let decode_entry m value =
         | "U" -> Unbounded
         | "O" ->
           let objective = rat () in
-          let n = int () in
-          if n <> num_vars m then raise Exit;
-          let values = Array.make n R.zero in
-          for i = 0 to n - 1 do
-            values.(i) <- rat ()
-          done;
-          let names = row_names m in
-          let d = int () in
-          if d <> List.length names then raise Exit;
-          let duals = List.map (fun name -> (name, rat ())) names in
-          Optimal { objective; values = (fun v -> values.(v)); duals }
+          (* [Array.init] reads the lines in index order *)
+          let read len =
+            if int () <> len then raise Exit;
+            Array.init len (fun _ -> rat ())
+          in
+          let values = read (num_vars m) in
+          let duals = read (num_rows m) in
+          Optimal { objective; values; duals }
         | _ -> raise Exit
       in
       if !next <> [ "" ] then raise Exit;
@@ -554,14 +541,13 @@ let solve ?cache ?stats m =
            [ub:] rows alike.  An implied [ub:] row the kernel never saw
            is redundant, so pricing it at 0 keeps the duals optimal. *)
         let duals =
-          List.mapi
-            (fun i name ->
-              let k = kernel_row.(i) in
+          Array.map
+            (fun k ->
               let y = if k < 0 then R.zero else std_duals.(k) in
-              (name, if flip then R.neg y else y))
-            (row_names m)
+              if flip then R.neg y else y)
+            kernel_row
         in
-        Optimal { objective; values = (fun v -> values.(v)); duals }
+        Optimal { objective; values; duals }
     in
     (match cached with
     | Some (cc, key, hkey, None) ->
@@ -569,11 +555,11 @@ let solve ?cache ?stats m =
         { Cache.e_key = key; e_res = res; e_tick = 0 };
       (match cc.Cache.disk with
       | None -> ()
-      | Some d -> Solve_store.add d key (encode_entry ~n res))
+      | Some d -> Solve_store.add d key (encode_entry res))
     | _ -> ());
     res
 
-let value_by_name m sol name = sol.values (find_var m name)
+let value_by_name m sol name = sol.values.(find_var m name)
 
 (* --- validation --- *)
 
@@ -628,65 +614,68 @@ let check_solution m f =
    [d_v = c_v - sum_r y_r a_rv - y_(ub:v)]: [Le] rows, [ub:] rows
    included, need [y <= 0] and [Ge] rows [y >= 0]; every variable needs
    [d_v >= 0]; and strong duality reads [c.x = sum_r y_r rhs_r].  One
-   pass over the nonzeros. *)
+   pass over the nonzeros, the rows walked by position; names are only
+   looked up to report a failure. *)
 let certify m sol =
   let ( let* ) = Result.bind in
+  let* () =
+    if Array.length sol.values = m.nvars && Array.length sol.duals = num_rows m
+    then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "answer shape: %d values and %d duals for %d variables and %d rows"
+           (Array.length sol.values) (Array.length sol.duals) m.nvars
+           (num_rows m))
+  in
   let* _ =
-    Result.map_error (fun e -> "primal: " ^ e) (check_solution m sol.values)
+    Result.map_error (fun e -> "primal: " ^ e)
+      (check_solution m (Array.get sol.values))
   in
   let sense, f =
     match m.objective with Some o -> o | None -> (Minimize, zero)
   in
   let orient = if sense = Maximize then R.neg else Fun.id in
   let* () =
-    if R.equal (eval sol.values f) sol.objective then Ok ()
+    if R.equal (eval (Array.get sol.values) f) sol.objective then Ok ()
     else Error "objective differs from the value of the returned point"
-  in
-  let vars = var_array m in
-  let names = row_names m in
-  let* () =
-    if List.equal String.equal names (List.map fst sol.duals) then Ok ()
-    else Error "duals do not name the model's rows in order"
   in
   let d = Array.make m.nvars R.zero in
   Imap.iter (fun v c -> d.(v) <- orient c) f;
-  let dual_obj = ref R.zero in
-  let bad = ref None in
-  let row (name, y) (rel, rhs, expr) =
-    let y = orient y in
+  let dual_obj = ref R.zero and bad_row = ref (-1) in
+  let row r rel rhs expr =
+    let y = orient sol.duals.(r) in
     let ok =
       match rel with
       | Le -> R.sign y <= 0
       | Ge -> R.sign y >= 0
       | Eq -> true
     in
-    if (not ok) && !bad = None then
-      bad := Some (Printf.sprintf "dual of row %s has the wrong sign: %s" name
-                     (R.to_string y));
+    if (not ok) && !bad_row < 0 then bad_row := r;
     dual_obj := R.add !dual_obj (R.mul y rhs);
     Imap.iter (fun v a -> d.(v) <- R.sub d.(v) (R.mul y a)) expr
   in
-  let ub_rows =
-    List.concat
-      (List.mapi
-         (fun v vi ->
-           match vi.ub with
-           | Some u -> [ (Le, u, Imap.singleton v R.one) ]
-           | None -> [])
-         (Array.to_list vars))
-  in
-  (* same order as [row_names], whose match with the duals is checked *)
-  List.iter2 row sol.duals
-    (List.rev_map (fun c -> (c.rel, c.rhs, c.expr)) m.cons @ ub_rows);
-  Array.iteri
+  List.iteri (fun r c -> row r c.rel c.rhs c.expr) (List.rev m.cons);
+  let r = ref m.ncons in
+  List.iteri
     (fun v vi ->
-      if R.sign d.(v) < 0 && !bad = None then
-        bad := Some (Printf.sprintf "reduced cost of %s is infeasible: %s"
-                       vi.name (R.to_string d.(v))))
-    vars;
-  match !bad with
-  | Some e -> Error ("dual: " ^ e)
-  | None ->
+      Option.iter
+        (fun u ->
+          row !r Le u (Imap.singleton v R.one);
+          incr r)
+        vi.ub)
+    (List.rev m.vars);
+  match (!bad_row, Array.find_index (fun x -> R.sign x < 0) d) with
+  | r, _ when r >= 0 ->
+    Error
+      (Printf.sprintf "dual: dual of row %s has the wrong sign: %s"
+         (List.nth (row_names m) r)
+         (R.to_string (orient sol.duals.(r))))
+  | _, Some v ->
+    Error
+      (Printf.sprintf "dual: reduced cost of %s is infeasible: %s"
+         (var_name m v) (R.to_string d.(v)))
+  | _, None ->
     let primal = orient sol.objective in
     if R.equal primal !dual_obj then Ok ()
     else

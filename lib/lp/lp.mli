@@ -13,8 +13,9 @@
     vertices, which is what makes period reconstruction (lcm of
     denominators) possible at all. *)
 
-type var
-(** Opaque variable handle, valid only for the model that created it. *)
+type var = private int
+(** Variable handle for the model that created it: its declaration
+    index, its position in {!solution.values} and standard-form column. *)
 
 type model
 
@@ -43,6 +44,9 @@ val find_var : model -> string -> var
 val num_vars : model -> int
 val num_constraints : model -> int
 
+val num_rows : model -> int
+(** Constraints plus upper-bounded variables: {!solution.duals}' length. *)
+
 val add_constraint : ?name:string -> model -> linexpr -> relation -> Rat.t -> unit
 
 val set_objective : model -> sense -> linexpr -> unit
@@ -64,18 +68,18 @@ val eval : (var -> Rat.t) -> linexpr -> Rat.t
 
 type solution = {
   objective : Rat.t;
-  values : (var -> Rat.t);
-  duals : (string * Rat.t) list;
-      (** exact dual value (shadow price) per model row, in row order:
-          one entry per model constraint under its name, then one
-          [ub:<var>] entry per upper-bounded variable.  A [ub:] row that
-          {!standard_form} omits as implied is redundant and reports
-          [0].  Oriented for the model's sense: a positive dual on a
-          binding [Le] row of a [Maximize] model is the objective gain
-          per unit of extra right-hand side.  Strong duality holds
-          exactly: [objective = sum_r dual_r * rhs_r] where the rhs of
-          an [ub:<var>] row is that variable's upper bound; {!certify}
-          checks it. *)
+  values : Rat.t array;  (** per variable, indexed by {!var} *)
+  duals : Rat.t array;
+      (** exact dual value (shadow price) per row, by position: the
+          constraints, then one [ub:<var>] row per upper-bounded
+          variable, each in declaration order ({!row_names}).  A [ub:]
+          row that {!standard_form} omits as implied reports [0].
+          Oriented for the model's sense: a positive dual on a binding
+          [Le] row of a [Maximize] model is the objective gain per unit
+          of extra right-hand side.  Strong duality holds exactly:
+          [objective = sum_r dual_r * rhs_r] where the rhs of an
+          [ub:<var>] row is that variable's upper bound; {!certify}
+          checks it.  A cached answer is shared: do not mutate it. *)
 }
 
 type result =
@@ -83,9 +87,11 @@ type result =
   | Infeasible
   | Unbounded
 
-val duals : solution -> (string * Rat.t) list
-(** [duals sol] is {!solution.duals} — the per-constraint shadow
-    prices. *)
+val duals : solution -> Rat.t array
+(** [duals sol] is {!solution.duals}, the per-row shadow prices. *)
+
+val value : solution -> var -> Rat.t
+(** [value sol v] is [sol.values.(v)]. *)
 
 val constraints : model -> (string * relation * Rat.t) list
 (** Constraint names, relations and right-hand sides, in declaration
@@ -96,9 +102,9 @@ val var_bounds : model -> (string * Rat.t option) list
 (** Variable names with their upper bounds, in declaration order. *)
 
 val row_names : model -> string list
-(** The names {!solution.duals} carries, in its order: {!constraints}'
-    names, then [ub:<var>] for each upper-bounded variable of
-    {!var_bounds}. *)
+(** The names of the rows {!solution.duals} prices, in its order, for
+    display: {!constraints}' names, then [ub:<var>] for each
+    upper-bounded variable of {!var_bounds}. *)
 
 module Cache : sig
   (** Exact memo of solved instances.  The key is the structural
@@ -161,34 +167,27 @@ module Stats : sig
       deterministic pivot rules), so the bench can report
       them next to wall-clock and attribute a speedup to {e fewer}
       pivots vs {e cheaper} pivots.  Cache hits contribute nothing —
-      no kernel ran. *)
+      no kernel ran.  The fields that are always [0] stay so counter
+      consumers keep their schema. *)
 
   type t = {
     mutable solves : int;  (** optimal kernel solves accumulated *)
     mutable pivots : int;  (** simplex pivots across those solves *)
     mutable refactors : int;
-        (** basis refactorisations: always [0] — the tableau kernel
-            never refactorises; kept so counter consumers keep their
-            schema *)
+        (** always [0]: the tableau kernel never refactorises *)
     mutable cycles_cancelled : int;
         (** flow cycles removed from LP task flows by the cycle
             cancellation in the master–slave solve path *)
     mutable matchings_repaired : int;
-        (** always [0]: every schedule is reconstructed from scratch, so
-            no matching is repaired; kept so counter consumers keep
-            their schema *)
+        (** always [0]: every schedule is reconstructed from scratch *)
     mutable matchings_rebuilt : int;
         (** matchings the edge colouring emitted, one per schedule slot *)
     mutable slots_reused : int;
-        (** always [0]: no slot is taken over from a previous schedule;
-            kept so counter consumers keep their schema *)
+        (** always [0]: no slot is taken over from a previous schedule *)
     mutable delays_reused : int;
-        (** always [0]: every pipeline-delay vector is computed by
-            longest path; kept so counter consumers keep their schema *)
+        (** always [0]: every pipeline delay is computed by longest path *)
     mutable warm_remapped : int;
-        (** always [0]: every {!solve} is cold, so no basis is ever
-            imported or remapped; kept so counter consumers keep their
-            schema *)
+        (** always [0]: every {!solve} is cold, no basis is imported *)
     mutable retries : int;
         (** failed transfers re-submitted by a failure-aware executor
             (exponential backoff or epoch-boundary re-routing) *)
@@ -257,7 +256,8 @@ val check_solution : model -> (var -> Rat.t) -> (string, string) Stdlib.result
 
 val certify : model -> solution -> (unit, string) Stdlib.result
 (** Exact optimality certificate for an answer of {!solve}, checked from
-    the model alone: primal feasibility ({!check_solution}), the
+    the model alone: one value per variable and one dual per row
+    ({!num_rows}), primal feasibility ({!check_solution}), the
     reported objective equal to the objective at the returned point,
     dual feasibility of {!solution.duals} (the sign each row's relation
     requires, [ub:] rows included, and every variable's reduced cost
@@ -265,7 +265,7 @@ val certify : model -> solution -> (unit, string) Stdlib.result
     [objective = sum_r dual_r * rhs_r].  Together these prove
     the point optimal, whichever vertex the kernel returned.  [Error]
     names the first failing check.  Costs one pass over the model's
-    nonzeros. *)
+    nonzeros, rows by position; no name is built unless a check fails. *)
 
 val pp : Format.formatter -> model -> unit
 (** Human-readable dump of the model (CPLEX-LP-like). *)

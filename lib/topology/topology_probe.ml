@@ -44,10 +44,10 @@ let measure_bandwidth p src dst =
    row or [ub:alpha_] row — an exact, noise-free complement to the
    pairwise probe heuristics below. *)
 let bottlenecks p ~master =
-  match snd (Master_slave.solve_lp_only p ~master) with
-  | Lp.Infeasible | Lp.Unbounded -> []
-  | Lp.Optimal sol ->
-    Lp.duals sol
+  match Master_slave.solve_lp_only p ~master with
+  | _, (Lp.Infeasible | Lp.Unbounded) -> []
+  | m, Lp.Optimal sol ->
+    List.combine (Lp.row_names m) (Array.to_list (Lp.duals sol))
     |> List.filter (fun (_, y) -> R.sign y <> 0)
     |> List.stable_sort (fun (_, a) (_, b) -> R.compare (R.abs b) (R.abs a))
 

@@ -26,7 +26,7 @@ let knapsack children =
       (Lp.sum (List.map (fun (_, c, v) -> Lp.term (R.inv c) v) yv));
     (match Lp.solve m with
     | Lp.Optimal sol ->
-      (sol.Lp.objective, List.map (fun (e, _, v) -> (e, sol.Lp.values v)) yv)
+      (sol.Lp.objective, List.map (fun (e, _, v) -> (e, Lp.value sol v)) yv)
     | Lp.Infeasible | Lp.Unbounded ->
       failwith "Knapsack_reference.knapsack: LP not optimal")
 

@@ -293,6 +293,35 @@ let test_outage_validation () =
     (Invalid_argument "Dynamic_sched: negative multiplier") (fun () ->
       Dy.validate_scenario ~allow_outages:true neg)
 
+(* One trace per subject: the planner and the simulator must not read
+   two different ones.  A node or an edge named twice (a dead CPU then a
+   slow one, a dead link then a slow one) is refused, naming it, by
+   every entry point that reads the traces. *)
+let test_repeated_subject () =
+  let sc = crash_scenario () in
+  let p = sc.Dy.platform in
+  let dead = [ (ri 10, R.zero) ] and slow = [ (ri 10, r 1 2) ] in
+  let refused sc msg =
+    List.iter
+      (fun (what, f) ->
+        Alcotest.check_raises what (Invalid_argument msg) (fun () -> f sc))
+      [
+        ("robust", fun sc -> ignore (Dy.run sc Dy.Robust));
+        ("static", fun sc -> ignore (Dy.run sc Dy.Static));
+        ( "surviving platform",
+          fun sc -> ignore (Dy.surviving_platform sc ~at:R.one) );
+        ("fault bound", fun sc -> ignore (Dy.fault_throughput_bound sc));
+      ]
+  in
+  refused
+    { sc with Dy.cpu_traces = [ (1, dead); (1, slow) ] }
+    (Printf.sprintf "Dynamic_sched: node %s has two traces"
+       (Platform.name p 1));
+  refused
+    { sc with Dy.bw_traces = (2, dead) :: (2, slow) :: sc.Dy.bw_traces }
+    (Printf.sprintf "Dynamic_sched: edge %s has two traces"
+       (Platform.edge_name p 2))
+
 let test_robust_beats_static_on_crash () =
   let sc = crash_scenario () in
   let s = Dy.run sc Dy.Static in
@@ -761,7 +790,7 @@ let vertex_floors p phase alpha =
 let kernel_alpha p =
   let m, alpha_v, _ = Master_slave.build_lp p ~master:0 in
   match Lp.solve m with
-  | Lp.Optimal sol -> Array.map sol.Lp.values alpha_v
+  | Lp.Optimal sol -> Array.map (Lp.value sol) alpha_v
   | _ -> Alcotest.fail "tree LP not optimal"
 
 let check_beats_vertices label p phase =
@@ -874,6 +903,8 @@ let suite =
         test_no_cache_solves_every_plan;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "outage validation" `Quick test_outage_validation;
+      Alcotest.test_case "one trace per node and edge" `Quick
+        test_repeated_subject;
       Alcotest.test_case "robust beats static on crash" `Quick
         test_robust_beats_static_on_crash;
       Alcotest.test_case "robust with recovery" `Quick test_robust_with_recovery;

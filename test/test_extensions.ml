@@ -86,7 +86,7 @@ let same_as_reference p ~participants =
     && List.for_all2
          (fun (_, fv) flow ->
            Array.for_all2 R.equal
-             (Flow.cancel_cycles p (Array.map s.Lp.values fv))
+             (Flow.cancel_cycles p (Array.map (Lp.value s) fv))
              flow)
          f_v
          (Array.to_list sol.Collective.flows)

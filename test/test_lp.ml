@@ -21,6 +21,9 @@ let certified name m s =
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: certificate rejected: %s" name e
 
+(* the duals under their rows' names, for readable expectations *)
+let named_duals m s = List.combine (Lp.row_names m) (Array.to_list (Lp.duals s))
+
 (* [Lp.solve] always prices with Dantzig; the Bland path is driven
    directly on the very standard form [Lp.solve] hands the kernel.
    Standard-form objective: the model's for [Minimize], negated for
@@ -57,8 +60,8 @@ let test_textbook_max () =
   Lp.set_objective m Lp.Maximize (Lp.of_terms [ (ri 3, x); (ri 5, y) ]);
   let s = solve_get m in
   Alcotest.check rat "objective" (ri 36) s.objective;
-  Alcotest.check rat "x" (ri 2) (s.values x);
-  Alcotest.check rat "y" (ri 6) (s.values y)
+  Alcotest.check rat "x" (ri 2) (Lp.value s x);
+  Alcotest.check rat "y" (ri 6) (Lp.value s y)
 
 (* min x + y st x + 2y >= 4, 3x + y >= 6; opt at intersection (8/5, 6/5) -> 14/5 *)
 let test_textbook_min () =
@@ -69,8 +72,8 @@ let test_textbook_min () =
   Lp.set_objective m Lp.Minimize (Lp.add (Lp.var x) (Lp.var y));
   let s = solve_get m in
   Alcotest.check rat "objective" (r 14 5) s.objective;
-  Alcotest.check rat "x" (r 8 5) (s.values x);
-  Alcotest.check rat "y" (r 6 5) (s.values y)
+  Alcotest.check rat "x" (r 8 5) (Lp.value s x);
+  Alcotest.check rat "y" (r 6 5) (Lp.value s y)
 
 let test_equality_constraint () =
   (* max x st x + y = 5, y >= 2  ->  x = 3 *)
@@ -82,12 +85,12 @@ let test_equality_constraint () =
   Lp.set_objective m Lp.Maximize (Lp.var x);
   let s = solve_get m in
   Alcotest.check rat "objective" (ri 3) s.objective;
-  Alcotest.check rat "y on its row" (ri 2) (s.values y);
+  Alcotest.check rat "y on its row" (ri 2) (Lp.value s y);
   (* the Eq row's dual is free in sign: here it is 1, and the Ge row's
      is -1 *)
   Alcotest.(check (list (pair string rat))) "duals"
     [ ("c0", ri 1); ("c1", ri (-1)) ]
-    (Lp.duals s);
+    (named_duals m s);
   certified "equality" m s
 
 let test_upper_bounds () =
@@ -248,7 +251,7 @@ let prop_optimal_is_feasible =
       let m, _ = build_lp inst in
       match Lp.solve m with
       | Lp.Optimal s ->
-        (match Lp.check_solution m s.values with
+        (match Lp.check_solution m (Lp.value s) with
         | Ok _ -> true
         | Error e -> QCheck.Test.fail_report e)
       | Lp.Infeasible | Lp.Unbounded -> false)
@@ -314,7 +317,7 @@ let dual_objective m s =
   in
   List.fold_left
     (fun acc (name, y) -> R.add acc (R.mul y (List.assoc name rhs_of)))
-    R.zero (Lp.duals s)
+    R.zero (named_duals m s)
 
 let test_duals_textbook () =
   (* max 3x + 5y st x <= 4 (c0), 2y <= 12 (c1), 3x + 2y <= 18 (c2).
@@ -335,7 +338,7 @@ let test_duals_textbook () =
   Alcotest.(check (list (pair string rat)))
     "exact duals"
     [ ("c0", R.zero); ("c1", r 3 2); ("c2", ri 1) ]
-    (Lp.duals s);
+    (named_duals m s);
   Alcotest.check rat "strong duality" s.Lp.objective (dual_objective m s)
 
 let test_duals_upper_bound_rows () =
@@ -355,7 +358,7 @@ let test_duals_upper_bound_rows () =
   Alcotest.(check (list (pair string rat)))
     "bound-row duals"
     [ ("c0", R.zero); ("ub:x", ri 1); ("ub:y", ri 1) ]
-    (Lp.duals s);
+    (named_duals m s);
   Alcotest.check rat "strong duality" (r 7 4) (dual_objective m s)
 
 let test_duals_paper_models () =
@@ -547,7 +550,7 @@ let test_certify_crash_rows () =
   Alcotest.(check (list (pair string rat)))
     "crash-column duals"
     [ ("c0", r (-2) 3); ("c1", r 1 3); ("c2", r 4 3) ]
-    (Lp.duals s);
+    (named_duals m s);
   certified "crash rows" m s;
   (* the kernel itself takes no phase-1 pivot here: the crash basis is
      already feasible, and phase 2 needs at most one pivot per row *)
@@ -576,22 +579,31 @@ let test_certify_rejects () =
   in
   (* feasible but suboptimal point (0, 0) with its objective *)
   rejected "suboptimal point" ~because:"duality gap"
-    { s with Lp.objective = R.zero; values = (fun _ -> R.zero) };
+    { s with Lp.objective = R.zero; values = [| R.zero; R.zero |] };
   (* infeasible point *)
   rejected "infeasible point" ~because:"primal"
-    { s with Lp.objective = ri 42; values = (fun v -> if v = x then ri 9 else ri 3) };
+    { s with Lp.objective = ri 42; values = [| ri 9; ri 3 |] };
   (* wrong objective for the returned point *)
   rejected "objective mismatch" ~because:"objective" { s with Lp.objective = ri 35 };
   (* a dual of the wrong sign on a Le row of a Maximize model *)
   rejected "dual sign" ~because:"dual: dual of row c0"
-    { s with Lp.duals = [ ("c0", ri (-1)); ("c1", r 3 2); ("c2", ri 1) ] };
+    { s with Lp.duals = [| ri (-1); r 3 2; ri 1 |] };
+  (* one optimal dual with its sign flipped *)
+  rejected "dual sign flip" ~because:"dual: dual of row c1"
+    { s with Lp.duals = [| R.zero; r (-3) 2; ri 1 |] };
   (* sign-feasible duals that leave a reduced cost negative *)
   rejected "dual infeasible" ~because:"dual: reduced cost of y"
-    { s with Lp.duals = [ ("c0", R.zero); ("c1", R.zero); ("c2", ri 1) ] };
+    { s with Lp.duals = [| R.zero; R.zero; ri 1 |] };
   (* dual feasible but not optimal: a duality gap *)
   rejected "duality gap" ~because:"duality gap"
-    { s with Lp.duals = [ ("c0", ri 3); ("c1", r 5 2); ("c2", R.zero) ] };
-  rejected "missing row" ~because:"duals do not name" { s with Lp.duals = [ ("c0", R.zero) ] }
+    { s with Lp.duals = [| ri 3; r 5 2; R.zero |] };
+  (* duals and values that do not match the model's rows and variables *)
+  rejected "missing row" ~because:"answer shape"
+    { s with Lp.duals = [| R.zero |] };
+  rejected "extra row" ~because:"answer shape"
+    { s with Lp.duals = Array.append s.Lp.duals [| R.zero |] };
+  rejected "missing value" ~because:"answer shape"
+    { s with Lp.values = [| ri 2 |] }
 
 (* --- implied upper bounds ---
 
@@ -683,7 +695,7 @@ let check_implied name spec ~dropped =
         Alcotest.check rat
           (Printf.sprintf "%s: dual of dropped ub:%s" name v)
           R.zero
-          (List.assoc ("ub:" ^ v) (Lp.duals s)))
+          (List.assoc ("ub:" ^ v) (named_duals m s)))
       dropped
   | Lp.Infeasible, None -> ()
   | _ -> Alcotest.failf "%s: solve and full dense reference disagree" name

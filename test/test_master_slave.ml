@@ -78,7 +78,7 @@ let test_lp_solution_feasible () =
   let m, result = MS.solve_lp_only p ~master:0 in
   match result with
   | Lp.Optimal s ->
-    (match Lp.check_solution m s.Lp.values with
+    (match Lp.check_solution m (Lp.value s) with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e)
   | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "LP not optimal"

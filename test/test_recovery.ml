@@ -593,7 +593,7 @@ let check_cyclic_support sc =
   in
   let raw_flow =
     Array.mapi
-      (fun e sv -> R.div (sol.Lp.values sv) (Platform.edge_cost p e))
+      (fun e sv -> R.div (Lp.value sol sv) (Platform.edge_cost p e))
       s_v
   in
   let _, cycles = Flow.cancel_cycles_counted p raw_flow in

@@ -44,9 +44,9 @@ let fingerprint m = function
          (fun (name, _) ->
            name ^ "=" ^ R.to_string (Lp.value_by_name m sol name))
          (Lp.var_bounds m))
-    @ List.map
-        (fun (name, y) -> name ^ ":" ^ R.to_string y)
-        (Lp.duals sol)
+    @ List.map2
+        (fun name y -> name ^ ":" ^ R.to_string y)
+        (Lp.row_names m) (Array.to_list (Lp.duals sol))
   | Lp.Infeasible -> [ "infeasible" ]
   | Lp.Unbounded -> [ "unbounded" ]
 
@@ -274,6 +274,39 @@ let test_value_format_previous () =
       | _ -> Alcotest.fail "unexpected value layout");
   check_value_quarantined dir "previous value format";
   rm_rf dir
+
+(* A record whose dual count differs from the model's rows, one short
+   or one extra, with the lines to match: a well-formed value for
+   another model, which must be quarantined and re-solved, never
+   served. *)
+let test_value_dual_count () =
+  List.iter
+    (fun (what, resize) ->
+      let dir = fresh_dir () in
+      let c = Lp.Cache.create ~disk:(S.open_store dir) () in
+      check_fig1 "populate" ~cache:c ();
+      rewrite_value dir (fun value ->
+          match String.split_on_char '\n' value with
+          | fmt :: "O" :: objective :: n :: rest ->
+            let n = int_of_string n in
+            let values = List.filteri (fun i _ -> i < n) rest in
+            (match List.filteri (fun i _ -> i >= n) rest with
+            | d :: duals ->
+              let duals = resize (List.filter (( <> ) "") duals) in
+              Alcotest.(check bool) (what ^ ": count moved") true
+                (List.length duals <> int_of_string d);
+              String.concat "\n"
+                ((fmt :: "O" :: objective :: string_of_int n :: values)
+                @ (string_of_int (List.length duals) :: duals)
+                @ [ "" ])
+            | [] -> Alcotest.fail "no dual count")
+          | _ -> Alcotest.fail "unexpected value layout");
+      check_value_quarantined dir what;
+      rm_rf dir)
+    [
+      ("one dual short", fun ds -> List.tl ds);
+      ("one dual extra", fun ds -> "0" :: ds);
+    ]
 
 (* a filename collision (same record path, different key) must read as
    a plain miss — not as a wrong answer, not as corruption *)
@@ -503,6 +536,8 @@ let suite =
       Alcotest.test_case "value version skew" `Quick test_value_version_skew;
       Alcotest.test_case "previous value format re-solved" `Quick
         test_value_format_previous;
+      Alcotest.test_case "dual count other than the rows" `Quick
+        test_value_dual_count;
       Alcotest.test_case "key echo rejects foreign record" `Quick
         test_key_echo_rejects_foreign_record;
       Alcotest.test_case "orphan tempfile invisible" `Quick
