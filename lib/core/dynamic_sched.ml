@@ -361,6 +361,27 @@ let surviving_platform sc ~at =
     ~node_mult:(fun i -> compiled_at node_cts.(i) at)
     ~edge_mult:(fun e -> compiled_at edge_cts.(e) at)
 
+(* Forecasters for the subjects a trace names.  An untraced node or edge
+   observes 1 at every boundary, so each of its predictors forecasts
+   exactly 1, as a never-fed forecaster does: it needs none. *)
+let forecasters cts =
+  Array.map
+    (fun ct ->
+      if Array.length ct.bp_times = 0 then None else Some (Forecast.create ()))
+    cts
+
+(* feed every forecaster whose subject is alive its multiplier at [time] *)
+let observe fcs cts ~alive time =
+  Array.iteri
+    (fun k fc ->
+      match fc with
+      | Some f when alive k -> Forecast.observe f (compiled_at cts.(k) time)
+      | Some _ | None -> ())
+    fcs
+
+let predict fcs k =
+  match fcs.(k) with None -> R.one | Some f -> Forecast.predict f
+
 let has_compute sub =
   List.exists
     (fun i ->
@@ -414,9 +435,8 @@ let run_classic ?cache ?stats sc strategy =
     plan (scaled_platform sc node_mult edge_mult)
   in
   let static_plan = plan p in
-  (* one forecaster per node and per edge (reactive strategy) *)
-  let node_fc = Array.init (P.num_nodes p) (fun _ -> Forecast.create ()) in
-  let edge_fc = Array.init (P.num_edges p) (fun _ -> Forecast.create ()) in
+  (* the reactive strategy's forecasters *)
+  let node_fc = forecasters node_cts and edge_fc = forecasters edge_cts in
   let marks = ref [] in
   let plan_for time =
     match strategy with
@@ -429,15 +449,10 @@ let run_classic ?cache ?stats sc strategy =
     | Reactive ->
       (* probe current performance, fold into the forecasters, and plan
          with the prediction *)
-      List.iter
-        (fun i -> Forecast.observe node_fc.(i) (compiled_at node_cts.(i) time))
-        (P.nodes p);
-      List.iter
-        (fun e -> Forecast.observe edge_fc.(e) (compiled_at edge_cts.(e) time))
-        (P.edges p);
-      plan_scaled
-        (fun i -> Forecast.predict node_fc.(i))
-        (fun e -> Forecast.predict edge_fc.(e))
+      let alive _ = true in
+      observe node_fc node_cts ~alive time;
+      observe edge_fc edge_cts ~alive time;
+      plan_scaled (predict node_fc) (predict edge_fc)
   in
   (* store-and-forward delivery of one unit task file along a path: each
      hop is submitted only when the previous one lands (so a stalled
@@ -491,12 +506,15 @@ let run_classic ?cache ?stats sc strategy =
    state encodes to the stored bytes, and continues live from there.
    The state has that one encoding, written and compared, never
    parsed.  Plans of the live suffix coincide with the uninterrupted
-   run's because every plan is cold (the tree sweep, or a cold LP
-   solve): each epoch's plan is a function of that epoch's platform
-   alone, so no solver state needs restoring and the resumed run needs
-   no LP memo: it runs without one.  A missing, truncated, corrupt,
-   version-skewed or mismatching checkpoint is quarantined and degrades
-   to a cold full run — recovery can cost time, never answers. *)
+   run's because each epoch's decision is a function of that epoch's
+   multipliers alone (the tree sweep, or a cold LP solve, on the
+   surviving platform they scale): no solver state needs restoring and
+   the resumed run needs no LP memo: it runs without one.  The one
+   thing a live epoch hands the next, the decision it may reuse, is
+   rebuilt by the resumed run's first live epoch, which plans.  A
+   missing, truncated, corrupt, version-skewed or mismatching
+   checkpoint is quarantined and degrades to a cold full run — recovery
+   can cost time, never answers. *)
 
 module Checkpoint = struct
   type config = { dir : string; every : int }
@@ -709,8 +727,7 @@ let run_robust ?cache ?stats ?ckpt sc =
         dead_cpu.(i) <- R.is_zero out.Event_sim.out_multiplier
       | Event_sim.Bw_of e ->
         dead_bw.(e) <- R.is_zero out.Event_sim.out_multiplier);
-  let node_fc = Array.init n (fun _ -> Forecast.create ()) in
-  let edge_fc = Array.init m (fun _ -> Forecast.create ()) in
+  let node_fc = forecasters node_cts and edge_fc = forecasters edge_cts in
   (* in-flight task files (op id -> remaining path starting at the hop
      currently on the wire, attempt count) and the retry backlog of
      task files waiting for a surviving route *)
@@ -840,14 +857,46 @@ let run_robust ?cache ?stats ?ckpt sc =
      would, restoring [Robust >= Static] under churn with recovery. *)
   let arrears = ref [] in
   let master_deficit = ref 0 in
-  (* No state crosses epochs under churn.  Every epoch is planned from
-     its surviving subplatform alone (off a tree, by a cold LP solve and
-     everything after it), so no epoch holds solver state a checkpoint
-     would have to store.  The only memo is the caller's [?cache]: an
-     identical multiplier snapshot builds an identical restriction,
-     hence an identical LP, which hits it. *)
+  (* A live decision is a function of the multipliers alone (dead marks
+     zero them): the surviving subplatform they scale, planned by the
+     tree sweep or, off a tree, a cold LP solve.  So a live epoch whose
+     multipliers equal the previous live epoch's, entry for entry,
+     reuses that epoch's decision.  That is the only state crossing
+     epochs, and no checkpoint stores it: a replayed epoch leaves it
+     alone, so a resumed run's first live epoch plans, and gets the
+     decision the uninterrupted run reused.  The only memo across runs
+     is the caller's [?cache]: an identical multiplier snapshot builds
+     an identical restriction, hence an identical LP, which hits it. *)
   let node_mults = Array.make n R.one in
   let edge_mults = Array.make m R.one in
+  let last_decision = ref None in
+  (* the decision for the current multipliers *)
+  let plan_live () =
+    let restr =
+      surviving_scaled sc
+        ~node_mult:(fun i -> node_mults.(i))
+        ~edge_mult:(fun e -> edge_mults.(e))
+    in
+    let sub = restr.P.sub in
+    let plan =
+      if not (has_compute sub) then None
+      else
+        plan_phase ?cache ?stats sub
+          ~master:restr.P.sub_of_node.(sc.master) sc.phase
+    in
+    match plan with
+    | None -> D_degraded
+    | Some (transfers, master_tasks_raw) ->
+      (* plan indices live on the restriction; record (and execute) in
+         original platform indices *)
+      let transfers =
+        List.map
+          (fun (path, cnt) ->
+            (List.map (fun se -> restr.P.edge_of_sub.(se)) path, cnt))
+          transfers
+      in
+      D_plan (transfers, master_tasks_raw)
+  in
   let marks = ref [] in
   (* ---- checkpoint plumbing ----
      [replay] is the decision prefix of a resumed run: boundaries
@@ -932,16 +981,8 @@ let run_robust ?cache ?stats ?ckpt sc =
         (* observations of resources that are actually alive feed the
            forecasters during replay and live planning alike — the first
            live epoch's predictions depend on the whole history *)
-        List.iter
-          (fun i ->
-            if not dead_cpu.(i) then
-              Forecast.observe node_fc.(i) (compiled_at node_cts.(i) t0))
-          (P.nodes p);
-        List.iter
-          (fun e ->
-            if not dead_bw.(e) then
-              Forecast.observe edge_fc.(e) (compiled_at edge_cts.(e) t0))
-          (P.edges p);
+        observe node_fc node_cts ~alive:(fun i -> not dead_cpu.(i)) t0;
+        observe edge_fc edge_cts ~alive:(fun e -> not dead_bw.(e)) t0;
         (* route arrears accrue per branch below (a dead destination CPU
            does NOT block the floor — delivering to a reachable node
            whose CPU is down pre-positions the task files, which compute
@@ -955,39 +996,24 @@ let run_robust ?cache ?stats ?ckpt sc =
           | Some (log, _) when k < resume_epoch -> log.(k)
           | _ ->
             (* live planning: plan on the surviving subplatform, scaled
-               by the forecasts *)
-            for i = 0 to n - 1 do
-              node_mults.(i) <-
-                (if dead_cpu.(i) then R.zero else Forecast.predict node_fc.(i))
-            done;
-            for e = 0 to m - 1 do
-              edge_mults.(e) <-
-                (if dead_bw.(e) then R.zero else Forecast.predict edge_fc.(e))
-            done;
-            let restr =
-              surviving_scaled sc
-                ~node_mult:(fun i -> node_mults.(i))
-                ~edge_mult:(fun e -> edge_mults.(e))
+               by the forecasts, unless they are the last live epoch's *)
+            let same = ref (Option.is_some !last_decision) in
+            let fill mults dead fcs =
+              Array.iteri
+                (fun k was ->
+                  let x = if dead.(k) then R.zero else predict fcs k in
+                  if !same && not (R.equal x was) then same := false;
+                  mults.(k) <- x)
+                mults
             in
-            let sub = restr.P.sub in
-            let plan =
-              if not (has_compute sub) then None
-              else
-                plan_phase ?cache ?stats sub
-                  ~master:restr.P.sub_of_node.(sc.master) sc.phase
-            in
-            (match plan with
-            | None -> D_degraded
-            | Some (transfers, master_tasks_raw) ->
-              (* plan indices live on the restriction; record (and
-                 execute) in original platform indices *)
-              let transfers =
-                List.map
-                  (fun (path, cnt) ->
-                    (List.map (fun se -> restr.P.edge_of_sub.(se)) path, cnt))
-                  transfers
-              in
-              D_plan (transfers, master_tasks_raw))
+            fill node_mults dead_cpu node_fc;
+            fill edge_mults dead_bw edge_fc;
+            match !last_decision with
+            | Some d when !same -> d
+            | Some _ | None ->
+              let d = plan_live () in
+              last_decision := Some d;
+              d
         in
         dlog := decision :: !dlog;
         match decision with

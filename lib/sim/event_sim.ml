@@ -7,9 +7,12 @@
      progress integration is always "elapsed * rate" with a constant
      rate;
    - completion events carry a generation number; any reschedule bumps
-     the generation, so stale completions are recognised and dropped —
+     the generation, so a stale completion is recognised and discarded
+     when it reaches the head of the queue, without moving the clock —
      cancellation reuses the same mechanism to invalidate the in-flight
      completion of a cancelled operation;
+   - after every scan of the queued operations, each one waits on a
+     busy resource (see [try_start_pending]);
    - an edge transfer occupies exactly the sender's send port and the
      receiver's receive port, hence at most one operation runs per
      rate key (node CPU or edge) at any time;
@@ -23,22 +26,6 @@
      and lane, so dispatching its events looks nothing up. *)
 
 module R = Rat
-
-module Emap = Map.Make (struct
-  (* (time, priority, seq): at equal times, completions (priority 0)
-     fire before timers (priority 1) — an operation ending at [t] frees
-     its resources before anything submitted at [t] needs them — and
-     FIFO order breaks remaining ties. *)
-  type t = R.t * int * int
-
-  let compare (ta, pa, sa) (tb, pb, sb) =
-    let c = R.compare ta tb in
-    if c <> 0 then c
-    else begin
-      let c = Stdlib.compare pa pb in
-      if c <> 0 then c else Stdlib.compare sa sb
-    end
-end)
 
 type op_kind = Compute of Platform.node * R.t | Transfer of Platform.edge * R.t
 
@@ -100,15 +87,20 @@ and op = {
   mutable last_update : R.t;
   mutable gen : int;
   mutable state : op_state;
-  mutable ev_key : (R.t * int * int) option;
-      (* queue key of the op's live completion event, if any — removed
-         eagerly on reschedule/cancel so stale completions never drag
-         the clock forward *)
+  mutable prev : op option; (* neighbours in the pending FIFO *)
+  mutable next : op option;
   on_done : (t -> unit) option;
   on_cancel : (t -> cancel_reason -> unit) option;
 }
 
 and event = Complete of op * int | Timer of (t -> unit)
+
+(* A queued event.  The queue is a binary heap ordered by (time,
+   priority, seq): at equal times, completions (priority 0) fire before
+   timers (priority 1) — an operation ending at [t] frees its resources
+   before anything submitted at [t] needs them — and FIFO order breaks
+   remaining ties.  [seq] is unique, so the order is total. *)
+and entry = { time : R.t; prio : int; seq : int; ev : event }
 
 (* A node's three resources and its CPU lane, created together. *)
 and node_state = { cpu : res; send : res; recv : res; nlane : lane }
@@ -116,11 +108,15 @@ and node_state = { cpu : res; send : res; recv : res; nlane : lane }
 and t = {
   p : Platform.t;
   mutable clock : R.t;
-  mutable queue : event Emap.t; (* keyed by (time, seq): FIFO within a time *)
+  mutable heap : entry array; (* slots [0, size) are the queue *)
+  mutable size : int;
   mutable next_seq : int;
   nodes : (int, node_state) Hashtbl.t; (* the nodes used so far *)
   edges : (int, lane) Hashtbl.t; (* the edges used so far *)
-  mutable pending : op list; (* FIFO: oldest first *)
+  mutable first : op option; (* the pending FIFO, oldest first *)
+  mutable last : op option;
+  mutable npending : int;
+  mutable freed : res list; (* released since the last pending scan *)
   running_by_key : (rate_key, op) Hashtbl.t;
       (* the running ops; [run] strands them in this table's order *)
   ops : (int, op) Hashtbl.t; (* live (queued or running) ops by oid *)
@@ -207,35 +203,79 @@ let now t = t.clock
 
 (* --- event queue --- *)
 
+(* what an empty heap slot holds, so the heap keeps no dead closure *)
+let hole = { time = R.zero; prio = 0; seq = -1; ev = Timer ignore }
+
+let before a b =
+  let c = R.compare a.time b.time in
+  c < 0 || (c = 0 && (a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)))
+
 let push_event t time ev =
   let prio = match ev with Complete _ -> 0 | Timer _ -> 1 in
-  t.queue <- Emap.add (time, prio, t.next_seq) ev t.queue;
-  t.next_seq <- t.next_seq + 1
-
-let push_completion t time op =
-  let key = (time, 0, t.next_seq) in
-  t.queue <- Emap.add key (Complete (op, op.gen)) t.queue;
+  let e = { time; prio; seq = t.next_seq; ev } in
   t.next_seq <- t.next_seq + 1;
-  op.ev_key <- Some key
+  if t.size = Array.length t.heap then begin
+    let bigger = Array.make (max 16 (2 * t.size)) hole in
+    Array.blit t.heap 0 bigger 0 t.size;
+    t.heap <- bigger
+  end;
+  let h = t.heap in
+  let rec up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before e h.(parent) then begin
+      h.(i) <- h.(parent);
+      up parent
+    end
+    else h.(i) <- e
+  in
+  up t.size;
+  t.size <- t.size + 1
 
-let drop_completion t op =
-  match op.ev_key with
-  | None -> ()
-  | Some key ->
-    t.queue <- Emap.remove key t.queue;
-    op.ev_key <- None
+(* remove and return the earliest entry of a non-empty queue *)
+let pop t =
+  let h = t.heap in
+  let top = h.(0) in
+  let n = t.size - 1 in
+  let last = h.(n) in
+  h.(n) <- hole;
+  t.size <- n;
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l >= n then h.(i) <- last
+    else begin
+      let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+      if before h.(c) last then begin
+        h.(i) <- h.(c);
+        down c
+      end
+      else h.(i) <- last
+    end
+  in
+  if n > 0 then down 0;
+  top
+
+(* whether a live entry heads the queue, after discarding the stale
+   completions ahead of it *)
+let rec live_head t =
+  t.size > 0
+  &&
+  match t.heap.(0).ev with
+  | Complete (op, gen) when gen <> op.gen ->
+    ignore (pop t);
+    live_head t
+  | Complete _ | Timer _ -> true
 
 (* --- rates --- *)
 
 let mult_at trace time =
-  let m = ref R.one in
-  (try
-     Array.iter
-       (fun (tb, mb) ->
-         if R.compare tb time <= 0 then m := mb else raise Exit)
-       trace
-   with Exit -> ());
-  !m
+  let n = Array.length trace in
+  let rec go j m =
+    if j = n then m
+    else
+      let tb, mb = trace.(j) in
+      if R.compare tb time <= 0 then go (j + 1) mb else m
+  in
+  go 0 R.one
 
 let trace_multiplier tr time = mult_at (Array.of_list tr) time
 
@@ -258,13 +298,12 @@ let fire_outage t out =
 
 let schedule_completion t op =
   op.gen <- op.gen + 1;
-  drop_completion t op;
-  if R.is_zero op.remaining then push_completion t t.clock op
+  if R.is_zero op.remaining then push_event t t.clock (Complete (op, op.gen))
   else begin
     let mult = mult_at op.lane.trace t.clock in
     if R.sign mult > 0 then begin
       let tc = R.add t.clock (R.div (R.mul op.remaining op.base) mult) in
-      push_completion t tc op
+      push_event t tc (Complete (op, op.gen))
     end
     (* multiplier 0: stalled; the breakpoint timer that restores a
        positive rate will reschedule *)
@@ -301,23 +340,47 @@ let is_free r = match r.occ with None -> true | Some _ -> false
 
 let resources_free op = List.for_all is_free op.res
 
+(* --- the pending FIFO --- *)
+
+let enqueue t op =
+  let cell = Some op in
+  op.prev <- t.last;
+  (match t.last with None -> t.first <- cell | Some l -> l.next <- cell);
+  t.last <- cell;
+  t.npending <- t.npending + 1
+
+let dequeue t op =
+  (match op.prev with None -> t.first <- op.next | Some p -> p.next <- op.next);
+  (match op.next with None -> t.last <- op.prev | Some n -> n.prev <- op.prev);
+  op.prev <- None;
+  op.next <- None;
+  t.npending <- t.npending - 1
+
+(* Start, oldest first, every queued operation whose resources are all
+   free.  After a scan each queued operation waits on a busy resource,
+   and only [release_slots] frees one; so once every resource freed
+   since the last scan is busy again, the rest of the queue is still
+   blocked and the scan stops, with the start order of a full scan. *)
 let try_start_pending t =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | op :: rest ->
+  let rec go = function
+    | Some op when List.exists is_free t.freed ->
+      let next = op.next in
       if resources_free op then begin
-        start_op t op;
-        go acc rest
-      end
-      else go (op :: acc) rest
+        dequeue t op;
+        start_op t op
+      end;
+      go next
+    | Some _ | None -> ()
   in
-  t.pending <- go [] t.pending
+  go t.first;
+  t.freed <- []
 
 let release_slots t op =
   List.iter
     (fun r ->
       r.busy <- R.add r.busy (R.sub t.clock r.since);
-      r.occ <- None)
+      r.occ <- None;
+      t.freed <- r :: t.freed)
     op.res;
   op.lane.runner <- None;
   Hashtbl.remove t.running_by_key op.key
@@ -339,7 +402,7 @@ let do_cancel t op reason =
   | Finished -> false
   | Queued ->
     op.state <- Finished;
-    t.pending <- List.filter (fun o -> o != op) t.pending;
+    dequeue t op;
     Hashtbl.remove t.ops op.oid;
     t.cancel_log <-
       { c_kind = op.kind; c_reason = reason; c_remaining = op.remaining;
@@ -353,7 +416,6 @@ let do_cancel t op reason =
     touch_op t op;
     op.state <- Finished;
     op.gen <- op.gen + 1;
-    drop_completion t op;
     release_slots t op;
     Hashtbl.remove t.ops op.oid;
     t.cancel_log <-
@@ -408,11 +470,15 @@ let create ?(cpu_traces = []) ?(bw_traces = []) p =
     {
       p;
       clock = R.zero;
-      queue = Emap.empty;
+      heap = [||];
+      size = 0;
       next_seq = 0;
       nodes = Hashtbl.create 16;
       edges = Hashtbl.create 16;
-      pending = [];
+      first = None;
+      last = None;
+      npending = 0;
+      freed = [];
       running_by_key = Hashtbl.create 32;
       ops = Hashtbl.create 32;
       next_oid = 0;
@@ -470,7 +536,8 @@ let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
       last_update = t.clock;
       gen = 0;
       state = Queued;
-      ev_key = None;
+      prev = None;
+      next = None;
       on_done;
       on_cancel;
     }
@@ -493,7 +560,7 @@ let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
   end
   else begin
     Hashtbl.replace t.ops op.oid op;
-    t.pending <- t.pending @ [ op ]
+    enqueue t op
   end;
   op.oid
 
@@ -515,35 +582,33 @@ let at t time f =
 let dispatch t ev =
   match ev with
   | Timer f -> f t
-  | Complete (op, gen) ->
-    if gen = op.gen then begin
-      op.ev_key <- None;
-      touch_op t op;
-      assert (R.is_zero op.remaining);
-      finish_op t op
-    end
+  | Complete (op, _) ->
+    (* [live_head] discarded the stale completions *)
+    touch_op t op;
+    assert (R.is_zero op.remaining);
+    finish_op t op
 
 let run_until t limit =
   let continue = ref true in
   while !continue do
-    match Emap.min_binding_opt t.queue with
-    | Some (((time, _, _) as key), ev) when R.compare time limit <= 0 ->
-      t.queue <- Emap.remove key t.queue;
-      t.clock <- time;
-      dispatch t ev
-    | Some _ | None -> continue := false
+    if live_head t && R.compare t.heap.(0).time limit <= 0 then begin
+      let e = pop t in
+      t.clock <- e.time;
+      dispatch t e.ev
+    end
+    else continue := false
   done;
   if R.compare t.clock limit < 0 then t.clock <- limit
 
 let drain t =
   let continue = ref true in
   while !continue do
-    match Emap.min_binding_opt t.queue with
-    | Some (((time, _, _) as key), ev) ->
-      t.queue <- Emap.remove key t.queue;
-      t.clock <- time;
-      dispatch t ev
-    | None -> continue := false
+    if live_head t then begin
+      let e = pop t in
+      t.clock <- e.time;
+      dispatch t e.ev
+    end
+    else continue := false
   done
 
 let run t =
@@ -552,9 +617,8 @@ let run t =
      completion, so every still-running operation sits at multiplier 0
      forever: strand it.  Stranding frees ports, which may start queued
      operations with positive rates — hence the re-drain loop.  Each
-     sweep removes at least one live operation (or starts pending ones,
-     which either complete or are themselves stranded next sweep), so
-     the loop terminates. *)
+     sweep removes at least one live operation, so the loop
+     terminates. *)
   let progress = ref true in
   while !progress do
     drain t;
@@ -564,11 +628,9 @@ let run t =
       ignore (do_cancel t op Stranded);
       progress := true
     | [] ->
-      if t.pending <> [] then begin
-        (* no runner, so every resource is free: start the queue *)
-        try_start_pending t;
-        progress := true
-      end
+      (* every queued operation waits on a busy resource, so with
+         nothing running nothing is queued *)
+      assert (t.npending = 0)
   done
 
 (* --- measurements: a node or edge no submission used reads zero --- *)
@@ -603,7 +665,7 @@ let busy_time t r =
     | None -> r.busy
     | Some _ -> R.add r.busy (R.sub t.clock r.since))
 
-let pending_ops t = List.length t.pending
+let pending_ops t = t.npending
 
 let running_ops t = Hashtbl.length t.running_by_key
 

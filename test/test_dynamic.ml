@@ -183,10 +183,13 @@ let ring_scenario () =
   { (scenario ()) with Dy.platform = p }
 
 let test_no_cache_solves_every_plan () =
-  (* [?cache] is the only memo: on a flat trace every plan LP is the
-     same instance, yet without a cache each one goes to the kernel
-     (the nominal plan, plus one per phase for all but Static), and
-     with a cache only the first is solved and the [phases] others hit.
+  (* [?cache] is the only memo across runs: on a flat trace every plan
+     LP is the same instance, yet without a cache each one goes to the
+     kernel (the nominal plan, plus one per phase for Reactive and
+     Oracle), and with a cache only the first is solved and the others
+     hit.  Robust plans the nominal platform and epoch 0; every later
+     epoch sees the multipliers epoch 0 saw and reuses its decision, so
+     it makes two plan LPs, the second a hit with a cache.
      Off trees a plan is [Master_slave.try_solve]'s generation, whose
      rounds each solve one restricted LP: without a cache every round
      of every plan reaches the kernel; with one, the first plan's
@@ -233,7 +236,7 @@ let test_no_cache_solves_every_plan () =
           (Dy.Static, "static", 1);
           (Dy.Reactive, "reactive", phases + 1);
           (Dy.Oracle, "oracle", phases + 1);
-          (Dy.Robust, "robust", phases + 1);
+          (Dy.Robust, "robust", 2);
         ])
     [ ("graph", graph_scenario (), false); ("ring", ring_scenario (), true) ]
 
@@ -529,6 +532,69 @@ let prop_trace_agreement =
       let _sim = Event_sim.create ~cpu_traces:[ (0, normalized) ] p in
       R.equal (Dy.multiplier_at trace t)
         (Event_sim.trace_multiplier normalized t))
+
+(* The executors feed forecasters only for traced nodes and edges: an
+   untraced one observes 1 at every boundary, which forecasts 1, as a
+   forecaster never fed does.  Tracing every other node and edge with a
+   breakpoint past the horizon gives each a forecaster, fed 1 at every
+   boundary, and shifts the sequence number of every later simulator
+   event by the same constant; the outcomes must not move.  Reactive
+   refuses outages, so it runs the plan with each outage made a
+   slowdown. *)
+let prop_untraced_forecasters =
+  QCheck.Test.make ~count:40
+    ~name:"forecasters of untraced subjects change nothing"
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (shape, seed) ->
+      let nodes = 4 + (seed mod 4) in
+      let p =
+        match shape with
+        | 0 ->
+          Platform_gen.star ~master_weight:Ext_rat.inf
+            ~slaves:
+              (List.init (nodes - 1) (fun i ->
+                   ( Ext_rat.of_int (1 + ((seed + i) mod 4)),
+                     ri (1 + ((seed / 7) + i) mod 3) )))
+            ()
+        | 1 -> Platform_gen.random_tree ~seed ~nodes ()
+        | _ ->
+          Platform_gen.random_connected_graph ~seed ~nodes ~extra_edges:2 ()
+      in
+      let phase = ri 6 and phases = 7 in
+      let horizon = R.mul_int phase phases in
+      let plan =
+        Faults.random_plan (Faults.generator ~seed) p ~master:0 ~horizon
+          ~align:phase ~faults:3
+      in
+      let slowed =
+        List.map
+          (function
+            | Faults.Node_crash (i, w) | Faults.Cpu_crash (i, w) ->
+              Faults.Cpu_slow (i, w, r 1 4)
+            | Faults.Link_cut (e, w) -> Faults.Link_slow (e, w, r 1 4)
+            | f -> f)
+          plan
+      in
+      let pad (cpu_traces, bw_traces) =
+        let past = [ (R.add horizon R.one, R.one) ] in
+        let rest size traced =
+          List.filter_map
+            (fun k -> if List.mem_assoc k traced then None else Some (k, past))
+            (List.init size Fun.id)
+        in
+        ( cpu_traces @ rest (Platform.num_nodes p) cpu_traces,
+          bw_traces @ rest (Platform.num_edges p) bw_traces )
+      in
+      let scenario (cpu_traces, bw_traces) =
+        { Dy.platform = p; master = 0; cpu_traces; bw_traces; phase; phases }
+      in
+      List.for_all
+        (fun (faults, strategy) ->
+          let traces = Faults.traces p faults in
+          Dy.outcomes_equal
+            (Dy.run (scenario traces) strategy)
+            (Dy.run (scenario (pad traces)) strategy))
+        [ (plan, Dy.Robust); (slowed, Dy.Reactive) ])
 
 (* --- multi-hop platforms: deliveries are store-and-forward relays --- *)
 
@@ -929,4 +995,5 @@ let suite =
       Alcotest.test_case "plan beats vertex floors" `Quick
         test_plan_beats_vertex_floors;
       QCheck_alcotest.to_alcotest prop_trace_agreement;
+      QCheck_alcotest.to_alcotest prop_untraced_forecasters;
     ] )

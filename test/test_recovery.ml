@@ -150,6 +150,56 @@ let test_resume_every_epoch () =
       done)
     [ ("tree", tree_scenario ()); ("star", star_scenario ()) ]
 
+(* A live Robust epoch whose multipliers equal the previous live
+   epoch's reuses that epoch's decision.  Here slave 1's CPU is out in
+   epochs 2-3 and back, unchanged, in epoch 4, and slave 2 slows from
+   epoch 6: flat stretches with three changes.  A resume replays the
+   epochs before the kill without planning, so its first live epoch
+   must plan; were the last replayed decision taken as the previous
+   one, a kill at epoch 4 would reuse the outage's decision on the
+   recovered platform.  Each resume must equal the uninterrupted run
+   and leave the record an uninterrupted checkpointed run leaves. *)
+let test_resume_reuses_no_replayed_decision () =
+  List.iter
+    (fun (label, p) ->
+      let sc =
+        {
+          Dy.platform = p;
+          master = 0;
+          cpu_traces =
+            [
+              (1, [ (ri 16, R.zero); (ri 32, R.one) ]);
+              (2, [ (ri 48, r 1 2) ]);
+            ];
+          bw_traces = [];
+          phase = ri 8;
+          phases = 8;
+        }
+      in
+      let uninterrupted = Dy.run sc Dy.Robust in
+      let dir = fresh_dir () in
+      ignore (Dy.run ~checkpoint:{ Dy.Checkpoint.dir; every = 1 } sc Dy.Robust);
+      let _, _, final = ckpt_record dir in
+      rm_rf dir;
+      for halt = 1 to sc.Dy.phases - 1 do
+        let dir = fresh_dir () in
+        let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+        halt_run ~checkpoint ~halt sc;
+        let resumed, from = Dy.resume ~checkpoint sc in
+        let what = Printf.sprintf "%s, kill at %d" label halt in
+        Alcotest.(check (option int))
+          (what ^ ": resumed there") (Some halt) from;
+        Alcotest.(check bool) (what ^ ": bit-identical") true
+          (Dy.outcomes_equal uninterrupted resumed);
+        let _, _, value = ckpt_record dir in
+        Alcotest.(check string) (what ^ ": same record bytes") final value;
+        rm_rf dir
+      done)
+    [
+      ("star", (star_scenario ()).Dy.platform);
+      ("graph", (graph_scenario ()).Dy.platform);
+    ]
+
 let test_one_record_per_run () =
   (* a checkpointed run commits executor state only: each checkpoint
      overwrites the run's one record, and no LP solve is written *)
@@ -663,6 +713,8 @@ let suite =
     [
       Alcotest.test_case "resume at every epoch is bit-identical" `Quick
         test_resume_every_epoch;
+      Alcotest.test_case "resume reuses no replayed decision" `Quick
+        test_resume_reuses_no_replayed_decision;
       Alcotest.test_case "strict resume, cadence > 1" `Quick
         test_strict_resume_with_cadence;
       Alcotest.test_case "no-cache round trip" `Quick

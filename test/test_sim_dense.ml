@@ -4,7 +4,8 @@
    platform at [create]).  Both run the same random script; every
    measurement, on every node and edge (untouched ones included), the
    cancel log, the outage callbacks and the conflict messages must
-   agree. *)
+   agree.  Some scripts queue a burst of 50 or more transfers behind
+   one port and cancel members of it mid-queue. *)
 
 module R = Rat
 module E = Ext_rat
@@ -80,6 +81,8 @@ end
 type action =
   | Submit of bool * [ `Compute of int * R.t | `Transfer of int * R.t ]
   | Cancel of int (* the k-th submission so far, if there is one *)
+  | Burst of int * int (* this many unit transfers over this edge *)
+  | Cancel_burst of int (* the j-th transfer of the bursts so far *)
 
 type case = {
   platform : P.t;
@@ -88,6 +91,71 @@ type case = {
   script : (R.t * action) list;
   stop_at : R.t option; (* run_until this first, then run *)
 }
+
+(* what a run shows of the paths it took, beyond its output *)
+type facts = {
+  out : string;
+  reached : string list;
+      (* "long queue": 50 or more transfers queued behind one port;
+         "mid-queue cancel": a queued transfer cancelled with queued
+         transfers of its edge ahead of it and behind it;
+         "stale completion": a breakpoint moved a running computation's
+         completion *)
+}
+
+(* how a submitted operation ended *)
+type ending = Live | Done of R.t | Killed of R.t
+
+type op_info = {
+  kind : [ `Compute of int * R.t | `Transfer of int * R.t ];
+  at : R.t;
+  mutable ending : ending;
+}
+
+(* the multiplier in force at [time] under a strictly increasing trace *)
+let mult_at tr time =
+  List.fold_left
+    (fun m (tb, mb) -> if R.compare tb time <= 0 then mb else m)
+    R.one tr
+
+(* A computation on node [i] submitted when every earlier one there had
+   ended starts at once.  If its CPU runs, and the first breakpoint
+   after its start falls before it finishes, the breakpoint moves its
+   completion and leaves the one first pushed stale. *)
+let stale_completion c ops =
+  Hashtbl.fold
+    (fun k o found ->
+      found
+      ||
+      match (o.kind, o.ending) with
+      | `Compute (i, w), Done td when R.sign w > 0 ->
+        let free =
+          Hashtbl.fold
+            (fun k' o' free ->
+              free
+              && (k' >= k
+                 ||
+                 match (o'.kind, o'.ending) with
+                 | `Compute (i', _), _ when i' <> i -> true
+                 | `Transfer _, _ -> true
+                 | _, Done t -> R.compare t o.at <= 0
+                 | _, Killed t -> R.compare t o.at < 0
+                 | _, Live -> false))
+            ops true
+        in
+        (* the later of two traces for a node is the one in force *)
+        let tr =
+          List.fold_left
+            (fun acc (i', tr) -> if i' = i then tr else acc)
+            [] c.cpu_traces
+        in
+        free
+        && R.sign (mult_at tr o.at) > 0
+        && (match List.find_opt (fun (tb, _) -> R.compare tb o.at > 0) tr with
+           | Some (tb, _) -> R.compare tb td < 0
+           | None -> false)
+      | _ -> false)
+    ops false
 
 module Drive (S : ENGINE) = struct
   let kind_string = function
@@ -98,27 +166,71 @@ module Drive (S : ENGINE) = struct
     | S.Cpu_of i -> Printf.sprintf "cpu %d" i
     | S.Bw_of e -> Printf.sprintf "bw %d" e
 
-  (* everything the engine reports about one run of the case *)
-  let run c =
+  (* everything the engine reports about one run of the case, and the
+     paths the run reached *)
+  let run_facts c =
     let buf = Buffer.create 1024 in
     let log fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+    let reached = ref [] in
+    let reach what =
+      if not (List.mem what !reached) then reached := what :: !reached
+    in
     let sim =
       S.create ~cpu_traces:c.cpu_traces ~bw_traces:c.bw_traces c.platform
     in
     let ids = ref [] and count = ref 0 in
+    let ops = Hashtbl.create 64 and bursts = Hashtbl.create 64 in
+    (* [running_ops] just before a [Cancel_burst]'s cancel: a queued
+       operation's [on_cancel] sees it unchanged, a running one's sees
+       its slot released *)
+    let running_before = ref None in
+    let live_on e pick =
+      Hashtbl.fold
+        (fun k' o n ->
+          match (o.kind, o.ending) with
+          | `Transfer (e', _), Live when e' = e && pick k' -> n + 1
+          | _ -> n)
+        ops 0
+    in
     let submit ?(strict = false) sim kind =
       let k = !count in
       incr count;
+      let end_with ending = (Hashtbl.find ops k).ending <- ending in
+      let engine_kind =
+        match kind with
+        | `Compute (i, w) -> S.Compute (i, w)
+        | `Transfer (e, s) -> S.Transfer (e, s)
+      in
       match
-        S.submit_op ~strict sim kind
-          ~on_done:(fun sim -> log "done %d at %s" k (R.to_string (S.now sim)))
+        S.submit_op ~strict sim engine_kind
+          ~on_done:(fun sim ->
+            log "done %d at %s" k (R.to_string (S.now sim));
+            end_with (Done (S.now sim)))
           ~on_cancel:(fun sim r ->
             log "cancel %d at %s (%s)" k
               (R.to_string (S.now sim))
-              (match r with S.Cancelled -> "cancelled" | S.Stranded -> "stranded"))
+              (match r with S.Cancelled -> "cancelled" | S.Stranded -> "stranded");
+            (match (!running_before, kind) with
+            | Some n, `Transfer (e, _) when n = S.running_ops sim ->
+              if
+                live_on e (fun k' -> k' < k) >= 2
+                && live_on e (fun k' -> k' > k) >= 2
+              then reach "mid-queue cancel"
+            | _ -> ());
+            end_with (Killed (S.now sim)))
       with
-      | id -> ids := (k, id) :: !ids
-      | exception S.Conflict m -> log "conflict %d: %s" k m
+      | id ->
+        ids := (k, id) :: !ids;
+        Hashtbl.replace ops k { kind; at = S.now sim; ending = Live };
+        k
+      | exception S.Conflict m ->
+        log "conflict %d: %s" k m;
+        k
+    in
+    let cancel k =
+      match List.assoc_opt k !ids with
+      | None -> ()
+      | Some id -> log "cancel %d -> %b" k (S.cancel sim id)
     in
     let p = c.platform in
     (* a handler that submits: on a recovery, a transfer out of the
@@ -128,19 +240,29 @@ module Drive (S : ENGINE) = struct
           (R.to_string o.S.out_multiplier)
           (R.to_string o.S.out_was)
           (R.to_string (S.now sim));
-        if R.sign o.S.out_was = 0 then submit sim (S.Transfer (0, R.one)));
+        if R.sign o.S.out_was = 0 then ignore (submit sim (`Transfer (0, R.one))));
     S.on_outage sim (fun _ _ -> log "second handler");
     List.iter
       (fun (time, a) ->
         S.at sim time (fun sim ->
             match a with
-            | Submit (strict, `Compute (i, w)) -> submit ~strict sim (S.Compute (i, w))
-            | Submit (strict, `Transfer (e, s)) ->
-              submit ~strict sim (S.Transfer (e, s))
-            | Cancel k -> (
-              match List.assoc_opt k !ids with
+            | Submit (strict, kind) -> ignore (submit ~strict sim kind)
+            | Cancel k -> cancel k
+            | Burst (e, n) ->
+              for _ = 1 to n do
+                Hashtbl.replace bursts (Hashtbl.length bursts)
+                  (submit sim (`Transfer (e, R.one)))
+              done;
+              log "burst on %d: %d pending" e (S.pending_ops sim);
+              if live_on e (fun _ -> true) > 50 && S.pending_ops sim >= 50 then
+                reach "long queue"
+            | Cancel_burst j -> (
+              match Hashtbl.find_opt bursts j with
               | None -> ()
-              | Some id -> log "cancel %d -> %b" k (S.cancel sim id))))
+              | Some k ->
+                running_before := Some (S.running_ops sim);
+                cancel k;
+                running_before := None)))
       c.script;
     (match c.stop_at with
     | None -> ()
@@ -173,7 +295,10 @@ module Drive (S : ENGINE) = struct
           (R.to_string c.S.c_remaining)
           (R.to_string c.S.c_time))
       (S.cancelled_ops sim);
-    Buffer.contents buf
+    if stale_completion c ops then reach "stale completion";
+    { out = Buffer.contents buf; reached = !reached }
+
+  let run c = (run_facts c).out
 
   (* an out-of-range node or edge, wherever it is named *)
   let rejects p =
@@ -259,7 +384,22 @@ let gen_case seed =
   let stop_at =
     if Random.State.bool st then Some (half (Random.State.int st 8)) else None
   in
-  { platform; cpu_traces; bw_traces; script; stop_at }
+  (* one case in four queues a burst behind one port and cancels some of
+     it while it waits *)
+  let burst =
+    if Random.State.int st 4 <> 0 then []
+    else begin
+      let start = half (Random.State.int st 4) in
+      let size = 50 + Random.State.int st 11 in
+      (start, Burst (Random.State.int st m, size))
+      :: List.init
+           (1 + Random.State.int st 3)
+           (fun _ ->
+             ( R.add start (half (1 + Random.State.int st 6)),
+               Cancel_burst (Random.State.int st size) ))
+    end
+  in
+  { platform; cpu_traces; bw_traces; script = script @ burst; stop_at }
 
 let prop_engines_agree =
   QCheck.Test.make ~name:"lazy engine = dense engine on random scripts"
@@ -271,11 +411,13 @@ let prop_engines_agree =
       true)
 
 (* the scripts reach what they are meant to: stranding, cancels,
-   conflicts and outage callbacks all occur *)
+   conflicts and outage callbacks all occur, and so do long queues,
+   mid-queue cancels and stale completions *)
 let test_coverage () =
   let seen = Hashtbl.create 8 in
   for seed = 1 to 400 do
-    let out = Lazy_engine.run (gen_case seed) in
+    let { out; reached } = Lazy_engine.run_facts (gen_case seed) in
+    List.iter (fun w -> Hashtbl.replace seen w ()) reached;
     List.iter
       (fun w ->
         let lw = String.length w in
@@ -287,7 +429,8 @@ let test_coverage () =
   done;
   List.iter
     (fun w -> Alcotest.(check bool) w true (Hashtbl.mem seen w))
-    [ "stranded"; "-> true"; "conflict"; "outage"; "second handler" ]
+    [ "stranded"; "-> true"; "conflict"; "outage"; "second handler";
+      "long queue"; "mid-queue cancel"; "stale completion" ]
 
 let test_out_of_range () =
   let p = Platform_gen.random_connected_graph ~seed:5 ~nodes:4 ~extra_edges:1 () in
