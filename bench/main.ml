@@ -26,11 +26,8 @@
    successive bench runs really do share solves; by default a temp
    directory is used and removed.
 
-   Part 3 is the Domain-pool sweep: the independent E13 LP solves and
-   the E1-E17 battery, each run once on a sequential pool and once on a
-   pool of [max 1 (recommended_domain_count - 1)] workers, so the
-   parallel speedup (or lack of it, on a single-core box) is measured
-   rather than assumed.
+   Part 3 is the sweep: the independent E13 LP solves and the E1-E17
+   battery, each run once in a plain loop.
 
    Every timed row also lands in a machine-readable snapshot
    (BENCH_steady.json by default, [--json PATH] to override) so the perf
@@ -420,42 +417,28 @@ let run_cache_suite ~smoke () =
   Printf.printf "%-56s %10.2fx\n" "warm/E10 oracle bound speedup" (cold_bound_ns /. ns);
   List.rev !rows
 
-(* --- part 3: Domain-pool sweep --- *)
+(* --- part 3: sweep --- *)
 
 let sweep_sizes ~smoke =
   if smoke then [ 4; 6 ] else [ 6; 8; 10; 12; 14; 17; 20 ]
 
-let e13_sweep ~smoke pool =
-  Pool.iter pool
+let e13_sweep ~smoke () =
+  List.iter
     (fun n -> ignore (Master_slave.solve (sized_platform n) ~master:0))
     (sweep_sizes ~smoke)
 
-(* at least one worker even on a single-core box: the pool rows exist
-   to measure pool overhead against the sequential rows, and a
-   zero-worker pool degenerates to the sequential path *)
-let pool_width () = max 1 (Domain.recommended_domain_count () - 1)
-
-let run_pool_sweep ~smoke () =
-  print_endline "\n########## Domain-pool sweep ##########\n";
+let run_sweep ~smoke () =
+  print_endline "\n########## sweep ##########\n";
   let rows = ref [] in
   let record = record rows in
-  Pool.with_pool ~domains:0 (fun seq ->
-      (* warm up (first run pays platform-RNG and allocator churn) *)
-      e13_sweep ~smoke seq;
-      let (), ns = wall_ns (fun () -> e13_sweep ~smoke seq) in
-      record "sweep/E13 LP sweep (sequential)" ns;
-      if not smoke then begin
-        let _, ns = wall_ns (fun () -> Experiments.all ~pool:seq ()) in
-        record "sweep/experiments E1-E17 (sequential)" ns
-      end);
-  Pool.with_pool ~domains:(pool_width ()) (fun pool ->
-      let width = Pool.size pool in
-      let (), ns = wall_ns (fun () -> e13_sweep ~smoke pool) in
-      record (Printf.sprintf "sweep/E13 LP sweep (pool x%d)" width) ns;
-      if not smoke then begin
-        let _, ns = wall_ns (fun () -> Experiments.all ~pool ()) in
-        record (Printf.sprintf "sweep/experiments E1-E17 (pool x%d)" width) ns
-      end);
+  (* warm up (first run pays platform-RNG and allocator churn) *)
+  e13_sweep ~smoke ();
+  let (), ns = wall_ns (e13_sweep ~smoke) in
+  record "sweep/E13 LP sweep (sequential)" ns;
+  if not smoke then begin
+    let _, ns = wall_ns Experiments.all in
+    record "sweep/experiments E1-E17 (sequential)" ns
+  end;
   List.rev !rows
 
 (* --- part 2.6: persistent solve store --- *)
@@ -1026,10 +1009,8 @@ let json_escape s =
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"steady-bench/10\",\n";
+  Printf.fprintf oc "  \"schema\": \"steady-bench/11\",\n";
   Printf.fprintf oc "  \"unit\": \"ns\",\n";
-  Printf.fprintf oc "  \"pool_width_sequential\": 1,\n";
-  Printf.fprintf oc "  \"pool_width_parallel\": %d,\n" (pool_width () + 1);
   Printf.fprintf oc "  \"cache_stats\": {\n";
   Printf.fprintf oc "    \"cache_hits\": %d,\n" !stats_cache_hits;
   Printf.fprintf oc "    \"cache_misses\": %d,\n" !stats_cache_misses;
@@ -1111,7 +1092,7 @@ let run_smoke ~cache_dir () =
     (timed_workloads ());
   ignore (run_cache_suite ~smoke:true ());
   ignore (run_disk_suite ~smoke:true ~cache_dir ());
-  ignore (run_pool_sweep ~smoke:true ());
+  ignore (run_sweep ~smoke:true ());
   ignore (run_fault_suite ~smoke:true ());
   ignore (run_churn_suite ~smoke:true ());
   ignore (run_recovery_suite ~smoke:true ());
@@ -1162,7 +1143,7 @@ let () =
       let bench_rows = run_benchmarks () in
       let cache_rows = run_cache_suite ~smoke:false () in
       let disk_rows = run_disk_suite ~smoke:false ~cache_dir:!cache_dir () in
-      let sweep_rows = run_pool_sweep ~smoke:false () in
+      let sweep_rows = run_sweep ~smoke:false () in
       let fault_rows = run_fault_suite ~smoke:false () in
       let churn_rows = run_churn_suite ~smoke:false () in
       let recovery_rows = run_recovery_suite ~smoke:false () in

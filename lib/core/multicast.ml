@@ -9,15 +9,8 @@ type tree = P.edge list
    reachable from the source (then it is an arborescence), it covers the
    targets, and every leaf is a target (minimality — this also dedups:
    a non-minimal cover equals a minimal one plus junk edges, and the
-   minimal one is generated on its own).
-
-   The decision tree is embarrassingly parallel: the prefixes over the
-   first few edges are enumerated sequentially (cheap), then each
-   prefix's subtree is explored as an independent pool task with its own
-   [has_parent] scratch and accumulator.  Concatenating the per-prefix
-   results in reverse DFS order reproduces the sequential output
-   exactly, list order included. *)
-let enumerate_trees ?pool p ~source ~targets =
+   minimal one is generated on its own). *)
+let enumerate_trees p ~source ~targets =
   let m = P.num_edges p in
   if m > 24 then
     invalid_arg "Multicast.enumerate_trees: platform too large (> 24 edges)";
@@ -25,7 +18,8 @@ let enumerate_trees ?pool p ~source ~targets =
   let max_edges = n - 1 in
   let is_target = Array.make n false in
   List.iter (fun t -> is_target.(t) <- true) targets;
-  let check_and_emit acc chosen =
+  let acc = ref [] in
+  let check_and_emit chosen =
     (* reachability from source over chosen edges *)
     let chosen_list = List.rev chosen in
     let reached = Array.make n false in
@@ -59,63 +53,24 @@ let enumerate_trees ?pool p ~source ~targets =
       if minimal && chosen_list <> [] then acc := chosen_list :: !acc
     end
   in
-  (* explore decisions for edges [e .. m); [has_parent] and [acc] belong
-     to the exploring task *)
-  let rec go has_parent acc e chosen size =
-    if e = m then check_and_emit acc chosen
+  let has_parent = Array.make n false in
+  (* explore decisions for edges [e .. m) *)
+  let rec go e chosen size =
+    if e = m then check_and_emit chosen
     else begin
       (* skip edge e *)
-      go has_parent acc (e + 1) chosen size;
+      go (e + 1) chosen size;
       (* take edge e *)
       let dst = P.edge_dst p e in
       if size < max_edges && dst <> source && not has_parent.(dst) then begin
         has_parent.(dst) <- true;
-        go has_parent acc (e + 1) (e :: chosen) (size + 1);
+        go (e + 1) (e :: chosen) (size + 1);
         has_parent.(dst) <- false
       end
     end
   in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let par = Pool.size pool in
-  if par = 1 || m < 10 then begin
-    let acc = ref [] in
-    go (Array.make n false) acc 0 [] 0;
-    !acc
-  end
-  else begin
-    (* split deep enough that prefixes comfortably outnumber the pool *)
-    let split = ref 0 in
-    while (1 lsl !split) < 8 * par && !split < m do incr split done;
-    let split = !split in
-    let prefixes = ref [] in
-    let gen_scratch = Array.make n false in
-    let rec gen e chosen size =
-      if e = split then
-        prefixes := (chosen, size, Array.copy gen_scratch) :: !prefixes
-      else begin
-        gen (e + 1) chosen size;
-        let dst = P.edge_dst p e in
-        if size < max_edges && dst <> source && not gen_scratch.(dst) then begin
-          gen_scratch.(dst) <- true;
-          gen (e + 1) (e :: chosen) (size + 1);
-          gen_scratch.(dst) <- false
-        end
-      end
-    in
-    gen 0 [] 0;
-    let prefixes = Array.of_list (List.rev !prefixes) (* DFS order *) in
-    let results =
-      Pool.map_array pool
-        (fun (chosen, size, has_parent) ->
-          let acc = ref [] in
-          go has_parent acc split chosen size;
-          !acc)
-        prefixes
-    in
-    (* each task list is its local reverse-emission order, so stacking
-       them with later prefixes first equals the sequential output *)
-    Array.fold_left (fun whole part -> part @ whole) [] results
-  end
+  go 0 [] 0;
+  !acc
 
 let max_lp_bound ?cache p ~source ~targets =
   Collective.solve ?cache Collective.Max p ~source ~targets

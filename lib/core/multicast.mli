@@ -18,16 +18,13 @@ type tree = Platform.edge list
 (** An arborescence rooted at the source whose leaves are targets. *)
 
 val enumerate_trees :
-  ?pool:Pool.t ->
   Platform.t ->
   source:Platform.node ->
   targets:Platform.node list ->
   tree list
 (** All minimal multicast trees (every leaf a target, every node at most
     one parent, all edges reachable from the source).  Exponential in
-    general: guarded to exemplar-scale platforms.  The decision-tree
-    search is fanned out across [pool] (default {!Pool.default}); the
-    result — order included — does not depend on the pool width.
+    general: guarded to exemplar-scale platforms.
     @raise Invalid_argument if the platform has more than 24 edges. *)
 
 val max_lp_bound :

@@ -783,14 +783,8 @@ let e17_faults () =
       ];
   }
 
-let all ?pool () =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  (* Force the shared Figure-1 fixtures once, sequentially: concurrent
-     [Lazy.force] of the same suspension from several domains is not
-     safe in OCaml 5, and every other piece of experiment state is
-     task-local, so this is the only ordering the sweep needs. *)
-  ignore (Lazy.force fig1_sol);
-  Pool.map pool
+let all () =
+  List.map
     (fun e -> e ())
     [
       e1_master_slave_lp;

@@ -62,9 +62,6 @@ val e17_faults : unit -> Exp_common.table
     (E13 is the bench microbenchmark and E14 topology inference, so
     faults take the next free id.) *)
 
-val all : ?pool:Pool.t -> unit -> Exp_common.table list
+val all : unit -> Exp_common.table list
 (** All of the above, in order (E13, the polynomial-scaling microbench,
-    lives in bench/main.exe where timing belongs).  The experiments are
-    independent, so they fan out across [pool] (default
-    {!Pool.default}); the table list is identical whatever the pool
-    width. *)
+    lives in bench/main.exe where timing belongs). *)

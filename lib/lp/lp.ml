@@ -475,90 +475,6 @@ module Stats = struct
     t.backoff_time <- R.add t.backoff_time backoff
 end
 
-let solve ?cache ?stats m =
-  let n = num_vars m in
-  let cached =
-    match cache with
-    | None -> None
-    | Some cc ->
-      let key = cache_key (signature m) m in
-      (* the table is keyed by a fixed-width digest of the canonical
-         dump, so the hashtable never hashes (or compares, on the
-         bucket walk) the full dump — lookup cost is independent of
-         model size.  The dump is echoed in the entry: on the
-         astronomically unlikely digest collision the echo differs and
-         the lookup degrades to a miss, mirroring {!Solve_store}'s
-         key-echo guard. *)
-      let hkey = Solve_store.digest key in
-      let entry =
-        match Hashtbl.find_opt cc.Cache.tbl hkey with
-        | Some e when String.equal e.Cache.e_key key ->
-          Cache.use cc e;
-          Some e
-        | Some _ (* digest collision *) | None -> (
-          match cc.Cache.disk with
-          | None -> None
-          | Some d -> (
-            match Solve_store.find d key with
-            | None -> None
-            | Some value -> (
-              match decode_entry m value with
-              | Some res ->
-                cc.Cache.disk_hits <- cc.Cache.disk_hits + 1;
-                let e = { Cache.e_key = key; e_res = res; e_tick = 0 } in
-                Cache.insert cc hkey e;
-                Some e
-              | None ->
-                (* checksum-valid bytes the value decoder rejects:
-                   encoding version skew — demote, treat as a miss *)
-                Solve_store.quarantine d key;
-                None)))
-      in
-      Some (cc, key, hkey, entry)
-  in
-  match cached with
-  | Some (cc, _, _, Some entry) ->
-    cc.Cache.hits <- cc.Cache.hits + 1;
-    entry.Cache.e_res
-  | _ ->
-    (match cached with
-    | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
-    | _ -> ());
-    let { rows; b; c; flip; kernel_row } = translate m in
-    let res =
-      match Simplex.minimize ~rows ~b ~c () with
-      | Simplex.Infeasible -> Infeasible
-      | Simplex.Unbounded -> Unbounded
-      | Simplex.Optimal { values; objective; duals = std_duals; pivots } ->
-        (match stats with
-        | Some s -> Stats.add s ~pivots
-        | None -> ());
-        let values = Array.sub values 0 n in
-        let objective = if flip then R.neg objective else objective in
-        (* kernel duals are for the standard form [min]; re-orient for
-           the model's sense so that strong duality reads
-           [objective = sum_r dual_r * rhs_r] over constraint and
-           [ub:] rows alike.  An implied [ub:] row the kernel never saw
-           is redundant, so pricing it at 0 keeps the duals optimal. *)
-        let duals =
-          Array.map
-            (fun k ->
-              let y = if k < 0 then R.zero else std_duals.(k) in
-              if flip then R.neg y else y)
-            kernel_row
-        in
-        Optimal { objective; values; duals }
-    in
-    (match cached with
-    | Some (cc, key, hkey, None) ->
-      Cache.insert cc hkey
-        { Cache.e_key = key; e_res = res; e_tick = 0 };
-      (match cc.Cache.disk with
-      | None -> ()
-      | Some d -> Solve_store.add d key (encode_entry res))
-    | _ -> ());
-    res
-
 let value_by_name m sol name = sol.values.(find_var m name)
 
 (* --- validation --- *)
@@ -682,6 +598,95 @@ let certify m sol =
       Error
         (Printf.sprintf "duality gap: primal %s, dual %s" (R.to_string primal)
            (R.to_string !dual_obj))
+
+let solve ?cache ?stats m =
+  let n = num_vars m in
+  let cached =
+    match cache with
+    | None -> None
+    | Some cc ->
+      let key = cache_key (signature m) m in
+      (* the table is keyed by a fixed-width digest of the canonical
+         dump, so the hashtable never hashes (or compares, on the
+         bucket walk) the full dump — lookup cost is independent of
+         model size.  The dump is echoed in the entry: on the
+         astronomically unlikely digest collision the echo differs and
+         the lookup degrades to a miss, mirroring {!Solve_store}'s
+         key-echo guard. *)
+      let hkey = Solve_store.digest key in
+      let entry =
+        match Hashtbl.find_opt cc.Cache.tbl hkey with
+        | Some e when String.equal e.Cache.e_key key ->
+          Cache.use cc e;
+          Some e
+        | Some _ (* digest collision *) | None -> (
+          match cc.Cache.disk with
+          | None -> None
+          | Some d -> (
+            match Solve_store.find d key with
+            | None -> None
+            | Some value -> (
+              (* the checksum covers bytes, not answers: an optimum is
+                 served only once [certify] proves it from the model *)
+              match decode_entry m value with
+              | Some (Optimal sol) when Result.is_error (certify m sol) ->
+                Solve_store.quarantine d key;
+                None
+              | Some res ->
+                cc.Cache.disk_hits <- cc.Cache.disk_hits + 1;
+                let e = { Cache.e_key = key; e_res = res; e_tick = 0 } in
+                Cache.insert cc hkey e;
+                Some e
+              | None ->
+                (* checksum-valid bytes the value decoder rejects:
+                   encoding version skew — demote, treat as a miss *)
+                Solve_store.quarantine d key;
+                None)))
+      in
+      Some (cc, key, hkey, entry)
+  in
+  match cached with
+  | Some (cc, _, _, Some entry) ->
+    cc.Cache.hits <- cc.Cache.hits + 1;
+    entry.Cache.e_res
+  | _ ->
+    (match cached with
+    | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
+    | _ -> ());
+    let { rows; b; c; flip; kernel_row } = translate m in
+    let res =
+      match Simplex.minimize ~rows ~b ~c () with
+      | Simplex.Infeasible -> Infeasible
+      | Simplex.Unbounded -> Unbounded
+      | Simplex.Optimal { values; objective; duals = std_duals; pivots } ->
+        (match stats with
+        | Some s -> Stats.add s ~pivots
+        | None -> ());
+        let values = Array.sub values 0 n in
+        let objective = if flip then R.neg objective else objective in
+        (* kernel duals are for the standard form [min]; re-orient for
+           the model's sense so that strong duality reads
+           [objective = sum_r dual_r * rhs_r] over constraint and
+           [ub:] rows alike.  An implied [ub:] row the kernel never saw
+           is redundant, so pricing it at 0 keeps the duals optimal. *)
+        let duals =
+          Array.map
+            (fun k ->
+              let y = if k < 0 then R.zero else std_duals.(k) in
+              if flip then R.neg y else y)
+            kernel_row
+        in
+        Optimal { objective; values; duals }
+    in
+    (match cached with
+    | Some (cc, key, hkey, None) ->
+      Cache.insert cc hkey
+        { Cache.e_key = key; e_res = res; e_tick = 0 };
+      (match cc.Cache.disk with
+      | None -> ()
+      | Some d -> Solve_store.add d key (encode_entry res))
+    | _ -> ());
+    res
 
 (* --- printing --- *)
 

@@ -119,14 +119,15 @@ module Cache : sig
       A cache may carry a {!Disk} tier: a crash-safe, cross-process
       store directory consulted on memory misses and written through on
       every solve, so separate processes (CLI, bench, CI runs) reuse
-      each other's solves.  Disk records are validated byte-for-byte;
-      anything corrupt is quarantined and the solve runs cold — a bad
-      cache can cost time, never an answer.  Record values are tagged
+      each other's solves.  Disk records are validated byte-for-byte,
+      and a decoded optimum is served only once {!certify} proves it
+      against the model; anything corrupt or uncertified is quarantined
+      and the solve runs cold.  Record values are tagged
       [lpres 4]; a record of any other value format, such as the
       [lpres 3] of the kernel that still saw implied [ub:] rows, is
       quarantined and re-solved.
 
-      Not thread-safe: use one cache per domain/task. *)
+      Not thread-safe: use one cache per task. *)
 
   module Disk = Solve_store
   (** The disk tier: see {!Solve_store} for the record format,
@@ -139,7 +140,7 @@ module Cache : sig
   val create : ?capacity:int -> ?disk:Disk.t -> unit -> t
   (** [capacity] bounds the number of stored instances (default 512).
       [disk] attaches a persistent tier shared across processes; the
-      handle must not be shared between domains.
+      handle must not be shared between threads.
       @raise Invalid_argument if [capacity <= 0]. *)
 
   val clear : t -> unit

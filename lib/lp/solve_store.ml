@@ -333,9 +333,7 @@ let add t key value =
   try
     let tmp =
       Filename.concat t.dir
-        (Printf.sprintf ".tmp-%d-%d-%d" (Unix.getpid ())
-           ((Domain.self () :> int))
-           t.tmp_seq)
+        (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) t.tmp_seq)
     in
     t.tmp_seq <- t.tmp_seq + 1;
     let record = encode_record ~key ~value in

@@ -424,40 +424,6 @@ let prop_packed_arithmetic =
         && P.compare pb pa = R.compare b a
         && P.compare pa pa = 0)
 
-(* --- domains --- *)
-
-(* the kernel keeps no state between solves: a width-2 pool gives every
-   LP the sequential answer *)
-let test_pool_width_two () =
-  let st = Random.State.make [| 2 |] in
-  let graphs =
-    List.init 12 (fun i ->
-        let n = 8 + i in
-        let p =
-          Platform_gen.random_connected_graph ~seed:(i + 1) ~nodes:n ~extra_edges:(n / 2) ()
-        in
-        let rows, b, c = Lp.standard_form (fst (Master_slave.solve_lp_only p ~master:0)) in
-        { rows; b; c })
-  in
-  let insts =
-    Array.of_list
-      (graphs
-      @ List.init 200 (fun _ -> gen_std st)
-      @ [ growth_instance; row_instance (R.of_int limit) ])
-  in
-  let solve { rows; b; c } = Simplex.minimize ~rows ~b ~c () in
-  let seq = Array.map solve insts in
-  Pool.with_pool ~domains:1 (fun pool ->
-      Alcotest.(check int) "pool width" 2 (Pool.size pool);
-      for round = 1 to 3 do
-        let par = Pool.map_array pool solve insts in
-        Array.iteri
-          (fun i s ->
-            if not (same_outcome s par.(i)) then
-              Alcotest.failf "round %d, LP %d: pooled answer differs" round i)
-          seq
-      done)
-
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "kernels",
@@ -472,5 +438,4 @@ let suite =
       Alcotest.test_case "restart across the 2^30 bound" `Quick
         test_restart_straddles_range;
       q prop_packed_arithmetic;
-      Alcotest.test_case "width-2 pool = sequential" `Quick test_pool_width_two;
     ] )

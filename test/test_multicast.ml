@@ -131,6 +131,89 @@ let test_enumerate_guard () =
     (try ignore (M.enumerate_trees p ~source:0 ~targets:[ 1 ]); false
      with Invalid_argument _ -> true)
 
+(* a 14-edge graph (fig2 has 9): its five trees, in emission order *)
+let test_enumerate_seed5 () =
+  let p = Platform_gen.random_graph ~seed:5 ~nodes:6 ~extra_edges:2 () in
+  Alcotest.(check int) "14 edges" 14 (P.num_edges p);
+  Alcotest.(check (list (list int)))
+    "five trees"
+    [ [ 0; 5; 6; 12 ]; [ 1; 3; 4; 9 ]; [ 1; 4; 10 ]; [ 3; 6; 9; 12 ]; [ 6; 10; 12 ] ]
+    (M.enumerate_trees p ~source:0 ~targets:[ 2; 4 ])
+
+(* Brute-force oracle: every edge subset of at most n - 1 edges that is
+   an arborescence from [source] covering [targets] (nothing into the
+   source, at most one parent per node, every chosen edge and every
+   target reached from the source through parents) and minimal (no
+   single edge can be dropped with the rest still one; a smaller
+   covering arborescence would always leave such an edge). *)
+let brute_force_trees p ~source ~targets =
+  let n = P.num_nodes p and m = P.num_edges p in
+  let covers edges =
+    let parent = Array.make n (-1) in
+    List.for_all
+      (fun e ->
+        let d = P.edge_dst p e in
+        d <> source
+        && parent.(d) < 0
+        &&
+        (parent.(d) <- e;
+         true))
+      edges
+    &&
+    (* the parent chain reaches the source within n steps *)
+    let rec rooted v steps =
+      v = source
+      || (steps < n && parent.(v) >= 0 && rooted (P.edge_src p parent.(v)) (steps + 1))
+    in
+    List.for_all (fun e -> rooted (P.edge_dst p e) 0) edges
+    && List.for_all (fun t -> rooted t 0) targets
+  in
+  let minimal edges =
+    edges <> []
+    && covers edges
+    && not (List.exists (fun e -> covers (List.filter (( <> ) e) edges)) edges)
+  in
+  let found = ref [] in
+  let rec subsets e chosen size =
+    if e = m then (if minimal chosen then found := List.rev chosen :: !found)
+    else begin
+      subsets (e + 1) chosen size;
+      if size < n - 1 then subsets (e + 1) (e :: chosen) (size + 1)
+    end
+  in
+  subsets 0 [] 0;
+  !found
+
+(* 10-16 directed edges: [random_graph] mirrors each of its n - 1 + extra
+   links *)
+let arb_enum_graph =
+  QCheck.make
+    ~print:(fun (seed, n, extra, src, mask) ->
+      Printf.sprintf "seed=%d nodes=%d extra=%d source=%d targets mask=%d" seed
+        n extra src mask)
+    QCheck.Gen.(
+      let* seed = int_range 0 10_000 in
+      let* n = int_range 5 7 in
+      let lo = max 0 (6 - n) in
+      let* extra = int_range lo (9 - n) in
+      let* src = int_range 0 (n - 1) in
+      let+ mask = int_range 1 ((1 lsl (n - 1)) - 1) in
+      (seed, n, extra, src, mask))
+
+let prop_enumerate_brute_force =
+  QCheck.Test.make ~name:"enumerate_trees = brute force, 10-16 edges"
+    ~count:30 arb_enum_graph (fun (seed, n, extra, source, mask) ->
+      let p = Platform_gen.random_graph ~seed ~nodes:n ~extra_edges:extra () in
+      let m = P.num_edges p in
+      if m < 10 || m > 16 then QCheck.Test.fail_reportf "%d edges" m;
+      (* bit i of the mask picks the i-th node other than the source *)
+      let others = List.filter (( <> ) source) (List.init n Fun.id) in
+      let targets = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) others in
+      let canon trees = List.sort compare (List.map (List.sort compare) trees) in
+      let got = M.enumerate_trees p ~source ~targets in
+      let want = brute_force_trees p ~source ~targets in
+      List.length got = List.length want && canon got = canon want)
+
 (* --- heuristic trees (for platforms beyond the enumeration guard) --- *)
 
 let test_heuristic_on_fig2 () =
@@ -277,6 +360,8 @@ let suite =
       Alcotest.test_case "enumerate line" `Quick test_enumerate_line;
       Alcotest.test_case "enumerate unreachable" `Quick test_enumerate_no_tree;
       Alcotest.test_case "enumeration guard" `Quick test_enumerate_guard;
+      Alcotest.test_case "enumerate seed-5 graph" `Quick test_enumerate_seed5;
+      q prop_enumerate_brute_force;
       Alcotest.test_case "packing schedule + sim" `Quick test_packing_schedule_runs;
       Alcotest.test_case "heuristic on fig2" `Quick test_heuristic_on_fig2;
       Alcotest.test_case "heuristic beyond guard" `Quick test_heuristic_beyond_guard;

@@ -3,8 +3,8 @@
    cold solve, and NO byte-level mutilation of the store — truncation,
    bit-flips, version skew, orphaned tempfiles — may ever raise out of
    a solve or change an optimum.  A corrupted store costs misses; it
-   never costs answers.  The tests that fork (a writer killed
-   mid-commit, concurrent writers) live in test_store_fork.ml. *)
+   never costs answers.  Two tests fork: a writer killed mid-commit,
+   and concurrent writers over one directory. *)
 
 module R = Rat
 module S = Solve_store
@@ -64,13 +64,17 @@ let check_fig1 name ?cache () =
 (* structurally distinct platforms, for filling stores *)
 let sized n = Platform_gen.random_graph ~seed:(300 + n) ~nodes:n ~extra_edges:1 ()
 
+(* the record files of a store, in name order *)
+let records dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".rec")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
 (* the single record file a one-solve store contains *)
 let the_record dir =
-  match
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n -> Filename.check_suffix n ".rec")
-  with
-  | [ r ] -> Filename.concat dir r
+  match records dir with
+  | [ r ] -> r
   | l -> Alcotest.failf "expected exactly one record, found %d" (List.length l)
 
 let read_file path =
@@ -207,10 +211,10 @@ let test_envelope_version_skew () =
 (* Rewrite the one record in [dir] with a structurally valid envelope
    (correct length and checksum, same key) around [f value] — the
    record's value passed through [f]. *)
-let rewrite_value dir f =
-  let path = the_record dir in
+(* the key a record's payload echoes, and its value; the envelope
+   parsed by hand: magic\n<len> <sum>\n<klen>\n<key><value> *)
+let record_parts path =
   let pristine = read_file path in
-  (* parse the envelope by hand: magic\n<len> <sum>\n<klen>\n<key><value> *)
   let nl1 = String.index pristine '\n' in
   let nl2 = String.index_from pristine (nl1 + 1) '\n' in
   let payload = String.sub pristine (nl2 + 1) (String.length pristine - nl2 - 1) in
@@ -220,6 +224,12 @@ let rewrite_value dir f =
   let value =
     String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen)
   in
+  (key, value)
+
+let rewrite_value dir f =
+  let path = the_record dir in
+  let key, value = record_parts path in
+  let klen = String.length key in
   (* sanity: the byte layer accepts our re-encoding of the key *)
   let h0 = S.open_store dir in
   Alcotest.(check bool) "pristine record readable" true (S.find h0 key <> None);
@@ -307,6 +317,80 @@ let test_value_dual_count () =
       ("one dual short", fun ds -> List.tl ds);
       ("one dual extra", fun ds -> "0" :: ds);
     ]
+
+(* --- forged answers: the certificate covers what the checksum cannot --- *)
+
+(* [value] (an [lpres] optimum) with its objective, its first value or
+   its first dual increased by one: well-formed, but not the answer *)
+let forge what value =
+  match String.split_on_char '\n' value with
+  | fmt :: "O" :: objective :: n :: rest ->
+    let bump x = R.to_string (R.add (R.of_string x) R.one) in
+    let bump_at k = List.mapi (fun j x -> if j = k then bump x else x) in
+    let objective, rest =
+      match what with
+      | `Objective -> (bump objective, rest)
+      | `Value -> (objective, bump_at 0 rest)
+      | `Dual -> (objective, bump_at (int_of_string n + 1) rest)
+    in
+    String.concat "\n" (fmt :: "O" :: objective :: n :: rest)
+  | _ -> Alcotest.fail "unexpected value layout"
+
+let forgeries = [ ("objective", `Objective); ("value", `Value); ("dual", `Dual) ]
+
+(* For each record [populate] leaves in a fresh store and each forgery:
+   re-seal the record through the store under the key it echoes, so
+   every byte-level check accepts it, then [answer] through a fresh
+   handle must give the cold answer, with the forged record quarantined
+   (the cold re-solve re-stores a good one for the next round). *)
+let check_forgeries ~populate ~answer =
+  let dir = fresh_dir () in
+  populate (Lp.Cache.create ~disk:(S.open_store dir) ());
+  let cold = answer None in
+  let paths = records dir in
+  Alcotest.(check bool) "records written" true (paths <> []);
+  List.iteri
+    (fun r path ->
+      List.iter
+        (fun (what, forgery) ->
+          let key, value = record_parts path in
+          let forged = forge forgery value in
+          Alcotest.(check bool) (what ^ " forged") false (String.equal forged value);
+          S.add (S.open_store dir) key forged;
+          let h = S.open_store dir in
+          let cc = Lp.Cache.create ~disk:h () in
+          Alcotest.(check (list string))
+            (Printf.sprintf "record %d, %s: the true answer" r what)
+            cold (answer (Some cc));
+          Alcotest.(check int)
+            (Printf.sprintf "record %d, %s: quarantined" r what)
+            1 (S.quarantined h))
+        forgeries)
+    paths;
+  rm_rf dir
+
+(* a scatter model: [Lp.solve] on the disk tier directly *)
+let test_forged_scatter () =
+  let p, source, targets = Platform_gen.multicast_fig2 () in
+  let m = Collective.model Collective.Sum p ~source ~targets in
+  check_forgeries
+    ~populate:(fun cache -> ignore (Lp.solve ~cache m))
+    ~answer:(fun cache -> fingerprint m (Lp.solve ?cache m))
+
+(* the rounds of the master-slave generation, reached through
+   [Master_slave.solve ~cache] on a graph *)
+let test_forged_generation_round () =
+  let p = sized 6 in
+  let answer cache =
+    let sol = Master_slave.solve ?cache p ~master:0 in
+    List.map R.to_string
+      (sol.Master_slave.ntask
+      :: Array.to_list sol.Master_slave.alpha
+      @ Array.to_list sol.Master_slave.send_frac)
+  in
+  check_forgeries
+    ~populate:(fun cache -> ignore (answer (Some cache)))
+    ~answer
 
 (* a filename collision (same record path, different key) must read as
    a plain miss — not as a wrong answer, not as corruption *)
@@ -525,6 +609,90 @@ let test_disk_store_many_models () =
     (S.hits h2);
   rm_rf dir
 
+(* --- a writer killed mid-commit --- *)
+
+let test_kill_mid_write () =
+  let dir = fresh_dir () in
+  let expected k = String.make 4096 (Char.chr (Char.code 'a' + (k mod 16))) in
+  (match Unix.fork () with
+  | 0 ->
+    (* child: hammer the store with large commits until killed *)
+    let h = S.open_store dir in
+    (try
+       let k = ref 0 in
+       while true do
+         S.add h (Printf.sprintf "bulk-%d" (!k mod 64)) (expected (!k mod 64));
+         incr k
+       done
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.sleepf 0.08;
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid));
+  (* the survivor: every record either absent or exactly right *)
+  let h = S.open_store dir in
+  let served = ref 0 in
+  for k = 0 to 63 do
+    match S.find h (Printf.sprintf "bulk-%d" k) with
+    | None -> ()
+    | Some v ->
+      incr served;
+      Alcotest.(check string)
+        (Printf.sprintf "bulk-%d intact" k)
+        (expected k) v
+  done;
+  Alcotest.(check bool) "the killed writer committed something" true
+    (!served > 0);
+  Alcotest.(check int) "no record was torn" 0 (S.quarantined h);
+  (* and the store still accepts work *)
+  S.add h "after-crash" "fine";
+  Alcotest.(check (option string)) "store still writable" (Some "fine")
+    (S.find h "after-crash");
+  rm_rf dir
+
+(* --- concurrent writers over one directory --- *)
+
+let test_concurrent_writers () =
+  let dir = fresh_dir () in
+  (* shared keys carry a writer-independent value: whichever writer's
+     rename wins, the record is correct *)
+  let value k = Printf.sprintf "shared:%d=%s" k (String.make 64 'x') in
+  let spawn i =
+    match Unix.fork () with
+    | 0 ->
+      let h = S.open_store dir in
+      for round = 1 to 10 do
+        ignore round;
+        for k = 0 to 15 do
+          S.add h (Printf.sprintf "shared-%d" k) (value k)
+        done;
+        (* private keys too *)
+        S.add h (Printf.sprintf "private-%d" i) (string_of_int i)
+      done;
+      Unix._exit 0
+    | pid -> pid
+  in
+  let pids = List.map spawn [ 1; 2; 3 ] in
+  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  let h = S.open_store dir in
+  for k = 0 to 15 do
+    Alcotest.(check (option string))
+      (Printf.sprintf "shared-%d readable and exact" k)
+      (Some (value k))
+      (S.find h (Printf.sprintf "shared-%d" k))
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "private-%d survived" i)
+        (Some (string_of_int i))
+        (S.find h (Printf.sprintf "private-%d" i)))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "nothing quarantined under contention" 0
+    (S.quarantined h);
+  rm_rf dir
+
 let suite =
   ( "store",
     [
@@ -538,6 +706,10 @@ let suite =
         test_value_format_previous;
       Alcotest.test_case "dual count other than the rows" `Quick
         test_value_dual_count;
+      Alcotest.test_case "forged scatter optimum quarantined" `Quick
+        test_forged_scatter;
+      Alcotest.test_case "forged generation round quarantined" `Quick
+        test_forged_generation_round;
       Alcotest.test_case "key echo rejects foreign record" `Quick
         test_key_echo_rejects_foreign_record;
       Alcotest.test_case "orphan tempfile invisible" `Quick
@@ -553,4 +725,6 @@ let suite =
       Alcotest.test_case "many models through one store" `Quick
         test_disk_store_many_models;
       Alcotest.test_case "hash format pinned" `Quick test_hashes_pinned;
+      Alcotest.test_case "kill -9 mid-write" `Quick test_kill_mid_write;
+      Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
     ] )
