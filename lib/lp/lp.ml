@@ -354,36 +354,38 @@ let row_names m =
    rather than served as a hit that differs from a re-solve.  Version 3
    drops the warm-start basis line that versions 1 and 2 carried after
    the duals; version 4 keeps implied [ub:] rows out of the kernel,
-   which can move the vertex of a degenerate model. *)
+   which can move the vertex of a degenerate model.
+
+   Only optima are stored, and only what [certify] accepts is served:
+   an infeasible or unbounded outcome carries no certificate, so it is
+   never written, and an [I] or [U] record an older build left decodes
+   as malformed and is quarantined (the steady-state models all admit
+   zero throughput, so for them such a record is wrong on its face). *)
 
 let value_format = "lpres 4"
 
-let encode_entry (res : result) =
+let encode_entry (sol : solution) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf value_format;
+  Buffer.add_string buf "\nO\n";
+  Buffer.add_string buf (R.to_string sol.objective);
   Buffer.add_char buf '\n';
-  (match res with
-  | Infeasible -> Buffer.add_string buf "I\n"
-  | Unbounded -> Buffer.add_string buf "U\n"
-  | Optimal sol ->
-    Buffer.add_string buf "O\n";
-    Buffer.add_string buf (R.to_string sol.objective);
+  let dump a =
+    Buffer.add_string buf (string_of_int (Array.length a));
     Buffer.add_char buf '\n';
-    let dump a =
-      Buffer.add_string buf (string_of_int (Array.length a));
-      Buffer.add_char buf '\n';
-      Array.iter
-        (fun x ->
-          Buffer.add_string buf (R.to_string x);
-          Buffer.add_char buf '\n')
-        a
-    in
-    dump sol.values;
-    dump sol.duals);
+    Array.iter
+      (fun x ->
+        Buffer.add_string buf (R.to_string x);
+        Buffer.add_char buf '\n')
+      a
+  in
+  dump sol.values;
+  dump sol.duals;
   Buffer.contents buf
 
-(* [None] on *any* malformed value, trailing lines included — the caller
-   quarantines the record and re-solves cold. *)
+(* [None] on *any* malformed value, trailing lines included, and on
+   anything but an optimum — the caller quarantines the record and
+   re-solves cold. *)
 let decode_entry m value =
   match String.split_on_char '\n' value with
   | fmt :: rest when String.equal fmt value_format -> (
@@ -402,24 +404,17 @@ let decode_entry m value =
         | Some i -> i
         | None -> raise Exit
       in
-      let res =
-        match line () with
-        | "I" -> Infeasible
-        | "U" -> Unbounded
-        | "O" ->
-          let objective = rat () in
-          (* [Array.init] reads the lines in index order *)
-          let read len =
-            if int () <> len then raise Exit;
-            Array.init len (fun _ -> rat ())
-          in
-          let values = read (num_vars m) in
-          let duals = read (num_rows m) in
-          Optimal { objective; values; duals }
-        | _ -> raise Exit
+      if line () <> "O" then raise Exit;
+      let objective = rat () in
+      (* [Array.init] reads the lines in index order *)
+      let read len =
+        if int () <> len then raise Exit;
+        Array.init len (fun _ -> rat ())
       in
+      let values = read (num_vars m) in
+      let duals = read (num_rows m) in
       if !next <> [ "" ] then raise Exit;
-      Some res
+      Some { objective; values; duals }
     with Exit | Invalid_argument _ | Division_by_zero | Failure _ -> None)
   | _ -> None
 
@@ -629,17 +624,15 @@ let solve ?cache ?stats m =
               (* the checksum covers bytes, not answers: an optimum is
                  served only once [certify] proves it from the model *)
               match decode_entry m value with
-              | Some (Optimal sol) when Result.is_error (certify m sol) ->
-                Solve_store.quarantine d key;
-                None
-              | Some res ->
+              | Some sol when Result.is_ok (certify m sol) ->
                 cc.Cache.disk_hits <- cc.Cache.disk_hits + 1;
-                let e = { Cache.e_key = key; e_res = res; e_tick = 0 } in
+                let e = { Cache.e_key = key; e_res = Optimal sol; e_tick = 0 } in
                 Cache.insert cc hkey e;
                 Some e
-              | None ->
-                (* checksum-valid bytes the value decoder rejects:
-                   encoding version skew — demote, treat as a miss *)
+              | Some _ | None ->
+                (* an uncertified optimum, or checksum-valid bytes the
+                   value decoder rejects (encoding version skew): demote,
+                   treat as a miss *)
                 Solve_store.quarantine d key;
                 None)))
       in
@@ -682,9 +675,9 @@ let solve ?cache ?stats m =
     | Some (cc, key, hkey, None) ->
       Cache.insert cc hkey
         { Cache.e_key = key; e_res = res; e_tick = 0 };
-      (match cc.Cache.disk with
-      | None -> ()
-      | Some d -> Solve_store.add d key (encode_entry res))
+      (match (cc.Cache.disk, res) with
+      | Some d, Optimal sol -> Solve_store.add d key (encode_entry sol)
+      | _ -> ())
     | _ -> ());
     res
 

@@ -118,11 +118,13 @@ module Cache : sig
 
       A cache may carry a {!Disk} tier: a crash-safe, cross-process
       store directory consulted on memory misses and written through on
-      every solve, so separate processes (CLI, bench, CI runs) reuse
-      each other's solves.  Disk records are validated byte-for-byte,
-      and a decoded optimum is served only once {!certify} proves it
-      against the model; anything corrupt or uncertified is quarantined
-      and the solve runs cold.  Record values are tagged
+      every optimum, so separate processes (CLI, bench, CI runs) reuse
+      each other's solves.  Infeasible and unbounded outcomes carry no
+      certificate and stay in memory.  Disk records are validated
+      byte-for-byte, and a decoded optimum is served only once
+      {!certify} proves it against the model; anything corrupt,
+      uncertified or other than an optimum is quarantined and the solve
+      runs cold.  Record values are tagged
       [lpres 4]; a record of any other value format, such as the
       [lpres 3] of the kernel that still saw implied [ub:] rows, is
       quarantined and re-solved.

@@ -20,18 +20,15 @@
    support are untouched, since eliminating with a zero multiplier is
    the identity.
 
-   Two tableaux run this one algorithm.  The packed tableau
-   ([Packed_tableau]) is the one every solve starts on: a single
-   row-major [int array] whose cells are canonical small rationals
-   packed into one native int ([Packed]: [(num lsl 31) lor den] with
-   [|num|, den < 2^30], and [0] for zero), as are the right-hand side,
-   the reduced costs and the objective.  A cell update is one fused,
+   One driver ([Driver]) runs the algorithm on a flat row-major
+   tableau; a cell type gives it only the loops over cells.  Every
+   solve starts on packed cells ([Packed_cells]): canonical small
+   rationals in one native int each ([Packed]: [(num lsl 31) lor den]
+   with [|num|, den < 2^30], and [0] for zero), updated by one fused,
    allocation-free [submul].  When any value of a solve would leave
-   that range, the packed arithmetic raises [Packed.Range] and the solve
-   restarts from its cold start on the boxed tableau ([Boxed_tableau]:
-   a [Rat.t array array], unbounded).  Values are canonical on both, so
-   every comparison the algorithm makes — the Dantzig argmin and its
-   ties, the ratio test, stall detection, the Bland switch — answers the
+   that range, [Packed.Range] restarts the solve from its cold start on
+   boxed cells ([Boxed_cells]: [Rat.t], unbounded).  Values are
+   canonical on both, so every comparison the driver makes answers the
    same, and the two produce the same pivots, vertex, duals and pivot
    count; the restart is invisible in the answer. *)
 
@@ -108,8 +105,6 @@ module Packed = struct
 
   let to_rat x = if x = 0 then R.zero else R.of_ints (num x) (den x)
 
-  let neg x = ((-num x) lsl den_bits) lor den x
-
   let inv x =
     if x = 0 then raise Division_by_zero;
     let n = num x and d = den x in
@@ -176,7 +171,7 @@ module Packed = struct
     else R.compare (R.of_ints xn xd) (R.of_ints yn yd)
 end
 
-(* --- shared by both tableaux ---------------------------------------- *)
+(* --- the crash basis and the duals ---------------------------------- *)
 
 (* The crash basis.  A structural column with exactly one nonzero,
    positive once negative-[b] rows are flipped — the slack of a [<=]
@@ -245,183 +240,100 @@ let duals_of cr ~red ~b ~c =
       let r = R.div (R.sub (red j) cj) cr.unit_coef.(i) in
       if R.sign b.(i) < 0 then r else R.neg r)
 
-(* --- the boxed tableau: unbounded rationals ------------------------- *)
+(* --- the tableau both cell types share -------------------------------
 
-module Boxed_tableau = struct
-  type tableau = {
-    mutable rows : R.t array array; (* m x n_total *)
-    mutable rhs : R.t array; (* m *)
-    mutable basis : int array; (* m, column basic in each row *)
-    red : R.t array; (* n_total, reduced costs for current phase *)
-    mutable obj : R.t;
-    (* stored as MINUS the current objective value: with that sign
-       convention the reduced-cost row and the objective cell transform
-       under pivoting by exactly the same elimination rule as any other
-       row, cf. the classical (-z) tableau corner. *)
-    n_total : int;
-    (* structural columns 0 .. n-1, then one artificial per uncovered row *)
-    mutable pivots : int;
-    supp : int array; (* scratch: support (nonzero columns) of the pivot row *)
-  }
+   One row-major array per solve, [cells.(i * n_total + j)] for row [i]
+   and column [j]; redundant rows are dropped by compacting it in place,
+   so only the first [m] rows are live. *)
 
-  let pivot t p q =
-    (* make column q basic in row p *)
-    let row_p = t.rows.(p) in
-    let piv = row_p.(q) in
-    assert (R.sign piv > 0);
-    let inv = R.inv piv in
-    (* scale the pivot row, collecting its support as we go; zero entries
-       stay zero, so skipping them leaves the row unchanged *)
-    let supp = t.supp in
-    let nsupp = ref 0 in
-    for j = 0 to t.n_total - 1 do
-      let v = row_p.(j) in
-      if not (R.is_zero v) then begin
-        row_p.(j) <- R.mul v inv;
-        supp.(!nsupp) <- j;
-        incr nsupp
-      end
-    done;
-    let nsupp = !nsupp in
-    let rhs_p = R.mul t.rhs.(p) inv in
-    t.rhs.(p) <- rhs_p;
-    (* subtract [f] times the pivot row; columns outside its support are
-       unchanged by the elimination, so only the support is walked *)
-    let eliminate coeffs f =
-      for k = 0 to nsupp - 1 do
-        let j = supp.(k) in
-        coeffs.(j) <- R.sub coeffs.(j) (R.mul f row_p.(j))
-      done
-    in
-    for i = 0 to Array.length t.rows - 1 do
-      if i <> p then begin
-        let row = t.rows.(i) in
-        let f = row.(q) in
-        if not (R.is_zero f) then begin
-          eliminate row f;
-          t.rhs.(i) <- R.sub t.rhs.(i) (R.mul f rhs_p)
-        end
-      end
-    done;
-    let f = t.red.(q) in
-    if not (R.is_zero f) then begin
-      eliminate t.red f;
-      t.obj <- R.sub t.obj (R.mul f rhs_p)
-    end;
-    t.basis.(p) <- q;
-    t.pivots <- t.pivots + 1
+type 'a tableau = {
+  cells : 'a array; (* m x n_total, row-major *)
+  mutable m : int;
+  rhs : 'a array; (* m *)
+  basis : int array; (* m, column basic in each row *)
+  red : 'a array; (* n_total, reduced costs for current phase *)
+  mutable obj : 'a;
+  (* stored as MINUS the current objective value: with that sign
+     convention the reduced-cost row and the objective cell transform
+     under pivoting by exactly the same elimination rule as any other
+     row, cf. the classical (-z) tableau corner. *)
+  n_total : int;
+  (* structural columns 0 .. n-1, then one artificial per uncovered row *)
+  mutable pivots : int;
+  supp : int array; (* scratch: support (nonzero columns) of the pivot row *)
+}
 
-  (* Recompute reduced costs and objective for cost vector [c] (length
-     n_total) given the current basis.  O(m * nnz). *)
-  let reprice t c =
-    let m = Array.length t.rows in
-    Array.blit c 0 t.red 0 t.n_total;
-    t.obj <- R.zero;
-    for i = 0 to m - 1 do
-      let cb = c.(t.basis.(i)) in
-      if not (R.is_zero cb) then begin
-        let row = t.rows.(i) in
-        for j = 0 to t.n_total - 1 do
-          let v = row.(j) in
-          if not (R.is_zero v) then t.red.(j) <- R.sub t.red.(j) (R.mul cb v)
-        done;
-        t.obj <- R.sub t.obj (R.mul cb t.rhs.(i))
-      end
-    done
+(* What a cell type gives the driver: its constants and conversions,
+   and every loop over cells (documented on [Packed_cells]), so that
+   each loop's arithmetic is compiled for its own cell type.  The
+   driver calls the loops at most once per pivot. *)
+module type CELLS = sig
+  type t
 
-  (* One phase of the simplex loop.  [allowed j] filters entering
-     columns (phase 2 bars artificials). *)
+  val zero : t
+  val one : t
+  val of_rat : R.t -> t
+  val to_rat : t -> R.t
+  val compare : t -> t -> int
+  val pivot : t tableau -> int -> int -> unit
+  val reprice : t tableau -> t array -> unit
+  val dantzig : t tableau -> int -> int
+  val bland : t tableau -> int -> int
+  val leaving : t tableau -> int -> int
+  val first_nonzero : t tableau -> int -> int -> int
+end
+
+module Driver (C : CELLS) = struct
+  (* One phase of the simplex loop; only columns below [allowed] may
+     enter (phase 2 bars artificials). *)
   let optimise t rule allowed =
-    let m = Array.length t.rows in
-    let stall_limit = m + t.n_total in
+    let stall_limit = t.m + t.n_total in
     let best_seen = ref t.obj in
     let stall = ref 0 in
     let bland_mode = ref (rule = Bland) in
-    let entering () =
-      if !bland_mode then begin
-        let rec go j =
-          if j >= t.n_total then None
-          else if allowed j && R.sign t.red.(j) < 0 then Some j
-          else go (j + 1)
-        in
-        go 0
-      end
-      else begin
-        let best = ref None in
-        for j = t.n_total - 1 downto 0 do
-          if allowed j && R.sign t.red.(j) < 0 then
-            match !best with
-            | Some jb when R.compare t.red.(jb) t.red.(j) <= 0 -> ()
-            | _ -> best := Some j
-        done;
-        !best
-      end
-    in
-    let leaving q =
-      (* min ratio rhs_i / rows_i_q over rows_i_q > 0; ties to the
-         smallest basis index (lexicographic safeguard, part of Bland's
-         rule) *)
-      let best = ref None in
-      for i = 0 to m - 1 do
-        let a = t.rows.(i).(q) in
-        if R.sign a > 0 then begin
-          let ratio = R.div t.rhs.(i) a in
-          match !best with
-          | None -> best := Some (i, ratio)
-          | Some (ib, rb) ->
-            let cmp = R.compare ratio rb in
-            if cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(ib)) then
-              best := Some (i, ratio)
-        end
-      done;
-      !best
-    in
     let continue = ref true in
     while !continue do
-      match entering () with
-      | None -> continue := false
-      | Some q ->
-        (match leaving q with
-        | None -> raise Unbounded_exc
-        | Some (p, _) ->
-          pivot t p q;
-          if not !bland_mode then begin
-            (* t.obj = -z grows strictly whenever z improves *)
-            if R.compare t.obj !best_seen > 0 then begin
-              best_seen := t.obj;
-              stall := 0
-            end
-            else begin
-              incr stall;
-              if !stall > stall_limit then bland_mode := true
-            end
-          end)
+      let q = if !bland_mode then C.bland t allowed else C.dantzig t allowed in
+      if q < 0 then continue := false
+      else begin
+        let p = C.leaving t q in
+        if p < 0 then raise Unbounded_exc;
+        C.pivot t p q;
+        if not !bland_mode then begin
+          (* t.obj = -z grows strictly whenever z improves *)
+          if C.compare t.obj !best_seen > 0 then begin
+            best_seen := t.obj;
+            stall := 0
+          end
+          else begin
+            incr stall;
+            if !stall > stall_limit then bland_mode := true
+          end
+        end
+      end
     done
-
-  let negate_row t i =
-    let row = t.rows.(i) in
-    for k = 0 to t.n_total - 1 do
-      let v = row.(k) in
-      if not (R.is_zero v) then row.(k) <- R.neg v
-    done;
-    t.rhs.(i) <- R.neg t.rhs.(i)
 
   let solve rule ~rows ~b ~c ~m ~n =
     let cr = crash_basis ~rows ~b ~m ~n in
     let n_total = cr.n_total in
+    let cells = Array.make (m * n_total) C.zero in
+    let rhs = Array.make m C.zero in
+    for i = 0 to m - 1 do
+      let s = cr.scale.(i) in
+      let base = i * n_total in
+      let cols, vals = rows.(i) in
+      Array.iteri (fun k j -> cells.(base + j) <- C.of_rat (R.mul vals.(k) s)) cols;
+      cells.(base + cr.unit_col.(i)) <- C.one;
+      rhs.(i) <- C.of_rat (R.mul b.(i) s)
+    done;
     let t =
       {
-        rows =
-          Array.init m (fun i ->
-              let row = Array.make n_total R.zero in
-              let cols, vals = rows.(i) in
-              Array.iteri (fun k j -> row.(j) <- R.mul vals.(k) cr.scale.(i)) cols;
-              row.(cr.unit_col.(i)) <- R.one;
-              row);
-        rhs = Array.init m (fun i -> R.mul b.(i) cr.scale.(i));
+        cells;
+        m;
+        rhs;
         basis = Array.copy cr.unit_col;
-        red = Array.make n_total R.zero;
-        obj = R.zero;
+        red = Array.make n_total C.zero;
+        obj = C.zero;
         n_total;
         pivots = 0;
         supp = Array.make n_total 0;
@@ -431,93 +343,89 @@ module Boxed_tableau = struct
       n_total = n
       || begin
         (* phase 1: minimise the sum of the artificials *)
-        let c1 = Array.make n_total R.zero in
-        Array.fill c1 n (n_total - n) R.one;
-        reprice t c1;
-        (try optimise t rule (fun j -> j < n)
+        let c1 = Array.make n_total C.zero in
+        Array.fill c1 n (n_total - n) C.one;
+        C.reprice t c1;
+        (try optimise t rule n
          with Unbounded_exc ->
            (* phase-1 objective is bounded below by 0: cannot happen *)
            assert false);
-        R.sign t.obj >= 0 (* phase-1 optimum z = -obj > 0: infeasible *)
+        C.compare t.obj C.zero >= 0 (* phase-1 optimum z = -obj > 0: infeasible *)
       end
     in
     if not feasible then Infeasible
     else begin
-      (* drive remaining artificials out of the basis *)
+      (* drive remaining artificials (basic, necessarily at value 0) out
+         of the basis, pivoting on the row's lowest structural nonzero
+         whatever its sign: rhs_i = 0 keeps the tableau feasible.  A
+         row with no structural nonzero left is redundant. *)
       let keep = Array.make m true in
       for i = 0 to m - 1 do
         if t.basis.(i) >= n then begin
-          (* basic artificial, necessarily at value 0 *)
-          let rec find j =
-            if j >= n then None
-            else if not (R.is_zero t.rows.(i).(j)) then Some j
-            else find (j + 1)
-          in
-          match find 0 with
-          | Some j ->
-            (* pivot on (i, j); the pivot may be negative, which is fine
-               here because rhs_i = 0 keeps the tableau feasible *)
-            if R.sign t.rows.(i).(j) < 0 then negate_row t i;
-            pivot t i j
-          | None -> keep.(i) <- false (* redundant row *)
+          let j = C.first_nonzero t i n in
+          if j < 0 then keep.(i) <- false else C.pivot t i j
         end
       done;
-      if Array.exists not keep then begin
-        let filter arr =
-          let out = ref [] in
-          Array.iteri (fun i x -> if keep.(i) then out := x :: !out) arr;
-          Array.of_list (List.rev !out)
-        in
-        t.rows <- filter t.rows;
-        t.rhs <- filter t.rhs;
-        t.basis <- filter t.basis
-      end;
+      (* drop the redundant rows, compacting the ones that stay *)
+      let live = ref 0 in
+      for i = 0 to m - 1 do
+        if keep.(i) then begin
+          if !live < i then begin
+            Array.blit cells (i * n_total) cells (!live * n_total) n_total;
+            rhs.(!live) <- rhs.(i);
+            t.basis.(!live) <- t.basis.(i)
+          end;
+          incr live
+        end
+      done;
+      t.m <- !live;
       (* phase 2: re-price with the true costs, artificials barred *)
-      let c2 = Array.make n_total R.zero in
-      Array.blit c 0 c2 0 n;
-      reprice t c2;
-      match optimise t rule (fun j -> j < n) with
+      let c2 = Array.make n_total C.zero in
+      for j = 0 to n - 1 do
+        c2.(j) <- C.of_rat c.(j)
+      done;
+      C.reprice t c2;
+      match optimise t rule n with
       | () ->
         let values = Array.make n R.zero in
-        Array.iteri (fun i bj -> if bj < n then values.(bj) <- t.rhs.(i)) t.basis;
+        for i = 0 to t.m - 1 do
+          let bj = t.basis.(i) in
+          if bj < n then values.(bj) <- C.to_rat rhs.(i)
+        done;
         Optimal
           {
             values;
-            objective = R.neg t.obj;
-            duals = duals_of cr ~red:(Array.get t.red) ~b ~c;
+            objective = R.neg (C.to_rat t.obj);
+            duals = duals_of cr ~red:(fun j -> C.to_rat t.red.(j)) ~b ~c;
             pivots = t.pivots;
           }
       | exception Unbounded_exc -> Unbounded
     end
 end
 
-(* --- the packed tableau: one int array ------------------------------
+(* --- the packed cells: native ints ---------------------------------- *)
 
-   The same algorithm, line for line, on [Packed] cells: the tableau is
-   one row-major [int array] ([cells.(i * n_total + j)]) allocated per
-   solve, and redundant rows are dropped by compacting it in place. *)
-
-module Packed_tableau = struct
+module Packed_cells = struct
   module P = Packed
 
-  type tableau = {
-    cells : P.t array; (* m x n_total, row-major; the first [m] rows live *)
-    mutable m : int;
-    rhs : P.t array;
-    basis : int array;
-    red : P.t array;
-    mutable obj : P.t; (* minus the objective, as in [Boxed_tableau] *)
-    n_total : int;
-    mutable pivots : int;
-    supp : int array;
-  }
+  type t = P.t
 
-  let pivot t p q =
+  let zero = P.zero
+  let one = P.one
+  let of_rat = P.of_rat
+  let to_rat = P.to_rat
+  let compare = P.compare
+
+  (* make column [q] basic in row [p]; the pivot is positive, or the
+     row's rhs is zero (the drive-out) *)
+  let pivot (t : t tableau) p q =
     let n_total = t.n_total and cells = t.cells in
     let base_p = p * n_total in
     let piv = cells.(base_p + q) in
-    assert (piv > 0);
+    assert (piv > 0 || t.rhs.(p) = 0);
     let inv = P.inv piv in
+    (* scale the pivot row, collecting its support as we go; zero entries
+       stay zero, so skipping them leaves the row unchanged *)
     let supp = t.supp in
     let nsupp = ref 0 in
     for j = 0 to n_total - 1 do
@@ -531,6 +439,8 @@ module Packed_tableau = struct
     let nsupp = !nsupp in
     let rhs_p = P.mul t.rhs.(p) inv in
     t.rhs.(p) <- rhs_p;
+    (* subtract [f] times the pivot row; columns outside its support are
+       unchanged by the elimination, so only the support is walked *)
     for i = 0 to t.m - 1 do
       if i <> p then begin
         let base = i * n_total in
@@ -556,7 +466,9 @@ module Packed_tableau = struct
     t.basis.(p) <- q;
     t.pivots <- t.pivots + 1
 
-  let reprice t c =
+  (* reduced costs and objective for the cost vector [c] (length
+     [n_total]) at the current basis *)
+  let reprice (t : t tableau) c =
     let n_total = t.n_total in
     Array.blit c 0 t.red 0 n_total;
     t.obj <- P.zero;
@@ -572,9 +484,9 @@ module Packed_tableau = struct
       end
     done
 
-  (* entering and leaving columns as in [Boxed_tableau.optimise], -1 for
-     none; only columns below [allowed] may enter *)
-  let dantzig t allowed =
+  (* entering columns, among those below [allowed], -1 for none: the
+     most negative reduced cost, ties to the highest column *)
+  let dantzig (t : t tableau) allowed =
     let red = t.red in
     let best = ref (-1) in
     for j = allowed - 1 downto 0 do
@@ -583,14 +495,16 @@ module Packed_tableau = struct
     done;
     !best
 
-  let bland t allowed =
+  (* the lowest column with a negative reduced cost *)
+  let bland (t : t tableau) allowed =
     let rec go j = if j >= allowed then -1 else if t.red.(j) < 0 then j else go (j + 1) in
     go 0
 
-  (* min ratio rhs_i / a_iq over a_iq > 0, ties to the smallest basis
-     index; the ratio [(rn/rd) / (an/ad)] is compared unreduced as
-     [(rn * ad) / (rd * an)], so the test never leaves exact ints *)
-  let leaving t q =
+  (* min ratio rhs_i / a_iq over a_iq > 0; ties to the smallest basis
+     index (lexicographic safeguard, part of Bland's rule).  The ratio
+     [(rn/rd) / (an/ad)] is compared unreduced as [(rn * ad) / (rd * an)],
+     so the test never leaves exact ints *)
+  let leaving (t : t tableau) q =
     let n_total = t.n_total in
     let best = ref (-1) and bn = ref 0 and bd = ref 1 in
     for i = 0 to t.m - 1 do
@@ -614,128 +528,129 @@ module Packed_tableau = struct
     done;
     !best
 
-  let optimise t rule allowed =
-    let stall_limit = t.m + t.n_total in
-    let best_seen = ref t.obj in
-    let stall = ref 0 in
-    let bland_mode = ref (rule = Bland) in
-    let continue = ref true in
-    while !continue do
-      let q = if !bland_mode then bland t allowed else dantzig t allowed in
-      if q < 0 then continue := false
-      else begin
-        let p = leaving t q in
-        if p < 0 then raise Unbounded_exc;
-        pivot t p q;
-        if not !bland_mode then begin
-          if P.compare t.obj !best_seen > 0 then begin
-            best_seen := t.obj;
-            stall := 0
-          end
-          else begin
-            incr stall;
-            if !stall > stall_limit then bland_mode := true
-          end
-        end
+  (* the lowest column below [n] where row [i] is nonzero, -1 for none *)
+  let first_nonzero (t : t tableau) i n =
+    let base = i * t.n_total in
+    let rec find j = if j >= n then -1 else if t.cells.(base + j) <> 0 then j else find (j + 1) in
+    find 0
+end
+
+(* --- the boxed cells: unbounded rationals ---------------------------
+
+   The same loops on [Rat.t] cells, for the solves that leave the
+   packed range. *)
+
+module Boxed_cells = struct
+  type t = R.t
+
+  let zero = R.zero
+  let one = R.one
+  let of_rat = Fun.id
+  let to_rat = Fun.id
+  let compare = R.compare
+
+  let pivot (t : t tableau) p q =
+    let n_total = t.n_total and cells = t.cells in
+    let base_p = p * n_total in
+    let piv = cells.(base_p + q) in
+    assert (R.sign piv > 0 || R.is_zero t.rhs.(p));
+    let inv = R.inv piv in
+    let supp = t.supp in
+    let nsupp = ref 0 in
+    for j = 0 to n_total - 1 do
+      let v = cells.(base_p + j) in
+      if not (R.is_zero v) then begin
+        cells.(base_p + j) <- R.mul v inv;
+        supp.(!nsupp) <- j;
+        incr nsupp
+      end
+    done;
+    let nsupp = !nsupp in
+    let rhs_p = R.mul t.rhs.(p) inv in
+    t.rhs.(p) <- rhs_p;
+    (* [coeffs] from [base] on, minus [f] times the pivot row's support *)
+    let eliminate coeffs base f =
+      for k = 0 to nsupp - 1 do
+        let j = supp.(k) in
+        coeffs.(base + j) <- R.sub coeffs.(base + j) (R.mul f cells.(base_p + j))
+      done
+    in
+    for i = 0 to t.m - 1 do
+      let f = cells.((i * n_total) + q) in
+      if i <> p && not (R.is_zero f) then begin
+        eliminate cells (i * n_total) f;
+        t.rhs.(i) <- R.sub t.rhs.(i) (R.mul f rhs_p)
+      end
+    done;
+    let f = t.red.(q) in
+    if not (R.is_zero f) then begin
+      eliminate t.red 0 f;
+      t.obj <- R.sub t.obj (R.mul f rhs_p)
+    end;
+    t.basis.(p) <- q;
+    t.pivots <- t.pivots + 1
+
+  let reprice (t : t tableau) c =
+    let n_total = t.n_total in
+    Array.blit c 0 t.red 0 n_total;
+    t.obj <- R.zero;
+    for i = 0 to t.m - 1 do
+      let cb = c.(t.basis.(i)) in
+      if not (R.is_zero cb) then begin
+        let base = i * n_total in
+        for j = 0 to n_total - 1 do
+          let v = t.cells.(base + j) in
+          if not (R.is_zero v) then t.red.(j) <- R.sub t.red.(j) (R.mul cb v)
+        done;
+        t.obj <- R.sub t.obj (R.mul cb t.rhs.(i))
       end
     done
 
-  let negate_row t i =
-    let base = i * t.n_total in
-    for k = base to base + t.n_total - 1 do
-      t.cells.(k) <- P.neg t.cells.(k)
+  let dantzig (t : t tableau) allowed =
+    let red = t.red in
+    let best = ref (-1) in
+    for j = allowed - 1 downto 0 do
+      let r = red.(j) in
+      if R.sign r < 0 && (!best < 0 || R.compare red.(!best) r > 0) then best := j
     done;
-    t.rhs.(i) <- P.neg t.rhs.(i)
+    !best
 
-  let solve rule ~rows ~b ~c ~m ~n =
-    let cr = crash_basis ~rows ~b ~m ~n in
-    let n_total = cr.n_total in
-    let cells = Array.make (m * n_total) P.zero in
-    let rhs = Array.make m P.zero in
-    for i = 0 to m - 1 do
-      let s = cr.scale.(i) in
-      let base = i * n_total in
-      let cols, vals = rows.(i) in
-      Array.iteri (fun k j -> cells.(base + j) <- P.of_rat (R.mul vals.(k) s)) cols;
-      cells.(base + cr.unit_col.(i)) <- P.one;
-      rhs.(i) <- P.of_rat (R.mul b.(i) s)
-    done;
-    let t =
-      {
-        cells;
-        m;
-        rhs;
-        basis = Array.copy cr.unit_col;
-        red = Array.make n_total P.zero;
-        obj = P.zero;
-        n_total;
-        pivots = 0;
-        supp = Array.make n_total 0;
-      }
+  let bland (t : t tableau) allowed =
+    let rec go j =
+      if j >= allowed then -1 else if R.sign t.red.(j) < 0 then j else go (j + 1)
     in
-    let feasible =
-      n_total = n
-      || begin
-        let c1 = Array.make n_total P.zero in
-        Array.fill c1 n (n_total - n) P.one;
-        reprice t c1;
-        (try optimise t rule n with Unbounded_exc -> assert false);
-        t.obj >= 0
+    go 0
+
+  let leaving (t : t tableau) q =
+    let best = ref (-1) and best_ratio = ref R.zero in
+    for i = 0 to t.m - 1 do
+      let a = t.cells.((i * t.n_total) + q) in
+      if R.sign a > 0 then begin
+        let ratio = R.div t.rhs.(i) a in
+        let better =
+          !best < 0
+          ||
+          let cmp = R.compare ratio !best_ratio in
+          cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(!best))
+        in
+        if better then begin
+          best := i;
+          best_ratio := ratio
+        end
       end
+    done;
+    !best
+
+  let first_nonzero (t : t tableau) i n =
+    let base = i * t.n_total in
+    let rec find j =
+      if j >= n then -1 else if not (R.is_zero t.cells.(base + j)) then j else find (j + 1)
     in
-    if not feasible then Infeasible
-    else begin
-      (* drive remaining artificials out of the basis, then compact the
-         rows that stay *)
-      let keep = Array.make m true in
-      for i = 0 to m - 1 do
-        if t.basis.(i) >= n then begin
-          let base = i * n_total in
-          let rec find j =
-            if j >= n then -1 else if cells.(base + j) <> 0 then j else find (j + 1)
-          in
-          let j = find 0 in
-          if j < 0 then keep.(i) <- false
-          else begin
-            if cells.(base + j) < 0 then negate_row t i;
-            pivot t i j
-          end
-        end
-      done;
-      let live = ref 0 in
-      for i = 0 to m - 1 do
-        if keep.(i) then begin
-          if !live < i then begin
-            Array.blit cells (i * n_total) cells (!live * n_total) n_total;
-            rhs.(!live) <- rhs.(i);
-            t.basis.(!live) <- t.basis.(i)
-          end;
-          incr live
-        end
-      done;
-      t.m <- !live;
-      let c2 = Array.make n_total P.zero in
-      for j = 0 to n - 1 do
-        c2.(j) <- P.of_rat c.(j)
-      done;
-      reprice t c2;
-      match optimise t rule n with
-      | () ->
-        let values = Array.make n R.zero in
-        for i = 0 to t.m - 1 do
-          let bj = t.basis.(i) in
-          if bj < n then values.(bj) <- P.to_rat rhs.(i)
-        done;
-        Optimal
-          {
-            values;
-            objective = P.to_rat (P.neg t.obj);
-            duals = duals_of cr ~red:(fun j -> P.to_rat t.red.(j)) ~b ~c;
-            pivots = t.pivots;
-          }
-      | exception Unbounded_exc -> Unbounded
-    end
+    find 0
 end
+
+module Packed_tableau = Driver (Packed_cells)
+module Boxed_tableau = Driver (Boxed_cells)
 
 let check_input ~rows ~b ~c =
   let m = Array.length rows in

@@ -16,19 +16,22 @@
     default) is usually faster and falls back to Bland's rule after a
     stall; {!Bland} never cycles.  Both terminate.
 
-    {b Representation.}  Every solve starts on a packed tableau: one
-    row-major [int array], allocated per solve, whose cells — and the
-    right-hand side, reduced costs and objective — are canonical
-    rationals [num/den] with [|num| < 2^30] and [0 < den < 2^30], each
-    packed into one native int ({!Packed}).  A cell update is one fused,
+    {b Representation.}  One driver runs both phases on a row-major
+    tableau, allocated per solve, over one of two cell types, each of
+    which supplies only its loops over cells.  Every solve starts on
+    packed cells: the cells — and the right-hand side, reduced costs and
+    objective — are canonical rationals [num/den] with [|num| < 2^30]
+    and [0 < den < 2^30], each packed into one native int ({!Packed}),
+    so the tableau is one [int array] and a cell update is one fused,
     allocation-free multiply-subtract.  {b Restart rule:} if any value
     the solve computes falls outside that range, the solve restarts from
-    its cold start on a boxed [Rat.t] tableau, which has no range limit.
-    Both tableaux hold canonical values, so every comparison — the
-    Dantzig argmin and its ties, the ratio test, stall detection, the
-    Bland switch — answers the same on both: the pivots, the vertex, the
-    duals and the pivot count are identical, and the restart never shows
-    in the answer.  No option selects the path. *)
+    its cold start on boxed [Rat.t] cells, which have no range limit.
+    Both cell types hold canonical values, so every comparison the
+    driver makes — the Dantzig argmin and its ties, the ratio test,
+    stall detection, the Bland switch — answers the same on both: the
+    pivots, the vertex, the duals and the pivot count are identical, and
+    the restart never shows in the answer.  No option selects the
+    path. *)
 
 type pivot_rule =
   | Bland  (** smallest-index entering/leaving: provably cycle-free *)
@@ -77,11 +80,14 @@ val minimize :
     @raise Invalid_argument on a dimension mismatch, row columns out of
     range or not strictly increasing, or an explicit zero value. *)
 
-(** {1 The two tableaux, for tests}
+(** {1 The two cell types, for tests}
 
     {!minimize} is {!minimize_packed}, restarted as {!minimize_boxed}
-    on {!Packed.Range}.  Both take the same arguments and raise the
-    same [Invalid_argument]s as {!minimize}. *)
+    on {!Packed.Range}: one driver on packed cells, then on boxed cells.
+    Both take the same arguments and raise the same [Invalid_argument]s
+    as {!minimize}.  Because they share the driver, their agreement
+    checks only the cell loops; the tests also hold both against the
+    seed kernel. *)
 
 val minimize_packed :
   ?rule:pivot_rule ->
@@ -90,7 +96,7 @@ val minimize_packed :
   c:Rat.t array ->
   unit ->
   outcome
-(** The packed tableau alone.
+(** The driver on packed cells alone.
     @raise Packed.Range where {!minimize} restarts. *)
 
 val minimize_boxed :
@@ -100,8 +106,7 @@ val minimize_boxed :
   c:Rat.t array ->
   unit ->
   outcome
-(** The boxed tableau alone: {!minimize}'s restart path and the tests'
-    reference. *)
+(** The driver on boxed cells alone: {!minimize}'s restart path. *)
 
 (** Packed small rationals: [num/den] in lowest terms, [den > 0],
     [|num|, den < 2^30], as the int [(num lsl 31) lor den]; zero is [0].
@@ -115,7 +120,6 @@ module Packed : sig
 
   val of_rat : Rat.t -> t
   val to_rat : t -> Rat.t
-  val neg : t -> t
 
   val inv : t -> t
   (** @raise Division_by_zero on zero. *)

@@ -220,7 +220,6 @@ let rec add a b =
 and sub a b = add a (neg b)
 
 let succ t = add t one
-let pred t = sub t one
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero

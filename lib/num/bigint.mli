@@ -59,7 +59,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val succ : t -> t
-val pred : t -> t
 val mul : t -> t -> t
 (** Schoolbook below ~960 bits, Karatsuba above. *)
 

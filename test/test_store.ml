@@ -392,6 +392,53 @@ let test_forged_generation_round () =
     ~populate:(fun cache -> ignore (answer (Some cache)))
     ~answer
 
+(* --- only certified optima reach the disk --- *)
+
+(* An [I] or [U] record, as an older build wrote them, re-sealed under
+   the key of the Figure 2 scatter model so that every byte-level check
+   accepts it.  Zero throughput is always feasible and the throughput is
+   bounded, so the record is wrong on its face: a solve through a fresh
+   handle must give the cold optimum and quarantine the record. *)
+let test_outcome_record_quarantined () =
+  let p, source, targets = Platform_gen.multicast_fig2 () in
+  let m = Collective.model Collective.Sum p ~source ~targets in
+  let cold = fingerprint m (Lp.solve m) in
+  List.iter
+    (fun tag ->
+      let dir = fresh_dir () in
+      ignore (Lp.solve ~cache:(Lp.Cache.create ~disk:(S.open_store dir) ()) m);
+      let key, _ = record_parts (the_record dir) in
+      S.add (S.open_store dir) key ("lpres 4\n" ^ tag ^ "\n");
+      let h = S.open_store dir in
+      let cc = Lp.Cache.create ~disk:h () in
+      Alcotest.(check (list string)) (tag ^ " record: the true optimum") cold
+        (fingerprint m (Lp.solve ~cache:cc m));
+      Alcotest.(check int) (tag ^ " record: quarantined") 1 (S.quarantined h);
+      Alcotest.(check int) (tag ^ " record: not served") 0 (Lp.Cache.disk_hits cc);
+      rm_rf dir)
+    [ "I"; "U" ]
+
+(* an infeasible LP solved through a disk cache writes no record; the
+   memory tier still memoises it *)
+let test_infeasible_not_stored () =
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" in
+  Lp.add_constraint m (Lp.var x) Lp.Ge (R.of_int 3);
+  Lp.add_constraint m (Lp.var x) Lp.Le (R.of_int 2);
+  Lp.set_objective m Lp.Maximize (Lp.var x);
+  let dir = fresh_dir () in
+  let h = S.open_store dir in
+  let cc = Lp.Cache.create ~disk:h () in
+  for _ = 1 to 2 do
+    match Lp.solve ~cache:cc m with
+    | Lp.Infeasible -> ()
+    | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "expected infeasible"
+  done;
+  Alcotest.(check int) "no record" 0 (List.length (records dir));
+  Alcotest.(check int) "nothing stored" 0 (S.stores h);
+  Alcotest.(check int) "memory hit" 1 (Lp.Cache.hits cc);
+  rm_rf dir
+
 (* a filename collision (same record path, different key) must read as
    a plain miss — not as a wrong answer, not as corruption *)
 let test_key_echo_rejects_foreign_record () =
@@ -710,6 +757,10 @@ let suite =
         test_forged_scatter;
       Alcotest.test_case "forged generation round quarantined" `Quick
         test_forged_generation_round;
+      Alcotest.test_case "I and U records quarantined" `Quick
+        test_outcome_record_quarantined;
+      Alcotest.test_case "infeasible LP leaves no record" `Quick
+        test_infeasible_not_stored;
       Alcotest.test_case "key echo rejects foreign record" `Quick
         test_key_echo_rejects_foreign_record;
       Alcotest.test_case "orphan tempfile invisible" `Quick
