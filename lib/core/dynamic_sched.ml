@@ -970,13 +970,16 @@ let run_robust ?cache ?stats ?ckpt sc =
         (* detection-driven cancellation: a task file whose current hop
            sits on a link now known dead is going nowhere — free the
            one-port slots it holds (or its queue position) and re-queue
-           the task file *)
+           the task file.  Oldest operation first: the table's own order
+           depends on its bucket count, which a table rebuilt from a
+           checkpoint need not share *)
         Hashtbl.fold
           (fun id (path, _) acc ->
             match path with
             | e :: _ when dead_bw.(e) -> id :: acc
             | _ -> acc)
           live []
+        |> List.sort Int.compare
         |> List.iter (fun id -> ignore (Event_sim.cancel sim id));
         (* observations of resources that are actually alive feed the
            forecasters during replay and live planning alike — the first

@@ -92,8 +92,9 @@ val multiplier_of : t -> subject -> Rat.t
 
 (** {1 Operations} *)
 
-type op_id
-(** Handle to a submitted operation, for cancellation and queries. *)
+type op_id = int
+(** Handle to a submitted operation, for cancellation and queries.  A
+    simulator numbers its operations 0, 1, 2, ... in submission order. *)
 
 type cancel_reason =
   | Cancelled  (** explicit {!cancel} *)
