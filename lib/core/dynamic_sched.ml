@@ -496,25 +496,26 @@ let run_classic ?cache ?stats sc strategy =
 (* ---- crash recovery ---------------------------------------------------
 
    A checkpointed Robust run persists, at a configurable epoch cadence,
-   everything needed to continue the run bit-identically after a crash:
-   the per-epoch *decision log* (what each boundary's planner decided,
-   in original platform indices), then the encoding of the executor's
-   boundary-start state (arrears, backlog, deficits, loss counters,
-   failure flags, work marks — all exact).  [resume] decodes the log,
-   replays it through a fresh simulator — deterministic event replay,
-   no LP solves — checks at the checkpointed boundary that the rebuilt
-   state encodes to the stored bytes, and continues live from there.
-   The state has that one encoding, written and compared, never
-   parsed.  Plans of the live suffix coincide with the uninterrupted
-   run's because each epoch's decision is a function of that epoch's
-   multipliers alone (the tree sweep, or a cold LP solve, on the
-   surviving platform they scale): no solver state needs restoring and
-   the resumed run needs no LP memo: it runs without one.  The one
-   thing a live epoch hands the next, the decision it may reuse, is
-   rebuilt by the resumed run's first live epoch, which plans.  A
-   missing, truncated, corrupt, version-skewed or mismatching
-   checkpoint is quarantined and degrades to a cold full run — recovery
-   can cost time, never answers. *)
+   its whole state at the start of a boundary callback: the executor's
+   counters, retry backlog, static-floor arrears and work marks, its
+   in-flight task files (operation id, remaining path, attempts), and
+   the simulator's {!Event_sim.snapshot}.  [resume] decodes the record,
+   restores the simulator, re-attaches each in-flight file's callbacks
+   and each timer by its tag, runs the rest of that boundary's callback
+   and continues the event loop: no boundary before the checkpoint runs
+   again.  What the record leaves out is a function of the scenario and
+   the epoch: the dead marks (a subject is dead at boundary j exactly
+   when its multiplier at t_j is 0, since every breakpoint at or before
+   t_j fires before the boundary timer), the forecasters' observations
+   (the live multipliers at t_0 .. t_(k-1)), and the static floor plan.
+   The one thing a live epoch hands the next, the decision it may
+   reuse, is rebuilt by the resumed run's first live epoch, which
+   plans.  Each epoch's decision is a function of that epoch's
+   multipliers alone (the tree sweep, or a cold LP solve on the
+   surviving platform they scale), so the resumed run needs no LP memo.
+   A missing, truncated, corrupt or version-skewed record, or one that
+   breaks an invariant the executor keeps, is quarantined and degrades
+   to a cold full run. *)
 
 module Checkpoint = struct
   type config = { dir : string; every : int }
@@ -528,118 +529,421 @@ type decision =
   | D_plan of (P.edge list * int) list * int
       (* per-path unit-file counts, raw master floor (pre-adjustment) *)
 
-(* version 2 dropped the warm LP basis block version 1 ended with;
-   version 3 drops the reuse flag and the timed-out counter; version 4
-   has version 3's layout, but its decision log comes from the integral
-   tree planner, so a version 3 prefix (planned on the LP kernel's
-   vertex) is quarantined rather than resumed into a mix of both *)
-let ckpt_format = "steady-ckpt 4"
+(* The executor's own state between events: with the simulator's, all a
+   run carries from one boundary to the next. *)
+type exec = {
+  mutable deficit : int; (* master floor owed while its CPU was dead *)
+  mutable cancelled : int;
+  mutable retries : int;
+  mutable lost : int;
+  mutable degraded : int;
+  mutable backlog : int list;
+      (* attempt counts of task files waiting for a route, newest first *)
+  mutable arrears : (P.edge list * int) list list; (* oldest batch first *)
+  mutable marks : R.t list; (* completed work at each boundary, newest first *)
+  live : (Event_sim.op_id, P.edge list * int) Hashtbl.t;
+      (* in-flight task files: remaining path from the hop on the wire,
+         attempts *)
+}
 
-let add_int b i =
-  Buffer.add_string b (string_of_int i);
-  Buffer.add_char b '\n'
+(* a record: the boundary it was taken at and the state at the start of
+   that boundary's callback *)
+type point = { epoch : int; exec : exec; sim : Event_sim.snapshot }
 
-let add_batch b bt =
-  add_int b (List.length bt);
-  List.iter
-    (fun (path, cnt) ->
-      add_int b cnt;
-      add_int b (List.length path);
-      List.iter (add_int b) path)
-    bt
+let max_attempts = 4
 
-(* A record is the format line, the boundary [epoch] it was taken at,
-   the decision log of the boundaries before it (oldest first), then
-   [state]: the executor's own encoding of its state at the start of
-   that boundary's callback, which [decode_ckpt] leaves opaque *)
-let encode_ckpt ~epoch ~log ~state =
+(* timer tags: boundary [k] is [2k], the retry of a task file on its
+   [a]-th attempt [2a + 1] *)
+let boundary_tag k = 2 * k
+let retry_tag a = (2 * a) + 1
+
+(* Version 5 holds the simulator's state, so a resume continues instead
+   of replaying the run's decision log, which versions 1-4 held (and
+   version 1 a warm LP basis, version 2 a reuse flag, version 3 a log
+   planned on the LP kernel's vertex); those are quarantined. *)
+let ckpt_format = "steady-ckpt 5"
+
+(* One item per line, its fields separated by single spaces, every
+   number non-negative and in {!Rat.to_string}'s spelling; each list is
+   a header line with its length, then its items. *)
+let encode_ckpt { epoch; exec = st; sim = s } =
   let b = Buffer.create 1024 in
-  Buffer.add_string b ckpt_format;
-  Buffer.add_char b '\n';
-  add_int b epoch;
-  add_int b (List.length log);
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  let first = ref true in
+  let sep () = if !first then first := false else Buffer.add_char b ' ' in
+  let w x =
+    sep ();
+    Buffer.add_string b x
+  in
+  let i n =
+    sep ();
+    if n >= 0 then digits n else Buffer.add_string b (string_of_int n)
+  in
+  let q x =
+    sep ();
+    match R.to_ints x with
+    | Some (n, 1) when n >= 0 -> digits n
+    | Some (n, d) when n >= 0 ->
+      digits n;
+      Buffer.add_char b '/';
+      digits d
+    | Some _ | None -> Buffer.add_string b (R.to_string x)
+  in
+  let nl () =
+    Buffer.add_char b '\n';
+    first := true
+  in
+  let header name n =
+    w name;
+    i n;
+    nl ()
+  in
+  let kind = function
+    | Event_sim.Compute (v, x) -> w "C"; i v; q x
+    | Event_sim.Transfer (e, x) -> w "T"; i e; q x
+  in
+  let port (pt : Event_sim.port) = q pt.busy_closed; q pt.busy_since in
+  w ckpt_format;
+  nl ();
+  header "epoch" epoch;
+  w "counters";
+  List.iter i [ st.deficit; st.cancelled; st.retries; st.lost; st.degraded ];
+  nl ();
+  w "backlog";
+  i (List.length st.backlog);
+  List.iter i st.backlog;
+  nl ();
+  header "arrears" (List.length st.arrears);
   List.iter
-    (function
-      | D_degraded -> Buffer.add_string b "D\n"
-      | D_plan (paths, mt) ->
-        Buffer.add_string b "P\n";
-        add_int b mt;
-        add_batch b paths)
-    log;
-  Buffer.add_string b state;
+    (fun batch ->
+      header "batch" (List.length batch);
+      List.iter (fun (path, cnt) -> i cnt; List.iter i path; nl ()) batch)
+    st.arrears;
+  w "marks";
+  i (List.length st.marks);
+  List.iter q (List.rev st.marks);
+  nl ();
+  let live =
+    Hashtbl.fold (fun id x acc -> (id, x) :: acc) st.live []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  header "live" (List.length live);
+  List.iter (fun (id, (path, a)) -> i id; i a; List.iter i path; nl ()) live;
+  w "clock";
+  q s.Event_sim.s_clock;
+  i s.s_next_id;
+  nl ();
+  header "nodes" (List.length s.s_nodes);
+  List.iter
+    (fun (n : Event_sim.node_snapshot) ->
+      i n.n_node;
+      port n.n_cpu;
+      port n.n_send;
+      port n.n_recv;
+      q n.n_work;
+      i n.n_computed;
+      nl ())
+    s.s_nodes;
+  header "edges" (List.length s.s_edges);
+  List.iter (fun (e, x) -> i e; q x; nl ()) s.s_edges;
+  header "running" (List.length s.s_running);
+  List.iter
+    (fun (r : Event_sim.running) ->
+      i r.r_id;
+      kind r.r_kind;
+      q r.r_remaining;
+      q r.r_updated;
+      nl ())
+    s.s_running;
+  header "queued" (List.length s.s_queued);
+  List.iter
+    (fun (o : Event_sim.queued) -> i o.q_id; kind o.q_kind; nl ())
+    s.s_queued;
+  header "events" (List.length s.s_events);
+  List.iter
+    (fun (time, ev) ->
+      q time;
+      (match ev with
+      | Event_sim.Q_complete id -> w "C"; i id
+      | Event_sim.Q_breakpoint (Event_sim.Cpu_of v, j) -> w "B c"; i v; i j
+      | Event_sim.Q_breakpoint (Event_sim.Bw_of e, j) -> w "B b"; i e; i j
+      | Event_sim.Q_timer tag -> w "T"; i tag);
+      nl ())
+    s.s_events;
   Buffer.contents b
 
-(* Strict structural decoder of a record's decision log: any deviation —
-   bad magic, counts out of range, indices off the platform — yields
-   [None], and the caller quarantines the record and cold-starts.  This
-   must never raise.  [max_tasks] bounds every logged task count: the
-   replay submits tasks one by one, so a forged count would otherwise
-   make it run for as long as the count says.  The bytes after the log
-   come back as they are: the replay checks them against the state it
-   rebuilds. *)
-let decode_ckpt ~edges ~phases ~max_tasks raw =
+(* Strict decoder, a scanner over the record's bytes: any deviation —
+   bad magic, a missing or extra field, a number not in the encoder's
+   spelling (a sign, a leading zero, a fraction not in lowest terms, an
+   integer field past 18 digits), an index off the platform, a count
+   past its bound — yields [None], and the caller quarantines the record
+   and cold-starts.  It never raises.  Every list length is bounded by
+   the bytes left (an item takes a line of at least two), and the work
+   marks by the epoch.  What the fields mean together is checked later,
+   against the run's static plan ([consistent]) and by
+   {!Event_sim.restore}. *)
+let decode_ckpt sc raw =
+  let p = sc.platform in
+  let n_nodes = P.num_nodes p and n_edges = P.num_edges p in
   let len = String.length raw in
   let pos = ref 0 in
   let fail () = raise Exit in
-  let line () =
-    if !pos >= len then fail ();
-    match String.index_from_opt raw !pos '\n' with
-    | None -> fail ()
-    | Some j ->
-      let s = String.sub raw !pos (j - !pos) in
-      pos := j + 1;
-      s
+  let at c = !pos < len && Char.equal (String.unsafe_get raw !pos) c in
+  let char c = if at c then incr pos else fail () in
+  let sp () = char ' ' and nl () = char '\n' in
+  let word w =
+    let n = String.length w in
+    if !pos + n > len then fail ();
+    for k = 0 to n - 1 do
+      if not (Char.equal raw.[!pos + k] w.[k]) then fail ()
+    done;
+    pos := !pos + n
+  in
+  let is_digit k = k < len && raw.[k] >= '0' && raw.[k] <= '9' in
+  (* the digits at [pos]: their count, and their value when at most 18 *)
+  let digits () =
+    let start = !pos and v = ref 0 in
+    while is_digit !pos do
+      v := (!v * 10) + (Char.code raw.[!pos] - 48);
+      incr pos
+    done;
+    let n = !pos - start in
+    if n = 0 || (n > 1 && Char.equal raw.[start] '0') then fail ();
+    (n, !v)
   in
   let int () =
-    match int_of_string_opt (line ()) with Some i -> i | None -> fail ()
+    let n, v = digits () in
+    if n > 18 then fail ();
+    v
   in
-  let nonneg () =
-    let i = int () in
-    if i < 0 then fail ();
-    i
+  let below bound =
+    let k = int () in
+    if k >= bound then fail ();
+    k
   in
-  (* explicit in-order loop: the order of the stateful reads matters *)
-  let list n f =
-    if n < 0 || n > 1_000_000 then fail ();
-    let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
-    go n []
+  let rat () =
+    let start = !pos in
+    let n, v = digits () in
+    if at '/' then begin
+      incr pos;
+      let m, d = digits () in
+      if n > 18 || m > 18 then begin
+        (* past native ints: the boxed path, with its spelling *)
+        let s = String.sub raw start (!pos - start) in
+        match R.of_string s with
+        | x when String.equal (R.to_string x) s -> x
+        | _ -> fail ()
+        | exception (Invalid_argument _ | Failure _ | Division_by_zero) ->
+          fail ()
+      end
+      else begin
+        let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+        if d < 2 || gcd v d <> 1 then fail ();
+        R.of_ints v d
+      end
+    end
+    else if n > 18 then
+      match R.of_string (String.sub raw start (!pos - start)) with
+      | x -> x
+      | exception (Invalid_argument _ | Failure _) -> fail ()
+    else R.of_int v
   in
-  let tasks () =
-    let i = nonneg () in
-    if i > max_tasks then fail ();
-    i
+  let count () =
+    let k = int () in
+    if k > (len - !pos) / 2 then fail ();
+    k
   in
-  let path_entry () =
-    let cnt = tasks () in
-    let plen = int () in
-    if plen < 1 || plen > edges then fail ();
-    let path =
-      list plen (fun () ->
-          let e = int () in
-          if e < 0 || e >= edges then fail ();
-          e)
+  (* [n] items read in order: the reads are stateful *)
+  let items n f = List.init n (fun _ -> f ()) in
+  let header name =
+    word name;
+    sp ();
+    let n = count () in
+    nl ();
+    n
+  in
+  (* the rest of a line: a path of at least one edge *)
+  let path () =
+    let rec more acc k =
+      if at '\n' then (incr pos; List.rev acc)
+      else begin
+        sp ();
+        if k >= n_edges then fail ();
+        more (below n_edges :: acc) (k + 1)
+      end
     in
-    (path, cnt)
+    sp ();
+    let e = below n_edges in
+    more [ e ] 1
   in
-  let batch () = list (int ()) path_entry in
+  let kind () =
+    if at 'C' then begin
+      incr pos;
+      sp ();
+      let v = below n_nodes in
+      sp ();
+      Event_sim.Compute (v, rat ())
+    end
+    else begin
+      word "T";
+      sp ();
+      let e = below n_edges in
+      sp ();
+      Event_sim.Transfer (e, rat ())
+    end
+  in
+  let port () =
+    sp ();
+    let busy = rat () in
+    sp ();
+    { Event_sim.busy_closed = busy; busy_since = rat () }
+  in
   try
-    if not (String.equal (line ()) ckpt_format) then fail ();
-    let epoch = int () in
-    if epoch < 1 || epoch >= phases then fail ();
-    let nlog = int () in
-    if nlog <> epoch then fail ();
-    let log =
-      list nlog (fun () ->
-          match line () with
-          | "D" -> D_degraded
-          | "P" ->
-            let mt = tasks () in
-            let paths = batch () in
-            D_plan (paths, mt)
-          | _ -> fail ())
+    word ckpt_format;
+    nl ();
+    let epoch = header "epoch" in
+    if epoch < 1 || epoch >= sc.phases then fail ();
+    word "counters";
+    let counter () = sp (); int () in
+    let deficit = counter () in
+    let cancelled = counter () in
+    let retries = counter () in
+    let lost = counter () in
+    let degraded = counter () in
+    nl ();
+    word "backlog";
+    sp ();
+    let backlog =
+      items (count ()) (fun () ->
+          sp ();
+          let a = below max_attempts in
+          if a < 1 then fail ();
+          a)
     in
-    Some (Array.of_list log, String.sub raw !pos (len - !pos))
-  with Exit | Failure _ | Invalid_argument _ -> None
+    nl ();
+    let arrears =
+      items (header "arrears") (fun () ->
+          let n = header "batch" in
+          if n = 0 then fail ();
+          items n (fun () ->
+              let cnt = int () in
+              (path (), cnt)))
+    in
+    word "marks";
+    sp ();
+    if count () <> epoch then fail ();
+    let marks = List.rev (items epoch (fun () -> sp (); rat ())) in
+    nl ();
+    let live = Hashtbl.create 64 in
+    for _ = 1 to header "live" do
+      let id = int () in
+      sp ();
+      let a = below max_attempts in
+      if Hashtbl.mem live id then fail ();
+      Hashtbl.replace live id (path (), a)
+    done;
+    word "clock";
+    sp ();
+    let clock = rat () in
+    sp ();
+    let next_id = int () in
+    nl ();
+    let nodes =
+      items (header "nodes") (fun () ->
+          let v = below n_nodes in
+          let cpu = port () in
+          let send = port () in
+          let recv = port () in
+          sp ();
+          let work = rat () in
+          sp ();
+          let computed = int () in
+          nl ();
+          { Event_sim.n_node = v; n_cpu = cpu; n_send = send; n_recv = recv;
+            n_work = work; n_computed = computed })
+    in
+    let edges =
+      items (header "edges") (fun () ->
+          let e = below n_edges in
+          sp ();
+          let x = rat () in
+          nl ();
+          (e, x))
+    in
+    let running =
+      items (header "running") (fun () ->
+          let id = int () in
+          sp ();
+          let k = kind () in
+          sp ();
+          let left = rat () in
+          sp ();
+          let updated = rat () in
+          nl ();
+          { Event_sim.r_id = id; r_kind = k; r_remaining = left;
+            r_updated = updated })
+    in
+    let queued =
+      items (header "queued") (fun () ->
+          let id = int () in
+          sp ();
+          let k = kind () in
+          nl ();
+          { Event_sim.q_id = id; q_kind = k })
+    in
+    let events =
+      items (header "events") (fun () ->
+          let time = rat () in
+          sp ();
+          let ev =
+            if at 'C' then begin
+              incr pos;
+              sp ();
+              Event_sim.Q_complete (int ())
+            end
+            else if at 'B' then begin
+              incr pos;
+              sp ();
+              let cpu = at 'c' in
+              if cpu then incr pos else char 'b';
+              sp ();
+              let k = below (if cpu then n_nodes else n_edges) in
+              sp ();
+              let j = int () in
+              Event_sim.Q_breakpoint
+                ((if cpu then Event_sim.Cpu_of k else Event_sim.Bw_of k), j)
+            end
+            else begin
+              word "T";
+              sp ();
+              Event_sim.Q_timer (int ())
+            end
+          in
+          nl ();
+          (time, ev))
+    in
+    if !pos <> len then fail ();
+    Some
+      {
+        epoch;
+        exec =
+          { deficit; cancelled; retries; lost; degraded; backlog; arrears;
+            marks; live };
+        sim =
+          {
+            Event_sim.s_clock = clock;
+            s_next_id = next_id;
+            s_nodes = nodes;
+            s_edges = edges;
+            s_running = running;
+            s_queued = queued;
+            s_events = events;
+          };
+      }
+  with Exit -> None
 
 (* canonical store key of a scenario: the checkpoint record binds to the
    exact platform, traces and horizon — a different run in the same
@@ -694,49 +998,125 @@ let scenario_key sc =
   dump_traces "bw" sc.bw_traces;
   Buffer.contents b
 
-(* internal checkpoint context threaded through [run_robust] *)
+(* internal checkpoint context threaded through [robust] *)
 type ckpt_ctx = {
   ck_store : Solve_store.t;
   ck_key : string;
   ck_every : int;
   ck_halt : int option; (* test hook: crash at this boundary *)
-  ck_replay : (decision array * string) option;
-      (* decision log and the encoded state at its end *)
 }
 
-exception Resume_mismatch
+let is_computing p v =
+  match P.weight p v with Ext_rat.Inf -> false | Ext_rat.Fin _ -> true
 
-let run_robust ?cache ?stats ?ckpt sc =
+(* The executor's invariants over a decoded record, given this run's
+   static plan: what a run leaves at the start of a boundary.  Every
+   cancellation ends in exactly one of a retry, a loss, the backlog or
+   a pending retry timer; the boundary timers after the record's are all
+   queued, each at its time; every in-flight task file is a unit
+   transfer on the first hop of a path to a computing node, every other
+   operation a unit computation; arrears are entries of the static plan,
+   and the master's deficit at most its floor at every boundary so far;
+   the work marks never decrease and end at or below the work done.
+   {!Event_sim.restore} checks the simulator's own. *)
+let consistent sc ~static_transfers ~static_master { epoch; exec = st; sim = s }
+    =
+  let p = sc.platform in
+  let t_of k = R.mul (R.of_int k) sc.phase in
+  let horizon = t_of sc.phases in
+  let retry_timers = ref 0 and next_boundary = ref (epoch + 1) in
+  let timer (time, ev) =
+    match ev with
+    | Event_sim.Q_timer tag when tag land 1 = 0 ->
+      let k = tag / 2 in
+      let ok = k = !next_boundary && R.equal time (t_of k) in
+      incr next_boundary;
+      ok
+    | Event_sim.Q_timer tag ->
+      incr retry_timers;
+      let a = tag / 2 in
+      a >= 1 && a < max_attempts && R.compare time horizon < 0
+    | Event_sim.Q_complete _ | Event_sim.Q_breakpoint _ -> true
+  in
+  let rec path_ok = function
+    | [ e ] -> is_computing p (P.edge_dst p e)
+    | e :: (e' :: _ as rest) -> P.edge_dst p e = P.edge_src p e' && path_ok rest
+    | [] -> false
+  in
+  let transfers = ref 0 in
+  let op id = function
+    | Event_sim.Compute (_, x) -> R.equal x R.one
+    | Event_sim.Transfer (e, x) -> (
+      incr transfers;
+      R.equal x R.one
+      &&
+      match Hashtbl.find_opt st.live id with
+      | Some (e' :: _, _) -> e = e'
+      | Some ([], _) | None -> false)
+  in
+  let rec non_decreasing = function
+    | a :: (b :: _ as rest) -> R.compare a b >= 0 && non_decreasing rest
+    | [ a ] -> R.sign a >= 0
+    | [] -> true
+  in
+  let done_work =
+    List.fold_left
+      (fun acc (n : Event_sim.node_snapshot) ->
+        if n.n_computed > 0 then R.add acc n.n_work else acc)
+      R.zero s.Event_sim.s_nodes
+  in
+  R.equal s.s_clock (t_of epoch)
+  && List.for_all timer s.s_events
+  && !next_boundary = sc.phases
+  && st.cancelled
+     = st.retries + st.lost + List.length st.backlog + !retry_timers
+  && List.for_all (fun (r : Event_sim.running) -> op r.r_id r.r_kind) s.s_running
+  && List.for_all (fun (q : Event_sim.queued) -> op q.q_id q.q_kind) s.s_queued
+  && !transfers = Hashtbl.length st.live
+  && Hashtbl.fold (fun _ (path, _) ok -> ok && path_ok path) st.live true
+  && List.compare_length_with st.arrears epoch <= 0
+  && List.for_all
+       (List.for_all (fun entry -> List.mem entry static_transfers))
+       st.arrears
+  && st.deficit <= epoch * static_master
+  && non_decreasing st.marks
+  && (match st.marks with mk :: _ -> R.compare mk done_work <= 0 | [] -> true)
+
+(* The Robust executor, from epoch 0 or, given [from], from a decoded
+   checkpoint: then [None] when the record breaks an invariant, before
+   anything runs. *)
+let robust ?cache ?stats ?ckpt ?from sc =
   let p = sc.platform in
   let n = P.num_nodes p and m = P.num_edges p in
   let node_cts, edge_cts = compile_scenario sc in
-  let sim = simulator_of sc in
+  let t_of k = R.mul (R.of_int k) sc.phase in
+  let start = match from with Some pt -> pt.epoch | None -> 0 in
   (* Failure state.  Zero-crossing breakpoints fire simulator outage
      events, and breakpoint timers sort before the phase-boundary timers
-     registered below, so at every boundary these arrays are current.
-     Traces that start dead fire no event — hence the initialisation. *)
-  let dead_cpu =
-    Array.init n (fun i -> R.is_zero (compiled_at node_cts.(i) R.zero))
-  in
-  let dead_bw =
-    Array.init m (fun e -> R.is_zero (compiled_at edge_cts.(e) R.zero))
-  in
-  Event_sim.on_outage sim (fun _ out ->
-      match out.Event_sim.out_subject with
-      | Event_sim.Cpu_of i ->
-        dead_cpu.(i) <- R.is_zero out.Event_sim.out_multiplier
-      | Event_sim.Bw_of e ->
-        dead_bw.(e) <- R.is_zero out.Event_sim.out_multiplier);
+     registered below, so at every boundary these arrays are current: a
+     subject is dead exactly when its multiplier is 0.  Traces that
+     start dead fire no event, and a resumed run starts mid-way: hence
+     the initialisation. *)
+  let dead cts k = R.is_zero (compiled_at cts.(k) (t_of start)) in
+  let dead_cpu = Array.init n (dead node_cts) in
+  let dead_bw = Array.init m (dead edge_cts) in
   let node_fc = forecasters node_cts and edge_fc = forecasters edge_cts in
-  (* in-flight task files (op id -> remaining path starting at the hop
-     currently on the wire, attempt count) and the retry backlog of
-     task files waiting for a surviving route *)
-  let live = Hashtbl.create 32 in
-  let backlog = ref [] in
-  let boundary_cancelled = ref 0 in
-  let retries = ref 0 and lost = ref 0 and degraded = ref 0 in
-  let max_attempts = 4 in
-  let horizon = R.mul (R.of_int sc.phases) sc.phase in
+  (* a resumed run's forecasters see what the boundaries before it
+     observed: the multipliers of the subjects alive there *)
+  for j = 0 to start - 1 do
+    let tj = t_of j in
+    let alive cts k = not (R.is_zero (compiled_at cts.(k) tj)) in
+    observe node_fc node_cts ~alive:(alive node_cts) tj;
+    observe edge_fc edge_cts ~alive:(alive edge_cts) tj
+  done;
+  let st =
+    match from with
+    | Some pt -> pt.exec
+    | None ->
+      { deficit = 0; cancelled = 0; retries = 0; lost = 0; degraded = 0;
+        backlog = []; arrears = []; marks = []; live = Hashtbl.create 32 }
+  in
+  let horizon = t_of sc.phases in
   (* a route is now a whole master-rooted path; it is usable for a
      (re)send when every link is alive and the terminal CPU computes *)
   let path_links_alive path = List.for_all (fun e -> not dead_bw.(e)) path in
@@ -746,7 +1126,8 @@ let run_robust ?cache ?stats ?ckpt sc =
     | [] -> invalid_arg "Dynamic_sched: empty path"
   in
   (* routes of the current phase's plan, consulted by mid-phase backoff
-     retries; the cursor keeps re-routing round-robin across them *)
+     retries; the cursor keeps re-routing round-robin across them.  Each
+     boundary sets both before any retry reads them. *)
   let routes = ref [||] in
   let route_rr = ref 0 in
   let pick_route () =
@@ -765,10 +1146,11 @@ let run_robust ?cache ?stats ?ckpt sc =
     scan 0
   in
   let note_retry backoff =
-    incr retries;
+    st.retries <- st.retries + 1;
     match stats with Some s -> Lp.Stats.add_retry s ~backoff | None -> ()
   in
   let backoff_base = R.div sc.phase (R.of_int 4) in
+  let backoff attempts = R.mul backoff_base (R.of_int (1 lsl (attempts - 1))) in
   (* Store-and-forward delivery along a path: each hop is its own
      tracked operation, submitted when the previous hop lands; the
      terminal arrival enables one unit of computation.  A cancellation
@@ -776,61 +1158,62 @@ let run_robust ?cache ?stats ?ckpt sc =
      the whole file from the master on a route picked at retry time —
      the copy parked at the intermediate node is simply dropped (task
      files are replicable data, never unique state). *)
-  let rec submit_path sim path attempts =
+  let rec hop_callbacks idr e rest attempts =
+    (* callbacks only fire from the event loop, after [idr] is set *)
+    let unregister () =
+      match !idr with None -> () | Some id -> Hashtbl.remove st.live id
+    in
+    (* No per-op timeout: cancelling a transfer discards its partial
+       progress, and a transfer that is merely slow (or deeply queued
+       behind the static supply floor) will finish — recycling it is
+       the one way a "robust" executor falls behind the static one,
+       which never cancels anything.  Genuine stalls are multiplier-0
+       links, and those the boundary sweep detects and cancels
+       eagerly through the outage events. *)
+    let on_done sim =
+      unregister ();
+      match rest with
+      | [] -> Event_sim.submit sim (Event_sim.Compute (P.edge_dst p e, R.one))
+      | _ -> submit_path sim rest attempts
+    in
+    let on_cancel sim _ =
+      unregister ();
+      st.cancelled <- st.cancelled + 1;
+      (* retry with exponential backoff and a per-transfer deadline:
+         attempt [a] waits [phase/4 * 2^(a-1)] before resubmitting on a
+         route alive at fire time (no such route: the task file waits in
+         the backlog for the next boundary).  A retry whose backoff
+         lands at or past the horizon is abandoned — it could never
+         deliver in time anyway.  Every cancellation thus ends in
+         exactly one of {retry, lost, backlog, pending retry}, which is
+         the accounting identity [cancelled = retries + lost_tasks]
+         the chaos harness asserts at the end of a run. *)
+      let attempts = attempts + 1 in
+      if attempts >= max_attempts then st.lost <- st.lost + 1
+      else
+        let due = R.add (Event_sim.now sim) (backoff attempts) in
+        if R.compare due horizon >= 0 then st.lost <- st.lost + 1
+        else Event_sim.at ~tag:(retry_tag attempts) sim due (retry attempts)
+    in
+    (on_done, on_cancel)
+  and submit_path sim path attempts =
     match path with
     | [] -> ()
     | e :: rest ->
       let idr = ref None in
-      (* callbacks only fire from the event loop, after [idr] is set *)
-      let unregister () =
-        match !idr with None -> () | Some id -> Hashtbl.remove live id
-      in
-      (* No per-op timeout: cancelling a transfer discards its partial
-         progress, and a transfer that is merely slow (or deeply queued
-         behind the static supply floor) will finish — recycling it is
-         the one way a "robust" executor falls behind the static one,
-         which never cancels anything.  Genuine stalls are multiplier-0
-         links, and those the boundary sweep detects and cancels
-         eagerly through the outage events. *)
+      let on_done, on_cancel = hop_callbacks idr e rest attempts in
       let id =
-        Event_sim.submit_op sim
-          (Event_sim.Transfer (e, R.one))
-          ~on_done:(fun sim ->
-            unregister ();
-            match rest with
-            | [] ->
-              Event_sim.submit sim (Event_sim.Compute (P.edge_dst p e, R.one))
-            | _ -> submit_path sim rest attempts)
-          ~on_cancel:(fun sim _ ->
-            unregister ();
-            incr boundary_cancelled;
-            (* retry with exponential backoff and a per-transfer deadline:
-               attempt [a] waits [phase/4 * 2^(a-1)] before resubmitting on
-               a route alive at fire time (no such route: the task file
-               waits in the backlog for the next boundary).  A retry whose
-               backoff lands at or past the horizon is abandoned — it could
-               never deliver in time anyway.  Every cancellation thus ends
-               in exactly one of {retry, lost, backlog}, which is the
-               accounting identity [cancelled = retries + lost_tasks]
-               the chaos harness asserts. *)
-            let attempts = attempts + 1 in
-            if attempts >= max_attempts then incr lost
-            else
-              let delay =
-                R.mul backoff_base (R.of_int (1 lsl (attempts - 1)))
-              in
-              let due = R.add (Event_sim.now sim) delay in
-              if R.compare due horizon >= 0 then incr lost
-              else
-                Event_sim.at sim due (fun sim ->
-                    match pick_route () with
-                    | Some path' ->
-                      note_retry delay;
-                      submit_path sim path' attempts
-                    | None -> backlog := attempts :: !backlog))
+        Event_sim.submit_op sim (Event_sim.Transfer (e, R.one)) ~on_done
+          ~on_cancel
       in
       idr := Some id;
-      Hashtbl.replace live id (e :: rest, attempts)
+      Hashtbl.replace st.live id (path, attempts)
+  and retry attempts sim =
+    match pick_route () with
+    | Some path ->
+      note_retry (backoff attempts);
+      submit_path sim path attempts
+    | None -> st.backlog <- attempts :: st.backlog
   in
   (* The static baseline plan doubles as a supply floor: on every route
      that survives (link alive, destination CPU alive) Robust submits at
@@ -846,27 +1229,26 @@ let run_robust ?cache ?stats ?ckpt sc =
     plan_exn ?cache ?stats p ~master:sc.master sc.phase
   in
   (* Static-floor supply owed on routes that were dead when the floor
-     would have submitted.  Static keeps queueing through an outage and
-     its queued transfers flow the moment the link recovers, so flooring
-     only the currently-alive routes loses exactly the recovery
-     scenarios (patience beats re-planning there).  The arrears are kept
-     as per-boundary batches and replayed oldest-first (round-robin
-     within each batch) the moment their links are back — which is the
-     submission order of Static's own backed-up queue, so the catch-up
-     traffic crosses the one-port bottleneck in the same order Static's
-     would, restoring [Robust >= Static] under churn with recovery. *)
-  let arrears = ref [] in
-  let master_deficit = ref 0 in
+     would have submitted ([st.arrears]).  Static keeps queueing through
+     an outage and its queued transfers flow the moment the link
+     recovers, so flooring only the currently-alive routes loses exactly
+     the recovery scenarios (patience beats re-planning there).  The
+     arrears are kept as per-boundary batches and replayed oldest-first
+     (round-robin within each batch) the moment their links are back —
+     which is the submission order of Static's own backed-up queue, so
+     the catch-up traffic crosses the one-port bottleneck in the same
+     order Static's would, restoring [Robust >= Static] under churn with
+     recovery. *)
   (* A live decision is a function of the multipliers alone (dead marks
      zero them): the surviving subplatform they scale, planned by the
      tree sweep or, off a tree, a cold LP solve.  So a live epoch whose
      multipliers equal the previous live epoch's, entry for entry,
      reuses that epoch's decision.  That is the only state crossing
-     epochs, and no checkpoint stores it: a replayed epoch leaves it
-     alone, so a resumed run's first live epoch plans, and gets the
-     decision the uninterrupted run reused.  The only memo across runs
-     is the caller's [?cache]: an identical multiplier snapshot builds
-     an identical restriction, hence an identical LP, which hits it. *)
+     epochs that no checkpoint stores: a resumed run's first live epoch
+     plans, and gets the decision the uninterrupted run reused.  The
+     only memo across runs is the caller's [?cache]: an identical
+     multiplier snapshot builds an identical restriction, hence an
+     identical LP, which hits it. *)
   let node_mults = Array.make n R.one in
   let edge_mults = Array.make m R.one in
   let last_decision = ref None in
@@ -887,8 +1269,8 @@ let run_robust ?cache ?stats ?ckpt sc =
     match plan with
     | None -> D_degraded
     | Some (transfers, master_tasks_raw) ->
-      (* plan indices live on the restriction; record (and execute) in
-         original platform indices *)
+      (* plan indices live on the restriction; execute in original
+         platform indices *)
       let transfers =
         List.map
           (fun (path, cnt) ->
@@ -897,52 +1279,13 @@ let run_robust ?cache ?stats ?ckpt sc =
       in
       D_plan (transfers, master_tasks_raw)
   in
-  let marks = ref [] in
-  (* ---- checkpoint plumbing ----
-     [replay] is the decision prefix of a resumed run: boundaries
-     [0 .. resume_epoch-1] re-execute the logged decisions through the
-     simulator (deterministic, no LP work), boundary [resume_epoch]
-     checks that the rebuilt state encodes to the stored bytes, and
-     everything from there runs live.  A fresh run has
-     [resume_epoch = 0] and every boundary is live. *)
-  let replay = Option.bind ckpt (fun c -> c.ck_replay) in
-  let resume_epoch =
-    match replay with Some (log, _) -> Array.length log | None -> 0
-  in
-  let dlog = ref [] in
-  (* newest first; length = boundaries processed so far *)
-  (* executor state at the *start* of a boundary callback (before the
-     marks push and the cancel sweep) — everything a replay must
-     reproduce exactly, all of it exact *)
-  let encode_state () =
-    let b = Buffer.create 256 in
-    let bits a =
-      Buffer.add_string b
-        (String.init (Array.length a) (fun i -> if a.(i) then '1' else '0'));
-      Buffer.add_char b '\n'
-    in
-    List.iter (add_int b)
-      [ !master_deficit; !boundary_cancelled; !retries; !lost; !degraded;
-        List.length !backlog ];
-    List.iter (add_int b) !backlog;
-    add_int b (List.length !arrears);
-    List.iter (add_batch b) !arrears;
-    bits dead_cpu;
-    bits dead_bw;
-    (* newest first, as maintained by the run *)
-    add_int b (List.length !marks);
-    List.iter
-      (fun mk ->
-        Buffer.add_string b (R.to_string mk);
-        Buffer.add_char b '\n')
-      !marks;
-    Buffer.contents b
-  in
-  let write_ckpt k =
+  (* the state at the start of boundary [k]'s callback, committed when
+     the cadence says so *)
+  let write_ckpt k sim =
     match ckpt with
-    | Some c when k > 0 && k mod c.ck_every = 0 ->
+    | Some c when k mod c.ck_every = 0 ->
       Solve_store.add c.ck_store c.ck_key
-        (encode_ckpt ~epoch:k ~log:(List.rev !dlog) ~state:(encode_state ()))
+        (encode_ckpt { epoch = k; exec = st; sim = Event_sim.snapshot sim })
     | _ -> ()
   in
   let halt_check k =
@@ -950,202 +1293,229 @@ let run_robust ?cache ?stats ?ckpt sc =
     | Some { ck_halt = Some h; _ } when h = k -> raise (Checkpoint.Halted k)
     | _ -> ()
   in
-  for k = 0 to sc.phases - 1 do
-    let t0 = R.mul (R.of_int k) sc.phase in
-    Event_sim.at sim t0 (fun sim ->
-        (* resume point: the stored state was encoded exactly here, at
-           the start of this boundary's callback *)
-        (match replay with
-        | Some (_, state) when k = resume_epoch ->
-          if not (String.equal (encode_state ()) state) then
-            raise Resume_mismatch
-        | _ -> ());
-        if k >= resume_epoch then begin
-          (* the record due at [resume_epoch] is the one just decoded:
-             committing it again would rewrite the same bytes *)
-          if k > resume_epoch then write_ckpt k;
-          halt_check k
-        end;
-        marks := Schedule.completed sim :: !marks;
-        (* detection-driven cancellation: a task file whose current hop
-           sits on a link now known dead is going nowhere — free the
-           one-port slots it holds (or its queue position) and re-queue
-           the task file.  Oldest operation first: the table's own order
-           depends on its bucket count, which a table rebuilt from a
-           checkpoint need not share *)
-        Hashtbl.fold
-          (fun id (path, _) acc ->
-            match path with
-            | e :: _ when dead_bw.(e) -> id :: acc
-            | _ -> acc)
-          live []
-        |> List.sort Int.compare
-        |> List.iter (fun id -> ignore (Event_sim.cancel sim id));
-        (* observations of resources that are actually alive feed the
-           forecasters during replay and live planning alike — the first
-           live epoch's predictions depend on the whole history *)
-        observe node_fc node_cts ~alive:(fun i -> not dead_cpu.(i)) t0;
-        observe edge_fc edge_cts ~alive:(fun e -> not dead_bw.(e)) t0;
-        (* route arrears accrue per branch below (a dead destination CPU
-           does NOT block the floor — delivering to a reachable node
-           whose CPU is down pre-positions the task files, which compute
-           queues and runs at recovery, exactly what Static does through
-           the then-idle port); the master's own floor only stalls on a
-           dead master CPU *)
-        if dead_cpu.(sc.master) then
-          master_deficit := !master_deficit + static_master;
-        let decision =
-          match replay with
-          | Some (log, _) when k < resume_epoch -> log.(k)
-          | _ ->
-            (* live planning: plan on the surviving subplatform, scaled
-               by the forecasts, unless they are the last live epoch's *)
-            let same = ref (Option.is_some !last_decision) in
-            let fill mults dead fcs =
-              Array.iteri
-                (fun k was ->
-                  let x = if dead.(k) then R.zero else predict fcs k in
-                  if !same && not (R.equal x was) then same := false;
-                  mults.(k) <- x)
-                mults
+  (* boundary [k]'s callback after the point a checkpoint is taken at *)
+  let step k sim =
+    let t0 = t_of k in
+    st.marks <- Schedule.completed sim :: st.marks;
+    (* detection-driven cancellation: a task file whose current hop sits
+       on a link now known dead is going nowhere — free the one-port
+       slots it holds (or its queue position) and re-queue the task
+       file.  Oldest operation first: the table's own order depends on
+       its bucket count, which a table rebuilt from a checkpoint need
+       not share *)
+    Hashtbl.fold
+      (fun id (path, _) acc ->
+        match path with e :: _ when dead_bw.(e) -> id :: acc | _ -> acc)
+      st.live []
+    |> List.sort Int.compare
+    |> List.iter (fun id -> ignore (Event_sim.cancel sim id));
+    (* observations of resources that are actually alive feed the
+       forecasters — the first live epoch's predictions depend on the
+       whole history *)
+    observe node_fc node_cts ~alive:(fun i -> not dead_cpu.(i)) t0;
+    observe edge_fc edge_cts ~alive:(fun e -> not dead_bw.(e)) t0;
+    (* route arrears accrue per branch below (a dead destination CPU
+       does NOT block the floor — delivering to a reachable node whose
+       CPU is down pre-positions the task files, which compute queues
+       and runs at recovery, exactly what Static does through the
+       then-idle port); the master's own floor only stalls on a dead
+       master CPU *)
+    if dead_cpu.(sc.master) then st.deficit <- st.deficit + static_master;
+    (* plan on the surviving subplatform, scaled by the forecasts,
+       unless they are the last live epoch's *)
+    let decision =
+      let same = ref (Option.is_some !last_decision) in
+      let fill mults dead fcs =
+        Array.iteri
+          (fun k was ->
+            let x = if dead.(k) then R.zero else predict fcs k in
+            if !same && not (R.equal x was) then same := false;
+            mults.(k) <- x)
+          mults
+      in
+      fill node_mults dead_cpu node_fc;
+      fill edge_mults dead_bw edge_fc;
+      match !last_decision with
+      | Some d when !same -> d
+      | Some _ | None ->
+        let d = plan_live () in
+        last_decision := Some d;
+        d
+    in
+    match decision with
+    | D_degraded ->
+      (* graceful degradation: no surviving compute power (e.g. the
+         master is isolated) — nothing submitted, nothing raised;
+         backlogged task files wait for the next boundary.  The whole
+         static batch goes into arrears: even its link-alive routes got
+         no floor this boundary. *)
+      if static_transfers <> [] then
+        st.arrears <- st.arrears @ [ static_transfers ];
+      routes := [||];
+      route_rr := 0;
+      st.degraded <- st.degraded + 1
+    | D_plan (transfers, master_tasks_raw) ->
+      (* apply the static supply floor on every route whose links all
+         still deliver (dead destination CPUs queue the work).  Supply
+         is layered to mirror Static's own port queue: payable arrears
+         batches (oldest first), then this boundary's floor batch, then
+         the plan's extras — so the opportunistic extras never displace
+         through the one-port queue the deliveries Static would have
+         made. *)
+      let static_alive =
+        List.filter (fun (path, _) -> path_links_alive path) static_transfers
+      in
+      let owed =
+        List.filter
+          (fun (path, _) -> not (path_links_alive path))
+          static_transfers
+      in
+      let payable, retained =
+        List.fold_left
+          (fun (pay, keep) batch ->
+            let alive, still_dead =
+              List.partition (fun (path, _) -> path_links_alive path) batch
             in
-            fill node_mults dead_cpu node_fc;
-            fill edge_mults dead_bw edge_fc;
-            match !last_decision with
-            | Some d when !same -> d
-            | Some _ | None ->
-              let d = plan_live () in
-              last_decision := Some d;
-              d
-        in
-        dlog := decision :: !dlog;
-        match decision with
-        | D_degraded ->
-          (* graceful degradation: no surviving compute power (e.g. the
-             master is isolated) — nothing submitted, nothing raised;
-             backlogged task files wait for the next boundary.  The whole
-             static batch goes into arrears: even its link-alive routes
-             got no floor this boundary. *)
-          if static_transfers <> [] then
-            arrears := !arrears @ [ static_transfers ];
-          routes := [||];
-          route_rr := 0;
-          incr degraded
-        | D_plan (transfers, master_tasks_raw) ->
-          (* apply the static supply floor on every route whose links
-             all still deliver (dead destination CPUs queue the work).
-             Supply is layered to mirror Static's own port queue:
-             payable arrears batches (oldest first), then this
-             boundary's floor batch, then the plan's extras — so the
-             opportunistic extras never displace through the one-port
-             queue the deliveries Static would have made. *)
-          let static_alive =
-            List.filter
-              (fun (path, _) -> path_links_alive path)
-              static_transfers
-          in
-          let owed =
-            List.filter
-              (fun (path, _) -> not (path_links_alive path))
-              static_transfers
-          in
-          let payable, retained =
-            List.fold_left
-              (fun (pay, keep) batch ->
-                let alive, still_dead =
-                  List.partition
-                    (fun (path, _) -> path_links_alive path)
-                    batch
-                in
-                ( (if alive <> [] then alive :: pay else pay),
-                  if still_dead <> [] then still_dead :: keep else keep ))
-              ([], []) !arrears
-          in
-          let payable = List.rev payable in
-          arrears :=
-            List.rev retained @ (if owed <> [] then [ owed ] else []);
-          (* plan extras beyond the floor on each route (paths compare
-             structurally — a route is its exact edge sequence) *)
-          let extras =
-            List.filter_map
-              (fun (path, cnt) ->
-                let f =
-                  match List.assoc_opt path static_alive with
-                  | Some c -> c
-                  | None -> 0
-                in
-                if cnt > f then Some (path, cnt - f) else None)
-              transfers
-          in
-          let master_tasks =
-            if dead_cpu.(sc.master) then master_tasks_raw
-            else begin
-              let t = max master_tasks_raw static_master + !master_deficit in
-              master_deficit := 0;
-              t
-            end
-          in
-          let retry_items = !backlog in
-          backlog := [];
-          (* retry routes: the plan's routes plus the floored ones *)
-          let route_paths =
-            List.map fst transfers
-            @ List.filter_map
-                (fun (path, _) ->
-                  if List.mem_assoc path transfers then None else Some path)
-                static_alive
-          in
-          routes := Array.of_list route_paths;
-          route_rr := 0;
-          (* each batch is submitted round-robin across its routes —
-             the same interleaving Static's own per-phase loop uses *)
-          let submit_batch = round_robin (fun path -> submit_path sim path 0) in
-          List.iter submit_batch payable;
-          submit_batch static_alive;
-          submit_batch extras;
-          (* re-route the backlog round-robin over this phase's routes;
-             with no route it waits for the next boundary *)
-          let nroutes = Array.length !routes in
-          if nroutes = 0 then backlog := retry_items
-          else
-            List.iteri
-              (fun j a ->
-                let path = !routes.(j mod nroutes) in
-                note_retry R.zero;
-                submit_path sim path a)
-              retry_items;
-          (* unit granularity so a partial phase still counts *)
-          for _ = 1 to master_tasks do
-            Event_sim.submit sim (Event_sim.Compute (sc.master, R.one))
-          done)
-  done;
-  Event_sim.run_until sim horizon;
-  let completed = Schedule.completed sim in
-  let reachable =
-    P.reachable_via p ~alive:(fun e -> not dead_bw.(e)) sc.master
+            ( (if alive <> [] then alive :: pay else pay),
+              if still_dead <> [] then still_dead :: keep else keep ))
+          ([], []) st.arrears
+      in
+      let payable = List.rev payable in
+      st.arrears <- List.rev retained @ (if owed <> [] then [ owed ] else []);
+      (* plan extras beyond the floor on each route (paths compare
+         structurally — a route is its exact edge sequence) *)
+      let extras =
+        List.filter_map
+          (fun (path, cnt) ->
+            let f =
+              match List.assoc_opt path static_alive with
+              | Some c -> c
+              | None -> 0
+            in
+            if cnt > f then Some (path, cnt - f) else None)
+          transfers
+      in
+      let master_tasks =
+        if dead_cpu.(sc.master) then master_tasks_raw
+        else begin
+          let t = max master_tasks_raw static_master + st.deficit in
+          st.deficit <- 0;
+          t
+        end
+      in
+      let retry_items = st.backlog in
+      st.backlog <- [];
+      (* retry routes: the plan's routes plus the floored ones *)
+      let route_paths =
+        List.map fst transfers
+        @ List.filter_map
+            (fun (path, _) ->
+              if List.mem_assoc path transfers then None else Some path)
+            static_alive
+      in
+      routes := Array.of_list route_paths;
+      route_rr := 0;
+      (* each batch is submitted round-robin across its routes — the
+         same interleaving Static's own per-phase loop uses *)
+      let submit_batch = round_robin (fun path -> submit_path sim path 0) in
+      List.iter submit_batch payable;
+      submit_batch static_alive;
+      submit_batch extras;
+      (* re-route the backlog round-robin over this phase's routes; with
+         no route it waits for the next boundary *)
+      let nroutes = Array.length !routes in
+      if nroutes = 0 then st.backlog <- retry_items
+      else
+        List.iteri
+          (fun j a ->
+            let path = !routes.(j mod nroutes) in
+            note_retry R.zero;
+            submit_path sim path a)
+          retry_items;
+      (* unit granularity so a partial phase still counts *)
+      for _ = 1 to master_tasks do
+        Event_sim.submit sim (Event_sim.Compute (sc.master, R.one))
+      done
   in
-  let dead_nodes = ref 0 and dead_edges = ref 0 in
-  for i = 0 to n - 1 do
-    if dead_cpu.(i) || not reachable.(i) then incr dead_nodes
-  done;
-  for e = 0 to m - 1 do
-    if dead_bw.(e) then incr dead_edges
-  done;
-  {
-    strategy = Robust;
-    completed;
-    per_phase = per_phase_of !marks completed;
-    losses =
+  (* a boundary of a run: the checkpoint due there (none at the epoch a
+     run resumes from: that record is the one it decoded), the crash
+     hook, then the step *)
+  let boundary k sim =
+    if k > start then begin
+      write_ckpt k sim;
+      halt_check k
+    end;
+    step k sim
+  in
+  let normalized = List.map (fun (k, tr) -> (k, normalize_trace tr)) in
+  let sim =
+    match from with
+    | None ->
+      let sim = simulator_of sc in
+      for k = 0 to sc.phases - 1 do
+        Event_sim.at ~tag:(boundary_tag k) sim (t_of k) (boundary k)
+      done;
+      Some sim
+    | Some pt ->
+      if not (consistent sc ~static_transfers ~static_master pt) then None
+      else
+        let callbacks id _ =
+          match Hashtbl.find_opt st.live id with
+          | Some (e :: rest, attempts) ->
+            let on_done, on_cancel = hop_callbacks (ref (Some id)) e rest attempts in
+            (Some on_done, Some on_cancel)
+          | Some ([], _) | None -> (None, None)
+        in
+        let timer tag =
+          if tag land 1 = 0 then boundary (tag / 2) else retry (tag / 2)
+        in
+        Result.to_option
+          (Event_sim.restore ~cpu_traces:(normalized sc.cpu_traces)
+             ~bw_traces:(normalized sc.bw_traces) p pt.sim ~callbacks ~timer)
+  in
+  match sim with
+  | None -> None
+  | Some sim ->
+    Event_sim.on_outage sim (fun _ out ->
+        match out.Event_sim.out_subject with
+        | Event_sim.Cpu_of i ->
+          dead_cpu.(i) <- R.is_zero out.Event_sim.out_multiplier
+        | Event_sim.Bw_of e ->
+          dead_bw.(e) <- R.is_zero out.Event_sim.out_multiplier);
+    (* a restored simulator stands where the checkpoint was taken *)
+    if Option.is_some from then step start sim;
+    Event_sim.run_until sim horizon;
+    let completed = Schedule.completed sim in
+    let reachable =
+      P.reachable_via p ~alive:(fun e -> not dead_bw.(e)) sc.master
+    in
+    let dead_nodes = ref 0 and dead_edges = ref 0 in
+    for i = 0 to n - 1 do
+      if dead_cpu.(i) || not reachable.(i) then incr dead_nodes
+    done;
+    for e = 0 to m - 1 do
+      if dead_bw.(e) then incr dead_edges
+    done;
+    Some
       {
-        timed_out_transfers = 0;
-        cancelled_transfers = !boundary_cancelled;
-        retries = !retries;
-        lost_tasks = !lost + List.length !backlog;
-        degraded_phases = !degraded;
-        dead_nodes = !dead_nodes;
-        dead_edges = !dead_edges;
-      };
-  }
+        strategy = Robust;
+        completed;
+        per_phase = per_phase_of st.marks completed;
+        losses =
+          {
+            timed_out_transfers = 0;
+            cancelled_transfers = st.cancelled;
+            retries = st.retries;
+            lost_tasks = st.lost + List.length st.backlog;
+            degraded_phases = st.degraded;
+            dead_nodes = !dead_nodes;
+            dead_edges = !dead_edges;
+          };
+      }
+
+(* a run from epoch 0 always runs *)
+let run_robust ?cache ?stats ?ckpt sc =
+  Option.get (robust ?cache ?stats ?ckpt sc)
 
 (* fresh checkpoint context for a (re)started run *)
 let ckpt_ctx_of config ~halt_at sc =
@@ -1156,7 +1526,6 @@ let ckpt_ctx_of config ~halt_at sc =
     ck_key = scenario_key sc;
     ck_every = config.Checkpoint.every;
     ck_halt = halt_at;
-    ck_replay = None;
   }
 
 let run ?cache ?stats ?checkpoint ?halt_at sc strategy =
@@ -1199,55 +1568,33 @@ let outcomes_equal a b =
   && List.for_all2 R.equal a.per_phase b.per_phase
   && a.losses = b.losses
 
-(* No genuine plan moves more tasks in a phase than the whole platform
-   computes in one at the largest multiplier a CPU trace reaches
-   (forecasts stay within the observed range).  A bound that is too
-   tight would only cost a cold start, never an answer. *)
-let max_phase_tasks sc =
-  let top =
-    List.fold_left
-      (fun acc (_, tr) -> List.fold_left (fun acc (_, x) -> R.max acc x) acc tr)
-      R.one sc.cpu_traces
-  in
-  let rate = R.sum (List.map (P.speed sc.platform) (P.nodes sc.platform)) in
-  match Bigint.to_int_opt (R.floor (R.mul sc.phase (R.mul top rate))) with
-  | Some k -> k
-  | None -> max_int
-
 let resume ?(strict = false) ~checkpoint sc =
   validate_scenario ~allow_outages:true sc;
   let ctx = ckpt_ctx_of checkpoint ~halt_at:None sc in
   let store = ctx.ck_store and key = ctx.ck_key in
-  (* a missing, corrupt or version-skewed record never raises and never
-     changes an answer: it is quarantined (preserved for inspection, out
-     of the live path) and the run cold-starts *)
-  let record =
+  (* a missing, corrupt, version-skewed or inconsistent record never
+     raises and never reaches the simulator: it is quarantined
+     (preserved for inspection, out of the live path) and the run
+     cold-starts *)
+  let resumed =
     match Solve_store.find store key with
     | None -> None
     | Some raw -> (
       match
-        decode_ckpt ~edges:(P.num_edges sc.platform) ~phases:sc.phases
-          ~max_tasks:(max_phase_tasks sc) raw
+        Option.bind (decode_ckpt sc raw) (fun pt ->
+            Option.map
+              (fun o -> (o, pt.epoch))
+              (robust ~ckpt:ctx ~from:pt sc))
       with
       | Some _ as r -> r
       | None ->
         Solve_store.quarantine store key;
         None)
   in
-  let cold () = (run_robust ~ckpt:ctx sc, None) in
   let outcome, resumed_from =
-    match record with
-    | None -> cold ()
-    | Some ((log, _) as replay) -> (
-      match run_robust ~ckpt:{ ctx with ck_replay = Some replay } sc with
-      | o -> (o, Some (Array.length log))
-      | exception Resume_mismatch ->
-        (* the replayed prefix does not encode to the stored state: the
-           record lied (a damaged state tail, bit rot that survived the
-           structural decode, or a foreign record under a colliding
-           key) — demote it and certify the answer by running cold *)
-        Solve_store.quarantine store key;
-        cold ())
+    match resumed with
+    | Some (o, k) -> (o, Some k)
+    | None -> (run_robust ~ckpt:ctx sc, None)
   in
   if strict then begin
     (* certification: an uninterrupted run (no LP memo, no checkpoint

@@ -291,12 +291,13 @@ let bytes t = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 (scan t)
 
 (* --- committing --- *)
 
-let sweep_tmp t now = sweep_tmp_dir t.dir now
-
-(* Oldest-first unlinking until both budgets hold.  Run under the lock:
-   two processes sweeping concurrently would double-evict (harmless but
-   wasteful).  Unlink races with readers are fine — the reader's open
-   fd keeps the inode, or its [find] reports a miss. *)
+(* Oldest-first unlinking until both budgets hold, then, if it unlinked
+   anything, the tempfiles crashed writers left (a store that only ever
+   commits reclaims them here and at the next [open_store], not on every
+   commit).  Run under the lock: two processes sweeping concurrently
+   would double-evict (harmless but wasteful).  Unlink races with
+   readers are fine — the reader's open fd keeps the inode, or its
+   [find] reports a miss. *)
 let evict t =
   let files = scan t in
   let count = List.length files in
@@ -308,7 +309,7 @@ let evict t =
           match compare (m1 : float) m2 with 0 -> compare p1 p2 | c -> c)
         files
     in
-    let count = ref count and total = ref total in
+    let before = count and count = ref count and total = ref total in
     List.iter
       (fun (p, sz, _) ->
         if !count > t.max_entries || !total > t.max_bytes then
@@ -318,7 +319,8 @@ let evict t =
             total := !total - sz;
             t.evictions <- t.evictions + 1
           | exception _ -> ())
-      oldest_first
+      oldest_first;
+    if !count < before then sweep_tmp_dir t.dir (Unix.gettimeofday ())
   end
 
 let encode_record ~key ~value =
@@ -355,7 +357,6 @@ let add t key value =
              Sys.rename tmp (record_path t key);
              t.stores <- t.stores + 1
            with _ -> ( try Sys.remove tmp with _ -> ()));
-          evict t;
-          sweep_tmp t (Unix.gettimeofday ()))
+          evict t)
     else try Sys.remove tmp with _ -> ()
   with _ -> ()

@@ -59,7 +59,9 @@ val find : t -> string -> string option
 
 val add : t -> string -> string -> unit
 (** [add t key value] atomically commits [value] under [key] (replacing
-    any previous record) and then enforces the budgets.  I/O failure
+    any previous record) and then enforces the budgets; an eviction
+    that unlinks a record also sweeps orphaned tempfiles, which a
+    commit otherwise leaves to the next {!open_store}.  I/O failure
     (disk full, permissions) silently degrades to not-stored.  Never
     raises. *)
 

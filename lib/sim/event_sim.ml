@@ -23,7 +23,10 @@
      lane the first time a submission (or a trace) names the node, an
      edge's lane likewise, so a simulator costs what its operations
      touch, not the platform's size.  An operation holds its resources
-     and lane, so dispatching its events looks nothing up. *)
+     and lane, so dispatching its events looks nothing up;
+   - no queued event hides what it will do: a breakpoint names its
+     subject and trace index, and a client timer carries its client's
+     tag, so [snapshot] can write the queue down as plain data. *)
 
 module R = Rat
 
@@ -93,7 +96,10 @@ and op = {
   on_cancel : (t -> cancel_reason -> unit) option;
 }
 
-and event = Complete of op * int | Timer of (t -> unit)
+and event =
+  | Complete of op * int
+  | Timer of int * (t -> unit) (* the client's tag, -1 when untagged *)
+  | Breakpoint of subject * lane * int (* index into the lane's trace *)
 
 (* A queued event.  The queue is a binary heap ordered by (time,
    priority, seq): at equal times, completions (priority 0) fire before
@@ -204,15 +210,16 @@ let now t = t.clock
 (* --- event queue --- *)
 
 (* what an empty heap slot holds, so the heap keeps no dead closure *)
-let hole = { time = R.zero; prio = 0; seq = -1; ev = Timer ignore }
+let hole = { time = R.zero; prio = 0; seq = -1; ev = Timer (-1, ignore) }
 
 let before a b =
   let c = R.compare a.time b.time in
   c < 0 || (c = 0 && (a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)))
 
+let prio_of = function Complete _ -> 0 | Timer _ | Breakpoint _ -> 1
+
 let push_event t time ev =
-  let prio = match ev with Complete _ -> 0 | Timer _ -> 1 in
-  let e = { time; prio; seq = t.next_seq; ev } in
+  let e = { time; prio = prio_of ev; seq = t.next_seq; ev } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.heap then begin
     let bigger = Array.make (max 16 (2 * t.size)) hole in
@@ -263,7 +270,7 @@ let rec live_head t =
   | Complete (op, gen) when gen <> op.gen ->
     ignore (pop t);
     live_head t
-  | Complete _ | Timer _ -> true
+  | Complete _ | Timer _ | Breakpoint _ -> true
 
 (* --- rates --- *)
 
@@ -435,29 +442,27 @@ let touch_lane t lane =
     touch_op t op;
     schedule_completion t op
 
-(* one timer per positive breakpoint of a lane's trace; [create]
+(* the [j]-th breakpoint of a lane's trace takes effect *)
+let breakpoint t subject lane j =
+  touch_lane t lane;
+  let mb = snd lane.trace.(j) in
+  let prev = if j = 0 then R.one else snd lane.trace.(j - 1) in
+  if R.sign prev > 0 <> (R.sign mb > 0) then
+    fire_outage t { out_subject = subject; out_multiplier = mb; out_was = prev }
+
+(* one event per positive breakpoint of a lane's trace; [create]
    registers the CPUs', then the edges', each in index order, so the
    events get the sequence numbers (the tie order) a dense engine that
    scans every node and edge gives them *)
 let register_breakpoints t subject lane =
-  let tr = lane.trace in
   Array.iteri
-    (fun j (tb, mb) ->
-      if R.sign tb > 0 then begin
-        let prev = if j = 0 then R.one else snd tr.(j - 1) in
-        let crossing = R.sign prev > 0 <> (R.sign mb > 0) in
-        push_event t tb
-          (Timer
-             (fun t ->
-               touch_lane t lane;
-               if crossing then
-                 fire_outage t
-                   { out_subject = subject; out_multiplier = mb;
-                     out_was = prev }))
-      end)
-    tr
+    (fun j (tb, _) ->
+      if R.sign tb > 0 then push_event t tb (Breakpoint (subject, lane, j)))
+    lane.trace
 
-let create ?(cpu_traces = []) ?(bw_traces = []) p =
+(* a simulator at time 0 holding the traced lanes; [register] queues
+   their breakpoints *)
+let init ~register ~cpu_traces ~bw_traces p =
   let cpu_traces =
     traces (fun i -> Printf.sprintf "cpu trace of %s" (Platform.name p i))
       cpu_traces
@@ -490,19 +495,23 @@ let create ?(cpu_traces = []) ?(bw_traces = []) p =
     (fun (i, tr) ->
       let s = new_node i tr in
       Hashtbl.add t.nodes i s;
-      register_breakpoints t (Cpu_of i) s.nlane)
+      if register then register_breakpoints t (Cpu_of i) s.nlane)
     cpu_traces;
   List.iter
     (fun (e, tr) ->
       let l = new_lane tr in
       Hashtbl.add t.edges e l;
-      register_breakpoints t (Bw_of e) l)
+      if register then register_breakpoints t (Bw_of e) l)
     bw_traces;
   t
 
+let create ?(cpu_traces = []) ?(bw_traces = []) p =
+  init ~register:true ~cpu_traces ~bw_traces p
+
 (* --- submission --- *)
 
-let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
+(* a queued operation [oid] of this kind, not yet in any table *)
+let new_op t oid kind on_done on_cancel =
   let res, key, lane, base, amount =
     match kind with
     | Compute (i, w) ->
@@ -524,24 +533,25 @@ let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
         Platform.edge_cost t.p e,
         sz )
   in
-  let op =
-    {
-      oid = t.next_oid;
-      kind;
-      res;
-      key;
-      lane;
-      base;
-      remaining = amount;
-      last_update = t.clock;
-      gen = 0;
-      state = Queued;
-      prev = None;
-      next = None;
-      on_done;
-      on_cancel;
-    }
-  in
+  {
+    oid;
+    kind;
+    res;
+    key;
+    lane;
+    base;
+    remaining = amount;
+    last_update = t.clock;
+    gen = 0;
+    state = Queued;
+    prev = None;
+    next = None;
+    on_done;
+    on_cancel;
+  }
+
+let submit_op ?(strict = false) ?on_done ?on_cancel t kind =
+  let op = new_op t t.next_oid kind on_done on_cancel in
   t.next_oid <- t.next_oid + 1;
   if resources_free op then begin
     Hashtbl.replace t.ops op.oid op;
@@ -572,16 +582,23 @@ let cancel t id =
   | None -> false
   | Some op -> do_cancel t op Cancelled
 
-let at t time f =
+let at ?tag t time f =
   if R.compare time t.clock < 0 then
     invalid_arg "Event_sim.at: time in the past";
-  push_event t time (Timer f)
+  let tag =
+    match tag with
+    | None -> -1
+    | Some k when k < 0 -> invalid_arg "Event_sim.at: negative tag"
+    | Some k -> k
+  in
+  push_event t time (Timer (tag, f))
 
 (* --- main loop --- *)
 
 let dispatch t ev =
   match ev with
-  | Timer f -> f t
+  | Timer (_, f) -> f t
+  | Breakpoint (subject, lane, j) -> breakpoint t subject lane j
   | Complete (op, _) ->
     (* [live_head] discarded the stale completions *)
     touch_op t op;
@@ -670,3 +687,274 @@ let pending_ops t = t.npending
 let running_ops t = Hashtbl.length t.running_by_key
 
 let cancelled_ops t = List.rev t.cancel_log
+
+(* --- snapshots --- *)
+
+type running = {
+  r_id : op_id;
+  r_kind : op_kind;
+  r_remaining : R.t;
+  r_updated : R.t;
+}
+
+type queued = { q_id : op_id; q_kind : op_kind }
+
+type port = { busy_closed : R.t; busy_since : R.t }
+
+type node_snapshot = {
+  n_node : Platform.node;
+  n_cpu : port;
+  n_send : port;
+  n_recv : port;
+  n_work : R.t;
+  n_computed : int;
+}
+
+type queued_event =
+  | Q_complete of op_id
+  | Q_breakpoint of subject * int
+  | Q_timer of int
+
+type snapshot = {
+  s_clock : R.t;
+  s_next_id : op_id;
+  s_nodes : node_snapshot list;
+  s_edges : (Platform.edge * R.t) list;
+  s_running : running list;
+  s_queued : queued list;
+  s_events : (R.t * queued_event) list;
+}
+
+let port_of r = { busy_closed = r.busy; busy_since = r.since }
+
+let snapshot t =
+  let nodes =
+    Hashtbl.fold
+      (fun i s acc ->
+        { n_node = i; n_cpu = port_of s.cpu; n_send = port_of s.send;
+          n_recv = port_of s.recv; n_work = s.nlane.amount;
+          n_computed = s.nlane.count }
+        :: acc)
+      t.nodes []
+    |> List.sort (fun a b -> Int.compare a.n_node b.n_node)
+  in
+  let edges =
+    Hashtbl.fold (fun e l acc -> (e, l.amount) :: acc) t.edges []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  let running =
+    Hashtbl.fold
+      (fun _ op acc ->
+        { r_id = op.oid; r_kind = op.kind; r_remaining = op.remaining;
+          r_updated = op.last_update }
+        :: acc)
+      t.running_by_key []
+    |> List.sort (fun a b -> Int.compare a.r_id b.r_id)
+  in
+  let rec fifo acc = function
+    | None -> List.rev acc
+    | Some op -> fifo ({ q_id = op.oid; q_kind = op.kind } :: acc) op.next
+  in
+  let order a b = if before a b then -1 else if before b a then 1 else 0 in
+  let events =
+    Array.sub t.heap 0 t.size |> Array.to_list
+    |> List.filter (fun e ->
+           match e.ev with
+           | Complete (op, gen) -> gen = op.gen && op.state = Running
+           | Timer _ | Breakpoint _ -> true)
+    |> List.sort order
+    |> List.map (fun e ->
+           ( e.time,
+             match e.ev with
+             | Complete (op, _) -> Q_complete op.oid
+             | Breakpoint (subject, _, j) -> Q_breakpoint (subject, j)
+             | Timer (tag, _) ->
+               if tag < 0 then
+                 invalid_arg "Event_sim.snapshot: a queued timer has no tag";
+               Q_timer tag ))
+  in
+  { s_clock = t.clock; s_next_id = t.next_oid; s_nodes = nodes;
+    s_edges = edges; s_running = running; s_queued = fifo [] t.first;
+    s_events = events }
+
+exception Inconsistent of string
+
+(* Every check that [restore] makes raises [Inconsistent]: a snapshot
+   that passes them all continues without tripping an invariant. *)
+let restore ?(cpu_traces = []) ?(bw_traces = []) p s ~callbacks ~timer =
+  let t = init ~register:false ~cpu_traces ~bw_traces p in
+  let bad what = raise (Inconsistent what) in
+  let check ok what = if not ok then bad what in
+  let exact x = R.sign x >= 0 && R.compare x s.s_clock <= 0 in
+  let rec ascending key = function
+    | a :: (b :: _ as rest) -> key a < key b && ascending key rest
+    | [ _ ] | [] -> true
+  in
+  try
+    check (R.sign s.s_clock >= 0) "negative clock";
+    t.clock <- s.s_clock;
+    check (s.s_next_id >= 0) "negative operation count";
+    t.next_oid <- s.s_next_id;
+    check (ascending (fun n -> n.n_node) s.s_nodes) "nodes out of order";
+    List.iter
+      (fun n ->
+        let i = n.n_node in
+        check (i >= 0 && i < Platform.num_nodes p) "node off the platform";
+        let st = node_state t i in
+        List.iter
+          (fun (r, q) ->
+            check
+              (R.sign q.busy_closed >= 0 && exact q.busy_since)
+              "busy time out of range";
+            r.busy <- q.busy_closed;
+            r.since <- q.busy_since)
+          [ (st.cpu, n.n_cpu); (st.send, n.n_send); (st.recv, n.n_recv) ];
+        check (R.sign n.n_work >= 0 && n.n_computed >= 0) "negative work";
+        st.nlane.amount <- n.n_work;
+        st.nlane.count <- n.n_computed)
+      s.s_nodes;
+    check (ascending fst s.s_edges) "edges out of order";
+    List.iter
+      (fun (e, amount) ->
+        check (e >= 0 && e < Platform.num_edges p) "edge off the platform";
+        check (R.sign amount >= 0) "negative transferred amount";
+        (edge_lane t e).amount <- amount)
+      s.s_edges;
+    (* an operation of the snapshot, on state the snapshot lists *)
+    let make id kind =
+      check (id >= 0 && id < s.s_next_id) "operation id out of range";
+      check (not (Hashtbl.mem t.ops id)) "operation listed twice";
+      let listed i =
+        check
+          (i >= 0 && i < Platform.num_nodes p && Hashtbl.mem t.nodes i)
+          "operation on an unlisted node"
+      in
+      (match kind with
+      | Compute (i, _) -> listed i
+      | Transfer (e, _) ->
+        check
+          (e >= 0 && e < Platform.num_edges p && Hashtbl.mem t.edges e)
+          "operation on an unlisted edge";
+        listed (Platform.edge_src p e);
+        listed (Platform.edge_dst p e));
+      let on_done, on_cancel = callbacks id kind in
+      let op =
+        try new_op t id kind on_done on_cancel
+        with Invalid_argument m -> bad m
+      in
+      Hashtbl.replace t.ops id op;
+      op
+    in
+    check
+      (ascending (fun r -> r.r_id) s.s_running)
+      "running operations out of order";
+    List.iter
+      (fun r ->
+        let op = make r.r_id r.r_kind in
+        check
+          (R.sign r.r_remaining >= 0
+          && R.compare r.r_remaining op.remaining <= 0
+          && exact r.r_updated)
+          "running progress out of range";
+        op.remaining <- r.r_remaining;
+        op.last_update <- r.r_updated;
+        op.state <- Running;
+        List.iter
+          (fun res ->
+            check (is_free res) "two running operations on one port";
+            res.occ <- Some op)
+          op.res;
+        check (op.lane.runner = None) "two running operations on one lane";
+        op.lane.runner <- Some op;
+        Hashtbl.replace t.running_by_key op.key op)
+      s.s_running;
+    List.iter (fun q -> enqueue t (make q.q_id q.q_kind)) s.s_queued;
+    (* the pending scan's invariant: each queued operation waits *)
+    let rec waiting = function
+      | None -> ()
+      | Some op ->
+        check (not (resources_free op)) "a queued operation could start";
+        waiting op.next
+    in
+    waiting t.first;
+    (* the queue, in its order: each entry at or after the clock and
+       where the engine would have put it *)
+    let queued_bp = Hashtbl.create 8 in
+    let lane_of = function
+      | Cpu_of i -> Option.map (fun s -> s.nlane) (Hashtbl.find_opt t.nodes i)
+      | Bw_of e -> Hashtbl.find_opt t.edges e
+    in
+    let last = ref None in
+    List.iter
+      (fun (time, qe) ->
+        check (R.compare time s.s_clock >= 0) "event before the clock";
+        let ev =
+          match qe with
+          | Q_complete id ->
+            let op =
+              match Hashtbl.find_opt t.ops id with
+              | Some op when op.state = Running && op.gen = 0 -> op
+              | Some _ | None -> bad "completion of no running operation"
+            in
+            let mult = mult_at op.lane.trace op.last_update in
+            check (R.sign mult > 0) "completion of a stalled operation";
+            check
+              (R.equal time
+                 (R.add op.last_update
+                    (R.div (R.mul op.remaining op.base) mult)))
+              "completion at the wrong time";
+            op.gen <- 1;
+            Complete (op, 1)
+          | Q_breakpoint (subject, j) ->
+            let lane =
+              match lane_of subject with
+              | Some l
+                when j >= 0 && j < Array.length l.trace
+                     && R.sign (fst l.trace.(j)) > 0 ->
+                l
+              | Some _ | None -> bad "breakpoint off its trace"
+            in
+            check (R.equal time (fst lane.trace.(j))) "breakpoint at the wrong time";
+            check (not (Hashtbl.mem queued_bp (subject, j))) "breakpoint twice";
+            Hashtbl.replace queued_bp (subject, j) ();
+            Breakpoint (subject, lane, j)
+          | Q_timer tag ->
+            check (tag >= 0) "negative timer tag";
+            Timer (tag, timer tag)
+        in
+        let e = { time; prio = prio_of ev; seq = t.next_seq; ev } in
+        (match !last with
+        | Some l -> check (before l e) "events out of order"
+        | None -> ());
+        last := Some e;
+        push_event t time ev)
+      s.s_events;
+    (* every breakpoint after the clock is queued, and no running
+       operation has crossed one since its progress was integrated *)
+    let lanes =
+      Hashtbl.fold (fun i s acc -> (Cpu_of i, s.nlane) :: acc) t.nodes []
+      @ Hashtbl.fold (fun e l acc -> (Bw_of e, l) :: acc) t.edges []
+    in
+    List.iter
+      (fun (subject, lane) ->
+        let from =
+          match lane.runner with Some op -> op.last_update | None -> s.s_clock
+        in
+        Array.iteri
+          (fun j (tb, _) ->
+            let c = R.compare tb s.s_clock in
+            let queued = Hashtbl.mem queued_bp (subject, j) in
+            check (c <= 0 || queued) "a breakpoint is missing";
+            check
+              (R.compare tb from <= 0 || queued)
+              "a running operation skipped a breakpoint")
+          lane.trace)
+      lanes;
+    Hashtbl.iter
+      (fun _ op ->
+        check
+          (op.gen = 1 || R.sign (mult_at op.lane.trace op.last_update) = 0)
+          "a running operation has no completion")
+      t.running_by_key;
+    Ok t
+  with Inconsistent what -> Error what

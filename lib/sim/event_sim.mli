@@ -136,9 +136,11 @@ val cancel : t -> op_id -> bool
     nothing) if the operation already completed or was already
     cancelled. *)
 
-val at : t -> Rat.t -> (t -> unit) -> unit
-(** Run a callback at an absolute time ([>= now]).
-    @raise Invalid_argument on times in the past. *)
+val at : ?tag:int -> t -> Rat.t -> (t -> unit) -> unit
+(** Run a callback at an absolute time ([>= now]).  [?tag] (a
+    non-negative int of the caller's choosing) names the callback in a
+    {!snapshot}; a simulator holding an untagged timer has none.
+    @raise Invalid_argument on times in the past or a negative tag. *)
 
 val run_until : t -> Rat.t -> unit
 (** Process events up to and including the given time; [now] afterwards
@@ -181,3 +183,96 @@ val running_ops : t -> int
 
 val cancelled_ops : t -> cancelled list
 (** All cancellations so far, oldest first. *)
+
+(** {1 Snapshots}
+
+    A snapshot is the simulator's whole state as plain data, with no
+    closure in it: taken from inside a callback (or between runs), it
+    restores into a simulator that continues exactly as the original
+    would have — same completion times, same start order, same tie
+    breaks — provided the client attaches the same callbacks again.
+
+    It holds the clock and the next operation id; every live operation
+    (kind, the rational work left and when it was last integrated for a
+    running one, the pending FIFO in order); every live queue entry in
+    the engine's (time, priority, sequence) order, stale completions
+    dropped; and, for each node and edge touched so far, the busy time
+    of its ports and what it has computed or carried.  The queue names
+    its entries by what they do: an operation's completion, a trace's
+    [j]-th breakpoint, or a client timer's tag.  Taking a snapshot walks
+    the state; the per-event path pays nothing for it.
+
+    On {!restore} the entries are queued again in that order, so every
+    later tie breaks as before.  Running operations re-enter the
+    running table in ascending id order, which is what {!run}'s
+    stranding sweep walks, so that sweep's order after a restore is the
+    restored table's.  A restored simulator's {!cancelled_ops} starts
+    empty and it has no outage observers: register them again with
+    {!on_outage}. *)
+
+type running = {
+  r_id : op_id;
+  r_kind : op_kind;
+  r_remaining : Rat.t;  (** units left at [r_updated] *)
+  r_updated : Rat.t;  (** when its progress was last integrated *)
+}
+
+type queued = { q_id : op_id; q_kind : op_kind }
+
+type port = {
+  busy_closed : Rat.t;  (** busy time of the closed intervals *)
+  busy_since : Rat.t;  (** start of the open interval, while occupied *)
+}
+
+type node_snapshot = {
+  n_node : Platform.node;
+  n_cpu : port;
+  n_send : port;
+  n_recv : port;
+  n_work : Rat.t;  (** {!completed_work} *)
+  n_computed : int;  (** {!completed_compute_count} *)
+}
+
+type queued_event =
+  | Q_complete of op_id  (** a running operation's completion *)
+  | Q_breakpoint of subject * int
+      (** the trace's breakpoint at this index takes effect *)
+  | Q_timer of int  (** the client timer with this tag *)
+
+type snapshot = {
+  s_clock : Rat.t;
+  s_next_id : op_id;  (** the id the next submission gets *)
+  s_nodes : node_snapshot list;  (** the nodes touched, ascending *)
+  s_edges : (Platform.edge * Rat.t) list;
+      (** the edges touched, ascending, with the data they carried *)
+  s_running : running list;  (** ascending id *)
+  s_queued : queued list;  (** the pending FIFO, oldest first *)
+  s_events : (Rat.t * queued_event) list;  (** in queue order *)
+}
+
+val snapshot : t -> snapshot
+(** @raise Invalid_argument if an untagged timer is queued. *)
+
+val restore :
+  ?cpu_traces:(Platform.node * trace) list ->
+  ?bw_traces:(Platform.edge * trace) list ->
+  Platform.t ->
+  snapshot ->
+  callbacks:
+    (op_id -> op_kind -> (t -> unit) option * (t -> cancel_reason -> unit) option) ->
+  timer:(int -> t -> unit) ->
+  (t, string) result
+(** A simulator in the snapshot's state, over the traces the original
+    was created with.  [callbacks id kind] gives each live operation its
+    [on_done] and [on_cancel] again, and [timer tag] each tagged timer
+    its callback.  [Error] names the first inconsistency of a snapshot
+    that no run of the engine can leave: a node, edge or operation off
+    the platform or listed twice, a time before zero or a queue entry
+    before the clock, more work left than submitted, two running
+    operations on one port or lane, a queued operation whose resources
+    are all free, a completion or breakpoint at a time other than the
+    one the engine computes, entries out of queue order, a breakpoint
+    after the clock that is not queued, a running operation whose rate
+    changed since its progress was integrated.  Beyond those checks a
+    snapshot is trusted.
+    @raise Invalid_argument on a malformed trace, as {!create}. *)

@@ -76,6 +76,31 @@ let graph_scenario () =
   in
   { sc with Dy.platform = graph }
 
+(* A star whose slaves (weights 3 and 2, links 1 and 3/2) are also
+   linked to each other, with phases ten times as long: both master links
+   run at a sixteenth of their speed in epochs 1-3, so task files pile
+   up (past 128 in flight, and the in-flight table grows to 128
+   buckets), then drain; at epoch 8, with 127 still in flight, the link
+   to S1 is cut for an epoch and the boundary cancels every file queued
+   on it.  A table rebuilt from that checkpoint has 64 buckets. *)
+let crowded_scenario () =
+  let star =
+    Platform_gen.star ~master_weight:(Ext_rat.of_int 2)
+      ~slaves:[ (Ext_rat.of_int 3, ri 1); (Ext_rat.of_int 2, r 3 2) ]
+      ()
+  in
+  let text = Platform_parse.to_string star in
+  let slow = [ (ri 80, r 1 16); (ri 320, R.one) ] in
+  {
+    Dy.platform =
+      Platform_parse.of_string (text ^ "edge S1 S2 c=1\nedge S2 S1 c=1\n");
+    master = 0;
+    cpu_traces = [];
+    bw_traces = [ (0, slow @ [ (ri 640, R.zero); (ri 720, R.one) ]); (2, slow) ];
+    phase = ri 80;
+    phases = 12;
+  }
+
 let halt_run ?cache ~checkpoint ~halt sc =
   match Dy.run ?cache ~checkpoint ~halt_at:halt sc Dy.Robust with
   | _ -> Alcotest.failf "halt hook at epoch %d did not fire" halt
@@ -101,7 +126,7 @@ let record_parts raw =
   let key = String.sub payload (knl + 1) klen in
   (key, String.sub payload (knl + 1 + klen) (String.length payload - knl - 1 - klen))
 
-let v4 = "steady-ckpt 4\n"
+let v5 = "steady-ckpt 5\n"
 
 (* the one checkpoint record of a store directory: (path, key, value) *)
 let ckpt_record dir =
@@ -113,7 +138,7 @@ let ckpt_record dir =
         let raw = really_input_string ic (in_channel_length ic) in
         close_in ic;
         let key, value = record_parts raw in
-        if String.starts_with ~prefix:v4 value then Some (path, key, value)
+        if String.starts_with ~prefix:v5 value then Some (path, key, value)
         else None)
       (List.filter (fun f -> Filename.check_suffix f ".rec") (data_files dir))
   in
@@ -129,6 +154,27 @@ let rewrite_record path key value =
   Printf.fprintf oc "steady-solve-store 1\n%d %s\n%s" (String.length payload)
     (Solve_store.checksum payload) payload;
   close_out oc
+
+(* The lines of a current record, and the index of the first line of
+   each section ("live", "running", ...). *)
+let sections value =
+  let lines = Array.of_list (String.split_on_char '\n' value) in
+  let find name =
+    let rec go i =
+      if i >= Array.length lines then
+        Alcotest.failf "record has no %s section" name
+      else if String.starts_with ~prefix:(name ^ " ") lines.(i) then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  (lines, find)
+
+let edit_lines value f =
+  let lines, find = sections value in
+  String.concat "\n" (f (Array.to_list lines) find)
+
+let replace_at k by lines = List.mapi (fun i l -> if i = k then by l else l) lines
 
 let test_resume_every_epoch () =
   List.iter
@@ -153,12 +199,12 @@ let test_resume_every_epoch () =
 (* A live Robust epoch whose multipliers equal the previous live
    epoch's reuses that epoch's decision.  Here slave 1's CPU is out in
    epochs 2-3 and back, unchanged, in epoch 4, and slave 2 slows from
-   epoch 6: flat stretches with three changes.  A resume replays the
-   epochs before the kill without planning, so its first live epoch
-   must plan; were the last replayed decision taken as the previous
-   one, a kill at epoch 4 would reuse the outage's decision on the
-   recovered platform.  Each resume must equal the uninterrupted run
-   and leave the record an uninterrupted checkpointed run leaves. *)
+   epoch 6: flat stretches with three changes.  A checkpoint holds no
+   decision, so a resume's first live epoch must plan; were the decision
+   of the epoch before the kill taken as the previous one, a kill at
+   epoch 4 would reuse the outage's decision on the recovered platform.
+   Each resume must equal the uninterrupted run and leave the record an
+   uninterrupted checkpointed run leaves. *)
 let test_resume_reuses_no_replayed_decision () =
   List.iter
     (fun (label, p) ->
@@ -200,6 +246,37 @@ let test_resume_reuses_no_replayed_decision () =
       ("graph", (graph_scenario ()).Dy.platform);
     ]
 
+(* More than 64 task files in flight at a checkpoint, on a graph: the
+   in-flight table a resume rebuilds has another bucket count than the
+   one the run grew, and the boundary sweep must cancel in the same
+   order either way *)
+let test_resume_crowded_graph () =
+  let sc = crowded_scenario () in
+  let uninterrupted = Dy.run sc Dy.Robust in
+  let most = ref 0 in
+  for halt = 1 to sc.Dy.phases - 1 do
+    let dir = fresh_dir () in
+    let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+    halt_run ~checkpoint ~halt sc;
+    let _, _, value = ckpt_record dir in
+    let lines, find = sections value in
+    most := max !most (int_of_string (List.nth (String.split_on_char ' ' lines.(find "live")) 1));
+    let resumed, from = Dy.resume ~checkpoint sc in
+    Alcotest.(check (option int))
+      (Printf.sprintf "resumed from the kill epoch %d" halt)
+      (Some halt) from;
+    Alcotest.(check bool)
+      (Printf.sprintf "kill at %d is bit-identical" halt)
+      true
+      (Dy.outcomes_equal uninterrupted resumed);
+    rm_rf dir
+  done;
+  Printf.printf "most files in flight: %d\n" !most;
+  Alcotest.(check bool) "more than 64 files in flight at a checkpoint" true
+    (!most > 64);
+  Alcotest.(check bool) "a boundary cancelled some" true
+    (uninterrupted.Dy.losses.Dy.cancelled_transfers > 1)
+
 let test_one_record_per_run () =
   (* a checkpointed run commits executor state only: each checkpoint
      overwrites the run's one record, and no LP solve is written *)
@@ -215,7 +292,7 @@ let test_one_record_per_run () =
 
 let test_strict_resume_with_cadence () =
   (* cadence 2 with a kill at 5: the newest record is epoch 4, so the
-     resume replays 4 epochs and re-executes 4..5 live; strict mode
+     resume continues from epoch 4 and runs 4..5 again; strict mode
      certifies the stitched outcome against a fresh cold-state run *)
   let sc = tree_scenario () in
   let dir = fresh_dir () in
@@ -341,7 +418,21 @@ let test_damaged_records_cold_start () =
       ("version-skewed", fun b -> "steady-solve-store 999\n" ^ b);
     ]
 
-(* The lines of a current record, the line index of each path count in
+(* The record the previous format, "steady-ckpt 4", held for
+   [star_scenario ()] killed at epoch 3: the decision log of epochs 0-2,
+   then the executor state it was checked against by replaying the log
+   (master deficit, cancelled, retries, lost, degraded, backlog length,
+   arrears count, dead-CPU and dead-link flags, work marks newest
+   first). *)
+let v4_value =
+  String.concat "\n"
+    [ "steady-ckpt 4"; "3"; "3";
+      "P"; "4"; "1"; "8"; "1"; "0";
+      "P"; "4"; "1"; "4"; "1"; "2";
+      "P"; "4"; "1"; "4"; "1"; "2";
+      "0"; "0"; "0"; "0"; "0"; "0"; "0"; "000"; "0100"; "3"; "15"; "11"; "0"; "" ]
+
+(* The lines of a format-4 record, the line index of each path count in
    its decision log (in log order), and the index of the state's first
    line, the master deficit, just after the log. *)
 let record_layout value =
@@ -367,13 +458,9 @@ let record_layout value =
   done;
   (lines, List.rev !counts, !pos)
 
-let replace_line lines k f =
-  String.concat "\n"
-    (Array.to_list (Array.mapi (fun i l -> if i = k then f l else l) lines))
-
-(* A current record rewritten in the "steady-ckpt 2" layout, which also
-   carried the reuse flag after the epoch and a timed-out count after the
-   master deficit. *)
+(* A format-4 record rewritten in the "steady-ckpt 2" layout, which
+   also carried the reuse flag after the epoch and a timed-out count
+   after the master deficit. *)
 let v2_value value =
   let lines, _, deficit = record_layout value in
   String.concat "\n"
@@ -387,22 +474,22 @@ let v2_value value =
           (Array.to_list lines)))
 
 let test_previous_ckpt_format_cold_starts () =
-  (* records in the previous checkpoint formats — "steady-ckpt 3", the
-     current layout whose decision log the LP-vertex planner wrote,
-     "steady-ckpt 2" with its reuse flag and timed-out count, and
-     "steady-ckpt 1", which also ended with a warm LP basis block —
-     written inside a valid envelope (length and checksum right), must
-     still be quarantined, and the resume cold-starts with the
-     identical answer *)
+  (* records in the previous checkpoint formats — "steady-ckpt 4", whose
+     decision log a resume replayed, "steady-ckpt 3", the same layout
+     with a log the LP-vertex planner wrote, "steady-ckpt 2" with its
+     reuse flag and timed-out count, and "steady-ckpt 1", which also
+     ended with a warm LP basis block — written inside a valid envelope
+     (length and checksum right), must be quarantined, and the resume
+     cold-starts with the identical answer *)
   let sc = star_scenario () in
   let uninterrupted = Dy.run sc Dy.Robust in
   let basis = "lpbasis 1\n0\n" in
-  let v3_value value =
-    let n = String.length v4 in
-    "steady-ckpt 3\n" ^ String.sub value n (String.length value - n)
+  let v3_value =
+    let n = String.length "steady-ckpt 4" in
+    "steady-ckpt 3" ^ String.sub v4_value n (String.length v4_value - n)
   in
-  let v1_value value =
-    let v2 = v2_value value in
+  let v1_value =
+    let v2 = v2_value v4_value in
     let n = String.length "steady-ckpt 2" in
     Printf.sprintf "steady-ckpt 1%sB\n%d\n%s\n"
       (String.sub v2 n (String.length v2 - n))
@@ -413,8 +500,8 @@ let test_previous_ckpt_format_cold_starts () =
       let dir = fresh_dir () in
       let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
       halt_run ~checkpoint ~halt:3 sc;
-      let path, key, value = ckpt_record dir in
-      rewrite_record path key (old_value value);
+      let path, key, _ = ckpt_record dir in
+      rewrite_record path key old_value;
       Alcotest.(check bool) (what ^ ": byte layer accepts the record") true
         (Solve_store.find (Solve_store.open_store dir) key <> None);
       let resumed, from = Dy.resume ~checkpoint sc in
@@ -427,45 +514,103 @@ let test_previous_ckpt_format_cold_starts () =
          current format *)
       Alcotest.(check bool) (what ^ ": current-format record re-stored") true
         (match Solve_store.find (Solve_store.open_store dir) key with
-        | Some v -> String.starts_with ~prefix:v4 v
+        | Some v -> String.starts_with ~prefix:v5 v
         | None -> false);
       rm_rf dir)
     [
+      ("steady-ckpt 4", v4_value);
       ("steady-ckpt 3", v3_value);
-      ("steady-ckpt 2", v2_value);
+      ("steady-ckpt 2", v2_value v4_value);
       ("steady-ckpt 1", v1_value);
     ]
 
-(* A record whose envelope and decision log decode cleanly, but whose
-   replay does not rebuild the stored state.  The replay reaches the
-   resume boundary, the state it rebuilt encodes to other bytes, and the
-   resume quarantines the record and runs cold, with the uninterrupted
-   run's outcome.  Two edits:
-   - the retry counter of the state, in a record taken at epoch 3;
-   - epoch 0's path count to S1, 8 -> 9, in a record taken at epoch 4:
-     the replay then completes different work by epoch 3, so the work
-     mark the state holds for that boundary differs.  The state holds
-     completed work, not the simulator's queues: a count whose tasks
-     are all still queued at the resume boundary is not caught. *)
-let test_replay_mismatch_cold_starts () =
+(* A record re-sealed inside a valid envelope after an edit that no run
+   can leave.  Each must be quarantined, and the resume must run cold to
+   the uninterrupted outcome.  The edits, on the star's record at
+   epoch 3:
+   - the retry counter bumped: every cancellation ends in exactly one of
+     a retry, a loss, the backlog or a pending retry timer, so the
+     counters no longer add up;
+   - an in-flight task file routed over an edge off the platform;
+   - a queued transfer moved to the running list, where it shares the
+     master's send port with the transfer already running;
+   - two work marks swapped, so the marks decrease.
+   A record that passes every check is trusted: [resume ~strict:true]
+   is the certificate, and the last edit, one more task finished on a
+   slave, shows both. *)
+let test_forged_state_cold_starts () =
   let sc = star_scenario () in
   let uninterrupted = Dy.run sc Dy.Robust in
-  let bump l = string_of_int (int_of_string l + 1) in
+  let n_edges = Platform.num_edges sc.Dy.platform in
   let retries value =
-    let lines, _, state = record_layout value in
-    replace_line lines (state + 2) bump
+    edit_lines value (fun lines find ->
+        replace_at (find "counters") (fun _ -> "counters 0 0 1 0 0") lines)
   in
-  let first_count value =
-    let lines, counts, _ = record_layout value in
-    Alcotest.(check string) "epoch 0 sends 8 tasks to S1" "8"
-      lines.(List.hd counts);
-    replace_line lines (List.hd counts) bump
+  let off_platform value =
+    edit_lines value (fun lines find ->
+        replace_at
+          (find "live" + 1)
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | id :: a :: _ -> Printf.sprintf "%s %s %d" id a n_edges
+            | _ -> Alcotest.failf "live entry %S" l)
+          lines)
+  in
+  let two_on_a_port value =
+    edit_lines value (fun lines find ->
+        let running = find "running" and queued = find "queued" in
+        let arr = Array.of_list lines in
+        let count k = int_of_string (List.nth (String.split_on_char ' ' arr.(k)) 1) in
+        let clock = List.nth (String.split_on_char ' ' arr.(find "clock")) 1 in
+        (* the first queued transfer and the running one on its port *)
+        let rec first_transfer k =
+          match String.split_on_char ' ' arr.(k) with
+          | [ id; "T"; e; x ] -> (k, id, e, x)
+          | _ -> first_transfer (k + 1)
+        in
+        let k, id, e, x = first_transfer (queued + 1) in
+        Alcotest.(check bool) "a transfer on that edge is running" true
+          (List.exists
+             (fun j ->
+               match String.split_on_char ' ' arr.(j) with
+               | [ _; "T"; e'; _; _; _ ] -> e' = e
+               | _ -> false)
+             (List.init (count running) (fun j -> running + 1 + j)));
+        (* the running list in ascending id order, as the encoder
+           writes it, so that the shared port is what gives it away *)
+        let forged = String.concat " " [ id; "T"; e; x; x; clock ] in
+        let id_of l = int_of_string (List.hd (String.split_on_char ' ' l)) in
+        let runs =
+          List.init (count running) (fun j -> arr.(running + 1 + j))
+          |> List.cons forged
+          |> List.sort (fun a b -> Int.compare (id_of a) (id_of b))
+        in
+        List.concat
+          (List.mapi
+             (fun i l ->
+               if i = running then
+                 Printf.sprintf "running %d" (count running + 1) :: runs
+               else if i > running && i <= running + count running then []
+               else if i = queued then
+                 [ Printf.sprintf "queued %d" (count queued - 1) ]
+               else if i = k then []
+               else [ l ])
+             lines))
+  in
+  let decreasing_marks value =
+    edit_lines value (fun lines find ->
+        replace_at (find "marks")
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ "marks"; n; a; b; c ] -> String.concat " " [ "marks"; n; a; c; b ]
+            | _ -> Alcotest.failf "marks line %S" l)
+          lines)
   in
   List.iter
-    (fun (what, halt, edit) ->
+    (fun (what, edit) ->
       let dir = fresh_dir () in
       let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
-      halt_run ~checkpoint ~halt sc;
+      halt_run ~checkpoint ~halt:3 sc;
       let path, key, value = ckpt_record dir in
       let edited = edit value in
       Alcotest.(check bool) (what ^ ": record edited") false
@@ -478,75 +623,174 @@ let test_replay_mismatch_cold_starts () =
       Alcotest.(check bool) (what ^ ": answer unchanged") true
         (Dy.outcomes_equal uninterrupted resumed);
       rm_rf dir)
-    [ ("state counter", 3, retries); ("logged path count", 4, first_count) ]
+    [
+      ("retry counter", retries);
+      ("edge off the platform", off_platform);
+      ("two running operations on one port", two_on_a_port);
+      ("decreasing work marks", decreasing_marks);
+    ];
+  (* one more finished task on slave 1 breaks no invariant: the record
+     is trusted and the answer moves, and only the strict resume, which
+     reruns the scenario uninterrupted, refuses it *)
+  let extra_task value =
+    edit_lines value (fun lines find ->
+        let nodes = find "nodes" in
+        List.mapi
+          (fun i l ->
+            match String.split_on_char ' ' l with
+            | [ "1"; cb; cs; sb; ss; rb; rs; work; computed ] when i > nodes ->
+              let bump x = string_of_int (int_of_string x + 1) in
+              String.concat " " [ "1"; cb; cs; sb; ss; rb; rs; bump work; bump computed ]
+            | _ -> l)
+          lines)
+  in
+  let forged () =
+    let dir = fresh_dir () in
+    let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
+    halt_run ~checkpoint ~halt:3 sc;
+    let path, key, value = ckpt_record dir in
+    rewrite_record path key (extra_task value);
+    checkpoint
+  in
+  let checkpoint = forged () in
+  let resumed, from = Dy.resume ~checkpoint sc in
+  rm_rf checkpoint.Dy.Checkpoint.dir;
+  Alcotest.(check (option int)) "extra task: trusted" (Some 3) from;
+  Alcotest.check rat "extra task: one more task completed"
+    (R.add uninterrupted.Dy.completed R.one) resumed.Dy.completed;
+  let checkpoint = forged () in
+  (match Dy.resume ~strict:true ~checkpoint sc with
+  | _ -> Alcotest.fail "extra task: the strict resume certified it"
+  | exception Failure _ -> ());
+  rm_rf checkpoint.Dy.Checkpoint.dir
 
-(* Fuzz the checkpoint record decoder behind a valid envelope: seeded
-   truncations, lines replaced by integers and rationals at and past
-   [max_int], zero denominators and malformed numbers, and stray bytes.
-   Edits to the decision log meet the decoder; edits to the state after
-   it (the work marks among them) meet the replay's byte comparison.  [resume] must
-   never raise, and whatever it makes of the record — a resume or a
-   quarantine and cold start — the outcome is the uninterrupted run's. *)
+(* Fuzz the checkpoint record decoder behind a valid envelope.  Four
+   families of seeded edits to a format-5 record:
+   - a truncation at any byte;
+   - one field of one line replaced: by an integer or rational at or
+     past [max_int], a zero denominator, a non-canonical or malformed
+     number, a stray byte;
+   - a queue entry's time moved before the record's clock;
+   - a list header's count pushed past its items, or past any bound.
+   [resume] must never raise.  The last three families change a number
+   the decoder or an invariant reads, and each such record must cold
+   start; a cold start always gives the uninterrupted outcome.  A field
+   edit can also land on a value no check can tell from a true one (a
+   busy time, say): such a record is trusted, resumes, and may end
+   elsewhere — and then [resume ~strict:true] on the same record must
+   refuse to certify it. *)
 let fuzz_values =
   [| "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
      "-4611686018427387905"; "9223372036854775807"; "999999999999999999";
      "1000000000000000000"; "1/0"; "0/0"; "-1/0"; "1/-0";
      "4611686018427387903/4611686018427387902"; "99999999999999999999999/3";
-     "1/4611686018427387904"; "0.5"; "1.5"; "-0"; "+3"; "007"; "0/5"; "";
-     "x"; "1e5"; "1/2/3"; "."; "-"; "0"; "1"; "2" |]
+     "1/4611686018427387904"; "0.5"; "1.5"; "-0"; "+3"; "007"; "0/5"; "2/4";
+     "3/1"; ""; "x"; "1e5"; "1/2/3"; "."; "-"; "0"; "1"; "2"; "\000"; "\r" |]
 
 let test_ckpt_decoder_fuzz () =
   let g = Faults.generator ~seed:31 in
   let pick a = a.(Faults.rand_int g (Array.length a)) in
-  let mutate value =
-    let lines = Array.of_list (String.split_on_char '\n' value) in
-    let n = Array.length lines in
-    (* half the line edits hit the tail, where the work marks live *)
-    let line () =
-      if Faults.rand_int g 2 = 0 then max 1 (n - 1 - Faults.rand_int g 4)
-      else 1 + Faults.rand_int g (n - 1)
+  let lines_of value = Array.of_list (String.split_on_char '\n' value) in
+  let join lines = String.concat "\n" (Array.to_list lines) in
+  let fields l = Array.of_list (String.split_on_char ' ' l) in
+  let unfields f = String.concat " " (Array.to_list f) in
+  (* the index of a section's header line, and its count *)
+  let section lines name =
+    let rec go i =
+      if String.starts_with ~prefix:(name ^ " ") lines.(i) then
+        (i, int_of_string (fields lines.(i)).(1))
+      else go (i + 1)
     in
-    let splice k by =
-      String.concat "\n"
-        (List.concat
-           (List.mapi (fun i l -> if i = k then by l else [ l ])
-              (Array.to_list lines)))
-    in
-    match Faults.rand_int g 5 with
-    | 0 -> String.sub value 0 (Faults.rand_int g (String.length value))
-    | 1 | 2 -> splice (line ()) (fun _ -> [ pick fuzz_values ])
-    | 3 -> splice (line ()) (fun l -> [ l ^ pick [| "\000"; "\r"; " "; "#"; "/" |] ])
-    | _ ->
-      let k = Faults.rand_int g (String.length value + 1) in
-      String.sub value 0 k
-      ^ pick [| "\000"; "\n"; "\r"; "9"; "/"; "-"; "\255" |]
-      ^ String.sub value k (String.length value - k)
+    go 0
   in
-  let resumed_at = ref 0 and cold = ref 0 in
+  let edit_field value =
+    let lines = lines_of value in
+    (* line 0 is the format, the last one empty *)
+    let k = 1 + Faults.rand_int g (Array.length lines - 2) in
+    let f = fields lines.(k) in
+    f.(Faults.rand_int g (Array.length f)) <- pick fuzz_values;
+    lines.(k) <- unfields f;
+    join lines
+  in
+  let early_event value =
+    let lines = lines_of value in
+    let events, n = section lines "events" in
+    let clock = R.of_string (fields lines.(fst (section lines "clock"))).(1) in
+    if n = 0 then None
+    else begin
+      let k = events + 1 + Faults.rand_int g n in
+      let f = fields lines.(k) in
+      f.(0) <- R.to_string (R.sub clock (R.of_ints 1 (1 + Faults.rand_int g 4)));
+      lines.(k) <- unfields f;
+      Some (join lines)
+    end
+  in
+  let past_bound value =
+    let lines = lines_of value in
+    let name =
+      pick [| "live"; "nodes"; "edges"; "running"; "queued"; "events"; "arrears" |]
+    in
+    let k, n = section lines name in
+    let by =
+      pick [| string_of_int (n + 1); "1000000"; "4611686018427387903" |]
+    in
+    lines.(k) <- name ^ " " ^ by;
+    join lines
+  in
+  let mutate value =
+    match Faults.rand_int g 4 with
+    | 0 ->
+      (`Any, String.sub value 0 (Faults.rand_int g (String.length value)))
+    | 1 -> (`Any, edit_field value)
+    | 2 -> (
+      match early_event value with
+      | Some v -> (`Cold "a time before the clock", v)
+      | None -> (`Cold "a count past its bound", past_bound value))
+    | _ -> (`Cold "a count past its bound", past_bound value)
+  in
+  let resumed_at = ref 0 and cold = ref 0 and trusted = ref 0 in
   List.iter
     (fun (label, sc) ->
       let uninterrupted = Dy.run sc Dy.Robust in
-      for case = 1 to 40 do
+      for case = 1 to 60 do
+        let what = Printf.sprintf "%s case %d" label case in
         let dir = fresh_dir () in
         let checkpoint = { Dy.Checkpoint.dir; every = 1 } in
         halt_run ~checkpoint ~halt:(2 + Faults.rand_int g 3) sc;
         let path, key, value = ckpt_record dir in
-        rewrite_record path key (mutate value);
+        let family, edited = mutate value in
+        rewrite_record path key edited;
         (match Dy.resume ~checkpoint sc with
-        | resumed, from ->
-          if from = None then incr cold else incr resumed_at;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s case %d: answer unchanged" label case)
-            true
+        | resumed, None ->
+          incr cold;
+          Alcotest.(check bool) (what ^ ": cold start, answer unchanged") true
             (Dy.outcomes_equal uninterrupted resumed)
+        | resumed, Some _ -> (
+          incr resumed_at;
+          (match family with
+          | `Cold why -> Alcotest.failf "%s: resumed from %s" what why
+          | `Any -> ());
+          if not (Dy.outcomes_equal uninterrupted resumed) then begin
+            incr trusted;
+            let dir' = fresh_dir () in
+            let checkpoint' = { Dy.Checkpoint.dir = dir'; every = 1 } in
+            halt_run ~checkpoint:checkpoint' ~halt:(2 + Faults.rand_int g 3) sc;
+            let path', key', _ = ckpt_record dir' in
+            rewrite_record path' key' edited;
+            match Dy.resume ~strict:true ~checkpoint:checkpoint' sc with
+            | _, Some _ -> Alcotest.failf "%s: strict resume certified" what
+            | _, None -> Alcotest.failf "%s: strict resume cold-started" what
+            | exception Failure _ -> rm_rf dir'
+          end)
         | exception e ->
-          Alcotest.failf "%s case %d: resume raised %s" label case
-            (Printexc.to_string e));
+          Alcotest.failf "%s: resume raised %s" what (Printexc.to_string e));
         rm_rf dir
       done)
     [ ("star", star_scenario ()); ("tree", tree_scenario ()) ];
   Alcotest.(check bool) "most mutations force a cold start" true
-    (!cold > !resumed_at)
+    (!cold > !resumed_at);
+  Alcotest.(check bool) "few records are trusted into another answer" true
+    (!trusted < !cold)
 
 let test_orphan_tmp_swept_on_resume () =
   (* a checkpoint writer killed mid-commit leaves a stale tempfile; the
@@ -715,6 +959,8 @@ let suite =
         test_resume_every_epoch;
       Alcotest.test_case "resume reuses no replayed decision" `Quick
         test_resume_reuses_no_replayed_decision;
+      Alcotest.test_case "resume with 64+ files in flight" `Quick
+        test_resume_crowded_graph;
       Alcotest.test_case "strict resume, cadence > 1" `Quick
         test_strict_resume_with_cadence;
       Alcotest.test_case "no-cache round trip" `Quick
@@ -730,8 +976,8 @@ let suite =
         test_previous_ckpt_format_cold_starts;
       Alcotest.test_case "checkpoint decoder fuzz" `Quick
         test_ckpt_decoder_fuzz;
-      Alcotest.test_case "replay mismatch cold starts" `Quick
-        test_replay_mismatch_cold_starts;
+      Alcotest.test_case "forged state cold starts" `Quick
+        test_forged_state_cold_starts;
       Alcotest.test_case "orphan tempfile swept on resume" `Quick
         test_orphan_tmp_swept_on_resume;
       Alcotest.test_case "argument validation" `Quick test_argument_validation;

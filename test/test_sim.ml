@@ -367,6 +367,161 @@ let test_dead_from_start () =
   Alcotest.(check int) "nothing running" 0 (S.running_ops s);
   Alcotest.check rat "nothing transferred" R.zero (S.transferred s 0)
 
+(* --- snapshots --- *)
+
+(* A scripted run whose callbacks are a function of their operation's
+   id and kind, or of their timer's tag, so a restored simulator can be
+   handed the same ones.  Every completion, timer and outage is
+   logged. *)
+module Script = struct
+  let rec submit log s kind =
+    let idr = ref (-1) in
+    idr := S.submit_op s kind ~on_done:(finished log idr kind)
+
+  and finished log idr kind s =
+    log := (S.now s, Printf.sprintf "op %d" !idr) :: !log;
+    match kind with
+    | S.Transfer (e, x) ->
+      submit log s (S.Compute (Platform.edge_dst (S.platform s) e, x))
+    | S.Compute _ -> ()
+
+  let timer log tag s =
+    log := (S.now s, Printf.sprintf "timer %d" tag) :: !log;
+    for _ = 1 to tag do
+      submit log s (S.Transfer (0, ri 1))
+    done;
+    submit log s (S.Compute (0, ri tag))
+
+  let observe log s o =
+    log :=
+      (S.now s, "multiplier " ^ R.to_string o.S.out_multiplier) :: !log
+
+  let cpu_traces = [ (0, [ (ri 5, R.zero); (ri 11, R.one) ]) ]
+  let bw_traces = [ (0, [ (ri 4, r 1 2); (ri 20, ri 2) ]) ]
+
+  (* the simulator, its log, and the log's length when [cut] snapshots *)
+  let start () =
+    let log = ref [] in
+    let s = S.create ~cpu_traces ~bw_traces (duo ()) in
+    S.on_outage s (observe log);
+    List.iter
+      (fun (t, tag) -> S.at ~tag s (ri t) (timer log tag))
+      [ (0, 2); (3, 1); (7, 3); (15, 2) ];
+    (s, log)
+
+  let restore log snap =
+    S.restore ~cpu_traces ~bw_traces (duo ()) snap
+      ~callbacks:(fun id kind -> (Some (finished log (ref id) kind), None))
+      ~timer:(timer log)
+end
+
+let measures s =
+  ( S.now s,
+    List.map (S.completed_work s) [ 0; 1 ],
+    List.map (S.transferred s) [ 0; 1 ],
+    List.map (S.busy_time s)
+      [ S.Cpu 0; S.Send 0; S.Recv 0; S.Cpu 1; S.Send 1; S.Recv 1 ] )
+
+let drop n l = List.filteri (fun i _ -> i >= n) l
+
+(* Snapshot a scripted run at many points — between runs, after
+   [run_until], and from inside a timer whose time other queue entries
+   share — restore, and continue: the restored run logs what the
+   original logs after the snapshot, in the same order, and ends in the
+   same state; and a restored simulator snapshots to the same data. *)
+let test_snapshot_round_trip () =
+  let check_from label snapshot_of =
+    let s, log = Script.start () in
+    let snap, mark = snapshot_of s log in
+    S.run s;
+    let tail = drop mark (List.rev !log) in
+    let log' = ref [] in
+    match Script.restore log' snap with
+    | Error m -> Alcotest.failf "%s: restore refused: %s" label m
+    | Ok s' ->
+      Alcotest.(check bool) (label ^ ": snapshot of the restored") true
+        (S.snapshot s' = snap);
+      S.on_outage s' (Script.observe log');
+      S.run s';
+      Alcotest.(check (list (pair string string)))
+        (label ^ ": the same events after the cut")
+        (List.map (fun (t, x) -> (R.to_string t, x)) tail)
+        (List.map (fun (t, x) -> (R.to_string t, x)) (List.rev !log'));
+      Alcotest.(check bool) (label ^ ": the same end state") true
+        (measures s = measures s')
+  in
+  List.iter
+    (fun cut ->
+      check_from (Printf.sprintf "run_until %s" (R.to_string cut))
+        (fun s log ->
+          S.run_until s cut;
+          (S.snapshot s, List.length !log)))
+    [ R.zero; ri 1; ri 4; ri 5; r 11 2; ri 7; ri 10; ri 11; ri 12; ri 17; ri 40 ];
+  (* from inside a callback at t=7, after the timer of tag 3 and before
+     the completions and timers it queues at t=7 *)
+  check_from "inside a timer" (fun s log ->
+      let taken = ref None in
+      S.at ~tag:99 s (ri 7) (fun s -> taken := Some (S.snapshot s, List.length !log));
+      S.run_until s (ri 7);
+      Option.get !taken)
+
+(* Snapshots no run of the engine leaves: [restore] names the first
+   inconsistency and returns no simulator. *)
+let test_restore_refuses_forged () =
+  let s, _ = Script.start () in
+  S.run_until s (ri 4);
+  let snap = S.snapshot s in
+  let running = snap.S.s_running and events = snap.S.s_events in
+  let transfer =
+    match List.find_opt (fun r -> match r.S.r_kind with S.Transfer _ -> true | _ -> false) running with
+    | Some x -> x
+    | None -> Alcotest.fail "no transfer running at t=4"
+  in
+  let later t = R.add t R.one in
+  let cases =
+    [
+      ( "two running operations on one port",
+        { snap with
+          S.s_running =
+            List.sort (fun a b -> Int.compare a.S.r_id b.S.r_id)
+              ({ transfer with S.r_id = snap.S.s_next_id } :: running);
+          s_next_id = snap.S.s_next_id + 1 } );
+      ( "event before the clock",
+        { snap with
+          S.s_events =
+            List.map (fun (t, ev) -> (R.sub t (ri 10), ev)) events } );
+      ( "completion at the wrong time",
+        { snap with
+          S.s_events =
+            List.map
+              (fun (t, ev) ->
+                match ev with S.Q_complete _ -> (later t, ev) | _ -> (t, ev))
+              events } );
+      ( "a breakpoint is missing",
+        { snap with
+          S.s_events =
+            List.filter
+              (fun (_, ev) -> match ev with S.Q_breakpoint _ -> false | _ -> true)
+              events } );
+      ( "node off the platform",
+        { snap with
+          S.s_nodes =
+            List.map
+              (fun n -> if n.S.n_node = 1 then { n with S.n_node = 2 } else n)
+              snap.S.s_nodes } );
+      ( "a queued operation could start",
+        { snap with
+          S.s_running = List.filter (fun r -> r != transfer) running;
+          s_queued = { S.q_id = transfer.S.r_id; q_kind = transfer.S.r_kind } :: snap.S.s_queued } );
+    ]
+  in
+  List.iter
+    (fun (what, forged) ->
+      match Script.restore (ref []) forged with
+      | Ok _ -> Alcotest.failf "%s: restored" what
+      | Error m -> Alcotest.(check string) what what m)
+    cases
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "sim",
@@ -391,6 +546,9 @@ let suite =
       Alcotest.test_case "full outage, no recovery" `Quick
         test_full_outage_no_recovery;
       Alcotest.test_case "dead from start" `Quick test_dead_from_start;
+      Alcotest.test_case "snapshot round trip" `Quick test_snapshot_round_trip;
+      Alcotest.test_case "restore refuses forged state" `Quick
+        test_restore_refuses_forged;
       q prop_single_resource_serialises;
       q prop_parallel_edges_overlap;
       q prop_trace_integration;

@@ -323,7 +323,12 @@ module Drive (S : ENGINE) = struct
     ]
 end
 
-module Lazy_engine = Drive (Event_sim)
+(* the scripts queue untagged timers *)
+module Lazy_engine = Drive (struct
+  include Event_sim
+
+  let at t time f = at t time f
+end)
 module Dense_engine = Drive (Event_sim_dense_reference)
 
 let half k = R.of_ints k 2

@@ -503,6 +503,40 @@ let test_open_sweeps_stale_tmp () =
   Alcotest.(check int) "nothing quarantined" 0 (S.quarantined h2);
   rm_rf dir
 
+(* A commit does not sweep tempfiles: [add] leaves an orphan alone,
+   stale or fresh, and the next [open_store] reclaims the stale one.  A
+   commit whose eviction unlinks a record sweeps them too. *)
+let test_add_leaves_orphans_to_open () =
+  let dir = fresh_dir () in
+  let h = S.open_store dir in
+  let stale = Filename.concat dir ".tmp-99999-0-0" in
+  let fresh = Filename.concat dir ".tmp-99999-0-1" in
+  write_file stale "dead writer's leftovers";
+  write_file fresh "live writer mid-commit";
+  let old = Unix.gettimeofday () -. 3600. in
+  Unix.utimes stale old old;
+  S.add h "k" "v";
+  Alcotest.(check (option string)) "committed" (Some "v") (S.find h "k");
+  Alcotest.(check bool) "add leaves the fresh orphan" true
+    (Sys.file_exists fresh);
+  Alcotest.(check bool) "add leaves the stale orphan" true
+    (Sys.file_exists stale);
+  let h2 = S.open_store ~max_entries:1 dir in
+  Alcotest.(check bool) "open reclaims the stale orphan" false
+    (Sys.file_exists stale);
+  Alcotest.(check bool) "open keeps the fresh orphan" true
+    (Sys.file_exists fresh);
+  write_file stale "another dead writer";
+  Unix.utimes stale old old;
+  Unix.sleepf 0.02;
+  S.add h2 "k2" "v2";
+  Alcotest.(check int) "the commit evicted a record" 1 (S.evictions h2);
+  Alcotest.(check bool) "the eviction reclaims the stale orphan" false
+    (Sys.file_exists stale);
+  Alcotest.(check bool) "the eviction keeps the fresh orphan" true
+    (Sys.file_exists fresh);
+  rm_rf dir
+
 (* --- LRU eviction, disk tier --- *)
 
 let test_disk_lru_entries () =
@@ -767,6 +801,8 @@ let suite =
         test_orphan_tmp_is_invisible;
       Alcotest.test_case "open sweeps stale tempfiles" `Quick
         test_open_sweeps_stale_tmp;
+      Alcotest.test_case "add leaves tempfiles to open" `Quick
+        test_add_leaves_orphans_to_open;
       Alcotest.test_case "disk LRU by entries" `Quick test_disk_lru_entries;
       Alcotest.test_case "disk LRU by bytes" `Quick test_disk_lru_bytes;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
