@@ -365,9 +365,9 @@ let dynamic_cmd =
   in
   let ckpt_dir_arg =
     let doc =
-      "Checkpoint the run (robust only) into $(docv): the per-epoch \
-       decision log and executor snapshot are committed through the \
-       crash-safe store."
+      "Checkpoint the run (robust only) into $(docv): the executor's and \
+       the simulator's state at each checkpoint epoch are committed \
+       through the crash-safe store, and --resume continues from there."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR" ~doc)

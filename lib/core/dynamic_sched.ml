@@ -382,11 +382,10 @@ let observe fcs cts ~alive time =
 let predict fcs k =
   match fcs.(k) with None -> R.one | Some f -> Forecast.predict f
 
-let has_compute sub =
-  List.exists
-    (fun i ->
-      match P.weight sub i with Ext_rat.Inf -> false | Ext_rat.Fin _ -> true)
-    (P.nodes sub)
+let is_computing p v =
+  match P.weight p v with Ext_rat.Inf -> false | Ext_rat.Fin _ -> true
+
+let has_compute sub = List.exists (is_computing sub) (P.nodes sub)
 
 (* the simulator a run executes on, fed the normalised traces *)
 let simulator_of sc =
@@ -1006,9 +1005,6 @@ type ckpt_ctx = {
   ck_halt : int option; (* test hook: crash at this boundary *)
 }
 
-let is_computing p v =
-  match P.weight p v with Ext_rat.Inf -> false | Ext_rat.Fin _ -> true
-
 (* The executor's invariants over a decoded record, given this run's
    static plan: what a run leaves at the start of a boundary.  Every
    cancellation ends in exactly one of a retry, a loss, the backlog or
@@ -1224,12 +1220,10 @@ let robust ?cache ?stats ?ckpt ?from sc =
      forecast-lagged floors supplying less than the static queue was the
      one regime where a fault-free Robust run fell behind.  Physics
      still caps the executed work at the per-epoch LP bound: extra
-     submissions merely queue. *)
-  let static_transfers, static_master =
-    plan_exn ?cache ?stats p ~master:sc.master sc.phase
-  in
-  (* Static-floor supply owed on routes that were dead when the floor
-     would have submitted ([st.arrears]).  Static keeps queueing through
+     submissions merely queue.
+
+     Static-floor supply owed on routes that were dead when the floor
+     would have submitted is [st.arrears].  Static keeps queueing through
      an outage and its queued transfers flow the moment the link
      recovers, so flooring only the currently-alive routes loses exactly
      the recovery scenarios (patience beats re-planning there).  The
@@ -1239,6 +1233,9 @@ let robust ?cache ?stats ?ckpt ?from sc =
      the catch-up traffic crosses the one-port bottleneck in the same
      order Static's would, restoring [Robust >= Static] under churn with
      recovery. *)
+  let static_transfers, static_master =
+    plan_exn ?cache ?stats p ~master:sc.master sc.phase
+  in
   (* A live decision is a function of the multipliers alone (dead marks
      zero them): the surviving subplatform they scale, planned by the
      tree sweep or, off a tree, a cold LP solve.  So a live epoch whose

@@ -146,28 +146,25 @@ val plan_phase :
 (** {1 Crash recovery}
 
     A {!Robust} run given a [Checkpoint.config] persists, every
-    [every] epochs, an exact record of its progress — the per-epoch
-    decision log in original platform indices, then the encoding of the
-    executor state at the boundary (arrears, backlog, deficits, loss
-    counters, failure flags, work marks — all rational-exact) — as one
+    [every] epochs, its whole state at the start of that boundary — the
+    executor's counters, retry backlog, static-floor arrears and work
+    marks, its in-flight task files (operation id, attempts, remaining
+    path), and the simulator's {!Event_sim.snapshot} — as one
     checksummed, atomically committed {!Solve_store} record (format
-    [steady-ckpt 4]), overwritten at each checkpoint.  The record holds
-    executor state only: every LP solve is cold, a function of its
-    epoch's platform alone, so no solver state or LP memo is stored,
-    and the record does not depend on whether the run had a [?cache].
-    {!resume}
-    continues such a run after a crash {e bit-identically}: the
-    decision log is decoded and replayed through a fresh simulator
-    (pure deterministic event replay, no LP work), the rebuilt state
-    must encode to the stored bytes, byte for byte, and the remaining
-    epochs run live without an LP memo.  The state is never parsed.
-    Corruption in any form — truncation, bit flips, version skew
-    (older [steady-ckpt] records included: a [steady-ckpt 3] log was
-    planned on the LP kernel's vertex, and resuming it would mix two
-    planners), a state the replay does not reproduce — is quarantined
-    and degrades to a cold full run: recovery can cost time, never
-    answers.  A damaged log is caught before the replay, a damaged
-    state after it. *)
+    [steady-ckpt 5]), overwritten at each checkpoint.  Every LP solve is
+    cold, a function of its epoch's platform alone, so no solver state
+    or LP memo is stored, and the record does not depend on whether the
+    run had a [?cache].  {!resume} decodes the record, restores the
+    simulator and continues from that boundary {e bit-identically}: no
+    earlier boundary runs again.  What the record leaves out is a
+    function of the scenario and the epoch and is rebuilt without
+    simulating: the dead marks, the forecasters' observations, the
+    static floor.  A record that is truncated, corrupt, version-skewed
+    (older [steady-ckpt] records, whose decision log a resume replayed,
+    included) or breaks an invariant the executor or the simulator
+    keeps is quarantined and degrades to a cold full run.  A record
+    that passes every check is trusted; [~strict:true] is the
+    certificate. *)
 
 module Checkpoint : sig
   type config = {
@@ -223,17 +220,18 @@ val resume :
   checkpoint:Checkpoint.config ->
   scenario ->
   outcome * int option
-(** Continue a crashed checkpointed {!Robust} run.  Returns the outcome
-    and the epoch the run resumed from ([None]: no usable checkpoint
-    was found and the run started cold — which is also the recovery
-    path for a corrupt, version-skewed, wrong-platform or
-    state-mismatching record, after quarantining it).  The resumed
-    outcome is bit-identical to the uninterrupted run's, with or
-    without a [?cache] on that run (cache hits are bit-identical to
-    re-solves); with [~strict:true] that is certified on the spot
-    against an uninterrupted run (no checkpoint machinery).  The
-    resumed run, and that certifying run, have no LP memo, like a
-    {!run} without [?cache].
+(** Continue a crashed checkpointed {!Robust} run from its record's
+    boundary.  Returns the outcome and the epoch the run resumed from
+    ([None]: no usable checkpoint was found and the run started cold —
+    which is also the recovery path for a corrupt, version-skewed,
+    wrong-platform or inconsistent record, after quarantining it).  The
+    resumed outcome is bit-identical to the uninterrupted run's, with
+    or without a [?cache] on that run (cache hits are bit-identical to
+    re-solves), for every record a run wrote; a forged record that
+    passes the decoder's checks is trusted.  With [~strict:true] the
+    outcome is certified on the spot against an uninterrupted run (no
+    checkpoint machinery).  The resumed run, and that certifying run,
+    have no LP memo, like a {!run} without [?cache].
     @raise Failure if strict certification fails.
     @raise Invalid_argument on a cadence [< 1]. *)
 

@@ -801,14 +801,16 @@ let restore ?(cpu_traces = []) ?(bw_traces = []) p s ~callbacks ~timer =
         let i = n.n_node in
         check (i >= 0 && i < Platform.num_nodes p) "node off the platform";
         let st = node_state t i in
-        List.iter
-          (fun (r, q) ->
-            check
-              (R.sign q.busy_closed >= 0 && exact q.busy_since)
-              "busy time out of range";
-            r.busy <- q.busy_closed;
-            r.since <- q.busy_since)
-          [ (st.cpu, n.n_cpu); (st.send, n.n_send); (st.recv, n.n_recv) ];
+        let port r q =
+          check
+            (R.sign q.busy_closed >= 0 && exact q.busy_since)
+            "busy time out of range";
+          r.busy <- q.busy_closed;
+          r.since <- q.busy_since
+        in
+        port st.cpu n.n_cpu;
+        port st.send n.n_send;
+        port st.recv n.n_recv;
         check (R.sign n.n_work >= 0 && n.n_computed >= 0) "negative work";
         st.nlane.amount <- n.n_work;
         st.nlane.count <- n.n_computed)
@@ -879,7 +881,11 @@ let restore ?(cpu_traces = []) ?(bw_traces = []) p s ~callbacks ~timer =
     waiting t.first;
     (* the queue, in its order: each entry at or after the clock and
        where the engine would have put it *)
-    let queued_bp = Hashtbl.create 8 in
+    (* the breakpoints queued, as (lane, index) *)
+    let queued_bp = ref [] in
+    let is_queued lane j =
+      List.exists (fun (l, k) -> l == lane && k = j) !queued_bp
+    in
     let lane_of = function
       | Cpu_of i -> Option.map (fun s -> s.nlane) (Hashtbl.find_opt t.nodes i)
       | Bw_of e -> Hashtbl.find_opt t.edges e
@@ -915,8 +921,8 @@ let restore ?(cpu_traces = []) ?(bw_traces = []) p s ~callbacks ~timer =
               | Some _ | None -> bad "breakpoint off its trace"
             in
             check (R.equal time (fst lane.trace.(j))) "breakpoint at the wrong time";
-            check (not (Hashtbl.mem queued_bp (subject, j))) "breakpoint twice";
-            Hashtbl.replace queued_bp (subject, j) ();
+            check (not (is_queued lane j)) "breakpoint twice";
+            queued_bp := (lane, j) :: !queued_bp;
             Breakpoint (subject, lane, j)
           | Q_timer tag ->
             check (tag >= 0) "negative timer tag";
@@ -931,25 +937,22 @@ let restore ?(cpu_traces = []) ?(bw_traces = []) p s ~callbacks ~timer =
       s.s_events;
     (* every breakpoint after the clock is queued, and no running
        operation has crossed one since its progress was integrated *)
-    let lanes =
-      Hashtbl.fold (fun i s acc -> (Cpu_of i, s.nlane) :: acc) t.nodes []
-      @ Hashtbl.fold (fun e l acc -> (Bw_of e, l) :: acc) t.edges []
+    let traced lane =
+      let from =
+        match lane.runner with Some op -> op.last_update | None -> s.s_clock
+      in
+      Array.iteri
+        (fun j (tb, _) ->
+          let c = R.compare tb s.s_clock in
+          let queued = is_queued lane j in
+          check (c <= 0 || queued) "a breakpoint is missing";
+          check
+            (R.compare tb from <= 0 || queued)
+            "a running operation skipped a breakpoint")
+        lane.trace
     in
-    List.iter
-      (fun (subject, lane) ->
-        let from =
-          match lane.runner with Some op -> op.last_update | None -> s.s_clock
-        in
-        Array.iteri
-          (fun j (tb, _) ->
-            let c = R.compare tb s.s_clock in
-            let queued = Hashtbl.mem queued_bp (subject, j) in
-            check (c <= 0 || queued) "a breakpoint is missing";
-            check
-              (R.compare tb from <= 0 || queued)
-              "a running operation skipped a breakpoint")
-          lane.trace)
-      lanes;
+    Hashtbl.iter (fun _ ns -> traced ns.nlane) t.nodes;
+    Hashtbl.iter (fun _ l -> traced l) t.edges;
     Hashtbl.iter
       (fun _ op ->
         check
