@@ -343,16 +343,14 @@ let surviving_scaled sc ~node_mult ~edge_mult =
   let reachable =
     P.reachable_via p ~alive:(fun e -> not (dead_bw e)) sc.master
   in
-  let scaled =
-    scaled_platform sc
-      (fun i -> if dead_cpu i then R.one else node_mult i)
-      (fun e -> if dead_bw e then R.one else edge_mult e)
-  in
-  P.restrict scaled
+  P.restrict p
     ~keep_node:(fun i -> reachable.(i))
     ~keep_edge:(fun e -> not (dead_bw e))
     ~weights:(fun i ->
-      if dead_cpu i then Ext_rat.Inf else P.weight scaled i)
+      match P.weight p i with
+      | Ext_rat.Fin w when not (dead_cpu i) -> Ext_rat.Fin (R.div w (node_mult i))
+      | Ext_rat.Fin _ | Ext_rat.Inf -> Ext_rat.Inf)
+    ~costs:(fun e -> R.div (P.edge_cost p e) (edge_mult e))
 
 let surviving_platform sc ~at =
   validate_scenario ~allow_outages:true sc;

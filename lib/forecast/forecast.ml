@@ -11,10 +11,12 @@ let predictor_name = function
 type state = {
   spec : predictor;
   mutable error : R.t; (* cumulative absolute one-step error *)
-  mutable last : R.t option;
-  mutable sum : R.t;
-  mutable ewma : R.t option;
-  mutable window : R.t list; (* newest first, length <= w *)
+  mutable sum : R.t; (* [Mean]'s *)
+  mutable window : R.t list; (* [Sliding_median]'s, newest first, length <= w *)
+  mutable guess : R.t option;
+      (* what this predictor forecasts now, if it has data: computed once
+         per observation, read by the next one's scoring and by
+         [predict] *)
 }
 
 type t = { mutable count : int; states : state array }
@@ -36,8 +38,7 @@ let create ?(predictors = [ Last; Mean; Ewma (R.of_ints 1 4); Sliding_median 5 ]
       Array.of_list
         (List.map
            (fun spec ->
-             { spec; error = R.zero; last = None; sum = R.zero;
-               ewma = None; window = [] })
+             { spec; error = R.zero; sum = R.zero; window = []; guess = None })
            predictors);
   }
 
@@ -47,58 +48,44 @@ let median l =
   let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
   R.div_int (R.add a b) 2
 
-(* what this predictor would forecast right now, if it has data *)
-let forecast_of count st =
-  match st.spec with
-  | Last -> st.last
-  | Mean -> if count = 0 then None else Some (R.div_int st.sum count)
-  | Ewma _ -> st.ewma
-  | Sliding_median _ ->
-    if st.window = [] then None else Some (median st.window)
-
 let observe t x =
+  let count = t.count + 1 in
   Array.iter
     (fun st ->
       (* score first *)
-      (match forecast_of t.count st with
+      (match st.guess with
       | Some f -> st.error <- R.add st.error (R.abs (R.sub x f))
       | None -> ());
       (* then update *)
-      st.last <- Some x;
-      st.sum <- R.add st.sum x;
-      (match st.spec with
-      | Ewma a ->
-        st.ewma <-
-          Some
-            (match st.ewma with
+      st.guess <-
+        Some
+          (match st.spec with
+          | Last -> x
+          | Mean ->
+            st.sum <- R.add st.sum x;
+            R.div_int st.sum count
+          | Ewma a -> (
+            match st.guess with
             | None -> x
             | Some prev -> R.add prev (R.mul a (R.sub x prev)))
-      | Last | Mean | Sliding_median _ -> ());
-      match st.spec with
-      | Sliding_median w ->
-        let cut = List.filteri (fun i _ -> i < w - 1) st.window in
-        st.window <- x :: cut
-      | Last | Mean | Ewma _ -> ())
+          | Sliding_median w ->
+            st.window <- x :: List.filteri (fun i _ -> i < w - 1) st.window;
+            median st.window))
     t.states;
-  t.count <- t.count + 1
+  t.count <- count
 
+(* the first predictor with the lowest cumulative error *)
 let best_state t =
   if t.count = 0 then invalid_arg "Forecast: no observations yet";
-  Array.fold_left
-    (fun best st ->
-      match best with
-      | None -> Some st
-      | Some b -> if R.compare st.error b.error < 0 then Some st else best)
-    None t.states
-  |> Option.get
+  let best = ref t.states.(0) in
+  for k = 1 to Array.length t.states - 1 do
+    if R.compare t.states.(k).error !best.error < 0 then best := t.states.(k)
+  done;
+  !best
 
 let predict t =
   if t.count = 0 then R.one
-  else begin
-    match forecast_of t.count (best_state t) with
-    | Some f -> f
-    | None -> R.one
-  end
+  else match (best_state t).guess with Some f -> f | None -> R.one
 
 let best_predictor t = (best_state t).spec
 

@@ -390,7 +390,7 @@ type restriction = {
   sub_of_edge : int array;
 }
 
-let restrict ?weights:weight_of t ~keep_node ~keep_edge =
+let restrict ?weights:weight_of ?costs:cost_of t ~keep_node ~keep_edge =
   let n = num_nodes t and m = num_edges t in
   let node_of_sub = ref [] in
   let sub_of_node = Array.make n (-1) in
@@ -407,12 +407,13 @@ let restrict ?weights:weight_of t ~keep_node ~keep_edge =
   let sub_of_edge = Array.make m (-1) in
   let ecount = ref 0 in
   let sub_edges = ref [] in
+  let cost_of = match cost_of with Some f -> f | None -> fun e -> t.costs.(e) in
   for e = 0 to m - 1 do
     let i = t.srcs.(e) and j = t.dsts.(e) in
     if sub_of_node.(i) >= 0 && sub_of_node.(j) >= 0 && keep_edge e then begin
       sub_of_edge.(e) <- !ecount;
       edge_of_sub := e :: !edge_of_sub;
-      sub_edges := (sub_of_node.(i), sub_of_node.(j), t.costs.(e)) :: !sub_edges;
+      sub_edges := (sub_of_node.(i), sub_of_node.(j), cost_of e) :: !sub_edges;
       incr ecount
     end
   done;

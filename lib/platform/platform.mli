@@ -149,6 +149,7 @@ type restriction = {
 
 val restrict :
   ?weights:(node -> Ext_rat.t) ->
+  ?costs:(edge -> Rat.t) ->
   t ->
   keep_node:(node -> bool) ->
   keep_edge:(edge -> bool) ->
@@ -157,7 +158,9 @@ val restrict :
     (an edge survives iff both endpoints are kept and [keep_edge]
     holds).  [?weights] overrides node weights in the restriction —
     failure-aware planners use it to turn a compute-dead but reachable
-    node into a pure relay ([Ext_rat.Inf]). *)
+    node into a pure relay ([Ext_rat.Inf]) — and [?costs] the costs of
+    the kept edges, so a planner scales the restriction without
+    building the scaled whole platform first. *)
 
 (** {1 Printing} *)
 
