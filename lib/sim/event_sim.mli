@@ -187,10 +187,13 @@ val cancelled_ops : t -> cancelled list
 (** {1 Snapshots}
 
     A snapshot is the simulator's whole state as plain data, with no
-    closure in it: taken from inside a callback (or between runs), it
+    closure in it: taken between runs or from inside a timer, it
     restores into a simulator that continues exactly as the original
     would have — same completion times, same start order, same tie
     breaks — provided the client attaches the same callbacks again.
+    (Inside an [on_done] or [on_cancel] the operations the freed ports
+    unblock have not started yet: {!restore} refuses a snapshot that
+    holds one.)
 
     It holds the clock and the next operation id; every live operation
     (kind, the rational work left and when it was last integrated for a

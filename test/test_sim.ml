@@ -520,7 +520,22 @@ let test_restore_refuses_forged () =
       match Script.restore (ref []) forged with
       | Ok _ -> Alcotest.failf "%s: restored" what
       | Error m -> Alcotest.(check string) what what m)
-    cases
+    cases;
+  (* taken inside a completion, before the engine starts what it
+     unblocked: the transfer queued behind it could start *)
+  let s = S.create (duo ()) in
+  let taken = ref None in
+  S.submit s (S.Transfer (0, ri 1)) ~on_done:(fun s -> taken := Some (S.snapshot s));
+  S.submit s (S.Transfer (0, ri 1));
+  S.run s;
+  match
+    S.restore (duo ()) (Option.get !taken)
+      ~callbacks:(fun _ _ -> (None, None))
+      ~timer:(fun _ _ -> ())
+  with
+  | Ok _ -> Alcotest.fail "inside a completion: restored"
+  | Error m ->
+    Alcotest.(check string) "inside a completion" "a queued operation could start" m
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
