@@ -385,12 +385,13 @@ let is_computing p v =
 
 let has_compute sub = List.exists (is_computing sub) (P.nodes sub)
 
+(* a scenario's traces as the simulator takes them *)
+let normalized = List.map (fun (k, tr) -> (k, normalize_trace tr))
+
 (* the simulator a run executes on, fed the normalised traces *)
 let simulator_of sc =
-  Event_sim.create
-    ~cpu_traces:(List.map (fun (i, tr) -> (i, normalize_trace tr)) sc.cpu_traces)
-    ~bw_traces:(List.map (fun (e, tr) -> (e, normalize_trace tr)) sc.bw_traces)
-    sc.platform
+  Event_sim.create ~cpu_traces:(normalized sc.cpu_traces)
+    ~bw_traces:(normalized sc.bw_traces) sc.platform
 
 (* Submit each [(path, count)] entry's [count] unit task files
    round-robin across the entries: one file per path per round, in list
@@ -1442,7 +1443,6 @@ let robust ?cache ?stats ?ckpt ?from sc =
     end;
     step k sim
   in
-  let normalized = List.map (fun (k, tr) -> (k, normalize_trace tr)) in
   let sim =
     match from with
     | None ->
