@@ -230,7 +230,7 @@ let zero_solution mode p pairs =
   }
 
 let solve_tree mode p pairs td =
-  let reached v = td.Tree_decomp.reached.(v) in
+  let reached = Tree_decomp.reached td in
   if List.exists (fun (s, t) -> not (reached s && reached t)) pairs then
     zero_solution mode p pairs
   else begin
@@ -341,57 +341,3 @@ let solve_pairs mode p ~pairs =
   validate "Collective.solve_pairs" p pairs;
   solve_pairs_unchecked mode p pairs
 
-let check_invariants sol =
-  let p = sol.platform in
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let nk = Array.length sol.flows in
-  let result = ref (Ok ()) in
-  let set_err e = if !result = Ok () then result := e in
-  (* conservation and sinks *)
-  List.iteri
-    (fun k (source, target) ->
-      List.iter
-        (fun i ->
-          let b = Flow.balance p sol.flows.(k) i in
-          if i = source then begin
-            if R.sign b > 0 then set_err (err "source absorbs commodity %d" k)
-          end
-          else if i = target then begin
-            if not (R.equal b sol.throughput) then
-              set_err
-                (err "target %d receives %s, expected %s" k (R.to_string b)
-                   (R.to_string sol.throughput))
-          end
-          else if not (R.is_zero b) then
-            set_err (err "commodity %d unbalanced at %s" k (P.name p i)))
-        (P.nodes p))
-    sol.pairs;
-  (* mode law *)
-  List.iter
-    (fun e ->
-      let c = P.edge_cost p e in
-      let lhs = sol.send_frac.(e) in
-      let ok =
-        match sol.mode with
-        | Sum ->
-          R.equal lhs
-            (R.mul c (R.sum (List.init nk (fun k -> sol.flows.(k).(e)))))
-        | Max ->
-          List.for_all
-            (fun k -> R.Infix.(lhs >= R.mul c sol.flows.(k).(e)))
-            (List.init nk Fun.id)
-      in
-      if not ok then set_err (err "mode law broken on %s" (P.edge_name p e)))
-    (P.edges p);
-  (* ports *)
-  List.iter
-    (fun i ->
-      let load es =
-        R.sum (List.map (fun e -> sol.send_frac.(e)) es)
-      in
-      if R.Infix.(load (P.out_edges p i) > R.one) then
-        set_err (err "out-port overload at %s" (P.name p i));
-      if R.Infix.(load (P.in_edges p i) > R.one) then
-        set_err (err "in-port overload at %s" (P.name p i)))
-    (P.nodes p);
-  !result

@@ -107,8 +107,3 @@ val model_handles :
 
 val message_size : Rat.t
 (** Messages are unit-size: a message on edge [e] busies it for [c_e]. *)
-
-val check_invariants : solution -> (unit, string) result
-(** Independent audit: conservation per commodity, sink rates equal to
-    the throughput, port occupancies within 1, and mode law between
-    [flows] and [send_frac]. *)

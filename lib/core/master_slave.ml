@@ -172,87 +172,137 @@ let solve_ports fn ports p ~master =
    the row-and-column generation below, which starts from this form on
    a spanning tree. *)
 
+(* a growable array: [a] with [x] at [len], doubled when full *)
+let push_at a len x =
+  let a =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (2 * len) x in
+      Array.blit a 0 b 0 len;
+      b
+    end
+  in
+  a.(len) <- x;
+  a
+
 let solve_tree p ~master td =
   let { Tree_decomp.order; parent_edge; child_lo; child_hi; _ } = td in
   let n = P.num_nodes p in
   let cost u = P.edge_cost p parent_edge.(u) in
   let inner u = child_lo.(u) < child_hi.(u) in
-  let fast u = R.compare (R.mul (cost u) (P.speed p u)) R.one < 0 in
-  (* top-down: the nodes whose K some knapsack needs *)
-  let needs = Array.make n false in
-  needs.(master) <- true;
-  Array.iter
-    (fun v ->
-      if needs.(v) then
-        for k = child_lo.(v) to child_hi.(v) - 1 do
-          let u = order.(k) in
-          if inner u && fast u then needs.(u) <- true
-        done)
-    order;
-  (* bottom-up over those nodes: per node, K; per child, the share y of
-     its parent's port that the saturated plan gives its link *)
-  let kval = Array.make n R.zero in
-  let y = Array.make n R.zero in
-  (* child u's bound min(1, c * cap(u)) *)
-  let bound u =
-    let c = cost u and s = P.speed p u in
-    let cs = R.mul c s in
-    if R.compare cs R.one >= 0 then R.one
-    else if not (inner u) then cs
-    else R.min R.one (R.mul c (R.add s kval.(u)))
+  (* c * speed, the link's rate over the CPU's: c / w, or 0 for a relay *)
+  let ratio u =
+    match P.weight p u with Ext_rat.Inf -> R.zero | Ext_rat.Fin w -> R.div (cost u) w
   in
-  let knapsack v =
+  let fast u = R.compare (ratio u) R.one < 0 in
+  (* Top-down: the nodes whose K some knapsack needs, in BFS order, the
+     list read as a queue while it grows.  The children of the q-th
+     marked node hold consecutive slots from [first.(q)], where [sub] is
+     the child's own index in [marked], or -1 when it is not marked. *)
+  let marked = ref (Array.make 16 master) and nm = ref 1 in
+  let sub = ref (Array.make 16 0) and ns = ref 0 in
+  let q = ref 0 in
+  while !q < !nm do
+    let v = !marked.(!q) in
+    for k = child_lo.(v) to child_hi.(v) - 1 do
+      let u = order.(k) in
+      let s =
+        if inner u && fast u then begin
+          marked := push_at !marked !nm u;
+          incr nm;
+          !nm - 1
+        end
+        else -1
+      in
+      sub := push_at !sub !ns s;
+      incr ns
+    done;
+    incr q
+  done;
+  let marked = !marked and nm = !nm and sub = !sub and ns = !ns in
+  (* bottom-up over those nodes: per node, K; per child slot, the share
+     y of its parent's port that the saturated plan gives its link *)
+  let kval = Array.make nm R.zero and y = Array.make ns R.zero in
+  let first = Array.make nm 0 in
+  let knapsack q at =
+    let v = marked.(q) in
     let lo = child_lo.(v) and hi = child_hi.(v) in
-    let b = Array.init (hi - lo) (fun k -> bound order.(lo + k)) in
+    first.(q) <- at;
+    (* child u's bound min(1, c * cap(u)), in its slot for now *)
+    for k = 0 to hi - lo - 1 do
+      let u = order.(lo + k) and mu = sub.(at + k) in
+      y.(at + k) <-
+        (if mu >= 0 then R.min R.one (R.mul (cost u) (R.add (P.speed p u) kval.(mu)))
+         else
+           let cs = ratio u in
+           if R.compare cs R.one >= 0 then R.one else cs)
+    done;
     (* the first child whose bound is 1, if any, takes what the strictly
        cheaper ones leave of the port; they are filled cheapest first,
        ties to the later child *)
     let full = ref (-1) in
     for k = hi - lo - 1 downto 0 do
-      if R.equal b.(k) R.one then full := k
+      if R.equal y.(at + k) R.one then full := k
     done;
     let ck k = cost order.(lo + k) in
-    let cands =
-      List.init (hi - lo) Fun.id
-      |> List.filter (fun k -> !full < 0 || R.compare (ck k) (ck !full) < 0)
-      |> List.sort (fun a b ->
-             match R.compare (ck a) (ck b) with 0 -> compare b a | c -> c)
-    in
-    let rec fill left = function
-      | k :: rest when R.sign left > 0 ->
-        let yk = R.min b.(k) left in
-        y.(order.(lo + k)) <- yk;
-        fill (R.sub left yk) rest
-      | _ -> left
-    in
-    let left = fill R.one cands in
-    if !full >= 0 then y.(order.(lo + !full)) <- left;
+    let cand k = !full < 0 || R.compare (ck k) (ck !full) < 0 in
+    let count = ref 0 in
+    for k = 0 to hi - lo - 1 do
+      if cand k then incr count
+    done;
+    let cands = Array.make !count 0 in
+    count := 0;
+    for k = 0 to hi - lo - 1 do
+      if cand k then begin
+        cands.(!count) <- k;
+        incr count
+      end
+    done;
+    Array.sort
+      (fun a b -> match R.compare (ck a) (ck b) with 0 -> Int.compare b a | c -> c)
+      cands;
+    let left = ref R.one in
+    Array.iter
+      (fun k ->
+        let yk = if R.sign !left > 0 then R.min y.(at + k) !left else R.zero in
+        y.(at + k) <- yk;
+        left := R.sub !left yk)
+      cands;
+    for k = 0 to hi - lo - 1 do
+      if not (cand k) then y.(at + k) <- (if k = !full then !left else R.zero)
+    done;
     let kv = ref R.zero in
     for k = lo to hi - 1 do
-      let u = order.(k) in
-      if R.sign y.(u) > 0 then kv := R.add !kv (R.div y.(u) (cost u))
+      let yk = y.(at + k - lo) in
+      if R.sign yk > 0 then kv := R.add !kv (R.div yk (cost order.(k)))
     done;
-    kval.(v) <- !kv
+    kval.(q) <- !kv
   in
-  for i = Array.length order - 1 downto 0 do
-    if needs.(order.(i)) then knapsack order.(i)
+  let at = ref ns in
+  for q = nm - 1 downto 0 do
+    let v = marked.(q) in
+    at := !at - (child_hi.(v) - child_lo.(v));
+    knapsack q !at
   done;
   (* top-down: route the actual flow, scaling each saturated plan to
      the excess that really arrives *)
   let alpha = Array.make n R.zero in
   let m = P.num_edges p in
   let send = Array.make m R.zero and task_flow = Array.make m R.zero in
-  let spread v excess stack =
-    let factor = R.div excess kval.(v) in
+  let spread q excess stack =
+    let v = marked.(q) in
+    let lo = child_lo.(v) in
+    let factor = R.div excess kval.(q) in
     let stack = ref stack in
-    for k = child_lo.(v) to child_hi.(v) - 1 do
-      let u = order.(k) in
-      if R.sign y.(u) > 0 then begin
+    for k = lo to child_hi.(v) - 1 do
+      let slot = first.(q) + k - lo in
+      if R.sign y.(slot) > 0 then begin
+        let u = order.(k) in
         let e = parent_edge.(u) in
-        let s = R.mul factor y.(u) in
+        let s = R.mul factor y.(slot) in
         send.(e) <- s;
         task_flow.(e) <- R.div s (P.edge_cost p e);
-        stack := u :: !stack
+        stack := (u, sub.(slot)) :: !stack
       end
     done;
     !stack
@@ -260,18 +310,19 @@ let solve_tree p ~master td =
   let sm = P.speed p master in
   if R.sign sm > 0 then alpha.(master) <- R.one;
   let consumed = ref sm in
+  (* a node that receives more than it computes is marked *)
   let rec route = function
     | [] -> ()
-    | u :: rest ->
+    | (u, q) :: rest ->
       let f = task_flow.(parent_edge.(u)) and s = P.speed p u in
       let self = R.min f s in
       if R.sign s > 0 then alpha.(u) <- R.div self s;
       consumed := R.add !consumed self;
       let excess = R.sub f self in
-      route (if R.sign excess > 0 then spread u excess rest else rest)
+      route (if R.sign excess > 0 then spread q excess rest else rest)
   in
-  let kk = kval.(master) in
-  route (if R.sign kk > 0 then spread master kk [] else []);
+  let kk = kval.(0) in
+  route (if R.sign kk > 0 then spread 0 kk [] else []);
   let ntask = R.add sm kk in
   if not (R.equal !consumed ntask) then
     failwith "Master_slave.solve: consumption / ntask mismatch";
@@ -499,45 +550,3 @@ let simulate ?(periods = 8) sol =
     upper_bound = R.mul sol.ntask elapsed;
     expected = Schedule.completed_after sched periods;
   }
-
-let check_buffers sched ~master ~periods =
-  let p = sched.Schedule.platform in
-  let n = P.num_nodes p in
-  let buffers = Array.make n R.zero in
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  (* per-period volumes: receives count for the NEXT period's budget *)
-  let result = ref (Ok ()) in
-  for k = 0 to periods - 1 do
-    if !result = Ok () then begin
-      let received = Array.make n R.zero in
-      let spent = Array.make n R.zero in
-      List.iter
-        (fun s ->
-          List.iter
-            (fun tr ->
-              if tr.Schedule.delay <= k then begin
-                let src = P.edge_src p tr.Schedule.edge in
-                let dst = P.edge_dst p tr.Schedule.edge in
-                spent.(src) <- R.add spent.(src) tr.Schedule.items;
-                received.(dst) <- R.add received.(dst) tr.Schedule.items
-              end)
-            s.Schedule.transfers)
-        sched.Schedule.slots;
-      List.iter
-        (fun (i, work) ->
-          if sched.Schedule.delays.(i) <= k then
-            spent.(i) <- R.add spent.(i) work)
-        sched.Schedule.compute;
-      for i = 0 to n - 1 do
-        if i <> master && !result = Ok () then begin
-          if R.compare spent.(i) buffers.(i) > 0 then
-            result :=
-              err "period %d: %s spends %s but only holds %s" k (P.name p i)
-                (R.to_string spent.(i))
-                (R.to_string buffers.(i))
-          else buffers.(i) <- R.add (R.sub buffers.(i) spent.(i)) received.(i)
-        end
-      done
-    end
-  done;
-  !result

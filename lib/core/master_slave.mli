@@ -247,10 +247,3 @@ val simulate : ?periods:int -> solution -> run
     reconstruction ever violates the one-port model — and report
     measured versus analytic throughput. *)
 
-val check_buffers : Schedule.t -> master:Platform.node -> periods:int -> (unit, string) result
-(** Logical replay of the task buffers: period by period, every node's
-    sends and computations must be covered by task files received in
-    {e earlier} periods (the master draws from its initial stock).  The
-    pipeline delays attached by {!schedule} make this hold from the very
-    first active period — this check is the causality complement to the
-    simulator's resource-conflict check. *)

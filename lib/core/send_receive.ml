@@ -83,28 +83,3 @@ let greedy_reconstruct (sol : solution) =
       (if R.is_zero sol.ntask then R.one else R.div achieved sol.ntask);
   }
 
-let check_rounds p rounds =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec go k = function
-    | [] -> Ok ()
-    | r :: rest ->
-      if R.sign r.duration <= 0 then err "round %d: empty" k
-      else begin
-        let used = Array.make (P.num_nodes p) false in
-        let rec check = function
-          | [] -> go (k + 1) rest
-          | (e, items) :: more ->
-            let s = P.edge_src p e and d = P.edge_dst p e in
-            if used.(s) || used.(d) then err "round %d: node conflict" k
-            else if R.compare (R.mul items (P.edge_cost p e)) r.duration > 0
-            then err "round %d: transfer exceeds round" k
-            else begin
-              used.(s) <- true;
-              used.(d) <- true;
-              check more
-            end
-        in
-        check r.comms
-      end
-  in
-  go 0 rounds

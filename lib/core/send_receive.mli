@@ -40,4 +40,3 @@ val greedy_reconstruct : solution -> greedy_schedule
     rounds are verified to be independent sets; the bound/achieved gap
     quantifies what the model change costs (experiment E7). *)
 
-val check_rounds : Platform.t -> round list -> (unit, string) result

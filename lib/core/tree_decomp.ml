@@ -10,10 +10,16 @@ type t = {
   root : P.node;
   order : P.node array; (* BFS order over the reachable set, root first *)
   parent_edge : int array; (* tree edge parent->node; -1 at root/unreached *)
-  reached : bool array;
   child_lo : int array; (* children of v: order.(child_lo.(v) .. *)
   child_hi : int array; (*   child_hi.(v) - 1); empty when unreached *)
 }
+
+let reached t v = v = t.root || t.parent_edge.(v) >= 0
+
+(* the first [count] entries of the BFS queue, which is [order] itself
+   when every node is reached *)
+let reached_prefix order count =
+  if count = Array.length order then order else Array.sub order 0 count
 
 (* BFS from the root over out-edges, with [order] as its own queue.
    [Some t] when the reachable part is a tree: every edge leaving a
@@ -30,10 +36,8 @@ type t = {
 let detect p ~root =
   let n = P.num_nodes p in
   let parent_edge = Array.make n (-1) in
-  let reached = Array.make n false in
   let child_lo = Array.make n 0 and child_hi = Array.make n 0 in
   let order = Array.make n root in
-  reached.(root) <- true;
   let head = ref 0 and tail = ref 1 in
   (* out-edges k .. hi - 1 of a node whose parent is [up]: false on a
      cycle *)
@@ -42,8 +46,7 @@ let detect p ~root =
     ||
     let e = P.out_edge p k in
     let j = P.edge_dst p e in
-    if not reached.(j) then begin
-      reached.(j) <- true;
+    if j <> root && parent_edge.(j) < 0 then begin
       parent_edge.(j) <- e;
       order.(!tail) <- j;
       incr tail;
@@ -63,14 +66,7 @@ let detect p ~root =
   done;
   if !tree then
     Some
-      {
-        root;
-        order = Array.sub order 0 !tail;
-        parent_edge;
-        reached;
-        child_lo;
-        child_hi;
-      }
+      { root; order = reached_prefix order !tail; parent_edge; child_lo; child_hi }
   else None
 
 (* The same BFS over the tree edges alone: a node's children are the
@@ -78,9 +74,8 @@ let detect p ~root =
    order. *)
 let of_parents p ~root parent_edge =
   let n = P.num_nodes p in
-  let order = Array.make n root and reached = Array.make n false in
+  let order = Array.make n root in
   let child_lo = Array.make n 0 and child_hi = Array.make n 0 in
-  reached.(root) <- true;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let v = order.(!head) in
@@ -90,21 +85,13 @@ let of_parents p ~root parent_edge =
       let e = P.out_edge p k in
       let u = P.edge_dst p e in
       if parent_edge.(u) = e then begin
-        reached.(u) <- true;
         order.(!tail) <- u;
         incr tail
       end
     done;
     child_hi.(v) <- !tail
   done;
-  {
-    root;
-    order = Array.sub order 0 !tail;
-    parent_edge;
-    reached;
-    child_lo;
-    child_hi;
-  }
+  { root; order = reached_prefix order !tail; parent_edge; child_lo; child_hi }
 
 let parent p t v =
   let e = t.parent_edge.(v) in

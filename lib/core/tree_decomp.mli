@@ -18,7 +18,6 @@ type t = {
   parent_edge : int array;
       (** per node: the tree edge [parent -> node]; [-1] at the root
           and at unreached nodes *)
-  reached : bool array;
   child_lo : int array;
   child_hi : int array;
       (** per node [v]: its children are [order.(k)] for
@@ -27,6 +26,10 @@ type t = {
           [parent_edge.(u)].  An empty range at leaves and unreached
           nodes. *)
 }
+
+val reached : t -> Platform.node -> bool
+(** Whether the tree reaches the node: the root, or a node with a
+    parent edge. *)
 
 val detect : Platform.t -> root:Platform.node -> t option
 (** [Some t] when the subgraph reachable from [root] (over directed
@@ -45,7 +48,7 @@ val of_parents : Platform.t -> root:Platform.node -> int array -> t
     that [p]'s edges span: [parent_edge.(v)] is the edge [parent -> v]
     of each node the tree reaches from [root] ([-1] at the root and at
     the others), as {!Platform.shortest_path_tree} gives it.  Children
-    ranges, order and [reached] are those {!detect} would give on the
+    ranges, order and {!reached} are those {!detect} would give on the
     platform of the tree edges alone.  The array is taken over.
     {!Master_slave.solve} runs the closed form on the shortest-path
     tree this way to seed its generation off trees. *)

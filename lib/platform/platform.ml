@@ -19,14 +19,6 @@ type t = {
   slots : int array; (* the name table, see [lookup] *)
 }
 
-(* FNV-1a over s.[i .. e - 1], folded so that the low bits mix *)
-let hash_slice s i e =
-  let h = ref 0x0bf29ce484222325 in
-  for k = i to e - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s k)) * 0x100000001b3
-  done;
-  !h lxor (!h lsr 32)
-
 (* s.[i .. e - 1] spells [name] *)
 let slice_is s i e name =
   let l = String.length name in
@@ -38,116 +30,312 @@ let slice_is s i e name =
   done;
   !k = l
 
-(* The name table: open addressing over [slots], a power of two at
-   least twice the node count, each slot 0 or a node index + 1.  A
-   name is looked up where it stands, as a slice of any string, so a
-   parser resolves names without copying them. *)
-let rec probe slots names s i e k =
-  let v = slots.(k) in
-  if v = 0 then -1
-  else if slice_is s i e names.(v - 1) then v - 1
-  else probe slots names s i e ((k + 1) land (Array.length slots - 1))
+(* A name's key.  A name of at most 7 bytes is its own key: its length
+   with its bytes shifted in below, so keys of different names differ
+   and are below 2^59.  A longer name's key is its FNV-1a hash, cut to
+   59 bits, plus [long]: two long names may share a key, so their bytes
+   are compared when the keys agree. *)
+let long = 1 lsl 60
+
+let key s i e =
+  if e - i <= 7 then begin
+    let k = ref (e - i) in
+    for j = i to e - 1 do
+      k := (!k lsl 8) lor Char.code (String.unsafe_get s j)
+    done;
+    !k
+  end
+  else begin
+    let h = ref 0x0bf29ce484222325 in
+    for j = i to e - 1 do
+      h := (!h lxor Char.code (String.unsafe_get s j)) * 0x100000001b3
+    done;
+    (!h land (long - 1)) lor long
+  end
+
+(* where a key's probe starts in a table of [mask + 1] pairs: a
+   multiplicative hash, folded so that every byte reaches the low bits *)
+let spot key mask =
+  let h = key * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land mask
+
+(* A growable sequence.  Entries 0 .. length first - 1 live in
+   [first], which grows by doubling up to a page; the rest go to pages
+   of [page] entries, so growing never copies a large array and holds
+   at most a page more than its entries. *)
+let page = 1024
+
+type 'a vec = {
+  mutable first : 'a array;
+  mutable pages : 'a array array;
+  mutable cur : 'a array; (* [first] or the last page: where entries go *)
+  mutable at : int; (* the next entry's index in [cur] *)
+  mutable len : int;
+  fill : 'a;
+}
+
+let vec fill = { first = [||]; pages = [||]; cur = [||]; at = 0; len = 0; fill }
+
+(* a sequence that holds exactly [a], which it takes over *)
+let adopt a fill =
+  { first = a; pages = [||]; cur = a; at = Array.length a; len = Array.length a; fill }
+
+(* [push] once [cur] is full: a larger [first] while it is under a
+   page, otherwise a new page *)
+let push_slow v x =
+  let f = Array.length v.first in
+  if f < page then begin
+    let a = Array.make (min page (max 8 (2 * f))) v.fill in
+    Array.blit v.first 0 a 0 f;
+    v.first <- a;
+    v.cur <- a;
+    v.at <- f
+  end
+  else begin
+    let k = (v.len - f) / page in
+    if k = Array.length v.pages then begin
+      let d = Array.make (max 4 (2 * k)) [||] in
+      Array.blit v.pages 0 d 0 k;
+      v.pages <- d
+    end;
+    v.pages.(k) <- Array.make page v.fill;
+    v.cur <- v.pages.(k);
+    v.at <- 0
+  end;
+  v.cur.(v.at) <- x;
+  v.at <- v.at + 1;
+  v.len <- v.len + 1
+
+let push v x =
+  if v.at < Array.length v.cur then begin
+    v.cur.(v.at) <- x;
+    v.at <- v.at + 1;
+    v.len <- v.len + 1
+  end
+  else push_slow v x
+
+(* the entries as one array: [first] itself when it holds exactly
+   them, as an adopted one does; otherwise one gather, which fills a fresh array without the
+   write barrier a blit into it would take per entry *)
+let to_array v =
+  let f = Array.length v.first in
+  if v.len = f then v.first
+  else if v.len < f then Array.sub v.first 0 v.len
+  else begin
+    let full = (v.len - f) / page and rest = (v.len - f) mod page in
+    let pages = Array.to_list (Array.sub v.pages 0 full) in
+    Array.concat
+      ((v.first :: pages) @ if rest = 0 then [] else [ Array.sub v.pages.(full) 0 rest ])
+  end
+
+let set v i x =
+  let f = Array.length v.first in
+  if i < f then v.first.(i) <- x
+  else
+    let j = i - f in
+    v.pages.(j / page).(j mod page) <- x
+
+(* entry [i] of a string sequence, typed so that the name table's
+   probes read it without checking for a float array *)
+let get_name (v : string vec) i =
+  let f = Array.length v.first in
+  if i < f then v.first.(i)
+  else
+    let j = i - f in
+    v.pages.(j / page).(j mod page)
+
+(* The name table: open addressing over pairs [slots.(2k)] (a key, 0
+   when the pair is empty) and [slots.(2k + 1)] (the node), a power of
+   two of them, at least 4/3 of the names held.  A name is looked up
+   where it stands, as a slice of any string, so a parser resolves
+   names without copying them; a short name is found without reading
+   any name back, and the table grows without reading one.  [probe]
+   gives the first node named s.[i .. e - 1], or, when there is none,
+   -1 - the pair the search ended on. *)
+let rec probe slots names s i e key k =
+  let v = slots.(2 * k) in
+  if v = 0 then -1 - k
+  else if
+    v = key && (key < long || slice_is s i e (get_name names slots.((2 * k) + 1)))
+  then slots.((2 * k) + 1)
+  else probe slots names s i e key ((k + 1) land ((Array.length slots / 2) - 1))
 
 let lookup slots names s i e =
-  probe slots names s i e (hash_slice s i e land (Array.length slots - 1))
-
-(* enter node [i] under its name unless the name is already there *)
-let rec insert slots names i k =
-  let v = slots.(k) in
-  if v = 0 then begin
-    slots.(k) <- i + 1;
-    true
-  end
+  if Array.length slots = 0 then -1
   else
-    (not (String.equal names.(v - 1) names.(i)))
-    && insert slots names i ((k + 1) land (Array.length slots - 1))
+    let key = key s i e in
+    let v = probe slots names s i e key (spot key ((Array.length slots / 2) - 1)) in
+    if v < 0 then -1 else v
 
-(* Compressed adjacency of the first [count] edges by their [ends]
-   (sources or destinations): offsets [off] of length [p + 1] and the
-   edges [es], each node's range ascending.  A counting sort: [off]
-   counts, then serves as the fill cursor, then shifts back into the
-   range starts. *)
-let csr p count ends =
-  let off = Array.make (p + 1) 0 in
-  for k = 0 to count - 1 do
-    off.(ends.(k) + 1) <- off.(ends.(k) + 1) + 1
-  done;
+(* the table's length for [names] names: pairs, a power of two, at least
+   4/3 of them *)
+let table_size names =
+  let size = ref 8 in
+  while 3 * !size < 4 * names do size := 2 * !size done;
+  2 * !size
+
+type builder = {
+  bnames : string vec;
+  bweights : E.t vec;
+  bends : int vec; (* per edge: source above destination, see [pack] *)
+  bcosts : R.t vec;
+  mutable table : int array;
+  mutable entered : int; (* the nodes the table has seen, see [catch_up] *)
+  mutable bad_name : int; (* the first empty or repeated name, or -1 *)
+}
+
+let builder () =
+  {
+    bnames = vec "";
+    bweights = vec E.inf;
+    bends = vec 0;
+    bcosts = vec R.zero;
+    table = [||];
+    entered = 0;
+    bad_name = -1;
+  }
+
+(* [key] for node [i] at the first empty pair from its spot *)
+let place table key i =
+  let mask = (Array.length table / 2) - 1 in
+  let k = ref (spot key mask) in
+  while table.(2 * !k) <> 0 do k := (!k + 1) land mask done;
+  table.(2 * !k) <- key;
+  table.((2 * !k) + 1) <- i
+
+(* Enter the nodes added since the last call, in order, growing the
+   table first if they need room.  Names are entered only when a lookup
+   or [finish] needs them, so a text that declares its nodes first
+   builds its table once, at its size.  The table keeps the first node
+   of each name: an empty or repeated name is entered nowhere, and
+   only reported by [finish]. *)
+let catch_up b =
+  let n = b.bnames.len in
+  if b.entered < n then begin
+    let size = table_size n in
+    if size > Array.length b.table then begin
+      let old = b.table in
+      b.table <- Array.make size 0;
+      for k = 0 to (Array.length old / 2) - 1 do
+        if old.(2 * k) <> 0 then place b.table old.(2 * k) old.((2 * k) + 1)
+      done
+    end;
+    let table = b.table in
+    for i = b.entered to n - 1 do
+      let name = get_name b.bnames i in
+      let l = String.length name in
+      let fresh =
+        l > 0
+        &&
+        let key = key name 0 l in
+        let k =
+          probe table b.bnames name 0 l key
+            (spot key ((Array.length table / 2) - 1))
+        in
+        k < 0
+        && begin
+          table.(2 * (-1 - k)) <- key;
+          table.((2 * (-1 - k)) + 1) <- i;
+          true
+        end
+      in
+      if (not fresh) && b.bad_name < 0 then b.bad_name <- i
+    done;
+    b.entered <- n
+  end
+
+let find b s i e =
+  if b.entered < b.bnames.len then catch_up b;
+  lookup b.table b.bnames s i e
+
+let add_node b name w =
+  push b.bnames name;
+  push b.bweights w
+
+(* An edge's ends in one int: the source in the high 31 bits, the
+   destination in the low ones.  An end outside [0, 2^31 - 1) is kept as
+   2^31 - 1, which no node index reaches, so [finish] still reports it
+   out of range. *)
+let low31 = (1 lsl 31) - 1
+let clamp i = if i < 0 || i > low31 then low31 else i
+let pack i j = (clamp i lsl 31) lor clamp j
+
+let add_edge b i j c =
+  let k = b.bends.len in
+  push b.bends (pack i j);
+  push b.bcosts c;
+  k
+
+let set_ends b k i j =
+  if k < 0 || k >= b.bends.len then invalid_arg "Platform.set_ends: no such edge";
+  set b.bends k (pack i j)
+
+(* Compressed adjacency of the first [count] edges, by source and by
+   destination at once: [out_off] and [in_off], of length [p + 1], hold
+   at [i + 1] the number of those edges at node [i] and become the
+   offsets, and the edges go to [out_e] and [in_e], each node's range
+   ascending.  A counting sort: the offsets are summed, then serve as
+   fill cursors, then shift back into the range starts. *)
+let csr p count srcs dsts out_off in_off =
   for i = 1 to p do
-    off.(i) <- off.(i) + off.(i - 1)
+    out_off.(i) <- out_off.(i) + out_off.(i - 1);
+    in_off.(i) <- in_off.(i) + in_off.(i - 1)
   done;
-  let es = Array.make count 0 in
+  let out_e = Array.make count 0 and in_e = Array.make count 0 in
   for k = 0 to count - 1 do
-    let i = ends.(k) in
-    es.(off.(i)) <- k;
-    off.(i) <- off.(i) + 1
+    let i = srcs.(k) and j = dsts.(k) in
+    out_e.(out_off.(i)) <- k;
+    out_off.(i) <- out_off.(i) + 1;
+    in_e.(in_off.(j)) <- k;
+    in_off.(j) <- in_off.(j) + 1
   done;
   for i = p downto 1 do
-    off.(i) <- off.(i - 1)
+    out_off.(i) <- out_off.(i - 1);
+    in_off.(i) <- in_off.(i - 1)
   done;
-  off.(0) <- 0;
-  (off, es)
+  out_off.(0) <- 0;
+  in_off.(0) <- 0;
+  (out_e, in_e)
+
+(* Edge [k], from [i] to [j] at cost [c], while no edge before it
+   failed: counted in the degrees [out_off] and [in_off] (at the node's
+   index + 1), or recorded in [bad] as the first edge that fails on
+   range, self-loop or cost *)
+let scan_edge p out_off in_off bad k i j c =
+  if !bad < 0 then
+    if i >= 0 && i < p && j >= 0 && j < p && i <> j && R.sign c > 0 then begin
+      out_off.(i + 1) <- out_off.(i + 1) + 1;
+      in_off.(j + 1) <- in_off.(j + 1) + 1
+    end
+    else bad := k
 
 (* The checks [create] documents, in its order: names, weights, then
    the first failing edge in list order, where one edge fails on range,
    then self-loop, then cost, then on repeating an earlier edge.  The
-   name table (the first node of each name) is built before [edges]
-   resolves against it, and the first bad name is only reported
-   after. *)
-let build ~names ~weights ~edges =
-  let p = Array.length names in
-  if Array.length weights <> p then
-    invalid_arg "Platform.create: |names| <> |weights|";
-  let size = ref 8 in
-  while !size < 2 * p do size := 2 * !size done;
-  let slots = Array.make !size 0 in
-  let bad_name = ref (-1) in
-  Array.iteri
-    (fun i n ->
-      let l = String.length n in
-      if
-        (l = 0 || not (insert slots names i (hash_slice n 0 l land (!size - 1))))
-        && !bad_name < 0
-      then bad_name := i)
-    names;
-  let srcs, dsts, costs = edges (fun s i e -> lookup slots names s i e) in
-  let m = Array.length srcs in
-  if Array.length dsts <> m || Array.length costs <> m then
-    invalid_arg "Platform.create: edge arrays differ in length";
-  if !bad_name >= 0 then begin
-    let n = names.(!bad_name) in
+   edges come scanned: [bad] is [scan_edge]'s, and the degrees are
+   those of the edges before it. *)
+let index b ~srcs ~dsts ~costs ~out_off ~in_off ~bad =
+  catch_up b;
+  let names = to_array b.bnames and weights = to_array b.bweights in
+  let p = Array.length names and m = Array.length srcs in
+  if b.bad_name >= 0 then begin
+    let n = names.(b.bad_name) in
     if n = "" then invalid_arg "Platform.create: empty node name"
     else invalid_arg (Printf.sprintf "Platform.create: duplicate name %S" n)
   end;
-  Array.iteri
-    (fun i w ->
-      match w with
-      | E.Inf -> ()
-      | E.Fin r ->
-        if R.sign r <= 0 then
-          invalid_arg
-            (Printf.sprintf "Platform.create: node %s has weight <= 0"
-               names.(i)))
-    weights;
-  let edge_error k =
-    let i = srcs.(k) and j = dsts.(k) in
-    if i < 0 || i >= p || j < 0 || j >= p then
-      Some "Platform.create: edge endpoint out of range"
-    else if i = j then Some "Platform.create: self-loop"
-    else if R.sign costs.(k) <= 0 then
-      Some
-        (Printf.sprintf "Platform.create: edge %s->%s has cost <= 0" names.(i)
-           names.(j))
-    else None
-  in
-  let rec first_bad k =
-    if k = m then k
-    else match edge_error k with None -> first_bad (k + 1) | Some _ -> k
-  in
-  (* edges before [bad] are in range: index them, then find the first
-     edge that repeats an earlier one, one source at a time, with a
-     stamp per destination *)
-  let bad = first_bad 0 in
-  let out_off, out_e = csr p bad srcs and in_off, in_e = csr p bad dsts in
+  for i = 0 to p - 1 do
+    match weights.(i) with
+    | E.Inf -> ()
+    | E.Fin r ->
+      if R.sign r <= 0 then
+        invalid_arg
+          (Printf.sprintf "Platform.create: node %s has weight <= 0" names.(i))
+  done;
+  let bad = if !bad < 0 then m else !bad in
+  (* index the edges before [bad], then find the first edge that
+     repeats an earlier one, one source at a time, with a stamp per
+     destination *)
+  let out_e, in_e = csr p bad srcs dsts out_off in_off in
   let seen_from = Array.make p (-1) in
   let dup = ref bad in
   for i = 0 to p - 1 do
@@ -161,21 +349,82 @@ let build ~names ~weights ~edges =
     invalid_arg
       (Printf.sprintf "Platform.create: duplicate edge %s->%s"
          names.(srcs.(!dup)) names.(dsts.(!dup)));
-  Option.iter invalid_arg (if bad < m then edge_error bad else None);
-  { names; weights; srcs; dsts; costs; out_off; out_e; in_off; in_e; slots }
+  if bad < m then begin
+    let i = srcs.(bad) and j = dsts.(bad) in
+    if i < 0 || i >= p || j < 0 || j >= p then
+      invalid_arg "Platform.create: edge endpoint out of range"
+    else if i = j then invalid_arg "Platform.create: self-loop"
+    else
+      invalid_arg
+        (Printf.sprintf "Platform.create: edge %s->%s has cost <= 0" names.(i)
+           names.(j))
+  end;
+  {
+    names;
+    weights;
+    srcs;
+    dsts;
+    costs;
+    out_off;
+    out_e;
+    in_off;
+    in_e;
+    slots = b.table;
+  }
 
+(* the builder's edges unpacked and scanned page by page *)
+let finish b =
+  let ends = b.bends and p = b.bnames.len in
+  let m = ends.len in
+  let costs = to_array b.bcosts in
+  let srcs = Array.make m 0 and dsts = Array.make m 0 in
+  let out_off = Array.make (p + 1) 0 and in_off = Array.make (p + 1) 0 in
+  let bad = ref (-1) in
+  let unpack (a : int array) at =
+    for k = at to min (at + Array.length a) m - 1 do
+      let v = a.(k - at) in
+      let i = v lsr 31 and j = v land low31 in
+      srcs.(k) <- i;
+      dsts.(k) <- j;
+      scan_edge p out_off in_off bad k i j costs.(k)
+    done
+  in
+  unpack ends.first 0;
+  Array.iteri
+    (fun k pg -> unpack pg (Array.length ends.first + (k * page)))
+    ends.pages;
+  index b ~srcs ~dsts ~costs ~out_off ~in_off ~bad
+
+(* The builder over arrays it takes over, the edges scanned as they
+   are filled in *)
 let create ~names ~weights ~edges =
-  build ~names ~weights ~edges:(fun _ ->
-      let m = List.length edges in
-      let srcs = Array.make m 0 and dsts = Array.make m 0 in
-      let costs = Array.make m R.zero in
-      List.iteri
-        (fun k (i, j, c) ->
-          srcs.(k) <- i;
-          dsts.(k) <- j;
-          costs.(k) <- c)
-        edges;
-      (srcs, dsts, costs))
+  let p = Array.length names in
+  if Array.length weights <> p then
+    invalid_arg "Platform.create: |names| <> |weights|";
+  let m = List.length edges in
+  let srcs = Array.make m 0 and dsts = Array.make m 0 in
+  let costs = Array.make m R.zero in
+  let out_off = Array.make (p + 1) 0 and in_off = Array.make (p + 1) 0 in
+  let bad = ref (-1) in
+  List.iteri
+    (fun k (i, j, c) ->
+      srcs.(k) <- i;
+      dsts.(k) <- j;
+      costs.(k) <- c;
+      scan_edge p out_off in_off bad k i j c)
+    edges;
+  let b =
+    {
+      bnames = adopt names "";
+      bweights = adopt weights E.inf;
+      bends = vec 0;
+      bcosts = vec R.zero;
+      table = [||];
+      entered = 0;
+      bad_name = -1;
+    }
+  in
+  index b ~srcs ~dsts ~costs ~out_off ~in_off ~bad
 
 let num_nodes t = Array.length t.names
 let num_edges t = Array.length t.srcs
@@ -187,7 +436,7 @@ let speed t i =
   match t.weights.(i) with E.Inf -> R.zero | E.Fin w -> R.inv w
 
 let find_node t n =
-  let i = lookup t.slots t.names n 0 (String.length n) in
+  let i = lookup t.slots (adopt t.names "") n 0 (String.length n) in
   if i < 0 then raise Not_found else i
 
 let nodes t = List.init (num_nodes t) Fun.id
@@ -327,9 +576,18 @@ let shortest_path_tree t src =
   let _, via = dijkstra t [ src ] in
   Array.map (function Some e -> e | None -> -1) via
 
+(* every edge reversed stays valid, and each node's in-edges become its
+   out-edges: the arrays are shared, nothing is checked again *)
 let transpose t =
-  build ~names:(Array.copy t.names) ~weights:(Array.copy t.weights)
-    ~edges:(fun _ -> (Array.copy t.dsts, Array.copy t.srcs, Array.copy t.costs))
+  {
+    t with
+    srcs = t.dsts;
+    dsts = t.srcs;
+    out_off = t.in_off;
+    out_e = t.in_e;
+    in_off = t.out_off;
+    in_e = t.out_e;
+  }
 
 let reachable_via t ~alive start =
   let seen = Array.make (num_nodes t) false in

@@ -36,22 +36,46 @@ val create :
     then self-loop, then cost, then a repeat of an earlier edge.
     @raise Invalid_argument if any check fails. *)
 
-val build :
-  names:string array ->
-  weights:Ext_rat.t array ->
-  edges:
-    ((string -> int -> int -> node) -> int array * int array * Rat.t array) ->
-  t
-(** {!create} with the edges as three arrays [(srcs, dsts, costs)],
-    which the platform takes over.  [edges] gets the platform's name
-    table as a lookup of slices: [find s i e] is the first node named
-    [s.[i .. e - 1]], or [-1], found by hashing and comparing the
-    slice where it stands.  It runs before any check but the length
-    one, so an error it raises comes first; then the checks and
-    messages are {!create}'s, in the same order.  Parsers use it to
-    resolve names in their text without copying them.
-    @raise Invalid_argument if any check fails, or if the three arrays
-    differ in length. *)
+(** {1 Building incrementally}
+
+    {!create} and {!Platform_parse} share one builder: nodes and edges
+    are added one at a time, the names go into the platform's own name
+    table (each one keyed once, when a lookup first needs the table), and
+    {!finish} runs {!create}'s checks, with its messages and in its
+    order, and indexes the edges. *)
+
+type builder
+
+val builder : unit -> builder
+(** An empty builder.  It grows in pages, so what it allocates follows
+    what is added, and growing copies nothing large. *)
+
+val add_node : builder -> string -> Ext_rat.t -> unit
+(** Adds the next node.  The name table keeps the first node of each
+    name; an empty or repeated name is not entered, and {!finish}
+    reports the first one. *)
+
+val find : builder -> string -> int -> int -> node
+(** [find b s i e] is the first node added so far under the name
+    [s.[i .. e - 1]], or [-1], found by keying the slice where it
+    stands: a name of at most 7 bytes is its own key, a longer one is
+    hashed and compared.  Parsers use it to resolve names in their text
+    without copying them. *)
+
+val add_edge : builder -> node -> node -> Rat.t -> edge
+(** Adds the next edge and returns its index.  Nothing is checked until
+    {!finish}. *)
+
+val set_ends : builder -> edge -> node -> node -> unit
+(** [set_ends b k i j] makes the added edge [k] run from [i] to [j]:
+    a parser adds an edge whose endpoint is declared later in its text
+    with placeholder ends, and sets them once the name is known.
+    @raise Invalid_argument if no edge [k] was added. *)
+
+val finish : builder -> t
+(** The platform, which takes over the builder's arrays: do not use the
+    builder afterwards.
+    @raise Invalid_argument if a check of {!create} fails. *)
 
 (** {1 Size} *)
 

@@ -4,8 +4,6 @@ module E = Ext_rat
 let fail lineno msg =
   invalid_arg (Printf.sprintf "Platform_parse: line %d: %s" lineno msg)
 
-exception Undeclared of int * string
-
 (* per byte: '\000' inside a word, '\001' between words (space, tab,
    carriage return), '\002' where the line's words end ('\n', '#') *)
 let kind =
@@ -28,94 +26,24 @@ let slice_is text s e lit =
   done;
   !i = l
 
-(* the end of the word that starts at [s] *)
-let word_end text s =
-  let e = ref s in
-  while !e < String.length text && kind_at text !e = '\000' do incr e done;
-  !e
-
-(* the start of the word after the one that ends at [e] *)
-let next_word text e =
-  let s = ref e in
-  while kind_at text !s = '\001' do incr s done;
-  !s
-
-(* the line number of offset [s]: one plus the newlines before it *)
-let line_of text s =
-  let n = ref 1 in
-  for i = 0 to s - 1 do
-    if String.unsafe_get text i = '\n' then incr n
-  done;
-  !n
-
-(* the node named by the word at [s] to [e], looked up where it
-   stands *)
-let endpoint find text s e =
-  let i = find text s e in
-  if i < 0 then raise (Undeclared (line_of text s, String.sub text s (e - s)));
-  i
-
-(* A sequence that grows by chunks, each as long as the sequence
-   before it (8 at first), newest chunk first: growing copies nothing,
-   and the chunks hold less than twice the entries, plus 8. *)
-type 'a chunks = {
-  fill : 'a;
-  mutable full : 'a array list; (* newest first *)
-  mutable cur : 'a array;
-  mutable used : int; (* entries in [cur] *)
-  mutable count : int;
-}
-
-let chunks fill = { fill; full = []; cur = [||]; used = 0; count = 0 }
-
-let push c x =
-  if c.used = Array.length c.cur then begin
-    if c.count > 0 then c.full <- c.cur :: c.full;
-    c.cur <- Array.make (max 8 c.count) c.fill;
-    c.used <- 0
-  end;
-  c.cur.(c.used) <- x;
-  c.used <- c.used + 1;
-  c.count <- c.count + 1
-
-let to_array c =
-  let a = Array.make c.count c.fill in
-  let stop = ref (c.count - c.used) in
-  Array.blit c.cur 0 a !stop c.used;
-  List.iter
-    (fun ch ->
-      stop := !stop - Array.length ch;
-      Array.blit ch 0 a !stop (Array.length ch))
-    c.full;
-  a
-
-(* [f x y] on the entries of two sequences pushed in step, last
-   first *)
-let iter2_rev f a b =
-  let chunk ca cb used =
-    for k = used - 1 downto 0 do
-      f ca.(k) cb.(k)
-    done
-  in
-  chunk a.cur b.cur a.used;
-  List.iter2 (fun ca cb -> chunk ca cb (Array.length ca)) a.full b.full
-
 (* One pass over the text by index, each byte read once: a line's words
    are kept as offsets up to its first '#', so only node names are
-   copied out and numbers are read in place.  An edge line keeps one
-   int, where its source starts in the text and whether it is a link;
-   the rest of its names and its line number are found again from the
-   text when needed.  Once every node is declared, each endpoint is
-   resolved against the platform's own name table by hashing and
-   comparing its slice where it stands.  The declarations go to
-   [chunks], so what is allocated follows the declarations read, not
-   the byte count, and growing copies nothing. *)
+   copied out and numbers are read in place.  Nodes and edges go to one
+   [Platform.builder]: an edge line resolves its endpoints at once in
+   the platform's name table, keying their slices where they stand.  A
+   line that names a node declared later keeps its edges with
+   placeholder ends and is resolved after the scan against the whole
+   table, last line first, destination before source, so the
+   undeclared name reported is the one a pass over every line in that
+   order would meet first: a line resolved at its own line resolves the
+   same against the whole table, which keeps each name's first node. *)
 let of_string text =
   let len = String.length text in
-  let names = chunks "" and weights = chunks E.inf in
-  (* per edge line: the source's offset, doubled, plus one for a link *)
-  let eline = chunks 0 and ecost = chunks R.zero in
-  let nedges = ref 0 in
+  let b = Platform.builder () in
+  (* per line naming a node not yet declared, last line first: its
+     number, its first edge, whether it is a link, and where its source
+     and destination stand *)
+  let deferred = ref [] in
   (* the line's first words: word k is text.[starts.(k) .. stops.(k) - 1] *)
   let starts = Array.make 4 0 and stops = Array.make 4 0 in
   let word k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
@@ -152,51 +80,36 @@ let of_string text =
     | 0 -> ()
     | 3 when is 0 "node" ->
       let w = attr lineno 2 'w' E.of_substring in
-      push names (word 1);
-      push weights w
+      Platform.add_node b (word 1) w
     | 4 when is 0 "edge" || is 0 "link" ->
       let c = attr lineno 3 'c' R.of_substring in
       let link = is 0 "link" in
-      push eline ((2 * starts.(1)) + Bool.to_int link);
-      push ecost c;
-      nedges := !nedges + 1 + Bool.to_int link
+      let a = starts.(1) and a' = stops.(1) in
+      let d = starts.(2) and d' = stops.(2) in
+      let src = Platform.find b text a a' and dst = Platform.find b text d d' in
+      (* a link is both directions, forward first *)
+      let k = Platform.add_edge b src dst c in
+      if link then ignore (Platform.add_edge b dst src c);
+      if src < 0 || dst < 0 then
+        deferred := (lineno, k, link, a, a', d, d') :: !deferred
     | _ -> fail lineno (Printf.sprintf "unknown declaration %S" (word 0)));
     pos := !i + 1
   done;
-  (* last line first, destination before source: the first undeclared
-     name reported is always the same one.  A link is both directions. *)
-  let resolve find =
-    let m = !nedges in
-    let srcs = Array.make m 0 and dsts = Array.make m 0 in
-    let costs = Array.make m R.zero in
-    let e = ref m in
-    iter2_rev
-      (fun line c ->
-        let a = line / 2 in
-        let a' = word_end text a in
-        let b = next_word text a' in
-        let j = endpoint find text b (word_end text b) in
-        let i = endpoint find text a a' in
-        if line land 1 = 1 then begin
-          decr e;
-          srcs.(!e) <- j;
-          dsts.(!e) <- i;
-          costs.(!e) <- c
-        end;
-        decr e;
-        srcs.(!e) <- i;
-        dsts.(!e) <- j;
-        costs.(!e) <- c)
-      eline ecost;
-    (srcs, dsts, costs)
+  let endpoint lineno s e =
+    let v = Platform.find b text s e in
+    if v < 0 then
+      fail lineno (Printf.sprintf "undeclared node %S" (String.sub text s (e - s)));
+    v
   in
-  match
-    Platform.build ~names:(to_array names) ~weights:(to_array weights)
-      ~edges:resolve
-  with
+  List.iter
+    (fun (lineno, k, link, a, a', d, d') ->
+      let dst = endpoint lineno d d' in
+      let src = endpoint lineno a a' in
+      Platform.set_ends b k src dst;
+      if link then Platform.set_ends b (k + 1) dst src)
+    !deferred;
+  match Platform.finish b with
   | p -> p
-  | exception Undeclared (lineno, n) ->
-    fail lineno (Printf.sprintf "undeclared node %S" n)
   | exception Invalid_argument m -> invalid_arg ("Platform_parse: " ^ m)
 
 let of_file path =

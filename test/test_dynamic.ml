@@ -815,7 +815,7 @@ let brute_force p phase =
   let rec subtree v =
     List.fold_left (fun acc (_, u) -> acc + subtree u) x.(v) kids.(v)
   in
-  let reached = List.filter (fun v -> td.Tree_decomp.reached.(v)) (Platform.nodes p) in
+  let reached = List.filter (fun v -> Tree_decomp.reached td v) (Platform.nodes p) in
   let feasible () =
     List.for_all
       (fun v ->

@@ -28,7 +28,7 @@ let test_a2a_two_nodes () =
   let p = ring 2 R.one in
   let sol = All_to_all.solve p ~participants:[ 0; 1 ] in
   Alcotest.check rat "full rate both ways" (ri 1) sol.Collective.throughput;
-  match Collective.check_invariants sol with
+  match Oracles.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -38,7 +38,7 @@ let test_a2a_triangle_ring () =
   let p = ring 3 R.one in
   let sol = All_to_all.solve p ~participants:[ 0; 1; 2 ] in
   Alcotest.check rat "ring all-to-all" (r 1 2) sol.Collective.throughput;
-  match Collective.check_invariants sol with
+  match Oracles.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 

@@ -128,7 +128,7 @@ let test_buffers_causal () =
       let sol = MS.solve p ~master:0 in
       if not (R.is_zero sol.MS.ntask) then begin
         let sched = MS.schedule sol in
-        match MS.check_buffers sched ~master:0 ~periods:12 with
+        match Oracles.check_buffers sched ~master:0 ~periods:12 with
         | Ok () -> ()
         | Error e -> Alcotest.fail (label ^ ": " ^ e)
       end)
@@ -160,7 +160,7 @@ let test_buffers_detect_violation () =
           eager.Schedule.slots;
     }
   in
-  match MS.check_buffers eager ~master:0 ~periods:4 with
+  match Oracles.check_buffers eager ~master:0 ~periods:4 with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "missing delays should break causality"
 

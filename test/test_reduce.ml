@@ -58,7 +58,7 @@ let test_fig2_reduce () =
 let test_gather_invariants () =
   let p = Platform_gen.figure1 () in
   let sol = Reduce_op.gather_solution p ~sink:0 ~sources:[ 2; 4 ] in
-  match Collective.check_invariants sol with
+  match Oracles.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 

@@ -80,7 +80,7 @@ let check_tree_solve name p =
     sol.Master_slave.ntask;
   check_ms_solution name p sol;
   let sched = Master_slave.schedule sol in
-  (match Master_slave.check_buffers sched ~master:0 ~periods:8 with
+  (match Oracles.check_buffers sched ~master:0 ~periods:8 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ " buffers: " ^ e));
   let run = Master_slave.simulate ~periods:8 sol in
@@ -516,8 +516,9 @@ let test_shortest_path_decomp () =
         td.Tree_decomp.child_lo;
       Alcotest.check ints (name ^ " child_hi") d.Tree_decomp.child_hi
         td.Tree_decomp.child_hi;
-      Alcotest.(check (array bool)) (name ^ " reached") d.Tree_decomp.reached
-        td.Tree_decomp.reached;
+      Alcotest.(check (list bool)) (name ^ " reached")
+        (List.map (Tree_decomp.reached d) (P.nodes p))
+        (List.map (Tree_decomp.reached td) (P.nodes p));
       Alcotest.check ints (name ^ " parent edges")
         (Array.map
            (fun e -> if e < 0 then -1 else r.P.edge_of_sub.(e))
@@ -608,7 +609,7 @@ let check_collective_solution name mode p ~pairs (sol : Collective.solution) =
   (match Lp.check_solution m (Hashtbl.find tbl) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (name ^ " infeasible flow: " ^ e));
-  match Collective.check_invariants sol with
+  match Oracles.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ " invariant broken: " ^ e)
 
@@ -1058,8 +1059,9 @@ let test_sim_alloc () =
   Alcotest.(check (float 0.)) "the same words at n = 10^2 and 10^5" small large
 
 (* One solve-tree op, parse to simulation, on a 10^4-node random tree:
-   616 515 words when this bound was set (the parser, schedule and
-   simulator sized by the platform allocated 2 010 084). *)
+   516 160 words when this bound was set, about 1.25x under it (616 515
+   when the bound was 770 000; the parser, schedule and simulator sized
+   by the platform allocated 2 010 084). *)
 let test_op_alloc () =
   let text =
     Platform_parse.to_string (Platform_gen.random_tree ~seed:7 ~nodes:10_000 ())
@@ -1071,7 +1073,7 @@ let test_op_alloc () =
         let sched = Master_slave.schedule sol in
         (sched, Master_slave.simulate ~periods:6 sol))
   in
-  if words > 770_000. then
+  if words > 642_000. then
     Alcotest.failf "a 10^4-node solve-tree op allocated %.0f words" words
 
 let suite =

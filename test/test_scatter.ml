@@ -71,7 +71,7 @@ let test_relay_target () =
 let test_invariants_checked () =
   let p = Platform_gen.figure1 () in
   let sol = Scatter.solve p ~source:0 ~targets:[ 3; 5 ] in
-  (match C.check_invariants sol with
+  (match Oracles.check_invariants sol with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.check rat "figure1 scatter value" (r 1 2) sol.C.throughput
@@ -148,7 +148,7 @@ let prop_invariants =
     arb_spec (fun spec ->
       let p, targets = random_spec spec in
       let sol = Scatter.solve p ~source:0 ~targets in
-      match C.check_invariants sol with
+      match Oracles.check_invariants sol with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_report e)
 

@@ -52,7 +52,7 @@ let test_greedy_rounds_valid () =
       let p = Platform_gen.random_graph ~seed ~nodes:7 ~extra_edges:4 () in
       let sol = SR.solve p ~master:0 in
       let g = SR.greedy_reconstruct sol in
-      (match SR.check_rounds p g.SR.rounds with
+      (match Oracles.check_rounds p g.SR.rounds with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
       (* all communications fully scheduled: round volumes match the
@@ -109,7 +109,7 @@ let test_adversarial_family () =
             (r 1 2) busy)
         (Platform.edges p);
       let g = SR.greedy_reconstruct sol in
-      (match SR.check_rounds p g.SR.rounds with
+      (match Oracles.check_rounds p g.SR.rounds with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
       Alcotest.check rat
