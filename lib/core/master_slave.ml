@@ -190,11 +190,17 @@ let solve_tree p ~master td =
   let n = P.num_nodes p in
   let cost u = P.edge_cost p parent_edge.(u) in
   let inner u = child_lo.(u) < child_hi.(u) in
-  (* c * speed, the link's rate over the CPU's: c / w, or 0 for a relay *)
-  let ratio u =
-    match P.weight p u with Ext_rat.Inf -> R.zero | Ext_rat.Fin w -> R.div (cost u) w
+  (* c / w < 1 (c * speed < 1, always for a relay), compared without
+     dividing *)
+  let fast u =
+    match P.weight p u with Ext_rat.Inf -> true | Ext_rat.Fin w -> R.compare (cost u) w < 0
   in
-  let fast u = R.compare (ratio u) R.one < 0 in
+  (* min(1, c / w), the bound of a child with no knapsack of its own *)
+  let own_bound u =
+    match P.weight p u with
+    | Ext_rat.Inf -> R.zero
+    | Ext_rat.Fin w -> if R.compare (cost u) w < 0 then R.div (cost u) w else R.one
+  in
   (* Top-down: the nodes whose K some knapsack needs, in BFS order, the
      list read as a queue while it grows.  The children of the q-th
      marked node hold consecutive slots from [first.(q)], where [sub] is
@@ -233,9 +239,7 @@ let solve_tree p ~master td =
       let u = order.(lo + k) and mu = sub.(at + k) in
       y.(at + k) <-
         (if mu >= 0 then R.min R.one (R.mul (cost u) (R.add (P.speed p u) kval.(mu)))
-         else
-           let cs = ratio u in
-           if R.compare cs R.one >= 0 then R.one else cs)
+         else own_bound u)
     done;
     (* the first child whose bound is 1, if any, takes what the strictly
        cheaper ones leave of the port; they are filled cheapest first,

@@ -30,34 +30,41 @@ let slice_is s i e name =
   done;
   !k = l
 
-(* A name's key.  A name of at most 7 bytes is its own key: its length
-   with its bytes shifted in below, so keys of different names differ
-   and are below 2^59.  A longer name's key is its FNV-1a hash, cut to
-   59 bits, plus [long]: two long names may share a key, so their bytes
-   are compared when the keys agree. *)
+(* A name's key.  A name of at most 7 bytes is its own key: its bytes,
+   the first lowest, with its length above them from bit 56, so keys of
+   different names differ and are below 2^59; the bytes are one 8-byte
+   load where the string has 8 bytes from the name on.  A longer name's
+   key is its FNV-1a hash, cut to 59 bits, plus [long]: two long names
+   may share a key, so their bytes are compared when the keys agree. *)
 let long = 1 lsl 60
 
 let key s i e =
-  if e - i <= 7 then begin
-    let k = ref (e - i) in
-    for j = i to e - 1 do
-      k := (!k lsl 8) lor Char.code (String.unsafe_get s j)
-    done;
-    !k
-  end
-  else begin
+  let l = e - i in
+  if l > 7 then begin
     let h = ref 0x0bf29ce484222325 in
     for j = i to e - 1 do
       h := (!h lxor Char.code (String.unsafe_get s j)) * 0x100000001b3
     done;
     (!h land (long - 1)) lor long
   end
+  else if i + 8 <= String.length s then
+    (l lsl 56) lor (Int64.to_int (String.get_int64_le s i) land ((1 lsl (8 * l)) - 1))
+  else begin
+    let k = ref 0 in
+    for j = e - 1 downto i do
+      k := (!k lsl 8) lor Char.code (String.unsafe_get s j)
+    done;
+    (l lsl 56) lor !k
+  end
 
 (* where a key's probe starts in a table of [mask + 1] pairs: a
-   multiplicative hash, folded so that every byte reaches the low bits *)
+   multiplicative hash, its high bits folded down twice so that every
+   byte of the key reaches the low bits (names that differ only in
+   their last byte, which sits high in a short key, included) *)
 let spot key mask =
   let h = key * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land mask
+  let h = h lxor (h lsr 32) in
+  (h lxor (h lsr 17)) land mask
 
 (* A growable sequence.  Entries 0 .. length first - 1 live in
    [first], which grows by doubling up to a page; the rest go to pages
@@ -115,9 +122,10 @@ let push v x =
   else push_slow v x
 
 (* the entries as one array: [first] itself when it holds exactly
-   them, as an adopted one does; otherwise one gather, which fills a fresh array without the
-   write barrier a blit into it would take per entry *)
-let to_array v =
+   them, as an adopted one does; otherwise one gather, which fills a
+   fresh array without the write barrier a blit into it would take per
+   entry *)
+let contents v =
   let f = Array.length v.first in
   if v.len = f then v.first
   else if v.len < f then Array.sub v.first 0 v.len
@@ -316,7 +324,7 @@ let scan_edge p out_off in_off bad k i j c =
    those of the edges before it. *)
 let index b ~srcs ~dsts ~costs ~out_off ~in_off ~bad =
   catch_up b;
-  let names = to_array b.bnames and weights = to_array b.bweights in
+  let names = contents b.bnames and weights = contents b.bweights in
   let p = Array.length names and m = Array.length srcs in
   if b.bad_name >= 0 then begin
     let n = names.(b.bad_name) in
@@ -376,7 +384,7 @@ let index b ~srcs ~dsts ~costs ~out_off ~in_off ~bad =
 let finish b =
   let ends = b.bends and p = b.bnames.len in
   let m = ends.len in
-  let costs = to_array b.bcosts in
+  let costs = contents b.bcosts in
   let srcs = Array.make m 0 and dsts = Array.make m 0 in
   let out_off = Array.make (p + 1) 0 and in_off = Array.make (p + 1) 0 in
   let bad = ref (-1) in

@@ -15,6 +15,33 @@ let kind =
 
 let kind_at text i = String.unsafe_get kind (Char.code (String.unsafe_get text i))
 
+(* The end of the word whose bytes run on from [j]: the first byte from
+   [j] of kind other than '\000'.  Every such byte is below '$', so
+   eight bytes are read at a time and the first one below '$' is found
+   in the load, its bytes less '$' at once (the lowest byte that
+   borrows is exact); a byte below '$' inside a word, such as '!',
+   resumes the search after it. *)
+let rec word_end text len j =
+  if j + 8 > len then begin
+    let j = ref j in
+    while !j < len && kind_at text !j = '\000' do incr j done;
+    !j
+  end
+  else
+    let v = String.get_int64_le text j in
+    let below =
+      Int64.(logand (logand (sub v 0x2424242424242424L) (lognot v)) 0x8080808080808080L)
+    in
+    if Int64.equal below 0L then word_end text len (j + 8)
+    else
+      (* the lowest flagged bit is bit 8k + 7; moving 1 lsl 8k to the
+         top byte of 0x0706050403020100 leaves 7 - k there *)
+      let low = Int64.(shift_right_logical (logand below (neg below)) 7) in
+      let j =
+        j + 7 - Int64.(to_int (shift_right_logical (mul low 0x0706050403020100L) 56))
+      in
+      if kind_at text j = '\000' then word_end text len (j + 1) else j
+
 (* text.[s .. e - 1] spells [lit] *)
 let slice_is text s e lit =
   let l = String.length lit in
@@ -64,14 +91,13 @@ let of_string text =
     while !i < len && kind_at text !i <> '\002' do
       if kind_at text !i = '\001' then incr i
       else begin
-        let j = ref (!i + 1) in
-        while !j < len && kind_at text !j = '\000' do incr j done;
+        let j = word_end text len (!i + 1) in
         if !nwords < 4 then begin
           starts.(!nwords) <- !i;
-          stops.(!nwords) <- !j
+          stops.(!nwords) <- j
         end;
         incr nwords;
-        i := !j
+        i := j
       end
     done;
     (* the comment, if any *)
