@@ -21,7 +21,7 @@ let kind_at text i = String.unsafe_get kind (Char.code (String.unsafe_get text i
    in the load, its bytes less '$' at once (the lowest byte that
    borrows is exact); a byte below '$' inside a word, such as '!',
    resumes the search after it. *)
-let rec word_end text len j =
+let rec word_stop text len j =
   if j + 8 > len then begin
     let j = ref j in
     while !j < len && kind_at text !j = '\000' do incr j done;
@@ -32,7 +32,7 @@ let rec word_end text len j =
     let below =
       Int64.(logand (logand (sub v 0x2424242424242424L) (lognot v)) 0x8080808080808080L)
     in
-    if Int64.equal below 0L then word_end text len (j + 8)
+    if Int64.equal below 0L then word_stop text len (j + 8)
     else
       (* the lowest flagged bit is bit 8k + 7; moving 1 lsl 8k to the
          top byte of 0x0706050403020100 leaves 7 - k there *)
@@ -40,7 +40,7 @@ let rec word_end text len j =
       let j =
         j + 7 - Int64.(to_int (shift_right_logical (mul low 0x0706050403020100L) 56))
       in
-      if kind_at text j = '\000' then word_end text len (j + 1) else j
+      if kind_at text j = '\000' then word_stop text len (j + 1) else j
 
 (* text.[s .. e - 1] spells [lit] *)
 let slice_is text s e lit =
@@ -91,7 +91,7 @@ let of_string text =
     while !i < len && kind_at text !i <> '\002' do
       if kind_at text !i = '\001' then incr i
       else begin
-        let j = word_end text len (!i + 1) in
+        let j = word_stop text len (!i + 1) in
         if !nwords < 4 then begin
           starts.(!nwords) <- !i;
           stops.(!nwords) <- j
