@@ -1059,9 +1059,9 @@ let test_sim_alloc () =
   Alcotest.(check (float 0.)) "the same words at n = 10^2 and 10^5" small large
 
 (* One solve-tree op, parse to simulation, on a 10^4-node random tree:
-   505 859 words when this bound was set, about 1.25x under it (616 515
-   when the bound was 770 000; the parser, schedule and simulator sized
-   by the platform allocated 2 010 084). *)
+   505 859 words when this bound was set, about 1.25x under it (the
+   parser, schedule and simulator sized by the platform allocated
+   2 010 084). *)
 let test_op_alloc () =
   let text =
     Platform_parse.to_string (Platform_gen.random_tree ~seed:7 ~nodes:10_000 ())
