@@ -27,74 +27,112 @@ type rows = { conserve : int array; outport : int array; inport : int array;
 (* The LP on the kept nodes: their activity variables, the send
    variables of the edges between them, and their rows, under the names
    and in the relative order of the whole model's, with the rows'
-   positions. *)
+   positions.  One pass over each node's CSR ranges builds its rows,
+   each in column order (the alphas come first, then the sends by
+   edge), with each kept edge's inverse cost computed once. *)
 let ports_lp_on fn ports p ~master keep =
   check_master fn p master;
   let m = Lp.create () in
-  let none k = Array.make k (-1) and n = P.num_nodes p in
+  let n = P.num_nodes p and ne = P.num_edges p in
+  let none k = Array.make k (-1) in
   let rows = { conserve = none n; outport = none n; inport = none n;
-               nomaster = none (P.num_edges p) } in
+               nomaster = none ne } in
   let row pos k ~name expr rel rhs =
     pos.(k) <- Lp.num_constraints m;
     Lp.add_constraint ~name m expr rel rhs
   in
   let unit_iv = Some R.one in
-  let kept_edge e = keep (P.edge_src p e) && keep (P.edge_dst p e) in
+  let kept = Array.init n keep in
+  let speed = Array.init n (fun i -> if kept.(i) then P.speed p i else R.zero) in
   let alpha_v =
-    Array.init (P.num_nodes p) (fun i ->
-        if keep i then
+    Array.init n (fun i ->
+        if kept.(i) then
           Some (Lp.add_var ~ub:unit_iv m ("alpha_" ^ P.name p i))
         else None)
   in
+  let edge_name prefix e =
+    String.concat "" [ prefix; P.name p (P.edge_src p e); "->";
+                       P.name p (P.edge_dst p e) ]
+  in
   let s_v =
-    Array.init (P.num_edges p) (fun e ->
-        if kept_edge e then
-          Some (Lp.add_var ~ub:unit_iv m ("s_" ^ P.edge_name p e))
+    Array.init ne (fun e ->
+        if kept.(P.edge_src p e) && kept.(P.edge_dst p e) then
+          Some (Lp.add_var ~ub:unit_iv m (edge_name "s_" e))
         else None)
   in
-  let s e = Option.get s_v.(e) and alpha i = Option.get alpha_v.(i) in
-  let nodes = List.filter keep (P.nodes p) in
-  let outs i = List.filter kept_edge (P.out_edges p i)
-  and ins i = List.filter kept_edge (P.in_edges p i) in
-  (* port constraints: the only rows the models of the family differ in *)
-  let port pos i name es budget =
-    if es <> [] then
-      row pos i ~name (Lp.sum (List.map (fun e -> Lp.var (s e)) es)) Lp.Le
-        budget
+  let inv_c =
+    Array.init ne (fun e ->
+        if Option.is_none s_v.(e) then R.zero else R.inv (P.edge_cost p e))
   in
-  List.iter
-    (fun i ->
-      let outs = outs i and ins = ins i in
+  (* a unit term on the send variable of each kept edge of the CSR
+     range [lo, hi), consed in front of [acc] in range order *)
+  let sends edge lo hi acc =
+    let acc = ref acc in
+    for k = hi - 1 downto lo do
+      match s_v.(edge k) with Some v -> acc := (R.one, v) :: !acc | None -> ()
+    done;
+    !acc
+  in
+  let outs i tail = sends (P.out_edge p) (P.out_lo p i) (P.out_hi p i) tail
+  and ins i tail = sends (P.in_edge p) (P.in_lo p i) (P.in_hi p i) tail in
+  (* port constraints: the only rows the models of the family differ in *)
+  let port pos i name terms budget =
+    if terms <> [] then row pos i ~name (Lp.of_terms terms) Lp.Le budget
+  in
+  for i = 0 to n - 1 do
+    if kept.(i) then
       match ports with
       | Duplex (send, recv) ->
-        port rows.outport i ("outport_" ^ P.name p i) outs (send i);
-        port rows.inport i ("inport_" ^ P.name p i) ins (recv i)
+        port rows.outport i ("outport_" ^ P.name p i) (outs i []) (send i);
+        port rows.inport i ("inport_" ^ P.name p i) (ins i []) (recv i)
       | Half_duplex ->
-        port rows.outport i ("port_" ^ P.name p i) (outs @ ins) R.one)
-    nodes;
+        port rows.outport i ("port_" ^ P.name p i) (outs i (ins i [])) R.one
+  done;
   (* the master receives nothing *)
-  List.iter
-    (fun e ->
-      row rows.nomaster e
-        ~name:("nomaster_" ^ P.edge_name p e)
-        (Lp.var (s e)) Lp.Eq R.zero)
-    (ins master);
+  for k = P.in_lo p master to P.in_hi p master - 1 do
+    let e = P.in_edge p k in
+    match s_v.(e) with
+    | Some v ->
+      row rows.nomaster e ~name:(edge_name "nomaster_" e) (Lp.var v) Lp.Eq
+        R.zero
+    | None -> ()
+  done;
   (* conservation at every non-master node:
-     sum_in s/c = alpha * speed + sum_out s/c *)
-  let flow sign e = Lp.term (sign (R.inv (P.edge_cost p e))) (s e) in
-  List.iter
-    (fun i ->
-      if i <> master then
-        row rows.conserve i
-          ~name:("conserve_" ^ P.name p i)
-          (Lp.sum
-             ((Lp.term (R.neg (P.speed p i)) (alpha i)
-              :: List.map (flow Fun.id) (ins i))
-             @ List.map (flow R.neg) (outs i)))
-          Lp.Eq R.zero)
-    nodes;
-  Lp.set_objective m Lp.Maximize
-    (Lp.sum (List.map (fun i -> Lp.term (P.speed p i) (alpha i)) nodes));
+     sum_in s/c = alpha * speed + sum_out s/c, the two edge ranges merged
+     into edge order *)
+  for i = 0 to n - 1 do
+    if kept.(i) && i <> master then begin
+      let terms = ref [] in
+      let a = ref (P.in_hi p i - 1) and b = ref (P.out_hi p i - 1) in
+      let lo_in = P.in_lo p i and lo_out = P.out_lo p i in
+      while !a >= lo_in || !b >= lo_out do
+        let ein = if !a >= lo_in then P.in_edge p !a else -1
+        and eout = if !b >= lo_out then P.out_edge p !b else -1 in
+        let e, c =
+          if ein > eout then begin
+            decr a;
+            (ein, inv_c.(ein))
+          end
+          else begin
+            decr b;
+            (eout, R.neg inv_c.(eout))
+          end
+        in
+        match s_v.(e) with Some v -> terms := (c, v) :: !terms | None -> ()
+      done;
+      row rows.conserve i
+        ~name:("conserve_" ^ P.name p i)
+        (Lp.of_terms ((R.neg speed.(i), Option.get alpha_v.(i)) :: !terms))
+        Lp.Eq R.zero
+    end
+  done;
+  let objective = ref [] in
+  for i = n - 1 downto 0 do
+    match alpha_v.(i) with
+    | Some a -> objective := (speed.(i), a) :: !objective
+    | None -> ()
+  done;
+  Lp.set_objective m Lp.Maximize (Lp.of_terms !objective);
   (m, alpha_v, s_v, rows)
 
 let ports_lp fn ports p ~master =
@@ -411,23 +449,22 @@ let priced p ~master keep rows (sol : Lp.solution) =
       (* the master has no conservation row: a task there is worth 0 *)
       let t = R.neg (y rows.conserve.(u)) in
       let gain = R.sub R.one t and out_price = y rows.outport.(u) in
-      List.iter
-        (fun e ->
-          let v = P.edge_dst p e in
-          if (not keep.(v))
-             && R.compare gain (R.mul (P.edge_cost p e) out_price) > 0
-          then grow.(v) <- true)
-        (P.out_edges p u);
+      for k = P.out_lo p u to P.out_hi p u - 1 do
+        let e = P.out_edge p k in
+        let v = P.edge_dst p e in
+        if (not keep.(v))
+           && R.compare gain (R.mul (P.edge_cost p e) out_price) > 0
+        then grow.(v) <- true
+      done;
       if u <> master then begin
         let in_price = y rows.inport.(u) in
-        List.iter
-          (fun e ->
-            let v = P.edge_src p e in
-            if (not keep.(v))
-               && R.compare (R.sub t (R.mul (P.edge_cost p e) in_price)) R.one
-                  > 0
-            then grow.(v) <- true)
-          (P.in_edges p u)
+        for k = P.in_lo p u to P.in_hi p u - 1 do
+          let e = P.in_edge p k in
+          let v = P.edge_src p e in
+          if (not keep.(v))
+             && R.compare (R.sub t (R.mul (P.edge_cost p e) in_price)) R.one > 0
+          then grow.(v) <- true
+        done
       end
     end
   done;

@@ -7,36 +7,66 @@
    - finite upper bound u:  extra row  x <= u, unless a model row
      already implies it (see [implied_bounds]);
    - Le / Ge rows get a slack / surplus column, Eq rows none;
-   phase-1 artificials are Simplex's business. *)
+   phase-1 artificials are Simplex's business.
+
+   An expression is kept as it was built, a tree of terms, so [add],
+   [sub] and [scale] cost O(1).  [add_constraint] and [set_objective]
+   normalise it once into a sorted row; everything downstream walks
+   rows. *)
 
 module R = Rat
 
 type var = int
 
-module Imap = Map.Make (Int)
+type linexpr =
+  | Zero
+  | Term of R.t * var
+  | Terms of (R.t * var) list
+  | Add of linexpr * linexpr
+  | Sum of linexpr list
+  | Scale of R.t * linexpr
 
-type linexpr = R.t Imap.t
+(* A normalised expression: strictly increasing columns, each with the
+   exact sum of its coefficients, zero sums dropped. *)
+type row = { cols : int array; coefs : R.t array }
 
 type relation = Le | Ge | Eq
 type sense = Maximize | Minimize
 
 type var_info = { name : string; ub : R.t option }
 
-type cons = { cname : string; expr : linexpr; rel : relation; rhs : R.t }
+type cons = { cname : string; row : row; rel : relation; rhs : R.t }
 
 type model = {
-  mutable vars : var_info list; (* reversed *)
+  mutable vars : var_info array; (* the first [nvars] are declared *)
   mutable nvars : int;
-  mutable cons : cons list; (* reversed *)
+  mutable cons : cons array; (* the first [ncons] are declared *)
   mutable ncons : int;
   mutable nubs : int; (* upper-bounded variables: one [ub:] row each *)
-  mutable objective : (sense * linexpr) option;
+  mutable objective : (sense * row) option;
   names : (string, var) Hashtbl.t;
 }
 
+let no_var = { name = ""; ub = None }
+let empty_row = { cols = [||]; coefs = [||] }
+let no_cons = { cname = ""; row = empty_row; rel = Eq; rhs = R.zero }
+
 let create () =
-  { vars = []; nvars = 0; cons = []; ncons = 0; nubs = 0; objective = None;
-    names = Hashtbl.create 64 }
+  { vars = Array.make 16 no_var; nvars = 0; cons = Array.make 16 no_cons;
+    ncons = 0; nubs = 0; objective = None; names = Hashtbl.create 64 }
+
+(* [a] with [x] at [len], doubled when full *)
+let push a len x =
+  let a =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (2 * len) x in
+      Array.blit a 0 b 0 len;
+      b
+    end
+  in
+  a.(len) <- x;
+  a
 
 let add_var ?(ub = None) m name =
   if Hashtbl.mem m.names name then
@@ -46,14 +76,13 @@ let add_var ?(ub = None) m name =
     invalid_arg (Printf.sprintf "Lp.add_var: %S has ub < 0" name)
   | _ -> ());
   let v = m.nvars in
-  m.vars <- { name; ub } :: m.vars;
-  m.nvars <- m.nvars + 1;
+  m.vars <- push m.vars v { name; ub };
+  m.nvars <- v + 1;
   if ub <> None then m.nubs <- m.nubs + 1;
   Hashtbl.add m.names name v;
   v
 
-let var_array m = Array.of_list (List.rev m.vars)
-let var_name m v = (List.nth m.vars (m.nvars - 1 - v)).name
+let var_name m v = m.vars.(v).name
 let find_var m name =
   match Hashtbl.find_opt m.names name with
   | Some v -> v
@@ -63,38 +92,139 @@ let num_vars m = m.nvars
 let num_constraints m = m.ncons
 let num_rows m = m.ncons + m.nubs
 
+(* --- expressions --- *)
+
+let zero = Zero
+let term c v = Term (c, v)
+let var v = Term (R.one, v)
+
+let add a b =
+  match (a, b) with Zero, e | e, Zero -> e | _ -> Add (a, b)
+
+let scale k e =
+  match e with Zero -> Zero | _ -> if R.is_zero k then Zero else Scale (k, e)
+let neg e = scale R.minus_one e
+let sub a b = add a (neg b)
+let of_terms l = Terms l
+let sum l = Sum l
+
+(* [k * c], without a multiplication when [k] is the shared one *)
+let times k c = if k == R.one then c else R.mul k c
+
+let rec size acc = function
+  | Zero -> acc
+  | Term _ -> acc + 1
+  | Terms l -> acc + List.length l
+  | Add (a, b) -> size (size acc a) b
+  | Sum l -> List.fold_left size acc l
+  | Scale (_, e) -> size acc e
+
+(* Write [k] times each nonzero term of [e] from slot [at], in the order
+   built; returns the next free slot. *)
+let rec fill cols coefs k at = function
+  | Zero -> at
+  | Term (c, v) -> put cols coefs at (times k c) v
+  | Terms l ->
+    List.fold_left (fun at (c, v) -> put cols coefs at (times k c) v) at l
+  | Add (a, b) -> fill cols coefs k (fill cols coefs k at a) b
+  | Sum l -> List.fold_left (fill cols coefs k) at l
+  | Scale (k', e) -> fill cols coefs (times k k') at e
+
+and put cols coefs at c v =
+  if R.is_zero c then at
+  else begin
+    cols.(at) <- v;
+    coefs.(at) <- c;
+    at + 1
+  end
+
+(* Sort the first [n] terms by column, stably: nothing to do when they
+   already are (a row built in column order), in place by insertion when
+   they are few, through a sorted permutation otherwise. *)
+let sort_terms cols coefs n =
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if cols.(i - 1) > cols.(i) then sorted := false
+  done;
+  if !sorted then ()
+  else if n <= 32 then
+    for i = 1 to n - 1 do
+      let v = cols.(i) and c = coefs.(i) in
+      let j = ref i in
+      while !j > 0 && cols.(!j - 1) > v do
+        cols.(!j) <- cols.(!j - 1);
+        coefs.(!j) <- coefs.(!j - 1);
+        decr j
+      done;
+      cols.(!j) <- v;
+      coefs.(!j) <- c
+    done
+  else begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare cols.(a) cols.(b)) perm;
+    let c0 = Array.sub cols 0 n and k0 = Array.sub coefs 0 n in
+    Array.iteri
+      (fun i p ->
+        cols.(i) <- c0.(p);
+        coefs.(i) <- k0.(p))
+      perm
+  end
+
+(* The normalised row of an expression: its terms sorted by column, the
+   coefficients of a repeated column summed, zero sums dropped. *)
+let normalise e =
+  let n = size 0 e in
+  if n = 0 then empty_row
+  else begin
+    let cols = Array.make n 0 and coefs = Array.make n R.zero in
+    let n = fill cols coefs R.one 0 e in
+    sort_terms cols coefs n;
+    (* merge runs of one column into slot [w] *)
+    let w = ref 0 and i = ref 0 in
+    while !i < n do
+      let v = cols.(!i) in
+      let s = ref coefs.(!i) in
+      incr i;
+      while !i < n && cols.(!i) = v do
+        s := R.add !s coefs.(!i);
+        incr i
+      done;
+      if not (R.is_zero !s) then begin
+        cols.(!w) <- v;
+        coefs.(!w) <- !s;
+        incr w
+      end
+    done;
+    if !w = Array.length cols then { cols; coefs }
+    else { cols = Array.sub cols 0 !w; coefs = Array.sub coefs 0 !w }
+  end
+
 let add_constraint ?name m expr rel rhs =
   let cname =
     match name with Some n -> n | None -> Printf.sprintf "c%d" m.ncons
   in
-  m.cons <- { cname; expr; rel; rhs } :: m.cons;
+  m.cons <- push m.cons m.ncons { cname; row = normalise expr; rel; rhs };
   m.ncons <- m.ncons + 1
 
-let set_objective m sense e = m.objective <- Some (sense, e)
+let set_objective m sense e = m.objective <- Some (sense, normalise e)
 
-(* --- expressions --- *)
+let objective_row m =
+  match m.objective with Some (s, r) -> (s, r) | None -> (Minimize, empty_row)
 
-let zero = Imap.empty
-let term c v = if R.is_zero c then Imap.empty else Imap.singleton v c
-let var v = term R.one v
-
-let add a b =
-  Imap.union
-    (fun _ x y ->
-      let s = R.add x y in
-      if R.is_zero s then None else Some s)
-    a b
-
-let scale k e =
-  if R.is_zero k then Imap.empty else Imap.map (fun c -> R.mul k c) e
-
-let neg e = scale R.minus_one e
-let sub a b = add a (neg b)
-let of_terms l = List.fold_left (fun acc (c, v) -> add acc (term c v)) zero l
-let sum l = List.fold_left add zero l
+(* sum_j a_j x_j over the row, skipping zero values *)
+let dot row x =
+  let acc = ref R.zero in
+  for k = 0 to Array.length row.cols - 1 do
+    let v = x.(row.cols.(k)) in
+    if not (R.is_zero v) then acc := R.add !acc (R.mul row.coefs.(k) v)
+  done;
+  !acc
 
 let eval f e =
-  Imap.fold (fun v c acc -> R.add acc (R.mul c (f v))) e R.zero
+  let { cols; coefs } = normalise e in
+  let acc = ref R.zero in
+  Array.iteri (fun k v -> acc := R.add !acc (R.mul coefs.(k) (f v))) cols;
+  !acc
 
 (* --- solving --- *)
 
@@ -105,10 +235,22 @@ type result = Optimal of solution | Infeasible | Unbounded
 let duals sol = sol.duals
 let value sol v = sol.values.(v)
 
-let constraints m =
-  List.rev_map (fun c -> (c.cname, c.rel, c.rhs)) m.cons
+let fold_cons m f init =
+  let acc = ref init in
+  for r = m.ncons - 1 downto 0 do
+    acc := f m.cons.(r) !acc
+  done;
+  !acc
 
-let var_bounds m = List.rev_map (fun vi -> (vi.name, vi.ub)) m.vars
+let fold_vars m f init =
+  let acc = ref init in
+  for v = m.nvars - 1 downto 0 do
+    acc := f m.vars.(v) !acc
+  done;
+  !acc
+
+let constraints m = fold_cons m (fun c l -> (c.cname, c.rel, c.rhs) :: l) []
+let var_bounds m = fold_vars m (fun vi l -> (vi.name, vi.ub) :: l) []
 
 (* The instance the kernel solves, and what [solve] needs to map its
    answer back to the model: whether the objective sign was flipped
@@ -126,71 +268,76 @@ type std = {
    (non-negative) variables at [x_v <= r / a_v], so [ub:v] is redundant
    when [r <= a_v u_v].  A row with a negative right-hand side is
    infeasible by itself and implies every bound. *)
-let implied_bounds vars cons =
-  let implied = Array.make (Array.length vars) false in
-  List.iter
-    (fun c ->
-      if c.rel = Le && Imap.for_all (fun _ a -> R.sign a > 0) c.expr then
-        Imap.iter
-          (fun v a ->
-            match vars.(v).ub with
-            | Some u when R.compare c.rhs (R.mul a u) <= 0 -> implied.(v) <- true
+let implied_bounds m =
+  let implied = Array.make m.nvars false in
+  if m.nubs > 0 then
+    for r = 0 to m.ncons - 1 do
+      let c = m.cons.(r) in
+      let { cols; coefs } = c.row in
+      if c.rel = Le && Array.for_all (fun a -> R.sign a > 0) coefs then
+        Array.iteri
+          (fun k v ->
+            match m.vars.(v).ub with
+            | Some u when R.compare c.rhs (R.mul coefs.(k) u) <= 0 ->
+              implied.(v) <- true
             | _ -> ())
-          c.expr)
-    cons;
+          cols
+    done;
   implied
 
 (* Translate a model to the standard form min c.x, Ax = b, x >= 0 that
    the simplex kernel consumes, one sparse row per kept model row.  The
-   columns are the variables' (in declaration order, so each [linexpr]
-   yields its columns already sorted), then one slack per kept
-   inequality row. *)
+   columns are the variables' (in declaration order, so each row's
+   columns are already sorted), then one slack per kept inequality
+   row.  An equality row is the model row's own arrays. *)
 let translate m =
-  let vars = var_array m in
-  let cons = List.rev m.cons in
+  let implied = implied_bounds m in
+  let kept_ubs = ref 0 in
+  for v = 0 to m.nvars - 1 do
+    if m.vars.(v).ub <> None && not implied.(v) then incr kept_ubs
+  done;
+  let n_rows = m.ncons + !kept_ubs in
+  let rows = Array.make n_rows ([||], [||]) and b = Array.make n_rows R.zero in
+  let kernel_row = Array.make (num_rows m) (-1) in
   let slack = ref m.nvars in
-  let rows = ref [] and b = ref [] and n_rows = ref 0 in
-  let add_row expr rel rhs =
-    let slack_term =
-      match rel with
-      | Eq -> []
-      | Le -> [ (!slack, R.one) ]
-      | Ge -> [ (!slack, R.minus_one) ]
-    in
-    if rel <> Eq then incr slack;
-    let terms = Array.of_list (Imap.bindings expr @ slack_term) in
-    rows := (Array.map fst terms, Array.map snd terms) :: !rows;
-    b := rhs :: !b;
-    incr n_rows;
-    !n_rows - 1
+  let with_slack { cols; coefs } s =
+    let l = Array.length cols in
+    let cs = Array.make (l + 1) !slack and ks = Array.make (l + 1) s in
+    Array.blit cols 0 cs 0 l;
+    Array.blit coefs 0 ks 0 l;
+    incr slack;
+    (cs, ks)
   in
-  (* each named row's kernel row, reversed *)
-  let kernel_row = ref [] in
-  let keep k = kernel_row := k :: !kernel_row in
-  List.iter (fun c -> keep (add_row c.expr c.rel c.rhs)) cons;
-  let implied = implied_bounds vars cons in
-  Array.iteri
-    (fun v vi ->
-      match vi.ub with
-      | None -> ()
-      | Some _ when implied.(v) -> keep (-1)
-      | Some u -> keep (add_row (Imap.singleton v R.one) Le u))
-    vars;
-  let sense, obj_expr =
-    match m.objective with
-    | Some (s, e) -> (s, e)
-    | None -> (Minimize, zero)
-  in
+  for r = 0 to m.ncons - 1 do
+    let c = m.cons.(r) in
+    rows.(r) <-
+      (match c.rel with
+      | Eq -> (c.row.cols, c.row.coefs)
+      | Le -> with_slack c.row R.one
+      | Ge -> with_slack c.row R.minus_one);
+    b.(r) <- c.rhs;
+    kernel_row.(r) <- r
+  done;
+  let k = ref m.ncons and named = ref m.ncons in
+  for v = 0 to m.nvars - 1 do
+    match m.vars.(v).ub with
+    | None -> ()
+    | Some u ->
+      if not implied.(v) then begin
+        rows.(!k) <- with_slack { cols = [| v |]; coefs = [| R.one |] } R.one;
+        b.(!k) <- u;
+        kernel_row.(!named) <- !k;
+        incr k
+      end;
+      incr named
+  done;
+  let sense, obj = objective_row m in
   let flip = sense = Maximize in
   let c = Array.make !slack R.zero in
-  Imap.iter (fun j v -> c.(j) <- (if flip then R.neg v else v)) obj_expr;
-  {
-    rows = Array.of_list (List.rev !rows);
-    b = Array.of_list (List.rev !b);
-    c;
-    flip;
-    kernel_row = Array.of_list (List.rev !kernel_row);
-  }
+  Array.iteri
+    (fun k j -> c.(j) <- (if flip then R.neg obj.coefs.(k) else obj.coefs.(k)))
+    obj.cols;
+  { rows; b; c; flip; kernel_row }
 
 let standard_form m =
   let s = translate m in
@@ -207,19 +354,19 @@ let standard_form m =
 let signature m =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int m.nvars);
-  List.iter
-    (fun vi ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf vi.name;
-      Buffer.add_char buf (match vi.ub with Some _ -> 'u' | None -> '-'))
-    (List.rev m.vars);
+  for v = 0 to m.nvars - 1 do
+    let vi = m.vars.(v) in
+    Buffer.add_char buf '|';
+    Buffer.add_string buf vi.name;
+    Buffer.add_char buf (match vi.ub with Some _ -> 'u' | None -> '-')
+  done;
   Buffer.add_char buf '#';
-  List.iter
-    (fun c ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf c.cname;
-      Buffer.add_char buf (match c.rel with Le -> 'L' | Ge -> 'G' | Eq -> 'E'))
-    (List.rev m.cons);
+  for r = 0 to m.ncons - 1 do
+    let c = m.cons.(r) in
+    Buffer.add_char buf '|';
+    Buffer.add_string buf c.cname;
+    Buffer.add_char buf (match c.rel with Le -> 'L' | Ge -> 'G' | Eq -> 'E')
+  done;
   Buffer.contents buf
 
 module Cache = struct
@@ -302,40 +449,38 @@ let cache_key sg (m : model) =
     Buffer.add_string buf (R.to_string v);
     Buffer.add_char buf ','
   in
-  let dump_expr e =
-    Imap.iter
-      (fun v coeff ->
+  let dump_row { cols; coefs } =
+    Array.iteri
+      (fun k v ->
         Buffer.add_string buf (string_of_int v);
         Buffer.add_char buf ':';
-        dump coeff)
-      e;
+        dump coefs.(k))
+      cols;
     Buffer.add_char buf ';'
   in
   (match m.objective with
   | None -> Buffer.add_char buf 'n'
-  | Some (sense, e) ->
+  | Some (sense, row) ->
     Buffer.add_char buf (match sense with Minimize -> 'm' | Maximize -> 'M');
-    dump_expr e);
-  List.iter
-    (fun cns ->
-      dump_expr cns.expr;
-      dump cns.rhs)
-    (List.rev m.cons);
+    dump_row row);
+  for r = 0 to m.ncons - 1 do
+    dump_row m.cons.(r).row;
+    dump m.cons.(r).rhs
+  done;
   Buffer.add_char buf '|';
-  List.iter
-    (fun vi ->
-      match vi.ub with Some u -> dump u | None -> Buffer.add_char buf 'n')
-    (List.rev m.vars);
+  for v = 0 to m.nvars - 1 do
+    match m.vars.(v).ub with Some u -> dump u | None -> Buffer.add_char buf 'n'
+  done;
   Buffer.contents buf
 
 (* Row names, for display: model constraints first, then one
    [ub:<var>] row per upper-bounded variable, the order of
    [solution.duals]. *)
 let row_names m =
-  List.rev_map (fun c -> c.cname) m.cons
-  @ List.filter_map
-      (fun vi -> Option.map (fun _ -> "ub:" ^ vi.name) vi.ub)
-      (List.rev m.vars)
+  fold_cons m (fun c l -> c.cname :: l)
+    (fold_vars m
+       (fun vi l -> match vi.ub with Some _ -> ("ub:" ^ vi.name) :: l | None -> l)
+       [])
 
 (* --- disk-record value encoding ---
 
@@ -474,50 +619,52 @@ let value_by_name m sol name = sol.values.(find_var m name)
 
 (* --- validation --- *)
 
-let check_solution m f =
-  let vars = var_array m in
-  let violation = ref None in
-  Array.iteri
-    (fun v vi ->
-      if !violation = None then begin
-        let x = f v in
+(* The objective at the point [x], one value per variable, if every
+   bound holds and then every constraint, each in declaration order;
+   otherwise the first violation.  [x] is read once per variable, up to
+   the first violated bound. *)
+let check_point m x =
+  let values = Array.make m.nvars R.zero in
+  let rec bounds v =
+    if v >= m.nvars then None
+    else
+      let vi = m.vars.(v) and xv = x v in
+      values.(v) <- xv;
+      if R.sign xv < 0 then
+        Some (Printf.sprintf "var %s = %s is negative" vi.name (R.to_string xv))
+      else
         match vi.ub with
-        | _ when R.sign x < 0 ->
-          violation :=
-            Some (Printf.sprintf "var %s = %s is negative" vi.name
-                    (R.to_string x))
-        | Some u when R.compare x u > 0 ->
-          violation :=
-            Some (Printf.sprintf "var %s = %s above ub %s" vi.name
-                    (R.to_string x) (R.to_string u))
-        | _ -> ()
-      end)
-    vars;
-  List.iter
-    (fun cns ->
-      if !violation = None then begin
-        let lhs = eval f cns.expr in
-        let ok =
-          match cns.rel with
-          | Le -> R.compare lhs cns.rhs <= 0
-          | Ge -> R.compare lhs cns.rhs >= 0
-          | Eq -> R.equal lhs cns.rhs
-        in
-        if not ok then
-          violation :=
-            Some (Printf.sprintf "constraint %s violated: lhs = %s, rhs = %s"
-                    cns.cname (R.to_string lhs) (R.to_string cns.rhs))
-      end)
-    (List.rev m.cons);
-  match !violation with
+        | Some u when R.compare xv u > 0 ->
+          Some
+            (Printf.sprintf "var %s = %s above ub %s" vi.name (R.to_string xv)
+               (R.to_string u))
+        | _ -> bounds (v + 1)
+  in
+  let rec rows r =
+    if r >= m.ncons then None
+    else
+      let cns = m.cons.(r) in
+      let lhs = dot cns.row values in
+      let ok =
+        match cns.rel with
+        | Le -> R.compare lhs cns.rhs <= 0
+        | Ge -> R.compare lhs cns.rhs >= 0
+        | Eq -> R.equal lhs cns.rhs
+      in
+      if ok then rows (r + 1)
+      else
+        Some
+          (Printf.sprintf "constraint %s violated: lhs = %s, rhs = %s" cns.cname
+             (R.to_string lhs) (R.to_string cns.rhs))
+  in
+  match bounds 0 with
   | Some msg -> Error msg
-  | None ->
-    let obj =
-      match m.objective with
-      | None -> R.zero
-      | Some (_, e) -> eval f e
-    in
-    Ok (R.to_string obj)
+  | None -> (
+    match rows 0 with
+    | Some msg -> Error msg
+    | None -> Ok (dot (snd (objective_row m)) values))
+
+let check_solution m f = Result.map R.to_string (check_point m f)
 
 (* Exact optimality certificate, re-derived from the model alone.  In
    minimisation form (objective and duals negated for [Maximize]), with
@@ -525,8 +672,9 @@ let check_solution m f =
    [d_v = c_v - sum_r y_r a_rv - y_(ub:v)]: [Le] rows, [ub:] rows
    included, need [y <= 0] and [Ge] rows [y >= 0]; every variable needs
    [d_v >= 0]; and strong duality reads [c.x = sum_r y_r rhs_r].  One
-   pass over the nonzeros, the rows walked by position; names are only
-   looked up to report a failure. *)
+   pass over the nonzeros, the rows walked by position; a row whose
+   dual is zero adds nothing and is skipped, and names are only looked
+   up to report a failure. *)
 let certify m sol =
   let ( let* ) = Result.bind in
   let* () =
@@ -539,22 +687,22 @@ let certify m sol =
            (Array.length sol.values) (Array.length sol.duals) m.nvars
            (num_rows m))
   in
-  let* _ =
+  let* obj =
     Result.map_error (fun e -> "primal: " ^ e)
-      (check_solution m (Array.get sol.values))
+      (check_point m (Array.get sol.values))
   in
-  let sense, f =
-    match m.objective with Some o -> o | None -> (Minimize, zero)
-  in
+  let sense, f = objective_row m in
   let orient = if sense = Maximize then R.neg else Fun.id in
   let* () =
-    if R.equal (eval (Array.get sol.values) f) sol.objective then Ok ()
+    if R.equal obj sol.objective then Ok ()
     else Error "objective differs from the value of the returned point"
   in
   let d = Array.make m.nvars R.zero in
-  Imap.iter (fun v c -> d.(v) <- orient c) f;
+  Array.iteri (fun k v -> d.(v) <- orient f.coefs.(k)) f.cols;
   let dual_obj = ref R.zero and bad_row = ref (-1) in
-  let row r rel rhs expr =
+  (* row [r]'s oriented dual, its sign checked and its share of the
+     dual objective added *)
+  let price r rel rhs =
     let y = orient sol.duals.(r) in
     let ok =
       match rel with
@@ -564,18 +712,23 @@ let certify m sol =
     in
     if (not ok) && !bad_row < 0 then bad_row := r;
     dual_obj := R.add !dual_obj (R.mul y rhs);
-    Imap.iter (fun v a -> d.(v) <- R.sub d.(v) (R.mul y a)) expr
+    y
   in
-  List.iteri (fun r c -> row r c.rel c.rhs c.expr) (List.rev m.cons);
+  for r = 0 to m.ncons - 1 do
+    if not (R.is_zero sol.duals.(r)) then begin
+      let { row = { cols; coefs }; rel; rhs; _ } = m.cons.(r) in
+      let y = price r rel rhs in
+      Array.iteri (fun k v -> d.(v) <- R.sub d.(v) (R.mul y coefs.(k))) cols
+    end
+  done;
   let r = ref m.ncons in
-  List.iteri
-    (fun v vi ->
-      Option.iter
-        (fun u ->
-          row !r Le u (Imap.singleton v R.one);
-          incr r)
-        vi.ub)
-    (List.rev m.vars);
+  for v = 0 to m.nvars - 1 do
+    match m.vars.(v).ub with
+    | None -> ()
+    | Some u ->
+      if not (R.is_zero sol.duals.(!r)) then d.(v) <- R.sub d.(v) (price !r Le u);
+      incr r
+  done;
   match (!bad_row, Array.find_index (fun x -> R.sign x < 0) d) with
   | r, _ when r >= 0 ->
     Error
@@ -683,44 +836,41 @@ let solve ?cache ?stats m =
 
 (* --- printing --- *)
 
-let pp_linexpr names ppf e =
-  let first = ref true in
-  Imap.iter
-    (fun v c ->
-      let s = R.sign c in
-      if !first then begin
-        first := false;
+let pp_row names ppf { cols; coefs } =
+  Array.iteri
+    (fun k v ->
+      let c = coefs.(k) in
+      if k = 0 then begin
         if R.equal c R.one then Format.fprintf ppf "%s" names.(v)
         else if R.equal c R.minus_one then Format.fprintf ppf "-%s" names.(v)
         else Format.fprintf ppf "%a %s" R.pp c names.(v)
       end
-      else if s >= 0 then
+      else if R.sign c >= 0 then
         if R.equal c R.one then Format.fprintf ppf " + %s" names.(v)
         else Format.fprintf ppf " + %a %s" R.pp c names.(v)
       else if R.equal c R.minus_one then Format.fprintf ppf " - %s" names.(v)
       else Format.fprintf ppf " - %a %s" R.pp (R.abs c) names.(v))
-    e;
-  if !first then Format.fprintf ppf "0"
+    cols;
+  if Array.length cols = 0 then Format.fprintf ppf "0"
 
 let pp ppf m =
-  let vars = var_array m in
-  let names = Array.map (fun vi -> vi.name) vars in
+  let names = Array.init m.nvars (var_name m) in
   (match m.objective with
   | None -> Format.fprintf ppf "(no objective)@."
-  | Some (s, e) ->
+  | Some (s, row) ->
     Format.fprintf ppf "%s %a@."
       (match s with Maximize -> "maximize" | Minimize -> "minimize")
-      (pp_linexpr names) e);
+      (pp_row names) row);
   Format.fprintf ppf "subject to@.";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "  %s: %a %s %a@." c.cname (pp_linexpr names) c.expr
-        (match c.rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")
-        R.pp c.rhs)
-    (List.rev m.cons);
+  for r = 0 to m.ncons - 1 do
+    let c = m.cons.(r) in
+    Format.fprintf ppf "  %s: %a %s %a@." c.cname (pp_row names) c.row
+      (match c.rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")
+      R.pp c.rhs
+  done;
   Format.fprintf ppf "bounds@.";
-  Array.iter
-    (fun vi ->
-      Format.fprintf ppf "  0 <= %s <= %s@." vi.name
-        (match vi.ub with None -> "+inf" | Some u -> R.to_string u))
-    vars
+  for v = 0 to m.nvars - 1 do
+    let vi = m.vars.(v) in
+    Format.fprintf ppf "  0 <= %s <= %s@." vi.name
+      (match vi.ub with None -> "+inf" | Some u -> R.to_string u)
+  done

@@ -20,7 +20,14 @@ type var = private int
 type model
 
 type linexpr
-(** Sparse linear expression: finite map from variables to coefficients. *)
+(** A linear expression as written: a tree of terms, so {!add},
+    {!sub}, {!scale} and {!neg} cost O(1) whatever the operands' sizes,
+    and a variable may occur in several terms.  {!add_constraint} and
+    {!set_objective} normalise it once into a row sorted by variable,
+    each coefficient the exact sum of that variable's terms, zero sums
+    dropped; the model keeps only that row.  So however an expression
+    is written, its model gets the same {!standard_form}, cache key,
+    disk record and {!pp} text.  {!eval} normalises too. *)
 
 type relation = Le | Ge | Eq
 
@@ -268,7 +275,9 @@ val certify : model -> solution -> (unit, string) Stdlib.result
     [objective = sum_r dual_r * rhs_r].  Together these prove
     the point optimal, whichever vertex the kernel returned.  [Error]
     names the first failing check.  Costs one pass over the model's
-    nonzeros, rows by position; no name is built unless a check fails. *)
+    nonzeros, rows by position, skipping the rows whose dual is zero and
+    the variables whose value is zero; no name is built unless a check
+    fails. *)
 
 val pp : Format.formatter -> model -> unit
 (** Human-readable dump of the model (CPLEX-LP-like). *)

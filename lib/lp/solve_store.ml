@@ -6,7 +6,8 @@
      .tmp-<pid>-<n>         in-flight commits (renamed into place)
      .lock                  advisory lock serialising writers
      quarantine/            records that failed validation, kept for
-                            post-mortem (bounded, oldest dropped)
+                            post-mortem (bounded, oldest dropped);
+                            made by the first record moved there
 
    Record format (bytes):
 
@@ -97,7 +98,6 @@ let open_store ?(max_entries = 4096) ?(max_bytes = 64 * 1024 * 1024) d =
   if max_bytes <= 0 then invalid_arg "Solve_store.open_store: max_bytes <= 0";
   let qdir = Filename.concat d "quarantine" in
   mkdir_p d;
-  mkdir_p qdir;
   (* Crashed writers leave .tmp- orphans behind; reclaim them eagerly so
      a store that is only ever opened (never written) does not leak.
      [sweep_tmp_dir] swallows every error, preserving the contract that
@@ -157,9 +157,11 @@ let sweep_quarantine t =
 
 (* Move a bad record out of the live directory so it is never re-read
    (and never re-counted): the lookup path stays O(1) even under
-   sustained corruption, and the bytes survive for inspection. *)
+   sustained corruption, and the bytes survive for inspection.  The
+   quarantine directory is made by the first record moved there. *)
 let quarantine_path t path =
   (try
+     mkdir_p t.qdir;
      let dest =
        Filename.concat t.qdir
          (Printf.sprintf "%s.%d.%d" (Filename.basename path) (Unix.getpid ())

@@ -35,8 +35,10 @@
 type t
 
 val open_store : ?max_entries:int -> ?max_bytes:int -> string -> t
-(** [open_store dir] opens (creating it, and its [quarantine/]
-    sub-directory, if needed) a store rooted at [dir].  Budgets default
+(** [open_store dir] opens (creating it if needed) a store rooted at
+    [dir]; its [quarantine/] sub-directory is made when a first record
+    is moved there, and when it cannot be (a plain file of that name,
+    say) the record is removed instead.  Budgets default
     to 4096 entries / 64 MiB; eviction keeps the store strictly under
     both.  Opening also sweeps tempfiles orphaned by crashed writers
     (older than the in-flight grace period), so a store that is only

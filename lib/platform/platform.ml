@@ -456,6 +456,9 @@ let edge_cost t e = t.costs.(e)
 let out_lo t i = t.out_off.(i)
 let out_hi t i = t.out_off.(i + 1)
 let out_edge t k = t.out_e.(k)
+let in_lo t i = t.in_off.(i)
+let in_hi t i = t.in_off.(i + 1)
+let in_edge t k = t.in_e.(k)
 
 (* the range's edges as a list, ascending *)
 let range_list es lo hi =
@@ -521,50 +524,87 @@ let depth_from t start =
 let is_spanning_from t start =
   Array.for_all Fun.id (reachable_from t start)
 
-(* Dijkstra from a set of sources; returns per-node predecessor edge *)
+(* Dijkstra from a set of sources over a binary heap of (distance, node)
+   entries, ordered by distance then node: each strict improvement of a
+   node's distance pushes an entry, and an entry whose node is already
+   settled is skipped.  Nodes settle in the order of a scan for the
+   nearest unsettled node, lowest index first, and a node keeps the edge
+   of its first strict improvement, so the tree is the scan's.  Returns
+   per node the last edge of its path, -1 at the sources and at
+   unreached nodes, and whether it was reached. *)
 let dijkstra t sources =
   let n = num_nodes t in
-  let dist = Array.make n None in
-  let via = Array.make n None in
-  let visited = Array.make n false in
-  List.iter (fun s -> dist.(s) <- Some R.zero) sources;
-  let rec pick () =
-    let best = ref None in
-    for i = 0 to n - 1 do
-      if not visited.(i) then begin
-        match (dist.(i), !best) with
-        | Some d, Some (_, bd) when R.compare d bd < 0 -> best := Some (i, d)
-        | Some d, None -> best := Some (i, d)
-        | Some _, Some _ | None, _ -> ()
-      end
-    done;
-    match !best with
-    | None -> ()
-    | Some (u, du) ->
-      visited.(u) <- true;
-      List.iter
-        (fun e ->
-          let v = t.dsts.(e) in
-          let nd = R.add du t.costs.(e) in
-          match dist.(v) with
-          | Some old when R.compare old nd <= 0 -> ()
-          | Some _ | None ->
-            dist.(v) <- Some nd;
-            via.(v) <- Some e)
-        (out_edges t u);
-      pick ()
+  let dist = Array.make n R.zero and reached = Array.make n false in
+  let via = Array.make n (-1) and settled = Array.make n false in
+  (* every push is a source or a strict improvement along an edge *)
+  let cap = List.length sources + num_edges t in
+  let hd = Array.make cap R.zero and hn = Array.make cap 0 and size = ref 0 in
+  let less i j =
+    let c = R.compare hd.(i) hd.(j) in
+    c < 0 || (c = 0 && hn.(i) < hn.(j))
   in
-  pick ();
-  (dist, via)
+  let swap i j =
+    let d = hd.(i) and u = hn.(i) in
+    hd.(i) <- hd.(j);
+    hn.(i) <- hn.(j);
+    hd.(j) <- d;
+    hn.(j) <- u
+  in
+  let push d u =
+    let i = ref !size in
+    hd.(!i) <- d;
+    hn.(!i) <- u;
+    incr size;
+    while !i > 0 && less !i ((!i - 1) / 2) do
+      swap !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+  in
+  let pop () =
+    decr size;
+    swap 0 !size;
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < !size && less (l + 1) l then l + 1 else l in
+      if c < !size && less c !i then begin
+        swap c !i;
+        i := c
+      end
+      else continue := false
+    done;
+    hn.(!size)
+  in
+  List.iter
+    (fun s ->
+      reached.(s) <- true;
+      push R.zero s)
+    sources;
+  while !size > 0 do
+    let u = pop () in
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      let du = dist.(u) in
+      for k = t.out_off.(u) to t.out_off.(u + 1) - 1 do
+        let e = t.out_e.(k) in
+        let v = t.dsts.(e) in
+        let nd = R.add du t.costs.(e) in
+        if (not reached.(v)) || R.compare nd dist.(v) < 0 then begin
+          reached.(v) <- true;
+          dist.(v) <- nd;
+          via.(v) <- e;
+          push nd v
+        end
+      done
+    end
+  done;
+  (reached, via)
 
 let path_via t via sources dst =
   let rec walk v acc =
     if List.mem v sources then Some acc
-    else begin
-      match via.(v) with
-      | None -> None
-      | Some e -> walk t.srcs.(e) (e :: acc)
-    end
+    else if via.(v) < 0 then None
+    else walk t.srcs.(via.(v)) (via.(v) :: acc)
   in
   walk dst []
 
@@ -572,17 +612,13 @@ let multi_source_shortest_path t ~sources dst =
   if sources = [] then invalid_arg "Platform.multi_source_shortest_path: no sources";
   if List.mem dst sources then Some []
   else begin
-    let dist, via = dijkstra t sources in
-    match dist.(dst) with
-    | None -> None
-    | Some _ -> path_via t via sources dst
+    let reached, via = dijkstra t sources in
+    if reached.(dst) then path_via t via sources dst else None
   end
 
 let shortest_path t src dst = multi_source_shortest_path t ~sources:[ src ] dst
 
-let shortest_path_tree t src =
-  let _, via = dijkstra t [ src ] in
-  Array.map (function Some e -> e | None -> -1) via
+let shortest_path_tree t src = snd (dijkstra t [ src ])
 
 (* every edge reversed stays valid, and each node's in-edges become its
    out-edges: the arrays are shared, nothing is checked again *)

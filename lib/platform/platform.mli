@@ -110,11 +110,15 @@ val in_edges : t -> node -> edge list
 
 (** The out-edges without a list: [out_edge p k] for [k] from
     [out_lo p i] to [out_hi p i - 1] are node [i]'s out-edges, ascending
-    (compressed sparse rows). *)
+    (compressed sparse rows); [in_lo], [in_hi] and [in_edge] give the
+    in-edges the same way. *)
 
 val out_lo : t -> node -> int
 val out_hi : t -> node -> int
 val out_edge : t -> int -> edge
+val in_lo : t -> node -> int
+val in_hi : t -> node -> int
+val in_edge : t -> int -> edge
 
 val find_edge : t -> node -> node -> edge option
 val edge_name : t -> edge -> string

@@ -777,6 +777,163 @@ let test_implied_solve_graph () =
   Alcotest.(check int) "kernel rows" 3531 !kernel_rows;
   Alcotest.(check int) "pivots" 1298 pivots.Lp.Stats.pivots
 
+(* --- the term DSL against the map semantics it replaced --- *)
+
+module Ref = Lp_expr_reference
+
+type ast =
+  | A_var of int
+  | A_term of R.t * int
+  | A_add of ast * ast
+  | A_sub of ast * ast
+  | A_scale of R.t * ast
+  | A_neg of ast
+  | A_of_terms of (R.t * int) list
+  | A_sum of ast list
+
+let rec pp_ast = function
+  | A_var v -> Printf.sprintf "x%d" v
+  | A_term (c, v) -> Printf.sprintf "%s*x%d" (R.to_string c) v
+  | A_add (a, b) -> Printf.sprintf "(%s + %s)" (pp_ast a) (pp_ast b)
+  | A_sub (a, b) -> Printf.sprintf "(%s - %s)" (pp_ast a) (pp_ast b)
+  | A_scale (c, a) -> Printf.sprintf "%s(%s)" (R.to_string c) (pp_ast a)
+  | A_neg a -> Printf.sprintf "-(%s)" (pp_ast a)
+  | A_of_terms l ->
+    Printf.sprintf "terms[%s]"
+      (String.concat "; "
+         (List.map (fun (c, v) -> Printf.sprintf "%s*x%d" (R.to_string c) v) l))
+  | A_sum l -> Printf.sprintf "sum[%s]" (String.concat "; " (List.map pp_ast l))
+
+let rec to_lp xs = function
+  | A_var v -> Lp.var xs.(v)
+  | A_term (c, v) -> Lp.term c xs.(v)
+  | A_add (a, b) -> Lp.add (to_lp xs a) (to_lp xs b)
+  | A_sub (a, b) -> Lp.sub (to_lp xs a) (to_lp xs b)
+  | A_scale (c, a) -> Lp.scale c (to_lp xs a)
+  | A_neg a -> Lp.neg (to_lp xs a)
+  | A_of_terms l -> Lp.of_terms (List.map (fun (c, v) -> (c, xs.(v))) l)
+  | A_sum l -> Lp.sum (List.map (to_lp xs) l)
+
+let rec to_ref = function
+  | A_var v -> Ref.var v
+  | A_term (c, v) -> Ref.term c v
+  | A_add (a, b) -> Ref.add (to_ref a) (to_ref b)
+  | A_sub (a, b) -> Ref.sub (to_ref a) (to_ref b)
+  | A_scale (c, a) -> Ref.scale c (to_ref a)
+  | A_neg a -> Ref.neg (to_ref a)
+  | A_of_terms l -> Ref.of_terms l
+  | A_sum l -> Ref.sum (List.map to_ref l)
+
+let expr_vars = 6
+
+(* few variables, so they repeat; zero among the coefficients, and
+   [a - a] among the shapes, so terms and whole sums cancel *)
+let gen_ast =
+  QCheck.Gen.(
+    let coef =
+      oneofl
+        [ R.zero; R.one; R.minus_one; r 1 2; r (-3) 2; ri 2; r 5 3 ]
+    in
+    let v = int_bound (expr_vars - 1) in
+    let leaf =
+      oneof
+        [
+          map (fun v -> A_var v) v;
+          map2 (fun c v -> A_term (c, v)) coef v;
+          map (fun l -> A_of_terms l) (list_size (int_bound 4) (pair coef v));
+        ]
+    in
+    sized_size (int_bound 24)
+      (fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (1, leaf);
+                 (3, map2 (fun a b -> A_add (a, b)) sub sub);
+                 (2, map2 (fun a b -> A_sub (a, b)) sub sub);
+                 (1, map (fun a -> A_sub (a, a)) sub);
+                 (2, map2 (fun c a -> A_scale (c, a)) coef sub);
+                 (1, map (fun a -> A_neg a) sub);
+                 (2, map (fun l -> A_sum l) (list_size (int_bound 4) sub));
+               ])))
+
+let rats_equal a b = Array.length a = Array.length b && Array.for_all2 R.equal a b
+
+(* One constraint and the objective built through both DSLs: the same
+   standard-form row and cost vector, the same Lp.pp text, the same
+   values under an assignment. *)
+let prop_expr_reference =
+  QCheck.Test.make ~name:"term DSL = map reference" ~count:400
+    (QCheck.make
+       ~print:(fun (e, o, k) -> Printf.sprintf "%s | %s | rel %d" (pp_ast e) (pp_ast o) k)
+       QCheck.Gen.(triple gen_ast gen_ast (int_bound 2)))
+    (fun (e, o, k) ->
+      let rel = [| Lp.Le; Lp.Ge; Lp.Eq |].(k) in
+      let rhs = r 7 3 in
+      let m = Lp.create () in
+      let xs =
+        Array.init expr_vars (fun i -> Lp.add_var m (Printf.sprintf "x%d" i))
+      in
+      Lp.add_constraint ~name:"row" m (to_lp xs e) rel rhs;
+      Lp.set_objective m Lp.Minimize (to_lp xs o);
+      let re = to_ref e and ro = to_ref o in
+      let rows, b, c = Lp.standard_form m in
+      let terms =
+        Ref.bindings re
+        @ (match rel with
+          | Lp.Le -> [ (expr_vars, R.one) ]
+          | Lp.Ge -> [ (expr_vars, R.minus_one) ]
+          | Lp.Eq -> [])
+      in
+      let cost = Array.make (Array.length c) R.zero in
+      List.iter (fun (v, a) -> cost.(v) <- a) (Ref.bindings ro);
+      let row_ok =
+        match rows with
+        | [| (cols, coefs) |] ->
+          cols = Array.of_list (List.map fst terms)
+          && rats_equal coefs (Array.of_list (List.map snd terms))
+        | _ -> false
+      in
+      let text =
+        Format.asprintf "%a"
+          (fun ppf () ->
+            Ref.pp ppf
+              ~vars:(List.init expr_vars (fun i -> (Printf.sprintf "x%d" i, None)))
+              ~objective:(Some (Lp.Minimize, ro))
+              ~constraints:[ ("row", re, rel, rhs) ])
+          ()
+      in
+      let point v = r ((7 * v) - 9) (v + 2) in
+      let lp_point (v : Lp.var) = point (v :> int) in
+      row_ok
+      && rats_equal b [| rhs |]
+      && Array.length c = expr_vars + (if rel = Lp.Eq then 0 else 1)
+      && rats_equal c cost
+      && String.equal (Format.asprintf "%a" Lp.pp m) text
+      && R.equal (Lp.eval lp_point (to_lp xs e)) (Ref.eval point re)
+      && R.equal (Lp.eval lp_point (to_lp xs o)) (Ref.eval point ro))
+
+(* A left fold of 10^4 adds, over the variables in either order, is
+   linear: a quadratic add or normalisation takes seconds here. *)
+let test_expr_left_fold () =
+  let n = 10_000 in
+  let m = Lp.create () in
+  let xs = Array.init n (fun i -> Lp.add_var m (Printf.sprintf "x%d" i)) in
+  let t0 = Unix.gettimeofday () in
+  let fold xs = Array.fold_left (fun acc x -> Lp.add acc (Lp.var x)) Lp.zero xs in
+  Lp.add_constraint m (fold xs) Lp.Le R.one;
+  Lp.add_constraint m (fold (Array.of_list (List.rev (Array.to_list xs)))) Lp.Eq R.one;
+  let rows, _, _ = Lp.standard_form m in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list int)) "row lengths" [ n + 1; n ]
+    (Array.to_list (Array.map (fun (cols, _) -> Array.length cols) rows));
+  Alcotest.(check bool) "the reversed fold is sorted" true
+    (snd (Array.fold_left (fun (prev, ok) c -> (c, ok && c > prev)) (-1, true)
+            (fst rows.(1))));
+  if dt > 0.5 then Alcotest.failf "10^4 adds and their rows took %.2f s" dt
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "lp",
@@ -820,4 +977,6 @@ let suite =
       q prop_solvers_agree;
       q prop_revised_feasible;
       q prop_strong_duality;
+      q prop_expr_reference;
+      Alcotest.test_case "10^4 adds in a left fold" `Quick test_expr_left_fold;
     ] )

@@ -888,6 +888,51 @@ let test_parse_crlf () =
        (Platform_parse.of_string
           (String.concat "\r\n" (String.split_on_char '\n' text))))
 
+(* The heap Dijkstra against the O(n^2) scan it replaced, on 300 random
+   graphs with costs in [1, 2] (so many paths tie), about a third of the
+   links dropped (so some nodes are unreachable) and one to three
+   sources, repeats allowed. *)
+let test_dijkstra_reference () =
+  let module D = Dijkstra_reference in
+  let g = Faults.generator ~seed:77 in
+  let unreachable = ref 0 in
+  for k = 1 to 300 do
+    let n = 2 + Faults.rand_int g 14 in
+    let full =
+      Platform_gen.random_connected_graph ~seed:k ~nodes:n ~extra_edges:(n / 2)
+        ~cost_range:(1, 2) ()
+    in
+    let edges =
+      List.filter_map
+        (fun e ->
+          if Faults.rand_int g 3 = 0 then None
+          else Some (P.edge_src full e, P.edge_dst full e, P.edge_cost full e))
+        (P.edges full)
+    in
+    let p =
+      P.create ~names:(Array.init n (P.name full))
+        ~weights:(Array.init n (P.weight full)) ~edges
+    in
+    let sources = List.init (1 + Faults.rand_int g 3) (fun _ -> Faults.rand_int g n) in
+    let what = Printf.sprintf "graph %d" k in
+    List.iter
+      (fun src ->
+        Alcotest.(check (array int)) (what ^ ": tree") (D.shortest_path_tree p src)
+          (P.shortest_path_tree p src);
+        for dst = 0 to n - 1 do
+          Alcotest.(check (option (list int))) (what ^ ": path")
+            (D.shortest_path p src dst) (P.shortest_path p src dst)
+        done)
+      sources;
+    for dst = 0 to n - 1 do
+      let expected = D.multi_source_shortest_path p ~sources dst in
+      if expected = None then incr unreachable;
+      Alcotest.(check (option (list int))) (what ^ ": multi-source path") expected
+        (P.multi_source_shortest_path p ~sources dst)
+    done
+  done;
+  Alcotest.(check bool) "some nodes unreachable" true (!unreachable > 0)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "platform",
@@ -897,6 +942,8 @@ let suite =
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "reachability" `Quick test_reachability;
       Alcotest.test_case "shortest path" `Quick test_shortest_path;
+      Alcotest.test_case "dijkstra: heap = scan oracle" `Quick
+        test_dijkstra_reference;
       Alcotest.test_case "transpose" `Quick test_transpose;
       Alcotest.test_case "restrict" `Quick test_restrict;
       Alcotest.test_case "figure 1 platform" `Quick test_figure1;

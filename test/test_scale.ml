@@ -1076,6 +1076,31 @@ let test_op_alloc () =
   if words > 632_000. then
     Alcotest.failf "a 10^4-node solve-tree op allocated %.0f words" words
 
+(* Master_slave.solve over the solve-graph benchmark's seed-1 ladder:
+   252 connected graphs of 20 to 40 nodes with n/2 chords, each drawn
+   from the next seed of [Faults.generator ~seed:1].  27 989 words per
+   solve when this bound was set, about 1.25x under it; with models
+   built as persistent maps and the seed tree's O(n^2) Dijkstra over
+   option-boxed distances it was 53 256. *)
+let test_generated_solve_alloc () =
+  let g = Faults.generator ~seed:1 in
+  let graphs =
+    List.init 252 (fun i ->
+        let n = 20 + (i mod 21) in
+        let seed = 1 + Faults.rand_int g 1_000_000 in
+        Platform_gen.random_connected_graph ~seed ~nodes:n ~extra_edges:(n / 2) ())
+  in
+  let stats = Lp.Stats.create () in
+  let _, words =
+    allocated (fun () ->
+        List.iter (fun p -> ignore (Master_slave.solve ~stats p ~master:0)) graphs)
+  in
+  Alcotest.(check int) "kernel solves" 356 stats.Lp.Stats.solves;
+  Alcotest.(check int) "pivots" 4742 stats.Lp.Stats.pivots;
+  let per_solve = words /. 252. in
+  if per_solve > 35_000. then
+    Alcotest.failf "a generated solve allocated %.0f words" per_solve
+
 let suite =
   ( "scale",
     [
@@ -1135,5 +1160,7 @@ let suite =
       Alcotest.test_case "simulator allocation follows the flow" `Quick
         test_sim_alloc;
       Alcotest.test_case "solve-tree op allocation" `Quick test_op_alloc;
+      Alcotest.test_case "generated solve allocation" `Quick
+        test_generated_solve_alloc;
       QCheck_alcotest.to_alcotest prop_collective_send_frac;
     ] )

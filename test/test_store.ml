@@ -109,6 +109,19 @@ let test_hashes_pinned () =
       (all_bytes, "4242dc5249c33625", "4242dc5249c3362550d84536e53ddada");
     ]
 
+(* The record of the Figure 2 scatter model solved through a disk
+   cache.  Its name is the digest of the model's cache key, so a change
+   to how a model is keyed would leave every record already written
+   unread: this name was read when expressions were still maps. *)
+let test_record_name_pinned () =
+  let dir = fresh_dir () in
+  let fig2, src, tgts = Platform_gen.multicast_fig2 () in
+  let m = Collective.model Collective.Sum fig2 ~source:src ~targets:tgts in
+  ignore (Lp.solve ~cache:(Lp.Cache.create ~disk:(S.open_store dir) ()) m);
+  Alcotest.(check string) "record name" "f5f5829df3318a3d72864c6156ad1346.rec"
+    (Filename.basename (the_record dir));
+  rm_rf dir
+
 (* --- round trip and cross-handle reuse --- *)
 
 let test_round_trip () =
@@ -437,6 +450,38 @@ let test_infeasible_not_stored () =
   Alcotest.(check int) "no record" 0 (List.length (records dir));
   Alcotest.(check int) "nothing stored" 0 (S.stores h);
   Alcotest.(check int) "memory hit" 1 (Lp.Cache.hits cc);
+  rm_rf dir
+
+(* [quarantine/] is made by the first record moved there: a store that
+   never quarantines has none, and when a plain file holds the name the
+   bad record is removed instead, counted, and nothing raises. *)
+let test_quarantine_made_on_first_use () =
+  let qdir dir = Filename.concat dir "quarantine" in
+  let dir = fresh_dir () in
+  let h = S.open_store dir in
+  S.add h "key" "value";
+  Alcotest.(check (option string)) "served" (Some "value") (S.find h "key");
+  Alcotest.(check bool) "no quarantine/ before a quarantine" false
+    (Sys.file_exists (qdir dir));
+  write_file (S.record_path h "key") "garbage";
+  let h2 = S.open_store dir in
+  Alcotest.(check (option string)) "bad record is a miss" None (S.find h2 "key");
+  Alcotest.(check int) "first quarantine counted" 1 (S.quarantined h2);
+  Alcotest.(check int) "the record moved into quarantine/" 1
+    (Array.length (Sys.readdir (qdir dir)));
+  rm_rf dir;
+  let dir = fresh_dir () in
+  let h = S.open_store dir in
+  S.add h "key" "value";
+  write_file (qdir dir) "not a directory";
+  write_file (S.record_path h "key") "garbage";
+  let h2 = S.open_store dir in
+  Alcotest.(check (option string)) "bad record is a miss" None (S.find h2 "key");
+  Alcotest.(check int) "removal counted" 1 (S.quarantined h2);
+  Alcotest.(check bool) "record removed" false
+    (Sys.file_exists (S.record_path h2 "key"));
+  Alcotest.(check string) "the plain file is untouched" "not a directory"
+    (read_file (qdir dir));
   rm_rf dir
 
 (* a filename collision (same record path, different key) must read as
@@ -795,6 +840,8 @@ let suite =
         test_outcome_record_quarantined;
       Alcotest.test_case "infeasible LP leaves no record" `Quick
         test_infeasible_not_stored;
+      Alcotest.test_case "quarantine/ made on first use" `Quick
+        test_quarantine_made_on_first_use;
       Alcotest.test_case "key echo rejects foreign record" `Quick
         test_key_echo_rejects_foreign_record;
       Alcotest.test_case "orphan tempfile invisible" `Quick
@@ -812,6 +859,8 @@ let suite =
       Alcotest.test_case "many models through one store" `Quick
         test_disk_store_many_models;
       Alcotest.test_case "hash format pinned" `Quick test_hashes_pinned;
+      Alcotest.test_case "Figure 2 scatter record name pinned" `Quick
+        test_record_name_pinned;
       Alcotest.test_case "kill -9 mid-write" `Quick test_kill_mid_write;
       Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
     ] )
