@@ -27,7 +27,8 @@ type rows = { conserve : int array; outport : int array; inport : int array;
 (* The LP on the kept nodes: their activity variables, the send
    variables of the edges between them, and their rows, under the names
    and in the relative order of the whole model's, with the rows'
-   positions.  Each row is one pass over its node's CSR ranges, and
+   positions.  Each row is one pass over its node's CSR ranges, written
+   in column order (the alphas come first, then the sends by edge), and
    each kept edge's inverse cost is computed once. *)
 let ports_lp_on fn ports p ~master keep =
   check_master fn p master;
@@ -63,20 +64,17 @@ let ports_lp_on fn ports p ~master keep =
     Array.init ne (fun e ->
         if Option.is_none s_v.(e) then R.zero else R.inv (P.edge_cost p e))
   in
-  (* the term [(coef e, s_e)] of each kept edge e of the CSR range
-     [lo, hi), consed in front of [acc] in range order *)
-  let sends edge lo hi coef acc =
+  (* a unit term on the send variable of each kept edge of the CSR
+     range [lo, hi), consed in front of [acc] in range order *)
+  let sends edge lo hi acc =
     let acc = ref acc in
     for k = hi - 1 downto lo do
-      let e = edge k in
-      match s_v.(e) with Some v -> acc := (coef e, v) :: !acc | None -> ()
+      match s_v.(edge k) with Some v -> acc := (R.one, v) :: !acc | None -> ()
     done;
     !acc
   in
-  let outs coef i tail =
-    sends (P.out_edge p) (P.out_lo p i) (P.out_hi p i) coef tail
-  and ins coef i tail = sends (P.in_edge p) (P.in_lo p i) (P.in_hi p i) coef tail
-  and one _ = R.one in
+  let outs i tail = sends (P.out_edge p) (P.out_lo p i) (P.out_hi p i) tail
+  and ins i tail = sends (P.in_edge p) (P.in_lo p i) (P.in_hi p i) tail in
   (* port constraints: the only rows the models of the family differ in *)
   let port pos i name terms budget =
     if terms <> [] then row pos i ~name (Lp.of_terms terms) Lp.Le budget
@@ -85,11 +83,10 @@ let ports_lp_on fn ports p ~master keep =
     if kept.(i) then
       match ports with
       | Duplex (send, recv) ->
-        port rows.outport i ("outport_" ^ P.name p i) (outs one i []) (send i);
-        port rows.inport i ("inport_" ^ P.name p i) (ins one i []) (recv i)
+        port rows.outport i ("outport_" ^ P.name p i) (outs i []) (send i);
+        port rows.inport i ("inport_" ^ P.name p i) (ins i []) (recv i)
       | Half_duplex ->
-        port rows.outport i ("port_" ^ P.name p i) (outs one i (ins one i []))
-          R.one
+        port rows.outport i ("port_" ^ P.name p i) (outs i (ins i [])) R.one
   done;
   (* the master receives nothing *)
   for k = P.in_lo p master to P.in_hi p master - 1 do
@@ -101,15 +98,33 @@ let ports_lp_on fn ports p ~master keep =
     | None -> ()
   done;
   (* conservation at every non-master node:
-     sum_in s/c = alpha * speed + sum_out s/c *)
+     sum_in s/c = alpha * speed + sum_out s/c, the in- and out-edge
+     ranges merged into edge order, so the row needs no sort *)
   for i = 0 to n - 1 do
-    if kept.(i) && i <> master then
+    if kept.(i) && i <> master then begin
+      let terms = ref [] in
+      let a = ref (P.in_hi p i - 1) and b = ref (P.out_hi p i - 1) in
+      let lo_in = P.in_lo p i and lo_out = P.out_lo p i in
+      while !a >= lo_in || !b >= lo_out do
+        let ein = if !a >= lo_in then P.in_edge p !a else -1
+        and eout = if !b >= lo_out then P.out_edge p !b else -1 in
+        let e, c =
+          if ein > eout then begin
+            decr a;
+            (ein, inv_c.(ein))
+          end
+          else begin
+            decr b;
+            (eout, R.neg inv_c.(eout))
+          end
+        in
+        match s_v.(e) with Some v -> terms := (c, v) :: !terms | None -> ()
+      done;
       row rows.conserve i
         ~name:("conserve_" ^ P.name p i)
-        (Lp.of_terms
-           ((R.neg speed.(i), Option.get alpha_v.(i))
-           :: ins (Array.get inv_c) i (outs (fun e -> R.neg inv_c.(e)) i [])))
+        (Lp.of_terms ((R.neg speed.(i), Option.get alpha_v.(i)) :: !terms))
         Lp.Eq R.zero
+    end
   done;
   let objective = ref [] in
   for i = n - 1 downto 0 do

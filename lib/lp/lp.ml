@@ -18,6 +18,8 @@ module R = Rat
 
 type var = int
 
+module Names = Hashtbl.Make (String)
+
 type linexpr =
   | Zero
   | Term of R.t * var
@@ -44,7 +46,7 @@ type model = {
   mutable ncons : int;
   mutable nubs : int; (* upper-bounded variables: one [ub:] row each *)
   mutable objective : (sense * row) option;
-  names : (string, var) Hashtbl.t;
+  names : var Names.t;
 }
 
 let no_var = { name = ""; ub = None }
@@ -53,7 +55,7 @@ let no_cons = { cname = ""; row = empty_row; rel = Eq; rhs = R.zero }
 
 let create () =
   { vars = Array.make 16 no_var; nvars = 0; cons = Array.make 16 no_cons;
-    ncons = 0; nubs = 0; objective = None; names = Hashtbl.create 64 }
+    ncons = 0; nubs = 0; objective = None; names = Names.create 64 }
 
 (* [a] with [x] at [len], doubled when full *)
 let push a len x =
@@ -69,7 +71,7 @@ let push a len x =
   a
 
 let add_var ?(ub = None) m name =
-  if Hashtbl.mem m.names name then
+  if Names.mem m.names name then
     invalid_arg (Printf.sprintf "Lp.add_var: duplicate variable %S" name);
   (match ub with
   | Some u when R.sign u < 0 ->
@@ -79,12 +81,12 @@ let add_var ?(ub = None) m name =
   m.vars <- push m.vars v { name; ub };
   m.nvars <- v + 1;
   if ub <> None then m.nubs <- m.nubs + 1;
-  Hashtbl.add m.names name v;
+  Names.add m.names name v;
   v
 
 let var_name m v = m.vars.(v).name
 let find_var m name =
-  match Hashtbl.find_opt m.names name with
+  match Names.find_opt m.names name with
   | Some v -> v
   | None -> raise Not_found
 
@@ -138,16 +140,10 @@ and put cols coefs at c v =
     at + 1
   end
 
-(* Sort the first [n] terms by column, stably: nothing to do when they
-   already are (a row built in column order), in place by insertion when
-   they are few, through a sorted permutation otherwise. *)
+(* Sort the first [n] terms by column, stably: in place by insertion
+   when they are few, through a sorted permutation otherwise. *)
 let sort_terms cols coefs n =
-  let sorted = ref true in
-  for i = 1 to n - 1 do
-    if cols.(i - 1) > cols.(i) then sorted := false
-  done;
-  if !sorted then ()
-  else if n <= 32 then
+  if n <= 32 then
     for i = 1 to n - 1 do
       let v = cols.(i) and c = coefs.(i) in
       let j = ref i in
@@ -170,33 +166,49 @@ let sort_terms cols coefs n =
       perm
   end
 
-(* The normalised row of an expression: its terms sorted by column, the
-   coefficients of a repeated column summed, zero sums dropped. *)
-let normalise e =
-  let n = size 0 e in
-  if n = 0 then empty_row
-  else begin
-    let cols = Array.make n 0 and coefs = Array.make n R.zero in
-    let n = fill cols coefs R.one 0 e in
-    sort_terms cols coefs n;
-    (* merge runs of one column into slot [w] *)
-    let w = ref 0 and i = ref 0 in
-    while !i < n do
-      let v = cols.(!i) in
-      let s = ref coefs.(!i) in
-      incr i;
-      while !i < n && cols.(!i) = v do
-        s := R.add !s coefs.(!i);
-        incr i
-      done;
-      if not (R.is_zero !s) then begin
-        cols.(!w) <- v;
-        coefs.(!w) <- !s;
-        incr w
-      end
+(* Sum each run of one column of the first [n] sorted terms into one
+   term, dropping zero sums; returns the number of terms left. *)
+let merge_runs cols coefs n =
+  let w = ref 0 and i = ref 0 in
+  while !i < n do
+    let v = cols.(!i) in
+    let s = ref coefs.(!i) in
+    incr i;
+    while !i < n && cols.(!i) = v do
+      s := R.add !s coefs.(!i);
+      incr i
     done;
-    if !w = Array.length cols then { cols; coefs }
-    else { cols = Array.sub cols 0 !w; coefs = Array.sub coefs 0 !w }
+    if not (R.is_zero !s) then begin
+      cols.(!w) <- v;
+      coefs.(!w) <- !s;
+      incr w
+    end
+  done;
+  !w
+
+(* The normalised row of an expression: its terms sorted by column, the
+   coefficients of a repeated column summed, zero sums dropped.  Terms
+   written in strictly increasing column order (the usual way a model
+   builder writes a row) are already normal. *)
+let normalise e =
+  let size = size 0 e in
+  if size = 0 then empty_row
+  else begin
+    let cols = Array.make size 0 and coefs = Array.make size R.zero in
+    let n = fill cols coefs R.one 0 e in
+    let k = ref 1 in
+    while !k < n && cols.(!k - 1) < cols.(!k) do
+      incr k
+    done;
+    let n =
+      if !k >= n then n
+      else begin
+        sort_terms cols coefs n;
+        merge_runs cols coefs n
+      end
+    in
+    if n = size then { cols; coefs }
+    else { cols = Array.sub cols 0 n; coefs = Array.sub coefs 0 n }
   end
 
 let add_constraint ?name m expr rel rhs =
