@@ -531,7 +531,7 @@ let is_spanning_from t start =
    nearest unsettled node, lowest index first, and a node keeps the edge
    of its first strict improvement, so the tree is the scan's.  Returns
    per node the last edge of its path, -1 at the sources and at
-   unreached nodes, and whether it was reached. *)
+   unreached nodes. *)
 let dijkstra t sources =
   let n = num_nodes t in
   let dist = Array.make n R.zero and reached = Array.make n false in
@@ -598,7 +598,7 @@ let dijkstra t sources =
       done
     end
   done;
-  (reached, via)
+  via
 
 let path_via t via sources dst =
   let rec walk v acc =
@@ -611,14 +611,11 @@ let path_via t via sources dst =
 let multi_source_shortest_path t ~sources dst =
   if sources = [] then invalid_arg "Platform.multi_source_shortest_path: no sources";
   if List.mem dst sources then Some []
-  else begin
-    let reached, via = dijkstra t sources in
-    if reached.(dst) then path_via t via sources dst else None
-  end
+  else path_via t (dijkstra t sources) sources dst
 
 let shortest_path t src dst = multi_source_shortest_path t ~sources:[ src ] dst
 
-let shortest_path_tree t src = snd (dijkstra t [ src ])
+let shortest_path_tree t src = dijkstra t [ src ]
 
 (* every edge reversed stays valid, and each node's in-edges become its
    out-edges: the arrays are shared, nothing is checked again *)
