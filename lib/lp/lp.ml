@@ -191,10 +191,10 @@ let merge_runs cols coefs n =
    written in strictly increasing column order (the usual way a model
    builder writes a row) are already normal. *)
 let normalise e =
-  let size = size 0 e in
-  if size = 0 then empty_row
+  let terms = size 0 e in
+  if terms = 0 then empty_row
   else begin
-    let cols = Array.make size 0 and coefs = Array.make size R.zero in
+    let cols = Array.make terms 0 and coefs = Array.make terms R.zero in
     let n = fill cols coefs R.one 0 e in
     let k = ref 1 in
     while !k < n && cols.(!k - 1) < cols.(!k) do
@@ -207,7 +207,7 @@ let normalise e =
         merge_runs cols coefs n
       end
     in
-    if n = size then { cols; coefs }
+    if n = terms then { cols; coefs }
     else { cols = Array.sub cols 0 n; coefs = Array.sub coefs 0 n }
   end
 
