@@ -942,8 +942,6 @@ let suite =
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "reachability" `Quick test_reachability;
       Alcotest.test_case "shortest path" `Quick test_shortest_path;
-      Alcotest.test_case "dijkstra: heap = scan oracle" `Quick
-        test_dijkstra_reference;
       Alcotest.test_case "transpose" `Quick test_transpose;
       Alcotest.test_case "restrict" `Quick test_restrict;
       Alcotest.test_case "figure 1 platform" `Quick test_figure1;
@@ -976,4 +974,6 @@ let suite =
       Alcotest.test_case "parse allocation: 10^4-node tree" `Quick
         test_parse_tree_alloc;
       q prop_builder_create;
+      Alcotest.test_case "dijkstra: heap = scan oracle" `Quick
+        test_dijkstra_reference;
     ] )
