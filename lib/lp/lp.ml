@@ -140,31 +140,17 @@ and put cols coefs at c v =
     at + 1
   end
 
-(* Sort the first [n] terms by column, stably: in place by insertion
-   when they are few, through a sorted permutation otherwise. *)
+(* Sort the first [n] terms by column, stably, through a sorted
+   permutation. *)
 let sort_terms cols coefs n =
-  if n <= 32 then
-    for i = 1 to n - 1 do
-      let v = cols.(i) and c = coefs.(i) in
-      let j = ref i in
-      while !j > 0 && cols.(!j - 1) > v do
-        cols.(!j) <- cols.(!j - 1);
-        coefs.(!j) <- coefs.(!j - 1);
-        decr j
-      done;
-      cols.(!j) <- v;
-      coefs.(!j) <- c
-    done
-  else begin
-    let perm = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare cols.(a) cols.(b)) perm;
-    let c0 = Array.sub cols 0 n and k0 = Array.sub coefs 0 n in
-    Array.iteri
-      (fun i p ->
-        cols.(i) <- c0.(p);
-        coefs.(i) <- k0.(p))
-      perm
-  end
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare cols.(a) cols.(b)) perm;
+  let c0 = Array.sub cols 0 n and k0 = Array.sub coefs 0 n in
+  Array.iteri
+    (fun i p ->
+      cols.(i) <- c0.(p);
+      coefs.(i) <- k0.(p))
+    perm
 
 (* Sum each run of one column of the first [n] sorted terms into one
    term, dropping zero sums; returns the number of terms left. *)
@@ -351,9 +337,11 @@ let translate m =
     obj.cols;
   { rows; b; c; flip; kernel_row }
 
+(* Copies of the rows, so a caller cannot reach the model's own
+   equality rows through them. *)
 let standard_form m =
   let s = translate m in
-  (s.rows, s.b, s.c)
+  (Array.map (fun (cs, ks) -> (Array.copy cs, Array.copy ks)) s.rows, s.b, s.c)
 
 (* --- the solve cache --- *)
 

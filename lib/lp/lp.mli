@@ -249,7 +249,8 @@ val standard_form : model -> Simplex.row array * Rat.t array * Rat.t array
     when some [Le] row with only positive coefficients caps [v] at or
     below its bound, i.e. [rhs <= a_v * u_v].  Exposed so tests can
     replay the very same instance through independent solver
-    implementations. *)
+    implementations.  Every array returned is fresh: modifying it does
+    not change the model. *)
 
 val value_by_name : model -> solution -> string -> Rat.t
 (** Convenience: look a variable up by name in a solution.

@@ -934,6 +934,33 @@ let test_expr_left_fold () =
             (fst rows.(1))));
   if dt > 0.5 then Alcotest.failf "10^4 adds and their rows took %.2f s" dt
 
+(* The rows [standard_form] returns are copies: overwriting one, an
+   equality row included, changes neither the next standard form nor
+   the printed model. *)
+let test_standard_form_fresh () =
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" and y = Lp.add_var m "y" in
+  Lp.add_constraint m (Lp.add (Lp.var x) (Lp.var y)) Lp.Eq R.one;
+  Lp.add_constraint m (Lp.sub (Lp.var x) (Lp.var y)) Lp.Le R.one;
+  Lp.set_objective m Lp.Maximize (Lp.var x);
+  let text () = Format.asprintf "%a" Lp.pp m in
+  let snapshot () =
+    let rows, _, _ = Lp.standard_form m in
+    Array.to_list rows
+    |> List.map (fun (cols, coefs) ->
+           (Array.to_list cols, List.map R.to_string (Array.to_list coefs)))
+  in
+  let rows0 = snapshot () and text0 = text () in
+  let rows, _, _ = Lp.standard_form m in
+  Array.iter
+    (fun (cols, coefs) ->
+      Array.fill cols 0 (Array.length cols) 0;
+      Array.fill coefs 0 (Array.length coefs) (r 5 1))
+    rows;
+  Alcotest.(check (list (pair (list int) (list string)))) "rows unchanged"
+    rows0 (snapshot ());
+  Alcotest.(check string) "pp unchanged" text0 (text ())
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "lp",
@@ -979,4 +1006,6 @@ let suite =
       q prop_strong_duality;
       q prop_expr_reference;
       Alcotest.test_case "10^4 adds in a left fold" `Quick test_expr_left_fold;
+      Alcotest.test_case "standard_form returns copies" `Quick
+        test_standard_form_fresh;
     ] )

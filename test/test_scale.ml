@@ -1078,7 +1078,7 @@ let test_op_alloc () =
 
 (* Master_slave.solve over the solve-graph benchmark's seed-1 ladder:
    252 connected graphs of 20 to 40 nodes with n/2 chords, each drawn
-   from the next seed of [Faults.generator ~seed:1].  27 689 words per
+   from the next seed of [Faults.generator ~seed:1].  27 986 words per
    solve when this bound was set, about 1.25x under it; with models
    built as persistent maps and the seed tree's O(n^2) Dijkstra over
    option-boxed distances it was 53 256. *)
