@@ -10,16 +10,11 @@
    - substrate costs: bignum arithmetic, rational arithmetic on both
      representation paths, simulator event processing, tree enumeration.
 
-   Part 2.5 measures the solve cache: the E10 dynamic workload
-   (Reactive + Oracle, 32 phases) plus its oracle throughput bound,
-   cold vs cached.
-   Every accelerated run is checked against the cold objectives before
-   its time is recorded — a fast wrong answer never lands in the JSON.
-
    Part 2.6 measures the persistent solve store: a populate pass
-   (write-through), a second pass with a fresh handle and empty memory
-   cache (a stand-in for a second process — every solve must come off
-   disk, bit-identical), and a corruption pass that flips a byte in
+   (write-through), a second pass with a fresh handle (a stand-in for a
+   second process — every solve must come off disk, bit-identical, and
+   is checked against the cold objectives before its time is recorded),
+   and a corruption pass that flips a byte in
    every record and requires quarantine + cold re-solve, never an
    exception or a changed objective.  [--cache-dir DIR] (or
    [STEADY_CACHE_DIR]) points the suite at a persistent directory so
@@ -272,7 +267,6 @@ let record_effort name (st : Lp.Stats.t) =
    so reuse rates are trackable across PRs *)
 let stats_cache_hits = ref 0
 let stats_cache_misses = ref 0
-let stats_cache_evictions = ref 0
 let stats_disk_hits = ref 0
 let stats_disk_stores = ref 0
 let stats_disk_evictions = ref 0
@@ -281,15 +275,12 @@ let stats_quarantined = ref 0
 let note_cache c =
   stats_cache_hits := !stats_cache_hits + Lp.Cache.hits c;
   stats_cache_misses := !stats_cache_misses + Lp.Cache.misses c;
-  stats_cache_evictions := !stats_cache_evictions + Lp.Cache.evictions c;
   stats_disk_hits := !stats_disk_hits + Lp.Cache.disk_hits c
 
 let note_store s =
   stats_disk_stores := !stats_disk_stores + Lp.Cache.Disk.stores s;
   stats_disk_evictions := !stats_disk_evictions + Lp.Cache.Disk.evictions s;
   stats_quarantined := !stats_quarantined + Lp.Cache.Disk.quarantined s
-
-(* --- part 2.5: solve-cache workloads --- *)
 
 (* mildly perturbed copy of [p]: every finite node weight divided by
    [cpu], every edge cost divided by [bw] — the same transformation
@@ -325,97 +316,6 @@ let resolve_all plats =
   List.map
     (fun p -> (Master_slave.solve p ~master:0).Master_slave.ntask)
     plats
-
-(* [p] with a link [a]-[b] both ways at cost [c], after [p]'s edges (so
-   every existing edge keeps its index) *)
-let with_link p a b c =
-  Platform.create
-    ~names:(Array.of_list (List.map (Platform.name p) (Platform.nodes p)))
-    ~weights:(Array.of_list (List.map (Platform.weight p) (Platform.nodes p)))
-    ~edges:
-      (List.map
-         (fun e ->
-           (Platform.edge_src p e, Platform.edge_dst p e, Platform.edge_cost p e))
-         (Platform.edges p)
-      @ [ (a, b, c); (b, a, c) ])
-
-(* E10-style dynamic scenario, larger than the E10 exemplar: a wide
-   star plus one slave-slave link, several cpu and bandwidth traces
-   whose joint multiplier vector cycles with period 3, so the oracle
-   and the bound revisit the same few scaled platforms — the situation
-   the solve cache targets — while the reactive forecasts produce fresh
-   nearby LPs, which miss it.  The extra link closes a cycle: on a bare
-   star the bound would take the tree closed form and never reach the
-   cache. *)
-let dynamic_scenario ~slaves ~phases =
-  let p =
-    with_link
-      (Platform_gen.star ~master_weight:Ext_rat.inf
-         ~slaves:
-           (List.init slaves (fun i ->
-                (Ext_rat.of_ints (3 + (i mod 7)) 2, R.of_ints (2 + (i mod 5)) 3)))
-         ())
-      1 2 R.one
-  in
-  let phase = R.of_int 4 in
-  let cycle = [| R.one; R.of_ints 3 4; R.of_ints 1 2 |] in
-  let trace offset =
-    List.init (phases - 1) (fun j ->
-        (R.mul (R.of_int (j + 1)) phase, cycle.((j + 1 + offset) mod 3)))
-  in
-  let cpu_traces =
-    List.filter_map
-      (fun i -> if i > 0 && i mod 2 = 1 then Some (i, trace i) else None)
-      (Platform.nodes p)
-  in
-  let bw_traces =
-    List.filter_map
-      (fun e -> if e mod 3 = 0 then Some (e, trace (e + 1)) else None)
-      (Platform.edges p)
-  in
-  { Dynamic_sched.platform = p; master = 0; cpu_traces; bw_traces; phase;
-    phases }
-
-let run_cache_suite ~smoke () =
-  print_endline "\n########## solve-cache workloads ##########\n";
-  let runs = if smoke then 1 else 3 in
-  let rows = ref [] in
-  let record = record rows in
-  (* E10 dynamic run and oracle bound, cold vs cached *)
-  let slaves = if smoke then 4 else 16 and phases = if smoke then 4 else 32 in
-  let sc = dynamic_scenario ~slaves ~phases in
-  let dyn cached () =
-    let cache = if cached then Some (Lp.Cache.create ()) else None in
-    let run s = Dynamic_sched.run ?cache sc s in
-    let re = run Dynamic_sched.Reactive in
-    let o = run Dynamic_sched.Oracle in
-    Option.iter note_cache cache;
-    (re.Dynamic_sched.completed, o.Dynamic_sched.completed)
-  in
-  let e10 tail = Printf.sprintf "warm/E10 Reactive+Oracle %d phases (%s)" phases tail in
-  let _, cold_ns = best_of ~runs (dyn false) in
-  record (e10 "cold") cold_ns;
-  let _, cache_ns = best_of ~runs (dyn true) in
-  record (e10 "cache") cache_ns;
-  Printf.printf "%-56s %10.2fx\n" "warm/E10 dynamic speedup" (cold_ns /. cache_ns);
-  let bound tail = Printf.sprintf "warm/E10 oracle bound %d phases (%s)" phases tail in
-  let b_cold, ns =
-    best_of ~runs (fun () -> Dynamic_sched.oracle_throughput_bound sc)
-  in
-  record (bound "cold") ns;
-  let cold_bound_ns = ns in
-  let b_cached, ns =
-    best_of ~runs (fun () ->
-        let cache = Lp.Cache.create () in
-        let b = Dynamic_sched.oracle_throughput_bound ~cache sc in
-        note_cache cache;
-        b)
-  in
-  if not (R.equal b_cold b_cached) then
-    failwith "bench: oracle bound differs between cold and cached solves";
-  record (bound "cached") ns;
-  Printf.printf "%-56s %10.2fx\n" "warm/E10 oracle bound speedup" (cold_bound_ns /. ns);
-  List.rev !rows
 
 (* --- part 3: sweep --- *)
 
@@ -501,7 +401,7 @@ let run_disk_suite ~smoke ~cache_dir () =
   record (Printf.sprintf "disk/populate %dx n=%d (write-through)" k n) ns;
   note_cache cache1;
   note_store disk1;
-  (* pass 2: fresh handle, empty memory cache — a second process.  On a
+  (* pass 2: fresh handle — a second process.  On a
      persistent --cache-dir the populate pass above already hit, so the
      only hard requirement is that reuse happened at all. *)
   let disk2 = Lp.Cache.Disk.open_store dir in
@@ -596,7 +496,7 @@ let run_fault_suite ~smoke () =
       in
       record (label "robust") ns;
       let bound, ns =
-        wall_ns (fun () -> Dynamic_sched.fault_throughput_bound ~cache sc)
+        wall_ns (fun () -> Dynamic_sched.fault_throughput_bound sc)
       in
       record (label "LP bound") ns;
       note_cache cache;
@@ -671,11 +571,11 @@ let run_fault_suite ~smoke () =
 (* A long fault trace (32 epochs, dense churn) over a heterogeneous
    star: every epoch re-plans on a different surviving subplatform.
    Every LP solve is cold either way; the cold run has no cache, the
-   reuse run a fresh [Lp.Cache], which serves the epochs whose
-   multiplier snapshot repeats.  Guards: the reuse and cold outcomes
-   must be bit-identical ({!Dynamic_sched.outcomes_equal} — the cache is
-   an accelerator, never a result changer), and at n=200 the reuse run
-   must beat the cold run. *)
+   reuse run a fresh [Lp.Cache] with no disk tier, which memoises
+   nothing, so the reuse run does the cold run's work (and a star plans
+   with no LP at all).  Guards: the reuse and cold outcomes must be
+   bit-identical ({!Dynamic_sched.outcomes_equal}), and at n=200 the
+   reuse run must beat the cold run. *)
 let churn_scenario ~slaves ~phases ~seed =
   let p =
     Platform_gen.star ~master_weight:Ext_rat.inf
@@ -1009,12 +909,11 @@ let json_escape s =
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"steady-bench/11\",\n";
+  Printf.fprintf oc "  \"schema\": \"steady-bench/12\",\n";
   Printf.fprintf oc "  \"unit\": \"ns\",\n";
   Printf.fprintf oc "  \"cache_stats\": {\n";
   Printf.fprintf oc "    \"cache_hits\": %d,\n" !stats_cache_hits;
   Printf.fprintf oc "    \"cache_misses\": %d,\n" !stats_cache_misses;
-  Printf.fprintf oc "    \"cache_evictions\": %d,\n" !stats_cache_evictions;
   Printf.fprintf oc "    \"disk_hits\": %d,\n" !stats_disk_hits;
   Printf.fprintf oc "    \"disk_stores\": %d,\n" !stats_disk_stores;
   Printf.fprintf oc "    \"disk_evictions\": %d,\n" !stats_disk_evictions;
@@ -1090,7 +989,6 @@ let run_smoke ~cache_dir () =
       fn ();
       Printf.printf "smoke ok  %s\n" name)
     (timed_workloads ());
-  ignore (run_cache_suite ~smoke:true ());
   ignore (run_disk_suite ~smoke:true ~cache_dir ());
   ignore (run_sweep ~smoke:true ());
   ignore (run_fault_suite ~smoke:true ());
@@ -1141,7 +1039,6 @@ let () =
     print_coloring_stats ();
     if not !tables_only then begin
       let bench_rows = run_benchmarks () in
-      let cache_rows = run_cache_suite ~smoke:false () in
       let disk_rows = run_disk_suite ~smoke:false ~cache_dir:!cache_dir () in
       let sweep_rows = run_sweep ~smoke:false () in
       let fault_rows = run_fault_suite ~smoke:false () in
@@ -1149,7 +1046,7 @@ let () =
       let recovery_rows = run_recovery_suite ~smoke:false () in
       let scale_rows = run_scale_suite ~smoke:false () in
       write_json !json_path
-        (bench_rows @ cache_rows @ disk_rows @ sweep_rows
+        (bench_rows @ disk_rows @ sweep_rows
        @ fault_rows @ churn_rows @ recovery_rows @ scale_rows)
     end
   end

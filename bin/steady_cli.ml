@@ -456,12 +456,11 @@ let dynamic_cmd =
          }
        in
        rejecting_invalid @@ fun () ->
-       let cache = Lp.Cache.create () in
        match (ckpt_dir, resume, halt_at) with
        | None, true, _ -> Error "--resume requires --checkpoint-dir"
        | None, _, Some _ -> Error "--halt-at requires --checkpoint-dir"
        | None, false, None ->
-         print_outcome (Dy.run ~cache sc strategy);
+         print_outcome (Dy.run sc strategy);
          Ok ()
        | Some _, _, _ when strategy <> Dy.Robust ->
          Error "--checkpoint-dir requires the robust strategy"
@@ -481,7 +480,7 @@ let dynamic_cmd =
          let checkpoint = { Dy.Checkpoint.dir; every } in
          match
            in_checkpoint_dir dir (fun () ->
-               Dy.run ~cache ~checkpoint ?halt_at sc strategy)
+               Dy.run ~checkpoint ?halt_at sc strategy)
          with
          | Error _ as e -> e
          | Ok o ->

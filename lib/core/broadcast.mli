@@ -10,7 +10,6 @@ val targets_of : Platform.t -> source:Platform.node -> Platform.node list
 (** All nodes except the source. *)
 
 val lp_bound :
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
   Collective.solution
@@ -20,7 +19,6 @@ val lp_bound :
     everyone), elsewhere the monolithic LP. *)
 
 val tree_packing :
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
   Multicast.packing
@@ -32,4 +30,5 @@ val bound_met :
   Platform.t ->
   source:Platform.node ->
   bool * Rat.t * Rat.t
-(** [(met, bound, achieved)]: does the tree packing reach the LP bound? *)
+(** [(met, bound, achieved)]: does the tree packing reach the LP bound?
+    Both LPs go through [?cache] ({!Lp.solve}). *)

@@ -55,8 +55,8 @@ val solve :
     bit, with no LP built; an unreachable target forces zero
     throughput.  [?cache] is not consulted there.
 
-    Any other platform solves {!model} with {!Lp.solve}; [?cache]
-    memoises exactly repeated solves, as in {!Master_slave.solve}.
+    Any other platform solves {!model} with {!Lp.solve} through
+    [?cache], as in {!Master_slave.solve}.
     @raise Invalid_argument if [targets] is empty, contains the source,
     or contains duplicates, or if the source or a target is not a node.
     (Zero throughput is always feasible, so the LP is never

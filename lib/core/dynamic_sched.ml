@@ -385,6 +385,39 @@ let is_computing p v =
 
 let has_compute sub = List.exists (is_computing sub) (P.nodes sub)
 
+(* The one reuse across epochs.  Each epoch's answer (a plan, or a
+   bound's rate) is a function of that epoch's multiplier snapshot
+   alone, so an epoch whose snapshot equals the previous epoch's, entry
+   for entry, takes the previous answer instead of computing it again.
+   [reuse_last sc] keeps only the last snapshot; applied to this epoch's
+   snapshot [node i], [edge e], it gives the last answer if the snapshot
+   is unchanged, else [answer] applied to it. *)
+let reuse_last sc =
+  let node_mults = Array.make (P.num_nodes sc.platform) R.one in
+  let edge_mults = Array.make (P.num_edges sc.platform) R.one in
+  let last = ref None in
+  fun ~node ~edge answer ->
+    let same = ref (Option.is_some !last) in
+    let fill mults get =
+      Array.iteri
+        (fun k was ->
+          let x = get k in
+          if !same && not (R.equal x was) then same := false;
+          mults.(k) <- x)
+        mults
+    in
+    fill node_mults node;
+    fill edge_mults edge;
+    match !last with
+    | Some a when !same -> a
+    | Some _ | None ->
+      let a =
+        answer ~node_mult:(Array.get node_mults)
+          ~edge_mult:(Array.get edge_mults)
+      in
+      last := Some a;
+      a
+
 (* a scenario's traces as the simulator takes them *)
 let normalized = List.map (fun (k, tr) -> (k, normalize_trace tr))
 
@@ -426,11 +459,12 @@ let run_classic ?cache ?stats sc strategy =
   let p = sc.platform in
   let node_cts, edge_cts = compile_scenario sc in
   let sim = simulator_of sc in
-  (* off a tree, with [?cache], flat trace segments (repeated
-     multipliers) hit it outright; without, every phase is solved *)
   let plan p = plan_exn ?cache ?stats p ~master:sc.master sc.phase in
-  let plan_scaled node_mult edge_mult =
-    plan (scaled_platform sc node_mult edge_mult)
+  (* a phase whose multipliers are the last phase's reuses its plan *)
+  let reuse = reuse_last sc in
+  let plan_scaled node edge =
+    reuse ~node ~edge (fun ~node_mult ~edge_mult ->
+        plan (scaled_platform sc node_mult edge_mult))
   in
   let static_plan = plan p in
   (* the reactive strategy's forecasters *)
@@ -1238,23 +1272,14 @@ let robust ?cache ?stats ?ckpt ?from sc =
   (* A live decision is a function of the multipliers alone (dead marks
      zero them): the surviving subplatform they scale, planned by the
      tree sweep or, off a tree, a cold LP solve.  So a live epoch whose
-     multipliers equal the previous live epoch's, entry for entry,
-     reuses that epoch's decision.  That is the only state crossing
-     epochs that no checkpoint stores: a resumed run's first live epoch
-     plans, and gets the decision the uninterrupted run reused.  The
-     only memo across runs is the caller's [?cache]: an identical
-     multiplier snapshot builds an identical restriction, hence an
-     identical LP, which hits it. *)
-  let node_mults = Array.make n R.one in
-  let edge_mults = Array.make m R.one in
-  let last_decision = ref None in
-  (* the decision for the current multipliers *)
-  let plan_live () =
-    let restr =
-      surviving_scaled sc
-        ~node_mult:(fun i -> node_mults.(i))
-        ~edge_mult:(fun e -> edge_mults.(e))
-    in
+     multipliers equal the previous live epoch's reuses that epoch's
+     decision ({!reuse_last}).  That is the only state crossing epochs
+     that no checkpoint stores: a resumed run's first live epoch plans,
+     and gets the decision the uninterrupted run reused. *)
+  let reuse = reuse_last sc in
+  (* the decision for the given multipliers *)
+  let plan_live ~node_mult ~edge_mult =
+    let restr = surviving_scaled sc ~node_mult ~edge_mult in
     let sub = restr.P.sub in
     let plan =
       if not (has_compute sub) then None
@@ -1320,23 +1345,9 @@ let robust ?cache ?stats ?ckpt ?from sc =
     (* plan on the surviving subplatform, scaled by the forecasts,
        unless they are the last live epoch's *)
     let decision =
-      let same = ref (Option.is_some !last_decision) in
-      let fill mults dead fcs =
-        Array.iteri
-          (fun k was ->
-            let x = if dead.(k) then R.zero else predict fcs k in
-            if !same && not (R.equal x was) then same := false;
-            mults.(k) <- x)
-          mults
-      in
-      fill node_mults dead_cpu node_fc;
-      fill edge_mults dead_bw edge_fc;
-      match !last_decision with
-      | Some d when !same -> d
-      | Some _ | None ->
-        let d = plan_live () in
-        last_decision := Some d;
-        d
+      let forecast dead fcs k = if dead.(k) then R.zero else predict fcs k in
+      reuse ~node:(forecast dead_cpu node_fc)
+        ~edge:(forecast dead_bw edge_fc) plan_live
     in
     match decision with
     | D_degraded ->
@@ -1602,33 +1613,39 @@ let resume ?(strict = false) ~checkpoint sc =
   end;
   (outcome, resumed_from)
 
-let fault_throughput_bound ?cache sc =
+let fault_throughput_bound sc =
   validate_scenario ~allow_outages:true sc;
   let node_cts, edge_cts = compile_scenario sc in
+  (* the surviving platform's throughput; 0 for a fully degraded epoch
+     (master isolated, no compute) *)
+  let rate ~node_mult ~edge_mult =
+    let restr = surviving_scaled sc ~node_mult ~edge_mult in
+    let sub = restr.P.sub in
+    if not (has_compute sub) then R.zero
+    else
+      match
+        Master_slave.try_solve sub ~master:restr.P.sub_of_node.(sc.master)
+      with
+      | Ok sol -> sol.Master_slave.ntask
+      | Error (`Infeasible | `Unbounded) -> R.zero
+  in
+  let reuse = reuse_last sc in
   let total = ref R.zero in
   for k = 0 to sc.phases - 1 do
     let t0 = R.mul (R.of_int k) sc.phase in
-    let restr =
-      surviving_scaled sc
-        ~node_mult:(fun i -> compiled_at node_cts.(i) t0)
-        ~edge_mult:(fun e -> compiled_at edge_cts.(e) t0)
+    let rate =
+      reuse
+        ~node:(fun i -> compiled_at node_cts.(i) t0)
+        ~edge:(fun e -> compiled_at edge_cts.(e) t0)
+        rate
     in
-    let sub = restr.P.sub in
-    if has_compute sub then begin
-      match
-        Master_slave.try_solve ?cache sub
-          ~master:restr.P.sub_of_node.(sc.master)
-      with
-      | Ok sol -> total := R.add !total (R.mul sc.phase sol.Master_slave.ntask)
-      | Error (`Infeasible | `Unbounded) -> ()
-    end
-    (* a fully degraded epoch (master isolated, no compute) contributes 0 *)
+    total := R.add !total (R.mul sc.phase rate)
   done;
   !total
 
 (* With every multiplier positive, the surviving platform is the scaled
    one less the nodes the master cannot reach, which compute nothing:
    the same throughput, phase by phase *)
-let oracle_throughput_bound ?cache sc =
+let oracle_throughput_bound sc =
   validate_scenario sc;
-  fault_throughput_bound ?cache sc
+  fault_throughput_bound sc

@@ -29,10 +29,15 @@
       is computed from its surviving restriction alone (on a tree by
       the integral sweep; elsewhere by a cold LP solve, cycle
       cancellation and path decomposition), so a checkpoint stores no
-      solver state.  The only memo is the caller's [?cache], as for
-      {!Lp.solve}: with one, an exactly repeated LP (an identical
-      multiplier snapshot builds an identical restriction) is served
-      from it; without one, every LP is solved.
+      solver state.
+
+    Every strategy and both throughput bounds reuse one thing across
+    epochs: an epoch whose multiplier snapshot (true, forecast or
+    surviving) equals the previous epoch's, entry for entry, takes the
+    previous epoch's plan or rate instead of computing it again.  A plan
+    is a function of its multipliers alone, so the reuse changes no
+    answer; it is what makes flat trace segments cheap.  Only the last
+    snapshot is kept.
 
     Plans are executed in queued (non-strict) mode: if reality is slower
     than the plan assumed, operations stack up and throughput drops —
@@ -137,7 +142,7 @@ val plan_phase :
     optimal LP vertex.  [?cache] and [?stats] are untouched there.
 
     Any other platform takes {!Master_slave.try_solve} (the LP, through
-    [?cache], counted in [?stats]) and floors [phase * rate] on each
+    [?cache]'s disk tier, counted in [?stats]) and floors [phase * rate] on each
     path of its flow's decomposition; [None] when that LP has no
     optimum.
     @raise Invalid_argument when a count the plan uses overflows a
@@ -153,8 +158,8 @@ val plan_phase :
     checksummed, atomically committed {!Solve_store} record (format
     [steady-ckpt 5]), overwritten at each checkpoint.  Every LP solve is
     cold, a function of its epoch's platform alone, so no solver state
-    or LP memo is stored, and the record does not depend on whether the
-    run had a [?cache].  {!resume} decodes the record, restores the
+    is stored, and the record does not depend on whether the run had a
+    [?cache].  {!resume} decodes the record, restores the
     simulator and continues from that boundary {e bit-identically}: no
     earlier boundary runs again.  What the record leaves out is a
     function of the scenario and the epoch and is rebuilt without
@@ -191,20 +196,20 @@ val run :
 (** Every phase plan is {!plan_phase}'s: on a tree the integral sweep,
     with no LP; elsewhere the LP's per-path floors.  Every per-phase LP
     solve is cold.  [?cache] and [?stats] only touch the plans of
-    platforms that are not trees.  [?cache] is the only memo, with
-    {!Lp.solve}'s rule: with it, every plan LP goes through the cache,
-    so exactly repeated instances (flat trace segments, the nominal
-    platform) cost one solve, across runs too when the cache is shared
-    (e.g. between strategies of the same scenario); without it, every
-    plan LP — the nominal plan, plus one per phase for every strategy
-    but {!Static} — goes to the kernel.  [?stats] accumulates
-    solver/retry counters across all phases.  A cache hit is
-    bit-identical to recomputing, so [?cache] changes no answer: the
-    outcome is {!outcomes_equal} to the run without it.
+    platforms that are not trees.  A run plans the nominal platform,
+    then (every strategy but {!Static}) each phase whose multipliers
+    differ from the previous phase's; a phase whose multipliers are
+    unchanged reuses the previous plan.  Every plan LP goes through
+    [?cache] with {!Lp.solve}'s rule: with a disk tier, a certified
+    record of an identical LP is served from it, across runs and
+    processes; without one, the cache only counts misses.  [?stats]
+    accumulates solver/retry counters across all phases.  A disk hit
+    is bit-identical to recomputing, so [?cache] changes no answer:
+    the outcome is {!outcomes_equal} to the run without it.
 
     [?checkpoint] (Robust only) enables crash recovery as described
     above.  It only adds the record commits: the run is otherwise the
-    same, and memoises through [?cache] like any other run.
+    same, and goes through [?cache] like any other run.
     [?halt_at] (requires [?checkpoint]) injects a crash: the run raises
     {!Checkpoint.Halted} at the start of that boundary's callback,
     after the checkpoint due there (if [halt_at] is a multiple of
@@ -226,12 +231,12 @@ val resume :
     which is also the recovery path for a corrupt, version-skewed,
     wrong-platform or inconsistent record, after quarantining it).  The
     resumed outcome is bit-identical to the uninterrupted run's, with
-    or without a [?cache] on that run (cache hits are bit-identical to
+    or without a [?cache] on that run (disk hits are bit-identical to
     re-solves), for every record a run wrote; a forged record that
     passes the decoder's checks is trusted.  With [~strict:true] the
     outcome is certified on the spot against an uninterrupted run (no
     checkpoint machinery).  The resumed run, and that certifying run,
-    have no LP memo, like a {!run} without [?cache].
+    take no [?cache].
     @raise Failure if strict certification fails.
     @raise Invalid_argument on a cadence [< 1]. *)
 
@@ -239,17 +244,16 @@ val outcomes_equal : outcome -> outcome -> bool
 (** Exact equality of two outcomes: strategy, completed work, per-phase
     marks (rational equality) and the loss report. *)
 
-val oracle_throughput_bound : ?cache:Lp.Cache.t -> scenario -> Rat.t
+val oracle_throughput_bound : scenario -> Rat.t
 (** Sum over phases of [phase * ntask(platform scaled by the true
     multipliers at the phase start)] — an upper bound on any
-    phase-planned strategy when breakpoints are phase-aligned.
-    [?cache] as in {!run}: without it every phase's LP is solved; the
-    bound itself is bit-identical either way.  It is
+    phase-planned strategy when breakpoints are phase-aligned.  A phase
+    whose multipliers equal the previous phase's reuses its [ntask], as
+    the strategies reuse plans.  It is
     {!fault_throughput_bound} after the stricter validation: with every
     multiplier positive, the surviving platform is the scaled one less
     the nodes the master cannot reach, which compute nothing.  Each
-    phase takes {!Master_slave.try_solve} (the closed form on a tree,
-    which consults no cache). *)
+    phase takes {!Master_slave.try_solve} (the closed form on a tree). *)
 
 (** {1 Failure-aware utilities} *)
 
@@ -262,9 +266,9 @@ val surviving_platform : scenario -> at:Rat.t -> Platform.restriction
     platform {!Robust} re-plans on (with true multipliers in place of
     forecasts) and the one per-epoch LP bounds are computed on. *)
 
-val fault_throughput_bound : ?cache:Lp.Cache.t -> scenario -> Rat.t
+val fault_throughput_bound : scenario -> Rat.t
 (** Outage-tolerant analogue of {!oracle_throughput_bound}: sum over
     phases of [phase * ntask(surviving platform at the phase start)],
     with fully degraded epochs (no reachable compute power)
-    contributing zero.  Memoised through [?cache] like the oracle
-    bound; never raises on outage scenarios. *)
+    contributing zero.  A phase with the previous phase's multipliers
+    reuses its rate; never raises on outage scenarios. *)

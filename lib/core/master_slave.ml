@@ -141,9 +141,9 @@ let ports_lp fn ports p ~master =
 
 let build_lp p ~master = ports_lp "Master_slave.build_lp" one_port p ~master
 
-let solve_lp_only ?cache ?stats p ~master =
+let solve_lp_only ?stats p ~master =
   let m, _, _ = ports_lp "Master_slave.solve_lp_only" one_port p ~master in
-  (m, Lp.solve ?cache ?stats m)
+  (m, Lp.solve ?stats m)
 
 (* Map an optimal LP solution back onto the platform: activity
    fractions per node, cycle-free task flow per edge. *)
@@ -505,7 +505,7 @@ let generate_on fn ?cache ?stats p ~master full =
   in
   rounds ()
 
-let restricted ?cache ?stats p ~master ~kept =
+let restricted ?stats p ~master ~kept =
   let fn = "Master_slave.restricted" in
   check_master fn p master;
   if Array.length kept <> P.num_nodes p || not kept.(master) then
@@ -515,11 +515,11 @@ let restricted ?cache ?stats p ~master ~kept =
   Result.map
     (fun (lp, sol, grow) ->
       (extend full lp kept sol, List.filter (Array.get grow) (P.nodes p)))
-    (round fn ?cache ?stats p ~master full kept)
+    (round fn ?stats p ~master full kept)
 
-let generate ?cache ?stats p ~master =
+let generate ?stats p ~master =
   let fn = "Master_slave.generate" in
-  generate_on fn ?cache ?stats p ~master (full_lp fn p ~master)
+  generate_on fn ?stats p ~master (full_lp fn p ~master)
 
 let try_solve_as fn ?cache ?stats p ~master =
   check_master fn p master;
@@ -542,7 +542,7 @@ let solve ?cache ?stats p ~master =
   | Error (`Infeasible | `Unbounded) ->
     failwith "Master_slave.solve: LP not optimal (invalid platform?)"
 
-let solve_reduced = solve
+let solve_reduced ?stats p ~master = solve ?stats p ~master
 
 (* Built from the solution's positive entries, found in one scan: on
    a tree the flow reaches a few nodes of thousands, and nothing here

@@ -106,7 +106,7 @@ val solve :
     the bound is 1 and the node keeps all it receives), and a fill
     stops once the port is full.  The answer is the one every node's
     knapsack would give.  No LP is built or solved there, so [?cache]
-    is not consulted and [?stats] stays untouched.  The throughput is the LP
+    and [?stats] stay untouched.  The throughput is the LP
     optimum bit for bit; the vertex may be another optimal one than
     the kernel's ({!solve_lp_only} returns the kernel's), and it
     satisfies every constraint of {!build_lp} exactly.  Whole-task
@@ -128,14 +128,14 @@ val solve :
     the last restricted LP, zero off it, which may be another optimal
     vertex than the kernel's on {!build_lp} ({!solve_lp_only} still
     returns that one).  Every solve is cold, so the answer is a
-    function of the platform alone.  [?cache] memoises each round's
-    restricted LP: an exactly repeated instance (flat segments of the
-    §5.5 phase workload) hits on every round, and a hit is
-    bit-identical to re-solving.  The flow is cycle-cancelled by
+    function of the platform alone.  Each round's restricted LP goes
+    through [?cache] ({!Lp.solve}): with a disk tier, a round whose LP
+    has a certified record is served from it, bit-identical to
+    re-solving.  The flow is cycle-cancelled by
     {!Reconstruct.cancel}, which keeps no state: the returned
     [task_flow] is a function of the last round's LP solution alone.
     [?stats] gets each round's {!Lp.solve} (so a round is one
-    [solves], and a cache hit adds nothing) and the cycles cancelled.
+    [solves], and a disk hit adds nothing) and the cycles cancelled.
     @raise Invalid_argument if [master] is not a node.
     @raise Failure if the LP is somehow not optimal (cannot happen on a
     valid platform: the zero schedule is feasible and throughput is
@@ -156,7 +156,6 @@ val try_solve :
     @raise Failure if the whole LP's answer fails its certificate. *)
 
 val restricted :
-  ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -166,7 +165,7 @@ val restricted :
     ~master ~kept] builds {!build_lp} on the nodes [kept] marks only
     (their variables, the send variables of the edges between them,
     and their rows, under {!build_lp}'s names; {!build_lp} itself when
-    all are kept), solves it with {!Lp.solve} [?cache ?stats], and
+    all are kept), solves it with {!Lp.solve} [?stats], and
     carries the answer to the whole {!build_lp} model by row and column
     position: omitted variables are 0, kept rows keep their duals, an
     omitted node's conservation row prices -1 (a task there is worth 1)
@@ -183,7 +182,6 @@ val restricted :
     one flag per node with the master's set. *)
 
 val generate :
-  ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -195,12 +193,11 @@ val generate :
     p ~master)] accepted; {!try_solve} reads its solution off it.  The
     whole model is built once and solved as is by a round keeping every
     node.  Each round adds a node: at most [n] rounds (one [solves]
-    each in [?stats] without a cache).  {!solve} calls it off trees.
+    each in [?stats]).  {!solve} calls it off trees.
     @raise Invalid_argument if [master] is not a node.
     @raise Failure if the whole LP's answer fails its certificate. *)
 
 val solve_lp_only :
-  ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->
@@ -211,7 +208,6 @@ val solve_lp_only :
     cross-checks and tests. *)
 
 val solve_reduced :
-  ?cache:Lp.Cache.t ->
   ?stats:Lp.Stats.t ->
   Platform.t ->
   master:Platform.node ->

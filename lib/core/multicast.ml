@@ -100,7 +100,7 @@ let port_loads p tree =
     tree;
   (out_load, in_load)
 
-let packing_of_trees ?cache p ~source ~targets trees =
+let pack ?cache p ~source ~targets trees =
   if trees = [] then
     { platform = p; source; targets; trees = []; rates = []; throughput = R.zero }
   else begin
@@ -148,9 +148,10 @@ let packing_of_trees ?cache p ~source ~targets trees =
       }
   end
 
+let packing_of_trees p ~source ~targets trees = pack p ~source ~targets trees
+
 let best_tree_packing ?cache p ~source ~targets =
-  packing_of_trees ?cache p ~source ~targets
-    (enumerate_trees p ~source ~targets)
+  pack ?cache p ~source ~targets (enumerate_trees p ~source ~targets)
 
 (* Cheapest-insertion Steiner tree under a cost inflation map: connect
    each still-uncovered target by the cheapest (inflated) path from any
@@ -218,8 +219,8 @@ let heuristic_trees ?(count = 4) p ~source ~targets =
   in
   go count []
 
-let heuristic_packing ?count ?cache p ~source ~targets =
-  packing_of_trees ?cache p ~source ~targets
+let heuristic_packing ?count p ~source ~targets =
+  pack p ~source ~targets
     (heuristic_trees ?count p ~source ~targets)
 
 let best_single_tree p ~source ~targets =

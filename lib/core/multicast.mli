@@ -60,16 +60,13 @@ val best_tree_packing :
     the one-port constraints (LP over the enumerated trees). *)
 
 val packing_of_trees :
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
   targets:Platform.node list ->
   tree list ->
   packing
 (** Optimal time-sharing of a {e given} tree set (LP over the trees);
-    {!best_tree_packing} is this applied to the full enumeration.
-    Repeated packings over the same tree-set shape (per-phase sum-LPs)
-    can thread [?cache] exactly as in {!Master_slave.solve}. *)
+    {!best_tree_packing} is this applied to the full enumeration. *)
 
 val heuristic_trees :
   ?count:int ->
@@ -86,7 +83,6 @@ val heuristic_trees :
 
 val heuristic_packing :
   ?count:int ->
-  ?cache:Lp.Cache.t ->
   Platform.t ->
   source:Platform.node ->
   targets:Platform.node list ->

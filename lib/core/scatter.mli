@@ -16,9 +16,8 @@ val solve :
   targets:Platform.node list ->
   solution
 (** {!Collective.solve} under the [Sum] law: the closed form on a
-    tree, the LP elsewhere.  [?cache] memoises exactly repeated LP
-    solves, as in {!Master_slave.solve}: a hit is bit-identical to
-    re-solving. *)
+    tree, the LP elsewhere, through [?cache] as in
+    {!Master_slave.solve}: a disk hit is bit-identical to re-solving. *)
 
 val schedule : solution -> Schedule.t
 (** Kinds in the schedule are target indices (positions in [targets]).

@@ -620,7 +620,7 @@ let e16_baselines () =
    achieved by a strict-mode periodic replay (rational equality:
    simulated completed work = analytic prediction, and tasks per period
    = ntask * period). *)
-let epoch_replay ~cache sc =
+let epoch_replay sc =
   let boundaries =
     List.init sc.Dynamic_sched.phases (fun k ->
         R.mul_int sc.Dynamic_sched.phase k)
@@ -639,7 +639,7 @@ let epoch_replay ~cache sc =
   List.iter
     (fun restr ->
       let m = restr.P.sub_of_node.(sc.Dynamic_sched.master) in
-      match Master_slave.try_solve ~cache restr.P.sub ~master:m with
+      match Master_slave.try_solve restr.P.sub ~master:m with
       | Error _ -> () (* fully degraded epoch: nothing to replay *)
       | Ok sol when R.is_zero sol.Master_slave.ntask -> ()
       | Ok sol ->
@@ -701,7 +701,6 @@ let e17_faults () =
              ~step:(R.of_int 10) ~factor:(R.of_ints 1 2)) );
     ]
   in
-  let cache = Lp.Cache.create () in
   let has_outage sc =
     List.exists
       (fun (_, tr) -> List.exists (fun (_, m) -> R.is_zero m) tr)
@@ -722,12 +721,12 @@ let e17_faults () =
   let rows =
     List.concat_map
       (fun (name, sc) ->
-        let bound = Dynamic_sched.fault_throughput_bound ~cache sc in
+        let bound = Dynamic_sched.fault_throughput_bound sc in
         let frac c =
           if R.is_zero bound then if R.is_zero c then "1.0000" else "-"
           else flt (R.to_float c /. R.to_float bound)
         in
-        let run strat = Dynamic_sched.run ~cache sc strat in
+        let run strat = Dynamic_sched.run sc strat in
         let strat_row label strat =
           let out = run strat in
           [
@@ -741,7 +740,7 @@ let e17_faults () =
         let na label =
           [ name; label; "n/a"; "-"; "plans divide by dead speeds" ]
         in
-        let checked, total, exact = epoch_replay ~cache sc in
+        let checked, total, exact = epoch_replay sc in
         let verdict =
           Printf.sprintf "epochs %d (%d degraded); surviving replay exact: %s"
             total (total - checked)

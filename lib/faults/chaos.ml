@@ -219,20 +219,12 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
     | Error e -> check plan ("LP certificate: " ^ e) false violations)
   | _, (Lp.Infeasible | Lp.Unbounded) ->
     check plan "LP certificate: nominal LP not optimal" false violations);
-  let run ?cache ?stats strategy =
+  let run ?stats strategy =
     incr runs;
-    Dy.run ?cache ?stats sc strategy
+    Dy.run ?stats sc strategy
   in
-  let robust_r = run ~cache:(Lp.Cache.create ()) ~stats:effort Dy.Robust in
-  let robust_c = run Dy.Robust in
-  let static_r = run ~cache:(Lp.Cache.create ()) Dy.Static in
-  let static_c = run Dy.Static in
-  (* every LP solve is cold and the LP cache is memoisation only, so it
-     changes no answer: the Robust and Static outcomes and the
-     throughput bounds are all certified bit-identical with a fresh
-     cache and with none *)
-  check plan "Robust memo <> no memo" (Dy.outcomes_equal robust_r robust_c)
-    violations;
+  let robust_r = run ~stats:effort Dy.Robust in
+  let static_r = run Dy.Static in
   let cap = capacity_bound p faults in
   (* Robust must stay within a pipeline's worth of Static's throughput.
      The exact [Robust >= Static] does NOT hold at a finite horizon: the
@@ -254,37 +246,25 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
          R.zero static_r.Dy.per_phase)
   in
   let static_floor = R.sub static_r.Dy.completed slack in
-  List.iter
-    (fun (label, (o : Dy.outcome)) ->
-      check plan
-        (Printf.sprintf "%s: Robust %s trails Static %s by over a phase"
-           label
-           (R.to_string o.Dy.completed)
-           (R.to_string static_r.Dy.completed))
-        (R.compare o.Dy.completed static_floor >= 0)
-        violations;
-      check plan
-        (label ^ ": Robust exceeds the CPU capacity bound")
-        (R.compare o.Dy.completed cap <= 0)
-        violations;
-      check_accounting plan (label ^ " Robust") o violations)
-    [ ("memo", robust_r); ("no memo", robust_c) ];
-  check plan "Static memo <> no memo" (Dy.outcomes_equal static_r static_c)
+  check plan
+    (Printf.sprintf "Robust %s trails Static %s by over a phase"
+       (R.to_string robust_r.Dy.completed)
+       (R.to_string static_r.Dy.completed))
+    (R.compare robust_r.Dy.completed static_floor >= 0)
     violations;
+  check plan "Robust exceeds the CPU capacity bound"
+    (R.compare robust_r.Dy.completed cap <= 0)
+    violations;
+  check_accounting plan "Robust" robust_r violations;
   check plan "Static reports losses"
     (static_r.Dy.losses = Dy.no_losses)
     violations;
   check_accounting plan "Static" static_r violations;
-  check plan "fault bound memo <> no memo"
-    (R.equal
-       (Dy.fault_throughput_bound ~cache:(Lp.Cache.create ()) sc)
-       (Dy.fault_throughput_bound sc))
-    violations;
   (* crash injection + recovery: kill a checkpointed run at a
      seeded epoch (the halt hook fires exactly where a [kill -9]
      would land — after that boundary's checkpoint commit), resume
      from disk, and certify the stitched outcome bit-identical to the
-     uninterrupted memo run above *)
+     uninterrupted run above *)
   let halt = 1 + Faults.rand_int g (phases - 1) in
   let ckdir = fresh_ckpt_dir () in
   let checkpoint = { Dy.Checkpoint.dir = ckdir; every = 1 } in
@@ -324,14 +304,9 @@ let run_plan ~plan ~g ~family ~shape ~density ~effort ~runs ~violations =
       false violations;
   let slowdown_only = outage_free faults in
   if slowdown_only then begin
-    let reactive =
-      run ~cache:(Lp.Cache.create ()) ~stats:effort Dy.Reactive
-    in
-    let oracle = run ~cache:(Lp.Cache.create ()) Dy.Oracle in
-    let ob = Dy.oracle_throughput_bound ~cache:(Lp.Cache.create ()) sc in
-    check plan "oracle bound memo <> no memo"
-      (R.equal ob (Dy.oracle_throughput_bound sc))
-      violations;
+    let reactive = run ~stats:effort Dy.Reactive in
+    let oracle = run Dy.Oracle in
+    let ob = Dy.oracle_throughput_bound sc in
     List.iter
       (fun (label, (o : Dy.outcome)) ->
         check plan

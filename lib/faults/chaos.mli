@@ -27,12 +27,6 @@
       slowdown-only plans additionally every strategy within
       {!Dynamic_sched.oracle_throughput_bound};
     - per-phase accounting: one entry per phase, summing to the total;
-    - memo-vs-no-memo certification: every LP solve is cold and the
-      {!Lp.Cache} is memoisation only, so the Robust and Static
-      outcomes and the per-epoch throughput bounds must be
-      bit-identical with a fresh [~cache] and with no cache — the
-      memo is an accelerator, never a result changer; both Robust
-      runs also get the whole battery;
     - loss accounting sums: [cancelled = retries + lost] (no
       per-operation timeout, so [timed_out_transfers] is always 0) and
       the fault-blind strategies report {!Dynamic_sched.no_losses};
@@ -69,10 +63,10 @@ type summary = {
       (** outage-free plans (all four strategies run on these) *)
   violations : violation list;  (** empty iff the campaign is green *)
   effort : Lp.Stats.t;
-      (** solver/repair/retry counters accumulated over the memo runs
-          (each with a fresh [~cache]) — the campaign doubles as a soak
-          test for the cache and the retry machinery ([retries] and
-          [backoff_time] both get exercised) *)
+      (** solver/repair/retry counters accumulated over the Robust and
+          Reactive runs — the campaign doubles as a soak test for the
+          solver and the retry machinery ([retries] and [backoff_time]
+          both get exercised) *)
 }
 
 val shapes : string list

@@ -343,7 +343,7 @@ let standard_form m =
   let s = translate m in
   (Array.map (fun (cs, ks) -> (Array.copy cs, Array.copy ks)) s.rows, s.b, s.c)
 
-(* --- the solve cache --- *)
+(* --- the disk tier's record keys --- *)
 
 (* Structural signature of a model: variable names and which ones have
    an upper bound (the candidate [ub:] rows) plus constraint names and
@@ -372,76 +372,22 @@ let signature m =
 module Cache = struct
   module Disk = Solve_store
 
-  type entry = {
-    e_key : string; (* full canonical dump: the collision guard *)
-    e_res : result;
-    mutable e_tick : int; (* last-use stamp, for LRU eviction *)
-  }
+  type t = { disk : Disk.t option; mutable hits : int; mutable misses : int }
 
-  type t = {
-    tbl : (string, entry) Hashtbl.t;
-    capacity : int;
-    disk : Disk.t option;
-    mutable tick : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    mutable disk_hits : int;
-  }
-
-  let create ?(capacity = 512) ?disk () =
-    if capacity <= 0 then invalid_arg "Lp.Cache.create: capacity <= 0";
-    { tbl = Hashtbl.create 64; capacity; disk; tick = 0;
-      hits = 0; misses = 0; evictions = 0; disk_hits = 0 }
-
-  let clear t = Hashtbl.reset t.tbl
+  let create ?disk () = { disk; hits = 0; misses = 0 }
   let hits t = t.hits
   let misses t = t.misses
-  let evictions t = t.evictions
-  let disk_hits t = t.disk_hits
+  let disk_hits = hits
   let disk t = t.disk
-  let length t = Hashtbl.length t.tbl
-
-  let use t e =
-    t.tick <- t.tick + 1;
-    e.e_tick <- t.tick
-
-  (* LRU insert: at capacity the stalest entry goes — not the whole
-     table, which used to throw away a full working set on sweep
-     workloads exactly when it was most valuable. The scan is O(n) per
-     eviction; with the default capacity that is a few microseconds
-     against the milliseconds a simplex run costs. *)
-  let insert t key e =
-    if (not (Hashtbl.mem t.tbl key))
-       && Hashtbl.length t.tbl >= t.capacity
-    then begin
-      let victim =
-        Hashtbl.fold
-          (fun k e acc ->
-            match acc with
-            | Some (_, best) when best.e_tick <= e.e_tick -> acc
-            | _ -> Some (k, e))
-          t.tbl None
-      in
-      match victim with
-      | Some (k, _) ->
-        Hashtbl.remove t.tbl k;
-        t.evictions <- t.evictions + 1
-      | None -> ()
-    end;
-    Hashtbl.replace t.tbl key e;
-    use t e
 end
 
-(* Exact cache key: the structural signature plus every coefficient of
-   the *model* — objective sense and terms, constraint terms and
-   right-hand sides, and the upper bounds.  The standard form is a
-   deterministic function of exactly these, so equal keys translate to
-   identical instances and a hit returns a result bit-identical to what
-   re-solving would produce — while the lookup itself never pays for
-   the translation (which is what makes a hit cheaper than a solve in
-   the first place).  Rationals are kept in canonical form, so exact
-   decimal dumps compare exactly. *)
+(* Exact disk-record key: the structural signature plus every
+   coefficient of the *model* — objective sense and terms, constraint
+   terms and right-hand sides, and the upper bounds.  The standard form
+   is a deterministic function of exactly these, so equal keys translate
+   to identical instances, and a certified record is the answer
+   re-solving would produce.  Rationals are kept in canonical form, so
+   exact decimal dumps compare exactly. *)
 let cache_key sg (m : model) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf sg;
@@ -563,7 +509,7 @@ let decode_entry m value =
     with Exit | Invalid_argument _ | Division_by_zero | Failure _ -> None)
   | _ -> None
 
-(* Exact solver-effort counters, accumulated across kernel solves (cache
+(* Exact solver-effort counters, accumulated across kernel solves (disk
    hits contribute nothing — no kernel ran).  Pivot counts are
    deterministic (exact arithmetic, deterministic rules), so the bench
    can attribute a speedup to fewer pivots vs cheaper pivots.
@@ -749,56 +695,37 @@ let certify m sol =
 
 let solve ?cache ?stats m =
   let n = num_vars m in
-  let cached =
+  (* the disk tier, and the key of this model's record in it *)
+  let disk =
     match cache with
-    | None -> None
-    | Some cc ->
-      let key = cache_key (signature m) m in
-      (* the table is keyed by a fixed-width digest of the canonical
-         dump, so the hashtable never hashes (or compares, on the
-         bucket walk) the full dump — lookup cost is independent of
-         model size.  The dump is echoed in the entry: on the
-         astronomically unlikely digest collision the echo differs and
-         the lookup degrades to a miss, mirroring {!Solve_store}'s
-         key-echo guard. *)
-      let hkey = Solve_store.digest key in
-      let entry =
-        match Hashtbl.find_opt cc.Cache.tbl hkey with
-        | Some e when String.equal e.Cache.e_key key ->
-          Cache.use cc e;
-          Some e
-        | Some _ (* digest collision *) | None -> (
-          match cc.Cache.disk with
-          | None -> None
-          | Some d -> (
-            match Solve_store.find d key with
-            | None -> None
-            | Some value -> (
-              (* the checksum covers bytes, not answers: an optimum is
-                 served only once [certify] proves it from the model *)
-              match decode_entry m value with
-              | Some sol when Result.is_ok (certify m sol) ->
-                cc.Cache.disk_hits <- cc.Cache.disk_hits + 1;
-                let e = { Cache.e_key = key; e_res = Optimal sol; e_tick = 0 } in
-                Cache.insert cc hkey e;
-                Some e
-              | Some _ | None ->
-                (* an uncertified optimum, or checksum-valid bytes the
-                   value decoder rejects (encoding version skew): demote,
-                   treat as a miss *)
-                Solve_store.quarantine d key;
-                None)))
-      in
-      Some (cc, key, hkey, entry)
+    | Some ({ Cache.disk = Some d; _ } as cc) ->
+      Some (cc, d, cache_key (signature m) m)
+    | Some _ | None -> None
   in
-  match cached with
-  | Some (cc, _, _, Some entry) ->
-    cc.Cache.hits <- cc.Cache.hits + 1;
-    entry.Cache.e_res
-  | _ ->
-    (match cached with
-    | Some (cc, _, _, None) -> cc.Cache.misses <- cc.Cache.misses + 1
-    | _ -> ());
+  let served =
+    match disk with
+    | None -> None
+    | Some (cc, d, key) -> (
+      match Solve_store.find d key with
+      | None -> None
+      | Some value -> (
+        (* the checksum covers bytes, not answers: an optimum is served
+           only once [certify] proves it from the model *)
+        match decode_entry m value with
+        | Some sol when Result.is_ok (certify m sol) ->
+          cc.Cache.hits <- cc.Cache.hits + 1;
+          Some (Optimal sol)
+        | Some _ | None ->
+          (* an uncertified optimum, or checksum-valid bytes the value
+             decoder rejects (encoding version skew): demote, treat as
+             a miss *)
+          Solve_store.quarantine d key;
+          None))
+  in
+  match served with
+  | Some res -> res
+  | None ->
+    Option.iter (fun cc -> cc.Cache.misses <- cc.Cache.misses + 1) cache;
     let { rows; b; c; flip; kernel_row } = translate m in
     let res =
       match Simplex.minimize ~rows ~b ~c () with
@@ -824,13 +751,8 @@ let solve ?cache ?stats m =
         in
         Optimal { objective; values; duals }
     in
-    (match cached with
-    | Some (cc, key, hkey, None) ->
-      Cache.insert cc hkey
-        { Cache.e_key = key; e_res = res; e_tick = 0 };
-      (match (cc.Cache.disk, res) with
-      | Some d, Optimal sol -> Solve_store.add d key (encode_entry sol)
-      | _ -> ())
+    (match (disk, res) with
+    | Some (_, d, key), Optimal sol -> Solve_store.add d key (encode_entry sol)
     | _ -> ());
     res
 

@@ -86,7 +86,7 @@ type solution = {
           of extra right-hand side.  Strong duality holds exactly:
           [objective = sum_r dual_r * rhs_r] where the rhs of an
           [ub:<var>] row is that variable's upper bound; {!certify}
-          checks it.  A cached answer is shared: do not mutate it. *)
+          checks it. *)
 }
 
 type result =
@@ -114,29 +114,30 @@ val row_names : model -> string list
     upper-bounded variable of {!var_bounds}. *)
 
 module Cache : sig
-  (** Exact memo of solved instances.  The key is the structural
-      signature plus every model coefficient, right-hand side and upper
-      bound (exact decimal dumps — no hashing collisions, no rounding);
-      the value is the final {!result}.  Identical re-solves
-      (flat trace segments, repeated oracle queries) therefore return
-      the very same answer without touching the simplex.  At capacity
-      the least-recently-used entry is evicted (and counted), so a
-      sweep's working set survives.
+  (** A handle on the optional {!Disk} tier of exact solves, and its
+      counters.  With a disk tier, every {!solve} through the handle
+      looks its model up in a crash-safe, cross-process store
+      directory and writes every optimum through, so separate
+      processes (CLI, bench, CI runs) and repeated solves in one
+      process reuse each other's answers.  The record key is the
+      structural signature plus every model coefficient, right-hand
+      side and upper bound (exact decimal dumps, no rounding), so the
+      record of an identical model is the answer re-solving would give.
+      Infeasible and unbounded outcomes carry no certificate and are
+      not stored.  Disk records are validated byte-for-byte, and a
+      decoded optimum is served only once {!certify} proves it against
+      the model; anything corrupt, uncertified or other than an
+      optimum is quarantined and the solve runs cold.  Record values
+      are tagged [lpres 4]; a record of any other value format, such
+      as the [lpres 3] of the kernel that still saw implied [ub:] rows,
+      is quarantined and re-solved.
 
-      A cache may carry a {!Disk} tier: a crash-safe, cross-process
-      store directory consulted on memory misses and written through on
-      every optimum, so separate processes (CLI, bench, CI runs) reuse
-      each other's solves.  Infeasible and unbounded outcomes carry no
-      certificate and stay in memory.  Disk records are validated
-      byte-for-byte, and a decoded optimum is served only once
-      {!certify} proves it against the model; anything corrupt,
-      uncertified or other than an optimum is quarantined and the solve
-      runs cold.  Record values are tagged
-      [lpres 4]; a record of any other value format, such as the
-      [lpres 3] of the kernel that still saw implied [ub:] rows, is
-      quarantined and re-solved.
+      Without a disk tier the handle memoises nothing: every solve
+      runs the kernel and counts a miss.  There is no in-memory memo;
+      the executors of {!Dynamic_sched} reuse a plan only while the
+      multipliers it was made from stay unchanged.
 
-      Not thread-safe: use one cache per task. *)
+      Not thread-safe: use one handle per task. *)
 
   module Disk = Solve_store
   (** The disk tier: see {!Solve_store} for the record format,
@@ -146,28 +147,20 @@ module Cache : sig
 
   type t
 
-  val create : ?capacity:int -> ?disk:Disk.t -> unit -> t
-  (** [capacity] bounds the number of stored instances (default 512).
-      [disk] attaches a persistent tier shared across processes; the
-      handle must not be shared between threads.
-      @raise Invalid_argument if [capacity <= 0]. *)
-
-  val clear : t -> unit
-  (** Drops the in-memory table only; disk records survive. *)
+  val create : ?disk:Disk.t -> unit -> t
+  (** [disk] attaches a persistent tier shared across processes; the
+      handle must not be shared between threads. *)
 
   val hits : t -> int
-  (** Cache-served solves, from either tier. *)
+  (** Solves served by a certified disk record. *)
 
   val misses : t -> int
-
-  val evictions : t -> int
-  (** In-memory LRU evictions performed. *)
+  (** Solves that ran the kernel. *)
 
   val disk_hits : t -> int
-  (** The subset of {!hits} served by decoding a disk record. *)
+  (** The same count as {!hits}: every hit is a disk hit. *)
 
   val disk : t -> Disk.t option
-  val length : t -> int
 end
 
 module Stats : sig
@@ -176,7 +169,7 @@ module Stats : sig
       did: pivot counts are deterministic (exact arithmetic,
       deterministic pivot rules), so the bench can report
       them next to wall-clock and attribute a speedup to {e fewer}
-      pivots vs {e cheaper} pivots.  Cache hits contribute nothing —
+      pivots vs {e cheaper} pivots.  Disk hits contribute nothing —
       no kernel ran.  The fields that are always [0] stay so counter
       consumers keep their schema. *)
 
@@ -232,11 +225,12 @@ val solve :
     {!Simplex} kernel (Dantzig pricing with its stall-to-Bland
     fallback) from its crash-basis cold start.  Every solve is cold, so
     the answer — vertex, objective and duals — is a pure function of
-    the model.  [?cache] short-circuits exactly repeated instances and
-    is a pure accelerator: a hit is bit-identical to re-solving.
+    the model.  [?cache] with a disk tier serves a certified record of
+    an identical model instead, and writes every optimum it solves
+    through: the same answer, bit for bit.
 
     [?stats] accumulates exact pivot counts for every optimal kernel
-    solve (cache hits add nothing). *)
+    solve (disk hits add nothing). *)
 
 val standard_form : model -> Simplex.row array * Rat.t array * Rat.t array
 (** [standard_form m] is exactly the [(rows, b, c)] instance {!solve}

@@ -107,8 +107,6 @@ val checksum : string -> string
 
 val digest : string -> string
 (** 128-bit hex digest of a key (two FNV-1a/64 passes under independent
-    bases) — the record filename stem.  Also used by {!Lp.Cache} to key
-    its in-memory table: hashing the canonical model dump keeps lookup
-    cost independent of model size, with the full key echoed in the
-    entry so a digest collision degrades to a miss, never a wrong
+    bases) — the record filename stem.  The full key is echoed in the
+    record, so a digest collision degrades to a miss, never a wrong
     answer. *)

@@ -45,9 +45,9 @@ let test_determinism () =
     b.Chaos.effort.Lp.Stats.retries
 
 let test_effort_exercised () =
-  (* the campaign is a soak test for the LP cache and the retry
-     machinery: the memo runs (each with a fresh cache) must actually
-     exercise the solver and the failure executor *)
+  (* the campaign is a soak test for the solver and the retry
+     machinery: the Robust and Reactive runs must actually exercise the
+     solver and the failure executor *)
   let s = Chaos.run_campaign ~smoke:true ~seed:42 () in
   let e = s.Chaos.effort in
   Alcotest.(check bool) "kernel solves ran" true (e.Lp.Stats.solves > 0);

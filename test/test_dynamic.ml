@@ -126,11 +126,11 @@ let test_trace_order_irrelevant () =
     (Dy.run shuffled Dy.Oracle).Dy.completed
 
 let test_reuse_bit_identical () =
-  (* the LP cache is the only memo and must not change any reported
-     number: every solve is cold, so with a cache — one shared by every
-     strategy, or a fresh one per run — the whole outcome and the
-     bounds are bit-identical to the run without one.  On a tree the
-     plans take no LP, so the scenario is a graph *)
+  (* a disk-backed cache must not change any reported number: every
+     solve is cold and a record is served only once certified, so runs
+     through one store — the later ones served from it — give outcomes
+     bit-identical to the runs without one.  On a tree the plans take no
+     LP, so the scenario is a graph *)
   let slowdown = graph_scenario () in
   let bw_dip =
     {
@@ -141,28 +141,21 @@ let test_reuse_bit_identical () =
   in
   List.iter
     (fun (label, sc) ->
-      let shared = Lp.Cache.create () in
+      let dir = Test_store.fresh_dir () in
+      let shared = Lp.Cache.create ~disk:(Solve_store.open_store dir) () in
       List.iter
         (fun s ->
           let cold = Dy.run sc s in
-          List.iter
-            (fun cache ->
-              let memo = Dy.run ~cache sc s in
-              Alcotest.(check (list rat))
-                (label ^ ": per-phase tasks identical")
-                cold.Dy.per_phase memo.Dy.per_phase;
-              Alcotest.(check bool) (label ^ ": outcome identical") true
-                (Dy.outcomes_equal cold memo))
-            [ shared; Lp.Cache.create () ])
+          let memo = Dy.run ~cache:shared sc s in
+          Alcotest.(check (list rat))
+            (label ^ ": per-phase tasks identical")
+            cold.Dy.per_phase memo.Dy.per_phase;
+          Alcotest.(check bool) (label ^ ": outcome identical") true
+            (Dy.outcomes_equal cold memo))
         [ Dy.Static; Dy.Reactive; Dy.Oracle; Dy.Robust ];
-      Alcotest.check rat (label ^ ": oracle bound identical")
-        (Dy.oracle_throughput_bound sc)
-        (Dy.oracle_throughput_bound ~cache:shared sc);
-      Alcotest.check rat (label ^ ": fault bound identical")
-        (Dy.fault_throughput_bound sc)
-        (Dy.fault_throughput_bound ~cache:(Lp.Cache.create ()) sc);
-      Alcotest.(check bool) (label ^ ": the cache actually got used") true
-        (Lp.Cache.hits shared > 0))
+      Test_store.rm_rf dir;
+      Alcotest.(check bool) (label ^ ": the disk tier actually served") true
+        (Lp.Cache.disk_hits shared > 0))
     [ ("slowdown graph", slowdown); ("bandwidth dip", bw_dip) ]
 
 (* A ring P0 - P1 - ... - P11 (cost 1 each way) closed by the chord
@@ -183,27 +176,22 @@ let ring_scenario () =
   { (scenario ()) with Dy.platform = p }
 
 let test_no_cache_solves_every_plan () =
-  (* [?cache] is the only memo across runs: on a flat trace every plan
-     LP is the same instance, yet without a cache each one goes to the
-     kernel (the nominal plan, plus one per phase for Reactive and
-     Oracle), and with a cache only the first is solved and the others
-     hit.  Robust plans the nominal platform and epoch 0; every later
-     epoch sees the multipliers epoch 0 saw and reuses its decision, so
-     it makes two plan LPs, the second a hit with a cache.
-     Off trees a plan is [Master_slave.try_solve]'s generation, whose
-     rounds each solve one restricted LP: without a cache every round
-     of every plan reaches the kernel; with one, the first plan's
-     rounds are solved and every later plan hits on every round (hits
-     add nothing to [?stats]).  The graph's plans take one round, the
-     ring's several.  Only a graph plans through the LP: on the star
-     every plan is the integral tree sweep, with no kernel solve at
-     all *)
+  (* every plan LP goes to the kernel: the nominal plan, plus, for
+     every strategy but Static, each phase whose multipliers differ from
+     the previous phase's.  On a flat trace every phase sees the
+     multipliers phase 0 saw and reuses its plan, so each of Reactive,
+     Oracle and Robust makes two plan LPs.  A cache with no disk tier
+     memoises nothing: it counts every round a miss and changes no
+     answer.  Off trees a plan is [Master_slave.try_solve]'s
+     generation, whose rounds each solve one restricted LP.  The
+     graph's plans take one round, the ring's several.  Only a graph
+     plans through the LP: on the star every plan is the integral tree
+     sweep, with no kernel solve at all *)
   let flat sc = { sc with Dy.cpu_traces = [ (1, [ (ri 20, R.one) ]) ] } in
   let star = flat (scenario ()) in
   List.iter
     (fun (label, sc, several) ->
       let sc = flat sc in
-      let phases = sc.Dy.phases in
       let rounds =
         let stats = Lp.Stats.create () in
         ignore
@@ -222,23 +210,60 @@ let test_no_cache_solves_every_plan () =
           let stats = Lp.Stats.create () in
           let plain = Dy.run ~stats sc s in
           Alcotest.(check int)
-            (name ^ ": every round of every plan LP without a cache")
+            (name ^ ": every round of every plan LP")
             (plan_lps * rounds) stats.Lp.Stats.solves;
           let stats = Lp.Stats.create () and cache = Lp.Cache.create () in
           let memo = Dy.run ~cache ~stats sc s in
-          Alcotest.(check int) (name ^ ": the first plan's rounds with a cache")
-            rounds stats.Lp.Stats.solves;
-          Alcotest.(check int) (name ^ ": the other plans hit on every round")
-            ((plan_lps - 1) * rounds) (Lp.Cache.hits cache);
+          Alcotest.(check int) (name ^ ": the same rounds with a cache")
+            (plan_lps * rounds) stats.Lp.Stats.solves;
+          Alcotest.(check int) (name ^ ": every round a miss")
+            (plan_lps * rounds) (Lp.Cache.misses cache);
           Alcotest.(check bool) (name ^ ": same outcome") true
             (Dy.outcomes_equal plain memo))
         [
           (Dy.Static, "static", 1);
-          (Dy.Reactive, "reactive", phases + 1);
-          (Dy.Oracle, "oracle", phases + 1);
+          (Dy.Reactive, "reactive", 2);
+          (Dy.Oracle, "oracle", 2);
           (Dy.Robust, "robust", 2);
         ])
     [ ("graph", graph_scenario (), false); ("ring", ring_scenario (), true) ]
+
+let test_oracle_plans_each_snapshot_once () =
+  (* Oracle plans the nominal platform, then each run of consecutive
+     phases with equal true multipliers once: slave 1 runs at 1 in
+     phases 0-1, at 1/4 in phases 2-4 and at 1 again in phases 5-7, so
+     three plans follow the nominal one, the third equal to the first
+     but not consecutive with it.  The kernel solves are those of
+     planning each of them, counted here one plan at a time *)
+  let rounds p =
+    let stats = Lp.Stats.create () in
+    ignore (Master_slave.try_solve ~stats p ~master:0);
+    stats.Lp.Stats.solves
+  in
+  List.iter
+    (fun (label, sc) ->
+      let snapshots =
+        List.init sc.Dy.phases (fun k ->
+            (Dy.surviving_platform sc ~at:(R.mul_int sc.Dy.phase k)).Platform.sub)
+      in
+      let distinct =
+        List.fold_left
+          (fun acc p ->
+            match acc with
+            | last :: _ when Platform.equal last p -> acc
+            | _ -> p :: acc)
+          [] snapshots
+      in
+      Alcotest.(check int) (label ^ ": three runs of equal phases") 3
+        (List.length distinct);
+      let expected =
+        List.fold_left (fun n p -> n + rounds p) (rounds sc.Dy.platform) distinct
+      in
+      let stats = Lp.Stats.create () in
+      ignore (Dy.run ~stats sc Dy.Oracle);
+      Alcotest.(check int) (label ^ ": one plan per distinct snapshot") expected
+        stats.Lp.Stats.solves)
+    [ ("graph", graph_scenario ()); ("ring", ring_scenario ()) ]
 
 let test_validation () =
   let sc = scenario () in
@@ -967,6 +992,8 @@ let suite =
       Alcotest.test_case "reuse bit-identical" `Quick test_reuse_bit_identical;
       Alcotest.test_case "no cache: one kernel solve per plan LP" `Quick
         test_no_cache_solves_every_plan;
+      Alcotest.test_case "oracle plans each distinct snapshot once" `Quick
+        test_oracle_plans_each_snapshot_once;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "outage validation" `Quick test_outage_validation;
       Alcotest.test_case "one trace per node and edge" `Quick

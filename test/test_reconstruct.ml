@@ -65,9 +65,8 @@ let test_fixed_period_series_strict () =
 (* --- end-to-end: dynamic strategies ------------------------------------- *)
 
 let test_dynamic_reuse_equivalent () =
-  (* the LP cache is the only reuse threaded through the dynamic
-     strategies; the outcome must not depend on whether a run has one.
-     A star plus one slave-slave link: on a tree the plans take no LP *)
+  (* the outcome must not depend on whether a run has an LP cache.  A
+     star plus one slave-slave link: on a tree the plans take no LP *)
   let star =
     Platform_gen.star ~master_weight:Ext_rat.inf
       ~slaves:[ (Ext_rat.of_int 1, ri 1); (Ext_rat.of_int 2, ri 2) ]

@@ -864,7 +864,7 @@ let test_connected_graph_reduced_certified () =
       check_ms_solution name p sol)
     [ (1, 6, 3); (7, 8, 3); (11, 10, 5) ]
 
-(* --- stats and hashed cache -------------------------------------------- *)
+(* --- stats and the hashed disk records ----------------------------------- *)
 
 let test_stats_counting () =
   let m = ms_model (Platform_gen.figure1 ()) in
@@ -874,20 +874,23 @@ let test_stats_counting () =
   | _ -> Alcotest.fail "not optimal");
   Alcotest.(check int) "one solve" 1 stats.Lp.Stats.solves;
   Alcotest.(check bool) "pivots counted" true (stats.Lp.Stats.pivots > 0);
-  let cache = Lp.Cache.create () in
+  let dir = Test_store.fresh_dir () in
+  let cache = Lp.Cache.create ~disk:(Solve_store.open_store dir) () in
   let before = stats.Lp.Stats.pivots in
   ignore (Lp.solve ~stats ~cache m);
   ignore (Lp.solve ~stats ~cache m);
-  Alcotest.(check int) "cache hit adds no pivots" (2 * before)
+  Test_store.rm_rf dir;
+  Alcotest.(check int) "disk hit adds no pivots" (2 * before)
     stats.Lp.Stats.pivots;
   Alcotest.(check int) "two kernel solves total" 2 stats.Lp.Stats.solves;
-  Alcotest.(check int) "one cache hit" 1 (Lp.Cache.hits cache);
+  Alcotest.(check int) "one disk hit" 1 (Lp.Cache.disk_hits cache);
   Alcotest.(check int) "tableau never refactorises" 0 stats.Lp.Stats.refactors
 
 let test_hashed_cache_distinguishes () =
-  (* distinct instances through one cache: the digest-keyed table must
-     keep them apart and serve each exactly *)
-  let cache = Lp.Cache.create () in
+  (* distinct instances through one disk-backed cache: the
+     digest-named records must keep them apart and serve each exactly *)
+  let dir = Test_store.fresh_dir () in
+  let cache = Lp.Cache.create ~disk:(Solve_store.open_store dir) () in
   let solos =
     List.map
       (fun (name, m) ->
@@ -903,6 +906,7 @@ let test_hashed_cache_distinguishes () =
       | Lp.Optimal s -> Alcotest.check rat (name ^ " replay") obj s.Lp.objective
       | _ -> Alcotest.fail (name ^ ": replay not optimal"))
     solos;
+  Test_store.rm_rf dir;
   Alcotest.(check int) "all replays hit" (List.length solos)
     (Lp.Cache.hits cache)
 

@@ -51,7 +51,8 @@ let fingerprint m = function
   | Lp.Unbounded -> [ "unbounded" ]
 
 let solve_fig1 ?cache () =
-  Master_slave.solve_lp_only ?cache (Platform_gen.figure1 ()) ~master:0
+  let m, _, _ = Master_slave.build_lp (Platform_gen.figure1 ()) ~master:0 in
+  (m, Lp.solve ?cache m)
 
 let cold_fig1 = lazy (let m, res = solve_fig1 () in fingerprint m res)
 
@@ -132,10 +133,12 @@ let test_round_trip () =
   Alcotest.(check int) "one store committed" 1 (S.stores h1);
   Alcotest.(check int) "one live record" 1 (S.entries h1);
   Alcotest.(check bool) "record has bytes" true (S.bytes h1 > 0);
-  (* same process, same cache: the memory tier answers *)
-  check_fig1 "memory hit" ~cache:c1 ();
-  Alcotest.(check int) "memory hit counted" 1 (Lp.Cache.hits c1);
-  Alcotest.(check int) "not a disk hit" 0 (Lp.Cache.disk_hits c1);
+  (* same process, same handle: a repeated solve is served from disk *)
+  check_fig1 "repeated solve" ~cache:c1 ();
+  Alcotest.(check int) "served from disk in process" 1 (Lp.Cache.disk_hits c1);
+  Alcotest.(check int) "counted as a hit" 1 (Lp.Cache.hits c1);
+  Alcotest.(check int) "one miss, the populating solve" 1 (Lp.Cache.misses c1);
+  Alcotest.(check int) "nothing stored again" 1 (S.stores h1);
   (* fresh handle over the same directory: the cross-process case *)
   let h2 = S.open_store dir in
   let c2 = Lp.Cache.create ~disk:h2 () in
@@ -143,10 +146,8 @@ let test_round_trip () =
   Alcotest.(check int) "served from disk" 1 (Lp.Cache.disk_hits c2);
   Alcotest.(check int) "counted as a hit too" 1 (Lp.Cache.hits c2);
   Alcotest.(check int) "store-level hit" 1 (S.hits h2);
-  (* clear drops memory only; the disk tier still answers *)
-  Lp.Cache.clear c2;
-  check_fig1 "hit after clear" ~cache:c2 ();
-  Alcotest.(check int) "second disk hit" 2 (Lp.Cache.disk_hits c2);
+  check_fig1 "second disk hit" ~cache:c2 ();
+  Alcotest.(check int) "every repeat from disk" 2 (Lp.Cache.disk_hits c2);
   rm_rf dir
 
 (* --- corruption: truncations --- *)
@@ -431,8 +432,8 @@ let test_outcome_record_quarantined () =
       rm_rf dir)
     [ "I"; "U" ]
 
-(* an infeasible LP solved through a disk cache writes no record; the
-   memory tier still memoises it *)
+(* an infeasible LP solved through a disk cache writes no record, so
+   every solve of it runs the kernel *)
 let test_infeasible_not_stored () =
   let m = Lp.create () in
   let x = Lp.add_var m "x" in
@@ -449,7 +450,8 @@ let test_infeasible_not_stored () =
   done;
   Alcotest.(check int) "no record" 0 (List.length (records dir));
   Alcotest.(check int) "nothing stored" 0 (S.stores h);
-  Alcotest.(check int) "memory hit" 1 (Lp.Cache.hits cc);
+  Alcotest.(check int) "no hit" 0 (Lp.Cache.hits cc);
+  Alcotest.(check int) "re-solved" 2 (Lp.Cache.misses cc);
   rm_rf dir
 
 (* [quarantine/] is made by the first record moved there: a store that
@@ -634,72 +636,6 @@ let test_budget_validation () =
      with Invalid_argument _ -> true);
   rm_rf dir
 
-(* --- LRU eviction, memory tier --- *)
-
-let scaled p mult =
-  Platform.create
-    ~names:
-      (Array.of_list (List.map (Platform.name p) (Platform.nodes p)))
-    ~weights:
-      (Array.of_list
-         (List.map
-            (fun i ->
-              match Platform.weight p i with
-              | Ext_rat.Inf -> Ext_rat.Inf
-              | Ext_rat.Fin w -> Ext_rat.Fin (R.div w mult))
-            (Platform.nodes p)))
-    ~edges:
-      (List.map
-         (fun e ->
-           ( Platform.edge_src p e,
-             Platform.edge_dst p e,
-             R.div (Platform.edge_cost p e) mult ))
-         (Platform.edges p))
-
-let test_memory_lru () =
-  let cache = Lp.Cache.create ~capacity:2 () in
-  let p = Platform_gen.figure1 () in
-  let solve k =
-    (Master_slave.solve ~cache (scaled p (R.of_int k)) ~master:0)
-      .Master_slave.ntask
-  in
-  let s1 = solve 1 in
-  let _ = solve 2 in
-  (* touch 1 so 2 becomes the LRU victim when 3 arrives *)
-  let s1' = solve 1 in
-  Alcotest.check rat "hit replays exactly" s1 s1';
-  Alcotest.(check int) "one hit so far" 1 (Lp.Cache.hits cache);
-  let _ = solve 3 in
-  Alcotest.(check int) "eviction counted" 1 (Lp.Cache.evictions cache);
-  Alcotest.(check int) "capacity respected" 2 (Lp.Cache.length cache);
-  (* 1 was recently used: still cached.  2 was evicted: a miss. *)
-  let _ = solve 1 in
-  Alcotest.(check int) "LRU kept the recently-used entry" 2
-    (Lp.Cache.hits cache);
-  let _ = solve 2 in
-  Alcotest.(check int) "the stale entry was the victim" 4
-    (Lp.Cache.misses cache);
-  Alcotest.(check int) "second eviction" 2 (Lp.Cache.evictions cache)
-
-let test_memory_lru_keeps_working_set () =
-  (* the old clear-at-capacity wiped the whole table when entry
-     capacity+1 arrived; LRU drops only the stalest entry, so the rest
-     of the working set keeps hitting after an overflow *)
-  let cache = Lp.Cache.create ~capacity:4 () in
-  let p = Platform_gen.figure1 () in
-  let solve k =
-    ignore (Master_slave.solve ~cache (scaled p (R.of_int k)) ~master:0)
-  in
-  List.iter solve [ 1; 2; 3; 4 ];
-  solve 5 (* overflow: the old code lost all four here *);
-  Alcotest.(check int) "exactly one eviction" 1 (Lp.Cache.evictions cache);
-  let h0 = Lp.Cache.hits cache in
-  List.iter solve [ 2; 3; 4; 5 ];
-  Alcotest.(check int) "working set survived the overflow" 4
-    (Lp.Cache.hits cache - h0);
-  Alcotest.(check int) "table never exceeds capacity" 4
-    (Lp.Cache.length cache)
-
 (* --- many distinct models through one disk store --- *)
 
 let test_disk_store_many_models () =
@@ -853,14 +789,11 @@ let suite =
       Alcotest.test_case "disk LRU by entries" `Quick test_disk_lru_entries;
       Alcotest.test_case "disk LRU by bytes" `Quick test_disk_lru_bytes;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
-      Alcotest.test_case "memory LRU" `Quick test_memory_lru;
-      Alcotest.test_case "memory LRU keeps working set" `Quick
-        test_memory_lru_keeps_working_set;
       Alcotest.test_case "many models through one store" `Quick
         test_disk_store_many_models;
       Alcotest.test_case "hash format pinned" `Quick test_hashes_pinned;
-      Alcotest.test_case "Figure 2 scatter record name pinned" `Quick
-        test_record_name_pinned;
       Alcotest.test_case "kill -9 mid-write" `Quick test_kill_mid_write;
       Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
+      Alcotest.test_case "Figure 2 scatter record name pinned" `Quick
+        test_record_name_pinned;
     ] )
